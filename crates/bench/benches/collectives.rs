@@ -2,19 +2,15 @@
 //! and ALLGATHER across group sizes and payloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use simgpu::CommGroup;
+use simgpu::{CommGroup, Topology, Wire};
 
-fn run_allreduce(world: usize, n: usize, f16: bool) {
+fn run_allreduce(world: usize, n: usize, wire: Wire<'static>, topology: Topology) {
     let ranks = CommGroup::create(world);
     std::thread::scope(|s| {
         for rank in ranks {
             s.spawn(move || {
                 let mut data = vec![rank.rank() as f32; n];
-                if f16 {
-                    rank.all_reduce_sum_f16(&mut data, 512.0).unwrap();
-                } else {
-                    rank.all_reduce_sum(&mut data).unwrap();
-                }
+                rank.all_reduce(&mut data, wire, topology).unwrap();
             });
         }
     });
@@ -26,7 +22,7 @@ fn run_allgather(world: usize, n: usize) {
         for rank in ranks {
             s.spawn(move || {
                 let local = vec![rank.rank() as f32; n];
-                rank.all_gather_f32(&local).unwrap();
+                rank.all_gather_f32_into(&local, &mut Vec::new()).unwrap();
             });
         }
     });
@@ -40,29 +36,16 @@ fn bench_allreduce(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("f32_{n}"), world),
                 &world,
-                |b, &w| b.iter(|| run_allreduce(w, n, false)),
+                |b, &w| b.iter(|| run_allreduce(w, n, Wire::F32, Topology::Flat)),
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("f16_{n}"), world),
                 &world,
-                |b, &w| b.iter(|| run_allreduce(w, n, true)),
+                |b, &w| b.iter(|| run_allreduce(w, n, Wire::F16 { scale: 512.0 }, Topology::Flat)),
             );
         }
     }
     group.finish();
-}
-
-fn run_hierarchical(world: usize, n: usize, per_node: usize) {
-    let ranks = CommGroup::create(world);
-    std::thread::scope(|s| {
-        for rank in ranks {
-            s.spawn(move || {
-                let mut data = vec![rank.rank() as f32; n];
-                rank.all_reduce_sum_hierarchical(&mut data, per_node)
-                    .unwrap();
-            });
-        }
-    });
 }
 
 /// Ablation: flat ring vs node-hierarchical ALLREDUCE schedules at the
@@ -74,12 +57,14 @@ fn bench_hierarchy_ablation(c: &mut Criterion) {
     group.throughput(Throughput::Bytes((n * 4) as u64));
     for world in [4usize, 8] {
         group.bench_with_input(BenchmarkId::new("flat_ring", world), &world, |b, &w| {
-            b.iter(|| run_allreduce(w, n, false))
+            b.iter(|| run_allreduce(w, n, Wire::F32, Topology::Flat))
         });
         group.bench_with_input(
             BenchmarkId::new("hierarchical_2pernode", world),
             &world,
-            |b, &w| b.iter(|| run_hierarchical(w, n, 2)),
+            |b, &w| {
+                b.iter(|| run_allreduce(w, n, Wire::F32, Topology::TwoTier { gpus_per_node: 2 }))
+            },
         );
     }
     group.finish();

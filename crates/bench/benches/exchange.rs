@@ -20,14 +20,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nn::{Embedding, SparseGrad};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simgpu::{CommGroup, Rank};
+use simgpu::{CommGroup, Rank, Topology, Wire};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tensor::Matrix;
 use zipf::ZipfMandelbrot;
 use zipf_lm::{
-    exchange_and_apply, exchange_and_apply_traced, exchange_and_apply_with, ExchangeConfig,
-    ExchangeScratch, PhaseTimings, StepObserver, StepSample, TimeAttribution,
+    exchange_and_apply_traced, exchange_and_apply_with, ExchangeConfig, ExchangeScratch,
+    PhaseTimings, StepObserver, StepSample, TimeAttribution,
 };
 
 // Per-call shape (kept small: each iteration pays thread spawns).
@@ -66,7 +66,8 @@ fn run_exchange(world: usize, cfg: ExchangeConfig) {
             s.spawn(move || {
                 let mut table = Embedding::from_matrix(Matrix::zeros(VOCAB, DIM));
                 let grad = zipfian_grad(rank.rank() as u64, TOKENS, VOCAB, DIM);
-                exchange_and_apply(&rank, &grad, &mut table, 0.1, &cfg).unwrap();
+                let mut scratch = ExchangeScratch::new();
+                exchange_and_apply_with(&rank, &grad, &mut table, 0.1, &cfg, &mut scratch).unwrap();
             });
         }
     });
@@ -80,7 +81,9 @@ fn run_exchange(world: usize, cfg: ExchangeConfig) {
 fn seed_unique_exchange(rank: &Rank, grad: &SparseGrad, table: &mut Embedding, lr: f32) {
     let d = table.dim();
     let reduced = grad.local_reduce();
-    let all_indices = rank.all_gather_u32(&grad.indices).unwrap();
+    let mut all_indices = Vec::new();
+    rank.all_gather_u32_into(&grad.indices, &mut all_indices)
+        .unwrap();
     let mut unique = all_indices.clone();
     unique.sort_unstable();
     unique.dedup();
@@ -92,7 +95,7 @@ fn seed_unique_exchange(rank: &Rank, grad: &SparseGrad, table: &mut Embedding, l
             .expect("local index missing from global set");
         m[slot * d..(slot + 1) * d].copy_from_slice(reduced.rows.row(i));
     }
-    rank.all_reduce_sum(&mut m).unwrap();
+    rank.all_reduce(&mut m, Wire::F32, Topology::Flat).unwrap();
     for (slot, &idx) in unique.iter().enumerate() {
         let dst = table.weights_mut().row_mut(idx as usize);
         for (w, &v) in dst.iter_mut().zip(&m[slot * d..(slot + 1) * d]) {

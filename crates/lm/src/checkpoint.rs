@@ -44,12 +44,9 @@ use std::sync::{Arc, Mutex};
 /// split the attribution wire bucket into intra/inter-node tiers;
 /// version 3 appended the seventh attribution bucket, `overlapped_ps`
 /// (comm hidden under compute by the overlapped step schedule).
-/// [`Checkpoint::from_bytes`] still accepts version-2 buffers — they
-/// predate overlap, so the missing bucket is exactly zero.
+/// [`Checkpoint::from_bytes`] reads this version only: no artifact of
+/// an older format outlives the process that wrote it.
 pub const FORMAT_VERSION: u32 = 3;
-
-/// Oldest format version [`Checkpoint::from_bytes`] still reads.
-pub const MIN_FORMAT_VERSION: u32 = 2;
 
 /// Magic header of serialized checkpoints.
 pub const MAGIC: [u8; 8] = *b"ZLMCKPT\0";
@@ -262,7 +259,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::BadVersion(v) => {
                 write!(
                     f,
-                    "unsupported checkpoint version {v} (expected {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
+                    "unsupported checkpoint version {v} (expected {FORMAT_VERSION})"
                 )
             }
             CheckpointError::Truncated => write!(f, "truncated checkpoint"),
@@ -342,25 +339,12 @@ impl Checkpoint {
     /// [`Checkpoint::from_bytes`] followed by `to_bytes` is the
     /// identity on any valid buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_with_version(FORMAT_VERSION)
-    }
-
-    /// [`Checkpoint::to_bytes`] at an explicit format version — the
-    /// legacy writer backing the version-migration tests. Version 2
-    /// simply omits the trailing `overlapped_ps` attribution word.
-    /// Panics on versions outside
-    /// `MIN_FORMAT_VERSION..=FORMAT_VERSION`.
-    pub fn to_bytes_with_version(&self, version: u32) -> Vec<u8> {
-        assert!(
-            (MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version),
-            "unwritable checkpoint version {version}"
-        );
         let fp = &self.fingerprint;
         let mut out = Vec::with_capacity(
             MAGIC.len() + 136 + self.params.len() * 4 + self.metrics.epochs.len() * 40,
         );
         out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, version);
+        put_u32(&mut out, FORMAT_VERSION);
         put_u32(&mut out, self.world);
         put_u32(&mut out, self.rank);
         put_u64(&mut out, self.step);
@@ -407,14 +391,7 @@ impl Checkpoint {
         put_u64(&mut out, m.attribution.barrier_wait_ps);
         put_u64(&mut out, m.attribution.skew_ps);
         put_u64(&mut out, m.attribution.self_delay_ps);
-        if version >= 3 {
-            put_u64(&mut out, m.attribution.overlapped_ps);
-        } else {
-            debug_assert_eq!(
-                m.attribution.overlapped_ps, 0,
-                "v2 cannot represent a nonzero overlapped bucket"
-            );
-        }
+        put_u64(&mut out, m.attribution.overlapped_ps);
         put_u64(&mut out, m.epochs.len() as u64);
         for e in &m.epochs {
             put_u64(&mut out, e.epoch as u64);
@@ -439,7 +416,7 @@ impl Checkpoint {
             return Err(CheckpointError::BadMagic);
         }
         let version = r.u32()?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(CheckpointError::BadVersion(version));
         }
         let world = r.u32()?;
@@ -479,9 +456,7 @@ impl Checkpoint {
             barrier_wait_ps: r.u64()?,
             skew_ps: r.u64()?,
             self_delay_ps: r.u64()?,
-            // Version 2 predates the overlapped step schedule, so its
-            // runs had a hidden-comm bucket of exactly zero.
-            overlapped_ps: if version >= 3 { r.u64()? } else { 0 },
+            overlapped_ps: r.u64()?,
         };
         let n_epochs = r.u64()? as usize;
         // Guard the prealloc against a corrupt length field.
@@ -915,43 +890,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_buffers_still_load_with_zero_overlap() {
-        // A pre-overlap checkpoint (format 2, six attribution words)
-        // must restore exactly, with the new seventh bucket pinned to
-        // zero — and re-serializing it at the current version is the
-        // canonical v2→v3 migration.
-        let mut ck = sample_checkpoint(1, 21);
-        ck.metrics.attribution.overlapped_ps = 0; // v2 predates overlap
-        let v2 = ck.to_bytes_with_version(2);
-        let v3 = ck.to_bytes();
-        assert_eq!(v3.len(), v2.len() + 8, "v3 adds exactly one u64");
-        let back = Checkpoint::from_bytes(&v2).unwrap();
-        assert_eq!(back.metrics.attribution.overlapped_ps, 0);
-        assert_eq!(back.to_bytes(), v3, "migration is re-serialization");
-        // Round-trip at the current version is still the identity.
-        assert_eq!(Checkpoint::from_bytes(&v3).unwrap().to_bytes(), v3);
-    }
-
-    #[test]
     fn version_bounds_are_enforced() {
-        let mut ck = sample_checkpoint(0, 9);
-        // v2-writable: a v2 body with a v3 header is short one word —
-        // and vice versa a v3 body under a v2 header has one too many.
-        ck.metrics.attribution.overlapped_ps = 0;
-        let mut short = ck.to_bytes_with_version(2);
-        short[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
-        assert_eq!(
-            Checkpoint::from_bytes(&short),
-            Err(CheckpointError::Truncated)
-        );
-        let mut long = ck.to_bytes();
-        long[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
-        assert!(matches!(
-            Checkpoint::from_bytes(&long),
-            Err(CheckpointError::TrailingBytes(_) | CheckpointError::Truncated)
-        ));
-        // Versions outside the supported window are typed rejections.
-        for v in [0u32, 1, 4, 99] {
+        let ck = sample_checkpoint(0, 9);
+        // Every version but the current one is a typed rejection —
+        // including 2, the last format that used to be readable.
+        for v in [0u32, 1, 2, 4, 99] {
             let mut buf = ck.to_bytes();
             buf[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&v.to_le_bytes());
             assert_eq!(

@@ -92,27 +92,16 @@ pub struct TrainOutcome {
 /// Enable `cfg.checkpoint` to bound the work lost per failure; with
 /// checkpointing off, every recovery is a fresh restart at the smaller
 /// world. Non-recoverable errors — [`TrainError::DataTooSmall`],
-/// [`TrainError::InvalidFaultPlan`], [`TrainError::InvalidCheckpoint`]
-/// — are returned immediately; so is the underlying failure once
+/// [`TrainError::InvalidFaultPlan`], [`TrainError::InvalidConfig`],
+/// [`TrainError::InvalidCheckpoint`] — are returned immediately; so is
+/// the underlying failure once
 /// `policy.max_restarts` is exhausted or no survivor remains.
 pub fn train_elastic(
     cfg: &TrainConfig,
     plan: &FaultPlan,
     policy: RecoveryPolicy,
 ) -> Result<TrainOutcome, TrainError> {
-    train_elastic_with_memory(cfg, UNLIMITED, plan, policy)
-}
-
-/// [`train_elastic`] with each simulated GPU capped at `gpu_mem_bytes`
-/// (the plan's per-rank limits still override) — lets tests drive
-/// recovery from asymmetric OOM as well as injected kills.
-pub fn train_elastic_with_memory(
-    cfg: &TrainConfig,
-    gpu_mem_bytes: u64,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-) -> Result<TrainOutcome, TrainError> {
-    run_elastic(cfg, gpu_mem_bytes, plan, policy, None)
+    run_elastic(cfg, plan, policy, None)
 }
 
 /// [`train_elastic`] over a **durable** checkpoint backend (typically a
@@ -128,12 +117,11 @@ pub fn train_elastic_durable(
     policy: RecoveryPolicy,
     backend: Arc<dyn CheckpointBackend>,
 ) -> Result<TrainOutcome, TrainError> {
-    run_elastic(cfg, UNLIMITED, plan, policy, Some(backend))
+    run_elastic(cfg, plan, policy, Some(backend))
 }
 
 fn run_elastic(
     cfg: &TrainConfig,
-    gpu_mem_bytes: u64,
     plan: &FaultPlan,
     policy: RecoveryPolicy,
     backend: Option<Arc<dyn CheckpointBackend>>,
@@ -153,13 +141,7 @@ fn run_elastic(
             Some(b) => Arc::new(CheckpointStore::with_backend(cfg.gpus, Arc::clone(b))),
             None => Arc::new(CheckpointStore::new(cfg.gpus, cfg.checkpoint.keep_last)),
         };
-        let results = train_checkpointed(
-            &cfg,
-            gpu_mem_bytes,
-            &plan,
-            Arc::clone(&store),
-            resume.take(),
-        );
+        let results = train_checkpointed(&cfg, UNLIMITED, &plan, Arc::clone(&store), resume.take());
         let failure_observed = Instant::now();
 
         // Classify: a rank *failed* when its own error names itself

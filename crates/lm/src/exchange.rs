@@ -5,16 +5,19 @@
 //! local embedding table, so that all replicas hold identical tables
 //! afterwards (§II-B's invariant).
 //!
-//! * [`baseline_exchange`]: the state-of-the-art scheme the paper starts
-//!   from — ALLGATHER all `K×D` dense gradient matrices plus their index
-//!   vectors, then apply every row locally. Per-GPU memory and wire cost
-//!   `Θ(G·K·D)`.
-//! * [`unique_exchange`]: §III-A's seven steps — local duplicate
-//!   reduction, index-only ALLGATHER, global unique-index set, local
-//!   scatter into canonical rows, ALLREDUCE of the `Ug×D` matrix, apply.
-//!   Per-GPU cost `Θ(G·K + Ug·D)`.
+//! * baseline (`ExchangeConfig::unique == false`): the state-of-the-art
+//!   scheme the paper starts from — ALLGATHER all `K×D` dense gradient
+//!   matrices plus their index vectors, then apply every row locally.
+//!   Per-GPU memory and wire cost `Θ(G·K·D)`.
+//! * unique: §III-A's seven steps — local duplicate reduction,
+//!   index-only ALLGATHER, global unique-index set, local scatter into
+//!   canonical rows, ALLREDUCE of the `Ug×D` matrix, apply. Per-GPU
+//!   cost `Θ(G·K + Ug·D)`.
 //!
-//! Either path can run with FP16 wire compression (§III-C).
+//! Either path can run with FP16 wire compression (§III-C). Both are
+//! reached through [`exchange_and_apply_with`] (or its tracing twin
+//! [`exchange_and_apply_traced`]); the strategy is a field of
+//! [`ExchangeConfig`], not a choice of function.
 //!
 //! ## The hot path is allocation-free
 //!
@@ -37,7 +40,7 @@
 //! [`simgpu::Rank::abort`]-guarded step loop.
 
 use nn::{Embedding, SparseGrad};
-use simgpu::{CommError, PhaseTimer, Rank, SpanKind, TraceRecorder};
+use simgpu::{CommError, PhaseTimer, Rank, SpanKind, Topology, TraceRecorder, Wire};
 
 /// Timestamp helper for the optional recorder: zero-cost when `None`.
 #[inline]
@@ -76,7 +79,7 @@ pub struct ExchangeConfig {
     /// ALLREDUCE: `> 0` slices the payload into consecutive element
     /// ranges of at most this many wire bytes, each reduced by its own
     /// collective call — the bucketed schedule the trainer overlaps
-    /// with compute. `0` keeps the legacy whole-payload collective.
+    /// with compute. `0` keeps the single whole-payload collective.
     /// Reduction is elementwise with a canonical leader order, so
     /// bucketing moves no bits; the analytic `wire_bytes` switch to the
     /// sum of per-bucket ring shares in lock-step with the recorder.
@@ -120,16 +123,34 @@ impl ExchangeConfig {
         }
     }
 
-    /// True when this config sends the `Ug×D` ALLREDUCE through the
-    /// two-tier schedule for a group of `world` ranks. Compression does
-    /// *not* disable the two-tier schedule: the hierarchical phases
-    /// carry f16 payloads (see
-    /// [`Rank::all_reduce_sum_f16_hierarchical`]) — a prior revision
-    /// silently fell back to the flat ring here, so a user combining
-    /// `hierarchical` with the paper's compression method lost the
-    /// topology they asked for without any warning.
+    /// True when this config sends its ALLREDUCEs through the two-tier
+    /// schedule for a group of `world` ranks. Keys off the topology
+    /// alone: the wire format (FP16, codec) never disables it.
     pub fn hierarchical_for(&self, world: usize) -> bool {
         self.gpus_per_node > 0 && world > self.gpus_per_node
+    }
+
+    /// Wire schedule of this config's ALLREDUCEs (`gpus_per_node == 0`
+    /// is the flat ring; the collective itself falls back to the ring
+    /// when the group fits in one node, as [`Self::hierarchical_for`]
+    /// predicts).
+    pub fn topology(&self) -> Topology {
+        match self.gpus_per_node {
+            0 => Topology::Flat,
+            gpus_per_node => Topology::TwoTier { gpus_per_node },
+        }
+    }
+
+    /// Wire format of this config's gradient ALLREDUCEs — the one place
+    /// `compression` and `codec` are resolved against each other: an
+    /// FP16 wire is already its own format and keeps its own
+    /// accounting, so the gradient codec only frames raw-f32 payloads.
+    pub fn grad_wire(&self) -> Wire<'static> {
+        match (self.compression, self.codec.grad_codec()) {
+            (Some(scale), _) => Wire::F16 { scale },
+            (None, Some(codec)) => Wire::Codec(codec),
+            (None, None) => Wire::F32,
+        }
     }
 }
 
@@ -291,22 +312,9 @@ impl ExchangeScratch {
     }
 }
 
-/// Dispatches on `cfg` with a throwaway scratch pool. Convenience for
-/// one-shot callers and tests; hot loops should hold an
-/// [`ExchangeScratch`] and call [`exchange_and_apply_with`].
-pub fn exchange_and_apply(
-    rank: &Rank,
-    grad: &SparseGrad,
-    table: &mut Embedding,
-    lr: f32,
-    cfg: &ExchangeConfig,
-) -> Result<ExchangeStats, CommError> {
-    let mut scratch = ExchangeScratch::new();
-    exchange_and_apply_with(rank, grad, table, lr, cfg, &mut scratch)
-}
-
-/// Dispatches on `cfg` to one of the two exchange implementations,
-/// reusing `scratch`'s buffers (zero steady-state allocation).
+/// Runs one exchange per `cfg` — the baseline dense ALLGATHER or the
+/// §III-A uniqueness path — and applies the synchronised update to
+/// `table`, reusing `scratch`'s buffers (zero steady-state allocation).
 pub fn exchange_and_apply_with(
     rank: &Rank,
     grad: &SparseGrad,
@@ -320,8 +328,10 @@ pub fn exchange_and_apply_with(
 
 /// [`exchange_and_apply_with`] recording a [`simgpu::trace::TraceEvent`]
 /// per phase into `trace` (span kinds Gather / Unique / Scatter /
-/// AllReduce / Apply, with the phase's exact wire bytes). `None`
-/// disables recording at the cost of one branch per phase — the
+/// AllReduce / Apply, with the phase's exact wire bytes; the unique
+/// path emits two `Unique` spans per step — the local reduction of
+/// steps 1–2 and the global set derivation of step 4). `None` disables
+/// recording at the cost of one branch per phase — the
 /// `exchange_steady/trace_overhead` bench guards that this stays within
 /// noise of the untraced path.
 pub fn exchange_and_apply_traced(
@@ -334,28 +344,16 @@ pub fn exchange_and_apply_traced(
     trace: Option<&mut TraceRecorder>,
 ) -> Result<ExchangeStats, CommError> {
     if cfg.unique {
-        unique_exchange_cfg_traced(rank, grad, table, lr, cfg, scratch, trace)
+        unique_exchange(rank, grad, table, lr, cfg, scratch, trace)
     } else {
-        baseline_exchange_traced(rank, grad, table, lr, cfg.compression, scratch, trace)
+        baseline_exchange(rank, grad, table, lr, cfg.compression, scratch, trace)
     }
 }
 
-/// [`baseline_exchange_with`] with a throwaway scratch pool.
-pub fn baseline_exchange(
-    rank: &Rank,
-    grad: &SparseGrad,
-    table: &mut Embedding,
-    lr: f32,
-    compression: Option<f32>,
-) -> Result<ExchangeStats, CommError> {
-    let mut scratch = ExchangeScratch::new();
-    baseline_exchange_with(rank, grad, table, lr, compression, &mut scratch)
-}
-
-/// [`baseline_exchange_with`] with per-phase trace recording (see
-/// [`exchange_and_apply_traced`]).
-#[allow(clippy::too_many_arguments)]
-pub fn baseline_exchange_traced(
+/// The baseline dense exchange (§II-B): ALLGATHER of indices and full
+/// `K×D` gradients from every GPU, then sequential local application in
+/// rank order (deterministic, so all replicas stay identical).
+fn baseline_exchange(
     rank: &Rank,
     grad: &SparseGrad,
     table: &mut Embedding,
@@ -407,86 +405,19 @@ pub fn baseline_exchange_traced(
 
     Ok(ExchangeStats {
         local_tokens: n_local,
-        unique_local: 0,
-        unique_global: 0,
         wire_bytes,
         peak_buffer_bytes,
-        reduce_raw_bytes: 0,
-        reduce_enc_bytes: 0,
         index_enc_bytes: total_rows * 4,
         timings,
+        // No unique set, no ALLREDUCE on this path.
+        ..ExchangeStats::default()
     })
 }
 
-/// The baseline dense exchange (§II-B): ALLGATHER of indices and full
-/// `K×D` gradients from every GPU, then sequential local application in
-/// rank order (deterministic, so all replicas stay identical).
-pub fn baseline_exchange_with(
-    rank: &Rank,
-    grad: &SparseGrad,
-    table: &mut Embedding,
-    lr: f32,
-    compression: Option<f32>,
-    scratch: &mut ExchangeScratch,
-) -> Result<ExchangeStats, CommError> {
-    baseline_exchange_traced(rank, grad, table, lr, compression, scratch, None)
-}
-
-/// [`unique_exchange_with`] with a throwaway scratch pool.
-pub fn unique_exchange(
-    rank: &Rank,
-    grad: &SparseGrad,
-    table: &mut Embedding,
-    lr: f32,
-    compression: Option<f32>,
-) -> Result<ExchangeStats, CommError> {
-    let mut scratch = ExchangeScratch::new();
-    unique_exchange_with(rank, grad, table, lr, compression, &mut scratch)
-}
-
 /// The uniqueness exchange — §III-A, steps 1–7 — on pooled buffers.
-pub fn unique_exchange_with(
-    rank: &Rank,
-    grad: &SparseGrad,
-    table: &mut Embedding,
-    lr: f32,
-    compression: Option<f32>,
-    scratch: &mut ExchangeScratch,
-) -> Result<ExchangeStats, CommError> {
-    unique_exchange_traced(rank, grad, table, lr, compression, scratch, None)
-}
-
-/// [`unique_exchange_with`] with per-phase trace recording (see
-/// [`exchange_and_apply_traced`]). Emits two `Unique` spans per step:
-/// the local reduction (steps 1–2) and the global set derivation
-/// (step 4).
-#[allow(clippy::too_many_arguments)]
-pub fn unique_exchange_traced(
-    rank: &Rank,
-    grad: &SparseGrad,
-    table: &mut Embedding,
-    lr: f32,
-    compression: Option<f32>,
-    scratch: &mut ExchangeScratch,
-    trace: Option<&mut TraceRecorder>,
-) -> Result<ExchangeStats, CommError> {
-    let cfg = ExchangeConfig {
-        unique: true,
-        compression,
-        ..ExchangeConfig::baseline()
-    };
-    unique_exchange_cfg_traced(rank, grad, table, lr, &cfg, scratch, trace)
-}
-
-/// The uniqueness exchange with the full [`ExchangeConfig`] (topology
-/// included) and optional trace recording. `cfg.gpus_per_node > 0`
-/// sends step 6's `Ug×D` ALLREDUCE through
-/// [`Rank::all_reduce_sum_hierarchical`] when the group spans nodes;
-/// the analytic `wire_bytes` switch to the hierarchical schedule's
-/// total in lock-step, so they keep matching the traffic recorder
-/// exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn unique_exchange_cfg_traced(
+/// `cfg.gpus_per_node > 0` sends step 6's `Ug×D` ALLREDUCE through the
+/// two-tier schedule when the group spans nodes.
+fn unique_exchange(
     rank: &Rank,
     grad: &SparseGrad,
     table: &mut Embedding,
@@ -498,8 +429,6 @@ pub fn unique_exchange_cfg_traced(
     let g = rank.world();
     let d = table.dim();
     let n_local = grad.indices.len();
-    let compression = cfg.compression;
-    let elem_bytes: u64 = if compression.is_some() { 2 } else { 4 };
     scratch.ensure_vocab(table.vocab());
     let mut timer = PhaseTimer::start();
     let mut timings = PhaseTimings::default();
@@ -515,7 +444,7 @@ pub fn unique_exchange_cfg_traced(
     // Step 3: ALLGATHER the *index* vectors J (Θ(G·K), not Θ(G·K·D)).
     // With an index codec, each rank publishes its delta+varint frame
     // and peers decode all G of them — the gathered vector is byte-for-
-    // byte what the legacy path produces, only the wire charge shrinks.
+    // byte what the raw gather produces, only the wire charge shrinks.
     let index_codec = cfg.codec.index_codec();
     let t0 = trace_now(&trace);
     let index_pub_bytes = match index_codec {
@@ -574,87 +503,18 @@ pub fn unique_exchange_cfg_traced(
     // Step 6: ALLREDUCE the aligned matrices, one collective call per
     // gradient bucket (`cfg.bucket_bytes`; a single whole-payload call
     // when 0). Reduction is elementwise under a canonical leader order,
-    // so the slicing moves no bits. Ring bytes are the sum of this
-    // rank's exact per-bucket shares from the chunk schedule (matches
-    // the traffic recorder even when a bucket does not divide by G); on
-    // the two-tier path each bucket contributes the hierarchical
-    // schedule's exact total instead.
-    let hierarchical = cfg.hierarchical_for(g);
-    // The gradient codec steps aside under an FP16 wire: that payload
-    // already has its own format and byte accounting.
-    let grad_codec = if compression.is_none() {
-        cfg.codec.grad_codec()
-    } else {
-        None
-    };
-    let n_m = u_global * d;
-    let per = crate::schedule::bucket_elems(n_m, elem_bytes, cfg.bucket_bytes);
+    // so the slicing moves no bits. The bytes are the collective's own:
+    // this rank's exact per-bucket share of the active wire schedule,
+    // which is what the traffic recorder was charged.
     let t0 = trace_now(&trace);
-    let mut ring_bytes = 0u64;
-    let mut reduce_raw_bytes = 0u64;
-    let mut reduce_enc_bytes = 0u64;
-    let mut start = 0usize;
-    loop {
-        let end = (start + per).min(n_m);
-        let slice = &mut scratch.m[start..end];
-        match (compression, grad_codec) {
-            (Some(scale), _) if hierarchical => {
-                rank.all_reduce_sum_f16_hierarchical(slice, scale, cfg.gpus_per_node)?
-            }
-            (Some(scale), _) => rank.all_reduce_sum_f16(slice, scale)?,
-            (None, Some(c)) if hierarchical => {
-                rank.all_reduce_sum_hierarchical_codec(slice, c, cfg.gpus_per_node)?
-            }
-            (None, Some(c)) => rank.all_reduce_sum_codec(slice, c)?,
-            (None, None) if hierarchical => {
-                rank.all_reduce_sum_hierarchical(slice, cfg.gpus_per_node)?
-            }
-            (None, None) => rank.all_reduce_sum(slice)?,
-        }
-        // Analytic bytes come *after* the collective so the codec arms
-        // can price every chunk at its encoded length on the *reduced*
-        // payload — the steady-state re-encode model the recorder
-        // charges (each hop retransmits the already-reduced chunk).
-        let reduced = &scratch.m[start..end];
-        let nb = reduced.len() as u64;
-        ring_bytes += match grad_codec {
-            Some(c) => {
-                let n = reduced.len();
-                let chunk_bytes = |parts: usize, chunk: usize| {
-                    c.encoded_len_f32(&reduced[simgpu::chunk_range(n, parts, chunk)])
-                };
-                if hierarchical {
-                    simgpu::hierarchical_allreduce_send_bytes_parts(
-                        g,
-                        cfg.gpus_per_node,
-                        rank.rank(),
-                        chunk_bytes,
-                    )
-                    .total()
-                } else {
-                    simgpu::ring_allreduce_send_bytes_parts(g, rank.rank(), chunk_bytes)
-                }
-            }
-            None if hierarchical => simgpu::hierarchical_allreduce_send_bytes(
-                end - start,
-                g,
-                cfg.gpus_per_node,
-                rank.rank(),
-                elem_bytes,
-            )
-            .total(),
-            None => simgpu::ring_allreduce_send_bytes(end - start, g, rank.rank(), elem_bytes),
-        };
-        reduce_raw_bytes += nb * elem_bytes;
-        reduce_enc_bytes += match grad_codec {
-            Some(c) => c.encoded_len_f32(reduced),
-            None => nb * elem_bytes,
-        };
-        start = end;
-        if start >= n_m {
-            break;
-        }
-    }
+    let reduced = crate::schedule::all_reduce_bucketed(
+        rank,
+        &mut scratch.m,
+        cfg.grad_wire(),
+        cfg.topology(),
+        cfg.bucket_bytes,
+    )?;
+    let ring_bytes = reduced.sent.total();
     timings.allreduce_ns = timer.lap_ns();
     trace_rec(&mut trace, SpanKind::AllReduce, t0, ring_bytes);
 
@@ -671,7 +531,7 @@ pub fn unique_exchange_cfg_traced(
     trace_rec(&mut trace, SpanKind::Apply, t0, 0);
 
     // Index gather: encoded publish × (G−1) peers (raw 4K when no
-    // codec); ring ALLREDUCE: exact per-rank bytes.
+    // codec); ALLREDUCE: the bytes step 6's collectives returned.
     let wire_bytes = index_pub_bytes * (g as u64 - 1) + ring_bytes;
     // Buffers live simultaneously at the ALLREDUCE: G·K gathered
     // indices, the locally-reduced Ĵ (Ui indices) + ∆̂ (Ui×D rows) that
@@ -687,8 +547,8 @@ pub fn unique_exchange_cfg_traced(
         unique_global: u_global,
         wire_bytes,
         peak_buffer_bytes,
-        reduce_raw_bytes,
-        reduce_enc_bytes,
+        reduce_raw_bytes: reduced.raw,
+        reduce_enc_bytes: reduced.enc,
         index_enc_bytes,
         timings,
     })
@@ -740,11 +600,21 @@ mod tests {
         out.into_iter().map(Option::unwrap).collect()
     }
 
+    /// One exchange at lr 0.1 on a throwaway scratch pool.
+    fn oneshot(
+        rank: &Rank,
+        grad: &SparseGrad,
+        table: &mut Embedding,
+        cfg: &ExchangeConfig,
+    ) -> Result<ExchangeStats, CommError> {
+        exchange_and_apply_with(rank, grad, table, 0.1, cfg, &mut ExchangeScratch::new())
+    }
+
     fn exchange_result(world: usize, cfg: ExchangeConfig) -> Vec<(Matrix, ExchangeStats)> {
         run_group(world, |rank| {
             let mut table = make_table(7);
             let grad = make_grad(100 + rank.rank() as u64, 12);
-            let stats = exchange_and_apply(&rank, &grad, &mut table, 0.1, &cfg).unwrap();
+            let stats = oneshot(&rank, &grad, &mut table, &cfg).unwrap();
             (table.weights().clone(), stats)
         })
     }
@@ -834,7 +704,7 @@ mod tests {
                 indices: vec![3, 3, 7, 3, 7, 3],
                 rows: Matrix::zeros(6, D),
             };
-            exchange_and_apply(&rank, &grad, &mut table, 0.1, &ExchangeConfig::unique()).unwrap()
+            oneshot(&rank, &grad, &mut table, &ExchangeConfig::unique()).unwrap()
         });
         for s in &res {
             assert_eq!(s.local_tokens, 6);
@@ -858,7 +728,7 @@ mod tests {
                 indices,
                 rows: Matrix::zeros(n, D),
             };
-            exchange_and_apply(rank, &grad, &mut table, 0.1, cfg).unwrap()
+            oneshot(rank, &grad, &mut table, cfg).unwrap()
         };
         let base = run_group(world, |rank| mk(&rank, &cfg_b));
         let uniq = run_group(world, |rank| mk(&rank, &cfg_u));
@@ -877,7 +747,7 @@ mod tests {
             run_group(world, |rank| {
                 let mut table = make_table(3);
                 let grad = make_grad(rank.rank() as u64, 16);
-                baseline_exchange(&rank, &grad, &mut table, 0.1, None).unwrap()
+                oneshot(&rank, &grad, &mut table, &ExchangeConfig::baseline()).unwrap()
             })[0]
                 .peak_buffer_bytes
         };
@@ -900,7 +770,7 @@ mod tests {
                     indices,
                     rows: Matrix::zeros(n, D),
                 };
-                unique_exchange(&rank, &grad, &mut table, 0.1, None).unwrap()
+                oneshot(&rank, &grad, &mut table, &ExchangeConfig::unique()).unwrap()
             })[0]
         };
         let s2 = grab(2);
@@ -965,8 +835,8 @@ mod tests {
 
     #[test]
     fn pooled_and_oneshot_paths_agree_exactly() {
-        // Same gradients through exchange_and_apply (fresh scratch) and
-        // through a long-lived pool: bit-identical tables and identical
+        // Same gradients through a fresh scratch and through a
+        // long-lived pool: bit-identical tables and identical
         // non-timing stats.
         for cfg in [
             ExchangeConfig::unique(),
@@ -1014,8 +884,7 @@ mod tests {
                 simgpu::run_ranks(ranks, |rank| {
                     let mut table = make_table(7);
                     let grad = make_grad(100 + rank.rank() as u64, 12);
-                    let stats =
-                        exchange_and_apply(&rank, &grad, &mut table, 0.1, &hier_cfg).unwrap();
+                    let stats = oneshot(&rank, &grad, &mut table, &hier_cfg).unwrap();
                     // Safe to snapshot: every peer charged its bytes
                     // before the final rendezvous released this rank.
                     (table.weights().clone(), stats, rank.traffic())
@@ -1072,13 +941,12 @@ mod tests {
                 assert_eq!(ws.unique_global, bs.unique_global);
                 let n = ws.unique_global * D;
                 let gather = 12u64 * 4 * (world as u64 - 1);
-                let shares: u64 = crate::schedule::bucket_ranges(n, elem, bucket_bytes)
-                    .iter()
+                let shares: u64 = crate::schedule::buckets(n, elem, bucket_bytes)
                     .map(|range| simgpu::ring_allreduce_send_bytes(range.len(), world, r, elem))
                     .sum();
                 assert_eq!(bs.wire_bytes, gather + shares);
                 assert!(
-                    crate::schedule::bucket_ranges(n, elem, bucket_bytes).len() > 1,
+                    crate::schedule::buckets(n, elem, bucket_bytes).count() > 1,
                     "test must actually exercise multiple buckets"
                 );
             }
@@ -1104,8 +972,7 @@ mod tests {
                 simgpu::run_ranks(ranks, |rank| {
                     let mut table = make_table(7);
                     let grad = make_grad(100 + rank.rank() as u64, 12);
-                    let stats =
-                        exchange_and_apply(&rank, &grad, &mut table, 0.1, &hier_cfg).unwrap();
+                    let stats = oneshot(&rank, &grad, &mut table, &hier_cfg).unwrap();
                     (table.weights().clone(), stats, rank.traffic())
                 });
             let mut expected = simgpu::TierBytes::default();
@@ -1158,7 +1025,15 @@ mod tests {
                 rows: Matrix::zeros(n, D),
             };
             let mut scratch = ExchangeScratch::new();
-            unique_exchange_with(&rank, &grad, &mut table, 0.1, None, &mut scratch).unwrap();
+            exchange_and_apply_with(
+                &rank,
+                &grad,
+                &mut table,
+                0.1,
+                &ExchangeConfig::unique(),
+                &mut scratch,
+            )
+            .unwrap();
             scratch.unique.clone()
         });
         let expected = vec![9u32, 2, 5, 7, 0, 1];
@@ -1177,7 +1052,15 @@ mod tests {
             // Large enough that every phase takes measurable time.
             let grad = make_grad_sized(rank.rank() as u64, 512, 2000, 32);
             let mut scratch = ExchangeScratch::new();
-            unique_exchange_with(&rank, &grad, &mut table, 0.1, None, &mut scratch).unwrap()
+            exchange_and_apply_with(
+                &rank,
+                &grad,
+                &mut table,
+                0.1,
+                &ExchangeConfig::unique(),
+                &mut scratch,
+            )
+            .unwrap()
         });
         for s in &res {
             let t = s.timings;
@@ -1198,7 +1081,7 @@ mod tests {
                 Embedding::new(&mut rng, 2000, 32)
             };
             let grad = make_grad_sized(rank.rank() as u64, 512, 2000, 32);
-            baseline_exchange(&rank, &grad, &mut table, 0.1, None).unwrap()
+            oneshot(&rank, &grad, &mut table, &ExchangeConfig::baseline()).unwrap()
         });
         for s in &base {
             assert!(s.timings.gather_ns > 0);
@@ -1339,7 +1222,14 @@ mod tests {
                     let mut table = make_table(1);
                     let grad = make_grad(seed * 64 + rank.rank() as u64, tokens);
                     let mut scratch = ExchangeScratch::new();
-                    unique_exchange_with(&rank, &grad, &mut table, 0.1, None, &mut scratch)
+                    exchange_and_apply_with(
+                &rank,
+                &grad,
+                &mut table,
+                0.1,
+                &ExchangeConfig::unique(),
+                &mut scratch,
+            )
                         .unwrap();
                     scratch.unique.clone()
                 });

@@ -109,12 +109,10 @@ pub use ckpt_disk::CheckpointDir;
 pub use config::{
     CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, TraceConfig, TrainConfig,
 };
-pub use elastic::{
-    train_elastic, train_elastic_durable, train_elastic_with_memory, RecoveryPolicy, TrainOutcome,
-};
+pub use elastic::{train_elastic, train_elastic_durable, RecoveryPolicy, TrainOutcome};
 pub use exchange::{
-    exchange_and_apply, exchange_and_apply_traced, exchange_and_apply_with, ExchangeConfig,
-    ExchangeScratch, ExchangeStats, PhaseTimings,
+    exchange_and_apply_traced, exchange_and_apply_with, ExchangeConfig, ExchangeScratch,
+    ExchangeStats, PhaseTimings,
 };
 pub use metrics::{
     config_fingerprint, EpochMetrics, HealthEvent, HealthMonitor, RecoveryEvent, RunSummary,

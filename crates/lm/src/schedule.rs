@@ -36,6 +36,7 @@
 //! node-local phases precede its inter-node ring; for flat ops one tier
 //! is zero and the convention is vacuous).
 
+use simgpu::{CommError, Rank, TierBytes, Topology, Wire};
 use std::ops::Range;
 
 /// One collective operation on the step's comm stream, priced per
@@ -152,38 +153,70 @@ pub fn serial_total_ps(compute_ps: u64, apply_ps: u64, ops: &[CommOp]) -> u64 {
 
 /// Splits a payload of `n_elems` elements (`elem_bytes` each on the
 /// wire) into consecutive element ranges of at most `bucket_bytes` wire
-/// bytes — the gradient buckets of the overlapped schedule. Each range
-/// becomes one collective op paying its own latency term.
-/// `bucket_bytes == 0` (or ≥ the payload) yields a single range, which
-/// reproduces the legacy whole-payload collective byte-for-byte. Empty
+/// bytes — the gradient buckets of the overlapped schedule, walked
+/// without allocating. Each range becomes one collective op paying its
+/// own latency term. `bucket_bytes == 0` (or ≥ the payload) yields a
+/// single range, which is the whole-payload collective byte-for-byte;
+/// a sub-element `bucket_bytes` clamps to one element per bucket. Empty
 /// payloads yield one empty range so the op structure stays stable.
-pub fn bucket_ranges(n_elems: usize, elem_bytes: u64, bucket_bytes: u64) -> Vec<Range<usize>> {
-    if n_elems == 0 {
-        // One empty range, not `vec![]`, so callers always see an op.
-        #[allow(clippy::single_range_in_vec_init)]
-        return vec![0..0];
-    }
-    let per = bucket_elems(n_elems, elem_bytes, bucket_bytes);
-    let mut out = Vec::with_capacity(n_elems.div_ceil(per));
-    let mut start = 0usize;
-    while start < n_elems {
-        let end = (start + per).min(n_elems);
-        out.push(start..end);
-        start = end;
-    }
-    out
+pub fn buckets(
+    n_elems: usize,
+    elem_bytes: u64,
+    bucket_bytes: u64,
+) -> impl Iterator<Item = Range<usize>> {
+    let per = if bucket_bytes == 0 || n_elems == 0 {
+        n_elems.max(1)
+    } else {
+        ((bucket_bytes / elem_bytes.max(1)) as usize).clamp(1, n_elems)
+    };
+    // `max(1)`: an empty payload still starts one (empty) bucket.
+    (0..n_elems.max(1))
+        .step_by(per)
+        .map(move |start| start..(start + per).min(n_elems))
 }
 
-/// Elements per bucket for a payload — the slice width [`bucket_ranges`]
-/// uses, exposed separately so hot paths can walk the buckets with a
-/// plain cursor instead of allocating the range vector. Always at least
-/// 1 (a `while start < n` / `loop` walk terminates); for empty payloads
-/// it returns 1 so a single empty slice covers the payload.
-pub fn bucket_elems(n_elems: usize, elem_bytes: u64, bucket_bytes: u64) -> usize {
-    if bucket_bytes == 0 || n_elems == 0 {
-        return n_elems.max(1);
+/// What one bucketed ALLREDUCE put on the wire for this rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReducedBytes {
+    /// Per-tier bytes the collectives charged this rank — Σ over
+    /// buckets of what [`Rank::all_reduce`] returned.
+    pub sent: TierBytes,
+    /// Raw payload bytes: elements × the wire format's element size.
+    pub raw: u64,
+    /// The same payloads as single frames in the wire format: Σ over
+    /// buckets of the codec's encoded length on the *reduced* bucket
+    /// (rank-invariant — the reduced payload is identical everywhere).
+    /// Equals `raw` for fixed-width formats, so the step scheduler's
+    /// enc/raw ratio collapses to exactly 1; never exceeds it (codecs
+    /// never expand).
+    pub enc: u64,
+}
+
+/// ALLREDUCEs `data` in place, one collective call per gradient bucket
+/// of at most `bucket_bytes` wire bytes (see [`buckets`]) — the only
+/// place gradient buckets meet a collective: the trainer's dense
+/// ALLREDUCE and the exchange's step-6 `Ug×D` ALLREDUCE both call it.
+/// Reduction is elementwise under a canonical leader order, so neither
+/// the slicing nor the topology moves a bit; the returned bytes are
+/// the collective's own, exact even when a bucket does not divide by
+/// the world size.
+pub fn all_reduce_bucketed(
+    rank: &Rank,
+    data: &mut [f32],
+    wire: Wire<'_>,
+    topology: Topology,
+    bucket_bytes: u64,
+) -> Result<ReducedBytes, CommError> {
+    let mut out = ReducedBytes {
+        raw: data.len() as u64 * wire.elem_bytes(),
+        ..ReducedBytes::default()
+    };
+    for range in buckets(data.len(), wire.elem_bytes(), bucket_bytes) {
+        let bucket = &mut data[range];
+        out.sent += rank.all_reduce(bucket, wire, topology)?;
+        out.enc += wire.encoded_len(bucket);
     }
-    ((bucket_bytes / elem_bytes.max(1)) as usize).clamp(1, n_elems)
+    Ok(out)
 }
 
 /// Ready time of a payload whose last byte is the `produced_bytes`-th
@@ -273,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_ranges_cover_exactly_without_overlap() {
+    fn buckets_cover_exactly_without_overlap() {
         for (n, elem, bytes, want_buckets) in [
             (100usize, 4u64, 0u64, 1usize), // unbucketed
             (100, 4, 4000, 1),              // bucket ≥ payload
@@ -283,7 +316,7 @@ mod tests {
             (5, 4, 1, 5),                   // sub-element bucket clamps to 1
             (0, 4, 64, 1),                  // empty payload, stable shape
         ] {
-            let ranges = bucket_ranges(n, elem, bytes);
+            let ranges: Vec<_> = buckets(n, elem, bytes).collect();
             assert_eq!(ranges.len(), want_buckets, "n={n} bytes={bytes}");
             let mut next = 0usize;
             for r in &ranges {

@@ -55,7 +55,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgpu::{
     secs_to_ps, CommError, CommGroup, CostModel, Device, FaultPlan, HardwareConfig, OomError, Rank,
-    SimSpan, SimStream, SpanKind, TraceRecorder,
+    SimSpan, SimStream, SpanKind, TraceRecorder, Wire,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -88,6 +88,14 @@ pub enum TrainError {
         rank: usize,
         /// World size of the run.
         world: usize,
+    },
+    /// The configuration asks for something no rank could execute (a
+    /// non-positive or non-finite FP16 compression scale). Rejected
+    /// eagerly, before any thread spawns, instead of panicking inside
+    /// every rank's first collective.
+    InvalidConfig {
+        /// What is wrong with the configuration.
+        reason: String,
     },
     /// The resume checkpoint does not belong to this run configuration
     /// (see [`crate::checkpoint::Checkpoint::validate_against`]).
@@ -132,6 +140,9 @@ impl fmt::Display for TrainError {
                 f,
                 "fault plan targets rank {rank} but the world has only {world} ranks"
             ),
+            TrainError::InvalidConfig { reason } => {
+                write!(f, "invalid training configuration: {reason}")
+            }
             TrainError::InvalidCheckpoint { reason } => {
                 write!(f, "cannot resume: {reason}")
             }
@@ -185,7 +196,8 @@ pub fn train(cfg: &TrainConfig) -> Result<TrainReport, TrainError> {
 /// injected) into one, and the collapse is *root-cause preferring*:
 /// when any rank reports a concrete cause ([`TrainError::Oom`],
 /// [`TrainError::DataTooSmall`], [`TrainError::InvalidFaultPlan`],
-/// [`TrainError::InvalidCheckpoint`]), that error is returned and every
+/// [`TrainError::InvalidConfig`], [`TrainError::InvalidCheckpoint`]),
+/// that error is returned and every
 /// [`TrainError::PeerFailure`] *echo* of it is discarded. A
 /// `PeerFailure` is returned only when no rank knows a more specific
 /// reason. Callers therefore see *why* the run died, not merely that a
@@ -227,7 +239,9 @@ pub fn train_with_memory_limit(
 /// A plan targeting a rank outside the world (`rank >= cfg.gpus`) is
 /// rejected up front with [`TrainError::InvalidFaultPlan`] on every
 /// rank — such entries could never fire, and silently ignoring them
-/// would green-light tests that believe they injected a fault.
+/// would green-light tests that believe they injected a fault. An
+/// FP16 compression scale that is not positive and finite is rejected
+/// the same way with [`TrainError::InvalidConfig`].
 pub fn train_with_faults(
     cfg: &TrainConfig,
     gpu_mem_bytes: u64,
@@ -271,15 +285,22 @@ fn train_inner(
     runtime: Option<RunRuntime>,
 ) -> Vec<Result<TrainReport, TrainError>> {
     assert!(cfg.gpus >= 1 && cfg.epochs >= 1);
+    // Rejected before any thread spawns: every rank reports the cause.
+    let reject = |e: TrainError| vec![Err(e); cfg.gpus];
     if let Some(rank) = plan.max_rank_targeted().filter(|&r| r >= cfg.gpus) {
-        return (0..cfg.gpus)
-            .map(|_| {
-                Err(TrainError::InvalidFaultPlan {
-                    rank,
-                    world: cfg.gpus,
-                })
-            })
-            .collect();
+        return reject(TrainError::InvalidFaultPlan {
+            rank,
+            world: cfg.gpus,
+        });
+    }
+    if let Some(scale) = cfg.method.compression {
+        // The collectives assert this; a panic in every rank thread is
+        // not a typed error.
+        if !(scale.is_finite() && scale > 0.0) {
+            return reject(TrainError::InvalidConfig {
+                reason: format!("compression scale must be positive and finite, got {scale}"),
+            });
+        }
     }
     let (train_tokens, valid_tokens, model_vocab) = prepare_data(cfg);
     if let Some(rt) = &runtime {
@@ -290,13 +311,9 @@ fn train_inner(
         );
         if let Some(ck) = &rt.resume {
             if let Err(e) = ck.validate_against(cfg, model_vocab) {
-                return (0..cfg.gpus)
-                    .map(|_| {
-                        Err(TrainError::InvalidCheckpoint {
-                            reason: e.to_string(),
-                        })
-                    })
-                    .collect();
+                return reject(TrainError::InvalidCheckpoint {
+                    reason: e.to_string(),
+                });
             }
         }
     }
@@ -310,14 +327,10 @@ fn train_inner(
     let shard_tokens = train_tokens.len() / cfg.gpus;
     let needed = cfg.batch * (cfg.seq_len + 1);
     if shard_tokens < needed {
-        return (0..cfg.gpus)
-            .map(|_| {
-                Err(TrainError::DataTooSmall {
-                    shard_tokens,
-                    needed,
-                })
-            })
-            .collect();
+        return reject(TrainError::DataTooSmall {
+            shard_tokens,
+            needed,
+        });
     }
 
     let cost = CostModel::new(HardwareConfig::titan_x_cluster(), cfg.model.utilization());
@@ -640,22 +653,15 @@ struct StepSchedule<'a> {
     gpus: usize,
     /// Resolved node layout (the tier the recorder buckets by).
     gpn: usize,
-    /// Two-tier wire schedule for dense + `Ug×D` ALLREDUCEs.
-    hierarchical: bool,
     overlap: bool,
-    bucket_bytes: u64,
-    /// Wire bytes per gradient element (2 under FP16 compression).
-    elem: u64,
-    /// Active gradient codec (`None` ⇒ identity pricing). Wire bytes
-    /// scale by the measured enc/raw ratio of each payload and the
-    /// encode+decode compute is priced via [`CostModel::codec_time`].
-    grad_codec: Option<&'static dyn simgpu::WireCodec>,
-    /// Active index codec for the unique path's ALLGATHERs.
-    index_codec: Option<&'static dyn simgpu::WireCodec>,
-    /// This step's dense ALLREDUCE payload: raw wire bytes (`n·elem`)
-    /// and codec-encoded bytes (equal when no codec is active).
-    dense_raw_bytes: u64,
-    dense_enc_bytes: u64,
+    /// Wire format of every gradient ALLREDUCE. Under a codec, wire
+    /// bytes scale by the measured enc/raw ratio of each payload and
+    /// the encode+decode compute is priced via
+    /// [`CostModel::codec_time`].
+    wire: Wire<'static>,
+    /// What this step's dense ALLREDUCE put on the wire (`enc == raw`
+    /// when no codec is active).
+    dense_wire: schedule::ReducedBytes,
     compute_ps: u64,
     dense_elems: usize,
     in_stats: ExchangeStats,
@@ -709,18 +715,11 @@ impl StepSchedule<'_> {
     /// counts shrink by the payload's enc/raw ratio and the
     /// encode+decode passes (one over sent chunks, one over received —
     /// ≈ 2× the identity send volume) are charged as intra-node time.
-    fn allreduce_ps(
-        &self,
-        n: usize,
-        enc: u64,
-        raw: u64,
-        codec: Option<&'static dyn simgpu::WireCodec>,
-        q: usize,
-    ) -> (u64, u64) {
+    fn allreduce_ps(&self, n: usize, enc: u64, raw: u64, q: usize) -> (u64, u64) {
+        let elem = self.wire.elem_bytes();
         let (mut intra, inter, ident_bytes);
-        if self.hierarchical {
-            let tb =
-                simgpu::hierarchical_allreduce_send_bytes(n, self.gpus, self.gpn, q, self.elem);
+        if self.xcfg.hierarchical_for(self.gpus) {
+            let tb = simgpu::hierarchical_allreduce_send_bytes(n, self.gpus, self.gpn, q, elem);
             ident_bytes = tb.total();
             let stb = simgpu::TierBytes {
                 intra: Self::scaled(tb.intra, enc, raw),
@@ -732,7 +731,7 @@ impl StepSchedule<'_> {
             intra = secs_to_ps(a);
             inter = secs_to_ps(b);
         } else {
-            ident_bytes = simgpu::ring_allreduce_send_bytes(n, self.gpus, q, self.elem);
+            ident_bytes = simgpu::ring_allreduce_send_bytes(n, self.gpus, q, elem);
             let (a, b) = flat_ring_tier_split(
                 secs_to_ps(
                     self.cost
@@ -745,7 +744,7 @@ impl StepSchedule<'_> {
             intra = a;
             inter = b;
         }
-        if let Some(c) = codec {
+        if let Some(c) = self.wire.codec() {
             intra += secs_to_ps(self.cost.codec_time(2 * ident_bytes, c.throughput_bps()));
         }
         (intra, inter)
@@ -793,7 +792,7 @@ impl StepSchedule<'_> {
         let raw = stats.local_tokens as u64 * 4;
         let bytes = Self::scaled(raw, stats.index_enc_bytes, raw * self.gpus as u64);
         let (mut gi, ge) = self.allgather_ps(bytes, self.xcfg.hierarchical_for(self.gpus), q);
-        if let Some(c) = self.index_codec {
+        if let Some(c) = self.xcfg.codec.index_codec() {
             // One encode over the own frame + G decodes of gathered
             // frames — (G+1)·K·4 raw bytes through the codec kernel.
             gi += secs_to_ps(
@@ -808,6 +807,34 @@ impl StepSchedule<'_> {
             inter_ps: ge,
             ready_ps: if self.overlap { 0 } else { self.compute_ps },
         });
+    }
+
+    /// Appends one op per gradient bucket of an `n`-element ALLREDUCE
+    /// payload for rank `q` — the same [`schedule::buckets`] walk the
+    /// collectives took — scaled by the payload's measured
+    /// `(enc, raw)` codec ratio (1 exactly when no codec is active) and
+    /// advancing the gradient production cursor `cum`.
+    fn push_allreduce_buckets(
+        &self,
+        ops: &mut Vec<CommOp>,
+        label: &'static str,
+        n: usize,
+        (enc, raw): (u64, u64),
+        q: usize,
+        cum: &mut u64,
+    ) {
+        let walk = schedule::buckets(n, self.wire.elem_bytes(), self.xcfg.bucket_bytes);
+        for (bucket, range) in walk.enumerate() {
+            let (intra_ps, inter_ps) = self.allreduce_ps(range.len(), enc, raw, q);
+            *cum += range.len() as u64;
+            ops.push(CommOp {
+                label,
+                bucket: bucket as u32,
+                intra_ps,
+                inter_ps,
+                ready_ps: self.grad_ready(*cum),
+            });
+        }
     }
 
     /// Appends one exchange's gradient-dependent ops for rank `q`
@@ -825,34 +852,15 @@ impl StepSchedule<'_> {
     ) -> u64 {
         let (gather_label, reduce_label) = labels;
         if self.xcfg.unique {
-            // Ug×D ALLREDUCE gradient buckets, scaled by the exchange's
-            // measured enc/raw codec ratio (1 exactly when no codec).
-            let n = stats.unique_global * dim;
-            let per = schedule::bucket_elems(n, self.elem, self.bucket_bytes);
-            let (mut start, mut bucket) = (0usize, 0u32);
-            loop {
-                let end = (start + per).min(n);
-                let (ai, ae) = self.allreduce_ps(
-                    end - start,
-                    stats.reduce_enc_bytes,
-                    stats.reduce_raw_bytes,
-                    self.grad_codec,
-                    q,
-                );
-                *cum += (end - start) as u64;
-                ops.push(CommOp {
-                    label: reduce_label,
-                    bucket,
-                    intra_ps: ai,
-                    inter_ps: ae,
-                    ready_ps: self.grad_ready(*cum),
-                });
-                start = end;
-                bucket += 1;
-                if start >= n {
-                    break;
-                }
-            }
+            // Ug×D ALLREDUCE gradient buckets.
+            self.push_allreduce_buckets(
+                ops,
+                reduce_label,
+                stats.unique_global * dim,
+                (stats.reduce_enc_bytes, stats.reduce_raw_bytes),
+                q,
+                cum,
+            );
             secs_to_ps(
                 self.cost
                     .memory_touch_time(stats.unique_global as u64 * dim as u64 * 4),
@@ -863,7 +871,7 @@ impl StepSchedule<'_> {
             // rows are produced — then a Θ(G·K·D) local update touch.
             *cum += (stats.local_tokens * dim) as u64;
             let (gi, ge) = self.allgather_ps(
-                stats.local_tokens as u64 * (dim as u64 * self.elem + 4),
+                stats.local_tokens as u64 * (dim as u64 * self.wire.elem_bytes() + 4),
                 false,
                 q,
             );
@@ -902,31 +910,14 @@ impl StepSchedule<'_> {
             }
         }
         // Dense gradient buckets (LSTM/RHN + projection).
-        let per = schedule::bucket_elems(self.dense_elems, self.elem, self.bucket_bytes);
-        let (mut start, mut bucket) = (0usize, 0u32);
-        loop {
-            let end = (start + per).min(self.dense_elems);
-            let (ai, ae) = self.allreduce_ps(
-                end - start,
-                self.dense_enc_bytes,
-                self.dense_raw_bytes,
-                self.grad_codec,
-                q,
-            );
-            cum += (end - start) as u64;
-            ops.push(CommOp {
-                label: "dense_allreduce",
-                bucket,
-                intra_ps: ai,
-                inter_ps: ae,
-                ready_ps: self.grad_ready(cum),
-            });
-            start = end;
-            bucket += 1;
-            if start >= self.dense_elems {
-                break;
-            }
-        }
+        self.push_allreduce_buckets(
+            ops,
+            "dense_allreduce",
+            self.dense_elems,
+            (self.dense_wire.enc, self.dense_wire.raw),
+            q,
+            &mut cum,
+        );
         let mut apply = self.push_exchange_ops(
             ops,
             &self.in_stats,
@@ -979,15 +970,6 @@ fn run_rank(
         bucket_bytes: cfg.comm.bucket_bytes,
         codec: cfg.comm.codec,
     };
-    // Codec resolution mirrors the exchange layer: the gradient codec
-    // only frames raw-f32 payloads (an FP16 wire keeps its own format),
-    // the index codec always applies to the unique path's u32 vectors.
-    let grad_codec = if cfg.method.compression.is_none() {
-        cfg.comm.codec.grad_codec()
-    } else {
-        None
-    };
-    let index_codec = cfg.comm.codec.index_codec();
     let hw_gpus_per_node = cost.hardware().gpus_per_node;
     // LR scaling stays a property of the hardware preset, not of the
     // topology override — topology must never change results.
@@ -1174,78 +1156,24 @@ fn run_rank(
 
             // Dense ALLREDUCE + average, one collective call per gradient
             // bucket (`comm.bucket_bytes`; a single whole-payload call
-            // when 0). The hierarchical route covers every multi-node
-            // group — compressed payloads ride it in their f16 wire
-            // format, bit-identical to the flat f16 ring (a prior
-            // revision silently kept f16 on the flat ring, losing the
-            // topology the user asked for). Reduction is elementwise
-            // under a canonical leader order, so neither the slicing nor
-            // the topology moves a bit.
-            let hier_dense = cfg.comm.hierarchical && g > gpn;
+            // when 0). Wire format and topology are independent
+            // parameters of the one collective, so compressed payloads
+            // ride the hierarchical route like any other. Reduction is
+            // elementwise under a canonical leader order, so neither the
+            // slicing nor the topology moves a bit. The bytes are the
+            // collective's own: this rank's exact share of the active
+            // wire schedule, as charged to the traffic recorder (a codec
+            // prices the *reduced* — summed, pre-average — payload).
             let mut dense = out.dense;
-            let elem: u64 = if cfg.method.compression.is_some() {
-                2
-            } else {
-                4
-            };
-            let n_dense = dense.len();
-            let per = schedule::bucket_elems(n_dense, elem, cfg.comm.bucket_bytes);
             let t0 = recorder.as_ref().map(|rec| rec.now_ns());
-            // Exact per-rank bytes from the active wire schedule — the
-            // sum of per-bucket shares matches the traffic recorder
-            // even when a bucket's length does not divide by g.
-            let mut dense_bytes = 0u64;
-            let mut dense_enc_bytes = 0u64;
-            let mut bstart = 0usize;
-            loop {
-                let bend = (bstart + per).min(n_dense);
-                let slice = &mut dense[bstart..bend];
-                match (cfg.method.compression, grad_codec) {
-                    (Some(scale), _) if hier_dense => {
-                        rank.all_reduce_sum_f16_hierarchical(slice, scale, gpn)?
-                    }
-                    (Some(scale), _) => rank.all_reduce_sum_f16(slice, scale)?,
-                    (None, Some(c)) if hier_dense => {
-                        rank.all_reduce_sum_hierarchical_codec(slice, c, gpn)?
-                    }
-                    (None, Some(c)) => rank.all_reduce_sum_codec(slice, c)?,
-                    (None, None) if hier_dense => rank.all_reduce_sum_hierarchical(slice, gpn)?,
-                    (None, None) => rank.all_reduce_sum(slice)?,
-                }
-                // Analytic bytes come after the collective: the codec
-                // arms price each chunk at its encoded length on the
-                // *reduced* (summed, pre-average) payload — exactly the
-                // steady-state re-encode model the recorder charged.
-                let reduced = &dense[bstart..bend];
-                dense_bytes += match grad_codec {
-                    Some(c) => {
-                        let nb = reduced.len();
-                        let chunk_bytes = |parts: usize, chunk: usize| {
-                            c.encoded_len_f32(&reduced[simgpu::chunk_range(nb, parts, chunk)])
-                                as u64
-                        };
-                        if hier_dense {
-                            simgpu::hierarchical_allreduce_send_bytes_parts(g, gpn, r, chunk_bytes)
-                                .total()
-                        } else {
-                            simgpu::ring_allreduce_send_bytes_parts(g, r, chunk_bytes)
-                        }
-                    }
-                    None if hier_dense => {
-                        simgpu::hierarchical_allreduce_send_bytes(bend - bstart, g, gpn, r, elem)
-                            .total()
-                    }
-                    None => simgpu::ring_allreduce_send_bytes(bend - bstart, g, r, elem),
-                };
-                dense_enc_bytes += match grad_codec {
-                    Some(c) => c.encoded_len_f32(reduced),
-                    None => (bend - bstart) as u64 * elem,
-                };
-                bstart = bend;
-                if bstart >= n_dense {
-                    break;
-                }
-            }
+            let dense_wire = schedule::all_reduce_bucketed(
+                &rank,
+                &mut dense,
+                xcfg.grad_wire(),
+                xcfg.topology(),
+                xcfg.bucket_bytes,
+            )?;
+            let dense_bytes = dense_wire.sent.total();
             let inv_g = 1.0 / g as f32;
             for v in &mut dense {
                 *v *= inv_g;
@@ -1341,19 +1269,15 @@ fn run_rank(
                 Replica::Word(m) => m.config().proj_dim,
                 Replica::Char(_) => dim,
             };
+            let n_dense = dense.len();
             let sched = StepSchedule {
                 cost,
                 xcfg: &xcfg,
                 gpus: g,
                 gpn,
-                hierarchical: hier_dense,
                 overlap: cfg.comm.overlap,
-                bucket_bytes: cfg.comm.bucket_bytes,
-                elem,
-                grad_codec,
-                index_codec,
-                dense_raw_bytes: n_dense as u64 * elem,
-                dense_enc_bytes,
+                wire: xcfg.grad_wire(),
+                dense_wire,
                 compute_ps,
                 dense_elems: n_dense,
                 in_stats,
@@ -1482,10 +1406,10 @@ fn run_rank(
                     + in_stats.wire_bytes
                     + out_stats.map(|s| s.wire_bytes).unwrap_or(0),
                 unique_global: in_stats.unique_global as u64,
-                codec_raw_bytes: n_dense as u64 * elem
+                codec_raw_bytes: dense_wire.raw
                     + in_stats.reduce_raw_bytes
                     + out_stats.map(|s| s.reduce_raw_bytes).unwrap_or(0),
-                codec_enc_bytes: dense_enc_bytes
+                codec_enc_bytes: dense_wire.enc
                     + in_stats.reduce_enc_bytes
                     + out_stats.map(|s| s.reduce_enc_bytes).unwrap_or(0),
                 work_ps: &work_ps,

@@ -35,11 +35,12 @@
 //! ([`ring_allreduce_send_bytes`], [`hierarchical_allreduce_send_bytes`]),
 //! so analytic == recorded holds to the byte, per tier.
 //!
-//! FP16 variants implement §III-C: the reduction emulates the ring's
-//! per-hop quantisation (multiply by a scaling factor, down-cast to
-//! binary16, up-cast and un-scale at the receiver) in canonical hop
-//! order, so quantisation error accumulates per hop exactly as a real
-//! FP16 wire format would impose, and wire bytes are halved.
+//! Wire format and wire schedule are parameters of the one ALLREDUCE
+//! ([`Rank::all_reduce`] takes a [`Wire`] and a [`Topology`]), not
+//! sibling APIs: [`Wire::F16`] is §III-C's compression (per-hop
+//! binary16 quantisation emulated in canonical hop order, wire bytes
+//! halved), [`Wire::Codec`] frames the reduced payload with a lossless
+//! [`WireCodec`] and charges encoded lengths.
 //!
 //! ## Failure model
 //!
@@ -111,7 +112,7 @@ pub enum CommError {
 }
 
 impl CommError {
-    /// The legacy poison-the-group constructor.
+    /// A rank-attributed group poisoning.
     pub fn abort(failed_rank: usize, reason: impl Into<String>) -> Self {
         CommError::Abort {
             failed_rank,
@@ -381,8 +382,8 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 struct GroupCore {
     world: usize,
     /// Node size for tier attribution: rank `r` lives on node
-    /// `r / gpus_per_node`. Legacy groups are created single-node
-    /// (`gpus_per_node == world`), so every byte lands intra-node.
+    /// `r / gpus_per_node`. [`CommGroup::create`] makes single-node
+    /// groups (`gpus_per_node == world`), so every byte lands intra-node.
     gpus_per_node: usize,
     barrier: AbortBarrier,
     /// Sender-indexed tables for gather-style collectives.
@@ -404,14 +405,15 @@ struct GroupCore {
 /// Factory for communicator groups.
 ///
 /// ```
-/// use simgpu::CommGroup;
+/// use simgpu::{CommGroup, Topology, Wire};
 /// let ranks = CommGroup::create(4);
 /// let sums: Vec<f32> = std::thread::scope(|s| {
 ///     let handles: Vec<_> = ranks
 ///         .into_iter()
 ///         .map(|rank| s.spawn(move || {
 ///             let mut v = vec![rank.rank() as f32; 8];
-///             rank.all_reduce_sum(&mut v).expect("no rank aborted");
+///             rank.all_reduce(&mut v, Wire::F32, Topology::Flat)
+///                 .expect("no rank aborted");
 ///             v[0]
 ///         }))
 ///         .collect();
@@ -544,9 +546,9 @@ pub fn chunk_range(n: usize, world: usize, chunk: usize) -> std::ops::Range<usiz
 
 /// Exact bytes `rank` sends during one ring ALLREDUCE over `n` elements
 /// of `elem_bytes` each — iterating the same chunk schedule as
-/// [`Rank::all_reduce_sum`] / [`Rank::all_reduce_sum_f16`], so analytic
-/// wire accounting can match the [`TrafficRecorder`] to the byte even
-/// when `n` does not divide evenly by `world`.
+/// [`Rank::all_reduce`] on a flat topology, so analytic wire accounting
+/// can match the [`TrafficRecorder`] to the byte even when `n` does not
+/// divide evenly by `world`.
 pub fn ring_allreduce_send_bytes(n: usize, world: usize, rank: usize, elem_bytes: u64) -> u64 {
     ring_allreduce_send_bytes_parts(world, rank, |parts, c| {
         chunk_range(n, parts, c).len() as u64 * elem_bytes
@@ -581,33 +583,6 @@ pub fn ring_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
     bytes
 }
 
-/// Elements `rank` sends during the reduce-scatter half of the ring
-/// schedule alone (the byte model of [`Rank::reduce_scatter_sum`] and of
-/// the hierarchical schedule's intra-node phase 1).
-fn ring_reduce_scatter_send_elems(n: usize, world: usize, rank: usize) -> u64 {
-    if world <= 1 {
-        return 0;
-    }
-    (0..world - 1)
-        .map(|s| chunk_range(n, world, (rank + world - s) % world).len() as u64)
-        .sum()
-}
-
-/// Closure-parameterised reduce-scatter half of the ring schedule (see
-/// [`ring_allreduce_send_bytes_parts`] for the closure contract).
-fn ring_reduce_scatter_send_bytes_parts<F: Fn(usize, usize) -> u64>(
-    world: usize,
-    rank: usize,
-    chunk_bytes: F,
-) -> u64 {
-    if world <= 1 {
-        return 0;
-    }
-    (0..world - 1)
-        .map(|s| chunk_bytes(world, (rank + world - s) % world))
-        .sum()
-}
-
 /// The [`Tier`] of the flat ring link `rank → (rank + 1) % world` on a
 /// cluster of `gpus_per_node`-GPU nodes: intra-node unless the link
 /// crosses a node boundary (including the wrap-around link whenever the
@@ -627,7 +602,7 @@ pub fn ring_send_tier(world: usize, gpus_per_node: usize, rank: usize) -> Tier {
 
 /// Tier split of a peer-to-peer exchange pattern where `rank` sends
 /// `payload_bytes` to every other rank directly (ALLGATHER, scalar
-/// reduce, broadcast root): peers on `rank`'s own node receive over the
+/// reduce): peers on `rank`'s own node receive over the
 /// intra tier, all others over the inter tier.
 pub fn peer_exchange_tier_bytes(
     world: usize,
@@ -652,10 +627,11 @@ pub fn peer_exchange_tier_bytes(
 
 /// Exact per-tier bytes `rank` sends during one hierarchical ALLREDUCE
 /// over `n` elements of `elem_bytes` each, on a cluster of
-/// `gpus_per_node`-GPU nodes — the analytic mirror of
-/// [`Rank::all_reduce_sum_hierarchical`]'s recorder charges, phase by
-/// phase, so per-tier analytic == recorded holds to the byte even on
-/// ragged worlds (`world % gpus_per_node != 0`).
+/// `gpus_per_node`-GPU nodes — the analytic mirror of what
+/// [`Rank::all_reduce`] charges the recorder under
+/// [`Topology::TwoTier`], phase by phase, so per-tier analytic ==
+/// recorded holds to the byte even on ragged worlds
+/// (`world % gpus_per_node != 0`).
 ///
 /// The modelled schedule:
 /// 1. intra-node ring reduce-scatter over the node's `m` members
@@ -711,8 +687,9 @@ pub fn hierarchical_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
     let m = gpus_per_node.min(world - leader);
     let j = rank - leader;
     let n_nodes = world.div_ceil(gpus_per_node);
-    // Phase 1: intra-node ring reduce-scatter over m members.
-    let mut intra = ring_reduce_scatter_send_bytes_parts(m, j, &chunk_bytes);
+    // Phase 1: intra-node ring reduce-scatter over m members — the
+    // first half of the ring schedule alone.
+    let mut intra: u64 = (0..m - 1).map(|s| chunk_bytes(m, (j + m - s) % m)).sum();
     if rank != leader {
         // Phase 2: hand the owned chunk to the leader.
         intra += chunk_bytes(m, (j + 1) % m);
@@ -729,45 +706,97 @@ pub fn hierarchical_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
     TierBytes { intra, inter }
 }
 
-/// Canonical rendezvous reduction: left-associated elementwise sum in
-/// ascending rank order, written into the group's result buffer. Runs
-/// exactly once per collective, by the barrier's last arriver.
-fn leader_sum_f32(core: &GroupCore) {
-    let mut acc = core.reduce_f32.lock();
-    {
-        let first = core.gather_f32[0].lock();
-        acc.clear();
-        acc.extend_from_slice(&first);
+/// Wire format of an ALLREDUCE payload — a parameter of
+/// [`Rank::all_reduce`], which prices every transmitted chunk through
+/// [`Wire::encoded_len`].
+#[derive(Clone, Copy)]
+pub enum Wire<'a> {
+    /// Raw `f32`, 4 bytes per element.
+    F32,
+    /// binary16 with compression scaling (§III-C), 2 bytes per element;
+    /// `scale` must be positive and finite.
+    F16 {
+        /// Factor applied before every down-cast, divided out after.
+        scale: f32,
+    },
+    /// `f32` framed by a lossless codec; each chunk costs its encoded
+    /// length.
+    Codec(&'a dyn WireCodec),
+}
+
+impl<'a> Wire<'a> {
+    /// The framing codec, if the format has one.
+    pub fn codec(self) -> Option<&'a dyn WireCodec> {
+        match self {
+            Wire::Codec(codec) => Some(codec),
+            Wire::F32 | Wire::F16 { .. } => None,
+        }
     }
-    for s in 1..core.world {
-        let slot = core.gather_f32[s].lock();
-        for (a, &x) in acc.iter_mut().zip(slot.iter()) {
-            *a += x;
+
+    /// Bytes per element before any codec framing.
+    pub fn elem_bytes(self) -> u64 {
+        match self {
+            Wire::F16 { .. } => 2,
+            Wire::F32 | Wire::Codec(_) => 4,
+        }
+    }
+
+    /// Wire bytes of `data` sent as one frame in this format.
+    pub fn encoded_len(self, data: &[f32]) -> u64 {
+        match self {
+            Wire::Codec(codec) => codec.encoded_len_f32(data),
+            Wire::F32 | Wire::F16 { .. } => data.len() as u64 * self.elem_bytes(),
         }
     }
 }
 
-/// Canonical rendezvous reduction emulating the FP16 ring's per-hop
-/// quantisation (§III-C): the running partial is scaled, down-cast to
-/// binary16, up-cast and un-scaled at every hop — `G−1` hops in
-/// canonical ascending order, then one final wire-quantisation so the
-/// distributed value is the wire value, bit-identical on every rank.
-fn leader_sum_f16_emulated(core: &GroupCore, scale: f32) {
-    let inv = 1.0 / scale;
+/// Wire schedule an ALLREDUCE is charged under; never changes results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Topology {
+    /// One flat ring over all ranks.
+    Flat,
+    /// The two-tier §V-C schedule over nodes of `gpus_per_node` ranks
+    /// (see [`hierarchical_allreduce_send_bytes`]); the flat ring when
+    /// the group fits in one node.
+    TwoTier {
+        /// Ranks per node; node `i` owns ranks
+        /// `[i·gpus_per_node, (i+1)·gpus_per_node)`.
+        gpus_per_node: usize,
+    },
+}
+
+/// Canonical rendezvous reduction: left-associated elementwise sum in
+/// ascending rank order, written into the group's result buffer. Runs
+/// exactly once per collective, by the barrier's last arriver.
+///
+/// With a `scale` it emulates the FP16 ring's per-hop quantisation
+/// (§III-C): the running partial is scaled, down-cast to binary16,
+/// up-cast and un-scaled at every hop — `G−1` hops in canonical
+/// ascending order, then one final wire-quantisation so the distributed
+/// value is the wire value, bit-identical on every rank.
+fn leader_sum(core: &GroupCore, scale: Option<f32>) {
     let mut acc = core.reduce_f32.lock();
-    {
-        let first = core.gather_f32[0].lock();
-        acc.clear();
-        acc.extend_from_slice(&first);
-    }
+    acc.clear();
+    acc.extend_from_slice(&core.gather_f32[0].lock());
+    let Some(scale) = scale else {
+        for s in 1..core.world {
+            let slot = core.gather_f32[s].lock();
+            for (a, &x) in acc.iter_mut().zip(slot.iter()) {
+                *a += x;
+            }
+        }
+        return;
+    };
+    let inv = 1.0 / scale;
+    let on_wire = |a: f32| f16_bits_to_f32(f32_to_f16_bits(a * scale)) * inv;
     for s in 1..core.world {
         let slot = core.gather_f32[s].lock();
         for (a, &x) in acc.iter_mut().zip(slot.iter()) {
-            *a = x + f16_bits_to_f32(f32_to_f16_bits(*a * scale)) * inv;
+            *a = x + on_wire(*a);
         }
     }
     for a in acc.iter_mut() {
-        *a = f16_bits_to_f32(f32_to_f16_bits(*a * scale)) * inv;
+        *a = on_wire(*a);
     }
 }
 
@@ -782,8 +811,8 @@ impl Rank {
         self.core.world
     }
 
-    /// Node size used for tier attribution (`world` for single-node
-    /// legacy groups).
+    /// Node size used for tier attribution (`world` for the
+    /// single-node groups of [`CommGroup::create`]).
     pub fn gpus_per_node(&self) -> usize {
         self.core.gpus_per_node
     }
@@ -906,198 +935,267 @@ impl Rank {
         self.barrier()
     }
 
-    /// ALLREDUCE (sum) over `data`; on return every rank holds the
-    /// elementwise sum across all ranks, computed in canonical ascending
-    /// rank order (bit-identical on every rank and under every wire
-    /// schedule). All ranks must pass equal-length buffers. `Err` (with
-    /// the buffer in an unspecified partial state) if any rank aborts
-    /// the group mid-collective.
+    /// ALLREDUCE (sum) over `data` — the one reduction every wire
+    /// format and wire schedule goes through. On return every rank
+    /// holds the elementwise sum across all ranks, computed in canonical
+    /// ascending rank order: bit-identical on every rank and under
+    /// every `topology`, and for a lossless [`Wire::Codec`] bit-identical
+    /// to [`Wire::F32`] too. All ranks must pass equal-length buffers
+    /// and the same `wire` and `topology`. `Err` (with the buffer in an
+    /// unspecified partial state) if any rank aborts the group
+    /// mid-collective.
     ///
-    /// Wire accounting charges the flat ring schedule: this rank's
-    /// `2(G−1)/G · n` elements land on the tier of its ring link
-    /// `r → r+1` under the group topology.
-    pub fn all_reduce_sum(&self, data: &mut [f32]) -> Result<(), CommError> {
+    /// **Wire format.** [`Wire::F16`] implements §III-C: the reduction
+    /// emulates the compressed ring hop by hop — every hop multiplies
+    /// the running partial by `scale`, down-casts to binary16, and the
+    /// receiver up-casts and divides, with a final wire-quantisation so
+    /// the distributed value *is* the wire value; quantisation error
+    /// accumulates per hop as on real FP16 interconnect paths.
+    /// [`Wire::Codec`] reduces in f32 and then passes the distributed
+    /// result chunk-by-chunk through a real encode→decode round-trip —
+    /// modelling the all-gather phase delivering encoded chunks, so a
+    /// codec that is not bit-exact visibly corrupts training instead of
+    /// silently compressing.
+    ///
+    /// **Wire schedule and accounting.** [`Topology::Flat`] charges the
+    /// ring schedule: this rank's `2(G−1)/G · n` elements land on the
+    /// tier of its ring link `r → r+1` under the group topology.
+    /// [`Topology::TwoTier`] charges the four-phase §V-C schedule of
+    /// [`hierarchical_allreduce_send_bytes_parts`], phase by phase per
+    /// tier (ragged last nodes included), and falls back to the flat
+    /// ring when the group fits in one node. Every transmitted chunk is
+    /// priced at its length in the wire format; for a codec that is the
+    /// encoded length of the *reduced* chunk (the steady-state
+    /// re-encode model — identical on every rank). The returned
+    /// [`TierBytes`] are exactly what this call added to the group's
+    /// [`TrafficRecorder`] on behalf of this rank, so callers report
+    /// wire volume without re-deriving it.
+    ///
+    /// `TwoTier { gpus_per_node: 0 }` is an invalid topology and yields
+    /// a typed [`CommError`] on every rank — recoverable, the group is
+    /// *not* poisoned (all ranks pass the same argument under SPMD, so
+    /// all observe the same error and stay in lockstep).
+    pub fn all_reduce(
+        &self,
+        data: &mut [f32],
+        wire: Wire<'_>,
+        topology: Topology,
+    ) -> Result<TierBytes, CommError> {
+        let scale = match wire {
+            Wire::F16 { scale } => {
+                assert!(
+                    scale.is_finite() && scale > 0.0,
+                    "compression scale must be positive and finite"
+                );
+                Some(scale)
+            }
+            Wire::F32 | Wire::Codec(_) => None,
+        };
         let g = self.core.world;
+        let two_tier = match topology {
+            Topology::TwoTier { gpus_per_node: 0 } => {
+                return Err(CommError::abort(
+                    self.rank,
+                    "invalid topology: gpus_per_node must be at least 1",
+                ));
+            }
+            Topology::TwoTier { gpus_per_node } if g > gpus_per_node => Some(gpus_per_node),
+            Topology::TwoTier { .. } | Topology::Flat => None,
+        };
         if self.rank == 0 {
             self.core.traffic.count_allreduce_op();
         }
         if g == 1 {
-            return Ok(());
+            return Ok(TierBytes::default());
         }
-        let n = data.len();
-        let r = self.rank;
         {
-            let mut slot = self.core.gather_f32[r].lock();
+            let mut slot = self.core.gather_f32[self.rank].lock();
             slot.clear();
             slot.extend_from_slice(data);
         }
-        self.core.traffic.record_allreduce_tier(
-            ring_send_tier(g, self.core.gpus_per_node, r),
-            ring_allreduce_send_bytes(n, g, r, 4),
-        );
+        // Fixed-width formats are priced from the payload length alone,
+        // so they charge before the rendezvous: once it releases a rank,
+        // every peer's share is already in the recorder. A codec prices
+        // the reduced payload and can only charge afterwards.
+        let codec = wire.codec();
+        let mut sent = None;
+        if codec.is_none() {
+            sent = Some(self.charge_allreduce(data, wire, two_tier));
+        }
         let core = &self.core;
-        self.sync_leader(|| leader_sum_f32(core))?;
+        self.sync_leader(|| leader_sum(core, scale))?;
         data.copy_from_slice(&self.core.reduce_f32.lock());
         // No departure barrier needed: a peer still copying this result
         // cannot be overtaken, because the next rendezvous's leader work
         // only runs once *every* rank has finished here and arrived there.
-        Ok(())
+        if let Some(codec) = codec {
+            // The delivered payload round-trips on the flat chunk
+            // partition under either schedule: losslessness (not chunk
+            // boundaries) is what keeps the schedules bit-identical.
+            self.codec_roundtrip_chunks(data, codec)?;
+        }
+        Ok(sent.unwrap_or_else(|| self.charge_allreduce(data, wire, two_tier)))
     }
 
-    /// ALLREDUCE with FP16 wire compression and compression-scaling
-    /// (§III-C): the reduction emulates the compressed ring hop by hop —
-    /// every hop multiplies the running partial by `scale`, down-casts
-    /// to binary16, and the receiver up-casts and divides, with a final
-    /// wire-quantisation so the distributed value *is* the wire value.
-    /// Halves wire bytes relative to [`Rank::all_reduce_sum`];
-    /// quantisation error accumulates per hop as on real FP16
-    /// interconnect paths, and every rank ends bit-identical.
+    /// Prices this rank's sends for one ALLREDUCE of `data` under the
+    /// modelled schedule (`two_tier` = node size when the §V-C schedule
+    /// applies, else the flat ring), records them and returns them.
+    fn charge_allreduce(&self, data: &[f32], wire: Wire<'_>, two_tier: Option<usize>) -> TierBytes {
+        let (g, r, n) = (self.core.world, self.rank, data.len());
+        let chunk_bytes =
+            |parts: usize, chunk: usize| wire.encoded_len(&data[chunk_range(n, parts, chunk)]);
+        let sent = match two_tier {
+            Some(gpus_per_node) => {
+                hierarchical_allreduce_send_bytes_parts(g, gpus_per_node, r, chunk_bytes)
+            }
+            None => TierBytes::on(
+                ring_send_tier(g, self.core.gpus_per_node, r),
+                ring_allreduce_send_bytes_parts(g, r, chunk_bytes),
+            ),
+        };
+        self.core.traffic.record_allreduce_split(sent);
+        sent
+    }
+
+    /// Flat f32 ALLREDUCE. Exists only because the benchmark (`e2e/`)
+    /// calls it by name; everything else uses [`Rank::all_reduce`].
+    pub fn all_reduce_sum(&self, data: &mut [f32]) -> Result<(), CommError> {
+        self.all_reduce(data, Wire::F32, Topology::Flat).map(drop)
+    }
+
+    /// Flat FP16-wire ALLREDUCE. Exists only because the benchmark
+    /// (`e2e/`) calls it by name; everything else uses [`Rank::all_reduce`].
     pub fn all_reduce_sum_f16(&self, data: &mut [f32], scale: f32) -> Result<(), CommError> {
-        assert!(scale > 0.0, "compression scale must be positive");
-        let g = self.core.world;
+        self.all_reduce(data, Wire::F16 { scale }, Topology::Flat)
+            .map(drop)
+    }
+
+    /// Two-tier f32 ALLREDUCE. Exists only because the benchmark
+    /// (`e2e/`) calls it by name; everything else uses [`Rank::all_reduce`].
+    pub fn all_reduce_sum_hierarchical(
+        &self,
+        data: &mut [f32],
+        gpus_per_node: usize,
+    ) -> Result<(), CommError> {
+        self.all_reduce(data, Wire::F32, Topology::TwoTier { gpus_per_node })
+            .map(drop)
+    }
+
+    /// Two-tier FP16-wire ALLREDUCE. Exists only because the benchmark
+    /// (`e2e/`) calls it by name; everything else uses [`Rank::all_reduce`].
+    pub fn all_reduce_sum_f16_hierarchical(
+        &self,
+        data: &mut [f32],
+        scale: f32,
+        gpus_per_node: usize,
+    ) -> Result<(), CommError> {
+        self.all_reduce(
+            data,
+            Wire::F16 { scale },
+            Topology::TwoTier { gpus_per_node },
+        )
+        .map(drop)
+    }
+
+    /// The rendezvous every ALLGATHER funnels through: `publish` fills
+    /// this rank's slot and returns the payload's wire bytes, which
+    /// travel to `G−1` peers (same-node peers over the intra tier, the
+    /// rest over the inter tier); after the group meets, `collect` sees
+    /// every sender's slot in rank order. A second barrier keeps a fast
+    /// rank from overwriting its slot while a peer is still reading it.
+    fn gather_rendezvous<S>(
+        &self,
+        slots: &[Mutex<S>],
+        publish: impl FnOnce(&mut S) -> u64,
+        mut collect: impl FnMut(usize, &S) -> Result<(), CommError>,
+    ) -> Result<(), CommError> {
         if self.rank == 0 {
-            self.core.traffic.count_allreduce_op();
+            self.core.traffic.count_allgather_op();
         }
-        if g == 1 {
-            return Ok(());
+        let payload_bytes = publish(&mut slots[self.rank].lock());
+        self.core
+            .traffic
+            .record_allgather_split(peer_exchange_tier_bytes(
+                self.core.world,
+                self.core.gpus_per_node,
+                self.rank,
+                payload_bytes,
+            ));
+        self.barrier()?;
+        for (sender, slot) in slots.iter().enumerate() {
+            collect(sender, &slot.lock())?;
         }
-        let n = data.len();
-        let r = self.rank;
-        {
-            let mut slot = self.core.gather_f32[r].lock();
-            slot.clear();
-            slot.extend_from_slice(data);
-        }
-        // Exactly half the f32 ring's bytes: same chunk schedule, 2-byte
-        // elements.
-        self.core.traffic.record_allreduce_tier(
-            ring_send_tier(g, self.core.gpus_per_node, r),
-            ring_allreduce_send_bytes(n, g, r, 2),
-        );
-        let core = &self.core;
-        self.sync_leader(|| leader_sum_f16_emulated(core, scale))?;
-        data.copy_from_slice(&self.core.reduce_f32.lock());
-        Ok(())
+        self.barrier()
     }
 
-    /// Variable-size ALLGATHER of `u32` payloads: returns every rank's
-    /// contribution concatenated in rank order (identical on all ranks).
-    /// This is the cheap index exchange at the heart of the paper's
-    /// uniqueness technique — `Θ(G·K)` elements instead of `Θ(G·K·D)`.
-    pub fn all_gather_u32(&self, local: &[u32]) -> Result<Vec<u32>, CommError> {
-        let mut out = Vec::new();
-        self.all_gather_u32_into(local, &mut out)?;
-        Ok(out)
+    /// ALLGATHER of fixed-width elements sent as they are: every rank's
+    /// contribution concatenated in rank order (identical on all ranks)
+    /// replaces `out`'s contents, reusing its capacity (hot loops pass
+    /// the same buffer every step so steady state performs zero heap
+    /// allocation).
+    fn gather_raw_into<T: Copy>(
+        &self,
+        slots: &[Mutex<Vec<T>>],
+        local: &[T],
+        out: &mut Vec<T>,
+    ) -> Result<(), CommError> {
+        out.clear();
+        self.gather_rendezvous(
+            slots,
+            |slot| {
+                slot.clear();
+                slot.extend_from_slice(local);
+                std::mem::size_of_val(local) as u64
+            },
+            |_, slot| {
+                out.extend_from_slice(slot);
+                Ok(())
+            },
+        )
     }
 
-    /// Allocation-free [`Rank::all_gather_u32`]: the result replaces
-    /// `out`'s contents, reusing its capacity (hot loops pass the same
-    /// buffer every step so steady state performs zero heap allocation).
+    /// Variable-size ALLGATHER of `u32` payloads into `out` (capacity
+    /// reused). This is the cheap index exchange at the heart of the
+    /// paper's uniqueness technique — `Θ(G·K)` elements instead of
+    /// `Θ(G·K·D)`.
     pub fn all_gather_u32_into(&self, local: &[u32], out: &mut Vec<u32>) -> Result<(), CommError> {
-        if self.rank == 0 {
-            self.core.traffic.count_allgather_op();
-        }
-        let g = self.core.world;
-        {
-            let mut slot = self.core.gather_u32[self.rank].lock();
-            slot.clear();
-            slot.extend_from_slice(local);
-        }
-        // Each rank's payload travels to G−1 peers: same-node peers over
-        // the intra tier, the rest over the inter tier.
-        self.core
-            .traffic
-            .record_allgather_split(peer_exchange_tier_bytes(
-                g,
-                self.core.gpus_per_node,
-                self.rank,
-                (local.len() * 4) as u64,
-            ));
-        self.barrier()?;
-        out.clear();
-        for s in 0..g {
-            out.extend_from_slice(&self.core.gather_u32[s].lock());
-        }
-        self.barrier()
+        self.gather_raw_into(&self.core.gather_u32, local, out)
     }
 
-    /// Variable-size ALLGATHER of `f32` payloads, rank order — the
-    /// paper's *baseline* dense gradient exchange (`Θ(G·K·D)` memory and
-    /// wire bytes).
-    pub fn all_gather_f32(&self, local: &[f32]) -> Result<Vec<f32>, CommError> {
-        let mut out = Vec::new();
-        self.all_gather_f32_into(local, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free [`Rank::all_gather_f32`], reusing `out`'s capacity.
+    /// Variable-size ALLGATHER of `f32` payloads, rank order, into
+    /// `out` (capacity reused) — the paper's *baseline* dense gradient
+    /// exchange (`Θ(G·K·D)` memory and wire bytes).
     pub fn all_gather_f32_into(&self, local: &[f32], out: &mut Vec<f32>) -> Result<(), CommError> {
-        if self.rank == 0 {
-            self.core.traffic.count_allgather_op();
-        }
-        let g = self.core.world;
-        {
-            let mut slot = self.core.gather_f32[self.rank].lock();
-            slot.clear();
-            slot.extend_from_slice(local);
-        }
-        self.core
-            .traffic
-            .record_allgather_split(peer_exchange_tier_bytes(
-                g,
-                self.core.gpus_per_node,
-                self.rank,
-                (local.len() * 4) as u64,
-            ));
-        self.barrier()?;
-        out.clear();
-        for s in 0..g {
-            out.extend_from_slice(&self.core.gather_f32[s].lock());
-        }
-        self.barrier()
+        self.gather_raw_into(&self.core.gather_f32, local, out)
     }
 
     /// FP16-compressed ALLGATHER of `f32` payloads with compression
-    /// scaling — the baseline exchange under §III-C compression.
-    pub fn all_gather_f16(&self, local: &[f32], scale: f32) -> Result<Vec<f32>, CommError> {
-        let mut out = Vec::new();
-        self.all_gather_f16_into(local, scale, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free [`Rank::all_gather_f16`], reusing `out`'s capacity.
+    /// scaling, into `out` (capacity reused) — the baseline exchange
+    /// under §III-C compression.
     pub fn all_gather_f16_into(
         &self,
         local: &[f32],
         scale: f32,
         out: &mut Vec<f32>,
     ) -> Result<(), CommError> {
-        assert!(scale > 0.0, "compression scale must be positive");
-        if self.rank == 0 {
-            self.core.traffic.count_allgather_op();
-        }
-        let g = self.core.world;
-        {
-            let mut slot = self.core.gather_u16[self.rank].lock();
-            slot.clear();
-            slot.extend(local.iter().map(|&x| f32_to_f16_bits(x * scale)));
-        }
-        self.core
-            .traffic
-            .record_allgather_split(peer_exchange_tier_bytes(
-                g,
-                self.core.gpus_per_node,
-                self.rank,
-                (local.len() * 2) as u64,
-            ));
-        self.barrier()?;
+        assert!(
+            scale.is_finite() && scale > 0.0,
+            "compression scale must be positive and finite"
+        );
         let inv = 1.0 / scale;
         out.clear();
-        for s in 0..g {
-            let slot = self.core.gather_u16[s].lock();
-            out.extend(slot.iter().map(|&h| f16_bits_to_f32(h) * inv));
-        }
-        self.barrier()
+        self.gather_rendezvous(
+            &self.core.gather_u16,
+            |slot| {
+                slot.clear();
+                slot.extend(local.iter().map(|&x| f32_to_f16_bits(x * scale)));
+                (local.len() * 2) as u64
+            },
+            |_, slot| {
+                out.extend(slot.iter().map(|&h| f16_bits_to_f32(h) * inv));
+                Ok(())
+            },
+        )
     }
 
     /// Sums one scalar across ranks in rank order (deterministic) — used
@@ -1124,180 +1222,6 @@ impl Rank {
         }
         self.barrier()?;
         Ok(sum)
-    }
-
-    /// Reduce-scatter (sum): after the call, this rank holds the fully
-    /// reduced chunk `chunk_range(n, G, (rank + 1) % G)` of the buffer in
-    /// place (other regions are untouched input and must be treated as
-    /// scratch). This is the first phase of the ring ALLREDUCE exposed on
-    /// its own, the building block of hierarchical schedules; the owned
-    /// chunk is the canonical ascending-rank sum, identical to the same
-    /// region after [`Rank::all_reduce_sum`]. Wire accounting charges
-    /// the reduce-scatter half of the ring schedule.
-    pub fn reduce_scatter_sum(
-        &self,
-        data: &mut [f32],
-    ) -> Result<std::ops::Range<usize>, CommError> {
-        let g = self.core.world;
-        let n = data.len();
-        let r = self.rank;
-        if g == 1 {
-            return Ok(0..n);
-        }
-        {
-            let mut slot = self.core.gather_f32[r].lock();
-            slot.clear();
-            slot.extend_from_slice(data);
-        }
-        self.core.traffic.record_allreduce_tier(
-            ring_send_tier(g, self.core.gpus_per_node, r),
-            ring_reduce_scatter_send_elems(n, g, r) * 4,
-        );
-        let core = &self.core;
-        self.sync_leader(|| leader_sum_f32(core))?;
-        let owned = chunk_range(n, g, (r + 1) % g);
-        data[owned.clone()].copy_from_slice(&self.core.reduce_f32.lock()[owned.clone()]);
-        Ok(owned)
-    }
-
-    /// Hierarchical two-tier ALLREDUCE for a cluster of
-    /// `gpus_per_node`-GPU nodes, the schedule of §V-C: (1) intra-node
-    /// ring reduce-scatter over PCIe, (2) owned-chunk hand-off to the
-    /// node leader, (3) flat ring ALLREDUCE across leaders only — the
-    /// expensive Infiniband hop moves `Θ(n)` once per node instead of
-    /// per GPU — and (4) intra-node broadcast. Falls back to the flat
-    /// ring when the group fits in one node.
-    ///
-    /// The *result* is the canonical ascending-rank sum, bit-identical
-    /// to [`Rank::all_reduce_sum`] on every rank; the schedule above is
-    /// what the per-tier wire accounting charges, phase by phase,
-    /// mirroring [`hierarchical_allreduce_send_bytes`] exactly (ragged
-    /// last nodes included). Node `i` owns ranks
-    /// `[i·gpus_per_node, (i+1)·gpus_per_node)`.
-    ///
-    /// `gpus_per_node == 0` is an invalid topology and yields a typed
-    /// [`CommError`] on every rank — recoverable, the group is *not*
-    /// poisoned (all ranks pass the same argument under SPMD, so all
-    /// observe the same error and stay in lockstep).
-    pub fn all_reduce_sum_hierarchical(
-        &self,
-        data: &mut [f32],
-        gpus_per_node: usize,
-    ) -> Result<(), CommError> {
-        if gpus_per_node == 0 {
-            return Err(CommError::abort(
-                self.rank,
-                "invalid topology: gpus_per_node must be at least 1",
-            ));
-        }
-        let g = self.core.world;
-        if g <= gpus_per_node {
-            return self.all_reduce_sum(data);
-        }
-        if self.rank == 0 {
-            self.core.traffic.count_allreduce_op();
-        }
-        let r = self.rank;
-        {
-            let mut slot = self.core.gather_f32[r].lock();
-            slot.clear();
-            slot.extend_from_slice(data);
-        }
-        self.core
-            .traffic
-            .record_allreduce_split(hierarchical_allreduce_send_bytes(
-                data.len(),
-                g,
-                gpus_per_node,
-                r,
-                4,
-            ));
-        let core = &self.core;
-        self.sync_leader(|| leader_sum_f32(core))?;
-        data.copy_from_slice(&self.core.reduce_f32.lock());
-        Ok(())
-    }
-
-    /// Hierarchical two-tier ALLREDUCE with FP16 wire compression and
-    /// compression-scaling: the §V-C schedule of
-    /// [`Rank::all_reduce_sum_hierarchical`] carrying the 2-byte wire
-    /// format of [`Rank::all_reduce_sum_f16`]. The reduction emulates
-    /// the compressed hops in canonical ascending-rank order, so the
-    /// *result* is bit-identical to the flat f16 ring on every rank —
-    /// topology only changes which links the bytes traverse. Wire
-    /// accounting charges [`hierarchical_allreduce_send_bytes`] at
-    /// 2 bytes per element, phase by phase per tier. Falls back to the
-    /// flat f16 ring when the group fits in one node; `gpus_per_node ==
-    /// 0` yields the same recoverable typed [`CommError`] as the f32
-    /// variant.
-    pub fn all_reduce_sum_f16_hierarchical(
-        &self,
-        data: &mut [f32],
-        scale: f32,
-        gpus_per_node: usize,
-    ) -> Result<(), CommError> {
-        assert!(scale > 0.0, "compression scale must be positive");
-        if gpus_per_node == 0 {
-            return Err(CommError::abort(
-                self.rank,
-                "invalid topology: gpus_per_node must be at least 1",
-            ));
-        }
-        let g = self.core.world;
-        if g <= gpus_per_node {
-            return self.all_reduce_sum_f16(data, scale);
-        }
-        if self.rank == 0 {
-            self.core.traffic.count_allreduce_op();
-        }
-        let r = self.rank;
-        {
-            let mut slot = self.core.gather_f32[r].lock();
-            slot.clear();
-            slot.extend_from_slice(data);
-        }
-        self.core
-            .traffic
-            .record_allreduce_split(hierarchical_allreduce_send_bytes(
-                data.len(),
-                g,
-                gpus_per_node,
-                r,
-                2,
-            ));
-        let core = &self.core;
-        self.sync_leader(|| leader_sum_f16_emulated(core, scale))?;
-        data.copy_from_slice(&self.core.reduce_f32.lock());
-        Ok(())
-    }
-
-    /// Broadcasts `data` from `root` to all ranks.
-    pub fn broadcast_f32(&self, data: &mut Vec<f32>, root: usize) -> Result<(), CommError> {
-        assert!(root < self.core.world, "root out of range");
-        if self.rank == 0 {
-            self.core.traffic.count_broadcast_op();
-        }
-        let g = self.core.world;
-        if self.rank == root {
-            let mut slot = self.core.gather_f32[root].lock();
-            slot.clear();
-            slot.extend_from_slice(data);
-            self.core
-                .traffic
-                .record_broadcast_split(peer_exchange_tier_bytes(
-                    g,
-                    self.core.gpus_per_node,
-                    root,
-                    (data.len() * 4) as u64,
-                ));
-        }
-        self.barrier()?;
-        if self.rank != root {
-            let slot = self.core.gather_f32[root].lock();
-            data.clear();
-            data.extend_from_slice(&slot);
-        }
-        self.barrier()
     }
 
     /// Poisons the group with a codec decode failure and returns the
@@ -1339,139 +1263,24 @@ impl Rank {
         codec: &dyn WireCodec,
         out: &mut Vec<u32>,
     ) -> Result<(), CommError> {
-        if self.rank == 0 {
-            self.core.traffic.count_allgather_op();
-        }
-        let g = self.core.world;
-        let enc_len = {
-            let mut slot = self.core.gather_bytes[self.rank].lock();
-            slot.0 = local.len();
-            slot.1.clear();
-            codec.encode_u32(local, &mut slot.1);
-            if self.take_corrupt_frame() {
-                corrupt_frame(&mut slot.1);
-            }
-            slot.1.len() as u64
-        };
-        self.core
-            .traffic
-            .record_allgather_split(peer_exchange_tier_bytes(
-                g,
-                self.core.gpus_per_node,
-                self.rank,
-                enc_len,
-            ));
-        self.barrier()?;
         out.clear();
-        for s in 0..g {
-            let slot = self.core.gather_bytes[s].lock();
-            if let Err(e) = codec.decode_u32(&slot.1, slot.0, out) {
-                drop(slot);
-                return Err(self.codec_abort(s, codec, e));
-            }
-        }
-        self.barrier()
-    }
-
-    /// ALLREDUCE (sum) with a lossless wire codec: the reduction itself
-    /// is the canonical ascending-rank sum of [`Rank::all_reduce_sum`]
-    /// (bit-identical results under every wire schedule), and the
-    /// distributed result is then passed chunk-by-chunk through a real
-    /// `codec` encode→decode round-trip — modelling the all-gather phase
-    /// delivering encoded chunks, so a codec that is not bit-exact
-    /// visibly corrupts training instead of silently compressing.
-    ///
-    /// Wire accounting charges the **steady-state re-encode model**:
-    /// every chunk transmission of the flat ring schedule is priced at
-    /// the encoded length of the *reduced* chunk, which is identical on
-    /// every rank — so the charge equals
-    /// [`ring_allreduce_send_bytes_parts`] over
-    /// `codec.encoded_len_f32(&data[chunk])` and analytic == recorded
-    /// holds to the byte.
-    pub fn all_reduce_sum_codec(
-        &self,
-        data: &mut [f32],
-        codec: &dyn WireCodec,
-    ) -> Result<(), CommError> {
-        let g = self.core.world;
-        if self.rank == 0 {
-            self.core.traffic.count_allreduce_op();
-        }
-        if g == 1 {
-            return Ok(());
-        }
-        let n = data.len();
-        let r = self.rank;
-        {
-            let mut slot = self.core.gather_f32[r].lock();
-            slot.clear();
-            slot.extend_from_slice(data);
-        }
-        let core = &self.core;
-        self.sync_leader(|| leader_sum_f32(core))?;
-        data.copy_from_slice(&self.core.reduce_f32.lock());
-        self.codec_roundtrip_chunks(data, codec)?;
-        self.core.traffic.record_allreduce_tier(
-            ring_send_tier(g, self.core.gpus_per_node, r),
-            ring_allreduce_send_bytes_parts(g, r, |parts, c| {
-                codec.encoded_len_f32(&data[chunk_range(n, parts, c)])
-            }),
-        );
-        Ok(())
-    }
-
-    /// Hierarchical two-tier ALLREDUCE with a lossless wire codec: the
-    /// §V-C schedule of [`Rank::all_reduce_sum_hierarchical`], priced
-    /// per tier at encoded chunk lengths
-    /// ([`hierarchical_allreduce_send_bytes_parts`] over
-    /// `codec.encoded_len_f32`), with the same reduced-payload
-    /// encode→decode round-trip as [`Rank::all_reduce_sum_codec`] — so
-    /// flat and hierarchical stay bit-identical and analytic == recorded
-    /// holds per tier. Falls back to the flat codec ring when the group
-    /// fits in one node; `gpus_per_node == 0` yields the recoverable
-    /// typed [`CommError`] of the identity variants.
-    pub fn all_reduce_sum_hierarchical_codec(
-        &self,
-        data: &mut [f32],
-        codec: &dyn WireCodec,
-        gpus_per_node: usize,
-    ) -> Result<(), CommError> {
-        if gpus_per_node == 0 {
-            return Err(CommError::abort(
-                self.rank,
-                "invalid topology: gpus_per_node must be at least 1",
-            ));
-        }
-        let g = self.core.world;
-        if g <= gpus_per_node {
-            return self.all_reduce_sum_codec(data, codec);
-        }
-        if self.rank == 0 {
-            self.core.traffic.count_allreduce_op();
-        }
-        let n = data.len();
-        let r = self.rank;
-        {
-            let mut slot = self.core.gather_f32[r].lock();
-            slot.clear();
-            slot.extend_from_slice(data);
-        }
-        let core = &self.core;
-        self.sync_leader(|| leader_sum_f32(core))?;
-        data.copy_from_slice(&self.core.reduce_f32.lock());
-        // The delivered payload round-trips through the codec on the
-        // flat chunk partition: losslessness (not chunk boundaries) is
-        // what keeps flat and hierarchical schedules bit-identical.
-        self.codec_roundtrip_chunks(data, codec)?;
-        self.core
-            .traffic
-            .record_allreduce_split(hierarchical_allreduce_send_bytes_parts(
-                g,
-                gpus_per_node,
-                r,
-                |parts, c| codec.encoded_len_f32(&data[chunk_range(n, parts, c)]),
-            ));
-        Ok(())
+        self.gather_rendezvous(
+            &self.core.gather_bytes,
+            |(n, frame)| {
+                *n = local.len();
+                frame.clear();
+                codec.encode_u32(local, frame);
+                if self.take_corrupt_frame() {
+                    corrupt_frame(frame);
+                }
+                frame.len() as u64
+            },
+            |sender, (n, frame)| {
+                codec
+                    .decode_u32(frame, *n, out)
+                    .map_err(|e| self.codec_abort(sender, codec, e))
+            },
+        )
     }
 
     /// Passes every flat ring chunk of `data` through a real
@@ -1552,6 +1361,24 @@ mod tests {
         out.into_iter().map(Option::unwrap).collect()
     }
 
+    /// The `_into` gathers into a fresh buffer, for tests that only
+    /// look at the result.
+    fn gather_u32(rank: &Rank, local: &[u32]) -> Result<Vec<u32>, CommError> {
+        let mut out = Vec::new();
+        rank.all_gather_u32_into(local, &mut out).map(|()| out)
+    }
+
+    fn gather_f32(rank: &Rank, local: &[f32]) -> Result<Vec<f32>, CommError> {
+        let mut out = Vec::new();
+        rank.all_gather_f32_into(local, &mut out).map(|()| out)
+    }
+
+    fn gather_f16(rank: &Rank, local: &[f32], scale: f32) -> Result<Vec<f32>, CommError> {
+        let mut out = Vec::new();
+        rank.all_gather_f16_into(local, scale, &mut out)
+            .map(|()| out)
+    }
+
     #[test]
     fn f16_helpers_round_trip_known_values() {
         for &x in &[0.0f32, 1.0, -2.5, 65504.0, 6.1e-5, -0.125] {
@@ -1569,7 +1396,8 @@ mod tests {
             let results = run_group(world, |rank| {
                 let r = rank.rank();
                 let mut data: Vec<f32> = (0..n).map(|i| (i + r * 100) as f32).collect();
-                rank.all_reduce_sum(&mut data).unwrap();
+                rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+                    .unwrap();
                 data
             });
             let expected: Vec<f32> = (0..n)
@@ -1588,25 +1416,12 @@ mod tests {
         let results = run_group(5, |rank| {
             let r = rank.rank();
             let mut data: Vec<f32> = (0..23).map(|i| (i as f32 * 0.37) + r as f32).collect();
-            rank.all_reduce_sum(&mut data).unwrap();
+            rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+                .unwrap();
             data
         });
         for r in 1..5 {
             assert_eq!(results[0], results[r], "rank {r} diverged");
-        }
-    }
-
-    #[test]
-    fn all_reduce_short_buffer_smaller_than_world() {
-        // n < G exercises empty chunks.
-        let results = run_group(8, |rank| {
-            let mut data = vec![rank.rank() as f32; 3];
-            rank.all_reduce_sum(&mut data).unwrap();
-            data
-        });
-        let expected = (0..8).sum::<usize>() as f32;
-        for res in &results {
-            assert!(res.iter().all(|&x| (x - expected).abs() < 1e-4));
         }
     }
 
@@ -1617,7 +1432,8 @@ mod tests {
         let results = run_group(world, |rank| {
             let r = rank.rank();
             let mut data: Vec<f32> = (0..n).map(|i| 0.01 * (i as f32 + r as f32)).collect();
-            rank.all_reduce_sum_f16(&mut data, 512.0).unwrap();
+            rank.all_reduce(&mut data, Wire::F16 { scale: 512.0 }, Topology::Flat)
+                .unwrap();
             data
         });
         let expected: Vec<f32> = (0..n)
@@ -1639,7 +1455,7 @@ mod tests {
         let results = run_group(4, |rank| {
             let r = rank.rank() as u32;
             let local: Vec<u32> = (0..=r).map(|i| r * 10 + i).collect(); // size r+1
-            rank.all_gather_u32(&local).unwrap()
+            gather_u32(&rank, &local).unwrap()
         });
         let expected = vec![0u32, 10, 11, 20, 21, 22, 30, 31, 32, 33];
         for res in &results {
@@ -1651,7 +1467,7 @@ mod tests {
     fn all_gather_f32_baseline() {
         let results = run_group(3, |rank| {
             let local = vec![rank.rank() as f32; 2];
-            rank.all_gather_f32(&local).unwrap()
+            gather_f32(&rank, &local).unwrap()
         });
         for res in &results {
             assert_eq!(res, &vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0]);
@@ -1662,7 +1478,7 @@ mod tests {
     fn all_gather_f16_compresses_but_preserves_values() {
         let results = run_group(2, |rank| {
             let local = vec![0.5 + rank.rank() as f32, -0.25];
-            rank.all_gather_f16(&local, 256.0).unwrap()
+            gather_f16(&rank, &local, 256.0).unwrap()
         });
         for res in &results {
             assert!((res[0] - 0.5).abs() < 1e-3);
@@ -1683,29 +1499,14 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_from_nonzero_root() {
-        let results = run_group(4, |rank| {
-            let mut data = if rank.rank() == 2 {
-                vec![9.0f32, 8.0, 7.0]
-            } else {
-                vec![]
-            };
-            rank.broadcast_f32(&mut data, 2).unwrap();
-            data
-        });
-        for res in &results {
-            assert_eq!(res, &vec![9.0, 8.0, 7.0]);
-        }
-    }
-
-    #[test]
     fn traffic_counts_ring_volume() {
         let world = 4;
         let n = 100usize;
         let results = run_group(world, |rank| {
             let mut data = vec![1.0f32; n];
             rank.reset_traffic().unwrap();
-            rank.all_reduce_sum(&mut data).unwrap();
+            rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+                .unwrap();
             rank.traffic()
         });
         // Ring: each rank sends 2(G−1) chunks of ~n/G floats.
@@ -1724,12 +1525,14 @@ mod tests {
         let n = 128usize; // divisible by world so chunks are even
         let f32_bytes = run_group(world, |rank| {
             let mut data = vec![1.0f32; n];
-            rank.all_reduce_sum(&mut data).unwrap();
+            rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+                .unwrap();
             rank.traffic().allreduce_bytes
         })[0];
         let f16_bytes = run_group(world, |rank| {
             let mut data = vec![1.0f32; n];
-            rank.all_reduce_sum_f16(&mut data, 512.0).unwrap();
+            rank.all_reduce(&mut data, Wire::F16 { scale: 512.0 }, Topology::Flat)
+                .unwrap();
             rank.traffic().allreduce_bytes
         })[0];
         assert_eq!(f16_bytes * 2, f32_bytes);
@@ -1741,71 +1544,14 @@ mod tests {
             let mut acc = 0.0f64;
             for i in 0..50 {
                 let mut v = vec![i as f32; 8];
-                rank.all_reduce_sum(&mut v).unwrap();
-                let g = rank.all_gather_u32(&[rank.rank() as u32]).unwrap();
+                rank.all_reduce(&mut v, Wire::F32, Topology::Flat).unwrap();
+                let g = gather_u32(&rank, &[rank.rank() as u32]).unwrap();
                 acc += v[0] as f64 + g.len() as f64;
             }
             acc
         });
         for r in &results {
             assert_eq!(*r, results[0]);
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_owned_chunk_is_fully_reduced() {
-        for world in [1usize, 2, 4, 6] {
-            let n = 25;
-            let results = run_group(world, |rank| {
-                let r = rank.rank();
-                let mut data: Vec<f32> = (0..n).map(|i| (i * (r + 1)) as f32).collect();
-                let owned = rank.reduce_scatter_sum(&mut data).unwrap();
-                (owned, data)
-            });
-            let sum_factor: f32 = (1..=world).map(|x| x as f32).sum();
-            for (owned, data) in &results {
-                for i in owned.clone() {
-                    let expected = i as f32 * sum_factor;
-                    assert!(
-                        (data[i] - expected).abs() < 1e-3,
-                        "world {world} idx {i}: {} vs {expected}",
-                        data[i]
-                    );
-                }
-            }
-            // Owned chunks partition the buffer across ranks.
-            let mut covered: Vec<usize> = results.iter().flat_map(|(o, _)| o.clone()).collect();
-            covered.sort_unstable();
-            covered.dedup();
-            assert_eq!(covered.len(), n);
-        }
-    }
-
-    #[test]
-    fn hierarchical_allreduce_matches_flat() {
-        for (world, per_node) in [(4usize, 2usize), (6, 2), (8, 4), (8, 3), (5, 2), (8, 8)] {
-            let n = 33;
-            let flat = run_group(world, |rank| {
-                let r = rank.rank();
-                let mut data: Vec<f32> = (0..n).map(|i| (i + r * 10) as f32 * 0.5).collect();
-                rank.all_reduce_sum(&mut data).unwrap();
-                data
-            });
-            let hier = run_group(world, |rank| {
-                let r = rank.rank();
-                let mut data: Vec<f32> = (0..n).map(|i| (i + r * 10) as f32 * 0.5).collect();
-                rank.all_reduce_sum_hierarchical(&mut data, per_node)
-                    .unwrap();
-                data
-            });
-            for (w, h) in hier.iter().enumerate() {
-                for i in 0..n {
-                    assert!(
-                        (flat[0][i] - h[i]).abs() < 1e-3,
-                        "world {world}/{per_node} rank {w} idx {i}"
-                    );
-                }
-            }
         }
     }
 
@@ -1817,12 +1563,14 @@ mod tests {
         let n = 4096usize;
         let flat = run_group(8, |rank| {
             let mut data = vec![1.0f32; n];
-            rank.all_reduce_sum(&mut data).unwrap();
+            rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+                .unwrap();
             rank.traffic().allreduce_bytes
         })[0];
         let hier = run_group(8, |rank| {
             let mut data = vec![1.0f32; n];
-            rank.all_reduce_sum_hierarchical(&mut data, 4).unwrap();
+            rank.all_reduce(&mut data, Wire::F32, Topology::TwoTier { gpus_per_node: 4 })
+                .unwrap();
             rank.traffic().allreduce_bytes
         })[0];
         // Both are Θ(G·n); the point is correctness of accounting, and
@@ -1848,92 +1596,14 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_empty_buffer_is_noop() {
-        // n == 0: every chunk is empty; the ring must still complete
-        // (all barriers hit) and leave the buffer empty on every rank.
-        for world in [1usize, 2, 5] {
-            let results = run_group(world, |rank| {
-                let mut data: Vec<f32> = Vec::new();
-                rank.all_reduce_sum(&mut data).unwrap();
-                let mut data16: Vec<f32> = Vec::new();
-                rank.all_reduce_sum_f16(&mut data16, 512.0).unwrap();
-                (data.len(), data16.len())
-            });
-            for r in &results {
-                assert_eq!(*r, (0, 0));
-            }
-        }
-    }
-
-    #[test]
-    fn all_reduce_f16_short_buffer_smaller_than_world() {
-        // n < G on the compressed ring: most chunks are empty.
-        let world = 8;
-        let results = run_group(world, |rank| {
-            let mut data = vec![rank.rank() as f32; 3];
-            rank.all_reduce_sum_f16(&mut data, 256.0).unwrap();
-            data
-        });
-        let expected = (0..8).sum::<usize>() as f32;
-        for res in &results {
-            assert!(
-                res.iter().all(|&x| (x - expected).abs() < expected * 0.01),
-                "{res:?}"
-            );
-        }
-        for r in 1..world {
-            assert_eq!(results[0], results[r], "rank {r} diverged");
-        }
-    }
-
-    #[test]
-    fn all_reduce_non_divisible_chunks_exact_and_compressed() {
-        // n deliberately not a multiple of G: chunk sizes differ by one
-        // and both rings must still sum correctly on every rank.
-        for (world, n) in [(4usize, 7usize), (8, 13), (3, 100), (7, 95)] {
-            let exact = run_group(world, |rank| {
-                let r = rank.rank();
-                let mut data: Vec<f32> = (0..n).map(|i| (i + r) as f32).collect();
-                rank.all_reduce_sum(&mut data).unwrap();
-                data
-            });
-            let expected: Vec<f32> = (0..n)
-                .map(|i| (0..world).map(|r| (i + r) as f32).sum())
-                .collect();
-            for res in &exact {
-                for (a, b) in res.iter().zip(&expected) {
-                    assert!((a - b).abs() < 1e-3, "world {world} n {n}: {a} vs {b}");
-                }
-            }
-            let compressed = run_group(world, |rank| {
-                let r = rank.rank();
-                let mut data: Vec<f32> = (0..n).map(|i| (i + r) as f32).collect();
-                rank.all_reduce_sum_f16(&mut data, 16.0).unwrap();
-                data
-            });
-            for res in &compressed {
-                for (a, b) in res.iter().zip(&expected) {
-                    assert!(
-                        (a - b).abs() <= b.abs() * 0.01 + 1e-2,
-                        "world {world} n {n}: {a} vs {b}"
-                    );
-                }
-            }
-            for r in 1..world {
-                assert_eq!(compressed[0], compressed[r]);
-            }
-        }
-    }
-
-    #[test]
     fn all_gather_empty_slices() {
         // Every rank empty, and a mix of empty/non-empty contributions
         // (the `equivalence_with_empty_contributions` scenario at the
         // comm layer).
         let all_empty = run_group(3, |rank| {
-            let u = rank.all_gather_u32(&[]).unwrap();
-            let f = rank.all_gather_f32(&[]).unwrap();
-            let h = rank.all_gather_f16(&[], 512.0).unwrap();
+            let u = gather_u32(&rank, &[]).unwrap();
+            let f = gather_f32(&rank, &[]).unwrap();
+            let h = gather_f16(&rank, &[], 512.0).unwrap();
             (u.len(), f.len(), h.len())
         });
         for r in &all_empty {
@@ -1946,7 +1616,7 @@ mod tests {
             } else {
                 vec![rank.rank() as u32 * 10]
             };
-            rank.all_gather_u32(&local).unwrap()
+            gather_u32(&rank, &local).unwrap()
         });
         for res in &mixed {
             assert_eq!(res, &vec![0u32, 20]);
@@ -1954,7 +1624,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_into_variants_match_and_reuse_capacity() {
+    fn gather_into_reuses_capacity() {
         let results = run_group(4, |rank| {
             let r = rank.rank() as u32;
             let local: Vec<u32> = (0..=r).map(|i| r * 10 + i).collect();
@@ -1976,10 +1646,9 @@ mod tests {
             assert_eq!(u.capacity(), cu);
             assert_eq!(f.capacity(), cf);
             assert_eq!(h.capacity(), ch);
-            (u.clone(), rank.all_gather_u32(&local).unwrap(), f, h)
+            (f, h)
         });
-        for (into_u, ret_u, f, h) in &results {
-            assert_eq!(into_u, ret_u, "into/returning variants disagree");
+        for (f, h) in &results {
             assert_eq!(f.len(), 12);
             assert_eq!(h.len(), 12);
             for (a, b) in f.iter().zip(h) {
@@ -2005,9 +1674,11 @@ mod tests {
                     rank.reset_traffic().unwrap();
                     let mut data = vec![1.0f32; n];
                     if elem == 4 {
-                        rank.all_reduce_sum(&mut data).unwrap();
+                        rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+                            .unwrap();
                     } else {
-                        rank.all_reduce_sum_f16(&mut data, 512.0).unwrap();
+                        rank.all_reduce(&mut data, Wire::F16 { scale: 512.0 }, Topology::Flat)
+                            .unwrap();
                     }
                     rank.traffic().allreduce_bytes
                 })[0];
@@ -2052,8 +1723,11 @@ mod tests {
             }
             let mut errs = Vec::new();
             let mut data = vec![1.0f32; 8];
-            errs.push(rank.all_reduce_sum(&mut data).unwrap_err());
-            errs.push(rank.all_gather_u32(&[7]).unwrap_err());
+            errs.push(
+                rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+                    .unwrap_err(),
+            );
+            errs.push(gather_u32(&rank, &[7]).unwrap_err());
             errs.push(rank.all_reduce_scalar_f64(1.0).unwrap_err());
             errs.push(rank.barrier().unwrap_err());
             errs
@@ -2090,9 +1764,9 @@ mod tests {
         let results = run_group(3, |rank| {
             let guard = rank.abort_on_drop("should never fire");
             let mut data = vec![rank.rank() as f32; 4];
-            let res = rank.all_reduce_sum(&mut data);
+            let res = rank.all_reduce(&mut data, Wire::F32, Topology::Flat);
             guard.disarm();
-            res
+            res.map(drop)
         });
         for res in results {
             assert_eq!(res, Ok(()));
@@ -2141,7 +1815,7 @@ mod tests {
             }
             // Every subsequent collective fails immediately.
             let a = rank.barrier().unwrap_err();
-            let b = rank.all_gather_f32(&[1.0]).unwrap_err();
+            let b = gather_f32(&rank, &[1.0]).unwrap_err();
             (a, b)
         });
         for (a, b) in results {
@@ -2213,7 +1887,8 @@ mod tests {
         let sums = run_group_deadline(4, deadline, |rank| {
             let mut v = vec![rank.rank() as f32; 8];
             for _ in 0..50 {
-                rank.all_reduce_sum(&mut v).expect("no one is silent");
+                rank.all_reduce(&mut v, Wire::F32, Topology::Flat)
+                    .expect("no one is silent");
                 v.iter_mut().for_each(|x| *x /= 4.0);
             }
             v[0]
@@ -2280,13 +1955,11 @@ mod tests {
             // The damaged round-trip is local to rank 2, which fails
             // mid-collective; peers observe the poison no later than
             // their next barrier crossing.
-            rank.all_reduce_sum_codec(
-                &mut data,
-                WireCodecId::Lossless
-                    .grad_codec()
-                    .expect("lossless has a grad codec"),
-            )
-            .and_then(|()| rank.barrier())
+            let codec = WireCodecId::Lossless
+                .grad_codec()
+                .expect("lossless has a grad codec");
+            rank.all_reduce(&mut data, Wire::Codec(codec), Topology::Flat)
+                .and_then(|_| rank.barrier())
         });
         for (r, res) in results.iter().enumerate() {
             let err = res.clone().unwrap_err();
@@ -2383,143 +2056,145 @@ mod tests {
         // Satellite bugfix: an invalid topology must be a typed
         // CommError, not a panic — and must NOT poison the group, so
         // the same ranks can go on to run valid collectives.
-        let results = run_group(4, |rank| {
-            let mut data = vec![rank.rank() as f32; 5];
-            let err = rank.all_reduce_sum_hierarchical(&mut data, 0).unwrap_err();
-            assert_eq!(err.failed_rank(), rank.rank());
-            assert!(err.reason().contains("gpus_per_node"), "{}", err.reason());
-            // Group still healthy: a valid collective succeeds.
-            rank.all_reduce_sum_hierarchical(&mut data, 2).unwrap();
-            data[0]
-        });
-        for r in &results {
-            assert_eq!(*r, 6.0); // 0+1+2+3
-        }
-    }
-
-    #[test]
-    fn hierarchical_matches_flat_bit_exactly() {
-        // Canonical ascending-rank arithmetic makes the hierarchical
-        // schedule bit-identical to the flat ring — including ragged
-        // last nodes — not merely close.
-        for (world, per_node) in [(4usize, 2usize), (6, 2), (8, 4), (8, 3), (5, 2), (9, 4)] {
-            let n = 33;
-            let mk =
-                |r: usize| -> Vec<f32> { (0..n).map(|i| (i + r * 10) as f32 * 0.37).collect() };
-            let flat = run_group(world, |rank| {
-                let mut data = mk(rank.rank());
-                rank.all_reduce_sum(&mut data).unwrap();
-                data
-            });
-            let hier = run_group(world, |rank| {
-                let mut data = mk(rank.rank());
-                rank.all_reduce_sum_hierarchical(&mut data, per_node)
+        for wire in [Wire::F32, Wire::F16 { scale: 64.0 }] {
+            let results = run_group(4, |rank| {
+                let mut data = vec![rank.rank() as f32; 5];
+                let err = rank
+                    .all_reduce(&mut data, wire, Topology::TwoTier { gpus_per_node: 0 })
+                    .unwrap_err();
+                assert_eq!(err.failed_rank(), rank.rank());
+                assert!(err.reason().contains("gpus_per_node"), "{}", err.reason());
+                // Group still healthy: a valid collective succeeds.
+                rank.all_reduce(&mut data, wire, Topology::TwoTier { gpus_per_node: 2 })
                     .unwrap();
-                data
+                data[0]
             });
-            for r in 0..world {
-                assert_eq!(flat[r], hier[r], "world {world}/{per_node} rank {r}");
+            for r in &results {
+                assert_eq!(*r, 6.0); // 0+1+2+3, exact in binary16 too
             }
         }
     }
 
+    /// The one ALLREDUCE, every wire format × wire schedule × awkward
+    /// length: the result is bit-identical across schedules (and across
+    /// the lossless formats), the returned [`TierBytes`] are this
+    /// rank's analytic schedule share and sum to what the recorder saw
+    /// per tier, and the benchmark-pinned shims are the core.
     #[test]
-    fn hierarchical_tier_bytes_analytic_match_recorder_exactly() {
-        // Satellite bugfix: per-tier analytic == recorded, to the byte,
-        // separately for intra and inter — divisible and ragged worlds.
-        for (world, per_node) in [
-            (4usize, 2usize), // divisible
-            (8, 4),           // divisible
-            (8, 2),           // divisible, 4 nodes
-            (7, 3),           // ragged last node of 1
-            (5, 2),           // ragged last node of 1
-            (9, 4),           // ragged last node of 1
-            (11, 4),          // ragged last node of 3
-        ] {
-            for n in [0usize, 33, 128] {
-                let snap = run_group(world, |rank| {
-                    let mut data = vec![1.0f32; n];
-                    rank.reset_traffic().unwrap();
-                    rank.all_reduce_sum_hierarchical(&mut data, per_node)
-                        .unwrap();
-                    rank.traffic()
-                })[0];
-                let mut analytic = TierBytes::default();
-                for r in 0..world {
-                    analytic += hierarchical_allreduce_send_bytes(n, world, per_node, r, 4);
-                }
-                assert_eq!(
-                    (snap.allreduce_intra_bytes, snap.allreduce_inter_bytes),
-                    (analytic.intra, analytic.inter),
-                    "world {world}/{per_node} n {n}"
-                );
-                // Only leaders touch the inter tier; with >1 node and
-                // a non-empty payload there must be inter traffic.
-                if n > 0 && world > per_node {
-                    assert!(snap.allreduce_inter_bytes > 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hierarchical_f16_matches_flat_f16_bit_exactly_and_accounts_per_tier() {
-        // Satellite bugfix: the two-tier schedule must carry the f16
-        // wire format — bit-identical to the flat f16 ring (the per-hop
-        // quantisation order is canonical, not topological), with
-        // per-tier analytic bytes == recorded at 2 bytes per element.
+    fn all_reduce_wire_by_topology_by_length_table() {
+        use crate::codec::{ExpPackCodec, IdentityCodec};
         let scale = 64.0f32;
-        for (world, per_node) in [(4usize, 2usize), (6, 2), (8, 4), (5, 2), (9, 4)] {
-            let n = 33;
-            let mk =
-                |r: usize| -> Vec<f32> { (0..n).map(|i| (i + r * 10) as f32 * 0.37).collect() };
-            let flat = run_group(world, |rank| {
-                let mut data = mk(rank.rank());
-                rank.all_reduce_sum_f16(&mut data, scale).unwrap();
-                data
-            });
-            let hier = run_group(world, |rank| {
-                let mut data = mk(rank.rank());
-                rank.all_reduce_sum_f16_hierarchical(&mut data, scale, per_node)
-                    .unwrap();
-                data
-            });
-            for r in 0..world {
-                assert_eq!(flat[r], hier[r], "world {world}/{per_node} rank {r}");
+        // (name, wire, fixed element width if the format has one)
+        let wires: [(&str, Wire<'static>, Option<u64>); 4] = [
+            ("f32", Wire::F32, Some(4)),
+            ("f16", Wire::F16 { scale }, Some(2)),
+            ("identity codec", Wire::Codec(&IdentityCodec), Some(4)),
+            ("exp-pack", Wire::Codec(&ExpPackCodec), None),
+        ];
+        // Two full nodes; ragged last nodes of 1 and of 3; one node.
+        for (world, gpn) in [(8usize, 4usize), (7, 3), (11, 4), (4, 8)] {
+            // n < G with empty chunks, n = 0, n not divisible by G.
+            for n in [3usize, 0, 33] {
+                let input =
+                    |r: usize| -> Vec<f32> { (0..n).map(|i| (i + r * 10) as f32 * 0.37).collect() };
+                // Canonical ascending-rank, left-associated sum.
+                let exact: Vec<f32> = (0..n)
+                    .map(|i| (0..world).map(|r| input(r)[i]).sum())
+                    .collect();
+                for (name, wire, elem) in wires {
+                    let mut results = Vec::new();
+                    for topology in [Topology::Flat, Topology::TwoTier { gpus_per_node: gpn }] {
+                        let ctx = format!("{name} {topology:?} world {world}/{gpn} n {n}");
+                        let out = run_group_topo(world, gpn, |rank| {
+                            let mut data = input(rank.rank());
+                            let sent = rank.all_reduce(&mut data, wire, topology).unwrap();
+                            // Codec formats charge after the rendezvous.
+                            rank.barrier().unwrap();
+                            (data, sent, rank.traffic())
+                        });
+                        let two_tier = topology != Topology::Flat && world > gpn;
+                        let mut total = TierBytes::default();
+                        for (r, (data, sent, _)) in out.iter().enumerate() {
+                            assert_eq!(data, &out[0].0, "{ctx}: rank {r} diverged");
+                            let chunk_bytes = |parts: usize, c: usize| {
+                                wire.encoded_len(&data[chunk_range(n, parts, c)])
+                            };
+                            let on_ring_link =
+                                |bytes: u64| TierBytes::on(ring_send_tier(world, gpn, r), bytes);
+                            let analytic = if two_tier {
+                                hierarchical_allreduce_send_bytes_parts(world, gpn, r, chunk_bytes)
+                            } else {
+                                on_ring_link(ring_allreduce_send_bytes_parts(world, r, chunk_bytes))
+                            };
+                            assert_eq!(*sent, analytic, "{ctx}: rank {r} returned bytes");
+                            if let Some(elem) = elem {
+                                let fixed = if two_tier {
+                                    hierarchical_allreduce_send_bytes(n, world, gpn, r, elem)
+                                } else {
+                                    on_ring_link(ring_allreduce_send_bytes(n, world, r, elem))
+                                };
+                                assert_eq!(*sent, fixed, "{ctx}: rank {r} fixed-width bytes");
+                            }
+                            total += *sent;
+                        }
+                        let snap = out[0].2;
+                        assert_eq!(
+                            (snap.allreduce_intra_bytes, snap.allreduce_inter_bytes),
+                            (total.intra, total.inter),
+                            "{ctx}: recorder"
+                        );
+                        assert_eq!(snap.allreduce_ops, 1, "{ctx}");
+                        if two_tier && n > 0 {
+                            assert!(snap.allreduce_inter_bytes > 0, "{ctx}: leaders pay IB");
+                        }
+                        results.push(out.into_iter().next().unwrap().0);
+                    }
+                    assert_eq!(results[0], results[1], "{name}: topology moved bits");
+                    if matches!(wire, Wire::F16 { .. }) {
+                        for (a, b) in results[0].iter().zip(&exact) {
+                            assert!((a - b).abs() <= b.abs() * 0.01 + 1e-2, "{name}: {a} vs {b}");
+                        }
+                    } else {
+                        assert_eq!(results[0], exact, "{name}: world {world} n {n}");
+                    }
+                }
             }
-            let snap = run_group(world, |rank| {
-                let mut data = mk(rank.rank());
-                rank.reset_traffic().unwrap();
-                rank.all_reduce_sum_f16_hierarchical(&mut data, scale, per_node)
-                    .unwrap();
-                rank.traffic()
-            })[0];
-            let mut analytic = TierBytes::default();
-            for r in 0..world {
-                analytic += hierarchical_allreduce_send_bytes(n, world, per_node, r, 2);
-            }
-            assert_eq!(
-                (snap.allreduce_intra_bytes, snap.allreduce_inter_bytes),
-                (analytic.intra, analytic.inter),
-                "world {world}/{per_node}"
-            );
-            assert!(
-                snap.allreduce_inter_bytes > 0,
-                "leaders must pay the IB tier"
-            );
         }
-        // Invalid topology: same recoverable typed error as the f32 path.
-        let results = run_group(2, |rank| {
-            let mut data = vec![rank.rank() as f32; 4];
-            let err = rank
-                .all_reduce_sum_f16_hierarchical(&mut data, scale, 0)
-                .unwrap_err();
-            assert!(err.reason().contains("gpus_per_node"), "{}", err.reason());
-            rank.all_reduce_sum_f16_hierarchical(&mut data, scale, 1)
-                .unwrap();
-            data[0]
-        });
-        assert_eq!(results, vec![1.0, 1.0]);
+        // Each pinned shim is its (wire, topology) cell of the table.
+        type Shim = fn(&Rank, &mut [f32]) -> Result<(), CommError>;
+        let two_tier = Topology::TwoTier { gpus_per_node: 3 };
+        let shims: [(Shim, Wire<'static>, Topology); 4] = [
+            (|r, d| r.all_reduce_sum(d), Wire::F32, Topology::Flat),
+            (
+                |r, d| r.all_reduce_sum_f16(d, 64.0),
+                Wire::F16 { scale },
+                Topology::Flat,
+            ),
+            (
+                |r, d| r.all_reduce_sum_hierarchical(d, 3),
+                Wire::F32,
+                two_tier,
+            ),
+            (
+                |r, d| r.all_reduce_sum_f16_hierarchical(d, 64.0, 3),
+                Wire::F16 { scale },
+                two_tier,
+            ),
+        ];
+        for (i, (shim, wire, topology)) in shims.into_iter().enumerate() {
+            let input = |r: usize| -> Vec<f32> { (0..33).map(|i| (i + r) as f32 * 0.37).collect() };
+            let via_shim = run_group_topo(7, 3, |rank| {
+                let mut data = input(rank.rank());
+                shim(&rank, &mut data).unwrap();
+                (data, rank.traffic())
+            });
+            let via_core = run_group_topo(7, 3, |rank| {
+                let mut data = input(rank.rank());
+                rank.all_reduce(&mut data, wire, topology).unwrap();
+                (data, rank.traffic())
+            });
+            assert_eq!(via_shim, via_core, "shim {i}");
+        }
     }
 
     #[test]
@@ -2530,7 +2205,8 @@ mod tests {
         let (world, per_node, n) = (8usize, 4usize, 100usize);
         let snap = run_group_topo(world, per_node, |rank| {
             let mut data = vec![1.0f32; n];
-            rank.all_reduce_sum(&mut data).unwrap();
+            rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+                .unwrap();
             rank.traffic()
         })[0];
         let mut expect = TierBytes::default();
@@ -2552,7 +2228,7 @@ mod tests {
     fn gather_and_scalar_tier_split_follows_group_topology() {
         let (world, per_node) = (5usize, 2usize); // nodes {0,1},{2,3},{4}
         let snap = run_group_topo(world, per_node, |rank| {
-            rank.all_gather_f32(&[1.0f32; 3]).unwrap();
+            gather_f32(&rank, &[1.0f32; 3]).unwrap();
             rank.all_reduce_scalar_f64(1.0).unwrap();
             rank.traffic()
         })[0];
@@ -2572,20 +2248,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_charges_rs_half_of_ring() {
-        let (world, n) = (4usize, 25usize);
-        let snap = run_group(world, |rank| {
-            let mut data = vec![1.0f32; n];
-            rank.reduce_scatter_sum(&mut data).unwrap();
-            rank.traffic()
-        })[0];
-        let expect: u64 = (0..world)
-            .map(|r| ring_reduce_scatter_send_elems(n, world, r) * 4)
-            .sum();
-        assert_eq!(snap.allreduce_bytes, expect);
-    }
-
-    #[test]
     fn pooled_group_bounds_concurrency_and_matches_unpooled() {
         // World 16 over 2 run slots: results bit-match the ungated
         // group and the pool cap is never exceeded.
@@ -2595,9 +2257,16 @@ mod tests {
         let body = |rank: Rank| {
             let mut flat: Vec<f32> = (0..n).map(|i| (i * (rank.rank() + 1)) as f32).collect();
             let mut hier = flat.clone();
-            rank.all_reduce_sum(&mut flat).unwrap();
-            rank.all_reduce_sum_hierarchical(&mut hier, rank.gpus_per_node())
+            rank.all_reduce(&mut flat, Wire::F32, Topology::Flat)
                 .unwrap();
+            rank.all_reduce(
+                &mut hier,
+                Wire::F32,
+                Topology::TwoTier {
+                    gpus_per_node: rank.gpus_per_node(),
+                },
+            )
+            .unwrap();
             assert_eq!(flat, hier);
             flat
         };
@@ -2630,7 +2299,7 @@ mod tests {
                 loop {
                     // Survivors keep issuing hierarchical collectives
                     // until the poison lands (at most one rendezvous).
-                    rank.all_reduce_sum_hierarchical(&mut data, 4)?;
+                    rank.all_reduce(&mut data, Wire::F32, Topology::TwoTier { gpus_per_node: 4 })?;
                 }
             });
             let _ = tx.send(results);

@@ -9,10 +9,13 @@
 //!   with capacity, live usage, peak tracking and out-of-memory errors
 //!   (how the paper's baseline dies beyond 24 GPUs).
 //! * [`comm`] — a thread-group communicator with **real** data-moving
-//!   collectives: ring ALLREDUCE (reduce-scatter + all-gather phases,
-//!   exactly the algorithm of Gibiansky's ring-allreduce the paper cites),
-//!   variable-size ALLGATHER, broadcast, barrier, plus FP16-on-the-wire
-//!   variants for the paper's compression technique.
+//!   collectives: one ALLREDUCE ([`comm::Rank::all_reduce`]) whose wire
+//!   format (f32, FP16 with compression scaling, lossless codec) and
+//!   wire schedule (the flat ring of Gibiansky's ring-allreduce the
+//!   paper cites, or the two-tier §V-C schedule) are parameters and
+//!   which returns the per-tier bytes it charged; four variable-size
+//!   ALLGATHERs (`u32`, `f32`, FP16, codec-framed `u32`); a scalar
+//!   reduce and a barrier.
 //! * [`traffic::TrafficRecorder`] — counts every byte a collective moves,
 //!   so experiments can assert the paper's Θ(G·K·D) vs Θ(G·K + Ug·D)
 //!   communication claims on measured data.
@@ -64,7 +67,7 @@ pub use comm::{
     chunk_range, f16_bits_to_f32, f32_to_f16_bits, hierarchical_allreduce_send_bytes,
     hierarchical_allreduce_send_bytes_parts, peer_exchange_tier_bytes, ring_allreduce_send_bytes,
     ring_allreduce_send_bytes_parts, ring_send_tier, AbortOnDrop, BarrierDeadline, CommError,
-    CommGroup, Rank,
+    CommGroup, Rank, Topology, Wire,
 };
 pub use cost::CostModel;
 pub use device::{Allocation, Device, OomError};

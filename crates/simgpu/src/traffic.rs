@@ -8,9 +8,9 @@
 //! The paper's cluster is two-tier (PCIe within a node, Infiniband FDR
 //! between nodes — Table II), and the hierarchical allreduce of §V-C
 //! moves very different volumes over each tier. Counters are therefore
-//! kept per [`Tier`]; the legacy flat totals in [`TrafficSnapshot`]
-//! are exact sums of the two buckets, so single-tier reconciliation
-//! contracts keep holding unchanged.
+//! kept per [`Tier`]; the flat totals in [`TrafficSnapshot`] are exact
+//! sums of the two buckets, so single-tier reconciliation contracts
+//! keep holding unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,6 +39,20 @@ pub struct TierBytes {
 }
 
 impl TierBytes {
+    /// `bytes` on `tier`, nothing on the other.
+    pub fn on(tier: Tier, bytes: u64) -> Self {
+        match tier {
+            Tier::Intra => Self {
+                intra: bytes,
+                inter: 0,
+            },
+            Tier::Inter => Self {
+                intra: 0,
+                inter: bytes,
+            },
+        }
+    }
+
     /// Sum of both tiers.
     pub fn total(&self) -> u64 {
         self.intra + self.inter
@@ -71,9 +85,6 @@ pub struct TrafficRecorder {
     allgather_intra_bytes: AtomicU64,
     allgather_inter_bytes: AtomicU64,
     allgather_ops: AtomicU64,
-    broadcast_intra_bytes: AtomicU64,
-    broadcast_inter_bytes: AtomicU64,
-    broadcast_ops: AtomicU64,
 }
 
 /// A point-in-time copy of the counters.
@@ -96,30 +107,22 @@ pub struct TrafficSnapshot {
     pub allgather_inter_bytes: u64,
     /// Number of ALLGATHER invocations.
     pub allgather_ops: u64,
-    /// Total bytes moved by broadcasts (both tiers).
-    pub broadcast_bytes: u64,
-    /// Broadcast bytes over intra-node links.
-    pub broadcast_intra_bytes: u64,
-    /// Broadcast bytes over inter-node links.
-    pub broadcast_inter_bytes: u64,
-    /// Number of broadcast invocations.
-    pub broadcast_ops: u64,
 }
 
 impl TrafficSnapshot {
     /// Total bytes across all collective kinds and tiers.
     pub fn total_bytes(&self) -> u64 {
-        self.allreduce_bytes + self.allgather_bytes + self.broadcast_bytes
+        self.allreduce_bytes + self.allgather_bytes
     }
 
     /// Total intra-node bytes across all collective kinds.
     pub fn intra_bytes(&self) -> u64 {
-        self.allreduce_intra_bytes + self.allgather_intra_bytes + self.broadcast_intra_bytes
+        self.allreduce_intra_bytes + self.allgather_intra_bytes
     }
 
     /// Total inter-node bytes across all collective kinds.
     pub fn inter_bytes(&self) -> u64 {
-        self.allreduce_inter_bytes + self.allgather_inter_bytes + self.broadcast_inter_bytes
+        self.allreduce_inter_bytes + self.allgather_inter_bytes
     }
 }
 
@@ -144,14 +147,6 @@ impl TrafficRecorder {
         self.record_allreduce_tier(Tier::Inter, bytes.inter);
     }
 
-    /// Records one rank's sends within an ALLREDUCE.
-    ///
-    /// Legacy single-tier entry point: charges the intra-node bucket
-    /// (the pre-topology recorder modelled one node).
-    pub fn record_allreduce(&self, bytes: u64) {
-        self.record_allreduce_tier(Tier::Intra, bytes);
-    }
-
     /// Counts one group-wide ALLREDUCE invocation.
     pub fn count_allreduce_op(&self) {
         self.allreduce_ops.fetch_add(1, Ordering::Relaxed);
@@ -172,39 +167,9 @@ impl TrafficRecorder {
         self.record_allgather_tier(Tier::Inter, bytes.inter);
     }
 
-    /// Records one rank's sends within an ALLGATHER (legacy: intra).
-    pub fn record_allgather(&self, bytes: u64) {
-        self.record_allgather_tier(Tier::Intra, bytes);
-    }
-
     /// Counts one group-wide ALLGATHER invocation.
     pub fn count_allgather_op(&self) {
         self.allgather_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one rank's sends within a broadcast on the given tier.
-    pub fn record_broadcast_tier(&self, tier: Tier, bytes: u64) {
-        match tier {
-            Tier::Intra => &self.broadcast_intra_bytes,
-            Tier::Inter => &self.broadcast_inter_bytes,
-        }
-        .fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one rank's broadcast sends already split by tier.
-    pub fn record_broadcast_split(&self, bytes: TierBytes) {
-        self.record_broadcast_tier(Tier::Intra, bytes.intra);
-        self.record_broadcast_tier(Tier::Inter, bytes.inter);
-    }
-
-    /// Records one rank's sends within a broadcast (legacy: intra).
-    pub fn record_broadcast(&self, bytes: u64) {
-        self.record_broadcast_tier(Tier::Intra, bytes);
-    }
-
-    /// Counts one group-wide broadcast invocation.
-    pub fn count_broadcast_op(&self) {
-        self.broadcast_ops.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Copies the counters.
@@ -213,8 +178,6 @@ impl TrafficRecorder {
         let ar_inter = self.allreduce_inter_bytes.load(Ordering::Relaxed);
         let ag_intra = self.allgather_intra_bytes.load(Ordering::Relaxed);
         let ag_inter = self.allgather_inter_bytes.load(Ordering::Relaxed);
-        let bc_intra = self.broadcast_intra_bytes.load(Ordering::Relaxed);
-        let bc_inter = self.broadcast_inter_bytes.load(Ordering::Relaxed);
         TrafficSnapshot {
             allreduce_bytes: ar_intra + ar_inter,
             allreduce_intra_bytes: ar_intra,
@@ -224,10 +187,6 @@ impl TrafficRecorder {
             allgather_intra_bytes: ag_intra,
             allgather_inter_bytes: ag_inter,
             allgather_ops: self.allgather_ops.load(Ordering::Relaxed),
-            broadcast_bytes: bc_intra + bc_inter,
-            broadcast_intra_bytes: bc_intra,
-            broadcast_inter_bytes: bc_inter,
-            broadcast_ops: self.broadcast_ops.load(Ordering::Relaxed),
         }
     }
 
@@ -239,9 +198,6 @@ impl TrafficRecorder {
         self.allgather_intra_bytes.store(0, Ordering::Relaxed);
         self.allgather_inter_bytes.store(0, Ordering::Relaxed);
         self.allgather_ops.store(0, Ordering::Relaxed);
-        self.broadcast_intra_bytes.store(0, Ordering::Relaxed);
-        self.broadcast_inter_bytes.store(0, Ordering::Relaxed);
-        self.broadcast_ops.store(0, Ordering::Relaxed);
     }
 }
 
@@ -250,53 +206,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_snapshots() {
-        let t = TrafficRecorder::new();
-        t.record_allreduce(100);
-        t.record_allreduce(50);
-        t.count_allreduce_op();
-        t.record_allgather(7);
-        t.count_allgather_op();
-        t.record_broadcast(3);
-        let s = t.snapshot();
-        assert_eq!(s.allreduce_bytes, 150);
-        assert_eq!(s.allreduce_ops, 1);
-        assert_eq!(s.allgather_bytes, 7);
-        assert_eq!(s.broadcast_bytes, 3);
-        assert_eq!(s.total_bytes(), 160);
-    }
-
-    #[test]
-    fn tier_buckets_sum_to_legacy_totals() {
+    fn tier_buckets_sum_to_flat_totals() {
         let t = TrafficRecorder::new();
         t.record_allreduce_tier(Tier::Intra, 30);
         t.record_allreduce_tier(Tier::Inter, 12);
+        t.count_allreduce_op();
         t.record_allgather_split(TierBytes { intra: 5, inter: 9 });
-        t.record_broadcast_tier(Tier::Inter, 4);
+        t.count_allgather_op();
         let s = t.snapshot();
         assert_eq!(s.allreduce_intra_bytes, 30);
         assert_eq!(s.allreduce_inter_bytes, 12);
         assert_eq!(s.allreduce_bytes, 42);
+        assert_eq!(s.allreduce_ops, 1);
         assert_eq!(s.allgather_intra_bytes, 5);
         assert_eq!(s.allgather_inter_bytes, 9);
         assert_eq!(s.allgather_bytes, 14);
-        assert_eq!(s.broadcast_intra_bytes, 0);
-        assert_eq!(s.broadcast_inter_bytes, 4);
-        assert_eq!(s.broadcast_bytes, 4);
+        assert_eq!(s.allgather_ops, 1);
         assert_eq!(s.intra_bytes(), 35);
-        assert_eq!(s.inter_bytes(), 25);
-        assert_eq!(s.total_bytes(), 60);
-    }
-
-    #[test]
-    fn legacy_entry_points_charge_intra() {
-        let t = TrafficRecorder::new();
-        t.record_allreduce(11);
-        t.record_allgather(22);
-        t.record_broadcast(33);
-        let s = t.snapshot();
-        assert_eq!(s.intra_bytes(), 66);
-        assert_eq!(s.inter_bytes(), 0);
+        assert_eq!(s.inter_bytes(), 21);
+        assert_eq!(s.total_bytes(), 56);
     }
 
     #[test]
@@ -320,7 +248,7 @@ mod tests {
     #[test]
     fn reset_zeroes_everything() {
         let t = TrafficRecorder::new();
-        t.record_allreduce(5);
+        t.record_allreduce_tier(Tier::Intra, 5);
         t.record_allreduce_tier(Tier::Inter, 6);
         t.reset();
         assert_eq!(t.snapshot(), TrafficSnapshot::default());
@@ -333,7 +261,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        t.record_allreduce(1);
+                        t.record_allreduce_tier(Tier::Intra, 1);
                     }
                 });
             }

@@ -14,8 +14,8 @@ use rand::{Rng, SeedableRng};
 use simgpu::{CommGroup, Rank};
 use tensor::Matrix;
 use zipf_lm::{
-    exchange_and_apply, train, CheckpointConfig, CommConfig, ExchangeConfig, Method, MetricsConfig,
-    ModelKind, TraceConfig, TrainConfig,
+    exchange_and_apply_with, train, CheckpointConfig, CommConfig, ExchangeConfig, ExchangeScratch,
+    Method, MetricsConfig, ModelKind, TraceConfig, TrainConfig,
 };
 
 const DIM: usize = 5;
@@ -49,7 +49,8 @@ fn apply(world: usize, grads: Vec<SparseGrad>, cfg: ExchangeConfig) -> Matrix {
     let results = run_group(world, move |rank| {
         let mut t = table();
         let g = grads[rank.rank()].clone();
-        exchange_and_apply(&rank, &g, &mut t, 0.05, &cfg).expect("no fault injected");
+        exchange_and_apply_with(&rank, &g, &mut t, 0.05, &cfg, &mut ExchangeScratch::new())
+            .expect("no fault injected");
         t.weights().clone()
     });
     // All replicas must already agree (checked here so every scenario

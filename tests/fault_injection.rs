@@ -168,6 +168,36 @@ fn plan_targeting_rank_outside_world_is_rejected_eagerly() {
 }
 
 #[test]
+fn invalid_compression_scale_is_rejected_eagerly() {
+    // A scale the FP16 wire cannot use (the collectives assert it is
+    // positive and finite) used to panic inside every rank thread and
+    // out of `train()`. It must be a typed error on every rank, on
+    // both exchange paths, before any thread spawns.
+    for scale in [0.0f32, -512.0, f32::NAN, f32::INFINITY] {
+        for unique in [false, true] {
+            let mut cfg = cfg(4);
+            cfg.method.unique = unique;
+            cfg.method.compression = Some(scale);
+            let (results, collapsed) = with_watchdog(move || {
+                (
+                    train_with_faults(&cfg, UNLIMITED, &FaultPlan::none()),
+                    train(&cfg),
+                )
+            });
+            assert_eq!(results.len(), 4);
+            for res in results.into_iter().chain([collapsed]) {
+                match res {
+                    Err(TrainError::InvalidConfig { reason }) => {
+                        assert!(reason.contains("compression scale"), "{reason}");
+                    }
+                    other => panic!("scale {scale}: expected InvalidConfig, got {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn oom_root_cause_beats_peer_failure_echoes() {
     // The error-priority contract documented on `train_with_memory_limit`:
     // when one rank OOMs, the other ranks' PeerFailure echoes must never

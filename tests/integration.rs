@@ -3,7 +3,7 @@
 //! and between measured traffic and the cost model's assumptions.
 
 use corpus::{CorpusGenerator, DatasetProfile, TokenUnit, Vocab};
-use simgpu::CommGroup;
+use simgpu::{CommGroup, Topology, Wire};
 use tensor::f16::round_trip;
 use zipf::{fit_power_law, FrequencyTable};
 use zipf_lm::{
@@ -58,7 +58,8 @@ fn simgpu_and_tensor_f16_agree() {
                     } else {
                         vec![0.0; values.len()]
                     };
-                    rank.all_reduce_sum_f16(&mut data, 1.0).unwrap();
+                    rank.all_reduce(&mut data, Wire::F16 { scale: 1.0 }, Topology::Flat)
+                        .unwrap();
                     data
                 })
             })

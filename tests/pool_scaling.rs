@@ -8,7 +8,7 @@
 //! Everything that *would* hang on a scheduling regression runs under
 //! the same watchdog idiom as `fault_injection.rs`.
 
-use simgpu::{CommGroup, FaultPlan};
+use simgpu::{CommGroup, FaultPlan, Topology, Wire};
 use std::sync::mpsc;
 use std::time::Duration;
 use zipf_lm::{
@@ -114,7 +114,7 @@ fn world_192_concurrency_never_exceeds_pool_cap() {
         let gate = ranks[0].run_gate().expect("pooled group exposes its gate");
         let outs = simgpu::run_ranks(ranks, |rank| {
             let mut v = vec![rank.rank() as f32; 16];
-            rank.all_reduce_sum_hierarchical(&mut v, 8)
+            rank.all_reduce(&mut v, Wire::F32, Topology::TwoTier { gpus_per_node: 8 })
                 .expect("allreduce");
             v[0].to_bits()
         });

@@ -1,16 +1,17 @@
 //! The analytic `wire_bytes` in [`zipf_lm::ExchangeStats`] must match
 //! what simgpu's `TrafficRecorder` actually measured — for both exchange
 //! paths, with and without FP16 compression. Byte-exact: the unique
-//! path derives its ALLREDUCE term from the ring's own chunk schedule
-//! (`simgpu::ring_allreduce_send_bytes`), so non-divisible `Ug·D` sizes
-//! cannot drift.
+//! path's ALLREDUCE term is the bytes `Rank::all_reduce` returned — the
+//! very numbers it charged the recorder — so non-divisible `Ug·D` sizes
+//! cannot drift; the analytic ring schedule
+//! (`simgpu::ring_allreduce_send_bytes`) is the independent oracle here.
 
 use nn::{Embedding, SparseGrad};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simgpu::{CommGroup, Rank, TrafficSnapshot};
+use simgpu::{CommGroup, Rank, Tier, TierBytes, Topology, TrafficSnapshot, Wire};
 use tensor::Matrix;
-use zipf_lm::{exchange_and_apply, ExchangeConfig, ExchangeStats};
+use zipf_lm::{exchange_and_apply_with, ExchangeConfig, ExchangeScratch, ExchangeStats};
 
 const VOCAB: usize = 60;
 
@@ -58,8 +59,9 @@ fn measure(
         );
         let grad = SparseGrad { indices, rows };
         rank.reset_traffic().unwrap();
-        let stats =
-            exchange_and_apply(&rank, &grad, &mut table, 0.1, &cfg).expect("no fault injected");
+        let mut scratch = ExchangeScratch::new();
+        let stats = exchange_and_apply_with(&rank, &grad, &mut table, 0.1, &cfg, &mut scratch)
+            .expect("no fault injected");
         rank.barrier().unwrap(); // all sends recorded before the snapshot
         (stats, rank.traffic())
     });
@@ -94,6 +96,24 @@ fn analytic_wire_bytes_match_measured_traffic_exactly() {
                     "world {world} K {tokens} D {dim} cfg {cfg:?}: \
                      analytic {analytic} vs measured {measured}"
                 );
+                // Per rank, not just in sum: `wire_bytes` is assembled
+                // from what the collectives returned, and that must be
+                // this rank's share of the analytic schedules.
+                let peers = world as u64 - 1;
+                let elem: u64 = if cfg.compression.is_some() { 2 } else { 4 };
+                for (r, s) in stats.iter().enumerate() {
+                    let index_gather = tokens as u64 * 4 * peers;
+                    let payload = if cfg.unique {
+                        simgpu::ring_allreduce_send_bytes(s.unique_global * dim, world, r, elem)
+                    } else {
+                        (tokens * dim) as u64 * elem * peers
+                    };
+                    assert_eq!(
+                        s.wire_bytes,
+                        index_gather + payload,
+                        "world {world} K {tokens} D {dim} cfg {cfg:?} rank {r}"
+                    );
+                }
             }
         }
     }
@@ -142,29 +162,40 @@ fn compression_halves_exactly_the_row_terms() {
     }
 }
 
-/// The dense-gradient path: analytic per-rank ring bytes
-/// (`simgpu::ring_allreduce_send_bytes`) summed over ranks must equal
-/// the recorder exactly — FP32 and FP16, divisible and non-divisible
-/// `n`, including the `n < G` degenerate chunks.
+/// The dense-gradient path: the bytes the collective returns must be
+/// the analytic per-rank ring bytes (`simgpu::ring_allreduce_send_bytes`)
+/// and, summed over ranks, equal the recorder exactly — FP32 and FP16,
+/// divisible and non-divisible `n`, including the `n < G` degenerate
+/// chunks.
 #[test]
 fn dense_allreduce_analytic_matches_recorded_exactly() {
     for world in [2usize, 3, 5, 8] {
         for n in [0usize, 4, 12, 13, 257] {
             for &elem in &[4u64, 2] {
-                let measured = run_group(world, |rank| {
+                let wire = if elem == 4 {
+                    Wire::F32
+                } else {
+                    Wire::F16 { scale: 512.0 }
+                };
+                let results = run_group(world, |rank| {
                     rank.reset_traffic().unwrap();
                     let mut data = vec![rank.rank() as f32; n];
-                    if elem == 4 {
-                        rank.all_reduce_sum(&mut data).unwrap();
-                    } else {
-                        rank.all_reduce_sum_f16(&mut data, 512.0).unwrap();
-                    }
+                    let sent = rank.all_reduce(&mut data, wire, Topology::Flat).unwrap();
                     rank.barrier().unwrap();
-                    rank.traffic().allreduce_bytes
-                })[0];
-                let analytic: u64 = (0..world)
-                    .map(|r| simgpu::ring_allreduce_send_bytes(n, world, r, elem))
-                    .sum();
+                    (sent, rank.traffic().allreduce_bytes)
+                });
+                let measured = results[0].1;
+                let mut analytic = 0u64;
+                for (r, (sent, _)) in results.iter().enumerate() {
+                    // `CommGroup::create` is one node: all intra.
+                    let share = simgpu::ring_allreduce_send_bytes(n, world, r, elem);
+                    assert_eq!(
+                        *sent,
+                        TierBytes::on(Tier::Intra, share),
+                        "world {world} n {n} elem {elem} rank {r}: returned bytes"
+                    );
+                    analytic += share;
+                }
                 assert_eq!(
                     analytic, measured,
                     "world {world} n {n} elem {elem}: analytic {analytic} vs measured {measured}"
