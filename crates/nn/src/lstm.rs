@@ -163,7 +163,8 @@ impl LstmLayer {
             let c_prev = &cache.cs[t];
             let h_prev = &cache.hs[t];
 
-            // dz holds pre-activation gate gradients, layout [i f g o].
+            // dz holds pre-activation gate gradients, layout [i f g o];
+            // the same pass leaves dc_{t−1} = dc · f in `dc_carry`.
             let mut dz = Matrix::zeros(b, 4 * h);
             for r in 0..b {
                 let g = gates.row(r);
@@ -171,7 +172,7 @@ impl LstmLayer {
                 let cp = c_prev.row(r);
                 let dh_up = dhs[t].row(r);
                 let dh_c = dh_carry.row(r);
-                let dc_c = dc_carry.row(r);
+                let dc_c = dc_carry.row_mut(r);
                 let dzr = dz.row_mut(r);
                 for j in 0..h {
                     let dh = dh_up[j] + dh_c[j];
@@ -187,24 +188,8 @@ impl LstmLayer {
                     dzr[h + j] = dc * cp[j] * dsigmoid_from_y(f);
                     dzr[2 * h + j] = dc * i * dtanh_from_y(gg);
                     dzr[3 * h + j] = d_o * dsigmoid_from_y(o);
+                    dc_c[j] = dc * f;
                 }
-            }
-            // New carries: dc_{t−1} = dc · f (recompute dc per element).
-            for r in 0..b {
-                let g = gates.row(r);
-                let ct = c_t.row(r);
-                let dh_up = dhs[t].row(r);
-                let dh_c = dh_carry.row(r);
-                let dc_c = dc_carry.row(r);
-                let mut new_dc = vec![0.0f32; h];
-                for j in 0..h {
-                    let dh = dh_up[j] + dh_c[j];
-                    let tc = ct[j].tanh();
-                    let o = g[3 * h + j];
-                    let dc = dh * o * dtanh_from_y(tc) + dc_c[j];
-                    new_dc[j] = dc * g[h + j];
-                }
-                dc_carry.row_mut(r).copy_from_slice(&new_dc);
             }
 
             // Parameter and input gradients.

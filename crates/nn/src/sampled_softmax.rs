@@ -128,6 +128,10 @@ impl SampledSoftmax {
         indices.extend_from_slice(targets);
         indices.extend_from_slice(&candidates);
 
+        // Every row's candidate dots in one GEMM (`n×S`); the correction
+        // and the accidental-hit mask are applied per row below.
+        let cand_dots = h.matmul_transpose_b(&cand_rows);
+
         let mut logits = vec![0.0f32; s + 1];
         #[allow(clippy::needless_range_loop)] // i indexes h, targets, dh and grad_rows in lockstep
         for i in 0..n {
@@ -144,17 +148,13 @@ impl SampledSoftmax {
             logits[0] = dot - t_corr;
 
             // Candidate logits.
+            let dots = cand_dots.row(i);
             for j in 0..s {
-                if candidates[j] == t {
-                    logits[j + 1] = -1e9; // accidental hit
-                    continue;
-                }
-                let cr = cand_rows.row(j);
-                let mut d = 0.0f32;
-                for (&a, &b) in hi.iter().zip(cr) {
-                    d += a * b;
-                }
-                logits[j + 1] = d - cand_corr[j];
+                logits[j + 1] = if candidates[j] == t {
+                    -1e9 // accidental hit
+                } else {
+                    dots[j] - cand_corr[j]
+                };
             }
 
             let lse = log_sum_exp(&logits);

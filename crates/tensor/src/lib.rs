@@ -3,8 +3,9 @@
 //! The paper trains LSTM / RHN language models in TensorFlow on GPUs; we
 //! need just enough linear algebra to train the same architectures on CPU:
 //!
-//! * [`Matrix`] — row-major `f32` matrices with rayon-parallel GEMM (the
-//!   CPU stand-in for CUDA thread-block parallelism).
+//! * [`Matrix`] — row-major `f32` matrices whose three products share
+//!   one sequential register-tiled GEMM kernel (the CPU stand-in for a
+//!   CUDA thread-block kernel; ranks, not kernels, are the threads).
 //! * [`ops`] — numerically-stable softmax / log-sum-exp and the pointwise
 //!   nonlinearities LSTM/RHN need.
 //! * [`f16`] — bit-exact software IEEE-754 binary16 with round-to-nearest-

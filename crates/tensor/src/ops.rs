@@ -5,14 +5,13 @@
 //! exponentiating so full-softmax over a 100 K vocabulary stays finite.
 
 use crate::matrix::Matrix;
-use rayon::prelude::*;
 
 /// In-place row-wise softmax.
 pub fn softmax_rows(m: &mut Matrix) {
     let cols = m.cols();
-    m.as_mut_slice().par_chunks_mut(cols).for_each(|row| {
+    for row in m.as_mut_slice().chunks_mut(cols) {
         softmax_in_place(row);
-    });
+    }
 }
 
 /// In-place softmax of a single slice.
