@@ -9,18 +9,19 @@
 //!   test suites; cluster wall-clock by the calibrated `perfmodel`).
 //! * **Steady-state** (`exchange_steady/*`): rank threads stay alive
 //!   across iterations and reuse an [`ExchangeScratch`] pool, the way
-//!   `trainer` drives the exchange. This is the configuration the
-//!   zero-alloc hot path targets: `seed_unique` re-implements the
-//!   pre-pooling revision verbatim (HashMap local reduce, fresh gather
-//!   vectors, `sort_unstable + dedup + binary_search`, a fresh `Ug×D`
-//!   matrix per step) so `speedup` can report pooled-vs-seed directly
-//!   at the paper-scale shape world=8, K=4096, D=128.
+//!   `trainer` drives the exchange — the configuration the zero-alloc
+//!   hot path targets, at the paper-scale shape world=8, K=4096,
+//!   D=128. The three asserted guards (`trace_overhead`,
+//!   `metrics_overhead`, `run_pool_overhead`) compare variants of that
+//!   one step against each other within a run; the absolute host cost
+//!   of the exchange is tracked by the `e2e/` benchmark's
+//!   `lm.exchange.steady_ms`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nn::{Embedding, SparseGrad};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simgpu::{CommGroup, Rank, Topology, Wire};
+use simgpu::{CommGroup, Rank};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tensor::Matrix;
@@ -37,9 +38,8 @@ const TOKENS: usize = 256;
 
 // Steady-state shape from the acceptance target: world=8, K=4096, D=128.
 // The vocabulary is hot-set-sized (Zipf duplication heavy, as in the
-// paper's steady state) so `Ug` — and with it the shared ALLREDUCE both
-// variants pay identically — stays proportionate to the CPU-side
-// canonicalisation work the two implementations actually differ in.
+// paper's steady state) so `Ug` — and with it the ALLREDUCE — stays
+// proportionate to the CPU-side canonicalisation work.
 const SS_WORLD: usize = 8;
 const SS_VOCAB: usize = 1_000;
 const SS_DIM: usize = 128;
@@ -73,87 +73,21 @@ fn run_exchange(world: usize, cfg: ExchangeConfig) {
     });
 }
 
-/// The seed revision's unique exchange, reproduced verbatim (minus stats
-/// bookkeeping): HashMap-based `local_reduce`, freshly-allocated gather
-/// vector, clone + `sort_unstable` + `dedup` over all `G·K` gathered
-/// indices, one `binary_search` per locally-unique row, and a fresh
-/// zeroed `Ug×D` matrix every step.
-fn seed_unique_exchange(rank: &Rank, grad: &SparseGrad, table: &mut Embedding, lr: f32) {
-    let d = table.dim();
-    let reduced = grad.local_reduce();
-    let mut all_indices = Vec::new();
-    rank.all_gather_u32_into(&grad.indices, &mut all_indices)
-        .unwrap();
-    let mut unique = all_indices.clone();
-    unique.sort_unstable();
-    unique.dedup();
-    let u_global = unique.len();
-    let mut m = vec![0.0f32; u_global * d];
-    for (i, &idx) in reduced.indices.iter().enumerate() {
-        let slot = unique
-            .binary_search(&idx)
-            .expect("local index missing from global set");
-        m[slot * d..(slot + 1) * d].copy_from_slice(reduced.rows.row(i));
-    }
-    rank.all_reduce(&mut m, Wire::F32, Topology::Flat).unwrap();
-    for (slot, &idx) in unique.iter().enumerate() {
-        let dst = table.weights_mut().row_mut(idx as usize);
-        for (w, &v) in dst.iter_mut().zip(&m[slot * d..(slot + 1) * d]) {
-            *w -= lr * v;
-        }
-    }
-}
-
 /// Runs `iters` steady-state steps on persistent rank threads: each rank
 /// builds its table/gradient/scratch once, takes one untimed warm-up
 /// step (sizes the pools, pages in the buffers), then times the loop.
-/// Returns the slowest rank's measured loop time.
+/// Returns the slowest rank's measured loop time. `pool_workers > 0`
+/// multiplexes the ranks through a bounded run pool of that many slots;
+/// sized ≥ world every rank keeps its slot for the whole run, so the
+/// gate reduces to one uncontended acquire/release per rank and the
+/// loop must match the unpooled one (`0`) to within noise.
 fn steady_state(
     world: usize,
+    pool_workers: usize,
     iters: u64,
     step: impl Fn(&Rank, &SparseGrad, &mut Embedding, &mut ExchangeScratch) + Sync,
 ) -> Duration {
-    let ranks = CommGroup::create(world);
-    let mut slowest = Duration::ZERO;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranks
-            .into_iter()
-            .map(|rank| {
-                let step = &step;
-                s.spawn(move || {
-                    let mut table = Embedding::from_matrix(Matrix::zeros(SS_VOCAB, SS_DIM));
-                    let grad = zipfian_grad(rank.rank() as u64, SS_TOKENS, SS_VOCAB, SS_DIM);
-                    let mut scratch = ExchangeScratch::new();
-                    step(&rank, &grad, &mut table, &mut scratch);
-                    rank.barrier().unwrap();
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        step(&rank, &grad, &mut table, &mut scratch);
-                    }
-                    rank.barrier().unwrap();
-                    t0.elapsed()
-                })
-            })
-            .collect();
-        slowest = handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .max()
-            .unwrap_or_default();
-    });
-    slowest
-}
-
-/// `steady_state` with the ranks multiplexed through the bounded run
-/// pool, sized ≥ world: every rank keeps its slot for the whole run, so
-/// the gate reduces to one uncontended acquire/release per rank and the
-/// loop must match the plain scoped-thread variant to within noise.
-fn steady_state_run_pooled(
-    world: usize,
-    iters: u64,
-    step: impl Fn(&Rank, &SparseGrad, &mut Embedding, &mut ExchangeScratch) + Sync,
-) -> Duration {
-    let ranks = CommGroup::create_pooled(world, world, world);
+    let ranks = CommGroup::create_full(world, world, pool_workers, None);
     let times = simgpu::run_ranks(ranks, |rank| {
         let mut table = Embedding::from_matrix(Matrix::zeros(SS_VOCAB, SS_DIM));
         let grad = zipfian_grad(rank.rank() as u64, SS_TOKENS, SS_VOCAB, SS_DIM);
@@ -177,10 +111,6 @@ fn pooled_step(
     scratch: &mut ExchangeScratch,
 ) {
     exchange_and_apply_with(rank, grad, table, 0.1, &ExchangeConfig::unique(), scratch).unwrap();
-}
-
-fn seed_step(rank: &Rank, grad: &SparseGrad, table: &mut Embedding, _: &mut ExchangeScratch) {
-    seed_unique_exchange(rank, grad, table, 0.1);
 }
 
 /// The pooled step plus everything the trainer adds for fleet metrics
@@ -283,74 +213,29 @@ fn bench_exchange(c: &mut Criterion) {
 
 fn bench_steady_state(c: &mut Criterion) {
     let mut group = c.benchmark_group("exchange_steady");
-    group.bench_function("seed_unique/w8_k4096_d128", |b| {
-        b.iter_custom(|iters| steady_state(SS_WORLD, iters, seed_step))
-    });
     group.bench_function("pooled_unique/w8_k4096_d128", |b| {
-        b.iter_custom(|iters| steady_state(SS_WORLD, iters, pooled_step))
+        b.iter_custom(|iters| steady_state(SS_WORLD, 0, iters, pooled_step))
     });
     group.finish();
-}
-
-/// Head-to-head comparison at the acceptance shape: equal step counts,
-/// slowest-rank timing, pooled speedup over the seed implementation.
-fn report_speedup(_c: &mut Criterion) {
-    const STEPS: u64 = 30;
-    // Interleave to even out machine drift between the two measurements.
-    let mut seed_total = Duration::ZERO;
-    let mut pooled_total = Duration::ZERO;
-    for _ in 0..3 {
-        seed_total += steady_state(SS_WORLD, STEPS / 3, seed_step);
-        pooled_total += steady_state(SS_WORLD, STEPS / 3, pooled_step);
-    }
-    // ratio is always candidate/reference; here the candidate is the
-    // *seed* implementation measured against the pooled reference, so
-    // the recorded ratio is the speedup itself (bigger is better).
-    let ratio = record_guard("speedup", pooled_total, seed_total, STEPS, ">= 1.5");
-    println!(
-        "exchange_steady/speedup                  seed {:.3} ms/step, pooled {:.3} ms/step => {ratio:.2}x (target >= 1.5x)",
-        seed_total.as_secs_f64() * 1e3 / STEPS as f64,
-        pooled_total.as_secs_f64() * 1e3 / STEPS as f64,
-    );
 }
 
 /// Prints rank 0's per-phase wall-time split over a steady-state run of
 /// the pooled unique path (the timings `ExchangeStats` now carries).
 fn report_phase_timings(_c: &mut Criterion) {
     const STEPS: u64 = 10;
-    let ranks = CommGroup::create(SS_WORLD);
-    let mut total = PhaseTimings::default();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranks
-            .into_iter()
-            .map(|rank| {
-                s.spawn(move || {
-                    let mut table = Embedding::from_matrix(Matrix::zeros(SS_VOCAB, SS_DIM));
-                    let grad = zipfian_grad(rank.rank() as u64, SS_TOKENS, SS_VOCAB, SS_DIM);
-                    let mut scratch = ExchangeScratch::new();
-                    let mut acc = PhaseTimings::default();
-                    for _ in 0..=STEPS {
-                        let stats = exchange_and_apply_with(
-                            &rank,
-                            &grad,
-                            &mut table,
-                            0.1,
-                            &ExchangeConfig::unique(),
-                            &mut scratch,
-                        );
-                        acc.accumulate(&stats.unwrap().timings);
-                    }
-                    (rank.rank(), acc)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (r, acc) = h.join().expect("rank panicked");
-            if r == 0 {
-                total = acc;
-            }
+    let per_rank = simgpu::run_ranks(CommGroup::create(SS_WORLD), |rank| {
+        let mut table = Embedding::from_matrix(Matrix::zeros(SS_VOCAB, SS_DIM));
+        let grad = zipfian_grad(rank.rank() as u64, SS_TOKENS, SS_VOCAB, SS_DIM);
+        let mut scratch = ExchangeScratch::new();
+        let mut acc = PhaseTimings::default();
+        for _ in 0..=STEPS {
+            let cfg = ExchangeConfig::unique();
+            let stats = exchange_and_apply_with(&rank, &grad, &mut table, 0.1, &cfg, &mut scratch);
+            acc.accumulate(&stats.unwrap().timings);
         }
+        acc
     });
+    let total = per_rank[0];
     let pct = |ns: u64| 100.0 * ns as f64 / total.total_ns().max(1) as f64;
     println!(
         "exchange_steady/phases (rank 0)          gather {:.1}% unique {:.1}% scatter {:.1}% allreduce {:.1}% apply {:.1}%",
@@ -362,102 +247,54 @@ fn report_phase_timings(_c: &mut Criterion) {
     );
 }
 
-/// Guard for the tentpole's zero-overhead-when-off claim: the traced
-/// entry point with a `None` recorder must stay within noise of the
-/// plain pooled hot path. Interleaved min-of-3 like `report_speedup`;
-/// the 1.30× bound is loose against scheduler jitter on shared CI
-/// hardware — an accidental per-phase allocation or clock read in the
-/// `None` branch shows up far above it.
+/// One within-run overhead guard: `candidate(steps)` — a variant of the
+/// steady-state step that must cost nothing extra — against the plain
+/// pooled hot path, three interleaved rounds each to even out machine
+/// drift. The 1.30× bound is loose against scheduler jitter on shared
+/// CI hardware; an accidental per-phase allocation, clock read,
+/// histogram observe or gate round-trip lands far above it.
+fn overhead_guard(name: &'static str, what: &str, candidate: impl Fn(u64) -> Duration) {
+    const STEPS: u64 = 30;
+    let mut plain_total = Duration::ZERO;
+    let mut candidate_total = Duration::ZERO;
+    for _ in 0..3 {
+        plain_total += steady_state(SS_WORLD, 0, STEPS / 3, pooled_step);
+        candidate_total += candidate(STEPS / 3);
+    }
+    let ratio = record_guard(name, plain_total, candidate_total, STEPS, "< 1.30");
+    println!(
+        "exchange_steady/{name:<25}plain {:.3} ms/step, {what} {:.3} ms/step => {ratio:.2}x (bound < 1.30x)",
+        plain_total.as_secs_f64() * 1e3 / STEPS as f64,
+        candidate_total.as_secs_f64() * 1e3 / STEPS as f64,
+    );
+    assert!(
+        ratio < 1.30,
+        "{what} step is {ratio:.2}x the plain hot path (bound 1.30x)"
+    );
+}
+
+/// Tracing off: the traced entry point with a `None` recorder.
 fn report_trace_overhead(_c: &mut Criterion) {
-    const STEPS: u64 = 30;
-    let mut plain_total = Duration::ZERO;
-    let mut untraced_total = Duration::ZERO;
-    for _ in 0..3 {
-        plain_total += steady_state(SS_WORLD, STEPS / 3, pooled_step);
-        untraced_total += steady_state(SS_WORLD, STEPS / 3, untraced_step);
-    }
-    let ratio = record_guard(
-        "trace_overhead",
-        plain_total,
-        untraced_total,
-        STEPS,
-        "< 1.30",
-    );
-    println!(
-        "exchange_steady/trace_overhead           plain {:.3} ms/step, traced-off {:.3} ms/step => {ratio:.2}x (bound < 1.30x)",
-        plain_total.as_secs_f64() * 1e3 / STEPS as f64,
-        untraced_total.as_secs_f64() * 1e3 / STEPS as f64,
-    );
-    assert!(
-        ratio < 1.30,
-        "tracing-disabled exchange is {ratio:.2}x the plain hot path (bound 1.30x)"
-    );
+    overhead_guard("trace_overhead", "traced-off", |n| {
+        steady_state(SS_WORLD, 0, n, untraced_step)
+    });
 }
 
-/// Guard for the fleet-metrics tentpole's zero-overhead-when-off claim:
-/// a step that also drives a disabled [`StepObserver`] (the trainer's
-/// configuration whenever `MetricsConfig::off()`) must stay within
-/// noise of the plain pooled hot path. The disabled observer's
-/// `on_step` is a single `Option` branch; constructing the
-/// [`StepSample`] costs only stack writes. Same interleaved min-of-3
-/// shape and loose 1.30× jitter bound as `report_trace_overhead` — an
-/// accidental histogram observe or allocation on the off path lands
-/// far above it.
+/// Fleet metrics off: a step that also drives a disabled
+/// [`StepObserver`] — a single `Option` branch in `on_step`, and only
+/// stack writes to build the [`StepSample`].
 fn report_metrics_overhead(_c: &mut Criterion) {
-    const STEPS: u64 = 30;
-    let mut plain_total = Duration::ZERO;
-    let mut observed_total = Duration::ZERO;
-    for _ in 0..3 {
-        plain_total += steady_state(SS_WORLD, STEPS / 3, pooled_step);
-        observed_total += steady_state(SS_WORLD, STEPS / 3, metrics_off_step);
-    }
-    let ratio = record_guard(
-        "metrics_overhead",
-        plain_total,
-        observed_total,
-        STEPS,
-        "< 1.30",
-    );
-    println!(
-        "exchange_steady/metrics_overhead         plain {:.3} ms/step, metrics-off {:.3} ms/step => {ratio:.2}x (bound < 1.30x)",
-        plain_total.as_secs_f64() * 1e3 / STEPS as f64,
-        observed_total.as_secs_f64() * 1e3 / STEPS as f64,
-    );
-    assert!(
-        ratio < 1.30,
-        "metrics-disabled step is {ratio:.2}x the plain hot path (bound 1.30x)"
-    );
+    overhead_guard("metrics_overhead", "metrics-off", |n| {
+        steady_state(SS_WORLD, 0, n, metrics_off_step)
+    });
 }
 
-/// Guard for the bounded-pool refactor: with the pool sized ≥ world the
-/// steady-state exchange must be unchanged — slot traffic is a one-time
-/// handoff per rank, never a per-step cost. Interleaved totals like
-/// `report_speedup`; the 1.30× bound is loose against scheduler jitter
-/// but catches an accidental per-collective gate round-trip cleanly.
+/// Run pool sized ≥ world: slot traffic is a one-time handoff per rank,
+/// never a per-step cost.
 fn report_run_pool_overhead(_c: &mut Criterion) {
-    const STEPS: u64 = 30;
-    let mut plain_total = Duration::ZERO;
-    let mut gated_total = Duration::ZERO;
-    for _ in 0..3 {
-        plain_total += steady_state(SS_WORLD, STEPS / 3, pooled_step);
-        gated_total += steady_state_run_pooled(SS_WORLD, STEPS / 3, pooled_step);
-    }
-    let ratio = record_guard(
-        "run_pool_overhead",
-        plain_total,
-        gated_total,
-        STEPS,
-        "< 1.30",
-    );
-    println!(
-        "exchange_steady/run_pool_overhead        unpooled {:.3} ms/step, pool>=world {:.3} ms/step => {ratio:.2}x (bound < 1.30x)",
-        plain_total.as_secs_f64() * 1e3 / STEPS as f64,
-        gated_total.as_secs_f64() * 1e3 / STEPS as f64,
-    );
-    assert!(
-        ratio < 1.30,
-        "run-pool exchange is {ratio:.2}x the unpooled steady state (bound 1.30x)"
-    );
+    overhead_guard("run_pool_overhead", "pool>=world", |n| {
+        steady_state(SS_WORLD, SS_WORLD, n, pooled_step)
+    });
 }
 
 fn bench_local_reduce(c: &mut Criterion) {
@@ -503,7 +340,6 @@ criterion_group!(
     benches,
     bench_exchange,
     bench_steady_state,
-    report_speedup,
     report_phase_timings,
     report_trace_overhead,
     report_metrics_overhead,

@@ -688,7 +688,7 @@ const CHAOS_WORLD: usize = 4;
 pub fn chaos_recovery(_quick: bool) -> Vec<ChaosRecoveryRow> {
     use simgpu::{DiskFault, DiskFaultPlan, FaultPlan};
     use std::sync::Arc;
-    use zipf_lm::{CheckpointDir, HealthEvent, RecoveryPolicy};
+    use zipf_lm::{CheckpointDir, HealthEvent, RecoveryPolicy, RunOptions};
 
     let cfg = TrainConfig {
         model: ModelKind::Word { vocab: 200 },
@@ -756,25 +756,33 @@ pub fn chaos_recovery(_quick: bool) -> Vec<ChaosRecoveryRow> {
                 CheckpointDir::open_with_faults(&root, cfg.checkpoint.keep_last, disk)
                     .expect("open chaos checkpoint dir"),
             );
-            let outcome = zipf_lm::train_elastic_durable(&cfg, &faults, policy, backend)
+            let opts = RunOptions {
+                faults,
+                checkpoints: Some(backend),
+                recovery: Some(policy),
+                ..RunOptions::default()
+            };
+            // Rank 0's report carries the whole recovery history and
+            // the last round's world.
+            let report = zipf_lm::run(&cfg, &opts)
+                .report()
                 .unwrap_or_else(|e| panic!("chaos scenario {scenario} failed: {e:?}"));
             let _ = std::fs::remove_dir_all(&root);
-            let first = outcome.recoveries.first();
+            let first = report.recoveries.first();
             ChaosRecoveryRow {
                 scenario,
                 world: CHAOS_WORLD,
-                rounds: outcome.recoveries.len() as u64,
+                rounds: report.recoveries.len() as u64,
                 restored_step: first.and_then(|ev| ev.restored_step).unwrap_or(0),
                 steps_lost: first.map_or(0, |ev| ev.steps_lost),
-                backoff_ps: outcome.recoveries.iter().map(|ev| ev.backoff_ps).sum(),
-                corrupt_frames: outcome
-                    .report
+                backoff_ps: report.recoveries.iter().map(|ev| ev.backoff_ps).sum(),
+                corrupt_frames: report
                     .health
                     .iter()
                     .filter(|h| matches!(h, HealthEvent::CheckpointCorrupt { .. }))
                     .count() as u64,
-                final_world: outcome.final_world,
-                train_loss: outcome.report.epochs.last().expect("epochs").train_loss,
+                final_world: report.gpus,
+                train_loss: report.epochs.last().expect("epochs").train_loss,
             }
         })
         .collect()

@@ -29,8 +29,8 @@
 //!
 //! The in-memory [`CheckpointStore`] stands in for a checkpoint
 //! *service*: every rank deposits snapshots on its own cadence
-//! ([`crate::CheckpointConfig`]), and the elastic driver
-//! ([`crate::train_elastic`]) asks for the newest snapshot **all**
+//! ([`crate::CheckpointConfig`]), and the recovery loop of
+//! [`crate::run`] asks for the newest snapshot **all**
 //! survivors hold — the consistent cut it can restore from.
 
 use crate::config::{Method, ModelKind, TrainConfig};
@@ -550,7 +550,7 @@ impl Checkpoint {
 }
 
 /// Where checkpoints physically live. [`CheckpointStore`] is generic
-/// over this trait, so the trainer and the elastic driver accept the
+/// over this trait, so [`crate::RunOptions::checkpoints`] accepts the
 /// in-memory [`MemoryBackend`] and the disk-backed
 /// [`crate::ckpt_disk::CheckpointDir`] interchangeably.
 ///
@@ -670,8 +670,8 @@ pub struct RecoveryScan {
     pub corrupt: Vec<CorruptCheckpoint>,
 }
 
-/// Checkpoint service shared by all ranks of one run (and read by the
-/// elastic driver across runs), backed by a pluggable
+/// Checkpoint service shared by all ranks of one round (and scanned by
+/// the recovery loop between rounds), backed by a pluggable
 /// [`CheckpointBackend`].
 ///
 /// The store itself owns only the run-scoped state: a lock-free
@@ -707,11 +707,6 @@ impl CheckpointStore {
     /// The shared backend.
     pub fn backend(&self) -> Arc<dyn CheckpointBackend> {
         Arc::clone(&self.backend)
-    }
-
-    /// Number of rank slots.
-    pub fn world(&self) -> usize {
-        self.progress.len()
     }
 
     /// Deposits `ck` into its rank's slot via the backend. An `Err`

@@ -1,10 +1,10 @@
 //! Training configuration.
 //!
 //! `TrainConfig` describes the *healthy* run; failure injection lives
-//! orthogonally in [`simgpu::FaultPlan`], passed alongside the config to
-//! [`crate::trainer::train_with_faults`] — kill-at-step, straggler
-//! delays and asymmetric per-rank memory limits compose with any config
-//! here without changing its semantics.
+//! orthogonally in [`simgpu::FaultPlan`], passed alongside the config
+//! as [`crate::RunOptions::faults`] — kill-at-step, straggler delays
+//! and asymmetric per-rank memory limits compose with any config here
+//! without changing its semantics.
 
 use crate::seeding::SeedStrategy;
 use corpus::DatasetProfile;

@@ -31,7 +31,9 @@
 //! rank (rank-order ALLGATHER), so *first-occurrence order within it* is
 //! already a canonical total order every rank derives independently.
 //! Per-phase wall-time (gather / unique / scatter / allreduce / apply)
-//! is recorded into [`PhaseTimings`] via [`simgpu::PhaseTimer`].
+//! is recorded into [`PhaseTimings`] — and, when tracing, into the
+//! rank's [`TraceRecorder`] — by one [`simgpu::PhaseTimer`] lap per
+//! phase.
 //!
 //! Every exchange returns `Result<ExchangeStats, CommError>`: if any
 //! peer rank poisons the group mid-step (OOM, injected fault, panic),
@@ -41,24 +43,6 @@
 
 use nn::{Embedding, SparseGrad};
 use simgpu::{CommError, PhaseTimer, Rank, SpanKind, Topology, TraceRecorder, Wire};
-
-/// Timestamp helper for the optional recorder: zero-cost when `None`.
-#[inline]
-fn trace_now(trace: &Option<&mut TraceRecorder>) -> u64 {
-    match trace {
-        Some(t) => t.now_ns(),
-        None => 0,
-    }
-}
-
-/// Records `span` from `start_ns` to now, carrying `bytes`. No-op (a
-/// single branch) when tracing is off.
-#[inline]
-fn trace_rec(trace: &mut Option<&mut TraceRecorder>, span: SpanKind, start_ns: u64, bytes: u64) {
-    if let Some(t) = trace.as_mut() {
-        t.record_since(span, start_ns, bytes);
-    }
-}
 
 /// How to run an exchange.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -360,16 +344,15 @@ fn baseline_exchange(
     lr: f32,
     compression: Option<f32>,
     scratch: &mut ExchangeScratch,
-    mut trace: Option<&mut TraceRecorder>,
+    trace: Option<&mut TraceRecorder>,
 ) -> Result<ExchangeStats, CommError> {
     let g = rank.world();
     let d = table.dim();
     let n_local = grad.indices.len();
     let elem_bytes: u64 = if compression.is_some() { 2 } else { 4 };
-    let mut timer = PhaseTimer::start();
+    let mut timer = PhaseTimer::start(trace);
     let mut timings = PhaseTimings::default();
 
-    let t0 = trace_now(&trace);
     rank.all_gather_u32_into(&grad.indices, &mut scratch.all_indices)?;
     match compression {
         Some(scale) => {
@@ -378,17 +361,15 @@ fn baseline_exchange(
         None => rank.all_gather_f32_into(grad.rows.as_slice(), &mut scratch.all_rows)?,
     }
     debug_assert_eq!(scratch.all_rows.len(), scratch.all_indices.len() * d);
-    timings.gather_ns = timer.lap_ns();
     // This rank's gather sends: K u32 indices + K×D rows to G−1 peers —
     // exactly what the traffic recorder charges it for this phase.
     let wire_bytes = (n_local as u64) * (d as u64) * elem_bytes * (g as u64 - 1)
         + (n_local as u64) * 4 * (g as u64 - 1);
-    trace_rec(&mut trace, SpanKind::Gather, t0, wire_bytes);
+    timings.gather_ns = timer.lap(SpanKind::Gather, wire_bytes);
 
     // Apply every gathered row in (rank, token) order. Repeated indices
     // accumulate — this is the serialised scatter-add the paper
     // describes, complete with its duplicate-row hazard.
-    let t0 = trace_now(&trace);
     for (i, &idx) in scratch.all_indices.iter().enumerate() {
         let row = &scratch.all_rows[i * d..(i + 1) * d];
         let dst = table.weights_mut().row_mut(idx as usize);
@@ -396,8 +377,7 @@ fn baseline_exchange(
             *w -= lr * v;
         }
     }
-    timings.apply_ns = timer.lap_ns();
-    trace_rec(&mut trace, SpanKind::Apply, t0, 0);
+    timings.apply_ns = timer.lap(SpanKind::Apply, 0);
 
     // The gathered buffers live simultaneously: G·K indices + G·K·D rows.
     let total_rows = scratch.all_indices.len() as u64;
@@ -424,29 +404,26 @@ fn unique_exchange(
     lr: f32,
     cfg: &ExchangeConfig,
     scratch: &mut ExchangeScratch,
-    mut trace: Option<&mut TraceRecorder>,
+    trace: Option<&mut TraceRecorder>,
 ) -> Result<ExchangeStats, CommError> {
     let g = rank.world();
     let d = table.dim();
     let n_local = grad.indices.len();
     scratch.ensure_vocab(table.vocab());
-    let mut timer = PhaseTimer::start();
+    let mut timer = PhaseTimer::start(trace);
     let mut timings = PhaseTimings::default();
 
     // Steps 1–2: local unique indices Ĵ and locally-reduced gradients ∆̂
     // (O(K) epoch-map pass — no hashing, no allocation).
-    let t0 = trace_now(&trace);
     scratch.local_reduce(grad, d);
     let u_local = scratch.reduced_indices.len();
-    timings.unique_ns = timer.lap_ns();
-    trace_rec(&mut trace, SpanKind::Unique, t0, 0);
+    timings.unique_ns = timer.lap(SpanKind::Unique, 0);
 
     // Step 3: ALLGATHER the *index* vectors J (Θ(G·K), not Θ(G·K·D)).
     // With an index codec, each rank publishes its delta+varint frame
     // and peers decode all G of them — the gathered vector is byte-for-
     // byte what the raw gather produces, only the wire charge shrinks.
     let index_codec = cfg.codec.index_codec();
-    let t0 = trace_now(&trace);
     let index_pub_bytes = match index_codec {
         Some(c) => {
             rank.all_gather_u32_codec_into(&grad.indices, c, &mut scratch.all_indices)?;
@@ -457,13 +434,7 @@ fn unique_exchange(
             (n_local as u64) * 4
         }
     };
-    timings.gather_ns = timer.lap_ns();
-    trace_rec(
-        &mut trace,
-        SpanKind::Gather,
-        t0,
-        index_pub_bytes * (g as u64 - 1),
-    );
+    timings.gather_ns = timer.lap(SpanKind::Gather, index_pub_bytes * (g as u64 - 1));
     // Σ over ranks of encoded publish lengths, sliced out of the
     // gathered vector so every rank derives the identical total (the
     // step scheduler needs all ranks to price one synchronized time).
@@ -480,16 +451,13 @@ fn unique_exchange(
     // set Î in O(G·K). The gathered vector is identical on every rank,
     // so first-occurrence order is a total order all ranks agree on —
     // the slot assignment needs no sort and no further communication.
-    let t0 = trace_now(&trace);
     scratch.global_unique();
     let u_global = scratch.unique.len();
-    timings.unique_ns += timer.lap_ns();
-    trace_rec(&mut trace, SpanKind::Unique, t0, 0);
+    timings.unique_ns += timer.lap(SpanKind::Unique, 0);
 
     // Step 5: scatter ∆̂ into the canonical Ug×D layout M (zeros filled).
     // `slot_of` still holds this epoch's global slots, giving O(1)
     // lookup per locally-unique row.
-    let t0 = trace_now(&trace);
     scratch.m.clear();
     scratch.m.resize(u_global * d, 0.0);
     for (i, &idx) in scratch.reduced_indices.iter().enumerate() {
@@ -497,8 +465,7 @@ fn unique_exchange(
         scratch.m[slot * d..(slot + 1) * d]
             .copy_from_slice(&scratch.reduced_rows[i * d..(i + 1) * d]);
     }
-    timings.scatter_ns = timer.lap_ns();
-    trace_rec(&mut trace, SpanKind::Scatter, t0, 0);
+    timings.scatter_ns = timer.lap(SpanKind::Scatter, 0);
 
     // Step 6: ALLREDUCE the aligned matrices, one collective call per
     // gradient bucket (`cfg.bucket_bytes`; a single whole-payload call
@@ -506,7 +473,6 @@ fn unique_exchange(
     // so the slicing moves no bits. The bytes are the collective's own:
     // this rank's exact per-bucket share of the active wire schedule,
     // which is what the traffic recorder was charged.
-    let t0 = trace_now(&trace);
     let reduced = crate::schedule::all_reduce_bucketed(
         rank,
         &mut scratch.m,
@@ -515,20 +481,17 @@ fn unique_exchange(
         cfg.bucket_bytes,
     )?;
     let ring_bytes = reduced.sent.total();
-    timings.allreduce_ns = timer.lap_ns();
-    trace_rec(&mut trace, SpanKind::AllReduce, t0, ring_bytes);
+    timings.allreduce_ns = timer.lap(SpanKind::AllReduce, ring_bytes);
 
     // Step 7: apply M̂ through Î. Indices are unique ⇒ no duplicate-row
     // serialisation.
-    let t0 = trace_now(&trace);
     for (slot, &idx) in scratch.unique.iter().enumerate() {
         let dst = table.weights_mut().row_mut(idx as usize);
         for (w, &v) in dst.iter_mut().zip(&scratch.m[slot * d..(slot + 1) * d]) {
             *w -= lr * v;
         }
     }
-    timings.apply_ns = timer.lap_ns();
-    trace_rec(&mut trace, SpanKind::Apply, t0, 0);
+    timings.apply_ns = timer.lap(SpanKind::Apply, 0);
 
     // Index gather: encoded publish × (G−1) peers (raw 4K when no
     // codec); ALLREDUCE: the bytes step 6's collectives returned.
@@ -879,7 +842,7 @@ mod tests {
                 gpus_per_node: gpn,
                 ..ExchangeConfig::unique()
             };
-            let ranks = CommGroup::create_with_topology(world, gpn);
+            let ranks = CommGroup::create_full(world, gpn, 0, None);
             let hier: Vec<(Matrix, ExchangeStats, simgpu::TrafficSnapshot)> =
                 simgpu::run_ranks(ranks, |rank| {
                     let mut table = make_table(7);
@@ -967,7 +930,7 @@ mod tests {
                 gpus_per_node: gpn,
                 ..ExchangeConfig::unique_compressed()
             };
-            let ranks = CommGroup::create_with_topology(world, gpn);
+            let ranks = CommGroup::create_full(world, gpn, 0, None);
             let hier: Vec<(Matrix, ExchangeStats, simgpu::TrafficSnapshot)> =
                 simgpu::run_ranks(ranks, |rank| {
                     let mut table = make_table(7);

@@ -24,8 +24,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use zipf_lm::{TrainConfig, TraceConfig, MetricsConfig, CheckpointConfig, CommConfig, ModelKind, Method, train};
-//! use zipf_lm::seeding::SeedStrategy;
+//! use zipf_lm::{run, ModelKind, Method, RunOptions, TrainConfig};
 //!
 //! let cfg = TrainConfig {
 //!     model: ModelKind::Word { vocab: 500 },
@@ -39,24 +38,35 @@
 //!     method: Method::unique(),
 //!     seed: 42,
 //!     tokens: 20_000,
-//!     trace: TraceConfig::off(),
-//!     metrics: MetricsConfig::off(),
-//!     checkpoint: CheckpointConfig::off(),
-//!     comm: CommConfig::flat(),
+//!     ..Default::default()
 //! };
-//! let report = train(&cfg).expect("training runs");
+//! let report = run(&cfg, &RunOptions::default())
+//!     .report()
+//!     .expect("training runs");
 //! assert!(report.epochs[0].train_loss.is_finite());
 //! ```
+//!
+//! [`run`] is the one way into the trainer. *What* to train is the
+//! [`TrainConfig`]; *how* to run it — a per-GPU memory cap
+//! (Tables III/IV's OOM cliffs), injected faults, where checkpoints go,
+//! a snapshot to resume from, whether to recover from failures — is
+//! [`RunOptions`], spelled `RunOptions { gpu_mem_bytes: cap,
+//! ..Default::default() }`. The returned [`RunOutcome`] holds every
+//! rank's own result; [`RunOutcome::report`] collapses them to rank 0's
+//! report or the root cause of the failure.
 //!
 //! ## Elasticity
 //!
 //! Training survives rank failures: enable periodic bit-exact
-//! snapshots with `checkpoint: CheckpointConfig::every(n)` and drive
-//! the run through [`train_elastic`], which shrinks the world to the
-//! survivors after a failure and restores every remaining rank from
-//! the last consistent [`checkpoint::Checkpoint`]. Kill-and-resume at
-//! the same world size is bit-identical to an uninterrupted run; see
-//! [`elastic`] and DESIGN.md's "Failure model & recovery contract".
+//! snapshots with `checkpoint: CheckpointConfig::every(n)` and set
+//! `recovery: Some(RecoveryPolicy::default())` in [`RunOptions`]: the
+//! run then shrinks the world to the survivors after a failure and
+//! restores every remaining rank from the last consistent
+//! [`checkpoint::Checkpoint`]. Add `checkpoints: Some(Arc::new(dir))`
+//! with a [`CheckpointDir`] to keep the snapshots on disk across
+//! rounds and processes. Kill-and-resume at the same world size is
+//! bit-identical to an uninterrupted run; see [`elastic`] and
+//! DESIGN.md's "Failure model & recovery contract".
 //!
 //! ## Observability
 //!
@@ -109,7 +119,7 @@ pub use ckpt_disk::CheckpointDir;
 pub use config::{
     CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, TraceConfig, TrainConfig,
 };
-pub use elastic::{train_elastic, train_elastic_durable, RecoveryPolicy, TrainOutcome};
+pub use elastic::RecoveryPolicy;
 pub use exchange::{
     exchange_and_apply_traced, exchange_and_apply_with, ExchangeConfig, ExchangeScratch,
     ExchangeStats, PhaseTimings,
@@ -125,6 +135,4 @@ pub use simgpu::{
     CounterTrack, DiskFault, DiskFaultPlan, FaultPlan, Histogram, MetricsRegistry, SimSpan,
     SimStream, SpanKind, TraceEvent, TraceLog, TraceRecorder,
 };
-pub use trainer::{
-    train, train_checkpointed, train_with_faults, train_with_memory_limit, TrainError,
-};
+pub use trainer::{run, train, train_with_faults, RunOptions, RunOutcome, TrainError};

@@ -149,7 +149,8 @@ pub struct EpochMetrics {
 }
 
 /// One elastic-recovery round: which ranks failed, how the world
-/// shrank, and what was restored (recorded by [`crate::train_elastic`]).
+/// shrank, and what was restored (recorded by [`crate::run`] under
+/// [`crate::RunOptions::recovery`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryEvent {
     /// 1-based restart count (the first recovery is restart 1).
@@ -216,7 +217,7 @@ pub struct TrainReport {
     /// [`TrainReport::schedule_trace_json`].
     pub sim_spans: Vec<simgpu::SimSpan>,
     /// Elastic-recovery rounds survived en route to this report (empty
-    /// for non-elastic runs; filled by [`crate::train_elastic`]).
+    /// without [`crate::RunOptions::recovery`]).
     pub recoveries: Vec<RecoveryEvent>,
     /// This rank's metric registry, when `TrainConfig::metrics` was
     /// enabled. Merge across ranks (exactly — see [`simgpu::metrics`])

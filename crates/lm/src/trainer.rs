@@ -37,14 +37,18 @@
 //! [`TrainError::PeerFailure`] naming the first failed rank — within
 //! one collective's latency, never an unbounded hang. Fault injection
 //! (kill-at-step, stragglers, asymmetric limits) is threaded through
-//! [`train_with_faults`]; symmetric-failure assumptions are gone.
+//! [`RunOptions::faults`]; symmetric-failure assumptions are gone.
 
-use crate::checkpoint::{Checkpoint, CheckpointMetrics, CheckpointStore, Fingerprint};
+use crate::checkpoint::{
+    Checkpoint, CheckpointBackend, CheckpointMetrics, CheckpointStore, Fingerprint,
+};
 use crate::config::{DatasetId, ModelKind, TrainConfig};
+use crate::elastic::{self, RecoveryPolicy};
 use crate::eval::{char_valid_loss, word_valid_loss};
 use crate::exchange::{exchange_and_apply_traced, ExchangeConfig, ExchangeScratch, ExchangeStats};
 use crate::metrics::{
-    EpochMetrics, HealthEvent, StepMetrics, StepObserver, StepSample, TimeAttribution, TrainReport,
+    EpochMetrics, HealthEvent, RecoveryEvent, StepMetrics, StepObserver, StepSample,
+    TimeAttribution, TrainReport,
 };
 use crate::schedule::{self, CommOp};
 use corpus::{shard_batches, train_valid_split, BatchSpec, CorpusGenerator, TokenUnit, Vocab};
@@ -59,6 +63,7 @@ use simgpu::{
 };
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Why a training run failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,10 +94,11 @@ pub enum TrainError {
         /// World size of the run.
         world: usize,
     },
-    /// The configuration asks for something no rank could execute (a
-    /// non-positive or non-finite FP16 compression scale). Rejected
-    /// eagerly, before any thread spawns, instead of panicking inside
-    /// every rank's first collective.
+    /// The configuration asks for something no rank could execute (zero
+    /// GPUs, epochs, batch or sequence length, an empty char alphabet,
+    /// a non-positive or non-finite FP16 compression scale). Rejected
+    /// eagerly, before data generation or any thread spawn, instead of
+    /// panicking.
     InvalidConfig {
         /// What is wrong with the configuration.
         reason: String,
@@ -178,152 +184,289 @@ impl From<CommError> for TrainError {
 /// stream is used when it is smaller).
 const EVAL_BATCHES: usize = 48;
 
-/// Simulated device capacity. Experiments that probe OOM behaviour use
-/// [`train_with_memory_limit`]; plain [`train`] runs unconstrained.
-const UNLIMITED: u64 = u64::MAX / 4;
-
-/// Trains per `cfg` on unconstrained simulated devices.
-pub fn train(cfg: &TrainConfig) -> Result<TrainReport, TrainError> {
-    train_with_memory_limit(cfg, UNLIMITED)
+/// How to run a [`TrainConfig`]. The default is a plain run:
+/// unconstrained devices, no faults, no checkpoint store, from scratch,
+/// first failure ends it.
+#[derive(Debug, Clone)]
+pub struct RunOptions {
+    /// Per-GPU simulated device capacity (a [`FaultPlan`] memory limit
+    /// overrides it for that rank); cap it to reproduce the baseline's
+    /// OOM cliffs (Tables III/IV) in miniature.
+    pub gpu_mem_bytes: u64,
+    /// Injected faults. A plan targeting a rank outside the world is
+    /// rejected with [`TrainError::InvalidFaultPlan`] — such an entry
+    /// could never fire.
+    pub faults: FaultPlan,
+    /// Where snapshots taken per `cfg.checkpoint` go. Every recovery
+    /// round shares the backend, so a durable one (a
+    /// [`crate::CheckpointDir`]) lets a later round — or process —
+    /// restore what an earlier one persisted. `None` keeps each round's
+    /// snapshots in memory when [`RunOptions::recovery`] is set, and
+    /// attaches no store at all otherwise.
+    pub checkpoints: Option<Arc<dyn CheckpointBackend>>,
+    /// Start from this snapshot instead of from scratch. Its *world*
+    /// may differ from `cfg.gpus` (the shrink-restore case); anything
+    /// else that does not match `cfg` and the prepared data is
+    /// [`TrainError::InvalidCheckpoint`] on every rank.
+    pub resume: Option<Arc<Checkpoint>>,
+    /// `Some` makes the run elastic: after a rank fails, shrink the
+    /// world to the survivors, restore them from the newest snapshot
+    /// they all hold intact, and go again — see [`crate::elastic`].
+    pub recovery: Option<RecoveryPolicy>,
 }
 
-/// Trains per `cfg` with each simulated GPU capped at `gpu_mem_bytes` —
-/// used to reproduce the baseline's OOM cliffs in miniature.
-///
-/// # Error-priority contract
-///
-/// Collapses the per-rank results of [`train_with_faults`] (no faults
-/// injected) into one, and the collapse is *root-cause preferring*:
-/// when any rank reports a concrete cause ([`TrainError::Oom`],
-/// [`TrainError::DataTooSmall`], [`TrainError::InvalidFaultPlan`],
-/// [`TrainError::InvalidConfig`], [`TrainError::InvalidCheckpoint`]),
-/// that error is returned and every
-/// [`TrainError::PeerFailure`] *echo* of it is discarded. A
-/// `PeerFailure` is returned only when no rank knows a more specific
-/// reason. Callers therefore see *why* the run died, not merely that a
-/// peer did — pinned by `oom_root_cause_beats_peer_failure_echoes` in
-/// `tests/fault_injection.rs`.
-pub fn train_with_memory_limit(
-    cfg: &TrainConfig,
-    gpu_mem_bytes: u64,
-) -> Result<TrainReport, TrainError> {
-    let mut results = train_with_faults(cfg, gpu_mem_bytes, &FaultPlan::none());
-    let mut peer_failure = None;
-    for res in &results {
-        match res {
-            Err(TrainError::PeerFailure { .. }) if peer_failure.is_none() => {
-                peer_failure = Some(res.clone().unwrap_err());
-            }
-            Err(e) if !matches!(e, TrainError::PeerFailure { .. }) => return Err(e.clone()),
-            _ => {}
+impl Default for RunOptions {
+    fn default() -> Self {
+        Self {
+            // Effectively unlimited, with headroom so the device
+            // accountant's running sums cannot overflow.
+            gpu_mem_bytes: u64::MAX / 4,
+            faults: FaultPlan::none(),
+            checkpoints: None,
+            resume: None,
+            recovery: None,
         }
     }
-    if let Some(e) = peer_failure {
-        return Err(e);
-    }
-    results.swap_remove(0)
 }
 
-/// Trains per `cfg` with fault injection, returning every rank's own
-/// outcome (index = rank id).
-///
-/// Per-rank device capacity is `gpu_mem_bytes` unless `plan` overrides
-/// it for that rank. A rank the plan kills (or one that OOMs under an
-/// asymmetric limit) poisons the communicator, so every surviving rank
-/// returns [`TrainError::PeerFailure`] naming the first failed rank
-/// within bounded time — no deadlock, every thread joins. The failed
-/// rank itself returns its *own* error (`Oom`, or `PeerFailure` naming
-/// itself for an injected kill), which is what makes the root-cause
-/// collapse of [`train_with_memory_limit`] possible.
-///
-/// A plan targeting a rank outside the world (`rank >= cfg.gpus`) is
-/// rejected up front with [`TrainError::InvalidFaultPlan`] on every
-/// rank — such entries could never fire, and silently ignoring them
-/// would green-light tests that believe they injected a fault. An
-/// FP16 compression scale that is not positive and finite is rejected
-/// the same way with [`TrainError::InvalidConfig`].
+/// What a [`run`] produced: the last round's outcome on every rank,
+/// plus the recovery history that led there.
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// Every rank's own result of the last round (index = rank id in
+    /// that round's world), never empty. A failed rank returns its
+    /// *own* error (`Oom`, or `PeerFailure` naming itself for an
+    /// injected kill); survivors return `PeerFailure` echoes naming the
+    /// first failed rank. Rank 0's report carries the fleet rollup and
+    /// the recovery history and findings.
+    pub ranks: Vec<Result<TrainReport, TrainError>>,
+    /// One entry per recovery round, in order.
+    pub recoveries: Vec<RecoveryEvent>,
+    /// World size the run started with.
+    pub initial_world: usize,
+    /// World size of the last round.
+    pub final_world: usize,
+    /// The bit-exact terminal snapshot (rank 0's), taken out of the
+    /// store when one was attached and every rank completed.
+    pub final_checkpoint: Option<Checkpoint>,
+}
+
+impl RunOutcome {
+    /// Collapses the per-rank results into one: rank 0's report when
+    /// every rank completed, otherwise *why* the run died rather than
+    /// merely that a peer did. A concrete cause on any rank
+    /// ([`TrainError::Oom`], [`TrainError::DataTooSmall`], an
+    /// `Invalid*` rejection, [`TrainError::Timeout`],
+    /// [`TrainError::CheckpointWrite`]) beats the killed rank's own
+    /// [`TrainError::PeerFailure`], which beats the survivors' echoes
+    /// of it; within a class the lowest rank wins.
+    pub fn report(mut self) -> Result<TrainReport, TrainError> {
+        let root_cause = self
+            .ranks
+            .iter()
+            .enumerate()
+            .filter_map(|(r, res)| res.as_ref().err().map(|e| (r, e)))
+            .min_by_key(|&(r, e)| match e {
+                TrainError::PeerFailure { rank, .. } if *rank == r => 1,
+                TrainError::PeerFailure { .. } => 2,
+                _ => 0,
+            });
+        match root_cause {
+            Some((_, e)) => Err(e.clone()),
+            None => self.ranks.swap_remove(0),
+        }
+    }
+}
+
+/// [`run`] with default options, collapsed to one report. Like
+/// [`train_with_faults`], a one-line shim whose signature the pinned
+/// `e2e/` benchmark holds in place.
+pub fn train(cfg: &TrainConfig) -> Result<TrainReport, TrainError> {
+    run(cfg, &RunOptions::default()).report()
+}
+
+/// [`run`] with a memory cap and a fault plan, returning the per-rank
+/// results. Exists only because the pinned `e2e/` benchmark calls it;
+/// in-repo code spells the options out.
 pub fn train_with_faults(
     cfg: &TrainConfig,
     gpu_mem_bytes: u64,
     plan: &FaultPlan,
 ) -> Vec<Result<TrainReport, TrainError>> {
-    train_inner(cfg, gpu_mem_bytes, plan, None)
+    let opts = RunOptions {
+        gpu_mem_bytes,
+        faults: plan.clone(),
+        ..RunOptions::default()
+    };
+    run(cfg, &opts).ranks
 }
 
-/// [`train_with_faults`] with a checkpoint service attached: ranks
-/// deposit periodic snapshots per `cfg.checkpoint` into `store`, and —
-/// when `resume` is given — start from that snapshot instead of from
-/// scratch. The building block of [`crate::train_elastic`]; exposed so
-/// tests can drive kill/restore cycles and compare runs bit-for-bit.
+/// Trains `cfg` under `opts` — the one way into the trainer.
 ///
-/// `store` must have been created for `cfg.gpus` ranks. `resume` is
-/// validated against `cfg` (and the prepared data's effective
-/// vocabulary) before any thread spawns; a mismatch returns
-/// [`TrainError::InvalidCheckpoint`] on every rank. The snapshot's
-/// *world* size may differ from `cfg.gpus` — that is exactly the
-/// shrink-restore case — but everything else must match.
-pub fn train_checkpointed(
-    cfg: &TrainConfig,
-    gpu_mem_bytes: u64,
-    plan: &FaultPlan,
-    store: Arc<CheckpointStore>,
-    resume: Option<Arc<Checkpoint>>,
-) -> Vec<Result<TrainReport, TrainError>> {
-    train_inner(cfg, gpu_mem_bytes, plan, Some(RunRuntime { store, resume }))
+/// One *round* runs the step loop on a thread per simulated GPU to
+/// completion or to the first failure; a failing rank poisons the
+/// communicator, so every survivor returns within one collective's
+/// latency and every thread joins. Without [`RunOptions::recovery`]
+/// that round is the run. With it, a failed round is followed by
+/// another at the survivors' world, restored from the newest snapshot
+/// they all hold intact (none ⇒ a fresh start), until a round
+/// completes, the restart budget is spent, no rank survives, or a rank
+/// reports a cause no shrink can fix.
+///
+/// Never panics on a caller-supplied `cfg`: what no rank could execute
+/// is [`TrainError::InvalidConfig`] / [`TrainError::InvalidFaultPlan`]
+/// on every rank, before data generation or any thread spawn.
+pub fn run(cfg: &TrainConfig, opts: &RunOptions) -> RunOutcome {
+    let mut outcome = RunOutcome {
+        ranks: Vec::new(),
+        recoveries: Vec::new(),
+        initial_world: cfg.gpus,
+        final_world: cfg.gpus,
+        final_checkpoint: None,
+    };
+    if let Err(e) = validate(cfg, &opts.faults) {
+        outcome.ranks = vec![Err(e); cfg.gpus.max(1)];
+        return outcome;
+    }
+    let mut cfg = cfg.clone();
+    let mut plan = opts.faults.clone();
+    let mut resume = opts.resume.clone();
+    let mut health: Vec<HealthEvent> = Vec::new();
+
+    loop {
+        // A backend is shared by every round, so what it holds
+        // accumulates and survives the loop; memory-backed rounds each
+        // get a fresh store (restore state travels via `resume`).
+        let store = match (&opts.checkpoints, opts.recovery) {
+            (Some(b), _) => Some(CheckpointStore::with_backend(cfg.gpus, Arc::clone(b))),
+            (None, Some(_)) => Some(CheckpointStore::new(cfg.gpus, cfg.checkpoint.keep_last)),
+            (None, None) => None,
+        };
+        let mut ranks = run_round(
+            &cfg,
+            opts.gpu_mem_bytes,
+            &plan,
+            store.as_ref(),
+            resume.as_deref(),
+        );
+        let failure_observed = Instant::now();
+
+        let failed = elastic::failed_ranks(&ranks);
+        let survivors: Vec<usize> = (0..cfg.gpus).filter(|r| !failed.contains(r)).collect();
+        let restart = outcome.recoveries.len() + 1;
+        let next_round = opts.recovery.zip(store.as_ref()).filter(|(policy, _)| {
+            !failed.is_empty() && !survivors.is_empty() && restart <= policy.max_restarts
+        });
+        let Some((policy, store)) = next_round else {
+            if let Some(Ok(report)) = ranks.first_mut() {
+                elastic::annotate_trace(report, &outcome.recoveries);
+                report.recoveries = outcome.recoveries.clone();
+                report.health.extend(health);
+            }
+            if ranks.iter().all(Result::is_ok) {
+                outcome.final_checkpoint = store.and_then(|s| s.take_final());
+            }
+            outcome.final_world = cfg.gpus;
+            outcome.ranks = ranks;
+            return outcome;
+        };
+
+        let scan = store.scan(&survivors);
+        for c in &scan.corrupt {
+            health.push(HealthEvent::CheckpointCorrupt {
+                rank: c.rank,
+                step: c.step,
+            });
+        }
+        health.push(HealthEvent::Recovery {
+            round: restart,
+            survivors: survivors.len(),
+        });
+        resume = scan.checkpoint.map(Arc::new);
+        let restored_step = resume.as_ref().map(|c| c.step);
+        outcome.recoveries.push(RecoveryEvent {
+            restart,
+            failed_ranks: failed,
+            world_before: cfg.gpus,
+            world_after: survivors.len(),
+            restored_step,
+            steps_lost: store
+                .max_progress(&survivors)
+                .saturating_sub(restored_step.unwrap_or(0)),
+            stall_ns: u64::try_from(failure_observed.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            backoff_ps: elastic::simulated_backoff_ps(policy.backoff, restart),
+            attempts: restart as u32,
+            restored_from: resume.as_deref().cloned(),
+        });
+        plan = plan.remap_for_survivors(&survivors);
+        cfg.gpus = survivors.len();
+    }
 }
 
-/// Checkpoint services for one run, shared by all rank threads.
-struct RunRuntime {
-    store: Arc<CheckpointStore>,
-    resume: Option<Arc<Checkpoint>>,
-}
-
-fn train_inner(
-    cfg: &TrainConfig,
-    gpu_mem_bytes: u64,
-    plan: &FaultPlan,
-    runtime: Option<RunRuntime>,
-) -> Vec<Result<TrainReport, TrainError>> {
-    assert!(cfg.gpus >= 1 && cfg.epochs >= 1);
-    // Rejected before any thread spawns: every rank reports the cause.
-    let reject = |e: TrainError| vec![Err(e); cfg.gpus];
+/// What no rank could execute, as a typed error instead of a panic in
+/// the caller's thread (zero ranks or epochs) or in every rank's (an
+/// empty batch, a zero-symbol alphabet, a fault that could never fire,
+/// a compression scale the collectives assert on).
+fn validate(cfg: &TrainConfig, plan: &FaultPlan) -> Result<(), TrainError> {
+    let invalid = |reason: String| Err(TrainError::InvalidConfig { reason });
+    for (name, value) in [
+        ("gpus", cfg.gpus),
+        ("epochs", cfg.epochs),
+        ("batch", cfg.batch),
+        ("seq_len", cfg.seq_len),
+    ] {
+        if value == 0 {
+            return invalid(format!("{name} must be at least 1"));
+        }
+    }
+    if !cfg.model.is_word() && cfg.model.char_config().vocab == 0 {
+        return invalid("char vocabulary must be at least 1".to_owned());
+    }
     if let Some(rank) = plan.max_rank_targeted().filter(|&r| r >= cfg.gpus) {
-        return reject(TrainError::InvalidFaultPlan {
+        return Err(TrainError::InvalidFaultPlan {
             rank,
             world: cfg.gpus,
         });
     }
-    if let Some(scale) = cfg.method.compression {
-        // The collectives assert this; a panic in every rank thread is
-        // not a typed error.
-        if !(scale.is_finite() && scale > 0.0) {
-            return reject(TrainError::InvalidConfig {
-                reason: format!("compression scale must be positive and finite, got {scale}"),
-            });
-        }
+    match cfg.method.compression {
+        Some(scale) if !(scale.is_finite() && scale > 0.0) => invalid(format!(
+            "compression scale must be positive and finite, got {scale}"
+        )),
+        _ => Ok(()),
     }
-    let (train_tokens, valid_tokens, model_vocab) = prepare_data(cfg);
-    if let Some(rt) = &runtime {
-        assert_eq!(
-            rt.store.world(),
-            cfg.gpus,
-            "checkpoint store sized for a different world"
-        );
-        if let Some(ck) = &rt.resume {
-            if let Err(e) = ck.validate_against(cfg, model_vocab) {
-                return reject(TrainError::InvalidCheckpoint {
-                    reason: e.to_string(),
-                });
-            }
-        }
-    }
-    let train_tokens = Arc::new(train_tokens);
-    let valid_tokens = Arc::new(valid_tokens);
+}
 
-    let spec = BatchSpec {
-        batch: cfg.batch,
-        seq_len: cfg.seq_len,
-    };
+/// What every rank thread of one round reads.
+struct RunCtx<'a> {
+    cfg: &'a TrainConfig,
+    /// Effective model vocabulary (see [`prepare_data`]).
+    model_vocab: usize,
+    train_tokens: &'a [u32],
+    valid_tokens: &'a [u32],
+    cost: &'a CostModel,
+    plan: &'a FaultPlan,
+    store: Option<&'a CheckpointStore>,
+    resume: Option<&'a Checkpoint>,
+}
+
+/// One round: prepares the data, spawns `cfg.gpus` rank threads and
+/// returns every rank's own result. `cfg` and `plan` passed
+/// [`validate`].
+fn run_round(
+    cfg: &TrainConfig,
+    gpu_mem_bytes: u64,
+    plan: &FaultPlan,
+    store: Option<&CheckpointStore>,
+    resume: Option<&Checkpoint>,
+) -> Vec<Result<TrainReport, TrainError>> {
+    // Rejected before any thread spawns: every rank reports the cause.
+    let reject = |e: TrainError| vec![Err(e); cfg.gpus];
+    let (train_tokens, valid_tokens, model_vocab) = prepare_data(cfg);
+    if let Some(Err(e)) = resume.map(|ck| ck.validate_against(cfg, model_vocab)) {
+        return reject(TrainError::InvalidCheckpoint {
+            reason: e.to_string(),
+        });
+    }
     let shard_tokens = train_tokens.len() / cfg.gpus;
     let needed = cfg.batch * (cfg.seq_len + 1);
     if shard_tokens < needed {
@@ -351,34 +494,26 @@ fn train_inner(
     };
     let ranks = CommGroup::create_full(cfg.gpus, gpn, cfg.comm.pool_workers, cfg.comm.deadline);
 
-    let runtime = &runtime;
-    let results: Vec<Result<RankOutput, TrainError>> = simgpu::run_ranks(ranks, |rank| {
+    let ctx = RunCtx {
+        cfg,
+        model_vocab,
+        train_tokens: &train_tokens,
+        valid_tokens: &valid_tokens,
+        cost: &cost,
+        plan,
+        store,
+        resume,
+    };
+    let mut results: Vec<Result<TrainReport, TrainError>> = simgpu::run_ranks(ranks, |rank| {
         let device = Arc::clone(&devices[rank.rank()]);
-        run_rank(
-            rank,
-            device,
-            cfg,
-            model_vocab,
-            spec,
-            &train_tokens,
-            &valid_tokens,
-            &cost,
-            plan,
-            runtime.as_ref(),
-        )
+        run_rank(rank, device, &ctx)
     });
 
     let peak_mem = devices.iter().map(|d| d.peak()).max().unwrap_or(0);
-    let mut results: Vec<Result<TrainReport, TrainError>> = results
-        .into_iter()
-        .map(|res| {
-            res.map(|mut out| {
-                out.report.peak_mem_bytes = peak_mem;
-                out.report.gpus = cfg.gpus;
-                out.report
-            })
-        })
-        .collect();
+    for report in results.iter_mut().flatten() {
+        report.peak_mem_bytes = peak_mem;
+        report.gpus = cfg.gpus;
+    }
     // Fleet rollup: fold every rank's registry into one (exact — see
     // `simgpu::metrics`) and collect the rank-local trace-truncation
     // findings, both onto rank 0's report, so one report answers for
@@ -563,47 +698,52 @@ impl Replica {
     }
 }
 
-/// Builds a bit-exact snapshot of one rank's state at a step boundary.
-/// Only deterministic quantities are captured — see the module docs of
-/// [`crate::checkpoint`] for what is deliberately excluded.
-#[allow(clippy::too_many_arguments)]
-fn take_snapshot(
-    fp: &Fingerprint,
-    world: usize,
-    rank: usize,
-    step: u64,
-    epoch: u32,
-    step_in_epoch: u64,
+/// One rank's step-loop state: what a snapshot captures and a resume
+/// restores.
+struct LoopState {
+    replica: Replica,
+    /// The exact learning rate in effect (decayed per epoch).
     lr: f32,
-    replica: &Replica,
-    report: &TrainReport,
-    epoch_loss: f64,
-    epoch_time_ps: u64,
+    global_step: u64,
+    report: TrainReport,
     unique_sum: f64,
     unique_count: u64,
-) -> Checkpoint {
-    Checkpoint {
-        world: world as u32,
-        rank: rank as u32,
-        step,
-        epoch,
-        step_in_epoch,
-        lr,
-        fingerprint: fp.clone(),
-        params: replica.param_vector(),
-        metrics: CheckpointMetrics {
-            epochs: report.epochs.clone(),
-            epoch_loss,
-            epoch_time_ps,
-            unique_sum,
-            unique_count,
-            attribution: report.attribution,
-        },
-    }
 }
 
-struct RankOutput {
-    report: TrainReport,
+impl LoopState {
+    /// Builds a bit-exact snapshot at a step boundary, `step_in_epoch`
+    /// steps into `epoch` with that epoch's partial loss and simulated
+    /// time. Only deterministic quantities are captured — see the
+    /// module docs of [`crate::checkpoint`] for what is deliberately
+    /// excluded.
+    fn snapshot(
+        &self,
+        ctx: &RunCtx,
+        rank: usize,
+        epoch: u32,
+        step_in_epoch: u64,
+        epoch_loss: f64,
+        epoch_time_ps: u64,
+    ) -> Checkpoint {
+        Checkpoint {
+            world: ctx.cfg.gpus as u32,
+            rank: rank as u32,
+            step: self.global_step,
+            epoch,
+            step_in_epoch,
+            lr: self.lr,
+            fingerprint: Fingerprint::of(ctx.cfg, ctx.model_vocab),
+            params: self.replica.param_vector(),
+            metrics: CheckpointMetrics {
+                epochs: self.report.epochs.clone(),
+                epoch_loss,
+                epoch_time_ps,
+                unique_sum: self.unique_sum,
+                unique_count: self.unique_count,
+                attribution: self.report.attribution,
+            },
+        }
+    }
 }
 
 /// Assigns a flat ring collective's wire picoseconds to the tier of the
@@ -941,23 +1081,22 @@ impl StepSchedule<'_> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_rank(
-    mut rank: Rank,
-    device: Arc<Device>,
-    cfg: &TrainConfig,
-    model_vocab: usize,
-    spec: BatchSpec,
-    train_tokens: &[u32],
-    valid_tokens: &[u32],
-    cost: &CostModel,
-    plan: &FaultPlan,
-    runtime: Option<&RunRuntime>,
-) -> Result<RankOutput, TrainError> {
+fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainReport, TrainError> {
+    let &RunCtx {
+        cfg,
+        train_tokens,
+        valid_tokens,
+        cost,
+        plan,
+        ..
+    } = ctx;
+    let spec = BatchSpec {
+        batch: cfg.batch,
+        seq_len: cfg.seq_len,
+    };
     let g = cfg.gpus;
     let r = rank.rank();
     let is_rank0 = r == 0;
-    let mut replica = Replica::new(cfg, model_vocab);
     // The rank's group carries the resolved node layout; the exchange
     // config inherits it only when the hierarchical schedule is on, so
     // `comm.hierarchical = false` keeps every collective on the flat
@@ -973,7 +1112,14 @@ fn run_rank(
     let hw_gpus_per_node = cost.hardware().gpus_per_node;
     // LR scaling stays a property of the hardware preset, not of the
     // topology override — topology must never change results.
-    let mut lr = scaled_lr(cfg.base_lr, g, hw_gpus_per_node);
+    let mut st = LoopState {
+        replica: Replica::new(cfg, ctx.model_vocab),
+        lr: scaled_lr(cfg.base_lr, g, hw_gpus_per_node),
+        global_step: 0,
+        report: TrainReport::default(),
+        unique_sum: 0.0,
+        unique_count: 0,
+    };
 
     // Opt-in tracing: a per-rank ring recorder plus barrier-wait
     // accounting on the communicator (enabled before the abort guard
@@ -1002,44 +1148,36 @@ fn run_rank(
     let guard = rank.abort_on_drop(format!("rank {r} exited the step loop early"));
 
     // Persistent model memory.
-    let _model_alloc = device.try_alloc(replica.param_bytes()).map_err(|e| {
+    let _model_alloc = device.try_alloc(st.replica.param_bytes()).map_err(|e| {
         rank.abort(format!("rank {r} OOM on model parameters: {e}"));
         TrainError::Oom(e)
     })?;
 
-    let mut report = TrainReport::default();
-    let mut global_step: u64 = 0;
-    let mut unique_sum = 0.0f64;
-    let mut unique_count = 0u64;
     // Resume: restore parameters, counters, the exact learning rate and
     // every deterministic metric accumulator from the snapshot. No RNG
     // state exists to restore — the corpus/split were regenerated above
     // from `cfg.seed`, and sampled-softmax streams are re-seeded from
     // `global_step` each step — so from here the run is bit-identical
     // to one that never stopped (asserted in `tests/elastic_recovery.rs`).
-    // Per-step telemetry (`report.steps`, traffic, traces) restarts at
+    // Per-step telemetry (`TrainReport::steps`, traffic, traces) restarts at
     // the resume point by design; it is wall-clock or run-local.
-    let fingerprint = runtime.map(|_| Fingerprint::of(cfg, model_vocab));
     let mut start_epoch = 0usize;
     let mut resume_skip = 0usize;
     let mut resume_epoch_loss = 0.0f64;
     let mut resume_epoch_time_ps = 0u64;
-    let resuming = if let Some(ck) = runtime.and_then(|rt| rt.resume.as_deref()) {
-        replica.load_param_vector(&ck.params);
-        lr = ck.lr;
-        global_step = ck.step;
+    if let Some(ck) = ctx.resume {
+        st.replica.load_param_vector(&ck.params);
+        st.lr = ck.lr;
+        st.global_step = ck.step;
         start_epoch = ck.epoch as usize;
         resume_skip = ck.step_in_epoch as usize;
         resume_epoch_loss = ck.metrics.epoch_loss;
         resume_epoch_time_ps = ck.metrics.epoch_time_ps;
-        report.epochs = ck.metrics.epochs.clone();
-        report.attribution = ck.metrics.attribution;
-        unique_sum = ck.metrics.unique_sum;
-        unique_count = ck.metrics.unique_count;
-        true
-    } else {
-        false
-    };
+        st.report.epochs = ck.metrics.epochs.clone();
+        st.report.attribution = ck.metrics.attribution;
+        st.unique_sum = ck.metrics.unique_sum;
+        st.unique_count = ck.metrics.unique_count;
+    }
     // Per-table scratch pools: after the first step every exchange runs
     // allocation-free on reused buffers.
     let mut in_scratch = ExchangeScratch::new();
@@ -1072,7 +1210,7 @@ fn run_rank(
         } else {
             iter.len()
         };
-        let resumed_here = resuming && epoch == start_epoch;
+        let resumed_here = ctx.resume.is_some() && epoch == start_epoch;
         let first_step = if resumed_here {
             resume_skip.min(steps)
         } else {
@@ -1096,6 +1234,7 @@ fn run_rank(
         }
 
         for s in first_step..steps {
+            let global_step = st.global_step;
             if plan.should_die(r, global_step as usize) {
                 let reason = format!("rank {r} killed by fault plan at step {global_step}");
                 rank.abort(reason.clone());
@@ -1149,7 +1288,7 @@ fn run_rank(
                     .seeding
                     .seed_for(cfg.seed ^ SAMPLE_SEED, r, g, global_step);
             let t0 = recorder.as_ref().map(|rec| rec.now_ns());
-            let out = replica.step(&sb, sample_seed);
+            let out = st.replica.step(&sb, sample_seed);
             if let Some(rec) = recorder.as_mut() {
                 rec.record_since(SpanKind::Compute, t0.unwrap_or(0), 0);
             }
@@ -1183,19 +1322,19 @@ fn run_rank(
             }
 
             // Embedding exchanges (applied with lr/G: sum → average).
-            let dim = replica.embed_dim();
-            let lr_eff = lr * inv_g;
+            let dim = st.replica.embed_dim();
+            let lr_eff = st.lr * inv_g;
             let in_grad = out.input_grad;
             let in_stats = exchange_and_apply_traced(
                 &rank,
                 &in_grad,
-                replica.input_table(),
+                st.replica.input_table(),
                 lr_eff,
                 &xcfg,
                 &mut in_scratch,
                 recorder.as_mut(),
             )?;
-            let out_stats = match (out.output_grad, replica.output_table()) {
+            let out_stats = match (out.output_grad, st.replica.output_table()) {
                 (Some(grad), Some(table)) => Some(exchange_and_apply_traced(
                     &rank,
                     &grad,
@@ -1224,7 +1363,7 @@ fn run_rank(
                 })?;
             }
 
-            replica.apply_dense(&dense, lr);
+            st.replica.apply_dense(&dense, st.lr);
 
             // Synchronised mean loss.
             let t0 = recorder.as_ref().map(|rec| rec.now_ns());
@@ -1265,7 +1404,7 @@ fn run_rank(
             // rank-local.
             let k = cfg.local_batch_tokens();
             let compute_ps = secs_to_ps(cost.compute_time(cfg.model.flops_per_step(k)));
-            let out_dim = match &replica {
+            let out_dim = match &st.replica {
                 Replica::Word(m) => m.config().proj_dim,
                 Replica::Char(_) => dim,
             };
@@ -1301,7 +1440,7 @@ fn run_rank(
                     // Own rank under tracing: also lay the ops out on
                     // the simulated timeline as concurrent spans.
                     let base = sim_clock_ps;
-                    let spans = &mut report.sim_spans;
+                    let spans = &mut st.report.sim_spans;
                     spans.push(SimSpan {
                         rank: r as u32,
                         step: global_step,
@@ -1367,7 +1506,7 @@ fn run_rank(
                 let base = sim_clock_ps;
                 let busy = work_ps[r] + delay_ps[r];
                 if delay_ps[r] > 0 {
-                    report.sim_spans.push(SimSpan {
+                    st.report.sim_spans.push(SimSpan {
                         rank: r as u32,
                         step: global_step,
                         stream: SimStream::Compute,
@@ -1378,7 +1517,7 @@ fn run_rank(
                     });
                 }
                 if t_ps > busy {
-                    report.sim_spans.push(SimSpan {
+                    st.report.sim_spans.push(SimSpan {
                         rank: r as u32,
                         step: global_step,
                         stream: SimStream::Compute,
@@ -1391,11 +1530,11 @@ fn run_rank(
             }
             sim_clock_ps += t_ps;
             epoch_time_ps += t_ps;
-            report.attribution.accumulate(&attribution);
+            st.report.attribution.accumulate(&attribution);
 
             if xcfg.unique {
-                unique_sum += in_stats.unique_global as f64;
-                unique_count += 1;
+                st.unique_sum += in_stats.unique_global as f64;
+                st.unique_count += 1;
             }
 
             observer.on_step(&StepSample {
@@ -1417,7 +1556,7 @@ fn run_rank(
                 barrier_wait_wall_ns: waited_wall_ns,
             });
 
-            report.steps.push(StepMetrics {
+            st.report.steps.push(StepMetrics {
                 step: global_step,
                 train_loss: loss,
                 sim_time_ps: t_ps,
@@ -1427,31 +1566,24 @@ fn run_rank(
                 output_exchange: out_stats,
                 dense_bytes,
             });
-            global_step += 1;
+            st.global_step += 1;
 
             // Checkpoint hooks: off the hot path unless a store is
-            // attached (plain `train` passes none — one branch per
-            // step, satisfying the zero-overhead-when-off guard).
-            if let Some(rt) = runtime {
-                rt.store.note_progress(r, global_step);
+            // attached (a default run has none — one branch per step,
+            // satisfying the zero-overhead-when-off guard).
+            if let Some(store) = ctx.store {
+                store.note_progress(r, st.global_step);
                 let every = cfg.checkpoint.every_steps;
-                if every > 0 && global_step.is_multiple_of(every) {
-                    let snapshot = take_snapshot(
-                        fingerprint.as_ref().unwrap(),
-                        g,
+                if every > 0 && st.global_step.is_multiple_of(every) {
+                    let snapshot = st.snapshot(
+                        ctx,
                         r,
-                        global_step,
                         epoch as u32,
                         (s + 1) as u64,
-                        lr,
-                        &replica,
-                        &report,
                         epoch_loss,
                         epoch_time_ps,
-                        unique_sum,
-                        unique_count,
                     );
-                    if let Err(e) = rt.store.deposit(snapshot) {
+                    if let Err(e) = store.deposit(snapshot) {
                         // A *real* storage failure (injected disk
                         // faults return Ok and stay latent until the
                         // recovery scan). Poison the group: peers must
@@ -1471,9 +1603,10 @@ fn run_rank(
             let valid_nll = if valid_tokens.is_empty() {
                 f64::NAN
             } else {
-                replica.valid_loss(valid_tokens, cfg.batch.min(4), cfg.seq_len)
+                st.replica
+                    .valid_loss(valid_tokens, cfg.batch.min(4), cfg.seq_len)
             };
-            report.epochs.push(EpochMetrics {
+            st.report.epochs.push(EpochMetrics {
                 epoch,
                 train_loss: epoch_loss / steps.max(1) as f64,
                 valid_ppl: valid_nll.exp(),
@@ -1481,49 +1614,34 @@ fn run_rank(
                 sim_time_s: epoch_time_ps as f64 * 1e-12,
             });
         }
-        lr *= cfg.lr_decay;
+        st.lr *= cfg.lr_decay;
     }
 
-    report.traffic = rank.traffic();
-    report.mean_unique_global = if unique_count > 0 {
-        unique_sum / unique_count as f64
+    st.report.traffic = rank.traffic();
+    st.report.mean_unique_global = if st.unique_count > 0 {
+        st.unique_sum / st.unique_count as f64
     } else {
         0.0
     };
-    report.trace = recorder.map(TraceRecorder::finish);
-    let dropped_spans = report.trace.as_ref().map(|t| t.dropped).unwrap_or(0);
-    let (registry, health) = observer.finish(g, r, &report.traffic, device.peak(), dropped_spans);
-    report.metrics = registry;
-    report.health = health;
+    st.report.trace = recorder.map(TraceRecorder::finish);
+    let dropped_spans = st.report.trace.as_ref().map(|t| t.dropped).unwrap_or(0);
+    let (registry, health) =
+        observer.finish(g, r, &st.report.traffic, device.peak(), dropped_spans);
+    st.report.metrics = registry;
+    st.report.health = health;
     // Terminal snapshot: the run's exact final state (params + full
     // epoch history). Rank 0's copy is authoritative — it alone carries
     // the validation history — and resuming from it is a no-op run.
-    if let Some(rt) = runtime {
-        if is_rank0 {
-            let snapshot = take_snapshot(
-                fingerprint.as_ref().unwrap(),
-                g,
-                r,
-                global_step,
-                cfg.epochs as u32,
-                0,
-                lr,
-                &replica,
-                &report,
-                0.0,
-                0,
-                unique_sum,
-                unique_count,
-            );
-            if let Err(e) = rt.store.set_final(snapshot) {
-                let reason = format!("terminal checkpoint write failed: {e}");
-                rank.abort(reason.clone());
-                return Err(TrainError::CheckpointWrite { reason });
-            }
+    if let Some(store) = ctx.store.filter(|_| is_rank0) {
+        let snapshot = st.snapshot(ctx, r, cfg.epochs as u32, 0, 0.0, 0);
+        if let Err(e) = store.set_final(snapshot) {
+            let reason = format!("terminal checkpoint write failed: {e}");
+            rank.abort(reason.clone());
+            return Err(TrainError::CheckpointWrite { reason });
         }
     }
     guard.disarm();
-    Ok(RankOutput { report })
+    Ok(st.report)
 }
 
 /// Seed-domain separator for the train/valid split stream.
@@ -1612,10 +1730,18 @@ mod tests {
         assert!(uniq.mean_unique_global > 0.0);
     }
 
+    fn capped(cfg: &TrainConfig, gpu_mem_bytes: u64) -> Result<TrainReport, TrainError> {
+        let opts = RunOptions {
+            gpu_mem_bytes,
+            ..RunOptions::default()
+        };
+        run(cfg, &opts).report()
+    }
+
     #[test]
     fn oom_surfaces_as_error() {
         let cfg = quick_cfg(ModelKind::Word { vocab: 200 }, 4, Method::baseline());
-        let err = train_with_memory_limit(&cfg, 200_000).unwrap_err();
+        let err = capped(&cfg, 200_000).unwrap_err();
         assert!(matches!(err, TrainError::Oom(_)), "got {err}");
     }
 
@@ -1632,10 +1758,10 @@ mod tests {
         );
         let limit = (uniq_peak + base_peak) / 2;
         assert!(matches!(
-            train_with_memory_limit(&mk(Method::baseline()), limit),
+            capped(&mk(Method::baseline()), limit),
             Err(TrainError::Oom(_))
         ));
-        assert!(train_with_memory_limit(&mk(Method::unique_seeded()), limit).is_ok());
+        assert!(capped(&mk(Method::unique_seeded()), limit).is_ok());
     }
 
     #[test]
@@ -1704,7 +1830,8 @@ mod tests {
             pool_workers: 2,
             ..CommConfig::flat()
         };
-        let reports: Vec<TrainReport> = train_with_faults(&cfg, UNLIMITED, &FaultPlan::none())
+        let reports: Vec<TrainReport> = run(&cfg, &RunOptions::default())
+            .ranks
             .into_iter()
             .map(|r| r.expect("rank failed"))
             .collect();

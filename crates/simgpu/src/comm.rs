@@ -428,49 +428,32 @@ impl CommGroup {
     /// thread; all collectives must then be called by *every* rank.
     ///
     /// The group is single-node for tier attribution (all bytes count
-    /// as intra-node); use [`CommGroup::create_with_topology`] to model
-    /// a multi-node cluster.
+    /// as intra-node), unpooled and without a barrier deadline; use
+    /// [`CommGroup::create_full`] for anything else.
     pub fn create(world: usize) -> Vec<Rank> {
-        Self::create_with_topology(world, world)
+        Self::create_full(world, world, 0, None)
     }
 
-    /// Creates a group whose ranks are laid out `gpus_per_node` per
-    /// node (node `i` owns ranks `[i·gpus_per_node, (i+1)·gpus_per_node)`,
-    /// with a smaller last node when the division is ragged). The
-    /// topology only affects which [`Tier`] bucket each collective's
-    /// bytes are charged to — results are identical on any topology.
-    pub fn create_with_topology(world: usize, gpus_per_node: usize) -> Vec<Rank> {
-        Self::build(world, gpus_per_node, None, None)
-    }
-
-    /// Creates a topology-aware group whose ranks multiplex over a
-    /// bounded run pool of `pool_workers` slots (clamped to at least 1).
-    /// Spawn the ranks with [`crate::pool::run_ranks`]: each rank holds
-    /// a run slot while executing and parks slot-free at collective
-    /// rendezvous, so at most `pool_workers` ranks ever run
-    /// concurrently no matter how large `world` is.
-    pub fn create_pooled(world: usize, gpus_per_node: usize, pool_workers: usize) -> Vec<Rank> {
-        Self::build(world, gpus_per_node, Some(RunGate::new(pool_workers)), None)
-    }
-
-    /// Fully-parameterised constructor: topology, optional bounded pool
-    /// (`pool_workers == 0` means unpooled), and an optional barrier
-    /// deadline that converts silent-peer hangs into
-    /// [`CommError::Timeout`] after a bounded retry/backoff budget.
+    /// Fully-parameterised constructor.
+    ///
+    /// * Topology: ranks are laid out `gpus_per_node` per node (node
+    ///   `i` owns ranks `[i·gpus_per_node, (i+1)·gpus_per_node)`, with
+    ///   a smaller last node when the division is ragged). It only
+    ///   affects which [`Tier`] bucket each collective's bytes are
+    ///   charged to — results are identical on any topology.
+    /// * Pool: with `pool_workers > 0` the ranks multiplex over a
+    ///   bounded run pool of that many slots (`0` means unpooled).
+    ///   Spawn them with [`crate::pool::run_ranks`]: each rank holds a
+    ///   run slot while executing and parks slot-free at collective
+    ///   rendezvous, so at most `pool_workers` ranks ever run
+    ///   concurrently no matter how large `world` is.
+    /// * Deadline: an optional barrier deadline converts silent-peer
+    ///   hangs into [`CommError::Timeout`] after a bounded
+    ///   retry/backoff budget.
     pub fn create_full(
         world: usize,
         gpus_per_node: usize,
         pool_workers: usize,
-        deadline: Option<BarrierDeadline>,
-    ) -> Vec<Rank> {
-        let gate = (pool_workers > 0).then(|| RunGate::new(pool_workers));
-        Self::build(world, gpus_per_node, gate, deadline)
-    }
-
-    fn build(
-        world: usize,
-        gpus_per_node: usize,
-        gate: Option<Arc<RunGate>>,
         deadline: Option<BarrierDeadline>,
     ) -> Vec<Rank> {
         assert!(world >= 1, "group needs at least one rank");
@@ -488,7 +471,7 @@ impl CommGroup {
             gather_f64: (0..world).map(|_| Mutex::new(Vec::new())).collect(),
             gather_bytes: (0..world).map(|_| Mutex::new((0, Vec::new()))).collect(),
             reduce_f32: Mutex::new(Vec::new()),
-            gate,
+            gate: (pool_workers > 0).then(|| RunGate::new(pool_workers)),
             traffic: TrafficRecorder::new(),
         });
         (0..world)
@@ -818,7 +801,7 @@ impl Rank {
     }
 
     /// The group's bounded run pool, if it was created with
-    /// [`CommGroup::create_pooled`]. Exposed so tests can assert the
+    /// [`CommGroup::create_full`]. Exposed so tests can assert the
     /// scheduling invariant `peak_running() <= cap()`.
     pub fn run_gate(&self) -> Option<Arc<RunGate>> {
         self.core.gate.clone()
@@ -2048,7 +2031,7 @@ mod tests {
         gpus_per_node: usize,
         f: impl Fn(Rank) -> T + Sync,
     ) -> Vec<T> {
-        crate::pool::run_ranks(CommGroup::create_with_topology(world, gpus_per_node), &f)
+        crate::pool::run_ranks(CommGroup::create_full(world, gpus_per_node, 0, None), &f)
     }
 
     #[test]
@@ -2252,7 +2235,7 @@ mod tests {
         // World 16 over 2 run slots: results bit-match the ungated
         // group and the pool cap is never exceeded.
         let (world, per_node, cap, n) = (16usize, 4usize, 2usize, 41usize);
-        let ranks = CommGroup::create_pooled(world, per_node, cap);
+        let ranks = CommGroup::create_full(world, per_node, cap, None);
         let gate = ranks[0].run_gate().expect("pooled group has a gate");
         let body = |rank: Rank| {
             let mut flat: Vec<f32> = (0..n).map(|i| (i * (rank.rank() + 1)) as f32).collect();

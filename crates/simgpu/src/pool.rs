@@ -135,7 +135,7 @@ pub const RANK_STACK_BYTES: usize = 2 * 1024 * 1024;
 /// returns the per-rank results in rank order.
 ///
 /// If the ranks' group carries a [`RunGate`] (see
-/// `CommGroup::create_pooled`), each rank acquires a run slot before
+/// `CommGroup::create_full`), each rank acquires a run slot before
 /// its body starts and holds it except while parked at a collective
 /// rendezvous — bounding concurrent execution at the pool cap no
 /// matter how large the world is. Ungated ranks just run.

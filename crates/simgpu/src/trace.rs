@@ -178,7 +178,12 @@ impl TraceRecorder {
 
     /// Nanoseconds since the recorder's origin.
     pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        self.ns_at(Instant::now())
+    }
+
+    /// `t` on this recorder's clock: nanoseconds since its origin.
+    pub(crate) fn ns_at(&self, t: Instant) -> u64 {
+        u64::try_from(t.saturating_duration_since(self.origin).as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Stamps subsequent events with `step`, so call sites below the

@@ -19,8 +19,8 @@
 use simgpu::{DiskFault, DiskFaultPlan, FaultPlan};
 use std::sync::Arc;
 use zipf_lm::{
-    chrome_trace_json, train_elastic_durable, CheckpointConfig, CheckpointDir, CommConfig,
-    HealthEvent, Method, MetricsConfig, ModelKind, RecoveryPolicy, TraceConfig, TrainConfig,
+    chrome_trace_json, run, CheckpointConfig, CheckpointDir, CommConfig, HealthEvent, Method,
+    MetricsConfig, ModelKind, RecoveryPolicy, RunOptions, TraceConfig, TrainConfig,
 };
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
     // The chaos: rank 1's step-20 frame rots on disk (one flipped bit
     // in the payload), then rank 2 dies at step 25.
     let disk = DiskFaultPlan::none().inject(1, 20, DiskFault::BitFlip { byte: 99, bit: 5 });
-    let plan = FaultPlan::none().kill_rank_transient(2, 25);
+    let faults = FaultPlan::none().kill_rank_transient(2, 25);
 
     let root = "target/chaos-ckpts";
     let _ = std::fs::remove_dir_all(root);
@@ -59,11 +59,16 @@ fn main() {
          rank 1's step-20 frame bit-flipped, rank 2 dies at step 25...",
         cfg.gpus
     );
-    let policy = RecoveryPolicy {
-        backoff: std::time::Duration::from_millis(50),
-        ..RecoveryPolicy::default()
+    let opts = RunOptions {
+        faults,
+        checkpoints: Some(backend),
+        recovery: Some(RecoveryPolicy {
+            backoff: std::time::Duration::from_millis(50),
+            ..RecoveryPolicy::default()
+        }),
+        ..RunOptions::default()
     };
-    let outcome = train_elastic_durable(&cfg, &plan, policy, backend).expect("chaos run recovers");
+    let outcome = run(&cfg, &opts);
 
     for ev in &outcome.recoveries {
         println!(
@@ -78,17 +83,19 @@ fn main() {
             ev.backoff_ps as f64 / 1e9
         );
     }
-    for h in &outcome.report.health {
+    let (initial_world, final_world) = (outcome.initial_world, outcome.final_world);
+    let report = outcome.report().expect("chaos run recovers");
+    for h in &report.health {
         if let HealthEvent::CheckpointCorrupt { rank, step } = h {
             println!("  corrupt frame detected: rank {rank}, step {step} (skipped by the scan)");
         }
     }
-    let summary = outcome.report.run_summary(&cfg);
+    let summary = report.run_summary(&cfg);
     println!(
         "finished at world {} (started at {}): {} recoveries, {} corrupt frames",
-        outcome.final_world, outcome.initial_world, summary.recoveries, summary.corruptions
+        final_world, initial_world, summary.recoveries, summary.corruptions
     );
-    for e in &outcome.report.epochs {
+    for e in &report.epochs {
         println!(
             "  epoch {}: train loss {:.3}, valid ppl {:.1}",
             e.epoch + 1,
@@ -97,7 +104,7 @@ fn main() {
         );
     }
 
-    if let Some(trace) = &outcome.report.trace {
+    if let Some(trace) = &report.trace {
         let json = chrome_trace_json(std::slice::from_ref(trace));
         let path = "target/chaos.trace.json";
         std::fs::write(path, json).expect("write trace");

@@ -11,8 +11,8 @@
 
 use simgpu::FaultPlan;
 use zipf_lm::{
-    chrome_trace_json, train_elastic, CheckpointConfig, CommConfig, Method, MetricsConfig,
-    ModelKind, RecoveryPolicy, TraceConfig, TrainConfig,
+    chrome_trace_json, run, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind,
+    RecoveryPolicy, RunOptions, TraceConfig, TrainConfig,
 };
 
 fn main() {
@@ -34,14 +34,19 @@ fn main() {
         comm: CommConfig::flat(),
     };
 
-    // Rank 3 dies once, mid-way through epoch 1.
-    let plan = FaultPlan::none().kill_rank_transient(3, 55);
+    // Rank 3 dies once, mid-way through epoch 1; `recovery` makes the
+    // run shrink to the survivors and go on instead of ending there.
+    let opts = RunOptions {
+        faults: FaultPlan::none().kill_rank_transient(3, 55),
+        recovery: Some(RecoveryPolicy::default()),
+        ..RunOptions::default()
+    };
 
     println!(
         "elastic run: {} GPUs, checkpoint every {} steps, rank 3 dies at step 55...",
         cfg.gpus, cfg.checkpoint.every_steps
     );
-    let outcome = train_elastic(&cfg, &plan, RecoveryPolicy::default()).expect("elastic run");
+    let outcome = run(&cfg, &opts);
 
     for ev in &outcome.recoveries {
         println!(
@@ -59,7 +64,8 @@ fn main() {
         "finished at world {} (started at {})",
         outcome.final_world, outcome.initial_world
     );
-    for e in &outcome.report.epochs {
+    let report = outcome.report().expect("elastic run");
+    for e in &report.epochs {
         println!(
             "  epoch {}: train loss {:.3}, valid ppl {:.1}",
             e.epoch + 1,
@@ -68,7 +74,7 @@ fn main() {
         );
     }
 
-    if let Some(trace) = &outcome.report.trace {
+    if let Some(trace) = &report.trace {
         let json = chrome_trace_json(std::slice::from_ref(trace));
         let path = "target/elastic.trace.json";
         std::fs::write(path, json).expect("write trace");

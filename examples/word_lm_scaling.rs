@@ -8,9 +8,9 @@
 //! ```
 
 use zipf_lm::{
-    chrome_trace_json_with_counters, train, train_with_faults, train_with_memory_limit,
-    CheckpointConfig, CommConfig, FaultPlan, HealthEvent, Method, MetricsConfig, ModelKind,
-    TraceConfig, TrainConfig, TrainError,
+    chrome_trace_json_with_counters, run, train, CheckpointConfig, CommConfig, FaultPlan,
+    HealthEvent, Method, MetricsConfig, ModelKind, RunOptions, TraceConfig, TrainConfig,
+    TrainError,
 };
 
 fn cfg(gpus: usize, method: Method) -> TrainConfig {
@@ -62,19 +62,17 @@ fn main() {
     // III, while the unique path sails through.
     let cap = (base_peak_8 + ours_peak_8) / 2;
     println!("\nrerunning at 8 GPUs with a {cap}-byte device cap:");
-    let verdict = |r: Result<zipf_lm::TrainReport, TrainError>| match r {
+    let capped = RunOptions {
+        gpu_mem_bytes: cap,
+        ..RunOptions::default()
+    };
+    let verdict = |method| match run(&cfg(8, method), &capped).report() {
         Ok(rep) => format!("ok (ppl {:.1})", rep.final_ppl()),
         Err(TrainError::Oom(e)) => format!("OUT OF MEMORY ({e})"),
         Err(e) => format!("{e}"),
     };
-    println!(
-        "  baseline       : {}",
-        verdict(train_with_memory_limit(&cfg(8, Method::baseline()), cap))
-    );
-    println!(
-        "  with techniques: {}",
-        verdict(train_with_memory_limit(&cfg(8, Method::full()), cap))
-    );
+    println!("  baseline       : {}", verdict(Method::baseline()));
+    println!("  with techniques: {}", verdict(Method::full()));
     // Traced rerun: 4 GPUs with rank 2 straggling 5 ms per step. Every
     // rank records span events; the merged Chrome trace and rank 0's
     // per-step JSONL land under target/ for inspection.
@@ -83,8 +81,12 @@ fn main() {
     tcfg.steps_per_epoch = 8;
     tcfg.trace = TraceConfig::on();
     tcfg.metrics = MetricsConfig::on();
-    let plan = FaultPlan::none().straggle(2, std::time::Duration::from_millis(5));
-    let reports: Vec<_> = train_with_faults(&tcfg, u64::MAX / 4, &plan)
+    let straggling = RunOptions {
+        faults: FaultPlan::none().straggle(2, std::time::Duration::from_millis(5)),
+        ..RunOptions::default()
+    };
+    let reports: Vec<_> = run(&tcfg, &straggling)
+        .ranks
         .into_iter()
         .map(|r| r.expect("traced run"))
         .collect();

@@ -20,61 +20,23 @@
 //!   params and per-epoch losses still match the clean reference
 //!   bit-for-bit (only simulated-time fields may differ).
 
+mod common;
+
+use common::{checkpointing, recovering, with_watchdog, TempDir};
 use simgpu::FaultPlan;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 use zipf_lm::{
-    train_checkpointed, train_elastic, BarrierDeadline, ChaosPlan, CheckpointConfig, CheckpointDir,
-    CheckpointStore, CommConfig, Method, MetricsConfig, ModelKind, RecoveryPolicy, TraceConfig,
-    TrainConfig, TrainError, TrainOutcome,
+    run, BarrierDeadline, ChaosPlan, CheckpointConfig, CheckpointDir, CommConfig, MemoryBackend,
+    Method, MetricsConfig, ModelKind, RecoveryPolicy, RunOptions, RunOutcome, TraceConfig,
+    TrainConfig, TrainError,
 };
-
-/// Whole-sweep budget: 2×SEEDS elastic runs at world 4 must finish well
-/// inside this, or something deadlocked.
-const WATCHDOG_SECS: u64 = 300;
 
 const SEEDS: u64 = 32;
 const WORLD: usize = 4;
 const TOTAL_STEPS: u64 = 12;
 const CKPT_EVERY: u64 = 2;
-
-/// Unconstrained device capacity (mirrors the trainer's own default).
-const UNLIMITED: u64 = u64::MAX / 4;
-
-fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_secs(WATCHDOG_SECS))
-        .expect("watchdog expired: chaos sweep deadlocked")
-}
-
-/// RAII temp directory; removed on drop so sweeps leave no litter.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("zlm-ckpt-{tag}-{}-{n}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
 
 fn cfg() -> TrainConfig {
     TrainConfig {
@@ -101,8 +63,8 @@ fn cfg() -> TrainConfig {
 
 /// One chaos run: expand the seed, arm the config, share a durable
 /// directory (tagged, so hygiene checks can target their own runs),
-/// run the elastic driver.
-fn run_chaos(seed: u64, tag: &str) -> (ChaosPlan, Result<TrainOutcome, TrainError>) {
+/// run with recovery on.
+fn run_chaos(seed: u64, tag: &str) -> (ChaosPlan, RunOutcome) {
     let plan = ChaosPlan::from_seed(seed, WORLD, TOTAL_STEPS, CKPT_EVERY);
     let mut c = cfg();
     plan.apply(&mut c);
@@ -115,8 +77,12 @@ fn run_chaos(seed: u64, tag: &str) -> (ChaosPlan, Result<TrainOutcome, TrainErro
         max_restarts: WORLD,
         backoff: Duration::from_millis(5),
     };
-    let result = zipf_lm::train_elastic_durable(&c, &plan.faults, policy, backend);
-    (plan, result)
+    let opts = RunOptions {
+        checkpoints: Some(backend),
+        ..recovering(plan.faults.clone(), policy)
+    };
+    let outcome = run(&c, &opts);
+    (plan, outcome)
 }
 
 /// Condensed, comparable form of an outcome: terminal checkpoint bytes
@@ -126,13 +92,13 @@ fn run_chaos(seed: u64, tag: &str) -> (ChaosPlan, Result<TrainOutcome, TrainErro
 /// long it had waited) is scheduler noise, not seed-controlled — the
 /// deterministic contract for a hang is "a typed Timeout", not its
 /// attribution.
-fn digest(result: &Result<TrainOutcome, TrainError>) -> String {
-    match result {
-        Ok(o) => format!(
+fn digest(o: &RunOutcome) -> String {
+    match o.clone().report() {
+        Ok(report) => format!(
             "ok world={} fin={:?} losses={:?}",
             o.final_world,
             o.final_checkpoint.as_ref().map(|c| c.to_bytes()),
-            o.report
+            report
                 .epochs
                 .iter()
                 .map(|e| (e.train_loss.to_bits(), e.valid_ppl.to_bits()))
@@ -148,23 +114,23 @@ fn chaos_sweep_terminates_cleanly_and_deterministically_on_every_seed() {
     let failures = with_watchdog(|| {
         // Clean reference: uninterrupted run at the sweep's world size.
         let c = cfg();
-        let store = Arc::new(CheckpointStore::new(WORLD, c.checkpoint.keep_last));
-        let res = train_checkpointed(&c, UNLIMITED, &FaultPlan::none(), store.clone(), None);
-        let clean = res[0].as_ref().expect("clean reference").clone();
-        let clean_fin = store.take_final().expect("clean terminal snapshot");
+        let backend = Arc::new(MemoryBackend::new(c.checkpoint.keep_last));
+        let res = run(&c, &checkpointing(backend, FaultPlan::none(), None));
+        let clean = res.ranks[0].as_ref().expect("clean reference").clone();
+        let clean_fin = res.final_checkpoint.expect("clean terminal snapshot");
         let clean_bits: Vec<u32> = clean_fin.params.iter().map(|v| v.to_bits()).collect();
 
         let mut failures: Vec<String> = Vec::new();
         let mut completed = 0usize;
         let mut errored = 0usize;
         for seed in 0..SEEDS {
-            let (plan, result) = run_chaos(seed, "sweep");
+            let (plan, outcome) = run_chaos(seed, "sweep");
             let (_, replay) = run_chaos(seed, "sweep");
-            if digest(&result) != digest(&replay) {
+            if digest(&outcome) != digest(&replay) {
                 failures.push(format!("{}: outcome not deterministic", plan.describe()));
                 continue;
             }
-            match &result {
+            match &outcome.clone().report() {
                 Err(TrainError::Timeout { rank, waited_ps }) => {
                     errored += 1;
                     if !plan.expects_timeout() {
@@ -175,7 +141,7 @@ fn chaos_sweep_terminates_cleanly_and_deterministically_on_every_seed() {
                     }
                 }
                 Err(_) => errored += 1, // typed error: acceptable outcome
-                Ok(outcome) => {
+                Ok(report) => {
                     completed += 1;
                     if plan.expects_timeout() && outcome.recoveries.is_empty() {
                         // A scheduled hang can only be bypassed when an
@@ -201,7 +167,7 @@ fn chaos_sweep_terminates_cleanly_and_deterministically_on_every_seed() {
                                 plan.describe()
                             ));
                         }
-                        for (a, b) in outcome.report.epochs.iter().zip(&clean.epochs) {
+                        for (a, b) in report.epochs.iter().zip(&clean.epochs) {
                             if a.train_loss.to_bits() != b.train_loss.to_bits()
                                 || a.valid_ppl.to_bits() != b.valid_ppl.to_bits()
                             {
@@ -247,7 +213,8 @@ fn silent_peer_times_out_with_a_typed_error_instead_of_hanging() {
             retries: 2,
         });
         let plan = FaultPlan::none().hang_rank(1, 4);
-        train_elastic(&c, &plan, RecoveryPolicy::default())
+        run(&c, &recovering(plan, RecoveryPolicy::default()))
+            .report()
             .expect_err("a silent peer cannot be recovered around")
     });
     match err {

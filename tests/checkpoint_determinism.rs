@@ -6,21 +6,24 @@
 //!   (NaNs, negative zero, subnormals) in the parameter vector;
 //! * two identical runs deposit **byte-equal** checkpoints at every
 //!   `(rank, step)` — snapshots are a pure function of config + seed,
-//!   with no wall-clock or allocation-order leakage;
+//!   with no wall-clock or allocation-order leakage — whether
+//!   `RunOptions::checkpoints` is the in-memory backend or a directory
+//!   on disk;
 //! * across every `Method` preset and world size, every deposited
 //!   checkpoint round-trips bitwise.
 
+mod common;
+
+use common::{checkpointing, TempDir};
 use proptest::prelude::*;
 use simgpu::FaultPlan;
 use std::sync::Arc;
 use zipf_lm::checkpoint::{Checkpoint, CheckpointMetrics, Fingerprint};
 use zipf_lm::{
-    train_checkpointed, CheckpointConfig, CheckpointStore, CommConfig, EpochMetrics, Method,
-    MetricsConfig, ModelKind, TimeAttribution, TraceConfig, TrainConfig,
+    run, CheckpointBackend, CheckpointConfig, CheckpointDir, CheckpointStore, CommConfig,
+    EpochMetrics, MemoryBackend, Method, MetricsConfig, ModelKind, TimeAttribution, TraceConfig,
+    TrainConfig,
 };
-
-/// Unconstrained device capacity (mirrors the trainer's own default).
-const UNLIMITED: u64 = u64::MAX / 4;
 
 const METHODS: [fn() -> Method; 3] = [Method::baseline, Method::unique_seeded, Method::full];
 const WORLDS: [usize; 3] = [1, 2, 4];
@@ -51,24 +54,29 @@ fn run_cfg(model: ModelKind, gpus: usize, method: Method, seed: u64) -> TrainCon
 /// Deposited checkpoint bytes keyed by (rank, step).
 type DepositedBytes = Vec<(usize, u64, Vec<u8>)>;
 
-/// Runs training once and returns every deposited checkpoint's bytes,
-/// keyed by (rank, step), plus the terminal snapshot's bytes.
-fn checkpoint_bytes(cfg: &TrainConfig) -> (DepositedBytes, Vec<u8>) {
-    let store = Arc::new(CheckpointStore::new(cfg.gpus, cfg.checkpoint.keep_last));
-    let results = train_checkpointed(cfg, UNLIMITED, &FaultPlan::none(), store.clone(), None);
-    for (r, res) in results.iter().enumerate() {
+/// Runs training once with `backend` attached (no recovery) and
+/// returns every deposited checkpoint's bytes, keyed by (rank, step),
+/// plus the terminal snapshot's bytes.
+fn checkpoint_bytes(
+    cfg: &TrainConfig,
+    backend: Arc<dyn CheckpointBackend>,
+) -> (DepositedBytes, Vec<u8>) {
+    let outcome = run(
+        cfg,
+        &checkpointing(backend.clone(), FaultPlan::none(), None),
+    );
+    for (r, res) in outcome.ranks.iter().enumerate() {
         assert!(res.is_ok(), "rank {r} failed: {:?}", res.as_ref().err());
     }
+    let store = CheckpointStore::with_backend(cfg.gpus, backend);
     let mut out = Vec::new();
     for rank in 0..cfg.gpus {
         for ck in store.deposited(rank) {
             out.push((rank, ck.step, ck.to_bytes()));
         }
     }
-    (
-        out,
-        store.take_final().expect("terminal snapshot").to_bytes(),
-    )
+    let fin = outcome.final_checkpoint.expect("terminal snapshot");
+    (out, fin.to_bytes())
 }
 
 /// Builds a checkpoint whose every float field is a raw bit pattern
@@ -176,7 +184,8 @@ proptest! {
     // Each case trains twice: keep the case count small but meaningful.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Two identical runs deposit byte-equal checkpoints at every
+    /// Two identical runs — one depositing into memory, one into a
+    /// directory on disk — deposit byte-equal checkpoints at every
     /// (rank, step), for arbitrary seeds, every `Method` preset, both
     /// model kinds, and worlds 1/2/4.
     #[test]
@@ -192,8 +201,11 @@ proptest! {
             ModelKind::Char { vocab: 64 }
         };
         let cfg = run_cfg(model, WORLDS[world_idx], METHODS[method_idx](), seed);
-        let (a, fin_a) = checkpoint_bytes(&cfg);
-        let (b, fin_b) = checkpoint_bytes(&cfg);
+        let keep = cfg.checkpoint.keep_last;
+        let (a, fin_a) = checkpoint_bytes(&cfg, Arc::new(MemoryBackend::new(keep)));
+        let tmp = TempDir::new("determinism");
+        let dir = CheckpointDir::open(tmp.path(), keep).expect("open checkpoint dir");
+        let (b, fin_b) = checkpoint_bytes(&cfg, Arc::new(dir));
         prop_assert!(!a.is_empty(), "cadence 2 over 4 steps must deposit");
         prop_assert_eq!(a.len(), b.len());
         for ((rank_a, step_a, bytes_a), (rank_b, step_b, bytes_b)) in a.iter().zip(&b) {

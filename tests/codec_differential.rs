@@ -17,16 +17,13 @@
 //! * total recorded traffic with the codec never exceeds the identity
 //!   run's (the never-expand framing, end to end).
 
-use simgpu::{FaultPlan, WireCodecId};
+use simgpu::WireCodecId;
 use std::sync::Arc;
 use zipf_lm::checkpoint::Checkpoint;
 use zipf_lm::{
-    train_checkpointed, CheckpointConfig, CheckpointStore, CommConfig, Method, MetricsConfig,
-    ModelKind, TraceConfig, TrainConfig, TrainReport,
+    CheckpointConfig, CommConfig, MemoryBackend, Method, MetricsConfig, ModelKind, RunOptions,
+    TraceConfig, TrainConfig, TrainReport,
 };
-
-/// Unconstrained device capacity (mirrors the trainer's own default).
-const UNLIMITED: u64 = u64::MAX / 4;
 
 fn cfg(gpus: usize, comm: CommConfig) -> TrainConfig {
     TrainConfig {
@@ -54,13 +51,16 @@ fn cfg(gpus: usize, comm: CommConfig) -> TrainConfig {
 /// Trains once, returning the report of rank 0 plus the terminal
 /// checkpoint bytes.
 fn run(cfg: &TrainConfig) -> (TrainReport, Vec<u8>) {
-    let store = Arc::new(CheckpointStore::new(cfg.gpus, cfg.checkpoint.keep_last));
-    let mut results = train_checkpointed(cfg, UNLIMITED, &FaultPlan::none(), store.clone(), None);
-    for (r, res) in results.iter().enumerate() {
+    let opts = RunOptions {
+        checkpoints: Some(Arc::new(MemoryBackend::new(cfg.checkpoint.keep_last))),
+        ..RunOptions::default()
+    };
+    let mut outcome = zipf_lm::run(cfg, &opts);
+    for (r, res) in outcome.ranks.iter().enumerate() {
         assert!(res.is_ok(), "rank {r} failed: {:?}", res.as_ref().err());
     }
-    let report = results.remove(0).unwrap();
-    let final_ck = store.take_final().expect("terminal snapshot");
+    let report = outcome.ranks.remove(0).unwrap();
+    let final_ck = outcome.final_checkpoint.expect("terminal snapshot");
     (report, final_ck.to_bytes())
 }
 

@@ -15,59 +15,20 @@
 //! And the CRC framing detects **every** single-bit flip (exhaustive,
 //! not sampled).
 
+mod common;
+
+use common::{checkpointing, recovering, with_watchdog, TempDir};
 use proptest::prelude::*;
 use simgpu::{DiskFault, DiskFaultPlan, FaultPlan};
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 use zipf_lm::ckpt_disk::{crc32, frame_payload, unframe};
 use zipf_lm::{
-    train_checkpointed, train_elastic, train_elastic_durable, Checkpoint, CheckpointBackend,
-    CheckpointConfig, CheckpointDir, CheckpointError, CheckpointStore, CommConfig, HealthEvent,
-    Method, MetricsConfig, ModelKind, RecoveryPolicy, TraceConfig, TrainConfig,
+    run, Checkpoint, CheckpointBackend, CheckpointConfig, CheckpointDir, CheckpointError,
+    CheckpointStore, CommConfig, HealthEvent, MemoryBackend, Method, MetricsConfig, ModelKind,
+    RecoveryPolicy, RunOptions, TraceConfig, TrainConfig,
 };
-
-const WATCHDOG_SECS: u64 = 120;
-
-/// Unconstrained device capacity (mirrors the trainer's own default).
-const UNLIMITED: u64 = u64::MAX / 4;
-
-fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    // Deliberately not scoped: if `f` deadlocks, the thread is leaked
-    // and the test fails fast instead of blocking `cargo test`.
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_secs(WATCHDOG_SECS))
-        .expect("watchdog expired: durable-store scenario deadlocked")
-}
-
-/// RAII temp directory (no tempfile dependency): unique per call via
-/// pid + counter, removed on drop so `cargo test` leaves no litter.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("zlm-ckpt-{tag}-{}-{n}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Two epochs of six steps with a snapshot every other step — the same
 /// shape `tests/elastic_recovery.rs` uses, so invariants line up.
@@ -106,26 +67,32 @@ fn disk_kill_and_resume_matches_memory_and_clean(gpus: usize) {
             let plan = FaultPlan::none().kill_rank_transient(gpus - 1, 8);
 
             // Reference: uninterrupted run over the in-memory store.
-            let store_a = Arc::new(CheckpointStore::new(gpus, c.checkpoint.keep_last));
-            let res_a =
-                train_checkpointed(&c, UNLIMITED, &FaultPlan::none(), store_a.clone(), None);
-            let rep_a = res_a[0].as_ref().expect("uninterrupted run").clone();
-            let fin_a = store_a.take_final().expect("terminal snapshot");
+            let memory = || Arc::new(MemoryBackend::new(c.checkpoint.keep_last));
+            let out_a = run(&c, &checkpointing(memory(), FaultPlan::none(), None));
+            let rep_a = out_a.ranks[0].as_ref().expect("uninterrupted run").clone();
+            let fin_a = out_a.final_checkpoint.expect("terminal snapshot");
 
             // In-memory interrupted run: the restored cut we must match.
-            let store_m = Arc::new(CheckpointStore::new(gpus, c.checkpoint.keep_last));
-            let res_m = train_checkpointed(&c, UNLIMITED, &plan, store_m.clone(), None);
-            assert!(res_m.iter().all(|r| r.is_err()), "kill fails the group");
-            let ck_mem = store_m.latest_consistent(&all).expect("consistent cut");
+            let mem = memory();
+            let out_m = run(&c, &checkpointing(mem.clone(), plan.clone(), None));
+            assert!(
+                out_m.ranks.iter().all(|r| r.is_err()),
+                "kill fails the group"
+            );
+            let ck_mem = CheckpointStore::with_backend(gpus, mem)
+                .latest_consistent(&all)
+                .expect("consistent cut");
 
             // Disk interrupted run: same failure, durable directory.
             let tmp = TempDir::new("resume");
             let dir_b = Arc::new(
                 CheckpointDir::open(tmp.path().join("run"), c.checkpoint.keep_last).unwrap(),
             );
-            let store_b = CheckpointStore::with_backend(gpus, Arc::clone(&dir_b) as _);
-            let res_b = train_checkpointed(&c, UNLIMITED, &plan, Arc::new(store_b), None);
-            assert!(res_b.iter().all(|r| r.is_err()), "kill fails the group");
+            let out_b = run(&c, &checkpointing(dir_b, plan, None));
+            assert!(
+                out_b.ranks.iter().all(|r| r.is_err()),
+                "kill fails the group"
+            );
 
             // A fresh process's view: reopen the directory and scan.
             let reopened = Arc::new(
@@ -140,16 +107,10 @@ fn disk_kill_and_resume_matches_memory_and_clean(gpus: usize) {
             let dir_c = Arc::new(
                 CheckpointDir::open(tmp.path().join("resumed"), c.checkpoint.keep_last).unwrap(),
             );
-            let store_c = Arc::new(CheckpointStore::with_backend(gpus, dir_c));
-            let res_c = train_checkpointed(
-                &c,
-                UNLIMITED,
-                &FaultPlan::none(),
-                store_c.clone(),
-                Some(Arc::new(ck_disk.clone())),
-            );
-            let rep_c = res_c[0].as_ref().expect("resumed run").clone();
-            let fin_c = store_c.take_final().expect("terminal snapshot");
+            let resumed = checkpointing(dir_c, FaultPlan::none(), Some(ck_disk.clone()));
+            let out_c = run(&c, &resumed);
+            let rep_c = out_c.ranks[0].as_ref().expect("resumed run").clone();
+            let fin_c = out_c.final_checkpoint.expect("terminal snapshot");
             (
                 fin_a,
                 rep_a.epochs,
@@ -196,12 +157,15 @@ fn elastic_durable_matches_elastic_memory_bit_for_bit() {
     let (mem, disk) = with_watchdog(|| {
         let c = cfg(4);
         let plan = FaultPlan::none().kill_rank_transient(2, 5);
-        let mem = train_elastic(&c, &plan, RecoveryPolicy::default()).expect("memory recovers");
+        let opts = recovering(plan, RecoveryPolicy::default());
+        let mem = run(&c, &opts);
         let tmp = TempDir::new("elastic");
         let backend = Arc::new(CheckpointDir::open(tmp.path(), c.checkpoint.keep_last).unwrap());
-        let disk = train_elastic_durable(&c, &plan, RecoveryPolicy::default(), backend)
-            .expect("disk recovers");
-        (mem, disk)
+        let durable = RunOptions {
+            checkpoints: Some(backend),
+            ..opts
+        };
+        (mem, run(&c, &durable))
     });
     assert_eq!(mem.final_world, disk.final_world);
     assert_eq!(
@@ -219,7 +183,9 @@ fn elastic_durable_matches_elastic_memory_bit_for_bit() {
             .map(Checkpoint::to_bytes),
         "restored snapshots byte-identical"
     );
-    assert_eq!(mem.report.epochs, disk.report.epochs);
+    let mem_report = mem.ranks[0].as_ref().expect("memory recovers");
+    let disk_report = disk.ranks[0].as_ref().expect("disk recovers");
+    assert_eq!(mem_report.epochs, disk_report.epochs);
     assert_eq!(
         mem.final_checkpoint.as_ref().map(Checkpoint::to_bytes),
         disk.final_checkpoint.as_ref().map(Checkpoint::to_bytes),
@@ -244,8 +210,13 @@ fn elastic_durable_skips_damaged_cut_and_reports_corruption() {
             max_restarts: 3,
             backoff: Duration::from_millis(10),
         };
-        train_elastic_durable(&c, &plan, policy, backend).expect("recovers past the damage")
+        let opts = RunOptions {
+            checkpoints: Some(backend),
+            ..recovering(plan, policy)
+        };
+        run(&c, &opts)
     });
+    let report = outcome.ranks[0].as_ref().expect("recovers past the damage");
     let ev = &outcome.recoveries[0];
     assert_eq!(
         ev.restored_step,
@@ -257,18 +228,17 @@ fn elastic_durable_skips_damaged_cut_and_reports_corruption() {
     assert_eq!(ev.backoff_ps, 10_000_000_000);
     assert_eq!(ev.attempts, 1);
     assert!(
-        outcome
-            .report
+        report
             .health
             .contains(&HealthEvent::CheckpointCorrupt { rank: 1, step: 4 }),
         "damage surfaced as a typed health event: {:?}",
-        outcome.report.health
+        report.health
     );
-    assert!(outcome.report.health.contains(&HealthEvent::Recovery {
+    assert!(report.health.contains(&HealthEvent::Recovery {
         round: 1,
         survivors: 3
     }));
-    let summary = outcome.report.run_summary(&cfg(4));
+    let summary = report.run_summary(&cfg(4));
     assert_eq!(summary.recoveries, 1);
     assert_eq!(summary.corruptions, 1);
     assert_eq!(outcome.final_world, 3);

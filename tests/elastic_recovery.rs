@@ -13,30 +13,16 @@
 //! Every scenario runs under the fault-injection watchdog: a recovery
 //! regression that deadlocks fails in seconds instead of hanging CI.
 
+mod common;
+
+use common::{checkpointing, recovering, with_watchdog};
 use simgpu::{FaultPlan, SpanKind};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 use zipf_lm::{
-    train_checkpointed, train_elastic, CheckpointConfig, CheckpointStore, CommConfig, Method,
-    MetricsConfig, ModelKind, RecoveryPolicy, TraceConfig, TrainConfig, TrainError,
+    run, Checkpoint, CheckpointConfig, CheckpointStore, CommConfig, MemoryBackend, Method,
+    MetricsConfig, ModelKind, RecoveryPolicy, RunOutcome, TraceConfig, TrainConfig, TrainError,
 };
-
-const WATCHDOG_SECS: u64 = 60;
-
-/// Unconstrained device capacity (mirrors the trainer's own default).
-const UNLIMITED: u64 = u64::MAX / 4;
-
-fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    // Deliberately not scoped: if `f` deadlocks, the thread is leaked
-    // and the test fails fast instead of blocking `cargo test`.
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_secs(WATCHDOG_SECS))
-        .expect("watchdog expired: elastic recovery deadlocked")
-}
 
 /// Two epochs of six steps with a snapshot every other step — small
 /// enough to run many scenarios, long enough to kill mid-epoch-1 and
@@ -64,6 +50,19 @@ fn cfg(gpus: usize) -> TrainConfig {
     }
 }
 
+/// One round of `c` with `plan` injected and a fresh in-memory
+/// checkpoint backend attached, optionally resumed from `resume`; the
+/// store is a view of what the round deposited.
+fn checkpointed(
+    c: &TrainConfig,
+    plan: FaultPlan,
+    resume: Option<Checkpoint>,
+) -> (RunOutcome, CheckpointStore) {
+    let backend = Arc::new(MemoryBackend::new(c.checkpoint.keep_last));
+    let outcome = run(c, &checkpointing(backend.clone(), plan, resume));
+    (outcome, CheckpointStore::with_backend(c.gpus, backend))
+}
+
 /// Kill a rank mid-epoch-1, restore every rank (same world) from the
 /// last consistent checkpoint, and finish. The result must be
 /// bit-identical to never having failed: equal per-epoch metrics and a
@@ -74,17 +73,19 @@ fn same_world_kill_and_resume(gpus: usize) {
         let c = cfg(gpus);
 
         // Reference: uninterrupted run.
-        let store_a = Arc::new(CheckpointStore::new(gpus, c.checkpoint.keep_last));
-        let res_a = train_checkpointed(&c, UNLIMITED, &FaultPlan::none(), store_a.clone(), None);
-        let rep_a = res_a[0].as_ref().expect("uninterrupted run").clone();
-        let fin_a = store_a.take_final().expect("terminal snapshot");
+        let (out_a, _) = checkpointed(&c, FaultPlan::none(), None);
+        let rep_a = out_a.ranks[0].as_ref().expect("uninterrupted run").clone();
+        let fin_a = out_a.final_checkpoint.expect("terminal snapshot");
 
         // Interrupted: the last rank dies at global step 8 (epoch 1,
         // step 2) — every rank errors out.
-        let store_b = Arc::new(CheckpointStore::new(gpus, c.checkpoint.keep_last));
         let plan = FaultPlan::none().kill_rank_transient(gpus - 1, 8);
-        let res_b = train_checkpointed(&c, UNLIMITED, &plan, store_b.clone(), None);
-        assert!(res_b.iter().all(|r| r.is_err()), "kill fails the group");
+        let (out_b, store_b) = checkpointed(&c, plan, None);
+        assert!(
+            out_b.ranks.iter().all(|r| r.is_err()),
+            "kill fails the group"
+        );
+        assert!(out_b.final_checkpoint.is_none(), "no terminal snapshot");
         assert!(store_b.take_final().is_none(), "no terminal snapshot");
 
         // Resume the full world from the newest snapshot all ranks hold.
@@ -93,16 +94,9 @@ fn same_world_kill_and_resume(gpus: usize) {
             .latest_consistent(&all)
             .expect("consistent checkpoint exists");
         let restored_step = ck.step;
-        let store_c = Arc::new(CheckpointStore::new(gpus, c.checkpoint.keep_last));
-        let res_c = train_checkpointed(
-            &c,
-            UNLIMITED,
-            &FaultPlan::none(),
-            store_c.clone(),
-            Some(Arc::new(ck)),
-        );
-        let rep_c = res_c[0].as_ref().expect("resumed run").clone();
-        let fin_c = store_c.take_final().expect("terminal snapshot");
+        let (out_c, _) = checkpointed(&c, FaultPlan::none(), Some(ck));
+        let rep_c = out_c.ranks[0].as_ref().expect("resumed run").clone();
+        let fin_c = out_c.final_checkpoint.expect("terminal snapshot");
         (fin_a, rep_a.epochs, fin_c, rep_c.epochs, restored_step)
     });
 
@@ -139,7 +133,7 @@ fn kill_and_resume_same_world_is_bit_identical_at_world_4() {
 fn shrink_recovery_completes_and_records_the_event() {
     let outcome = with_watchdog(|| {
         let plan = FaultPlan::none().kill_rank_transient(2, 5);
-        train_elastic(&cfg(4), &plan, RecoveryPolicy::default()).expect("recovers")
+        run(&cfg(4), &recovering(plan, RecoveryPolicy::default()))
     });
     assert_eq!(outcome.initial_world, 4);
     assert_eq!(outcome.final_world, 3);
@@ -156,9 +150,10 @@ fn shrink_recovery_completes_and_records_the_event() {
     assert_eq!(ck.world, 4, "snapshot taken before the shrink");
     // The run finished: full epoch history in the final report, and the
     // report carries the same recovery history.
-    assert_eq!(outcome.report.epochs.len(), 2);
-    assert!(outcome.report.epochs[1].valid_ppl.is_finite());
-    assert_eq!(outcome.report.recoveries, outcome.recoveries);
+    let report = outcome.ranks[0].as_ref().expect("recovers");
+    assert_eq!(report.epochs.len(), 2);
+    assert!(report.epochs[1].valid_ppl.is_finite());
+    assert_eq!(report.recoveries, outcome.recoveries);
     let fin = outcome.final_checkpoint.expect("terminal snapshot");
     assert_eq!(fin.world, 3, "terminal snapshot is post-shrink");
 }
@@ -167,7 +162,7 @@ fn shrink_recovery_completes_and_records_the_event() {
 fn shrink_recovered_run_matches_fresh_run_from_the_snapshot() {
     let (recovered_fin, fresh_fin, recovered_epochs, fresh_epochs) = with_watchdog(|| {
         let plan = FaultPlan::none().kill_rank_transient(2, 5);
-        let outcome = train_elastic(&cfg(4), &plan, RecoveryPolicy::default()).expect("recovers");
+        let outcome = run(&cfg(4), &recovering(plan, RecoveryPolicy::default()));
         let snapshot = outcome.recoveries[0]
             .restored_from
             .clone()
@@ -176,20 +171,18 @@ fn shrink_recovered_run_matches_fresh_run_from_the_snapshot() {
         // A fresh G' = 3 run seeded from the very same snapshot.
         let mut c3 = cfg(4);
         c3.gpus = 3;
-        let store = Arc::new(CheckpointStore::new(3, c3.checkpoint.keep_last));
-        let res = train_checkpointed(
-            &c3,
-            UNLIMITED,
-            &FaultPlan::none(),
-            store.clone(),
-            Some(Arc::new(snapshot)),
-        );
-        let fresh = res[0].as_ref().expect("fresh G' run").clone();
+        let (fresh, _) = checkpointed(&c3, FaultPlan::none(), Some(snapshot));
+        let fresh_epochs = fresh.ranks[0]
+            .as_ref()
+            .expect("fresh G' run")
+            .epochs
+            .clone();
+        let recovered_epochs = outcome.ranks[0].as_ref().expect("recovers").epochs.clone();
         (
             outcome.final_checkpoint.expect("terminal snapshot"),
-            store.take_final().expect("terminal snapshot"),
-            outcome.report.epochs,
-            fresh.epochs,
+            fresh.final_checkpoint.expect("terminal snapshot"),
+            recovered_epochs,
+            fresh_epochs,
         )
     });
     assert_eq!(recovered_epochs, fresh_epochs, "per-epoch metrics match");
@@ -211,7 +204,9 @@ fn permanent_kill_exhausts_max_restarts() {
             max_restarts: 2,
             backoff: Duration::ZERO,
         };
-        train_elastic(&cfg(4), &plan, policy).expect_err("budget exhausted")
+        run(&cfg(4), &recovering(plan, policy))
+            .report()
+            .expect_err("budget exhausted")
     });
     match err {
         TrainError::PeerFailure { rank, reason } => {
@@ -231,7 +226,7 @@ fn multi_failure_schedule_recovers_twice() {
         let plan = FaultPlan::none()
             .kill_rank_transient(1, 3)
             .kill_rank_transient(3, 7);
-        train_elastic(&cfg(4), &plan, RecoveryPolicy::default()).expect("recovers twice")
+        run(&cfg(4), &recovering(plan, RecoveryPolicy::default()))
     });
     assert_eq!(outcome.recoveries.len(), 2);
     assert_eq!(outcome.final_world, 2);
@@ -247,7 +242,8 @@ fn multi_failure_schedule_recovers_twice() {
         (3, 2)
     );
     assert_eq!(outcome.recoveries[1].restored_step, Some(6));
-    assert_eq!(outcome.report.epochs.len(), 2);
+    let report = outcome.ranks[0].as_ref().expect("recovers twice");
+    assert_eq!(report.epochs.len(), 2);
 }
 
 #[test]
@@ -256,14 +252,15 @@ fn checkpointing_off_recovers_with_a_fresh_restart() {
         let mut c = cfg(3);
         c.checkpoint = CheckpointConfig::off();
         let plan = FaultPlan::none().kill_rank_transient(1, 4);
-        train_elastic(&c, &plan, RecoveryPolicy::default()).expect("recovers from scratch")
+        run(&c, &recovering(plan, RecoveryPolicy::default()))
     });
     assert_eq!(outcome.final_world, 2);
     let ev = &outcome.recoveries[0];
     assert_eq!(ev.restored_step, None, "no snapshot to restore");
     assert!(ev.restored_from.is_none());
     assert_eq!(ev.steps_lost, 4, "all completed steps rolled back");
-    assert_eq!(outcome.report.epochs.len(), 2, "fresh G' run completed");
+    let report = outcome.ranks[0].as_ref().expect("recovers from scratch");
+    assert_eq!(report.epochs.len(), 2, "fresh G' run completed");
     // The terminal snapshot is taken whenever a store is attached —
     // periodic cadence off only disables *mid-run* snapshots.
     let fin = outcome.final_checkpoint.expect("terminal snapshot");
@@ -276,9 +273,10 @@ fn recovery_marker_lands_in_the_trace() {
         let mut c = cfg(4);
         c.trace = TraceConfig::on();
         let plan = FaultPlan::none().kill_rank_transient(2, 5);
-        train_elastic(&c, &plan, RecoveryPolicy::default()).expect("recovers")
+        run(&c, &recovering(plan, RecoveryPolicy::default()))
     });
-    let trace = outcome.report.trace.as_ref().expect("tracing ran");
+    let report = outcome.ranks[0].as_ref().expect("recovers");
+    let trace = report.trace.as_ref().expect("tracing ran");
     let markers: Vec<_> = trace
         .events
         .iter()

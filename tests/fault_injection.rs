@@ -8,31 +8,15 @@
 //! fails in seconds via `recv_timeout` if the trainer never returns
 //! (the stuck thread is leaked rather than blocking the harness).
 
+mod common;
+
+use common::{faulted, with_watchdog};
 use simgpu::FaultPlan;
-use std::sync::mpsc;
 use std::time::Duration;
 use zipf_lm::{
-    train, train_with_faults, train_with_memory_limit, CheckpointConfig, CommConfig, Method,
-    MetricsConfig, ModelKind, TraceConfig, TrainConfig, TrainError,
+    run, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, RunOptions, TraceConfig,
+    TrainConfig, TrainError,
 };
-
-/// Generous bound: the whole suite's fault runs finish in well under a
-/// second; a deadlock regression would otherwise hang CI forever.
-const WATCHDOG_SECS: u64 = 60;
-
-/// Unconstrained device capacity (mirrors the trainer's own default).
-const UNLIMITED: u64 = u64::MAX / 4;
-
-fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    // Deliberately not scoped: if `f` deadlocks, the thread is leaked
-    // and the test fails fast instead of blocking `cargo test`.
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_secs(WATCHDOG_SECS))
-        .expect("watchdog expired: trainer deadlocked instead of propagating the fault")
-}
 
 fn cfg(gpus: usize) -> TrainConfig {
     TrainConfig {
@@ -59,7 +43,7 @@ fn killed_rank_mid_epoch_fails_every_survivor_within_watchdog() {
     // The acceptance scenario: rank 2 of 4 dies at step 2 of 6.
     let results = with_watchdog(|| {
         let plan = FaultPlan::none().kill_rank(2, 2);
-        train_with_faults(&cfg(4), UNLIMITED, &plan)
+        run(&cfg(4), &faulted(plan)).ranks
     });
     assert_eq!(results.len(), 4);
     for (r, res) in results.iter().enumerate() {
@@ -84,7 +68,7 @@ fn asymmetric_memory_limit_errors_on_all_ranks() {
     // else a PeerFailure naming it.
     let results = with_watchdog(|| {
         let plan = FaultPlan::none().limit_rank_memory(1, 10_000);
-        train_with_faults(&cfg(4), UNLIMITED, &plan)
+        run(&cfg(4), &faulted(plan)).ranks
     });
     for (r, res) in results.iter().enumerate() {
         match res {
@@ -107,9 +91,9 @@ fn straggler_delay_changes_nothing_but_wall_time() {
     // run must still complete with results identical to the fault-free
     // one (the delay is wall-clock only — simulated time is modelled).
     let (clean, slow) = with_watchdog(|| {
-        let clean = train_with_faults(&cfg(2), UNLIMITED, &FaultPlan::none());
+        let clean = run(&cfg(2), &RunOptions::default()).ranks;
         let plan = FaultPlan::none().straggle(1, Duration::from_millis(2));
-        let slow = train_with_faults(&cfg(2), UNLIMITED, &plan);
+        let slow = run(&cfg(2), &faulted(plan)).ranks;
         (clean, slow)
     });
     let clean0 = clean[0].as_ref().expect("fault-free run succeeds");
@@ -117,22 +101,6 @@ fn straggler_delay_changes_nothing_but_wall_time() {
     assert_eq!(clean0.epochs[0].train_loss, slow0.epochs[0].train_loss);
     assert_eq!(clean0.final_ppl(), slow0.final_ppl());
     assert!(slow[1].is_ok());
-}
-
-#[test]
-fn empty_fault_plan_matches_plain_train() {
-    // `train` routes through the fault machinery with an empty plan;
-    // both entry points must agree exactly.
-    let c = cfg(2);
-    let via_faults = with_watchdog({
-        let c = c.clone();
-        move || train_with_faults(&c, UNLIMITED, &FaultPlan::none())
-    });
-    let plain = train(&c).expect("plain train succeeds");
-    let rank0 = via_faults[0].as_ref().expect("rank 0 succeeds");
-    assert_eq!(rank0.epochs[0].train_loss, plain.epochs[0].train_loss);
-    assert_eq!(rank0.final_ppl(), plain.final_ppl());
-    assert!(via_faults[1].is_ok());
 }
 
 #[test]
@@ -148,7 +116,7 @@ fn plan_targeting_rank_outside_world_is_rejected_eagerly() {
     ];
     for (i, plan) in plans.into_iter().enumerate() {
         let expect_rank = [4, 7, 5, 6][i];
-        let results = with_watchdog(move || train_with_faults(&cfg(4), UNLIMITED, &plan));
+        let results = with_watchdog(move || run(&cfg(4), &faulted(plan)).ranks);
         assert_eq!(results.len(), 4);
         for res in &results {
             match res {
@@ -162,7 +130,7 @@ fn plan_targeting_rank_outside_world_is_rejected_eagerly() {
     // A plan whose highest target is in range still runs.
     let ok = with_watchdog(|| {
         let plan = FaultPlan::none().straggle(3, Duration::from_millis(1));
-        train_with_faults(&cfg(4), UNLIMITED, &plan)
+        run(&cfg(4), &faulted(plan)).ranks
     });
     assert!(ok.iter().all(|r| r.is_ok()));
 }
@@ -171,19 +139,16 @@ fn plan_targeting_rank_outside_world_is_rejected_eagerly() {
 fn invalid_compression_scale_is_rejected_eagerly() {
     // A scale the FP16 wire cannot use (the collectives assert it is
     // positive and finite) used to panic inside every rank thread and
-    // out of `train()`. It must be a typed error on every rank, on
-    // both exchange paths, before any thread spawns.
+    // out of the entry point. It must be a typed error on every rank
+    // and out of the collapse, on both exchange paths, before any
+    // thread spawns.
     for scale in [0.0f32, -512.0, f32::NAN, f32::INFINITY] {
         for unique in [false, true] {
             let mut cfg = cfg(4);
             cfg.method.unique = unique;
             cfg.method.compression = Some(scale);
-            let (results, collapsed) = with_watchdog(move || {
-                (
-                    train_with_faults(&cfg, UNLIMITED, &FaultPlan::none()),
-                    train(&cfg),
-                )
-            });
+            let outcome = with_watchdog(move || run(&cfg, &RunOptions::default()));
+            let (results, collapsed) = (outcome.ranks.clone(), outcome.report());
             assert_eq!(results.len(), 4);
             for res in results.into_iter().chain([collapsed]) {
                 match res {
@@ -199,13 +164,16 @@ fn invalid_compression_scale_is_rejected_eagerly() {
 
 #[test]
 fn oom_root_cause_beats_peer_failure_echoes() {
-    // The error-priority contract documented on `train_with_memory_limit`:
+    // The error-priority contract documented on `RunOutcome::report`:
     // when one rank OOMs, the other ranks' PeerFailure echoes must never
     // win the collapse — callers see the root cause.
     let err = with_watchdog(|| {
-        let c = cfg(4);
         // Tight symmetric limit: some rank OOMs, the rest echo.
-        train_with_memory_limit(&c, 200_000).unwrap_err()
+        let opts = RunOptions {
+            gpu_mem_bytes: 200_000,
+            ..RunOptions::default()
+        };
+        run(&cfg(4), &opts).report().unwrap_err()
     });
     match err {
         TrainError::Oom(_) => {}
@@ -213,23 +181,28 @@ fn oom_root_cause_beats_peer_failure_echoes() {
     }
     // Same contract for the asymmetric case, where exactly one rank
     // holds the root cause and three hold echoes.
-    let err = with_watchdog(|| {
-        let c = cfg(4);
+    let outcome = with_watchdog(|| {
         let plan = FaultPlan::none().limit_rank_memory(1, 10_000);
-        let results = train_with_faults(&c, UNLIMITED, &plan);
-        let mut peer = None;
-        for res in &results {
-            match res {
-                Err(TrainError::PeerFailure { .. }) if peer.is_none() => {
-                    peer = Some(res.clone().unwrap_err());
-                }
-                Err(e) if !matches!(e, TrainError::PeerFailure { .. }) => return e.clone(),
-                _ => {}
-            }
-        }
-        peer.expect("some rank must fail")
+        run(&cfg(4), &faulted(plan))
     });
+    let echoes = outcome
+        .ranks
+        .iter()
+        .filter(|r| matches!(r, Err(TrainError::PeerFailure { .. })))
+        .count();
+    assert_eq!(echoes, 3);
+    let err = outcome.report().unwrap_err();
     assert!(matches!(err, TrainError::Oom(_)), "got {err:?}");
+    // And an injected kill with no concrete cause anywhere collapses to
+    // the PeerFailure naming the killed rank.
+    let err = with_watchdog(|| {
+        let plan = FaultPlan::none().kill_rank(2, 2);
+        run(&cfg(4), &faulted(plan)).report().unwrap_err()
+    });
+    assert!(
+        matches!(err, TrainError::PeerFailure { rank: 2, .. }),
+        "got {err:?}"
+    );
 }
 
 #[test]
@@ -237,7 +210,7 @@ fn kill_at_step_zero_fails_before_any_progress() {
     // Degenerate corner: the rank dies before its first collective.
     let results = with_watchdog(|| {
         let plan = FaultPlan::none().kill_rank(0, 0);
-        train_with_faults(&cfg(3), UNLIMITED, &plan)
+        run(&cfg(3), &faulted(plan)).ranks
     });
     for res in &results {
         match res {

@@ -7,29 +7,15 @@
 //! `fault_injection.rs` / `pool_scaling.rs`: a metrics-induced deadlock
 //! (e.g. wait-tracking interacting with the barrier) must fail fast.
 
+mod common;
+
+use common::{faulted, with_watchdog};
 use simgpu::FaultPlan;
-use std::sync::mpsc;
 use std::time::Duration;
 use zipf_lm::{
-    train, train_with_faults, CheckpointConfig, CommConfig, HealthEvent, Method, MetricsConfig,
-    MetricsRegistry, ModelKind, RunSummary, TraceConfig, TrainConfig,
+    run, train, CheckpointConfig, CommConfig, HealthEvent, Method, MetricsConfig, MetricsRegistry,
+    ModelKind, RunOptions, RunSummary, TraceConfig, TrainConfig,
 };
-
-const WATCHDOG_SECS: u64 = 120;
-
-/// Unconstrained device capacity (mirrors the trainer's own default).
-const UNLIMITED: u64 = u64::MAX / 4;
-
-fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    // Deliberately not scoped: if `f` deadlocks, the thread is leaked
-    // and the test fails fast instead of blocking the harness.
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_secs(WATCHDOG_SECS))
-        .expect("watchdog expired: metrics run deadlocked")
-}
 
 /// Small-but-real shape that still finishes at world 192.
 fn cfg(gpus: usize) -> TrainConfig {
@@ -108,7 +94,7 @@ fn run_summary_quantiles_ordered_at_world_192() {
 /// registry level, on real training output.
 #[test]
 fn fleet_registry_equals_manual_merge_of_all_ranks() {
-    let results = with_watchdog(|| train_with_faults(&cfg(4), UNLIMITED, &FaultPlan::none()));
+    let results = with_watchdog(|| run(&cfg(4), &RunOptions::default()).ranks);
     let reports: Vec<_> = results
         .into_iter()
         .map(|r| r.expect("rank report"))
@@ -138,7 +124,7 @@ fn health_monitor_names_injected_straggler_rank() {
     c.steps_per_epoch = 6;
     c.tokens = 30_000;
     let plan = FaultPlan::none().straggle(1, Duration::from_millis(2));
-    let results = with_watchdog(move || train_with_faults(&c, UNLIMITED, &plan));
+    let results = with_watchdog(move || run(&c, &faulted(plan)).ranks);
     for (r, res) in results.iter().enumerate() {
         let rep = res.as_ref().expect("rank report");
         let stragglers: Vec<_> = rep

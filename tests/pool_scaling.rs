@@ -8,34 +8,17 @@
 //! Everything that *would* hang on a scheduling regression runs under
 //! the same watchdog idiom as `fault_injection.rs`.
 
+mod common;
+
+use common::{faulted, with_watchdog};
 use simgpu::{CommGroup, FaultPlan, Topology, Wire};
-use std::sync::mpsc;
-use std::time::Duration;
 use zipf_lm::{
-    train, train_with_faults, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind,
-    TraceConfig, TrainConfig, TrainError,
+    run, train, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, TraceConfig,
+    TrainConfig, TrainError,
 };
-
-/// CI backstop: a lost wakeup or pool starvation would otherwise hang
-/// `cargo test` forever.
-const WATCHDOG_SECS: u64 = 120;
-
-/// Unconstrained device capacity (mirrors the trainer's own default).
-const UNLIMITED: u64 = u64::MAX / 4;
 
 /// Run slots for every pooled scenario — far below the worlds tested.
 const POOL: usize = 8;
-
-fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    // Deliberately not scoped: if `f` deadlocks, the thread is leaked
-    // and the test fails fast instead of blocking the harness.
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_secs(WATCHDOG_SECS))
-        .expect("watchdog expired: bounded pool deadlocked or starved")
-}
 
 fn cfg(gpus: usize, comm: CommConfig) -> TrainConfig {
     TrainConfig {
@@ -110,7 +93,7 @@ fn world_192_hierarchical_pooled_matches_flat_bitwise() {
 #[test]
 fn world_192_concurrency_never_exceeds_pool_cap() {
     let peak = with_watchdog(|| {
-        let ranks = CommGroup::create_pooled(192, 8, POOL);
+        let ranks = CommGroup::create_full(192, 8, POOL, None);
         let gate = ranks[0].run_gate().expect("pooled group exposes its gate");
         let outs = simgpu::run_ranks(ranks, |rank| {
             let mut v = vec![rank.rank() as f32; 16];
@@ -147,7 +130,7 @@ fn killing_node_leader_poisons_both_tiers_at_world_16() {
             ..CommConfig::flat()
         };
         let plan = FaultPlan::none().kill_rank(4, 1);
-        train_with_faults(&cfg(16, comm), UNLIMITED, &plan)
+        run(&cfg(16, comm), &faulted(plan)).ranks
     });
     assert_eq!(results.len(), 16);
     for (r, res) in results.iter().enumerate() {

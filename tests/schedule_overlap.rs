@@ -6,15 +6,14 @@
 //! by both bucketing and overlap, and the simulated-timeline exporter
 //! must actually show comm spans running concurrently with compute.
 
+mod common;
+
 use simgpu::FaultPlan;
 use std::time::Duration;
 use zipf_lm::{
-    train, train_with_faults, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind,
-    SimStream, TraceConfig, TrainConfig, TrainReport,
+    run, train, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, SimStream,
+    TraceConfig, TrainConfig, TrainReport,
 };
-
-/// `trainer::UNLIMITED` is private; same headroom trick as elsewhere.
-const UNLIMITED: u64 = u64::MAX / 4;
 
 /// Small enough to slice every payload in these configs into several
 /// buckets, large enough to keep op counts reasonable.
@@ -64,7 +63,8 @@ fn char_cfg(gpus: usize, comm: CommConfig) -> TrainConfig {
 }
 
 fn run_all(cfg: &TrainConfig, plan: &FaultPlan) -> Vec<TrainReport> {
-    train_with_faults(cfg, UNLIMITED, plan)
+    run(cfg, &common::faulted(plan.clone()))
+        .ranks
         .into_iter()
         .map(|r| r.expect("rank failed"))
         .collect()

@@ -4,15 +4,14 @@
 //! the traffic recorder's, and injected straggler skew must land on the
 //! victims — never on the straggler itself.
 
+mod common;
+
 use simgpu::{FaultPlan, SpanKind};
 use std::time::Duration;
 use zipf_lm::{
-    train_with_faults, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, TraceConfig,
-    TrainConfig, TrainReport,
+    CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, TraceConfig, TrainConfig,
+    TrainReport,
 };
-
-/// `trainer::UNLIMITED` is private; same headroom trick.
-const UNLIMITED: u64 = u64::MAX / 4;
 
 fn traced_cfg(gpus: usize) -> TrainConfig {
     TrainConfig {
@@ -35,7 +34,8 @@ fn traced_cfg(gpus: usize) -> TrainConfig {
 }
 
 fn run(cfg: &TrainConfig, plan: &FaultPlan) -> Vec<TrainReport> {
-    train_with_faults(cfg, UNLIMITED, plan)
+    zipf_lm::run(cfg, &common::faulted(plan.clone()))
+        .ranks
         .into_iter()
         .map(|r| r.expect("rank failed"))
         .collect()

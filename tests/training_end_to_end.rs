@@ -2,9 +2,8 @@
 //! §V (Figures 5, 7, 8 and the compression-accuracy spot checks), run on
 //! small configurations.
 
-use simgpu::FaultPlan;
 use zipf_lm::{
-    train, train_with_faults, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind,
+    run, train, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, RunOptions,
     SeedStrategy, TraceConfig, TrainConfig,
 };
 
@@ -153,7 +152,8 @@ fn synchronized_step_metrics_agree_across_ranks() {
     cfg.gpus = 4;
     cfg.steps_per_epoch = 5;
     cfg.epochs = 1;
-    let reps: Vec<_> = train_with_faults(&cfg, u64::MAX / 4, &FaultPlan::none())
+    let reps: Vec<_> = run(&cfg, &RunOptions::default())
+        .ranks
         .into_iter()
         .map(|r| r.expect("rank failed"))
         .collect();
