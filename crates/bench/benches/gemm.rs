@@ -1,7 +1,15 @@
-//! Times `tensor::Matrix`'s three products at the GEMM shapes of the
-//! four `e2e` workloads and prints GFLOP/s beside each time. The model
-//! step is GEMM-bound (§V, Table II), so this is the number to read
-//! before and after touching `tensor::matrix`.
+//! Times `tensor::Matrix`'s products at the GEMM shapes of the four
+//! `e2e` workloads and prints GFLOP/s beside each time. The model step
+//! is GEMM-bound (§V, Table II), so this is the number to read before
+//! and after touching `tensor::matrix`.
+//!
+//! The first line printed is the tile width the kernel selected on this
+//! host (`tensor::matrix::kernel_width`): the same binary runs a 2×16,
+//! 4×16 or 16×16 tile depending on what the CPU reports, so a number
+//! without its width says little. The word LM's recurrence issues two
+//! of its products in place — `Z[t] += h·Wh` against a `Wh` packed once
+//! per sequence, `dWh += hᵀ·dz` with an accumulate store — so those two
+//! shapes are timed that way too, next to the allocating call.
 //!
 //! Run pinned to one CPU (`taskset -c 1 cargo bench -p zlm-bench --bench
 //! gemm`): the kernel is sequential, and `e2e` measures it the same way.
@@ -10,26 +18,35 @@ use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use tensor::{init, Matrix};
+use tensor::{init, Matrix, PackedB, Rhs, Store};
 
 /// `(m, k, n)` of `C[m×n] = Σ_k`, named by the workload that issues it.
 const SHAPES: &[(&str, usize, usize, usize)] = &[
-    ("word_compute x·Wx", 16, 64, 1024),
+    ("word_compute x·Wx (one step)", 16, 64, 1024),
     ("word_compute dz·Whᵀ", 16, 1024, 256),
     ("word_exchange x·Wx", 512, 512, 16),
     ("word_exchange dz·Whᵀ", 512, 16, 4),
     ("char_weak s·R", 1, 48, 48),
     ("word_compute eval h·Eᵀ", 320, 64, 4000),
+    ("word_compute X·Wx (all steps)", 320, 64, 1024),
+    ("word_compute DZ·Wxᵀ (all steps)", 320, 1024, 64),
 ];
 
-/// Times `product` under `id` and prints its GFLOP/s for `flops` per call.
-fn time(group: &mut BenchmarkGroup<'_>, id: &str, flops: f64, product: impl Fn() -> Matrix) {
+/// The two per-timestep products of the LSTM recurrence, also timed
+/// through `Matrix::gemm_rows` as `nn::lstm` issues them.
+const RECURRENT: &[(&str, usize, usize, usize)] = &[
+    ("word_compute h·Wh", 16, 256, 1024),
+    ("word_compute hᵀ·dz", 256, 16, 1024),
+];
+
+/// Times `call` under `id` and prints its GFLOP/s for `flops` per call.
+fn time<T>(group: &mut BenchmarkGroup<'_>, id: &str, flops: f64, mut call: impl FnMut() -> T) {
     let mut secs_per_call = 0.0;
     group.bench_function(id, |bench| {
         bench.iter_custom(|iters| {
             let t0 = Instant::now();
             for _ in 0..iters {
-                std::hint::black_box(product());
+                std::hint::black_box(call());
             }
             let dt = t0.elapsed();
             secs_per_call = dt.as_secs_f64() / iters as f64;
@@ -39,31 +56,59 @@ fn time(group: &mut BenchmarkGroup<'_>, id: &str, flops: f64, product: impl Fn()
     println!("{:<40} {:.2} GFLOP/s", "", flops / secs_per_call / 1e9);
 }
 
+/// The same logical `m×k×n` product through each allocating entry point.
+fn time_products(group: &mut BenchmarkGroup<'_>, a: &Matrix, b: &Matrix) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (at, bt) = (a.transpose(), b.transpose());
+    let flops = 2.0 * (m * k * n) as f64;
+    let shape = format!("{m}x{k}x{n}");
+    time(group, &format!("matmul/{shape}"), flops, || a.matmul(b));
+    time(group, &format!("matmul_transpose_b/{shape}"), flops, || {
+        a.matmul_transpose_b(&bt)
+    });
+    time(group, &format!("transpose_a_matmul/{shape}"), flops, || {
+        at.transpose_a_matmul(b)
+    });
+}
+
 fn bench_gemm(c: &mut Criterion) {
+    println!("# kernel width: {}", tensor::matrix::kernel_width());
     let mut rng = StdRng::seed_from_u64(7);
     let mut group = c.benchmark_group("gemm");
-    for &(what, m, k, n) in SHAPES {
+    for &(what, m, k, n) in SHAPES.iter().chain(RECURRENT) {
         println!("# {what}");
         let a = init::uniform(&mut rng, m, k, 0.1);
         let b = init::uniform(&mut rng, k, n, 0.1);
-        // The same logical product through each entry point.
-        let (at, bt) = (a.transpose(), b.transpose());
+        time_products(&mut group, &a, &b);
+    }
+    for &(what, m, k, n) in RECURRENT {
+        println!("# {what}, in place");
+        // `A` and `C` are one timestep's rows of t-major matrices four
+        // steps long, as in the layer; `A` is stored transposed where the
+        // layer reads it transposed (`hᵀ`: m > k).
+        let step = 2;
+        let transposed = m > k;
+        let (a_rows, a_cols) = if transposed { (k, m) } else { (m, k) };
+        let a_all = init::uniform(&mut rng, 4 * a_rows, a_cols, 0.1);
+        let a = a_all.rows_view(step * a_rows..(step + 1) * a_rows);
+        let a = if transposed { a.t() } else { a };
+        let b = init::uniform(&mut rng, k, n, 0.1);
+        let packed = PackedB::new(b.view());
+        let mut c_all = Matrix::zeros(4 * m, n);
+        let rows = step * m..(step + 1) * m;
         let flops = 2.0 * (m * k * n) as f64;
         let shape = format!("{m}x{k}x{n}");
-        time(&mut group, &format!("matmul/{shape}"), flops, || {
-            a.matmul(&b)
+        time(&mut group, &format!("gemm_rows_set/{shape}"), flops, || {
+            c_all.gemm_rows(rows.clone(), a, Rhs::View(b.view()), Store::Set)
+        });
+        time(&mut group, &format!("gemm_rows_add/{shape}"), flops, || {
+            c_all.gemm_rows(rows.clone(), a, Rhs::View(b.view()), Store::Add)
         });
         time(
             &mut group,
-            &format!("matmul_transpose_b/{shape}"),
+            &format!("gemm_rows_add_packed/{shape}"),
             flops,
-            || a.matmul_transpose_b(&bt),
-        );
-        time(
-            &mut group,
-            &format!("transpose_a_matmul/{shape}"),
-            flops,
-            || at.transpose_a_matmul(&b),
+            || c_all.gemm_rows(rows.clone(), a, Rhs::Packed(&packed), Store::Add),
         );
     }
     group.finish();

@@ -7,6 +7,8 @@
 //! hours; Figure 6) use the calibrated `perfmodel`. The `repro` binary
 //! prints them in paper layout; integration tests assert their shapes.
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod experiments;
 pub mod table;

@@ -19,6 +19,8 @@
 //! * [`stats`] — Table I style corpus statistics (tokens, types, synthetic
 //!   surface bytes).
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod generator;
 pub mod profile;

@@ -98,6 +98,8 @@
 //! ([`TrainReport::run_summary`]) — the artifact the `bench-diff`
 //! regression gate compares across runs. See DESIGN.md §13.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod checkpoint;
 pub mod ckpt_disk;

@@ -663,14 +663,8 @@ impl Replica {
 
     fn param_bytes(&self) -> u64 {
         let params = match self {
-            Replica::Word(m) => {
-                let c = m.config();
-                m.dense_param_count() + c.vocab * (c.embed_dim + c.proj_dim)
-            }
-            Replica::Char(m) => {
-                let c = m.config();
-                m.dense_param_count() + c.vocab * c.embed_dim
-            }
+            Replica::Word(m) => m.param_vector_len(),
+            Replica::Char(m) => m.param_vector_len(),
         };
         // Parameters + gradients + optimizer scratch, FP32.
         (params as u64) * 4 * 3

@@ -16,12 +16,13 @@
 //! by ALLGATHER (baseline) or the uniqueness scheme, while all other
 //! parameters produce dense gradients exchanged by ALLREDUCE.
 
+#![forbid(unsafe_code)]
+
 pub mod dropout;
 pub mod embedding;
 pub mod linear;
 pub mod loss_scale;
 pub mod lstm;
-pub mod lstm_stack;
 pub mod model;
 pub mod optimizer;
 pub mod rhn;
@@ -32,7 +33,6 @@ pub use embedding::{Embedding, SparseGrad};
 pub use linear::Linear;
 pub use loss_scale::DynamicLossScaler;
 pub use lstm::LstmLayer;
-pub use lstm_stack::LstmStack;
 pub use model::{CharLm, CharLmGrads, WordLm, WordLmGrads};
 pub use optimizer::{Adam, Sgd};
 pub use rhn::RhnLayer;

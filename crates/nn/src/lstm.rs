@@ -1,22 +1,41 @@
 //! LSTM layer with truncated-BPTT backward — the word LM's recurrent
 //! core (§IV-B: "one LSTM layer with 2048 cells").
 //!
-//! Processing is timestep-major: the layer consumes one `b×D` input per
-//! step and runs the standard cell
+//! The layer runs the standard cell
 //!
 //! ```text
-//! z = x_t·Wx + h_{t−1}·Wh + b          (b×4H, gate order [i f g o])
+//! z = x_t·Wx + h_{t−1}·Wh + b          (B×4H, gate order [i f g o])
 //! i, f, o = σ(·);  g = tanh(·)
 //! c_t = f ∘ c_{t−1} + i ∘ g
 //! h_t = o ∘ tanh(c_t)
 //! ```
 //!
-//! State is zero-initialised per window (truncated BPTT over the
-//! `seq_len`-token windows the batcher produces). The forget-gate bias is
-//! initialised to 1, the standard trick for gradient flow.
+//! over a whole sequence held in **t-major contiguous matrices**: step
+//! `t`'s `B` lanes are rows `t·B..(t+1)·B` of a `(T·B)×·` matrix, which
+//! is how the embedding produces its output and the projection consumes
+//! its input, so nothing is reshaped on the way in or out. That layout
+//! lets the GEMMs be issued the cheap way round, with every bit equal to
+//! the per-timestep formulation (kept as the tests' reference):
+//!
+//! * the input products leave the recurrence — `Z = X·Wx` forward and
+//!   `DX = DZ·Wxᵀ` backward are one product each over all `T·B` rows
+//!   (rows of a product are independent sums);
+//! * `Wh` (forward) and `Whᵀ` (backward) are packed once per sequence
+//!   ([`PackedB`]) instead of once per step; a pack lives for one call,
+//!   so there is nothing to invalidate when the weights change;
+//! * `Z[t] += h_{t−1}·Wh`, `dWx += x_tᵀ·dz_t` and `dWh += h_{t−1}ᵀ·dz_t`
+//!   accumulate in place ([`Store::Add`]) on row-range views — no
+//!   temporary, no second pass. The weight gradients stay **per step, in
+//!   descending `t`**: one `k = T·B` product would sum over `t` in a
+//!   different association and move the low bits.
+//!
+//! `Z` is activated in place and *is* the gate cache. State is
+//! zero-initialised per window (truncated BPTT over the `seq_len`-token
+//! windows the batcher produces). The forget-gate bias is initialised to
+//! 1, the standard trick for gradient flow.
 
 use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid};
-use tensor::{init, Matrix};
+use tensor::{init, Matrix, PackedB, Rhs, Store};
 
 /// One LSTM layer's parameters.
 #[derive(Debug, Clone)]
@@ -27,18 +46,20 @@ pub struct LstmLayer {
     hidden: usize,
 }
 
-/// Forward-pass activations kept for backward.
+/// Forward-pass activations kept for backward, all t-major.
 #[derive(Debug)]
 pub struct LstmCache {
-    /// Inputs per step (`b×D`).
-    xs: Vec<Matrix>,
-    /// Post-activation gates per step (`b×4H`, order [i f g o]).
-    gates: Vec<Matrix>,
-    /// Cell states per step (`b×H`), including the initial zero state at
-    /// index 0 (so `cs[t+1]` is the state after step `t`).
-    cs: Vec<Matrix>,
+    /// Lanes per step `B`.
+    batch: usize,
+    /// Inputs (`(T·B)×D`).
+    xs: Matrix,
+    /// Post-activation gates (`(T·B)×4H`, order [i f g o]).
+    gates: Matrix,
+    /// Cell states (`((T+1)·B)×H`): block 0 is the initial zero state,
+    /// block `t+1` the state after step `t`.
+    cs: Matrix,
     /// Hidden states, same indexing as `cs`.
-    hs: Vec<Matrix>,
+    hs: Matrix,
 }
 
 /// Dense gradients of an [`LstmLayer`].
@@ -89,90 +110,90 @@ impl LstmLayer {
         }
     }
 
-    /// Runs the layer over `xs` (one `b×D` matrix per step) from zero
-    /// state; returns per-step hidden states and the backward cache.
-    pub fn forward(&self, xs: &[Matrix]) -> (Vec<Matrix>, LstmCache) {
+    /// Runs the layer from zero state over the t-major `(T·B)×D` inputs
+    /// `xs` (`batch` = `B` lanes per step); returns the t-major `(T·B)×H`
+    /// hidden states and the backward cache, which takes `xs`.
+    pub fn forward(&self, xs: Matrix, batch: usize) -> (Matrix, LstmCache) {
         assert!(!xs.is_empty(), "empty sequence");
-        let b = xs[0].rows();
-        let h = self.hidden;
-        let mut cache = LstmCache {
-            xs: xs.to_vec(),
-            gates: Vec::with_capacity(xs.len()),
-            cs: vec![Matrix::zeros(b, h)],
-            hs: vec![Matrix::zeros(b, h)],
-        };
-        for x in xs {
-            assert_eq!(x.rows(), b, "inconsistent batch size");
-            assert_eq!(x.cols(), self.input_dim(), "input dim mismatch");
-            let h_prev = cache.hs.last().unwrap();
-            let c_prev = cache.cs.last().unwrap();
+        assert_eq!(xs.rows() % batch, 0, "rows are not whole steps");
+        assert_eq!(xs.cols(), self.input_dim(), "input dim mismatch");
+        let (b, h) = (batch, self.hidden);
+        let steps = xs.rows() / b;
 
-            let mut z = x.matmul(&self.wx);
-            let zh = h_prev.matmul(&self.wh);
-            z.add_assign(&zh);
-            z.add_row_bias(&self.b);
-
-            // Activate in place: [i f g o].
-            let mut c_t = Matrix::zeros(b, h);
-            let mut h_t = Matrix::zeros(b, h);
-            for r in 0..b {
+        let mut z = xs.matmul(&self.wx);
+        let wh = PackedB::new(self.wh.view());
+        let mut cs = Matrix::zeros((steps + 1) * b, h);
+        let mut hs = Matrix::zeros((steps + 1) * b, h);
+        for t in 0..steps {
+            let step = t * b..(t + 1) * b;
+            // Block `t` of `hs` is h_{t−1}; the step writes block `t+1`.
+            let h_prev = hs.rows_view(step.clone());
+            z.gemm_rows(step.clone(), h_prev, Rhs::Packed(&wh), Store::Add);
+            for r in step {
                 let zr = z.row_mut(r);
+                for (x, &bias) in zr.iter_mut().zip(&self.b) {
+                    *x += bias;
+                }
+                // Activate in place: [i f g o].
                 for j in 0..h {
                     zr[j] = sigmoid(zr[j]); // i
                     zr[h + j] = sigmoid(zr[h + j]); // f
                     zr[2 * h + j] = zr[2 * h + j].tanh(); // g
                     zr[3 * h + j] = sigmoid(zr[3 * h + j]); // o
                 }
-                let cp = c_prev.row(r);
-                let cr = c_t.row_mut(r);
+                let (c_prev, c_t) = cs.as_mut_slice()[r * h..(r + b + 1) * h].split_at_mut(b * h);
+                let (cp, cr) = (&c_prev[..h], &mut c_t[..h]);
                 for j in 0..h {
                     cr[j] = zr[h + j] * cp[j] + zr[j] * zr[2 * h + j];
                 }
-                let hr = h_t.row_mut(r);
+                let hr = hs.row_mut(r + b);
                 for j in 0..h {
                     hr[j] = zr[3 * h + j] * cr[j].tanh();
                 }
             }
-            cache.gates.push(z);
-            cache.cs.push(c_t);
-            cache.hs.push(h_t);
         }
-        let hs_out = cache.hs[1..].to_vec();
-        (hs_out, cache)
+        let h_all = Matrix::from_vec(steps * b, h, hs.as_slice()[b * h..].to_vec());
+        let cache = LstmCache {
+            batch,
+            xs,
+            gates: z,
+            cs,
+            hs,
+        };
+        (h_all, cache)
     }
 
-    /// Back-propagates per-step upstream gradients `dhs` through the
-    /// cached forward pass; returns per-step input gradients and the
-    /// parameter gradients.
-    pub fn backward(&self, cache: &LstmCache, dhs: &[Matrix]) -> (Vec<Matrix>, LstmGrads) {
-        let steps = cache.gates.len();
-        assert_eq!(dhs.len(), steps, "upstream step count mismatch");
-        let b = cache.xs[0].rows();
-        let h = self.hidden;
+    /// Back-propagates the t-major `(T·B)×H` upstream gradients `dh_all`
+    /// through the cached forward pass; returns the t-major `(T·B)×D`
+    /// input gradients and the parameter gradients.
+    pub fn backward(&self, cache: &LstmCache, dh_all: &Matrix) -> (Matrix, LstmGrads) {
+        let (b, h) = (cache.batch, self.hidden);
+        let steps = cache.gates.rows() / b;
+        assert_eq!(
+            (dh_all.rows(), dh_all.cols()),
+            (steps * b, h),
+            "upstream shape mismatch"
+        );
 
         let mut grads = self.zero_grads();
-        let mut dxs: Vec<Matrix> = (0..steps)
-            .map(|_| Matrix::zeros(b, self.input_dim()))
-            .collect();
+        let wh_t = PackedB::new(self.wh.view().t());
+        // Pre-activation gate gradients of every step, layout [i f g o].
+        let mut dz = Matrix::zeros(steps * b, 4 * h);
         let mut dh_carry = Matrix::zeros(b, h);
         let mut dc_carry = Matrix::zeros(b, h);
+        let mut db_step = vec![0.0f32; 4 * h];
 
         for t in (0..steps).rev() {
-            let gates = &cache.gates[t];
-            let c_t = &cache.cs[t + 1];
-            let c_prev = &cache.cs[t];
-            let h_prev = &cache.hs[t];
-
-            // dz holds pre-activation gate gradients, layout [i f g o];
-            // the same pass leaves dc_{t−1} = dc · f in `dc_carry`.
-            let mut dz = Matrix::zeros(b, 4 * h);
-            for r in 0..b {
-                let g = gates.row(r);
-                let ct = c_t.row(r);
-                let cp = c_prev.row(r);
-                let dh_up = dhs[t].row(r);
-                let dh_c = dh_carry.row(r);
-                let dc_c = dc_carry.row_mut(r);
+            let step = t * b..(t + 1) * b;
+            // The same pass leaves dc_{t−1} = dc · f in `dc_carry`.
+            for lane in 0..b {
+                let r = t * b + lane;
+                let g = cache.gates.row(r);
+                let ct = cache.cs.row(r + b);
+                let cp = cache.cs.row(r);
+                let dh_up = dh_all.row(r);
+                let dh_c = dh_carry.row(lane);
+                let dc_c = dc_carry.row_mut(lane);
                 let dzr = dz.row_mut(r);
                 for j in 0..h {
                     let dh = dh_up[j] + dh_c[j];
@@ -192,16 +213,31 @@ impl LstmLayer {
                 }
             }
 
-            // Parameter and input gradients.
-            grads.dwx.add_assign(&cache.xs[t].transpose_a_matmul(&dz));
-            grads.dwh.add_assign(&h_prev.transpose_a_matmul(&dz));
-            for (acc, v) in grads.db.iter_mut().zip(dz.sum_rows()) {
+            // Parameter gradients, one step's term at a time so the sum
+            // over `t` associates as it always has.
+            let dz_t = dz.rows_view(step.clone());
+            let x_t = cache.xs.rows_view(step.clone());
+            let h_prev = cache.hs.rows_view(step.clone());
+            let d = self.input_dim();
+            grads
+                .dwx
+                .gemm_rows(0..d, x_t.t(), Rhs::View(dz_t), Store::Add);
+            grads
+                .dwh
+                .gemm_rows(0..h, h_prev.t(), Rhs::View(dz_t), Store::Add);
+            db_step.fill(0.0);
+            for r in step {
+                for (s, &v) in db_step.iter_mut().zip(dz.row(r)) {
+                    *s += v;
+                }
+            }
+            for (acc, &v) in grads.db.iter_mut().zip(&db_step) {
                 *acc += v;
             }
-            dxs[t] = dz.matmul_transpose_b(&self.wx);
-            dh_carry = dz.matmul_transpose_b(&self.wh);
+            dh_carry.gemm_rows(0..b, dz_t, Rhs::Packed(&wh_t), Store::Set);
         }
-        (dxs, grads)
+        let dx_all = dz.matmul_transpose_b(&self.wx);
+        (dx_all, grads)
     }
 
     /// SGD step.
@@ -272,25 +308,194 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn rand_steps(rng: &mut StdRng, t: usize, b: usize, d: usize) -> Vec<Matrix> {
-        (0..t)
-            .map(|_| Matrix::from_vec(b, d, (0..b * d).map(|_| rng.gen_range(-1.0..1.0)).collect()))
-            .collect()
+    /// A t-major `(t·b)×d` sequence, uniform in `(-1, 1)`.
+    fn rand_seq(rng: &mut StdRng, t: usize, b: usize, d: usize) -> Matrix {
+        Matrix::from_vec(
+            t * b,
+            d,
+            (0..t * b * d).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        )
     }
 
-    fn sq_loss(hs: &[Matrix]) -> f64 {
-        hs.iter().map(|h| h.norm_sq() / 2.0).sum()
+    fn sq_loss(h_all: &Matrix) -> f64 {
+        h_all.norm_sq() / 2.0
+    }
+
+    /// Rows `t·b..(t+1)·b` of a t-major matrix as a matrix of their own.
+    fn step_of(all: &Matrix, t: usize, b: usize) -> Matrix {
+        let cols = all.cols();
+        Matrix::from_vec(
+            b,
+            cols,
+            all.as_slice()[t * b * cols..(t + 1) * b * cols].to_vec(),
+        )
+    }
+
+    /// The per-timestep formulation the layer used before it moved onto
+    /// t-major matrices: one `b×D` matrix per step, every GEMM allocating,
+    /// `Wx`/`Wh` re-packed inside each call. Kept as the bit reference.
+    struct Reference {
+        xs: Vec<Matrix>,
+        gates: Vec<Matrix>,
+        cs: Vec<Matrix>,
+        hs: Vec<Matrix>,
+    }
+
+    fn reference_forward(layer: &LstmLayer, xs: &[Matrix]) -> Reference {
+        let b = xs[0].rows();
+        let h = layer.hidden;
+        let mut cache = Reference {
+            xs: xs.to_vec(),
+            gates: Vec::new(),
+            cs: vec![Matrix::zeros(b, h)],
+            hs: vec![Matrix::zeros(b, h)],
+        };
+        for x in xs {
+            let h_prev = cache.hs.last().unwrap();
+            let c_prev = cache.cs.last().unwrap();
+            let mut z = x.matmul(&layer.wx);
+            let zh = h_prev.matmul(&layer.wh);
+            z.add_assign(&zh);
+            z.add_row_bias(&layer.b);
+            let mut c_t = Matrix::zeros(b, h);
+            let mut h_t = Matrix::zeros(b, h);
+            for r in 0..b {
+                let zr = z.row_mut(r);
+                for j in 0..h {
+                    zr[j] = sigmoid(zr[j]);
+                    zr[h + j] = sigmoid(zr[h + j]);
+                    zr[2 * h + j] = zr[2 * h + j].tanh();
+                    zr[3 * h + j] = sigmoid(zr[3 * h + j]);
+                }
+                let cp = c_prev.row(r);
+                let cr = c_t.row_mut(r);
+                for j in 0..h {
+                    cr[j] = zr[h + j] * cp[j] + zr[j] * zr[2 * h + j];
+                }
+                let hr = h_t.row_mut(r);
+                for j in 0..h {
+                    hr[j] = zr[3 * h + j] * cr[j].tanh();
+                }
+            }
+            cache.gates.push(z);
+            cache.cs.push(c_t);
+            cache.hs.push(h_t);
+        }
+        cache
+    }
+
+    fn reference_backward(
+        layer: &LstmLayer,
+        cache: &Reference,
+        dhs: &[Matrix],
+    ) -> (Vec<Matrix>, LstmGrads) {
+        let steps = cache.gates.len();
+        let b = cache.xs[0].rows();
+        let h = layer.hidden;
+        let mut grads = layer.zero_grads();
+        let mut dxs = vec![Matrix::zeros(0, 0); steps];
+        let mut dh_carry = Matrix::zeros(b, h);
+        let mut dc_carry = Matrix::zeros(b, h);
+        for t in (0..steps).rev() {
+            let gates = &cache.gates[t];
+            let (c_t, c_prev, h_prev) = (&cache.cs[t + 1], &cache.cs[t], &cache.hs[t]);
+            let mut dz = Matrix::zeros(b, 4 * h);
+            for r in 0..b {
+                let g = gates.row(r);
+                let (ct, cp) = (c_t.row(r), c_prev.row(r));
+                let (dh_up, dh_c) = (dhs[t].row(r), dh_carry.row(r));
+                let dc_c = dc_carry.row_mut(r);
+                let dzr = dz.row_mut(r);
+                for j in 0..h {
+                    let dh = dh_up[j] + dh_c[j];
+                    let tc = ct[j].tanh();
+                    let o = g[3 * h + j];
+                    let d_o = dh * tc;
+                    let dc = dh * o * dtanh_from_y(tc) + dc_c[j];
+                    let (i, f, gg) = (g[j], g[h + j], g[2 * h + j]);
+                    dzr[j] = dc * gg * dsigmoid_from_y(i);
+                    dzr[h + j] = dc * cp[j] * dsigmoid_from_y(f);
+                    dzr[2 * h + j] = dc * i * dtanh_from_y(gg);
+                    dzr[3 * h + j] = d_o * dsigmoid_from_y(o);
+                    dc_c[j] = dc * f;
+                }
+            }
+            grads.dwx.add_assign(&cache.xs[t].transpose_a_matmul(&dz));
+            grads.dwh.add_assign(&h_prev.transpose_a_matmul(&dz));
+            for (acc, v) in grads.db.iter_mut().zip(dz.sum_rows()) {
+                *acc += v;
+            }
+            dxs[t] = dz.matmul_transpose_b(&layer.wx);
+            dh_carry = dz.matmul_transpose_b(&layer.wh);
+        }
+        (dxs, grads)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn bit_identical_to_the_per_timestep_reference() {
+        // (T, B, D, H): the two e2e word shapes, then T = 1, B = 1, H
+        // not a multiple of the 16-wide panel, and everything odd.
+        let shapes = [
+            (20, 16, 64, 256),
+            (4, 512, 512, 4),
+            (1, 3, 5, 8),
+            (6, 1, 4, 16),
+            (3, 2, 7, 5),
+            (5, 17, 3, 19),
+        ];
+        for (seed, &(t, b, d, h)) in shapes.iter().enumerate() {
+            let shape = format!("T{t} B{b} D{d} H{h}");
+            let mut rng = StdRng::seed_from_u64(100 + seed as u64);
+            let layer = LstmLayer::new(&mut rng, d, h);
+            let x_all = rand_seq(&mut rng, t, b, d);
+            let dh_all = rand_seq(&mut rng, t, b, h);
+            let xs: Vec<Matrix> = (0..t).map(|s| step_of(&x_all, s, b)).collect();
+            let dhs: Vec<Matrix> = (0..t).map(|s| step_of(&dh_all, s, b)).collect();
+
+            let reference = reference_forward(&layer, &xs);
+            let (want_dxs, want) = reference_backward(&layer, &reference, &dhs);
+            let (h_all, cache) = layer.forward(x_all, b);
+            let (dx_all, got) = layer.backward(&cache, &dh_all);
+
+            assert_eq!((h_all.rows(), h_all.cols()), (t * b, h), "{shape}");
+            assert_eq!((dx_all.rows(), dx_all.cols()), (t * b, d), "{shape}");
+            // The reference's per-step matrices, laid end to end, are the
+            // t-major matrix.
+            let flat = |steps: &[Matrix]| -> Vec<u32> {
+                steps.iter().flat_map(|m| bits(m.as_slice())).collect()
+            };
+            assert_eq!(
+                bits(h_all.as_slice()),
+                flat(&reference.hs[1..]),
+                "{shape}: h"
+            );
+            assert_eq!(bits(dx_all.as_slice()), flat(&want_dxs), "{shape}: dx");
+            assert_eq!(
+                bits(got.dwx.as_slice()),
+                bits(want.dwx.as_slice()),
+                "{shape}: dwx"
+            );
+            assert_eq!(
+                bits(got.dwh.as_slice()),
+                bits(want.dwh.as_slice()),
+                "{shape}: dwh"
+            );
+            assert_eq!(bits(&got.db), bits(&want.db), "{shape}: db");
+        }
     }
 
     #[test]
     fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(1);
         let layer = LstmLayer::new(&mut rng, 3, 5);
-        let xs = rand_steps(&mut rng, 4, 2, 3);
-        let (hs, _) = layer.forward(&xs);
-        assert_eq!(hs.len(), 4);
-        assert_eq!(hs[0].rows(), 2);
-        assert_eq!(hs[0].cols(), 5);
+        let xs = rand_seq(&mut rng, 4, 2, 3);
+        let (h_all, _) = layer.forward(xs, 2);
+        assert_eq!(h_all.rows(), 4 * 2);
+        assert_eq!(h_all.cols(), 5);
     }
 
     #[test]
@@ -299,11 +504,9 @@ mod tests {
         // tanh(c) is in (−1, 1) and o in (0, 1).
         let mut rng = StdRng::seed_from_u64(2);
         let layer = LstmLayer::new(&mut rng, 4, 6);
-        let xs = rand_steps(&mut rng, 20, 3, 4);
-        let (hs, _) = layer.forward(&xs);
-        for h in &hs {
-            assert!(h.as_slice().iter().all(|&v| v.abs() < 1.0));
-        }
+        let xs = rand_seq(&mut rng, 20, 3, 4);
+        let (h_all, _) = layer.forward(xs, 3);
+        assert!(h_all.as_slice().iter().all(|&v| v.abs() < 1.0));
     }
 
     #[test]
@@ -317,16 +520,14 @@ mod tests {
     fn gradients_match_numerical() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut layer = LstmLayer::new(&mut rng, 3, 4);
-        let xs = rand_steps(&mut rng, 3, 2, 3);
-        let (hs, cache) = layer.forward(&xs);
-        let dhs: Vec<Matrix> = hs.clone(); // loss = Σ‖h‖²/2 ⇒ dL/dh = h
-        let (dxs, grads) = layer.backward(&cache, &dhs);
+        let (steps, b, d) = (3, 2, 3);
+        let xs = rand_seq(&mut rng, steps, b, d);
+        let (h_all, cache) = layer.forward(xs.clone(), b);
+        // loss = Σ‖h‖²/2 ⇒ dL/dh = h
+        let (dx_all, grads) = layer.backward(&cache, &h_all);
 
         let eps = 1e-3f32;
-        let loss_of = |l: &LstmLayer, xs: &[Matrix]| {
-            let (hs, _) = l.forward(xs);
-            sq_loss(&hs)
-        };
+        let loss_of = |l: &LstmLayer, xs: &Matrix| sq_loss(&l.forward(xs.clone(), b).0);
 
         // Wx probes.
         for i in [0usize, 5, 20, 47] {
@@ -364,15 +565,16 @@ mod tests {
             assert!((grads.db[i] - num).abs() < 3e-2, "db[{i}]");
         }
         // Input probes across timesteps.
-        for t in 0..3 {
+        for t in 0..steps {
             for i in [0usize, 3] {
-                let mut xs2: Vec<Matrix> = xs.clone();
-                xs2[t].as_mut_slice()[i] += eps;
+                let at = t * b * d + i;
+                let mut xs2 = xs.clone();
+                xs2.as_mut_slice()[at] += eps;
                 let lp = loss_of(&layer, &xs2);
-                xs2[t].as_mut_slice()[i] -= 2.0 * eps;
+                xs2.as_mut_slice()[at] -= 2.0 * eps;
                 let lm = loss_of(&layer, &xs2);
                 let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
-                let ana = dxs[t].as_slice()[i];
+                let ana = dx_all.as_slice()[at];
                 assert!((ana - num).abs() < 3e-2, "dx[{t}][{i}]: {ana} vs {num}");
             }
         }
@@ -382,25 +584,23 @@ mod tests {
     fn training_reduces_state_norm() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut layer = LstmLayer::new(&mut rng, 3, 4);
-        let xs = rand_steps(&mut rng, 5, 4, 3);
-        let (hs0, _) = layer.forward(&xs);
-        let before = sq_loss(&hs0);
+        let xs = rand_seq(&mut rng, 5, 4, 3);
+        let before = sq_loss(&layer.forward(xs.clone(), 4).0);
         for _ in 0..30 {
-            let (hs, cache) = layer.forward(&xs);
-            let (_, grads) = layer.backward(&cache, &hs);
+            let (h_all, cache) = layer.forward(xs.clone(), 4);
+            let (_, grads) = layer.backward(&cache, &h_all);
             layer.apply(&grads, 0.1);
         }
-        let (hs1, _) = layer.forward(&xs);
-        assert!(sq_loss(&hs1) < before * 0.5);
+        assert!(sq_loss(&layer.forward(xs, 4).0) < before * 0.5);
     }
 
     #[test]
     fn flatten_round_trip() {
         let mut rng = StdRng::seed_from_u64(9);
         let layer = LstmLayer::new(&mut rng, 3, 4);
-        let xs = rand_steps(&mut rng, 2, 2, 3);
-        let (hs, cache) = layer.forward(&xs);
-        let (_, grads) = layer.backward(&cache, &hs);
+        let xs = rand_seq(&mut rng, 2, 2, 3);
+        let (h_all, cache) = layer.forward(xs, 2);
+        let (_, grads) = layer.backward(&cache, &h_all);
         let mut flat = Vec::new();
         LstmLayer::flatten_grads(&grads, &mut flat);
         assert_eq!(flat.len(), layer.param_count());

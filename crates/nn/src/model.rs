@@ -14,7 +14,7 @@
 
 use crate::embedding::{Embedding, SparseGrad};
 use crate::linear::{Linear, LinearGrads};
-use crate::lstm::LstmLayer;
+use crate::lstm::{LstmCache, LstmLayer};
 use crate::rhn::RhnLayer;
 use crate::sampled_softmax::{full_softmax_eval_loss, SampledSoftmax};
 use crate::softmax::softmax_cross_entropy;
@@ -178,11 +178,6 @@ impl WordLm {
         self.lstm.param_count() + self.proj.param_count()
     }
 
-    /// Total parameters including both embedding tables.
-    pub fn param_count(&self) -> usize {
-        self.dense_param_count() + 2 * self.cfg.vocab * self.cfg.embed_dim.max(self.cfg.proj_dim)
-    }
-
     /// Forward + backward with candidates drawn from `rng`.
     pub fn forward_backward<R: Rng + ?Sized>(&self, batch: &SeqBatch, rng: &mut R) -> WordLmGrads {
         let cands = self.softmax.draw_candidates(rng);
@@ -196,7 +191,7 @@ impl WordLm {
         batch: &SeqBatch,
         candidates: Vec<u32>,
     ) -> WordLmGrads {
-        let (p_all, h_all, cache, xs_shape) = self.forward_hidden(batch);
+        let (p_all, h_all, cache) = self.forward_hidden(batch);
         let out = self.softmax.forward_backward_with_candidates(
             &p_all,
             &batch.targets,
@@ -204,33 +199,10 @@ impl WordLm {
             candidates,
         );
 
-        // Back through projection.
+        // Back through projection and LSTM; every matrix is t-major, in
+        // the order of `batch.tokens`.
         let (dh_all, proj_grads) = self.proj.backward(&h_all, &out.dh);
-
-        // Back through LSTM (split t-major rows back into steps).
-        let dhs: Vec<Matrix> = (0..batch.steps)
-            .map(|t| {
-                let mut m = Matrix::zeros(batch.batch, self.cfg.hidden);
-                for lane in 0..batch.batch {
-                    m.row_mut(lane)
-                        .copy_from_slice(dh_all.row(t * batch.batch + lane));
-                }
-                m
-            })
-            .collect();
-        let (dxs, lstm_grads) = self.lstm.backward(&cache, &dhs);
-        let _ = xs_shape;
-
-        // Input-embedding gradient in token order (t-major, matching
-        // batch.tokens).
-        let mut dx_all = Matrix::zeros(batch.len(), self.cfg.embed_dim);
-        for (t, dx) in dxs.iter().enumerate() {
-            for lane in 0..batch.batch {
-                dx_all
-                    .row_mut(t * batch.batch + lane)
-                    .copy_from_slice(dx.row(lane));
-            }
-        }
+        let (dx_all, lstm_grads) = self.lstm.backward(&cache, &dh_all);
         let input_grad = self.embed.backward(&batch.tokens, dx_all);
 
         let mut dense = Vec::with_capacity(self.dense_param_count());
@@ -248,7 +220,7 @@ impl WordLm {
 
     /// Full-softmax validation loss (mean NLL, nats).
     pub fn eval_loss(&self, batch: &SeqBatch) -> f64 {
-        let (p_all, _, _, _) = self.forward_hidden(batch);
+        let (p_all, _, _) = self.forward_hidden(batch);
         full_softmax_eval_loss(&p_all, &batch.targets, &self.out_embed)
     }
 
@@ -307,24 +279,14 @@ impl WordLm {
         self.proj.apply(&proj_grads, lr);
     }
 
-    /// Shared forward pass: returns `(projection output, lstm output
-    /// concat, lstm cache, step count)` with rows in t-major order.
-    fn forward_hidden(&self, batch: &SeqBatch) -> (Matrix, Matrix, crate::lstm::LstmCache, usize) {
+    /// Shared forward pass: returns `(projection output, lstm output,
+    /// lstm cache)` with rows in t-major order.
+    fn forward_hidden(&self, batch: &SeqBatch) -> (Matrix, Matrix, LstmCache) {
         assert!(!batch.is_empty(), "empty batch");
-        let xs: Vec<Matrix> = (0..batch.steps)
-            .map(|t| self.embed.forward(batch.step_tokens(t)))
-            .collect();
-        let (hs, cache) = self.lstm.forward(&xs);
-        let mut h_all = Matrix::zeros(batch.len(), self.cfg.hidden);
-        for (t, h) in hs.iter().enumerate() {
-            for lane in 0..batch.batch {
-                h_all
-                    .row_mut(t * batch.batch + lane)
-                    .copy_from_slice(h.row(lane));
-            }
-        }
+        let x_all = self.embed.forward(&batch.tokens);
+        let (h_all, cache) = self.lstm.forward(x_all, batch.batch);
         let p_all = self.proj.forward(&h_all);
-        (p_all, h_all, cache, batch.steps)
+        (p_all, h_all, cache)
     }
 }
 
@@ -669,6 +631,32 @@ mod tests {
             src.eval_loss(&batch).to_bits(),
             dst.eval_loss(&batch).to_bits()
         );
+    }
+
+    #[test]
+    fn param_vector_len_counts_each_table_at_its_own_width() {
+        // D ≠ P: the input table is V×D, the output table V×P.
+        let cfg = WordLmConfig {
+            vocab: 50,
+            embed_dim: 12,
+            hidden: 6,
+            proj_dim: 4,
+            samples: 8,
+        };
+        let m = WordLm::new(1, cfg);
+        let lstm = 12 * 24 + 6 * 24 + 24;
+        let proj = 6 * 4 + 4;
+        assert_eq!(m.dense_param_count(), lstm + proj);
+        assert_eq!(m.param_vector_len(), lstm + proj + 50 * (12 + 4));
+        assert_eq!(m.param_vector().len(), m.param_vector_len());
+
+        let cfg = CharLmConfig::small(40);
+        let m = CharLm::new(1, cfg);
+        assert_eq!(
+            m.param_vector_len(),
+            m.dense_param_count() + 40 * cfg.embed_dim
+        );
+        assert_eq!(m.param_vector().len(), m.param_vector_len());
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! * [`charlm`] — Table IV and the Table V weak-scaling run.
 //! * [`memory`] — the §III-A worked example (35.2 GB → 0.137 GB).
 
+#![forbid(unsafe_code)]
+
 pub mod charlm;
 pub mod law;
 pub mod memory;

@@ -47,6 +47,8 @@
 //! volume is measured, not assumed — and split per interconnect
 //! [`traffic::Tier`] (PCIe within a node, Infiniband between nodes).
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod comm;
 pub mod cost;

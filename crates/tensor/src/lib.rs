@@ -3,9 +3,13 @@
 //! The paper trains LSTM / RHN language models in TensorFlow on GPUs; we
 //! need just enough linear algebra to train the same architectures on CPU:
 //!
-//! * [`Matrix`] — row-major `f32` matrices whose three products share
-//!   one sequential register-tiled GEMM kernel (the CPU stand-in for a
-//!   CUDA thread-block kernel; ranks, not kernels, are the threads).
+//! * [`Matrix`] — row-major `f32` matrices whose products — three
+//!   allocating ones and the in-place [`Matrix::gemm_rows`] over operand
+//!   [`View`]s, a pack-once [`PackedB`] and a [`Store`] mode — share one
+//!   sequential register-tiled GEMM kernel, run at the widest vector
+//!   unit the CPU reports and bit-identical at every width (the CPU
+//!   stand-in for a CUDA thread-block kernel; ranks, not kernels, are
+//!   the threads).
 //! * [`ops`] — numerically-stable softmax / log-sum-exp and the pointwise
 //!   nonlinearities LSTM/RHN need.
 //! * [`f16`] — bit-exact software IEEE-754 binary16 with round-to-nearest-
@@ -13,10 +17,14 @@
 //! * [`init`] — seeded uniform / Xavier initialisers so every experiment
 //!   is reproducible.
 
+// `matrix` alone opts back in, for its `#[target_feature]` tiles; every
+// other crate of the workspace forbids it outright.
+#![deny(unsafe_code)]
+
 pub mod f16;
 pub mod init;
 pub mod matrix;
 pub mod ops;
 
 pub use f16::F16;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, PackedB, Rhs, Store, View};

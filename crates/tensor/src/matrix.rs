@@ -1,24 +1,49 @@
 //! Row-major `f32` matrices and their GEMM.
 //!
 //! The hot paths in LM training are `activations × weights` products; on a
-//! GPU these run as thread-block kernels, here all three products
-//! (`A·B`, `A·Bᵀ`, `Aᵀ·B`) run through one sequential register-tiled
-//! kernel, [`gemm`]: an `MR×NR` block of `C` stays in registers across
-//! the whole `k` loop and `B` is read once per `MR`-row block instead of
-//! once per row. The kernel spawns no threads — a simulated GPU rank is
-//! already the unit of host parallelism.
+//! GPU these run as thread-block kernels, here every product — the three
+//! allocating ones (`A·B`, `A·Bᵀ`, `Aᵀ·B`) and the in-place
+//! [`Matrix::gemm_rows`] — runs through one sequential register-tiled
+//! driver, [`gemm`]: per 16-column panel of `B` it walks `C` in `R×16`
+//! tiles whose sums stay in registers across the whole `k` loop. The
+//! kernel spawns no threads — a simulated GPU rank is already the unit of
+//! host parallelism.
 //!
-//! Every `C[i][j]` is accumulated from `+0.0` in ascending `p` with a
-//! separate multiply and add, whatever the tile shape, so the three
-//! products agree with each other and with a textbook triple loop to the
-//! bit. Nothing is skipped: a zero in `A` against an `inf`/`NaN` in `B`
-//! yields `NaN` (IEEE `0·inf`), which is what a loss-scaling overflow
-//! check needs to see.
+//! **Width.** The tile is instantiated at the widest vector unit the CPU
+//! reports ([`Width`]; CPUID only — no build flag, feature or option
+//! selects it): a `16×16` tile of explicit AVX-512F multiplies and adds,
+//! the generic tile body at `4×16` compiled under `avx2`, or the same
+//! body at `2×16` for the build's baseline ISA. The per-width code is the
+//! tile's inner `p` loop and nothing else.
+//!
+//! **Order.** Every `C[i][j]` is one lane accumulated from `+0.0` in
+//! ascending `p` with a separate multiply and add — never a fused one —
+//! whatever the tile shape, so all widths and all operand layouts agree
+//! with each other and with a textbook triple loop to the bit. Nothing is
+//! skipped: a zero in `A` against an `inf`/`NaN` in `B` yields `NaN`
+//! (IEEE `0·inf`), which is what a loss-scaling overflow check needs to
+//! see.
+//!
+//! **In place.** [`Matrix::gemm_rows`] writes a row range of an existing
+//! matrix from operand [`View`]s (a row range of a stored matrix,
+//! optionally transposed — no copy) and a right operand that is either a
+//! view or a [`PackedB`] (its panels, built once and reused), under a
+//! [`Store`] mode: `Add` stores `C[i][j] + s` where `s` is the very sum
+//! from `+0.0` that `Set` would store, so it is bitwise
+//! `c.add_assign(&a.matmul(b))` without the temporary or the second pass.
+//!
+//! This module holds the workspace's only `unsafe`: the calls into the
+//! `#[target_feature]` tiles (the feature was detected first), the
+//! AVX-512 tile's 512-bit loads and stores (each pointer comes from a
+//! slice of exactly sixteen floats) and its unchecked reads of `A` (the
+//! largest index is asserted once per tile).
+
+#![allow(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 use std::fmt;
+use std::ops::Range;
 
-/// Rows of `C` one tile keeps in registers.
-const MR: usize = 2;
 /// Columns of `C` one tile keeps in registers (the width of a `B` panel).
 const NR: usize = 16;
 
@@ -157,12 +182,12 @@ impl Matrix {
 
     /// `C = A · B` where `A` is `m×k`, `B` is `k×n`.
     ///
-    /// All three products share one kernel: each `C[i][j]` is summed from
+    /// All products share one kernel: each `C[i][j]` is summed from
     /// `+0.0` in ascending `p`, and non-finite values propagate (a zero
     /// in `A` does not mask an `inf` or `NaN` in `B`).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimension mismatch");
-        gemm(self.view(), other.view())
+        product(self.view(), other.view())
     }
 
     /// `C = A · Bᵀ` where `A` is `m×k`, `B` is `n×k`. Used by output
@@ -170,20 +195,43 @@ impl Matrix {
     /// and by every `dz · Wᵀ` of the backward passes.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "inner dimension mismatch");
-        gemm(self.view(), other.view().t())
+        product(self.view(), other.view().t())
     }
 
     /// `C = Aᵀ · B` where `A` is `k×m`, `B` is `k×n`. Used by weight
     /// gradients (`dW = xᵀ · dy`).
     pub fn transpose_a_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "inner dimension mismatch");
-        gemm(self.view().t(), other.view())
+        product(self.view().t(), other.view())
     }
 
-    fn view(&self) -> View<'_> {
+    /// `self[rows] = a · b` ([`Store::Set`]) or `self[rows] += a · b`
+    /// ([`Store::Add`]), in place: the entry the three allocating
+    /// products wrap. `a` is `rows.len()×k`; `b` ([`Rhs`]: a [`View`] or
+    /// a [`PackedB`]) is `k×self.cols()`. `Add` adds each finished sum to
+    /// what `C` held, so it equals `add_assign(&a.matmul(b))` to the bit.
+    pub fn gemm_rows(&mut self, rows: Range<usize>, a: View<'_>, b: Rhs<'_>, store: Store) {
+        assert_eq!(a.rows, rows.len(), "row count mismatch");
+        assert_eq!(a.cols, b.rows(), "inner dimension mismatch");
+        assert_eq!(b.cols(), self.cols, "column count mismatch");
+        let c = &mut self.data[rows.start * self.cols..rows.end * self.cols];
+        match store {
+            Store::Set => gemm::<false>(Width::detect(), c, a, b),
+            Store::Add => gemm::<true>(Width::detect(), c, a, b),
+        }
+    }
+
+    /// The whole matrix as a GEMM operand.
+    pub fn view(&self) -> View<'_> {
+        self.rows_view(0..self.rows)
+    }
+
+    /// Rows `rows` as a GEMM operand, without a copy: step `t`'s `B×D`
+    /// block of a t-major `(T·B)×D` matrix is `rows_view(t*B..(t+1)*B)`.
+    pub fn rows_view(&self, rows: Range<usize>) -> View<'_> {
         View {
-            data: &self.data,
-            rows: self.rows,
+            data: &self.data[rows.start * self.cols..rows.end * self.cols],
+            rows: rows.len(),
             cols: self.cols,
             row_stride: self.cols,
             col_stride: 1,
@@ -234,11 +282,14 @@ impl Matrix {
     }
 }
 
-/// A strided read-only view of a stored matrix: element `(r, c)` is
-/// `data[r * row_stride + c * col_stride]`. Transposing swaps the
-/// strides, which is how the three products reach one kernel.
+/// A strided read-only view of (a row range of) a stored matrix: element
+/// `(r, c)` is `data[r * row_stride + c * col_stride]`. Transposing swaps
+/// the strides, which is how every operand layout reaches one kernel.
+///
+/// Built only by [`Matrix::view`], [`Matrix::rows_view`] and [`View::t`],
+/// so `data` always holds exactly `rows × cols` elements.
 #[derive(Clone, Copy)]
-struct View<'a> {
+pub struct View<'a> {
     data: &'a [f32],
     rows: usize,
     cols: usize,
@@ -247,7 +298,8 @@ struct View<'a> {
 }
 
 impl View<'_> {
-    fn t(self) -> Self {
+    /// The transpose of this view (no data moves).
+    pub fn t(self) -> Self {
         View {
             rows: self.cols,
             cols: self.rows,
@@ -275,33 +327,218 @@ impl View<'_> {
     }
 }
 
-/// `C = A · B` over strided views; the one accumulation loop behind
-/// [`Matrix::matmul`], [`Matrix::matmul_transpose_b`] and
-/// [`Matrix::transpose_a_matmul`].
-fn gemm(a: View<'_>, b: View<'_>) -> Matrix {
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    debug_assert_eq!(k, b.rows);
-    let mut out = Matrix::zeros(m, n);
-    let mut panel = vec![0.0f32; k * NR];
-    for j0 in (0..n).step_by(NR) {
-        let w = NR.min(n - j0);
-        b.pack_panel(j0, w, &mut panel);
-        for i0 in (0..m).step_by(MR) {
-            let c_block = &mut out.data[i0 * n + j0..];
-            // MR = 2 leaves a one-row remainder at most.
-            match m - i0 {
-                1 => tile::<1>(a, i0, &panel, c_block, n, w),
-                _ => tile::<MR>(a, i0, &panel, c_block, n, w),
-            }
+/// A right operand packed once: all `⌈n/16⌉` panels of a `k×n` view,
+/// each the contiguous zero-padded `k×16` block the tile loop reads.
+/// What [`gemm`] otherwise builds per call and per panel; worth keeping
+/// when the same `B` meets many left operands, as a recurrent weight
+/// does at every timestep. Pack `m.view()` for `A·M`, `m.view().t()` for
+/// `A·Mᵀ`.
+#[derive(Debug)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedB {
+    /// Packs every panel of `b`.
+    pub fn new(b: View<'_>) -> Self {
+        let (k, n) = (b.rows, b.cols);
+        let mut panels = vec![0.0f32; n.div_ceil(NR) * k * NR];
+        // `k = 0` packs nothing; `max(1)` only keeps `chunks_mut` legal.
+        for (j0, panel) in (0..n).step_by(NR).zip(panels.chunks_mut((k * NR).max(1))) {
+            b.pack_panel(j0, NR.min(n - j0), panel);
+        }
+        Self { k, n, panels }
+    }
+
+    /// The panel of columns `j0..j0 + 16`: panels are `k·NR` floats each,
+    /// so number `j0 / NR` starts at `j0 · k`.
+    fn panel(&self, j0: usize) -> &[f32] {
+        &self.panels[j0 * self.k..(j0 + NR) * self.k]
+    }
+}
+
+/// The right operand of [`Matrix::gemm_rows`]: packed per call from a
+/// view, or packed beforehand.
+#[derive(Clone, Copy)]
+pub enum Rhs<'a> {
+    /// Pack each panel as the product reaches it.
+    View(View<'a>),
+    /// Read the panels of a [`PackedB`].
+    Packed(&'a PackedB),
+}
+
+impl Rhs<'_> {
+    fn rows(&self) -> usize {
+        match self {
+            Rhs::View(v) => v.rows,
+            Rhs::Packed(p) => p.k,
         }
     }
+
+    fn cols(&self) -> usize {
+        match self {
+            Rhs::View(v) => v.cols,
+            Rhs::Packed(p) => p.n,
+        }
+    }
+}
+
+/// What [`Matrix::gemm_rows`] does with each finished sum.
+#[derive(Clone, Copy, Debug)]
+pub enum Store {
+    /// `C[i][j] = sum`.
+    Set,
+    /// `C[i][j] += sum`.
+    Add,
+}
+
+/// The vector unit the tile loop runs on. Chosen from what the CPU
+/// reports and nothing else; every width computes the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Width {
+    /// `2×16` tile compiled for the build's baseline ISA (on x86-64,
+    /// 128-bit SSE2). Every target has it; the tests' bit reference.
+    Portable,
+    /// `4×16` tile: the same body compiled under `avx2` (256-bit).
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// `16×16` tile of explicit AVX-512F multiplies and adds. Explicit
+    /// because LLVM prefers 256-bit vectors when it vectorises for
+    /// `avx512f` itself, which runs at the AVX2 rate.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Width {
+    /// Every width, widest first.
+    const ALL: &'static [Width] = &[
+        #[cfg(target_arch = "x86_64")]
+        Width::Avx512,
+        #[cfg(target_arch = "x86_64")]
+        Width::Avx2,
+        Width::Portable,
+    ];
+
+    /// Whether this CPU can run the width's tile. `std` executes CPUID
+    /// once per process and caches the answer, so this is a load and a
+    /// bit test.
+    fn supported(self) -> bool {
+        match self {
+            Width::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx512 => is_x86_feature_detected!("avx512f"),
+        }
+    }
+
+    /// The widest width this CPU supports.
+    fn detect() -> Width {
+        *Width::ALL
+            .iter()
+            .find(|w| w.supported())
+            .expect("the portable width is always supported")
+    }
+
+    /// Rows of a full tile.
+    fn tile_rows(self) -> usize {
+        match self {
+            Width::Portable => 2,
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2 => 4,
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx512 => 16,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Width::Portable => "portable 2x16 (baseline ISA)",
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2 => "avx2 4x16 (256-bit)",
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx512 => "avx512f 16x16 (512-bit)",
+        }
+    }
+}
+
+/// The tile the kernel selected on this host, for benchmark logs.
+pub fn kernel_width() -> &'static str {
+    Width::detect().name()
+}
+
+/// An allocating product: `a · b` into a fresh matrix.
+fn product(a: View<'_>, b: View<'_>) -> Matrix {
+    let mut out = Matrix::zeros(a.rows, b.cols);
+    out.gemm_rows(0..a.rows, a, Rhs::View(b), Store::Set);
     out
 }
 
+/// `C = A · B` (`ADD = false`) or `C += A · B` (`ADD = true`) over a
+/// row-major `m×n` block `c`; the one driver behind every product.
+/// Rows are walked in tiles of `width.tile_rows()`, then in halving
+/// power-of-two tiles over what is left.
+fn gemm<const ADD: bool>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>) {
+    let (m, k, n) = (a.rows, a.cols, b.cols());
+    debug_assert_eq!(k, b.rows());
+    debug_assert_eq!(c.len(), m * n);
+    assert!(width.supported(), "{width:?} tile on a CPU without it");
+    let mut buf = match b {
+        Rhs::View(_) => vec![0.0f32; k * NR],
+        Rhs::Packed(_) => Vec::new(),
+    };
+    for j0 in (0..n).step_by(NR) {
+        let w = NR.min(n - j0);
+        let panel = match b {
+            Rhs::View(v) => {
+                v.pack_panel(j0, w, &mut buf);
+                &buf
+            }
+            Rhs::Packed(p) => p.panel(j0),
+        };
+        let mut i0 = 0;
+        while i0 < m {
+            let r = 1 << width.tile_rows().min(m - i0).ilog2();
+            let c_block = &mut c[i0 * n + j0..];
+            match width {
+                Width::Portable => match r {
+                    2 => tile_portable::<2, ADD>(a, i0, panel, c_block, n, w),
+                    _ => tile_portable::<1, ADD>(a, i0, panel, c_block, n, w),
+                },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `width.supported()` was asserted on entry, so
+                // the CPU has the `avx2` these tiles are compiled for.
+                Width::Avx2 => unsafe {
+                    match r {
+                        4 => tile_avx2::<4, ADD>(a, i0, panel, c_block, n, w),
+                        2 => tile_avx2::<2, ADD>(a, i0, panel, c_block, n, w),
+                        _ => tile_avx2::<1, ADD>(a, i0, panel, c_block, n, w),
+                    }
+                },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `width.supported()` was asserted on entry, so
+                // the CPU has the `avx512f` these tiles are compiled for.
+                Width::Avx512 => unsafe {
+                    match r {
+                        16 => tile_avx512::<16, ADD>(a, i0, panel, c_block, n, w),
+                        8 => tile_avx512::<8, ADD>(a, i0, panel, c_block, n, w),
+                        4 => tile_avx512::<4, ADD>(a, i0, panel, c_block, n, w),
+                        2 => tile_avx512::<2, ADD>(a, i0, panel, c_block, n, w),
+                        _ => tile_avx512::<1, ADD>(a, i0, panel, c_block, n, w),
+                    }
+                },
+            }
+            i0 += r;
+        }
+    }
+}
+
 /// One `R×NR` tile of `C`: `R·NR` independent sums, each advanced once
-/// per `p` in ascending order. Writes the first `w` columns.
+/// per `p` in ascending order, then stored to the first `w` columns.
 #[inline(always)]
-fn tile<const R: usize>(
+fn tile<const R: usize, const ADD: bool>(
     a: View<'_>,
     i0: usize,
     panel: &[f32],
@@ -321,9 +558,104 @@ fn tile<const R: usize>(
             }
         }
     }
+    store_tile::<R, ADD>(&acc, c_block, c_stride, w);
+}
+
+/// The tile's epilogue. The store mode is a const parameter so that the
+/// autovectorised tiles see one straight-line loop nest each: the issue's
+/// prototype took it as a runtime flag and measured the portable tile at
+/// 15 instead of 18–21 GFLOP/s.
+#[inline(always)]
+fn store_tile<const R: usize, const ADD: bool>(
+    acc: &[[f32; NR]; R],
+    c_block: &mut [f32],
+    c_stride: usize,
+    w: usize,
+) {
     for (i, acc_row) in acc.iter().enumerate() {
-        c_block[i * c_stride..][..w].copy_from_slice(&acc_row[..w]);
+        let c_row = &mut c_block[i * c_stride..][..w];
+        if ADD {
+            for (c, s) in c_row.iter_mut().zip(acc_row) {
+                *c += s;
+            }
+        } else {
+            c_row.copy_from_slice(&acc_row[..w]);
+        }
     }
+}
+
+/// [`tile`] compiled for the build's baseline ISA. A function of its own
+/// like the other widths': inlined into the driver's dispatch, the
+/// accumulators spilled every `p` (5–7 instead of 18–21 GFLOP/s).
+#[inline(never)]
+fn tile_portable<const R: usize, const ADD: bool>(
+    a: View<'_>,
+    i0: usize,
+    panel: &[f32],
+    c_block: &mut [f32],
+    c_stride: usize,
+    w: usize,
+) {
+    tile::<R, ADD>(a, i0, panel, c_block, c_stride, w);
+}
+
+/// [`tile`] compiled with 256-bit vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tile_avx2<const R: usize, const ADD: bool>(
+    a: View<'_>,
+    i0: usize,
+    panel: &[f32],
+    c_block: &mut [f32],
+    c_stride: usize,
+    w: usize,
+) {
+    tile::<R, ADD>(a, i0, panel, c_block, c_stride, w);
+}
+
+/// [`tile`] with one 512-bit register per row of the tile: the same
+/// lane-per-`C[i][j]` sums in the same order, multiply then add.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tile_avx512<const R: usize, const ADD: bool>(
+    a: View<'_>,
+    i0: usize,
+    panel: &[f32],
+    c_block: &mut [f32],
+    c_stride: usize,
+    w: usize,
+) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    let mut acc = [_mm512_setzero_ps(); R];
+    // The largest `A` index the loop below forms, checked once here
+    // instead of `R` times per `p`: with the checks inside, the
+    // recurrence's `16×256×1024` product ran at 57 instead of 77 GFLOP/s.
+    let k = panel.len() / NR;
+    assert!(k == 0 || (i0 + R - 1) * a.row_stride + (k - 1) * a.col_stride < a.data.len());
+    for (p, b_row) in panel.chunks_exact(NR).enumerate() {
+        // SAFETY: `chunks_exact(NR)` yields slices of exactly NR = 16
+        // floats, the 64 bytes an unaligned 512-bit load reads.
+        let b = unsafe { _mm512_loadu_ps(b_row.as_ptr()) };
+        for (i, acc_i) in acc.iter_mut().enumerate() {
+            // SAFETY: `i < R` and `p < k`, so the index is at most the
+            // one asserted to be inside `a.data` above.
+            let a_ip = unsafe {
+                *a.data
+                    .get_unchecked((i0 + i) * a.row_stride + p * a.col_stride)
+            };
+            *acc_i = _mm512_add_ps(*acc_i, _mm512_mul_ps(_mm512_set1_ps(a_ip), b));
+        }
+    }
+    let mut sums = [[0.0f32; NR]; R];
+    for (row, acc_i) in sums.iter_mut().zip(acc) {
+        // SAFETY: `row` is an array of exactly NR = 16 floats, the 64
+        // bytes an unaligned 512-bit store writes.
+        unsafe { _mm512_storeu_ps(row.as_mut_ptr(), acc_i) };
+    }
+    store_tile::<R, ADD>(&sums, c_block, c_stride, w);
 }
 
 #[cfg(test)]
@@ -374,22 +706,76 @@ mod tests {
         }
     }
 
-    /// All three products of an `m×k` by `k×n` pair against the in-order
-    /// reference, bit for bit.
+    /// The widths this host can run, portable first.
+    fn widths() -> Vec<Width> {
+        let mut all: Vec<Width> = Width::ALL
+            .iter()
+            .copied()
+            .filter(|w| w.supported())
+            .collect();
+        all.reverse();
+        assert_eq!(all[0], Width::Portable);
+        all
+    }
+
+    /// `a · b` on a forced tile width.
+    fn product_at(width: Width, a: View<'_>, b: Rhs<'_>) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols());
+        gemm::<false>(width, &mut out.data, a, b);
+        out
+    }
+
+    /// An `m×k` by `k×n` pair through every operand layout (stored,
+    /// transposed, packed once) on every width the host offers, against
+    /// the in-order reference and the portable tile, bit for bit; then
+    /// the three public products, which run at the detected width.
     fn check_products(m: usize, k: usize, n: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random(&mut rng, m, k);
         let b = random(&mut rng, k, n);
+        let (at, bt) = (a.transpose(), b.transpose());
         let want = naive_matmul(&a, &b);
+        let portable = product_at(Width::Portable, a.view(), Rhs::View(b.view()));
+        let packed = [PackedB::new(b.view()), PackedB::new(bt.view().t())];
+        for width in widths() {
+            let layouts = [
+                ("A·B", product_at(width, a.view(), Rhs::View(b.view()))),
+                (
+                    "A·(Bᵀ)ᵀ",
+                    product_at(width, a.view(), Rhs::View(bt.view().t())),
+                ),
+                (
+                    "(Aᵀ)ᵀ·B",
+                    product_at(width, at.view().t(), Rhs::View(b.view())),
+                ),
+                (
+                    "A·packed(B)",
+                    product_at(width, a.view(), Rhs::Packed(&packed[0])),
+                ),
+                (
+                    "A·packed((Bᵀ)ᵀ)",
+                    product_at(width, a.view(), Rhs::Packed(&packed[1])),
+                ),
+                (
+                    "(Aᵀ)ᵀ·packed(B)",
+                    product_at(width, at.view().t(), Rhs::Packed(&packed[0])),
+                ),
+            ];
+            for (layout, got) in &layouts {
+                let what = format!("{layout} {m}x{k}x{n} at {width:?}");
+                assert_bits_eq(got, &want, &what);
+                assert_bits_eq(got, &portable, &format!("{what} vs portable"));
+            }
+        }
         let shape = format!("{m}x{k}x{n}");
         assert_bits_eq(&a.matmul(&b), &want, &format!("matmul {shape}"));
         assert_bits_eq(
-            &a.matmul_transpose_b(&b.transpose()),
+            &a.matmul_transpose_b(&bt),
             &want,
             &format!("matmul_transpose_b {shape}"),
         );
         assert_bits_eq(
-            &a.transpose().transpose_a_matmul(&b),
+            &at.transpose_a_matmul(&b),
             &want,
             &format!("transpose_a_matmul {shape}"),
         );
@@ -435,7 +821,7 @@ mod tests {
     #[test]
     fn products_bit_identical_at_workload_and_edge_shapes() {
         // The e2e workloads' GEMMs as `m×k×n` (ᵀ marks the ones issued
-        // as `A·Bᵀ`; every shape is checked through all three products).
+        // as `A·Bᵀ`; every shape is checked through every layout).
         let workloads = [
             (16, 64, 1024),
             (16, 1024, 256), // ᵀ
@@ -444,14 +830,15 @@ mod tests {
             (1, 48, 48),
             (320, 64, 4000), // ᵀ
         ];
-        // k = 0, m < MR, m and n straddling a tile boundary.
-        let edges = [
-            (3, 0, 5),
-            (1, 1, 1),
-            (MR - 1, 7, NR - 1),
-            (MR + 1, 9, NR + 1),
-            (2 * MR + 3, 5, 2 * NR + 3),
-        ];
+        // k = 0; every remainder path of a 16-row tile (15 = 8+4+2+1,
+        // 17 and 33 = full tiles + 1) against n below, at and across a
+        // panel boundary.
+        let mut edges = vec![(3, 0, 5), (1, 1, 1)];
+        for m in [1, 15, 16, 17, 33] {
+            for n in [4, 17] {
+                edges.push((m, 9, n));
+            }
+        }
         for (seed, &(m, k, n)) in workloads.iter().chain(&edges).enumerate() {
             check_products(m, k, n, seed as u64);
         }
@@ -460,15 +847,23 @@ mod tests {
     #[test]
     fn non_finite_values_propagate_through_every_product() {
         // Row 0 of A is all zeros, row 1 all ones; B holds one inf and
-        // one NaN. 0·inf = NaN must reach C through all three products:
-        // a kernel that skips `a == 0.0` terms would mask it.
+        // one NaN. 0·inf = NaN must reach C through every layout on
+        // every width: a kernel that skips `a == 0.0` terms would mask it.
         let a = Matrix::from_vec(2, 2, vec![0., 0., 1., 1.]);
         let b = Matrix::from_vec(2, 3, vec![f32::INFINITY, 1., 2., 3., f32::NAN, 4.]);
-        let products = [
+        let (at, bt) = (a.transpose(), b.transpose());
+        let mut products = vec![
             a.matmul(&b),
-            a.matmul_transpose_b(&b.transpose()),
-            a.transpose().transpose_a_matmul(&b),
+            a.matmul_transpose_b(&bt),
+            at.transpose_a_matmul(&b),
         ];
+        for width in widths() {
+            products.push(product_at(width, a.view(), Rhs::View(b.view())));
+            products.push(product_at(width, a.view(), Rhs::View(bt.view().t())));
+            products.push(product_at(width, at.view().t(), Rhs::View(b.view())));
+            let packed = PackedB::new(b.view());
+            products.push(product_at(width, a.view(), Rhs::Packed(&packed)));
+        }
         for c in &products {
             assert!(c.get(0, 0).is_nan(), "0·inf masked: {}", c.get(0, 0));
             assert!(c.get(0, 1).is_nan(), "0·NaN masked: {}", c.get(0, 1));
@@ -478,6 +873,106 @@ mod tests {
             assert_eq!(c.get(1, 2), 6.0);
             assert!(!c.norm_sq().is_finite());
         }
+    }
+
+    #[test]
+    fn add_store_is_add_assign_of_the_product_bitwise() {
+        // `Add` into rows 3..3+m of a larger C, for every operand layout
+        // (row-range views into larger matrices included) on every
+        // width: equal to `add_assign(&matmul)` on those rows, and the
+        // rows outside the range untouched.
+        let mut rng = StdRng::seed_from_u64(42);
+        for (m, k, n) in [
+            (16, 256, 1024),
+            (5, 9, 17),
+            (33, 16, 4),
+            (1, 1, 1),
+            (2, 0, 3),
+        ] {
+            let big_a = random(&mut rng, m + 5, k);
+            let big_at = random(&mut rng, k + 2, m);
+            let b = random(&mut rng, k, n);
+            let bt = b.transpose();
+            let c0 = random(&mut rng, m + 4, n);
+            let packed = PackedB::new(b.view());
+            // (what, A as an m×k view, the same A as a stored matrix)
+            let a_rows = big_a.rows_view(2..2 + m);
+            let a_t = big_at.rows_view(1..1 + k).t();
+            let stored = |v: View<'_>| {
+                let mut out = Matrix::zeros(v.rows, v.cols);
+                for r in 0..v.rows {
+                    for c in 0..v.cols {
+                        out.set(r, c, v.data[r * v.row_stride + c * v.col_stride]);
+                    }
+                }
+                out
+            };
+            for (a_what, a) in [("rows of A", a_rows), ("(rows of Aᵀ)ᵀ", a_t)] {
+                let mut want = c0.clone();
+                let block = {
+                    let mut blk = Matrix::from_vec(m, n, c0.data[3 * n..(3 + m) * n].to_vec());
+                    blk.add_assign(&stored(a).matmul(&b));
+                    blk
+                };
+                want.data[3 * n..(3 + m) * n].copy_from_slice(&block.data);
+                let rhs: [(&str, Rhs<'_>); 3] = [
+                    ("B", Rhs::View(b.view())),
+                    ("(Bᵀ)ᵀ", Rhs::View(bt.view().t())),
+                    ("packed(B)", Rhs::Packed(&packed)),
+                ];
+                for width in widths() {
+                    for (b_what, b) in rhs {
+                        let mut c = c0.clone();
+                        gemm::<true>(width, &mut c.data[3 * n..(3 + m) * n], a, b);
+                        let what = format!("{a_what} · {b_what} {m}x{k}x{n} at {width:?}");
+                        assert_bits_eq(&c, &want, &what);
+                    }
+                }
+                // The public entry, at the detected width, both modes.
+                let mut c = c0.clone();
+                c.gemm_rows(3..3 + m, a, Rhs::Packed(&packed), Store::Add);
+                assert_bits_eq(&c, &want, &format!("gemm_rows Add {a_what}"));
+                c.gemm_rows(3..3 + m, a, Rhs::View(b.view()), Store::Set);
+                want.data[3 * n..(3 + m) * n].copy_from_slice(stored(a).matmul(&b).as_slice());
+                assert_bits_eq(&c, &want, &format!("gemm_rows Set {a_what}"));
+            }
+        }
+    }
+
+    #[test]
+    fn packed_b_holds_the_per_call_panels() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for (k, n) in [(256, 1024), (7, 17), (3, 4), (5, 32), (0, 5)] {
+            let m = random(&mut rng, k, n);
+            let mt = m.transpose();
+            let want: Vec<f32> = (0..n)
+                .step_by(NR)
+                .flat_map(|j0| {
+                    let mut panel = vec![f32::NAN; k * NR];
+                    m.view().pack_panel(j0, NR.min(n - j0), &mut panel);
+                    panel
+                })
+                .collect();
+            for (what, packed) in [
+                ("M", PackedB::new(m.view())),
+                ("(Mᵀ)ᵀ", PackedB::new(mt.view().t())),
+            ] {
+                assert_eq!((packed.k, packed.n), (k, n), "{what} {k}x{n}: shape");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&packed.panels), bits(&want), "{what} {k}x{n}: panels");
+                for j0 in (0..n).step_by(NR) {
+                    let panel = &want[j0 * k..(j0 + NR) * k];
+                    assert_eq!(bits(packed.panel(j0)), bits(panel), "{what}: panel at {j0}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inner dimension mismatch")]
+    fn gemm_rows_dimension_mismatch_panics() {
+        let (a, b) = (Matrix::zeros(2, 3), Matrix::zeros(2, 3));
+        Matrix::zeros(2, 3).gemm_rows(0..2, a.view(), Rhs::View(b.view()), Store::Set);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!   the `U = a·N^α` fits the paper reports (`a = 7.02`, `α = 0.64`,
 //!   `R² = 1.00`).
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod distribution;
 pub mod fit;
