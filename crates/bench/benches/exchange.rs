@@ -11,25 +11,21 @@
 //!   across iterations and reuse an [`ExchangeScratch`] pool, the way
 //!   `trainer` drives the exchange — the configuration the zero-alloc
 //!   hot path targets, at the paper-scale shape world=8, K=4096,
-//!   D=128. The three asserted guards (`trace_overhead`,
-//!   `metrics_overhead`, `run_pool_overhead`) compare variants of that
-//!   one step against each other within a run; the absolute host cost
-//!   of the exchange is tracked by the `e2e/` benchmark's
-//!   `lm.exchange.steady_ms`.
+//!   D=128. The one asserted guard (`run_pool_overhead`) compares that
+//!   step under a run pool against itself without one, within a run;
+//!   the absolute host cost of the exchange is tracked by the `e2e/`
+//!   benchmark's `lm.exchange.steady_ms`, the cost of tracing by its
+//!   `simgpu.trace.overhead_ratio`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nn::{Embedding, SparseGrad};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simgpu::{CommGroup, Rank};
-use std::sync::Mutex;
+use simgpu::CommGroup;
 use std::time::{Duration, Instant};
 use tensor::Matrix;
 use zipf::ZipfMandelbrot;
-use zipf_lm::{
-    exchange_and_apply_traced, exchange_and_apply_with, ExchangeConfig, ExchangeScratch,
-    PhaseTimings, StepObserver, StepSample, TimeAttribution,
-};
+use zipf_lm::{exchange_and_apply_with, ExchangeConfig, ExchangeScratch, PhaseTimings};
 
 // Per-call shape (kept small: each iteration pays thread spawns).
 const VOCAB: usize = 5_000;
@@ -81,118 +77,26 @@ fn run_exchange(world: usize, cfg: ExchangeConfig) {
 /// sized ≥ world every rank keeps its slot for the whole run, so the
 /// gate reduces to one uncontended acquire/release per rank and the
 /// loop must match the unpooled one (`0`) to within noise.
-fn steady_state(
-    world: usize,
-    pool_workers: usize,
-    iters: u64,
-    step: impl Fn(&Rank, &SparseGrad, &mut Embedding, &mut ExchangeScratch) + Sync,
-) -> Duration {
+fn steady_state(world: usize, pool_workers: usize, iters: u64) -> Duration {
     let ranks = CommGroup::create_full(world, world, pool_workers, None);
     let times = simgpu::run_ranks(ranks, |rank| {
         let mut table = Embedding::from_matrix(Matrix::zeros(SS_VOCAB, SS_DIM));
         let grad = zipfian_grad(rank.rank() as u64, SS_TOKENS, SS_VOCAB, SS_DIM);
         let mut scratch = ExchangeScratch::new();
-        step(&rank, &grad, &mut table, &mut scratch);
+        let cfg = ExchangeConfig::unique();
+        let mut step = || {
+            exchange_and_apply_with(&rank, &grad, &mut table, 0.1, &cfg, &mut scratch).unwrap();
+        };
+        step();
         rank.barrier().unwrap();
         let t0 = Instant::now();
         for _ in 0..iters {
-            step(&rank, &grad, &mut table, &mut scratch);
+            step();
         }
         rank.barrier().unwrap();
         t0.elapsed()
     });
     times.into_iter().max().unwrap_or_default()
-}
-
-fn pooled_step(
-    rank: &Rank,
-    grad: &SparseGrad,
-    table: &mut Embedding,
-    scratch: &mut ExchangeScratch,
-) {
-    exchange_and_apply_with(rank, grad, table, 0.1, &ExchangeConfig::unique(), scratch).unwrap();
-}
-
-/// The pooled step plus everything the trainer adds for fleet metrics
-/// when they are *disabled*: build the per-step [`StepSample`] from the
-/// exchange stats and hand it to a [`StepObserver::off()`]. This is the
-/// exact off-path shape `run_rank` executes per step under
-/// `MetricsConfig::off()`.
-fn metrics_off_step(
-    rank: &Rank,
-    grad: &SparseGrad,
-    table: &mut Embedding,
-    scratch: &mut ExchangeScratch,
-) {
-    let mut observer = StepObserver::off();
-    let stats = exchange_and_apply_with(rank, grad, table, 0.1, &ExchangeConfig::unique(), scratch)
-        .unwrap();
-    let attribution = TimeAttribution::default();
-    observer.on_step(&StepSample {
-        step: 0,
-        sim_time_ps: 0,
-        attribution: &attribution,
-        wire_bytes: stats.wire_bytes,
-        unique_global: stats.unique_global as u64,
-        codec_raw_bytes: stats.reduce_raw_bytes,
-        codec_enc_bytes: stats.reduce_enc_bytes,
-        work_ps: &[],
-        delay_ps: &[],
-        barrier_wait_wall_ns: 0,
-    });
-    std::hint::black_box(&observer);
-}
-
-/// The traced entry point with tracing *disabled* (`None` recorder) —
-/// the configuration the trainer uses whenever `TraceConfig::off()`.
-fn untraced_step(
-    rank: &Rank,
-    grad: &SparseGrad,
-    table: &mut Embedding,
-    scratch: &mut ExchangeScratch,
-) {
-    exchange_and_apply_traced(
-        rank,
-        grad,
-        table,
-        0.1,
-        &ExchangeConfig::unique(),
-        scratch,
-        None,
-    )
-    .unwrap();
-}
-
-/// One steady-state guard measurement, collected across the report
-/// functions and persisted by [`persist_guards`] as
-/// `BENCH_exchange_steady.json`. Wall-clock, so the artifact records a
-/// trajectory — unlike `BENCH_overlap.json` it is not a CI golden.
-struct GuardResult {
-    name: &'static str,
-    reference_ms_per_step: f64,
-    candidate_ms_per_step: f64,
-    ratio: f64,
-    bound: &'static str,
-}
-
-static GUARDS: Mutex<Vec<GuardResult>> = Mutex::new(Vec::new());
-
-fn record_guard(
-    name: &'static str,
-    reference: Duration,
-    candidate: Duration,
-    steps: u64,
-    bound: &'static str,
-) -> f64 {
-    let ratio = candidate.as_secs_f64() / reference.as_secs_f64();
-    GUARDS.lock().unwrap().push(GuardResult {
-        name,
-        reference_ms_per_step: reference.as_secs_f64() * 1e3 / steps as f64,
-        candidate_ms_per_step: candidate.as_secs_f64() * 1e3 / steps as f64,
-        ratio,
-        bound,
-    });
-    ratio
 }
 
 fn bench_exchange(c: &mut Criterion) {
@@ -214,7 +118,7 @@ fn bench_exchange(c: &mut Criterion) {
 fn bench_steady_state(c: &mut Criterion) {
     let mut group = c.benchmark_group("exchange_steady");
     group.bench_function("pooled_unique/w8_k4096_d128", |b| {
-        b.iter_custom(|iters| steady_state(SS_WORLD, 0, iters, pooled_step))
+        b.iter_custom(|iters| steady_state(SS_WORLD, 0, iters))
     });
     group.finish();
 }
@@ -247,54 +151,46 @@ fn report_phase_timings(_c: &mut Criterion) {
     );
 }
 
-/// One within-run overhead guard: `candidate(steps)` — a variant of the
-/// steady-state step that must cost nothing extra — against the plain
-/// pooled hot path, three interleaved rounds each to even out machine
-/// drift. The 1.30× bound is loose against scheduler jitter on shared
-/// CI hardware; an accidental per-phase allocation, clock read,
-/// histogram observe or gate round-trip lands far above it.
-fn overhead_guard(name: &'static str, what: &str, candidate: impl Fn(u64) -> Duration) {
+/// The within-run guard: the steady-state step under a run pool sized
+/// ≥ world — where slot traffic is a one-time handoff per rank, never a
+/// per-step cost — against the plain unpooled hot path, three
+/// interleaved rounds each to even out machine drift. The 1.30× bound
+/// is loose against scheduler jitter on shared CI hardware; an
+/// accidental per-step gate round-trip lands far above it. The result
+/// is persisted as `BENCH_exchange_steady.json` at the workspace root
+/// (wall-clock, so a trajectory artifact, not a CI golden); a failed
+/// assertion means no artifact, which is the right signal.
+fn report_run_pool_overhead(_c: &mut Criterion) {
     const STEPS: u64 = 30;
-    let mut plain_total = Duration::ZERO;
-    let mut candidate_total = Duration::ZERO;
+    let mut plain = Duration::ZERO;
+    let mut pooled = Duration::ZERO;
     for _ in 0..3 {
-        plain_total += steady_state(SS_WORLD, 0, STEPS / 3, pooled_step);
-        candidate_total += candidate(STEPS / 3);
+        plain += steady_state(SS_WORLD, 0, STEPS / 3);
+        pooled += steady_state(SS_WORLD, SS_WORLD, STEPS / 3);
     }
-    let ratio = record_guard(name, plain_total, candidate_total, STEPS, "< 1.30");
+    let ms_per_step = |d: Duration| d.as_secs_f64() * 1e3 / STEPS as f64;
+    let ratio = pooled.as_secs_f64() / plain.as_secs_f64();
     println!(
-        "exchange_steady/{name:<25}plain {:.3} ms/step, {what} {:.3} ms/step => {ratio:.2}x (bound < 1.30x)",
-        plain_total.as_secs_f64() * 1e3 / STEPS as f64,
-        candidate_total.as_secs_f64() * 1e3 / STEPS as f64,
+        "exchange_steady/run_pool_overhead        plain {:.3} ms/step, pool>=world {:.3} ms/step => {ratio:.2}x (bound < 1.30x)",
+        ms_per_step(plain),
+        ms_per_step(pooled),
     );
     assert!(
         ratio < 1.30,
-        "{what} step is {ratio:.2}x the plain hot path (bound 1.30x)"
+        "pool>=world step is {ratio:.2}x the plain hot path (bound 1.30x)"
     );
-}
-
-/// Tracing off: the traced entry point with a `None` recorder.
-fn report_trace_overhead(_c: &mut Criterion) {
-    overhead_guard("trace_overhead", "traced-off", |n| {
-        steady_state(SS_WORLD, 0, n, untraced_step)
-    });
-}
-
-/// Fleet metrics off: a step that also drives a disabled
-/// [`StepObserver`] — a single `Option` branch in `on_step`, and only
-/// stack writes to build the [`StepSample`].
-fn report_metrics_overhead(_c: &mut Criterion) {
-    overhead_guard("metrics_overhead", "metrics-off", |n| {
-        steady_state(SS_WORLD, 0, n, metrics_off_step)
-    });
-}
-
-/// Run pool sized ≥ world: slot traffic is a one-time handoff per rank,
-/// never a per-step cost.
-fn report_run_pool_overhead(_c: &mut Criterion) {
-    overhead_guard("run_pool_overhead", "pool>=world", |n| {
-        steady_state(SS_WORLD, SS_WORLD, n, pooled_step)
-    });
+    let out = format!(
+        "{{\n  \"bench\": \"exchange_steady\",\n  \"guards\": [\n    \
+         {{\"name\": \"run_pool_overhead\", \"reference_ms_per_step\": {:.6}, \
+         \"candidate_ms_per_step\": {:.6}, \"ratio\": {ratio:.4}, \"bound\": \"< 1.30\"}}\n  ]\n}}\n",
+        ms_per_step(plain),
+        ms_per_step(pooled),
+    );
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_exchange_steady.json"
+    );
+    std::fs::write(path, out).expect("write BENCH_exchange_steady.json");
 }
 
 fn bench_local_reduce(c: &mut Criterion) {
@@ -304,47 +200,12 @@ fn bench_local_reduce(c: &mut Criterion) {
     });
 }
 
-/// Persists every guard measured this run as
-/// `BENCH_exchange_steady.json` at the workspace root, so CI records
-/// the guard ratios as an artifact trajectory instead of letting them
-/// scroll away in the bench log. Runs last in the group — a failed
-/// guard assertion means no artifact, which is the right signal.
-fn persist_guards(_c: &mut Criterion) {
-    let guards = GUARDS.lock().unwrap();
-    let mut out = String::from("{\n  \"bench\": \"exchange_steady\",\n  \"guards\": [\n");
-    for (i, g) in guards.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"reference_ms_per_step\": {:.6}, \
-             \"candidate_ms_per_step\": {:.6}, \"ratio\": {:.4}, \"bound\": \"{}\"}}{}\n",
-            g.name,
-            g.reference_ms_per_step,
-            g.candidate_ms_per_step,
-            g.ratio,
-            g.bound,
-            if i + 1 == guards.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_exchange_steady.json"
-    );
-    std::fs::write(path, out).expect("write BENCH_exchange_steady.json");
-    println!(
-        "exchange_steady/persist_guards           wrote {path} ({} guards)",
-        guards.len()
-    );
-}
-
 criterion_group!(
     benches,
     bench_exchange,
     bench_steady_state,
     report_phase_timings,
-    report_trace_overhead,
-    report_metrics_overhead,
     report_run_pool_overhead,
     bench_local_reduce,
-    persist_guards,
 );
 criterion_main!(benches);

@@ -42,8 +42,9 @@ use std::sync::{Arc, Mutex};
 
 /// Serialization format version (bump on any layout change). Version 2
 /// split the attribution wire bucket into intra/inter-node tiers;
-/// version 3 appended the seventh attribution bucket, `overlapped_ps`
-/// (comm hidden under compute by the overlapped step schedule).
+/// version 3 appended the seventh attribution bucket (comm hidden under
+/// compute by the overlapped step schedule). The buckets are written in
+/// [`TimeAttribution::BUCKETS`] order.
 /// [`Checkpoint::from_bytes`] reads this version only: no artifact of
 /// an older format outlives the process that wrote it.
 pub const FORMAT_VERSION: u32 = 3;
@@ -385,13 +386,9 @@ impl Checkpoint {
         put_u64(&mut out, m.epoch_time_ps);
         put_f64(&mut out, m.unique_sum);
         put_u64(&mut out, m.unique_count);
-        put_u64(&mut out, m.attribution.compute_ps);
-        put_u64(&mut out, m.attribution.wire_intra_ps);
-        put_u64(&mut out, m.attribution.wire_inter_ps);
-        put_u64(&mut out, m.attribution.barrier_wait_ps);
-        put_u64(&mut out, m.attribution.skew_ps);
-        put_u64(&mut out, m.attribution.self_delay_ps);
-        put_u64(&mut out, m.attribution.overlapped_ps);
+        for bucket in m.attribution.buckets() {
+            put_u64(&mut out, bucket);
+        }
         put_u64(&mut out, m.epochs.len() as u64);
         for e in &m.epochs {
             put_u64(&mut out, e.epoch as u64);
@@ -449,15 +446,11 @@ impl Checkpoint {
         let epoch_time_ps = r.u64()?;
         let unique_sum = r.f64()?;
         let unique_count = r.u64()?;
-        let attribution = TimeAttribution {
-            compute_ps: r.u64()?,
-            wire_intra_ps: r.u64()?,
-            wire_inter_ps: r.u64()?,
-            barrier_wait_ps: r.u64()?,
-            skew_ps: r.u64()?,
-            self_delay_ps: r.u64()?,
-            overlapped_ps: r.u64()?,
-        };
+        let mut buckets = [0u64; TimeAttribution::BUCKETS.len()];
+        for bucket in &mut buckets {
+            *bucket = r.u64()?;
+        }
+        let attribution = TimeAttribution::from_buckets(buckets);
         let n_epochs = r.u64()? as usize;
         // Guard the prealloc against a corrupt length field.
         if n_epochs.saturating_mul(40) > buf.len() {
@@ -859,15 +852,7 @@ mod tests {
                 epoch_time_ps: 777,
                 unique_sum: 99.5,
                 unique_count: 3,
-                attribution: TimeAttribution {
-                    compute_ps: 1,
-                    wire_intra_ps: 2,
-                    wire_inter_ps: 6,
-                    overlapped_ps: 7,
-                    barrier_wait_ps: 3,
-                    skew_ps: 4,
-                    self_delay_ps: 5,
-                },
+                attribution: TimeAttribution::from_buckets([1, 2, 6, 3, 4, 5, 7]),
             },
         }
     }

@@ -176,34 +176,26 @@ impl Method {
 ///
 /// Disabled by default. When off, the trainer allocates no recorder,
 /// [`simgpu::Rank`] skips barrier-wait timing, and the exchange hot
-/// path pays a single branch per phase — the
-/// `exchange_steady/trace_overhead` bench guards that this stays within
-/// measurement noise of the untraced baseline.
+/// path pays a single branch per phase (the cost of tracing *on* is the
+/// `e2e/` benchmark's `simgpu.trace.overhead_ratio`). Each rank's ring
+/// holds 65 536 events; beyond that the oldest are overwritten and
+/// counted in the log's `dropped`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Record per-rank span events and attach a `TraceLog` to each
     /// rank's `TrainReport`.
     pub enabled: bool,
-    /// Ring-buffer capacity per rank: beyond this, the oldest events
-    /// are overwritten (counted in the log's `dropped`).
-    pub events_per_rank: usize,
 }
 
 impl TraceConfig {
     /// Tracing disabled (the default).
     pub fn off() -> Self {
-        Self {
-            enabled: false,
-            events_per_rank: 65_536,
-        }
+        Self { enabled: false }
     }
 
-    /// Tracing enabled at the default ring capacity.
+    /// Tracing enabled.
     pub fn on() -> Self {
-        Self {
-            enabled: true,
-            ..Self::off()
-        }
+        Self { enabled: true }
     }
 }
 
@@ -215,45 +207,30 @@ impl Default for TraceConfig {
 
 /// Opt-in fleet metrics (see [`simgpu::metrics`] and [`crate::metrics`]).
 ///
-/// Disabled by default. When off, the trainer allocates no registry and
-/// the step loop pays a single branch — the
-/// `exchange_steady/metrics_overhead` bench guards that this stays
-/// within measurement noise of the plain hot path. When on, every rank
-/// feeds per-step histograms (step time, attribution buckets, wire
-/// bytes, barrier waits) into its own [`simgpu::MetricsRegistry`]; the
-/// merged fleet registry and any [`crate::HealthEvent`] findings land
-/// on the final `TrainReport`.
+/// Disabled by default, and the step loop is the same either way: it
+/// writes one [`crate::StepMetrics`] per step (on only adds barrier-wait
+/// timing to it). When on, the driver folds every joined rank's records
+/// into that rank's [`simgpu::MetricsRegistry`] — per-step histograms
+/// (step time, attribution buckets, wire bytes, barrier waits) and run
+/// counters — and the merged fleet registry and the
+/// [`crate::HealthEvent`] findings (stragglers: 1.5× the median busy
+/// time for 3 consecutive steps) land on the final `TrainReport`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsConfig {
-    /// Collect per-rank metrics and attach the merged registry (and a
-    /// `RunSummary`) to the final `TrainReport`.
+    /// Attach per-rank registries, the merged fleet registry and health
+    /// findings to the final `TrainReport`.
     pub enabled: bool,
-    /// Straggler detection threshold in milli-units: a rank is flagged
-    /// when its per-step busy time exceeds `factor/1000 ×` the world
-    /// median for `straggler_window` consecutive steps.
-    pub straggler_factor_milli: u64,
-    /// Consecutive over-threshold steps before a
-    /// `HealthEvent::Straggler` fires.
-    pub straggler_window: u32,
 }
 
 impl MetricsConfig {
     /// Metrics disabled (the default).
     pub fn off() -> Self {
-        Self {
-            enabled: false,
-            straggler_factor_milli: 1500,
-            straggler_window: 3,
-        }
+        Self { enabled: false }
     }
 
-    /// Metrics enabled at the default straggler thresholds (1.5× the
-    /// median busy time for 3 consecutive steps).
+    /// Metrics enabled.
     pub fn on() -> Self {
-        Self {
-            enabled: true,
-            ..Self::off()
-        }
+        Self { enabled: true }
     }
 }
 
@@ -267,8 +244,8 @@ impl Default for MetricsConfig {
 ///
 /// Disabled by default. When off (`every_steps == 0`) the trainer's hot
 /// path pays a single branch per step — no snapshot buffers are
-/// allocated and no store is consulted — so the `exchange_steady` bench
-/// guard holds. When on, every rank deposits a bit-exact
+/// allocated and no store is consulted. When on, every rank deposits a
+/// bit-exact
 /// [`crate::checkpoint::Checkpoint`] of its training state into the
 /// run's [`crate::checkpoint::CheckpointStore`] every `every_steps`
 /// global steps, retaining the most recent `keep_last` snapshots.
@@ -513,27 +490,14 @@ mod tests {
     fn trace_defaults_off() {
         assert!(!TrainConfig::default().trace.enabled);
         assert_eq!(TraceConfig::default(), TraceConfig::off());
-        let on = TraceConfig::on();
-        assert!(on.enabled);
-        assert_eq!(on.events_per_rank, TraceConfig::off().events_per_rank);
+        assert!(TraceConfig::on().enabled);
     }
 
     #[test]
     fn metrics_defaults_off() {
         assert!(!TrainConfig::default().metrics.enabled);
         assert_eq!(MetricsConfig::default(), MetricsConfig::off());
-        let on = MetricsConfig::on();
-        assert!(on.enabled);
-        assert_eq!(
-            on.straggler_factor_milli,
-            MetricsConfig::off().straggler_factor_milli
-        );
-        assert_eq!(on.straggler_window, MetricsConfig::off().straggler_window);
-        assert!(
-            on.straggler_factor_milli > 1000,
-            "threshold above the median"
-        );
-        assert!(on.straggler_window >= 1);
+        assert!(MetricsConfig::on().enabled);
     }
 
     #[test]

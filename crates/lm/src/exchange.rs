@@ -315,9 +315,7 @@ pub fn exchange_and_apply_with(
 /// AllReduce / Apply, with the phase's exact wire bytes; the unique
 /// path emits two `Unique` spans per step — the local reduction of
 /// steps 1–2 and the global set derivation of step 4). `None` disables
-/// recording at the cost of one branch per phase — the
-/// `exchange_steady/trace_overhead` bench guards that this stays within
-/// noise of the untraced path.
+/// recording at the cost of one branch per phase.
 pub fn exchange_and_apply_traced(
     rank: &Rank,
     grad: &SparseGrad,

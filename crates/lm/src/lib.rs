@@ -87,16 +87,20 @@
 //!
 //! ## Fleet metrics
 //!
-//! Set `metrics: MetricsConfig::on()` and every rank feeds a
-//! [`simgpu::MetricsRegistry`] — counters, gauges and log-bucketed
-//! histograms whose cross-rank merge is *exact* (merged == pooled
-//! samples) — while a [`metrics::HealthMonitor`] watches per-rank busy
-//! time and flags stragglers as typed [`HealthEvent`]s naming the slow
-//! rank. Rank 0's report carries the merged fleet registry; export it
-//! as Prometheus text ([`simgpu::MetricsRegistry::prometheus_text`]) or
-//! as a byte-stable [`RunSummary`] JSON
-//! ([`TrainReport::run_summary`]) — the artifact the `bench-diff`
-//! regression gate compares across runs. See DESIGN.md §13.
+//! The step loop writes one [`StepMetrics`] per step per rank and
+//! nothing else; every derived quantity is a pure fold over those
+//! records in [`metrics`]. Set `metrics: MetricsConfig::on()` and the
+//! driver, once the ranks have joined, folds each rank's records into
+//! its [`simgpu::MetricsRegistry`] ([`metrics::step_registry`]) —
+//! counters, gauges and log-bucketed histograms whose cross-rank merge
+//! is *exact* (merged == pooled samples) — and all ranks' records
+//! together into the straggler findings ([`metrics::stragglers`]):
+//! typed [`HealthEvent`]s naming the slow rank. Rank 0's report carries
+//! the merged fleet registry; export it as Prometheus text
+//! ([`simgpu::MetricsRegistry::prometheus_text`]) or as a byte-stable
+//! [`RunSummary`] JSON ([`TrainReport::run_summary`]) — the artifact
+//! the `bench-diff` regression gate compares across runs. See
+//! DESIGN.md §13.
 
 #![forbid(unsafe_code)]
 
@@ -127,8 +131,8 @@ pub use exchange::{
     ExchangeStats, PhaseTimings,
 };
 pub use metrics::{
-    config_fingerprint, EpochMetrics, HealthEvent, HealthMonitor, RecoveryEvent, RunSummary,
-    StepMetrics, StepObserver, StepSample, TimeAttribution, TrainReport, RUN_SUMMARY_SCHEMA,
+    config_fingerprint, EpochMetrics, HealthEvent, RecoveryEvent, RunSummary, StepMetrics,
+    TimeAttribution, TrainReport, RUN_SUMMARY_SCHEMA,
 };
 pub use schedule::{CommOp, ScheduleOutcome};
 pub use seeding::SeedStrategy;

@@ -1,19 +1,19 @@
 //! Training metrics and reports.
 //!
-//! Besides the per-step/per-epoch records, this module carries the
-//! fleet-metrics layer (DESIGN.md §13): [`StepObserver`] feeds each
-//! rank's [`simgpu::MetricsRegistry`] on the trainer's hot path,
-//! [`HealthMonitor`] watches per-rank busy time for stragglers, and
-//! [`RunSummary`] is the byte-stable machine-readable run artifact the
+//! [`StepMetrics`] is the one record the step loop writes — once per
+//! step per rank, deterministic but for its wall-clock fields — and
+//! everything downstream is a pure function of a rank's
+//! `&[StepMetrics]` (DESIGN.md §13 tabulates the folds and who runs
+//! them): the per-rank [`simgpu::MetricsRegistry`]
+//! ([`step_registry`]), the straggler findings ([`stragglers`], over
+//! all ranks' records at once), the run totals on [`TrainReport`], and
+//! [`RunSummary`], the byte-stable machine-readable run artifact the
 //! `bench-diff` regression gate compares.
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{MetricsConfig, TrainConfig};
+use crate::config::TrainConfig;
 use crate::exchange::{ExchangeStats, PhaseTimings};
-use simgpu::{
-    CounterId, CounterTrack, GaugeId, Histogram, HistogramId, MetricsRegistry, TraceLog,
-    TrafficSnapshot,
-};
+use simgpu::{CounterTrack, Histogram, MetricsRegistry, TraceLog, TrafficSnapshot};
 
 /// Where one rank's simulated step time went, in integer picoseconds.
 ///
@@ -65,6 +65,59 @@ pub struct TimeAttribution {
 }
 
 impl TimeAttribution {
+    /// The buckets' names, in struct order — which is also the
+    /// checkpoint layout and the histogram registration order. Every
+    /// walk over "all buckets" goes through this table and
+    /// [`buckets`](Self::buckets) / [`from_buckets`](Self::from_buckets).
+    pub const BUCKETS: [&'static str; 7] = [
+        "compute_ps",
+        "wire_intra_ps",
+        "wire_inter_ps",
+        "barrier_wait_ps",
+        "skew_ps",
+        "self_delay_ps",
+        "overlapped_ps",
+    ];
+
+    /// The bucket values, aligned with [`Self::BUCKETS`].
+    pub fn buckets(&self) -> [u64; 7] {
+        // Destructured without `..`: a new field that misses the table
+        // does not compile.
+        let Self {
+            compute_ps,
+            wire_intra_ps,
+            wire_inter_ps,
+            barrier_wait_ps,
+            skew_ps,
+            self_delay_ps,
+            overlapped_ps,
+        } = *self;
+        [
+            compute_ps,
+            wire_intra_ps,
+            wire_inter_ps,
+            barrier_wait_ps,
+            skew_ps,
+            self_delay_ps,
+            overlapped_ps,
+        ]
+    }
+
+    /// Inverse of [`buckets`](Self::buckets).
+    pub fn from_buckets(buckets: [u64; 7]) -> Self {
+        let [compute_ps, wire_intra_ps, wire_inter_ps, barrier_wait_ps, skew_ps, self_delay_ps, overlapped_ps] =
+            buckets;
+        Self {
+            compute_ps,
+            wire_intra_ps,
+            wire_inter_ps,
+            barrier_wait_ps,
+            skew_ps,
+            self_delay_ps,
+            overlapped_ps,
+        }
+    }
+
     /// Total wire time across both tiers — the pre-split `wire_ps`
     /// bucket, kept as a method for display and downstream tooling.
     pub fn wire_ps(&self) -> u64 {
@@ -73,39 +126,31 @@ impl TimeAttribution {
 
     /// Sum of all buckets — equals the step's `sim_time_ps` exactly.
     pub fn total_ps(&self) -> u64 {
-        self.compute_ps
-            + self.wire_intra_ps
-            + self.wire_inter_ps
-            + self.barrier_wait_ps
-            + self.skew_ps
-            + self.self_delay_ps
-            + self.overlapped_ps
+        self.buckets().iter().sum()
     }
 
     /// Elementwise accumulation (for per-run totals).
     pub fn accumulate(&mut self, other: &TimeAttribution) {
-        self.compute_ps += other.compute_ps;
-        self.wire_intra_ps += other.wire_intra_ps;
-        self.wire_inter_ps += other.wire_inter_ps;
-        self.barrier_wait_ps += other.barrier_wait_ps;
-        self.skew_ps += other.skew_ps;
-        self.self_delay_ps += other.self_delay_ps;
-        self.overlapped_ps += other.overlapped_ps;
+        let (a, b) = (self.buckets(), other.buckets());
+        *self = Self::from_buckets(std::array::from_fn(|i| a[i] + b[i]));
     }
 }
 
 /// Per-step measurements, collected on **every** rank (each rank's
-/// [`TrainReport`] carries its own copy).
+/// [`TrainReport`] carries its own copy) — the only telemetry the step
+/// loop writes; registries, health findings, run totals and summaries
+/// are folds over these records.
 ///
 /// Synchronised fields — bit-identical across ranks: `step`,
-/// `train_loss`, `sim_time_ps` / `sim_time_s`, and the exchanges'
-/// `local_tokens` / `unique_global`. Rank-local fields — they differ
-/// per rank: `dense_bytes` and the exchanges' `wire_bytes` (each rank's
-/// exact ring-schedule share), `unique_local`, `peak_buffer_bytes`, the
-/// wall-clock `timings`, and the `attribution` buckets (every rank
-/// splits the *same* step time by its own work). Cross-rank agreement
-/// of the synchronised fields is asserted in
-/// `tests/training_end_to_end.rs`.
+/// `train_loss`, `sim_time_ps` / `sim_time_s`, `dense_raw_bytes` /
+/// `dense_enc_bytes`, and the exchanges' `local_tokens` /
+/// `unique_global`. Rank-local fields — they differ per rank:
+/// `dense_bytes` and the exchanges' `wire_bytes` (each rank's exact
+/// ring-schedule share), `unique_local`, `peak_buffer_bytes`, the
+/// wall-clock `timings` and `barrier_wait_wall_ns`, and the
+/// `attribution` buckets (every rank splits the *same* step time by its
+/// own work). Cross-rank agreement of the synchronised fields is
+/// asserted in `tests/training_end_to_end.rs`.
 #[derive(Debug, Clone, Default)]
 pub struct StepMetrics {
     /// Global step index.
@@ -129,6 +174,120 @@ pub struct StepMetrics {
     /// (rank-local: ring chunk shares differ when the payload does not
     /// divide by `G`).
     pub dense_bytes: u64,
+    /// Raw payload bytes of the dense ALLREDUCE: elements × the wire
+    /// format's element size.
+    pub dense_raw_bytes: u64,
+    /// The same payload as encoded by the wire format (`==
+    /// dense_raw_bytes` when no gradient codec is active).
+    pub dense_enc_bytes: u64,
+    /// Wall-clock nanoseconds this rank spent parked in barrier waits
+    /// this step (0 unless tracing or metrics turned wait tracking on).
+    pub barrier_wait_wall_ns: u64,
+}
+
+impl StepMetrics {
+    /// The step's one or two embedding exchanges.
+    fn exchanges(&self) -> impl Iterator<Item = &ExchangeStats> {
+        std::iter::once(&self.input_exchange).chain(&self.output_exchange)
+    }
+
+    /// Total wire bytes this rank moved this step (dense ALLREDUCE
+    /// share plus both exchanges).
+    pub fn wire_bytes(&self) -> u64 {
+        self.dense_bytes + self.exchanges().map(|e| e.wire_bytes).sum::<u64>()
+    }
+
+    /// Picoseconds of the step this rank was busy — its modelled work
+    /// plus its own injected delay: every bucket but the two that are
+    /// waiting for peers, i.e. `sim_time_ps − barrier_wait_ps −
+    /// skew_ps`.
+    pub fn busy_ps(&self) -> u64 {
+        let a = &self.attribution;
+        a.total_ps() - a.barrier_wait_ps - a.skew_ps
+    }
+}
+
+/// `(raw, encoded)` bytes of the codec-framed ALLREDUCE payloads of
+/// `steps` — the dense ALLREDUCE and both exchanges' `Ug×D` ALLREDUCEs.
+/// The one sum behind the registry's `codec_*_bytes_total` counters and
+/// [`RunSummary`]'s codec fields.
+pub fn codec_bytes(steps: &[StepMetrics]) -> (u64, u64) {
+    steps.iter().fold((0, 0), |(raw, enc), s| {
+        (
+            raw + s.dense_raw_bytes + s.exchanges().map(|e| e.reduce_raw_bytes).sum::<u64>(),
+            enc + s.dense_enc_bytes + s.exchanges().map(|e| e.reduce_enc_bytes).sum::<u64>(),
+        )
+    })
+}
+
+/// One rank's registry series as a fold over its step records: a
+/// histogram per step quantity (step time, the [`TimeAttribution`]
+/// buckets, wire bytes, `Ug`, barrier-wait wall time) and the run
+/// counters. Every series exists even over zero steps, in one fixed
+/// order, and the fold is a homomorphism — `step_registry(a ++ b)`
+/// equals `step_registry(a)` merged with `step_registry(b)` — which is
+/// what makes the per-rank → fleet and pre/post-resume merges exact.
+pub fn step_registry(steps: &[StepMetrics]) -> MetricsRegistry {
+    let mut reg = MetricsRegistry::new();
+    reg.observe("step_time_ps", steps.iter().map(|s| s.sim_time_ps));
+    for (i, name) in TimeAttribution::BUCKETS.into_iter().enumerate() {
+        reg.observe(name, steps.iter().map(|s| s.attribution.buckets()[i]));
+    }
+    reg.observe("step_wire_bytes", steps.iter().map(StepMetrics::wire_bytes));
+    reg.observe(
+        "unique_global",
+        steps.iter().map(|s| s.input_exchange.unique_global as u64),
+    );
+    reg.observe(
+        "barrier_wait_wall_ns",
+        steps.iter().map(|s| s.barrier_wait_wall_ns),
+    );
+    let (codec_raw, codec_enc) = codec_bytes(steps);
+    reg.inc("steps_total", steps.len() as u64);
+    reg.inc(
+        "wire_bytes_total",
+        steps.iter().map(StepMetrics::wire_bytes).sum(),
+    );
+    reg.inc("codec_raw_bytes_total", codec_raw);
+    reg.inc("codec_enc_bytes_total", codec_enc);
+    reg
+}
+
+/// The run totals a resume carries over: a checkpoint stores them, and
+/// the totals at any later point are *that base + Σ steps since*.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RunTotals {
+    /// Σ of every step's [`StepMetrics::attribution`].
+    pub attribution: TimeAttribution,
+    /// Σ `Ug` over the unique path's steps.
+    pub unique_sum: f64,
+    /// Steps contributing to `unique_sum`.
+    pub unique_count: u64,
+}
+
+impl RunTotals {
+    /// `self + Σ steps`, in step order. `unique` says whether the
+    /// unique path ran (`Method::unique`): the baseline path has no
+    /// `Ug` to average.
+    pub fn plus(mut self, steps: &[StepMetrics], unique: bool) -> Self {
+        for s in steps {
+            self.attribution.accumulate(&s.attribution);
+            if unique {
+                self.unique_sum += s.input_exchange.unique_global as f64;
+                self.unique_count += 1;
+            }
+        }
+        self
+    }
+
+    /// Mean `Ug` per step; 0 when the unique path never ran.
+    pub fn mean_unique_global(&self) -> f64 {
+        if self.unique_count > 0 {
+            self.unique_sum / self.unique_count as f64
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Per-epoch summary, collected on rank 0 only (validation is evaluated
@@ -220,14 +379,17 @@ pub struct TrainReport {
     /// without [`crate::RunOptions::recovery`]).
     pub recoveries: Vec<RecoveryEvent>,
     /// This rank's metric registry, when `TrainConfig::metrics` was
-    /// enabled. Merge across ranks (exactly — see [`simgpu::metrics`])
-    /// for the fleet view, or read `fleet_metrics` on rank 0's report.
+    /// enabled: [`step_registry`] over `steps` plus the end-of-run
+    /// gauges, built by the driver once the rank has joined. Merge
+    /// across ranks (exactly — see [`simgpu::metrics`]) for the fleet
+    /// view, or read `fleet_metrics` on rank 0's report.
     pub metrics: Option<MetricsRegistry>,
     /// The merged fleet registry — every rank's [`TrainReport::metrics`]
     /// folded together by the driver. Present on rank 0's report only.
     pub fleet_metrics: Option<MetricsRegistry>,
-    /// Health findings for the run. [`HealthEvent::Straggler`] entries
-    /// are computed from synchronised quantities and identical on every
+    /// Health findings for the run, stamped by the driver when metrics
+    /// are enabled. [`HealthEvent::Straggler`] entries are one list
+    /// ([`stragglers`] over all ranks' records), identical on every
     /// rank; [`HealthEvent::TraceTruncated`] entries are rank-local
     /// (the driver folds all ranks' into rank 0's report).
     pub health: Vec<HealthEvent>,
@@ -248,11 +410,8 @@ impl TrainReport {
     /// (input and output exchanges combined, rank 0's measurements).
     pub fn exchange_phase_totals(&self) -> PhaseTimings {
         let mut total = PhaseTimings::default();
-        for s in &self.steps {
-            total.accumulate(&s.input_exchange.timings);
-            if let Some(out) = &s.output_exchange {
-                total.accumulate(&out.timings);
-            }
+        for e in self.steps.iter().flat_map(StepMetrics::exchanges) {
+            total.accumulate(&e.timings);
         }
         total
     }
@@ -307,24 +466,8 @@ impl TrainReport {
         if self.steps.is_empty() {
             return 0.0;
         }
-        let total: u64 = self
-            .steps
-            .iter()
-            .map(|s| {
-                s.dense_bytes
-                    + s.input_exchange.wire_bytes
-                    + s.output_exchange.map(|e| e.wire_bytes).unwrap_or(0)
-            })
-            .sum();
+        let total: u64 = self.steps.iter().map(StepMetrics::wire_bytes).sum();
         total as f64 / self.steps.len() as f64
-    }
-
-    /// Total wire bytes one step moved on this rank (dense ALLREDUCE
-    /// share plus both exchanges).
-    fn step_wire_bytes(s: &StepMetrics) -> u64 {
-        s.dense_bytes
-            + s.input_exchange.wire_bytes
-            + s.output_exchange.map(|e| e.wire_bytes).unwrap_or(0)
     }
 
     /// Chrome-trace counter tracks derived from the per-step telemetry:
@@ -351,7 +494,7 @@ impl TrainReport {
                         .max()
                 })
                 .unwrap_or(sim_ps / 1000);
-            wire.push((t_ns, Self::step_wire_bytes(s)));
+            wire.push((t_ns, s.wire_bytes()));
             ug.push((t_ns, s.input_exchange.unique_global as u64));
         }
         vec![
@@ -366,26 +509,40 @@ impl TrainReport {
         ]
     }
 
+    /// This rank's registry: [`step_registry`] over its steps plus the
+    /// end-of-run gauges — the world, the shared traffic snapshot
+    /// (gauge merge is max, so globally-identical values fold
+    /// idempotently across ranks), the rank's device peak and its
+    /// trace ring's overwritten spans.
+    pub(crate) fn registry(&self, device_peak_bytes: u64) -> MetricsRegistry {
+        let mut reg = step_registry(&self.steps);
+        reg.gauge_max("world", self.gpus as u64);
+        reg.gauge_max("wire_intra_bytes", self.traffic.intra_bytes());
+        reg.gauge_max("wire_inter_bytes", self.traffic.inter_bytes());
+        reg.gauge_max("peak_mem_bytes", device_peak_bytes);
+        reg.gauge_max("dropped_spans", self.dropped_spans());
+        reg
+    }
+
+    /// Spans this rank's trace ring overwrote (0 when tracing was off).
+    pub(crate) fn dropped_spans(&self) -> u64 {
+        self.trace.as_ref().map_or(0, |t| t.dropped)
+    }
+
     /// Builds the run's [`RunSummary`] artifact. Works with metrics on
     /// or off: step-time quantiles come from pooling the synchronised
     /// `sim_time_ps` of every recorded step into a fresh
     /// [`simgpu::Histogram`] (identical to the registry's
-    /// `step_time_ps` series, which observed the same values),
-    /// attribution totals are this rank's, wire bytes come from the
-    /// shared traffic snapshot.
+    /// `step_time_ps` series, a fold over the same values), codec bytes
+    /// from [`codec_bytes`] (the registry counters' sum), attribution
+    /// totals are this rank's, wire bytes come from the shared traffic
+    /// snapshot.
     pub fn run_summary(&self, cfg: &TrainConfig) -> RunSummary {
         let mut h = Histogram::new();
-        let mut codec_raw = 0u64;
-        let mut codec_enc = 0u64;
         for s in &self.steps {
             h.observe(s.sim_time_ps);
-            codec_raw += s.input_exchange.reduce_raw_bytes;
-            codec_enc += s.input_exchange.reduce_enc_bytes;
-            if let Some(out) = &s.output_exchange {
-                codec_raw += out.reduce_raw_bytes;
-                codec_enc += out.reduce_enc_bytes;
-            }
         }
+        let (codec_raw, codec_enc) = codec_bytes(&self.steps);
         let a = &self.attribution;
         RunSummary {
             world: self.gpus,
@@ -413,7 +570,7 @@ impl TrainReport {
                 ((codec_enc as u128 * 1000) / codec_raw as u128) as u64
             },
             train_loss: self.steps.last().map(|s| s.train_loss).unwrap_or(f64::NAN),
-            dropped_spans: self.trace.as_ref().map(|t| t.dropped).unwrap_or(0),
+            dropped_spans: self.dropped_spans(),
             health_events: self.health.len() as u64,
             recoveries: self.recoveries.len() as u64,
             corruptions: self
@@ -438,13 +595,13 @@ pub fn config_fingerprint(cfg: &TrainConfig) -> u64 {
     hash
 }
 
-/// A typed finding from the online health layer.
+/// A typed finding about a run's health.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HealthEvent {
-    /// One rank's busy time (modelled work + injected delay) exceeded
-    /// `factor_milli/1000 ×` the world median for the configured number
-    /// of consecutive steps. Fired once per rank per run, at the step
-    /// that completed the streak.
+    /// One rank's busy time (modelled work + injected delay) stayed
+    /// far above the world median for several consecutive steps (see
+    /// [`stragglers`]). Fired once per rank per round, at the step that
+    /// completed the streak.
     Straggler {
         /// The slow rank.
         rank: usize,
@@ -481,252 +638,51 @@ pub enum HealthEvent {
     },
 }
 
-/// Online straggler detection over per-rank busy time.
-///
-/// Fed once per step with the same rank-invariant `work_ps`/`delay_ps`
-/// tables every rank already computes for the synchronous step time, so
-/// detection needs no extra communication and every rank derives the
-/// identical event list. A rank is flagged when its busy time stays
-/// above `straggler_factor_milli/1000 ×` the world median (lower median
-/// — robust to the straggler itself pulling the middle up in tiny
-/// worlds) for `straggler_window` consecutive steps; each rank fires at
-/// most once per run.
-#[derive(Debug, Clone)]
-pub struct HealthMonitor {
-    factor_milli: u64,
-    window: u32,
-    streaks: Vec<u32>,
-    flagged: Vec<bool>,
-    scratch: Vec<u64>,
-    events: Vec<HealthEvent>,
-}
+/// A rank is a straggler when its busy time reaches this many
+/// thousandths of the world median …
+const STRAGGLER_FACTOR_MILLI: u64 = 1500;
+/// … on this many consecutive steps.
+const STRAGGLER_WINDOW: u32 = 3;
 
-impl HealthMonitor {
-    /// A monitor for `world` ranks under `cfg`'s thresholds.
-    pub fn new(world: usize, cfg: &MetricsConfig) -> Self {
-        Self {
-            factor_milli: cfg.straggler_factor_milli.max(1),
-            window: cfg.straggler_window.max(1),
-            streaks: vec![0; world],
-            flagged: vec![false; world],
-            scratch: Vec::with_capacity(world),
-            events: Vec::new(),
-        }
-    }
-
-    /// Observes one step's per-rank busy times (`work_ps[q] +
-    /// delay_ps[q]`). Allocation-free after the first call.
-    pub fn observe_step(&mut self, step: u64, work_ps: &[u64], delay_ps: &[u64]) {
-        debug_assert_eq!(work_ps.len(), self.streaks.len());
-        self.scratch.clear();
-        self.scratch
-            .extend(work_ps.iter().zip(delay_ps).map(|(&w, &d)| w + d));
-        self.scratch.sort_unstable();
-        let median = self.scratch[(self.scratch.len() - 1) / 2];
+/// Straggler findings of one round, from every rank's own step records
+/// (`ranks[q]` is rank `q`'s; rank `q`'s busy time in a step is its
+/// [`StepMetrics::busy_ps`]). A rank is flagged when its busy time
+/// stays at or above 1.5× the world median (lower median — robust to
+/// the straggler itself pulling the middle up in tiny worlds) for 3
+/// consecutive steps; each rank fires at most once, at the step that
+/// completed its streak. A step whose median is zero is skipped.
+pub fn stragglers(ranks: &[&[StepMetrics]]) -> Vec<HealthEvent> {
+    let steps = ranks.iter().map(|r| r.len()).min().unwrap_or(0);
+    let mut streaks = vec![0u32; ranks.len()];
+    let mut flagged = vec![false; ranks.len()];
+    let mut sorted = Vec::with_capacity(ranks.len());
+    let mut events = Vec::new();
+    for i in 0..steps {
+        sorted.clear();
+        sorted.extend(ranks.iter().map(|r| r[i].busy_ps()));
+        sorted.sort_unstable();
+        let median = sorted[(sorted.len() - 1) / 2];
         if median == 0 {
-            return;
+            continue;
         }
-        for q in 0..work_ps.len() {
-            let busy = work_ps[q] + delay_ps[q];
-            let factor_milli = ((busy as u128 * 1000) / median as u128) as u64;
-            if factor_milli >= self.factor_milli {
-                self.streaks[q] += 1;
-                if self.streaks[q] >= self.window && !self.flagged[q] {
-                    self.flagged[q] = true;
-                    self.events.push(HealthEvent::Straggler {
-                        rank: q,
-                        factor_milli,
-                        step,
-                    });
-                }
-            } else {
-                self.streaks[q] = 0;
+        for (q, r) in ranks.iter().enumerate() {
+            let factor_milli = ((r[i].busy_ps() as u128 * 1000) / median as u128) as u64;
+            if factor_milli < STRAGGLER_FACTOR_MILLI {
+                streaks[q] = 0;
+                continue;
+            }
+            streaks[q] += 1;
+            if streaks[q] >= STRAGGLER_WINDOW && !flagged[q] {
+                flagged[q] = true;
+                events.push(HealthEvent::Straggler {
+                    rank: q,
+                    factor_milli,
+                    step: r[i].step,
+                });
             }
         }
     }
-
-    /// Records a damaged checkpoint copy found by the recovery scan.
-    pub fn note_checkpoint_corrupt(&mut self, rank: usize, step: u64) {
-        self.events
-            .push(HealthEvent::CheckpointCorrupt { rank, step });
-    }
-
-    /// Records a completed elastic-recovery round.
-    pub fn note_recovery(&mut self, round: usize, survivors: usize) {
-        self.events.push(HealthEvent::Recovery { round, survivors });
-    }
-
-    /// Findings so far.
-    pub fn events(&self) -> &[HealthEvent] {
-        &self.events
-    }
-
-    /// Consumes the monitor, returning its findings.
-    pub fn into_events(self) -> Vec<HealthEvent> {
-        self.events
-    }
-}
-
-/// One step's inputs to [`StepObserver::on_step`] — everything the
-/// trainer already has in hand at the end of a step.
-#[derive(Debug)]
-pub struct StepSample<'a> {
-    /// Global step index.
-    pub step: u64,
-    /// The synchronised step time `T`.
-    pub sim_time_ps: u64,
-    /// This rank's attribution of `T`.
-    pub attribution: &'a TimeAttribution,
-    /// Wire bytes this rank moved this step (dense + exchanges).
-    pub wire_bytes: u64,
-    /// Globally-unique words this step (0 on the baseline path).
-    pub unique_global: u64,
-    /// Raw bytes of this step's codec-framed ALLREDUCE payloads.
-    pub codec_raw_bytes: u64,
-    /// The same payloads' encoded bytes (== raw when no codec).
-    pub codec_enc_bytes: u64,
-    /// Every rank's modelled work this step (rank-invariant table).
-    pub work_ps: &'a [u64],
-    /// Every rank's injected delay this step (rank-invariant table).
-    pub delay_ps: &'a [u64],
-    /// Wall-clock nanoseconds this rank spent parked in barrier waits
-    /// this step (0 when wait tracking is off).
-    pub barrier_wait_wall_ns: u64,
-}
-
-/// Per-rank metrics front-end for the trainer's step loop: owns the
-/// rank's [`simgpu::MetricsRegistry`] and [`HealthMonitor`] behind one
-/// `Option`, so the disabled path is a single branch per step (the
-/// `exchange_steady/metrics_overhead` bench guards exactly this).
-#[derive(Debug, Default)]
-pub struct StepObserver {
-    inner: Option<ObserverInner>,
-}
-
-#[derive(Debug)]
-struct ObserverInner {
-    registry: MetricsRegistry,
-    monitor: HealthMonitor,
-    h_step: HistogramId,
-    h_compute: HistogramId,
-    h_wire_intra: HistogramId,
-    h_wire_inter: HistogramId,
-    h_barrier: HistogramId,
-    h_skew: HistogramId,
-    h_self_delay: HistogramId,
-    h_overlapped: HistogramId,
-    h_wire_bytes: HistogramId,
-    h_unique: HistogramId,
-    h_wait_wall: HistogramId,
-    c_steps: CounterId,
-    c_wire_bytes: CounterId,
-    c_codec_raw: CounterId,
-    c_codec_enc: CounterId,
-    g_world: GaugeId,
-}
-
-impl StepObserver {
-    /// The disabled observer: every call is a no-op behind one branch.
-    pub fn off() -> Self {
-        Self { inner: None }
-    }
-
-    /// An observer for one rank of a `world`-rank run; disabled (and
-    /// allocation-free) unless `cfg.enabled`.
-    pub fn new(world: usize, cfg: &MetricsConfig) -> Self {
-        if !cfg.enabled {
-            return Self::off();
-        }
-        let mut registry = MetricsRegistry::new();
-        let inner = ObserverInner {
-            h_step: registry.histogram("step_time_ps"),
-            h_compute: registry.histogram("compute_ps"),
-            h_wire_intra: registry.histogram("wire_intra_ps"),
-            h_wire_inter: registry.histogram("wire_inter_ps"),
-            h_barrier: registry.histogram("barrier_wait_ps"),
-            h_skew: registry.histogram("skew_ps"),
-            h_self_delay: registry.histogram("self_delay_ps"),
-            h_overlapped: registry.histogram("overlapped_ps"),
-            h_wire_bytes: registry.histogram("step_wire_bytes"),
-            h_unique: registry.histogram("unique_global"),
-            h_wait_wall: registry.histogram("barrier_wait_wall_ns"),
-            c_steps: registry.counter("steps_total"),
-            c_wire_bytes: registry.counter("wire_bytes_total"),
-            c_codec_raw: registry.counter("codec_raw_bytes_total"),
-            c_codec_enc: registry.counter("codec_enc_bytes_total"),
-            g_world: registry.gauge("world"),
-            monitor: HealthMonitor::new(world, cfg),
-            registry,
-        };
-        Self { inner: Some(inner) }
-    }
-
-    /// True when metrics are being collected.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Records one finished step. O(series) integer work, no
-    /// allocation; a single branch when disabled.
-    pub fn on_step(&mut self, s: &StepSample<'_>) {
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        let reg = &mut inner.registry;
-        let a = s.attribution;
-        reg.observe(inner.h_step, s.sim_time_ps);
-        reg.observe(inner.h_compute, a.compute_ps);
-        reg.observe(inner.h_wire_intra, a.wire_intra_ps);
-        reg.observe(inner.h_wire_inter, a.wire_inter_ps);
-        reg.observe(inner.h_barrier, a.barrier_wait_ps);
-        reg.observe(inner.h_skew, a.skew_ps);
-        reg.observe(inner.h_self_delay, a.self_delay_ps);
-        reg.observe(inner.h_overlapped, a.overlapped_ps);
-        reg.observe(inner.h_wire_bytes, s.wire_bytes);
-        reg.observe(inner.h_unique, s.unique_global);
-        reg.observe(inner.h_wait_wall, s.barrier_wait_wall_ns);
-        reg.inc(inner.c_steps, 1);
-        reg.inc(inner.c_wire_bytes, s.wire_bytes);
-        reg.inc(inner.c_codec_raw, s.codec_raw_bytes);
-        reg.inc(inner.c_codec_enc, s.codec_enc_bytes);
-        inner.monitor.observe_step(s.step, s.work_ps, s.delay_ps);
-    }
-
-    /// Finalises the rank's registry: end-of-run gauges from the shared
-    /// traffic snapshot (gauge merge is max, so globally-identical
-    /// values fold idempotently across ranks) plus this rank's device
-    /// peak, and a [`HealthEvent::TraceTruncated`] finding when the
-    /// trace ring overwrote spans. Returns `(None, [])` when disabled.
-    pub fn finish(
-        self,
-        world: usize,
-        rank: usize,
-        traffic: &TrafficSnapshot,
-        peak_mem_bytes: u64,
-        dropped_spans: u64,
-    ) -> (Option<MetricsRegistry>, Vec<HealthEvent>) {
-        let Some(mut inner) = self.inner else {
-            return (None, Vec::new());
-        };
-        let reg = &mut inner.registry;
-        reg.gauge_max(inner.g_world, world as u64);
-        let g = reg.gauge("wire_intra_bytes");
-        reg.gauge_max(g, traffic.intra_bytes());
-        let g = reg.gauge("wire_inter_bytes");
-        reg.gauge_max(g, traffic.inter_bytes());
-        let g = reg.gauge("peak_mem_bytes");
-        reg.gauge_max(g, peak_mem_bytes);
-        let g = reg.gauge("dropped_spans");
-        reg.gauge_max(g, dropped_spans);
-        let mut events = inner.monitor.into_events();
-        if dropped_spans > 0 {
-            events.push(HealthEvent::TraceTruncated {
-                rank,
-                dropped: dropped_spans,
-            });
-        }
-        (Some(inner.registry), events)
-    }
+    events
 }
 
 /// The machine-readable run artifact: one flat record of what a run
@@ -924,6 +880,9 @@ fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn attribution_totals_and_accumulates() {
@@ -946,6 +905,26 @@ mod tests {
         assert_eq!(sum.wire_intra_ps, 6);
         assert_eq!(sum.wire_inter_ps, 2);
         assert_eq!(sum.overlapped_ps, 8);
+    }
+
+    #[test]
+    fn bucket_table_covers_every_field_in_struct_order() {
+        // Every field is a `u64`, so the struct's size counts them.
+        assert_eq!(
+            TimeAttribution::BUCKETS.len() * std::mem::size_of::<u64>(),
+            std::mem::size_of::<TimeAttribution>()
+        );
+        let a = TimeAttribution::from_buckets([1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(TimeAttribution::from_buckets(a.buckets()), a);
+        // The names sit next to the values they name: reading each
+        // bucket back through the derived `Debug` rendering, which
+        // prints fields in declaration order under their own names.
+        let rendered = format!("{a:?}");
+        let mut at = 0;
+        for (name, v) in TimeAttribution::BUCKETS.iter().zip(a.buckets()) {
+            let found = rendered[at..].find(&format!("{name}: {v}"));
+            at += found.unwrap_or_else(|| panic!("{name}: {v} out of order in {rendered}"));
+        }
     }
 
     #[test]
@@ -1003,81 +982,275 @@ mod tests {
         assert_eq!(r.mean_step_bytes(), 100.0);
     }
 
+    /// The pre-fold online detector, kept verbatim as the reference
+    /// [`stragglers`] is checked against (its thresholds were
+    /// `MetricsConfig` fields, now the two constants).
+    struct HealthMonitor {
+        factor_milli: u64,
+        window: u32,
+        streaks: Vec<u32>,
+        flagged: Vec<bool>,
+        scratch: Vec<u64>,
+        events: Vec<HealthEvent>,
+    }
+
+    impl HealthMonitor {
+        fn new(world: usize) -> Self {
+            Self {
+                factor_milli: STRAGGLER_FACTOR_MILLI.max(1),
+                window: STRAGGLER_WINDOW.max(1),
+                streaks: vec![0; world],
+                flagged: vec![false; world],
+                scratch: Vec::with_capacity(world),
+                events: Vec::new(),
+            }
+        }
+
+        fn observe_step(&mut self, step: u64, work_ps: &[u64], delay_ps: &[u64]) {
+            debug_assert_eq!(work_ps.len(), self.streaks.len());
+            self.scratch.clear();
+            self.scratch
+                .extend(work_ps.iter().zip(delay_ps).map(|(&w, &d)| w + d));
+            self.scratch.sort_unstable();
+            let median = self.scratch[(self.scratch.len() - 1) / 2];
+            if median == 0 {
+                return;
+            }
+            for q in 0..work_ps.len() {
+                let busy = work_ps[q] + delay_ps[q];
+                let factor_milli = ((busy as u128 * 1000) / median as u128) as u64;
+                if factor_milli >= self.factor_milli {
+                    self.streaks[q] += 1;
+                    if self.streaks[q] >= self.window && !self.flagged[q] {
+                        self.flagged[q] = true;
+                        self.events.push(HealthEvent::Straggler {
+                            rank: q,
+                            factor_milli,
+                            step,
+                        });
+                    }
+                } else {
+                    self.streaks[q] = 0;
+                }
+            }
+        }
+    }
+
+    /// `table[step][rank]` busy times as the records the trainer would
+    /// write: every rank sees the same `T = max busy`, and splits what
+    /// it did not spend busy between barrier wait and skew.
+    fn records_of(table: &[Vec<u64>]) -> Vec<Vec<StepMetrics>> {
+        let world = table.first().map_or(0, Vec::len);
+        let mut ranks = vec![Vec::new(); world];
+        for (step, busy) in table.iter().enumerate() {
+            let t = busy.iter().copied().max().unwrap_or(0);
+            for (q, &b) in busy.iter().enumerate() {
+                ranks[q].push(StepMetrics {
+                    step: 10 + step as u64,
+                    sim_time_ps: t,
+                    attribution: TimeAttribution {
+                        compute_ps: b,
+                        barrier_wait_ps: (t - b) / 2,
+                        skew_ps: (t - b) - (t - b) / 2,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                });
+            }
+        }
+        ranks
+    }
+
+    /// Both detectors over one busy table: the fold, and the reference.
+    fn detect(table: &[Vec<u64>]) -> (Vec<HealthEvent>, Vec<HealthEvent>) {
+        let records = records_of(table);
+        let slices: Vec<&[StepMetrics]> = records.iter().map(Vec::as_slice).collect();
+        let world = table.first().map_or(0, Vec::len);
+        let mut reference = HealthMonitor::new(world);
+        for (step, busy) in table.iter().enumerate() {
+            reference.observe_step(10 + step as u64, busy, &vec![0; world]);
+        }
+        (stragglers(&slices), reference.events)
+    }
+
     #[test]
     fn health_monitor_names_the_slow_rank_after_the_window() {
-        let cfg = MetricsConfig::on(); // 1.5× median, 3-step window
-        let mut m = HealthMonitor::new(4, &cfg);
-        let work = [100u64, 100, 100, 100];
-        let slow_delay = [0u64, 0, 300, 0];
-        m.observe_step(0, &work, &slow_delay);
-        m.observe_step(1, &work, &slow_delay);
-        assert!(m.events().is_empty(), "window not yet met");
-        m.observe_step(2, &work, &slow_delay);
+        // 1.5× median, 3-step window.
+        let step = vec![100u64, 100, 400, 100];
+        let (got, _) = detect(&vec![step.clone(); 2]);
+        assert!(got.is_empty(), "window not yet met");
+        // Fires once per rank, even if the rank stays slow.
+        let (got, reference) = detect(&vec![step; 4]);
         assert_eq!(
-            m.events(),
-            &[HealthEvent::Straggler {
+            got,
+            vec![HealthEvent::Straggler {
                 rank: 2,
                 factor_milli: 4000,
-                step: 2
+                step: 12
             }]
         );
-        // Fires once per rank, even if the rank stays slow.
-        m.observe_step(3, &work, &slow_delay);
-        assert_eq!(m.events().len(), 1);
+        assert_eq!(got, reference);
     }
 
     #[test]
     fn health_monitor_resets_streak_on_recovery() {
-        let cfg = MetricsConfig::on();
-        let mut m = HealthMonitor::new(2, &cfg);
-        m.observe_step(0, &[100, 100], &[0, 200]);
-        m.observe_step(1, &[100, 100], &[0, 200]);
-        m.observe_step(2, &[100, 100], &[0, 0]); // recovered
-        m.observe_step(3, &[100, 100], &[0, 200]);
-        m.observe_step(4, &[100, 100], &[0, 200]);
-        assert!(m.events().is_empty(), "streak must restart after recovery");
+        let (slow, ok) = (vec![100u64, 300], vec![100u64, 100]);
+        let table = [slow.clone(), slow.clone(), ok, slow.clone(), slow];
+        let (got, reference) = detect(&table);
+        assert!(got.is_empty(), "streak must restart after recovery");
+        assert_eq!(got, reference);
     }
 
     #[test]
-    fn step_observer_off_is_inert_and_on_feeds_series() {
-        let mut off = StepObserver::off();
-        assert!(!off.enabled());
-        let attr = TimeAttribution::default();
-        off.on_step(&StepSample {
-            step: 0,
-            sim_time_ps: 1,
-            attribution: &attr,
-            wire_bytes: 0,
-            unique_global: 0,
-            codec_raw_bytes: 0,
-            codec_enc_bytes: 0,
-            work_ps: &[1],
-            delay_ps: &[0],
-            barrier_wait_wall_ns: 0,
-        });
-        let (reg, health) = off.finish(1, 0, &TrafficSnapshot::default(), 0, 0);
-        assert!(reg.is_none() && health.is_empty());
+    fn stragglers_match_the_online_detector_on_edge_tables() {
+        let tables: Vec<Vec<Vec<u64>>> = vec![
+            // G = 1: a lone rank is its own median and never 1.5× it.
+            vec![vec![100]; 5],
+            // An all-zero median skips the step without touching the
+            // streak: rank 2's three slow steps straddle it and fire.
+            vec![
+                vec![100, 100, 300],
+                vec![100, 100, 300],
+                vec![0, 0, 300],
+                vec![100, 100, 300],
+            ],
+            // A streak broken one step short of the window, then a
+            // second one that is again too short.
+            vec![
+                vec![100, 100, 150],
+                vec![100, 100, 150],
+                vec![100, 100, 149],
+                vec![100, 100, 150],
+                vec![100, 100, 150],
+            ],
+            // Two ranks crossing in the same step, reported in rank
+            // order; each with its own factor.
+            vec![vec![100, 100, 100, 200, 350]; 3],
+            // No steps; no ranks.
+            vec![],
+        ];
+        for table in &tables {
+            let (got, reference) = detect(table);
+            assert_eq!(got, reference, "table {table:?}");
+        }
+        let (got, _) = detect(&tables[1]);
+        assert_eq!(got.len(), 1, "zero-median step must not reset the streak");
+        let (got, _) = detect(&tables[2]);
+        assert!(got.is_empty());
+        let (got, _) = detect(&tables[3]);
+        assert_eq!(
+            got,
+            vec![
+                HealthEvent::Straggler {
+                    rank: 3,
+                    factor_milli: 2000,
+                    step: 12
+                },
+                HealthEvent::Straggler {
+                    rank: 4,
+                    factor_milli: 3500,
+                    step: 12
+                },
+            ]
+        );
+    }
 
-        let mut on = StepObserver::new(2, &MetricsConfig::on());
-        assert!(on.enabled());
+    /// A random step record: every quantity the folds read.
+    fn random_step(rng: &mut StdRng, step: u64) -> StepMetrics {
+        let exchange = |rng: &mut StdRng| ExchangeStats {
+            unique_global: rng.gen_range(0..5000),
+            wire_bytes: rng.gen_range(0..1 << 30),
+            reduce_raw_bytes: rng.gen_range(0..1 << 30),
+            reduce_enc_bytes: rng.gen_range(0..1 << 30),
+            ..Default::default()
+        };
+        let attribution =
+            TimeAttribution::from_buckets(std::array::from_fn(|_| rng.gen_range(0..1u64 << 40)));
+        StepMetrics {
+            step,
+            sim_time_ps: attribution.total_ps(),
+            attribution,
+            input_exchange: exchange(rng),
+            output_exchange: rng.gen_bool(0.5).then(|| exchange(rng)),
+            dense_bytes: rng.gen_range(0..1 << 30),
+            dense_raw_bytes: rng.gen_range(0..1 << 30),
+            dense_enc_bytes: rng.gen_range(0..1 << 30),
+            barrier_wait_wall_ns: rng.gen_range(0..1 << 30),
+            ..Default::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The registry fold is a homomorphism over concatenation —
+        /// what makes per-rank → fleet and pre/post-resume merges exact.
+        #[test]
+        fn step_registry_of_a_concatenation_is_the_merge(
+            seed in 0u64..=u64::MAX,
+            len_a in 0usize..12,
+            len_b in 0usize..12,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let steps: Vec<StepMetrics> = (0..len_a + len_b)
+                .map(|i| random_step(&mut rng, i as u64))
+                .collect();
+            let (a, b) = steps.split_at(len_a);
+            let mut merged = step_registry(a);
+            merged.merge(&step_registry(b));
+            prop_assert_eq!(&merged, &step_registry(&steps));
+            prop_assert_eq!(merged.prometheus_text(), step_registry(&steps).prometheus_text());
+        }
+
+        /// The straggler fold equals the online detector it replaced,
+        /// on busy tables drawn from a palette that sits on both sides
+        /// of the 1.5× threshold and includes zero.
+        #[test]
+        fn stragglers_match_the_online_detector(
+            world in 1usize..=6,
+            picks in proptest::collection::vec(0usize..7, 0..72),
+        ) {
+            const PALETTE: [u64; 7] = [0, 100, 100, 100, 149, 150, 400];
+            let table: Vec<Vec<u64>> = picks
+                .chunks_exact(world)
+                .map(|row| row.iter().map(|&i| PALETTE[i]).collect())
+                .collect();
+            let (got, reference) = detect(&table);
+            prop_assert_eq!(got, reference);
+        }
+    }
+
+    #[test]
+    fn rank_registry_is_the_step_fold_plus_end_of_run_gauges() {
+        let mut r = TrainReport {
+            gpus: 2,
+            ..Default::default()
+        };
         for step in 0..4u64 {
-            on.on_step(&StepSample {
+            r.steps.push(StepMetrics {
                 step,
                 sim_time_ps: 100 + step,
-                attribution: &attr,
-                wire_bytes: 64,
-                unique_global: 7,
-                codec_raw_bytes: 10,
-                codec_enc_bytes: 5,
-                work_ps: &[100, 100],
-                delay_ps: &[0, 0],
+                dense_bytes: 64,
+                dense_raw_bytes: 6,
+                dense_enc_bytes: 3,
+                input_exchange: ExchangeStats {
+                    unique_global: 7,
+                    reduce_raw_bytes: 4,
+                    reduce_enc_bytes: 2,
+                    ..Default::default()
+                },
                 barrier_wait_wall_ns: 3,
+                ..Default::default()
             });
         }
-        let (reg, health) = on.finish(2, 1, &TrafficSnapshot::default(), 555, 9);
-        let reg = reg.expect("registry");
+        r.trace = Some(TraceLog {
+            dropped: 9,
+            ..Default::default()
+        });
+        let reg = r.registry(555);
         assert_eq!(reg.find_counter("steps_total"), Some(4));
         assert_eq!(reg.find_counter("wire_bytes_total"), Some(256));
+        assert_eq!(reg.find_counter("codec_raw_bytes_total"), Some(40));
         assert_eq!(reg.find_counter("codec_enc_bytes_total"), Some(20));
         assert_eq!(reg.find_gauge("peak_mem_bytes"), Some(555));
         assert_eq!(reg.find_gauge("world"), Some(2));
@@ -1086,12 +1259,20 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.max(), Some(103));
         assert_eq!(
-            health,
-            vec![HealthEvent::TraceTruncated {
-                rank: 1,
-                dropped: 9
-            }]
+            reg.find_histogram("barrier_wait_wall_ns").unwrap().sum(),
+            12
         );
+        // The summary's codec fields are the registry counters' sum.
+        let s = r.run_summary(&TrainConfig::default());
+        assert_eq!((s.codec_raw_bytes, s.codec_enc_bytes), (40, 20));
+        assert_eq!(s.codec_ratio_milli, 500);
+        // Zero steps still yields every series, so registries of any
+        // two rounds merge shape-for-shape.
+        let empty = step_registry(&[]);
+        assert_eq!(empty.find_counter("steps_total"), Some(0));
+        for name in TimeAttribution::BUCKETS {
+            assert!(empty.find_histogram(name).is_some_and(Histogram::is_empty));
+        }
     }
 
     #[test]
@@ -1172,23 +1353,6 @@ mod tests {
         // The v1 schema (no durability fields) is rejected, not defaulted.
         assert!(
             RunSummary::from_json(&j.replace("zlm.run_summary.v2", "zlm.run_summary.v1")).is_err()
-        );
-    }
-
-    #[test]
-    fn health_monitor_note_methods_append_events() {
-        let mut m = HealthMonitor::new(2, &MetricsConfig::on());
-        m.note_checkpoint_corrupt(1, 8);
-        m.note_recovery(1, 1);
-        assert_eq!(
-            m.into_events(),
-            vec![
-                HealthEvent::CheckpointCorrupt { rank: 1, step: 8 },
-                HealthEvent::Recovery {
-                    round: 1,
-                    survivors: 1
-                },
-            ]
         );
     }
 

@@ -47,8 +47,8 @@ use crate::elastic::{self, RecoveryPolicy};
 use crate::eval::{char_valid_loss, word_valid_loss};
 use crate::exchange::{exchange_and_apply_traced, ExchangeConfig, ExchangeScratch, ExchangeStats};
 use crate::metrics::{
-    EpochMetrics, HealthEvent, RecoveryEvent, StepMetrics, StepObserver, StepSample,
-    TimeAttribution, TrainReport,
+    self, EpochMetrics, HealthEvent, RecoveryEvent, RunTotals, StepMetrics, TimeAttribution,
+    TrainReport,
 };
 use crate::schedule::{self, CommOp};
 use corpus::{shard_batches, train_valid_split, BatchSpec, CorpusGenerator, TokenUnit, Vocab};
@@ -183,6 +183,10 @@ impl From<CommError> for TrainError {
 /// Maximum validation batches evaluated per epoch (the full validation
 /// stream is used when it is smaller).
 const EVAL_BATCHES: usize = 48;
+
+/// Ring-buffer capacity of each rank's trace recorder: beyond this the
+/// oldest events are overwritten (counted in the log's `dropped`).
+const TRACE_EVENTS_PER_RANK: usize = 65_536;
 
 /// How to run a [`TrainConfig`]. The default is a plain run:
 /// unconstrained devices, no faults, no checkpoint store, from scratch,
@@ -514,32 +518,47 @@ fn run_round(
         report.peak_mem_bytes = peak_mem;
         report.gpus = cfg.gpus;
     }
-    // Fleet rollup: fold every rank's registry into one (exact — see
-    // `simgpu::metrics`) and collect the rank-local trace-truncation
-    // findings, both onto rank 0's report, so one report answers for
-    // the whole world.
     if cfg.metrics.enabled {
-        let mut fleet = simgpu::MetricsRegistry::new();
-        let mut truncated: Vec<HealthEvent> = Vec::new();
-        for rep in results.iter().skip(1).flatten() {
-            if let Some(m) = &rep.metrics {
-                fleet.merge(m);
-            }
-            truncated.extend(
-                rep.health
-                    .iter()
-                    .filter(|h| matches!(h, HealthEvent::TraceTruncated { .. }))
-                    .cloned(),
-            );
-        }
-        if let Some(Ok(rep0)) = results.first_mut() {
-            let mut merged = rep0.metrics.clone().unwrap_or_default();
-            merged.merge(&fleet);
-            rep0.fleet_metrics = Some(merged);
-            rep0.health.extend(truncated);
-        }
+        let device_peaks: Vec<u64> = devices.iter().map(|d| d.peak()).collect();
+        stamp_fleet_metrics(&mut results, &device_peaks);
     }
     results
+}
+
+/// Fleet metrics for one joined round, all of it folds over the ranks'
+/// step records: the one straggler list (it needs every rank's busy
+/// time, so a round with a failed rank has none), each rank's registry
+/// (`device_peaks[r]` is rank `r`'s device high-water mark) and
+/// trace-truncation finding, and — onto rank 0's report, so one report
+/// answers for the whole world — the registries merged (exact — see
+/// `simgpu::metrics`) and the other ranks' findings.
+fn stamp_fleet_metrics(results: &mut [Result<TrainReport, TrainError>], device_peaks: &[u64]) {
+    let records: Option<Vec<&[StepMetrics]>> = results
+        .iter()
+        .map(|res| res.as_ref().ok().map(|rep| rep.steps.as_slice()))
+        .collect();
+    let stragglers = records.map_or_else(Vec::new, |r| metrics::stragglers(&r));
+    let mut fleet = simgpu::MetricsRegistry::new();
+    let mut truncated_peers: Vec<HealthEvent> = Vec::new();
+    for (r, res) in results.iter_mut().enumerate() {
+        let Ok(rep) = res else { continue };
+        let registry = rep.registry(device_peaks[r]);
+        fleet.merge(&registry);
+        rep.metrics = Some(registry);
+        rep.health = stragglers.clone();
+        let dropped = rep.dropped_spans();
+        if dropped > 0 {
+            let finding = HealthEvent::TraceTruncated { rank: r, dropped };
+            if r > 0 {
+                truncated_peers.push(finding.clone());
+            }
+            rep.health.push(finding);
+        }
+    }
+    if let Some(Ok(rep0)) = results.first_mut() {
+        rep0.fleet_metrics = Some(fleet);
+        rep0.health.extend(truncated_peers);
+    }
 }
 
 /// Sequential-structure strength of the synthetic corpora: with this
@@ -700,11 +719,17 @@ struct LoopState {
     lr: f32,
     global_step: u64,
     report: TrainReport,
-    unique_sum: f64,
-    unique_count: u64,
+    /// Run totals at the resume point (zero on a fresh start); the
+    /// totals now are this plus the fold over `report.steps`.
+    base: RunTotals,
 }
 
 impl LoopState {
+    /// The run totals so far: *resume base + Σ steps*.
+    fn totals(&self, cfg: &TrainConfig) -> RunTotals {
+        self.base.plus(&self.report.steps, cfg.method.unique)
+    }
+
     /// Builds a bit-exact snapshot at a step boundary, `step_in_epoch`
     /// steps into `epoch` with that epoch's partial loss and simulated
     /// time. Only deterministic quantities are captured — see the
@@ -719,6 +744,7 @@ impl LoopState {
         epoch_loss: f64,
         epoch_time_ps: u64,
     ) -> Checkpoint {
+        let totals = self.totals(ctx.cfg);
         Checkpoint {
             world: ctx.cfg.gpus as u32,
             rank: rank as u32,
@@ -732,9 +758,9 @@ impl LoopState {
                 epochs: self.report.epochs.clone(),
                 epoch_loss,
                 epoch_time_ps,
-                unique_sum: self.unique_sum,
-                unique_count: self.unique_count,
-                attribution: self.report.attribution,
+                unique_sum: totals.unique_sum,
+                unique_count: totals.unique_count,
+                attribution: totals.attribution,
             },
         }
     }
@@ -1111,26 +1137,20 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
         lr: scaled_lr(cfg.base_lr, g, hw_gpus_per_node),
         global_step: 0,
         report: TrainReport::default(),
-        unique_sum: 0.0,
-        unique_count: 0,
+        base: RunTotals::default(),
     };
 
-    // Opt-in tracing: a per-rank ring recorder plus barrier-wait
-    // accounting on the communicator (enabled before the abort guard
-    // borrows `rank`). When disabled, nothing here allocates and every
-    // hot-path trace site is one `None` branch.
-    let mut recorder = if cfg.trace.enabled {
-        rank.enable_wait_tracking();
-        Some(TraceRecorder::new(r as u32, cfg.trace.events_per_rank))
-    } else {
-        None
-    };
-    // Opt-in fleet metrics: a per-rank registry + health monitor behind
-    // one Option (`StepObserver::off()` when disabled — a single branch
-    // per step, guarded by `exchange_steady/metrics_overhead`). Needs
-    // barrier-wait timing like the tracer does.
-    let mut observer = StepObserver::new(g, &cfg.metrics);
-    if observer.enabled() {
+    // Opt-in tracing: a per-rank ring recorder. When disabled, nothing
+    // here allocates and every hot-path trace site is one `None`
+    // branch. Tracing and fleet metrics both read the step's
+    // barrier-wait wall time, so either turns the communicator's wait
+    // accounting on (before the abort guard borrows `rank`).
+    let mut recorder = cfg
+        .trace
+        .enabled
+        .then(|| TraceRecorder::new(r as u32, TRACE_EVENTS_PER_RANK));
+    let track_waits = cfg.trace.enabled || cfg.metrics.enabled;
+    if track_waits {
         rank.enable_wait_tracking();
     }
 
@@ -1168,9 +1188,11 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
         resume_epoch_loss = ck.metrics.epoch_loss;
         resume_epoch_time_ps = ck.metrics.epoch_time_ps;
         st.report.epochs = ck.metrics.epochs.clone();
-        st.report.attribution = ck.metrics.attribution;
-        st.unique_sum = ck.metrics.unique_sum;
-        st.unique_count = ck.metrics.unique_count;
+        st.base = RunTotals {
+            attribution: ck.metrics.attribution,
+            unique_sum: ck.metrics.unique_sum,
+            unique_count: ck.metrics.unique_count,
+        };
     }
     // Per-table scratch pools: after the first step every exchange runs
     // allocation-free on reused buffers.
@@ -1370,9 +1392,9 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
             // Drain the step's accumulated barrier-wait wall-clock into
             // one synthetic contiguous span ending now (individual waits
             // happened inside the collectives above). Drained once and
-            // shared: the tracer gets its span, the metrics observer its
-            // histogram sample.
-            let waited_wall_ns = if recorder.is_some() || observer.enabled() {
+            // shared: the tracer gets its span, the step record its
+            // field.
+            let waited_wall_ns = if track_waits {
                 rank.take_barrier_wait_ns()
             } else {
                 0
@@ -1524,31 +1546,6 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
             }
             sim_clock_ps += t_ps;
             epoch_time_ps += t_ps;
-            st.report.attribution.accumulate(&attribution);
-
-            if xcfg.unique {
-                st.unique_sum += in_stats.unique_global as f64;
-                st.unique_count += 1;
-            }
-
-            observer.on_step(&StepSample {
-                step: global_step,
-                sim_time_ps: t_ps,
-                attribution: &attribution,
-                wire_bytes: dense_bytes
-                    + in_stats.wire_bytes
-                    + out_stats.map(|s| s.wire_bytes).unwrap_or(0),
-                unique_global: in_stats.unique_global as u64,
-                codec_raw_bytes: dense_wire.raw
-                    + in_stats.reduce_raw_bytes
-                    + out_stats.map(|s| s.reduce_raw_bytes).unwrap_or(0),
-                codec_enc_bytes: dense_wire.enc
-                    + in_stats.reduce_enc_bytes
-                    + out_stats.map(|s| s.reduce_enc_bytes).unwrap_or(0),
-                work_ps: &work_ps,
-                delay_ps: &delay_ps,
-                barrier_wait_wall_ns: waited_wall_ns,
-            });
 
             st.report.steps.push(StepMetrics {
                 step: global_step,
@@ -1559,12 +1556,14 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
                 input_exchange: in_stats,
                 output_exchange: out_stats,
                 dense_bytes,
+                dense_raw_bytes: dense_wire.raw,
+                dense_enc_bytes: dense_wire.enc,
+                barrier_wait_wall_ns: waited_wall_ns,
             });
             st.global_step += 1;
 
             // Checkpoint hooks: off the hot path unless a store is
-            // attached (a default run has none — one branch per step,
-            // satisfying the zero-overhead-when-off guard).
+            // attached (a default run has none — one branch per step).
             if let Some(store) = ctx.store {
                 store.note_progress(r, st.global_step);
                 let every = cfg.checkpoint.every_steps;
@@ -1612,17 +1611,10 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
     }
 
     st.report.traffic = rank.traffic();
-    st.report.mean_unique_global = if st.unique_count > 0 {
-        st.unique_sum / st.unique_count as f64
-    } else {
-        0.0
-    };
+    let totals = st.totals(cfg);
+    st.report.attribution = totals.attribution;
+    st.report.mean_unique_global = totals.mean_unique_global();
     st.report.trace = recorder.map(TraceRecorder::finish);
-    let dropped_spans = st.report.trace.as_ref().map(|t| t.dropped).unwrap_or(0);
-    let (registry, health) =
-        observer.finish(g, r, &st.report.traffic, device.peak(), dropped_spans);
-    st.report.metrics = registry;
-    st.report.health = health;
     // Terminal snapshot: the run's exact final state (params + full
     // epoch history). Rank 0's copy is authoritative — it alone carries
     // the validation history — and resuming from it is a no-op run.
@@ -1850,6 +1842,79 @@ mod tests {
         );
         assert!(snap.allreduce_inter_bytes > 0, "leaders must cross nodes");
         assert!(snap.allreduce_intra_bytes > 0);
+    }
+
+    #[test]
+    fn fleet_metrics_are_stamped_once_from_the_joined_ranks_records() {
+        // Three ranks, four steps; rank 2 is busy 4× as long, and the
+        // trace rings of ranks 1 and 2 overflowed.
+        let report = |busy: u64, dropped: u64| TrainReport {
+            gpus: 3,
+            steps: (0..4)
+                .map(|step| StepMetrics {
+                    step,
+                    sim_time_ps: 400,
+                    attribution: TimeAttribution {
+                        compute_ps: busy,
+                        barrier_wait_ps: 400 - busy,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                })
+                .collect(),
+            trace: Some(simgpu::TraceLog {
+                dropped,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let mut results = vec![Ok(report(100, 0)), Ok(report(100, 5)), Ok(report(400, 7))];
+        stamp_fleet_metrics(&mut results, &[10, 30, 20]);
+        let reports: Vec<&TrainReport> = results.iter().map(|r| r.as_ref().unwrap()).collect();
+        let straggler = HealthEvent::Straggler {
+            rank: 2,
+            factor_milli: 4000,
+            step: 2,
+        };
+        let truncated = |rank, dropped| HealthEvent::TraceTruncated { rank, dropped };
+        assert_eq!(
+            reports[0].health,
+            [straggler.clone(), truncated(1, 5), truncated(2, 7)],
+            "rank 0 answers for the world"
+        );
+        assert_eq!(reports[1].health, [straggler.clone(), truncated(1, 5)]);
+        assert_eq!(reports[2].health, [straggler, truncated(2, 7)]);
+        let peak = |r: usize| {
+            reports[r]
+                .metrics
+                .as_ref()
+                .unwrap()
+                .find_gauge("peak_mem_bytes")
+        };
+        assert_eq!((peak(0), peak(1), peak(2)), (Some(10), Some(30), Some(20)));
+        let fleet = reports[0].fleet_metrics.as_ref().expect("fleet registry");
+        assert_eq!(fleet.find_counter("steps_total"), Some(12));
+        assert_eq!(fleet.find_gauge("peak_mem_bytes"), Some(30));
+        assert_eq!(fleet.find_gauge("dropped_spans"), Some(7));
+        assert!(reports[1].fleet_metrics.is_none());
+
+        // A round with a failed rank has no complete busy table: the
+        // survivors still get registries, nobody gets straggler findings.
+        let failed = TrainError::PeerFailure {
+            rank: 1,
+            reason: "killed".to_owned(),
+        };
+        let mut results = vec![Ok(report(100, 0)), Err(failed), Ok(report(400, 7))];
+        stamp_fleet_metrics(&mut results, &[10, 30, 20]);
+        let rep0 = results[0].as_ref().unwrap();
+        assert_eq!(rep0.health, [truncated(2, 7)]);
+        assert_eq!(
+            rep0.fleet_metrics
+                .as_ref()
+                .unwrap()
+                .find_counter("steps_total"),
+            Some(8)
+        );
     }
 
     #[test]

@@ -480,7 +480,7 @@ impl CharLm {
         };
         let end = self.out.unflatten_grads(flat, off, &mut out_grads);
         debug_assert_eq!(end, flat.len());
-        self.rhn.apply(&rhn_grads, lr, 0.0);
+        self.rhn.apply(&rhn_grads, lr);
         self.out.apply(&out_grads, lr);
     }
 }

@@ -250,18 +250,11 @@ impl RhnLayer {
         (dxs, grads)
     }
 
-    /// SGD step with optional weight decay (the paper uses "Adam with
-    /// weight decay" for the char LM; decay applies to weights, not
-    /// biases).
-    pub fn apply(&mut self, grads: &RhnGrads, lr: f32, weight_decay: f32) {
-        let decay = 1.0 - lr * weight_decay;
-        self.wx_h.scale(decay);
-        self.wx_t.scale(decay);
+    /// SGD step.
+    pub fn apply(&mut self, grads: &RhnGrads, lr: f32) {
         self.wx_h.axpy(-lr, &grads.dwx_h);
         self.wx_t.axpy(-lr, &grads.dwx_t);
         for l in 0..self.depth() {
-            self.r_h[l].scale(decay);
-            self.r_t[l].scale(decay);
             self.r_h[l].axpy(-lr, &grads.dr_h[l]);
             self.r_t[l].axpy(-lr, &grads.dr_t[l]);
             for (b, &g) in self.b_h[l].iter_mut().zip(&grads.db_h[l]) {
@@ -477,20 +470,10 @@ mod tests {
         for _ in 0..40 {
             let (hs, cache) = layer.forward(&xs);
             let (_, grads) = layer.backward(&cache, &hs);
-            layer.apply(&grads, 0.1, 0.0);
+            layer.apply(&grads, 0.1);
         }
         let (hs1, _) = layer.forward(&xs);
         assert!(sq_loss(&hs1) < before * 0.6);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut layer = RhnLayer::new(&mut rng, 2, 3, 2);
-        let norm0 = layer.wx_h.norm_sq();
-        let grads = layer.zero_grads();
-        layer.apply(&grads, 0.1, 0.5);
-        assert!(layer.wx_h.norm_sq() < norm0);
     }
 
     #[test]

@@ -41,44 +41,13 @@ impl CostModel {
         &self.hw
     }
 
-    /// Seconds for a ring ALLREDUCE of `bytes` over `gpus` GPUs.
-    pub fn allreduce_time(&self, bytes: u64, gpus: usize) -> f64 {
-        assert!(gpus >= 1);
-        if gpus == 1 {
-            return 0.0;
-        }
-        let g = gpus as f64;
-        let alpha = self.hw.ring_latency(gpus);
-        let beta = self.hw.ring_bandwidth(gpus);
-        2.0 * (g - 1.0) * alpha + 2.0 * (g - 1.0) / g * bytes as f64 / beta
-    }
-
-    /// Seconds *rank `rank`* spends in a ring ALLREDUCE of `n_elems`
-    /// elements of `elem_bytes` each over `gpus` GPUs: the shared
-    /// `2(G−1)·α` latency term plus this rank's exact wire bytes from
-    /// the ring's own chunk schedule
-    /// ([`crate::comm::ring_allreduce_send_bytes`]). Unlike
-    /// [`CostModel::allreduce_time`], which uses the idealised
-    /// `2(G−1)/G·n` volume, this stays exact when `n_elems` does not
-    /// divide by `gpus` — per-rank time attribution is built on it.
-    pub fn allreduce_rank_time(
-        &self,
-        n_elems: usize,
-        elem_bytes: u64,
-        gpus: usize,
-        rank: usize,
-    ) -> f64 {
-        assert!(gpus >= 1 && rank < gpus);
-        let bytes = crate::comm::ring_allreduce_send_bytes(n_elems, gpus, rank, elem_bytes);
-        self.allreduce_rank_time_bytes(bytes, gpus)
-    }
-
-    /// Seconds one rank spends in a ring ALLREDUCE given its exact
-    /// `send_bytes` (the `2(G−1)·α` latency term is hop-count only, so
-    /// it is unchanged by wire compression): the pricing primitive the
-    /// per-rank variants delegate to, and the entry point for codec-
-    /// compressed volumes, which substitute encoded bytes for raw ones
-    /// without touching the hop count.
+    /// Seconds one rank spends in a ring ALLREDUCE over `gpus` GPUs
+    /// given its exact `send_bytes` from the ring's own chunk schedule
+    /// ([`crate::comm::ring_allreduce_send_bytes`] — exact even when
+    /// the payload does not divide by `gpus`; per-rank time attribution
+    /// is built on it). The `2(G−1)·α` latency term is hop-count only,
+    /// so codec-compressed volumes substitute encoded bytes for raw
+    /// ones without touching it.
     pub fn allreduce_rank_time_bytes(&self, send_bytes: u64, gpus: usize) -> f64 {
         assert!(gpus >= 1);
         if gpus == 1 {
@@ -91,8 +60,8 @@ impl CostModel {
     }
 
     /// Per-tier seconds *rank `rank`* spends in a hierarchical two-tier
-    /// ALLREDUCE of `n_elems` elements of `elem_bytes` each over `gpus`
-    /// GPUs laid out `gpus_per_node` per node — the α–β mirror of
+    /// ALLREDUCE over `gpus` GPUs laid out `gpus_per_node` per node,
+    /// given its exact per-tier wire bytes `tb` — the α–β mirror of
     /// [`crate::comm::hierarchical_allreduce_send_bytes`]'s four-phase
     /// byte schedule. Returns `(intra_secs, inter_secs)`:
     ///
@@ -102,39 +71,12 @@ impl CostModel {
     /// * inter: leaders only — the `2(N−1)`-hop flat ring over the `N`
     ///   nodes at inter-node α/β, with this leader's exact ring bytes.
     ///
-    /// Quantise each component separately (`secs_to_ps`) and the split
-    /// still reconciles exactly: `wire = intra_ps + inter_ps` by
-    /// construction. Falls back to the flat
-    /// [`CostModel::allreduce_rank_time`] (all intra) when the group
-    /// fits in one node.
-    pub fn hierarchical_allreduce_rank_time(
-        &self,
-        n_elems: usize,
-        elem_bytes: u64,
-        gpus: usize,
-        gpus_per_node: usize,
-        rank: usize,
-    ) -> (f64, f64) {
-        assert!(gpus >= 1 && rank < gpus);
-        assert!(
-            gpus_per_node >= 1,
-            "topology needs at least one GPU per node"
-        );
-        let tb = crate::comm::hierarchical_allreduce_send_bytes(
-            n_elems,
-            gpus,
-            gpus_per_node,
-            rank,
-            elem_bytes,
-        );
-        self.hierarchical_allreduce_rank_time_bytes(tb, gpus, gpus_per_node, rank)
-    }
-
-    /// Per-tier seconds for the hierarchical ALLREDUCE given the rank's
-    /// exact per-tier wire bytes (hop counts depend only on topology, so
-    /// they are unchanged by wire compression): the pricing primitive
-    /// [`CostModel::hierarchical_allreduce_rank_time`] delegates to, and
-    /// the entry point for codec-compressed per-tier volumes.
+    /// Hop counts depend only on topology, so codec-compressed per-tier
+    /// volumes price the same way. Quantise each component separately
+    /// (`secs_to_ps`) and the split still reconciles exactly: `wire =
+    /// intra_ps + inter_ps` by construction. Falls back to the flat
+    /// [`CostModel::allreduce_rank_time_bytes`] (all intra) when the
+    /// group fits in one node.
     pub fn hierarchical_allreduce_rank_time_bytes(
         &self,
         tb: TierBytes,
@@ -252,42 +194,51 @@ impl CostModel {
         assert!(throughput_bps > 0.0, "codec throughput must be positive");
         raw_bytes as f64 / throughput_bps
     }
-
-    /// Achieved cluster FLOP/s over `gpus` GPUs.
-    pub fn achieved_cluster_flops(&self, gpus: usize) -> f64 {
-        self.hw.cluster_peak_flops(gpus) * self.utilization
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::{hierarchical_allreduce_send_bytes, ring_allreduce_send_bytes};
 
     fn model() -> CostModel {
         CostModel::new(HardwareConfig::titan_x_cluster(), 0.4)
     }
 
+    /// Rank `r`'s seconds in a flat ring ALLREDUCE of `n` f32 elements.
+    fn ring_secs(m: &CostModel, n: usize, gpus: usize, r: usize) -> f64 {
+        m.allreduce_rank_time_bytes(ring_allreduce_send_bytes(n, gpus, r, 4), gpus)
+    }
+
+    /// Rank `r`'s per-tier seconds in a hierarchical ALLREDUCE of `n`
+    /// f32 elements.
+    fn hier_secs(m: &CostModel, n: usize, gpus: usize, gpn: usize, r: usize) -> (f64, f64) {
+        let tb = hierarchical_allreduce_send_bytes(n, gpus, gpn, r, 4);
+        m.hierarchical_allreduce_rank_time_bytes(tb, gpus, gpn, r)
+    }
+
     #[test]
     fn allreduce_time_scales_with_bytes() {
         let m = model();
-        let t1 = m.allreduce_time(1 << 20, 8);
-        let t2 = m.allreduce_time(1 << 26, 8);
+        let t1 = ring_secs(&m, 1 << 18, 8, 0);
+        let t2 = ring_secs(&m, 1 << 24, 8, 0);
         assert!(t2 > t1 * 10.0, "t1={t1} t2={t2}");
     }
 
     #[test]
     fn allreduce_single_gpu_free() {
-        assert_eq!(model().allreduce_time(1 << 30, 1), 0.0);
+        assert_eq!(model().allreduce_rank_time_bytes(1 << 30, 1), 0.0);
         assert_eq!(model().allgather_time(1 << 30, 1), 0.0);
     }
 
     #[test]
     fn allreduce_bandwidth_term_saturates_with_g() {
-        // 2(G−1)/G approaches 2: doubling G at fixed volume must not
-        // double time (latency term aside) once inter-node.
+        // A rank's ring share 2(G−1)/G·n approaches 2n: doubling G at
+        // fixed volume must not double time (latency term aside) once
+        // inter-node.
         let m = model();
-        let t16 = m.allreduce_time(100 << 20, 16);
-        let t64 = m.allreduce_time(100 << 20, 64);
+        let t16 = ring_secs(&m, 25 << 20, 16, 0);
+        let t64 = ring_secs(&m, 25 << 20, 64, 0);
         assert!(t64 < t16 * 1.3, "t16={t16} t64={t64}");
     }
 
@@ -313,20 +264,24 @@ mod tests {
     #[test]
     fn per_rank_allreduce_matches_aggregate_when_divisible() {
         // When n divides by G every rank moves the idealised 2(G−1)/G·n
-        // bytes, so the per-rank expression equals the aggregate one.
+        // bytes, so the per-rank price equals the textbook aggregate
+        // `2(G−1)·α + 2(G−1)/G · n / β`.
         let m = model();
+        let hw = m.hardware().clone();
         for gpus in [2usize, 4, 8] {
             let n = 1024 * gpus;
-            let whole = m.allreduce_time(n as u64 * 4, gpus);
+            let g = gpus as f64;
+            let whole = 2.0 * (g - 1.0) * hw.ring_latency(gpus)
+                + 2.0 * (g - 1.0) / g * (n * 4) as f64 / hw.ring_bandwidth(gpus);
             for r in 0..gpus {
-                let per = m.allreduce_rank_time(n, 4, gpus, r);
+                let per = ring_secs(&m, n, gpus, r);
                 assert!(
                     (per - whole).abs() < 1e-12,
                     "gpus {gpus} rank {r}: {per} vs {whole}"
                 );
             }
         }
-        assert_eq!(m.allreduce_rank_time(1 << 20, 4, 1, 0), 0.0);
+        assert_eq!(ring_secs(&m, 1 << 20, 1, 0), 0.0);
     }
 
     #[test]
@@ -334,14 +289,14 @@ mod tests {
         let m = model();
         // One-node groups collapse to the flat per-rank expression.
         for r in 0..4 {
-            let (intra, inter) = m.hierarchical_allreduce_rank_time(1000, 4, 4, 8, r);
-            assert_eq!(intra, m.allreduce_rank_time(1000, 4, 4, r));
+            let (intra, inter) = hier_secs(&m, 1000, 4, 8, r);
+            assert_eq!(intra, ring_secs(&m, 1000, 4, r));
             assert_eq!(inter, 0.0);
         }
         // Multi-node: only leaders pay inter time; members pay none.
         let (gpus, gpn, n) = (24usize, 8usize, 10_000usize);
         for r in 0..gpus {
-            let (intra, inter) = m.hierarchical_allreduce_rank_time(n, 4, gpus, gpn, r);
+            let (intra, inter) = hier_secs(&m, n, gpus, gpn, r);
             assert!(intra > 0.0);
             if r % gpn == 0 {
                 assert!(inter > 0.0, "leader {r} must pay the Infiniband tier");
@@ -349,10 +304,7 @@ mod tests {
                 assert_eq!(inter, 0.0, "member {r} must not touch Infiniband");
             }
         }
-        assert_eq!(
-            m.hierarchical_allreduce_rank_time(1 << 20, 4, 1, 8, 0),
-            (0.0, 0.0)
-        );
+        assert_eq!(hier_secs(&m, 1 << 20, 1, 8, 0), (0.0, 0.0));
     }
 
     #[test]
@@ -363,11 +315,11 @@ mod tests {
         let m = model();
         let (gpus, gpn, n) = (192usize, 8usize, 100_000usize);
         let flat: f64 = (0..gpus)
-            .map(|r| m.allreduce_rank_time(n, 4, gpus, r))
+            .map(|r| ring_secs(&m, n, gpus, r))
             .fold(0.0, f64::max);
         let hier: f64 = (0..gpus)
             .map(|r| {
-                let (a, b) = m.hierarchical_allreduce_rank_time(n, 4, gpus, gpn, r);
+                let (a, b) = hier_secs(&m, n, gpus, gpn, r);
                 a + b
             })
             .fold(0.0, f64::max);
@@ -402,7 +354,7 @@ mod tests {
     #[test]
     fn intra_node_cheaper_than_inter() {
         let m = model();
-        assert!(m.allreduce_time(1 << 24, 8) < m.allreduce_time(1 << 24, 9));
+        assert!(ring_secs(&m, 1 << 22, 8, 0) < ring_secs(&m, 1 << 22, 9, 0));
     }
 
     #[test]

@@ -75,18 +75,6 @@ impl HardwareConfig {
         }
     }
 
-    /// Effective per-GPU bandwidth when *all* GPUs of a node pull remote
-    /// data simultaneously (naive gather schedules): the node NIC is
-    /// shared `gpus_per_node` ways.
-    pub fn gather_bandwidth(&self, gpus: usize) -> f64 {
-        assert!(gpus >= 1);
-        if gpus <= self.gpus_per_node {
-            self.intra_node_bw
-        } else {
-            (self.inter_node_bw / self.gpus_per_node as f64).min(self.intra_node_bw)
-        }
-    }
-
     /// Per-hop message latency for a job spanning `gpus` GPUs.
     pub fn ring_latency(&self, gpus: usize) -> f64 {
         if gpus <= self.gpus_per_node {

@@ -76,8 +76,7 @@ pub use device::{Allocation, Device, OomError};
 pub use fault::{DiskFault, DiskFaultPlan, FaultPlan};
 pub use hw::HardwareConfig;
 pub use metrics::{
-    bucket_bounds, bucket_index, CounterId, GaugeId, Histogram, HistogramId, MetricsRegistry,
-    HIST_BUCKETS, HIST_SUB_BUCKETS,
+    bucket_bounds, bucket_index, Histogram, MetricsRegistry, HIST_BUCKETS, HIST_SUB_BUCKETS,
 };
 pub use pool::{run_ranks, RunGate};
 pub use timing::PhaseTimer;

@@ -4,9 +4,9 @@
 //! order"; this module answers the distributional questions the paper's
 //! tables are made of — p50/p95/p99 step time, wire bytes by tier,
 //! attribution totals — in a form that **merges exactly**. Every rank
-//! owns a private [`MetricsRegistry`] (no locks, no allocation on the
-//! hot path once a series exists); the trainer merges them after the
-//! run. The invariant that makes cross-rank and cross-run rollups
+//! gets a private [`MetricsRegistry`], built after the run from that
+//! rank's step records; the trainer merges them into the fleet view.
+//! The invariant that makes cross-rank and cross-run rollups
 //! trustworthy:
 //!
 //! > merging per-rank histograms == histogramming the pooled samples
@@ -185,31 +185,32 @@ impl Histogram {
     }
 }
 
-/// Handle to a counter series (index into the owning registry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a gauge series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a histogram series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
 /// One rank's metric series: monotonically-increasing counters
 /// (cross-rank merge: addition), gauges (merge: maximum — so a
 /// globally-shared snapshot value recorded by every rank merges
 /// idempotently), and [`Histogram`]s (merge: exact).
 ///
-/// Series are keyed by `&'static str` names; registering an existing
-/// name returns the existing handle. Hot paths hold the typed id and
-/// update by index — O(1), no hashing, no allocation.
+/// Series are keyed by `&'static str` names and created by their first
+/// update, in update order. Nothing updates a registry on a hot path —
+/// the trainer builds each one after the run, as a fold over the
+/// rank's step records — so an update is a linear name lookup.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: Vec<(&'static str, u64)>,
     gauges: Vec<(&'static str, u64)>,
     histograms: Vec<(&'static str, Histogram)>,
+}
+
+/// The value of series `name`, appended empty on first use.
+fn series<'a, T: Default>(list: &'a mut Vec<(&'static str, T)>, name: &'static str) -> &'a mut T {
+    let i = match list.iter().position(|(n, _)| *n == name) {
+        Some(i) => i,
+        None => {
+            list.push((name, T::default()));
+            list.len() - 1
+        }
+    };
+    &mut list[i].1
 }
 
 impl MetricsRegistry {
@@ -218,66 +219,23 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Registers (or finds) the counter `name`.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| *n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name, 0));
-        CounterId(self.counters.len() - 1)
+    /// Adds `delta` to the counter `name`.
+    pub fn inc(&mut self, name: &'static str, delta: u64) {
+        *series(&mut self.counters, name) += delta;
     }
 
-    /// Adds `delta` to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, delta: u64) {
-        self.counters[id.0].1 += delta;
-    }
-
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
-    /// Registers (or finds) the gauge `name`.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _)| *n == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push((name, 0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Raises a gauge to `v` if larger (gauges merge by max, so sets
-    /// follow the same law).
-    #[inline]
-    pub fn gauge_max(&mut self, id: GaugeId, v: u64) {
-        let g = &mut self.gauges[id.0].1;
+    /// Raises the gauge `name` to `v` if larger (gauges merge by max,
+    /// so sets follow the same law).
+    pub fn gauge_max(&mut self, name: &'static str, v: u64) {
+        let g = series(&mut self.gauges, name);
         *g = (*g).max(v);
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> u64 {
-        self.gauges[id.0].1
-    }
-
-    /// Registers (or finds) the histogram `name`.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        if let Some(i) = self.histograms.iter().position(|(n, _)| *n == name) {
-            return HistogramId(i);
-        }
-        self.histograms.push((name, Histogram::new()));
-        HistogramId(self.histograms.len() - 1)
-    }
-
-    /// Records one sample into a histogram.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, v: u64) {
-        self.histograms[id.0].1.observe(v);
-    }
-
-    /// Borrow a histogram by handle.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
+    /// Records every sample into the histogram `name` (which exists
+    /// afterwards even when `samples` is empty).
+    pub fn observe(&mut self, name: &'static str, samples: impl IntoIterator<Item = u64>) {
+        let h = series(&mut self.histograms, name);
+        samples.into_iter().for_each(|v| h.observe(v));
     }
 
     /// Look up a series by name (for reports and tests).
@@ -310,16 +268,13 @@ impl MetricsRegistry {
     /// one yields the fleet rollup.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for &(name, v) in &other.counters {
-            let id = self.counter(name);
-            self.inc(id, v);
+            self.inc(name, v);
         }
         for &(name, v) in &other.gauges {
-            let id = self.gauge(name);
-            self.gauge_max(id, v);
+            self.gauge_max(name, v);
         }
         for (name, h) in &other.histograms {
-            let id = self.histogram(name);
-            self.histograms[id.0].1.merge(h);
+            series(&mut self.histograms, name).merge(h);
         }
     }
 
@@ -451,27 +406,23 @@ mod tests {
     }
 
     #[test]
-    fn registry_handles_are_stable_and_merge_follows_type_laws() {
+    fn registry_updates_by_name_and_merge_follows_type_laws() {
         let mut a = MetricsRegistry::new();
-        let c = a.counter("steps");
-        assert_eq!(a.counter("steps"), c, "re-registering returns same id");
-        a.inc(c, 3);
-        let g = a.gauge("peak_bytes");
-        a.gauge_max(g, 100);
-        a.gauge_max(g, 40);
-        assert_eq!(a.gauge_value(g), 100, "gauge_max never lowers");
-        let h = a.histogram("step_ps");
-        a.observe(h, 10);
+        a.inc("steps", 1);
+        a.inc("steps", 2);
+        assert_eq!(a.find_counter("steps"), Some(3), "same name, same series");
+        a.gauge_max("peak_bytes", 100);
+        a.gauge_max("peak_bytes", 40);
+        assert_eq!(a.find_gauge("peak_bytes"), Some(100), "never lowers");
+        a.observe("step_ps", [10]);
+        a.observe("idle_ps", []);
+        assert!(a.find_histogram("idle_ps").is_some_and(Histogram::is_empty));
 
         let mut b = MetricsRegistry::new();
-        let c2 = b.counter("steps");
-        b.inc(c2, 5);
-        let g2 = b.gauge("peak_bytes");
-        b.gauge_max(g2, 70);
-        let h2 = b.histogram("step_ps");
-        b.observe(h2, 20);
-        let extra = b.counter("only_in_b");
-        b.inc(extra, 1);
+        b.inc("steps", 5);
+        b.gauge_max("peak_bytes", 70);
+        b.observe("step_ps", [20]);
+        b.inc("only_in_b", 1);
 
         a.merge(&b);
         assert_eq!(a.find_counter("steps"), Some(8));
@@ -486,14 +437,9 @@ mod tests {
     #[test]
     fn prometheus_text_is_sorted_and_cumulative() {
         let mut r = MetricsRegistry::new();
-        let b = r.counter("b_total");
-        let a = r.counter("a_total");
-        r.inc(a, 1);
-        r.inc(b, 2);
-        let h = r.histogram("lat_ps");
-        r.observe(h, 5);
-        r.observe(h, 5);
-        r.observe(h, 100);
+        r.inc("b_total", 2);
+        r.inc("a_total", 1);
+        r.observe("lat_ps", [5, 5, 100]);
         let text = r.prometheus_text();
         let a_pos = text.find("zlm_a_total 1").unwrap();
         let b_pos = text.find("zlm_b_total 2").unwrap();

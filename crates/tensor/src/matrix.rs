@@ -113,11 +113,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -144,11 +139,6 @@ impl Matrix {
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c] = v;
-    }
-
-    /// Sets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// `self += other`, elementwise.

@@ -56,20 +56,6 @@ pub fn dtanh_from_y(y: f32) -> f32 {
     1.0 - y * y
 }
 
-/// In-place tanh over a slice.
-pub fn tanh_in_place(xs: &mut [f32]) {
-    for x in xs {
-        *x = x.tanh();
-    }
-}
-
-/// In-place sigmoid over a slice.
-pub fn sigmoid_in_place(xs: &mut [f32]) {
-    for x in xs {
-        *x = sigmoid(*x);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -185,3 +185,57 @@ fn lossless_codecs_bit_identical_world_48_hierarchical() {
         ],
     );
 }
+
+/// The run's two exporters agree about the codec: `RunSummary`'s codec
+/// bytes are the registry counters' sum — every codec-framed ALLREDUCE
+/// payload, the dense one included — on every rank, and the raw side
+/// is the identity run's (a codec changes what is encoded, never what
+/// there is to encode). They used to disagree: the summary left the
+/// dense ALLREDUCE out, so one run read two compression ratios.
+#[test]
+fn run_summary_and_registry_count_the_same_codec_bytes() {
+    let metered = |comm: CommConfig| {
+        let mut c = cfg(4, comm);
+        c.metrics = MetricsConfig::on();
+        let ranks = zipf_lm::run(&c, &RunOptions::default()).ranks;
+        let codec_bytes: Vec<(u64, u64)> = ranks
+            .iter()
+            .map(|res| {
+                let rep = res.as_ref().expect("rank report");
+                let s = rep.run_summary(&c);
+                let reg = rep.metrics.as_ref().expect("per-rank registry");
+                assert_eq!(
+                    Some(s.codec_raw_bytes),
+                    reg.find_counter("codec_raw_bytes_total")
+                );
+                assert_eq!(
+                    Some(s.codec_enc_bytes),
+                    reg.find_counter("codec_enc_bytes_total")
+                );
+                assert_eq!(
+                    s.codec_ratio_milli,
+                    s.codec_enc_bytes * 1000 / s.codec_raw_bytes
+                );
+                // A char LM has one exchange; the dense ALLREDUCE is
+                // the rest, and most, of the sum.
+                let dense: u64 = rep.steps.iter().map(|st| st.dense_raw_bytes).sum();
+                let exchange: u64 = rep
+                    .steps
+                    .iter()
+                    .map(|st| st.input_exchange.reduce_raw_bytes)
+                    .sum();
+                assert!(dense > exchange && exchange > 0);
+                assert_eq!(s.codec_raw_bytes, dense + exchange);
+                (s.codec_raw_bytes, s.codec_enc_bytes)
+            })
+            .collect();
+        // The payloads are the reduced ones: identical on every rank.
+        assert!(codec_bytes.iter().all(|b| *b == codec_bytes[0]));
+        codec_bytes[0]
+    };
+    let (id_raw, id_enc) = metered(CommConfig::flat());
+    let (raw, enc) = metered(CommConfig::flat().with_codec(WireCodecId::LosslessGrad));
+    assert_eq!(id_raw, id_enc, "identity encodes nothing");
+    assert_eq!(raw, id_raw, "the codec run has the same bytes to encode");
+    assert!(enc < raw, "lossless-grad must compress: {enc} vs {raw}");
+}

@@ -65,11 +65,12 @@ fn checkpointed(
 
 /// Kill a rank mid-epoch-1, restore every rank (same world) from the
 /// last consistent checkpoint, and finish. The result must be
-/// bit-identical to never having failed: equal per-epoch metrics and a
+/// bit-identical to never having failed: equal per-epoch metrics, equal
+/// run totals on the report (*resume base + Σ steps since*), and a
 /// byte-equal terminal checkpoint (parameters, exact learning rate,
 /// every deterministic accumulator).
 fn same_world_kill_and_resume(gpus: usize) {
-    let (fin_a, epochs_a, fin_b, epochs_b, restored_step) = with_watchdog(move || {
+    let (fin_a, rep_a, fin_b, rep_b, restored_step) = with_watchdog(move || {
         let c = cfg(gpus);
 
         // Reference: uninterrupted run.
@@ -97,8 +98,9 @@ fn same_world_kill_and_resume(gpus: usize) {
         let (out_c, _) = checkpointed(&c, FaultPlan::none(), Some(ck));
         let rep_c = out_c.ranks[0].as_ref().expect("resumed run").clone();
         let fin_c = out_c.final_checkpoint.expect("terminal snapshot");
-        (fin_a, rep_a.epochs, fin_c, rep_c.epochs, restored_step)
+        (fin_a, rep_a, fin_c, rep_c, restored_step)
     });
+    let (epochs_a, epochs_b) = (rep_a.epochs, rep_b.epochs);
 
     // The kill fired at step 8, so the newest snapshot all ranks hold
     // is step 8 itself (deposited at the end of the last completed
@@ -106,6 +108,19 @@ fn same_world_kill_and_resume(gpus: usize) {
     assert_eq!(restored_step, 8);
     assert_eq!(epochs_a.len(), 2);
     assert_eq!(epochs_a, epochs_b, "per-epoch metrics bit-identical");
+    // The resumed report's steps restart at the cut, its run totals do
+    // not: they continue from the snapshot's.
+    assert!(rep_b.steps.len() < rep_a.steps.len());
+    assert_eq!(
+        rep_a.attribution, rep_b.attribution,
+        "run-total attribution"
+    );
+    assert!(rep_a.mean_unique_global > 0.0);
+    assert_eq!(
+        rep_a.mean_unique_global.to_bits(),
+        rep_b.mean_unique_global.to_bits(),
+        "mean Ug over the whole run"
+    );
     let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
     assert_eq!(
         bits(&fin_a.params),

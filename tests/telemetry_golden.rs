@@ -113,6 +113,7 @@ fn step(
             ..Default::default()
         }),
         dense_bytes: dense,
+        ..Default::default()
     }
 }
 
@@ -228,6 +229,7 @@ fn steps_jsonl_schema_is_codec_agnostic_and_carries_compressed_bytes() {
         },
         output_exchange: None,
         dense_bytes: 3_072, // encoded dense ALLREDUCE charge
+        ..Default::default()
     };
     // The identical step as an identity run would report it (enc==raw,
     // wire_bytes whatever the identity schedule charges).
@@ -316,15 +318,11 @@ fn chrome_trace_counters_and_truncation_are_byte_stable() {
 #[test]
 fn prometheus_text_is_byte_stable() {
     let mut reg = MetricsRegistry::default();
-    let wire = reg.counter("wire_bytes_total");
-    let steps = reg.counter("steps_total");
-    reg.inc(wire, 1_000);
-    reg.inc(steps, 3);
-    let world = reg.gauge("world");
-    reg.gauge_max(world, 2);
-    let h = reg.histogram("step_time_ps");
-    reg.observe(h, 5); // exact bucket [5, 5]
-    reg.observe(h, 100); // log bucket [96, 103]
+    reg.inc("wire_bytes_total", 1_000);
+    reg.inc("steps_total", 3);
+    reg.gauge_max("world", 2);
+    // 5: exact bucket [5, 5]; 100: log bucket [96, 103].
+    reg.observe("step_time_ps", [5, 100]);
     let expected = concat!(
         "# TYPE zlm_steps_total counter\n",
         "zlm_steps_total 3\n",
