@@ -62,7 +62,7 @@ use simgpu::{
     SimSpan, SimStream, SpanKind, TraceRecorder, Wire,
 };
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Why a training run failed.
@@ -451,6 +451,10 @@ struct RunCtx<'a> {
     plan: &'a FaultPlan,
     store: Option<&'a CheckpointStore>,
     resume: Option<&'a Checkpoint>,
+    /// The current step's table of every rank's critical path, priced
+    /// by whichever rank gets to it first (see
+    /// [`StepSchedule::price_all_shared`]).
+    schedule_memo: Mutex<ScheduleMemo>,
 }
 
 /// One round: prepares the data, spawns `cfg.gpus` rank threads and
@@ -507,6 +511,7 @@ fn run_round(
         plan,
         store,
         resume,
+        schedule_memo: Mutex::new(ScheduleMemo::new(cfg.gpus)),
     };
     let mut results: Vec<Result<TrainReport, TrainError>> = simgpu::run_ranks(ranks, |rank| {
         let device = Arc::clone(&devices[rank.rank()]);
@@ -789,10 +794,13 @@ fn flat_ring_tier_split(wire_ps: u64, gpus: usize, gpus_per_node: usize, q: usiz
 /// Every rank constructs the *same* `StepSchedule` (payload sizes are
 /// rank-invariant: `local_tokens` is `batch·seq_len` (+ samples) on
 /// every rank and `unique_global` is synchronised by construction),
-/// then prices and evaluates every rank `q`'s op list locally via
-/// [`Self::ops_for`] + [`schedule::evaluate`] — so all ranks derive the
-/// same synchronous step time `T = max_q critical_path(q)` without any
-/// extra communication.
+/// and pricing and evaluating every rank `q`'s op list via
+/// [`Self::ops_for`] + [`schedule::evaluate`] is pure arithmetic on it —
+/// so all ranks derive the same synchronous step time
+/// `T = max_q critical_path(q)` without any extra simulated
+/// communication. Since the table is the same everywhere, the ranks of
+/// a round price it once per step between them
+/// ([`Self::price_all_shared`]), not once each.
 ///
 /// Launch order is readiness order: the unique path's index
 /// ALLGATHERs first (ready at 0 — the token indices are known the
@@ -834,7 +842,111 @@ struct StepSchedule<'a> {
     total_grad_elems: u64,
 }
 
+/// What [`StepSchedule::ops_for`] reads of one exchange's stats, all of
+/// it synchronised across ranks: `local_tokens`, `unique_global`,
+/// `index_enc_bytes`, `reduce_enc_bytes`, `reduce_raw_bytes`. The rest
+/// of [`ExchangeStats`] (`timings`, local counts) differs per rank and
+/// prices nothing.
+type ExchangeKey = [u64; 5];
+
+fn exchange_key(stats: &ExchangeStats) -> ExchangeKey {
+    [
+        stats.local_tokens as u64,
+        stats.unique_global as u64,
+        stats.index_enc_bytes,
+        stats.reduce_enc_bytes,
+        stats.reduce_raw_bytes,
+    ]
+}
+
+/// The step and every per-step input of [`StepSchedule::ops_for`]. The
+/// schedule's remaining fields (`cost`, `xcfg`, `gpus`, `gpn`,
+/// `overlap`, `wire`) are fixed for a round, which is also the lifetime
+/// of a [`ScheduleMemo`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ScheduleKey {
+    global_step: u64,
+    compute_ps: u64,
+    dense_elems: usize,
+    dense_wire: (u64, u64),
+    in_stats: ExchangeKey,
+    dim: usize,
+    out_stats: Option<ExchangeKey>,
+    out_dim: usize,
+    total_grad_elems: u64,
+}
+
+/// Every rank's critical path for the step `key` names; `key` is unset
+/// while `work_ps` is being written.
+#[derive(Debug)]
+struct ScheduleMemo {
+    key: Option<ScheduleKey>,
+    work_ps: Vec<u64>,
+}
+
+impl ScheduleMemo {
+    /// An empty memo for a round of `gpus` ranks. The table is sized
+    /// here, by the driver thread before the ranks spawn: allocated
+    /// lazily by the first rank to price a step it lived in that
+    /// thread's malloc arena and cost `word_exchange_full_g8` ≈10 MB of
+    /// peak RSS (10/10 runs).
+    fn new(gpus: usize) -> Self {
+        ScheduleMemo {
+            key: None,
+            work_ps: vec![0; gpus],
+        }
+    }
+}
+
 impl StepSchedule<'_> {
+    fn key(&self, global_step: u64) -> ScheduleKey {
+        ScheduleKey {
+            global_step,
+            compute_ps: self.compute_ps,
+            dense_elems: self.dense_elems,
+            dense_wire: (self.dense_wire.enc, self.dense_wire.raw),
+            in_stats: exchange_key(&self.in_stats),
+            dim: self.dim,
+            out_stats: self.out_stats.as_ref().map(exchange_key),
+            out_dim: self.out_dim,
+            total_grad_elems: self.total_grad_elems,
+        }
+    }
+
+    /// Prices and evaluates every rank's op list: `work_ps[q]` becomes
+    /// rank `q`'s critical path this step.
+    fn price_all(&self, ops: &mut Vec<CommOp>, work_ps: &mut [u64]) {
+        for (q, w) in work_ps.iter_mut().enumerate() {
+            let apply_ps = self.ops_for(ops, q);
+            *w = schedule::evaluate(self.compute_ps, apply_ps, ops).total_ps;
+        }
+    }
+
+    /// [`Self::price_all`], once per step instead of once per rank:
+    /// every rank arrives at the same table, so the first to get here
+    /// prices it into `memo` and the others copy it. A rank whose key
+    /// differs — its inputs were not the first arriver's, which the
+    /// synchronised stats rule out — prices its own table from its own
+    /// inputs, so a hit never decides a result. The lock is held only
+    /// while pricing or copying, never across a collective: a rank that
+    /// dies or hangs cannot strand a peer on it.
+    fn price_all_shared(
+        &self,
+        memo: &Mutex<ScheduleMemo>,
+        global_step: u64,
+        ops: &mut Vec<CommOp>,
+        work_ps: &mut [u64],
+    ) {
+        let key = self.key(global_step);
+        let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if memo.key != Some(key) {
+            memo.key = None;
+            self.price_all(ops, &mut memo.work_ps);
+            memo.key = Some(key);
+        }
+        work_ps.copy_from_slice(&memo.work_ps);
+    }
+
     /// Gradient elements an exchange's collective payload carries (the
     /// production-model weight of that exchange).
     fn exchange_grad_elems(xcfg: &ExchangeConfig, stats: &ExchangeStats, dim: usize) -> usize {
@@ -1199,13 +1311,13 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
     let mut in_scratch = ExchangeScratch::new();
     let mut out_scratch = ExchangeScratch::new();
 
-    // Step-time model tables, hoisted so the loop stays allocation-free:
-    // every rank computes every rank's modelled work locally (see
-    // `exchange_cost_ps`), takes the max, and so derives the *same*
-    // synchronous step time without any extra communication.
+    // Step-time model table, hoisted so the loop stays allocation-free:
+    // every rank holds every rank's modelled work (see `StepSchedule`),
+    // takes the max, and so derives the *same* synchronous step time
+    // without any extra simulated communication.
     let mut work_ps: Vec<u64> = vec![0; g];
     // Hoisted op buffer for the schedule evaluation (cleared and
-    // rebuilt per rank per step — capacity persists, so the loop stays
+    // rebuilt per priced rank — capacity persists, so the loop stays
     // allocation-free once warm).
     let mut ops: Vec<CommOp> = Vec::new();
     // Cumulative simulated time — the base offset of this step's spans
@@ -1412,12 +1524,12 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
             // Simulated step time on the Table II hardware, in integer
             // picoseconds. Synchronous SGD: the step ends when the
             // slowest rank arrives, so every rank builds the same
-            // per-rank op schedules locally (pure arithmetic — see
-            // `StepSchedule` and `crate::schedule`), evaluates each
-            // rank's critical path, and takes the max. The resulting T
-            // is identical on all ranks, making `sim_time_ps` a
-            // synchronised quantity; the *attribution* of T is
-            // rank-local.
+            // `StepSchedule` (pure arithmetic on synchronised inputs —
+            // see there and `crate::schedule`), reads each rank's
+            // critical path off its table, and takes the max. The
+            // resulting T is identical on all ranks, making
+            // `sim_time_ps` a synchronised quantity; the *attribution*
+            // of T is rank-local.
             let k = cfg.local_batch_tokens();
             let compute_ps = secs_to_ps(cost.compute_time(cfg.model.flops_per_step(k)));
             let out_dim = match &st.replica {
@@ -1446,59 +1558,57 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
                         .unwrap_or(0)) as u64,
             };
             let tracing = recorder.is_some();
-            let mut my = crate::schedule::ScheduleOutcome::default();
-            let mut my_apply_ps = 0u64;
-            let mut t0_ps = 0u64; // max critical path, delays excluded
-            let mut t_ps = 0u64; // max busy = critical path + delay
-            for (q, w) in work_ps.iter_mut().enumerate() {
-                let apply_ps = sched.ops_for(&mut ops, q);
-                let outcome = if q == r && tracing {
-                    // Own rank under tracing: also lay the ops out on
-                    // the simulated timeline as concurrent spans.
-                    let base = sim_clock_ps;
-                    let spans = &mut st.report.sim_spans;
+            // Own rank: the outcome's parts feed the attribution, and
+            // under tracing the ops are also laid out on the simulated
+            // timeline as concurrent spans.
+            let my_apply_ps = sched.ops_for(&mut ops, r);
+            let my = if tracing {
+                let base = sim_clock_ps;
+                let spans = &mut st.report.sim_spans;
+                spans.push(SimSpan {
+                    rank: r as u32,
+                    step: global_step,
+                    stream: SimStream::Compute,
+                    label: "compute",
+                    bucket: 0,
+                    t_start_ps: base,
+                    t_end_ps: base + compute_ps,
+                });
+                let oc = schedule::evaluate_with(compute_ps, my_apply_ps, &ops, |i, s_ps, e_ps| {
                     spans.push(SimSpan {
                         rank: r as u32,
                         step: global_step,
-                        stream: SimStream::Compute,
-                        label: "compute",
-                        bucket: 0,
-                        t_start_ps: base,
-                        t_end_ps: base + compute_ps,
+                        stream: SimStream::Comm,
+                        label: ops[i].label,
+                        bucket: ops[i].bucket,
+                        t_start_ps: base + s_ps,
+                        t_end_ps: base + e_ps,
                     });
-                    let oc =
-                        schedule::evaluate_with(compute_ps, apply_ps, &ops, |i, s_ps, e_ps| {
-                            spans.push(SimSpan {
-                                rank: r as u32,
-                                step: global_step,
-                                stream: SimStream::Comm,
-                                label: ops[i].label,
-                                bucket: ops[i].bucket,
-                                t_start_ps: base + s_ps,
-                                t_end_ps: base + e_ps,
-                            });
-                        });
-                    spans.push(SimSpan {
-                        rank: r as u32,
-                        step: global_step,
-                        stream: SimStream::Compute,
-                        label: "apply",
-                        bucket: 0,
-                        t_start_ps: base + oc.total_ps - apply_ps,
-                        t_end_ps: base + oc.total_ps,
-                    });
-                    oc
-                } else {
-                    schedule::evaluate(compute_ps, apply_ps, &ops)
-                };
-                *w = outcome.total_ps;
-                t0_ps = t0_ps.max(*w);
-                t_ps = t_ps.max(*w + delay_ps[q]);
-                if q == r {
-                    my = outcome;
-                    my_apply_ps = apply_ps;
-                }
-            }
+                });
+                spans.push(SimSpan {
+                    rank: r as u32,
+                    step: global_step,
+                    stream: SimStream::Compute,
+                    label: "apply",
+                    bucket: 0,
+                    t_start_ps: base + oc.total_ps - my_apply_ps,
+                    t_end_ps: base + oc.total_ps,
+                });
+                oc
+            } else {
+                schedule::evaluate(compute_ps, my_apply_ps, &ops)
+            };
+            sched.price_all_shared(&ctx.schedule_memo, global_step, &mut ops, &mut work_ps);
+            debug_assert_eq!(work_ps[r], my.total_ps);
+            // Max critical path, delays excluded; max busy = critical
+            // path + delay.
+            let t0_ps = work_ps.iter().copied().max().unwrap_or(0);
+            let t_ps = work_ps
+                .iter()
+                .zip(&delay_ps)
+                .map(|(w, d)| w + d)
+                .max()
+                .unwrap_or(0);
             // Exact decomposition of T for this rank: whatever exceeds
             // this rank's busy time is waiting — up to T0 − cp it is
             // inherent load imbalance (barrier wait), beyond that it can
@@ -1951,5 +2061,101 @@ mod tests {
             ug(&shared),
             ug(&per_gpu)
         );
+    }
+
+    /// The shared step table is the table each rank would price alone:
+    /// a first arriver fills the memo, a rank with the same key copies
+    /// it without pricing, and a rank whose key differs gets the table
+    /// of its own inputs.
+    #[test]
+    fn shared_schedule_table_equals_per_rank_pricing() {
+        use simgpu::WireCodecId;
+        let cost = CostModel::new(HardwareConfig::titan_x_cluster(), 0.4);
+        let exchange = |unique_global: usize, codec_scaled: bool| ExchangeStats {
+            local_tokens: 96,
+            unique_local: 40,
+            unique_global,
+            index_enc_bytes: if codec_scaled { 1_000 } else { 96 * 4 * 7 },
+            reduce_raw_bytes: unique_global as u64 * 16 * 4,
+            reduce_enc_bytes: unique_global as u64 * 16 * if codec_scaled { 3 } else { 4 },
+            ..ExchangeStats::default()
+        };
+        // Flat ring over three nodes; two-tier with a ragged last node of
+        // one; two-tier with codec-scaled payloads and buckets.
+        let flat = ExchangeConfig::unique();
+        let two_tier = ExchangeConfig {
+            gpus_per_node: 3,
+            ..ExchangeConfig::unique_compressed()
+        };
+        let codec = ExchangeConfig {
+            gpus_per_node: 3,
+            bucket_bytes: 1 << 10,
+            codec: WireCodecId::Lossless,
+            ..ExchangeConfig::unique()
+        };
+        for (name, xcfg, gpus, gpn) in [
+            ("flat", &flat, 5usize, 2usize),
+            ("two-tier", &two_tier, 7, 3),
+            ("two-tier codec", &codec, 7, 3),
+        ] {
+            let codec_scaled = xcfg.codec != WireCodecId::Identity;
+            let (dim, out_dim, dense_elems) = (16usize, 16usize, 5_003usize);
+            let schedule = |ug: usize| {
+                let (in_stats, out_stats) =
+                    (exchange(ug, codec_scaled), exchange(ug + 9, codec_scaled));
+                let dense_raw = dense_elems as u64 * xcfg.grad_wire().elem_bytes();
+                StepSchedule {
+                    cost: &cost,
+                    xcfg,
+                    gpus,
+                    gpn,
+                    overlap: true,
+                    wire: xcfg.grad_wire(),
+                    dense_wire: schedule::ReducedBytes {
+                        raw: dense_raw,
+                        enc: if codec_scaled {
+                            dense_raw / 2
+                        } else {
+                            dense_raw
+                        },
+                        ..Default::default()
+                    },
+                    compute_ps: 3_000_000,
+                    dense_elems,
+                    in_stats,
+                    dim,
+                    out_stats: Some(out_stats),
+                    out_dim,
+                    total_grad_elems: (dense_elems + (2 * ug + 9) * dim) as u64,
+                }
+            };
+            let direct = |sched: &StepSchedule| {
+                let mut table = vec![0; gpus];
+                sched.price_all(&mut Vec::new(), &mut table);
+                table
+            };
+            let shared = |sched: &StepSchedule, memo: &Mutex<ScheduleMemo>, step: u64| {
+                let mut table = vec![0; gpus];
+                sched.price_all_shared(memo, step, &mut Vec::new(), &mut table);
+                table
+            };
+            let memo = Mutex::new(ScheduleMemo::new(gpus));
+            let sched = schedule(50);
+            let want = direct(&sched);
+            assert!(want.iter().any(|&w| w != want[0]), "{name}: ranks differ");
+            // First arriver: prices the table into the empty memo.
+            assert_eq!(shared(&sched, &memo, 3), want, "{name}: miss");
+            // Same key: the table is copied, not priced — a marked memo
+            // comes back marked.
+            memo.lock().unwrap().work_ps[0] = u64::MAX;
+            let hit = shared(&sched, &memo, 3);
+            assert_eq!((hit[0], &hit[1..]), (u64::MAX, &want[1..]), "{name}: hit");
+            // Other inputs at the same step, and the same inputs at the
+            // next step: each is priced afresh from the caller's own.
+            let other = schedule(61);
+            assert_ne!(direct(&other), want, "{name}");
+            assert_eq!(shared(&other, &memo, 3), direct(&other), "{name}: mismatch");
+            assert_eq!(shared(&sched, &memo, 4), want, "{name}: next step");
+        }
     }
 }

@@ -378,6 +378,46 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(out)
 }
 
+/// What a value reads after one trip over the FP16 wire:
+/// `f16_bits_to_f32(f32_to_f16_bits(x))` for every one of the 2³² bit
+/// patterns of `x` (`tests/f16_crosscheck.rs` sweeps them all), fused
+/// into one branch-free pass over the f32's own bits so the reduction
+/// loop behind [`Rank::all_reduce`] vectorises. The two converters above
+/// stay the readable reference and the only producers of real `u16`
+/// wire bits.
+///
+/// * **binary16's normal range** — round-to-nearest-even on the 13
+///   mantissa bits binary16 drops, as an integer add whose carry runs
+///   into the exponent (a mantissa that rounds up to 2.0 becomes the
+///   next power of two; one that reaches 2¹⁶ becomes ±Inf).
+/// * **binary16's subnormal range** (`|x| < 2⁻¹⁴`) — the grid there is
+///   the fixed 2⁻²⁴, which is exactly the ulp of `[0.5, 1)`: adding 0.5
+///   makes the FPU's own round-to-nearest-even land `|x|` on that grid
+///   and subtracting it again is exact. The two operations must stay
+///   two; `(|x| + 0.5) − 0.5` is not `|x|`.
+/// * **NaN** — any payload becomes the quiet NaN `0x7fc0_0000`, which
+///   is what the reference's `0x7e00` decodes to. Inf takes the
+///   overflow select. The sign bit is carried around all of it.
+#[inline]
+pub fn quantize_f16(x: f32) -> f32 {
+    const INF: u32 = 0x7f80_0000;
+    const MIN_NORMAL_F16: u32 = 0x3880_0000; // 2⁻¹⁴
+    const OVERFLOW: u32 = 0x4780_0000; // 2¹⁶: what 65 520 and above round to
+    let bits = x.to_bits();
+    let sign = bits & 0x8000_0000;
+    let abs = bits & 0x7fff_ffff;
+    let rounded = (abs + 0x0fff + ((abs >> 13) & 1)) & !0x1fff;
+    let normal = if rounded >= OVERFLOW { INF } else { rounded };
+    let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
+    let finite = if abs < MIN_NORMAL_F16 {
+        subnormal
+    } else {
+        normal
+    };
+    let out = if abs > INF { 0x7fc0_0000 } else { finite };
+    f32::from_bits(sign | out)
+}
+
 /// Shared state of one communicator group.
 struct GroupCore {
     world: usize,
@@ -748,6 +788,11 @@ pub enum Topology {
     },
 }
 
+/// Elements [`leader_sum`] reduces at a time — 8 KiB of accumulator,
+/// which with one hop's 8 KiB of input stays in L1 across all `G−1`
+/// hops instead of the whole payload leaving the cache between them.
+const REDUCE_BLOCK: usize = 2048;
+
 /// Canonical rendezvous reduction: left-associated elementwise sum in
 /// ascending rank order, written into the group's result buffer. Runs
 /// exactly once per collective, by the barrier's last arriver.
@@ -757,29 +802,45 @@ pub enum Topology {
 /// up-cast and un-scaled at every hop — `G−1` hops in canonical
 /// ascending order, then one final wire-quantisation so the distributed
 /// value is the wire value, bit-identical on every rank.
+///
+/// The walk is block-major: rank 0's block is copied in, every hop and
+/// the final quantisation run over it while it sits in L1, then the
+/// next block. Each element still sees the hops in ascending rank
+/// order, so the result is the hop-major one to the bit (the `tests`
+/// module keeps that loop as the oracle). A slot shorter than rank 0's
+/// contributes to the elements it has and is never indexed past.
 fn leader_sum(core: &GroupCore, scale: Option<f32>) {
+    let f16 = scale.map(|scale| (scale, 1.0 / scale));
+    let cast = |a: f32, (scale, inv): (f32, f32)| quantize_f16(a * scale) * inv;
+    let first = core.gather_f32[0].lock();
     let mut acc = core.reduce_f32.lock();
     acc.clear();
-    acc.extend_from_slice(&core.gather_f32[0].lock());
-    let Some(scale) = scale else {
-        for s in 1..core.world {
-            let slot = core.gather_f32[s].lock();
-            for (a, &x) in acc.iter_mut().zip(slot.iter()) {
-                *a += x;
+    acc.reserve(first.len());
+    for start in (0..first.len()).step_by(REDUCE_BLOCK) {
+        let end = (start + REDUCE_BLOCK).min(first.len());
+        acc.extend_from_slice(&first[start..end]);
+        let block = &mut acc[start..];
+        for slot in &core.gather_f32[1..] {
+            let slot = slot.lock();
+            let hop = slot.get(start..).unwrap_or_default();
+            match f16 {
+                None => {
+                    for (a, &x) in block.iter_mut().zip(hop) {
+                        *a += x;
+                    }
+                }
+                Some(f16) => {
+                    for (a, &x) in block.iter_mut().zip(hop) {
+                        *a = x + cast(*a, f16);
+                    }
+                }
             }
         }
-        return;
-    };
-    let inv = 1.0 / scale;
-    let on_wire = |a: f32| f16_bits_to_f32(f32_to_f16_bits(a * scale)) * inv;
-    for s in 1..core.world {
-        let slot = core.gather_f32[s].lock();
-        for (a, &x) in acc.iter_mut().zip(slot.iter()) {
-            *a = x + on_wire(*a);
+        if let Some(f16) = f16 {
+            for a in block {
+                *a = cast(*a, f16);
+            }
         }
-    }
-    for a in acc.iter_mut() {
-        *a = on_wire(*a);
     }
 }
 
@@ -2177,6 +2238,119 @@ mod tests {
                 (data, rank.traffic())
             });
             assert_eq!(via_shim, via_core, "shim {i}");
+        }
+    }
+
+    /// The reduction [`leader_sum`] replaced, kept as the oracle: the
+    /// same hops in hop-major order over the whole payload, each cast a
+    /// round trip through the two scalar converters.
+    fn leader_sum_hop_major(core: &GroupCore, scale: Option<f32>) {
+        let mut acc = core.reduce_f32.lock();
+        acc.clear();
+        acc.extend_from_slice(&core.gather_f32[0].lock());
+        let Some(scale) = scale else {
+            for s in 1..core.world {
+                let slot = core.gather_f32[s].lock();
+                for (a, &x) in acc.iter_mut().zip(slot.iter()) {
+                    *a += x;
+                }
+            }
+            return;
+        };
+        let inv = 1.0 / scale;
+        let round_trip = |a: f32| f16_bits_to_f32(f32_to_f16_bits(a * scale)) * inv;
+        for s in 1..core.world {
+            let slot = core.gather_f32[s].lock();
+            for (a, &x) in acc.iter_mut().zip(slot.iter()) {
+                *a = x + round_trip(*a);
+            }
+        }
+        for a in acc.iter_mut() {
+            *a = round_trip(*a);
+        }
+    }
+
+    /// Rank `r`'s `n`-element payload for the differential: magnitudes
+    /// from below binary16's subnormal grid to past its overflow (both
+    /// after `·scale`), both signs, and NaN / ±Inf at fixed strides.
+    fn hostile_payload(r: usize, n: usize) -> Vec<f32> {
+        let mut state = 0x9e37_79b9u32.wrapping_mul(r as u32 + 1);
+        (0..n)
+            .map(|i| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let unit = (state >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
+                match (i + 3 * r) % 41 {
+                    0 => f32::NAN,
+                    7 => f32::INFINITY,
+                    13 => f32::NEG_INFINITY,
+                    // Past 65 504 once scaled by 64.
+                    19 => unit * 4_000.0,
+                    // Inside and below the 2⁻²⁴ grid once scaled.
+                    23 => unit * 1e-6,
+                    29 => unit * 1e-10,
+                    _ => unit,
+                }
+            })
+            .collect()
+    }
+
+    /// `to_bits` equality, naming the first element that differs.
+    #[track_caller]
+    fn assert_same_bits(got: &[f32], want: &[f32], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: length");
+        let differs = |(g, w): (&f32, &f32)| g.to_bits() != w.to_bits();
+        if let Some(i) = got.iter().zip(want).position(differs) {
+            panic!("{ctx}: element {i} is {:e}, want {:e}", got[i], want[i]);
+        }
+    }
+
+    /// The block walk against the hop-major oracle, bit for bit: called
+    /// directly on a group's slots (ragged slot lengths included) and
+    /// through [`Rank::all_reduce`] on real rank threads.
+    #[test]
+    fn blocked_reduction_matches_hop_major_oracle() {
+        let scale = 64.0f32;
+        let b = REDUCE_BLOCK;
+        for world in [1usize, 2, 3, 8] {
+            for n in [0usize, 1, b - 1, b, b + 1, 3 * b + 7] {
+                for (name, wire) in [("f32", Wire::F32), ("f16", Wire::F16 { scale })] {
+                    let ctx = format!("{name} world {world} n {n}");
+                    let scale = matches!(wire, Wire::F16 { .. }).then_some(scale);
+                    let core = &CommGroup::create(world)[0].core;
+                    for s in 0..world {
+                        *core.gather_f32[s].lock() = hostile_payload(s, n);
+                    }
+                    leader_sum_hop_major(core, scale);
+                    let want = core.reduce_f32.lock().clone();
+                    leader_sum(core, scale);
+                    assert_same_bits(&core.reduce_f32.lock(), &want, &ctx);
+                    if world == 1 {
+                        continue; // `all_reduce` has nothing to reduce
+                    }
+                    for topology in [Topology::Flat, Topology::TwoTier { gpus_per_node: 2 }] {
+                        let out = run_group_topo(world, 2, |rank| {
+                            let mut data = hostile_payload(rank.rank(), n);
+                            rank.all_reduce(&mut data, wire, topology).unwrap();
+                            data
+                        });
+                        for (r, got) in out.iter().enumerate() {
+                            assert_same_bits(got, &want, &format!("{ctx} {topology:?} rank {r}"));
+                        }
+                    }
+                }
+            }
+        }
+        // A slot shorter than rank 0's adds to the elements it has and
+        // is never indexed past; a longer one's tail is ignored.
+        for scale in [None, Some(scale)] {
+            let core = &CommGroup::create(4)[0].core;
+            for (s, len) in [2 * b + 5, b + 3, 0, 3 * b].into_iter().enumerate() {
+                *core.gather_f32[s].lock() = hostile_payload(s, len);
+            }
+            leader_sum_hop_major(core, scale);
+            let want = core.reduce_f32.lock().clone();
+            leader_sum(core, scale);
+            assert_same_bits(&core.reduce_f32.lock(), &want, &format!("ragged {scale:?}"));
         }
     }
 

@@ -3,8 +3,14 @@
 //! `tensor::F16`, the reference implementation. Any drift between the
 //! two would silently change what the compressed collectives put on the
 //! wire versus what the accuracy experiments model.
+//!
+//! The second half pins `simgpu::quantize_f16` — the fused round trip
+//! the FP16 ALLREDUCE runs per element per hop — to `decode∘encode` of
+//! those converters, bit for bit: on every neighbourhood where a
+//! rounding decision can flip in tier-1, and on all 2³² inputs in the
+//! `#[ignore]`d sweep CI runs in release.
 
-use simgpu::{f16_bits_to_f32, f32_to_f16_bits};
+use simgpu::{f16_bits_to_f32, f32_to_f16_bits, quantize_f16};
 use tensor::F16;
 
 #[test]
@@ -100,6 +106,102 @@ fn f32_to_f16_agrees_on_specials_and_deterministic_sweep() {
             x.to_bits()
         );
     }
+}
+
+/// `quantize_f16` against the two-step reference at one bit pattern.
+fn quantize_matches(bits: u32) -> bool {
+    let x = f32::from_bits(bits);
+    quantize_f16(x).to_bits() == f16_bits_to_f32(f32_to_f16_bits(x)).to_bits()
+}
+
+#[track_caller]
+fn assert_quantize_matches(x: f32) {
+    assert!(
+        quantize_matches(x.to_bits()),
+        "{x:e} ({:#010x}): fused {:#010x} vs reference {:#010x}",
+        x.to_bits(),
+        quantize_f16(x).to_bits(),
+        f16_bits_to_f32(f32_to_f16_bits(x)).to_bits()
+    );
+}
+
+/// `x` and the two f32 values on either side of it.
+fn within_two_ulps(x: f32) -> [f32; 5] {
+    let (d1, u1) = (f32_next_down(x), f32_next_up(x));
+    [f32_next_down(d1), d1, x, u1, f32_next_up(u1)]
+}
+
+#[test]
+fn quantize_agrees_on_every_half_value_and_neighbours() {
+    for bits in 0u16..=0xffff {
+        for probe in within_two_ulps(F16(bits).to_f32()) {
+            assert_quantize_matches(probe);
+        }
+    }
+}
+
+#[test]
+fn quantize_agrees_on_halfway_points() {
+    // Every tie between consecutive finite binary16 values of either
+    // sign, and the last one: 65 520, halfway to the 2¹⁶ binary16 lacks.
+    for bits in (0u16..0x7bff).chain(0x8000..0xfbff) {
+        let mid = (F16(bits).to_f32() as f64 + F16(bits + 1).to_f32() as f64) / 2.0;
+        let mid = mid as f32;
+        for probe in [mid, f32_next_down(mid), f32_next_up(mid)] {
+            assert_quantize_matches(probe);
+        }
+    }
+    for probe in within_two_ulps(65520.0) {
+        assert_quantize_matches(probe);
+        assert_quantize_matches(-probe);
+    }
+}
+
+#[test]
+fn quantize_agrees_on_specials_and_strided_sweep() {
+    let specials = [
+        0.0f32,
+        f32::INFINITY,
+        f32::NAN,
+        f32::from_bits(0x7f80_0001), // signalling NaN, smallest payload
+        f32::from_bits(0x7fbf_ffff), // signalling NaN, largest payload
+        f32::from_bits(0x7fff_ffff), // quiet NaN, every payload bit set
+        f32::from_bits(0x0000_0001), // smallest f32 subnormal
+        f32::from_bits(0x007f_ffff), // largest f32 subnormal
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        65504.0,  // largest finite binary16
+        65519.99, // still rounds down to it
+        65520.0,  // first value that rounds to infinity
+        65536.0,
+        6.103_515_6e-5, // 2⁻¹⁴, smallest normal binary16
+        5.960_464_5e-8, // 2⁻²⁴, smallest subnormal binary16
+        2.980_232_2e-8, // 2⁻²⁵, the tie that rounds to zero
+        1e-8,
+    ];
+    for &x in &specials {
+        for probe in within_two_ulps(x) {
+            assert_quantize_matches(probe);
+            assert_quantize_matches(-probe);
+        }
+    }
+    for bits in (0..=u32::MAX).step_by(257) {
+        assert_quantize_matches(f32::from_bits(bits));
+    }
+}
+
+/// All 2³² bit patterns. About 25 s in release; CI runs it with
+/// `--include-ignored` beside `compression_scaling`.
+#[test]
+#[ignore = "exhaustive: all 2^32 f32 bit patterns"]
+fn quantize_agrees_on_all_f32_bit_patterns() {
+    let t0 = std::time::Instant::now();
+    let mismatches = (0..=u32::MAX).filter(|&b| !quantize_matches(b)).count();
+    println!(
+        "quantize_f16 vs decode∘encode: {mismatches} mismatches over 2^32 inputs in {:.1} s",
+        t0.elapsed().as_secs_f64()
+    );
+    assert_eq!(mismatches, 0);
 }
 
 /// Largest f32 strictly below `x` (next_down, stable-Rust substitute).
