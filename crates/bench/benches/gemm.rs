@@ -6,10 +6,12 @@
 //! The first line printed is the tile width the kernel selected on this
 //! host (`tensor::matrix::kernel_width`): the same binary runs a 2×16,
 //! 4×16 or 16×16 tile depending on what the CPU reports, so a number
-//! without its width says little. The word LM's recurrence issues two
-//! of its products in place — `Z[t] += h·Wh` against a `Wh` packed once
-//! per sequence, `dWh += hᵀ·dz` with an accumulate store — so those two
-//! shapes are timed that way too, next to the allocating call.
+//! without its width says little. Both recurrences issue their
+//! per-step products in place — the word LM's LSTM `Z[t] += h·Wh`
+//! against a `Wh` packed once per sequence and `dWh += hᵀ·dz` with an
+//! accumulate store, the char LM's RHN `s·R_l` and `dR_l += sᵀ·dz` per
+//! micro-layer the same way — so those four shapes are timed that way
+//! too, next to the allocating call.
 //!
 //! Run pinned to one CPU (`taskset -c 1 cargo bench -p zlm-bench --bench
 //! gemm`): the kernel is sequential, and `e2e` measures it the same way.
@@ -26,17 +28,18 @@ const SHAPES: &[(&str, usize, usize, usize)] = &[
     ("word_compute dz·Whᵀ", 16, 1024, 256),
     ("word_exchange x·Wx", 512, 512, 16),
     ("word_exchange dz·Whᵀ", 512, 16, 4),
-    ("char_weak s·R", 1, 48, 48),
     ("word_compute eval h·Eᵀ", 320, 64, 4000),
     ("word_compute X·Wx (all steps)", 320, 64, 1024),
     ("word_compute DZ·Wxᵀ (all steps)", 320, 1024, 64),
 ];
 
-/// The two per-timestep products of the LSTM recurrence, also timed
-/// through `Matrix::gemm_rows` as `nn::lstm` issues them.
+/// The per-step products of the two recurrences, also timed through
+/// `Matrix::gemm_rows` as `nn::lstm` and `nn::rhn` issue them.
 const RECURRENT: &[(&str, usize, usize, usize)] = &[
     ("word_compute h·Wh", 16, 256, 1024),
     ("word_compute hᵀ·dz", 256, 16, 1024),
+    ("char_weak s·R", 1, 48, 48),
+    ("char_weak sᵀ·dz", 48, 1, 48),
 ];
 
 /// Times `call` under `id` and prints its GFLOP/s for `flops` per call.
@@ -85,7 +88,7 @@ fn bench_gemm(c: &mut Criterion) {
         println!("# {what}, in place");
         // `A` and `C` are one timestep's rows of t-major matrices four
         // steps long, as in the layer; `A` is stored transposed where the
-        // layer reads it transposed (`hᵀ`: m > k).
+        // layer reads it transposed (`hᵀ`, `sᵀ`: m > k).
         let step = 2;
         let transposed = m > k;
         let (a_rows, a_cols) = if transposed { (k, m) } else { (m, k) };

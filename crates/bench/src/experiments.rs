@@ -680,7 +680,7 @@ const CHAOS_WORLD: usize = 4;
 /// The chaos-recovery breakdown: one elastic run per fault class —
 /// clean transient kill, kill after each flavour of disk rot (torn
 /// write, bit flip, unlink), and a two-round double kill — each over a
-/// real on-disk [`CheckpointDir`] with the fault injected by the
+/// real on-disk [`zipf_lm::CheckpointDir`] with the fault injected by the
 /// store itself. Reports how far each scenario rolled back and what
 /// the modelled backoff cost, so a regression in recovery behaviour
 /// (wrong cut chosen, extra rounds, corruption missed) moves the
@@ -814,7 +814,7 @@ pub fn chaos_recovery_json(rows: &[ChaosRecoveryRow]) -> String {
     out
 }
 
-/// §V-D comparison against [21] (Puri et al., Amazon Reviews char LM on
+/// §V-D comparison against \[21\] (Puri et al., Amazon Reviews char LM on
 /// 128 V100s): our char-LM BPC on the ar profile plus the
 /// infrastructure-normalised throughput argument.
 #[derive(Debug, Clone)]
@@ -823,9 +823,9 @@ pub struct SotaComparison {
     pub our_bpc: f64,
     /// The paper's reported BPC on the same setup (1.208 @1 epoch).
     pub paper_bpc: f64,
-    /// [21]'s reported BPC (1.218 @1 epoch).
+    /// \[21\]'s reported BPC (1.218 @1 epoch).
     pub reference_bpc: f64,
-    /// Peak-FLOP ratio of [21]'s 128×V100 vs the paper's 64×TitanX.
+    /// Peak-FLOP ratio of \[21\]'s 128×V100 vs the paper's 64×TitanX.
     pub infra_flop_ratio: f64,
 }
 

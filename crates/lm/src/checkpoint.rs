@@ -3,8 +3,9 @@
 //! A [`Checkpoint`] captures *everything* a rank needs to resume
 //! training mid-run as if it had never stopped: the full parameter
 //! vector (embeddings + recurrent stack + projection, in the fixed
-//! `flatten_grads` layout), the step/epoch counters, the exact `f32`
-//! learning rate, and the deterministic accumulators that feed the
+//! order of the models' parameter lists — `nn::WordLm::param_vector`),
+//! the step/epoch counters, the exact `f32` learning rate, and the
+//! deterministic accumulators that feed the
 //! final [`crate::TrainReport`] (partial epoch loss, simulated epoch
 //! time, uniqueness statistics, time attribution, completed-epoch
 //! history). No RNG *state* is stored because none survives a step by

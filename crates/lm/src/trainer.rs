@@ -10,7 +10,8 @@
 //! 3. the input-embedding sparse gradient crosses via the configured
 //!    [`ExchangeConfig`] (baseline ALLGATHER vs uniqueness);
 //! 4. word LMs also exchange the output-embedding gradient, whose
-//!    candidate sets were drawn under the configured [`SeedStrategy`];
+//!    candidate sets were drawn under the configured
+//!    [`crate::seeding::SeedStrategy`];
 //! 5. transient exchange buffers are charged against the simulated
 //!    device memory (this is where the baseline OOMs, Tables III/IV);
 //! 6. simulated wall-clock time is accumulated from the α–β cost model
@@ -685,13 +686,16 @@ impl Replica {
         }
     }
 
-    fn param_bytes(&self) -> u64 {
-        let params = match self {
+    fn param_vector_len(&self) -> usize {
+        match self {
             Replica::Word(m) => m.param_vector_len(),
             Replica::Char(m) => m.param_vector_len(),
-        };
+        }
+    }
+
+    fn param_bytes(&self) -> u64 {
         // Parameters + gradients + optimizer scratch, FP32.
-        (params as u64) * 4 * 3
+        (self.param_vector_len() as u64) * 4 * 3
     }
 
     fn valid_loss(&self, tokens: &[u32], batch: usize, seq_len: usize) -> f64 {
@@ -1292,6 +1296,19 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
     let mut resume_epoch_loss = 0.0f64;
     let mut resume_epoch_time_ps = 0u64;
     if let Some(ck) = ctx.resume {
+        // The fingerprint pins the dimensions, not the flat layout's
+        // length: a snapshot written under another layout (or built by
+        // hand — `Checkpoint`'s fields are public) is refused here, by
+        // the same count the snapshot was taken with, not by the
+        // loader's assert.
+        let (have, want) = (ck.params.len(), st.replica.param_vector_len());
+        if have != want {
+            let reason = format!(
+                "checkpoint holds {have} parameters, this configuration's model has {want}"
+            );
+            rank.abort(reason.clone());
+            return Err(TrainError::InvalidCheckpoint { reason });
+        }
         st.replica.load_param_vector(&ck.params);
         st.lr = ck.lr;
         st.global_step = ck.step;

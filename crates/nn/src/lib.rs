@@ -3,10 +3,14 @@
 //! The paper's two test models (§IV-B) are:
 //!
 //! * a **word LM**: input embedding → 1× LSTM (2048 cells) → projection
-//!   (512) → output embedding + **sampled softmax** (1024 samples/GPU),
-//!   trained with SGD;
+//!   (512) → output embedding + **sampled softmax** (1024 samples/GPU);
 //! * a **char LM**: a depth-10 **Recurrent Highway Network** (1792 cells,
-//!   213 M parameters) with a full softmax, trained with Adam.
+//!   213 M parameters) with a full softmax.
+//!
+//! Every run applies plain SGD ([`WordLm::apply_dense`] /
+//! [`CharLm::apply_dense`] for the dense parameters, the `lm` crate's
+//! exchange for the embedding rows); [`Sgd`] and [`Adam`] exist but have
+//! no caller.
 //!
 //! This crate implements those architectures with exact analytic
 //! backprop (every layer is verified against numerical gradients in its
@@ -14,24 +18,27 @@
 //! on: embedding layers produce *sparse, token-aligned* gradients
 //! ([`embedding::SparseGrad`]) that the `lm` crate exchanges across GPUs
 //! by ALLGATHER (baseline) or the uniqueness scheme, while all other
-//! parameters produce dense gradients exchanged by ALLREDUCE.
+//! parameters produce dense gradients exchanged by ALLREDUCE — one flat
+//! buffer in the order each layer's parameter list states once (the
+//! private `params` module folds it: count, flatten, load, SGD).
 
 #![forbid(unsafe_code)]
 
 pub mod dropout;
 pub mod embedding;
 pub mod linear;
-pub mod loss_scale;
 pub mod lstm;
 pub mod model;
 pub mod optimizer;
+mod params;
 pub mod rhn;
 pub mod sampled_softmax;
 pub mod softmax;
+#[cfg(test)]
+mod testutil;
 
 pub use embedding::{Embedding, SparseGrad};
 pub use linear::Linear;
-pub use loss_scale::DynamicLossScaler;
 pub use lstm::LstmLayer;
 pub use model::{CharLm, CharLmGrads, WordLm, WordLmGrads};
 pub use optimizer::{Adam, Sgd};

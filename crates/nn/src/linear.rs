@@ -4,6 +4,7 @@
 //! before the output embedding (the "projection" of Jozefowicz et al.
 //! that §IV-B adopts); the char LM projects RHN state to the alphabet.
 
+use crate::params;
 use tensor::{init, Matrix};
 
 /// `y = x·W + b`, with `W: in×out`, `b: out`.
@@ -48,7 +49,7 @@ impl Linear {
 
     /// Number of parameters (weights + bias).
     pub fn param_count(&self) -> usize {
-        self.w.len() + self.b.len()
+        params::count(self.params())
     }
 
     /// Forward: `x (n×in) → n×out`.
@@ -70,54 +71,21 @@ impl Linear {
         (dx, LinearGrads { dw, db })
     }
 
-    /// SGD step.
-    pub fn apply(&mut self, grads: &LinearGrads, lr: f32) {
-        self.w.axpy(-lr, &grads.dw);
-        for (b, &g) in self.b.iter_mut().zip(&grads.db) {
-            *b -= lr * g;
-        }
+    /// The parameters in their flat order: `w` row-major, then `b`.
+    pub(crate) fn params(&self) -> impl Iterator<Item = &[f32]> {
+        [self.w.as_slice(), &self.b[..]].into_iter()
     }
 
-    /// Flattens `(dw, db)` into one contiguous buffer for ALLREDUCE, in
-    /// a fixed layout (`dw` row-major then `db`).
-    pub fn flatten_grads(grads: &LinearGrads, out: &mut Vec<f32>) {
-        out.extend_from_slice(grads.dw.as_slice());
-        out.extend_from_slice(&grads.db);
+    /// [`Linear::params`], mutably.
+    pub(crate) fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        [self.w.as_mut_slice(), &mut self.b[..]].into_iter()
     }
+}
 
-    /// Appends the layer's parameters `(w, b)` to `out`, in the same
-    /// fixed layout as [`Linear::flatten_grads`] — the basis of
-    /// bit-exact checkpoint snapshots.
-    pub fn flatten_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.w.as_slice());
-        out.extend_from_slice(&self.b);
-    }
-
-    /// Overwrites the layer's parameters from `flat` at `offset` (the
-    /// [`Linear::flatten_params`] layout); returns the new offset.
-    pub fn load_params(&mut self, flat: &[f32], offset: usize) -> usize {
-        let nw = self.w.len();
-        let nb = self.b.len();
-        self.w
-            .as_mut_slice()
-            .copy_from_slice(&flat[offset..offset + nw]);
-        self.b.copy_from_slice(&flat[offset + nw..offset + nw + nb]);
-        offset + nw + nb
-    }
-
-    /// Reads gradients back from the flat buffer at `offset`; returns the
-    /// new offset.
-    pub fn unflatten_grads(&self, flat: &[f32], offset: usize, grads: &mut LinearGrads) -> usize {
-        let nw = self.w.len();
-        grads
-            .dw
-            .as_mut_slice()
-            .copy_from_slice(&flat[offset..offset + nw]);
-        let nb = self.b.len();
-        grads
-            .db
-            .copy_from_slice(&flat[offset + nw..offset + nw + nb]);
-        offset + nw + nb
+impl LinearGrads {
+    /// The gradients in the order of [`Linear::params`].
+    pub(crate) fn parts(&self) -> impl Iterator<Item = &[f32]> {
+        [self.dw.as_slice(), &self.db[..]].into_iter()
     }
 }
 
@@ -209,7 +177,9 @@ mod tests {
         for _ in 0..20 {
             let y = l.forward(&x);
             let (_, grads) = l.backward(&x, &y);
-            l.apply(&grads, 0.05);
+            let mut flat = Vec::new();
+            params::flatten(grads.parts(), &mut flat);
+            params::sgd(l.params_mut(), &flat, 0.05);
         }
         let after: f64 = l.forward(&x).norm_sq();
         assert!(after < before * 0.5, "before {before}, after {after}");
@@ -222,16 +192,21 @@ mod tests {
         let x = rand_matrix(&mut rng, 2, 3);
         let y = l.forward(&x);
         let (_, grads) = l.backward(&x, &y);
+        // Gradients flatten part for part like the parameters...
         let mut flat = vec![99.0f32]; // offset 1
-        Linear::flatten_grads(&grads, &mut flat);
-        let mut restored = LinearGrads {
-            dw: Matrix::zeros(3, 4),
-            db: vec![0.0; 4],
-        };
-        let end = l.unflatten_grads(&flat, 1, &mut restored);
-        assert_eq!(end, flat.len());
-        assert_eq!(restored.dw.as_slice(), grads.dw.as_slice());
-        assert_eq!(restored.db, grads.db);
+        params::flatten(grads.parts(), &mut flat);
+        assert_eq!(flat.len(), 1 + l.param_count());
+        assert_eq!(&flat[1..13], grads.dw.as_slice());
+        assert_eq!(&flat[13..], &grads.db[..]);
+        assert!(l
+            .params()
+            .map(<[f32]>::len)
+            .eq(grads.parts().map(<[f32]>::len)));
+        // ...and a flat buffer loads back into the same places.
+        let mut restored = Linear::new(&mut rng, 3, 4);
+        params::load(restored.params_mut(), &flat[1..]);
+        assert_eq!(restored.w.as_slice(), grads.dw.as_slice());
+        assert_eq!(restored.b, grads.db);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! windows the batcher produces). The forget-gate bias is initialised to
 //! 1, the standard trick for gradient flow.
 
+use crate::params;
 use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid};
 use tensor::{init, Matrix, PackedB, Rhs, Store};
 
@@ -98,7 +99,7 @@ impl LstmLayer {
 
     /// Number of parameters.
     pub fn param_count(&self) -> usize {
-        self.wx.len() + self.wh.len() + self.b.len()
+        params::count(self.params())
     }
 
     /// Zeroed gradient holder.
@@ -240,96 +241,35 @@ impl LstmLayer {
         (dx_all, grads)
     }
 
-    /// SGD step.
-    pub fn apply(&mut self, grads: &LstmGrads, lr: f32) {
-        self.wx.axpy(-lr, &grads.dwx);
-        self.wh.axpy(-lr, &grads.dwh);
-        for (b, &g) in self.b.iter_mut().zip(&grads.db) {
-            *b -= lr * g;
-        }
+    /// The parameters in their flat order: `wx`, `wh` (row-major), `b`.
+    pub(crate) fn params(&self) -> impl Iterator<Item = &[f32]> {
+        [self.wx.as_slice(), self.wh.as_slice(), &self.b[..]].into_iter()
     }
 
-    /// Appends `(dwx, dwh, db)` to a flat buffer (fixed layout).
-    pub fn flatten_grads(grads: &LstmGrads, out: &mut Vec<f32>) {
-        out.extend_from_slice(grads.dwx.as_slice());
-        out.extend_from_slice(grads.dwh.as_slice());
-        out.extend_from_slice(&grads.db);
+    /// [`LstmLayer::params`], mutably.
+    pub(crate) fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        [
+            self.wx.as_mut_slice(),
+            self.wh.as_mut_slice(),
+            &mut self.b[..],
+        ]
+        .into_iter()
     }
+}
 
-    /// Appends the layer's parameters `(wx, wh, b)` to `out`, in the
-    /// same fixed layout as [`LstmLayer::flatten_grads`] — the basis of
-    /// bit-exact checkpoint snapshots.
-    pub fn flatten_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.wx.as_slice());
-        out.extend_from_slice(self.wh.as_slice());
-        out.extend_from_slice(&self.b);
-    }
-
-    /// Overwrites the layer's parameters from `flat` at `offset` (the
-    /// [`LstmLayer::flatten_params`] layout); returns the new offset.
-    pub fn load_params(&mut self, flat: &[f32], offset: usize) -> usize {
-        let nwx = self.wx.len();
-        let nwh = self.wh.len();
-        let nb = self.b.len();
-        self.wx
-            .as_mut_slice()
-            .copy_from_slice(&flat[offset..offset + nwx]);
-        self.wh
-            .as_mut_slice()
-            .copy_from_slice(&flat[offset + nwx..offset + nwx + nwh]);
-        self.b
-            .copy_from_slice(&flat[offset + nwx + nwh..offset + nwx + nwh + nb]);
-        offset + nwx + nwh + nb
-    }
-
-    /// Restores gradients from the flat buffer; returns the new offset.
-    pub fn unflatten_grads(&self, flat: &[f32], offset: usize, grads: &mut LstmGrads) -> usize {
-        let nwx = self.wx.len();
-        let nwh = self.wh.len();
-        let nb = self.b.len();
-        grads
-            .dwx
-            .as_mut_slice()
-            .copy_from_slice(&flat[offset..offset + nwx]);
-        grads
-            .dwh
-            .as_mut_slice()
-            .copy_from_slice(&flat[offset + nwx..offset + nwx + nwh]);
-        grads
-            .db
-            .copy_from_slice(&flat[offset + nwx + nwh..offset + nwx + nwh + nb]);
-        offset + nwx + nwh + nb
+impl LstmGrads {
+    /// The gradients in the order of [`LstmLayer::params`].
+    pub(crate) fn parts(&self) -> impl Iterator<Item = &[f32]> {
+        [self.dwx.as_slice(), self.dwh.as_slice(), &self.db[..]].into_iter()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{bits, rand_seq, sq_loss, step_of};
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// A t-major `(t·b)×d` sequence, uniform in `(-1, 1)`.
-    fn rand_seq(rng: &mut StdRng, t: usize, b: usize, d: usize) -> Matrix {
-        Matrix::from_vec(
-            t * b,
-            d,
-            (0..t * b * d).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-        )
-    }
-
-    fn sq_loss(h_all: &Matrix) -> f64 {
-        h_all.norm_sq() / 2.0
-    }
-
-    /// Rows `t·b..(t+1)·b` of a t-major matrix as a matrix of their own.
-    fn step_of(all: &Matrix, t: usize, b: usize) -> Matrix {
-        let cols = all.cols();
-        Matrix::from_vec(
-            b,
-            cols,
-            all.as_slice()[t * b * cols..(t + 1) * b * cols].to_vec(),
-        )
-    }
+    use rand::SeedableRng;
 
     /// The per-timestep formulation the layer used before it moved onto
     /// t-major matrices: one `b×D` matrix per step, every GEMM allocating,
@@ -429,10 +369,6 @@ mod tests {
             dh_carry = dz.matmul_transpose_b(&layer.wh);
         }
         (dxs, grads)
-    }
-
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -589,7 +525,9 @@ mod tests {
         for _ in 0..30 {
             let (h_all, cache) = layer.forward(xs.clone(), 4);
             let (_, grads) = layer.backward(&cache, &h_all);
-            layer.apply(&grads, 0.1);
+            let mut flat = Vec::new();
+            params::flatten(grads.parts(), &mut flat);
+            params::sgd(layer.params_mut(), &flat, 0.1);
         }
         assert!(sq_loss(&layer.forward(xs, 4).0) < before * 0.5);
     }
@@ -601,15 +539,20 @@ mod tests {
         let xs = rand_seq(&mut rng, 2, 2, 3);
         let (h_all, cache) = layer.forward(xs, 2);
         let (_, grads) = layer.backward(&cache, &h_all);
+        // Gradients flatten part for part like the parameters...
         let mut flat = Vec::new();
-        LstmLayer::flatten_grads(&grads, &mut flat);
+        params::flatten(grads.parts(), &mut flat);
         assert_eq!(flat.len(), layer.param_count());
-        let mut restored = layer.zero_grads();
-        let end = layer.unflatten_grads(&flat, 0, &mut restored);
-        assert_eq!(end, flat.len());
-        assert_eq!(restored.dwx.as_slice(), grads.dwx.as_slice());
-        assert_eq!(restored.dwh.as_slice(), grads.dwh.as_slice());
-        assert_eq!(restored.db, grads.db);
+        assert!(layer
+            .params()
+            .map(<[f32]>::len)
+            .eq(grads.parts().map(<[f32]>::len)));
+        // ...and a flat buffer loads back into the same places.
+        let mut restored = LstmLayer::new(&mut rng, 3, 4);
+        params::load(restored.params_mut(), &flat);
+        assert_eq!(restored.wx.as_slice(), grads.dwx.as_slice());
+        assert_eq!(restored.wh.as_slice(), grads.dwh.as_slice());
+        assert_eq!(restored.b, grads.db);
     }
 
     #[test]

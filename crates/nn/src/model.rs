@@ -13,13 +13,15 @@
 //! cross GPUs is the paper's whole subject.
 
 use crate::embedding::{Embedding, SparseGrad};
-use crate::linear::{Linear, LinearGrads};
+use crate::linear::Linear;
 use crate::lstm::{LstmCache, LstmLayer};
-use crate::rhn::RhnLayer;
+use crate::params;
+use crate::rhn::{RhnCache, RhnLayer};
 use crate::sampled_softmax::{full_softmax_eval_loss, SampledSoftmax};
 use crate::softmax::softmax_cross_entropy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::iter::once;
 use tensor::Matrix;
 
 /// A batch in the timestep-major layout the recurrent layers consume.
@@ -55,11 +57,6 @@ impl SeqBatch {
             batch,
             steps: seq_len,
         }
-    }
-
-    /// Token ids of step `t` across lanes.
-    pub fn step_tokens(&self, t: usize) -> &[u32] {
-        &self.tokens[t * self.batch..(t + 1) * self.batch]
     }
 
     /// Total tokens (`K = batch · steps`).
@@ -173,9 +170,31 @@ impl WordLm {
         &self.softmax
     }
 
+    /// The dense (ALLREDUCEd) parameters in their flat order: LSTM, then
+    /// projection.
+    fn dense(&self) -> impl Iterator<Item = &[f32]> {
+        self.lstm.params().chain(self.proj.params())
+    }
+
+    /// Every parameter in checkpoint order: input table, dense, output
+    /// table.
+    fn all(&self) -> impl Iterator<Item = &[f32]> {
+        once(self.embed.weights().as_slice())
+            .chain(self.dense())
+            .chain(once(self.out_embed.weights().as_slice()))
+    }
+
+    /// [`WordLm::all`], mutably.
+    fn all_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        once(self.embed.weights_mut().as_mut_slice())
+            .chain(self.lstm.params_mut())
+            .chain(self.proj.params_mut())
+            .chain(once(self.out_embed.weights_mut().as_mut_slice()))
+    }
+
     /// Size of the flat dense-gradient buffer.
     pub fn dense_param_count(&self) -> usize {
-        self.lstm.param_count() + self.proj.param_count()
+        params::count(self.dense())
     }
 
     /// Forward + backward with candidates drawn from `rng`.
@@ -206,8 +225,7 @@ impl WordLm {
         let input_grad = self.embed.backward(&batch.tokens, dx_all);
 
         let mut dense = Vec::with_capacity(self.dense_param_count());
-        LstmLayer::flatten_grads(&lstm_grads, &mut dense);
-        Linear::flatten_grads(&proj_grads, &mut dense);
+        params::flatten(lstm_grads.parts().chain(proj_grads.parts()), &mut dense);
 
         WordLmGrads {
             loss: out.loss,
@@ -226,10 +244,7 @@ impl WordLm {
 
     /// Number of f32 values in a [`WordLm::param_vector`] snapshot.
     pub fn param_vector_len(&self) -> usize {
-        self.embed.weights().len()
-            + self.lstm.param_count()
-            + self.proj.param_count()
-            + self.out_embed.weights().len()
+        params::count(self.all())
     }
 
     /// Snapshots every parameter into one flat vector in a fixed layout
@@ -238,11 +253,7 @@ impl WordLm {
     /// [`WordLm::load_param_vector`] is a bit-identical restore.
     pub fn param_vector(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_vector_len());
-        out.extend_from_slice(self.embed.weights().as_slice());
-        self.lstm.flatten_params(&mut out);
-        self.proj.flatten_params(&mut out);
-        out.extend_from_slice(self.out_embed.weights().as_slice());
-        debug_assert_eq!(out.len(), self.param_vector_len());
+        params::flatten(self.all(), &mut out);
         out
     }
 
@@ -251,32 +262,14 @@ impl WordLm {
     /// architecture.
     pub fn load_param_vector(&mut self, flat: &[f32]) {
         assert_eq!(flat.len(), self.param_vector_len(), "param size mismatch");
-        let ne = self.embed.weights().len();
-        self.embed
-            .weights_mut()
-            .as_mut_slice()
-            .copy_from_slice(&flat[..ne]);
-        let off = self.lstm.load_params(flat, ne);
-        let off = self.proj.load_params(flat, off);
-        self.out_embed
-            .weights_mut()
-            .as_mut_slice()
-            .copy_from_slice(&flat[off..]);
+        params::load(self.all_mut(), flat);
     }
 
     /// Applies the flat dense gradient with SGD at rate `lr`.
     pub fn apply_dense(&mut self, flat: &[f32], lr: f32) {
         assert_eq!(flat.len(), self.dense_param_count(), "dense size mismatch");
-        let mut lstm_grads = self.lstm.zero_grads();
-        let off = self.lstm.unflatten_grads(flat, 0, &mut lstm_grads);
-        let mut proj_grads = LinearGrads {
-            dw: Matrix::zeros(self.proj.in_dim(), self.proj.out_dim()),
-            db: vec![0.0; self.proj.out_dim()],
-        };
-        let end = self.proj.unflatten_grads(flat, off, &mut proj_grads);
-        debug_assert_eq!(end, flat.len());
-        self.lstm.apply(&lstm_grads, lr);
-        self.proj.apply(&proj_grads, lr);
+        let dense = self.lstm.params_mut().chain(self.proj.params_mut());
+        params::sgd(dense, flat, lr);
     }
 
     /// Shared forward pass: returns `(projection output, lstm output,
@@ -362,55 +355,42 @@ impl CharLm {
         &mut self.embed
     }
 
+    /// The dense (ALLREDUCEd) parameters in their flat order: RHN, then
+    /// output layer.
+    fn dense(&self) -> impl Iterator<Item = &[f32]> {
+        self.rhn.params().chain(self.out.params())
+    }
+
+    /// Every parameter in checkpoint order: input table, then dense.
+    fn all(&self) -> impl Iterator<Item = &[f32]> {
+        once(self.embed.weights().as_slice()).chain(self.dense())
+    }
+
+    /// [`CharLm::all`], mutably.
+    fn all_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        once(self.embed.weights_mut().as_mut_slice())
+            .chain(self.rhn.params_mut())
+            .chain(self.out.params_mut())
+    }
+
     /// Size of the flat dense-gradient buffer.
     pub fn dense_param_count(&self) -> usize {
-        self.rhn.param_count() + self.out.param_count()
+        params::count(self.dense())
     }
 
     /// Forward + backward over one batch.
     pub fn forward_backward(&self, batch: &SeqBatch) -> CharLmGrads {
-        assert!(!batch.is_empty(), "empty batch");
-        let xs: Vec<Matrix> = (0..batch.steps)
-            .map(|t| self.embed.forward(batch.step_tokens(t)))
-            .collect();
-        let (hs, cache) = self.rhn.forward(&xs);
-        let mut h_all = Matrix::zeros(batch.len(), self.cfg.hidden);
-        for (t, h) in hs.iter().enumerate() {
-            for lane in 0..batch.batch {
-                h_all
-                    .row_mut(t * batch.batch + lane)
-                    .copy_from_slice(h.row(lane));
-            }
-        }
-        let logits = self.out.forward(&h_all);
+        let (logits, h_all, cache) = self.forward_hidden(batch);
         let sm = softmax_cross_entropy(&logits, &batch.targets);
+
+        // Back through output layer and RHN; every matrix is t-major, in
+        // the order of `batch.tokens`.
         let (dh_all, out_grads) = self.out.backward(&h_all, &sm.dlogits);
-
-        let dhs: Vec<Matrix> = (0..batch.steps)
-            .map(|t| {
-                let mut m = Matrix::zeros(batch.batch, self.cfg.hidden);
-                for lane in 0..batch.batch {
-                    m.row_mut(lane)
-                        .copy_from_slice(dh_all.row(t * batch.batch + lane));
-                }
-                m
-            })
-            .collect();
-        let (dxs, rhn_grads) = self.rhn.backward(&cache, &dhs);
-
-        let mut dx_all = Matrix::zeros(batch.len(), self.cfg.embed_dim);
-        for (t, dx) in dxs.iter().enumerate() {
-            for lane in 0..batch.batch {
-                dx_all
-                    .row_mut(t * batch.batch + lane)
-                    .copy_from_slice(dx.row(lane));
-            }
-        }
+        let (dx_all, rhn_grads) = self.rhn.backward(&cache, &dh_all);
         let input_grad = self.embed.backward(&batch.tokens, dx_all);
 
         let mut dense = Vec::with_capacity(self.dense_param_count());
-        RhnLayer::flatten_grads(&rhn_grads, &mut dense);
-        Linear::flatten_grads(&out_grads, &mut dense);
+        params::flatten(rhn_grads.parts().chain(out_grads.parts()), &mut dense);
 
         CharLmGrads {
             loss: sm.loss,
@@ -421,25 +401,13 @@ impl CharLm {
 
     /// Validation loss (mean NLL, nats).
     pub fn eval_loss(&self, batch: &SeqBatch) -> f64 {
-        let xs: Vec<Matrix> = (0..batch.steps)
-            .map(|t| self.embed.forward(batch.step_tokens(t)))
-            .collect();
-        let (hs, _) = self.rhn.forward(&xs);
-        let mut h_all = Matrix::zeros(batch.len(), self.cfg.hidden);
-        for (t, h) in hs.iter().enumerate() {
-            for lane in 0..batch.batch {
-                h_all
-                    .row_mut(t * batch.batch + lane)
-                    .copy_from_slice(h.row(lane));
-            }
-        }
-        let logits = self.out.forward(&h_all);
+        let (logits, _, _) = self.forward_hidden(batch);
         softmax_cross_entropy(&logits, &batch.targets).loss
     }
 
     /// Number of f32 values in a [`CharLm::param_vector`] snapshot.
     pub fn param_vector_len(&self) -> usize {
-        self.embed.weights().len() + self.rhn.param_count() + self.out.param_count()
+        params::count(self.all())
     }
 
     /// Snapshots every parameter into one flat vector in a fixed layout
@@ -447,10 +415,7 @@ impl CharLm {
     /// [`WordLm::param_vector`].
     pub fn param_vector(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_vector_len());
-        out.extend_from_slice(self.embed.weights().as_slice());
-        self.rhn.flatten_params(&mut out);
-        self.out.flatten_params(&mut out);
-        debug_assert_eq!(out.len(), self.param_vector_len());
+        params::flatten(self.all(), &mut out);
         out
     }
 
@@ -459,35 +424,31 @@ impl CharLm {
     /// architecture.
     pub fn load_param_vector(&mut self, flat: &[f32]) {
         assert_eq!(flat.len(), self.param_vector_len(), "param size mismatch");
-        let ne = self.embed.weights().len();
-        self.embed
-            .weights_mut()
-            .as_mut_slice()
-            .copy_from_slice(&flat[..ne]);
-        let off = self.rhn.load_params(flat, ne);
-        let end = self.out.load_params(flat, off);
-        debug_assert_eq!(end, flat.len());
+        params::load(self.all_mut(), flat);
     }
 
     /// Applies the flat dense gradient with SGD at rate `lr`.
     pub fn apply_dense(&mut self, flat: &[f32], lr: f32) {
         assert_eq!(flat.len(), self.dense_param_count(), "dense size mismatch");
-        let mut rhn_grads = self.rhn.zero_grads();
-        let off = self.rhn.unflatten_grads(flat, 0, &mut rhn_grads);
-        let mut out_grads = LinearGrads {
-            dw: Matrix::zeros(self.out.in_dim(), self.out.out_dim()),
-            db: vec![0.0; self.out.out_dim()],
-        };
-        let end = self.out.unflatten_grads(flat, off, &mut out_grads);
-        debug_assert_eq!(end, flat.len());
-        self.rhn.apply(&rhn_grads, lr);
-        self.out.apply(&out_grads, lr);
+        let dense = self.rhn.params_mut().chain(self.out.params_mut());
+        params::sgd(dense, flat, lr);
+    }
+
+    /// Shared forward pass: returns `(logits, rhn output, rhn cache)`
+    /// with rows in t-major order.
+    fn forward_hidden(&self, batch: &SeqBatch) -> (Matrix, Matrix, RhnCache) {
+        assert!(!batch.is_empty(), "empty batch");
+        let x_all = self.embed.forward(&batch.tokens);
+        let (h_all, cache) = self.rhn.forward(x_all, batch.batch);
+        let logits = self.out.forward(&h_all);
+        (logits, h_all, cache)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::bits;
 
     fn toy_batch(vocab: usize, batch: usize, seq_len: usize, seed: u64) -> SeqBatch {
         // A predictable stream: target is (token + 1) mod vocab.
@@ -506,7 +467,6 @@ mod tests {
         let b = SeqBatch::from_lane_major(&inputs, &targets, 2, 3);
         assert_eq!(b.tokens, vec![1, 4, 2, 5, 3, 6]);
         assert_eq!(b.targets, vec![10, 40, 20, 50, 30, 60]);
-        assert_eq!(b.step_tokens(1), &[2, 5]);
     }
 
     #[test]
@@ -623,7 +583,6 @@ mod tests {
         );
         dst.load_param_vector(&snap);
         let back = dst.param_vector();
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&snap), bits(&back));
         // Behavioural identity, not just byte identity.
         let batch = toy_batch(80, 3, 5, 4);
@@ -667,7 +626,6 @@ mod tests {
         assert_eq!(snap.len(), src.param_vector_len());
         let mut dst = CharLm::new(4, cfg);
         dst.load_param_vector(&snap);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&snap), bits(&dst.param_vector()));
         let batch = toy_batch(40, 2, 6, 8);
         assert_eq!(
@@ -684,5 +642,131 @@ mod tests {
             m.apply_dense(&[0.0; 3], 0.1);
         }));
         assert!(r.is_err());
+    }
+
+    /// `dense[i]` must be `∂loss/∂param_vector()[ne + i]`: central
+    /// differences at the first and last element of every dense part
+    /// (`part_lens`, in order). This is what ties a layer's `params()` to
+    /// its gradients' `parts()` — a swapped pair round-trips perfectly
+    /// and trains the wrong weights.
+    fn probe_dense_layout(
+        snap: &[f32],
+        ne: usize,
+        part_lens: &[usize],
+        dense: &[f32],
+        loss_at: impl Fn(&[f32]) -> f64,
+    ) {
+        assert_eq!(part_lens.iter().sum::<usize>(), dense.len());
+        let eps = 1e-2f32;
+        let mut start = 0;
+        for (part, &len) in part_lens.iter().enumerate() {
+            for i in [start, start + len - 1] {
+                let mut p = snap.to_vec();
+                p[ne + i] = snap[ne + i] + eps;
+                let up = loss_at(&p);
+                p[ne + i] = snap[ne + i] - eps;
+                let down = loss_at(&p);
+                let num = (up - down) / (2.0 * eps as f64);
+                let ana = dense[i] as f64;
+                assert!(
+                    num.abs() > 1e-4 && (ana - num).abs() < 3e-5 + 0.01 * num.abs(),
+                    "part {part}, dense[{i}]: analytic {ana} vs numeric {num}"
+                );
+            }
+            start += len;
+        }
+    }
+
+    /// Parameters large enough that every dense gradient clears the
+    /// central difference's noise floor (at the initialiser's scale most
+    /// recurrent gradients are below 1e-5 and a probe would pass anything).
+    fn loud_params(n: usize) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(77);
+        (0..n).map(|_| rng.gen_range(-0.4f32..0.4)).collect()
+    }
+
+    #[test]
+    fn word_lm_dense_gradient_is_laid_out_like_the_parameters() {
+        let mut m = WordLm::new(5, WordLmConfig::small(60));
+        m.load_param_vector(&loud_params(m.param_vector_len()));
+        let batch = toy_batch(60, 3, 4, 6);
+        let cands = m.softmax().draw_candidates(&mut StdRng::seed_from_u64(2));
+        let g = m.forward_backward_with_candidates(&batch, cands.clone());
+        let part_lens: Vec<usize> = m.dense().map(<[f32]>::len).collect();
+        assert_eq!(part_lens.len(), 3 + 2, "LSTM wx, wh, b; projection w, b");
+        let ne = m.input_embedding().weights().len();
+        probe_dense_layout(&m.param_vector(), ne, &part_lens, &g.dense, |p| {
+            let mut probe = m.clone();
+            probe.load_param_vector(p);
+            probe
+                .forward_backward_with_candidates(&batch, cands.clone())
+                .loss
+        });
+    }
+
+    #[test]
+    fn char_lm_dense_gradient_is_laid_out_like_the_parameters() {
+        let cfg = CharLmConfig::small(30);
+        let mut m = CharLm::new(5, cfg);
+        m.load_param_vector(&loud_params(m.param_vector_len()));
+        let batch = toy_batch(30, 3, 4, 6);
+        let g = m.forward_backward(&batch);
+        let part_lens: Vec<usize> = m.dense().map(<[f32]>::len).collect();
+        assert_eq!(part_lens.len(), 2 + 4 * cfg.depth + 2);
+        let ne = m.input_embedding().weights().len();
+        probe_dense_layout(&m.param_vector(), ne, &part_lens, &g.dense, |p| {
+            let mut probe = m.clone();
+            probe.load_param_vector(p);
+            probe.eval_loss(&batch)
+        });
+    }
+
+    /// `apply_dense` against `p − lr·g` written out over the dense range
+    /// of the snapshot; the tables on either side must not move.
+    fn reference_apply(before: &[f32], ne: usize, grad: &[f32], lr: f32) -> Vec<f32> {
+        let mut want = before.to_vec();
+        for (p, &g) in want[ne..ne + grad.len()].iter_mut().zip(grad) {
+            *p -= lr * g;
+        }
+        want
+    }
+
+    #[test]
+    fn apply_dense_is_sgd_over_the_dense_range() {
+        let mut w = WordLm::new(3, WordLmConfig::small(60));
+        let g = w.forward_backward(&toy_batch(60, 3, 4, 6), &mut StdRng::seed_from_u64(1));
+        let ne = w.input_embedding().weights().len();
+        let want = reference_apply(&w.param_vector(), ne, &g.dense, 0.37);
+        w.apply_dense(&g.dense, 0.37);
+        assert_eq!(bits(&w.param_vector()), bits(&want));
+
+        let mut c = CharLm::new(3, CharLmConfig::small(30));
+        let g = c.forward_backward(&toy_batch(30, 3, 4, 6));
+        let ne = c.input_embedding().weights().len();
+        let want = reference_apply(&c.param_vector(), ne, &g.dense, 0.37);
+        c.apply_dense(&g.dense, 0.37);
+        assert_eq!(bits(&c.param_vector()), bits(&want));
+    }
+
+    /// FNV-1a over the little-endian bytes of every value's bits.
+    fn bit_hash(v: &[f32]) -> u64 {
+        v.iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn param_vector_layout_is_pinned() {
+        // Computed at the commit before the layers moved onto the
+        // parameter list. `param_vector()` is what a checkpoint
+        // (`FORMAT_VERSION` 3) stores verbatim: a reordered part would
+        // still round-trip, and would silently load old snapshots into
+        // the wrong weights. If the layout must change, bump the format.
+        let w = WordLm::new(9, WordLmConfig::small(80)).param_vector();
+        assert_eq!((w.len(), bit_hash(&w)), (32_032, 0xad49_12e0_4a4a_157c));
+        let c = CharLm::new(3, CharLmConfig::small(40)).param_vector();
+        assert_eq!((c.len(), bit_hash(&c)), (19_336, 0x5167_b28e_89af_df40));
     }
 }

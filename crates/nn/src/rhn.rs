@@ -14,9 +14,31 @@
 //! with the carry gate coupled to the transform gate (`c = 1 − t`).
 //! Transform-gate biases start at −2 so the network initially carries,
 //! the standard RHN depth-stability trick.
+//!
+//! The layer runs over a whole sequence held in the same **t-major
+//! contiguous matrices** as the LSTM (step `t`'s `B` lanes are rows
+//! `t·B..(t+1)·B`; see `lstm.rs`), with the same three moves and every
+//! bit equal to the per-timestep formulation (kept as the tests'
+//! reference):
+//!
+//! * the input products leave the recurrence — `X·Wh`, `X·Wt` forward
+//!   and `DX = DZh·Whᵀ + DZt·Wtᵀ` backward are one product each over all
+//!   `T·B` rows;
+//! * every `Rh_l` / `Rt_l` (forward) and its transpose (backward) is
+//!   packed once per call ([`PackedB`]) instead of once per `(t, l)`;
+//! * products are stored in place ([`Store`]) on row blocks of three
+//!   cache matrices — nothing is allocated inside the `(t, l)` loop. The
+//!   weight and bias gradients stay **per `(t, l)`, in descending
+//!   order**: a taller product would sum over `t` in a different
+//!   association and move the low bits.
+//!
+//! Storing a product with `Set` where the reference added it to a zeroed
+//! matrix is the same bits: a sum started from `+0.0` is never `−0.0`,
+//! so `0 + a·b` is `a·b`.
 
+use crate::params;
 use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid};
-use tensor::{init, Matrix};
+use tensor::{init, Matrix, PackedB, Rhs, Store};
 
 /// One RHN layer's parameters.
 #[derive(Debug, Clone)]
@@ -30,16 +52,23 @@ pub struct RhnLayer {
     hidden: usize,
 }
 
-/// Cached activations of one forward pass.
+/// Forward-pass activations kept for backward, in `B`-row blocks.
 #[derive(Debug)]
 pub struct RhnCache {
-    xs: Vec<Matrix>,
-    /// `s_in[t][l]`: state entering micro-layer `l` at step `t` (`b×H`).
-    s_in: Vec<Vec<Matrix>>,
-    /// `hcand[t][l]`: tanh candidate.
-    hcand: Vec<Vec<Matrix>>,
-    /// `tgate[t][l]`: transform gate.
-    tgate: Vec<Vec<Matrix>>,
+    /// Lanes per step `B`.
+    batch: usize,
+    /// Inputs (`(T·B)×D`, t-major).
+    xs: Matrix,
+    /// The chain of states (`((T·L+1)·B)×H`): block `t·L + l` enters
+    /// micro-layer `l` of step `t` and block `t·L + l + 1` leaves it, so
+    /// block 0 is the initial zero state and block `(t+1)·L` is `h_t`.
+    s: Matrix,
+    /// tanh candidates (`(L·T·B)×H`), **depth-major**: micro-layer `l` of
+    /// step `t` is block `l·T + t`, so depth 0 — the only one that sees
+    /// the input — is the first `T·B` rows, where `X·Wh` lands whole.
+    hcand: Matrix,
+    /// Transform gates, same indexing as `hcand`.
+    tgate: Matrix,
 }
 
 /// Dense gradients of an [`RhnLayer`].
@@ -101,8 +130,7 @@ impl RhnLayer {
     /// Number of parameters — matches the paper's 213 M at
     /// `(D=1792, H=1792, L=10)` plus embedding/softmax.
     pub fn param_count(&self) -> usize {
-        let l = self.depth();
-        self.wx_h.len() + self.wx_t.len() + l * (2 * self.hidden * self.hidden + 2 * self.hidden)
+        params::count(self.params())
     }
 
     /// Zeroed gradient holder.
@@ -119,14 +147,208 @@ impl RhnLayer {
         }
     }
 
-    /// Runs the layer over the per-step inputs from zero state.
-    pub fn forward(&self, xs: &[Matrix]) -> (Vec<Matrix>, RhnCache) {
+    /// Runs the layer from zero state over the t-major `(T·B)×D` inputs
+    /// `xs` (`batch` = `B` lanes per step); returns the t-major `(T·B)×H`
+    /// outputs `h_t = s_{t,L}` and the backward cache, which takes `xs`.
+    pub fn forward(&self, xs: Matrix, batch: usize) -> (Matrix, RhnCache) {
+        assert!(!xs.is_empty(), "empty sequence");
+        assert_eq!(xs.rows() % batch, 0, "rows are not whole steps");
+        assert_eq!(xs.cols(), self.input_dim(), "input dim mismatch");
+        let (b, h, depth) = (batch, self.hidden, self.depth());
+        let (steps, tb) = (xs.rows() / b, xs.rows());
+
+        let pack = |r: &Matrix| PackedB::new(r.view());
+        let r_h: Vec<PackedB> = self.r_h.iter().map(pack).collect();
+        let r_t: Vec<PackedB> = self.r_t.iter().map(pack).collect();
+        let mut s = Matrix::zeros((steps * depth + 1) * b, h);
+        let mut hcand = Matrix::zeros(depth * tb, h);
+        let mut tgate = Matrix::zeros(depth * tb, h);
+        hcand.gemm_rows(0..tb, xs.view(), Rhs::View(self.wx_h.view()), Store::Set);
+        tgate.gemm_rows(0..tb, xs.view(), Rhs::View(self.wx_t.view()), Store::Set);
+        let mut h_all = Matrix::zeros(tb, h);
+        for t in 0..steps {
+            for l in 0..depth {
+                // First rows of the entering state and of the gate block.
+                let (chain, gate) = ((t * depth + l) * b, (l * steps + t) * b);
+                // Depth 0 adds to the input product already there.
+                let store = if l == 0 { Store::Add } else { Store::Set };
+                let s_in = s.rows_view(chain..chain + b);
+                hcand.gemm_rows(gate..gate + b, s_in, Rhs::Packed(&r_h[l]), store);
+                tgate.gemm_rows(gate..gate + b, s_in, Rhs::Packed(&r_t[l]), store);
+                for lane in 0..b {
+                    let hc = hcand.row_mut(gate + lane);
+                    let tg = tgate.row_mut(gate + lane);
+                    let r = chain + lane;
+                    let (s_prev, s_next) =
+                        s.as_mut_slice()[r * h..(r + b + 1) * h].split_at_mut(b * h);
+                    for j in 0..h {
+                        hc[j] = (hc[j] + self.b_h[l][j]).tanh();
+                        tg[j] = sigmoid(tg[j] + self.b_t[l][j]);
+                        s_next[j] = hc[j] * tg[j] + s_prev[j] * (1.0 - tg[j]);
+                    }
+                }
+            }
+            let out = (t + 1) * depth * b;
+            h_all.as_mut_slice()[t * b * h..(t + 1) * b * h]
+                .copy_from_slice(&s.as_slice()[out * h..(out + b) * h]);
+        }
+        let cache = RhnCache {
+            batch,
+            xs,
+            s,
+            hcand,
+            tgate,
+        };
+        (h_all, cache)
+    }
+
+    /// Back-propagates the t-major `(T·B)×H` upstream gradients `dh_all`
+    /// through depth and time; returns the t-major `(T·B)×D` input
+    /// gradients and the parameter gradients.
+    pub fn backward(&self, cache: &RhnCache, dh_all: &Matrix) -> (Matrix, RhnGrads) {
+        let (b, h, depth) = (cache.batch, self.hidden, self.depth());
+        let (d, steps) = (self.input_dim(), cache.xs.rows() / b);
+        assert_eq!(
+            (dh_all.rows(), dh_all.cols()),
+            (steps * b, h),
+            "upstream shape mismatch"
+        );
+
+        let mut grads = self.zero_grads();
+        let pack_t = |r: &Matrix| PackedB::new(r.view().t());
+        let r_h_t: Vec<PackedB> = self.r_h.iter().map(pack_t).collect();
+        let r_t_t: Vec<PackedB> = self.r_t.iter().map(pack_t).collect();
+        // Pre-activation gradients, one block per step: each micro-layer
+        // overwrites its step's block, so the descending walk leaves
+        // depth 0's — the ones the input products read — in every block.
+        let mut dzh = Matrix::zeros(steps * b, h);
+        let mut dzt = Matrix::zeros(steps * b, h);
+        // `∂L/∂s` on its way down the chain of states.
+        let mut ds = Matrix::zeros(b, h);
+
+        for t in (0..steps).rev() {
+            let step = t * b..(t + 1) * b;
+            let dh_t = &dh_all.as_slice()[step.start * h..step.end * h];
+            for (acc, &up) in ds.as_mut_slice().iter_mut().zip(dh_t) {
+                *acc += up;
+            }
+            for l in (0..depth).rev() {
+                let (chain, gate) = ((t * depth + l) * b, (l * steps + t) * b);
+                // Every block is `B` whole rows: one flat walk.
+                let n = b * h;
+                let hc = &cache.hcand.as_slice()[gate * h..][..n];
+                let tg = &cache.tgate.as_slice()[gate * h..][..n];
+                let sp = &cache.s.as_slice()[chain * h..][..n];
+                let dzh_b = &mut dzh.as_mut_slice()[step.start * h..][..n];
+                let dzt_b = &mut dzt.as_mut_slice()[step.start * h..][..n];
+                for (i, dv) in ds.as_mut_slice().iter_mut().enumerate() {
+                    dzh_b[i] = *dv * tg[i] * dtanh_from_y(hc[i]);
+                    dzt_b[i] = *dv * (hc[i] - sp[i]) * dsigmoid_from_y(tg[i]);
+                    *dv *= 1.0 - tg[i];
+                }
+
+                // Parameter gradients, one `(t, l)` term at a time so
+                // every sum associates as it always has.
+                let dzh_t = dzh.rows_view(step.clone());
+                let dzt_t = dzt.rows_view(step.clone());
+                let s_in = cache.s.rows_view(chain..chain + b);
+                grads.dr_h[l].gemm_rows(0..h, s_in.t(), Rhs::View(dzh_t), Store::Add);
+                grads.dr_t[l].gemm_rows(0..h, s_in.t(), Rhs::View(dzt_t), Store::Add);
+                for j in 0..h {
+                    let (mut sum_h, mut sum_t) = (0.0f32, 0.0f32);
+                    for r in step.clone() {
+                        sum_h += dzh.get(r, j);
+                        sum_t += dzt.get(r, j);
+                    }
+                    grads.db_h[l][j] += sum_h;
+                    grads.db_t[l][j] += sum_t;
+                }
+                ds.gemm_rows(0..b, dzh_t, Rhs::Packed(&r_h_t[l]), Store::Add);
+                ds.gemm_rows(0..b, dzt_t, Rhs::Packed(&r_t_t[l]), Store::Add);
+                if l == 0 {
+                    // Depth 0 also read `x_t`.
+                    let x_t = cache.xs.rows_view(step.clone()).t();
+                    grads
+                        .dwx_h
+                        .gemm_rows(0..d, x_t, Rhs::View(dzh_t), Store::Add);
+                    grads
+                        .dwx_t
+                        .gemm_rows(0..d, x_t, Rhs::View(dzt_t), Store::Add);
+                }
+            }
+        }
+        let mut dx_all = dzh.matmul_transpose_b(&self.wx_h);
+        let wx_t = Rhs::View(self.wx_t.view().t());
+        dx_all.gemm_rows(0..steps * b, dzt.view(), wx_t, Store::Add);
+        (dx_all, grads)
+    }
+
+    /// The parameters in their flat order: `wx_h`, `wx_t`, then `r_h`,
+    /// `r_t`, `b_h`, `b_t` of each depth in turn.
+    pub(crate) fn params(&self) -> impl Iterator<Item = &[f32]> {
+        let per_depth = (self.r_h.iter().zip(&self.r_t))
+            .zip(self.b_h.iter().zip(&self.b_t))
+            .flat_map(|((rh, rt), (bh, bt))| [rh.as_slice(), rt.as_slice(), &bh[..], &bt[..]]);
+        [self.wx_h.as_slice(), self.wx_t.as_slice()]
+            .into_iter()
+            .chain(per_depth)
+    }
+
+    /// [`RhnLayer::params`], mutably.
+    pub(crate) fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        let per_depth = (self.r_h.iter_mut().zip(&mut self.r_t))
+            .zip(self.b_h.iter_mut().zip(&mut self.b_t))
+            .flat_map(|((rh, rt), (bh, bt))| {
+                [
+                    rh.as_mut_slice(),
+                    rt.as_mut_slice(),
+                    &mut bh[..],
+                    &mut bt[..],
+                ]
+            });
+        [self.wx_h.as_mut_slice(), self.wx_t.as_mut_slice()]
+            .into_iter()
+            .chain(per_depth)
+    }
+}
+
+impl RhnGrads {
+    /// The gradients in the order of [`RhnLayer::params`].
+    pub(crate) fn parts(&self) -> impl Iterator<Item = &[f32]> {
+        let per_depth = (self.dr_h.iter().zip(&self.dr_t))
+            .zip(self.db_h.iter().zip(&self.db_t))
+            .flat_map(|((rh, rt), (bh, bt))| [rh.as_slice(), rt.as_slice(), &bh[..], &bt[..]]);
+        [self.dwx_h.as_slice(), self.dwx_t.as_slice()]
+            .into_iter()
+            .chain(per_depth)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{bits, rand_seq, sq_loss, step_of};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-timestep formulation the layer used before it moved onto
+    /// t-major matrices, verbatim: one `b×D` matrix per step, a matrix
+    /// per `(t, l)` in the cache, every GEMM allocating and re-packing
+    /// its weight. Kept as the bit reference.
+    struct Reference {
+        xs: Vec<Matrix>,
+        s_in: Vec<Vec<Matrix>>,
+        hcand: Vec<Vec<Matrix>>,
+        tgate: Vec<Vec<Matrix>>,
+    }
+
+    fn reference_forward(layer: &RhnLayer, xs: &[Matrix]) -> (Vec<Matrix>, Reference) {
         assert!(!xs.is_empty(), "empty sequence");
         let b = xs[0].rows();
-        let h = self.hidden;
-        let depth = self.depth();
+        let h = layer.hidden;
+        let depth = layer.depth();
 
-        let mut cache = RhnCache {
+        let mut cache = Reference {
             xs: xs.to_vec(),
             s_in: Vec::with_capacity(xs.len()),
             hcand: Vec::with_capacity(xs.len()),
@@ -135,22 +357,22 @@ impl RhnLayer {
         let mut outputs = Vec::with_capacity(xs.len());
         let mut s = Matrix::zeros(b, h);
         for x in xs {
-            assert_eq!(x.cols(), self.input_dim(), "input dim mismatch");
+            assert_eq!(x.cols(), layer.input_dim(), "input dim mismatch");
             // Input projections computed once per step.
-            let xh = x.matmul(&self.wx_h);
-            let xt = x.matmul(&self.wx_t);
+            let xh = x.matmul(&layer.wx_h);
+            let xt = x.matmul(&layer.wx_t);
             let mut s_ins = Vec::with_capacity(depth);
             let mut hcands = Vec::with_capacity(depth);
             let mut tgates = Vec::with_capacity(depth);
             for l in 0..depth {
-                let mut zh = s.matmul(&self.r_h[l]);
-                let mut zt = s.matmul(&self.r_t[l]);
+                let mut zh = s.matmul(&layer.r_h[l]);
+                let mut zt = s.matmul(&layer.r_t[l]);
                 if l == 0 {
                     zh.add_assign(&xh);
                     zt.add_assign(&xt);
                 }
-                zh.add_row_bias(&self.b_h[l]);
-                zt.add_row_bias(&self.b_t[l]);
+                zh.add_row_bias(&layer.b_h[l]);
+                zt.add_row_bias(&layer.b_t[l]);
                 for v in zh.as_mut_slice() {
                     *v = v.tanh();
                 }
@@ -179,18 +401,21 @@ impl RhnLayer {
         (outputs, cache)
     }
 
-    /// Back-propagates through depth and time.
-    pub fn backward(&self, cache: &RhnCache, dhs: &[Matrix]) -> (Vec<Matrix>, RhnGrads) {
+    fn reference_backward(
+        layer: &RhnLayer,
+        cache: &Reference,
+        dhs: &[Matrix],
+    ) -> (Vec<Matrix>, RhnGrads) {
         let steps = cache.xs.len();
         assert_eq!(dhs.len(), steps, "upstream step count mismatch");
         let b = cache.xs[0].rows();
-        let depth = self.depth();
+        let depth = layer.depth();
 
-        let mut grads = self.zero_grads();
+        let mut grads = layer.zero_grads();
         let mut dxs: Vec<Matrix> = (0..steps)
-            .map(|_| Matrix::zeros(b, self.input_dim()))
+            .map(|_| Matrix::zeros(b, layer.input_dim()))
             .collect();
-        let mut ds_time = Matrix::zeros(b, self.hidden);
+        let mut ds_time = Matrix::zeros(b, layer.hidden);
 
         for t in (0..steps).rev() {
             let mut ds = dhs[t].clone();
@@ -201,9 +426,9 @@ impl RhnLayer {
                 let tg = &cache.tgate[t][l];
 
                 // Pointwise gate gradients.
-                let mut dzh = Matrix::zeros(b, self.hidden);
-                let mut dzt = Matrix::zeros(b, self.hidden);
-                let mut ds_in = Matrix::zeros(b, self.hidden);
+                let mut dzh = Matrix::zeros(b, layer.hidden);
+                let mut dzt = Matrix::zeros(b, layer.hidden);
+                let mut ds_in = Matrix::zeros(b, layer.hidden);
                 let n = ds.len();
                 {
                     let dsv = ds.as_slice();
@@ -231,8 +456,8 @@ impl RhnLayer {
                 for (acc, v) in grads.db_t[l].iter_mut().zip(dzt.sum_rows()) {
                     *acc += v;
                 }
-                ds_in.add_assign(&dzh.matmul_transpose_b(&self.r_h[l]));
-                ds_in.add_assign(&dzt.matmul_transpose_b(&self.r_t[l]));
+                ds_in.add_assign(&dzh.matmul_transpose_b(&layer.r_h[l]));
+                ds_in.add_assign(&dzt.matmul_transpose_b(&layer.r_t[l]));
                 if l == 0 {
                     grads
                         .dwx_h
@@ -240,8 +465,8 @@ impl RhnLayer {
                     grads
                         .dwx_t
                         .add_assign(&cache.xs[t].transpose_a_matmul(&dzt));
-                    dxs[t].add_assign(&dzh.matmul_transpose_b(&self.wx_h));
-                    dxs[t].add_assign(&dzt.matmul_transpose_b(&self.wx_t));
+                    dxs[t].add_assign(&dzh.matmul_transpose_b(&layer.wx_h));
+                    dxs[t].add_assign(&dzt.matmul_transpose_b(&layer.wx_t));
                 }
                 ds = ds_in;
             }
@@ -250,112 +475,53 @@ impl RhnLayer {
         (dxs, grads)
     }
 
-    /// SGD step.
-    pub fn apply(&mut self, grads: &RhnGrads, lr: f32) {
-        self.wx_h.axpy(-lr, &grads.dwx_h);
-        self.wx_t.axpy(-lr, &grads.dwx_t);
-        for l in 0..self.depth() {
-            self.r_h[l].axpy(-lr, &grads.dr_h[l]);
-            self.r_t[l].axpy(-lr, &grads.dr_t[l]);
-            for (b, &g) in self.b_h[l].iter_mut().zip(&grads.db_h[l]) {
-                *b -= lr * g;
+    #[test]
+    fn bit_identical_to_the_per_timestep_reference() {
+        // (T, B, D, H, L): `char_weak_g192`'s shape (B = 1), everything
+        // odd, a wider batch, depth 1 with H past one 16-column panel,
+        // and a batch that fills the widest tile.
+        let shapes = [
+            (6, 1, 24, 48, 3),
+            (5, 3, 7, 5, 2),
+            (4, 4, 24, 48, 3),
+            (3, 2, 4, 17, 1),
+            (8, 16, 24, 48, 3),
+        ];
+        for (seed, &(t, b, d, h, depth)) in shapes.iter().enumerate() {
+            let shape = format!("T{t} B{b} D{d} H{h} L{depth}");
+            let mut rng = StdRng::seed_from_u64(200 + seed as u64);
+            let mut layer = RhnLayer::new(&mut rng, d, h, depth);
+            // Biases start at 0 / −2; make every part carry information.
+            for bias in layer.b_h.iter_mut().chain(&mut layer.b_t) {
+                for v in bias.iter_mut() {
+                    *v += rng.gen_range(-0.5f32..0.5);
+                }
             }
-            for (b, &g) in self.b_t[l].iter_mut().zip(&grads.db_t[l]) {
-                *b -= lr * g;
+            let x_all = rand_seq(&mut rng, t, b, d);
+            let dh_all = rand_seq(&mut rng, t, b, h);
+            let xs: Vec<Matrix> = (0..t).map(|s| step_of(&x_all, s, b)).collect();
+            let dhs: Vec<Matrix> = (0..t).map(|s| step_of(&dh_all, s, b)).collect();
+
+            let (want_hs, reference) = reference_forward(&layer, &xs);
+            let (want_dxs, want) = reference_backward(&layer, &reference, &dhs);
+            let (h_all, cache) = layer.forward(x_all, b);
+            let (dx_all, got) = layer.backward(&cache, &dh_all);
+
+            assert_eq!((h_all.rows(), h_all.cols()), (t * b, h), "{shape}");
+            assert_eq!((dx_all.rows(), dx_all.cols()), (t * b, d), "{shape}");
+            // The reference's per-step matrices, laid end to end, are the
+            // t-major matrix.
+            let flat = |steps: &[Matrix]| -> Vec<u32> {
+                steps.iter().flat_map(|m| bits(m.as_slice())).collect()
+            };
+            assert_eq!(bits(h_all.as_slice()), flat(&want_hs), "{shape}: h");
+            assert_eq!(bits(dx_all.as_slice()), flat(&want_dxs), "{shape}: dx");
+            // wx_h, wx_t, then r_h, r_t, b_h, b_t per depth.
+            assert_eq!(got.parts().count(), 2 + 4 * depth, "{shape}");
+            for (i, (g, w)) in got.parts().zip(want.parts()).enumerate() {
+                assert_eq!(bits(g), bits(w), "{shape}: gradient part {i}");
             }
         }
-    }
-
-    /// Appends all gradients to a flat buffer (fixed layout).
-    pub fn flatten_grads(grads: &RhnGrads, out: &mut Vec<f32>) {
-        out.extend_from_slice(grads.dwx_h.as_slice());
-        out.extend_from_slice(grads.dwx_t.as_slice());
-        for l in 0..grads.dr_h.len() {
-            out.extend_from_slice(grads.dr_h[l].as_slice());
-            out.extend_from_slice(grads.dr_t[l].as_slice());
-            out.extend_from_slice(&grads.db_h[l]);
-            out.extend_from_slice(&grads.db_t[l]);
-        }
-    }
-
-    /// Appends the layer's parameters to `out`, in the same fixed
-    /// layout as [`RhnLayer::flatten_grads`] — the basis of bit-exact
-    /// checkpoint snapshots.
-    pub fn flatten_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.wx_h.as_slice());
-        out.extend_from_slice(self.wx_t.as_slice());
-        for l in 0..self.depth() {
-            out.extend_from_slice(self.r_h[l].as_slice());
-            out.extend_from_slice(self.r_t[l].as_slice());
-            out.extend_from_slice(&self.b_h[l]);
-            out.extend_from_slice(&self.b_t[l]);
-        }
-    }
-
-    /// Overwrites the layer's parameters from `flat` at `offset` (the
-    /// [`RhnLayer::flatten_params`] layout); returns the new offset.
-    pub fn load_params(&mut self, flat: &[f32], mut offset: usize) -> usize {
-        let mut take = |dst: &mut [f32]| {
-            dst.copy_from_slice(&flat[offset..offset + dst.len()]);
-            offset += dst.len();
-        };
-        take(self.wx_h.as_mut_slice());
-        take(self.wx_t.as_mut_slice());
-        for l in 0..self.r_h.len() {
-            take(self.r_h[l].as_mut_slice());
-            take(self.r_t[l].as_mut_slice());
-            take(&mut self.b_h[l]);
-            take(&mut self.b_t[l]);
-        }
-        offset
-    }
-
-    /// Restores gradients from the flat buffer; returns the new offset.
-    pub fn unflatten_grads(&self, flat: &[f32], mut offset: usize, grads: &mut RhnGrads) -> usize {
-        let take = |flat: &[f32], offset: &mut usize, n: usize| -> std::ops::Range<usize> {
-            let r = *offset..*offset + n;
-            assert!(r.end <= flat.len(), "flat buffer too short");
-            *offset += n;
-            r
-        };
-        let n = self.wx_h.len();
-        grads
-            .dwx_h
-            .as_mut_slice()
-            .copy_from_slice(&flat[take(flat, &mut offset, n)]);
-        grads
-            .dwx_t
-            .as_mut_slice()
-            .copy_from_slice(&flat[take(flat, &mut offset, n)]);
-        for l in 0..self.depth() {
-            let hh = self.hidden * self.hidden;
-            grads.dr_h[l]
-                .as_mut_slice()
-                .copy_from_slice(&flat[take(flat, &mut offset, hh)]);
-            grads.dr_t[l]
-                .as_mut_slice()
-                .copy_from_slice(&flat[take(flat, &mut offset, hh)]);
-            grads.db_h[l].copy_from_slice(&flat[take(flat, &mut offset, self.hidden)]);
-            grads.db_t[l].copy_from_slice(&flat[take(flat, &mut offset, self.hidden)]);
-        }
-        offset
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn rand_steps(rng: &mut StdRng, t: usize, b: usize, d: usize) -> Vec<Matrix> {
-        (0..t)
-            .map(|_| Matrix::from_vec(b, d, (0..b * d).map(|_| rng.gen_range(-1.0..1.0)).collect()))
-            .collect()
-    }
-
-    fn sq_loss(hs: &[Matrix]) -> f64 {
-        hs.iter().map(|h| h.norm_sq() / 2.0).sum()
     }
 
     #[test]
@@ -363,12 +529,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let layer = RhnLayer::new(&mut rng, 3, 5, 4);
         assert_eq!(layer.depth(), 4);
-        let xs = rand_steps(&mut rng, 3, 2, 3);
-        let (hs, cache) = layer.forward(&xs);
-        assert_eq!(hs.len(), 3);
-        assert_eq!(hs[0].rows(), 2);
-        assert_eq!(hs[0].cols(), 5);
-        assert_eq!(cache.s_in[0].len(), 4);
+        let xs = rand_seq(&mut rng, 3, 2, 3);
+        let (h_all, cache) = layer.forward(xs, 2);
+        assert_eq!(h_all.rows(), 3 * 2);
+        assert_eq!(h_all.cols(), 5);
+        // One gate block per micro-layer per step, one more state.
+        assert_eq!(cache.hcand.rows(), 4 * 3 * 2);
+        assert_eq!(cache.s.rows(), (4 * 3 + 1) * 2);
     }
 
     #[test]
@@ -377,9 +544,9 @@ mod tests {
         // mostly carries: outputs start small.
         let mut rng = StdRng::seed_from_u64(2);
         let layer = RhnLayer::new(&mut rng, 4, 8, 3);
-        let xs = rand_steps(&mut rng, 1, 2, 4);
-        let (hs, _) = layer.forward(&xs);
-        let max = hs[0].as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let xs = rand_seq(&mut rng, 1, 2, 4);
+        let (h_all, _) = layer.forward(xs, 2);
+        let max = h_all.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
         assert!(max < 0.6, "max {max}");
     }
 
@@ -387,15 +554,13 @@ mod tests {
     fn gradients_match_numerical() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut layer = RhnLayer::new(&mut rng, 3, 4, 3);
-        let xs = rand_steps(&mut rng, 2, 2, 3);
-        let (hs, cache) = layer.forward(&xs);
-        let (dxs, grads) = layer.backward(&cache, &hs);
+        let (steps, b, d) = (2, 2, 3);
+        let xs = rand_seq(&mut rng, steps, b, d);
+        let (h_all, cache) = layer.forward(xs.clone(), b);
+        let (dx_all, grads) = layer.backward(&cache, &h_all);
 
         let eps = 1e-3f32;
-        let loss_of = |l: &RhnLayer, xs: &[Matrix]| {
-            let (hs, _) = l.forward(xs);
-            sq_loss(&hs)
-        };
+        let loss_of = |l: &RhnLayer, xs: &Matrix| sq_loss(&l.forward(xs.clone(), b).0);
 
         // wx_h / wx_t probes.
         for i in [0usize, 5, 11] {
@@ -447,15 +612,16 @@ mod tests {
             }
         }
         // Inputs.
-        for t in 0..2 {
+        for t in 0..steps {
             for i in [0usize, 4] {
+                let at = t * b * d + i;
                 let mut xs2 = xs.clone();
-                xs2[t].as_mut_slice()[i] += eps;
+                xs2.as_mut_slice()[at] += eps;
                 let lp = loss_of(&layer, &xs2);
-                xs2[t].as_mut_slice()[i] -= 2.0 * eps;
+                xs2.as_mut_slice()[at] -= 2.0 * eps;
                 let lm = loss_of(&layer, &xs2);
                 let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
-                assert!((dxs[t].as_slice()[i] - num).abs() < 2e-2, "dx[{t}][{i}]");
+                assert!((dx_all.as_slice()[at] - num).abs() < 2e-2, "dx[{t}][{i}]");
             }
         }
     }
@@ -464,34 +630,39 @@ mod tests {
     fn training_reduces_loss() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut layer = RhnLayer::new(&mut rng, 3, 4, 2);
-        let xs = rand_steps(&mut rng, 4, 4, 3);
-        let (hs0, _) = layer.forward(&xs);
-        let before = sq_loss(&hs0);
+        let xs = rand_seq(&mut rng, 4, 4, 3);
+        let before = sq_loss(&layer.forward(xs.clone(), 4).0);
         for _ in 0..40 {
-            let (hs, cache) = layer.forward(&xs);
-            let (_, grads) = layer.backward(&cache, &hs);
-            layer.apply(&grads, 0.1);
+            let (h_all, cache) = layer.forward(xs.clone(), 4);
+            let (_, grads) = layer.backward(&cache, &h_all);
+            let mut flat = Vec::new();
+            params::flatten(grads.parts(), &mut flat);
+            params::sgd(layer.params_mut(), &flat, 0.1);
         }
-        let (hs1, _) = layer.forward(&xs);
-        assert!(sq_loss(&hs1) < before * 0.6);
+        assert!(sq_loss(&layer.forward(xs, 4).0) < before * 0.6);
     }
 
     #[test]
     fn flatten_round_trip() {
         let mut rng = StdRng::seed_from_u64(11);
         let layer = RhnLayer::new(&mut rng, 3, 4, 3);
-        let xs = rand_steps(&mut rng, 2, 2, 3);
-        let (hs, cache) = layer.forward(&xs);
-        let (_, grads) = layer.backward(&cache, &hs);
+        let xs = rand_seq(&mut rng, 2, 2, 3);
+        let (h_all, cache) = layer.forward(xs, 2);
+        let (_, grads) = layer.backward(&cache, &h_all);
+        // Gradients flatten part for part like the parameters...
         let mut flat = Vec::new();
-        RhnLayer::flatten_grads(&grads, &mut flat);
+        params::flatten(grads.parts(), &mut flat);
         assert_eq!(flat.len(), layer.param_count());
-        let mut restored = layer.zero_grads();
-        let end = layer.unflatten_grads(&flat, 0, &mut restored);
-        assert_eq!(end, flat.len());
+        assert!(layer
+            .params()
+            .map(<[f32]>::len)
+            .eq(grads.parts().map(<[f32]>::len)));
+        // ...and a flat buffer loads back into the same places.
+        let mut restored = RhnLayer::new(&mut rng, 3, 4, 3);
+        params::load(restored.params_mut(), &flat);
         for l in 0..3 {
-            assert_eq!(restored.dr_h[l].as_slice(), grads.dr_h[l].as_slice());
-            assert_eq!(restored.db_t[l], grads.db_t[l]);
+            assert_eq!(restored.r_h[l].as_slice(), grads.dr_h[l].as_slice());
+            assert_eq!(restored.b_t[l], grads.db_t[l]);
         }
     }
 

@@ -55,7 +55,7 @@ pub fn perplexity(mean_nll: f64) -> f64 {
 }
 
 /// Bits-per-character of a mean NLL (nats): `loss / ln 2` — the metric
-/// §V-D compares against [21] ("1.208 BPC vs 1.218").
+/// §V-D compares against \[21\] ("1.208 BPC vs 1.218").
 pub fn bits_per_char(mean_nll: f64) -> f64 {
     mean_nll / std::f64::consts::LN_2
 }

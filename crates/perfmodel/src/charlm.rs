@@ -254,7 +254,7 @@ impl TiebaScale {
 /// `time_ratio`× slower than run B but on `power_ratio`× less powerful
 /// hardware, A's effective gain is `power_ratio / time_ratio`.
 ///
-/// The paper: 14× longer than [21] on 41× weaker infrastructure ⇒
+/// The paper: 14× longer than \[21\] on 41× weaker infrastructure ⇒
 /// "a rough gain of 2.9×".
 pub fn normalized_throughput_gain(time_ratio: f64, power_ratio: f64) -> f64 {
     assert!(time_ratio > 0.0 && power_ratio > 0.0);

@@ -42,7 +42,7 @@ impl HardwareConfig {
         }
     }
 
-    /// The comparison system of §V-D ([21]'s infrastructure): DGX-style
+    /// The comparison system of §V-D (\[21\]'s infrastructure): DGX-style
     /// V100s — 125 TFLOP/s tensor peak, 16 GB HBM2, NVLink.
     pub fn v100_dgx() -> Self {
         Self {

@@ -12,7 +12,7 @@
 //!   the threads).
 //! * [`ops`] — numerically-stable softmax / log-sum-exp and the pointwise
 //!   nonlinearities LSTM/RHN need.
-//! * [`f16`] — bit-exact software IEEE-754 binary16 with round-to-nearest-
+//! * [`mod@f16`] — bit-exact software IEEE-754 binary16 with round-to-nearest-
 //!   even, plus the compression-scaling helpers of the paper's §III-C.
 //! * [`init`] — seeded uniform / Xavier initialisers so every experiment
 //!   is reproducible.

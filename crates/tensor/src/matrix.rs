@@ -4,13 +4,13 @@
 //! GPU these run as thread-block kernels, here every product — the three
 //! allocating ones (`A·B`, `A·Bᵀ`, `Aᵀ·B`) and the in-place
 //! [`Matrix::gemm_rows`] — runs through one sequential register-tiled
-//! driver, [`gemm`]: per 16-column panel of `B` it walks `C` in `R×16`
+//! driver, `gemm`: per 16-column panel of `B` it walks `C` in `R×16`
 //! tiles whose sums stay in registers across the whole `k` loop. The
 //! kernel spawns no threads — a simulated GPU rank is already the unit of
 //! host parallelism.
 //!
 //! **Width.** The tile is instantiated at the widest vector unit the CPU
-//! reports ([`Width`]; CPUID only — no build flag, feature or option
+//! reports (`Width`; CPUID only — no build flag, feature or option
 //! selects it): a `16×16` tile of explicit AVX-512F multiplies and adds,
 //! the generic tile body at `4×16` compiled under `avx2`, or the same
 //! body at `2×16` for the build's baseline ISA. The per-width code is the
@@ -319,7 +319,7 @@ impl View<'_> {
 
 /// A right operand packed once: all `⌈n/16⌉` panels of a `k×n` view,
 /// each the contiguous zero-padded `k×16` block the tile loop reads.
-/// What [`gemm`] otherwise builds per call and per panel; worth keeping
+/// What `gemm` otherwise builds per call and per panel; worth keeping
 /// when the same `B` meets many left operands, as a recurrent weight
 /// does at every timestep. Pack `m.view()` for `A·M`, `m.view().t()` for
 /// `A·Mᵀ`.

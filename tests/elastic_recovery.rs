@@ -303,3 +303,44 @@ fn recovery_marker_lands_in_the_trace() {
     let json = zipf_lm::chrome_trace_json(std::slice::from_ref(trace));
     assert!(json.contains("\"Recovery\""));
 }
+
+/// The fingerprint pins the run's dimensions, not the length of the
+/// flat parameter layout, so a snapshot that passes `validate_against`
+/// can still hold the wrong number of values (written under another
+/// layout, or built by hand — the fields are public). That must come
+/// back as the typed error on every rank, not as the loader's panic.
+#[test]
+fn resume_with_the_wrong_parameter_count_is_a_typed_error() {
+    with_watchdog(|| {
+        for model in [
+            ModelKind::Word { vocab: 200 },
+            ModelKind::Char { vocab: 64 },
+        ] {
+            let mut c = cfg(2);
+            c.model = model;
+            let (out, _) = checkpointed(&c, FaultPlan::none(), None);
+            let fin = out.final_checkpoint.expect("terminal snapshot");
+            let want = fin.params.len();
+
+            let (mut short, mut long) = (fin.clone(), fin);
+            short.params.pop();
+            long.params.push(0.0);
+            for ck in [short, long] {
+                let have = ck.params.len();
+                let (out, _) = checkpointed(&c, FaultPlan::none(), Some(ck));
+                assert_eq!(out.ranks.len(), 2);
+                for r in &out.ranks {
+                    match r {
+                        Err(TrainError::InvalidCheckpoint { reason }) => assert!(
+                            reason.contains(&have.to_string())
+                                && reason.contains(&want.to_string()),
+                            "{model:?}: reason names both lengths: {reason}"
+                        ),
+                        other => panic!("{model:?}: expected InvalidCheckpoint, got {other:?}"),
+                    }
+                }
+                assert!(out.final_checkpoint.is_none());
+            }
+        }
+    });
+}
