@@ -12,10 +12,12 @@
 //!   `trainer` drives the exchange — the configuration the zero-alloc
 //!   hot path targets, at the paper-scale shape world=8, K=4096,
 //!   D=128. The one asserted guard (`run_pool_overhead`) compares that
-//!   step under a run pool against itself without one, within a run;
-//!   the absolute host cost of the exchange is tracked by the `e2e/`
-//!   benchmark's `lm.exchange.steady_ms`, the cost of tracing by its
-//!   `simgpu.trace.overhead_ratio`.
+//!   step under a run pool against itself without one, within a run.
+//!   A report-only row times the baseline path at the `e2e` workload
+//!   `word_exchange_baseline_g8`'s shape (K=2048, D=512, vocabulary
+//!   20 000); the absolute host cost of the exchange is tracked by the
+//!   `e2e/` benchmark's `lm.exchange.steady_ms`, the cost of tracing by
+//!   its `simgpu.trace.overhead_ratio`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nn::{Embedding, SparseGrad};
@@ -32,14 +34,34 @@ const VOCAB: usize = 5_000;
 const DIM: usize = 32;
 const TOKENS: usize = 256;
 
+const SS_WORLD: usize = 8;
+
+/// One steady-state configuration at `SS_WORLD` ranks.
+struct Steady {
+    vocab: usize,
+    dim: usize,
+    tokens: usize,
+    cfg: fn() -> ExchangeConfig,
+}
+
 // Steady-state shape from the acceptance target: world=8, K=4096, D=128.
 // The vocabulary is hot-set-sized (Zipf duplication heavy, as in the
 // paper's steady state) so `Ug` — and with it the ALLREDUCE — stays
 // proportionate to the CPU-side canonicalisation work.
-const SS_WORLD: usize = 8;
-const SS_VOCAB: usize = 1_000;
-const SS_DIM: usize = 128;
-const SS_TOKENS: usize = 4_096;
+const SS_UNIQUE: Steady = Steady {
+    vocab: 1_000,
+    dim: 128,
+    tokens: 4_096,
+    cfg: ExchangeConfig::unique,
+};
+
+/// `word_exchange_baseline_g8`'s exchange: 4 MiB of rows per rank.
+const SS_BASELINE: Steady = Steady {
+    vocab: 20_000,
+    dim: 512,
+    tokens: 2_048,
+    cfg: ExchangeConfig::baseline,
+};
 
 fn zipfian_grad(seed: u64, tokens: usize, vocab: usize, dim: usize) -> SparseGrad {
     let dist = ZipfMandelbrot::new(vocab, 1.5625, 3.5);
@@ -72,18 +94,19 @@ fn run_exchange(world: usize, cfg: ExchangeConfig) {
 /// Runs `iters` steady-state steps on persistent rank threads: each rank
 /// builds its table/gradient/scratch once, takes one untimed warm-up
 /// step (sizes the pools, pages in the buffers), then times the loop.
-/// Returns the slowest rank's measured loop time. `pool_workers > 0`
-/// multiplexes the ranks through a bounded run pool of that many slots;
-/// sized ≥ world every rank keeps its slot for the whole run, so the
-/// gate reduces to one uncontended acquire/release per rank and the
-/// loop must match the unpooled one (`0`) to within noise.
-fn steady_state(world: usize, pool_workers: usize, iters: u64) -> Duration {
-    let ranks = CommGroup::create_full(world, world, pool_workers, None);
+/// Returns the slowest rank's measured loop time, at `SS_WORLD` ranks
+/// of `shape`. `pool_workers > 0` multiplexes the ranks through a
+/// bounded run pool of that many slots; sized ≥ world every rank keeps
+/// its slot for the whole run, so the gate reduces to one uncontended
+/// acquire/release per rank and the loop must match the unpooled one
+/// (`0`) to within noise.
+fn steady_state(shape: &Steady, pool_workers: usize, iters: u64) -> Duration {
+    let ranks = CommGroup::create_full(SS_WORLD, SS_WORLD, pool_workers, None);
     let times = simgpu::run_ranks(ranks, |rank| {
-        let mut table = Embedding::from_matrix(Matrix::zeros(SS_VOCAB, SS_DIM));
-        let grad = zipfian_grad(rank.rank() as u64, SS_TOKENS, SS_VOCAB, SS_DIM);
+        let mut table = Embedding::from_matrix(Matrix::zeros(shape.vocab, shape.dim));
+        let grad = zipfian_grad(rank.rank() as u64, shape.tokens, shape.vocab, shape.dim);
         let mut scratch = ExchangeScratch::new();
-        let cfg = ExchangeConfig::unique();
+        let cfg = (shape.cfg)();
         let mut step = || {
             exchange_and_apply_with(&rank, &grad, &mut table, 0.1, &cfg, &mut scratch).unwrap();
         };
@@ -118,7 +141,10 @@ fn bench_exchange(c: &mut Criterion) {
 fn bench_steady_state(c: &mut Criterion) {
     let mut group = c.benchmark_group("exchange_steady");
     group.bench_function("pooled_unique/w8_k4096_d128", |b| {
-        b.iter_custom(|iters| steady_state(SS_WORLD, 0, iters))
+        b.iter_custom(|iters| steady_state(&SS_UNIQUE, 0, iters))
+    });
+    group.bench_function("baseline/w8_k2048_d512", |b| {
+        b.iter_custom(|iters| steady_state(&SS_BASELINE, 0, iters))
     });
     group.finish();
 }
@@ -128,8 +154,11 @@ fn bench_steady_state(c: &mut Criterion) {
 fn report_phase_timings(_c: &mut Criterion) {
     const STEPS: u64 = 10;
     let per_rank = simgpu::run_ranks(CommGroup::create(SS_WORLD), |rank| {
-        let mut table = Embedding::from_matrix(Matrix::zeros(SS_VOCAB, SS_DIM));
-        let grad = zipfian_grad(rank.rank() as u64, SS_TOKENS, SS_VOCAB, SS_DIM);
+        let Steady {
+            vocab, dim, tokens, ..
+        } = SS_UNIQUE;
+        let mut table = Embedding::from_matrix(Matrix::zeros(vocab, dim));
+        let grad = zipfian_grad(rank.rank() as u64, tokens, vocab, dim);
         let mut scratch = ExchangeScratch::new();
         let mut acc = PhaseTimings::default();
         for _ in 0..=STEPS {
@@ -165,8 +194,8 @@ fn report_run_pool_overhead(_c: &mut Criterion) {
     let mut plain = Duration::ZERO;
     let mut pooled = Duration::ZERO;
     for _ in 0..3 {
-        plain += steady_state(SS_WORLD, 0, STEPS / 3);
-        pooled += steady_state(SS_WORLD, SS_WORLD, STEPS / 3);
+        plain += steady_state(&SS_UNIQUE, 0, STEPS / 3);
+        pooled += steady_state(&SS_UNIQUE, SS_WORLD, STEPS / 3);
     }
     let ms_per_step = |d: Duration| d.as_secs_f64() * 1e3 / STEPS as f64;
     let ratio = pooled.as_secs_f64() / plain.as_secs_f64();

@@ -8,7 +8,9 @@
 //! * baseline (`ExchangeConfig::unique == false`): the state-of-the-art
 //!   scheme the paper starts from — ALLGATHER all `K×D` dense gradient
 //!   matrices plus their index vectors, then apply every row locally.
-//!   Per-GPU memory and wire cost `Θ(G·K·D)`.
+//!   Per-GPU memory and wire cost `Θ(G·K·D)`, and that is what
+//!   [`ExchangeStats`] charges; the host applies each peer's rows where
+//!   the gather left them (see "The baseline reads in place").
 //! * unique: §III-A's seven steps — local duplicate reduction,
 //!   index-only ALLGATHER, global unique-index set, local scatter into
 //!   canonical rows, ALLREDUCE of the `Ug×D` matrix, apply. Per-GPU
@@ -22,9 +24,10 @@
 //! ## The hot path is allocation-free
 //!
 //! Both exchanges thread an [`ExchangeScratch`] pool through every step:
-//! gathered indices, locally-reduced rows, the canonical unique set and
-//! the `Ug×D` scatter matrix all live in reused buffers, so steady-state
-//! steps perform **zero heap allocation**. The global unique set is
+//! gathered indices, locally-reduced rows, the canonical unique set, the
+//! `Ug×D` scatter matrix and the baseline's one-sender FP16 staging rows
+//! all live in reused buffers, so steady-state steps perform **zero heap
+//! allocation**. The global unique set is
 //! derived in `O(G·K)` with an epoch-stamped vocabulary slot map instead
 //! of the former `sort_unstable + dedup + binary_search` over all `G·K`
 //! gathered indices: the gathered index vector is identical on every
@@ -34,6 +37,21 @@
 //! is recorded into [`PhaseTimings`] — and, when tracing, into the
 //! rank's [`TraceRecorder`] — by one [`simgpu::PhaseTimer`] lap per
 //! phase.
+//!
+//! ## The baseline reads in place
+//!
+//! The simulated GPU of §II-B holds all `G·K×D` gathered rows at once,
+//! and `peak_buffer_bytes` (hence `sim_peak_mem_mb` and the OOM rows of
+//! Tables III/IV) charges exactly that. The *host* does not have to pay
+//! it a second time per rank: the baseline's row gather is a visiting
+//! ALLGATHER ([`Rank::all_gather_f32_visit`] / `_f16_visit`), and the
+//! `(rank, token)`-ordered `w -= lr·v` runs inside the visitor on each
+//! sender's payload where it lies — the same elements in the same order
+//! as applying a materialised concatenation, so the same bits, with no
+//! `G·K×D` buffer written, re-read and page-faulted on every rank.
+//! Each sender's row count is checked against its index count before a
+//! single row of it is applied; a mismatch is a typed error naming the
+//! sender on every rank.
 //!
 //! Every exchange returns `Result<ExchangeStats, CommError>`: if any
 //! peer rank poisons the group mid-step (OOM, injected fault, panic),
@@ -218,8 +236,12 @@ pub struct ExchangeStats {
 pub struct ExchangeScratch {
     /// Gathered `G·K` index vector (identical on all ranks).
     all_indices: Vec<u32>,
-    /// Gathered `G·K×D` rows (baseline path only).
-    all_rows: Vec<f32>,
+    /// How many of `all_indices` each sender contributed, rank order
+    /// (baseline path only: which indices a sender's rows belong to).
+    sender_counts: Vec<usize>,
+    /// One sender's `K×D` rows decoded from the FP16 wire (compressed
+    /// baseline path only; overwritten per sender).
+    staging: Vec<f32>,
     /// Locally-unique indices `Ĵ`, first-occurrence order.
     reduced_indices: Vec<u32>,
     /// Locally-reduced rows `∆̂`, aligned with `reduced_indices`.
@@ -333,8 +355,9 @@ pub fn exchange_and_apply_traced(
 }
 
 /// The baseline dense exchange (§II-B): ALLGATHER of indices and full
-/// `K×D` gradients from every GPU, then sequential local application in
-/// rank order (deterministic, so all replicas stay identical).
+/// `K×D` gradients from every GPU, applied sequentially in rank order
+/// (deterministic, so all replicas stay identical). Peers' rows are read
+/// in their senders' slots, never concatenated on this rank.
 fn baseline_exchange(
     rank: &Rank,
     grad: &SparseGrad,
@@ -350,35 +373,65 @@ fn baseline_exchange(
     let elem_bytes: u64 = if compression.is_some() { 2 } else { 4 };
     let mut timer = PhaseTimer::start(trace);
     let mut timings = PhaseTimings::default();
+    let ExchangeScratch {
+        all_indices,
+        sender_counts,
+        staging,
+        ..
+    } = scratch;
 
-    rank.all_gather_u32_into(&grad.indices, &mut scratch.all_indices)?;
-    match compression {
-        Some(scale) => {
-            rank.all_gather_f16_into(grad.rows.as_slice(), scale, &mut scratch.all_rows)?
-        }
-        None => rank.all_gather_f32_into(grad.rows.as_slice(), &mut scratch.all_rows)?,
-    }
-    debug_assert_eq!(scratch.all_rows.len(), scratch.all_indices.len() * d);
+    all_indices.clear();
+    sender_counts.clear();
+    rank.all_gather_u32_visit(&grad.indices, |_, indices| {
+        sender_counts.push(indices.len());
+        all_indices.extend_from_slice(indices);
+        Ok(())
+    })?;
     // This rank's gather sends: K u32 indices + K×D rows to G−1 peers —
     // exactly what the traffic recorder charges it for this phase.
     let wire_bytes = (n_local as u64) * (d as u64) * elem_bytes * (g as u64 - 1)
         + (n_local as u64) * 4 * (g as u64 - 1);
-    timings.gather_ns = timer.lap(SpanKind::Gather, wire_bytes);
 
-    // Apply every gathered row in (rank, token) order. Repeated indices
-    // accumulate — this is the serialised scatter-add the paper
-    // describes, complete with its duplicate-row hazard.
-    for (i, &idx) in scratch.all_indices.iter().enumerate() {
-        let row = &scratch.all_rows[i * d..(i + 1) * d];
-        let dst = table.weights_mut().row_mut(idx as usize);
-        for (w, &v) in dst.iter_mut().zip(row) {
-            *w -= lr * v;
+    // Apply every row in (rank, token) order, sender by sender as the
+    // row gather visits them. Repeated indices accumulate — this is the
+    // serialised scatter-add the paper describes, complete with its
+    // duplicate-row hazard. The gather phase ends when the first
+    // sender's rows arrive (publish + rendezvous wait).
+    let mut applied = 0;
+    let apply = |sender: usize, rows: &[f32]| {
+        if sender == 0 {
+            timings.gather_ns = timer.lap(SpanKind::Gather, wire_bytes);
         }
+        let indices = &all_indices[applied..applied + sender_counts[sender]];
+        if rows.len() != indices.len() * d {
+            return Err(CommError::abort(
+                sender,
+                format!(
+                    "baseline exchange: rank {sender} sent {} row elements for {} indices × {d}",
+                    rows.len(),
+                    indices.len()
+                ),
+            ));
+        }
+        for (i, &idx) in indices.iter().enumerate() {
+            let row = &rows[i * d..(i + 1) * d];
+            let dst = table.weights_mut().row_mut(idx as usize);
+            for (w, &v) in dst.iter_mut().zip(row) {
+                *w -= lr * v;
+            }
+        }
+        applied += indices.len();
+        Ok(())
+    };
+    match compression {
+        Some(scale) => rank.all_gather_f16_visit(grad.rows.as_slice(), scale, staging, apply)?,
+        None => rank.all_gather_f32_visit(grad.rows.as_slice(), apply)?,
     }
     timings.apply_ns = timer.lap(SpanKind::Apply, 0);
 
-    // The gathered buffers live simultaneously: G·K indices + G·K·D rows.
-    let total_rows = scratch.all_indices.len() as u64;
+    // What the modelled GPU holds simultaneously: G·K indices + G·K·D
+    // rows (the host reads the rows in place; the charge is the paper's).
+    let total_rows = all_indices.len() as u64;
     let peak_buffer_bytes = total_rows * 4 + total_rows * (d as u64) * 4;
 
     Ok(ExchangeStats {
@@ -776,7 +829,8 @@ mod tests {
                 let caps = |s: &ExchangeScratch| {
                     (
                         s.all_indices.capacity(),
-                        s.all_rows.capacity(),
+                        s.sender_counts.capacity(),
+                        s.staging.capacity(),
                         s.reduced_indices.capacity(),
                         s.reduced_rows.capacity(),
                         s.unique.capacity(),
@@ -1113,6 +1167,147 @@ mod tests {
                 };
                 let spans: Vec<SpanKind> = log.events.iter().map(|e| e.span).collect();
                 assert_eq!(spans, expected_spans, "cfg {cfg:?}");
+            }
+        }
+    }
+
+    /// The baseline exchange as it was before it read in place — both
+    /// gathers materialised, then one pass over the `G·K×D`
+    /// concatenation — kept as the oracle for the visiting path.
+    fn materialising_baseline(
+        rank: &Rank,
+        grad: &SparseGrad,
+        table: &mut Embedding,
+        lr: f32,
+        compression: Option<f32>,
+    ) -> Result<ExchangeStats, CommError> {
+        let g = rank.world() as u64;
+        let d = table.dim();
+        let n_local = grad.indices.len() as u64;
+        let elem_bytes: u64 = if compression.is_some() { 2 } else { 4 };
+        let (mut all_indices, mut all_rows) = (Vec::new(), Vec::new());
+        rank.all_gather_u32_into(&grad.indices, &mut all_indices)?;
+        match compression {
+            Some(scale) => rank.all_gather_f16_into(grad.rows.as_slice(), scale, &mut all_rows)?,
+            None => rank.all_gather_f32_into(grad.rows.as_slice(), &mut all_rows)?,
+        }
+        assert_eq!(all_rows.len(), all_indices.len() * d);
+        for (i, &idx) in all_indices.iter().enumerate() {
+            let row = &all_rows[i * d..(i + 1) * d];
+            let dst = table.weights_mut().row_mut(idx as usize);
+            for (w, &v) in dst.iter_mut().zip(row) {
+                *w -= lr * v;
+            }
+        }
+        let total_rows = all_indices.len() as u64;
+        Ok(ExchangeStats {
+            local_tokens: grad.indices.len(),
+            wire_bytes: n_local * (d as u64) * elem_bytes * (g - 1) + n_local * 4 * (g - 1),
+            peak_buffer_bytes: total_rows * 4 + total_rows * (d as u64) * 4,
+            index_enc_bytes: total_rows * 4,
+            ..ExchangeStats::default()
+        })
+    }
+
+    /// [`make_grad`] with Zipf-distributed indices: duplicate-heavy, the
+    /// hot words repeat within and across ranks.
+    fn zipf_grad(seed: u64, n: usize) -> SparseGrad {
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let zipf = zipf::Zipf::new(VOCAB, 1.1);
+        SparseGrad {
+            indices: (0..n).map(|_| zipf.sample(&mut rng) as u32).collect(),
+            ..make_grad(seed, n)
+        }
+    }
+
+    #[test]
+    fn in_place_baseline_matches_materialising_oracle_bit_for_bit() {
+        for world in [1usize, 2, 3, 8] {
+            for compression in [None, Some(512.0)] {
+                // Uniform K, then ragged K with one empty contribution.
+                for ragged in [false, true] {
+                    let cfg = ExchangeConfig {
+                        compression,
+                        ..ExchangeConfig::baseline()
+                    };
+                    let tokens = |r: usize| match ragged {
+                        false => 40,
+                        true => (r * 13 + 5) % 29 * usize::from(r != 1),
+                    };
+                    let res = run_group(world, |rank| {
+                        let r = rank.rank();
+                        let grad = zipf_grad(300 + r as u64, tokens(r));
+                        let (mut want, mut got) = (make_table(7), make_table(7));
+                        let mut scratch = ExchangeScratch::new();
+                        let mut stats = Vec::new();
+                        // Two steps through one pool: stale counts and
+                        // staging rows must not leak into the second.
+                        for _ in 0..2 {
+                            let w =
+                                materialising_baseline(&rank, &grad, &mut want, 0.1, compression)
+                                    .unwrap();
+                            let g = exchange_and_apply_with(
+                                &rank,
+                                &grad,
+                                &mut got,
+                                0.1,
+                                &cfg,
+                                &mut scratch,
+                            )
+                            .unwrap();
+                            stats.push((w, g));
+                        }
+                        (want, got, stats)
+                    });
+                    let ctx = format!("world {world} compression {compression:?} ragged {ragged}");
+                    let bits = |t: &Embedding| -> Vec<u32> {
+                        t.weights().as_slice().iter().map(|x| x.to_bits()).collect()
+                    };
+                    for (r, (want, got, stats)) in res.iter().enumerate() {
+                        assert_eq!(bits(got), bits(want), "{ctx} rank {r}");
+                        assert_eq!(bits(got), bits(&res[0].1), "{ctx} replica {r}");
+                        for (w, g) in stats {
+                            let g = ExchangeStats {
+                                timings: PhaseTimings::default(),
+                                ..*g
+                            };
+                            assert_eq!(g, *w, "{ctx} rank {r}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_row_payload_is_a_typed_error_naming_the_sender() {
+        // Rank 1 publishes one row fewer than it has indices. Nobody
+        // may shift its (and every later sender's) rows onto the wrong
+        // words: every rank gets the same error, attributed to rank 1,
+        // after applying rank 0's rows and none of rank 1's.
+        for compression in [None, Some(512.0)] {
+            let cfg = ExchangeConfig {
+                compression,
+                ..ExchangeConfig::baseline()
+            };
+            let res = run_group(3, |rank| {
+                let r = rank.rank();
+                let mut grad = make_grad(100 + r as u64, 6);
+                if r == 1 {
+                    grad.rows = Matrix::zeros(5, D);
+                }
+                let mut table = make_table(7);
+                let err = oneshot(&rank, &grad, &mut table, &cfg).unwrap_err();
+                (err, rank.barrier())
+            });
+            for (r, (err, after)) in res.iter().enumerate() {
+                assert_eq!(err.failed_rank(), 1, "rank {r}");
+                assert!(
+                    err.reason().contains("20 row elements for 6 indices"),
+                    "rank {r}: {}",
+                    err.reason()
+                );
+                assert_eq!(after.as_ref().unwrap_err(), err, "group stays poisoned");
             }
         }
     }

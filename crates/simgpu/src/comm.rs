@@ -14,7 +14,13 @@
 //! reduction, and each rank then copies the result out. This is O(1)
 //! synchronisation rounds per collective regardless of world size —
 //! what makes 192-rank groups practical on a small machine — and all
-//! payload bytes still genuinely move through shared memory.
+//! payload bytes still genuinely move through shared memory. A gather
+//! has no reduction: after the rendezvous each rank *visits* every
+//! sender's slot in rank order, under a shared read lock
+//! ([`Rank::all_gather_f32_visit`] and its `u32` / `f16` siblings hand
+//! the payload to the caller where it lies; the `_into` forms are the
+//! visitors that concatenate it), and a second rendezvous keeps slots
+//! from being rewritten under a reader.
 //!
 //! Reductions are computed in **canonical ascending rank order**
 //! (left-associated, rank 0 first) no matter which wire schedule is
@@ -80,6 +86,32 @@ impl<T> Mutex<T> {
     fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.0
             .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+/// The same poison-tolerant wrapper over `std::sync::RwLock`, for the
+/// sender-indexed slots: between a gather's two rendezvous every rank
+/// reads every slot in the same order, and a visiting gather holds each
+/// one for a whole `K×D` apply — shared reads keep the ranks from
+/// convoying behind one exclusive lock.
+#[derive(Debug, Default)]
+struct RwLock<T>(std::sync::RwLock<T>);
+
+impl<T> RwLock<T> {
+    fn new(value: T) -> Self {
+        RwLock(std::sync::RwLock::new(value))
+    }
+
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
+        self.0
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
+        self.0
+            .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
@@ -426,14 +458,15 @@ struct GroupCore {
     /// groups (`gpus_per_node == world`), so every byte lands intra-node.
     gpus_per_node: usize,
     barrier: AbortBarrier,
-    /// Sender-indexed tables for gather-style collectives.
-    gather_u32: Vec<Mutex<Vec<u32>>>,
-    gather_f32: Vec<Mutex<Vec<f32>>>,
-    gather_u16: Vec<Mutex<Vec<u16>>>,
-    gather_f64: Vec<Mutex<Vec<f64>>>,
+    /// Sender-indexed tables for gather-style collectives: written by
+    /// their owner before a rendezvous, read by everyone after it.
+    gather_u32: Vec<RwLock<Vec<u32>>>,
+    gather_f32: Vec<RwLock<Vec<f32>>>,
+    gather_u16: Vec<RwLock<Vec<u16>>>,
+    gather_f64: Vec<RwLock<Vec<f64>>>,
     /// Sender-indexed byte mailboxes for codec-framed collectives:
     /// `(element_count, encoded_bytes)` per sender.
-    gather_bytes: Vec<Mutex<(usize, Vec<u8>)>>,
+    gather_bytes: Vec<RwLock<(usize, Vec<u8>)>>,
     /// Reduction result written by the rendezvous leader, read by all.
     reduce_f32: Mutex<Vec<f32>>,
     /// Optional bounded run pool: ranks release their run slot while
@@ -505,11 +538,11 @@ impl CommGroup {
             world,
             gpus_per_node,
             barrier: AbortBarrier::new(world, deadline),
-            gather_u32: (0..world).map(|_| Mutex::new(Vec::new())).collect(),
-            gather_f32: (0..world).map(|_| Mutex::new(Vec::new())).collect(),
-            gather_u16: (0..world).map(|_| Mutex::new(Vec::new())).collect(),
-            gather_f64: (0..world).map(|_| Mutex::new(Vec::new())).collect(),
-            gather_bytes: (0..world).map(|_| Mutex::new((0, Vec::new()))).collect(),
+            gather_u32: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
+            gather_f32: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
+            gather_u16: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
+            gather_f64: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
+            gather_bytes: (0..world).map(|_| RwLock::new((0, Vec::new()))).collect(),
             reduce_f32: Mutex::new(Vec::new()),
             gate: (pool_workers > 0).then(|| RunGate::new(pool_workers)),
             traffic: TrafficRecorder::new(),
@@ -527,6 +560,8 @@ impl CommGroup {
 
 /// In-flight frame damage for the transient wire-corruption fault: the
 /// frame is torn (emptied), or grows a stray byte when already empty.
+/// Row payloads of the visiting gathers tear the same way, by element —
+/// their visitor, which knows the expected length, is the framing.
 ///
 /// Tearing — not bit-flipping — is the modelled fault because it is
 /// *detectable by construction* for every codec: a non-empty payload
@@ -536,9 +571,9 @@ impl CommGroup {
 /// into wrong values — the wire layer has no CRC (that lives in the
 /// checkpoint frames), so the harness injects the fault class the
 /// framing can actually catch.
-fn corrupt_frame(frame: &mut Vec<u8>) {
+fn corrupt_frame<T>(frame: &mut Vec<T>, stray: T) {
     if frame.is_empty() {
-        frame.push(0xA5);
+        frame.push(stray);
     } else {
         frame.clear();
     }
@@ -812,7 +847,7 @@ const REDUCE_BLOCK: usize = 2048;
 fn leader_sum(core: &GroupCore, scale: Option<f32>) {
     let f16 = scale.map(|scale| (scale, 1.0 / scale));
     let cast = |a: f32, (scale, inv): (f32, f32)| quantize_f16(a * scale) * inv;
-    let first = core.gather_f32[0].lock();
+    let first = core.gather_f32[0].read();
     let mut acc = core.reduce_f32.lock();
     acc.clear();
     acc.reserve(first.len());
@@ -821,7 +856,7 @@ fn leader_sum(core: &GroupCore, scale: Option<f32>) {
         acc.extend_from_slice(&first[start..end]);
         let block = &mut acc[start..];
         for slot in &core.gather_f32[1..] {
-            let slot = slot.lock();
+            let slot = slot.read();
             let hop = slot.get(start..).unwrap_or_default();
             match f16 {
                 None => {
@@ -931,6 +966,10 @@ impl Rank {
     /// raw *by length*, the damage is guaranteed to surface as a typed
     /// [`crate::codec::CodecError`] at each decoder — never a silent
     /// wrong answer — which poisons the group attributed to this rank.
+    /// A row payload published into a visiting gather
+    /// ([`Rank::all_gather_f32_visit`], [`Rank::all_gather_f16_visit`])
+    /// consumes the latch the same way and is caught by the visitor's
+    /// length check.
     pub fn corrupt_next_codec_frame(&self) {
         self.corrupt_next_frame
             .store(true, std::sync::atomic::Ordering::Relaxed);
@@ -1053,7 +1092,7 @@ impl Rank {
             return Ok(TierBytes::default());
         }
         {
-            let mut slot = self.core.gather_f32[self.rank].lock();
+            let mut slot = self.core.gather_f32[self.rank].write();
             slot.clear();
             slot.extend_from_slice(data);
         }
@@ -1145,18 +1184,19 @@ impl Rank {
     /// this rank's slot and returns the payload's wire bytes, which
     /// travel to `G−1` peers (same-node peers over the intra tier, the
     /// rest over the inter tier); after the group meets, `collect` sees
-    /// every sender's slot in rank order. A second barrier keeps a fast
-    /// rank from overwriting its slot while a peer is still reading it.
+    /// every sender's slot in rank order, under a shared read lock. A
+    /// second barrier keeps a fast rank from overwriting its slot while
+    /// a peer is still reading it.
     fn gather_rendezvous<S>(
         &self,
-        slots: &[Mutex<S>],
+        slots: &[RwLock<S>],
         publish: impl FnOnce(&mut S) -> u64,
         mut collect: impl FnMut(usize, &S) -> Result<(), CommError>,
     ) -> Result<(), CommError> {
         if self.rank == 0 {
             self.core.traffic.count_allgather_op();
         }
-        let payload_bytes = publish(&mut slots[self.rank].lock());
+        let payload_bytes = publish(&mut slots[self.rank].write());
         self.core
             .traffic
             .record_allgather_split(peer_exchange_tier_bytes(
@@ -1167,79 +1207,159 @@ impl Rank {
             ));
         self.barrier()?;
         for (sender, slot) in slots.iter().enumerate() {
-            collect(sender, &slot.lock())?;
+            collect(sender, &slot.read())?;
         }
         self.barrier()
     }
 
-    /// ALLGATHER of fixed-width elements sent as they are: every rank's
-    /// contribution concatenated in rank order (identical on all ranks)
-    /// replaces `out`'s contents, reusing its capacity (hot loops pass
-    /// the same buffer every step so steady state performs zero heap
-    /// allocation).
-    fn gather_raw_into<T: Copy>(
+    /// Poisons the group with `err` (first failure wins) and hands it
+    /// back: how a rank that finds a sender's payload unusable between
+    /// a gather's two rendezvous keeps its peers from parking at the
+    /// second one forever.
+    fn poison(&self, err: CommError) -> CommError {
+        self.core.barrier.abort(err.clone());
+        err
+    }
+
+    /// Visiting ALLGATHER of fixed-width elements sent as they are:
+    /// publish `local`, rendezvous, hand `visit` each sender's payload
+    /// in rank order *where it lies* (nothing is concatenated or
+    /// copied), departure rendezvous. An `Err` from `visit` poisons the
+    /// group and is returned. `torn` damages the published payload in
+    /// flight (the wire-corruption fault).
+    fn gather_raw_visit<T: Copy + Default>(
         &self,
-        slots: &[Mutex<Vec<T>>],
+        slots: &[RwLock<Vec<T>>],
         local: &[T],
-        out: &mut Vec<T>,
+        torn: bool,
+        mut visit: impl FnMut(usize, &[T]) -> Result<(), CommError>,
     ) -> Result<(), CommError> {
-        out.clear();
         self.gather_rendezvous(
             slots,
             |slot| {
                 slot.clear();
                 slot.extend_from_slice(local);
+                if torn {
+                    corrupt_frame(slot, T::default());
+                }
                 std::mem::size_of_val(local) as u64
             },
-            |_, slot| {
-                out.extend_from_slice(slot);
-                Ok(())
-            },
+            |sender, slot| visit(sender, slot).map_err(|e| self.poison(e)),
         )
     }
 
-    /// Variable-size ALLGATHER of `u32` payloads into `out` (capacity
-    /// reused). This is the cheap index exchange at the heart of the
-    /// paper's uniqueness technique — `Θ(G·K)` elements instead of
-    /// `Θ(G·K·D)`.
-    pub fn all_gather_u32_into(&self, local: &[u32], out: &mut Vec<u32>) -> Result<(), CommError> {
-        self.gather_raw_into(&self.core.gather_u32, local, out)
+    /// Visiting variable-size ALLGATHER of `u32` payloads: `visit(s,
+    /// payload)` sees every sender's contribution in rank order, read in
+    /// place from the sender's slot. Same rendezvous, same wire charge
+    /// as [`Rank::all_gather_u32_into`], which is this with an
+    /// `extend_from_slice` visitor; use it when per-sender boundaries
+    /// matter or the concatenation would only be streamed once. An
+    /// `Err` from `visit` poisons the group (peers get it at the
+    /// departure rendezvous) and is returned.
+    pub fn all_gather_u32_visit(
+        &self,
+        local: &[u32],
+        visit: impl FnMut(usize, &[u32]) -> Result<(), CommError>,
+    ) -> Result<(), CommError> {
+        self.gather_raw_visit(&self.core.gather_u32, local, false, visit)
     }
 
-    /// Variable-size ALLGATHER of `f32` payloads, rank order, into
-    /// `out` (capacity reused) — the paper's *baseline* dense gradient
-    /// exchange (`Θ(G·K·D)` memory and wire bytes).
-    pub fn all_gather_f32_into(&self, local: &[f32], out: &mut Vec<f32>) -> Result<(), CommError> {
-        self.gather_raw_into(&self.core.gather_f32, local, out)
+    /// Visiting variable-size ALLGATHER of `f32` payloads — the paper's
+    /// *baseline* dense gradient exchange (`Θ(G·K·D)` wire bytes)
+    /// without the host materialising `G·K×D` on every rank: `visit(s,
+    /// rows)` reads sender `s`'s payload in its slot, in rank order.
+    /// Slots are read-shared, so all ranks may sit in the same sender's
+    /// payload at once. The visitor is the framing: it must check each
+    /// payload's length against what it expects and return `Err`
+    /// (attributed to the *sender*, as decode failures are) when it
+    /// does not fit — which is also how an armed
+    /// [`Rank::corrupt_next_codec_frame`] latch, which tears this rank's
+    /// published payload, surfaces as a typed error on every rank. An
+    /// `Err` from `visit` poisons the group and is returned.
+    pub fn all_gather_f32_visit(
+        &self,
+        local: &[f32],
+        visit: impl FnMut(usize, &[f32]) -> Result<(), CommError>,
+    ) -> Result<(), CommError> {
+        self.gather_raw_visit(
+            &self.core.gather_f32,
+            local,
+            self.take_corrupt_frame(),
+            visit,
+        )
     }
 
-    /// FP16-compressed ALLGATHER of `f32` payloads with compression
-    /// scaling, into `out` (capacity reused) — the baseline exchange
-    /// under §III-C compression.
-    pub fn all_gather_f16_into(
+    /// [`Rank::all_gather_f32_visit`] under §III-C compression: payloads
+    /// cross as binary16 of `x · scale`, and each sender's is decoded
+    /// into `staging` (reused; one sender's `K×D`, never `G·K×D`) just
+    /// before `visit` sees it.
+    pub fn all_gather_f16_visit(
         &self,
         local: &[f32],
         scale: f32,
-        out: &mut Vec<f32>,
+        staging: &mut Vec<f32>,
+        mut visit: impl FnMut(usize, &[f32]) -> Result<(), CommError>,
     ) -> Result<(), CommError> {
         assert!(
             scale.is_finite() && scale > 0.0,
             "compression scale must be positive and finite"
         );
         let inv = 1.0 / scale;
-        out.clear();
         self.gather_rendezvous(
             &self.core.gather_u16,
             |slot| {
                 slot.clear();
                 slot.extend(local.iter().map(|&x| f32_to_f16_bits(x * scale)));
+                if self.take_corrupt_frame() {
+                    corrupt_frame(slot, 0);
+                }
                 (local.len() * 2) as u64
             },
-            |_, slot| {
-                out.extend(slot.iter().map(|&h| f16_bits_to_f32(h) * inv));
-                Ok(())
+            |sender, slot| {
+                staging.clear();
+                staging.extend(slot.iter().map(|&h| f16_bits_to_f32(h) * inv));
+                visit(sender, staging).map_err(|e| self.poison(e))
             },
         )
+    }
+
+    /// Variable-size ALLGATHER of `u32` payloads into `out`: every
+    /// rank's contribution concatenated in rank order (identical on all
+    /// ranks) replaces `out`'s contents, reusing its capacity. This is
+    /// the cheap index exchange at the heart of the paper's uniqueness
+    /// technique — `Θ(G·K)` elements instead of `Θ(G·K·D)`.
+    pub fn all_gather_u32_into(&self, local: &[u32], out: &mut Vec<u32>) -> Result<(), CommError> {
+        out.clear();
+        self.all_gather_u32_visit(local, |_, payload| {
+            out.extend_from_slice(payload);
+            Ok(())
+        })
+    }
+
+    /// [`Rank::all_gather_f32_visit`] materialised: the concatenation
+    /// of every rank's payload, rank order, replaces `out`'s contents
+    /// (capacity reused).
+    pub fn all_gather_f32_into(&self, local: &[f32], out: &mut Vec<f32>) -> Result<(), CommError> {
+        out.clear();
+        self.all_gather_f32_visit(local, |_, rows| {
+            out.extend_from_slice(rows);
+            Ok(())
+        })
+    }
+
+    /// [`Rank::all_gather_f16_visit`] materialised into `out` (capacity
+    /// reused; the one-sender staging buffer is this call's own).
+    pub fn all_gather_f16_into(
+        &self,
+        local: &[f32],
+        scale: f32,
+        out: &mut Vec<f32>,
+    ) -> Result<(), CommError> {
+        out.clear();
+        self.all_gather_f16_visit(local, scale, &mut Vec::new(), |_, rows| {
+            out.extend_from_slice(rows);
+            Ok(())
+        })
     }
 
     /// Sums one scalar across ranks in rank order (deterministic) — used
@@ -1247,7 +1367,7 @@ impl Rank {
     pub fn all_reduce_scalar_f64(&self, v: f64) -> Result<f64, CommError> {
         let g = self.core.world;
         {
-            let mut slot = self.core.gather_f64[self.rank].lock();
+            let mut slot = self.core.gather_f64[self.rank].write();
             slot.clear();
             slot.push(v);
         }
@@ -1262,7 +1382,7 @@ impl Rank {
         self.barrier()?;
         let mut sum = 0.0;
         for s in 0..g {
-            sum += self.core.gather_f64[s].lock()[0];
+            sum += self.core.gather_f64[s].read()[0];
         }
         self.barrier()?;
         Ok(sum)
@@ -1282,12 +1402,10 @@ impl Rank {
         codec: &dyn WireCodec,
         err: crate::codec::CodecError,
     ) -> CommError {
-        let e = CommError::abort(
+        self.poison(CommError::abort(
             sender,
             format!("wire codec {} decode failed: {err}", codec.name()),
-        );
-        self.core.barrier.abort(e.clone());
-        e
+        ))
     }
 
     /// Codec-framed variable-size ALLGATHER of `u32` payloads: each
@@ -1315,7 +1433,7 @@ impl Rank {
                 frame.clear();
                 codec.encode_u32(local, frame);
                 if self.take_corrupt_frame() {
-                    corrupt_frame(frame);
+                    corrupt_frame(frame, 0xA5);
                 }
                 frame.len() as u64
             },
@@ -1344,7 +1462,7 @@ impl Rank {
             wire.clear();
             codec.encode_f32(&data[range.clone()], &mut wire);
             if self.take_corrupt_frame() {
-                corrupt_frame(&mut wire);
+                corrupt_frame(&mut wire, 0xA5);
             }
             decoded.clear();
             if let Err(e) = codec.decode_f32(&wire, range.len(), &mut decoded) {
@@ -2095,6 +2213,21 @@ mod tests {
         crate::pool::run_ranks(CommGroup::create_full(world, gpus_per_node, 0, None), &f)
     }
 
+    /// Runs `scenario` on a detached thread and fails with `expired` if
+    /// it has not finished in a minute: a regression that deadlocks
+    /// hangs that thread, not the harness.
+    fn within_watchdog<T: Send + 'static>(
+        expired: &str,
+        scenario: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(scenario());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("watchdog expired: {expired}"))
+    }
+
     #[test]
     fn hierarchical_gpn_zero_is_typed_error_and_recoverable() {
         // Satellite bugfix: an invalid topology must be a typed
@@ -2247,10 +2380,10 @@ mod tests {
     fn leader_sum_hop_major(core: &GroupCore, scale: Option<f32>) {
         let mut acc = core.reduce_f32.lock();
         acc.clear();
-        acc.extend_from_slice(&core.gather_f32[0].lock());
+        acc.extend_from_slice(&core.gather_f32[0].read());
         let Some(scale) = scale else {
             for s in 1..core.world {
-                let slot = core.gather_f32[s].lock();
+                let slot = core.gather_f32[s].read();
                 for (a, &x) in acc.iter_mut().zip(slot.iter()) {
                     *a += x;
                 }
@@ -2260,7 +2393,7 @@ mod tests {
         let inv = 1.0 / scale;
         let round_trip = |a: f32| f16_bits_to_f32(f32_to_f16_bits(a * scale)) * inv;
         for s in 1..core.world {
-            let slot = core.gather_f32[s].lock();
+            let slot = core.gather_f32[s].read();
             for (a, &x) in acc.iter_mut().zip(slot.iter()) {
                 *a = x + round_trip(*a);
             }
@@ -2318,7 +2451,7 @@ mod tests {
                     let scale = matches!(wire, Wire::F16 { .. }).then_some(scale);
                     let core = &CommGroup::create(world)[0].core;
                     for s in 0..world {
-                        *core.gather_f32[s].lock() = hostile_payload(s, n);
+                        *core.gather_f32[s].write() = hostile_payload(s, n);
                     }
                     leader_sum_hop_major(core, scale);
                     let want = core.reduce_f32.lock().clone();
@@ -2345,7 +2478,7 @@ mod tests {
         for scale in [None, Some(scale)] {
             let core = &CommGroup::create(4)[0].core;
             for (s, len) in [2 * b + 5, b + 3, 0, 3 * b].into_iter().enumerate() {
-                *core.gather_f32[s].lock() = hostile_payload(s, len);
+                *core.gather_f32[s].write() = hostile_payload(s, len);
             }
             leader_sum_hop_major(core, scale);
             let want = core.reduce_f32.lock().clone();
@@ -2443,11 +2576,9 @@ mod tests {
         // Satellite: rank 4 is the leader of node 1 at gpn=4. Its death
         // mid-schedule must fail every survivor on both tiers (members
         // of its own node and leaders of other nodes alike) instead of
-        // deadlocking the leader ring. Watchdog-wrapped: a regression
-        // hangs the detached thread, not the harness.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let results = run_group_topo(16, 4, |rank| -> Result<(), CommError> {
+        // deadlocking the leader ring.
+        let results = within_watchdog("leader kill deadlocked the group", || {
+            run_group_topo(16, 4, |rank| -> Result<(), CommError> {
                 if rank.rank() == 4 {
                     rank.abort("leader of node 1 killed");
                     return Ok(());
@@ -2458,12 +2589,8 @@ mod tests {
                     // until the poison lands (at most one rendezvous).
                     rank.all_reduce(&mut data, Wire::F32, Topology::TwoTier { gpus_per_node: 4 })?;
                 }
-            });
-            let _ = tx.send(results);
+            })
         });
-        let results = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("watchdog expired: leader kill deadlocked the group");
         for (r, res) in results.iter().enumerate() {
             if r == 4 {
                 assert_eq!(*res, Ok(()));
@@ -2472,6 +2599,158 @@ mod tests {
                 assert_eq!(err.failed_rank(), 4, "rank {r} misattributed the kill");
                 assert!(err.reason().contains("leader of node 1"));
             }
+        }
+    }
+
+    /// What one gather shape leaves behind on a rank, by either route:
+    /// the three concatenations (f32 as bits) and the group's traffic.
+    type Gathered = (Vec<u32>, Vec<u32>, Vec<u32>, TrafficSnapshot);
+
+    /// Rank `r`'s payload length under `shape`: uniform, ragged with an
+    /// empty contribution in the middle, or all empty.
+    fn shape_len(shape: usize, r: usize) -> usize {
+        match shape {
+            0 => 5,
+            1 => (r * 7 + 3) % 5 * usize::from(r != 1),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn visiting_gathers_match_into_gathers_bit_for_bit() {
+        // The `_into` gathers are extend-visitors, so this differential
+        // pins the visitor's contract from the outside: per-sender
+        // payloads in rank order, nothing dropped or repeated, the same
+        // wire charge per tier — on single-node and multi-node groups.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (world, gpn) in [(1, 1), (2, 2), (3, 3), (8, 8), (3, 2), (8, 3)] {
+            for shape in 0..3 {
+                let idx = |r: usize| -> Vec<u32> {
+                    (0..shape_len(shape, r))
+                        .map(|i| (r * 100 + i) as u32)
+                        .collect()
+                };
+                let rows = |r: usize| hostile_payload(r, shape_len(shape, r) * 3);
+                let into = run_group_topo(world, gpn, |rank| -> Gathered {
+                    let r = rank.rank();
+                    let u = gather_u32(&rank, &idx(r)).unwrap();
+                    let f = gather_f32(&rank, &rows(r)).unwrap();
+                    let h = gather_f16(&rank, &rows(r), 512.0).unwrap();
+                    (u, bits(&f), bits(&h), rank.traffic())
+                });
+                let visit = run_group_topo(world, gpn, |rank| -> Gathered {
+                    let r = rank.rank();
+                    let (mut u, mut f, mut h) = (Vec::new(), Vec::new(), Vec::new());
+                    let mut senders = Vec::new();
+                    rank.all_gather_u32_visit(&idx(r), |s, payload| {
+                        assert_eq!(payload.len(), shape_len(shape, s));
+                        senders.push(s);
+                        u.extend_from_slice(payload);
+                        Ok(())
+                    })
+                    .unwrap();
+                    rank.all_gather_f32_visit(&rows(r), |s, payload| {
+                        assert_eq!(payload.len(), shape_len(shape, s) * 3);
+                        senders.push(s);
+                        f.extend_from_slice(payload);
+                        Ok(())
+                    })
+                    .unwrap();
+                    let mut staging = Vec::new();
+                    rank.all_gather_f16_visit(&rows(r), 512.0, &mut staging, |s, payload| {
+                        assert_eq!(payload.len(), shape_len(shape, s) * 3);
+                        senders.push(s);
+                        h.extend_from_slice(payload);
+                        Ok(())
+                    })
+                    .unwrap();
+                    let in_order: Vec<usize> = (0..3).flat_map(|_| 0..world).collect();
+                    assert_eq!(senders, in_order, "every sender once, rank order");
+                    (u, bits(&f), bits(&h), rank.traffic())
+                });
+                assert_eq!(visit, into, "world {world} gpn {gpn} shape {shape}");
+            }
+        }
+    }
+
+    #[test]
+    fn visitors_share_a_senders_slot() {
+        // Every rank's visitor parks on a plain barrier while inside
+        // sender 0's payload: that only completes if all G of them hold
+        // the slot at once. An exclusive slot lock deadlocks here, which
+        // the watchdog turns into a failure.
+        const G: usize = 4;
+        let results = within_watchdog("visitors do not share a sender's slot", || {
+            let inside = std::sync::Barrier::new(G);
+            run_group(G, |rank| {
+                rank.all_gather_f32_visit(&[rank.rank() as f32], |sender, _| {
+                    if sender == 0 {
+                        inside.wait();
+                    }
+                    Ok(())
+                })
+            })
+        });
+        assert_eq!(results, vec![Ok(()); G]);
+    }
+
+    #[test]
+    fn visitor_error_poisons_the_group_with_its_attribution() {
+        // One rank's visitor rejects sender 1's payload; its peers,
+        // whose visitors accept everything, must not be stranded at the
+        // departure rendezvous and must report the same culprit.
+        let results = run_group(3, |rank| {
+            let r = rank.rank();
+            let first = rank.all_gather_f32_visit(&[r as f32], |sender, _| {
+                if r == 2 && sender == 1 {
+                    return Err(CommError::abort(sender, "payload does not fit"));
+                }
+                Ok(())
+            });
+            (first, rank.barrier())
+        });
+        for (r, (first, after)) in results.iter().enumerate() {
+            let err = after.clone().expect_err("group stays poisoned");
+            assert_eq!(err.failed_rank(), 1, "rank {r}");
+            assert!(err.reason().contains("does not fit"));
+            assert_eq!(first.clone().expect_err("poisoned mid-gather"), err);
+        }
+    }
+
+    #[test]
+    fn torn_row_payload_reaches_every_visitor_once() {
+        // The wire-corruption latch on a row gather: the armed rank's
+        // payload arrives emptied (or, if it was empty, with a stray
+        // element) at every rank, exactly once, f32 and f16 alike.
+        let lens = run_group(3, |rank| {
+            let local = vec![1.0f32; if rank.rank() == 2 { 0 } else { 4 }];
+            let mut seen = Vec::new();
+            let mut staging = Vec::new();
+            for round in 0..4 {
+                if round % 2 == 0 && rank.rank() != 0 {
+                    rank.corrupt_next_codec_frame();
+                }
+                let mut lens = Vec::new();
+                let visit = |_: usize, rows: &[f32]| {
+                    lens.push(rows.len());
+                    Ok(())
+                };
+                if round < 2 {
+                    rank.all_gather_f32_visit(&local, visit).unwrap();
+                } else {
+                    rank.all_gather_f16_visit(&local, 512.0, &mut staging, visit)
+                        .unwrap();
+                }
+                seen.push(lens);
+            }
+            seen
+        });
+        let (torn, clean) = (vec![4, 0, 1], vec![4, 4, 0]);
+        for seen in &lens {
+            assert_eq!(
+                *seen,
+                [torn.clone(), clean.clone(), torn.clone(), clean.clone()]
+            );
         }
     }
 

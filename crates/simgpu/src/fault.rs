@@ -134,7 +134,11 @@ impl FaultPlan {
     /// surface as a typed decode error on every receiver, attributed to
     /// the sender — so elastic recovery shrinks around the corrupting
     /// rank exactly like a transient kill. Identity-keyed and consumed
-    /// by recovery (see [`FaultPlan::remap_for_survivors`]).
+    /// by recovery (see [`FaultPlan::remap_for_survivors`]). On a run
+    /// with no codec-framed collective the next *row payload* the rank
+    /// publishes into a visiting gather (the baseline exchange) is torn
+    /// instead, and that exchange's per-sender length check plays the
+    /// decoder's part.
     pub fn corrupt_wire(mut self, rank: usize, step: usize) -> Self {
         self.wire_corruptions.insert(rank, step);
         self

@@ -173,18 +173,19 @@ fn shrink_recovery_completes_and_records_the_event() {
     assert_eq!(fin.world, 3, "terminal snapshot is post-shrink");
 }
 
-#[test]
-fn shrink_recovered_run_matches_fresh_run_from_the_snapshot() {
-    let (recovered_fin, fresh_fin, recovered_epochs, fresh_epochs) = with_watchdog(|| {
-        let plan = FaultPlan::none().kill_rank_transient(2, 5);
-        let outcome = run(&cfg(4), &recovering(plan, RecoveryPolicy::default()));
-        let snapshot = outcome.recoveries[0]
-            .restored_from
-            .clone()
-            .expect("snapshot recorded");
+/// Rank 2 of 4 fails at step 5 per `plan`; the recovered run must equal
+/// a fresh `G' = 3` run seeded from the very snapshot it restored —
+/// per-epoch metrics and the terminal checkpoint byte for byte.
+fn shrink_recovered_matches_fresh(c4: TrainConfig, plan: FaultPlan) {
+    let (recovered_fin, fresh_fin, recovered_epochs, fresh_epochs) = with_watchdog(move || {
+        let outcome = run(&c4, &recovering(plan, RecoveryPolicy::default()));
+        let ev = &outcome.recoveries[0];
+        assert_eq!(ev.failed_ranks, vec![2]);
+        assert_eq!((ev.world_before, ev.world_after), (4, 3));
+        assert_eq!(ev.restored_step, Some(4));
+        let snapshot = ev.restored_from.clone().expect("snapshot recorded");
 
-        // A fresh G' = 3 run seeded from the very same snapshot.
-        let mut c3 = cfg(4);
+        let mut c3 = c4.clone();
         c3.gpus = 3;
         let (fresh, _) = checkpointed(&c3, FaultPlan::none(), Some(snapshot));
         let fresh_epochs = fresh.ranks[0]
@@ -206,6 +207,26 @@ fn shrink_recovered_run_matches_fresh_run_from_the_snapshot() {
         fresh_fin.to_bytes(),
         "recovery added no hidden state beyond the snapshot"
     );
+}
+
+#[test]
+fn shrink_recovered_run_matches_fresh_run_from_the_snapshot() {
+    shrink_recovered_matches_fresh(cfg(4), FaultPlan::none().kill_rank_transient(2, 5));
+}
+
+#[test]
+fn rank_lost_during_a_baseline_row_gather_recovers_from_the_snapshot() {
+    // The baseline exchange applies peers' rows as the row gather
+    // visits them. Rank 2's row payload is torn in flight at step 5, so
+    // every rank has already applied ranks 0 and 1's rows of that step
+    // when the gather fails: a partially updated table. It must never
+    // be observed — the round ends in a typed error naming rank 2, and
+    // the survivors restart from the step-4 snapshot.
+    let c4 = TrainConfig {
+        method: Method::baseline(),
+        ..cfg(4)
+    };
+    shrink_recovered_matches_fresh(c4, FaultPlan::none().corrupt_wire(2, 5));
 }
 
 #[test]
