@@ -19,7 +19,7 @@ fn main() {
 
     println!("weak_scaling: Table V column at real worlds (pool = 8 run slots)");
     println!(
-        "{:>5} {:>6} {:>9} {:>12} {:>10} {:>14} {:>16} {:>16}",
+        "{:>5} {:>6} {:>9} {:>12} {:>10} {:>14} {:>16} {:>16} {:>8} {:>8}",
         "gpus",
         "nodes",
         "tokens",
@@ -27,11 +27,14 @@ fn main() {
         "final_ppl",
         "sim_time_ms",
         "intra_bytes",
-        "inter_bytes"
+        "inter_bytes",
+        "α/intra",
+        "α/inter"
     );
     for r in &rows {
+        let (alpha_intra, alpha_inter) = r.alpha_share();
         println!(
-            "{:>5} {:>6} {:>9} {:>12.4} {:>10.2} {:>14.3} {:>16} {:>16}",
+            "{:>5} {:>6} {:>9} {:>12.4} {:>10.2} {:>14.3} {:>16} {:>16} {:>8.3} {:>8.3}",
             r.gpus,
             r.nodes,
             r.tokens,
@@ -40,8 +43,11 @@ fn main() {
             r.sim_time_ps as f64 / 1e9,
             r.wire_intra_bytes,
             r.wire_inter_bytes,
+            alpha_intra,
+            alpha_inter,
         );
     }
+    println!("(α/tier: share of rank 0's wire time on that tier that is hop latency, not bytes)");
     println!("(all worlds verified bit-identical to the flat ring; wall {wall:.2?})");
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_weak_scaling.json");

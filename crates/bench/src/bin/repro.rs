@@ -284,6 +284,7 @@ fn weak(quick: bool) {
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
+            let (alpha_intra, alpha_inter) = r.alpha_share();
             vec![
                 r.gpus.to_string(),
                 r.nodes.to_string(),
@@ -292,16 +293,22 @@ fn weak(quick: bool) {
                 format!("{:.3}", r.sim_time_ps as f64 / 1e9),
                 r.wire_intra_bytes.to_string(),
                 r.wire_inter_bytes.to_string(),
+                format!("{alpha_intra:.3}"),
+                format!("{alpha_inter:.3}"),
             ]
         })
         .collect();
     println!(
         "{}",
         render(
-            &["GPUs", "nodes", "tokens", "ppl", "sim ms", "intra B", "inter B"],
+            &[
+                "GPUs", "nodes", "tokens", "ppl", "sim ms", "intra B", "inter B", "α/intra",
+                "α/inter"
+            ],
             &body
         )
     );
+    println!("α/tier: share of rank 0's wire time on that tier that is hop latency, not bytes");
     println!("every world verified bit-identical to the unpooled flat ring");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_weak_scaling.json");
     std::fs::write(path, zlm_bench::weak_scaling_json(&rows)).expect("write artifact");

@@ -252,7 +252,7 @@ pub fn table5_accuracy(quick: bool) -> Vec<WeakScalingAccuracy> {
 pub struct WeakScalingRow {
     /// Simulated GPUs (a real rank thread group, pool-multiplexed).
     pub gpus: usize,
-    /// Nodes spanned at the hardware preset's 8 GPUs/node.
+    /// Nodes spanned on the hardware preset's node size.
     pub nodes: usize,
     /// Corpus tokens (grows with GPUs — weak scaling).
     pub tokens: usize,
@@ -270,6 +270,24 @@ pub struct WeakScalingRow {
     pub wire_intra_ps: u64,
     /// Attributed wire time on the inter-node tier (rank 0).
     pub wire_inter_ps: u64,
+    /// Of `wire_intra_ps`, the hop-latency (α) part: Σ over rank 0's
+    /// steps of `StepMetrics::wire_intra_alpha_ps`. Overlap is off in
+    /// this experiment, so priced = exposed and α ≤ wire.
+    pub alpha_intra_ps: u64,
+    /// Of `wire_inter_ps`, the hop-latency (α) part.
+    pub alpha_inter_ps: u64,
+}
+
+impl WeakScalingRow {
+    /// α's share of each tier's wire time, `(intra, inter)`; 0 where a
+    /// tier carried nothing.
+    pub fn alpha_share(&self) -> (f64, f64) {
+        let share = |alpha: u64, wire: u64| alpha as f64 / wire.max(1) as f64;
+        (
+            share(self.alpha_intra_ps, self.wire_intra_ps),
+            share(self.alpha_inter_ps, self.wire_inter_ps),
+        )
+    }
 }
 
 /// Table V's world sizes: 1 node, 3 nodes, 24 nodes of 8.
@@ -283,7 +301,10 @@ pub const WEAK_SCALING_POOL: usize = 8;
 /// the world (weak scaling), comm goes through the hierarchical
 /// two-tier schedule under the bounded pool, and every world is
 /// checked bit-identical against an unpooled flat-ring run before its
-/// row is reported — the experiment is its own correctness guard.
+/// row is reported — the experiment is its own correctness guard. It
+/// also asserts the reading ROADMAP item 1 starts from: on every
+/// multi-node world at least 95 % of rank 0's inter-node wire time is
+/// hop latency, not bytes.
 pub fn weak_scaling(quick: bool) -> Vec<WeakScalingRow> {
     let base_tokens = if quick { 30_000 } else { 90_000 };
     WEAK_SCALING_WORLDS
@@ -328,9 +349,9 @@ pub fn weak_scaling(quick: bool) -> Vec<WeakScalingRow> {
                 assert_eq!(h.attribution.total_ps(), h.sim_time_ps);
             }
 
-            WeakScalingRow {
+            let row = WeakScalingRow {
                 gpus: g,
-                nodes: g.div_ceil(8),
+                nodes: simgpu::HardwareConfig::titan_x_cluster().nodes_for(g),
                 tokens,
                 train_loss: hier.epochs.last().unwrap().train_loss,
                 final_ppl: hier.final_ppl(),
@@ -339,7 +360,16 @@ pub fn weak_scaling(quick: bool) -> Vec<WeakScalingRow> {
                 wire_inter_bytes: hier.traffic.inter_bytes(),
                 wire_intra_ps: hier.attribution.wire_intra_ps,
                 wire_inter_ps: hier.attribution.wire_inter_ps,
+                alpha_intra_ps: hier.steps.iter().map(|s| s.wire_intra_alpha_ps).sum(),
+                alpha_inter_ps: hier.steps.iter().map(|s| s.wire_inter_alpha_ps).sum(),
+            };
+            assert!(row.alpha_intra_ps <= row.wire_intra_ps, "{row:?}");
+            assert!(row.alpha_inter_ps <= row.wire_inter_ps, "{row:?}");
+            if row.nodes > 1 {
+                let (_, inter) = row.alpha_share();
+                assert!(inter >= 0.95, "world {g}: inter-node α share {inter}");
             }
+            row
         })
         .collect()
 }
@@ -356,7 +386,8 @@ pub fn weak_scaling_json(rows: &[WeakScalingRow]) -> String {
             "    {{\"gpus\": {}, \"nodes\": {}, \"tokens\": {}, \
              \"train_loss\": {}, \"final_ppl\": {}, \"sim_time_ps\": {}, \
              \"wire_intra_bytes\": {}, \"wire_inter_bytes\": {}, \
-             \"wire_intra_ps\": {}, \"wire_inter_ps\": {}}}{}\n",
+             \"wire_intra_ps\": {}, \"wire_inter_ps\": {}, \
+             \"alpha_intra_ps\": {}, \"alpha_inter_ps\": {}}}{}\n",
             r.gpus,
             r.nodes,
             r.tokens,
@@ -367,6 +398,8 @@ pub fn weak_scaling_json(rows: &[WeakScalingRow]) -> String {
             r.wire_inter_bytes,
             r.wire_intra_ps,
             r.wire_inter_ps,
+            r.alpha_intra_ps,
+            r.alpha_inter_ps,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -943,6 +976,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with("}\n"));
         assert_eq!(json.matches("\"gpus\"").count(), 3);
         assert!(json.contains("\"wire_inter_bytes\""));
+        assert_eq!(json.matches("\"alpha_inter_ps\"").count(), 3);
     }
 
     #[test]

@@ -125,17 +125,11 @@ impl ExchangeConfig {
         }
     }
 
-    /// True when this config sends its ALLREDUCEs through the two-tier
-    /// schedule for a group of `world` ranks. Keys off the topology
-    /// alone: the wire format (FP16, codec) never disables it.
-    pub fn hierarchical_for(&self, world: usize) -> bool {
-        self.gpus_per_node > 0 && world > self.gpus_per_node
-    }
-
-    /// Wire schedule of this config's ALLREDUCEs (`gpus_per_node == 0`
-    /// is the flat ring; the collective itself falls back to the ring
-    /// when the group fits in one node, as [`Self::hierarchical_for`]
-    /// predicts).
+    /// Wire schedule of this config's collectives, for the wire and for
+    /// the clock (`gpus_per_node == 0` is the flat ring; the collective
+    /// and its price both fall back to the ring when the group fits in
+    /// one node). Keys off the topology alone: the wire format (FP16,
+    /// codec) never disables the two-tier schedule.
     pub fn topology(&self) -> Topology {
         match self.gpus_per_node {
             0 => Topology::Flat,
@@ -971,8 +965,8 @@ mod tests {
     #[test]
     fn hierarchical_f16_exchange_matches_flat_f16_bit_exactly() {
         // Satellite of the silent-fallback fix: with FP16 compression on,
-        // `hierarchical_for` used to return false and the exchange quietly
-        // ran the flat ring. Now the two-tier path carries the f16 wire
+        // the config used to resolve to the flat ring and the exchange
+        // quietly ran it. Now the two-tier path carries the f16 wire
         // format itself — same canonical leader reduction ⇒ bit-identical
         // tables — and the analytic per-rank bytes follow the hierarchical
         // schedule at elem_bytes = 2, recorder-exact per tier.

@@ -31,12 +31,12 @@ use simgpu::{CounterTrack, Histogram, MetricsRegistry, TraceLog, TrafficSnapshot
 ///
 /// Wire time is split by interconnect tier, mirroring
 /// [`simgpu::Tier`]: `wire_intra_ps` for node-local PCIe hops and
-/// `wire_inter_ps` for Infiniband hops between nodes. Flat collectives
-/// charge whichever tier the group occupies (intra when it fits in one
-/// node, inter otherwise — the same switch [`simgpu::HardwareConfig`]'s
-/// `ring_bandwidth` makes); hierarchical collectives split the two
-/// tiers exactly. The legacy total is the
-/// [`wire_ps`](TimeAttribution::wire_ps) method.
+/// `wire_inter_ps` for Infiniband hops between nodes. A flat ring's
+/// time lands on the tier of the rank's own egress link (intra unless
+/// `r → r+1` crosses a node boundary); hierarchical collectives split
+/// the two tiers exactly — [`simgpu::CostModel::allreduce`] decides
+/// both. The legacy total is the [`wire_ps`](TimeAttribution::wire_ps)
+/// method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TimeAttribution {
     /// Local model compute plus gradient-application memory touches.
@@ -166,6 +166,15 @@ pub struct StepMetrics {
     pub sim_time_s: f64,
     /// This rank's exact split of the step time.
     pub attribution: TimeAttribution,
+    /// Of the intra-tier wire time this rank's collectives were
+    /// *priced* at this step, the hop-latency (α) part; the rest is
+    /// byte time (β) and, under a codec, codec compute. Priced, not
+    /// exposed: with overlap off it is a share of
+    /// `attribution.wire_intra_ps`, with overlap on some of it may be
+    /// hidden under compute.
+    pub wire_intra_alpha_ps: u64,
+    /// The same for the inter-node tier.
+    pub wire_inter_alpha_ps: u64,
     /// Input-embedding exchange statistics.
     pub input_exchange: ExchangeStats,
     /// Output-embedding exchange statistics (word LM only).
@@ -431,7 +440,8 @@ impl TrainReport {
                  \"wire_inter_ps\":{},\"barrier_wait_ps\":{},\
                  \"skew_ps\":{},\"self_delay_ps\":{},\"overlapped_ps\":{},\
                  \"dense_bytes\":{},\
-                 \"input_wire_bytes\":{},\"output_wire_bytes\":{},\"unique_global\":{}}}\n",
+                 \"input_wire_bytes\":{},\"output_wire_bytes\":{},\"unique_global\":{},\
+                 \"wire_intra_alpha_ps\":{},\"wire_inter_alpha_ps\":{}}}\n",
                 s.step,
                 json_f64(s.train_loss),
                 s.sim_time_ps,
@@ -447,6 +457,8 @@ impl TrainReport {
                 s.input_exchange.wire_bytes,
                 s.output_exchange.map(|e| e.wire_bytes).unwrap_or(0),
                 s.input_exchange.unique_global,
+                s.wire_intra_alpha_ps,
+                s.wire_inter_alpha_ps,
             ));
         }
         out

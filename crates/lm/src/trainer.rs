@@ -60,7 +60,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgpu::{
     secs_to_ps, CommError, CommGroup, CostModel, Device, FaultPlan, HardwareConfig, OomError, Rank,
-    SimSpan, SimStream, SpanKind, TraceRecorder, Wire,
+    SimSpan, SimStream, SpanKind, TierCost, Topology, TraceRecorder, Wire,
 };
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -775,23 +775,6 @@ impl LoopState {
     }
 }
 
-/// Assigns a flat ring collective's wire picoseconds to the tier of the
-/// link rank `q` actually sends over: every chunk a rank forwards in a
-/// flat ring leaves through its single egress link `q → (q+1) mod G`,
-/// whose tier is decided by the resolved node layout
-/// ([`simgpu::ring_send_tier`]) — exactly how the traffic recorder
-/// buckets the same sends. The old all-or-nothing switch put the whole
-/// group's wire time on one tier and disagreed with the recorder on
-/// every multi-node flat world (divisible or ragged): ranks whose
-/// egress link stays inside a node were charged inter-node time. The
-/// pricing itself is untouched — `intra + inter == wire_ps`, always.
-fn flat_ring_tier_split(wire_ps: u64, gpus: usize, gpus_per_node: usize, q: usize) -> (u64, u64) {
-    match simgpu::ring_send_tier(gpus, gpus_per_node, q) {
-        simgpu::Tier::Intra => (wire_ps, 0),
-        simgpu::Tier::Inter => (0, wire_ps),
-    }
-}
-
 /// The step's op schedule, priced for any rank — the rank-invariant
 /// inputs of the local, communication-free step-time model.
 ///
@@ -921,7 +904,7 @@ impl StepSchedule<'_> {
     /// rank `q`'s critical path this step.
     fn price_all(&self, ops: &mut Vec<CommOp>, work_ps: &mut [u64]) {
         for (q, w) in work_ps.iter_mut().enumerate() {
-            let apply_ps = self.ops_for(ops, q);
+            let (apply_ps, _) = self.ops_for(ops, q, false);
             *w = schedule::evaluate(self.compute_ps, apply_ps, ops).total_ps;
         }
     }
@@ -983,237 +966,194 @@ impl StepSchedule<'_> {
         }
     }
 
-    /// One ALLREDUCE slice of `n` elements for rank `q`, priced per
-    /// tier. Hierarchical:
-    /// [`CostModel::hierarchical_allreduce_rank_time_bytes`], each tier
-    /// quantised separately. Flat: the ring share, assigned whole to
-    /// rank `q`'s egress-link tier. With a codec the identity byte
-    /// counts shrink by the payload's enc/raw ratio and the
-    /// encode+decode passes (one over sent chunks, one over received —
-    /// ≈ 2× the identity send volume) are charged as intra-node time.
-    fn allreduce_ps(&self, n: usize, enc: u64, raw: u64, q: usize) -> (u64, u64) {
-        let elem = self.wire.elem_bytes();
-        let (mut intra, inter, ident_bytes);
-        if self.xcfg.hierarchical_for(self.gpus) {
-            let tb = simgpu::hierarchical_allreduce_send_bytes(n, self.gpus, self.gpn, q, elem);
-            ident_bytes = tb.total();
-            let stb = simgpu::TierBytes {
-                intra: Self::scaled(tb.intra, enc, raw),
-                inter: Self::scaled(tb.inter, enc, raw),
-            };
-            let (a, b) = self
-                .cost
-                .hierarchical_allreduce_rank_time_bytes(stb, self.gpus, self.gpn, q);
-            intra = secs_to_ps(a);
-            inter = secs_to_ps(b);
-        } else {
-            ident_bytes = simgpu::ring_allreduce_send_bytes(n, self.gpus, q, elem);
-            let (a, b) = flat_ring_tier_split(
-                secs_to_ps(
-                    self.cost
-                        .allreduce_rank_time_bytes(Self::scaled(ident_bytes, enc, raw), self.gpus),
-                ),
-                self.gpus,
-                self.gpn,
-                q,
-            );
-            intra = a;
-            inter = b;
-        }
-        if let Some(c) = self.wire.codec() {
-            intra += secs_to_ps(self.cost.codec_time(2 * ident_bytes, c.throughput_bps()));
-        }
-        (intra, inter)
+    /// Picoseconds a wire codec spends on `raw_bytes` of payload — zero
+    /// without one. Codecs run on-node before the NIC, so callers add
+    /// this to an op's intra tier.
+    fn codec_ps(&self, codec: Option<&dyn simgpu::WireCodec>, raw_bytes: u64) -> u64 {
+        codec.map_or(0, |c| {
+            secs_to_ps(self.cost.codec_time(raw_bytes, c.throughput_bps()))
+        })
     }
 
-    /// One ALLGATHER of `bytes` per GPU for rank `q`, priced per tier.
-    /// `tiered` routes it through the same per-tier α–β logic as the
-    /// hierarchical ALLREDUCE ([`CostModel::allgather_rank_tier_time`]):
-    /// node-local peers at intra constants, the rest at inter constants
-    /// — the unique path's index ALLGATHER used to stay flat-split even
-    /// when the config was hierarchical, pricing its node-local traffic
-    /// at Infiniband constants.
-    fn allgather_ps(&self, bytes: u64, tiered: bool, q: usize) -> (u64, u64) {
-        if tiered {
-            let (a, b) = self
-                .cost
-                .allgather_rank_tier_time(bytes, self.gpus, self.gpn, q);
-            (secs_to_ps(a), secs_to_ps(b))
-        } else {
-            flat_ring_tier_split(
-                secs_to_ps(self.cost.allgather_time(bytes, self.gpus)),
-                self.gpus,
-                self.gpn,
-                q,
-            )
-        }
-    }
-
-    /// Appends one unique exchange's index ALLGATHER for rank `q`. The
-    /// indices are known the moment the batch loads, so with overlap on
-    /// the op is ready at 0 — which is also why [`Self::ops_for`]
-    /// launches these *first*: they are the only ops that can cover the
-    /// head of the compute window, before any gradient exists.
-    fn push_index_gather(
-        &self,
-        ops: &mut Vec<CommOp>,
-        stats: &ExchangeStats,
-        label: &'static str,
-        q: usize,
-    ) {
+    /// Appends one unique exchange's index ALLGATHER, priced under the
+    /// config's topology like the ALLREDUCEs, so a hierarchical run's
+    /// collectives agree about which peers are node-local. The indices
+    /// are known the moment the batch loads, so with overlap on the op
+    /// is ready at 0 — which is also why [`Self::ops_for`] launches
+    /// these *first*: they are the only ops that can cover the head of
+    /// the compute window, before any gradient exists.
+    fn push_index_gather(&self, w: &mut Walk, stats: &ExchangeStats, label: &'static str) {
         // With an index codec each rank publishes its encoded frame;
         // pricing uses the synchronized mean frame (`index_enc_bytes`
         // is the Σ over ranks, identical everywhere), scaled in exact
         // integer math so identity stays bit-for-bit the legacy price.
         let raw = stats.local_tokens as u64 * 4;
         let bytes = Self::scaled(raw, stats.index_enc_bytes, raw * self.gpus as u64);
-        let (mut gi, ge) = self.allgather_ps(bytes, self.xcfg.hierarchical_for(self.gpus), q);
-        if let Some(c) = self.xcfg.codec.index_codec() {
-            // One encode over the own frame + G decodes of gathered
-            // frames — (G+1)·K·4 raw bytes through the codec kernel.
-            gi += secs_to_ps(
-                self.cost
-                    .codec_time((self.gpus as u64 + 1) * raw, c.throughput_bps()),
-            );
-        }
-        ops.push(CommOp {
-            label,
-            bucket: 0,
-            intra_ps: gi,
-            inter_ps: ge,
-            ready_ps: if self.overlap { 0 } else { self.compute_ps },
-        });
+        let price = self
+            .cost
+            .allgather(bytes, self.gpus, self.gpn, self.xcfg.topology(), w.q);
+        // One encode over the own frame + G decodes of gathered
+        // frames — (G+1)·K·4 raw bytes through the codec kernel.
+        let codec_ps = self.codec_ps(self.xcfg.codec.index_codec(), (self.gpus as u64 + 1) * raw);
+        let ready_ps = if self.overlap { 0 } else { self.compute_ps };
+        w.push(label, 0, price, codec_ps, ready_ps);
     }
 
     /// Appends one op per gradient bucket of an `n`-element ALLREDUCE
-    /// payload for rank `q` — the same [`schedule::buckets`] walk the
-    /// collectives took — scaled by the payload's measured
-    /// `(enc, raw)` codec ratio (1 exactly when no codec is active) and
-    /// advancing the gradient production cursor `cum`.
+    /// payload — the same [`schedule::buckets`] walk the collectives
+    /// took, each bucket priced on the rank's exact per-tier bytes
+    /// under the config's topology — advancing the gradient production
+    /// cursor. With a codec the identity byte counts shrink by the
+    /// payload's measured `(enc, raw)` ratio (1 exactly when no codec
+    /// is active) and the encode+decode passes (one over sent chunks,
+    /// one over received — ≈ 2× the identity send volume) are charged
+    /// as codec time.
     fn push_allreduce_buckets(
         &self,
-        ops: &mut Vec<CommOp>,
+        w: &mut Walk,
         label: &'static str,
         n: usize,
         (enc, raw): (u64, u64),
-        q: usize,
-        cum: &mut u64,
     ) {
-        let walk = schedule::buckets(n, self.wire.elem_bytes(), self.xcfg.bucket_bytes);
+        let (elem, topology) = (self.wire.elem_bytes(), self.xcfg.topology());
+        let walk = schedule::buckets(n, elem, self.xcfg.bucket_bytes);
         for (bucket, range) in walk.enumerate() {
-            let (intra_ps, inter_ps) = self.allreduce_ps(range.len(), enc, raw, q);
-            *cum += range.len() as u64;
-            ops.push(CommOp {
+            let ident =
+                simgpu::allreduce_send_bytes(range.len(), self.gpus, self.gpn, topology, w.q, elem);
+            let sent = simgpu::TierBytes {
+                intra: Self::scaled(ident.intra, enc, raw),
+                inter: Self::scaled(ident.inter, enc, raw),
+            };
+            let price = self
+                .cost
+                .allreduce(sent, self.gpus, self.gpn, topology, w.q);
+            let codec_ps = self.codec_ps(self.wire.codec(), 2 * ident.total());
+            w.cum += range.len() as u64;
+            w.push(
                 label,
-                bucket: bucket as u32,
-                intra_ps,
-                inter_ps,
-                ready_ps: self.grad_ready(*cum),
-            });
+                bucket as u32,
+                price,
+                codec_ps,
+                self.grad_ready(w.cum),
+            );
         }
     }
 
-    /// Appends one exchange's gradient-dependent ops for rank `q`
-    /// (advancing the gradient production cursor `cum`) and returns its
-    /// local memory-touch (apply) picoseconds. The unique path's index
-    /// ALLGATHER is *not* emitted here — see [`Self::push_index_gather`].
+    /// Appends one exchange's gradient-dependent ops (advancing the
+    /// gradient production cursor) and returns its local memory-touch
+    /// (apply) picoseconds. The unique path's index ALLGATHER is *not*
+    /// emitted here — see [`Self::push_index_gather`].
     fn push_exchange_ops(
         &self,
-        ops: &mut Vec<CommOp>,
+        w: &mut Walk,
         stats: &ExchangeStats,
         dim: usize,
-        labels: (&'static str, &'static str),
-        q: usize,
-        cum: &mut u64,
+        (gather_label, reduce_label): (&'static str, &'static str),
     ) -> u64 {
-        let (gather_label, reduce_label) = labels;
-        if self.xcfg.unique {
+        let rows = if self.xcfg.unique {
             // Ug×D ALLREDUCE gradient buckets.
             self.push_allreduce_buckets(
-                ops,
+                w,
                 reduce_label,
                 stats.unique_global * dim,
                 (stats.reduce_enc_bytes, stats.reduce_raw_bytes),
-                q,
-                cum,
             );
-            secs_to_ps(
-                self.cost
-                    .memory_touch_time(stats.unique_global as u64 * dim as u64 * 4),
-            )
+            stats.unique_global
         } else {
-            // Baseline: one dense ALLGATHER of K×D rows + indices — the
+            // Baseline: one dense ALLGATHER of K×D rows + indices, on
+            // the flat ring whatever the config's topology — the
             // payload *is* the gradient, so it is ready only once its
             // rows are produced — then a Θ(G·K·D) local update touch.
-            *cum += (stats.local_tokens * dim) as u64;
-            let (gi, ge) = self.allgather_ps(
-                stats.local_tokens as u64 * (dim as u64 * self.wire.elem_bytes() + 4),
-                false,
-                q,
-            );
-            ops.push(CommOp {
-                label: gather_label,
-                bucket: 0,
-                intra_ps: gi,
-                inter_ps: ge,
-                ready_ps: self.grad_ready(*cum),
-            });
-            secs_to_ps(
-                self.cost.memory_touch_time(
-                    self.gpus as u64 * stats.local_tokens as u64 * dim as u64 * 4,
-                ),
-            )
-        }
+            w.cum += (stats.local_tokens * dim) as u64;
+            let bytes = stats.local_tokens as u64 * (dim as u64 * self.wire.elem_bytes() + 4);
+            let price = self
+                .cost
+                .allgather(bytes, self.gpus, self.gpn, Topology::Flat, w.q);
+            w.push(gather_label, 0, price, 0, self.grad_ready(w.cum));
+            self.gpus * stats.local_tokens
+        };
+        secs_to_ps(self.cost.memory_touch_time(rows as u64 * dim as u64 * 4))
     }
 
     /// Rebuilds `ops` with rank `q`'s full op list for this step, in
     /// program order, and returns `q`'s apply (memory-touch)
-    /// picoseconds — the inputs of [`schedule::evaluate`]. `ops` is a
+    /// picoseconds — the inputs of [`schedule::evaluate`] — and, for
+    /// the `own` rank, the α of the ops it priced as `[intra, inter]`
+    /// (zero otherwise: a peer's α is never quantised). `ops` is a
     /// caller-hoisted buffer so the steady-state loop stays
     /// allocation-free.
-    fn ops_for(&self, ops: &mut Vec<CommOp>, q: usize) -> u64 {
+    fn ops_for(&self, ops: &mut Vec<CommOp>, q: usize, own: bool) -> (u64, [u64; 2]) {
         ops.clear();
-        let mut cum = 0u64;
+        let mut w = Walk {
+            q,
+            ops,
+            cum: 0,
+            alpha_ps: own.then_some([0; 2]),
+        };
         // Unique-path index ALLGATHERs launch first: ready at batch
         // load, they are the only comm the schedule can run before the
         // backward pass produces its first gradient bucket. (Baseline
         // ALLGATHERs carry the gradient rows themselves and stay in
         // production order below.)
         if self.xcfg.unique {
-            self.push_index_gather(ops, &self.in_stats, "in_allgather", q);
+            self.push_index_gather(&mut w, &self.in_stats, "in_allgather");
             if let Some(stats) = &self.out_stats {
-                self.push_index_gather(ops, stats, "out_allgather", q);
+                self.push_index_gather(&mut w, stats, "out_allgather");
             }
         }
         // Dense gradient buckets (LSTM/RHN + projection).
         self.push_allreduce_buckets(
-            ops,
+            &mut w,
             "dense_allreduce",
             self.dense_elems,
             (self.dense_wire.enc, self.dense_wire.raw),
-            q,
-            &mut cum,
         );
-        let mut apply = self.push_exchange_ops(
-            ops,
-            &self.in_stats,
-            self.dim,
-            ("in_allgather", "in_grad_allreduce"),
-            q,
-            &mut cum,
-        );
+        let labels = ("in_allgather", "in_grad_allreduce");
+        let mut apply = self.push_exchange_ops(&mut w, &self.in_stats, self.dim, labels);
         if let Some(stats) = &self.out_stats {
-            apply += self.push_exchange_ops(
-                ops,
-                stats,
-                self.out_dim,
-                ("out_allgather", "out_grad_allreduce"),
-                q,
-                &mut cum,
-            );
+            let labels = ("out_allgather", "out_grad_allreduce");
+            apply += self.push_exchange_ops(&mut w, stats, self.out_dim, labels);
         }
-        debug_assert_eq!(cum, self.total_grad_elems);
-        apply
+        debug_assert_eq!(w.cum, self.total_grad_elems);
+        (apply, w.alpha_ps.unwrap_or_default())
+    }
+}
+
+/// One rank's walk over a step's collectives, in program order.
+struct Walk<'a> {
+    /// The rank being priced.
+    q: usize,
+    ops: &'a mut Vec<CommOp>,
+    /// Gradient elements produced up to the last op pushed.
+    cum: u64,
+    /// Σ α of the ops pushed, `[intra, inter]` — kept for the own rank
+    /// only.
+    alpha_ps: Option<[u64; 2]>,
+}
+
+impl Walk<'_> {
+    /// Appends one priced collective: each tier's α + β quantised as
+    /// one term is the op's time on that tier (`codec_ps` joins the
+    /// intra tier), its α quantised on its own joins the α account.
+    fn push(
+        &mut self,
+        label: &'static str,
+        bucket: u32,
+        price: TierCost,
+        codec_ps: u64,
+        ready_ps: u64,
+    ) {
+        if let Some([intra, inter]) = &mut self.alpha_ps {
+            *intra += price.intra.alpha_ps();
+            *inter += price.inter.alpha_ps();
+        }
+        self.ops.push(CommOp {
+            label,
+            bucket,
+            intra_ps: price.intra.wire_ps() + codec_ps,
+            inter_ps: price.inter.wire_ps(),
+            ready_ps,
+        });
     }
 }
 
@@ -1575,10 +1515,12 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
                         .unwrap_or(0)) as u64,
             };
             let tracing = recorder.is_some();
-            // Own rank: the outcome's parts feed the attribution, and
-            // under tracing the ops are also laid out on the simulated
-            // timeline as concurrent spans.
-            let my_apply_ps = sched.ops_for(&mut ops, r);
+            // Own rank: the outcome's parts feed the attribution, the
+            // priced α rides beside it, and under tracing the ops are
+            // also laid out on the simulated timeline as concurrent
+            // spans.
+            let (my_apply_ps, [wire_intra_alpha_ps, wire_inter_alpha_ps]) =
+                sched.ops_for(&mut ops, r, true);
             let my = if tracing {
                 let base = sim_clock_ps;
                 let spans = &mut st.report.sim_spans;
@@ -1680,6 +1622,8 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
                 sim_time_ps: t_ps,
                 sim_time_s: t_ps as f64 * 1e-12,
                 attribution,
+                wire_intra_alpha_ps,
+                wire_inter_alpha_ps,
                 input_exchange: in_stats,
                 output_exchange: out_stats,
                 dense_bytes,
@@ -2080,6 +2024,60 @@ mod tests {
         );
     }
 
+    /// The node size pricing uses is the resolved `comm.gpus_per_node`,
+    /// for the link constants as for the tier labels: an override that
+    /// differs from the hardware preset's 8 moves both together.
+    #[test]
+    fn node_size_override_moves_constants_and_labels_together() {
+        let all_ranks = |cfg: &TrainConfig| -> Vec<StepMetrics> {
+            run(cfg, &RunOptions::default())
+                .ranks
+                .into_iter()
+                .map(|r| r.expect("rank failed").steps.swap_remove(0))
+                .collect()
+        };
+        // Per step: two index gathers and three unbucketed ALLREDUCEs.
+        let hops = |g: u64| 2 * (g - 1) + 3 * 2 * (g - 1);
+        // Table II's per-hop latencies: 30 µs Infiniband, 10 µs PCIe.
+        let (ib_hop_ps, pcie_hop_ps) = (30_000_000, 10_000_000);
+
+        // 8 flat ranks on 4-GPU nodes: the ring leaves its node, every
+        // hop is an Infiniband hop, and each rank books them on the
+        // tier of its own egress link.
+        let mut cfg = quick_cfg(ModelKind::Word { vocab: 150 }, 8, Method::unique());
+        cfg.comm.gpus_per_node = 4;
+        let alpha_ps = hops(8) * ib_hop_ps;
+        for (r, step) in all_ranks(&cfg).iter().enumerate() {
+            let booked = (step.wire_intra_alpha_ps, step.wire_inter_alpha_ps);
+            let crosses = r % 4 == 3;
+            let want = if crosses {
+                (0, alpha_ps)
+            } else {
+                (alpha_ps, 0)
+            };
+            assert_eq!(booked, want, "rank {r}");
+            let a = step.attribution;
+            assert_eq!(a.wire_intra_ps == 0, crosses, "rank {r}");
+            assert_eq!(a.wire_inter_ps == 0, !crosses, "rank {r}");
+        }
+
+        // 12 two-tier ranks on 16-GPU nodes: one node, so the fallback
+        // ring runs on PCIe hops and nothing is booked as inter.
+        let mut cfg = quick_cfg(ModelKind::Word { vocab: 150 }, 12, Method::unique());
+        cfg.comm = CommConfig {
+            gpus_per_node: 16,
+            hierarchical: true,
+            pool_workers: 4,
+            ..CommConfig::flat()
+        };
+        let alpha_ps = hops(12) * pcie_hop_ps;
+        for (r, step) in all_ranks(&cfg).iter().enumerate() {
+            let booked = (step.wire_intra_alpha_ps, step.wire_inter_alpha_ps);
+            assert_eq!(booked, (alpha_ps, 0), "rank {r}");
+            assert_eq!(step.attribution.wire_inter_ps, 0, "rank {r}");
+        }
+    }
+
     /// The shared step table is the table each rank would price alone:
     /// a first arriver fills the memo, a rank with the same key copies
     /// it without pricing, and a rank whose key differs gets the table
@@ -2160,6 +2158,31 @@ mod tests {
             let sched = schedule(50);
             let want = direct(&sched);
             assert!(want.iter().any(|&w| w != want[0]), "{name}: ranks differ");
+            // The own rank's α account is Σ over its ops of each op's
+            // quantised α — which no payload moves, so it is the op
+            // count of each collective times that collective's α on an
+            // empty payload; a peer's pricing is the same ops, no α.
+            for q in 0..gpus {
+                let (mut ops, mut peer_ops) = (Vec::new(), Vec::new());
+                let (apply, alpha) = sched.ops_for(&mut ops, q, true);
+                assert_eq!(sched.ops_for(&mut peer_ops, q, false), (apply, [0; 2]));
+                assert_eq!(ops, peer_ops, "{name} rank {q}");
+                let topology = xcfg.topology();
+                let gather = cost.allgather(0, gpus, gpn, topology, q);
+                let reduce = cost.allreduce(simgpu::TierBytes::default(), gpus, gpn, topology, q);
+                let gathers = ops
+                    .iter()
+                    .filter(|o| o.label.ends_with("allgather"))
+                    .count() as u64;
+                let reduces = ops.len() as u64 - gathers;
+                let want_alpha = [
+                    gathers * gather.intra.alpha_ps() + reduces * reduce.intra.alpha_ps(),
+                    gathers * gather.inter.alpha_ps() + reduces * reduce.inter.alpha_ps(),
+                ];
+                assert_eq!(alpha, want_alpha, "{name} rank {q}");
+                assert!(alpha[0] <= ops.iter().map(|o| o.intra_ps).sum());
+                assert!(alpha[1] <= ops.iter().map(|o| o.inter_ps).sum());
+            }
             // First arriver: prices the table into the empty memo.
             assert_eq!(shared(&sched, &memo, 3), want, "{name}: miss");
             // Same key: the table is copied, not priced — a marked memo

@@ -7,10 +7,16 @@
 //! ring ALLREDUCE (852 MB of gradients per step); the baseline
 //! additionally ALLGATHERs the `K×D` input-embedding gradients
 //! (137.6 MB/GPU/step) and pays duplicate-update contention on the tiny
-//! alphabet (every row is hot when `G·K ≫ V`).
+//! alphabet (every row is hot when `G·K ≫ V`). Every collective is
+//! priced by [`simgpu::CostModel`]'s two functions on a flat ring.
 
-use crate::wordlm::{ScalingRow, TechniqueStack, STRAGGLER_PER_DOUBLING};
-use simgpu::HardwareConfig;
+use crate::wordlm::{
+    ring_allgather_s, ring_allreduce_s, ScalingRow, TechniqueStack, STRAGGLER_PER_DOUBLING,
+};
+use simgpu::{CostModel, HardwareConfig};
+
+/// §V-B / §V-C: the char LM sustains 64 % of peak FLOP/s.
+const CHAR_UTILIZATION: f64 = 0.64;
 
 /// CALIBRATED: fixed per-step overhead for the char LM, anchored to
 /// Table IV's 8-GPU "with our technique" row (23.2 h).
@@ -46,7 +52,7 @@ pub struct CharScale {
     pub compute_s: f64,
     /// Fixed per-step overhead.
     pub overhead_s: f64,
-    hw: HardwareConfig,
+    cost: CostModel,
 }
 
 impl CharScale {
@@ -61,7 +67,7 @@ impl CharScale {
             dense_bytes: 213_000_000 * 4,
             compute_s: 2_721.0e9 / 3.95e12,
             overhead_s: CHAR_STEP_OVERHEAD_S,
-            hw: HardwareConfig::titan_x_cluster(),
+            cost: CostModel::new(HardwareConfig::titan_x_cluster(), CHAR_UTILIZATION),
         }
     }
 
@@ -82,40 +88,25 @@ impl CharScale {
 
     /// Simulated seconds per step.
     pub fn step_time(&self, g: usize, stack: TechniqueStack) -> f64 {
-        let compressed = matches!(stack, TechniqueStack::Full);
-        let elem: f64 = if compressed { 2.0 } else { 4.0 };
-        let bw = self.hw.ring_bandwidth(g);
-        let ring = if g > 1 {
-            2.0 * (g as f64 - 1.0) / g as f64 * self.dense_bytes as f64 * (elem / 4.0) / bw
+        let elem: u64 = if matches!(stack, TechniqueStack::Full) {
+            2
         } else {
-            0.0
+            4
         };
-        let unique = !matches!(stack, TechniqueStack::Baseline);
-        let (gather, contention) = if unique {
-            // Index gather Θ(G·K) + Ug×D allreduce with Ug ≤ |V| = 98:
-            // both negligible at this scale, but modeled.
-            let idx = if g > 1 {
-                (g as f64 - 1.0) * self.local_tokens as f64 * 4.0 / bw
-            } else {
-                0.0
-            };
-            let ug_reduce = if g > 1 {
-                2.0 * (g as f64 - 1.0) / g as f64 * (self.vocab * self.hidden) as f64 * elem / bw
-            } else {
-                0.0
-            };
-            (idx + ug_reduce, 0.0)
-        } else {
+        let ring = ring_allreduce_s(&self.cost, self.dense_bytes as usize / 4, elem, g);
+        let (gather, contention) = if matches!(stack, TechniqueStack::Baseline) {
             // Dense gather of K×D grads from every GPU (ring-scheduled)
             // + hot-row contention on the tiny table.
-            let gather = if g > 1 {
-                (g as f64 - 1.0) * (self.local_tokens * self.hidden) as f64 * elem / bw
-            } else {
-                0.0
-            };
+            let rows = (self.local_tokens * self.hidden) as u64 * elem;
             let contention = CHAR_CONTENTION_PER_TOKEN * (g * self.local_tokens) as f64 / 8.0
                 * 8.0f64.min(g as f64);
-            (gather, contention)
+            (ring_allgather_s(&self.cost, rows, g), contention)
+        } else {
+            // Index gather Θ(G·K) + Ug×D allreduce with Ug ≤ |V| = 98:
+            // both negligible at this scale, but modeled.
+            let idx = ring_allgather_s(&self.cost, self.local_tokens as u64 * 4, g);
+            let ug_reduce = ring_allreduce_s(&self.cost, self.vocab * self.hidden, elem, g);
+            (idx + ug_reduce, 0.0)
         };
         (self.overhead_s + self.compute_s + ring + gather + contention) * self.straggler(g)
     }
@@ -138,7 +129,7 @@ impl CharScale {
 
     /// True if the configuration exceeds the 12 GB Titan X.
     pub fn ooms(&self, g: usize, stack: TechniqueStack) -> bool {
-        self.memory_gb(g, stack) > self.hw.gpu_mem_bytes as f64 / 1e9
+        self.memory_gb(g, stack) > self.cost.hardware().gpu_mem_bytes as f64 / 1e9
     }
 
     /// Per-epoch hours, `None` on OOM.
@@ -246,7 +237,7 @@ impl TiebaScale {
 
     /// §V-C: aggregate achieved PFLOP/s at `g` GPUs (0.76 at 192).
     pub fn achieved_pflops(&self, g: usize) -> f64 {
-        g as f64 * 6.1e12 * 0.64 / 1e15
+        self.inner.cost.hardware().cluster_peak_flops(g) * CHAR_UTILIZATION / 1e15
     }
 }
 

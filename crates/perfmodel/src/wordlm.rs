@@ -8,7 +8,8 @@
 //! ## Cost structure
 //!
 //! Per step: fixed framework overhead + compute + dense-parameter ring
-//! ALLREDUCE + the **embedding exchange**, which in TF-1.4-era stacks is
+//! ALLREDUCE (priced by [`simgpu::CostModel`], the simulator's own α–β
+//! functions, on a flat ring) + the **embedding exchange**, which in TF-1.4-era stacks is
 //! host-staged (large-vocabulary embedding tables live host-side), so its
 //! cost is proportional to *rows exchanged* — `G·K` for the baseline vs
 //! `a·(G·K)^0.64` under uniqueness. The baseline additionally pays a
@@ -17,7 +18,7 @@
 //! its absolute epoch time *rise* with more GPUs in Table III.
 
 use crate::law::{unique_words, ALPHA, FIG1_PREFACTOR};
-use simgpu::HardwareConfig;
+use simgpu::{CostModel, HardwareConfig, Topology};
 
 /// Which of the paper's techniques are active (Figure 6's cumulative
 /// bars).
@@ -111,7 +112,23 @@ pub struct WordScale {
     /// Compute seconds per step per GPU (136 GFLOP/iter at the measured
     /// 2.44 TFLOP/s, §V-A).
     pub compute_s: f64,
-    hw: HardwareConfig,
+    cost: CostModel,
+}
+
+/// Seconds rank 0 spends in a flat ring ALLREDUCE of `elems` elements
+/// of `elem_bytes` each over `g` GPUs of `cost`'s cluster, α and β.
+pub(crate) fn ring_allreduce_s(cost: &CostModel, elems: usize, elem_bytes: u64, g: usize) -> f64 {
+    let gpn = cost.hardware().gpus_per_node;
+    let sent = simgpu::allreduce_send_bytes(elems, g, gpn, Topology::Flat, 0, elem_bytes);
+    cost.allreduce(sent, g, gpn, Topology::Flat, 0).secs()
+}
+
+/// Seconds rank 0 spends in a flat ring ALLGATHER of `bytes_per_gpu`
+/// from each of `g` GPUs of `cost`'s cluster, α and β.
+pub(crate) fn ring_allgather_s(cost: &CostModel, bytes_per_gpu: u64, g: usize) -> f64 {
+    let gpn = cost.hardware().gpus_per_node;
+    cost.allgather(bytes_per_gpu, g, gpn, Topology::Flat, 0)
+        .secs()
 }
 
 /// CALIBRATED: fixed per-step framework overhead (kernel launches, input
@@ -152,7 +169,7 @@ impl WordScale {
             tokens_per_epoch: 780_000_000,
             dense_bytes: dense_params * 4,
             compute_s: 136.0e9 / 2.44e12,
-            hw: HardwareConfig::titan_x_cluster(),
+            cost: CostModel::new(HardwareConfig::titan_x_cluster(), 0.40),
         }
     }
 
@@ -209,17 +226,12 @@ impl WordScale {
 
     /// Simulated seconds per training step.
     pub fn step_time(&self, g: usize, stack: TechniqueStack) -> f64 {
-        let elem: f64 = if stack.compressed() { 2.0 } else { 4.0 };
-        let staged_bytes = self.input_rows(g, stack) as f64 * self.embed_dim as f64 * elem
-            + self.output_rows(g, stack) as f64 * self.proj_dim as f64 * elem;
+        let elem: u64 = if stack.compressed() { 2 } else { 4 };
+        let staged_bytes = self.input_rows(g, stack) as f64 * self.embed_dim as f64 * elem as f64
+            + self.output_rows(g, stack) as f64 * self.proj_dim as f64 * elem as f64;
         let staged = staged_bytes / HOST_STAGE_RATE;
 
-        let bw = self.hw.ring_bandwidth(g);
-        let ring = if g > 1 {
-            2.0 * (g as f64 - 1.0) / g as f64 * self.dense_bytes as f64 * (elem / 4.0) / bw
-        } else {
-            0.0
-        };
+        let ring = ring_allreduce_s(&self.cost, self.dense_bytes as usize / 4, elem, g);
         let contention = if stack.unique() {
             0.0
         } else {
@@ -253,7 +265,7 @@ impl WordScale {
 
     /// True if the configuration exceeds the 12 GB Titan X.
     pub fn ooms(&self, g: usize, stack: TechniqueStack) -> bool {
-        self.memory_gb(g, stack) > self.hw.gpu_mem_bytes as f64 / 1e9
+        self.memory_gb(g, stack) > self.cost.hardware().gpu_mem_bytes as f64 / 1e9
     }
 
     /// Per-epoch hours, `None` on OOM.

@@ -764,6 +764,47 @@ pub fn hierarchical_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
     TierBytes { intra, inter }
 }
 
+/// Exact per-tier bytes `rank` sends during one ALLREDUCE over `n`
+/// elements of `elem_bytes` each under `topology`, on a group laid out
+/// `gpus_per_node` per node — what [`Rank::all_reduce`] charges the
+/// recorder for a fixed-width wire, whichever schedule applies.
+pub fn allreduce_send_bytes(
+    n: usize,
+    world: usize,
+    gpus_per_node: usize,
+    topology: Topology,
+    rank: usize,
+    elem_bytes: u64,
+) -> TierBytes {
+    allreduce_send_bytes_parts(world, gpus_per_node, topology, rank, |parts, c| {
+        chunk_range(n, parts, c).len() as u64 * elem_bytes
+    })
+}
+
+/// Closure-parameterised [`allreduce_send_bytes`], and the one place
+/// the schedule is chosen: [`Topology::TwoTier`] over a group that
+/// spans nodes charges [`hierarchical_allreduce_send_bytes_parts`];
+/// anything else is the flat ring, whose bytes land on the tier of the
+/// link `rank → rank + 1` under the group's `gpus_per_node` layout. See
+/// [`ring_allreduce_send_bytes_parts`] for the closure contract.
+fn allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
+    world: usize,
+    gpus_per_node: usize,
+    topology: Topology,
+    rank: usize,
+    chunk_bytes: F,
+) -> TierBytes {
+    match topology {
+        Topology::TwoTier { gpus_per_node } if world > gpus_per_node => {
+            hierarchical_allreduce_send_bytes_parts(world, gpus_per_node, rank, chunk_bytes)
+        }
+        Topology::TwoTier { .. } | Topology::Flat => TierBytes::on(
+            ring_send_tier(world, gpus_per_node, rank),
+            ring_allreduce_send_bytes_parts(world, rank, chunk_bytes),
+        ),
+    }
+}
+
 /// Wire format of an ALLREDUCE payload — a parameter of
 /// [`Rank::all_reduce`], which prices every transmitted chunk through
 /// [`Wire::encoded_len`].
@@ -1075,16 +1116,12 @@ impl Rank {
             Wire::F32 | Wire::Codec(_) => None,
         };
         let g = self.core.world;
-        let two_tier = match topology {
-            Topology::TwoTier { gpus_per_node: 0 } => {
-                return Err(CommError::abort(
-                    self.rank,
-                    "invalid topology: gpus_per_node must be at least 1",
-                ));
-            }
-            Topology::TwoTier { gpus_per_node } if g > gpus_per_node => Some(gpus_per_node),
-            Topology::TwoTier { .. } | Topology::Flat => None,
-        };
+        if let Topology::TwoTier { gpus_per_node: 0 } = topology {
+            return Err(CommError::abort(
+                self.rank,
+                "invalid topology: gpus_per_node must be at least 1",
+            ));
+        }
         if self.rank == 0 {
             self.core.traffic.count_allreduce_op();
         }
@@ -1103,7 +1140,7 @@ impl Rank {
         let codec = wire.codec();
         let mut sent = None;
         if codec.is_none() {
-            sent = Some(self.charge_allreduce(data, wire, two_tier));
+            sent = Some(self.charge_allreduce(data, wire, topology));
         }
         let core = &self.core;
         self.sync_leader(|| leader_sum(core, scale))?;
@@ -1117,25 +1154,17 @@ impl Rank {
             // boundaries) is what keeps the schedules bit-identical.
             self.codec_roundtrip_chunks(data, codec)?;
         }
-        Ok(sent.unwrap_or_else(|| self.charge_allreduce(data, wire, two_tier)))
+        Ok(sent.unwrap_or_else(|| self.charge_allreduce(data, wire, topology)))
     }
 
-    /// Prices this rank's sends for one ALLREDUCE of `data` under the
-    /// modelled schedule (`two_tier` = node size when the §V-C schedule
-    /// applies, else the flat ring), records them and returns them.
-    fn charge_allreduce(&self, data: &[f32], wire: Wire<'_>, two_tier: Option<usize>) -> TierBytes {
+    /// Prices this rank's sends for one ALLREDUCE of `data` under
+    /// `topology` ([`allreduce_send_bytes_parts`]), records them and
+    /// returns them.
+    fn charge_allreduce(&self, data: &[f32], wire: Wire<'_>, topology: Topology) -> TierBytes {
         let (g, r, n) = (self.core.world, self.rank, data.len());
         let chunk_bytes =
             |parts: usize, chunk: usize| wire.encoded_len(&data[chunk_range(n, parts, chunk)]);
-        let sent = match two_tier {
-            Some(gpus_per_node) => {
-                hierarchical_allreduce_send_bytes_parts(g, gpus_per_node, r, chunk_bytes)
-            }
-            None => TierBytes::on(
-                ring_send_tier(g, self.core.gpus_per_node, r),
-                ring_allreduce_send_bytes_parts(g, r, chunk_bytes),
-            ),
-        };
+        let sent = allreduce_send_bytes_parts(g, self.core.gpus_per_node, topology, r, chunk_bytes);
         self.core.traffic.record_allreduce_split(sent);
         sent
     }
@@ -2500,12 +2529,20 @@ mod tests {
             rank.traffic()
         })[0];
         let mut expect = TierBytes::default();
+        let cost = crate::CostModel::new(crate::HardwareConfig::titan_x_cluster(), 0.4);
         for r in 0..world {
-            let bytes = ring_allreduce_send_bytes(n, world, r, 4);
-            match ring_send_tier(world, per_node, r) {
-                Tier::Intra => expect.intra += bytes,
-                Tier::Inter => expect.inter += bytes,
-            }
+            let sent = allreduce_send_bytes(n, world, per_node, Topology::Flat, r, 4);
+            let link = ring_send_tier(world, per_node, r);
+            assert_eq!(
+                sent,
+                TierBytes::on(link, ring_allreduce_send_bytes(n, world, r, 4))
+            );
+            expect += sent;
+            // The clock books the ring's time on the tier the recorder
+            // books its bytes on.
+            let price = cost.allreduce(sent, world, per_node, Topology::Flat, r);
+            assert_eq!(price.intra.secs() > 0.0, link == Tier::Intra, "rank {r}");
+            assert_eq!(price.inter.secs() > 0.0, link == Tier::Inter, "rank {r}");
         }
         assert_eq!(snap.allreduce_intra_bytes, expect.intra);
         assert_eq!(snap.allreduce_inter_bytes, expect.inter);

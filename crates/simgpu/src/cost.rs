@@ -1,21 +1,97 @@
 //! α–β (latency–bandwidth) cost model for collectives and compute.
 //!
 //! Translates byte volumes and FLOP counts into simulated wall-clock
-//! seconds on a [`HardwareConfig`]. Standard cost expressions:
+//! seconds on a [`HardwareConfig`]. This is the only file that knows
+//! what a collective costs; the two pricing functions return each
+//! tier's hop latency (α) and byte time (β) apart:
 //!
 //! * ring ALLREDUCE of `n` bytes over `G` GPUs:
-//!   `2(G−1)·α + 2(G−1)/G · n / β`
+//!   `α = 2(G−1)·latency`, `β = 2(G−1)/G · n / bandwidth`
 //! * ALLGATHER collecting `n_local` bytes from each of `G` GPUs:
-//!   `(G−1)·α + (G−1) · n_local / β`
+//!   `α = (G−1)·latency`, `β = (G−1) · n_local / bandwidth`
 //! * compute: `flops / (peak · utilisation)`
 //!
-//! where `α` is per-hop latency and `β` the per-GPU effective link
-//! bandwidth. These are exactly the asymptotics the paper quotes
-//! (`Θ(G·K·D)` ALLGATHER vs `Θ(G·K + Ug·D)` for the unique scheme); the
-//! constants come from Table II.
+//! These are exactly the asymptotics the paper quotes (`Θ(G·K·D)`
+//! ALLGATHER vs `Θ(G·K + Ug·D)` for the unique scheme), which pay only
+//! where β, not α, owns the step; the constants come from Table II.
 
+use crate::comm::{ring_send_tier, Topology};
 use crate::hw::HardwareConfig;
-use crate::traffic::TierBytes;
+use crate::trace::secs_to_ps;
+use crate::traffic::{Tier, TierBytes};
+
+/// One tier's share of one collective for one rank, in seconds, hop
+/// latency and byte time apart. Picoseconds come from the two methods
+/// below and nowhere else: the tier's `alpha + beta` is quantised as
+/// one term (what the step schedule runs on), its `alpha` on its own,
+/// and β in picoseconds is the remainder `wire_ps − alpha_ps`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct AlphaBeta {
+    /// Hop count × per-hop latency — payload-independent.
+    pub alpha: f64,
+    /// Bytes ÷ link bandwidth — linear in the payload.
+    pub beta: f64,
+}
+
+impl AlphaBeta {
+    /// `alpha + beta`.
+    pub fn secs(self) -> f64 {
+        self.alpha + self.beta
+    }
+
+    /// The tier's wire time in integer picoseconds.
+    pub fn wire_ps(self) -> u64 {
+        secs_to_ps(self.secs())
+    }
+
+    /// The latency part of [`Self::wire_ps`]; never exceeds it.
+    pub fn alpha_ps(self) -> u64 {
+        secs_to_ps(self.alpha)
+    }
+}
+
+/// What one collective costs one rank on each interconnect tier.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct TierCost {
+    /// Node-local (PCIe-tier) links.
+    pub intra: AlphaBeta,
+    /// Links between nodes (Infiniband tier).
+    pub inter: AlphaBeta,
+}
+
+impl TierCost {
+    /// Seconds across both tiers.
+    pub fn secs(self) -> f64 {
+        self.intra.secs() + self.inter.secs()
+    }
+}
+
+/// `hops` and `bytes` on links of `(per-hop latency in seconds, stream
+/// rate in bytes/s)`.
+fn price((latency, bandwidth): (f64, f64), hops: f64, bytes: f64) -> AlphaBeta {
+    AlphaBeta {
+        alpha: hops * latency,
+        beta: bytes / bandwidth,
+    }
+}
+
+/// `rank`'s node under the two-tier schedule as `(leader, members)`
+/// (a ragged last node keeps its exact size), or `None` when the
+/// collective is one flat ring: [`Topology::Flat`], or a group that
+/// fits in one node. `gpn` is the one node size pricing uses — link
+/// constants, tier labels and this fallback all follow it.
+fn node_of(gpus: usize, gpn: usize, topology: Topology, rank: usize) -> Option<(usize, usize)> {
+    assert!(rank < gpus, "rank {rank} outside a group of {gpus}");
+    assert!(gpn >= 1, "topology needs at least one GPU per node");
+    match topology {
+        Topology::TwoTier { gpus_per_node } if gpus > gpn => {
+            assert_eq!(gpus_per_node, gpn, "two node sizes for one collective");
+            let leader = rank / gpn * gpn;
+            Some((leader, gpn.min(gpus - leader)))
+        }
+        Topology::TwoTier { .. } | Topology::Flat => None,
+    }
+}
 
 /// Cost model bound to one hardware preset and one utilisation figure.
 #[derive(Debug, Clone)]
@@ -41,133 +117,105 @@ impl CostModel {
         &self.hw
     }
 
-    /// Seconds one rank spends in a ring ALLREDUCE over `gpus` GPUs
-    /// given its exact `send_bytes` from the ring's own chunk schedule
-    /// ([`crate::comm::ring_allreduce_send_bytes`] — exact even when
-    /// the payload does not divide by `gpus`; per-rank time attribution
-    /// is built on it). The `2(G−1)·α` latency term is hop-count only,
-    /// so codec-compressed volumes substitute encoded bytes for raw
-    /// ones without touching it.
-    pub fn allreduce_rank_time_bytes(&self, send_bytes: u64, gpus: usize) -> f64 {
-        assert!(gpus >= 1);
-        if gpus == 1 {
-            return 0.0;
+    /// `(latency, bandwidth)` of `tier`'s links, as [`price`] takes them.
+    fn link(&self, tier: Tier) -> (f64, f64) {
+        match tier {
+            Tier::Intra => (self.hw.intra_latency, self.hw.intra_node_bw),
+            Tier::Inter => (self.hw.inter_latency, self.hw.inter_node_bw),
         }
-        let g = gpus as f64;
-        let alpha = self.hw.ring_latency(gpus);
-        let beta = self.hw.ring_bandwidth(gpus);
-        2.0 * (g - 1.0) * alpha + send_bytes as f64 / beta
     }
 
-    /// Per-tier seconds *rank `rank`* spends in a hierarchical two-tier
-    /// ALLREDUCE over `gpus` GPUs laid out `gpus_per_node` per node,
-    /// given its exact per-tier wire bytes `tb` — the α–β mirror of
-    /// [`crate::comm::hierarchical_allreduce_send_bytes`]'s four-phase
-    /// byte schedule. Returns `(intra_secs, inter_secs)`:
-    ///
-    /// * intra: the node-local hops (ring reduce-scatter over the `m`
-    ///   members, the non-leader chunk hand-off *or* the leader's final
-    ///   broadcast) at intra-node α/β;
-    /// * inter: leaders only — the `2(N−1)`-hop flat ring over the `N`
-    ///   nodes at inter-node α/β, with this leader's exact ring bytes.
-    ///
-    /// Hop counts depend only on topology, so codec-compressed per-tier
-    /// volumes price the same way. Quantise each component separately
-    /// (`secs_to_ps`) and the split still reconciles exactly: `wire =
-    /// intra_ps + inter_ps` by construction. Falls back to the flat
-    /// [`CostModel::allreduce_rank_time_bytes`] (all intra) when the
-    /// group fits in one node.
-    pub fn hierarchical_allreduce_rank_time_bytes(
-        &self,
-        tb: TierBytes,
-        gpus: usize,
-        gpus_per_node: usize,
-        rank: usize,
-    ) -> (f64, f64) {
-        assert!(gpus >= 1 && rank < gpus);
-        assert!(
-            gpus_per_node >= 1,
-            "topology needs at least one GPU per node"
-        );
+    /// A flat ring's `hops` and `bytes` for `rank`, on the tier of its
+    /// egress link `rank → rank + 1` (how the traffic recorder buckets
+    /// the same sends). In a ring each GPU sends to one neighbour per
+    /// step and the step rate is bounded by the slowest link, so a ring
+    /// that leaves its node runs every hop at inter-node latency and
+    /// the lower of the two bandwidths. A ring of one has no link.
+    fn ring(&self, gpus: usize, gpn: usize, rank: usize, hops: f64, bytes: f64) -> TierCost {
         if gpus == 1 {
-            return (0.0, 0.0);
+            return TierCost::default();
         }
-        if gpus <= gpus_per_node {
-            return (self.allreduce_rank_time_bytes(tb.total(), gpus), 0.0);
-        }
-        let node = rank / gpus_per_node;
-        let leader = node * gpus_per_node;
-        let m = gpus_per_node.min(gpus - leader);
-        let n_nodes = gpus.div_ceil(gpus_per_node);
-        // Intra hops: m−1 reduce-scatter steps, plus one hand-off
-        // (non-leader) or one broadcast round (leader of a >1 node).
-        let mut intra_hops = (m - 1) as f64;
-        if m > 1 {
-            intra_hops += 1.0;
-        }
-        let intra = intra_hops * self.hw.intra_latency + tb.intra as f64 / self.hw.intra_node_bw;
-        let inter = if rank == leader {
-            2.0 * (n_nodes - 1) as f64 * self.hw.inter_latency
-                + tb.inter as f64 / self.hw.inter_node_bw
+        let spans = if gpus <= gpn {
+            Tier::Intra
         } else {
-            0.0
+            Tier::Inter
         };
-        (intra, inter)
+        let (latency, bandwidth) = self.link(spans);
+        let slowest = (latency, bandwidth.min(self.hw.intra_node_bw));
+        let (zero, cost) = (AlphaBeta::default(), price(slowest, hops, bytes));
+        let (intra, inter) = match ring_send_tier(gpus, gpn, rank) {
+            Tier::Intra => (cost, zero),
+            Tier::Inter => (zero, cost),
+        };
+        TierCost { intra, inter }
     }
 
-    /// Per-tier seconds *rank `rank`* spends in an ALLGATHER of
-    /// `bytes_per_gpu` from each of `gpus` GPUs laid out
-    /// `gpus_per_node` per node — the α–β mirror of
-    /// [`crate::comm::peer_exchange_tier_bytes`]'s peer-exchange byte
-    /// schedule, so a hierarchical run's two collectives (this and the
-    /// ALLREDUCE) agree about topology. Returns `(intra_secs,
-    /// inter_secs)`: the rank sends its payload once per peer, node-mates
-    /// priced at intra-node α/β and remote peers at inter-node α/β
-    /// (ragged last nodes keep the exact peer counts). Quantise each
-    /// component separately (`secs_to_ps`) and `wire = intra_ps +
-    /// inter_ps` reconciles exactly. Falls back to the flat
-    /// [`CostModel::allgather_time`] (all intra) when the group fits in
-    /// one node.
-    pub fn allgather_rank_tier_time(
+    /// What one ALLREDUCE costs `rank` of `gpus` laid out `gpn` per
+    /// node, given the exact per-tier bytes `sent` it puts on the wire
+    /// ([`crate::comm::allreduce_send_bytes`] under the same `topology`
+    /// — exact even when the payload does not divide by the group;
+    /// codec-compressed volumes substitute encoded bytes for raw ones,
+    /// hop counts depend on topology alone).
+    ///
+    /// Flat ring (and any group that fits in one node): `2(G−1)` hops
+    /// and `sent.total()` bytes on the rank's egress tier. Two-tier,
+    /// the α–β mirror of
+    /// [`crate::comm::hierarchical_allreduce_send_bytes`]'s four phases:
+    ///
+    /// * intra: the `m−1` reduce-scatter hops over the node's `m`
+    ///   members plus the hand-off (member) or the broadcast round
+    ///   (leader), at intra-node constants;
+    /// * inter: leaders only — the `2(N−1)`-hop ring over the `N`
+    ///   nodes at inter-node constants. A member's inter tier is zero.
+    pub fn allreduce(
+        &self,
+        sent: TierBytes,
+        gpus: usize,
+        gpn: usize,
+        topology: Topology,
+        rank: usize,
+    ) -> TierCost {
+        let Some((leader, members)) = node_of(gpus, gpn, topology, rank) else {
+            let hops = 2.0 * (gpus - 1) as f64;
+            return self.ring(gpus, gpn, rank, hops, sent.total() as f64);
+        };
+        let intra_hops = if members > 1 { members } else { 0 } as f64;
+        let ring_hops = 2.0 * (gpus.div_ceil(gpn) - 1) as f64;
+        TierCost {
+            intra: price(self.link(Tier::Intra), intra_hops, sent.intra as f64),
+            inter: if rank == leader {
+                price(self.link(Tier::Inter), ring_hops, sent.inter as f64)
+            } else {
+                AlphaBeta::default()
+            },
+        }
+    }
+
+    /// What one ALLGATHER of `bytes_per_gpu` from every GPU costs
+    /// `rank` of `gpus` laid out `gpn` per node. Flat ring (and any
+    /// group that fits in one node): `G−1` hops, each forwarding one
+    /// contribution, on the rank's egress tier. Two-tier, the α–β
+    /// mirror of [`crate::comm::peer_exchange_tier_bytes`]: the rank
+    /// sends its payload once per peer, node-mates at intra-node
+    /// constants and remote peers at inter-node constants.
+    pub fn allgather(
         &self,
         bytes_per_gpu: u64,
         gpus: usize,
-        gpus_per_node: usize,
+        gpn: usize,
+        topology: Topology,
         rank: usize,
-    ) -> (f64, f64) {
-        assert!(gpus >= 1 && rank < gpus);
-        assert!(
-            gpus_per_node >= 1,
-            "topology needs at least one GPU per node"
-        );
-        if gpus == 1 {
-            return (0.0, 0.0);
+    ) -> TierCost {
+        let bytes = bytes_per_gpu as f64;
+        let Some((_, members)) = node_of(gpus, gpn, topology, rank) else {
+            let peers = (gpus - 1) as f64;
+            return self.ring(gpus, gpn, rank, peers, peers * bytes);
+        };
+        let (near, far) = ((members - 1) as f64, (gpus - members) as f64);
+        TierCost {
+            intra: price(self.link(Tier::Intra), near, near * bytes),
+            inter: price(self.link(Tier::Inter), far, far * bytes),
         }
-        if gpus <= gpus_per_node {
-            return (self.allgather_time(bytes_per_gpu, gpus), 0.0);
-        }
-        let node_start = (rank / gpus_per_node) * gpus_per_node;
-        let node_size = gpus_per_node.min(gpus - node_start);
-        let intra_peers = (node_size - 1) as f64;
-        let inter_peers = (gpus - node_size) as f64;
-        let intra = intra_peers * self.hw.intra_latency
-            + intra_peers * bytes_per_gpu as f64 / self.hw.intra_node_bw;
-        let inter = inter_peers * self.hw.inter_latency
-            + inter_peers * bytes_per_gpu as f64 / self.hw.inter_node_bw;
-        (intra, inter)
-    }
-
-    /// Seconds for an ALLGATHER where each GPU contributes
-    /// `bytes_per_gpu` and receives all others' contributions.
-    pub fn allgather_time(&self, bytes_per_gpu: u64, gpus: usize) -> f64 {
-        assert!(gpus >= 1);
-        if gpus == 1 {
-            return 0.0;
-        }
-        let g = gpus as f64;
-        let alpha = self.hw.ring_latency(gpus);
-        let beta = self.hw.ring_bandwidth(gpus);
-        (g - 1.0) * alpha + (g - 1.0) * bytes_per_gpu as f64 / beta
     }
 
     /// Seconds of pure compute for `flops` floating-point operations on
@@ -199,22 +247,47 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{hierarchical_allreduce_send_bytes, ring_allreduce_send_bytes};
+    use crate::comm::allreduce_send_bytes;
 
     fn model() -> CostModel {
         CostModel::new(HardwareConfig::titan_x_cluster(), 0.4)
     }
 
-    /// Rank `r`'s seconds in a flat ring ALLREDUCE of `n` f32 elements.
-    fn ring_secs(m: &CostModel, n: usize, gpus: usize, r: usize) -> f64 {
-        m.allreduce_rank_time_bytes(ring_allreduce_send_bytes(n, gpus, r, 4), gpus)
+    fn two_tier(gpus_per_node: usize) -> Topology {
+        Topology::TwoTier { gpus_per_node }
     }
 
-    /// Rank `r`'s per-tier seconds in a hierarchical ALLREDUCE of `n`
-    /// f32 elements.
-    fn hier_secs(m: &CostModel, n: usize, gpus: usize, gpn: usize, r: usize) -> (f64, f64) {
-        let tb = hierarchical_allreduce_send_bytes(n, gpus, gpn, r, 4);
-        m.hierarchical_allreduce_rank_time_bytes(tb, gpus, gpn, r)
+    /// Rank `r`'s price for an ALLREDUCE of `n` f32 elements.
+    fn reduce(m: &CostModel, n: usize, gpus: usize, gpn: usize, t: Topology, r: usize) -> TierCost {
+        m.allreduce(allreduce_send_bytes(n, gpus, gpn, t, r, 4), gpus, gpn, t, r)
+    }
+
+    /// Rank `r`'s seconds in a flat ring ALLREDUCE of `n` f32 elements
+    /// on the preset's 8-GPU nodes.
+    fn ring_secs(m: &CostModel, n: usize, gpus: usize, r: usize) -> f64 {
+        reduce(m, n, gpus, 8, Topology::Flat, r).secs()
+    }
+
+    /// Seconds of a flat ring ALLGATHER on the preset's 8-GPU nodes.
+    fn gather_secs(m: &CostModel, bytes_per_gpu: u64, gpus: usize) -> f64 {
+        m.allgather(bytes_per_gpu, gpus, 8, Topology::Flat, 0)
+            .secs()
+    }
+
+    /// Every `(gpus, gpn, topology)` shape the clock tests walk: one
+    /// node, divisible and ragged multi-node, flat and two-tier.
+    fn shapes() -> Vec<(usize, usize, Topology)> {
+        let mut out = Vec::new();
+        for (gpus, gpn) in [(4, 8), (8, 8), (24, 8), (11, 8), (5, 2), (8, 4), (12, 16)] {
+            out.push((gpus, gpn, Topology::Flat));
+            out.push((gpus, gpn, two_tier(gpn)));
+        }
+        out
+    }
+
+    /// The four seconds of a price, `[intra α, intra β, inter α, inter β]`.
+    fn parts(c: TierCost) -> [f64; 4] {
+        [c.intra.alpha, c.intra.beta, c.inter.alpha, c.inter.beta]
     }
 
     #[test]
@@ -227,8 +300,12 @@ mod tests {
 
     #[test]
     fn allreduce_single_gpu_free() {
-        assert_eq!(model().allreduce_rank_time_bytes(1 << 30, 1), 0.0);
-        assert_eq!(model().allgather_time(1 << 30, 1), 0.0);
+        let sent = TierBytes::on(Tier::Intra, 1 << 30);
+        for topology in [Topology::Flat, two_tier(8)] {
+            let free = TierCost::default();
+            assert_eq!(model().allreduce(sent, 1, 8, topology, 0), free);
+            assert_eq!(model().allgather(1 << 30, 1, 8, topology, 0), free);
+        }
     }
 
     #[test]
@@ -247,9 +324,7 @@ mod tests {
         // The baseline's pain: fixed per-GPU contribution, total time
         // ∝ (G−1).
         let m = model();
-        let t16 = m.allgather_time(10 << 20, 16);
-        let t64 = m.allgather_time(10 << 20, 64);
-        let ratio = t64 / t16;
+        let ratio = gather_secs(&m, 10 << 20, 64) / gather_secs(&m, 10 << 20, 16);
         assert!((ratio - 63.0 / 15.0).abs() < 0.1, "ratio {ratio}");
     }
 
@@ -265,14 +340,14 @@ mod tests {
     fn per_rank_allreduce_matches_aggregate_when_divisible() {
         // When n divides by G every rank moves the idealised 2(G−1)/G·n
         // bytes, so the per-rank price equals the textbook aggregate
-        // `2(G−1)·α + 2(G−1)/G · n / β`.
+        // `2(G−1)·α + 2(G−1)/G · n / β` — here on one node's links.
         let m = model();
         let hw = m.hardware().clone();
         for gpus in [2usize, 4, 8] {
             let n = 1024 * gpus;
             let g = gpus as f64;
-            let whole = 2.0 * (g - 1.0) * hw.ring_latency(gpus)
-                + 2.0 * (g - 1.0) / g * (n * 4) as f64 / hw.ring_bandwidth(gpus);
+            let whole = 2.0 * (g - 1.0) * hw.intra_latency
+                + 2.0 * (g - 1.0) / g * (n * 4) as f64 / hw.intra_node_bw;
             for r in 0..gpus {
                 let per = ring_secs(&m, n, gpus, r);
                 assert!(
@@ -287,68 +362,89 @@ mod tests {
     #[test]
     fn hierarchical_rank_time_tiers_and_fallback() {
         let m = model();
-        // One-node groups collapse to the flat per-rank expression.
+        // One-node groups collapse to the flat per-rank price.
         for r in 0..4 {
-            let (intra, inter) = hier_secs(&m, 1000, 4, 8, r);
-            assert_eq!(intra, ring_secs(&m, 1000, 4, r));
-            assert_eq!(inter, 0.0);
+            let flat = reduce(&m, 1000, 4, 8, Topology::Flat, r);
+            assert_eq!(reduce(&m, 1000, 4, 8, two_tier(8), r), flat);
+            assert_eq!(flat.inter, AlphaBeta::default());
         }
-        // Multi-node: only leaders pay inter time; members pay none.
+        // Multi-node: only leaders pay inter time; a member's inter
+        // tier is {0, 0}.
         let (gpus, gpn, n) = (24usize, 8usize, 10_000usize);
         for r in 0..gpus {
-            let (intra, inter) = hier_secs(&m, n, gpus, gpn, r);
-            assert!(intra > 0.0);
+            let price = reduce(&m, n, gpus, gpn, two_tier(gpn), r);
+            assert!(price.intra.alpha > 0.0 && price.intra.beta > 0.0);
             if r % gpn == 0 {
-                assert!(inter > 0.0, "leader {r} must pay the Infiniband tier");
+                assert!(
+                    price.inter.alpha > 0.0 && price.inter.beta > 0.0,
+                    "leader {r} must pay the Infiniband tier"
+                );
             } else {
-                assert_eq!(inter, 0.0, "member {r} must not touch Infiniband");
+                assert_eq!(
+                    price.inter,
+                    AlphaBeta::default(),
+                    "member {r} must not touch Infiniband"
+                );
             }
         }
-        assert_eq!(hier_secs(&m, 1 << 20, 1, 8, 0), (0.0, 0.0));
     }
 
     #[test]
     fn hierarchical_beats_flat_ring_at_paper_scale() {
         // Table V's regime: 192 GPUs on 24 nodes. The flat ring pays
         // 2(G−1) inter-node latencies; the hierarchical schedule pays
-        // 2(N−1) plus cheap intra hops, and wins per step.
+        // 2(N−1) plus cheap intra hops, and wins per step — on α alone
+        // already.
         let m = model();
         let (gpus, gpn, n) = (192usize, 8usize, 100_000usize);
-        let flat: f64 = (0..gpus)
-            .map(|r| ring_secs(&m, n, gpus, r))
-            .fold(0.0, f64::max);
-        let hier: f64 = (0..gpus)
-            .map(|r| {
-                let (a, b) = hier_secs(&m, n, gpus, gpn, r);
-                a + b
-            })
-            .fold(0.0, f64::max);
+        let slowest = |t: Topology, of: fn(TierCost) -> f64| {
+            (0..gpus)
+                .map(|r| of(reduce(&m, n, gpus, gpn, t, r)))
+                .fold(0.0, f64::max)
+        };
+        let (flat, hier) = (
+            slowest(Topology::Flat, TierCost::secs),
+            slowest(two_tier(gpn), TierCost::secs),
+        );
         assert!(hier < flat, "hier {hier} must beat flat {flat}");
+        let alpha = |c: TierCost| c.intra.alpha + c.inter.alpha;
+        let (flat, hier) = (
+            slowest(Topology::Flat, alpha),
+            slowest(two_tier(gpn), alpha),
+        );
+        assert!((flat - 2.0 * 191.0 * 30e-6).abs() < 1e-12, "flat α {flat}");
+        assert!(
+            (hier - (8.0 * 10e-6 + 2.0 * 23.0 * 30e-6)).abs() < 1e-12,
+            "hier α {hier}"
+        );
     }
 
     #[test]
     fn allgather_tier_time_splits_and_falls_back() {
         let m = model();
-        // One-node groups collapse to the flat expression, all intra.
+        // One-node groups collapse to the flat price, all intra.
         for r in 0..4 {
-            let (intra, inter) = m.allgather_rank_tier_time(1 << 16, 4, 8, r);
-            assert_eq!(intra, m.allgather_time(1 << 16, 4));
-            assert_eq!(inter, 0.0);
+            let flat = m.allgather(1 << 16, 4, 8, Topology::Flat, r);
+            assert_eq!(m.allgather(1 << 16, 4, 8, two_tier(8), r), flat);
+            assert_eq!(flat.inter, AlphaBeta::default());
         }
         // Multi-node (ragged): every rank pays both tiers, peer counts
         // follow the node sizes — rank 4 sits alone on node 2 and has
         // no intra peers at all.
         let (gpus, gpn) = (5usize, 2usize);
         for r in 0..gpus {
-            let (intra, inter) = m.allgather_rank_tier_time(1 << 16, gpus, gpn, r);
+            let price = m.allgather(1 << 16, gpus, gpn, two_tier(gpn), r);
             if r == 4 {
-                assert_eq!(intra, 0.0, "lone rank on the last node");
+                assert_eq!(
+                    price.intra,
+                    AlphaBeta::default(),
+                    "lone rank on the last node"
+                );
             } else {
-                assert!(intra > 0.0);
+                assert!(price.intra.secs() > 0.0);
             }
-            assert!(inter > 0.0);
+            assert!(price.inter.secs() > 0.0);
         }
-        assert_eq!(m.allgather_rank_tier_time(1 << 20, 1, 8, 0), (0.0, 0.0));
     }
 
     #[test]
@@ -361,5 +457,123 @@ mod tests {
     #[should_panic(expected = "utilization")]
     fn zero_utilization_rejected() {
         CostModel::new(HardwareConfig::titan_x_cluster(), 0.0);
+    }
+
+    #[test]
+    fn node_size_argument_decides_constants_and_labels_together() {
+        let m = model();
+        let hw = m.hardware().clone();
+        let sent = |tier| TierBytes::on(tier, 1 << 20);
+        // 8 flat ranks on 4-GPU nodes: the ring leaves its node, so
+        // every rank runs it at Infiniband constants; the two ranks
+        // whose egress link crosses nodes book it as inter.
+        for r in 0..8 {
+            let crosses = r % 4 == 3;
+            let tier = if crosses { Tier::Inter } else { Tier::Intra };
+            let got = m.allreduce(sent(tier), 8, 4, Topology::Flat, r);
+            let ring = AlphaBeta {
+                alpha: 14.0 * hw.inter_latency,
+                beta: (1 << 20) as f64 / hw.inter_node_bw,
+            };
+            let (on, off) = if crosses {
+                (got.inter, got.intra)
+            } else {
+                (got.intra, got.inter)
+            };
+            assert_eq!((on, off), (ring, AlphaBeta::default()), "rank {r}");
+            let gather = m.allgather(1 << 10, 8, 4, Topology::Flat, r);
+            let booked = if crosses { gather.inter } else { gather.intra };
+            assert_eq!(booked.alpha, 7.0 * hw.inter_latency, "rank {r}");
+        }
+        // 12 two-tier ranks on 16-GPU nodes: one node, so the fallback
+        // ring runs at PCIe constants and books everything as intra.
+        for r in 0..12 {
+            let got = m.allreduce(sent(Tier::Intra), 12, 16, two_tier(16), r);
+            let ring = AlphaBeta {
+                alpha: 22.0 * hw.intra_latency,
+                beta: (1 << 20) as f64 / hw.intra_node_bw,
+            };
+            assert_eq!((got.intra, got.inter), (ring, AlphaBeta::default()));
+            let gather = m.allgather(1 << 10, 12, 16, two_tier(16), r);
+            assert_eq!(gather.intra.alpha, 11.0 * hw.intra_latency);
+            assert_eq!(gather.inter, AlphaBeta::default());
+        }
+    }
+
+    #[test]
+    fn alpha_ignores_the_payload_and_beta_is_linear_in_it() {
+        let m = model();
+        for (gpus, gpn, t) in shapes() {
+            for r in 0..gpus {
+                let empty = TierBytes::default();
+                let alphas = |c: TierCost| [c.intra.alpha.to_bits(), c.inter.alpha.to_bits()];
+                let reduce_alpha = alphas(m.allreduce(empty, gpus, gpn, t, r));
+                let gather_alpha = alphas(m.allgather(0, gpus, gpn, t, r));
+                for n in [1usize, 1000, 1 << 20] {
+                    let ctx = format!("{gpus}/{gpn} {t:?} rank {r} n {n}");
+                    assert_eq!(
+                        alphas(reduce(&m, n, gpus, gpn, t, r)),
+                        reduce_alpha,
+                        "{ctx}"
+                    );
+                    let gathered = m.allgather(n as u64, gpus, gpn, t, r);
+                    assert_eq!(alphas(gathered), gather_alpha, "{ctx}");
+                    // 2ᵏ× the bytes is exactly 2ᵏ× the β.
+                    let sent = allreduce_send_bytes(n, gpus, gpn, t, r, 4);
+                    let base = m.allreduce(sent, gpus, gpn, t, r);
+                    for k in [1u32, 5, 10] {
+                        let scaled = TierBytes {
+                            intra: sent.intra << k,
+                            inter: sent.inter << k,
+                        };
+                        let f = (1u64 << k) as f64;
+                        let big = m.allreduce(scaled, gpus, gpn, t, r);
+                        assert_eq!(big.intra.beta, f * base.intra.beta, "{ctx} k {k}");
+                        assert_eq!(big.inter.beta, f * base.inter.beta, "{ctx} k {k}");
+                        let big = m.allgather((n as u64) << k, gpus, gpn, t, r);
+                        assert_eq!(big.intra.beta, f * gathered.intra.beta, "{ctx} k {k}");
+                        assert_eq!(big.inter.beta, f * gathered.inter.beta, "{ctx} k {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn faster_hardware_never_raises_any_component() {
+        let base = HardwareConfig::titan_x_cluster();
+        let faster: [fn(&mut HardwareConfig); 4] = [
+            |hw| hw.intra_latency /= 2.0,
+            |hw| hw.inter_latency /= 2.0,
+            |hw| hw.intra_node_bw *= 2.0,
+            |hw| hw.inter_node_bw *= 2.0,
+        ];
+        let slow = CostModel::new(base.clone(), 0.4);
+        for improve in faster {
+            let mut hw = base.clone();
+            improve(&mut hw);
+            let fast = CostModel::new(hw, 0.4);
+            for (gpus, gpn, t) in shapes() {
+                for r in 0..gpus {
+                    let pairs = [
+                        (
+                            reduce(&fast, 100_003, gpus, gpn, t, r),
+                            reduce(&slow, 100_003, gpus, gpn, t, r),
+                        ),
+                        (
+                            fast.allgather(4096, gpus, gpn, t, r),
+                            slow.allgather(4096, gpus, gpn, t, r),
+                        ),
+                    ];
+                    for (fast, slow) in pairs {
+                        for (f, s) in parts(fast).into_iter().zip(parts(slow)) {
+                            assert!(f <= s, "{gpus}/{gpn} {t:?} rank {r}: {f} > {s}");
+                        }
+                        assert!(fast.intra.alpha_ps() <= fast.intra.wire_ps());
+                        assert!(fast.inter.alpha_ps() <= fast.inter.wire_ps());
+                    }
+                }
+            }
+        }
     }
 }

@@ -62,28 +62,6 @@ impl HardwareConfig {
         gpus.div_ceil(self.gpus_per_node)
     }
 
-    /// Effective link bandwidth for a *ring* schedule spanning `gpus`
-    /// GPUs. In a ring each GPU sends to exactly one neighbour per step,
-    /// so only one GPU per node uses the Infiniband pipe at a time; the
-    /// step rate is bounded by the slowest link on the ring.
-    pub fn ring_bandwidth(&self, gpus: usize) -> f64 {
-        assert!(gpus >= 1);
-        if gpus <= self.gpus_per_node {
-            self.intra_node_bw
-        } else {
-            self.inter_node_bw.min(self.intra_node_bw)
-        }
-    }
-
-    /// Per-hop message latency for a job spanning `gpus` GPUs.
-    pub fn ring_latency(&self, gpus: usize) -> f64 {
-        if gpus <= self.gpus_per_node {
-            self.intra_latency
-        } else {
-            self.inter_latency
-        }
-    }
-
     /// Aggregate peak FLOP/s for `gpus` GPUs.
     pub fn cluster_peak_flops(&self, gpus: usize) -> f64 {
         self.peak_flops * gpus as f64
@@ -93,6 +71,7 @@ impl HardwareConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CostModel, Tier, TierBytes, Topology};
 
     #[test]
     fn table2_constants() {
@@ -113,9 +92,23 @@ mod tests {
 
     #[test]
     fn multi_node_bandwidth_is_lower() {
-        let hw = HardwareConfig::titan_x_cluster();
-        assert!(hw.ring_bandwidth(16) < hw.ring_bandwidth(8));
-        assert!(hw.ring_latency(16) > hw.ring_latency(8));
+        // Priced where rings are priced: the same bytes take a ring
+        // longer once it leaves the node, and so does each hop.
+        for hw in [
+            HardwareConfig::titan_x_cluster(),
+            HardwareConfig::v100_dgx(),
+        ] {
+            let gpn = hw.gpus_per_node;
+            let cost = CostModel::new(hw, 1.0);
+            let ring = |gpus: usize| {
+                let sent = TierBytes::on(Tier::Intra, 1 << 20);
+                cost.allreduce(sent, gpus, gpn, Topology::Flat, 0).intra
+            };
+            let (one_node, two_nodes) = (ring(gpn), ring(2 * gpn));
+            assert!(two_nodes.beta > one_node.beta);
+            let per_hop = |alpha: f64, gpus: usize| alpha / (2 * (gpus - 1)) as f64;
+            assert!(per_hop(two_nodes.alpha, 2 * gpn) > per_hop(one_node.alpha, gpn));
+        }
     }
 
     #[test]

@@ -179,6 +179,14 @@ fn overlap_never_increases_step_time_and_preserves_losses() {
             o.attribution.overlapped_ps, 0,
             "overlap off must never hide comm"
         );
+        // α is what the ops were priced at, not what stayed exposed:
+        // the same buckets carry the same latency with overlap on,
+        // and with overlap off it is a share of the wire bucket.
+        let alpha = |s: &zipf_lm::StepMetrics| (s.wire_intra_alpha_ps, s.wire_inter_alpha_ps);
+        assert_eq!(alpha(n), alpha(o), "step {}", f.step);
+        assert!(alpha(o).0 > alpha(f).0, "every bucket pays its own α");
+        assert!(alpha(o).0 <= o.attribution.wire_intra_ps);
+        assert!(alpha(o).1 <= o.attribution.wire_inter_ps);
     }
 }
 

@@ -103,6 +103,8 @@ fn step(
         sim_time_ps: a.total_ps(),
         sim_time_s: a.total_ps() as f64 * 1e-12,
         attribution: a,
+        wire_intra_alpha_ps: a.wire_intra_ps * 4 / 5,
+        wire_inter_alpha_ps: a.wire_inter_ps * 9 / 10,
         input_exchange: ExchangeStats {
             wire_bytes: in_wire,
             unique_global,
@@ -178,17 +180,17 @@ fn steps_jsonl_is_byte_stable() {
         "\"wire_ps\":200,\"wire_intra_ps\":150,\"wire_inter_ps\":50,",
         "\"barrier_wait_ps\":80,\"skew_ps\":0,\"self_delay_ps\":0,\"overlapped_ps\":0,",
         "\"dense_bytes\":4096,\"input_wire_bytes\":960,\"output_wire_bytes\":480,",
-        "\"unique_global\":37}\n",
+        "\"unique_global\":37,\"wire_intra_alpha_ps\":120,\"wire_inter_alpha_ps\":45}\n",
         "{\"step\":1,\"train_loss\":4.5,\"sim_time_ps\":7000,\"compute_ps\":700,",
         "\"wire_ps\":190,\"wire_intra_ps\":190,\"wire_inter_ps\":0,",
         "\"barrier_wait_ps\":0,\"skew_ps\":6000,\"self_delay_ps\":0,\"overlapped_ps\":110,",
         "\"dense_bytes\":4096,\"input_wire_bytes\":950,\"output_wire_bytes\":0,",
-        "\"unique_global\":35}\n",
+        "\"unique_global\":35,\"wire_intra_alpha_ps\":152,\"wire_inter_alpha_ps\":0}\n",
         "{\"step\":2,\"train_loss\":null,\"sim_time_ps\":9910,\"compute_ps\":700,",
         "\"wire_ps\":210,\"wire_intra_ps\":0,\"wire_inter_ps\":210,",
         "\"barrier_wait_ps\":0,\"skew_ps\":0,\"self_delay_ps\":9000,\"overlapped_ps\":0,",
         "\"dense_bytes\":4096,\"input_wire_bytes\":955,\"output_wire_bytes\":500,",
-        "\"unique_global\":36}\n",
+        "\"unique_global\":36,\"wire_intra_alpha_ps\":0,\"wire_inter_alpha_ps\":189}\n",
     );
     assert_eq!(report.steps_jsonl(), expected);
 }
@@ -253,7 +255,7 @@ fn steps_jsonl_schema_is_codec_agnostic_and_carries_compressed_bytes() {
         "\"wire_ps\":200,\"wire_intra_ps\":150,\"wire_inter_ps\":50,",
         "\"barrier_wait_ps\":80,\"skew_ps\":0,\"self_delay_ps\":0,\"overlapped_ps\":0,",
         "\"dense_bytes\":3072,\"input_wire_bytes\":512,\"output_wire_bytes\":0,",
-        "\"unique_global\":37}\n",
+        "\"unique_global\":37,\"wire_intra_alpha_ps\":0,\"wire_inter_alpha_ps\":0}\n",
     );
     // Same schema, same bytes: the compressed wire counts are what the
     // line carries, the codec bookkeeping never appears.
