@@ -80,6 +80,12 @@ impl<'a> Iterator for BatchIter<'a> {
             seq_len,
         })
     }
+
+    /// Skips `n` batches without building them.
+    fn nth(&mut self, n: usize) -> Option<Batch> {
+        self.step = self.step.saturating_add(n).min(self.steps);
+        self.next()
+    }
 }
 
 impl ExactSizeIterator for BatchIter<'_> {
@@ -148,6 +154,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn nth_skips_to_the_batch_iteration_reaches() {
+        let tokens: Vec<u32> = (0..1000).collect();
+        let spec = BatchSpec {
+            batch: 3,
+            seq_len: 5,
+        };
+        let all: Vec<Batch> = shard_batches(&tokens, spec, 1, 2).collect();
+        for n in 0..all.len() {
+            let mut it = shard_batches(&tokens, spec, 1, 2);
+            assert_eq!(it.nth(n).as_ref(), Some(&all[n]), "n {n}");
+            assert_eq!(it.len(), all.len() - n - 1);
+        }
+        let mut past_end = shard_batches(&tokens, spec, 1, 2);
+        assert_eq!(past_end.nth(all.len()), None);
+        assert_eq!(past_end.len(), 0);
     }
 
     #[test]

@@ -339,7 +339,8 @@ pub struct CommConfig {
     /// gives up after the bounded retry/backoff budget and the run
     /// fails with a typed timeout instead of hanging on a silent peer.
     /// `None` (the default) parks forever — correct whenever every
-    /// failure announces itself through the abort flag.
+    /// failure announces itself through the abort flag, so a fault plan
+    /// that hangs a rank is rejected without one.
     pub deadline: Option<simgpu::BarrierDeadline>,
 }
 

@@ -2,24 +2,29 @@
 //! GPUs, with the paper's exchange stack in the loop.
 //!
 //! One OS thread per simulated GPU (mirroring the paper's one-GPU-per-
-//! MPI-process setup). Every step:
+//! MPI-process setup). A step is rank-local phases — methods of the
+//! private `step::LoopState`, which never touch the communicator — with
+//! `run_rank`'s collectives (→) between them:
 //!
-//! 1. each rank draws its shard's next batch and runs forward/backward;
-//! 2. dense gradients (LSTM/RHN + projection) are ring-ALLREDUCEd and
-//!    averaged — the part vision models already do well (§II-B);
-//! 3. the input-embedding sparse gradient crosses via the configured
-//!    [`ExchangeConfig`] (baseline ALLGATHER vs uniqueness);
-//! 4. word LMs also exchange the output-embedding gradient, whose
-//!    candidate sets were drawn under the configured
-//!    [`crate::seeding::SeedStrategy`];
-//! 5. transient exchange buffers are charged against the simulated
-//!    device memory (this is where the baseline OOMs, Tables III/IV);
-//! 6. simulated wall-clock time is accumulated from the α–β cost model
-//!    in integer picoseconds: every rank locally fills the same
-//!    per-rank work table and takes the max (synchronous SGD), then
-//!    splits its own share of that step time into the exact
-//!    [`TimeAttribution`] buckets — compute, wire, barrier wait,
-//!    injected skew, own delay.
+//! 1. `compute`: the shard's next batch, forward/backward;
+//!    → the dense gradients (LSTM/RHN + projection) ALLREDUCEd — the
+//!    part vision models already do well (§II-B);
+//!    → the input-embedding sparse gradient, and a word LM's
+//!    output-embedding one (candidates drawn under the configured
+//!    [`crate::seeding::SeedStrategy`]), exchanged and applied via the
+//!    configured [`crate::ExchangeConfig`] (baseline ALLGATHER vs
+//!    uniqueness), their transient buffers charged to the simulated
+//!    device (this is where the baseline OOMs, Tables III/IV);
+//! 2. `apply`: the dense gradient averaged and applied;
+//!    → the loss ALLREDUCE;
+//! 3. `price`: the step on the α–β clock in integer picoseconds — every
+//!    rank reads the same per-rank work table and takes the max
+//!    (synchronous SGD), then splits its own share into the exact
+//!    [`crate::TimeAttribution`] buckets (compute, wire, barrier wait,
+//!    injected skew, own delay) — and recorded;
+//!    → a checkpoint deposit, when due;
+//! 4. `end_epoch` after an epoch's last step (rank 0 validates), and
+//!    `finish` after the run's.
 //!
 //! With `TrainConfig::trace` enabled, each rank additionally records a
 //! [`simgpu::trace::TraceEvent`] per span (compute, collectives,
@@ -40,31 +45,24 @@
 //! (kill-at-step, stragglers, asymmetric limits) is threaded through
 //! [`RunOptions::faults`]; symmetric-failure assumptions are gone.
 
-use crate::checkpoint::{
-    Checkpoint, CheckpointBackend, CheckpointMetrics, CheckpointStore, Fingerprint,
-};
+mod step;
+
+use crate::checkpoint::{Checkpoint, CheckpointBackend, CheckpointStore};
 use crate::config::{DatasetId, ModelKind, TrainConfig};
 use crate::elastic::{self, RecoveryPolicy};
-use crate::eval::{char_valid_loss, word_valid_loss};
-use crate::exchange::{exchange_and_apply_traced, ExchangeConfig, ExchangeScratch, ExchangeStats};
-use crate::metrics::{
-    self, EpochMetrics, HealthEvent, RecoveryEvent, RunTotals, StepMetrics, TimeAttribution,
-    TrainReport,
-};
-use crate::schedule::{self, CommOp};
-use corpus::{shard_batches, train_valid_split, BatchSpec, CorpusGenerator, TokenUnit, Vocab};
-use nn::model::SeqBatch;
-use nn::optimizer::scaled_lr;
-use nn::{CharLm, WordLm};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::exchange::{exchange_and_apply_traced, ExchangeScratch};
+use crate::metrics::{self, HealthEvent, RecoveryEvent, StepMetrics, TrainReport};
+use crate::schedule;
+use corpus::{train_valid_split, CorpusGenerator, TokenUnit, Vocab};
+use nn::{Embedding, SparseGrad};
 use simgpu::{
-    secs_to_ps, CommError, CommGroup, CostModel, Device, FaultPlan, HardwareConfig, OomError, Rank,
-    SimSpan, SimStream, SpanKind, TierCost, Topology, TraceRecorder, Wire,
+    CommError, CommGroup, CostModel, Device, FaultPlan, HardwareConfig, OomError, Rank, SpanKind,
 };
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::thread;
+use std::time::{Duration, Instant};
+use step::{LoopState, ScheduleMemo};
 
 /// Why a training run failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,14 +178,6 @@ impl From<CommError> for TrainError {
         }
     }
 }
-
-/// Maximum validation batches evaluated per epoch (the full validation
-/// stream is used when it is smaller).
-const EVAL_BATCHES: usize = 48;
-
-/// Ring-buffer capacity of each rank's trace recorder: beyond this the
-/// oldest events are overwritten (counted in the log's `dropped`).
-const TRACE_EVENTS_PER_RANK: usize = 65_536;
 
 /// How to run a [`TrainConfig`]. The default is a plain run:
 /// unconstrained devices, no faults, no checkpoint store, from scratch,
@@ -411,7 +401,8 @@ pub fn run(cfg: &TrainConfig, opts: &RunOptions) -> RunOutcome {
 /// What no rank could execute, as a typed error instead of a panic in
 /// the caller's thread (zero ranks or epochs) or in every rank's (an
 /// empty batch, a zero-symbol alphabet, a fault that could never fire,
-/// a compression scale the collectives assert on).
+/// a compression scale the collectives assert on, a silent rank nothing
+/// would ever time out).
 fn validate(cfg: &TrainConfig, plan: &FaultPlan) -> Result<(), TrainError> {
     let invalid = |reason: String| Err(TrainError::InvalidConfig { reason });
     for (name, value) in [
@@ -433,6 +424,13 @@ fn validate(cfg: &TrainConfig, plan: &FaultPlan) -> Result<(), TrainError> {
             world: cfg.gpus,
         });
     }
+    let hang = (0..cfg.gpus).find_map(|r| plan.hang_at(r).map(|step| (r, step)));
+    if let Some((rank, step)) = hang.filter(|_| cfg.comm.deadline.is_none()) {
+        return invalid(format!(
+            "the fault plan hangs rank {rank} at step {step} but `comm.deadline` is unset, \
+             so its peers would wait for it forever"
+        ));
+    }
     match cfg.method.compression {
         Some(scale) if !(scale.is_finite() && scale > 0.0) => invalid(format!(
             "compression scale must be positive and finite, got {scale}"
@@ -452,9 +450,11 @@ struct RunCtx<'a> {
     plan: &'a FaultPlan,
     store: Option<&'a CheckpointStore>,
     resume: Option<&'a Checkpoint>,
-    /// The current step's table of every rank's critical path, priced
-    /// by whichever rank gets to it first (see
-    /// [`StepSchedule::price_all_shared`]).
+    /// Resolved GPUs per node — the communicator's node layout.
+    gpn: usize,
+    /// The round's table of every rank's critical path, priced by
+    /// whichever rank gets to a step's load first (see
+    /// `StepSchedule::price_all_shared`).
     schedule_memo: Mutex<ScheduleMemo>,
 }
 
@@ -512,6 +512,7 @@ fn run_round(
         plan,
         store,
         resume,
+        gpn,
         schedule_memo: Mutex::new(ScheduleMemo::new(cfg.gpus)),
     };
     let mut results: Vec<Result<TrainReport, TrainError>> = simgpu::run_ranks(ranks, |rank| {
@@ -606,607 +607,18 @@ fn prepare_data(cfg: &TrainConfig) -> (Vec<u32>, Vec<u32>, usize) {
     }
 }
 
-/// One rank's training replica: either model kind behind one interface.
-enum Replica {
-    Word(WordLm),
-    Char(CharLm),
-}
-
-struct StepOutcome {
-    loss: f64,
-    dense: Vec<f32>,
-    input_grad: nn::SparseGrad,
-    output_grad: Option<nn::SparseGrad>,
-}
-
-impl Replica {
-    fn new(cfg: &TrainConfig, model_vocab: usize) -> Self {
-        match cfg.model {
-            ModelKind::Word { .. } | ModelKind::WordCustom(_) => {
-                let mut mc = cfg.model.word_config();
-                mc.vocab = model_vocab;
-                mc.samples = mc.samples.min(model_vocab / 2).max(1);
-                Replica::Word(WordLm::new(cfg.seed, mc))
-            }
-            ModelKind::Char { .. } | ModelKind::CharCustom(_) => {
-                Replica::Char(CharLm::new(cfg.seed, cfg.model.char_config()))
-            }
-        }
-    }
-
-    fn step(&self, batch: &SeqBatch, sample_seed: u64) -> StepOutcome {
-        match self {
-            Replica::Word(m) => {
-                let mut rng = StdRng::seed_from_u64(sample_seed);
-                let g = m.forward_backward(batch, &mut rng);
-                StepOutcome {
-                    loss: g.loss,
-                    dense: g.dense,
-                    input_grad: g.input_grad,
-                    output_grad: Some(g.output_grad),
-                }
-            }
-            Replica::Char(m) => {
-                let g = m.forward_backward(batch);
-                StepOutcome {
-                    loss: g.loss,
-                    dense: g.dense,
-                    input_grad: g.input_grad,
-                    output_grad: None,
-                }
-            }
-        }
-    }
-
-    fn apply_dense(&mut self, flat: &[f32], lr: f32) {
-        match self {
-            Replica::Word(m) => m.apply_dense(flat, lr),
-            Replica::Char(m) => m.apply_dense(flat, lr),
-        }
-    }
-
-    fn input_table(&mut self) -> &mut nn::Embedding {
-        match self {
-            Replica::Word(m) => m.input_embedding_mut(),
-            Replica::Char(m) => m.input_embedding_mut(),
-        }
-    }
-
-    fn output_table(&mut self) -> Option<&mut nn::Embedding> {
-        match self {
-            Replica::Word(m) => Some(m.output_embedding_mut()),
-            Replica::Char(_) => None,
-        }
-    }
-
-    fn embed_dim(&self) -> usize {
-        match self {
-            Replica::Word(m) => m.config().embed_dim,
-            Replica::Char(m) => m.config().embed_dim,
-        }
-    }
-
-    fn param_vector_len(&self) -> usize {
-        match self {
-            Replica::Word(m) => m.param_vector_len(),
-            Replica::Char(m) => m.param_vector_len(),
-        }
-    }
-
-    fn param_bytes(&self) -> u64 {
-        // Parameters + gradients + optimizer scratch, FP32.
-        (self.param_vector_len() as u64) * 4 * 3
-    }
-
-    fn valid_loss(&self, tokens: &[u32], batch: usize, seq_len: usize) -> f64 {
-        match self {
-            Replica::Word(m) => word_valid_loss(m, tokens, batch, seq_len, EVAL_BATCHES),
-            Replica::Char(m) => char_valid_loss(m, tokens, batch, seq_len, EVAL_BATCHES),
-        }
-    }
-
-    fn param_vector(&self) -> Vec<f32> {
-        match self {
-            Replica::Word(m) => m.param_vector(),
-            Replica::Char(m) => m.param_vector(),
-        }
-    }
-
-    fn load_param_vector(&mut self, flat: &[f32]) {
-        match self {
-            Replica::Word(m) => m.load_param_vector(flat),
-            Replica::Char(m) => m.load_param_vector(flat),
-        }
-    }
-}
-
-/// One rank's step-loop state: what a snapshot captures and a resume
-/// restores.
-struct LoopState {
-    replica: Replica,
-    /// The exact learning rate in effect (decayed per epoch).
-    lr: f32,
-    global_step: u64,
-    report: TrainReport,
-    /// Run totals at the resume point (zero on a fresh start); the
-    /// totals now are this plus the fold over `report.steps`.
-    base: RunTotals,
-}
-
-impl LoopState {
-    /// The run totals so far: *resume base + Σ steps*.
-    fn totals(&self, cfg: &TrainConfig) -> RunTotals {
-        self.base.plus(&self.report.steps, cfg.method.unique)
-    }
-
-    /// Builds a bit-exact snapshot at a step boundary, `step_in_epoch`
-    /// steps into `epoch` with that epoch's partial loss and simulated
-    /// time. Only deterministic quantities are captured — see the
-    /// module docs of [`crate::checkpoint`] for what is deliberately
-    /// excluded.
-    fn snapshot(
-        &self,
-        ctx: &RunCtx,
-        rank: usize,
-        epoch: u32,
-        step_in_epoch: u64,
-        epoch_loss: f64,
-        epoch_time_ps: u64,
-    ) -> Checkpoint {
-        let totals = self.totals(ctx.cfg);
-        Checkpoint {
-            world: ctx.cfg.gpus as u32,
-            rank: rank as u32,
-            step: self.global_step,
-            epoch,
-            step_in_epoch,
-            lr: self.lr,
-            fingerprint: Fingerprint::of(ctx.cfg, ctx.model_vocab),
-            params: self.replica.param_vector(),
-            metrics: CheckpointMetrics {
-                epochs: self.report.epochs.clone(),
-                epoch_loss,
-                epoch_time_ps,
-                unique_sum: totals.unique_sum,
-                unique_count: totals.unique_count,
-                attribution: totals.attribution,
-            },
-        }
-    }
-}
-
-/// The step's op schedule, priced for any rank — the rank-invariant
-/// inputs of the local, communication-free step-time model.
-///
-/// Every rank constructs the *same* `StepSchedule` (payload sizes are
-/// rank-invariant: `local_tokens` is `batch·seq_len` (+ samples) on
-/// every rank and `unique_global` is synchronised by construction),
-/// and pricing and evaluating every rank `q`'s op list via
-/// [`Self::ops_for`] + [`schedule::evaluate`] is pure arithmetic on it —
-/// so all ranks derive the same synchronous step time
-/// `T = max_q critical_path(q)` without any extra simulated
-/// communication. Since the table is the same everywhere, the ranks of
-/// a round price it once per step between them
-/// ([`Self::price_all_shared`]), not once each.
-///
-/// Launch order is readiness order: the unique path's index
-/// ALLGATHERs first (ready at 0 — the token indices are known the
-/// moment the batch loads), then the gradient-dependent ops in
-/// production order — dense ALLREDUCE buckets, input-exchange `Ug×D`
-/// ALLREDUCE buckets, output exchange likewise. Readiness follows the
-/// uniform gradient-production model ([`schedule::ready_at`]): the
-/// backward pass emits the step's gradient elements at a constant rate
-/// over `compute_ps` in call order, so bucket `i` of a payload becomes
-/// ready when its last element exists. With `overlap` off every op is
-/// pinned ready at `compute_ps`, op order stops mattering (the
-/// evaluation degenerates to the serial sum), and
-/// [`schedule::evaluate`] reproduces the legacy serial
-/// `compute + wire + touch` sum bit for bit.
-struct StepSchedule<'a> {
-    cost: &'a CostModel,
-    xcfg: &'a ExchangeConfig,
-    gpus: usize,
-    /// Resolved node layout (the tier the recorder buckets by).
-    gpn: usize,
-    overlap: bool,
-    /// Wire format of every gradient ALLREDUCE. Under a codec, wire
-    /// bytes scale by the measured enc/raw ratio of each payload and
-    /// the encode+decode compute is priced via
-    /// [`CostModel::codec_time`].
-    wire: Wire<'static>,
-    /// What this step's dense ALLREDUCE put on the wire (`enc == raw`
-    /// when no codec is active).
-    dense_wire: schedule::ReducedBytes,
-    compute_ps: u64,
-    dense_elems: usize,
-    in_stats: ExchangeStats,
-    dim: usize,
-    out_stats: Option<ExchangeStats>,
-    out_dim: usize,
-    /// Total gradient elements produced by the backward pass (dense +
-    /// both exchanges' payloads) — the denominator of the production
-    /// model.
-    total_grad_elems: u64,
-}
-
-/// What [`StepSchedule::ops_for`] reads of one exchange's stats, all of
-/// it synchronised across ranks: `local_tokens`, `unique_global`,
-/// `index_enc_bytes`, `reduce_enc_bytes`, `reduce_raw_bytes`. The rest
-/// of [`ExchangeStats`] (`timings`, local counts) differs per rank and
-/// prices nothing.
-type ExchangeKey = [u64; 5];
-
-fn exchange_key(stats: &ExchangeStats) -> ExchangeKey {
-    [
-        stats.local_tokens as u64,
-        stats.unique_global as u64,
-        stats.index_enc_bytes,
-        stats.reduce_enc_bytes,
-        stats.reduce_raw_bytes,
-    ]
-}
-
-/// The step and every per-step input of [`StepSchedule::ops_for`]. The
-/// schedule's remaining fields (`cost`, `xcfg`, `gpus`, `gpn`,
-/// `overlap`, `wire`) are fixed for a round, which is also the lifetime
-/// of a [`ScheduleMemo`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ScheduleKey {
-    global_step: u64,
-    compute_ps: u64,
-    dense_elems: usize,
-    dense_wire: (u64, u64),
-    in_stats: ExchangeKey,
-    dim: usize,
-    out_stats: Option<ExchangeKey>,
-    out_dim: usize,
-    total_grad_elems: u64,
-}
-
-/// Every rank's critical path for the step `key` names; `key` is unset
-/// while `work_ps` is being written.
-#[derive(Debug)]
-struct ScheduleMemo {
-    key: Option<ScheduleKey>,
-    work_ps: Vec<u64>,
-}
-
-impl ScheduleMemo {
-    /// An empty memo for a round of `gpus` ranks. The table is sized
-    /// here, by the driver thread before the ranks spawn: allocated
-    /// lazily by the first rank to price a step it lived in that
-    /// thread's malloc arena and cost `word_exchange_full_g8` ≈10 MB of
-    /// peak RSS (10/10 runs).
-    fn new(gpus: usize) -> Self {
-        ScheduleMemo {
-            key: None,
-            work_ps: vec![0; gpus],
-        }
-    }
-}
-
-impl StepSchedule<'_> {
-    fn key(&self, global_step: u64) -> ScheduleKey {
-        ScheduleKey {
-            global_step,
-            compute_ps: self.compute_ps,
-            dense_elems: self.dense_elems,
-            dense_wire: (self.dense_wire.enc, self.dense_wire.raw),
-            in_stats: exchange_key(&self.in_stats),
-            dim: self.dim,
-            out_stats: self.out_stats.as_ref().map(exchange_key),
-            out_dim: self.out_dim,
-            total_grad_elems: self.total_grad_elems,
-        }
-    }
-
-    /// Prices and evaluates every rank's op list: `work_ps[q]` becomes
-    /// rank `q`'s critical path this step.
-    fn price_all(&self, ops: &mut Vec<CommOp>, work_ps: &mut [u64]) {
-        for (q, w) in work_ps.iter_mut().enumerate() {
-            let (apply_ps, _) = self.ops_for(ops, q, false);
-            *w = schedule::evaluate(self.compute_ps, apply_ps, ops).total_ps;
-        }
-    }
-
-    /// [`Self::price_all`], once per step instead of once per rank:
-    /// every rank arrives at the same table, so the first to get here
-    /// prices it into `memo` and the others copy it. A rank whose key
-    /// differs — its inputs were not the first arriver's, which the
-    /// synchronised stats rule out — prices its own table from its own
-    /// inputs, so a hit never decides a result. The lock is held only
-    /// while pricing or copying, never across a collective: a rank that
-    /// dies or hangs cannot strand a peer on it.
-    fn price_all_shared(
-        &self,
-        memo: &Mutex<ScheduleMemo>,
-        global_step: u64,
-        ops: &mut Vec<CommOp>,
-        work_ps: &mut [u64],
-    ) {
-        let key = self.key(global_step);
-        let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if memo.key != Some(key) {
-            memo.key = None;
-            self.price_all(ops, &mut memo.work_ps);
-            memo.key = Some(key);
-        }
-        work_ps.copy_from_slice(&memo.work_ps);
-    }
-
-    /// Gradient elements an exchange's collective payload carries (the
-    /// production-model weight of that exchange).
-    fn exchange_grad_elems(xcfg: &ExchangeConfig, stats: &ExchangeStats, dim: usize) -> usize {
-        if xcfg.unique {
-            stats.unique_global * dim
-        } else {
-            stats.local_tokens * dim
-        }
-    }
-
-    /// Ready time of a gradient payload whose last element is the
-    /// `cum_elems`-th produced this step; pinned to `compute_ps` when
-    /// overlap is off (serial schedule).
-    fn grad_ready(&self, cum_elems: u64) -> u64 {
-        if self.overlap {
-            schedule::ready_at(self.compute_ps, cum_elems * 4, self.total_grad_elems * 4)
-        } else {
-            self.compute_ps
-        }
-    }
-
-    /// Scales identity wire bytes by a payload's measured enc/raw
-    /// codec ratio in exact integer arithmetic (`u128` — no rounding
-    /// drift across ranks, and a byte-exact no-op when `enc == raw`).
-    fn scaled(bytes: u64, enc: u64, raw: u64) -> u64 {
-        if raw == 0 || enc == raw {
-            bytes
-        } else {
-            ((bytes as u128 * enc as u128) / raw as u128) as u64
-        }
-    }
-
-    /// Picoseconds a wire codec spends on `raw_bytes` of payload — zero
-    /// without one. Codecs run on-node before the NIC, so callers add
-    /// this to an op's intra tier.
-    fn codec_ps(&self, codec: Option<&dyn simgpu::WireCodec>, raw_bytes: u64) -> u64 {
-        codec.map_or(0, |c| {
-            secs_to_ps(self.cost.codec_time(raw_bytes, c.throughput_bps()))
-        })
-    }
-
-    /// Appends one unique exchange's index ALLGATHER, priced under the
-    /// config's topology like the ALLREDUCEs, so a hierarchical run's
-    /// collectives agree about which peers are node-local. The indices
-    /// are known the moment the batch loads, so with overlap on the op
-    /// is ready at 0 — which is also why [`Self::ops_for`] launches
-    /// these *first*: they are the only ops that can cover the head of
-    /// the compute window, before any gradient exists.
-    fn push_index_gather(&self, w: &mut Walk, stats: &ExchangeStats, label: &'static str) {
-        // With an index codec each rank publishes its encoded frame;
-        // pricing uses the synchronized mean frame (`index_enc_bytes`
-        // is the Σ over ranks, identical everywhere), scaled in exact
-        // integer math so identity stays bit-for-bit the legacy price.
-        let raw = stats.local_tokens as u64 * 4;
-        let bytes = Self::scaled(raw, stats.index_enc_bytes, raw * self.gpus as u64);
-        let price = self
-            .cost
-            .allgather(bytes, self.gpus, self.gpn, self.xcfg.topology(), w.q);
-        // One encode over the own frame + G decodes of gathered
-        // frames — (G+1)·K·4 raw bytes through the codec kernel.
-        let codec_ps = self.codec_ps(self.xcfg.codec.index_codec(), (self.gpus as u64 + 1) * raw);
-        let ready_ps = if self.overlap { 0 } else { self.compute_ps };
-        w.push(label, 0, price, codec_ps, ready_ps);
-    }
-
-    /// Appends one op per gradient bucket of an `n`-element ALLREDUCE
-    /// payload — the same [`schedule::buckets`] walk the collectives
-    /// took, each bucket priced on the rank's exact per-tier bytes
-    /// under the config's topology — advancing the gradient production
-    /// cursor. With a codec the identity byte counts shrink by the
-    /// payload's measured `(enc, raw)` ratio (1 exactly when no codec
-    /// is active) and the encode+decode passes (one over sent chunks,
-    /// one over received — ≈ 2× the identity send volume) are charged
-    /// as codec time.
-    fn push_allreduce_buckets(
-        &self,
-        w: &mut Walk,
-        label: &'static str,
-        n: usize,
-        (enc, raw): (u64, u64),
-    ) {
-        let (elem, topology) = (self.wire.elem_bytes(), self.xcfg.topology());
-        let walk = schedule::buckets(n, elem, self.xcfg.bucket_bytes);
-        for (bucket, range) in walk.enumerate() {
-            let ident =
-                simgpu::allreduce_send_bytes(range.len(), self.gpus, self.gpn, topology, w.q, elem);
-            let sent = simgpu::TierBytes {
-                intra: Self::scaled(ident.intra, enc, raw),
-                inter: Self::scaled(ident.inter, enc, raw),
-            };
-            let price = self
-                .cost
-                .allreduce(sent, self.gpus, self.gpn, topology, w.q);
-            let codec_ps = self.codec_ps(self.wire.codec(), 2 * ident.total());
-            w.cum += range.len() as u64;
-            w.push(
-                label,
-                bucket as u32,
-                price,
-                codec_ps,
-                self.grad_ready(w.cum),
-            );
-        }
-    }
-
-    /// Appends one exchange's gradient-dependent ops (advancing the
-    /// gradient production cursor) and returns its local memory-touch
-    /// (apply) picoseconds. The unique path's index ALLGATHER is *not*
-    /// emitted here — see [`Self::push_index_gather`].
-    fn push_exchange_ops(
-        &self,
-        w: &mut Walk,
-        stats: &ExchangeStats,
-        dim: usize,
-        (gather_label, reduce_label): (&'static str, &'static str),
-    ) -> u64 {
-        let rows = if self.xcfg.unique {
-            // Ug×D ALLREDUCE gradient buckets.
-            self.push_allreduce_buckets(
-                w,
-                reduce_label,
-                stats.unique_global * dim,
-                (stats.reduce_enc_bytes, stats.reduce_raw_bytes),
-            );
-            stats.unique_global
-        } else {
-            // Baseline: one dense ALLGATHER of K×D rows + indices, on
-            // the flat ring whatever the config's topology — the
-            // payload *is* the gradient, so it is ready only once its
-            // rows are produced — then a Θ(G·K·D) local update touch.
-            w.cum += (stats.local_tokens * dim) as u64;
-            let bytes = stats.local_tokens as u64 * (dim as u64 * self.wire.elem_bytes() + 4);
-            let price = self
-                .cost
-                .allgather(bytes, self.gpus, self.gpn, Topology::Flat, w.q);
-            w.push(gather_label, 0, price, 0, self.grad_ready(w.cum));
-            self.gpus * stats.local_tokens
-        };
-        secs_to_ps(self.cost.memory_touch_time(rows as u64 * dim as u64 * 4))
-    }
-
-    /// Rebuilds `ops` with rank `q`'s full op list for this step, in
-    /// program order, and returns `q`'s apply (memory-touch)
-    /// picoseconds — the inputs of [`schedule::evaluate`] — and, for
-    /// the `own` rank, the α of the ops it priced as `[intra, inter]`
-    /// (zero otherwise: a peer's α is never quantised). `ops` is a
-    /// caller-hoisted buffer so the steady-state loop stays
-    /// allocation-free.
-    fn ops_for(&self, ops: &mut Vec<CommOp>, q: usize, own: bool) -> (u64, [u64; 2]) {
-        ops.clear();
-        let mut w = Walk {
-            q,
-            ops,
-            cum: 0,
-            alpha_ps: own.then_some([0; 2]),
-        };
-        // Unique-path index ALLGATHERs launch first: ready at batch
-        // load, they are the only comm the schedule can run before the
-        // backward pass produces its first gradient bucket. (Baseline
-        // ALLGATHERs carry the gradient rows themselves and stay in
-        // production order below.)
-        if self.xcfg.unique {
-            self.push_index_gather(&mut w, &self.in_stats, "in_allgather");
-            if let Some(stats) = &self.out_stats {
-                self.push_index_gather(&mut w, stats, "out_allgather");
-            }
-        }
-        // Dense gradient buckets (LSTM/RHN + projection).
-        self.push_allreduce_buckets(
-            &mut w,
-            "dense_allreduce",
-            self.dense_elems,
-            (self.dense_wire.enc, self.dense_wire.raw),
-        );
-        let labels = ("in_allgather", "in_grad_allreduce");
-        let mut apply = self.push_exchange_ops(&mut w, &self.in_stats, self.dim, labels);
-        if let Some(stats) = &self.out_stats {
-            let labels = ("out_allgather", "out_grad_allreduce");
-            apply += self.push_exchange_ops(&mut w, stats, self.out_dim, labels);
-        }
-        debug_assert_eq!(w.cum, self.total_grad_elems);
-        (apply, w.alpha_ps.unwrap_or_default())
-    }
-}
-
-/// One rank's walk over a step's collectives, in program order.
-struct Walk<'a> {
-    /// The rank being priced.
-    q: usize,
-    ops: &'a mut Vec<CommOp>,
-    /// Gradient elements produced up to the last op pushed.
-    cum: u64,
-    /// Σ α of the ops pushed, `[intra, inter]` — kept for the own rank
-    /// only.
-    alpha_ps: Option<[u64; 2]>,
-}
-
-impl Walk<'_> {
-    /// Appends one priced collective: each tier's α + β quantised as
-    /// one term is the op's time on that tier (`codec_ps` joins the
-    /// intra tier), its α quantised on its own joins the α account.
-    fn push(
-        &mut self,
-        label: &'static str,
-        bucket: u32,
-        price: TierCost,
-        codec_ps: u64,
-        ready_ps: u64,
-    ) {
-        if let Some([intra, inter]) = &mut self.alpha_ps {
-            *intra += price.intra.alpha_ps();
-            *inter += price.inter.alpha_ps();
-        }
-        self.ops.push(CommOp {
-            label,
-            bucket,
-            intra_ps: price.intra.wire_ps() + codec_ps,
-            inter_ps: price.inter.wire_ps(),
-            ready_ps,
-        });
-    }
-}
-
+/// One rank's step loop — the only step-loop code that touches the
+/// communicator or the device. Everything between its collectives is a
+/// phase of [`LoopState`], which communicates nothing.
 fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainReport, TrainError> {
-    let &RunCtx {
-        cfg,
-        train_tokens,
-        valid_tokens,
-        cost,
-        plan,
-        ..
-    } = ctx;
-    let spec = BatchSpec {
-        batch: cfg.batch,
-        seq_len: cfg.seq_len,
-    };
-    let g = cfg.gpus;
-    let r = rank.rank();
-    let is_rank0 = r == 0;
-    // The rank's group carries the resolved node layout; the exchange
-    // config inherits it only when the hierarchical schedule is on, so
-    // `comm.hierarchical = false` keeps every collective on the flat
-    // ring regardless of topology.
-    let gpn = rank.gpus_per_node();
-    let xcfg = ExchangeConfig {
-        unique: cfg.method.unique,
-        compression: cfg.method.compression,
-        gpus_per_node: if cfg.comm.hierarchical { gpn } else { 0 },
-        bucket_bytes: cfg.comm.bucket_bytes,
-        codec: cfg.comm.codec,
-    };
-    let hw_gpus_per_node = cost.hardware().gpus_per_node;
-    // LR scaling stays a property of the hardware preset, not of the
-    // topology override — topology must never change results.
-    let mut st = LoopState {
-        replica: Replica::new(cfg, ctx.model_vocab),
-        lr: scaled_lr(cfg.base_lr, g, hw_gpus_per_node),
-        global_step: 0,
-        report: TrainReport::default(),
-        base: RunTotals::default(),
-    };
+    let (cfg, plan, r, g) = (ctx.cfg, ctx.plan, rank.rank(), ctx.cfg.gpus);
+    let mut st = LoopState::new(ctx, r);
+    let xcfg = st.sched.xcfg;
 
-    // Opt-in tracing: a per-rank ring recorder. When disabled, nothing
-    // here allocates and every hot-path trace site is one `None`
-    // branch. Tracing and fleet metrics both read the step's
-    // barrier-wait wall time, so either turns the communicator's wait
-    // accounting on (before the abort guard borrows `rank`).
-    let mut recorder = cfg
-        .trace
-        .enabled
-        .then(|| TraceRecorder::new(r as u32, TRACE_EVENTS_PER_RANK));
-    let track_waits = cfg.trace.enabled || cfg.metrics.enabled;
-    if track_waits {
+    // Tracing and fleet metrics both read the step's barrier-wait wall
+    // time, so either turns the communicator's wait accounting on
+    // (before the abort guard borrows `rank`).
+    if cfg.trace.enabled || cfg.metrics.enabled {
         rank.enable_wait_tracking();
     }
 
@@ -1217,499 +629,158 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
     // wins, so the guard's generic reason only surfaces for surprises.
     let guard = rank.abort_on_drop(format!("rank {r} exited the step loop early"));
 
-    // Persistent model memory.
-    let _model_alloc = device.try_alloc(st.replica.param_bytes()).map_err(|e| {
+    // Persistent model memory: parameters + gradients + optimizer
+    // scratch, FP32.
+    let param_bytes = st.replica.param_vector_len() as u64 * 4 * 3;
+    let _model_alloc = device.try_alloc(param_bytes).map_err(|e| {
         rank.abort(format!("rank {r} OOM on model parameters: {e}"));
         TrainError::Oom(e)
     })?;
-
-    // Resume: restore parameters, counters, the exact learning rate and
-    // every deterministic metric accumulator from the snapshot. No RNG
-    // state exists to restore — the corpus/split were regenerated above
-    // from `cfg.seed`, and sampled-softmax streams are re-seeded from
-    // `global_step` each step — so from here the run is bit-identical
-    // to one that never stopped (asserted in `tests/elastic_recovery.rs`).
-    // Per-step telemetry (`TrainReport::steps`, traffic, traces) restarts at
-    // the resume point by design; it is wall-clock or run-local.
-    let mut start_epoch = 0usize;
-    let mut resume_skip = 0usize;
-    let mut resume_epoch_loss = 0.0f64;
-    let mut resume_epoch_time_ps = 0u64;
     if let Some(ck) = ctx.resume {
-        // The fingerprint pins the dimensions, not the flat layout's
-        // length: a snapshot written under another layout (or built by
-        // hand — `Checkpoint`'s fields are public) is refused here, by
-        // the same count the snapshot was taken with, not by the
-        // loader's assert.
-        let (have, want) = (ck.params.len(), st.replica.param_vector_len());
-        if have != want {
-            let reason = format!(
-                "checkpoint holds {have} parameters, this configuration's model has {want}"
-            );
+        st.restore(ck).map_err(|reason| {
             rank.abort(reason.clone());
-            return Err(TrainError::InvalidCheckpoint { reason });
-        }
-        st.replica.load_param_vector(&ck.params);
-        st.lr = ck.lr;
-        st.global_step = ck.step;
-        start_epoch = ck.epoch as usize;
-        resume_skip = ck.step_in_epoch as usize;
-        resume_epoch_loss = ck.metrics.epoch_loss;
-        resume_epoch_time_ps = ck.metrics.epoch_time_ps;
-        st.report.epochs = ck.metrics.epochs.clone();
-        st.base = RunTotals {
-            attribution: ck.metrics.attribution,
-            unique_sum: ck.metrics.unique_sum,
-            unique_count: ck.metrics.unique_count,
-        };
-    }
-    // Per-table scratch pools: after the first step every exchange runs
-    // allocation-free on reused buffers.
-    let mut in_scratch = ExchangeScratch::new();
-    let mut out_scratch = ExchangeScratch::new();
-
-    // Step-time model table, hoisted so the loop stays allocation-free:
-    // every rank holds every rank's modelled work (see `StepSchedule`),
-    // takes the max, and so derives the *same* synchronous step time
-    // without any extra simulated communication.
-    let mut work_ps: Vec<u64> = vec![0; g];
-    // Hoisted op buffer for the schedule evaluation (cleared and
-    // rebuilt per priced rank — capacity persists, so the loop stays
-    // allocation-free once warm).
-    let mut ops: Vec<CommOp> = Vec::new();
-    // Cumulative simulated time — the base offset of this step's spans
-    // on the simulated timeline (`TrainReport::sim_spans`).
-    let mut sim_clock_ps: u64 = 0;
-    let delay_ps: Vec<u64> = (0..g)
-        .map(|q| {
-            plan.straggler_delay(q).map_or(0, |d| {
-                u64::try_from(d.as_nanos()).unwrap_or(u64::MAX / 2000) * 1000
-            })
-        })
-        .collect();
-
-    for epoch in start_epoch..cfg.epochs {
-        let mut iter = shard_batches(train_tokens, spec, r, g);
-        let steps = if cfg.steps_per_epoch > 0 {
-            cfg.steps_per_epoch
-        } else {
-            iter.len()
-        };
-        let resumed_here = ctx.resume.is_some() && epoch == start_epoch;
-        let first_step = if resumed_here {
-            resume_skip.min(steps)
-        } else {
-            0
-        };
-        let (mut epoch_loss, mut epoch_time_ps) = if resumed_here {
-            (resume_epoch_loss, resume_epoch_time_ps)
-        } else {
-            (0.0f64, 0u64)
-        };
-        if first_step > 0 {
-            // Re-entering mid-epoch: discarding `first_step mod len`
-            // batches from a fresh iterator lands on exactly the batch
-            // the interrupted run would have drawn next (the shard
-            // iterator is recreated whenever it drains, so positions
-            // are periodic in its length).
-            let len = iter.len().max(1);
-            for _ in 0..first_step % len {
-                iter.next();
-            }
-        }
-
-        for s in first_step..steps {
-            let global_step = st.global_step;
-            if plan.should_die(r, global_step as usize) {
-                let reason = format!("rank {r} killed by fault plan at step {global_step}");
-                rank.abort(reason.clone());
-                return Err(TrainError::PeerFailure { rank: r, reason });
-            }
-            if plan.should_hang(r, global_step as usize) {
-                // Go silent: stop calling collectives but never abort.
-                // Peers hang at their next barrier until a configured
-                // deadline (`cfg.comm.deadline`) poisons the group with
-                // `CommError::Timeout`; this rank then observes the
-                // poison and returns the same typed error instead of
-                // parking forever.
-                loop {
-                    if let Err(e) = rank.check_abort() {
-                        return Err(e.into());
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            }
-            if plan.wire_corruption_at(r) == Some(global_step as usize) {
-                // Arm the one-shot latch: the next codec frame this
-                // rank publishes is damaged in flight and every decoder
-                // attributes the corruption to this rank.
-                rank.corrupt_next_codec_frame();
-            }
-            if let Some(rec) = recorder.as_mut() {
-                rec.set_step(global_step);
-            }
-            if let Some(delay) = plan.straggler_delay(r) {
-                let t0 = recorder.as_ref().map(|rec| rec.now_ns());
-                std::thread::sleep(delay);
-                if let Some(rec) = recorder.as_mut() {
-                    rec.record_since(SpanKind::StragglerDelay, t0.unwrap_or(0), 0);
-                }
-            }
-            let batch = match iter.next() {
-                Some(b) => b,
-                None => {
-                    iter = shard_batches(train_tokens, spec, r, g);
-                    iter.next().expect("shard emptied unexpectedly")
-                }
-            };
-            let sb = SeqBatch::from_lane_major(
-                &batch.inputs,
-                &batch.targets,
-                batch.batch,
-                batch.seq_len,
-            );
-            let sample_seed =
-                cfg.method
-                    .seeding
-                    .seed_for(cfg.seed ^ SAMPLE_SEED, r, g, global_step);
-            let t0 = recorder.as_ref().map(|rec| rec.now_ns());
-            let out = st.replica.step(&sb, sample_seed);
-            if let Some(rec) = recorder.as_mut() {
-                rec.record_since(SpanKind::Compute, t0.unwrap_or(0), 0);
-            }
-
-            // Dense ALLREDUCE + average, one collective call per gradient
-            // bucket (`comm.bucket_bytes`; a single whole-payload call
-            // when 0). Wire format and topology are independent
-            // parameters of the one collective, so compressed payloads
-            // ride the hierarchical route like any other. Reduction is
-            // elementwise under a canonical leader order, so neither the
-            // slicing nor the topology moves a bit. The bytes are the
-            // collective's own: this rank's exact share of the active
-            // wire schedule, as charged to the traffic recorder (a codec
-            // prices the *reduced* — summed, pre-average — payload).
-            let mut dense = out.dense;
-            let t0 = recorder.as_ref().map(|rec| rec.now_ns());
-            let dense_wire = schedule::all_reduce_bucketed(
-                &rank,
-                &mut dense,
-                xcfg.grad_wire(),
-                xcfg.topology(),
-                xcfg.bucket_bytes,
-            )?;
-            let dense_bytes = dense_wire.sent.total();
-            let inv_g = 1.0 / g as f32;
-            for v in &mut dense {
-                *v *= inv_g;
-            }
-            if let Some(rec) = recorder.as_mut() {
-                rec.record_since(SpanKind::AllReduce, t0.unwrap_or(0), dense_bytes);
-            }
-
-            // Embedding exchanges (applied with lr/G: sum → average).
-            let dim = st.replica.embed_dim();
-            let lr_eff = st.lr * inv_g;
-            let in_grad = out.input_grad;
-            let in_stats = exchange_and_apply_traced(
-                &rank,
-                &in_grad,
-                st.replica.input_table(),
-                lr_eff,
-                &xcfg,
-                &mut in_scratch,
-                recorder.as_mut(),
-            )?;
-            let out_stats = match (out.output_grad, st.replica.output_table()) {
-                (Some(grad), Some(table)) => Some(exchange_and_apply_traced(
-                    &rank,
-                    &grad,
-                    table,
-                    lr_eff,
-                    &xcfg,
-                    &mut out_scratch,
-                    recorder.as_mut(),
-                )?),
-                _ => None,
-            };
-
-            // Charge transient buffers against the device. Capacities
-            // (and Ui-dependent buffer sizes) may differ per rank, so a
-            // one-sided OOM must poison the group: peers then error out
-            // of the loss reduction below instead of deadlocking.
-            let transient = in_stats.peak_buffer_bytes
-                + out_stats.map(|s| s.peak_buffer_bytes).unwrap_or(0)
-                + dense.len() as u64 * 4;
-            {
-                let _t = device.try_alloc(transient).map_err(|e| {
-                    rank.abort(format!(
-                        "rank {r} OOM on exchange buffers at step {global_step}: {e}"
-                    ));
-                    TrainError::Oom(e)
-                })?;
-            }
-
-            st.replica.apply_dense(&dense, st.lr);
-
-            // Synchronised mean loss.
-            let t0 = recorder.as_ref().map(|rec| rec.now_ns());
-            let loss = rank.all_reduce_scalar_f64(out.loss)? / g as f64;
-            if let Some(rec) = recorder.as_mut() {
-                rec.record_since(SpanKind::AllReduce, t0.unwrap_or(0), 8 * (g as u64 - 1));
-            }
-            epoch_loss += loss;
-
-            // Drain the step's accumulated barrier-wait wall-clock into
-            // one synthetic contiguous span ending now (individual waits
-            // happened inside the collectives above). Drained once and
-            // shared: the tracer gets its span, the step record its
-            // field.
-            let waited_wall_ns = if track_waits {
-                rank.take_barrier_wait_ns()
-            } else {
-                0
-            };
-            if let Some(rec) = recorder.as_mut() {
-                let end = rec.now_ns();
-                rec.record(
-                    SpanKind::BarrierWait,
-                    end.saturating_sub(waited_wall_ns),
-                    end,
-                    0,
-                );
-            }
-
-            // Simulated step time on the Table II hardware, in integer
-            // picoseconds. Synchronous SGD: the step ends when the
-            // slowest rank arrives, so every rank builds the same
-            // `StepSchedule` (pure arithmetic on synchronised inputs —
-            // see there and `crate::schedule`), reads each rank's
-            // critical path off its table, and takes the max. The
-            // resulting T is identical on all ranks, making
-            // `sim_time_ps` a synchronised quantity; the *attribution*
-            // of T is rank-local.
-            let k = cfg.local_batch_tokens();
-            let compute_ps = secs_to_ps(cost.compute_time(cfg.model.flops_per_step(k)));
-            let out_dim = match &st.replica {
-                Replica::Word(m) => m.config().proj_dim,
-                Replica::Char(_) => dim,
-            };
-            let n_dense = dense.len();
-            let sched = StepSchedule {
-                cost,
-                xcfg: &xcfg,
-                gpus: g,
-                gpn,
-                overlap: cfg.comm.overlap,
-                wire: xcfg.grad_wire(),
-                dense_wire,
-                compute_ps,
-                dense_elems: n_dense,
-                in_stats,
-                dim,
-                out_stats,
-                out_dim,
-                total_grad_elems: (n_dense
-                    + StepSchedule::exchange_grad_elems(&xcfg, &in_stats, dim)
-                    + out_stats
-                        .map(|s| StepSchedule::exchange_grad_elems(&xcfg, &s, out_dim))
-                        .unwrap_or(0)) as u64,
-            };
-            let tracing = recorder.is_some();
-            // Own rank: the outcome's parts feed the attribution, the
-            // priced α rides beside it, and under tracing the ops are
-            // also laid out on the simulated timeline as concurrent
-            // spans.
-            let (my_apply_ps, [wire_intra_alpha_ps, wire_inter_alpha_ps]) =
-                sched.ops_for(&mut ops, r, true);
-            let my = if tracing {
-                let base = sim_clock_ps;
-                let spans = &mut st.report.sim_spans;
-                spans.push(SimSpan {
-                    rank: r as u32,
-                    step: global_step,
-                    stream: SimStream::Compute,
-                    label: "compute",
-                    bucket: 0,
-                    t_start_ps: base,
-                    t_end_ps: base + compute_ps,
-                });
-                let oc = schedule::evaluate_with(compute_ps, my_apply_ps, &ops, |i, s_ps, e_ps| {
-                    spans.push(SimSpan {
-                        rank: r as u32,
-                        step: global_step,
-                        stream: SimStream::Comm,
-                        label: ops[i].label,
-                        bucket: ops[i].bucket,
-                        t_start_ps: base + s_ps,
-                        t_end_ps: base + e_ps,
-                    });
-                });
-                spans.push(SimSpan {
-                    rank: r as u32,
-                    step: global_step,
-                    stream: SimStream::Compute,
-                    label: "apply",
-                    bucket: 0,
-                    t_start_ps: base + oc.total_ps - my_apply_ps,
-                    t_end_ps: base + oc.total_ps,
-                });
-                oc
-            } else {
-                schedule::evaluate(compute_ps, my_apply_ps, &ops)
-            };
-            sched.price_all_shared(&ctx.schedule_memo, global_step, &mut ops, &mut work_ps);
-            debug_assert_eq!(work_ps[r], my.total_ps);
-            // Max critical path, delays excluded; max busy = critical
-            // path + delay.
-            let t0_ps = work_ps.iter().copied().max().unwrap_or(0);
-            let t_ps = work_ps
-                .iter()
-                .zip(&delay_ps)
-                .map(|(w, d)| w + d)
-                .max()
-                .unwrap_or(0);
-            // Exact decomposition of T for this rank: whatever exceeds
-            // this rank's busy time is waiting — up to T0 − cp it is
-            // inherent load imbalance (barrier wait), beyond that it can
-            // only be caused by peers' injected delays (skew). The comm
-            // hidden under compute is carved out of the compute bucket
-            // into `overlapped_ps`, so the seven buckets still sum to T
-            // exactly (see `crate::schedule`).
-            let wait_ps = t_ps - (work_ps[r] + delay_ps[r]);
-            let barrier_wait_ps = wait_ps.min(t0_ps - work_ps[r]);
-            let attribution = TimeAttribution {
-                compute_ps: compute_ps + my_apply_ps - my.overlapped_ps,
-                wire_intra_ps: my.exposed_intra_ps,
-                wire_inter_ps: my.exposed_inter_ps,
-                overlapped_ps: my.overlapped_ps,
-                barrier_wait_ps,
-                skew_ps: wait_ps - barrier_wait_ps,
-                self_delay_ps: delay_ps[r],
-            };
-            debug_assert_eq!(attribution.total_ps(), t_ps);
-            if tracing {
-                let base = sim_clock_ps;
-                let busy = work_ps[r] + delay_ps[r];
-                if delay_ps[r] > 0 {
-                    st.report.sim_spans.push(SimSpan {
-                        rank: r as u32,
-                        step: global_step,
-                        stream: SimStream::Compute,
-                        label: "self_delay",
-                        bucket: 0,
-                        t_start_ps: base + work_ps[r],
-                        t_end_ps: base + busy,
-                    });
-                }
-                if t_ps > busy {
-                    st.report.sim_spans.push(SimSpan {
-                        rank: r as u32,
-                        step: global_step,
-                        stream: SimStream::Compute,
-                        label: "barrier_wait",
-                        bucket: 0,
-                        t_start_ps: base + busy,
-                        t_end_ps: base + t_ps,
-                    });
-                }
-            }
-            sim_clock_ps += t_ps;
-            epoch_time_ps += t_ps;
-
-            st.report.steps.push(StepMetrics {
-                step: global_step,
-                train_loss: loss,
-                sim_time_ps: t_ps,
-                sim_time_s: t_ps as f64 * 1e-12,
-                attribution,
-                wire_intra_alpha_ps,
-                wire_inter_alpha_ps,
-                input_exchange: in_stats,
-                output_exchange: out_stats,
-                dense_bytes,
-                dense_raw_bytes: dense_wire.raw,
-                dense_enc_bytes: dense_wire.enc,
-                barrier_wait_wall_ns: waited_wall_ns,
-            });
-            st.global_step += 1;
-
-            // Checkpoint hooks: off the hot path unless a store is
-            // attached (a default run has none — one branch per step).
-            if let Some(store) = ctx.store {
-                store.note_progress(r, st.global_step);
-                let every = cfg.checkpoint.every_steps;
-                if every > 0 && st.global_step.is_multiple_of(every) {
-                    let snapshot = st.snapshot(
-                        ctx,
-                        r,
-                        epoch as u32,
-                        (s + 1) as u64,
-                        epoch_loss,
-                        epoch_time_ps,
-                    );
-                    if let Err(e) = store.deposit(snapshot) {
-                        // A *real* storage failure (injected disk
-                        // faults return Ok and stay latent until the
-                        // recovery scan). Poison the group: peers must
-                        // not train on while this rank cannot persist.
-                        let reason = format!("checkpoint write failed: {e}");
-                        rank.abort(reason.clone());
-                        return Err(TrainError::CheckpointWrite { reason });
-                    }
-                }
-            }
-        }
-
-        // Validation on rank 0 only: replicas are identical, evaluation
-        // involves no collectives, and the other G−1 passes were pure
-        // discarded work.
-        if is_rank0 {
-            let valid_nll = if valid_tokens.is_empty() {
-                f64::NAN
-            } else {
-                st.replica
-                    .valid_loss(valid_tokens, cfg.batch.min(4), cfg.seq_len)
-            };
-            st.report.epochs.push(EpochMetrics {
-                epoch,
-                train_loss: epoch_loss / steps.max(1) as f64,
-                valid_ppl: valid_nll.exp(),
-                valid_bpc: valid_nll / std::f64::consts::LN_2,
-                sim_time_s: epoch_time_ps as f64 * 1e-12,
-            });
-        }
-        st.lr *= cfg.lr_decay;
+            TrainError::InvalidCheckpoint { reason }
+        })?;
     }
 
-    st.report.traffic = rank.traffic();
-    let totals = st.totals(cfg);
-    st.report.attribution = totals.attribution;
-    st.report.mean_unique_global = totals.mean_unique_global();
-    st.report.trace = recorder.map(TraceRecorder::finish);
+    while let Some(step) = st.next_step() {
+        if plan.should_die(r, step as usize) {
+            let reason = format!("rank {r} killed by fault plan at step {step}");
+            rank.abort(reason.clone());
+            return Err(TrainError::PeerFailure { rank: r, reason });
+        }
+        if plan.should_hang(r, step as usize) {
+            // Go silent: stop calling collectives but never abort.
+            // Peers hang at their next barrier until the deadline
+            // (`cfg.comm.deadline`, which `validate` requires here)
+            // poisons the group with `CommError::Timeout`; this rank
+            // then observes the poison and returns the same typed error
+            // instead of parking forever.
+            loop {
+                rank.check_abort()?;
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        if plan.wire_corruption_at(r) == Some(step as usize) {
+            // Arm the one-shot latch: the next codec frame this rank
+            // publishes is damaged in flight and every decoder
+            // attributes the corruption to this rank.
+            rank.corrupt_next_codec_frame();
+        }
+        if let Some(delay) = plan.straggler_delay(r) {
+            st.traced(SpanKind::StragglerDelay, |_| thread::sleep(delay), |_| 0);
+        }
+
+        let mut out = st.compute();
+
+        // Dense ALLREDUCE, one collective call per gradient bucket
+        // (`comm.bucket_bytes`; a single whole-payload call when 0).
+        // Wire format and topology are independent parameters of the one
+        // collective, so compressed payloads ride the hierarchical route
+        // like any other. Reduction is elementwise under a canonical
+        // leader order, so neither the slicing nor the topology moves a
+        // bit. The bytes are the collective's own: this rank's exact
+        // share of the active wire schedule, as charged to the traffic
+        // recorder (a codec prices the *reduced* — summed, pre-average —
+        // payload).
+        let dense = &mut out.dense;
+        let dense_wire = st.traced(
+            SpanKind::AllReduce,
+            |_| {
+                let (wire, topology) = (xcfg.grad_wire(), xcfg.topology());
+                schedule::all_reduce_bucketed(&rank, dense, wire, topology, xcfg.bucket_bytes)
+            },
+            |res| res.as_ref().map_or(0, |w| w.sent.total()),
+        )?;
+
+        // Embedding exchanges, applied in place.
+        let lr = st.exchange_lr();
+        let mut exchange = |g: &SparseGrad, t: &mut Embedding, s: &mut ExchangeScratch| {
+            exchange_and_apply_traced(&rank, g, t, lr, &xcfg, s, st.recorder.as_mut())
+        };
+        let input = exchange(
+            &out.input_grad,
+            st.replica.input_table(),
+            &mut st.in_scratch,
+        )?;
+        let output = match (&out.output_grad, st.replica.output_table()) {
+            (Some(grad), Some(table)) => Some(exchange(grad, table, &mut st.out_scratch)?),
+            _ => None,
+        };
+
+        // Charge transient buffers against the device. Capacities (and
+        // Ui-dependent buffer sizes) may differ per rank, so a one-sided
+        // OOM must poison the group: peers then error out of the loss
+        // reduction below instead of deadlocking.
+        let transient = input.peak_buffer_bytes
+            + output.map_or(0, |s| s.peak_buffer_bytes)
+            + out.dense.len() as u64 * 4;
+        drop(device.try_alloc(transient).map_err(|e| {
+            rank.abort(format!(
+                "rank {r} OOM on exchange buffers at step {step}: {e}"
+            ));
+            TrainError::Oom(e)
+        })?);
+
+        st.apply(&mut out.dense);
+
+        // Synchronised mean loss.
+        let loss = st.traced(
+            SpanKind::AllReduce,
+            |_| rank.all_reduce_scalar_f64(out.loss),
+            |_| 8 * (g as u64 - 1),
+        )? / g as f64;
+
+        // The step's barrier-wait wall-clock (0 unless tracked), drained
+        // once and shared: the tracer gets its span, the step record its
+        // field.
+        let waited_ns = rank.take_barrier_wait_ns();
+        st.price(loss, dense_wire, input, output, waited_ns);
+
+        // Checkpoint hooks: off the hot path unless a store is attached
+        // (a default run has none — one branch per step).
+        if let Some(store) = ctx.store {
+            store.note_progress(r, st.global_step);
+            let every = cfg.checkpoint.every_steps;
+            if every > 0 && st.global_step.is_multiple_of(every) {
+                if let Err(e) = store.deposit(st.snapshot()) {
+                    // A *real* storage failure (injected disk faults
+                    // return Ok and stay latent until the recovery
+                    // scan). Poison the group: peers must not train on
+                    // while this rank cannot persist.
+                    let reason = format!("checkpoint write failed: {e}");
+                    rank.abort(reason.clone());
+                    return Err(TrainError::CheckpointWrite { reason });
+                }
+            }
+        }
+    }
+
     // Terminal snapshot: the run's exact final state (params + full
     // epoch history). Rank 0's copy is authoritative — it alone carries
     // the validation history — and resuming from it is a no-op run.
-    if let Some(store) = ctx.store.filter(|_| is_rank0) {
-        let snapshot = st.snapshot(ctx, r, cfg.epochs as u32, 0, 0.0, 0);
-        if let Err(e) = store.set_final(snapshot) {
+    if let Some(store) = ctx.store.filter(|_| r == 0) {
+        if let Err(e) = store.set_final(st.snapshot()) {
             let reason = format!("terminal checkpoint write failed: {e}");
             rank.abort(reason.clone());
             return Err(TrainError::CheckpointWrite { reason });
         }
     }
     guard.disarm();
-    Ok(st.report)
+    Ok(st.finish(rank.traffic()))
 }
 
 /// Seed-domain separator for the train/valid split stream.
 const SPLIT_SEED: u64 = 0x5b11_7000_5b11_7000;
-/// Seed-domain separator for sampled-softmax candidate streams.
-const SAMPLE_SEED: u64 = 0x5eed_5eed_5eed_5eed;
 
 #[cfg(test)]
 mod tests {
+    use super::step::{ExchangeLoad, StepLoad, StepSchedule};
     use super::*;
+    use crate::checkpoint::MemoryBackend;
     use crate::config::{CheckpointConfig, CommConfig, Method, MetricsConfig, TraceConfig};
+    use crate::exchange::{ExchangeConfig, ExchangeStats};
+    use crate::metrics::TimeAttribution;
     use crate::seeding::SeedStrategy;
 
     fn quick_cfg(model: ModelKind, gpus: usize, method: Method) -> TrainConfig {
@@ -2116,32 +1187,28 @@ mod tests {
             let codec_scaled = xcfg.codec != WireCodecId::Identity;
             let (dim, out_dim, dense_elems) = (16usize, 16usize, 5_003usize);
             let schedule = |ug: usize| {
-                let (in_stats, out_stats) =
-                    (exchange(ug, codec_scaled), exchange(ug + 9, codec_scaled));
                 let dense_raw = dense_elems as u64 * xcfg.grad_wire().elem_bytes();
+                let dense_enc = if codec_scaled {
+                    dense_raw / 2
+                } else {
+                    dense_raw
+                };
                 StepSchedule {
                     cost: &cost,
-                    xcfg,
+                    xcfg: *xcfg,
                     gpus,
                     gpn,
                     overlap: true,
-                    wire: xcfg.grad_wire(),
-                    dense_wire: schedule::ReducedBytes {
-                        raw: dense_raw,
-                        enc: if codec_scaled {
-                            dense_raw / 2
-                        } else {
-                            dense_raw
-                        },
-                        ..Default::default()
-                    },
                     compute_ps: 3_000_000,
                     dense_elems,
-                    in_stats,
                     dim,
-                    out_stats: Some(out_stats),
                     out_dim,
-                    total_grad_elems: (dense_elems + (2 * ug + 9) * dim) as u64,
+                    delay_ps: vec![0; gpus],
+                    load: StepLoad {
+                        dense: (dense_enc, dense_raw),
+                        input: ExchangeLoad::from(&exchange(ug, codec_scaled)),
+                        output: Some(ExchangeLoad::from(&exchange(ug + 9, codec_scaled))),
+                    },
                 }
             };
             let direct = |sched: &StepSchedule| {
@@ -2149,24 +1216,22 @@ mod tests {
                 sched.price_all(&mut Vec::new(), &mut table);
                 table
             };
-            let shared = |sched: &StepSchedule, memo: &Mutex<ScheduleMemo>, step: u64| {
+            let shared = |sched: &StepSchedule, memo: &Mutex<ScheduleMemo>| {
                 let mut table = vec![0; gpus];
-                sched.price_all_shared(memo, step, &mut Vec::new(), &mut table);
+                sched.price_all_shared(memo, &mut Vec::new(), &mut table);
                 table
             };
             let memo = Mutex::new(ScheduleMemo::new(gpus));
             let sched = schedule(50);
             let want = direct(&sched);
             assert!(want.iter().any(|&w| w != want[0]), "{name}: ranks differ");
-            // The own rank's α account is Σ over its ops of each op's
+            // A rank's α account is Σ over its ops of each op's
             // quantised α — which no payload moves, so it is the op
             // count of each collective times that collective's α on an
-            // empty payload; a peer's pricing is the same ops, no α.
+            // empty payload.
             for q in 0..gpus {
-                let (mut ops, mut peer_ops) = (Vec::new(), Vec::new());
-                let (apply, alpha) = sched.ops_for(&mut ops, q, true);
-                assert_eq!(sched.ops_for(&mut peer_ops, q, false), (apply, [0; 2]));
-                assert_eq!(ops, peer_ops, "{name} rank {q}");
+                let mut ops = Vec::new();
+                let (_, alpha) = sched.ops_for(&mut ops, q);
                 let topology = xcfg.topology();
                 let gather = cost.allgather(0, gpus, gpn, topology, q);
                 let reduce = cost.allreduce(simgpu::TierBytes::default(), gpus, gpn, topology, q);
@@ -2184,18 +1249,70 @@ mod tests {
                 assert!(alpha[1] <= ops.iter().map(|o| o.inter_ps).sum());
             }
             // First arriver: prices the table into the empty memo.
-            assert_eq!(shared(&sched, &memo, 3), want, "{name}: miss");
-            // Same key: the table is copied, not priced — a marked memo
+            assert_eq!(shared(&sched, &memo), want, "{name}: miss");
+            // Same load: the table is copied, not priced — a marked memo
             // comes back marked.
             memo.lock().unwrap().work_ps[0] = u64::MAX;
-            let hit = shared(&sched, &memo, 3);
+            let hit = shared(&sched, &memo);
             assert_eq!((hit[0], &hit[1..]), (u64::MAX, &want[1..]), "{name}: hit");
-            // Other inputs at the same step, and the same inputs at the
-            // next step: each is priced afresh from the caller's own.
+            // Another load, then the first again: each is priced afresh
+            // from the caller's own inputs.
             let other = schedule(61);
             assert_ne!(direct(&other), want, "{name}");
-            assert_eq!(shared(&other, &memo, 3), direct(&other), "{name}: mismatch");
-            assert_eq!(shared(&sched, &memo, 4), want, "{name}: next step");
+            assert_eq!(shared(&other, &memo), direct(&other), "{name}: mismatch");
+            assert_eq!(shared(&sched, &memo), want, "{name}: back again");
+        }
+    }
+
+    /// `restore` and `snapshot` are one map read both ways: the snapshot
+    /// of a state just restored from a checkpoint serialises to that
+    /// checkpoint's bytes — at a mid-epoch cut carrying epoch history
+    /// and at the terminal cut, for both model kinds — so a field
+    /// restored but not snapshotted (or the reverse) fails here, not
+    /// only in the end-to-end elastic suite.
+    #[test]
+    fn snapshot_of_a_restored_state_is_the_checkpoint() {
+        for model in [
+            ModelKind::Word { vocab: 150 },
+            ModelKind::Char { vocab: 32 },
+        ] {
+            let mut cfg = quick_cfg(model, 2, Method::unique());
+            cfg.epochs = 2;
+            cfg.checkpoint = CheckpointConfig::every(3);
+            let backend = Arc::new(MemoryBackend::new(4));
+            let opts = RunOptions {
+                checkpoints: Some(backend.clone()),
+                ..RunOptions::default()
+            };
+            let terminal = run(&cfg, &opts).final_checkpoint.expect("terminal cut");
+            // Step 6 of 2 × 4: two steps into epoch 1, after epoch 0's
+            // validation.
+            let mid = backend.load(0, 6).expect("mid-epoch cut");
+            assert_eq!((mid.epoch, mid.step_in_epoch), (1, 2));
+            assert_eq!(mid.metrics.epochs.len(), 1);
+            assert_eq!(terminal.epoch, 2);
+
+            let (train, valid, model_vocab) = prepare_data(&cfg);
+            let cost = CostModel::new(HardwareConfig::titan_x_cluster(), cfg.model.utilization());
+            let plan = FaultPlan::none();
+            let ctx = RunCtx {
+                cfg: &cfg,
+                model_vocab,
+                train_tokens: &train,
+                valid_tokens: &valid,
+                cost: &cost,
+                plan: &plan,
+                store: None,
+                resume: None,
+                gpn: cost.hardware().gpus_per_node,
+                schedule_memo: Mutex::new(ScheduleMemo::new(cfg.gpus)),
+            };
+            for ck in [mid, terminal] {
+                let mut st = LoopState::new(&ctx, ck.rank as usize);
+                st.restore(&ck).expect("a checkpoint of this run");
+                let what = format!("{model:?} step {}", ck.step);
+                assert_eq!(st.snapshot().to_bytes(), ck.to_bytes(), "{what}");
+            }
         }
     }
 }

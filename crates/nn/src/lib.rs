@@ -24,7 +24,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod dropout;
 pub mod embedding;
 pub mod linear;
 pub mod lstm;

@@ -542,16 +542,8 @@ mod tests {
     #[test]
     fn faster_hardware_never_raises_any_component() {
         let base = HardwareConfig::titan_x_cluster();
-        let faster: [fn(&mut HardwareConfig); 4] = [
-            |hw| hw.intra_latency /= 2.0,
-            |hw| hw.inter_latency /= 2.0,
-            |hw| hw.intra_node_bw *= 2.0,
-            |hw| hw.inter_node_bw *= 2.0,
-        ];
         let slow = CostModel::new(base.clone(), 0.4);
-        for improve in faster {
-            let mut hw = base.clone();
-            improve(&mut hw);
+        for hw in base.faster_links() {
             let fast = CostModel::new(hw, 0.4);
             for (gpus, gpn, t) in shapes() {
                 for r in 0..gpus {

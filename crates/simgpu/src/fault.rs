@@ -121,9 +121,11 @@ impl FaultPlan {
     /// (0-based): it stops calling collectives but — unlike a kill —
     /// never aborts the group. Peers block at their next barrier until
     /// a configured [`crate::BarrierDeadline`] expires and converts the
-    /// hang into [`crate::CommError::Timeout`]; without a deadline this
-    /// fault deadlocks the run, by design. Slot-keyed like `kill_rank`
-    /// (a persistently hung node).
+    /// hang into [`crate::CommError::Timeout`]. Without a deadline
+    /// nothing would ever end the wait, so the trainer's `run` rejects
+    /// such a plan up front — `TrainError::InvalidConfig` on every rank,
+    /// naming the hung rank and step — instead of deadlocking.
+    /// Slot-keyed like `kill_rank` (a persistently hung node).
     pub fn hang_rank(mut self, rank: usize, step: usize) -> Self {
         self.hangs.insert(rank, step);
         self
@@ -161,13 +163,18 @@ impl FaultPlan {
         self.hangs.get(&rank).is_some_and(|&k| step >= k)
     }
 
+    /// The step at which `rank` goes silent, if it is scheduled to.
+    pub fn hang_at(&self, rank: usize) -> Option<usize> {
+        self.hangs.get(&rank).copied()
+    }
+
     /// The step at which `rank`'s published frame is corrupted, if any.
     pub fn wire_corruption_at(&self, rank: usize) -> Option<usize> {
         self.wire_corruptions.get(&rank).copied()
     }
 
     /// True when the plan schedules any hang (callers must configure a
-    /// barrier deadline or accept a deadlock).
+    /// barrier deadline; the trainer rejects the plan otherwise).
     pub fn has_hangs(&self) -> bool {
         !self.hangs.is_empty()
     }

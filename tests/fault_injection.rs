@@ -136,6 +136,25 @@ fn plan_targeting_rank_outside_world_is_rejected_eagerly() {
 }
 
 #[test]
+fn hang_without_a_deadline_is_rejected_instead_of_wedging_the_run() {
+    // A silent peer with no barrier deadline would park every other rank
+    // forever. The plan is refused before any thread spawns, on every
+    // rank and out of the collapse, naming the hung rank and its step.
+    let outcome = with_watchdog(|| run(&cfg(4), &faulted(FaultPlan::none().hang_rank(1, 2))));
+    let (results, collapsed) = (outcome.ranks.clone(), outcome.report());
+    assert_eq!(results.len(), 4);
+    for res in results.into_iter().chain([collapsed]) {
+        match res {
+            Err(TrainError::InvalidConfig { reason }) => {
+                assert!(reason.contains("rank 1 at step 2"), "{reason}");
+                assert!(reason.contains("comm.deadline"), "{reason}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn invalid_compression_scale_is_rejected_eagerly() {
     // A scale the FP16 wire cannot use (the collectives assert it is
     // positive and finite) used to panic inside every rank thread and
