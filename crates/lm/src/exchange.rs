@@ -59,96 +59,10 @@
 //! and the caller is expected to bubble the error up to its own
 //! [`simgpu::Rank::abort`]-guarded step loop.
 
+use crate::schedule::{buckets, ExchangeLoad};
 use nn::{Embedding, SparseGrad};
-use simgpu::{CommError, PhaseTimer, Rank, SpanKind, Topology, TraceRecorder, Wire};
-
-/// How to run an exchange.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExchangeConfig {
-    /// Use the uniqueness technique (§III-A) instead of dense ALLGATHER.
-    pub unique: bool,
-    /// FP16 wire compression with this scaling factor (§III-C), if any.
-    pub compression: Option<f32>,
-    /// GPUs per node; `> 0` routes the unique path's `Ug×D` ALLREDUCE
-    /// through the two-tier hierarchical schedule when the group spans
-    /// multiple nodes — compressed payloads included (the two tiers
-    /// carry the f16 wire format, bit-identical to the flat f16 ring).
-    /// `0` keeps everything on the flat single-tier ring. Results are
-    /// bit-identical either way; only the wire schedule and per-tier
-    /// byte accounting differ.
-    pub gpus_per_node: usize,
-    /// Gradient-bucket size in wire bytes for the unique path's `Ug×D`
-    /// ALLREDUCE: `> 0` slices the payload into consecutive element
-    /// ranges of at most this many wire bytes, each reduced by its own
-    /// collective call — the bucketed schedule the trainer overlaps
-    /// with compute. `0` keeps the single whole-payload collective.
-    /// Reduction is elementwise with a canonical leader order, so
-    /// bucketing moves no bits; the analytic `wire_bytes` switch to the
-    /// sum of per-bucket ring shares in lock-step with the recorder.
-    pub bucket_bytes: u64,
-    /// Lossless wire codec for the unique path's collectives (see
-    /// [`simgpu::codec`]): the index codec frames step 3's ALLGATHER,
-    /// the gradient codec frames step 6's ALLREDUCE buckets whenever
-    /// `compression` is `None` (an FP16 wire is already its own format
-    /// and keeps its own accounting). The baseline dense exchange
-    /// ignores the codec — it is the paper's uncompressed yardstick.
-    /// Results are bit-identical to `Identity`; only wire bytes move.
-    pub codec: simgpu::WireCodecId,
-}
-
-impl ExchangeConfig {
-    /// The paper's baseline.
-    pub fn baseline() -> Self {
-        Self {
-            unique: false,
-            compression: None,
-            gpus_per_node: 0,
-            bucket_bytes: 0,
-            codec: simgpu::WireCodecId::Identity,
-        }
-    }
-
-    /// Uniqueness only.
-    pub fn unique() -> Self {
-        Self {
-            unique: true,
-            ..Self::baseline()
-        }
-    }
-
-    /// Uniqueness + FP16 compression at the paper's default scale.
-    pub fn unique_compressed() -> Self {
-        Self {
-            unique: true,
-            compression: Some(512.0),
-            ..Self::baseline()
-        }
-    }
-
-    /// Wire schedule of this config's collectives, for the wire and for
-    /// the clock (`gpus_per_node == 0` is the flat ring; the collective
-    /// and its price both fall back to the ring when the group fits in
-    /// one node). Keys off the topology alone: the wire format (FP16,
-    /// codec) never disables the two-tier schedule.
-    pub fn topology(&self) -> Topology {
-        match self.gpus_per_node {
-            0 => Topology::Flat,
-            gpus_per_node => Topology::TwoTier { gpus_per_node },
-        }
-    }
-
-    /// Wire format of this config's gradient ALLREDUCEs — the one place
-    /// `compression` and `codec` are resolved against each other: an
-    /// FP16 wire is already its own format and keeps its own
-    /// accounting, so the gradient codec only frames raw-f32 payloads.
-    pub fn grad_wire(&self) -> Wire<'static> {
-        match (self.compression, self.codec.grad_codec()) {
-            (Some(scale), _) => Wire::F16 { scale },
-            (None, Some(codec)) => Wire::Codec(codec),
-            (None, None) => Wire::F32,
-        }
-    }
-}
+pub use perfmodel::schedule::ExchangeConfig;
+use simgpu::{CommError, PhaseTimer, Rank, SpanKind, TierBytes, TraceRecorder};
 
 /// Wall-clock nanoseconds per exchange phase, measured on this rank.
 ///
@@ -218,6 +132,20 @@ pub struct ExchangeStats {
     pub index_enc_bytes: u64,
     /// Measured wall-time per phase on this rank.
     pub timings: PhaseTimings,
+}
+
+/// The synchronised part of a step's exchange stats, which is what the
+/// clock prices; the rest (timings, local counts, this rank's wire and
+/// buffer bytes) differs per rank and prices nothing.
+impl From<&ExchangeStats> for ExchangeLoad {
+    fn from(s: &ExchangeStats) -> Self {
+        ExchangeLoad {
+            local_tokens: s.local_tokens,
+            unique_global: s.unique_global,
+            index_enc_bytes: s.index_enc_bytes,
+            reduce: (s.reduce_enc_bytes, s.reduce_raw_bytes),
+        }
+    }
 }
 
 /// Reusable buffers for the exchange hot path.
@@ -518,13 +446,7 @@ fn unique_exchange(
     // so the slicing moves no bits. The bytes are the collective's own:
     // this rank's exact per-bucket share of the active wire schedule,
     // which is what the traffic recorder was charged.
-    let reduced = crate::schedule::all_reduce_bucketed(
-        rank,
-        &mut scratch.m,
-        cfg.grad_wire(),
-        cfg.topology(),
-        cfg.bucket_bytes,
-    )?;
+    let reduced = all_reduce_bucketed(rank, &mut scratch.m, cfg)?;
     let ring_bytes = reduced.sent.total();
     timings.allreduce_ns = timer.lap(SpanKind::AllReduce, ring_bytes);
 
@@ -560,6 +482,50 @@ fn unique_exchange(
         index_enc_bytes,
         timings,
     })
+}
+
+/// What one bucketed ALLREDUCE put on the wire for this rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReducedBytes {
+    /// Per-tier bytes the collectives charged this rank — Σ over
+    /// buckets of what [`Rank::all_reduce`] returned.
+    pub sent: TierBytes,
+    /// Raw payload bytes: elements × the wire format's element size.
+    pub raw: u64,
+    /// The same payloads as single frames in the wire format: Σ over
+    /// buckets of the codec's encoded length on the *reduced* bucket
+    /// (rank-invariant — the reduced payload is identical everywhere).
+    /// Equals `raw` for fixed-width formats, so the step scheduler's
+    /// enc/raw ratio collapses to exactly 1; never exceeds it (codecs
+    /// never expand).
+    pub enc: u64,
+}
+
+/// ALLREDUCEs `data` in place the way `cfg` runs a gradient payload:
+/// its wire format and topology, one collective call per gradient
+/// bucket of at most `cfg.bucket_bytes` wire bytes (see [`buckets`]) —
+/// the only place gradient buckets meet a collective: the trainer's
+/// dense ALLREDUCE and the exchange's step-6 `Ug×D` ALLREDUCE both call
+/// it. Reduction is elementwise under a canonical leader order, so
+/// neither the slicing nor the topology moves a bit; the returned bytes
+/// are the collective's own, exact even when a bucket does not divide
+/// by the world size.
+pub fn all_reduce_bucketed(
+    rank: &Rank,
+    data: &mut [f32],
+    cfg: &ExchangeConfig,
+) -> Result<ReducedBytes, CommError> {
+    let (wire, topology) = (cfg.grad_wire(), cfg.topology());
+    let mut out = ReducedBytes {
+        raw: data.len() as u64 * wire.elem_bytes(),
+        ..ReducedBytes::default()
+    };
+    for range in buckets(data.len(), wire.elem_bytes(), cfg.bucket_bytes) {
+        let bucket = &mut data[range];
+        out.sent += rank.all_reduce(bucket, wire, topology)?;
+        out.enc += wire.encoded_len(bucket);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -79,7 +79,10 @@
 //! [`TimeAttribution`] split (compute / intra-node wire / inter-node
 //! wire / overlapped / barrier-wait / skew / self-delay) that sums to
 //! `sim_time_ps` on every rank. The step itself is an explicit op
-//! [`schedule`] with critical-path timing: with `CommConfig::overlapped`
+//! [`schedule`] with critical-path timing — `perfmodel`'s pure step
+//! clock, re-exported here, which prices the measured load of each step
+//! ([`StepMetrics::load`]) exactly as it prices the load `perfmodel`
+//! predicts for the paper's full-scale runs: with `CommConfig::overlapped`
 //! gradient buckets launch their collectives while later buckets'
 //! compute still runs, the hidden comm lands in `overlapped_ps`, and
 //! [`TrainReport::schedule_trace_json`] exports the two streams as
@@ -112,7 +115,6 @@ pub mod elastic;
 pub mod eval;
 pub mod exchange;
 pub mod metrics;
-pub mod schedule;
 pub mod seeding;
 pub mod trainer;
 
@@ -134,6 +136,7 @@ pub use metrics::{
     config_fingerprint, EpochMetrics, HealthEvent, RecoveryEvent, RunSummary, StepMetrics,
     TimeAttribution, TrainReport, RUN_SUMMARY_SCHEMA,
 };
+pub use perfmodel::schedule;
 pub use schedule::{CommOp, ScheduleOutcome};
 pub use seeding::SeedStrategy;
 pub use simgpu::{

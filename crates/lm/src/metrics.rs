@@ -13,128 +13,9 @@
 use crate::checkpoint::Checkpoint;
 use crate::config::TrainConfig;
 use crate::exchange::{ExchangeStats, PhaseTimings};
+use crate::schedule::{ExchangeLoad, StepLoad};
+pub use perfmodel::schedule::TimeAttribution;
 use simgpu::{CounterTrack, Histogram, MetricsRegistry, TraceLog, TrafficSnapshot};
-
-/// Where one rank's simulated step time went, in integer picoseconds.
-///
-/// The trainer models a synchronous step: `T = max over ranks of
-/// (modelled work + injected straggler delay)`, computed identically on
-/// every rank from the α–β cost model (ring schedules and fault plans
-/// are global knowledge, so no extra communication is needed). Each
-/// rank then splits its own share of `T` into these buckets.
-///
-/// **Invariant** (asserted in `tests/trace_attribution.rs` and
-/// `tests/schedule_overlap.rs`): the seven buckets sum to the step's
-/// `sim_time_ps` *exactly*, on every rank — all arithmetic is integer
-/// picoseconds, each α–β term quantised individually via
-/// [`simgpu::secs_to_ps`], so there is no epsilon.
-///
-/// Wire time is split by interconnect tier, mirroring
-/// [`simgpu::Tier`]: `wire_intra_ps` for node-local PCIe hops and
-/// `wire_inter_ps` for Infiniband hops between nodes. A flat ring's
-/// time lands on the tier of the rank's own egress link (intra unless
-/// `r → r+1` crosses a node boundary); hierarchical collectives split
-/// the two tiers exactly — [`simgpu::CostModel::allreduce`] decides
-/// both. The legacy total is the [`wire_ps`](TimeAttribution::wire_ps)
-/// method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TimeAttribution {
-    /// Local model compute plus gradient-application memory touches.
-    pub compute_ps: u64,
-    /// Collective latency terms plus this rank's exact wire bytes over
-    /// node-local links (PCIe tier).
-    pub wire_intra_ps: u64,
-    /// Collective latency terms plus this rank's exact wire bytes over
-    /// links between nodes (Infiniband tier).
-    pub wire_inter_ps: u64,
-    /// Time parked waiting for slower peers' *modelled work* — load
-    /// imbalance inherent to the step (uneven ring shares).
-    pub barrier_wait_ps: u64,
-    /// Extra wait caused by peers' *injected* straggler delays. Zero on
-    /// the straggler itself — skew is attributed to its victims.
-    pub skew_ps: u64,
-    /// This rank's own injected straggler delay.
-    pub self_delay_ps: u64,
-    /// Communication hidden under compute by the overlapped step
-    /// schedule (`CommConfig::overlap`): wall-clock where this rank's
-    /// compute and comm streams were *both* busy. Carved out of
-    /// `compute_ps` — the wire buckets carry only the *exposed* comm
-    /// time — so the seven buckets still sum to `sim_time_ps` exactly.
-    /// Always zero when overlap is off.
-    pub overlapped_ps: u64,
-}
-
-impl TimeAttribution {
-    /// The buckets' names, in struct order — which is also the
-    /// checkpoint layout and the histogram registration order. Every
-    /// walk over "all buckets" goes through this table and
-    /// [`buckets`](Self::buckets) / [`from_buckets`](Self::from_buckets).
-    pub const BUCKETS: [&'static str; 7] = [
-        "compute_ps",
-        "wire_intra_ps",
-        "wire_inter_ps",
-        "barrier_wait_ps",
-        "skew_ps",
-        "self_delay_ps",
-        "overlapped_ps",
-    ];
-
-    /// The bucket values, aligned with [`Self::BUCKETS`].
-    pub fn buckets(&self) -> [u64; 7] {
-        // Destructured without `..`: a new field that misses the table
-        // does not compile.
-        let Self {
-            compute_ps,
-            wire_intra_ps,
-            wire_inter_ps,
-            barrier_wait_ps,
-            skew_ps,
-            self_delay_ps,
-            overlapped_ps,
-        } = *self;
-        [
-            compute_ps,
-            wire_intra_ps,
-            wire_inter_ps,
-            barrier_wait_ps,
-            skew_ps,
-            self_delay_ps,
-            overlapped_ps,
-        ]
-    }
-
-    /// Inverse of [`buckets`](Self::buckets).
-    pub fn from_buckets(buckets: [u64; 7]) -> Self {
-        let [compute_ps, wire_intra_ps, wire_inter_ps, barrier_wait_ps, skew_ps, self_delay_ps, overlapped_ps] =
-            buckets;
-        Self {
-            compute_ps,
-            wire_intra_ps,
-            wire_inter_ps,
-            barrier_wait_ps,
-            skew_ps,
-            self_delay_ps,
-            overlapped_ps,
-        }
-    }
-
-    /// Total wire time across both tiers — the pre-split `wire_ps`
-    /// bucket, kept as a method for display and downstream tooling.
-    pub fn wire_ps(&self) -> u64 {
-        self.wire_intra_ps + self.wire_inter_ps
-    }
-
-    /// Sum of all buckets — equals the step's `sim_time_ps` exactly.
-    pub fn total_ps(&self) -> u64 {
-        self.buckets().iter().sum()
-    }
-
-    /// Elementwise accumulation (for per-run totals).
-    pub fn accumulate(&mut self, other: &TimeAttribution) {
-        let (a, b) = (self.buckets(), other.buckets());
-        *self = Self::from_buckets(std::array::from_fn(|i| a[i] + b[i]));
-    }
-}
 
 /// Per-step measurements, collected on **every** rank (each rank's
 /// [`TrainReport`] carries its own copy) — the only telemetry the step
@@ -213,6 +94,16 @@ impl StepMetrics {
     pub fn busy_ps(&self) -> u64 {
         let a = &self.attribution;
         a.total_ps() - a.barrier_wait_ps - a.skew_ps
+    }
+
+    /// What the step clock priced this step at: its synchronised
+    /// payload sizes. The one step → [`StepLoad`] projection.
+    pub fn load(&self) -> StepLoad {
+        StepLoad {
+            dense: (self.dense_enc_bytes, self.dense_raw_bytes),
+            input: (&self.input_exchange).into(),
+            output: self.output_exchange.as_ref().map(ExchangeLoad::from),
+        }
     }
 }
 

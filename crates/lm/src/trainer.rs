@@ -50,9 +50,8 @@ mod step;
 use crate::checkpoint::{Checkpoint, CheckpointBackend, CheckpointStore};
 use crate::config::{DatasetId, ModelKind, TrainConfig};
 use crate::elastic::{self, RecoveryPolicy};
-use crate::exchange::{exchange_and_apply_traced, ExchangeScratch};
+use crate::exchange::{all_reduce_bucketed, exchange_and_apply_traced, ExchangeScratch};
 use crate::metrics::{self, HealthEvent, RecoveryEvent, StepMetrics, TrainReport};
-use crate::schedule;
 use corpus::{train_valid_split, CorpusGenerator, TokenUnit, Vocab};
 use nn::{Embedding, SparseGrad};
 use simgpu::{
@@ -454,7 +453,7 @@ struct RunCtx<'a> {
     gpn: usize,
     /// The round's table of every rank's critical path, priced by
     /// whichever rank gets to a step's load first (see
-    /// `StepSchedule::price_all_shared`).
+    /// `step::price_all_shared`).
     schedule_memo: Mutex<ScheduleMemo>,
 }
 
@@ -686,10 +685,7 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
         let dense = &mut out.dense;
         let dense_wire = st.traced(
             SpanKind::AllReduce,
-            |_| {
-                let (wire, topology) = (xcfg.grad_wire(), xcfg.topology());
-                schedule::all_reduce_bucketed(&rank, dense, wire, topology, xcfg.bucket_bytes)
-            },
+            |_| all_reduce_bucketed(&rank, dense, &xcfg),
             |res| res.as_ref().map_or(0, |w| w.sent.total()),
         )?;
 
@@ -775,12 +771,13 @@ const SPLIT_SEED: u64 = 0x5b11_7000_5b11_7000;
 
 #[cfg(test)]
 mod tests {
-    use super::step::{ExchangeLoad, StepLoad, StepSchedule};
+    use super::step::price_all_shared;
     use super::*;
     use crate::checkpoint::MemoryBackend;
     use crate::config::{CheckpointConfig, CommConfig, Method, MetricsConfig, TraceConfig};
     use crate::exchange::{ExchangeConfig, ExchangeStats};
     use crate::metrics::TimeAttribution;
+    use crate::schedule::{ExchangeLoad, StepLoad, StepSchedule};
     use crate::seeding::SeedStrategy;
 
     fn quick_cfg(model: ModelKind, gpus: usize, method: Method) -> TrainConfig {
@@ -1218,7 +1215,7 @@ mod tests {
             };
             let shared = |sched: &StepSchedule, memo: &Mutex<ScheduleMemo>| {
                 let mut table = vec![0; gpus];
-                sched.price_all_shared(memo, &mut Vec::new(), &mut table);
+                price_all_shared(sched, memo, &mut Vec::new(), &mut table);
                 table
             };
             let memo = Mutex::new(ScheduleMemo::new(gpus));

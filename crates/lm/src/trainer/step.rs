@@ -10,17 +10,18 @@
 //! this file can block on a peer — the shape a lockstep driver needs to
 //! call each phase over every rank in turn.
 //!
-//! The simulated clock lives here too: [`StepSchedule`] prices one
-//! step's collectives for any rank, and [`StepSchedule::clock`] turns
-//! every rank's critical path into this rank's [`TimeAttribution`].
+//! The simulated clock is `perfmodel`'s pure [`StepSchedule::clock`]:
+//! [`LoopState::price`] feeds it the step's measured load
+//! ([`StepMetrics::load`]), with every rank's critical path read off
+//! the round's shared table ([`price_all_shared`]).
 
 use super::RunCtx;
 use crate::checkpoint::{Checkpoint, CheckpointMetrics, Fingerprint};
 use crate::config::{ModelKind, TrainConfig};
 use crate::eval::{char_valid_loss, word_valid_loss};
-use crate::exchange::{ExchangeConfig, ExchangeScratch, ExchangeStats};
-use crate::metrics::{EpochMetrics, RunTotals, StepMetrics, TimeAttribution, TrainReport};
-use crate::schedule::{self, CommOp, ReducedBytes};
+use crate::exchange::{ExchangeConfig, ExchangeScratch, ExchangeStats, ReducedBytes};
+use crate::metrics::{EpochMetrics, RunTotals, StepMetrics, TrainReport};
+use crate::schedule::{CommOp, StepLoad, StepSchedule, Timeline};
 use corpus::batch::BatchIter;
 use corpus::{shard_batches, BatchSpec};
 use nn::model::SeqBatch;
@@ -28,10 +29,7 @@ use nn::optimizer::scaled_lr;
 use nn::{CharLm, WordLm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simgpu::{
-    secs_to_ps, CostModel, SimSpan, SimStream, SpanKind, TierCost, Topology, TraceRecorder,
-    TrafficSnapshot,
-};
+use simgpu::{secs_to_ps, SpanKind, TraceRecorder, TrafficSnapshot};
 use std::sync::{Mutex, PoisonError};
 
 /// Maximum validation batches evaluated per epoch (the full validation
@@ -429,14 +427,20 @@ impl<'a> LoopState<'a> {
             let start = end.saturating_sub(barrier_wait_wall_ns);
             rec.record(SpanKind::BarrierWait, start, end, 0);
         }
-        self.sched.load = StepLoad {
-            dense: (dense_wire.enc, dense_wire.raw),
-            input: (&input).into(),
-            output: output.as_ref().map(ExchangeLoad::from),
+        let record = StepMetrics {
+            step: self.global_step,
+            train_loss: loss,
+            input_exchange: input,
+            output_exchange: output,
+            dense_bytes: dense_wire.sent.total(),
+            dense_raw_bytes: dense_wire.raw,
+            dense_enc_bytes: dense_wire.enc,
+            barrier_wait_wall_ns,
+            ..StepMetrics::default()
         };
+        self.sched.load = record.load();
         let memo = &self.ctx.schedule_memo;
-        self.sched
-            .price_all_shared(memo, &mut self.ops, &mut self.work_ps);
+        price_all_shared(&self.sched, memo, &mut self.ops, &mut self.work_ps);
         let timeline = self.recorder.is_some().then_some(Timeline {
             spans: &mut self.report.sim_spans,
             rank: self.rank as u32,
@@ -450,15 +454,12 @@ impl<'a> LoopState<'a> {
         self.epoch_time_ps += clock.sim_time_ps;
         self.epoch_loss += loss;
         self.report.steps.push(StepMetrics {
-            step: self.global_step,
-            train_loss: loss,
-            input_exchange: input,
-            output_exchange: output,
-            dense_bytes: dense_wire.sent.total(),
-            dense_raw_bytes: dense_wire.raw,
-            dense_enc_bytes: dense_wire.enc,
-            barrier_wait_wall_ns,
-            ..clock
+            sim_time_ps: clock.sim_time_ps,
+            sim_time_s: clock.sim_time_ps as f64 * 1e-12,
+            attribution: clock.attribution,
+            wire_intra_alpha_ps: clock.wire_intra_alpha_ps,
+            wire_inter_alpha_ps: clock.wire_inter_alpha_ps,
+            ..record
         });
         self.global_step += 1;
         self.step_in_epoch += 1;
@@ -512,90 +513,6 @@ fn shard<'a>(ctx: &RunCtx<'a>, rank: usize) -> BatchIter<'a> {
     shard_batches(ctx.train_tokens, spec, rank, ctx.cfg.gpus)
 }
 
-/// What [`StepSchedule::ops_for`] reads of one exchange's stats, all of
-/// it synchronised across ranks. The rest of [`ExchangeStats`]
-/// (timings, local counts, this rank's wire and buffer bytes) differs
-/// per rank and prices nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(super) struct ExchangeLoad {
-    local_tokens: usize,
-    unique_global: usize,
-    index_enc_bytes: u64,
-    /// The `Ug×D` ALLREDUCE's `(enc, raw)` bytes.
-    reduce: (u64, u64),
-}
-
-impl From<&ExchangeStats> for ExchangeLoad {
-    fn from(s: &ExchangeStats) -> Self {
-        ExchangeLoad {
-            local_tokens: s.local_tokens,
-            unique_global: s.unique_global,
-            index_enc_bytes: s.index_enc_bytes,
-            reduce: (s.reduce_enc_bytes, s.reduce_raw_bytes),
-        }
-    }
-}
-
-/// Every per-step input of [`StepSchedule::ops_for`] — and so the
-/// [`ScheduleMemo`] key: a shared table is reused exactly when what it
-/// priced is equal, whatever step it was priced at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(super) struct StepLoad {
-    /// The dense ALLREDUCE's `(enc, raw)` bytes (`enc == raw` when no
-    /// codec is active).
-    pub(super) dense: (u64, u64),
-    pub(super) input: ExchangeLoad,
-    pub(super) output: Option<ExchangeLoad>,
-}
-
-/// The step's op schedule, priced for any rank — the inputs of the
-/// local, communication-free step-time model.
-///
-/// Every rank holds the *same* `StepSchedule`: its fields are fixed for
-/// a round except `load`, whose payload sizes are rank-invariant
-/// (`local_tokens` is `batch·seq_len` (+ samples) on every rank and
-/// `unique_global` is synchronised by construction). Pricing and
-/// evaluating every rank `q`'s op list via [`Self::ops_for`] +
-/// [`schedule::evaluate`] is pure arithmetic on it — so all ranks derive
-/// the same synchronous step time `T = max_q critical_path(q)` without
-/// any extra simulated communication. Since the table is the same
-/// everywhere, the ranks of a round price it once per step between them
-/// ([`Self::price_all_shared`]), not once each.
-///
-/// Launch order is readiness order: the unique path's index
-/// ALLGATHERs first (ready at 0 — the token indices are known the
-/// moment the batch loads), then the gradient-dependent ops in
-/// production order — dense ALLREDUCE buckets, input-exchange `Ug×D`
-/// ALLREDUCE buckets, output exchange likewise. Readiness follows the
-/// uniform gradient-production model ([`schedule::ready_at`]): the
-/// backward pass emits the step's gradient elements at a constant rate
-/// over `compute_ps` in call order, so bucket `i` of a payload becomes
-/// ready when its last element exists. With `overlap` off every op is
-/// pinned ready at `compute_ps`, op order stops mattering (the
-/// evaluation degenerates to the serial sum), and
-/// [`schedule::evaluate`] reproduces the legacy serial
-/// `compute + wire + touch` sum bit for bit.
-pub(super) struct StepSchedule<'a> {
-    pub(super) cost: &'a CostModel,
-    /// Topology, bucket size and wire format of every collective. Under
-    /// a codec, wire bytes scale by the measured enc/raw ratio of each
-    /// payload and the encode+decode compute is priced via
-    /// [`CostModel::codec_time`].
-    pub(super) xcfg: ExchangeConfig,
-    pub(super) gpus: usize,
-    /// Resolved node layout (the tier the recorder buckets by).
-    pub(super) gpn: usize,
-    pub(super) overlap: bool,
-    pub(super) compute_ps: u64,
-    pub(super) dense_elems: usize,
-    /// Row widths of the input and output exchanges' tables.
-    pub(super) dim: usize,
-    pub(super) out_dim: usize,
-    /// Every rank's injected straggler delay, picoseconds.
-    pub(super) delay_ps: Vec<u64>,
-    pub(super) load: StepLoad,
-}
-
 /// Every rank's critical path for the load `key` names; `key` is unset
 /// while `work_ps` is being written. Lives for one round, over which
 /// every [`StepSchedule`] field but `load` is fixed (and `delay_ps`
@@ -620,508 +537,25 @@ impl ScheduleMemo {
     }
 }
 
-/// One rank's step laid out on the simulated timeline
-/// (`TrainReport::sim_spans`), at offsets from the step's start.
-pub(super) struct Timeline<'a> {
-    spans: &'a mut Vec<SimSpan>,
-    rank: u32,
-    step: u64,
-    base_ps: u64,
-}
-
-impl Timeline<'_> {
-    fn span(&mut self, stream: SimStream, label: &'static str, bucket: u32, from: u64, to: u64) {
-        self.spans.push(SimSpan {
-            rank: self.rank,
-            step: self.step,
-            stream,
-            label,
-            bucket,
-            t_start_ps: self.base_ps + from,
-            t_end_ps: self.base_ps + to,
-        });
+/// [`StepSchedule::price_all`], once per step instead of once per rank:
+/// every rank arrives at the same table, so the first to get here
+/// prices it into `memo` and the others copy it. A rank whose load
+/// differs — its inputs were not the first arriver's, which the
+/// synchronised stats rule out — prices its own table from its own
+/// inputs, so a hit never decides a result. The lock is held only
+/// while pricing or copying, never across a collective: a rank that
+/// dies or hangs cannot strand a peer on it.
+pub(super) fn price_all_shared(
+    sched: &StepSchedule,
+    memo: &Mutex<ScheduleMemo>,
+    ops: &mut Vec<CommOp>,
+    work_ps: &mut [u64],
+) {
+    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if memo.key != Some(sched.load) {
+        memo.key = None;
+        sched.price_all(ops, &mut memo.work_ps);
+        memo.key = Some(sched.load);
     }
-}
-
-impl StepSchedule<'_> {
-    /// Prices and evaluates every rank's op list: `work_ps[q]` becomes
-    /// rank `q`'s critical path this step.
-    pub(super) fn price_all(&self, ops: &mut Vec<CommOp>, work_ps: &mut [u64]) {
-        for (q, w) in work_ps.iter_mut().enumerate() {
-            let (apply_ps, _) = self.ops_for(ops, q);
-            *w = schedule::evaluate(self.compute_ps, apply_ps, ops).total_ps;
-        }
-    }
-
-    /// [`Self::price_all`], once per step instead of once per rank:
-    /// every rank arrives at the same table, so the first to get here
-    /// prices it into `memo` and the others copy it. A rank whose load
-    /// differs — its inputs were not the first arriver's, which the
-    /// synchronised stats rule out — prices its own table from its own
-    /// inputs, so a hit never decides a result. The lock is held only
-    /// while pricing or copying, never across a collective: a rank that
-    /// dies or hangs cannot strand a peer on it.
-    pub(super) fn price_all_shared(
-        &self,
-        memo: &Mutex<ScheduleMemo>,
-        ops: &mut Vec<CommOp>,
-        work_ps: &mut [u64],
-    ) {
-        let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if memo.key != Some(self.load) {
-            memo.key = None;
-            self.price_all(ops, &mut memo.work_ps);
-            memo.key = Some(self.load);
-        }
-        work_ps.copy_from_slice(&memo.work_ps);
-    }
-
-    /// The clock of rank `q` for the step — the pure core of
-    /// [`LoopState::price`]: the synchronous step time (the slowest
-    /// rank's critical path plus injected delay), `q`'s exact split of
-    /// it and the α of `q`'s ops, as the clock fields of a
-    /// [`StepMetrics`]. `work_ps` is every rank's critical path as
-    /// [`Self::price_all`] fills it; with a `timeline`, `q`'s compute,
-    /// ops, apply, delay and wait are laid out on it. `ops` is a hoisted
-    /// buffer.
-    pub(super) fn clock(
-        &self,
-        q: usize,
-        work_ps: &[u64],
-        ops: &mut Vec<CommOp>,
-        mut timeline: Option<Timeline<'_>>,
-    ) -> StepMetrics {
-        let (apply_ps, [wire_intra_alpha_ps, wire_inter_alpha_ps]) = self.ops_for(ops, q);
-        let (ops, compute_ps, delay_ps) = (&*ops, self.compute_ps, &self.delay_ps);
-        if let Some(tl) = &mut timeline {
-            tl.span(SimStream::Compute, "compute", 0, 0, compute_ps);
-        }
-        let own = schedule::evaluate_with(compute_ps, apply_ps, ops, |i, from, to| {
-            if let Some(tl) = &mut timeline {
-                tl.span(SimStream::Comm, ops[i].label, ops[i].bucket, from, to);
-            }
-        });
-        debug_assert_eq!(work_ps[q], own.total_ps);
-        // Max critical path, delays excluded; max busy = critical path +
-        // delay.
-        let t0_ps = work_ps.iter().copied().max().unwrap_or(0);
-        let t_ps = work_ps
-            .iter()
-            .zip(delay_ps)
-            .map(|(w, d)| w + d)
-            .max()
-            .unwrap_or(0);
-        // Exact decomposition of T for this rank: whatever exceeds its
-        // busy time is waiting — up to T0 − cp it is inherent load
-        // imbalance (barrier wait), beyond that it can only be caused by
-        // peers' injected delays (skew). The comm hidden under compute
-        // is carved out of the compute bucket into `overlapped_ps`, so
-        // the seven buckets still sum to T exactly (see
-        // `crate::schedule`).
-        let busy = work_ps[q] + delay_ps[q];
-        let wait_ps = t_ps - busy;
-        let barrier_wait_ps = wait_ps.min(t0_ps - work_ps[q]);
-        if let Some(tl) = &mut timeline {
-            let apply_from = own.total_ps - apply_ps;
-            tl.span(SimStream::Compute, "apply", 0, apply_from, own.total_ps);
-            if delay_ps[q] > 0 {
-                tl.span(SimStream::Compute, "self_delay", 0, work_ps[q], busy);
-            }
-            if t_ps > busy {
-                tl.span(SimStream::Compute, "barrier_wait", 0, busy, t_ps);
-            }
-        }
-        let attribution = TimeAttribution {
-            compute_ps: compute_ps + apply_ps - own.overlapped_ps,
-            wire_intra_ps: own.exposed_intra_ps,
-            wire_inter_ps: own.exposed_inter_ps,
-            overlapped_ps: own.overlapped_ps,
-            barrier_wait_ps,
-            skew_ps: wait_ps - barrier_wait_ps,
-            self_delay_ps: delay_ps[q],
-        };
-        debug_assert_eq!(attribution.total_ps(), t_ps);
-        StepMetrics {
-            sim_time_ps: t_ps,
-            sim_time_s: t_ps as f64 * 1e-12,
-            attribution,
-            wire_intra_alpha_ps,
-            wire_inter_alpha_ps,
-            ..StepMetrics::default()
-        }
-    }
-
-    /// Gradient elements the backward pass produces — dense plus both
-    /// exchanges' collective payloads — the denominator of the
-    /// production model.
-    fn total_grad_elems(&self) -> u64 {
-        let payload = |x: &ExchangeLoad, dim: usize| {
-            dim * if self.xcfg.unique {
-                x.unique_global
-            } else {
-                x.local_tokens
-            }
-        };
-        let output = self.load.output.map_or(0, |x| payload(&x, self.out_dim));
-        (self.dense_elems + payload(&self.load.input, self.dim) + output) as u64
-    }
-
-    /// Ready time of a gradient payload whose last element is the
-    /// `cum_elems`-th produced this step; pinned to `compute_ps` when
-    /// overlap is off (serial schedule).
-    fn grad_ready(&self, cum_elems: u64) -> u64 {
-        if self.overlap {
-            schedule::ready_at(self.compute_ps, cum_elems * 4, self.total_grad_elems() * 4)
-        } else {
-            self.compute_ps
-        }
-    }
-
-    /// Scales identity wire bytes by a payload's measured enc/raw
-    /// codec ratio in exact integer arithmetic (`u128` — no rounding
-    /// drift across ranks, and a byte-exact no-op when `enc == raw`).
-    fn scaled(bytes: u64, (enc, raw): (u64, u64)) -> u64 {
-        if raw == 0 || enc == raw {
-            bytes
-        } else {
-            ((bytes as u128 * enc as u128) / raw as u128) as u64
-        }
-    }
-
-    /// Picoseconds a wire codec spends on `raw_bytes` of payload — zero
-    /// without one. Codecs run on-node before the NIC, so callers add
-    /// this to an op's intra tier.
-    fn codec_ps(&self, codec: Option<&dyn simgpu::WireCodec>, raw_bytes: u64) -> u64 {
-        codec.map_or(0, |c| {
-            secs_to_ps(self.cost.codec_time(raw_bytes, c.throughput_bps()))
-        })
-    }
-
-    /// Appends one unique exchange's index ALLGATHER, priced under the
-    /// config's topology like the ALLREDUCEs, so a hierarchical run's
-    /// collectives agree about which peers are node-local. The indices
-    /// are known the moment the batch loads, so with overlap on the op
-    /// is ready at 0 — which is also why [`Self::ops_for`] launches
-    /// these *first*: they are the only ops that can cover the head of
-    /// the compute window, before any gradient exists.
-    fn push_index_gather(&self, w: &mut Walk, x: &ExchangeLoad, label: &'static str) {
-        // With an index codec each rank publishes its encoded frame;
-        // pricing uses the synchronized mean frame (`index_enc_bytes`
-        // is the Σ over ranks, identical everywhere), scaled in exact
-        // integer math so identity stays bit-for-bit the legacy price.
-        let raw = x.local_tokens as u64 * 4;
-        let bytes = Self::scaled(raw, (x.index_enc_bytes, raw * self.gpus as u64));
-        let price = self
-            .cost
-            .allgather(bytes, self.gpus, self.gpn, self.xcfg.topology(), w.q);
-        // One encode over the own frame + G decodes of gathered
-        // frames — (G+1)·K·4 raw bytes through the codec kernel.
-        let codec_ps = self.codec_ps(self.xcfg.codec.index_codec(), (self.gpus as u64 + 1) * raw);
-        let ready_ps = if self.overlap { 0 } else { self.compute_ps };
-        w.push(label, 0, price, codec_ps, ready_ps);
-    }
-
-    /// Appends one op per gradient bucket of an `n`-element ALLREDUCE
-    /// payload — the same [`schedule::buckets`] walk the collectives
-    /// took, each bucket priced on the rank's exact per-tier bytes
-    /// under the config's topology — advancing the gradient production
-    /// cursor. With a codec the identity byte counts shrink by the
-    /// payload's measured `(enc, raw)` ratio (1 exactly when no codec
-    /// is active) and the encode+decode passes (one over sent chunks,
-    /// one over received — ≈ 2× the identity send volume) are charged
-    /// as codec time.
-    fn push_allreduce_buckets(
-        &self,
-        w: &mut Walk,
-        label: &'static str,
-        n: usize,
-        ratio: (u64, u64),
-    ) {
-        let (wire, topology) = (self.xcfg.grad_wire(), self.xcfg.topology());
-        let elem = wire.elem_bytes();
-        let walk = schedule::buckets(n, elem, self.xcfg.bucket_bytes);
-        for (bucket, range) in walk.enumerate() {
-            let ident =
-                simgpu::allreduce_send_bytes(range.len(), self.gpus, self.gpn, topology, w.q, elem);
-            let sent = simgpu::TierBytes {
-                intra: Self::scaled(ident.intra, ratio),
-                inter: Self::scaled(ident.inter, ratio),
-            };
-            let price = self
-                .cost
-                .allreduce(sent, self.gpus, self.gpn, topology, w.q);
-            let codec_ps = self.codec_ps(wire.codec(), 2 * ident.total());
-            w.cum += range.len() as u64;
-            w.push(
-                label,
-                bucket as u32,
-                price,
-                codec_ps,
-                self.grad_ready(w.cum),
-            );
-        }
-    }
-
-    /// Appends one exchange's gradient-dependent ops (advancing the
-    /// gradient production cursor) and returns its local memory-touch
-    /// (apply) picoseconds. The unique path's index ALLGATHER is *not*
-    /// emitted here — see [`Self::push_index_gather`].
-    fn push_exchange_ops(
-        &self,
-        w: &mut Walk,
-        x: &ExchangeLoad,
-        dim: usize,
-        (gather_label, reduce_label): (&'static str, &'static str),
-    ) -> u64 {
-        let rows = if self.xcfg.unique {
-            // Ug×D ALLREDUCE gradient buckets.
-            self.push_allreduce_buckets(w, reduce_label, x.unique_global * dim, x.reduce);
-            x.unique_global
-        } else {
-            // Baseline: one dense ALLGATHER of K×D rows + indices, on
-            // the flat ring whatever the config's topology — the
-            // payload *is* the gradient, so it is ready only once its
-            // rows are produced — then a Θ(G·K·D) local update touch.
-            w.cum += (x.local_tokens * dim) as u64;
-            let elem = self.xcfg.grad_wire().elem_bytes();
-            let bytes = x.local_tokens as u64 * (dim as u64 * elem + 4);
-            let price = self
-                .cost
-                .allgather(bytes, self.gpus, self.gpn, Topology::Flat, w.q);
-            w.push(gather_label, 0, price, 0, self.grad_ready(w.cum));
-            self.gpus * x.local_tokens
-        };
-        secs_to_ps(self.cost.memory_touch_time(rows as u64 * dim as u64 * 4))
-    }
-
-    /// Rebuilds `ops` with rank `q`'s full op list for this step, in
-    /// program order, and returns `q`'s apply (memory-touch)
-    /// picoseconds — the inputs of [`schedule::evaluate`] — and the α
-    /// of the ops it priced as `[intra, inter]`. `ops` is a
-    /// caller-hoisted buffer so the steady-state loop stays
-    /// allocation-free.
-    pub(super) fn ops_for(&self, ops: &mut Vec<CommOp>, q: usize) -> (u64, [u64; 2]) {
-        ops.clear();
-        let mut w = Walk {
-            q,
-            ops,
-            cum: 0,
-            alpha_ps: [0; 2],
-        };
-        let load = &self.load;
-        // Unique-path index ALLGATHERs launch first: ready at batch
-        // load, they are the only comm the schedule can run before the
-        // backward pass produces its first gradient bucket. (Baseline
-        // ALLGATHERs carry the gradient rows themselves and stay in
-        // production order below.)
-        if self.xcfg.unique {
-            self.push_index_gather(&mut w, &load.input, "in_allgather");
-            if let Some(x) = &load.output {
-                self.push_index_gather(&mut w, x, "out_allgather");
-            }
-        }
-        // Dense gradient buckets (LSTM/RHN + projection).
-        self.push_allreduce_buckets(&mut w, "dense_allreduce", self.dense_elems, load.dense);
-        let labels = ("in_allgather", "in_grad_allreduce");
-        let mut apply = self.push_exchange_ops(&mut w, &load.input, self.dim, labels);
-        if let Some(x) = &load.output {
-            let labels = ("out_allgather", "out_grad_allreduce");
-            apply += self.push_exchange_ops(&mut w, x, self.out_dim, labels);
-        }
-        debug_assert_eq!(w.cum, self.total_grad_elems());
-        (apply, w.alpha_ps)
-    }
-}
-
-/// One rank's walk over a step's collectives, in program order.
-struct Walk<'a> {
-    /// The rank being priced.
-    q: usize,
-    ops: &'a mut Vec<CommOp>,
-    /// Gradient elements produced up to the last op pushed.
-    cum: u64,
-    /// Σ α of the ops pushed, `[intra, inter]`.
-    alpha_ps: [u64; 2],
-}
-
-impl Walk<'_> {
-    /// Appends one priced collective: each tier's α + β quantised as
-    /// one term is the op's time on that tier (`codec_ps` joins the
-    /// intra tier), its α quantised on its own joins the α account.
-    fn push(
-        &mut self,
-        label: &'static str,
-        bucket: u32,
-        price: TierCost,
-        codec_ps: u64,
-        ready_ps: u64,
-    ) {
-        self.alpha_ps[0] += price.intra.alpha_ps();
-        self.alpha_ps[1] += price.inter.alpha_ps();
-        self.ops.push(CommOp {
-            label,
-            bucket,
-            intra_ps: price.intra.wire_ps() + codec_ps,
-            inter_ps: price.inter.wire_ps(),
-            ready_ps,
-        });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use simgpu::{HardwareConfig, WireCodecId};
-
-    /// A hand-built word-LM step at `gpus` ranks: a dense payload, an
-    /// input and an output exchange, every payload `k`× the unit one at
-    /// fixed codec ratios (identity unless `xcfg` names a codec).
-    fn step(
-        cost: &CostModel,
-        xcfg: ExchangeConfig,
-        gpus: usize,
-        gpn: usize,
-        k: u64,
-    ) -> StepSchedule<'_> {
-        let coded = |raw: u64| match xcfg.codec {
-            WireCodecId::Identity => raw,
-            _ => raw * 3 / 4,
-        };
-        let elem = xcfg.grad_wire().elem_bytes();
-        let (dim, tokens) = (16usize, 96 * k as usize);
-        let exchange = |ug: u64| {
-            let (index_raw, reduce_raw) =
-                (tokens as u64 * 4 * gpus as u64, ug * k * dim as u64 * elem);
-            ExchangeLoad {
-                local_tokens: tokens,
-                unique_global: (ug * k) as usize,
-                index_enc_bytes: coded(index_raw),
-                reduce: (coded(reduce_raw), reduce_raw),
-            }
-        };
-        let dense_elems = 5_003 * k as usize;
-        let dense_raw = dense_elems as u64 * elem;
-        StepSchedule {
-            cost,
-            xcfg,
-            gpus,
-            gpn,
-            overlap: xcfg.bucket_bytes > 0,
-            compute_ps: 3_000_000,
-            dense_elems,
-            dim,
-            out_dim: dim,
-            delay_ps: vec![0; gpus],
-            load: StepLoad {
-                dense: (coded(dense_raw), dense_raw),
-                input: exchange(50),
-                output: Some(exchange(59)),
-            },
-        }
-    }
-
-    /// Every rank's clock for `sched`, no delays.
-    fn clocks(sched: &StepSchedule) -> Vec<StepMetrics> {
-        let (mut ops, mut table) = (Vec::new(), vec![0; sched.gpus]);
-        sched.price_all(&mut ops, &mut table);
-        (0..sched.gpus)
-            .map(|q| sched.clock(q, &table, &mut ops, None))
-            .collect()
-    }
-
-    fn two_tier(xcfg: ExchangeConfig) -> ExchangeConfig {
-        ExchangeConfig {
-            gpus_per_node: 4,
-            ..xcfg
-        }
-    }
-
-    /// The exchange stacks the clock must price: the baseline, unique,
-    /// unique + FP16, unique + lossless codec, unique overlapped in
-    /// 1 KiB buckets — flat and two-tier.
-    fn stacks() -> Vec<ExchangeConfig> {
-        let codec = ExchangeConfig {
-            codec: WireCodecId::Lossless,
-            ..ExchangeConfig::unique()
-        };
-        let bucketed = ExchangeConfig {
-            bucket_bytes: 1 << 10,
-            ..ExchangeConfig::unique()
-        };
-        let flat = [
-            ExchangeConfig::baseline(),
-            ExchangeConfig::unique(),
-            ExchangeConfig::unique_compressed(),
-            codec,
-            bucketed,
-        ];
-        flat.into_iter().chain(flat.map(two_tier)).collect()
-    }
-
-    /// α counts hops, never bytes: scaling every payload of a step
-    /// leaves each rank's α account bit-unchanged. (With buckets the
-    /// payload sets the op count, and α follows the op count, so the
-    /// bucketed stack is left out.)
-    #[test]
-    fn step_alpha_is_payload_independent() {
-        let cost = CostModel::new(HardwareConfig::titan_x_cluster(), 0.4);
-        for xcfg in stacks().into_iter().filter(|x| x.bucket_bytes == 0) {
-            for (gpus, gpn) in [(4, 8), (11, 4), (12, 4)] {
-                let alpha = |k| {
-                    clocks(&step(&cost, xcfg, gpus, gpn, k))
-                        .iter()
-                        .map(|c| [c.wire_intra_alpha_ps, c.wire_inter_alpha_ps])
-                        .collect::<Vec<_>>()
-                };
-                let unit = alpha(1);
-                assert!(unit.iter().any(|a| a != &[0; 2]), "{xcfg:?} {gpus}/{gpn}");
-                for k in [2, 3, 64] {
-                    assert_eq!(alpha(k), unit, "{xcfg:?} {gpus}/{gpn} k {k}");
-                }
-            }
-        }
-    }
-
-    /// A faster fabric never lengthens a step: halving either latency
-    /// or doubling either bandwidth never raises any rank's step time.
-    #[test]
-    fn faster_links_never_lengthen_a_step() {
-        let hw = HardwareConfig::titan_x_cluster();
-        let slow = CostModel::new(hw.clone(), 0.4);
-        for fast in hw.faster_links().map(|hw| CostModel::new(hw, 0.4)) {
-            for xcfg in stacks() {
-                for (gpus, gpn) in [(4, 8), (11, 4), (12, 4)] {
-                    let t = |cost| {
-                        clocks(&step(cost, xcfg, gpus, gpn, 1))
-                            .iter()
-                            .map(|c| c.sim_time_ps)
-                            .collect::<Vec<_>>()
-                    };
-                    let (fast, slow) = (t(&fast), t(&slow));
-                    for (q, (f, s)) in fast.iter().zip(&slow).enumerate() {
-                        assert!(f <= s, "{xcfg:?} {gpus}/{gpn} rank {q}: {f} > {s}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Weak scaling at a fixed per-rank payload never gets faster with
-    /// more nodes: 8 GPUs per node, 1..=24 nodes, flat and two-tier.
-    #[test]
-    fn step_time_is_monotone_in_nodes() {
-        let cost = CostModel::new(HardwareConfig::titan_x_cluster(), 0.4);
-        for xcfg in stacks() {
-            let xcfg = ExchangeConfig {
-                gpus_per_node: if xcfg.gpus_per_node > 0 { 8 } else { 0 },
-                ..xcfg
-            };
-            let mut last = 0;
-            for nodes in 1..=24 {
-                let t = clocks(&step(&cost, xcfg, 8 * nodes, 8, 1))[0].sim_time_ps;
-                assert!(t >= last, "{xcfg:?}: {nodes} nodes {t} < {last}");
-                last = t;
-            }
-        }
-    }
+    work_ps.copy_from_slice(&memo.work_ps);
 }

@@ -7,12 +7,14 @@
 //! ring ALLREDUCE (852 MB of gradients per step); the baseline
 //! additionally ALLGATHERs the `K×D` input-embedding gradients
 //! (137.6 MB/GPU/step) and pays duplicate-update contention on the tiny
-//! alphabet (every row is hot when `G·K ≫ V`). Every collective is
-//! priced by [`simgpu::CostModel`]'s two functions on a flat ring.
+//! alphabet (every row is hot when `G·K ≫ V`). The step is the
+//! predicted [`crate::schedule::StepSchedule`] ([`CharScale::schedule`])
+//! on the same clock the trainer runs, plus the calibrated terms.
 
-use crate::wordlm::{
-    ring_allgather_s, ring_allreduce_s, ScalingRow, TechniqueStack, STRAGGLER_PER_DOUBLING,
-};
+use crate::law::{unique_words, ALPHA, FIG1_PREFACTOR};
+use crate::scale::{scaling_tables, Rows, StepTerms};
+use crate::schedule::StepSchedule;
+use crate::wordlm::{ScalingRow, TechniqueStack, STRAGGLER_PER_DOUBLING};
 use simgpu::{CostModel, HardwareConfig};
 
 /// §V-B / §V-C: the char LM sustains 64 % of peak FLOP/s.
@@ -52,7 +54,8 @@ pub struct CharScale {
     pub compute_s: f64,
     /// Fixed per-step overhead.
     pub overhead_s: f64,
-    cost: CostModel,
+    /// The cluster every collective of the step is priced on.
+    pub cost: CostModel,
 }
 
 impl CharScale {
@@ -71,105 +74,50 @@ impl CharScale {
         }
     }
 
-    /// Steps per epoch at `g` GPUs.
-    pub fn steps_per_epoch(&self, g: usize) -> u64 {
-        self.tokens_per_epoch / (g as u64 * self.local_tokens as u64)
+    /// What a step moves at `g` GPUs: the dense gradient and one input
+    /// exchange of `K` rows of `H` per GPU, distinct rows following the
+    /// unique-words law up to the alphabet.
+    fn payload(&self, g: usize, _: TechniqueStack) -> (usize, Rows, Option<Rows>) {
+        let k = self.local_tokens;
+        let ug = unique_words((g * k) as u64, FIG1_PREFACTOR, ALPHA, self.vocab) as usize;
+        (self.dense_bytes as usize / 4, (k, ug, self.hidden), None)
     }
 
-    fn straggler(&self, g: usize) -> f64 {
-        // Char steps are long; jitter amortises — a third of the word
-        // LM's per-doubling penalty.
-        if g <= 8 {
-            1.0
+    /// The calibrated terms of a step at `g` GPUs under `stack`. Char
+    /// steps are long, so jitter amortises: a third of the word LM's
+    /// straggler growth.
+    pub(crate) fn terms(&self, g: usize, stack: TechniqueStack) -> StepTerms {
+        // Only the baseline's dense gather updates duplicate rows.
+        let gathered = if stack.unique() {
+            0
         } else {
-            1.0 + STRAGGLER_PER_DOUBLING / 3.0 * (g as f64 / 8.0).log2()
+            g * self.local_tokens
+        };
+        StepTerms {
+            overhead_s: self.overhead_s,
+            staging_s: 0.0,
+            contention_s: CHAR_CONTENTION_PER_TOKEN * gathered as f64 / 8.0 * 8.0f64.min(g as f64),
+            straggler: STRAGGLER_PER_DOUBLING / 3.0,
         }
     }
 
-    /// Simulated seconds per step.
-    pub fn step_time(&self, g: usize, stack: TechniqueStack) -> f64 {
-        let elem: u64 = if matches!(stack, TechniqueStack::Full) {
-            2
-        } else {
-            4
-        };
-        let ring = ring_allreduce_s(&self.cost, self.dense_bytes as usize / 4, elem, g);
-        let (gather, contention) = if matches!(stack, TechniqueStack::Baseline) {
-            // Dense gather of K×D grads from every GPU (ring-scheduled)
-            // + hot-row contention on the tiny table.
-            let rows = (self.local_tokens * self.hidden) as u64 * elem;
-            let contention = CHAR_CONTENTION_PER_TOKEN * (g * self.local_tokens) as f64 / 8.0
-                * 8.0f64.min(g as f64);
-            (ring_allgather_s(&self.cost, rows, g), contention)
-        } else {
-            // Index gather Θ(G·K) + Ug×D allreduce with Ug ≤ |V| = 98:
-            // both negligible at this scale, but modeled.
-            let idx = ring_allgather_s(&self.cost, self.local_tokens as u64 * 4, g);
-            let ug_reduce = ring_allreduce_s(&self.cost, self.vocab * self.hidden, elem, g);
-            (idx + ug_reduce, 0.0)
-        };
-        (self.overhead_s + self.compute_s + ring + gather + contention) * self.straggler(g)
-    }
-
-    /// Peak per-GPU memory in GB. Model + gradients + Adam state is
-    /// ~3.4 GB; the baseline adds the staged G·K·D gather (double-
-    /// buffered), which crosses 12 GB between 24 and 32 GPUs.
+    /// Peak per-GPU memory in GB, over the rows the step moves. Model +
+    /// gradients + Adam state is ~3.4 GB; the baseline adds the staged
+    /// G·K·D gather (double-buffered), which crosses 12 GB between 24
+    /// and 32 GPUs.
     pub fn memory_gb(&self, g: usize, stack: TechniqueStack) -> f64 {
         let model = 4.0 * self.dense_bytes as f64 / 1e9;
+        let (_, (k, ug, dim), _) = self.payload(g, stack);
         if matches!(stack, TechniqueStack::Baseline) {
             // 2.5×: send/recv staging plus executor slack on the gather.
-            let gather = 2.5 * g as f64 * (self.local_tokens * self.hidden) as f64 * 4.0 / 1e9;
-            model + gather
+            model + 2.5 * (g * k * dim) as f64 * 4.0 / 1e9
         } else {
-            model
-                + ((g * self.local_tokens) as f64 * 4.0 + (self.vocab * self.hidden) as f64 * 4.0)
-                    / 1e9
+            model + (g * k + ug * dim) as f64 * 4.0 / 1e9
         }
-    }
-
-    /// True if the configuration exceeds the 12 GB Titan X.
-    pub fn ooms(&self, g: usize, stack: TechniqueStack) -> bool {
-        self.memory_gb(g, stack) > self.cost.hardware().gpu_mem_bytes as f64 / 1e9
-    }
-
-    /// Per-epoch hours, `None` on OOM.
-    pub fn epoch_hours(&self, g: usize, stack: TechniqueStack) -> Option<f64> {
-        if self.ooms(g, stack) {
-            return None;
-        }
-        Some(self.step_time(g, stack) * self.steps_per_epoch(g) as f64 / 3600.0)
-    }
-
-    /// One scaling row (efficiency vs the same stack's 8-GPU row).
-    pub fn scaling_row(&self, g: usize, stack: TechniqueStack) -> ScalingRow {
-        let base = self.epoch_hours(8, stack);
-        let hours = self.epoch_hours(g, stack);
-        let eff = match (base, hours) {
-            (Some(b), Some(h)) => Some(b * 8.0 / (g as f64 * h)),
-            _ => None,
-        };
-        ScalingRow {
-            gpus: g,
-            epoch_hours: hours,
-            parallel_efficiency: eff,
-            memory_gb: self.memory_gb(g, stack),
-        }
-    }
-
-    /// Table IV rows: `(gpus, baseline, with-technique)`.
-    pub fn table4(&self) -> Vec<(usize, ScalingRow, ScalingRow)> {
-        [8usize, 16, 24, 32, 64]
-            .iter()
-            .map(|&g| {
-                (
-                    g,
-                    self.scaling_row(g, TechniqueStack::Baseline),
-                    self.scaling_row(g, TechniqueStack::Full),
-                )
-            })
-            .collect()
     }
 }
+
+scaling_tables!(CharScale, table4);
 
 /// Table V's weak-scaling configuration: Tieba char LM, 15,437-character
 /// vocabulary, data grows with GPUs (1.07 B / 4.29 B / 34.36 B chars on
@@ -200,8 +148,18 @@ impl TiebaScale {
         let mut inner = CharScale::paper();
         inner.vocab = 15_437;
         inner.overhead_s = TIEBA_STEP_OVERHEAD_S;
-        inner.compute_s = TIEBA_PER_TOKEN_S * inner.local_tokens as f64;
         Self { inner }
+    }
+
+    /// The model one Table V row runs: the global `batch` of sequences
+    /// split over `gpus`, its compute term scaled to the per-GPU tokens.
+    pub(crate) fn row(&self, gpus: usize, batch: usize) -> CharScale {
+        let k = batch * 150 / gpus;
+        CharScale {
+            local_tokens: k,
+            compute_s: TIEBA_PER_TOKEN_S * k as f64,
+            ..self.inner.clone()
+        }
     }
 
     /// The three Table V rows (modeled time; perplexity comes from real
@@ -216,20 +174,14 @@ impl TiebaScale {
         ]
         .iter()
         .map(|&(chars_b, gb, gpus, batch)| {
-            let chars_per_step = batch as u64 * 150;
-            let steps = (chars_b * 1e9) as u64 / chars_per_step;
-            // Scale the compute term to the actual per-GPU tokens.
-            let k = batch * 150 / gpus;
-            let mut m = self.inner.clone();
-            m.compute_s *= k as f64 / m.local_tokens as f64;
-            m.local_tokens = k;
-            let hours = m.step_time(gpus, TechniqueStack::Full) * steps as f64 / 3600.0;
+            let steps = (chars_b * 1e9) as u64 / (batch as u64 * 150);
+            let step_s = self.row(gpus, batch).step_time(gpus, TechniqueStack::Full);
             WeakScalingRow {
                 chars_billion: chars_b,
                 corpus_gb: gb,
                 gpus,
                 batch,
-                hours,
+                hours: step_s * steps as f64 / 3600.0,
             }
         })
         .collect()

@@ -1,15 +1,22 @@
-//! Analytic performance model for the paper's full-scale experiments.
+//! Analytic performance model for the paper's full-scale experiments,
+//! and the step clock the simulator's trainer shares with it.
 //!
 //! The `lm` crate *really trains* scaled-down models on a simulated
 //! cluster; this crate models the paper's **full-size** configurations —
 //! 100 K-vocabulary word LM, 213 M-parameter RHN char LM, 0.78 B–34 B
 //! token corpora, 8–192 Titan X GPUs — where actually executing a step is
-//! out of reach. Every structural term (collective volumes, FLOP counts,
-//! Zipf/Heaps unique-word law, ring vs gather bandwidth, OOM thresholds)
-//! is first-principles; four scalar constants are **calibrated** against
-//! the paper's own 8-GPU anchor rows and marked `CALIBRATED` where they
-//! are defined. EXPERIMENTS.md reports model-vs-paper for every cell.
+//! out of reach. Both price a step with one clock, [`schedule`]: the
+//! trainer feeds it the [`schedule::StepLoad`] it measured, the models
+//! here the one they predict from the paper's dimensions and the
+//! Zipf/Heaps unique-words law. A predicted step time is that clock
+//! plus one table of named calibrated terms — overhead, host staging,
+//! contention and a straggler multiplier — whose constants are
+//! **calibrated** against the paper's own 8-GPU anchor rows and marked
+//! `CALIBRATED` where they are defined. EXPERIMENTS.md reports
+//! model-vs-paper for every cell.
 //!
+//! * [`schedule`] — the step clock: op schedule, critical path, exact
+//!   per-rank time attribution.
 //! * [`law`] — the `U = a·N^0.64` unique-words law (§III-A).
 //! * [`wordlm`] — Table III, Figure 6, and the §V-A memory numbers.
 //! * [`charlm`] — Table IV and the Table V weak-scaling run.
@@ -20,9 +27,11 @@
 pub mod charlm;
 pub mod law;
 pub mod memory;
+pub mod schedule;
 pub mod wordlm;
 
 pub use charlm::{CharScale, TiebaScale};
 pub use law::unique_words;
 pub use wordlm::{TechniqueStack, WordScale};
 mod calibration;
+mod scale;

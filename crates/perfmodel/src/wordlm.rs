@@ -7,18 +7,23 @@
 //!
 //! ## Cost structure
 //!
-//! Per step: fixed framework overhead + compute + dense-parameter ring
-//! ALLREDUCE (priced by [`simgpu::CostModel`], the simulator's own α–β
-//! functions, on a flat ring) + the **embedding exchange**, which in TF-1.4-era stacks is
-//! host-staged (large-vocabulary embedding tables live host-side), so its
-//! cost is proportional to *rows exchanged* — `G·K` for the baseline vs
-//! `a·(G·K)^0.64` under uniqueness. The baseline additionally pays a
-//! duplicate-row **update contention** penalty that grows superlinearly
-//! with `G·K` (hot-word updates serialise; §III-A), which is what makes
-//! its absolute epoch time *rise* with more GPUs in Table III.
+//! A step is the predicted [`crate::schedule::StepSchedule`]
+//! ([`WordScale::schedule`]) on the same clock the trainer runs —
+//! compute, the dense-parameter ALLREDUCE, both exchanges' collectives
+//! and their update touches, on a flat ring — plus the calibrated
+//! terms. The largest is the **host-staged embedding exchange**: in
+//! TF-1.4-era stacks large-vocabulary embedding tables live host-side,
+//! so its cost is proportional to *rows exchanged* — `G·K` for the
+//! baseline vs `a·(G·K)^0.64` under uniqueness. The baseline
+//! additionally pays a duplicate-row **update contention** penalty that
+//! grows superlinearly with `G·K` (hot-word updates serialise; §III-A),
+//! which is what makes its absolute epoch time *rise* with more GPUs in
+//! Table III.
 
 use crate::law::{unique_words, ALPHA, FIG1_PREFACTOR};
-use simgpu::{CostModel, HardwareConfig, Topology};
+use crate::scale::{scaling_tables, Rows, StepTerms};
+use crate::schedule::{ExchangeConfig, StepSchedule};
+use simgpu::{CostModel, HardwareConfig};
 
 /// Which of the paper's techniques are active (Figure 6's cumulative
 /// bars).
@@ -56,16 +61,18 @@ impl TechniqueStack {
         }
     }
 
-    fn unique(&self) -> bool {
+    pub(crate) fn unique(&self) -> bool {
         !matches!(self, TechniqueStack::Baseline)
     }
 
-    fn seeded(&self) -> bool {
-        matches!(self, TechniqueStack::UniqueSeeded | TechniqueStack::Full)
-    }
-
-    fn compressed(&self) -> bool {
-        matches!(self, TechniqueStack::Full)
+    /// The exchange this stack runs. Seeding changes which rows move,
+    /// not how, so it shares uniqueness's.
+    pub(crate) fn exchange(&self) -> ExchangeConfig {
+        match self {
+            TechniqueStack::Baseline => ExchangeConfig::baseline(),
+            TechniqueStack::Unique | TechniqueStack::UniqueSeeded => ExchangeConfig::unique(),
+            TechniqueStack::Full => ExchangeConfig::unique_compressed(),
+        }
     }
 }
 
@@ -99,6 +106,8 @@ pub struct WordScale {
     pub vocab: usize,
     /// Embedding dimension `D`.
     pub embed_dim: usize,
+    /// LSTM cells `H`.
+    pub hidden: usize,
     /// Projection / output-embedding dimension `P`.
     pub proj_dim: usize,
     /// Per-GPU tokens per step `K`.
@@ -107,28 +116,11 @@ pub struct WordScale {
     pub samples: usize,
     /// Corpus tokens per epoch.
     pub tokens_per_epoch: u64,
-    /// Dense (LSTM + projection) parameter bytes.
-    pub dense_bytes: u64,
     /// Compute seconds per step per GPU (136 GFLOP/iter at the measured
     /// 2.44 TFLOP/s, §V-A).
     pub compute_s: f64,
-    cost: CostModel,
-}
-
-/// Seconds rank 0 spends in a flat ring ALLREDUCE of `elems` elements
-/// of `elem_bytes` each over `g` GPUs of `cost`'s cluster, α and β.
-pub(crate) fn ring_allreduce_s(cost: &CostModel, elems: usize, elem_bytes: u64, g: usize) -> f64 {
-    let gpn = cost.hardware().gpus_per_node;
-    let sent = simgpu::allreduce_send_bytes(elems, g, gpn, Topology::Flat, 0, elem_bytes);
-    cost.allreduce(sent, g, gpn, Topology::Flat, 0).secs()
-}
-
-/// Seconds rank 0 spends in a flat ring ALLGATHER of `bytes_per_gpu`
-/// from each of `g` GPUs of `cost`'s cluster, α and β.
-pub(crate) fn ring_allgather_s(cost: &CostModel, bytes_per_gpu: u64, g: usize) -> f64 {
-    let gpn = cost.hardware().gpus_per_node;
-    cost.allgather(bytes_per_gpu, g, gpn, Topology::Flat, 0)
-        .secs()
+    /// The cluster every collective of the step is priced on.
+    pub cost: CostModel,
 }
 
 /// CALIBRATED: fixed per-step framework overhead (kernel launches, input
@@ -157,25 +149,17 @@ pub const GATHER_REPLICATION: f64 = 85.0;
 impl WordScale {
     /// The paper's configuration (§IV-B) on the Table II cluster.
     pub fn paper() -> Self {
-        let hidden = 2048u64;
-        let proj = 512u64;
-        let dense_params = 512 * 4 * hidden + hidden * 4 * hidden + hidden * proj + proj;
         Self {
             vocab: 100_000,
             embed_dim: 512,
+            hidden: 2048,
             proj_dim: 512,
             local_tokens: 32 * 20,
             samples: 1024,
             tokens_per_epoch: 780_000_000,
-            dense_bytes: dense_params * 4,
             compute_s: 136.0e9 / 2.44e12,
             cost: CostModel::new(HardwareConfig::titan_x_cluster(), 0.40),
         }
-    }
-
-    /// Steps per epoch at `g` GPUs (fixed local batch → strong scaling).
-    pub fn steps_per_epoch(&self, g: usize) -> u64 {
-        self.tokens_per_epoch / (g as u64 * self.local_tokens as u64)
     }
 
     /// Input-embedding rows exchanged per step.
@@ -198,7 +182,9 @@ impl WordScale {
             return gk + (g * self.samples) as u64;
         }
         let target_rows = unique_words(gk, FIG1_PREFACTOR, ALPHA, self.vocab);
-        let seed_groups: u64 = if stack.seeded() {
+        // Seeding shares each seed among a group: ⌈G^0.64⌉ candidate sets.
+        let seeded = matches!(stack, TechniqueStack::UniqueSeeded | TechniqueStack::Full);
+        let seed_groups: u64 = if seeded {
             (g as f64).powf(ALPHA).ceil() as u64
         } else {
             g as u64
@@ -215,96 +201,53 @@ impl WordScale {
         (target_rows + sampled_rows).min(self.vocab as u64)
     }
 
-    /// Straggler multiplier at `g` GPUs.
-    fn straggler(&self, g: usize) -> f64 {
-        if g <= 8 {
-            1.0
+    /// What a step moves at `g` GPUs under `stack`: the dense gradient
+    /// — the LSTM's input and recurrent weights and its `4H` bias, then
+    /// the projection's weights and bias, as `nn::WordLm` lays them out
+    /// — and the input and output exchanges' rows, [`Self::input_rows`]
+    /// and [`Self::output_rows`] distinct.
+    fn payload(&self, g: usize, stack: TechniqueStack) -> (usize, Rows, Option<Rows>) {
+        let (e, h, p) = (self.embed_dim, self.hidden, self.proj_dim);
+        let k = self.local_tokens;
+        let input = (k, self.input_rows(g, stack) as usize, e);
+        let output = (k + self.samples, self.output_rows(g, stack) as usize, p);
+        (4 * h * (e + h + 1) + p * (h + 1), input, Some(output))
+    }
+
+    /// The calibrated terms of a step at `g` GPUs under `stack`.
+    pub(crate) fn terms(&self, g: usize, stack: TechniqueStack) -> StepTerms {
+        let elem = stack.exchange().grad_wire().elem_bytes();
+        let staged_bytes = (self.input_rows(g, stack) * self.embed_dim as u64
+            + self.output_rows(g, stack) * self.proj_dim as u64)
+            * elem;
+        // Only the baseline's dense gather updates duplicate rows.
+        let gathered = if stack.unique() {
+            0
         } else {
-            1.0 + STRAGGLER_PER_DOUBLING * (g as f64 / 8.0).log2()
+            g * self.local_tokens
+        };
+        StepTerms {
+            overhead_s: STEP_OVERHEAD_S,
+            staging_s: staged_bytes as f64 / HOST_STAGE_RATE,
+            contention_s: CONTENTION_COEF * (gathered as f64).powf(CONTENTION_EXP),
+            straggler: STRAGGLER_PER_DOUBLING,
         }
     }
 
-    /// Simulated seconds per training step.
-    pub fn step_time(&self, g: usize, stack: TechniqueStack) -> f64 {
-        let elem: u64 = if stack.compressed() { 2 } else { 4 };
-        let staged_bytes = self.input_rows(g, stack) as f64 * self.embed_dim as f64 * elem as f64
-            + self.output_rows(g, stack) as f64 * self.proj_dim as f64 * elem as f64;
-        let staged = staged_bytes / HOST_STAGE_RATE;
-
-        let ring = ring_allreduce_s(&self.cost, self.dense_bytes as usize / 4, elem, g);
-        let contention = if stack.unique() {
-            0.0
-        } else {
-            CONTENTION_COEF * ((g * self.local_tokens) as f64).powf(CONTENTION_EXP)
-        };
-        (STEP_OVERHEAD_S + self.compute_s + ring + staged + contention) * self.straggler(g)
-    }
-
-    /// Peak per-GPU memory in GB.
+    /// Peak per-GPU memory in GB, over the rows the step moves.
     pub fn memory_gb(&self, g: usize, stack: TechniqueStack) -> f64 {
+        let (_, input, output) = self.payload(g, stack);
+        let tables = [input, output.expect("a word step has an output exchange")];
         if stack.unique() {
             // Flat: model + G·K indices + (Ug over both tables)·dim·4.
-            let gk = (g * self.local_tokens) as f64;
-            let u_in = self.input_rows(g, stack) as f64;
-            let u_out = self.output_rows(g, stack) as f64;
-            MODEL_ACT_GB
-                + (gk * 4.0
-                    + u_in * self.embed_dim as f64 * 4.0
-                    + u_out * self.proj_dim as f64 * 4.0)
-                    / 1e9
+            let rows: usize = tables.iter().map(|&(_, ug, dim)| ug * dim).sum();
+            MODEL_ACT_GB + (g * self.local_tokens + rows) as f64 * 4.0 / 1e9
         } else {
             // Gathered K·D + (K+S)·P rows from every GPU, replicated by
             // the runtime.
-            let per_gpu = (self.local_tokens * self.embed_dim
-                + (self.local_tokens + self.samples) * self.proj_dim)
-                as f64
-                * 4.0;
-            MODEL_ACT_GB - 0.48 + GATHER_REPLICATION * g as f64 * per_gpu / 1e9
+            let per_gpu: usize = tables.iter().map(|&(k, _, dim)| k * dim).sum();
+            MODEL_ACT_GB - 0.48 + GATHER_REPLICATION * g as f64 * per_gpu as f64 * 4.0 / 1e9
         }
-    }
-
-    /// True if the configuration exceeds the 12 GB Titan X.
-    pub fn ooms(&self, g: usize, stack: TechniqueStack) -> bool {
-        self.memory_gb(g, stack) > self.cost.hardware().gpu_mem_bytes as f64 / 1e9
-    }
-
-    /// Per-epoch hours, `None` on OOM.
-    pub fn epoch_hours(&self, g: usize, stack: TechniqueStack) -> Option<f64> {
-        if self.ooms(g, stack) {
-            return None;
-        }
-        Some(self.step_time(g, stack) * self.steps_per_epoch(g) as f64 / 3600.0)
-    }
-
-    /// One scaling row (efficiency computed against the same stack's
-    /// 8-GPU row, as the tables do).
-    pub fn scaling_row(&self, g: usize, stack: TechniqueStack) -> ScalingRow {
-        let base = self.epoch_hours(8, stack);
-        let hours = self.epoch_hours(g, stack);
-        let eff = match (base, hours) {
-            (Some(b), Some(h)) => Some(b * 8.0 / (g as f64 * h)),
-            _ => None,
-        };
-        ScalingRow {
-            gpus: g,
-            epoch_hours: hours,
-            parallel_efficiency: eff,
-            memory_gb: self.memory_gb(g, stack),
-        }
-    }
-
-    /// Table III: `(gpus, baseline row, with-technique row)`.
-    pub fn table3(&self) -> Vec<(usize, ScalingRow, ScalingRow)> {
-        [8usize, 16, 24, 32, 64]
-            .iter()
-            .map(|&g| {
-                (
-                    g,
-                    self.scaling_row(g, TechniqueStack::Baseline),
-                    self.scaling_row(g, TechniqueStack::Full),
-                )
-            })
-            .collect()
     }
 
     /// Figure 6: cumulative speedups over baseline at `g` GPUs
@@ -318,6 +261,8 @@ impl WordScale {
             .collect()
     }
 }
+
+scaling_tables!(WordScale, table3);
 
 #[cfg(test)]
 mod tests {

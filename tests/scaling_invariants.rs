@@ -1,13 +1,16 @@
 //! The paper's complexity claims, asserted against *measured* wire bytes
 //! and buffer sizes across GPU sweeps: baseline Θ(G·K·D) vs uniqueness
 //! Θ(G·K + Ug·D), plus the Ug ∝ (G·K)^0.64 law end-to-end through the
-//! trainer, and the perfmodel's full-scale invariants.
+//! trainer, the perfmodel's full-scale invariants, and the trainer and
+//! the perfmodel pricing their loads on one clock.
 
+use perfmodel::schedule::{CommOp, ExchangeConfig, StepClock, StepLoad, StepSchedule};
 use perfmodel::{TechniqueStack, WordScale};
+use simgpu::{secs_to_ps, CostModel, HardwareConfig};
 use zipf::fit_power_law;
 use zipf_lm::{
-    train, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, SeedStrategy,
-    TraceConfig, TrainConfig,
+    run, train, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, RunOptions,
+    SeedStrategy, TraceConfig, TrainConfig, TrainReport,
 };
 
 fn cfg(gpus: usize, method: Method) -> TrainConfig {
@@ -165,21 +168,91 @@ fn perfmodel_memory_crossover_between_24_and_32() {
     }
 }
 
+/// The cross-model check: a live unbucketed word run at G = 8 and
+/// `perfmodel`'s prediction at the same dimensions meet in one clock.
+/// (a) Each step's measured load, priced by `perfmodel::schedule`,
+/// reproduces every rank's recorded clock bit for bit. (b) The load
+/// `perfmodel` predicts runs the same collectives — labels, count and
+/// so every rank's α, which counts hops, not bytes — over the same
+/// dense payload and per-rank rows; where the two models differ is the
+/// Heaps-law `Ug` against the measured one.
 #[test]
-fn perfmodel_unique_rows_match_trainer_law() {
-    // The perfmodel's unique-word law and the trainer's measured Ug must
-    // agree in *exponent* (the law is shared; prefactors differ by
-    // vocabulary truncation).
-    let m = WordScale::paper();
-    let xs: Vec<f64> = [8usize, 16, 24].iter().map(|&g| (g * 640) as f64).collect();
-    let ys: Vec<f64> = [8usize, 16, 24]
-        .iter()
-        .map(|&g| m.input_rows(g, TechniqueStack::Full) as f64)
+fn measured_and_predicted_loads_price_on_one_clock() {
+    let g = 8;
+    let c = cfg(g, Method::unique());
+    let ranks: Vec<TrainReport> = run(&c, &RunOptions::default())
+        .ranks
+        .into_iter()
+        .map(|r| r.expect("rank completes"))
         .collect();
-    let fit = fit_power_law(&xs, &ys).unwrap();
-    assert!(
-        (fit.exponent - 0.64).abs() < 0.01,
-        "exponent {}",
-        fit.exponent
-    );
+    let steps = &ranks[0].steps;
+    let mc = c.model.word_config();
+    let cost = CostModel::new(HardwareConfig::titan_x_cluster(), c.model.utilization());
+    let flops = c.model.flops_per_step(c.local_batch_tokens());
+    let mut live = StepSchedule {
+        cost: &cost,
+        xcfg: ExchangeConfig::unique(),
+        gpus: g,
+        gpn: cost.hardware().gpus_per_node,
+        overlap: false,
+        compute_ps: secs_to_ps(cost.compute_time(flops)),
+        dense_elems: (steps[0].dense_raw_bytes / 4) as usize,
+        dim: mc.embed_dim,
+        out_dim: mc.proj_dim,
+        delay_ps: vec![0; g],
+        load: StepLoad::default(),
+    };
+    let (mut ops, mut work_ps) = (Vec::new(), vec![0; g]);
+    for (s, step) in steps.iter().enumerate() {
+        live.load = step.load();
+        live.price_all(&mut ops, &mut work_ps);
+        for (q, rank) in ranks.iter().enumerate() {
+            let want = &rank.steps[s];
+            let want = StepClock {
+                sim_time_ps: want.sim_time_ps,
+                attribution: want.attribution,
+                wire_intra_alpha_ps: want.wire_intra_alpha_ps,
+                wire_inter_alpha_ps: want.wire_inter_alpha_ps,
+            };
+            assert_eq!(
+                live.clock(q, &work_ps, &mut ops, None),
+                want,
+                "step {s} rank {q}"
+            );
+        }
+    }
+
+    let model = WordScale {
+        vocab: mc.vocab,
+        embed_dim: mc.embed_dim,
+        hidden: mc.hidden,
+        proj_dim: mc.proj_dim,
+        local_tokens: c.local_batch_tokens(),
+        samples: mc.samples,
+        cost: cost.clone(),
+        ..WordScale::paper()
+    };
+    let predicted = model.schedule(g, TechniqueStack::Unique);
+    assert_eq!(predicted.dense_elems, live.dense_elems, "dense payload");
+    let rows = |l: &StepLoad| {
+        let out = l.output.expect("a word LM has an output exchange");
+        (
+            (l.input.local_tokens, out.local_tokens),
+            (l.input.unique_global, out.unique_global),
+        )
+    };
+    let (want_k, measured_ug) = rows(&live.load);
+    let (got_k, heaps_ug) = rows(&predicted.load);
+    assert_eq!(got_k, want_k, "rows per rank (input, output)");
+    let (mut live_ops, mut predicted_ops) = (Vec::new(), Vec::new());
+    for q in 0..g {
+        let (_, live_alpha) = live.ops_for(&mut live_ops, q);
+        let (_, predicted_alpha) = predicted.ops_for(&mut predicted_ops, q);
+        let labels = |ops: &[CommOp]| ops.iter().map(|o| o.label).collect::<Vec<_>>();
+        let why = format!(
+            "rank {q}: Ug (input, output) measured {measured_ug:?}, Heaps-predicted {heaps_ug:?}"
+        );
+        assert_eq!(labels(&predicted_ops), labels(&live_ops), "{why}");
+        assert_eq!(predicted_alpha, live_alpha, "{why}");
+    }
 }
