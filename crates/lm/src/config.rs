@@ -9,6 +9,7 @@
 use crate::seeding::SeedStrategy;
 use corpus::DatasetProfile;
 use nn::model::{CharLmConfig, WordLmConfig};
+use perfmodel::flops;
 
 /// Which corpus profile feeds the trainer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,35 +82,27 @@ impl ModelKind {
         }
     }
 
-    /// Approximate FLOPs per training step per GPU for a local batch of
-    /// `k` tokens (forward ≈ ⅓, backward ≈ ⅔ — the usual 3× rule).
+    /// FLOPs per training step per GPU for a local batch of `k` tokens:
+    /// the model's layers as [`perfmodel::flops`] counts them — the same
+    /// count `perfmodel` prices at the paper's dimensions.
     pub fn flops_per_step(&self, k: usize) -> f64 {
-        let per_token = match self {
-            ModelKind::Word { .. } | ModelKind::WordCustom(_) => {
-                let c = self.word_config();
-                let lstm = 2.0 * (c.embed_dim as f64 + c.hidden as f64) * (4 * c.hidden) as f64;
-                let proj = 2.0 * c.hidden as f64 * c.proj_dim as f64;
-                let softmax = 2.0 * (c.samples + 1) as f64 * c.proj_dim as f64;
-                lstm + proj + softmax
-            }
-            ModelKind::Char { .. } | ModelKind::CharCustom(_) => {
-                let c = self.char_config();
-                let input = 2.0 * 2.0 * c.embed_dim as f64 * c.hidden as f64;
-                let rec = 2.0 * 2.0 * c.depth as f64 * (c.hidden as f64).powi(2);
-                let out = 2.0 * c.hidden as f64 * c.vocab as f64;
-                input + rec + out
-            }
+        let macs = if self.is_word() {
+            let c = self.word_config();
+            flops::word_lm(c.embed_dim, c.hidden, c.proj_dim, c.samples)
+        } else {
+            let c = self.char_config();
+            flops::char_lm(c.embed_dim, c.hidden, c.depth, c.vocab)
         };
-        3.0 * per_token * k as f64
+        flops::step(macs, k)
     }
 
     /// GPU utilisation fraction the paper measured for this model class
-    /// (40 % word — "2.44 TFLOP/sec (40% of peak)", 64 % char).
+    /// ([`flops::WORD_UTILIZATION`], [`flops::CHAR_UTILIZATION`]).
     pub fn utilization(&self) -> f64 {
         if self.is_word() {
-            0.40
+            flops::WORD_UTILIZATION
         } else {
-            0.64
+            flops::CHAR_UTILIZATION
         }
     }
 }
@@ -559,9 +552,45 @@ mod tests {
     }
 
     #[test]
-    fn flops_scale_with_batch() {
-        let m = ModelKind::Word { vocab: 1000 };
-        assert!(m.flops_per_step(200) > m.flops_per_step(100) * 1.9);
+    fn flops_per_step_characterisation() {
+        // Every model a workload or default trains, and the paper's
+        // Table III / IV dimensions, at their local batches `K`. Each
+        // count is an integer below 2⁵³, so any summation order gives
+        // these bits.
+        let word = |vocab, embed_dim, hidden, proj_dim, samples| {
+            ModelKind::WordCustom(WordLmConfig {
+                vocab,
+                embed_dim,
+                hidden,
+                proj_dim,
+                samples,
+            })
+        };
+        let cases = [
+            (word(4000, 64, 256, 64, 256), 320, 692_183_040.0),
+            (word(20_000, 512, 4, 8, 8), 2048, 102_727_680.0),
+            (ModelKind::Char { vocab: 48 }, 6, 663_552.0),
+            (ModelKind::Word { vocab: 1000 }, 40, 6_888_960.0),
+            (word(100_000, 512, 2048, 512, 1024), 640, 86_572_400_640.0),
+            (
+                ModelKind::CharCustom(CharLmConfig {
+                    vocab: 98,
+                    embed_dim: 1792,
+                    hidden: 1792,
+                    depth: 10,
+                }),
+                19_200,
+                8_158_858_444_800.0,
+            ),
+        ];
+        for (model, k, want) in cases {
+            let got = model.flops_per_step(k);
+            assert_eq!(
+                got.to_bits(),
+                f64::to_bits(want),
+                "{model:?} at K {k}: {got}"
+            );
+        }
     }
 
     #[test]

@@ -1,101 +1,9 @@
-//! Optimizers: SGD (word LM) and Adam (char LM), plus the paper's
-//! `lr · ln(nodes)` learning-rate scaling rule.
+//! The paper's `lr · ln(nodes)` learning-rate scaling rule.
 //!
 //! §IV-B: the word LM uses SGD with base lr 0.2 scaled by `ln |nodes|`;
-//! the char LM uses Adam (with weight decay applied in the layer) at base
-//! lr 1e-3 with the same node scaling. Both decay by 0.85–0.95 per epoch.
-
-use tensor::Matrix;
-
-/// Plain SGD on flat parameter/gradient buffers.
-#[derive(Debug, Clone, Copy)]
-pub struct Sgd {
-    /// Current learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD at the given rate.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Self { lr }
-    }
-
-    /// `param -= lr · grad` over flat slices.
-    pub fn step_flat(&self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len());
-        for (p, &g) in params.iter_mut().zip(grads) {
-            *p -= self.lr * g;
-        }
-    }
-
-    /// Matrix convenience.
-    pub fn step(&self, params: &mut Matrix, grads: &Matrix) {
-        params.axpy(-self.lr, grads);
-    }
-
-    /// Applies an epoch decay factor (paper: 0.85–0.95).
-    pub fn decay(&mut self, factor: f32) {
-        assert!(factor > 0.0 && factor <= 1.0);
-        self.lr *= factor;
-    }
-}
-
-/// Adam with bias correction; state sized for one flat parameter buffer.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    m: Vec<f32>,
-    v: Vec<f32>,
-    t: u64,
-}
-
-impl Adam {
-    /// Standard Adam (β₁ = 0.9, β₂ = 0.999, ε = 1e-8) over `n` params.
-    pub fn new(n: usize, lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            m: vec![0.0; n],
-            v: vec![0.0; n],
-            t: 0,
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Applies an epoch decay factor.
-    pub fn decay(&mut self, factor: f32) {
-        assert!(factor > 0.0 && factor <= 1.0);
-        self.lr *= factor;
-    }
-
-    /// One Adam step over flat buffers.
-    pub fn step_flat(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), self.m.len(), "state size mismatch");
-        assert_eq!(params.len(), grads.len());
-        self.t += 1;
-        let b1c = 1.0 - self.beta1.powi(self.t as i32);
-        let b2c = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let mhat = self.m[i] / b1c;
-            let vhat = self.v[i] / b2c;
-            params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-        }
-    }
-}
+//! the char LM uses Adam at base lr 1e-3 with the same node scaling.
+//! Both decay by 0.85–0.95 per epoch. Here both models train with plain
+//! SGD ([`crate::WordLm::apply_dense`] / [`crate::CharLm::apply_dense`]).
 
 /// The paper's learning-rate scaling rule: base lr (for one 8-GPU node)
 /// multiplied by `ln(nodes)` for multi-node jobs (§IV-B, §V-A: "0.2 ×
@@ -110,78 +18,9 @@ pub fn scaled_lr(base: f32, gpus: usize, gpus_per_node: usize) -> f32 {
     }
 }
 
-/// Global-norm gradient clipping over a flat buffer; returns the norm
-/// before clipping.
-pub fn clip_by_global_norm(grads: &mut [f32], max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0);
-    let norm = grads
-        .iter()
-        .map(|&g| (g as f64) * (g as f64))
-        .sum::<f64>()
-        .sqrt() as f32;
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        for g in grads.iter_mut() {
-            *g *= scale;
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let sgd = Sgd::new(0.1);
-        let mut p = vec![1.0f32, -1.0];
-        sgd.step_flat(&mut p, &[2.0, -2.0]);
-        assert_eq!(p, vec![0.8, -0.8]);
-    }
-
-    #[test]
-    fn sgd_decay() {
-        let mut sgd = Sgd::new(0.2);
-        sgd.decay(0.9);
-        assert!((sgd.lr - 0.18).abs() < 1e-7);
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        // minimise f(x) = (x − 3)²
-        let mut adam = Adam::new(1, 0.1);
-        let mut x = vec![0.0f32];
-        for _ in 0..500 {
-            let g = 2.0 * (x[0] - 3.0);
-            adam.step_flat(&mut x, &[g]);
-        }
-        assert!((x[0] - 3.0).abs() < 0.05, "x = {}", x[0]);
-    }
-
-    #[test]
-    fn adam_faster_than_sgd_on_illconditioned() {
-        // f(x, y) = 100x² + y²: Adam's per-coordinate scaling wins.
-        let run_adam = || {
-            let mut adam = Adam::new(2, 0.05);
-            let mut p = vec![1.0f32, 1.0];
-            for _ in 0..200 {
-                let g = [200.0 * p[0], 2.0 * p[1]];
-                adam.step_flat(&mut p, &g);
-            }
-            (100.0 * p[0] * p[0] + p[1] * p[1]) as f64
-        };
-        let run_sgd = || {
-            let sgd = Sgd::new(0.004); // near stability limit for 100x²
-            let mut p = vec![1.0f32, 1.0];
-            for _ in 0..200 {
-                let g = [200.0 * p[0], 2.0 * p[1]];
-                sgd.step_flat(&mut p, &g);
-            }
-            (100.0 * p[0] * p[0] + p[1] * p[1]) as f64
-        };
-        assert!(run_adam() < run_sgd());
-    }
 
     #[test]
     fn lr_scaling_matches_paper_numbers() {
@@ -196,29 +35,5 @@ mod tests {
         // Char LM: 1e-3 base → "2.07 × 10−3 for 64 GPUs".
         let c = scaled_lr(1e-3, 64, 8);
         assert!((c - 2.07e-3).abs() < 2e-5, "c {c}");
-    }
-
-    #[test]
-    fn clipping_preserves_direction() {
-        let mut g = vec![3.0f32, 4.0];
-        let norm = clip_by_global_norm(&mut g, 1.0);
-        assert!((norm - 5.0).abs() < 1e-6);
-        assert!((g[0] - 0.6).abs() < 1e-6);
-        assert!((g[1] - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clipping_noop_below_threshold() {
-        let mut g = vec![0.3f32, 0.4];
-        clip_by_global_norm(&mut g, 1.0);
-        assert_eq!(g, vec![0.3, 0.4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "state size mismatch")]
-    fn adam_size_mismatch_panics() {
-        let mut adam = Adam::new(2, 0.1);
-        let mut p = vec![0.0f32; 3];
-        adam.step_flat(&mut p, &[0.0; 3]);
     }
 }

@@ -127,8 +127,9 @@ impl RhnLayer {
         self.wx_h.rows()
     }
 
-    /// Number of parameters — matches the paper's 213 M at
-    /// `(D=1792, H=1792, L=10)` plus embedding/softmax.
+    /// Number of parameters: `2·D·H + L·(2·H² + 2·H)`, 70.68 M at
+    /// `(D=1792, H=1792, L=10)` — not the paper's 213 M, which this
+    /// coupled-gate RHN does not reach at those dimensions.
     pub fn param_count(&self) -> usize {
         params::count(self.params())
     }

@@ -1,0 +1,73 @@
+//! The one FLOP count: each layer's forward multiply-adds per token,
+//! in exact integer arithmetic, and the rule that turns them into a
+//! training step's FLOPs.
+//!
+//! Both cluster models read it. The trainer prices a live step of
+//! `zipf_lm::ModelKind` through `ModelKind::flops_per_step`, and
+//! [`crate::WordScale`] / [`crate::CharScale`] price their predicted
+//! step at the paper's dimensions; each passes [`step`] to
+//! `CostModel::compute_time` at the utilisation below. Following
+//! Williams et al., an RNN LM costs its recurrence plus its output
+//! layer; embedding lookups are gathers and cost nothing here.
+//!
+//! The per-layer counts are the GEMMs `nn`'s layers run, which `lm`'s
+//! `tests/flop_count.rs` holds to `tensor::gemm_macs` exactly: a
+//! recurrent or dense layer runs [`step`]'s 3× forward (the backward
+//! pass computes both `dX` and `dW`, each the forward's size), and
+//! sampled softmax runs only its candidate product.
+
+/// §V-A: the word LM sustains 40 % of peak FLOP/s ("2.44 TFLOP/sec (40%
+/// of peak)").
+pub const WORD_UTILIZATION: f64 = 0.40;
+/// §V-B / §V-C: the char LM sustains 64 % of peak FLOP/s.
+pub const CHAR_UTILIZATION: f64 = 0.64;
+
+/// One LSTM layer of `hidden` cells over `input`-wide inputs: the input
+/// and recurrent products into the four gates, `4H·(E + H)`.
+pub fn lstm(input: usize, hidden: usize) -> u64 {
+    (4 * hidden * (input + hidden)) as u64
+}
+
+/// A coupled-gate RHN of `depth` micro-layers: the input products into
+/// the candidate and transform gates at depth 0, `2·D·H`, and the two
+/// recurrent `H×H` products at every depth, `2·L·H²`.
+pub fn rhn(input: usize, hidden: usize, depth: usize) -> u64 {
+    (2 * hidden * (input + depth * hidden)) as u64
+}
+
+/// A dense `x·W` layer, `in × out`.
+pub fn linear(input: usize, output: usize) -> u64 {
+    (input * output) as u64
+}
+
+/// Sampled softmax over `P`-wide outputs: `S` candidate dots and the
+/// target's, `(S + 1)·P`.
+///
+/// Only the candidate product (`P·S` per token) is a GEMM, and it
+/// runs once, forward. The rest runs in scalar loops: the target dot
+/// and, per scored class, the `dh` and table-row updates — at most
+/// `T·B·P·(2S + 3)` multiply-adds for `T·B` tokens (fewer when an
+/// accidental hit or a zero gradient is skipped). Priced under [`step`],
+/// the layer's `3·(S + 1)·P` covers both.
+pub fn sampled_softmax(proj: usize, samples: usize) -> u64 {
+    linear(proj, samples) + proj as u64
+}
+
+/// The word LM (§IV-B): an LSTM over `E`-wide embeddings, the `H → P`
+/// projection and sampled softmax.
+pub fn word_lm(embed: usize, hidden: usize, proj: usize, samples: usize) -> u64 {
+    lstm(embed, hidden) + linear(hidden, proj) + sampled_softmax(proj, samples)
+}
+
+/// The char LM (§IV-B): an RHN over `E`-wide embeddings and the full
+/// `H → V` output layer.
+pub fn char_lm(embed: usize, hidden: usize, depth: usize, vocab: usize) -> u64 {
+    rhn(embed, hidden, depth) + linear(hidden, vocab)
+}
+
+/// FLOPs of one training step over `tokens` tokens for a model of
+/// `macs_per_token` forward multiply-adds: 2 FLOPs per multiply-add, and
+/// forward + backward = 3× forward. Exact below 2⁵³.
+pub fn step(macs_per_token: u64, tokens: usize) -> f64 {
+    (6 * macs_per_token * tokens as u64) as f64
+}

@@ -8,15 +8,17 @@
 //! out of reach. Both price a step with one clock, [`schedule`]: the
 //! trainer feeds it the [`schedule::StepLoad`] it measured, the models
 //! here the one they predict from the paper's dimensions and the
-//! Zipf/Heaps unique-words law. A predicted step time is that clock
-//! plus one table of named calibrated terms — overhead, host staging,
-//! contention and a straggler multiplier — whose constants are
-//! **calibrated** against the paper's own 8-GPU anchor rows and marked
-//! `CALIBRATED` where they are defined. EXPERIMENTS.md reports
-//! model-vs-paper for every cell.
+//! Zipf/Heaps unique-words law. Both count compute with one function,
+//! [`flops`]. A predicted step time is that clock plus one table of
+//! named calibrated terms — overhead, host staging, contention and a
+//! straggler multiplier — whose constants are **calibrated** against
+//! the paper's own 8-GPU anchor rows and marked `CALIBRATED` where they
+//! are defined. EXPERIMENTS.md reports model-vs-paper for every cell.
 //!
 //! * [`schedule`] — the step clock: op schedule, critical path, exact
 //!   per-rank time attribution.
+//! * [`flops`] — each layer's multiply-adds per token, the step rule and
+//!   the paper's utilisations.
 //! * [`law`] — the `U = a·N^0.64` unique-words law (§III-A).
 //! * [`wordlm`] — Table III, Figure 6, and the §V-A memory numbers.
 //! * [`charlm`] — Table IV and the Table V weak-scaling run.
@@ -25,6 +27,7 @@
 #![forbid(unsafe_code)]
 
 pub mod charlm;
+pub mod flops;
 pub mod law;
 pub mod memory;
 pub mod schedule;

@@ -42,18 +42,21 @@ impl StepTerms {
 /// Stamps the shared machinery onto a full-scale model type — the one
 /// implementation of its predicted step, step time and scaling tables,
 /// inherent on both models. The type provides `payload` (its dense
-/// gradient elements and exchanges), `terms`, `memory_gb` and the
-/// `local_tokens`, `tokens_per_epoch`, `compute_s` and `cost` fields,
-/// with `TechniqueStack`, `ScalingRow` and `StepSchedule` in scope;
-/// `$table` names its paper table.
+/// gradient elements and exchanges), `macs_per_token` (its
+/// [`crate::flops`] count), `terms`, `memory_gb` and the
+/// `local_tokens`, `tokens_per_epoch` and `cost` fields, with
+/// `TechniqueStack`, `ScalingRow` and `StepSchedule` in scope; `$table`
+/// names its paper table.
 macro_rules! scaling_tables {
     ($model:ty, $table:ident) => {
         impl $model {
             /// The step this model predicts at `g` GPUs under `stack`,
-            /// as the clock prices it: its payload at identity size on a
-            /// flat ring over the cluster's nodes, overlap off,
-            /// unbucketed, no delays. Distinct rows count only on the
-            /// unique path, as the trainer measures them.
+            /// as the clock prices it: its counted FLOPs at the cluster's
+            /// utilisation, as the trainer prices a live step, and its
+            /// payload at identity size on a flat ring over the cluster's
+            /// nodes, overlap off, unbucketed, no delays. Distinct rows
+            /// count only on the unique path, as the trainer measures
+            /// them.
             pub fn schedule(&self, g: usize, stack: TechniqueStack) -> StepSchedule<'_> {
                 use $crate::schedule::{ExchangeLoad, StepLoad};
                 let (dense_elems, input, output) = self.payload(g, stack);
@@ -70,13 +73,14 @@ macro_rules! scaling_tables {
                     }
                 };
                 let dense = dense_elems as u64 * elem;
+                let flops = $crate::flops::step(self.macs_per_token(), self.local_tokens);
                 StepSchedule {
                     cost: &self.cost,
                     xcfg,
                     gpus: g,
                     gpn: self.cost.hardware().gpus_per_node,
                     overlap: false,
-                    compute_ps: simgpu::secs_to_ps(self.compute_s),
+                    compute_ps: simgpu::secs_to_ps(self.cost.compute_time(flops)),
                     dense_elems,
                     dim: input.2,
                     out_dim: output.map_or(input.2, |o| o.2),

@@ -9,9 +9,10 @@
 //!
 //! A step is the predicted [`crate::schedule::StepSchedule`]
 //! ([`WordScale::schedule`]) on the same clock the trainer runs —
-//! compute, the dense-parameter ALLREDUCE, both exchanges' collectives
-//! and their update touches, on a flat ring — plus the calibrated
-//! terms. The largest is the **host-staged embedding exchange**: in
+//! compute as [`crate::flops`] counts it, the dense-parameter ALLREDUCE,
+//! both exchanges' collectives and their update touches, on a flat ring
+//! — plus the calibrated terms. The largest is the **host-staged
+//! embedding exchange**: in
 //! TF-1.4-era stacks large-vocabulary embedding tables live host-side,
 //! so its cost is proportional to *rows exchanged* — `G·K` for the
 //! baseline vs `a·(G·K)^0.64` under uniqueness. The baseline
@@ -20,6 +21,7 @@
 //! which is what makes its absolute epoch time *rise* with more GPUs in
 //! Table III.
 
+use crate::flops::{self, WORD_UTILIZATION};
 use crate::law::{unique_words, ALPHA, FIG1_PREFACTOR};
 use crate::scale::{scaling_tables, Rows, StepTerms};
 use crate::schedule::{ExchangeConfig, StepSchedule};
@@ -116,16 +118,16 @@ pub struct WordScale {
     pub samples: usize,
     /// Corpus tokens per epoch.
     pub tokens_per_epoch: u64,
-    /// Compute seconds per step per GPU (136 GFLOP/iter at the measured
-    /// 2.44 TFLOP/s, §V-A).
-    pub compute_s: f64,
-    /// The cluster every collective of the step is priced on.
+    /// The cluster the step's compute and every collective are priced
+    /// on.
     pub cost: CostModel,
 }
 
 /// CALIBRATED: fixed per-step framework overhead (kernel launches, input
 /// pipeline), anchored to Table III's 8-GPU "with our technique" row.
-pub const STEP_OVERHEAD_S: f64 = 0.25;
+/// It also holds what the paper's 136 GFLOP/iter (§V-A) adds beyond the
+/// 86.6 GFLOP [`crate::flops`] counts (EXPERIMENTS.md).
+pub const STEP_OVERHEAD_S: f64 = 0.2703;
 /// CALIBRATED: host-staged embedding-exchange throughput in bytes/s,
 /// anchored jointly to Table III's two 8-GPU rows.
 pub const HOST_STAGE_RATE: f64 = 150.0e6;
@@ -157,9 +159,13 @@ impl WordScale {
             local_tokens: 32 * 20,
             samples: 1024,
             tokens_per_epoch: 780_000_000,
-            compute_s: 136.0e9 / 2.44e12,
-            cost: CostModel::new(HardwareConfig::titan_x_cluster(), 0.40),
+            cost: CostModel::new(HardwareConfig::titan_x_cluster(), WORD_UTILIZATION),
         }
+    }
+
+    /// Forward multiply-adds per token.
+    fn macs_per_token(&self) -> u64 {
+        flops::word_lm(self.embed_dim, self.hidden, self.proj_dim, self.samples)
     }
 
     /// Input-embedding rows exchanged per step.

@@ -9,7 +9,7 @@
 //!   sequential register-tiled GEMM kernel, run at the widest vector
 //!   unit the CPU reports and bit-identical at every width (the CPU
 //!   stand-in for a CUDA thread-block kernel; ranks, not kernels, are
-//!   the threads).
+//!   the threads). [`gemm_macs`] counts the multiply-adds it performs.
 //! * [`ops`] — numerically-stable softmax / log-sum-exp and the pointwise
 //!   nonlinearities LSTM/RHN need.
 //! * [`mod@f16`] — bit-exact software IEEE-754 binary16 with round-to-nearest-
@@ -27,4 +27,4 @@ pub mod matrix;
 pub mod ops;
 
 pub use f16::F16;
-pub use matrix::{Matrix, PackedB, Rhs, Store, View};
+pub use matrix::{gemm_macs, Matrix, PackedB, Rhs, Store, View};

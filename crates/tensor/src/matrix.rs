@@ -41,6 +41,7 @@
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
 
@@ -204,6 +205,7 @@ impl Matrix {
         assert_eq!(a.rows, rows.len(), "row count mismatch");
         assert_eq!(a.cols, b.rows(), "inner dimension mismatch");
         assert_eq!(b.cols(), self.cols, "column count mismatch");
+        GEMM_MACS.set(GEMM_MACS.get() + (a.rows * a.cols * self.cols) as u64);
         let c = &mut self.data[rows.start * self.cols..rows.end * self.cols];
         match store {
             Store::Set => gemm::<false>(Width::detect(), c, a, b),
@@ -457,6 +459,18 @@ impl Width {
 /// The tile the kernel selected on this host, for benchmark logs.
 pub fn kernel_width() -> &'static str {
     Width::detect().name()
+}
+
+thread_local! {
+    /// Running total behind [`gemm_macs`].
+    static GEMM_MACS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Multiply-adds every product on this thread has performed so far:
+/// `m·k·n` per [`Matrix::gemm_rows`] call, which every product goes
+/// through. The difference across a call is what that call performed.
+pub fn gemm_macs() -> u64 {
+    GEMM_MACS.get()
 }
 
 /// An allocating product: `a · b` into a fresh matrix.
@@ -963,6 +977,19 @@ mod tests {
     fn gemm_rows_dimension_mismatch_panics() {
         let (a, b) = (Matrix::zeros(2, 3), Matrix::zeros(2, 3));
         Matrix::zeros(2, 3).gemm_rows(0..2, a.view(), Rhs::View(b.view()), Store::Set);
+    }
+
+    #[test]
+    fn gemm_macs_counts_m_k_n_per_product() {
+        let (a, b) = (Matrix::zeros(3, 5), Matrix::zeros(5, 7));
+        let packed = PackedB::new(b.view());
+        let mut c = Matrix::zeros(4, 7);
+        let before = gemm_macs();
+        let _ = a.matmul(&b); // 3·5·7
+        let _ = b.transpose_a_matmul(&b); // 7·5·7
+        let _ = a.matmul_transpose_b(&a); // 3·5·3
+        c.gemm_rows(1..3, a.rows_view(0..2), Rhs::Packed(&packed), Store::Add); // 2·5·7
+        assert_eq!(gemm_macs() - before, 105 + 245 + 45 + 70);
     }
 
     #[test]

@@ -171,11 +171,12 @@ fn perfmodel_memory_crossover_between_24_and_32() {
 /// The cross-model check: a live unbucketed word run at G = 8 and
 /// `perfmodel`'s prediction at the same dimensions meet in one clock.
 /// (a) Each step's measured load, priced by `perfmodel::schedule`,
-/// reproduces every rank's recorded clock bit for bit. (b) The load
-/// `perfmodel` predicts runs the same collectives — labels, count and
-/// so every rank's α, which counts hops, not bytes — over the same
-/// dense payload and per-rank rows; where the two models differ is the
-/// Heaps-law `Ug` against the measured one.
+/// reproduces every rank's recorded clock bit for bit. (b) The step
+/// `perfmodel` predicts carries the same compute (one FLOP count) and
+/// runs the same collectives — labels, count and so every rank's α,
+/// which counts hops, not bytes — over the same dense payload and
+/// per-rank rows; where the two models differ is the Heaps-law `Ug`
+/// against the measured one.
 #[test]
 fn measured_and_predicted_loads_price_on_one_clock() {
     let g = 8;
@@ -233,6 +234,7 @@ fn measured_and_predicted_loads_price_on_one_clock() {
         ..WordScale::paper()
     };
     let predicted = model.schedule(g, TechniqueStack::Unique);
+    assert_eq!(predicted.compute_ps, live.compute_ps, "compute");
     assert_eq!(predicted.dense_elems, live.dense_elems, "dense payload");
     let rows = |l: &StepLoad| {
         let out = l.output.expect("a word LM has an output exchange");
