@@ -61,6 +61,7 @@
 
 use crate::schedule::{buckets, ExchangeLoad};
 use nn::{Embedding, SparseGrad};
+use perfmodel::memory;
 pub use perfmodel::schedule::ExchangeConfig;
 use simgpu::{CommError, PhaseTimer, Rank, SpanKind, TierBytes, TraceRecorder};
 
@@ -354,12 +355,11 @@ fn baseline_exchange(
     // What the modelled GPU holds simultaneously: G·K indices + G·K·D
     // rows (the host reads the rows in place; the charge is the paper's).
     let total_rows = all_indices.len() as u64;
-    let peak_buffer_bytes = total_rows * 4 + total_rows * (d as u64) * 4;
 
     Ok(ExchangeStats {
         local_tokens: n_local,
         wire_bytes,
-        peak_buffer_bytes,
+        peak_buffer_bytes: memory::exchange_bytes(total_rows, d, None),
         index_enc_bytes: total_rows * 4,
         timings,
         // No unique set, no ALLREDUCE on this path.
@@ -412,12 +412,13 @@ fn unique_exchange(
     // gathered vector so every rank derives the identical total (the
     // step scheduler needs all ranks to price one synchronized time).
     // Ragged contributions can't be re-sliced; fall back to own × G.
+    let gathered = scratch.all_indices.len() as u64;
     let index_enc_bytes = match index_codec {
         Some(c) if scratch.all_indices.len() == n_local * g && n_local > 0 => (0..g)
             .map(|q| c.encoded_len_u32(&scratch.all_indices[q * n_local..(q + 1) * n_local]))
             .sum(),
         Some(_) => index_pub_bytes * g as u64,
-        None => (scratch.all_indices.len() as u64) * 4,
+        None => gathered * 4,
     };
 
     // Step 4: filter to the globally-unique, canonically-ordered index
@@ -466,17 +467,14 @@ fn unique_exchange(
     // Buffers live simultaneously at the ALLREDUCE: G·K gathered
     // indices, the locally-reduced Ĵ (Ui indices) + ∆̂ (Ui×D rows) that
     // step 5 scatters from, and the Ug×D matrix M itself.
-    let peak_buffer_bytes = (scratch.all_indices.len() as u64) * 4
-        + (u_local as u64) * 4
-        + (u_local as u64) * (d as u64) * 4
-        + (u_global as u64) * (d as u64) * 4;
+    let distinct = Some((u_local as u64, u_global as u64));
 
     Ok(ExchangeStats {
         local_tokens: n_local,
         unique_local: u_local,
         unique_global: u_global,
         wire_bytes,
-        peak_buffer_bytes,
+        peak_buffer_bytes: memory::exchange_bytes(gathered, d, distinct),
         reduce_raw_bytes: reduced.raw,
         reduce_enc_bytes: reduced.enc,
         index_enc_bytes,
@@ -582,6 +580,11 @@ mod tests {
         cfg: &ExchangeConfig,
     ) -> Result<ExchangeStats, CommError> {
         exchange_and_apply_with(rank, grad, table, 0.1, cfg, &mut ExchangeScratch::new())
+    }
+
+    /// The hierarchical schedule over `gpn`-GPU nodes.
+    fn two_tier(gpn: usize) -> simgpu::Topology {
+        simgpu::Topology::TwoTier { gpus_per_node: gpn }
     }
 
     fn exchange_result(world: usize, cfg: ExchangeConfig) -> Vec<(Matrix, ExchangeStats)> {
@@ -874,7 +877,7 @@ mod tests {
                 assert_eq!(fs.unique_global, hs.unique_global);
                 let n = fs.unique_global * D;
                 let gather = 12u64 * 4 * (world as u64 - 1);
-                let tb = simgpu::hierarchical_allreduce_send_bytes(n, world, gpn, r, 4);
+                let tb = simgpu::allreduce_send_bytes(n, world, gpn, two_tier(gpn), r, 4);
                 assert_eq!(hs.wire_bytes, gather + tb.total());
                 expected_allreduce += tb.total();
             }
@@ -917,7 +920,11 @@ mod tests {
                 let n = ws.unique_global * D;
                 let gather = 12u64 * 4 * (world as u64 - 1);
                 let shares: u64 = crate::schedule::buckets(n, elem, bucket_bytes)
-                    .map(|range| simgpu::ring_allreduce_send_bytes(range.len(), world, r, elem))
+                    .map(|range| {
+                        let flat = simgpu::Topology::Flat;
+                        simgpu::allreduce_send_bytes(range.len(), world, world, flat, r, elem)
+                            .total()
+                    })
                     .sum();
                 assert_eq!(bs.wire_bytes, gather + shares);
                 assert!(
@@ -960,7 +967,7 @@ mod tests {
                 assert_eq!(fs.unique_global, hs.unique_global);
                 let n = fs.unique_global * D;
                 let gather = 12u64 * 4 * (world as u64 - 1);
-                let tb = simgpu::hierarchical_allreduce_send_bytes(n, world, gpn, r, 2);
+                let tb = simgpu::allreduce_send_bytes(n, world, gpn, two_tier(gpn), r, 2);
                 assert_eq!(hs.wire_bytes, gather + tb.total());
                 expected += tb;
             }

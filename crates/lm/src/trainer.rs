@@ -628,9 +628,9 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
     // wins, so the guard's generic reason only surfaces for surprises.
     let guard = rank.abort_on_drop(format!("rank {r} exited the step loop early"));
 
-    // Persistent model memory: parameters + gradients + optimizer
-    // scratch, FP32.
-    let param_bytes = st.replica.param_vector_len() as u64 * 4 * 3;
+    // Persistent model memory: parameters + gradients + a modelled
+    // optimiser slot, FP32.
+    let param_bytes = perfmodel::memory::replica_bytes(st.replica.param_vector_len() as u64);
     let _model_alloc = device.try_alloc(param_bytes).map_err(|e| {
         rank.abort(format!("rank {r} OOM on model parameters: {e}"));
         TrainError::Oom(e)

@@ -4,6 +4,7 @@
 #[cfg(test)]
 mod tests {
     use crate::charlm::{CharScale, TiebaScale};
+    use crate::memory::exchange_bytes;
     use crate::wordlm::{TechniqueStack, WordScale};
 
     #[test]
@@ -13,13 +14,26 @@ mod tests {
         println!("=== Table III (word LM, hours/epoch) ===");
         println!("paper baseline: 35.1 41.1 40.4 * *");
         println!("paper ours:     14.6  8.1  6.4 5.4 4.5");
+        // Each row's memory beside its raw predicted buffers: Σ
+        // exchange_bytes over the predicted exchanges, GB, before the
+        // calibrated resident term and replication.
+        type Exchanges = Vec<(u64, usize, Option<(u64, u64)>)>;
+        let buffers = |exchanges: Exchanges| {
+            let bytes: u64 = exchanges
+                .into_iter()
+                .map(|(n, d, x)| exchange_bytes(n, d, x))
+                .sum();
+            bytes as f64 / 1e9
+        };
         for (g, b, o) in w.table3() {
             println!(
-                "{g:>3} gpus: baseline {:?} ({:.2} GB)  ours {:?} ({:.2} GB)",
+                "{g:>3} gpus: baseline {:?} ({:.3} GB, buffers {:.4})  ours {:?} ({:.3} GB, buffers {:.4})",
                 b.epoch_hours.map(|h| (h * 10.0).round() / 10.0),
                 b.memory_gb,
+                buffers(w.exchanges(g, TechniqueStack::Baseline)),
                 o.epoch_hours.map(|h| (h * 10.0).round() / 10.0),
                 o.memory_gb,
+                buffers(w.exchanges(g, TechniqueStack::Full)),
             );
         }
         println!("=== Fig 6 (speedups) paper@16: 1/4.0/4.3/5.1, @24: 1/5.1/5.4/6.3 ===");
@@ -45,11 +59,13 @@ mod tests {
         println!("=== Table IV (char LM) paper base: 25.7/14.5/10.6/*/*; ours: 23.2/12.9/8.2/6.8/3.5 ===");
         for (g, b, o) in c.table4() {
             println!(
-                "{g:>3} gpus: baseline {:?} ({:.2} GB)  ours {:?} ({:.2} GB)",
+                "{g:>3} gpus: baseline {:?} ({:.3} GB, buffers {:.4})  ours {:?} ({:.3} GB, buffers {:.4})",
                 b.epoch_hours.map(|h| (h * 10.0).round() / 10.0),
                 b.memory_gb,
+                buffers(c.exchanges(g, TechniqueStack::Baseline)),
                 o.epoch_hours.map(|h| (h * 10.0).round() / 10.0),
                 o.memory_gb,
+                buffers(c.exchanges(g, TechniqueStack::Full)),
             );
         }
         println!("=== Table V paper: 27/28/34 h ===");

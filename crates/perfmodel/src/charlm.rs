@@ -24,6 +24,10 @@ pub const CHAR_STEP_OVERHEAD_S: f64 = 0.859;
 /// CALIBRATED: duplicate-update contention per gathered token for the
 /// baseline (every token hits one of ~98 rows).
 pub const CHAR_CONTENTION_PER_TOKEN: f64 = 1.76e-6;
+/// CALIBRATED: replication of the baseline's gather buffers (send/recv
+/// staging plus executor slack), anchored to Table IV's baseline fitting
+/// 12 GB at 24 GPUs and running out at 32.
+pub const CHAR_GATHER_REPLICATION: f64 = 2.5;
 /// CALIBRATED: fixed per-step overhead for the Tieba model, anchored to
 /// Table V's 6- and 192-GPU rows jointly with
 /// [`TIEBA_PER_TOKEN_S`]. (The 192-GPU row halves the per-GPU batch —
@@ -106,18 +110,18 @@ impl CharScale {
         }
     }
 
-    /// Peak per-GPU memory in GB, over the rows the step moves. Model +
-    /// gradients + Adam state is ~3.4 GB; the baseline adds the staged
-    /// G·K·D gather (double-buffered), which crosses 12 GB between 24
-    /// and 32 GPUs.
-    pub fn memory_gb(&self, g: usize, stack: TechniqueStack) -> f64 {
-        let model = 4.0 * self.dense_bytes as f64 / 1e9;
-        let (_, (k, ug, dim), _) = self.payload(g, stack);
-        if matches!(stack, TechniqueStack::Baseline) {
-            // 2.5×: send/recv staging plus executor slack on the gather.
-            model + 2.5 * (g * k * dim) as f64 * 4.0 / 1e9
+    /// The calibrated pair `memory_gb` applies under `stack`: resident
+    /// GB — one replica plus the dense gradient beside the exchange, as
+    /// the trainer charges them, ~3.4 GB — and the replication of the
+    /// exchange buffers, which carries the baseline's `G·K·D` gather
+    /// across 12 GB between 24 and 32 GPUs.
+    pub(crate) fn memory_terms(&self, stack: TechniqueStack) -> (f64, f64) {
+        let params = self.dense_bytes / 4;
+        let model_gb = (crate::memory::replica_bytes(params) + params * 4) as f64 / 1e9;
+        if stack.unique() {
+            (model_gb, 1.0)
         } else {
-            model + (g * k + ug * dim) as f64 * 4.0 / 1e9
+            (model_gb, CHAR_GATHER_REPLICATION)
         }
     }
 }

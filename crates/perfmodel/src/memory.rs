@@ -1,4 +1,15 @@
-//! The §III-A worked example and clean (uncalibrated) memory formulas.
+//! What one GPU holds for a step, counted once: each embedding
+//! exchange's buffers ([`exchange_bytes`]) and the model replica
+//! ([`replica_bytes`]).
+//!
+//! The trainer charges exactly these to its simulated device — every
+//! exchange's `ExchangeStats::peak_buffer_bytes` is an
+//! [`exchange_bytes`] call on the rows it gathered and the distinct rows
+//! it measured, the model allocation a [`replica_bytes`] call. The
+//! full-scale models predict memory by summing [`exchange_bytes`] over
+//! the exchanges they predict, then applying each model's named
+//! calibrated pair (resident model GB, gather replication). The §III-A
+//! worked example is priced through the same function:
 //!
 //! "Consider a real-word example, where the sequence length is c = 150,
 //! the number of sequences per GPU is 128, … local batch size K =
@@ -9,25 +20,39 @@
 
 use crate::law::unique_words;
 
-/// Per-GPU bytes the baseline ALLGATHER buffer needs: `G·K·D·4`.
-pub fn allgather_bytes(gpus: usize, local_tokens: usize, dim: usize) -> u64 {
-    gpus as u64 * local_tokens as u64 * dim as u64 * 4
+/// Bytes one GPU holds at once for one embedding exchange whose
+/// `gathered` rows world-wide (`G·K`, `u32` indices) are `dim` wide, in
+/// FP32. `distinct` is `(Ui, Ug)` on the unique path, `None` on the
+/// baseline:
+/// * baseline — every gathered index and row, `G·K·(1+D)·4`;
+/// * unique — the gathered indices, the `Ui` locally reduced indices and
+///   rows step 5 scatters from, and the `Ug×D` matrix it scatters into,
+///   all alive at the ALLREDUCE: `G·K·4 + Ui·(1+D)·4 + Ug·D·4`.
+pub fn exchange_bytes(gathered: u64, dim: usize, distinct: Option<(u64, u64)>) -> u64 {
+    let d = dim as u64;
+    match distinct {
+        None => gathered * (1 + d) * 4,
+        Some((ui, ug)) => gathered * 4 + ui * (1 + d) * 4 + ug * d * 4,
+    }
 }
 
-/// Per-GPU bytes the uniqueness scheme needs: `G·K·4 + Ug·D·4` with
-/// `Ug = (G·K)^α` (the paper's own conservative prefactor-1 arithmetic).
-pub fn unique_bytes(gpus: usize, local_tokens: usize, dim: usize, alpha: f64) -> u64 {
-    let gk = gpus as u64 * local_tokens as u64;
-    let ug = unique_words(gk, 1.0, alpha, usize::MAX);
-    gk * 4 + ug * dim as u64 * 4
+/// Bytes of one model replica of `params` FP32 parameters: the weights,
+/// their gradients and one optimiser slot, `params · 4 · 3`. The third
+/// copy is *modelled*: the trainer updates with plain SGD and keeps no
+/// optimiser state, but the slot stays so the miniature charges what the
+/// paper's runs held (model + gradients + Adam).
+pub fn replica_bytes(params: u64) -> u64 {
+    params * 4 * 3
 }
 
 /// The §III-A worked example, returning `(baseline GB, unique GB,
-/// saving factor)`.
+/// saving factor)`. Distinct rows follow the paper's own prefactor-1
+/// arithmetic, `U = N^0.64`, at `K` (`Ui`) and at `G·K` (`Ug`).
 pub fn worked_example() -> (f64, f64, f64) {
-    let (g, k, d) = (256usize, 19_200usize, 1792usize);
-    let base = allgather_bytes(g, k, d) as f64 / 1e9;
-    let ours = unique_bytes(g, k, d, 0.64) as f64 / 1e9;
+    let (g, k, d) = (256u64, 19_200u64, 1792);
+    let law = |n| unique_words(n, 1.0, 0.64, usize::MAX);
+    let base = exchange_bytes(g * k, d, None) as f64 / 1e9;
+    let ours = exchange_bytes(g * k, d, Some((law(k), law(g * k)))) as f64 / 1e9;
     (base, ours, base / ours)
 }
 
@@ -46,15 +71,18 @@ mod tests {
 
     #[test]
     fn baseline_linear_in_gpus() {
-        let b1 = allgather_bytes(8, 640, 512);
-        let b2 = allgather_bytes(16, 640, 512);
+        let b1 = exchange_bytes(8 * 640, 512, None);
+        let b2 = exchange_bytes(16 * 640, 512, None);
         assert_eq!(b2, 2 * b1);
     }
 
     #[test]
     fn unique_sublinear_in_gpus() {
-        let u1 = unique_bytes(8, 640, 512, 0.64);
-        let u2 = unique_bytes(64, 640, 512, 0.64);
+        let at = |g: u64| {
+            let law = |n| unique_words(n, 1.0, 0.64, usize::MAX);
+            exchange_bytes(g * 640, 512, Some((law(640), law(g * 640))))
+        };
+        let (u1, u2) = (at(8), at(64));
         // 8× GPUs must cost far less than 8× memory.
         assert!((u2 as f64) < 4.5 * u1 as f64, "u1 {u1} u2 {u2}");
     }

@@ -40,13 +40,14 @@ impl StepTerms {
 }
 
 /// Stamps the shared machinery onto a full-scale model type — the one
-/// implementation of its predicted step, step time and scaling tables,
-/// inherent on both models. The type provides `payload` (its dense
-/// gradient elements and exchanges), `macs_per_token` (its
-/// [`crate::flops`] count), `terms`, `memory_gb` and the
-/// `local_tokens`, `tokens_per_epoch` and `cost` fields, with
-/// `TechniqueStack`, `ScalingRow` and `StepSchedule` in scope; `$table`
-/// names its paper table.
+/// implementation of its predicted step, memory, step time and scaling
+/// tables, inherent on both models. The type provides `payload` (its
+/// dense gradient elements and exchanges), `macs_per_token` (its
+/// [`crate::flops`] count), `terms`, `memory_terms` (its calibrated
+/// resident GB and gather replication) and the `vocab`, `local_tokens`,
+/// `tokens_per_epoch` and `cost` fields, with `TechniqueStack`,
+/// `ScalingRow` and `StepSchedule` in scope; `$table` names its paper
+/// table.
 macro_rules! scaling_tables {
     ($model:ty, $table:ident) => {
         impl $model {
@@ -91,6 +92,42 @@ macro_rules! scaling_tables {
                         output: output.map(exchange),
                     },
                 }
+            }
+
+            /// The embedding exchanges this model predicts at `g` GPUs
+            /// under `stack` — the ones [`Self::schedule`] prices — as
+            /// [`crate::memory::exchange_bytes`] takes them: `G·K` rows
+            /// gathered, the row width and, on the unique path, `(Ui,
+            /// Ug)`: `Ui` by the unique-words law at `K` up to the
+            /// vocabulary, `Ug` the payload's.
+            pub fn exchanges(
+                &self,
+                g: usize,
+                stack: TechniqueStack,
+            ) -> Vec<(u64, usize, Option<(u64, u64)>)> {
+                use $crate::law::{unique_words, ALPHA, FIG1_PREFACTOR};
+                let (_, input, output) = self.payload(g, stack);
+                [Some(input), output]
+                    .into_iter()
+                    .flatten()
+                    .map(|(k, ug, dim)| {
+                        let ui = unique_words(k as u64, FIG1_PREFACTOR, ALPHA, self.vocab);
+                        let distinct = stack.unique().then_some((ui, ug as u64));
+                        ((g * k) as u64, dim, distinct)
+                    })
+                    .collect()
+            }
+
+            /// Peak per-GPU memory in GB: the model's calibrated
+            /// resident term plus its exchange buffers — the shared count
+            /// summed over [`Self::exchanges`] — scaled by its calibrated
+            /// gather replication.
+            pub fn memory_gb(&self, g: usize, stack: TechniqueStack) -> f64 {
+                use $crate::memory::exchange_bytes;
+                let (model_gb, replication) = self.memory_terms(stack);
+                let buffers = self.exchanges(g, stack).into_iter();
+                let bytes: u64 = buffers.map(|(n, dim, x)| exchange_bytes(n, dim, x)).sum();
+                model_gb + replication * bytes as f64 / 1e9
             }
 
             /// Simulated seconds per training step: the predicted step

@@ -37,9 +37,9 @@
 //! charges a four-phase two-tier schedule (intra-node ring
 //! reduce-scatter, chunk hand-off to the node leader, leader ring over
 //! the Infiniband tier, intra-node broadcast). Every charge lands in a
-//! per-[`Tier`] bucket that exactly matches the analytic helpers
-//! ([`ring_allreduce_send_bytes`], [`hierarchical_allreduce_send_bytes`]),
-//! so analytic == recorded holds to the byte, per tier.
+//! per-[`Tier`] bucket that exactly matches the analytic helper
+//! [`allreduce_send_bytes`] under the same [`Topology`], so analytic ==
+//! recorded holds to the byte, per tier.
 //!
 //! Wire format and wire schedule are parameters of the one ALLREDUCE
 //! ([`Rank::all_reduce`] takes a [`Wire`] and a [`Topology`]), not
@@ -602,43 +602,28 @@ pub fn chunk_range(n: usize, world: usize, chunk: usize) -> std::ops::Range<usiz
     lo..hi
 }
 
-/// Exact bytes `rank` sends during one ring ALLREDUCE over `n` elements
-/// of `elem_bytes` each — iterating the same chunk schedule as
-/// [`Rank::all_reduce`] on a flat topology, so analytic wire accounting
-/// can match the [`TrafficRecorder`] to the byte even when `n` does not
-/// divide evenly by `world`.
-pub fn ring_allreduce_send_bytes(n: usize, world: usize, rank: usize, elem_bytes: u64) -> u64 {
-    ring_allreduce_send_bytes_parts(world, rank, |parts, c| {
-        chunk_range(n, parts, c).len() as u64 * elem_bytes
-    })
-}
-
-/// Closure-parameterised [`ring_allreduce_send_bytes`]: iterates the
-/// identical chunk schedule but prices each transmitted chunk through
-/// `chunk_bytes(parts, chunk)` — the wire bytes of chunk `chunk` of the
-/// `parts`-way partition of the payload. With the raw closure
-/// `|parts, c| chunk_range(n, parts, c).len() as u64 * elem_bytes` this
-/// reproduces the identity accounting exactly; wire codecs substitute
-/// the encoded length of each chunk of the *reduced* payload (the
-/// steady-state re-encode model — see `codec`), which is identical on
-/// every rank, so analytic == recorded still holds per tier.
-pub fn ring_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
+/// Exact bytes `rank` sends during one ring ALLREDUCE — iterating the
+/// same chunk schedule as [`Rank::all_reduce`] on a flat topology, so
+/// analytic wire accounting matches the [`TrafficRecorder`] to the byte
+/// even when the payload does not divide evenly by `world` — pricing
+/// each transmitted chunk through `chunk_bytes(parts, chunk)`: the wire
+/// bytes of chunk `chunk` of the `parts`-way partition of the payload.
+/// With the raw closure `|parts, c| chunk_range(n, parts, c).len() as
+/// u64 * elem_bytes` this is the identity accounting; wire codecs
+/// substitute the encoded length of each chunk of the *reduced* payload
+/// (the steady-state re-encode model — see `codec`), which is identical
+/// on every rank, so analytic == recorded still holds per tier.
+fn ring_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
     world: usize,
     rank: usize,
     chunk_bytes: F,
 ) -> u64 {
-    if world <= 1 {
-        return 0;
-    }
-    let g = world;
-    let r = rank;
-    let mut bytes = 0u64;
-    for s in 0..g - 1 {
-        // Reduce-scatter send at step s, then all-gather send at step s.
-        bytes += chunk_bytes(g, (r + g - s) % g);
-        bytes += chunk_bytes(g, (r + 1 + g - s) % g);
-    }
-    bytes
+    let (g, r) = (world, rank);
+    // Reduce-scatter send at step s, then all-gather send at step s; a
+    // group of one (or none) sends nothing.
+    (0..g.saturating_sub(1))
+        .map(|s| chunk_bytes(g, (r + g - s) % g) + chunk_bytes(g, (r + 1 + g - s) % g))
+        .sum()
 }
 
 /// The [`Tier`] of the flat ring link `rank → (rank + 1) % world` on a
@@ -684,12 +669,13 @@ pub fn peer_exchange_tier_bytes(
 }
 
 /// Exact per-tier bytes `rank` sends during one hierarchical ALLREDUCE
-/// over `n` elements of `elem_bytes` each, on a cluster of
-/// `gpus_per_node`-GPU nodes — the analytic mirror of what
-/// [`Rank::all_reduce`] charges the recorder under
+/// on a cluster of `gpus_per_node`-GPU nodes — the analytic mirror of
+/// what [`Rank::all_reduce`] charges the recorder under
 /// [`Topology::TwoTier`], phase by phase, so per-tier analytic ==
 /// recorded holds to the byte even on ragged worlds
-/// (`world % gpus_per_node != 0`).
+/// (`world % gpus_per_node != 0`). Every transmitted chunk is priced
+/// through `chunk_bytes` as in [`ring_allreduce_send_bytes_parts`]
+/// (phase 4's full payload is chunk 0 of the 1-way partition).
 ///
 /// The modelled schedule:
 /// 1. intra-node ring reduce-scatter over the node's `m` members
@@ -703,25 +689,7 @@ pub fn peer_exchange_tier_bytes(
 ///
 /// Groups that fit in one node (`world <= gpus_per_node`) fall back to
 /// the flat ring, all intra.
-pub fn hierarchical_allreduce_send_bytes(
-    n: usize,
-    world: usize,
-    gpus_per_node: usize,
-    rank: usize,
-    elem_bytes: u64,
-) -> TierBytes {
-    hierarchical_allreduce_send_bytes_parts(world, gpus_per_node, rank, |parts, c| {
-        chunk_range(n, parts, c).len() as u64 * elem_bytes
-    })
-}
-
-/// Closure-parameterised [`hierarchical_allreduce_send_bytes`]: the
-/// identical four-phase schedule, pricing every transmitted chunk
-/// through `chunk_bytes(parts, chunk)` — the wire bytes of chunk
-/// `chunk` of the `parts`-way partition of the payload (phase 4's full
-/// payload is chunk 0 of the 1-way partition). See
-/// [`ring_allreduce_send_bytes_parts`] for the closure contract.
-pub fn hierarchical_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
+fn hierarchical_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
     world: usize,
     gpus_per_node: usize,
     rank: usize,
@@ -855,8 +823,8 @@ pub enum Topology {
     /// One flat ring over all ranks.
     Flat,
     /// The two-tier §V-C schedule over nodes of `gpus_per_node` ranks
-    /// (see [`hierarchical_allreduce_send_bytes`]); the flat ring when
-    /// the group fits in one node.
+    /// (see [`allreduce_send_bytes`]); the flat ring when the group fits
+    /// in one node.
     TwoTier {
         /// Ranks per node; node `i` owns ranks
         /// `[i·gpus_per_node, (i+1)·gpus_per_node)`.
@@ -1084,9 +1052,9 @@ impl Rank {
     /// **Wire schedule and accounting.** [`Topology::Flat`] charges the
     /// ring schedule: this rank's `2(G−1)/G · n` elements land on the
     /// tier of its ring link `r → r+1` under the group topology.
-    /// [`Topology::TwoTier`] charges the four-phase §V-C schedule of
-    /// [`hierarchical_allreduce_send_bytes_parts`], phase by phase per
-    /// tier (ragged last nodes included), and falls back to the flat
+    /// [`Topology::TwoTier`] charges the four-phase §V-C schedule
+    /// ([`allreduce_send_bytes`] under the same topology), phase by phase
+    /// per tier (ragged last nodes included), and falls back to the flat
     /// ring when the group fits in one node. Every transmitted chunk is
     /// priced at its length in the wire format; for a codec that is the
     /// encoded length of the *reduced* chunk (the steady-state
@@ -1534,6 +1502,27 @@ impl Drop for AbortOnDrop<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The flat ring's bytes for `n` elements of `elem_bytes` each.
+    fn ring_allreduce_send_bytes(n: usize, world: usize, rank: usize, elem_bytes: u64) -> u64 {
+        ring_allreduce_send_bytes_parts(world, rank, |parts, c| {
+            chunk_range(n, parts, c).len() as u64 * elem_bytes
+        })
+    }
+
+    /// The two-tier schedule's per-tier bytes for `n` elements of
+    /// `elem_bytes` each.
+    fn hierarchical_allreduce_send_bytes(
+        n: usize,
+        world: usize,
+        gpus_per_node: usize,
+        rank: usize,
+        elem_bytes: u64,
+    ) -> TierBytes {
+        hierarchical_allreduce_send_bytes_parts(world, gpus_per_node, rank, |parts, c| {
+            chunk_range(n, parts, c).len() as u64 * elem_bytes
+        })
+    }
 
     /// Runs `f` on every rank of a fresh group, returning rank results.
     fn run_group<T: Send>(world: usize, f: impl Fn(Rank) -> T + Sync) -> Vec<T> {

@@ -159,8 +159,9 @@ impl CostModel {
     ///
     /// Flat ring (and any group that fits in one node): `2(G−1)` hops
     /// and `sent.total()` bytes on the rank's egress tier. Two-tier,
-    /// the α–β mirror of
-    /// [`crate::comm::hierarchical_allreduce_send_bytes`]'s four phases:
+    /// the α–β mirror of the four phases
+    /// [`crate::comm::allreduce_send_bytes`] charges under
+    /// [`Topology::TwoTier`]:
     ///
     /// * intra: the `m−1` reduce-scatter hops over the node's `m`
     ///   members plus the hand-off (member) or the broadcast round

@@ -66,11 +66,9 @@ pub use codec::{
     IdentityCodec, WireCodec, WireCodecId,
 };
 pub use comm::{
-    allreduce_send_bytes, chunk_range, f16_bits_to_f32, f32_to_f16_bits,
-    hierarchical_allreduce_send_bytes, hierarchical_allreduce_send_bytes_parts,
-    peer_exchange_tier_bytes, quantize_f16, ring_allreduce_send_bytes,
-    ring_allreduce_send_bytes_parts, ring_send_tier, AbortOnDrop, BarrierDeadline, CommError,
-    CommGroup, Rank, Topology, Wire,
+    allreduce_send_bytes, chunk_range, f16_bits_to_f32, f32_to_f16_bits, peer_exchange_tier_bytes,
+    quantize_f16, ring_send_tier, AbortOnDrop, BarrierDeadline, CommError, CommGroup, Rank,
+    Topology, Wire,
 };
 pub use cost::{AlphaBeta, CostModel, TierCost};
 pub use device::{Allocation, Device, OomError};

@@ -5,7 +5,7 @@
 //! the perfmodel pricing their loads on one clock.
 
 use perfmodel::schedule::{CommOp, ExchangeConfig, StepClock, StepLoad, StepSchedule};
-use perfmodel::{TechniqueStack, WordScale};
+use perfmodel::{memory, TechniqueStack, WordScale};
 use simgpu::{secs_to_ps, CostModel, HardwareConfig};
 use zipf::fit_power_law;
 use zipf_lm::{
@@ -176,7 +176,11 @@ fn perfmodel_memory_crossover_between_24_and_32() {
 /// runs the same collectives — labels, count and so every rank's α,
 /// which counts hops, not bytes — over the same dense payload and
 /// per-rank rows; where the two models differ is the Heaps-law `Ug`
-/// against the measured one.
+/// against the measured one. (c) The exchanges `perfmodel` predicts for
+/// memory gather the live run's rows at its row widths, and with the
+/// measured `Ui` / `Ug` in place of the Heaps-law ones the one buffer
+/// count, `perfmodel::memory::exchange_bytes`, is what every rank charged
+/// its device for both exchanges at every step.
 #[test]
 fn measured_and_predicted_loads_price_on_one_clock() {
     let g = 8;
@@ -256,5 +260,37 @@ fn measured_and_predicted_loads_price_on_one_clock() {
         );
         assert_eq!(labels(&predicted_ops), labels(&live_ops), "{why}");
         assert_eq!(predicted_alpha, live_alpha, "{why}");
+    }
+
+    let exchanges = model.exchanges(g, TechniqueStack::Unique);
+    let shapes: Vec<_> = exchanges
+        .iter()
+        .map(|&(n, dim, distinct)| (n, dim, distinct.is_some()))
+        .collect();
+    let gathered = |k: usize| (g * k) as u64;
+    assert_eq!(
+        shapes,
+        [
+            (gathered(want_k.0), mc.embed_dim, true),
+            (gathered(want_k.1), mc.proj_dim, true)
+        ],
+        "gathered rows, row widths and the unique path (input, output)"
+    );
+    for (q, rank) in ranks.iter().enumerate() {
+        for (s, step) in rank.steps.iter().enumerate() {
+            let live = [Some(step.input_exchange), step.output_exchange];
+            for (&(n, dim, heaps), x) in exchanges.iter().zip(live) {
+                let x = x.expect("a word LM has an output exchange");
+                let measured = (x.unique_local as u64, x.unique_global as u64);
+                let why = format!(
+                    "step {s} rank {q}: (Ui, Ug) measured {measured:?}, Heaps-predicted {heaps:?}"
+                );
+                assert_eq!(
+                    memory::exchange_bytes(n, dim, Some(measured)),
+                    x.peak_buffer_bytes,
+                    "{why}"
+                );
+            }
+        }
     }
 }

@@ -3,8 +3,11 @@
 //! paths, with and without FP16 compression. Byte-exact: the unique
 //! path's ALLREDUCE term is the bytes `Rank::all_reduce` returned — the
 //! very numbers it charged the recorder — so non-divisible `Ug·D` sizes
-//! cannot drift; the analytic ring schedule
-//! (`simgpu::ring_allreduce_send_bytes`) is the independent oracle here.
+//! cannot drift. The per-rank schedule these tests compare against,
+//! `simgpu::allreduce_send_bytes`, is not an independent oracle: the
+//! collective charges the recorder through the same chunk schedule, so
+//! what is checked here is that every layer above it reports exactly
+//! what was charged.
 
 use nn::{Embedding, SparseGrad};
 use rand::rngs::StdRng;
@@ -104,7 +107,9 @@ fn analytic_wire_bytes_match_measured_traffic_exactly() {
                 for (r, s) in stats.iter().enumerate() {
                     let index_gather = tokens as u64 * 4 * peers;
                     let payload = if cfg.unique {
-                        simgpu::ring_allreduce_send_bytes(s.unique_global * dim, world, r, elem)
+                        let n = s.unique_global * dim;
+                        simgpu::allreduce_send_bytes(n, world, world, Topology::Flat, r, elem)
+                            .total()
                     } else {
                         (tokens * dim) as u64 * elem * peers
                     };
@@ -163,7 +168,7 @@ fn compression_halves_exactly_the_row_terms() {
 }
 
 /// The dense-gradient path: the bytes the collective returns must be
-/// the analytic per-rank ring bytes (`simgpu::ring_allreduce_send_bytes`)
+/// the analytic per-rank ring bytes (`simgpu::allreduce_send_bytes`)
 /// and, summed over ranks, equal the recorder exactly — FP32 and FP16,
 /// divisible and non-divisible `n`, including the `n < G` degenerate
 /// chunks.
@@ -188,7 +193,9 @@ fn dense_allreduce_analytic_matches_recorded_exactly() {
                 let mut analytic = 0u64;
                 for (r, (sent, _)) in results.iter().enumerate() {
                     // `CommGroup::create` is one node: all intra.
-                    let share = simgpu::ring_allreduce_send_bytes(n, world, r, elem);
+                    let share =
+                        simgpu::allreduce_send_bytes(n, world, world, Topology::Flat, r, elem)
+                            .total();
                     assert_eq!(
                         *sent,
                         TierBytes::on(Tier::Intra, share),
