@@ -15,8 +15,8 @@
 //!
 //! The scalar converters `f32_to_f16_bits` / `f16_bits_to_f32` — the
 //! readable reference and the producers of real `u16` wire bits for
-//! `all_gather_f16_into` and `F16ScaledCodec` — are timed over a slice
-//! for reference, next to the fused round trip.
+//! `all_gather_f16_into` — are timed over a slice for reference, next to
+//! the fused round trip.
 //!
 //! Run pinned to one CPU (`taskset -c 1 cargo bench -p zlm-bench --bench
 //! fp16`), as `e2e` measures: the ranks then take turns on the core and

@@ -1,94 +1,98 @@
 //! Reproduces every table and figure of "Language Modeling at Scale".
 //!
 //! ```text
-//! repro <artifact> [--full]
+//! repro [<artifact>] [--full]
 //!
 //! artifacts:
-//!   fig1     types-vs-tokens curves + power-law fits
-//!   table1   dataset statistics (synthetic vs paper)
-//!   memex    §III-A worked memory example (35.2 GB vs 0.137 GB)
-//!   fig5     word-LM perplexity vs epoch across GPU counts
-//!   fig6     speedup breakdown (uniqueness / seeding / compression)
-//!   fig7     seeding-strategy accuracy comparison
-//!   fig8     char-LM perplexity vs epoch across GPU counts
-//!   table3   word-LM per-epoch time + parallel efficiency
-//!   table4   char-LM per-epoch time + parallel efficiency
-//!   table5   Tieba weak scaling (time model + real miniature accuracy)
-//!   weak     Table V column at real worlds (6/24/192 ranks, bounded pool)
-//!   memory   §V-A peak GPU memory (baseline linear vs ours flat)
-//!   sota     §V-D comparison with Puri et al. [21]
-//!   all      everything above
+//!   fig1        types-vs-tokens curves + power-law fits
+//!   table1      dataset statistics (synthetic vs paper)
+//!   memex       §III-A worked memory example
+//!   fig5        word-LM perplexity vs epoch across GPU counts
+//!   fig6        speedup breakdown (uniqueness / seeding / compression)
+//!   fig7        seeding-strategy accuracy comparison
+//!   fig8        char-LM perplexity vs epoch across GPU counts
+//!   table3      word-LM per-epoch time + parallel efficiency
+//!   table4      char-LM per-epoch time + parallel efficiency
+//!   table5      Tieba weak scaling (time model + real miniature accuracy)
+//!   weak        Table V column at real worlds (6/24/192 ranks, bounded pool)
+//!   memory      §V-A peak GPU memory (baseline linear vs ours flat)
+//!   sota        §V-D comparison with Puri et al. [21]
+//!   scoreboard  every paper figure the full-scale models answer, as
+//!               markdown; rewrites EXPERIMENTS.md's scoreboard block
+//!   all         everything above (the default)
 //! ```
 //!
 //! `--full` uses larger corpora/models for the training-based artifacts
-//! (minutes instead of seconds).
+//! (minutes instead of seconds). Any other flag, an unknown artifact or
+//! a second one is a usage error (exit 2). The modelled sections print
+//! their rows of `perfmodel::paper`, where every paper figure they are
+//! compared with is stated.
 
-use perfmodel::{CharScale, TechniqueStack, TiebaScale, WordScale};
+use perfmodel::wordlm::ScalingRow;
+use perfmodel::{paper, CharScale, WordScale};
 use zlm_bench::table::{hours, pct, render};
+
+/// Every artifact but `all`, in the order `all` runs them.
+const ARTIFACTS: &str =
+    "fig1 table1 memex table3 fig6 table4 table5 weak memory fig5 fig7 fig8 sota scoreboard";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let quick = !full;
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
-
-    let known = [
-        "fig1", "table1", "memex", "fig5", "fig6", "fig7", "fig8", "table3", "table4", "table5",
-        "weak", "memory", "sota", "all",
-    ];
-    if !known.contains(&what) {
-        eprintln!("unknown artifact '{what}'; one of: {}", known.join(", "));
+    let (what, full) = parse(&args).unwrap_or_else(|e| {
+        eprintln!("{e}; usage: repro [<artifact>] [--full], artifact one of: {ARTIFACTS} all");
         std::process::exit(2);
+    });
+    let quick = !full;
+    for name in ARTIFACTS.split(' ').filter(|&a| what == "all" || what == a) {
+        match name {
+            "fig1" => fig1(quick),
+            "table1" => table1(),
+            "memex" => modelled("SIII-A worked example (G=256, K=19200, D=1792)", "memex."),
+            "table3" => scaling_table("Table III: word-LM", WordScale::paper().table3(), "table3."),
+            "fig6" => modelled("Figure 6: cumulative speedups over baseline", "fig6."),
+            "table4" => scaling_table("Table IV: char-LM", CharScale::paper().table4(), "table4."),
+            "table5" => table5(quick),
+            "weak" => weak(quick),
+            "memory" => modelled("SV-A: peak GPU memory (GB)", "memory."),
+            "fig5" => fig5(quick),
+            "fig7" => fig7(quick),
+            "fig8" => fig8(quick),
+            "sota" => sota(quick),
+            "scoreboard" => scoreboard(),
+            other => unreachable!("artifact {other} has no section"),
+        }
     }
+}
 
-    let run = |name: &str| what == "all" || what == name;
-    if run("fig1") {
-        fig1(quick);
+/// `repro [<artifact>] [--full]`: the artifact (`all` if none is given)
+/// and whether `--full` was, or what is wrong with `args`.
+fn parse(args: &[String]) -> Result<(&str, bool), String> {
+    let (mut what, mut full) = (None, false);
+    for arg in args {
+        match arg.as_str() {
+            "--full" => full = true,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            extra if what.is_some() => return Err(format!("extra argument '{extra}'")),
+            name if name == "all" || ARTIFACTS.split(' ').any(|a| a == name) => what = Some(name),
+            name => return Err(format!("unknown artifact '{name}'")),
+        }
     }
-    if run("table1") {
-        table1();
-    }
-    if run("memex") {
-        memex();
-    }
-    if run("table3") {
-        table3();
-    }
-    if run("fig6") {
-        fig6();
-    }
-    if run("table4") {
-        table4();
-    }
-    if run("table5") {
-        table5(quick);
-    }
-    if run("weak") {
-        weak(quick);
-    }
-    if run("memory") {
-        memory();
-    }
-    if run("fig5") {
-        fig5(quick);
-    }
-    if run("fig7") {
-        fig7(quick);
-    }
-    if run("fig8") {
-        fig8(quick);
-    }
-    if run("sota") {
-        sota(quick);
-    }
+    Ok((what.unwrap_or("all"), full))
 }
 
 fn banner(title: &str) {
     println!("\n==== {title} ====");
+}
+
+/// Prints the paper table's rows whose id starts with `prefix`.
+fn paper_rows(prefix: &str) {
+    println!("{}", paper::markdown(&paper::rows(prefix)));
+}
+
+/// A section that is only its paper rows.
+fn modelled(title: &str, prefix: &str) {
+    banner(title);
+    paper_rows(prefix);
 }
 
 fn fig1(quick: bool) {
@@ -160,19 +164,13 @@ fn table1() {
     );
 }
 
-fn memex() {
-    banner("SIII-A worked example (G=256, K=19200, D=1792)");
-    let (base, ours, saving) = perfmodel::memory::worked_example();
-    println!("baseline ALLGATHER buffer : {base:.1} GB   (paper: 35.2 GB)");
-    println!("uniqueness buffers        : {ours:.3} GB  (paper: 0.137 GB)");
-    println!("memory saving             : {saving:.0}x    (paper: 256x)");
-}
-
-fn table3() {
-    banner("Table III: word-LM hours/epoch on 1-Billion (model, calibrated)");
-    let m = WordScale::paper();
-    let body: Vec<Vec<String>> = m
-        .table3()
+/// Table III or IV (`title` names it): the model's hours and
+/// efficiencies, then the paper rows under `prefix`.
+fn scaling_table(title: &str, table: Vec<(usize, ScalingRow, ScalingRow)>, prefix: &str) {
+    banner(&format!(
+        "{title} hours/epoch on 1-Billion (model, calibrated)"
+    ));
+    let body: Vec<Vec<String>> = table
         .into_iter()
         .map(|(g, b, o)| {
             vec![
@@ -188,73 +186,13 @@ fn table3() {
         "{}",
         render(&["GPUs", "base h", "base eff", "ours h", "ours eff"], &body)
     );
-    println!("paper:  base 35.1/41.1/40.4/*/*  eff 100/43/29/-/-");
-    println!("        ours 14.6/8.1/6.4/5.4/4.5  eff 100/90/76/67/40");
-}
-
-fn fig6() {
-    banner("Figure 6: cumulative speedups over baseline (word LM)");
-    let m = WordScale::paper();
-    for g in [16usize, 24] {
-        let s: Vec<String> = m
-            .fig6(g)
-            .iter()
-            .map(|(l, v)| format!("{l} {v:.1}x"))
-            .collect();
-        println!("{g:>2} GPUs: {}", s.join("  "));
-    }
-    println!("paper 16: 1.0 / 4.0 / 4.3 / 5.1    paper 24: 1.0 / 5.1 / 5.4 / 6.3");
-}
-
-fn table4() {
-    banner("Table IV: char-LM hours/epoch on 1-Billion (model, calibrated)");
-    let m = CharScale::paper();
-    let body: Vec<Vec<String>> = m
-        .table4()
-        .into_iter()
-        .map(|(g, b, o)| {
-            vec![
-                g.to_string(),
-                hours(b.epoch_hours),
-                pct(b.parallel_efficiency),
-                hours(o.epoch_hours),
-                pct(o.parallel_efficiency),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(&["GPUs", "base h", "base eff", "ours h", "ours eff"], &body)
-    );
-    println!("paper:  base 25.7/14.5/10.6/*/*  eff 100/89/81/-/-");
-    println!("        ours 23.2/12.9/8.2/6.8/3.5  eff 100/96/94/86/82");
+    paper_rows(prefix);
 }
 
 fn table5(quick: bool) {
     banner("Table V: Tieba weak scaling");
-    let t = TiebaScale::paper();
-    let body: Vec<Vec<String>> = t
-        .table5()
-        .into_iter()
-        .map(|r| {
-            vec![
-                format!("{:.2}", r.chars_billion),
-                format!("{:.0}", r.corpus_gb),
-                r.gpus.to_string(),
-                r.batch.to_string(),
-                format!("{:.0}", r.hours),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(&["chars(B)", "GB", "GPUs", "batch", "hours"], &body)
-    );
-    println!("paper hours: 27 / 28 / 34;  perplexity 17.06 / 13.6 / 11.1");
-    println!(
-        "achieved at 192 GPUs: {:.2} PFLOP/s (paper: 0.76)",
-        t.achieved_pflops(192)
-    );
+    paper_rows("table5.");
+    println!("paper perplexity: 17.06 / 13.6 / 11.1");
 
     println!("\nweak-scaling accuracy, real miniature training (more data+GPUs => lower ppl):");
     let rows = zlm_bench::table5_accuracy(quick);
@@ -315,23 +253,6 @@ fn weak(quick: bool) {
     println!("wrote {path}");
 }
 
-fn memory() {
-    banner("SV-A: peak GPU memory (GB)");
-    let m = WordScale::paper();
-    let mut body = Vec::new();
-    for g in [8usize, 16, 24, 32, 64] {
-        body.push(vec![
-            g.to_string(),
-            format!("{:.1}", m.memory_gb(g, TechniqueStack::Baseline)),
-            format!("{:.2}", m.memory_gb(g, TechniqueStack::Full)),
-        ]);
-    }
-    println!("{}", render(&["GPUs", "baseline", "ours"], &body));
-    println!("paper: baseline 3.9 / 7.1 / 10.3 / OOM / OOM; ours 1.19 ... 1.21 (8.6x less at 24)");
-    let red = m.memory_gb(24, TechniqueStack::Baseline) / m.memory_gb(24, TechniqueStack::Full);
-    println!("model reduction at 24 GPUs: {red:.1}x");
-}
-
 fn print_curves(curves: &[zlm_bench::AccuracyCurve]) {
     let epochs = curves[0].points.len();
     let labels: Vec<&str> = curves.iter().map(|c| c.label.as_str()).collect();
@@ -385,8 +306,39 @@ fn sota(quick: bool) {
         "[21]'s reported BPC         : {:.3} (1 epoch, 128 V100)",
         s.reference_bpc
     );
-    println!(
-        "infrastructure peak-FLOP ratio ([21] vs paper): {:.0}x (paper: 41x)",
-        s.infra_flop_ratio
-    );
+    paper_rows("sota.");
+}
+
+fn scoreboard() {
+    banner("Every paper figure the full-scale models answer");
+    println!("{}", paper::markdown(&paper::scoreboard()));
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
+    std::fs::write(path, paper::with_scoreboard(&doc)).expect("write EXPERIMENTS.md");
+    println!("wrote {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_rejects_unknown_flags_and_extra_artifacts() {
+        let parse_args = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            parse(&args).map(|(what, full)| (what.to_string(), full))
+        };
+        assert_eq!(parse_args(&[]), Ok(("all".into(), false)));
+        assert_eq!(
+            parse_args(&["table3", "--full"]),
+            Ok(("table3".into(), true))
+        );
+        assert_eq!(
+            parse_args(&["--full", "scoreboard"]),
+            Ok(("scoreboard".into(), true))
+        );
+        for bad in [&["table3", "--ful"][..], &["table3", "table4"], &["tabel3"]] {
+            assert!(parse_args(bad).is_err(), "{bad:?}");
+        }
+    }
 }

@@ -848,8 +848,9 @@ pub fn chaos_recovery_json(rows: &[ChaosRecoveryRow]) -> String {
 }
 
 /// §V-D comparison against \[21\] (Puri et al., Amazon Reviews char LM on
-/// 128 V100s): our char-LM BPC on the ar profile plus the
-/// infrastructure-normalised throughput argument.
+/// 128 V100s): our char-LM BPC on the ar profile beside both reported
+/// ones. The infrastructure-normalised argument is `perfmodel::paper`'s
+/// `sota.*` rows.
 #[derive(Debug, Clone)]
 pub struct SotaComparison {
     /// Our measured bits-per-character.
@@ -858,8 +859,6 @@ pub struct SotaComparison {
     pub paper_bpc: f64,
     /// \[21\]'s reported BPC (1.218 @1 epoch).
     pub reference_bpc: f64,
-    /// Peak-FLOP ratio of \[21\]'s 128×V100 vs the paper's 64×TitanX.
-    pub infra_flop_ratio: f64,
 }
 
 /// Runs the §V-D comparison.
@@ -883,13 +882,10 @@ pub fn sota_comparison(quick: bool) -> SotaComparison {
     };
     let report = zipf_lm::train(&cfg).expect("run");
     let our_bpc = report.epochs.last().unwrap().valid_bpc;
-    let titan = simgpu::HardwareConfig::titan_x_cluster();
-    let v100 = simgpu::HardwareConfig::v100_dgx();
     SotaComparison {
         our_bpc,
         paper_bpc: 1.208,
         reference_bpc: 1.218,
-        infra_flop_ratio: v100.cluster_peak_flops(128) / titan.cluster_peak_flops(64),
     }
 }
 

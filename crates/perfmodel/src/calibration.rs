@@ -1,22 +1,24 @@
 //! Calibration printout (run with
-//! `cargo test -p perfmodel calibration_dump -- --ignored --nocapture`).
+//! `cargo test -p perfmodel calibration_dump -- --ignored --nocapture`):
+//! the paper table, then what it does not show — each Table III / IV
+//! cell's memory and raw buffers, the word LM's per-step breakdown and
+//! Table V's predicted steps flat vs two-tier.
 
 #[cfg(test)]
 mod tests {
     use crate::charlm::{CharScale, TiebaScale};
     use crate::memory::exchange_bytes;
+    use crate::paper::{markdown, scoreboard};
     use crate::wordlm::{TechniqueStack, WordScale};
 
     #[test]
     #[ignore = "diagnostic printout for constant tuning"]
     fn calibration_dump() {
-        let w = WordScale::paper();
-        println!("=== Table III (word LM, hours/epoch) ===");
-        println!("paper baseline: 35.1 41.1 40.4 * *");
-        println!("paper ours:     14.6  8.1  6.4 5.4 4.5");
-        // Each row's memory beside its raw predicted buffers: Σ
-        // exchange_bytes over the predicted exchanges, GB, before the
-        // calibrated resident term and replication.
+        println!("{}", markdown(&scoreboard()));
+        // Each Table III / IV cell's memory beside its raw predicted
+        // buffers (Σ exchange_bytes over the predicted exchanges, GB,
+        // before the calibrated resident term and replication).
+        let (w, c) = (WordScale::paper(), CharScale::paper());
         type Exchanges = Vec<(u64, usize, Option<(u64, u64)>)>;
         let buffers = |exchanges: Exchanges| {
             let bytes: u64 = exchanges
@@ -25,25 +27,15 @@ mod tests {
                 .sum();
             bytes as f64 / 1e9
         };
-        for (g, b, o) in w.table3() {
-            println!(
-                "{g:>3} gpus: baseline {:?} ({:.3} GB, buffers {:.4})  ours {:?} ({:.3} GB, buffers {:.4})",
-                b.epoch_hours.map(|h| (h * 10.0).round() / 10.0),
-                b.memory_gb,
-                buffers(w.exchanges(g, TechniqueStack::Baseline)),
-                o.epoch_hours.map(|h| (h * 10.0).round() / 10.0),
-                o.memory_gb,
-                buffers(w.exchanges(g, TechniqueStack::Full)),
-            );
-        }
-        println!("=== Fig 6 (speedups) paper@16: 1/4.0/4.3/5.1, @24: 1/5.1/5.4/6.3 ===");
-        for g in [16usize, 24] {
-            let s: Vec<String> = w
-                .fig6(g)
-                .iter()
-                .map(|(l, v)| format!("{l}={v:.2}"))
-                .collect();
-            println!("{g}: {}", s.join(" "));
+        println!("=== memory GB (buffers GB), word LM | char LM ===");
+        for g in [8, 16, 24, 32, 64] {
+            let mut line = format!("{g:>3} gpus:");
+            for stack in [TechniqueStack::Baseline, TechniqueStack::Full] {
+                let (wm, wb) = (w.memory_gb(g, stack), buffers(w.exchanges(g, stack)));
+                let (cm, cb) = (c.memory_gb(g, stack), buffers(c.exchanges(g, stack)));
+                line += &format!("  {} {wm:.3} ({wb:.4}) | {cm:.3} ({cb:.4})", stack.label());
+            }
+            println!("{line}");
         }
         println!("=== per-step breakdown word@16 ===");
         for stack in TechniqueStack::all() {
@@ -54,23 +46,6 @@ mod tests {
                 w.input_rows(16, stack),
                 w.output_rows(16, stack)
             );
-        }
-        let c = CharScale::paper();
-        println!("=== Table IV (char LM) paper base: 25.7/14.5/10.6/*/*; ours: 23.2/12.9/8.2/6.8/3.5 ===");
-        for (g, b, o) in c.table4() {
-            println!(
-                "{g:>3} gpus: baseline {:?} ({:.3} GB, buffers {:.4})  ours {:?} ({:.3} GB, buffers {:.4})",
-                b.epoch_hours.map(|h| (h * 10.0).round() / 10.0),
-                b.memory_gb,
-                buffers(c.exchanges(g, TechniqueStack::Baseline)),
-                o.epoch_hours.map(|h| (h * 10.0).round() / 10.0),
-                o.memory_gb,
-                buffers(c.exchanges(g, TechniqueStack::Full)),
-            );
-        }
-        println!("=== Table V paper: 27/28/34 h ===");
-        for r in TiebaScale::paper().table5() {
-            println!("{:>3} gpus {:>6} batch: {:.1} h", r.gpus, r.batch, r.hours);
         }
         // The same predicted steps with every collective that may go
         // two-tier on 8-GPU nodes: what moving the model off the flat

@@ -12,8 +12,8 @@
 //! [`flops`]. A predicted step time is that clock plus one table of
 //! named calibrated terms — overhead, host staging, contention and a
 //! straggler multiplier — whose constants are **calibrated** against
-//! the paper's own 8-GPU anchor rows and marked `CALIBRATED` where they
-//! are defined. EXPERIMENTS.md reports model-vs-paper for every cell.
+//! the paper's own anchor rows and marked `CALIBRATED` where they are
+//! defined. [`paper`] states every paper figure once, beside ours.
 //!
 //! * [`schedule`] — the step clock: op schedule, critical path, exact
 //!   per-rank time attribution.
@@ -22,7 +22,9 @@
 //! * [`law`] — the `U = a·N^0.64` unique-words law (§III-A).
 //! * [`wordlm`] — Table III, Figure 6, and the §V-A memory numbers.
 //! * [`charlm`] — Table IV and the Table V weak-scaling run.
-//! * [`memory`] — the §III-A worked example (35.2 GB → 0.137 GB).
+//! * [`memory`] — what a GPU holds for a step, and the §III-A worked
+//!   example.
+//! * [`paper`] — the paper table: each figure, ours, its kind and bound.
 
 #![forbid(unsafe_code)]
 
@@ -30,6 +32,7 @@ pub mod charlm;
 pub mod flops;
 pub mod law;
 pub mod memory;
+pub mod paper;
 pub mod schedule;
 pub mod wordlm;
 

@@ -5,13 +5,11 @@
 //! further: *lossless* compression of collective payloads, exploiting
 //! the low-entropy exponent distribution of gradient values and the
 //! small deltas of gathered index lists. This module provides that
-//! ladder as a [`WireCodec`] trait plus four rungs:
+//! ladder as a [`WireCodec`] trait plus three rungs (the paper's own
+//! lossy FP16 rung is not one: training reaches it through
+//! `Method::compression`, which owns the loss-scaling story):
 //!
 //! * [`IdentityCodec`] — raw little-endian bytes, the baseline.
-//! * [`F16ScaledCodec`] — FP16 bits on the wire (§III-C). **Lossy**;
-//!   kept so the ladder covers the paper's own rung, but never selected
-//!   by [`WireCodecId`] (training reaches FP16 through
-//!   `Method::compression`, which owns the loss-scaling story).
 //! * [`DeltaVarintCodec`] — lossless index codec: zigzag deltas between
 //!   consecutive `u32` values, LEB128 varint-coded. Gathered unique
 //!   index lists are near-sorted with small vocab-bounded gaps, so most
@@ -102,14 +100,11 @@ pub trait WireCodec: Sync {
 pub const DELTA_VARINT_BPS: f64 = 16.0e9;
 /// Modelled throughput of [`ExpPackCodec`] (raw payload bytes/s).
 pub const EXP_PACK_BPS: f64 = 12.0e9;
-/// Modelled throughput of [`F16ScaledCodec`] (raw payload bytes/s).
-pub const F16_SCALED_BPS: f64 = 40.0e9;
 
 /// Static codec instances, so call sites can hold `&'static dyn WireCodec`.
 pub static IDENTITY: IdentityCodec = IdentityCodec;
 pub static DELTA_VARINT: DeltaVarintCodec = DeltaVarintCodec;
 pub static EXP_PACK: ExpPackCodec = ExpPackCodec;
-pub static F16_SCALED: F16ScaledCodec = F16ScaledCodec;
 
 /// Which wire codec a run uses, as carried by `CommConfig::codec`.
 /// Only the identity and the *lossless* rungs are selectable: the lossy
@@ -253,65 +248,6 @@ impl WireCodec for IdentityCodec {
 
     fn throughput_bps(&self) -> f64 {
         f64::INFINITY
-    }
-}
-
-// ---------------------------------------------------------------------------
-// F16 scaled (lossy — §III-C's rung, for ladder completeness)
-
-/// FP16 bits on the wire: 2 bytes per element, round-to-nearest-even
-/// truncation on encode, exact widening on decode. **Lossy** — not
-/// selectable through [`WireCodecId`]; training reaches FP16 through
-/// `Method::compression`. `u32` payloads pass through raw.
-pub struct F16ScaledCodec;
-
-impl WireCodec for F16ScaledCodec {
-    fn name(&self) -> &'static str {
-        "f16-scaled"
-    }
-
-    fn encoded_len_u32(&self, data: &[u32]) -> u64 {
-        data.len() as u64 * 4
-    }
-
-    fn encode_u32(&self, data: &[u32], out: &mut Vec<u8>) {
-        encode_raw_u32(data, out);
-    }
-
-    fn decode_u32(&self, bytes: &[u8], n: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
-        IDENTITY.decode_u32(bytes, n, out)
-    }
-
-    fn encoded_len_f32(&self, data: &[f32]) -> u64 {
-        data.len() as u64 * 2
-    }
-
-    fn encode_f32(&self, data: &[f32], out: &mut Vec<u8>) {
-        out.reserve(data.len() * 2);
-        for v in data {
-            out.extend_from_slice(&crate::comm::f32_to_f16_bits(*v).to_le_bytes());
-        }
-    }
-
-    fn decode_f32(&self, bytes: &[u8], n: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
-        if bytes.len() != n * 2 {
-            return Err(if bytes.len() < n * 2 {
-                CodecError::Truncated
-            } else {
-                CodecError::Corrupt("trailing bytes after f16 payload")
-            });
-        }
-        out.reserve(n);
-        for c in bytes.chunks_exact(2) {
-            out.push(crate::comm::f16_bits_to_f32(u16::from_le_bytes([
-                c[0], c[1],
-            ])));
-        }
-        Ok(())
-    }
-
-    fn throughput_bps(&self) -> f64 {
-        F16_SCALED_BPS
     }
 }
 
@@ -801,19 +737,6 @@ mod tests {
             EXP_PACK.decode_f32(&corrupt, grads.len(), &mut gout),
             Err(CodecError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn f16_codec_halves_bytes_and_widens_exactly() {
-        let data = [1.0f32, -2.5, 0.5];
-        assert_eq!(F16_SCALED.encoded_len_f32(&data), 6);
-        let mut bytes = Vec::new();
-        F16_SCALED.encode_f32(&data, &mut bytes);
-        let mut back = Vec::new();
-        F16_SCALED
-            .decode_f32(&bytes, data.len(), &mut back)
-            .unwrap();
-        assert_eq!(back, data, "f16-exact values survive the lossy rung");
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub mod trace;
 pub mod traffic;
 
 pub use codec::{
-    delta_varint_len, exp_pack_len, CodecError, DeltaVarintCodec, ExpPackCodec, F16ScaledCodec,
-    IdentityCodec, WireCodec, WireCodecId,
+    delta_varint_len, exp_pack_len, CodecError, DeltaVarintCodec, ExpPackCodec, IdentityCodec,
+    WireCodec, WireCodecId,
 };
 pub use comm::{
     allreduce_send_bytes, chunk_range, f16_bits_to_f32, f32_to_f16_bits, peer_exchange_tier_bytes,

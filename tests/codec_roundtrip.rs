@@ -23,8 +23,7 @@
 use proptest::prelude::*;
 use simgpu::{DeltaVarintCodec, ExpPackCodec, IdentityCodec, WireCodec};
 
-/// The lossless ladder under test. `F16ScaledCodec` is deliberately
-/// absent: it is lossy by design and carries no round-trip contract.
+/// The ladder under test: every codec, all lossless.
 const LOSSLESS: [&dyn WireCodec; 3] = [&IdentityCodec, &DeltaVarintCodec, &ExpPackCodec];
 
 fn roundtrip_u32(codec: &dyn WireCodec, data: &[u32]) -> Result<Vec<u32>, simgpu::CodecError> {
