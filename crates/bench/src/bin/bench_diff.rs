@@ -11,7 +11,7 @@
 //! paths by substring and the last matching rule wins:
 //!
 //! ```text
-//! bench-diff BENCH_overlap.json target/overlap.json \
+//! bench-diff baseline.summary.json target/candidate.summary.json \
 //!     --default-tol 0 --tol train_loss=1e-9 --tol sim_time_ps=0.02
 //! ```
 

@@ -15,6 +15,9 @@
 //!   table4      char-LM per-epoch time + parallel efficiency
 //!   table5      Tieba weak scaling (time model + real miniature accuracy)
 //!   weak        Table V column at real worlds (6/24/192 ranks, bounded pool)
+//!   overlap     serial vs overlapped step schedule at 48/192 ranks
+//!   codec_crossover  wire volume vs codec compute at 8/48/192 ranks
+//!   chaos       recovery per fault class through the durable store
 //!   memory      §V-A peak GPU memory (baseline linear vs ours flat)
 //!   sota        §V-D comparison with Puri et al. [21]
 //!   scoreboard  every paper figure the full-scale models answer, as
@@ -26,15 +29,19 @@
 //! (minutes instead of seconds). Any other flag, an unknown artifact or
 //! a second one is a usage error (exit 2). The modelled sections print
 //! their rows of `perfmodel::paper`, where every paper figure they are
-//! compared with is stated.
+//! compared with is stated. `weak`, `overlap`, `codec_crossover` and
+//! `chaos` are the one writer of their simulated `BENCH_*.json` golden:
+//! they rewrite it from the quick run (`--full` only prints), and this
+//! crate's tests fail when a golden is not what its quick run renders.
 
 use perfmodel::wordlm::ScalingRow;
 use perfmodel::{paper, CharScale, WordScale};
 use zlm_bench::table::{hours, pct, render};
+use zlm_bench::{golden_json, golden_path, GoldenRow};
 
 /// Every artifact but `all`, in the order `all` runs them.
-const ARTIFACTS: &str =
-    "fig1 table1 memex table3 fig6 table4 table5 weak memory fig5 fig7 fig8 sota scoreboard";
+const ARTIFACTS: &str = "fig1 table1 memex table3 fig6 table4 table5 weak overlap \
+     codec_crossover chaos memory fig5 fig7 fig8 sota scoreboard";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,6 +60,9 @@ fn main() {
             "table4" => scaling_table("Table IV: char-LM", CharScale::paper().table4(), "table4."),
             "table5" => table5(quick),
             "weak" => weak(quick),
+            "overlap" => overlap(quick),
+            "codec_crossover" => codec_crossover(quick),
+            "chaos" => chaos(quick),
             "memory" => modelled("SV-A: peak GPU memory (GB)", "memory."),
             "fig5" => fig5(quick),
             "fig7" => fig7(quick),
@@ -248,9 +258,135 @@ fn weak(quick: bool) {
     );
     println!("α/tier: share of rank 0's wire time on that tier that is hop latency, not bytes");
     println!("every world verified bit-identical to the unpooled flat ring");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_weak_scaling.json");
-    std::fs::write(path, zlm_bench::weak_scaling_json(&rows)).expect("write artifact");
-    println!("wrote {path}");
+    write_golden(&rows, quick);
+}
+
+fn overlap(quick: bool) {
+    banner("Step schedule: serial vs overlapped at 48/192 ranks over 8 run slots");
+    let rows = zlm_bench::overlap_comparison(quick);
+    let ms = |ps: u64| format!("{:.3}", ps as f64 / 1e9);
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.gpus.to_string(),
+                r.bucket_bytes.to_string(),
+                ms(r.flat_sim_time_ps),
+                ms(r.serial_sim_time_ps),
+                ms(r.overlapped_sim_time_ps),
+                format!("{:.1}", r.hidden_ps as f64 / 1e6),
+                format!(
+                    "{:.4}x",
+                    r.serial_sim_time_ps as f64 / r.overlapped_sim_time_ps as f64
+                ),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render(
+            &[
+                "GPUs",
+                "bucket B",
+                "flat ms",
+                "serial ms",
+                "overlap ms",
+                "hidden µs",
+                "speedup"
+            ],
+            &body
+        )
+    );
+    println!("numerics verified bit-identical across all three schedules");
+    write_golden(&rows, quick);
+}
+
+fn codec_crossover(quick: bool) {
+    banner("Wire codecs: volume vs codec compute at 8/48/192 ranks over 8 run slots");
+    let rows = zlm_bench::codec_crossover(quick);
+    let mb = |bytes: u64| format!("{:.3}", bytes as f64 / 1e6);
+    let mut identity_ps = 0;
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            if r.codec == "identity" {
+                identity_ps = r.sim_time_ps;
+            }
+            vec![
+                r.gpus.to_string(),
+                r.codec.to_string(),
+                format!("{:.3}", r.sim_time_ps as f64 / 1e9),
+                mb(r.wire_bytes),
+                mb(r.index_gather_bytes),
+                format!("{:.4}x", identity_ps as f64 / r.sim_time_ps as f64),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render(
+            &[
+                "GPUs",
+                "codec",
+                "sim ms",
+                "wire MB",
+                "index MB",
+                "vs identity"
+            ],
+            &body
+        )
+    );
+    println!("numerics verified bit-identical across the codec ladder");
+    write_golden(&rows, quick);
+}
+
+fn chaos(quick: bool) {
+    banner("Recovery per fault class through the durable checkpoint store");
+    let rows = zlm_bench::chaos_recovery();
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.scenario.to_string(),
+                r.world.to_string(),
+                r.rounds.to_string(),
+                r.restored_step.to_string(),
+                r.steps_lost.to_string(),
+                format!("{:.1}", r.backoff_ps as f64 / 1e9),
+                r.corrupt_frames.to_string(),
+                r.final_world.to_string(),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render(
+            &[
+                "scenario",
+                "world",
+                "rounds",
+                "restored",
+                "lost",
+                "backoff ms",
+                "corrupt",
+                "final"
+            ],
+            &body
+        )
+    );
+    write_golden(&rows, quick);
+}
+
+/// Rewrites `R`'s golden from quick-mode rows; `--full` rows are not
+/// what the golden holds, so they are only printed.
+fn write_golden<R: GoldenRow>(rows: &[R], quick: bool) {
+    let path = golden_path::<R>();
+    if quick {
+        std::fs::write(&path, golden_json(rows)).expect("write golden");
+        println!("wrote {path}");
+    } else {
+        println!("--full: {path} holds the quick rows, left as it is");
+    }
 }
 
 fn print_curves(curves: &[zlm_bench::AccuracyCurve]) {

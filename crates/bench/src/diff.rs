@@ -1,7 +1,9 @@
 //! Regression diff over benchmark artifacts (`BENCH_*.json`, `RunSummary`).
 //!
-//! CI keeps byte goldens of the bench tables and the trainer's
-//! [`RunSummary`](zipf_lm::RunSummary) artifacts. A byte diff is too
+//! The simulated `BENCH_*.json` goldens are held byte for byte by the
+//! tests of the experiments that render them; comparing two runs'
+//! [`RunSummary`](zipf_lm::RunSummary) artifacts, or a bench table
+//! against an earlier one, needs more. A byte diff is too
 //! brittle once tolerances enter the picture (a deliberate perf win
 //! should not trip the gate, and a float-formatting change should not
 //! hide a real regression), so this module parses both artifacts into

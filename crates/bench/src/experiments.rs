@@ -6,10 +6,58 @@ use rand::SeedableRng;
 use zipf::{fit_power_law, heaps_curve_from_sampler, HeapsPoint, PowerLawFit};
 use zipf::{heaps::log_checkpoints, ZipfMandelbrot};
 use zipf_lm::seeding::SeedStrategy;
-use zipf_lm::{
-    CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, TraceConfig, TrainConfig,
-    TrainReport,
-};
+use zipf_lm::{CheckpointConfig, CommConfig, Method, ModelKind, TrainConfig, TrainReport};
+
+/// A row of one of the four simulated goldens, `BENCH_<NAME>.json` at
+/// the workspace root. Every field is simulated (integer picoseconds,
+/// recorder bytes, deterministic losses), so the quick-mode rows render
+/// to the committed bytes on any host: this crate's tests hold each file
+/// to its experiment and `repro <ARTIFACT>` is the one writer.
+pub trait GoldenRow {
+    /// The artifact's `"bench"` name; the file is `BENCH_<NAME>.json`.
+    const NAME: &'static str;
+    /// The `repro` section that rewrites the file.
+    const ARTIFACT: &'static str;
+    /// `(key, JSON value)` pairs between `"bench"` and `"rows"`.
+    fn header() -> Vec<(&'static str, String)> {
+        Vec::new()
+    }
+    /// This row's `(key, JSON value)` pairs, in file order.
+    fn fields(&self) -> Vec<(&'static str, String)>;
+}
+
+/// Renders rows as their golden (hand-rolled: the workspace carries no
+/// JSON dependency): the header one field per line, then one line per
+/// row.
+pub fn golden_json<R: GoldenRow>(rows: &[R]) -> String {
+    let pair = |(k, v): &(&str, String)| format!("\"{k}\": {v}");
+    let mut out = format!("{{\n  \"bench\": \"{}\",\n", R::NAME);
+    for field in R::header() {
+        out.push_str(&format!("  {},\n", pair(&field)));
+    }
+    out.push_str("  \"rows\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        let fields: Vec<String> = r.fields().iter().map(pair).collect();
+        let comma = if i + 1 == rows.len() { "" } else { "," };
+        out.push_str(&format!("    {{{}}}{comma}\n", fields.join(", ")));
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// Where `R`'s golden lives: `BENCH_<NAME>.json` at the workspace root.
+pub fn golden_path<R: GoldenRow>() -> String {
+    format!(
+        "{}/../../BENCH_{}.json",
+        env!("CARGO_MANIFEST_DIR"),
+        R::NAME
+    )
+}
+
+/// A JSON string value (the goldens' names carry no escapes).
+fn json_str(s: &str) -> String {
+    format!("\"{s}\"")
+}
 
 /// One dataset's type–token curve and its power-law fit (Figure 1).
 #[derive(Debug, Clone)]
@@ -128,10 +176,7 @@ fn accuracy_cfg(quick: bool) -> TrainConfig {
         method: Method::unique(),
         seed: 42,
         tokens: if quick { 80_000 } else { 240_000 },
-        trace: TraceConfig::off(),
-        metrics: MetricsConfig::off(),
-        checkpoint: CheckpointConfig::off(),
-        comm: CommConfig::flat(),
+        ..TrainConfig::default()
     }
 }
 
@@ -228,10 +273,7 @@ pub fn table5_accuracy(quick: bool) -> Vec<WeakScalingAccuracy> {
                 method: Method::full(),
                 seed: 1234, // fixed so the validation distribution matches
                 tokens: base_tokens * data_mult,
-                trace: TraceConfig::off(),
-                metrics: MetricsConfig::off(),
-                checkpoint: CheckpointConfig::off(),
-                comm: CommConfig::flat(),
+                ..TrainConfig::default()
             };
             let report = zipf_lm::train(&cfg).expect("run");
             let ppl = report.final_ppl();
@@ -297,6 +339,27 @@ pub const WEAK_SCALING_WORLDS: [usize; 3] = [6, 24, 192];
 /// 192 ranks multiplex over this many OS threads.
 pub const WEAK_SCALING_POOL: usize = 8;
 
+/// The char-LM probe the weak-scaling, overlap and codec sweeps train
+/// at world `g`: a 48-symbol char LM on the unique path, two-tier
+/// collectives under the bounded pool, 3 steps (8 without `quick`).
+fn char_probe(g: usize, batch: usize, seq_len: usize, tokens: usize, quick: bool) -> TrainConfig {
+    TrainConfig {
+        model: ModelKind::Char { vocab: 48 },
+        gpus: g,
+        batch,
+        seq_len,
+        steps_per_epoch: if quick { 3 } else { 8 },
+        epochs: 1,
+        base_lr: 0.2,
+        lr_decay: 0.9,
+        method: Method::unique(),
+        seed: 1234,
+        tokens,
+        comm: CommConfig::hierarchical_pooled(WEAK_SCALING_POOL),
+        ..TrainConfig::default()
+    }
+}
+
 /// Table V's 6/24/192-GPU column at real world sizes: data scales with
 /// the world (weak scaling), comm goes through the hierarchical
 /// two-tier schedule under the bounded pool, and every world is
@@ -311,23 +374,7 @@ pub fn weak_scaling(quick: bool) -> Vec<WeakScalingRow> {
         .iter()
         .map(|&g| {
             let tokens = base_tokens * g / WEAK_SCALING_WORLDS[0];
-            let cfg = TrainConfig {
-                model: ModelKind::Char { vocab: 48 },
-                gpus: g,
-                batch: 1,
-                seq_len: 6,
-                steps_per_epoch: if quick { 3 } else { 8 },
-                epochs: 1,
-                base_lr: 0.2,
-                lr_decay: 0.9,
-                method: Method::unique(),
-                seed: 1234,
-                tokens,
-                trace: TraceConfig::off(),
-                metrics: MetricsConfig::off(),
-                checkpoint: CheckpointConfig::off(),
-                comm: CommConfig::hierarchical_pooled(WEAK_SCALING_POOL),
-            };
+            let cfg = char_probe(g, 1, 6, tokens, quick);
             let hier = zipf_lm::train(&cfg).expect("hierarchical pooled run");
             let flat = zipf_lm::train(&TrainConfig {
                 comm: CommConfig::flat(),
@@ -374,37 +421,29 @@ pub fn weak_scaling(quick: bool) -> Vec<WeakScalingRow> {
         .collect()
 }
 
-/// Renders weak-scaling rows as the `BENCH_weak_scaling.json` artifact
-/// (hand-rolled — the workspace carries no JSON dependency).
-pub fn weak_scaling_json(rows: &[WeakScalingRow]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"weak_scaling\",\n");
-    out.push_str(&format!(
-        "  \"pool_workers\": {WEAK_SCALING_POOL},\n  \"rows\": [\n"
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"gpus\": {}, \"nodes\": {}, \"tokens\": {}, \
-             \"train_loss\": {}, \"final_ppl\": {}, \"sim_time_ps\": {}, \
-             \"wire_intra_bytes\": {}, \"wire_inter_bytes\": {}, \
-             \"wire_intra_ps\": {}, \"wire_inter_ps\": {}, \
-             \"alpha_intra_ps\": {}, \"alpha_inter_ps\": {}}}{}\n",
-            r.gpus,
-            r.nodes,
-            r.tokens,
-            r.train_loss,
-            r.final_ppl,
-            r.sim_time_ps,
-            r.wire_intra_bytes,
-            r.wire_inter_bytes,
-            r.wire_intra_ps,
-            r.wire_inter_ps,
-            r.alpha_intra_ps,
-            r.alpha_inter_ps,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+/// `BENCH_weak_scaling.json`.
+impl GoldenRow for WeakScalingRow {
+    const NAME: &'static str = "weak_scaling";
+    const ARTIFACT: &'static str = "weak";
+    fn header() -> Vec<(&'static str, String)> {
+        vec![("pool_workers", WEAK_SCALING_POOL.to_string())]
     }
-    out.push_str("  ]\n}\n");
-    out
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("gpus", self.gpus.to_string()),
+            ("nodes", self.nodes.to_string()),
+            ("tokens", self.tokens.to_string()),
+            ("train_loss", self.train_loss.to_string()),
+            ("final_ppl", self.final_ppl.to_string()),
+            ("sim_time_ps", self.sim_time_ps.to_string()),
+            ("wire_intra_bytes", self.wire_intra_bytes.to_string()),
+            ("wire_inter_bytes", self.wire_inter_bytes.to_string()),
+            ("wire_intra_ps", self.wire_intra_ps.to_string()),
+            ("wire_inter_ps", self.wire_inter_ps.to_string()),
+            ("alpha_intra_ps", self.alpha_intra_ps.to_string()),
+            ("alpha_inter_ps", self.alpha_inter_ps.to_string()),
+        ]
+    }
 }
 
 /// One world of the overlapped-schedule comparison: the same training
@@ -418,8 +457,7 @@ pub struct OverlapRow {
     pub bucket_bytes: u64,
     /// Summed `sim_time_ps` under the default serial schedule
     /// (`CommConfig::hierarchical_pooled`, no buckets, no overlap).
-    /// This is the pre-refactor step model — CI pins it byte-identical
-    /// against the committed `BENCH_overlap.json` golden.
+    /// This is the pre-refactor step model, held by the golden.
     pub flat_sim_time_ps: u64,
     /// Summed `sim_time_ps` with gradient buckets but overlap off:
     /// the serial reference the overlapped schedule is measured
@@ -460,23 +498,7 @@ pub fn overlap_comparison(quick: bool) -> Vec<OverlapRow> {
             // batch × seq_len sets the compute window the schedule can
             // hide comm under; these worlds are latency-dominated, so
             // the reduction is bounded by the compute share of a step.
-            let cfg = TrainConfig {
-                model: ModelKind::Char { vocab: 48 },
-                gpus: g,
-                batch: 4,
-                seq_len: 32,
-                steps_per_epoch: if quick { 3 } else { 8 },
-                epochs: 1,
-                base_lr: 0.2,
-                lr_decay: 0.9,
-                method: Method::unique(),
-                seed: 1234,
-                tokens: 60_000 * g / OVERLAP_WORLDS[0],
-                trace: TraceConfig::off(),
-                metrics: MetricsConfig::off(),
-                checkpoint: CheckpointConfig::off(),
-                comm: CommConfig::hierarchical_pooled(WEAK_SCALING_POOL),
-            };
+            let cfg = char_probe(g, 4, 32, 60_000 * g / OVERLAP_WORLDS[0], quick);
             let flat = zipf_lm::train(&cfg).expect("serial unbucketed run");
             let serial = zipf_lm::train(&TrainConfig {
                 comm: CommConfig {
@@ -525,30 +547,25 @@ pub fn overlap_comparison(quick: bool) -> Vec<OverlapRow> {
         .collect()
 }
 
-/// Renders overlap rows as the `BENCH_overlap.json` artifact. Every
-/// field is simulated (machine-independent), so the file is
-/// deterministic and CI pins it byte-identical against the committed
-/// golden — the overlap-off columns are the pre-refactor step times.
-pub fn overlap_json(rows: &[OverlapRow]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"overlap\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"gpus\": {}, \"bucket_bytes\": {}, \
-             \"flat_sim_time_ps\": {}, \"serial_sim_time_ps\": {}, \
-             \"overlapped_sim_time_ps\": {}, \"hidden_ps\": {}, \
-             \"train_loss\": {}}}{}\n",
-            r.gpus,
-            r.bucket_bytes,
-            r.flat_sim_time_ps,
-            r.serial_sim_time_ps,
-            r.overlapped_sim_time_ps,
-            r.hidden_ps,
-            r.train_loss,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+/// `BENCH_overlap.json`: the overlap-off columns are the pre-refactor
+/// step times.
+impl GoldenRow for OverlapRow {
+    const NAME: &'static str = "overlap";
+    const ARTIFACT: &'static str = "overlap";
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("gpus", self.gpus.to_string()),
+            ("bucket_bytes", self.bucket_bytes.to_string()),
+            ("flat_sim_time_ps", self.flat_sim_time_ps.to_string()),
+            ("serial_sim_time_ps", self.serial_sim_time_ps.to_string()),
+            (
+                "overlapped_sim_time_ps",
+                self.overlapped_sim_time_ps.to_string(),
+            ),
+            ("hidden_ps", self.hidden_ps.to_string()),
+            ("train_loss", self.train_loss.to_string()),
+        ]
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// One (world, codec) cell of the volume-vs-compute crossover sweep:
@@ -589,23 +606,7 @@ pub const CODEC_CROSSOVER_WORLDS: [usize; 3] = [8, 48, 192];
 pub fn codec_crossover(quick: bool) -> Vec<CodecCrossoverRow> {
     let mut rows = Vec::new();
     for &g in &CODEC_CROSSOVER_WORLDS {
-        let cfg = TrainConfig {
-            model: ModelKind::Char { vocab: 48 },
-            gpus: g,
-            batch: 4,
-            seq_len: 32,
-            steps_per_epoch: if quick { 3 } else { 8 },
-            epochs: 1,
-            base_lr: 0.2,
-            lr_decay: 0.9,
-            method: Method::unique(),
-            seed: 1234,
-            tokens: 60_000 * g.max(48) / 48,
-            trace: TraceConfig::off(),
-            metrics: MetricsConfig::off(),
-            checkpoint: CheckpointConfig::off(),
-            comm: CommConfig::hierarchical_pooled(WEAK_SCALING_POOL),
-        };
+        let cfg = char_probe(g, 4, 32, 60_000 * g.max(48) / 48, quick);
         let identity = zipf_lm::train(&cfg).expect("identity run");
         let total_ps = |r: &TrainReport| r.steps.iter().map(|s| s.sim_time_ps).sum::<u64>();
         let mut push = |codec: simgpu::WireCodecId, rep: &TrainReport| {
@@ -655,35 +656,26 @@ pub fn codec_crossover(quick: bool) -> Vec<CodecCrossoverRow> {
     rows
 }
 
-/// Renders crossover rows as the `BENCH_codec_crossover.json` artifact.
-/// Every field is simulated (machine-independent), so the file is
-/// deterministic and CI pins it byte-identical against the committed
-/// golden, exactly like `BENCH_overlap.json`.
-pub fn codec_crossover_json(rows: &[CodecCrossoverRow]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"codec_crossover\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"gpus\": {}, \"codec\": \"{}\", \"sim_time_ps\": {}, \
-             \"wire_bytes\": {}, \"index_gather_bytes\": {}, \
-             \"train_loss\": {}}}{}\n",
-            r.gpus,
-            r.codec,
-            r.sim_time_ps,
-            r.wire_bytes,
-            r.index_gather_bytes,
-            r.train_loss,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+/// `BENCH_codec_crossover.json`.
+impl GoldenRow for CodecCrossoverRow {
+    const NAME: &'static str = "codec_crossover";
+    const ARTIFACT: &'static str = "codec_crossover";
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("gpus", self.gpus.to_string()),
+            ("codec", json_str(self.codec)),
+            ("sim_time_ps", self.sim_time_ps.to_string()),
+            ("wire_bytes", self.wire_bytes.to_string()),
+            ("index_gather_bytes", self.index_gather_bytes.to_string()),
+            ("train_loss", self.train_loss.to_string()),
+        ]
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// One chaos-recovery scenario: a named fault composition driven
 /// through the durable on-disk checkpoint store, with its recovery
 /// breakdown. Every field is simulated (rounds, restored cuts, modelled
-/// backoff) — no wall clock — so the rows are deterministic and CI pins
-/// `BENCH_chaos.json` byte-identical like the other goldens.
+/// backoff) — no wall clock — so the rows are deterministic.
 #[derive(Debug, Clone)]
 pub struct ChaosRecoveryRow {
     /// Scenario name (one per injected fault class).
@@ -717,8 +709,8 @@ const CHAOS_WORLD: usize = 4;
 /// store itself. Reports how far each scenario rolled back and what
 /// the modelled backoff cost, so a regression in recovery behaviour
 /// (wrong cut chosen, extra rounds, corruption missed) moves the
-/// artifact and trips the byte diff.
-pub fn chaos_recovery(_quick: bool) -> Vec<ChaosRecoveryRow> {
+/// artifact and trips the byte check. It has one size, so no `quick`.
+pub fn chaos_recovery() -> Vec<ChaosRecoveryRow> {
     use simgpu::{DiskFault, DiskFaultPlan, FaultPlan};
     use std::sync::Arc;
     use zipf_lm::{CheckpointDir, HealthEvent, RecoveryPolicy, RunOptions};
@@ -735,13 +727,11 @@ pub fn chaos_recovery(_quick: bool) -> Vec<ChaosRecoveryRow> {
         method: Method::unique_seeded(),
         seed: 7,
         tokens: 30_000,
-        trace: TraceConfig::off(),
-        metrics: MetricsConfig::off(),
         checkpoint: CheckpointConfig {
             every_steps: 2,
             keep_last: 8,
         },
-        comm: CommConfig::flat(),
+        ..TrainConfig::default()
     };
     let policy = RecoveryPolicy {
         max_restarts: CHAOS_WORLD,
@@ -821,30 +811,23 @@ pub fn chaos_recovery(_quick: bool) -> Vec<ChaosRecoveryRow> {
         .collect()
 }
 
-/// Renders chaos rows as the `BENCH_chaos.json` artifact. Every field
-/// is simulated, so the committed golden must survive a fresh run
-/// byte-identical, exactly like `BENCH_overlap.json`.
-pub fn chaos_recovery_json(rows: &[ChaosRecoveryRow]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"chaos\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"world\": {}, \"rounds\": {}, \
-             \"restored_step\": {}, \"steps_lost\": {}, \"backoff_ps\": {}, \
-             \"corrupt_frames\": {}, \"final_world\": {}, \"train_loss\": {}}}{}\n",
-            r.scenario,
-            r.world,
-            r.rounds,
-            r.restored_step,
-            r.steps_lost,
-            r.backoff_ps,
-            r.corrupt_frames,
-            r.final_world,
-            r.train_loss,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+/// `BENCH_chaos.json`.
+impl GoldenRow for ChaosRecoveryRow {
+    const NAME: &'static str = "chaos";
+    const ARTIFACT: &'static str = "chaos";
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("scenario", json_str(self.scenario)),
+            ("world", self.world.to_string()),
+            ("rounds", self.rounds.to_string()),
+            ("restored_step", self.restored_step.to_string()),
+            ("steps_lost", self.steps_lost.to_string()),
+            ("backoff_ps", self.backoff_ps.to_string()),
+            ("corrupt_frames", self.corrupt_frames.to_string()),
+            ("final_world", self.final_world.to_string()),
+            ("train_loss", self.train_loss.to_string()),
+        ]
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// §V-D comparison against \[21\] (Puri et al., Amazon Reviews char LM on
@@ -875,10 +858,7 @@ pub fn sota_comparison(quick: bool) -> SotaComparison {
         method: Method::full(),
         seed: 77,
         tokens: if quick { 60_000 } else { 300_000 },
-        trace: TraceConfig::off(),
-        metrics: MetricsConfig::off(),
-        checkpoint: CheckpointConfig::off(),
-        comm: CommConfig::flat(),
+        ..TrainConfig::default()
     };
     let report = zipf_lm::train(&cfg).expect("run");
     let our_bpc = report.epochs.last().unwrap().valid_bpc;
@@ -945,138 +925,76 @@ mod tests {
         assert!(max / min < 1.35, "curves did not converge: {finals:?}");
     }
 
+    /// Holds `R`'s committed golden to `rows`, byte for byte.
+    fn assert_golden<R: GoldenRow>(rows: &[R]) {
+        let path = golden_path::<R>();
+        let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(
+            golden_json(rows),
+            committed,
+            "BENCH_{}.json is not what its quick run renders; if the change is meant, \
+             rewrite it with `cargo run --release -p zlm-bench --bin repro -- {}`",
+            R::NAME,
+            R::ARTIFACT
+        );
+    }
+
     #[test]
     fn weak_scaling_covers_paper_worlds_and_tiers() {
         let rows = weak_scaling(true);
-        assert_eq!(
-            rows.iter().map(|r| r.gpus).collect::<Vec<_>>(),
-            vec![6, 24, 192]
-        );
-        for r in &rows {
-            assert!(r.final_ppl.is_finite(), "{r:?}");
-            assert!(r.wire_intra_bytes > 0);
-            if r.gpus <= 8 {
-                // One node: nothing ever crosses the IB tier.
-                assert_eq!(r.wire_inter_bytes, 0, "{r:?}");
-                assert_eq!(r.wire_inter_ps, 0, "{r:?}");
-            } else {
-                assert!(r.wire_inter_bytes > 0, "{r:?}");
-                assert!(r.wire_inter_ps > 0, "{r:?}");
-            }
-        }
-        // Weak scaling: 4x the world carries 4x the data.
-        assert_eq!(rows[1].tokens, rows[0].tokens * 4);
-        assert_eq!(rows[2].tokens, rows[0].tokens * 32);
-
-        let json = weak_scaling_json(&rows);
-        assert!(json.starts_with('{') && json.ends_with("}\n"));
-        assert_eq!(json.matches("\"gpus\"").count(), 3);
-        assert!(json.contains("\"wire_inter_bytes\""));
-        assert_eq!(json.matches("\"alpha_inter_ps\"").count(), 3);
+        assert_golden(&rows);
+        // One node: nothing ever crosses the IB tier.
+        assert_eq!((rows[0].wire_inter_bytes, rows[0].wire_inter_ps), (0, 0));
     }
 
     #[test]
     fn overlap_comparison_reduces_wire_dominated_worlds() {
         let rows = overlap_comparison(true);
-        assert_eq!(
-            rows.iter().map(|r| r.gpus).collect::<Vec<_>>(),
-            OVERLAP_WORLDS.to_vec()
-        );
+        assert_golden(&rows);
         for r in &rows {
-            // The run asserts overlapped < serial internally; re-check
-            // the reported fields and the hidden-comm evidence here.
-            assert!(r.overlapped_sim_time_ps < r.serial_sim_time_ps, "{r:?}");
+            // The run asserts overlapped < serial; the schedule hides
+            // comm, and bucketing only ever adds latency terms to the
+            // serial schedule, never removes work.
             assert!(r.hidden_ps > 0, "{r:?}");
-            assert!(r.train_loss.is_finite(), "{r:?}");
-            // Bucketing only ever adds latency terms to the serial
-            // schedule, never removes work.
             assert!(r.serial_sim_time_ps >= r.flat_sim_time_ps, "{r:?}");
         }
-        let json = overlap_json(&rows);
-        assert!(json.starts_with('{') && json.ends_with("}\n"));
-        assert_eq!(json.matches("\"gpus\"").count(), rows.len());
-        assert!(json.contains("\"overlapped_sim_time_ps\""));
     }
 
     #[test]
     fn codec_crossover_sweeps_ladder_and_crosses_over() {
         let rows = codec_crossover(true);
+        assert_golden(&rows);
         // 4 ladder rungs (identity + 3 lossless) per world, in order.
-        assert_eq!(rows.len(), 4 * CODEC_CROSSOVER_WORLDS.len());
-        for (w, chunk) in rows.chunks(4).enumerate() {
-            let g = CODEC_CROSSOVER_WORLDS[w];
-            assert_eq!(
-                chunk.iter().map(|r| (r.gpus, r.codec)).collect::<Vec<_>>(),
-                vec![
-                    (g, "identity"),
-                    (g, "lossless-index"),
-                    (g, "lossless-grad"),
-                    (g, "lossless")
-                ]
-            );
+        for (chunk, g) in rows.chunks(4).zip(CODEC_CROSSOVER_WORLDS) {
+            // The sweep asserts bit-equal losses and a never-expanding
+            // wire. The index path compresses at every world (strictly),
+            // the gradient codec leaves it alone, and the combined codec
+            // carries both savings.
             let ident = &chunk[0];
-            for r in &chunk[1..] {
-                // The sweep asserts bit-equal losses internally; re-check
-                // the reported surface: lossless never expands the wire.
-                assert_eq!(r.train_loss.to_bits(), ident.train_loss.to_bits());
-                assert!(r.wire_bytes <= ident.wire_bytes, "{r:?}");
-            }
-            // The index path compresses at every world (strictly), and
-            // the combined codec carries both savings.
             assert!(chunk[1].index_gather_bytes < ident.index_gather_bytes);
             assert_eq!(chunk[2].index_gather_bytes, ident.index_gather_bytes);
             assert!(chunk[3].wire_bytes < chunk[1].wire_bytes, "{chunk:?}");
             // The crossover itself: on the wire-dominated multi-node
             // worlds the byte savings outweigh codec compute, on the
             // all-NVLink single node they do not.
-            if g >= 48 {
-                assert!(chunk[1].sim_time_ps < ident.sim_time_ps, "{chunk:?}");
-            } else {
-                assert!(chunk[1].sim_time_ps >= ident.sim_time_ps, "{chunk:?}");
-            }
+            let saves = chunk[1].sim_time_ps < ident.sim_time_ps;
+            assert_eq!(saves, g >= 48, "{chunk:?}");
         }
-        let json = codec_crossover_json(&rows);
-        assert!(json.starts_with('{') && json.ends_with("}\n"));
-        assert_eq!(json.matches("\"gpus\"").count(), rows.len());
-        assert!(json.contains("\"index_gather_bytes\""));
     }
 
     #[test]
     fn chaos_recovery_rows_cover_fault_classes() {
-        let rows = chaos_recovery(true);
-        assert_eq!(
-            rows.iter().map(|r| r.scenario).collect::<Vec<_>>(),
-            vec![
-                "transient-kill",
-                "torn-write",
-                "bit-flip",
-                "unlink",
-                "double-kill"
-            ]
-        );
-        for r in &rows {
-            assert!(r.rounds >= 1, "{r:?}");
-            assert!(r.final_world < r.world, "{r:?}");
-            assert!(r.backoff_ps > 0, "backoff must be modelled: {r:?}");
-            assert!(r.train_loss.is_finite(), "{r:?}");
-        }
+        let rows = chaos_recovery();
+        assert_golden(&rows);
         // The clean kill restores the newest cut (step 4); every disk
         // fault damages exactly one frame and rolls back to step 2.
-        assert_eq!(rows[0].restored_step, 4);
-        assert_eq!(rows[0].corrupt_frames, 0);
+        assert_eq!((rows[0].restored_step, rows[0].corrupt_frames), (4, 0));
         for r in &rows[1..4] {
-            assert_eq!(r.restored_step, 2, "{r:?}");
-            assert_eq!(r.corrupt_frames, 1, "{r:?}");
+            assert_eq!((r.restored_step, r.corrupt_frames), (2, 1), "{r:?}");
         }
         // Two kills, two rounds, doubled second backoff: 10 + 20 ms.
         assert_eq!(rows[4].rounds, 2);
         assert_eq!(rows[4].backoff_ps, 30_000_000_000);
-        assert_eq!(rows[4].final_world, 2);
-
-        let json = chaos_recovery_json(&rows);
-        assert!(json.starts_with('{') && json.ends_with("}\n"));
-        assert_eq!(json.matches("\"scenario\"").count(), rows.len());
-        assert!(json.contains("\"corrupt_frames\""));
     }
 
     #[test]

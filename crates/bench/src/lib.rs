@@ -5,7 +5,9 @@
 //! perplexity column) really train scaled-down models on the simulated
 //! cluster; tables that report *full-scale time/memory* (III, IV, V's
 //! hours; Figure 6) use the calibrated `perfmodel`. The `repro` binary
-//! prints them in paper layout; integration tests assert their shapes.
+//! prints them in paper layout and is the one writer of the simulated
+//! `BENCH_*.json` goldens ([`GoldenRow`]); the experiments' tests hold
+//! each golden to its quick run byte for byte.
 
 #![forbid(unsafe_code)]
 

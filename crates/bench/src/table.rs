@@ -1,13 +1,13 @@
 //! Minimal fixed-width table printer for paper-style output.
 
-/// Renders rows of cells with right-aligned columns.
+/// Renders rows of cells with right-aligned columns (widths in chars).
 pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         assert_eq!(row.len(), cols, "row width mismatch");
         for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
+            *w = (*w).max(cell.chars().count());
         }
     }
     let mut out = String::new();
@@ -16,7 +16,7 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
             if i > 0 {
                 out.push_str("  ");
             }
-            out.push_str(&" ".repeat(w - c.len()));
+            out.push_str(&" ".repeat(w - c.chars().count()));
             out.push_str(c);
         }
         out.push('\n');

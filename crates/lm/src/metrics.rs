@@ -593,10 +593,8 @@ pub fn stragglers(ranks: &[&[StepMetrics]]) -> Vec<HealthEvent> {
 /// quantiles, attribution totals, wire bytes by tier, codec ratio).
 ///
 /// [`to_json`](RunSummary::to_json) is byte-stable for identical
-/// contents and [`from_json`](RunSummary::from_json) is its exact
-/// inverse — encode→decode→encode is the identity on bytes
-/// (property-tested). Two summaries are what the `bench-diff`
-/// regression gate compares under tolerance rules.
+/// contents. Two summaries are what the `bench-diff` regression gate
+/// compares under tolerance rules.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// World size `G`.
@@ -653,8 +651,7 @@ pub struct RunSummary {
 }
 
 /// Schema tag of the [`RunSummary`] JSON encoding. v2 appended the
-/// durability fields (`recoveries`, `corruptions`); the parser rejects
-/// v1 documents explicitly rather than guessing defaults.
+/// durability fields (`recoveries`, `corruptions`).
 pub const RUN_SUMMARY_SCHEMA: &str = "zlm.run_summary.v2";
 
 impl RunSummary {
@@ -699,74 +696,6 @@ impl RunSummary {
             self.recoveries,
             self.corruptions,
         )
-    }
-
-    /// Strict inverse of [`RunSummary::to_json`]: parses the canonical
-    /// encoding (any `"key": value` line order is accepted; values must
-    /// be well-formed), so `from_json(s.to_json()).to_json()` is
-    /// byte-identical to `s.to_json()`. Errors name the offending field.
-    pub fn from_json(s: &str) -> Result<RunSummary, String> {
-        let mut fields: Vec<(&str, &str)> = Vec::new();
-        for line in s.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line == "{" || line == "}" || line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once(':')
-                .ok_or_else(|| format!("malformed line: {line}"))?;
-            let key = key.trim().trim_matches('"');
-            fields.push((key, value.trim()));
-        }
-        let get = |name: &str| -> Result<&str, String> {
-            fields
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| format!("missing field: {name}"))
-        };
-        let get_u64 = |name: &str| -> Result<u64, String> {
-            get(name)?
-                .parse::<u64>()
-                .map_err(|e| format!("bad {name}: {e}"))
-        };
-        let schema = get("schema")?.trim_matches('"');
-        if schema != RUN_SUMMARY_SCHEMA {
-            return Err(format!("unknown schema: {schema}"));
-        }
-        let loss = match get("train_loss")? {
-            "null" => f64::NAN,
-            v => v
-                .parse::<f64>()
-                .map_err(|e| format!("bad train_loss: {e}"))?,
-        };
-        Ok(RunSummary {
-            world: get_u64("world")? as usize,
-            config_fingerprint: get("config_fingerprint")?.trim_matches('"').to_string(),
-            steps: get_u64("steps")?,
-            sim_time_ps: get_u64("sim_time_ps")?,
-            step_p50_ps: get_u64("step_p50_ps")?,
-            step_p95_ps: get_u64("step_p95_ps")?,
-            step_p99_ps: get_u64("step_p99_ps")?,
-            step_max_ps: get_u64("step_max_ps")?,
-            compute_ps: get_u64("compute_ps")?,
-            wire_intra_ps: get_u64("wire_intra_ps")?,
-            wire_inter_ps: get_u64("wire_inter_ps")?,
-            barrier_wait_ps: get_u64("barrier_wait_ps")?,
-            skew_ps: get_u64("skew_ps")?,
-            self_delay_ps: get_u64("self_delay_ps")?,
-            overlapped_ps: get_u64("overlapped_ps")?,
-            wire_intra_bytes: get_u64("wire_intra_bytes")?,
-            wire_inter_bytes: get_u64("wire_inter_bytes")?,
-            codec_raw_bytes: get_u64("codec_raw_bytes")?,
-            codec_enc_bytes: get_u64("codec_enc_bytes")?,
-            codec_ratio_milli: get_u64("codec_ratio_milli")?,
-            train_loss: loss,
-            dropped_spans: get_u64("dropped_spans")?,
-            health_events: get_u64("health_events")?,
-            recoveries: get_u64("recoveries")?,
-            corruptions: get_u64("corruptions")?,
-        })
     }
 }
 
@@ -1176,87 +1105,6 @@ mod tests {
         for name in TimeAttribution::BUCKETS {
             assert!(empty.find_histogram(name).is_some_and(Histogram::is_empty));
         }
-    }
-
-    #[test]
-    fn run_summary_roundtrips_bytes() {
-        let s = RunSummary {
-            world: 48,
-            config_fingerprint: "00ff00ff00ff00ff".into(),
-            steps: 12,
-            sim_time_ps: 999,
-            step_p50_ps: 80,
-            step_p95_ps: 95,
-            step_p99_ps: 99,
-            step_max_ps: 103,
-            compute_ps: 1,
-            wire_intra_ps: 2,
-            wire_inter_ps: 3,
-            barrier_wait_ps: 4,
-            skew_ps: 5,
-            self_delay_ps: 6,
-            overlapped_ps: 7,
-            wire_intra_bytes: 8,
-            wire_inter_bytes: 9,
-            codec_raw_bytes: 100,
-            codec_enc_bytes: 50,
-            codec_ratio_milli: 500,
-            train_loss: 3.25,
-            dropped_spans: 0,
-            health_events: 1,
-            recoveries: 2,
-            corruptions: 1,
-        };
-        let j = s.to_json();
-        let back = RunSummary::from_json(&j).expect("parse");
-        assert_eq!(back, s);
-        assert_eq!(back.to_json(), j, "encode→decode→encode is identity");
-        // Non-finite losses encode as null and survive the round trip.
-        let nan = RunSummary {
-            train_loss: f64::NAN,
-            ..s
-        };
-        let j = nan.to_json();
-        assert!(j.contains("\"train_loss\": null"));
-        assert_eq!(RunSummary::from_json(&j).unwrap().to_json(), j);
-    }
-
-    #[test]
-    fn run_summary_parser_rejects_drift() {
-        let s = RunSummary {
-            world: 1,
-            config_fingerprint: "0".into(),
-            steps: 0,
-            sim_time_ps: 0,
-            step_p50_ps: 0,
-            step_p95_ps: 0,
-            step_p99_ps: 0,
-            step_max_ps: 0,
-            compute_ps: 0,
-            wire_intra_ps: 0,
-            wire_inter_ps: 0,
-            barrier_wait_ps: 0,
-            skew_ps: 0,
-            self_delay_ps: 0,
-            overlapped_ps: 0,
-            wire_intra_bytes: 0,
-            wire_inter_bytes: 0,
-            codec_raw_bytes: 0,
-            codec_enc_bytes: 0,
-            codec_ratio_milli: 1000,
-            train_loss: 0.0,
-            dropped_spans: 0,
-            health_events: 0,
-            recoveries: 0,
-            corruptions: 0,
-        };
-        let j = s.to_json();
-        assert!(RunSummary::from_json(&j.replace("zlm.run_summary.v2", "v999")).is_err());
-        assert!(RunSummary::from_json(&j.replace("\"steps\"", "\"stepz\"")).is_err());
-        // The v1 schema (no durability fields) is rejected, not defaulted.
-        assert!(
-            RunSummary::from_json(&j.replace("zlm.run_summary.v2", "zlm.run_summary.v1")).is_err()
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use simgpu::FaultPlan;
 use std::time::Duration;
 use zipf_lm::{
     run, train, CheckpointConfig, CommConfig, HealthEvent, Method, MetricsConfig, MetricsRegistry,
-    ModelKind, RunOptions, RunSummary, TraceConfig, TrainConfig,
+    ModelKind, RunOptions, TraceConfig, TrainConfig,
 };
 
 /// Small-but-real shape that still finishes at world 192.
@@ -54,12 +54,6 @@ fn assert_summary_shape(world: usize) {
         s.step_max_ps <= s.sim_time_ps,
         "world {world}: one step cannot exceed the whole run"
     );
-    // The artifact round-trips byte-exactly — the property the
-    // bench-diff gate and the checked-in goldens rely on.
-    let text = s.to_json();
-    let back = RunSummary::from_json(&text).expect("parse own artifact");
-    assert_eq!(back, s);
-    assert_eq!(back.to_json(), text);
     // The per-rank registry reached rank 0's report and the fleet
     // rollup merged all `world` of them: steps_total counts rank-steps.
     let fleet = rep.fleet_metrics.as_ref().expect("fleet registry");

@@ -405,15 +405,10 @@ fn run_summary_json_is_byte_stable() {
         "}",
     );
     assert_eq!(s.to_json(), expected);
-    // Non-finite losses serialise as JSON null and parse back to NaN,
-    // keeping the decode→encode cycle byte-identical.
+    // Non-finite losses serialise as JSON null, not a bare `NaN`.
     let nan = RunSummary {
         train_loss: f64::NAN,
         ..s
     };
-    let text = nan.to_json();
-    assert!(text.contains("\"train_loss\": null"));
-    let back = RunSummary::from_json(&text).expect("parse");
-    assert!(back.train_loss.is_nan());
-    assert_eq!(back.to_json(), text);
+    assert!(nan.to_json().contains("\"train_loss\": null"));
 }
