@@ -5,9 +5,10 @@
 //! * a **word LM**: input embedding → 1× LSTM (2048 cells) → projection
 //!   (512) → output embedding + **sampled softmax** (1024 samples/GPU);
 //! * a **char LM**: a depth-10 **Recurrent Highway Network** (1792 cells)
-//!   with a full softmax. The paper quotes 213 M parameters; the
-//!   coupled-gate RHN here has 70.86 M dense parameters at those
-//!   dimensions (RHN plus output layer, 98 characters).
+//!   with a full softmax. The coupled-gate RHN here has 70.86 M dense
+//!   parameters at those dimensions (RHN plus output layer, 98
+//!   characters); the paper's 213 M is ≈ 3× that, a weight and Adam's
+//!   two moments per parameter.
 //!
 //! Every run applies plain SGD ([`WordLm::apply_dense`] /
 //! [`CharLm::apply_dense`] for the dense parameters, the `lm` crate's

@@ -128,8 +128,7 @@ impl RhnLayer {
     }
 
     /// Number of parameters: `2·D·H + L·(2·H² + 2·H)`, 70.68 M at
-    /// `(D=1792, H=1792, L=10)` — not the paper's 213 M, which this
-    /// coupled-gate RHN does not reach at those dimensions.
+    /// `(D=1792, H=1792, L=10)`.
     pub fn param_count(&self) -> usize {
         params::count(self.params())
     }
@@ -670,9 +669,11 @@ mod tests {
     #[test]
     fn paper_scale_param_count() {
         // §IV-B: depth-10 RHN with 1792 cells ⇒ recurrent params alone
-        // are 10 · 2 · 1792² ≈ 64 M; with 1792-dim inputs, ~70 M in the
-        // recurrent stack (the 213 M total includes the 15 K-char softmax
-        // in the Tieba config and embeddings).
+        // are 10 · 2 · 1792² ≈ 64 M; with 1792-dim inputs, 70.68 M in the
+        // recurrent stack. Tieba's 15 K-char output layer and input
+        // embedding bring the whole model to ≈126 M, still short of
+        // §IV-B's 213 M, which is ≈ 3× the 98-char model's 70.86 M dense
+        // parameters (a weight and Adam's two moments).
         let layer = RhnLayer::new(&mut StdRng::seed_from_u64(0), 1792, 1792, 10);
         let expected = 2 * 1792 * 1792 + 10 * (2 * 1792 * 1792 + 2 * 1792);
         assert_eq!(layer.param_count(), expected);

@@ -17,7 +17,8 @@ mod tests {
         println!("{}", markdown(&scoreboard()));
         // Each Table III / IV cell's memory beside its raw predicted
         // buffers (Σ exchange_bytes over the predicted exchanges, GB,
-        // before the calibrated resident term and replication).
+        // before the baseline's densified tables, the resident term and
+        // the char baseline's replication).
         let (w, c) = (WordScale::paper(), CharScale::paper());
         type Exchanges = Vec<(u64, usize, Option<(u64, u64)>)>;
         let buffers = |exchanges: Exchanges| {

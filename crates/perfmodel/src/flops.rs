@@ -1,6 +1,8 @@
 //! The one FLOP count: each layer's forward multiply-adds per token,
 //! in exact integer arithmetic, and the rule that turns them into a
-//! training step's FLOPs.
+//! training step's FLOPs. Beside it, the one parameter count: each
+//! weight is one multiply-add per token, so a layer's parameters are
+//! its count plus its biases.
 //!
 //! Both cluster models read it. The trainer prices a live step of
 //! `zipf_lm::ModelKind` through `ModelKind::flops_per_step`, and
@@ -14,7 +16,8 @@
 //! `tests/flop_count.rs` holds to `tensor::gemm_macs` exactly: a
 //! recurrent or dense layer runs [`step`]'s 3× forward (the backward
 //! pass computes both `dX` and `dW`, each the forward's size), and
-//! sampled softmax runs only its candidate product.
+//! sampled softmax runs only its candidate product. The same test holds
+//! each parameter count to `nn`'s `param_count` / `dense_param_count`.
 
 /// §V-A: the word LM sustains 40 % of peak FLOP/s ("2.44 TFLOP/sec (40%
 /// of peak)").
@@ -63,6 +66,37 @@ pub fn word_lm(embed: usize, hidden: usize, proj: usize, samples: usize) -> u64 
 /// `H → V` output layer.
 pub fn char_lm(embed: usize, hidden: usize, depth: usize, vocab: usize) -> u64 {
     rhn(embed, hidden, depth) + linear(hidden, vocab)
+}
+
+/// Parameters of one LSTM layer: a weight per multiply-add of [`lstm`]
+/// and the `4H` gate biases.
+pub fn lstm_params(input: usize, hidden: usize) -> u64 {
+    lstm(input, hidden) + (4 * hidden) as u64
+}
+
+/// Parameters of one RHN layer: a weight per multiply-add of [`rhn`] and
+/// the candidate and transform biases at every depth, `2·L·H`.
+pub fn rhn_params(input: usize, hidden: usize, depth: usize) -> u64 {
+    rhn(input, hidden, depth) + (2 * depth * hidden) as u64
+}
+
+/// Parameters of a dense layer: a weight per multiply-add of [`linear`]
+/// and one bias per output.
+pub fn linear_params(input: usize, output: usize) -> u64 {
+    linear(input, output) + output as u64
+}
+
+/// The word LM's dense (ALLREDUCEd) parameters, as `nn::WordLm` lays
+/// them out: the LSTM, then the projection. The embedding tables are
+/// exchanged, not reduced.
+pub fn word_lm_params(embed: usize, hidden: usize, proj: usize) -> u64 {
+    lstm_params(embed, hidden) + linear_params(hidden, proj)
+}
+
+/// The char LM's dense parameters, as `nn::CharLm` lays them out: the
+/// RHN, then the output layer.
+pub fn char_lm_params(embed: usize, hidden: usize, depth: usize, vocab: usize) -> u64 {
+    rhn_params(embed, hidden, depth) + linear_params(hidden, vocab)
 }
 
 /// FLOPs of one training step over `tokens` tokens for a model of

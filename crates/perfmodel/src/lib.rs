@@ -3,7 +3,7 @@
 //!
 //! The `lm` crate *really trains* scaled-down models on a simulated
 //! cluster; this crate models the paper's **full-size** configurations —
-//! 100 K-vocabulary word LM, 213 M-parameter RHN char LM, 0.78 B–34 B
+//! 100 K-vocabulary word LM, 70.86 M-parameter RHN char LM, 0.78 B–34 B
 //! token corpora, 8–192 Titan X GPUs — where actually executing a step is
 //! out of reach. Both price a step with one clock, [`schedule`]: the
 //! trainer feeds it the [`schedule::StepLoad`] it measured, the models

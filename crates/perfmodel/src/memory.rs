@@ -7,8 +7,9 @@
 //! [`exchange_bytes`] call on the rows it gathered and the distinct rows
 //! it measured, the model allocation a [`replica_bytes`] call. The
 //! full-scale models predict memory by summing [`exchange_bytes`] over
-//! the exchanges they predict, then applying each model's named
-//! calibrated pair (resident model GB, gather replication). The §III-A
+//! the exchanges they predict, adding the baseline's densified
+//! vocabulary-wide tables, then applying each model's resident GB and
+//! (char baseline only, calibrated) buffer replication. The §III-A
 //! worked example is priced through the same function:
 //!
 //! "Consider a real-word example, where the sequence length is c = 150,

@@ -43,8 +43,8 @@ impl StepTerms {
 /// implementation of its predicted step, memory, step time and scaling
 /// tables, inherent on both models. The type provides `payload` (its
 /// dense gradient elements and exchanges), `macs_per_token` (its
-/// [`crate::flops`] count), `terms`, `memory_terms` (its calibrated
-/// resident GB and gather replication) and the `vocab`, `local_tokens`,
+/// [`crate::flops`] count), `terms`, `memory_terms` (its resident GB and
+/// gather replication) and the `vocab`, `local_tokens`,
 /// `tokens_per_epoch` and `cost` fields, with `TechniqueStack`,
 /// `ScalingRow` and `StepSchedule` in scope; `$table` names its paper
 /// table.
@@ -118,15 +118,20 @@ macro_rules! scaling_tables {
                     .collect()
             }
 
-            /// Peak per-GPU memory in GB: the model's calibrated
-            /// resident term plus its exchange buffers — the shared count
-            /// summed over [`Self::exchanges`] — scaled by its calibrated
-            /// gather replication.
+            /// Peak per-GPU memory in GB: the model's resident term plus
+            /// its exchange buffers — the shared count summed over
+            /// [`Self::exchanges`] — scaled by its gather replication. On
+            /// the baseline, each exchange also holds every peer's sparse
+            /// gradient densified into a vocabulary-wide FP32 table,
+            /// `G·V·D·4` bytes.
             pub fn memory_gb(&self, g: usize, stack: TechniqueStack) -> f64 {
                 use $crate::memory::exchange_bytes;
                 let (model_gb, replication) = self.memory_terms(stack);
+                let densified = |dim: usize| (g * self.vocab * dim * 4) as u64;
                 let buffers = self.exchanges(g, stack).into_iter();
-                let bytes: u64 = buffers.map(|(n, dim, x)| exchange_bytes(n, dim, x)).sum();
+                let bytes: u64 = buffers
+                    .map(|(n, dim, x)| exchange_bytes(n, dim, x) + x.map_or(densified(dim), |_| 0))
+                    .sum();
                 model_gb + replication * bytes as f64 / 1e9
             }
 

@@ -142,19 +142,12 @@ pub const CONTENTION_EXP: f64 = 1.66;
 /// `table3.ours.64`.
 pub const STRAGGLER_PER_DOUBLING: f64 = 0.17;
 
-/// CALIBRATED: model + activations resident beside the unique path's
-/// buffers, fitted to row `memory.ours.8` (the paper quotes 1.3 GB for
-/// model + activations at the 100 K vocabulary).
+/// CALIBRATED: model + activations resident beside the exchange
+/// buffers under every stack, fitted to row `memory.ours.8` (the paper
+/// quotes 1.3 GB for model + activations at the 100 K vocabulary). The
+/// baseline's rows `memory.base.*` are predictions: its slope is the
+/// densified tables `memory_gb` charges.
 pub const MODEL_ACT_GB: f64 = 1.18;
-/// CALIBRATED: what the baseline holds beside its replicated gather
-/// buffers, fitted to row `memory.base.8` once [`GATHER_REPLICATION`]
-/// has set the slope.
-pub const BASELINE_MODEL_ACT_GB: f64 = 0.70;
-/// CALIBRATED: TF-runtime replication factor on gather buffers (grad
-/// copies, staging, executor slack), fitted to the baseline's slope of
-/// ≈0.4 GB/GPU, rows `memory.base.8`, `memory.base.16` and
-/// `memory.base.24`.
-pub const GATHER_REPLICATION: f64 = 85.0;
 
 impl WordScale {
     /// The paper's configuration (§IV-B) on the Table II cluster.
@@ -215,17 +208,15 @@ impl WordScale {
         (target_rows + sampled_rows).min(self.vocab as u64)
     }
 
-    /// What a step moves at `g` GPUs under `stack`: the dense gradient
-    /// — the LSTM's input and recurrent weights and its `4H` bias, then
-    /// the projection's weights and bias, as `nn::WordLm` lays them out
-    /// — and the input and output exchanges' rows, [`Self::input_rows`]
-    /// and [`Self::output_rows`] distinct.
+    /// What a step moves at `g` GPUs under `stack`: the dense gradient,
+    /// [`flops::word_lm_params`], and the input and output exchanges'
+    /// rows, [`Self::input_rows`] and [`Self::output_rows`] distinct.
     fn payload(&self, g: usize, stack: TechniqueStack) -> (usize, Rows, Option<Rows>) {
         let (e, h, p) = (self.embed_dim, self.hidden, self.proj_dim);
         let k = self.local_tokens;
         let input = (k, self.input_rows(g, stack) as usize, e);
         let output = (k + self.samples, self.output_rows(g, stack) as usize, p);
-        (4 * h * (e + h + 1) + p * (h + 1), input, Some(output))
+        (flops::word_lm_params(e, h, p) as usize, input, Some(output))
     }
 
     /// The calibrated terms of a step at `g` GPUs under `stack`.
@@ -248,15 +239,11 @@ impl WordScale {
         }
     }
 
-    /// The calibrated pair `memory_gb` applies under `stack`: resident
-    /// GB and the replication of the exchange buffers (the runtime
-    /// replicates the baseline's gathers only).
-    pub(crate) fn memory_terms(&self, stack: TechniqueStack) -> (f64, f64) {
-        if stack.unique() {
-            (MODEL_ACT_GB, 1.0)
-        } else {
-            (BASELINE_MODEL_ACT_GB, GATHER_REPLICATION)
-        }
+    /// The pair `memory_gb` applies: resident GB and the replication of
+    /// the exchange buffers, which the word LM does not replicate under
+    /// any stack.
+    pub(crate) fn memory_terms(&self, _: TechniqueStack) -> (f64, f64) {
+        (MODEL_ACT_GB, 1.0)
     }
 
     /// Figure 6: cumulative speedups over baseline at `g` GPUs

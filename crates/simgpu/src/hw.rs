@@ -127,23 +127,4 @@ mod tests {
             assert!(per_hop(two_nodes.alpha, 2 * gpn) > per_hop(one_node.alpha, gpn));
         }
     }
-
-    #[test]
-    fn v100_much_faster_than_titanx() {
-        let t = HardwareConfig::titan_x_cluster();
-        let v = HardwareConfig::v100_dgx();
-        // §V-D: "41X less powerful infrastructure" (128 V100 vs 64 TitanX
-        // = 16 PFLOP/s vs 0.39 PFLOP/s).
-        let ratio = v.cluster_peak_flops(128) / t.cluster_peak_flops(64);
-        assert!((ratio - 41.0).abs() < 1.5, "ratio {ratio}");
-    }
-
-    #[test]
-    fn cluster_peak_flops_matches_paper() {
-        // §V-C: "a total of 0.76 PFLOP/s using 192 GPUs" at 64% of peak
-        // would be 192 * 6.1 TF * 0.64 ≈ 0.75 PF.
-        let hw = HardwareConfig::titan_x_cluster();
-        let achieved = hw.cluster_peak_flops(192) * 0.64;
-        assert!((achieved / 1e15 - 0.76).abs() < 0.02, "{achieved}");
-    }
 }

@@ -29,7 +29,8 @@ fn main() {
     let mut base_ppl = None;
     for (gpus, data_mult, lr) in [(1usize, 1usize, 0.8f32), (4, 4, 1.1), (8, 16, 1.4)] {
         // More capacity than the default small config so the larger
-        // corpora actually pay off (the paper's model has 213 M params).
+        // corpora actually pay off (at the paper's dimensions the Tieba
+        // model has ≈126 M params, 98.36 M of them dense).
         let model = ModelKind::CharCustom(nn::model::CharLmConfig {
             vocab: 2000,
             embed_dim: 32,

@@ -12,6 +12,9 @@
 //! * sampled softmax runs only its `P×S` candidate product; the target
 //!   dot and the backward run in scalar loops (`flops::sampled_softmax`
 //!   states that remainder).
+//!
+//! At the same shapes, each layer's `param_count` and each model's
+//! `dense_param_count` equal `flops`' parameter count exactly.
 
 use nn::model::{CharLmConfig, SeqBatch, WordLmConfig};
 use nn::{CharLm, Embedding, Linear, LstmLayer, RhnLayer, SampledSoftmax, WordLm};
@@ -60,6 +63,8 @@ fn lstm_runs_three_times_its_forward_count() {
         });
         let want = (t * b) as u64 * 3 * flops::lstm(e, h);
         assert_eq!(got, want, "T{t} B{b} E{e} H{h}");
+        let params = flops::lstm_params(e, h);
+        assert_eq!(layer.param_count() as u64, params, "E{e} H{h}");
     }
 }
 
@@ -75,6 +80,8 @@ fn rhn_runs_three_times_its_forward_count() {
         });
         let want = (t * b) as u64 * 3 * flops::rhn(e, h, depth);
         assert_eq!(got, want, "T{t} B{b} E{e} H{h} L{depth}");
+        let params = flops::rhn_params(e, h, depth);
+        assert_eq!(layer.param_count() as u64, params, "E{e} H{h} L{depth}");
     }
 }
 
@@ -89,6 +96,8 @@ fn linear_runs_three_times_its_forward_count() {
             (y, layer.backward(&x, &dy))
         });
         assert_eq!(got, n as u64 * 3 * flops::linear(i, o), "n{n} {i}→{o}");
+        let params = flops::linear_params(i, o);
+        assert_eq!(layer.param_count() as u64, params, "{i}→{o}");
     }
 }
 
@@ -129,6 +138,8 @@ fn word_lm_runs_its_layers_gemms() {
         let softmax = flops::sampled_softmax(p, s);
         let want = 3 * (flops::word_lm(e, h, p, s) - softmax) + softmax - p as u64;
         assert_eq!(got, (t * b) as u64 * want, "{cfg:?} T{t} B{b}");
+        let params = flops::word_lm_params(e, h, p);
+        assert_eq!(model.dense_param_count() as u64, params, "{cfg:?}");
     }
 }
 
@@ -149,5 +160,7 @@ fn char_lm_runs_three_times_its_forward_count() {
         let got = macs_of(|| model.forward_backward(&batch));
         let want = (t * b) as u64 * 3 * flops::char_lm(e, h, depth, vocab);
         assert_eq!(got, want, "{cfg:?} T{t} B{b}");
+        let params = flops::char_lm_params(e, h, depth, vocab);
+        assert_eq!(model.dense_param_count() as u64, params, "{cfg:?}");
     }
 }

@@ -5,7 +5,7 @@
 //! the perfmodel pricing their loads on one clock.
 
 use perfmodel::schedule::{CommOp, ExchangeConfig, StepClock, StepLoad, StepSchedule};
-use perfmodel::{memory, TechniqueStack, WordScale};
+use perfmodel::{memory, CharScale, TechniqueStack, WordScale};
 use simgpu::{secs_to_ps, CostModel, HardwareConfig};
 use zipf::fit_power_law;
 use zipf_lm::{
@@ -156,13 +156,22 @@ fn compression_halves_wire_bytes() {
 
 #[test]
 fn perfmodel_memory_crossover_between_24_and_32() {
-    let m = WordScale::paper();
-    let limit = 12.0 * 1.0737; // 12 GiB in GB
-    assert!(m.memory_gb(24, TechniqueStack::Baseline) < limit);
-    assert!(m.memory_gb(32, TechniqueStack::Baseline) > limit);
+    let limit = HardwareConfig::titan_x_cluster().gpu_mem_bytes as f64 / 1e9;
+    let (word, char_lm) = (WordScale::paper(), CharScale::paper());
+    let base = TechniqueStack::Baseline;
+    let baseline = [
+        ("word", [24, 32].map(|g| word.memory_gb(g, base))),
+        ("char", [24, 32].map(|g| char_lm.memory_gb(g, base))),
+    ];
+    for (name, [at24, at32]) in baseline {
+        assert!(
+            at24 < limit && at32 > limit,
+            "{name} baseline: {at24} GB at 24 GPUs, {at32} at 32, limit {limit}"
+        );
+    }
     for g in [8usize, 16, 24, 32, 64, 128, 192] {
         assert!(
-            m.memory_gb(g, TechniqueStack::Full) < 2.0,
+            word.memory_gb(g, TechniqueStack::Full) < 2.0,
             "ours must stay ~1.2 GB at {g} GPUs"
         );
     }
