@@ -198,20 +198,19 @@ impl Default for TraceConfig {
     }
 }
 
-/// Opt-in fleet metrics (see [`simgpu::metrics`] and [`crate::metrics`]).
+/// Opt-in fleet metrics (see [`crate::metrics`]): barrier-wait timing
+/// plus health findings.
 ///
 /// Disabled by default, and the step loop is the same either way: it
 /// writes one [`crate::StepMetrics`] per step (on only adds barrier-wait
-/// timing to it). When on, the driver folds every joined rank's records
-/// into that rank's [`simgpu::MetricsRegistry`] — per-step histograms
-/// (step time, attribution buckets, wire bytes, barrier waits) and run
-/// counters — and the merged fleet registry and the
-/// [`crate::HealthEvent`] findings (stragglers: 1.5× the median busy
-/// time for 3 consecutive steps) land on the final `TrainReport`.
+/// wall time to it). When on, the driver folds every joined rank's
+/// records into the [`crate::HealthEvent`] findings (stragglers: 1.5×
+/// the median busy time for 3 consecutive steps; trace truncation),
+/// which land on the final `TrainReport`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsConfig {
-    /// Attach per-rank registries, the merged fleet registry and health
-    /// findings to the final `TrainReport`.
+    /// Time barrier waits and attach health findings to the final
+    /// `TrainReport`.
     pub enabled: bool,
 }
 

@@ -85,25 +85,23 @@
 //! predicts for the paper's full-scale runs: with `CommConfig::overlapped`
 //! gradient buckets launch their collectives while later buckets'
 //! compute still runs, the hidden comm lands in `overlapped_ps`, and
-//! [`TrainReport::schedule_trace_json`] exports the two streams as
-//! concurrent spans per rank.
+//! [`sim_trace_json`] over [`TrainReport::sim_spans`] exports the two
+//! streams as concurrent spans per rank.
 //!
 //! ## Fleet metrics
 //!
 //! The step loop writes one [`StepMetrics`] per step per rank and
 //! nothing else; every derived quantity is a pure fold over those
-//! records in [`metrics`]. Set `metrics: MetricsConfig::on()` and the
-//! driver, once the ranks have joined, folds each rank's records into
-//! its [`simgpu::MetricsRegistry`] ([`metrics::step_registry`]) —
-//! counters, gauges and log-bucketed histograms whose cross-rank merge
-//! is *exact* (merged == pooled samples) — and all ranks' records
-//! together into the straggler findings ([`metrics::stragglers`]):
-//! typed [`HealthEvent`]s naming the slow rank. Rank 0's report carries
-//! the merged fleet registry; export it as Prometheus text
-//! ([`simgpu::MetricsRegistry::prometheus_text`]) or as a byte-stable
-//! [`RunSummary`] JSON ([`TrainReport::run_summary`]) — the artifact
-//! the `bench-diff` regression gate compares across runs. See
-//! DESIGN.md §13.
+//! records in [`metrics`]. The one run roll-up is [`RunSummary`]
+//! ([`TrainReport::run_summary`]): exact step-time quantiles,
+//! attribution totals, wire bytes by tier and the codec ratio, as
+//! byte-stable JSON — the artifact the `bench-diff` regression gate
+//! compares across runs. Set `metrics: MetricsConfig::on()` for
+//! barrier-wait timing plus health findings: once the ranks have
+//! joined, the driver folds all ranks' records together into the
+//! straggler findings ([`metrics::stragglers`]), typed
+//! [`HealthEvent`]s naming the slow rank, beside any trace truncation.
+//! See DESIGN.md §13.
 
 #![forbid(unsafe_code)]
 
@@ -141,7 +139,7 @@ pub use schedule::{CommOp, ScheduleOutcome};
 pub use seeding::SeedStrategy;
 pub use simgpu::{
     chrome_trace_json, chrome_trace_json_with_counters, sim_trace_json, BarrierDeadline, CommError,
-    CounterTrack, DiskFault, DiskFaultPlan, FaultPlan, Histogram, MetricsRegistry, SimSpan,
-    SimStream, SpanKind, TraceEvent, TraceLog, TraceRecorder,
+    CounterTrack, DiskFault, DiskFaultPlan, FaultPlan, SimSpan, SimStream, SpanKind, TraceEvent,
+    TraceLog, TraceRecorder,
 };
 pub use trainer::{run, train, train_with_faults, RunOptions, RunOutcome, TrainError};

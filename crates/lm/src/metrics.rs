@@ -4,26 +4,25 @@
 //! step per rank, deterministic but for its wall-clock fields — and
 //! everything downstream is a pure function of a rank's
 //! `&[StepMetrics]` (DESIGN.md §13 tabulates the folds and who runs
-//! them): the per-rank [`simgpu::MetricsRegistry`]
-//! ([`step_registry`]), the straggler findings ([`stragglers`], over
-//! all ranks' records at once), the run totals on [`TrainReport`], and
-//! [`RunSummary`], the byte-stable machine-readable run artifact the
-//! `bench-diff` regression gate compares.
+//! them): the straggler findings ([`stragglers`], over all ranks'
+//! records at once), the run totals on [`TrainReport`], and
+//! [`RunSummary`], the one run roll-up — the byte-stable
+//! machine-readable artifact the `bench-diff` regression gate compares.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::TrainConfig;
 use crate::exchange::{ExchangeStats, PhaseTimings};
 use crate::schedule::{ExchangeLoad, StepLoad};
 pub use perfmodel::schedule::TimeAttribution;
-use simgpu::{CounterTrack, Histogram, MetricsRegistry, TraceLog, TrafficSnapshot};
+use simgpu::{CounterTrack, TraceLog, TrafficSnapshot};
 
 /// Per-step measurements, collected on **every** rank (each rank's
 /// [`TrainReport`] carries its own copy) — the only telemetry the step
-/// loop writes; registries, health findings, run totals and summaries
-/// are folds over these records.
+/// loop writes; health findings, run totals and summaries are folds
+/// over these records.
 ///
 /// Synchronised fields — bit-identical across ranks: `step`,
-/// `train_loss`, `sim_time_ps` / `sim_time_s`, `dense_raw_bytes` /
+/// `train_loss`, `sim_time_ps`, `dense_raw_bytes` /
 /// `dense_enc_bytes`, and the exchanges' `local_tokens` /
 /// `unique_global`. Rank-local fields — they differ per rank:
 /// `dense_bytes` and the exchanges' `wire_bytes` (each rank's exact
@@ -42,9 +41,6 @@ pub struct StepMetrics {
     /// hardware model — the synchronous-step `T` described on
     /// [`TimeAttribution`]. Identical on all ranks.
     pub sim_time_ps: u64,
-    /// `sim_time_ps` in seconds (`× 1e-12`), kept for display and
-    /// backward compatibility.
-    pub sim_time_s: f64,
     /// This rank's exact split of the step time.
     pub attribution: TimeAttribution,
     /// Of the intra-tier wire time this rank's collectives were
@@ -108,8 +104,7 @@ impl StepMetrics {
 }
 
 /// `(raw, encoded)` bytes of the codec-framed ALLREDUCE payloads of
-/// `steps` — the dense ALLREDUCE and both exchanges' `Ug×D` ALLREDUCEs.
-/// The one sum behind the registry's `codec_*_bytes_total` counters and
+/// `steps` — the dense ALLREDUCE and both exchanges' `Ug×D` ALLREDUCEs:
 /// [`RunSummary`]'s codec fields.
 pub fn codec_bytes(steps: &[StepMetrics]) -> (u64, u64) {
     steps.iter().fold((0, 0), |(raw, enc), s| {
@@ -120,37 +115,14 @@ pub fn codec_bytes(steps: &[StepMetrics]) -> (u64, u64) {
     })
 }
 
-/// One rank's registry series as a fold over its step records: a
-/// histogram per step quantity (step time, the [`TimeAttribution`]
-/// buckets, wire bytes, `Ug`, barrier-wait wall time) and the run
-/// counters. Every series exists even over zero steps, in one fixed
-/// order, and the fold is a homomorphism — `step_registry(a ++ b)`
-/// equals `step_registry(a)` merged with `step_registry(b)` — which is
-/// what makes the per-rank → fleet and pre/post-resume merges exact.
-pub fn step_registry(steps: &[StepMetrics]) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    reg.observe("step_time_ps", steps.iter().map(|s| s.sim_time_ps));
-    for (i, name) in TimeAttribution::BUCKETS.into_iter().enumerate() {
-        reg.observe(name, steps.iter().map(|s| s.attribution.buckets()[i]));
+/// The nearest-rank `q`-quantile of ascending `sorted`:
+/// `sorted[⌈q·n⌉ − 1]`, the rank clamped to `[1, n]`; 0 when empty.
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let n = sorted.len();
+    if n == 0 {
+        return 0;
     }
-    reg.observe("step_wire_bytes", steps.iter().map(StepMetrics::wire_bytes));
-    reg.observe(
-        "unique_global",
-        steps.iter().map(|s| s.input_exchange.unique_global as u64),
-    );
-    reg.observe(
-        "barrier_wait_wall_ns",
-        steps.iter().map(|s| s.barrier_wait_wall_ns),
-    );
-    let (codec_raw, codec_enc) = codec_bytes(steps);
-    reg.inc("steps_total", steps.len() as u64);
-    reg.inc(
-        "wire_bytes_total",
-        steps.iter().map(StepMetrics::wire_bytes).sum(),
-    );
-    reg.inc("codec_raw_bytes_total", codec_raw);
-    reg.inc("codec_enc_bytes_total", codec_enc);
-    reg
+    sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
 }
 
 /// The run totals a resume carries over: a checkpoint stores them, and
@@ -272,21 +244,11 @@ pub struct TrainReport {
     /// each comm op, apply, barrier wait), when tracing was enabled.
     /// Comm spans that overlap the compute span show the hidden
     /// communication as concurrent tracks; export with
-    /// [`simgpu::sim_trace_json`] or
-    /// [`TrainReport::schedule_trace_json`].
+    /// [`simgpu::sim_trace_json`] (an empty array when tracing was off).
     pub sim_spans: Vec<simgpu::SimSpan>,
     /// Elastic-recovery rounds survived en route to this report (empty
     /// without [`crate::RunOptions::recovery`]).
     pub recoveries: Vec<RecoveryEvent>,
-    /// This rank's metric registry, when `TrainConfig::metrics` was
-    /// enabled: [`step_registry`] over `steps` plus the end-of-run
-    /// gauges, built by the driver once the rank has joined. Merge
-    /// across ranks (exactly — see [`simgpu::metrics`]) for the fleet
-    /// view, or read `fleet_metrics` on rank 0's report.
-    pub metrics: Option<MetricsRegistry>,
-    /// The merged fleet registry — every rank's [`TrainReport::metrics`]
-    /// folded together by the driver. Present on rank 0's report only.
-    pub fleet_metrics: Option<MetricsRegistry>,
     /// Health findings for the run, stamped by the driver when metrics
     /// are enabled. [`HealthEvent::Straggler`] entries are one list
     /// ([`stragglers`] over all ranks' records), identical on every
@@ -355,15 +317,6 @@ impl TrainReport {
         out
     }
 
-    /// Chrome-trace JSON of this rank's simulated step schedule
-    /// ([`TrainReport::sim_spans`]): two tracks per rank (compute stream
-    /// and comm stream) positioned in simulated picoseconds, so
-    /// overlapped collectives render as spans running concurrently with
-    /// compute. Empty-array JSON when tracing was off.
-    pub fn schedule_trace_json(&self) -> String {
-        simgpu::sim_trace_json(&self.sim_spans)
-    }
-
     /// Mean wire bytes per step across the run.
     pub fn mean_step_bytes(&self) -> f64 {
         if self.steps.is_empty() {
@@ -412,50 +365,31 @@ impl TrainReport {
         ]
     }
 
-    /// This rank's registry: [`step_registry`] over its steps plus the
-    /// end-of-run gauges — the world, the shared traffic snapshot
-    /// (gauge merge is max, so globally-identical values fold
-    /// idempotently across ranks), the rank's device peak and its
-    /// trace ring's overwritten spans.
-    pub(crate) fn registry(&self, device_peak_bytes: u64) -> MetricsRegistry {
-        let mut reg = step_registry(&self.steps);
-        reg.gauge_max("world", self.gpus as u64);
-        reg.gauge_max("wire_intra_bytes", self.traffic.intra_bytes());
-        reg.gauge_max("wire_inter_bytes", self.traffic.inter_bytes());
-        reg.gauge_max("peak_mem_bytes", device_peak_bytes);
-        reg.gauge_max("dropped_spans", self.dropped_spans());
-        reg
-    }
-
     /// Spans this rank's trace ring overwrote (0 when tracing was off).
     pub(crate) fn dropped_spans(&self) -> u64 {
         self.trace.as_ref().map_or(0, |t| t.dropped)
     }
 
     /// Builds the run's [`RunSummary`] artifact. Works with metrics on
-    /// or off: step-time quantiles come from pooling the synchronised
-    /// `sim_time_ps` of every recorded step into a fresh
-    /// [`simgpu::Histogram`] (identical to the registry's
-    /// `step_time_ps` series, a fold over the same values), codec bytes
-    /// from [`codec_bytes`] (the registry counters' sum), attribution
-    /// totals are this rank's, wire bytes come from the shared traffic
+    /// or off: step-time quantiles are exact nearest-rank order
+    /// statistics of the synchronised `sim_time_ps` of every recorded
+    /// step, codec bytes come from [`codec_bytes`], attribution totals
+    /// are this rank's, wire bytes come from the shared traffic
     /// snapshot.
     pub fn run_summary(&self, cfg: &TrainConfig) -> RunSummary {
-        let mut h = Histogram::new();
-        for s in &self.steps {
-            h.observe(s.sim_time_ps);
-        }
+        let mut times: Vec<u64> = self.steps.iter().map(|s| s.sim_time_ps).collect();
+        times.sort_unstable();
         let (codec_raw, codec_enc) = codec_bytes(&self.steps);
         let a = &self.attribution;
         RunSummary {
             world: self.gpus,
             config_fingerprint: format!("{:016x}", config_fingerprint(cfg)),
             steps: self.steps.len() as u64,
-            sim_time_ps: self.steps.iter().map(|s| s.sim_time_ps).sum(),
-            step_p50_ps: h.quantile(0.50),
-            step_p95_ps: h.quantile(0.95),
-            step_p99_ps: h.quantile(0.99),
-            step_max_ps: h.max().unwrap_or(0),
+            sim_time_ps: times.iter().sum(),
+            step_p50_ps: nearest_rank(&times, 0.50),
+            step_p95_ps: nearest_rank(&times, 0.95),
+            step_p99_ps: nearest_rank(&times, 0.99),
+            step_max_ps: times.last().copied().unwrap_or(0),
             compute_ps: a.compute_ps,
             wire_intra_ps: a.wire_intra_ps,
             wire_inter_ps: a.wire_inter_ps,
@@ -605,11 +539,12 @@ pub struct RunSummary {
     pub steps: u64,
     /// Total simulated picoseconds across recorded steps.
     pub sim_time_ps: u64,
-    /// Median step time (bucket upper bound, ≤ 12.5% relative error).
+    /// Median step time: the exact nearest-rank order statistic,
+    /// `sorted[⌈q·n⌉ − 1]`.
     pub step_p50_ps: u64,
-    /// 95th-percentile step time.
+    /// 95th-percentile step time (exact, nearest rank).
     pub step_p95_ps: u64,
-    /// 99th-percentile step time.
+    /// 99th-percentile step time (exact, nearest rank).
     pub step_p99_ps: u64,
     /// Exact maximum step time.
     pub step_max_ps: u64,
@@ -713,8 +648,6 @@ fn json_f64(v: f64) -> String {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn attribution_totals_and_accumulates() {
@@ -987,52 +920,8 @@ mod tests {
         );
     }
 
-    /// A random step record: every quantity the folds read.
-    fn random_step(rng: &mut StdRng, step: u64) -> StepMetrics {
-        let exchange = |rng: &mut StdRng| ExchangeStats {
-            unique_global: rng.gen_range(0..5000),
-            wire_bytes: rng.gen_range(0..1 << 30),
-            reduce_raw_bytes: rng.gen_range(0..1 << 30),
-            reduce_enc_bytes: rng.gen_range(0..1 << 30),
-            ..Default::default()
-        };
-        let attribution =
-            TimeAttribution::from_buckets(std::array::from_fn(|_| rng.gen_range(0..1u64 << 40)));
-        StepMetrics {
-            step,
-            sim_time_ps: attribution.total_ps(),
-            attribution,
-            input_exchange: exchange(rng),
-            output_exchange: rng.gen_bool(0.5).then(|| exchange(rng)),
-            dense_bytes: rng.gen_range(0..1 << 30),
-            dense_raw_bytes: rng.gen_range(0..1 << 30),
-            dense_enc_bytes: rng.gen_range(0..1 << 30),
-            barrier_wait_wall_ns: rng.gen_range(0..1 << 30),
-            ..Default::default()
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The registry fold is a homomorphism over concatenation —
-        /// what makes per-rank → fleet and pre/post-resume merges exact.
-        #[test]
-        fn step_registry_of_a_concatenation_is_the_merge(
-            seed in 0u64..=u64::MAX,
-            len_a in 0usize..12,
-            len_b in 0usize..12,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let steps: Vec<StepMetrics> = (0..len_a + len_b)
-                .map(|i| random_step(&mut rng, i as u64))
-                .collect();
-            let (a, b) = steps.split_at(len_a);
-            let mut merged = step_registry(a);
-            merged.merge(&step_registry(b));
-            prop_assert_eq!(&merged, &step_registry(&steps));
-            prop_assert_eq!(merged.prometheus_text(), step_registry(&steps).prometheus_text());
-        }
 
         /// The straggler fold equals the online detector it replaced,
         /// on busy tables drawn from a palette that sits on both sides
@@ -1049,61 +938,6 @@ mod tests {
                 .collect();
             let (got, reference) = detect(&table);
             prop_assert_eq!(got, reference);
-        }
-    }
-
-    #[test]
-    fn rank_registry_is_the_step_fold_plus_end_of_run_gauges() {
-        let mut r = TrainReport {
-            gpus: 2,
-            ..Default::default()
-        };
-        for step in 0..4u64 {
-            r.steps.push(StepMetrics {
-                step,
-                sim_time_ps: 100 + step,
-                dense_bytes: 64,
-                dense_raw_bytes: 6,
-                dense_enc_bytes: 3,
-                input_exchange: ExchangeStats {
-                    unique_global: 7,
-                    reduce_raw_bytes: 4,
-                    reduce_enc_bytes: 2,
-                    ..Default::default()
-                },
-                barrier_wait_wall_ns: 3,
-                ..Default::default()
-            });
-        }
-        r.trace = Some(TraceLog {
-            dropped: 9,
-            ..Default::default()
-        });
-        let reg = r.registry(555);
-        assert_eq!(reg.find_counter("steps_total"), Some(4));
-        assert_eq!(reg.find_counter("wire_bytes_total"), Some(256));
-        assert_eq!(reg.find_counter("codec_raw_bytes_total"), Some(40));
-        assert_eq!(reg.find_counter("codec_enc_bytes_total"), Some(20));
-        assert_eq!(reg.find_gauge("peak_mem_bytes"), Some(555));
-        assert_eq!(reg.find_gauge("world"), Some(2));
-        assert_eq!(reg.find_gauge("dropped_spans"), Some(9));
-        let h = reg.find_histogram("step_time_ps").unwrap();
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), Some(103));
-        assert_eq!(
-            reg.find_histogram("barrier_wait_wall_ns").unwrap().sum(),
-            12
-        );
-        // The summary's codec fields are the registry counters' sum.
-        let s = r.run_summary(&TrainConfig::default());
-        assert_eq!((s.codec_raw_bytes, s.codec_enc_bytes), (40, 20));
-        assert_eq!(s.codec_ratio_milli, 500);
-        // Zero steps still yields every series, so registries of any
-        // two rounds merge shape-for-shape.
-        let empty = step_registry(&[]);
-        assert_eq!(empty.find_counter("steps_total"), Some(0));
-        for name in TimeAttribution::BUCKETS {
-            assert!(empty.find_histogram(name).is_some_and(Histogram::is_empty));
         }
     }
 
@@ -1156,7 +990,8 @@ mod tests {
             gpus: 4,
             ..Default::default()
         };
-        for i in 0..10u64 {
+        // Recorded out of order: the quantiles are order statistics.
+        for i in (0..10u64).rev() {
             r.steps.push(StepMetrics {
                 step: i,
                 sim_time_ps: 100 + i,
@@ -1168,8 +1003,11 @@ mod tests {
         let s = r.run_summary(&cfg);
         assert_eq!(s.world, 4);
         assert_eq!(s.steps, 10);
-        assert!(s.step_p50_ps <= s.step_p95_ps && s.step_p95_ps <= s.step_p99_ps);
-        assert!(s.step_p99_ps <= s.step_max_ps);
+        assert_eq!(s.sim_time_ps, 1045);
+        // Nearest rank over 100..=109: ⌈0.5·10⌉ = 5th → 104, ⌈0.95·10⌉ =
+        // ⌈0.99·10⌉ = 10th → 109.
+        assert_eq!(s.step_p50_ps, 104);
+        assert_eq!((s.step_p95_ps, s.step_p99_ps), (109, 109));
         assert_eq!(s.step_max_ps, 109);
         assert_eq!(s.codec_ratio_milli, 1000, "no codec ⇒ ratio 1.000");
         assert_eq!(s.config_fingerprint.len(), 16);

@@ -525,32 +525,25 @@ fn run_round(
         report.gpus = cfg.gpus;
     }
     if cfg.metrics.enabled {
-        let device_peaks: Vec<u64> = devices.iter().map(|d| d.peak()).collect();
-        stamp_fleet_metrics(&mut results, &device_peaks);
+        stamp_fleet_metrics(&mut results);
     }
     results
 }
 
-/// Fleet metrics for one joined round, all of it folds over the ranks'
-/// step records: the one straggler list (it needs every rank's busy
-/// time, so a round with a failed rank has none), each rank's registry
-/// (`device_peaks[r]` is rank `r`'s device high-water mark) and
-/// trace-truncation finding, and — onto rank 0's report, so one report
-/// answers for the whole world — the registries merged (exact — see
-/// `simgpu::metrics`) and the other ranks' findings.
-fn stamp_fleet_metrics(results: &mut [Result<TrainReport, TrainError>], device_peaks: &[u64]) {
+/// Health findings for one joined round, folds over the ranks' step
+/// records: the one straggler list (it needs every rank's busy time, so
+/// a round with a failed rank has none), each rank's trace-truncation
+/// finding, and — onto rank 0's report, so one report answers for the
+/// whole world — the other ranks' findings.
+fn stamp_fleet_metrics(results: &mut [Result<TrainReport, TrainError>]) {
     let records: Option<Vec<&[StepMetrics]>> = results
         .iter()
         .map(|res| res.as_ref().ok().map(|rep| rep.steps.as_slice()))
         .collect();
     let stragglers = records.map_or_else(Vec::new, |r| metrics::stragglers(&r));
-    let mut fleet = simgpu::MetricsRegistry::new();
     let mut truncated_peers: Vec<HealthEvent> = Vec::new();
     for (r, res) in results.iter_mut().enumerate() {
         let Ok(rep) = res else { continue };
-        let registry = rep.registry(device_peaks[r]);
-        fleet.merge(&registry);
-        rep.metrics = Some(registry);
         rep.health = stragglers.clone();
         let dropped = rep.dropped_spans();
         if dropped > 0 {
@@ -562,7 +555,6 @@ fn stamp_fleet_metrics(results: &mut [Result<TrainReport, TrainError>], device_p
         }
     }
     if let Some(Ok(rep0)) = results.first_mut() {
-        rep0.fleet_metrics = Some(fleet);
         rep0.health.extend(truncated_peers);
     }
 }
@@ -614,9 +606,10 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
     let mut st = LoopState::new(ctx, r);
     let xcfg = st.sched.xcfg;
 
-    // Tracing and fleet metrics both read the step's barrier-wait wall
-    // time, so either turns the communicator's wait accounting on
-    // (before the abort guard borrows `rank`).
+    // Tracing and metrics both record the step's barrier-wait wall time
+    // (`StepMetrics::barrier_wait_wall_ns`), so either turns the
+    // communicator's wait accounting on (before the abort guard borrows
+    // `rank`).
     if cfg.trace.enabled || cfg.metrics.enabled {
         rank.enable_wait_tracking();
     }
@@ -1008,7 +1001,7 @@ mod tests {
             ..Default::default()
         };
         let mut results = vec![Ok(report(100, 0)), Ok(report(100, 5)), Ok(report(400, 7))];
-        stamp_fleet_metrics(&mut results, &[10, 30, 20]);
+        stamp_fleet_metrics(&mut results);
         let reports: Vec<&TrainReport> = results.iter().map(|r| r.as_ref().unwrap()).collect();
         let straggler = HealthEvent::Straggler {
             rank: 2,
@@ -1023,37 +1016,19 @@ mod tests {
         );
         assert_eq!(reports[1].health, [straggler.clone(), truncated(1, 5)]);
         assert_eq!(reports[2].health, [straggler, truncated(2, 7)]);
-        let peak = |r: usize| {
-            reports[r]
-                .metrics
-                .as_ref()
-                .unwrap()
-                .find_gauge("peak_mem_bytes")
-        };
-        assert_eq!((peak(0), peak(1), peak(2)), (Some(10), Some(30), Some(20)));
-        let fleet = reports[0].fleet_metrics.as_ref().expect("fleet registry");
-        assert_eq!(fleet.find_counter("steps_total"), Some(12));
-        assert_eq!(fleet.find_gauge("peak_mem_bytes"), Some(30));
-        assert_eq!(fleet.find_gauge("dropped_spans"), Some(7));
-        assert!(reports[1].fleet_metrics.is_none());
 
-        // A round with a failed rank has no complete busy table: the
-        // survivors still get registries, nobody gets straggler findings.
+        // A round with a failed rank has no complete busy table: nobody
+        // gets straggler findings, the survivors still get their
+        // truncation findings, and rank 0 still answers for them.
         let failed = TrainError::PeerFailure {
             rank: 1,
             reason: "killed".to_owned(),
         };
-        let mut results = vec![Ok(report(100, 0)), Err(failed), Ok(report(400, 7))];
-        stamp_fleet_metrics(&mut results, &[10, 30, 20]);
-        let rep0 = results[0].as_ref().unwrap();
-        assert_eq!(rep0.health, [truncated(2, 7)]);
-        assert_eq!(
-            rep0.fleet_metrics
-                .as_ref()
-                .unwrap()
-                .find_counter("steps_total"),
-            Some(8)
-        );
+        let mut results = vec![Ok(report(400, 0)), Err(failed), Ok(report(100, 7))];
+        stamp_fleet_metrics(&mut results);
+        assert_eq!(results[0].as_ref().unwrap().health, [truncated(2, 7)]);
+        assert!(results[1].is_err());
+        assert_eq!(results[2].as_ref().unwrap().health, [truncated(2, 7)]);
     }
 
     #[test]

@@ -455,7 +455,6 @@ impl<'a> LoopState<'a> {
         self.epoch_loss += loss;
         self.report.steps.push(StepMetrics {
             sim_time_ps: clock.sim_time_ps,
-            sim_time_s: clock.sim_time_ps as f64 * 1e-12,
             attribution: clock.attribution,
             wire_intra_alpha_ps: clock.wire_intra_alpha_ps,
             wire_inter_alpha_ps: clock.wire_inter_alpha_ps,

@@ -31,11 +31,6 @@
 //!   (ring buffer of [`trace::TraceEvent`]s) plus a Chrome-trace JSON
 //!   exporter, so individual collectives, barrier waits and injected
 //!   straggler delays are visible per rank, not just in aggregates.
-//!
-//! * [`metrics`] — per-rank fleet metrics: counters, gauges and
-//!   log-bucketed histograms with deterministic bucket boundaries, so
-//!   cross-rank and cross-run merges are exact (merged == pooled), plus
-//!   a byte-stable Prometheus text exporter.
 //! * [`pool::RunGate`] / [`pool::run_ranks`] — a bounded worker pool so
 //!   hundreds of ranks multiplex over ~num_cpus OS-thread run slots,
 //!   parking slot-free at collectives (paper-scale worlds of 48–192
@@ -55,7 +50,6 @@ pub mod cost;
 pub mod device;
 pub mod fault;
 pub mod hw;
-pub mod metrics;
 pub mod pool;
 pub mod timing;
 pub mod trace;
@@ -74,9 +68,6 @@ pub use cost::{AlphaBeta, CostModel, TierCost};
 pub use device::{Allocation, Device, OomError};
 pub use fault::{DiskFault, DiskFaultPlan, FaultPlan};
 pub use hw::HardwareConfig;
-pub use metrics::{
-    bucket_bounds, bucket_index, Histogram, MetricsRegistry, HIST_BUCKETS, HIST_SUB_BUCKETS,
-};
 pub use pool::{run_ranks, RunGate};
 pub use timing::PhaseTimer;
 pub use trace::{

@@ -8,19 +8,12 @@
 //!   strategy's policy count (`G^0.64` for Zipf's-frequency, `G` for
 //!   per-GPU, 1 for shared),
 //! * seeds always advance between steps.
-//!
-//! Plus the fleet-metrics laws the regression gate leans on:
-//!
-//! * histogram merge is *exact* — merging per-rank histograms equals
-//!   bucketing the pooled samples, for any split of any sample set,
-//! * quantiles are ordered, bounded by [min, max], and within the
-//!   bucket family's 1/8 relative error of a true rank statistic.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use zipf_lm::{Histogram, SeedStrategy};
+use zipf_lm::SeedStrategy;
 
 const STRATEGIES: [SeedStrategy; 6] = [
     SeedStrategy::PerGpu,
@@ -117,65 +110,5 @@ proptest! {
             s.seed_for(base_seed, 0, world, step),
             s.seed_for(base_seed, 0, world, step + 1)
         );
-    }
-
-    /// The exactness law behind the fleet rollup: split an arbitrary
-    /// sample set across an arbitrary number of "ranks", bucket each
-    /// shard into its own histogram, merge — the result must equal the
-    /// histogram of the pooled samples, bucket for bucket, including
-    /// count/sum/min/max. (Full u64 range: bucketing is a pure function
-    /// of the value, so no distribution assumption is needed.)
-    #[test]
-    fn histogram_merge_equals_pooled(
-        samples in proptest::collection::vec(0u64..=u64::MAX, 0..200),
-        ranks in 1usize..=8,
-        assign_seed in 0u64..=u64::MAX,
-    ) {
-        let mut rng = StdRng::seed_from_u64(assign_seed);
-        let mut shards = vec![Histogram::new(); ranks];
-        let mut pooled = Histogram::new();
-        for &v in &samples {
-            shards[rng.gen_range(0..ranks)].observe(v);
-            pooled.observe(v);
-        }
-        let mut merged = Histogram::new();
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        prop_assert_eq!(&merged, &pooled);
-        // Merge order must not matter either (counts are commutative).
-        let mut reversed = Histogram::new();
-        for shard in shards.iter().rev() {
-            reversed.merge(shard);
-        }
-        prop_assert_eq!(&reversed, &pooled);
-    }
-
-    /// Quantile contract: p50 ≤ p95 ≤ p99 ≤ max, every quantile inside
-    /// [min, max], and each within the bucket family's relative error
-    /// (width/lower ≤ 1/8) of the true order statistic it approximates.
-    #[test]
-    fn histogram_quantiles_are_ordered_and_tight(
-        samples in proptest::collection::vec(0u64..=u64::MAX, 1..200),
-    ) {
-        let mut h = Histogram::new();
-        for &v in &samples {
-            h.observe(v);
-        }
-        let mut sorted = samples.clone();
-        sorted.sort_unstable();
-        let (p50, p95, p99) = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
-        prop_assert!(p50 <= p95 && p95 <= p99 && p99 <= h.max().unwrap());
-        prop_assert!(p50 >= h.min().unwrap() && h.max().unwrap() == *sorted.last().unwrap());
-        for (q, got) in [(0.50, p50), (0.95, p95), (0.99, p99)] {
-            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            let truth = sorted[rank - 1];
-            // The reported value is the bucket's upper bound (clamped to
-            // the observed max), so it can overshoot the true statistic
-            // by at most the bucket width: 1/8 of its lower bound.
-            prop_assert!(got >= truth, "q{q}: reported {got} below true {truth}");
-            let bound = truth.saturating_add(truth / 8).saturating_add(1);
-            prop_assert!(got <= bound, "q{q}: reported {got} above {bound} (true {truth})");
-        }
     }
 }

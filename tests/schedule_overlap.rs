@@ -11,8 +11,8 @@ mod common;
 use simgpu::FaultPlan;
 use std::time::Duration;
 use zipf_lm::{
-    run, train, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, SimStream,
-    TraceConfig, TrainConfig, TrainReport,
+    run, sim_trace_json, train, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind,
+    SimStream, TraceConfig, TrainConfig, TrainReport,
 };
 
 /// Small enough to slice every payload in these configs into several
@@ -248,7 +248,7 @@ fn schedule_trace_shows_concurrent_spans() {
         "no comm span overlapped its step's compute span"
     );
 
-    let json = rep.schedule_trace_json();
+    let json = sim_trace_json(&rep.sim_spans);
     assert!(json.contains("rank 0 compute"), "missing compute track");
     assert!(json.contains("rank 0 comm"), "missing comm track");
     assert!(json.contains("dense_allreduce"), "missing bucketed op span");

@@ -9,9 +9,8 @@
 //! test.
 
 use zipf_lm::{
-    chrome_trace_json, chrome_trace_json_with_counters, CounterTrack, ExchangeStats,
-    MetricsRegistry, RunSummary, SpanKind, StepMetrics, TimeAttribution, TraceEvent, TraceLog,
-    TrainReport,
+    chrome_trace_json, chrome_trace_json_with_counters, CounterTrack, ExchangeStats, RunSummary,
+    SpanKind, StepMetrics, TimeAttribution, TraceEvent, TraceLog, TrainReport,
 };
 
 fn ev(rank: u32, step: u64, span: SpanKind, t0: u64, t1: u64, bytes: u64) -> TraceEvent {
@@ -101,7 +100,6 @@ fn step(
         step: idx,
         train_loss: loss,
         sim_time_ps: a.total_ps(),
-        sim_time_s: a.total_ps() as f64 * 1e-12,
         attribution: a,
         wire_intra_alpha_ps: a.wire_intra_ps * 4 / 5,
         wire_inter_alpha_ps: a.wire_inter_ps * 9 / 10,
@@ -219,7 +217,6 @@ fn steps_jsonl_schema_is_codec_agnostic_and_carries_compressed_bytes() {
         step: 0,
         train_loss: 5.25,
         sim_time_ps: attr.total_ps(),
-        sim_time_s: attr.total_ps() as f64 * 1e-12,
         attribution: attr,
         input_exchange: ExchangeStats {
             wire_bytes: 512, // encoded: below the 960-byte raw flow
@@ -312,34 +309,6 @@ fn chrome_trace_counters_and_truncation_are_byte_stable() {
         chrome_trace_json_with_counters(&fixture_logs(), &[]),
         chrome_trace_json(&fixture_logs())
     );
-}
-
-/// Prometheus text exposition golden: counters, then gauges, then
-/// histograms, each sorted by name, `zlm_`-prefixed, with cumulative
-/// `le` buckets over the non-empty boundaries only.
-#[test]
-fn prometheus_text_is_byte_stable() {
-    let mut reg = MetricsRegistry::default();
-    reg.inc("wire_bytes_total", 1_000);
-    reg.inc("steps_total", 3);
-    reg.gauge_max("world", 2);
-    // 5: exact bucket [5, 5]; 100: log bucket [96, 103].
-    reg.observe("step_time_ps", [5, 100]);
-    let expected = concat!(
-        "# TYPE zlm_steps_total counter\n",
-        "zlm_steps_total 3\n",
-        "# TYPE zlm_wire_bytes_total counter\n",
-        "zlm_wire_bytes_total 1000\n",
-        "# TYPE zlm_world gauge\n",
-        "zlm_world 2\n",
-        "# TYPE zlm_step_time_ps histogram\n",
-        "zlm_step_time_ps_bucket{le=\"5\"} 1\n",
-        "zlm_step_time_ps_bucket{le=\"103\"} 2\n",
-        "zlm_step_time_ps_bucket{le=\"+Inf\"} 2\n",
-        "zlm_step_time_ps_sum 105\n",
-        "zlm_step_time_ps_count 2\n",
-    );
-    assert_eq!(reg.prometheus_text(), expected);
 }
 
 /// RunSummary artifact golden: fixed field order, two-space indent, no

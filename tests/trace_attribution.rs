@@ -63,11 +63,6 @@ fn attribution_reconciles_exactly_at_world_2_and_4() {
                     step.attribution,
                 );
                 assert_eq!(
-                    step.sim_time_s,
-                    step.sim_time_ps as f64 * 1e-12,
-                    "rank {r} step {s}: sim_time_s drifted from sim_time_ps"
-                );
-                assert_eq!(
                     step.sim_time_ps, reps[0].steps[s].sim_time_ps,
                     "rank {r} step {s}: synchronous step time differs from rank 0"
                 );
