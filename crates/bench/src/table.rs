@@ -34,22 +34,6 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats an optional hours value (`*` = OOM, as in the paper).
-pub fn hours(h: Option<f64>) -> String {
-    match h {
-        Some(v) => format!("{v:.1}"),
-        None => "*".to_string(),
-    }
-}
-
-/// Formats an optional efficiency as a percentage.
-pub fn pct(p: Option<f64>) -> String {
-    match p {
-        Some(v) => format!("{:.0}%", v * 100.0),
-        None => "-".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,13 +50,5 @@ mod tests {
         assert!(s.contains("GPUs  Time"));
         assert!(s.contains("   8  35.1"));
         assert!(s.contains("  16  41.1"));
-    }
-
-    #[test]
-    fn formats_oom_and_pct() {
-        assert_eq!(hours(None), "*");
-        assert_eq!(hours(Some(4.53)), "4.5");
-        assert_eq!(pct(Some(0.761)), "76%");
-        assert_eq!(pct(None), "-");
     }
 }

@@ -4,10 +4,11 @@
 //! what the models compute for it.
 //!
 //! `wordlm`, `charlm` and `memory` test their rows by id, `repro` prints
-//! them, and EXPERIMENTS.md's scoreboard block is [`with_scoreboard`] of
-//! itself, which a test asserts. Measured rows (the Figure 1 fits, the
-//! live `Ug` exponent, Table V's perplexities, §V-D's BPC) need a
-//! training run and are not here yet.
+//! them, and EXPERIMENTS.md's scoreboard block is their [`markdown`],
+//! which a test asserts through [`with_block`], the doc's one block
+//! writer. The measured artifacts (the Figure 1 fits, Table V's
+//! perplexities, Figures 5 / 7 / 8, §V-D's BPC) need a training run:
+//! `zlm-bench` renders them into blocks of their own.
 
 use crate::charlm::{CharScale, TiebaScale};
 use crate::flops;
@@ -269,18 +270,18 @@ pub fn markdown(rows: &[Row]) -> String {
     )
 }
 
-/// Where EXPERIMENTS.md's scoreboard block starts and ends.
-const BEGIN: &str =
-    "<!-- scoreboard: written by `repro scoreboard`, checked by perfmodel's tests -->";
-const END: &str = "<!-- end scoreboard -->";
-
-/// `doc` with the block between its scoreboard markers replaced by
-/// [`markdown`] of [`scoreboard`]. Panics if a marker is missing.
-pub fn with_scoreboard(doc: &str) -> String {
-    let start = doc.find(BEGIN).expect("scoreboard begin marker") + BEGIN.len();
-    let end = start + doc[start..].find(END).expect("scoreboard end marker");
-    let table = markdown(&scoreboard());
-    format!("{}\n\n{table}\n{}", &doc[..start], &doc[end..])
+/// `doc` with the block `name` replaced by `body`, set off by a blank
+/// line on each side. A block runs from a `<!-- name: … -->` marker to
+/// `<!-- end name -->`. Every generated block of EXPERIMENTS.md goes
+/// through here: the scoreboard ([`markdown`] of [`scoreboard`]) and
+/// `zlm-bench`'s measured artifacts. Panics if a marker is missing.
+pub fn with_block(doc: &str, name: &str, body: &str) -> String {
+    let (open, close) = (format!("<!-- {name}:"), format!("<!-- end {name} -->"));
+    let missing = |marker: &str| panic!("no `{marker}` marker in the doc");
+    let open_at = doc.find(&open).unwrap_or_else(|| missing(&open));
+    let start = open_at + doc[open_at..].find("-->").unwrap_or_else(|| missing("-->")) + 3;
+    let end = start + doc[start..].find(&close).unwrap_or_else(|| missing(&close));
+    format!("{}\n\n{body}\n{}", &doc[..start], &doc[end..])
 }
 
 /// A figure to at most four significant digits, `OOM` for an
@@ -352,7 +353,7 @@ mod tests {
         let doc = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
         let fix = "run `cargo run --release -p zlm-bench --bin repro scoreboard`";
         assert!(
-            with_scoreboard(&doc) == doc,
+            with_block(&doc, "scoreboard", &markdown(&scoreboard())) == doc,
             "EXPERIMENTS.md's block is stale: {fix}"
         );
     }
