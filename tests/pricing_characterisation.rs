@@ -5,9 +5,12 @@
 //! a hierarchical config. Every step's `sim_time_ps` and all seven
 //! `TimeAttribution` buckets of rank 0 and of the last rank are literal
 //! constants, so a change to how collectives are priced either leaves
-//! them alone or shows exactly which picosecond moved.
+//! them alone or shows exactly which picosecond moved. The same runs pin
+//! all eight `TrafficSnapshot` fields of `TrainReport::traffic`, on rank
+//! 0 and on the last rank, so a change to how bytes are booked shows
+//! exactly which byte or op count moved.
 
-use simgpu::WireCodecId;
+use simgpu::{TrafficSnapshot, WireCodecId};
 use zipf_lm::{
     run, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, RunOptions, StepMetrics,
     TraceConfig, TrainConfig, TrainReport,
@@ -48,21 +51,45 @@ fn observe(report: &TrainReport) -> Steps {
     [row(&report.steps[0]), row(&report.steps[1])]
 }
 
+/// `TrainReport::traffic` in declaration order: ALLREDUCE bytes, intra,
+/// inter, ops, then the same four for ALLGATHER.
+type Traffic = [u64; 8];
+
+fn traffic(t: &TrafficSnapshot) -> Traffic {
+    [
+        t.allreduce_bytes,
+        t.allreduce_intra_bytes,
+        t.allreduce_inter_bytes,
+        t.allreduce_ops,
+        t.allgather_bytes,
+        t.allgather_intra_bytes,
+        t.allgather_inter_bytes,
+        t.allgather_ops,
+    ]
+}
+
 #[test]
 fn priced_picoseconds_are_pinned_on_shapes_no_golden_covers() {
     let hier = CommConfig::hierarchical_pooled(4);
-    let cases: [(&str, TrainConfig, [Steps; 2]); 5] = [
+    let cases: [(&str, TrainConfig, [Steps; 2], Traffic); 5] = [
         (
             "ragged flat",
             cfg(Method::unique(), CommConfig::flat()),
             RAGGED_FLAT,
+            RAGGED_FLAT_TRAFFIC,
         ),
         (
             "ragged two-tier",
             cfg(Method::unique(), hier),
             RAGGED_TWO_TIER,
+            RAGGED_TWO_TIER_TRAFFIC,
         ),
-        ("f16 wire", cfg(Method::full(), hier), F16_WIRE),
+        (
+            "f16 wire",
+            cfg(Method::full(), hier),
+            F16_WIRE,
+            F16_WIRE_TRAFFIC,
+        ),
         (
             "lossless codec, overlapped 1 KiB buckets",
             cfg(
@@ -70,14 +97,16 @@ fn priced_picoseconds_are_pinned_on_shapes_no_golden_covers() {
                 hier.with_codec(WireCodecId::Lossless).overlapped(1 << 10),
             ),
             LOSSLESS_OVERLAPPED,
+            LOSSLESS_OVERLAPPED_TRAFFIC,
         ),
         (
             "baseline row gather under a hierarchical config",
             cfg(Method::baseline(), hier),
             BASELINE_HIERARCHICAL,
+            BASELINE_HIERARCHICAL_TRAFFIC,
         ),
     ];
-    for (name, cfg, want) in cases {
+    for (name, cfg, want, want_traffic) in cases {
         let ranks: Vec<TrainReport> = run(&cfg, &RunOptions::default())
             .ranks
             .into_iter()
@@ -85,6 +114,13 @@ fn priced_picoseconds_are_pinned_on_shapes_no_golden_covers() {
             .collect();
         let got = [observe(&ranks[0]), observe(&ranks[WORLD - 1])];
         assert_eq!(got, want, "{name}: [rank 0, rank {}]", WORLD - 1);
+        let got = [&ranks[0], &ranks[WORLD - 1]].map(|r| traffic(&r.traffic));
+        assert_eq!(
+            got,
+            [want_traffic; 2],
+            "{name}: traffic of [rank 0, rank {}]",
+            WORLD - 1
+        );
     }
 }
 
@@ -128,3 +164,20 @@ const BASELINE_HIERARCHICAL: [Steps; 2] = [
     [[824_084_083, 1_260_016,  36_728_000, 615_488_000, 170_608_067, 0, 0, 0],
      [824_084_083, 1_260_016,  36_728_000, 615_488_000, 170_608_067, 0, 0, 0]],
 ];
+
+// Each case's `TrainReport::traffic`, the same on every rank.
+#[rustfmt::skip]
+const RAGGED_FLAT_TRAFFIC: Traffic =
+    [5_805_280, 4_749_324, 1_055_956,   6,    77_440,    43_648,    33_792, 4];
+#[rustfmt::skip]
+const RAGGED_TWO_TIER_TRAFFIC: Traffic =
+    [6_252_632, 5_671_512,   581_120,   6,    77_440,    43_648,    33_792, 4];
+#[rustfmt::skip]
+const F16_WIRE_TRAFFIC: Traffic =
+    [2_974_164, 2_697_428,   276_736,   6,    77_440,    43_648,    33_792, 4];
+#[rustfmt::skip]
+const LOSSLESS_OVERLAPPED_TRAFFIC: Traffic =
+    [5_629_098, 5_108_194,   520_904, 287,    28_220,    15_999,    12_221, 4];
+#[rustfmt::skip]
+const BASELINE_HIERARCHICAL_TRAFFIC: Traffic =
+    [4_639_592, 4_208_232,   431_360,   2, 2_555_520, 1_440_384, 1_115_136, 8];
