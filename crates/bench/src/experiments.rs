@@ -11,7 +11,7 @@ use zipf_lm::{CheckpointConfig, CommConfig, Method, ModelKind, TrainConfig, Trai
 
 /// A row of one of the four simulated goldens, `BENCH_<NAME>.json` at
 /// the workspace root. Every field is simulated (integer picoseconds,
-/// recorder bytes, deterministic losses), so the quick-mode rows render
+/// collective bytes, deterministic losses), so the quick-mode rows render
 /// to the committed bytes on any host: this crate's tests hold each file
 /// to its experiment and `repro <ARTIFACT>` is the one writer.
 pub trait GoldenRow {

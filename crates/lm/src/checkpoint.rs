@@ -16,10 +16,10 @@
 //!
 //! What is deliberately **not** captured: wall-clock measurements
 //! (`PhaseTimings`, trace events) and per-step telemetry
-//! (`TrainReport::steps`, traffic counters) — they are nondeterministic
-//! or rank-run-local and restart at the resume point. This is what
-//! makes the headline property testable: *two checkpoints taken at the
-//! same step of identical runs are byte-equal*.
+//! (`TrainReport::steps`, `TrainReport::traffic`) — they are
+//! nondeterministic or round-local and restart at the resume point.
+//! This is what makes the headline property testable: *two checkpoints
+//! taken at the same step of identical runs are byte-equal*.
 //!
 //! Serialization ([`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`])
 //! is a fixed little-endian layout with a magic header and format

@@ -63,7 +63,7 @@ use crate::schedule::{buckets, ExchangeLoad};
 use nn::{Embedding, SparseGrad};
 use perfmodel::memory;
 pub use perfmodel::schedule::ExchangeConfig;
-use simgpu::{CommError, PhaseTimer, Rank, SpanKind, TierBytes, TraceRecorder};
+use simgpu::{CommError, PhaseTimer, Rank, SpanKind, TraceRecorder, TrafficSnapshot};
 
 /// Wall-clock nanoseconds per exchange phase, measured on this rank.
 ///
@@ -111,8 +111,11 @@ pub struct ExchangeStats {
     /// Globally-unique words this step (`Ug`) — only set by the unique
     /// path.
     pub unique_global: usize,
-    /// Bytes this rank put on the wire.
+    /// Bytes this rank put on the wire: `sent.total_bytes()`.
     pub wire_bytes: u64,
+    /// What this exchange's collectives returned for this rank, by class
+    /// and tier, with one op per collective call.
+    pub sent: TrafficSnapshot,
     /// Peak transient buffer bytes this rank needed to hold gathered /
     /// scattered gradient state (the quantity that runs GPUs out of
     /// memory in Tables III/IV).
@@ -259,8 +262,10 @@ pub fn exchange_and_apply_with(
 /// per phase into `trace` (span kinds Gather / Unique / Scatter /
 /// AllReduce / Apply, with the phase's exact wire bytes; the unique
 /// path emits two `Unique` spans per step — the local reduction of
-/// steps 1–2 and the global set derivation of step 4). `None` disables
-/// recording at the cost of one branch per phase.
+/// steps 1–2 and the global set derivation of step 4 — and the
+/// baseline's `Apply` span carries its row gather, whose rows are
+/// applied as they arrive). `None` disables recording at the cost of
+/// one branch per phase.
 pub fn exchange_and_apply_traced(
     rank: &Rank,
     grad: &SparseGrad,
@@ -290,10 +295,8 @@ fn baseline_exchange(
     scratch: &mut ExchangeScratch,
     trace: Option<&mut TraceRecorder>,
 ) -> Result<ExchangeStats, CommError> {
-    let g = rank.world();
     let d = table.dim();
     let n_local = grad.indices.len();
-    let elem_bytes: u64 = if compression.is_some() { 2 } else { 4 };
     let mut timer = PhaseTimer::start(trace);
     let mut timings = PhaseTimings::default();
     let ExchangeScratch {
@@ -305,25 +308,23 @@ fn baseline_exchange(
 
     all_indices.clear();
     sender_counts.clear();
-    rank.all_gather_u32_visit(&grad.indices, |_, indices| {
+    let index_sent = rank.all_gather_u32_visit(&grad.indices, |_, indices| {
         sender_counts.push(indices.len());
         all_indices.extend_from_slice(indices);
         Ok(())
     })?;
-    // This rank's gather sends: K u32 indices + K×D rows to G−1 peers —
-    // exactly what the traffic recorder charges it for this phase.
-    let wire_bytes = (n_local as u64) * (d as u64) * elem_bytes * (g as u64 - 1)
-        + (n_local as u64) * 4 * (g as u64 - 1);
 
     // Apply every row in (rank, token) order, sender by sender as the
     // row gather visits them. Repeated indices accumulate — this is the
     // serialised scatter-add the paper describes, complete with its
     // duplicate-row hazard. The gather phase ends when the first
-    // sender's rows arrive (publish + rendezvous wait).
+    // sender's rows arrive (publish + rendezvous wait), before the row
+    // gather has returned its bytes: the Gather span carries the index
+    // gather's, the Apply span the row gather's.
     let mut applied = 0;
     let apply = |sender: usize, rows: &[f32]| {
         if sender == 0 {
-            timings.gather_ns = timer.lap(SpanKind::Gather, wire_bytes);
+            timings.gather_ns = timer.lap(SpanKind::Gather, index_sent.total());
         }
         let indices = &all_indices[applied..applied + sender_counts[sender]];
         if rows.len() != indices.len() * d {
@@ -346,11 +347,12 @@ fn baseline_exchange(
         applied += indices.len();
         Ok(())
     };
-    match compression {
+    let rows_sent = match compression {
         Some(scale) => rank.all_gather_f16_visit(grad.rows.as_slice(), scale, staging, apply)?,
         None => rank.all_gather_f32_visit(grad.rows.as_slice(), apply)?,
-    }
-    timings.apply_ns = timer.lap(SpanKind::Apply, 0);
+    };
+    timings.apply_ns = timer.lap(SpanKind::Apply, rows_sent.total());
+    let sent = TrafficSnapshot::allgather(index_sent + rows_sent, 2);
 
     // What the modelled GPU holds simultaneously: G·K indices + G·K·D
     // rows (the host reads the rows in place; the charge is the paper's).
@@ -358,7 +360,8 @@ fn baseline_exchange(
 
     Ok(ExchangeStats {
         local_tokens: n_local,
-        wire_bytes,
+        wire_bytes: sent.total_bytes(),
+        sent,
         peak_buffer_bytes: memory::exchange_bytes(total_rows, d, None),
         index_enc_bytes: total_rows * 4,
         timings,
@@ -397,17 +400,18 @@ fn unique_exchange(
     // and peers decode all G of them — the gathered vector is byte-for-
     // byte what the raw gather produces, only the wire charge shrinks.
     let index_codec = cfg.codec.index_codec();
-    let index_pub_bytes = match index_codec {
-        Some(c) => {
-            rank.all_gather_u32_codec_into(&grad.indices, c, &mut scratch.all_indices)?;
-            c.encoded_len_u32(&grad.indices)
-        }
+    let all_indices = &mut scratch.all_indices;
+    let index_sent = match index_codec {
+        Some(c) => rank.all_gather_u32_codec_into(&grad.indices, c, all_indices)?,
         None => {
-            rank.all_gather_u32_into(&grad.indices, &mut scratch.all_indices)?;
-            (n_local as u64) * 4
+            all_indices.clear();
+            rank.all_gather_u32_visit(&grad.indices, |_, indices| {
+                all_indices.extend_from_slice(indices);
+                Ok(())
+            })?
         }
     };
-    timings.gather_ns = timer.lap(SpanKind::Gather, index_pub_bytes * (g as u64 - 1));
+    timings.gather_ns = timer.lap(SpanKind::Gather, index_sent.total());
     // Σ over ranks of encoded publish lengths, sliced out of the
     // gathered vector so every rank derives the identical total (the
     // step scheduler needs all ranks to price one synchronized time).
@@ -417,7 +421,7 @@ fn unique_exchange(
         Some(c) if scratch.all_indices.len() == n_local * g && n_local > 0 => (0..g)
             .map(|q| c.encoded_len_u32(&scratch.all_indices[q * n_local..(q + 1) * n_local]))
             .sum(),
-        Some(_) => index_pub_bytes * g as u64,
+        Some(c) => c.encoded_len_u32(&grad.indices) * g as u64,
         None => gathered * 4,
     };
 
@@ -445,11 +449,9 @@ fn unique_exchange(
     // gradient bucket (`cfg.bucket_bytes`; a single whole-payload call
     // when 0). Reduction is elementwise under a canonical leader order,
     // so the slicing moves no bits. The bytes are the collective's own:
-    // this rank's exact per-bucket share of the active wire schedule,
-    // which is what the traffic recorder was charged.
+    // this rank's exact per-bucket share of the active wire schedule.
     let reduced = all_reduce_bucketed(rank, &mut scratch.m, cfg)?;
-    let ring_bytes = reduced.sent.total();
-    timings.allreduce_ns = timer.lap(SpanKind::AllReduce, ring_bytes);
+    timings.allreduce_ns = timer.lap(SpanKind::AllReduce, reduced.sent.total_bytes());
 
     // Step 7: apply M̂ through Î. Indices are unique ⇒ no duplicate-row
     // serialisation.
@@ -461,9 +463,9 @@ fn unique_exchange(
     }
     timings.apply_ns = timer.lap(SpanKind::Apply, 0);
 
-    // Index gather: encoded publish × (G−1) peers (raw 4K when no
-    // codec); ALLREDUCE: the bytes step 6's collectives returned.
-    let wire_bytes = index_pub_bytes * (g as u64 - 1) + ring_bytes;
+    // Index gather and step 6's ALLREDUCEs: what each returned.
+    let mut sent = TrafficSnapshot::allgather(index_sent, 1);
+    sent += reduced.sent;
     // Buffers live simultaneously at the ALLREDUCE: G·K gathered
     // indices, the locally-reduced Ĵ (Ui indices) + ∆̂ (Ui×D rows) that
     // step 5 scatters from, and the Ug×D matrix M itself.
@@ -473,7 +475,8 @@ fn unique_exchange(
         local_tokens: n_local,
         unique_local: u_local,
         unique_global: u_global,
-        wire_bytes,
+        wire_bytes: sent.total_bytes(),
+        sent,
         peak_buffer_bytes: memory::exchange_bytes(gathered, d, distinct),
         reduce_raw_bytes: reduced.raw,
         reduce_enc_bytes: reduced.enc,
@@ -485,9 +488,9 @@ fn unique_exchange(
 /// What one bucketed ALLREDUCE put on the wire for this rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReducedBytes {
-    /// Per-tier bytes the collectives charged this rank — Σ over
-    /// buckets of what [`Rank::all_reduce`] returned.
-    pub sent: TierBytes,
+    /// What the collectives charged this rank — Σ over buckets of what
+    /// [`Rank::all_reduce`] returned, one op per bucket.
+    pub sent: TrafficSnapshot,
     /// Raw payload bytes: elements × the wire format's element size.
     pub raw: u64,
     /// The same payloads as single frames in the wire format: Σ over
@@ -520,7 +523,7 @@ pub fn all_reduce_bucketed(
     };
     for range in buckets(data.len(), wire.elem_bytes(), cfg.bucket_bytes) {
         let bucket = &mut data[range];
-        out.sent += rank.all_reduce(bucket, wire, topology)?;
+        out.sent += TrafficSnapshot::allreduce(rank.all_reduce(bucket, wire, topology)?, 1);
         out.enc += wire.encoded_len(bucket);
     }
     Ok(out)
@@ -848,48 +851,43 @@ mod tests {
     #[test]
     fn hierarchical_unique_exchange_matches_flat_bit_exactly() {
         // Routing step 6 through the two-tier schedule must not move a
-        // single bit of the result, and the analytic wire bytes must
-        // track the schedule switch exactly (per rank, recorder-exact
-        // on the ALLREDUCE share).
+        // single bit of the result, and the returned wire bytes must
+        // track the schedule switch exactly, per rank and per tier.
+        hierarchical_matches_flat(ExchangeConfig::unique(), 4);
+    }
+
+    /// `cfg` with step 6 on the two-tier schedule, on multi-node groups:
+    /// tables bit-identical to `cfg` on one flat ring, and every rank's
+    /// returned bytes the two-tier schedule's at `elem` bytes per
+    /// element, tier by tier.
+    fn hierarchical_matches_flat(cfg: ExchangeConfig, elem: u64) {
         for (world, gpn) in [(6usize, 2usize), (8, 3)] {
-            let flat = exchange_result(world, ExchangeConfig::unique());
+            let flat = exchange_result(world, cfg);
             let hier_cfg = ExchangeConfig {
                 gpus_per_node: gpn,
-                ..ExchangeConfig::unique()
+                ..cfg
             };
             let ranks = CommGroup::create_full(world, gpn, 0, None);
-            let hier: Vec<(Matrix, ExchangeStats, simgpu::TrafficSnapshot)> =
-                simgpu::run_ranks(ranks, |rank| {
-                    let mut table = make_table(7);
-                    let grad = make_grad(100 + rank.rank() as u64, 12);
-                    let stats = oneshot(&rank, &grad, &mut table, &hier_cfg).unwrap();
-                    // Safe to snapshot: every peer charged its bytes
-                    // before the final rendezvous released this rank.
-                    (table.weights().clone(), stats, rank.traffic())
-                });
-            let mut expected_allreduce = 0u64;
-            for (r, ((ft, fs), (ht, hs, _))) in flat.iter().zip(&hier).enumerate() {
-                assert_eq!(
-                    ft.as_slice(),
-                    ht.as_slice(),
-                    "world {world} gpn {gpn} rank {r} diverged"
-                );
+            let hier: Vec<(Matrix, ExchangeStats)> = simgpu::run_ranks(ranks, |rank| {
+                let mut table = make_table(7);
+                let grad = make_grad(100 + rank.rank() as u64, 12);
+                let stats = oneshot(&rank, &grad, &mut table, &hier_cfg).unwrap();
+                (table.weights().clone(), stats)
+            });
+            let mut inter = 0;
+            for (r, ((ft, fs), (ht, hs))) in flat.iter().zip(&hier).enumerate() {
+                let ctx = format!("{cfg:?} world {world} gpn {gpn} rank {r}");
+                assert_eq!(ft.as_slice(), ht.as_slice(), "{ctx} diverged from flat");
                 assert_eq!(fs.unique_global, hs.unique_global);
                 let n = fs.unique_global * D;
-                let gather = 12u64 * 4 * (world as u64 - 1);
-                let tb = simgpu::allreduce_send_bytes(n, world, gpn, two_tier(gpn), r, 4);
-                assert_eq!(hs.wire_bytes, gather + tb.total());
-                expected_allreduce += tb.total();
+                let gather = simgpu::peer_exchange_tier_bytes(world, gpn, r, 12 * 4);
+                let tb = simgpu::allreduce_send_bytes(n, world, gpn, two_tier(gpn), r, elem);
+                let mut want = TrafficSnapshot::allgather(gather, 1);
+                want += TrafficSnapshot::allreduce(tb, 1);
+                assert_eq!(hs.sent, want, "{ctx}");
+                inter += tb.inter;
             }
-            // Every hierarchical ALLREDUCE byte the stats claim is a
-            // byte the group's recorder saw, in the right tier buckets.
-            let snap = &hier[0].2;
-            assert_eq!(
-                snap.allreduce_intra_bytes + snap.allreduce_inter_bytes,
-                expected_allreduce,
-                "world {world} gpn {gpn}"
-            );
-            assert!(snap.allreduce_inter_bytes > 0, "leaders must cross nodes");
+            assert!(inter > 0, "leaders must cross nodes");
         }
     }
 
@@ -941,49 +939,9 @@ mod tests {
         // the config used to resolve to the flat ring and the exchange
         // quietly ran it. Now the two-tier path carries the f16 wire
         // format itself — same canonical leader reduction ⇒ bit-identical
-        // tables — and the analytic per-rank bytes follow the hierarchical
-        // schedule at elem_bytes = 2, recorder-exact per tier.
-        for (world, gpn) in [(6usize, 2usize), (8, 3)] {
-            let flat = exchange_result(world, ExchangeConfig::unique_compressed());
-            let hier_cfg = ExchangeConfig {
-                gpus_per_node: gpn,
-                ..ExchangeConfig::unique_compressed()
-            };
-            let ranks = CommGroup::create_full(world, gpn, 0, None);
-            let hier: Vec<(Matrix, ExchangeStats, simgpu::TrafficSnapshot)> =
-                simgpu::run_ranks(ranks, |rank| {
-                    let mut table = make_table(7);
-                    let grad = make_grad(100 + rank.rank() as u64, 12);
-                    let stats = oneshot(&rank, &grad, &mut table, &hier_cfg).unwrap();
-                    (table.weights().clone(), stats, rank.traffic())
-                });
-            let mut expected = simgpu::TierBytes::default();
-            for (r, ((ft, fs), (ht, hs, _))) in flat.iter().zip(&hier).enumerate() {
-                assert_eq!(
-                    ft.as_slice(),
-                    ht.as_slice(),
-                    "world {world} gpn {gpn} rank {r} diverged from flat f16"
-                );
-                assert_eq!(fs.unique_global, hs.unique_global);
-                let n = fs.unique_global * D;
-                let gather = 12u64 * 4 * (world as u64 - 1);
-                let tb = simgpu::allreduce_send_bytes(n, world, gpn, two_tier(gpn), r, 2);
-                assert_eq!(hs.wire_bytes, gather + tb.total());
-                expected += tb;
-            }
-            // Per-tier (not just total): analytic == recorded on both
-            // the intra-node and the cross-node leg.
-            let snap = &hier[0].2;
-            assert_eq!(
-                snap.allreduce_intra_bytes, expected.intra,
-                "world {world} gpn {gpn} intra"
-            );
-            assert_eq!(
-                snap.allreduce_inter_bytes, expected.inter,
-                "world {world} gpn {gpn} inter"
-            );
-            assert!(snap.allreduce_inter_bytes > 0, "leaders must cross nodes");
-        }
+        // tables — and the returned per-rank bytes follow the
+        // hierarchical schedule at elem_bytes = 2, per tier.
+        hierarchical_matches_flat(ExchangeConfig::unique_compressed(), 2);
     }
 
     #[test]
@@ -1234,8 +1192,10 @@ mod tests {
                         assert_eq!(bits(got), bits(want), "{ctx} rank {r}");
                         assert_eq!(bits(got), bits(&res[0].1), "{ctx} replica {r}");
                         for (w, g) in stats {
+                            // The oracle books `wire_bytes` only.
                             let g = ExchangeStats {
                                 timings: PhaseTimings::default(),
+                                sent: TrafficSnapshot::default(),
                                 ..*g
                             };
                             assert_eq!(g, *w, "{ctx} rank {r}");

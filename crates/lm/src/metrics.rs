@@ -227,7 +227,12 @@ pub struct TrainReport {
     pub steps: Vec<StepMetrics>,
     /// Peak simulated device memory over all ranks (bytes).
     pub peak_mem_bytes: u64,
-    /// Total communicator traffic over the run.
+    /// Every rank's sends in the last round, summed by the driver: bytes
+    /// are the sum over ranks of what each rank's collectives returned,
+    /// per class and tier; ops count group calls (each rank's ledger
+    /// counts them alike, so they are one rank's); the per-step scalar
+    /// loss reduction charges ALLREDUCE bytes but counts no op. The
+    /// same on every rank's report.
     pub traffic: TrafficSnapshot,
     /// Number of GPUs used.
     pub gpus: usize,
@@ -374,8 +379,8 @@ impl TrainReport {
     /// or off: step-time quantiles are exact nearest-rank order
     /// statistics of the synchronised `sim_time_ps` of every recorded
     /// step, codec bytes come from [`codec_bytes`], attribution totals
-    /// are this rank's, wire bytes come from the shared traffic
-    /// snapshot.
+    /// are this rank's, wire bytes are [`TrainReport::traffic`]'s (every
+    /// rank's, summed).
     pub fn run_summary(&self, cfg: &TrainConfig) -> RunSummary {
         let mut times: Vec<u64> = self.steps.iter().map(|s| s.sim_time_ps).collect();
         times.sort_unstable();

@@ -56,6 +56,7 @@ use corpus::{train_valid_split, CorpusGenerator, TokenUnit, Vocab};
 use nn::{Embedding, SparseGrad};
 use simgpu::{
     CommError, CommGroup, CostModel, Device, FaultPlan, HardwareConfig, OomError, Rank, SpanKind,
+    TrafficSnapshot,
 };
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -490,8 +491,8 @@ fn run_round(
         .collect();
     // Topology: `comm.gpus_per_node == 0` defers to the hardware preset
     // (8 for the Table II cluster). The node layout only moves bytes
-    // between the recorder's intra/inter tier buckets and selects the
-    // hierarchical wire schedule — it never changes results. A nonzero
+    // between the intra/inter tiers and selects the hierarchical wire
+    // schedule — it never changes results. A nonzero
     // `pool_workers` additionally bounds how many rank threads run
     // concurrently (see `simgpu::RunGate`), which is what lets
     // paper-scale worlds of 48–192 ranks train on a small machine.
@@ -520,8 +521,24 @@ fn run_round(
     });
 
     let peak_mem = devices.iter().map(|d| d.peak()).max().unwrap_or(0);
+    // Every rank's sends, summed. Ops count group calls, which every
+    // rank's ledger counts alike, so they are any one rank's.
+    let traffic = results
+        .iter()
+        .flatten()
+        .map(|report| report.traffic)
+        .reduce(|mut sum, rank| {
+            sum += TrafficSnapshot {
+                allreduce_ops: 0,
+                allgather_ops: 0,
+                ..rank
+            };
+            sum
+        })
+        .unwrap_or_default();
     for report in results.iter_mut().flatten() {
         report.peak_mem_bytes = peak_mem;
+        report.traffic = traffic;
         report.gpus = cfg.gpus;
     }
     if cfg.metrics.enabled {
@@ -672,14 +689,13 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
         // like any other. Reduction is elementwise under a canonical
         // leader order, so neither the slicing nor the topology moves a
         // bit. The bytes are the collective's own: this rank's exact
-        // share of the active wire schedule, as charged to the traffic
-        // recorder (a codec prices the *reduced* — summed, pre-average —
-        // payload).
+        // share of the active wire schedule (a codec prices the
+        // *reduced* — summed, pre-average — payload).
         let dense = &mut out.dense;
         let dense_wire = st.traced(
             SpanKind::AllReduce,
             |_| all_reduce_bucketed(&rank, dense, &xcfg),
-            |res| res.as_ref().map_or(0, |w| w.sent.total()),
+            |res| res.as_ref().map_or(0, |w| w.sent.total_bytes()),
         )?;
 
         // Embedding exchanges, applied in place.
@@ -713,11 +729,12 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
 
         st.apply(&mut out.dense);
 
-        // Synchronised mean loss.
+        // Synchronised mean loss; `price` books its charge.
+        let loss_bytes = st.loss_sent.total_bytes();
         let loss = st.traced(
             SpanKind::AllReduce,
             |_| rank.all_reduce_scalar_f64(out.loss),
-            |_| 8 * (g as u64 - 1),
+            |_| loss_bytes,
         )? / g as f64;
 
         // The step's barrier-wait wall-clock (0 unless tracked), drained
@@ -756,7 +773,7 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
         }
     }
     guard.disarm();
-    Ok(st.finish(rank.traffic()))
+    Ok(st.finish())
 }
 
 /// Seed-domain separator for the train/valid split stream.
@@ -935,11 +952,11 @@ mod tests {
 
     #[test]
     fn hierarchical_analytic_bytes_reconcile_with_recorder_exactly() {
-        // Trainer-level exactness: every ALLREDUCE byte the recorder saw
-        // is a byte some rank's analytic model claimed — summed over all
-        // ranks and steps, with no epsilon, at a ragged world (5 ranks
-        // on 2-GPU nodes: 2 + 2 + 1). Char LM ⇒ one dense ALLREDUCE,
-        // one unique input exchange and one scalar loss reduce per step.
+        // Trainer-level exactness: the report's ALLREDUCE bytes are the
+        // bytes every rank's steps claim — summed over all ranks and
+        // steps, with no epsilon, at a ragged world (5 ranks on 2-GPU
+        // nodes: 2 + 2 + 1). Char LM ⇒ one dense ALLREDUCE, one unique
+        // input exchange and one scalar loss reduce per step.
         let (g, gpn) = (5usize, 2usize);
         let mut cfg = quick_cfg(ModelKind::Char { vocab: 32 }, g, Method::unique());
         cfg.comm = CommConfig {
@@ -958,10 +975,9 @@ mod tests {
             for s in &rep.steps {
                 // dense_bytes is the rank's exact hierarchical share.
                 expected += s.dense_bytes;
-                // The exchange's wire_bytes = index gather + ALLREDUCE
-                // share; only the latter lands in the allreduce bucket.
-                let gather = (s.input_exchange.local_tokens as u64) * 4 * (g as u64 - 1);
-                expected += s.input_exchange.wire_bytes - gather;
+                // The exchange's ALLREDUCE share (its index gather is
+                // ALLGATHER traffic).
+                expected += s.input_exchange.sent.allreduce_bytes;
                 // The synchronised mean loss: 8 bytes to every peer.
                 expected += simgpu::peer_exchange_tier_bytes(g, gpn, r, 8).total();
             }

@@ -3,8 +3,9 @@
 //! [`LoopState`] is everything a rank carries from one step to the next:
 //! the replica, the learning rate and step counter, the epoch cursor
 //! (epoch, step within it, its partial loss and simulated time), the
-//! exchange scratch pools, the clock's hoisted buffers and the trace
-//! recorder. Its methods are the rank-local work of a step;
+//! exchange scratch pools, the clock's hoisted buffers, the trace
+//! recorder and the rank's traffic ledger. Its methods are the
+//! rank-local work of a step;
 //! the parent module's `run_rank` calls them with the collectives, the
 //! device charges and the checkpoint deposits in between, so nothing in
 //! this file can block on a peer — the shape a lockstep driver needs to
@@ -29,7 +30,7 @@ use nn::optimizer::scaled_lr;
 use nn::{CharLm, WordLm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simgpu::{secs_to_ps, SpanKind, TraceRecorder, TrafficSnapshot};
+use simgpu::{peer_exchange_tier_bytes, secs_to_ps, SpanKind, TraceRecorder, TrafficSnapshot};
 use std::sync::{Mutex, PoisonError};
 
 /// Maximum validation batches evaluated per epoch (the full validation
@@ -202,6 +203,12 @@ pub(super) struct LoopState<'a> {
     /// Opt-in tracing: a per-rank ring recorder. When disabled, nothing
     /// allocates and every trace site is one `None` branch.
     pub(super) recorder: Option<TraceRecorder>,
+    /// What the step's loss reduction sends: 8 bytes to every peer,
+    /// charged to ALLREDUCE with no op (see [`TrafficSnapshot`]).
+    pub(super) loss_sent: TrafficSnapshot,
+    /// This rank's sends this round: Σ of what every collective it
+    /// called returned, plus the loss reductions.
+    sent: TrafficSnapshot,
 }
 
 impl<'a> LoopState<'a> {
@@ -268,6 +275,8 @@ impl<'a> LoopState<'a> {
                 .trace
                 .enabled
                 .then(|| TraceRecorder::new(rank as u32, TRACE_EVENTS_PER_RANK)),
+            loss_sent: TrafficSnapshot::allreduce(peer_exchange_tier_bytes(g, ctx.gpn, rank, 8), 0),
+            sent: TrafficSnapshot::default(),
         }
     }
 
@@ -406,7 +415,8 @@ impl<'a> LoopState<'a> {
         self.replica.apply_dense(dense, self.lr);
     }
 
-    /// Phase 3: prices the step on the simulated clock and records it.
+    /// Phase 3: prices the step on the simulated clock and records it,
+    /// and books the step's collectives into the rank's ledger.
     /// Synchronous SGD: the step ends when the slowest rank arrives, so
     /// every rank builds the same [`StepSchedule`] from the step's
     /// synchronised payloads, reads every rank's critical path off the
@@ -427,12 +437,18 @@ impl<'a> LoopState<'a> {
             let start = end.saturating_sub(barrier_wait_wall_ns);
             rec.record(SpanKind::BarrierWait, start, end, 0);
         }
+        for sent in [dense_wire.sent, input.sent, self.loss_sent] {
+            self.sent += sent;
+        }
+        if let Some(output) = output {
+            self.sent += output.sent;
+        }
         let record = StepMetrics {
             step: self.global_step,
             train_loss: loss,
             input_exchange: input,
             output_exchange: output,
-            dense_bytes: dense_wire.sent.total(),
+            dense_bytes: dense_wire.sent.total_bytes(),
             dense_raw_bytes: dense_wire.raw,
             dense_enc_bytes: dense_wire.enc,
             barrier_wait_wall_ns,
@@ -491,11 +507,12 @@ impl<'a> LoopState<'a> {
         self.epoch_time_ps = 0;
     }
 
-    /// Phase 5: the rank's report, with the group's `traffic` and the
-    /// run totals folded in.
-    pub(super) fn finish(mut self, traffic: TrafficSnapshot) -> TrainReport {
+    /// Phase 5: the rank's report, with its own ledger as `traffic` (the
+    /// driver replaces it with the sum over ranks) and the run totals
+    /// folded in.
+    pub(super) fn finish(mut self) -> TrainReport {
         let totals = self.totals();
-        self.report.traffic = traffic;
+        self.report.traffic = self.sent;
         self.report.attribution = totals.attribution;
         self.report.mean_unique_global = totals.mean_unique_global();
         self.report.trace = self.recorder.map(TraceRecorder::finish);

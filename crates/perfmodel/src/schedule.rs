@@ -69,8 +69,8 @@ pub struct ExchangeConfig {
     /// collective call — the bucketed schedule the trainer overlaps
     /// with compute. `0` keeps the single whole-payload collective.
     /// Reduction is elementwise with a canonical leader order, so
-    /// bucketing moves no bits; the analytic `wire_bytes` switch to the
-    /// sum of per-bucket ring shares in lock-step with the recorder.
+    /// bucketing moves no bits; `wire_bytes` becomes the sum of the
+    /// per-bucket ring shares the collectives return.
     pub bucket_bytes: u64,
     /// Lossless wire codec for the unique path's collectives (see
     /// [`simgpu::codec`]): the index codec frames step 3's ALLGATHER,
@@ -470,7 +470,7 @@ pub struct StepSchedule<'a> {
     pub xcfg: ExchangeConfig,
     /// World size `G`.
     pub gpus: usize,
-    /// Resolved node layout (the tier the recorder buckets by).
+    /// Resolved node layout (what the collectives tier their bytes by).
     pub gpn: usize,
     /// Launch each op when its payload exists instead of after compute.
     pub overlap: bool,

@@ -26,8 +26,8 @@
 //! little-endian bytes (exactly `4·n`) whenever packing would not win.
 //! Decoders disambiguate by length — an emitted packed form is always
 //! strictly shorter than raw, so `len == 4·n` *is* the raw marker. This
-//! is what lets the traffic recorder claim "compressed bytes ≤ identity
-//! bytes on every collective" unconditionally.
+//! is what lets every codec-framed collective promise "compressed bytes
+//! ≤ identity bytes" unconditionally.
 //!
 //! # Bit-exactness contract
 //!
@@ -69,7 +69,7 @@ impl std::error::Error for CodecError {}
 ///
 /// * `encoded_len_*` equals the exact byte length `encode_*` produces
 ///   for the same payload (it is the analytic charging function used by
-///   the traffic recorder and the cost model).
+///   the collectives' returned bytes and the cost model).
 /// * `encoded_len_*` never exceeds `4 · payload.len()` (never-expand).
 ///
 /// Decoders take the element count out of band — the receiver of a
@@ -312,7 +312,7 @@ fn delta_varint_packed_len(data: &[u32]) -> u64 {
 
 /// Analytic encoded size of `data` under [`DeltaVarintCodec`], with the
 /// never-expand raw fallback applied. Exported so tests and the
-/// exchange layer can predict recorder charges without encoding.
+/// exchange layer can predict a collective's charge without encoding.
 pub fn delta_varint_len(data: &[u32]) -> u64 {
     delta_varint_packed_len(data).min(data.len() as u64 * 4)
 }
@@ -424,7 +424,7 @@ fn exp_packed_len(n: usize, k: usize) -> u64 {
 
 /// Analytic encoded size of `data` under [`ExpPackCodec`], with the
 /// never-expand raw fallback applied. Exported so tests and the
-/// exchange layer can predict recorder charges without encoding.
+/// exchange layer can predict a collective's charge without encoding.
 pub fn exp_pack_len(data: &[f32]) -> u64 {
     let raw = data.len() as u64 * 4;
     match exp_dictionary(data) {

@@ -64,7 +64,7 @@
 
 use crate::codec::WireCodec;
 use crate::pool::RunGate;
-use crate::traffic::{Tier, TierBytes, TrafficRecorder, TrafficSnapshot};
+use crate::traffic::{Tier, TierBytes};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -472,7 +472,6 @@ struct GroupCore {
     /// Optional bounded run pool: ranks release their run slot while
     /// parked at the rendezvous and re-acquire it on wake-up.
     gate: Option<Arc<RunGate>>,
-    traffic: TrafficRecorder,
 }
 
 /// Factory for communicator groups.
@@ -545,7 +544,6 @@ impl CommGroup {
             gather_bytes: (0..world).map(|_| RwLock::new((0, Vec::new()))).collect(),
             reduce_f32: Mutex::new(Vec::new()),
             gate: (pool_workers > 0).then(|| RunGate::new(pool_workers)),
-            traffic: TrafficRecorder::new(),
         });
         (0..world)
             .map(|rank| Rank {
@@ -604,15 +602,15 @@ pub fn chunk_range(n: usize, world: usize, chunk: usize) -> std::ops::Range<usiz
 
 /// Exact bytes `rank` sends during one ring ALLREDUCE — iterating the
 /// same chunk schedule as [`Rank::all_reduce`] on a flat topology, so
-/// analytic wire accounting matches the [`TrafficRecorder`] to the byte
-/// even when the payload does not divide evenly by `world` — pricing
+/// analytic wire accounting matches what the collective returns to the
+/// byte even when the payload does not divide evenly by `world` — pricing
 /// each transmitted chunk through `chunk_bytes(parts, chunk)`: the wire
 /// bytes of chunk `chunk` of the `parts`-way partition of the payload.
 /// With the raw closure `|parts, c| chunk_range(n, parts, c).len() as
 /// u64 * elem_bytes` this is the identity accounting; wire codecs
 /// substitute the encoded length of each chunk of the *reduced* payload
 /// (the steady-state re-encode model — see `codec`), which is identical
-/// on every rank, so analytic == recorded still holds per tier.
+/// on every rank, so analytic == returned still holds per tier.
 fn ring_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
     world: usize,
     rank: usize,
@@ -670,9 +668,9 @@ pub fn peer_exchange_tier_bytes(
 
 /// Exact per-tier bytes `rank` sends during one hierarchical ALLREDUCE
 /// on a cluster of `gpus_per_node`-GPU nodes — the analytic mirror of
-/// what [`Rank::all_reduce`] charges the recorder under
-/// [`Topology::TwoTier`], phase by phase, so per-tier analytic ==
-/// recorded holds to the byte even on ragged worlds
+/// what [`Rank::all_reduce`] charges under [`Topology::TwoTier`], phase
+/// by phase, so per-tier analytic == returned holds to the byte even on
+/// ragged worlds
 /// (`world % gpus_per_node != 0`). Every transmitted chunk is priced
 /// through `chunk_bytes` as in [`ring_allreduce_send_bytes_parts`]
 /// (phase 4's full payload is chunk 0 of the 1-way partition).
@@ -734,8 +732,8 @@ fn hierarchical_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
 
 /// Exact per-tier bytes `rank` sends during one ALLREDUCE over `n`
 /// elements of `elem_bytes` each under `topology`, on a group laid out
-/// `gpus_per_node` per node — what [`Rank::all_reduce`] charges the
-/// recorder for a fixed-width wire, whichever schedule applies.
+/// `gpus_per_node` per node — what [`Rank::all_reduce`] returns for a
+/// fixed-width wire, whichever schedule applies.
 pub fn allreduce_send_bytes(
     n: usize,
     world: usize,
@@ -1012,21 +1010,6 @@ impl Rank {
         }
     }
 
-    /// Snapshot of the group's cumulative traffic counters.
-    pub fn traffic(&self) -> TrafficSnapshot {
-        self.core.traffic.snapshot()
-    }
-
-    /// Resets the group traffic counters (call from every rank — it
-    /// barriers internally so the reset is race-free).
-    pub fn reset_traffic(&self) -> Result<(), CommError> {
-        self.barrier()?;
-        if self.rank == 0 {
-            self.core.traffic.reset();
-        }
-        self.barrier()
-    }
-
     /// ALLREDUCE (sum) over `data` — the one reduction every wire
     /// format and wire schedule goes through. On return every rank
     /// holds the elementwise sum across all ranks, computed in canonical
@@ -1059,9 +1042,8 @@ impl Rank {
     /// priced at its length in the wire format; for a codec that is the
     /// encoded length of the *reduced* chunk (the steady-state
     /// re-encode model — identical on every rank). The returned
-    /// [`TierBytes`] are exactly what this call added to the group's
-    /// [`TrafficRecorder`] on behalf of this rank, so callers report
-    /// wire volume without re-deriving it.
+    /// [`TierBytes`] are this rank's sends and the only record of them,
+    /// so callers report wire volume without re-deriving it.
     ///
     /// `TwoTier { gpus_per_node: 0 }` is an invalid topology and yields
     /// a typed [`CommError`] on every rank — recoverable, the group is
@@ -1090,9 +1072,6 @@ impl Rank {
                 "invalid topology: gpus_per_node must be at least 1",
             ));
         }
-        if self.rank == 0 {
-            self.core.traffic.count_allreduce_op();
-        }
         if g == 1 {
             return Ok(TierBytes::default());
         }
@@ -1101,40 +1080,30 @@ impl Rank {
             slot.clear();
             slot.extend_from_slice(data);
         }
-        // Fixed-width formats are priced from the payload length alone,
-        // so they charge before the rendezvous: once it releases a rank,
-        // every peer's share is already in the recorder. A codec prices
-        // the reduced payload and can only charge afterwards.
-        let codec = wire.codec();
-        let mut sent = None;
-        if codec.is_none() {
-            sent = Some(self.charge_allreduce(data, wire, topology));
-        }
         let core = &self.core;
         self.sync_leader(|| leader_sum(core, scale))?;
         data.copy_from_slice(&self.core.reduce_f32.lock());
         // No departure barrier needed: a peer still copying this result
         // cannot be overtaken, because the next rendezvous's leader work
         // only runs once *every* rank has finished here and arrived there.
-        if let Some(codec) = codec {
+        if let Some(codec) = wire.codec() {
             // The delivered payload round-trips on the flat chunk
             // partition under either schedule: losslessness (not chunk
             // boundaries) is what keeps the schedules bit-identical.
             self.codec_roundtrip_chunks(data, codec)?;
         }
-        Ok(sent.unwrap_or_else(|| self.charge_allreduce(data, wire, topology)))
-    }
-
-    /// Prices this rank's sends for one ALLREDUCE of `data` under
-    /// `topology` ([`allreduce_send_bytes_parts`]), records them and
-    /// returns them.
-    fn charge_allreduce(&self, data: &[f32], wire: Wire<'_>, topology: Topology) -> TierBytes {
-        let (g, r, n) = (self.core.world, self.rank, data.len());
+        // Priced on the reduced payload: a codec's chunk frames depend
+        // on it, a fixed-width format's on the length only.
+        let n = data.len();
         let chunk_bytes =
             |parts: usize, chunk: usize| wire.encoded_len(&data[chunk_range(n, parts, chunk)]);
-        let sent = allreduce_send_bytes_parts(g, self.core.gpus_per_node, topology, r, chunk_bytes);
-        self.core.traffic.record_allreduce_split(sent);
-        sent
+        Ok(allreduce_send_bytes_parts(
+            g,
+            self.core.gpus_per_node,
+            topology,
+            self.rank,
+            chunk_bytes,
+        ))
     }
 
     /// Flat f32 ALLREDUCE. Exists only because the benchmark (`e2e/`)
@@ -1180,33 +1149,29 @@ impl Rank {
     /// The rendezvous every ALLGATHER funnels through: `publish` fills
     /// this rank's slot and returns the payload's wire bytes, which
     /// travel to `G−1` peers (same-node peers over the intra tier, the
-    /// rest over the inter tier); after the group meets, `collect` sees
-    /// every sender's slot in rank order, under a shared read lock. A
-    /// second barrier keeps a fast rank from overwriting its slot while
-    /// a peer is still reading it.
+    /// rest over the inter tier — [`peer_exchange_tier_bytes`], which is
+    /// what it returns); after the group meets, `collect` sees every
+    /// sender's slot in rank order, under a shared read lock. A second
+    /// barrier keeps a fast rank from overwriting its slot while a peer
+    /// is still reading it.
     fn gather_rendezvous<S>(
         &self,
         slots: &[RwLock<S>],
         publish: impl FnOnce(&mut S) -> u64,
         mut collect: impl FnMut(usize, &S) -> Result<(), CommError>,
-    ) -> Result<(), CommError> {
-        if self.rank == 0 {
-            self.core.traffic.count_allgather_op();
-        }
+    ) -> Result<TierBytes, CommError> {
         let payload_bytes = publish(&mut slots[self.rank].write());
-        self.core
-            .traffic
-            .record_allgather_split(peer_exchange_tier_bytes(
-                self.core.world,
-                self.core.gpus_per_node,
-                self.rank,
-                payload_bytes,
-            ));
         self.barrier()?;
         for (sender, slot) in slots.iter().enumerate() {
             collect(sender, &slot.read())?;
         }
-        self.barrier()
+        self.barrier()?;
+        Ok(peer_exchange_tier_bytes(
+            self.core.world,
+            self.core.gpus_per_node,
+            self.rank,
+            payload_bytes,
+        ))
     }
 
     /// Poisons the group with `err` (first failure wins) and hands it
@@ -1230,7 +1195,7 @@ impl Rank {
         local: &[T],
         torn: bool,
         mut visit: impl FnMut(usize, &[T]) -> Result<(), CommError>,
-    ) -> Result<(), CommError> {
+    ) -> Result<TierBytes, CommError> {
         self.gather_rendezvous(
             slots,
             |slot| {
@@ -1250,14 +1215,15 @@ impl Rank {
     /// place from the sender's slot. Same rendezvous, same wire charge
     /// as [`Rank::all_gather_u32_into`], which is this with an
     /// `extend_from_slice` visitor; use it when per-sender boundaries
-    /// matter or the concatenation would only be streamed once. An
-    /// `Err` from `visit` poisons the group (peers get it at the
-    /// departure rendezvous) and is returned.
+    /// matter or the concatenation would only be streamed once. Returns
+    /// this rank's sends: its payload to each of `G−1` peers, per tier
+    /// ([`peer_exchange_tier_bytes`]). An `Err` from `visit` poisons the
+    /// group (peers get it at the departure rendezvous) and is returned.
     pub fn all_gather_u32_visit(
         &self,
         local: &[u32],
         visit: impl FnMut(usize, &[u32]) -> Result<(), CommError>,
-    ) -> Result<(), CommError> {
+    ) -> Result<TierBytes, CommError> {
         self.gather_raw_visit(&self.core.gather_u32, local, false, visit)
     }
 
@@ -1272,12 +1238,13 @@ impl Rank {
     /// does not fit — which is also how an armed
     /// [`Rank::corrupt_next_codec_frame`] latch, which tears this rank's
     /// published payload, surfaces as a typed error on every rank. An
-    /// `Err` from `visit` poisons the group and is returned.
+    /// `Err` from `visit` poisons the group and is returned; otherwise
+    /// this rank's sends, as [`Rank::all_gather_u32_visit`] returns them.
     pub fn all_gather_f32_visit(
         &self,
         local: &[f32],
         visit: impl FnMut(usize, &[f32]) -> Result<(), CommError>,
-    ) -> Result<(), CommError> {
+    ) -> Result<TierBytes, CommError> {
         self.gather_raw_visit(
             &self.core.gather_f32,
             local,
@@ -1289,14 +1256,15 @@ impl Rank {
     /// [`Rank::all_gather_f32_visit`] under §III-C compression: payloads
     /// cross as binary16 of `x · scale`, and each sender's is decoded
     /// into `staging` (reused; one sender's `K×D`, never `G·K×D`) just
-    /// before `visit` sees it.
+    /// before `visit` sees it. Returns this rank's sends at 2 bytes per
+    /// element.
     pub fn all_gather_f16_visit(
         &self,
         local: &[f32],
         scale: f32,
         staging: &mut Vec<f32>,
         mut visit: impl FnMut(usize, &[f32]) -> Result<(), CommError>,
-    ) -> Result<(), CommError> {
+    ) -> Result<TierBytes, CommError> {
         assert!(
             scale.is_finite() && scale > 0.0,
             "compression scale must be positive and finite"
@@ -1331,6 +1299,7 @@ impl Rank {
             out.extend_from_slice(payload);
             Ok(())
         })
+        .map(drop)
     }
 
     /// [`Rank::all_gather_f32_visit`] materialised: the concatenation
@@ -1342,6 +1311,7 @@ impl Rank {
             out.extend_from_slice(rows);
             Ok(())
         })
+        .map(drop)
     }
 
     /// [`Rank::all_gather_f16_visit`] materialised into `out` (capacity
@@ -1357,10 +1327,13 @@ impl Rank {
             out.extend_from_slice(rows);
             Ok(())
         })
+        .map(drop)
     }
 
     /// Sums one scalar across ranks in rank order (deterministic) — used
-    /// for loss averaging and metric reduction.
+    /// for loss averaging and metric reduction. Each rank sends its 8
+    /// bytes to every peer: `peer_exchange_tier_bytes(G, gpus_per_node,
+    /// rank, 8)`, which a caller that books the reduction charges.
     pub fn all_reduce_scalar_f64(&self, v: f64) -> Result<f64, CommError> {
         let g = self.core.world;
         {
@@ -1368,14 +1341,6 @@ impl Rank {
             slot.clear();
             slot.push(v);
         }
-        self.core
-            .traffic
-            .record_allreduce_split(peer_exchange_tier_bytes(
-                g,
-                self.core.gpus_per_node,
-                self.rank,
-                8,
-            ));
         self.barrier()?;
         let mut sum = 0.0;
         for s in 0..g {
@@ -1410,18 +1375,17 @@ impl Rank {
     /// every receiver decodes all senders, so the result is genuinely
     /// reconstructed from wire bytes (a lossy or broken codec would be
     /// caught by the bit-identity tests, a malformed payload yields a
-    /// typed [`CommError`]). Wire accounting charges this rank's
-    /// *encoded* payload length to `G−1` peers, split per tier exactly
-    /// like [`Rank::all_gather_u32_into`] — so the charge is
-    /// `peer_exchange_tier_bytes(G, gpus_per_node, rank,
-    /// codec.encoded_len_u32(local))`, never more than the identity
-    /// charge (codecs never expand).
+    /// typed [`CommError`]). Returns this rank's *encoded* payload
+    /// length to `G−1` peers, split per tier exactly like
+    /// [`Rank::all_gather_u32_visit`] — `peer_exchange_tier_bytes(G,
+    /// gpus_per_node, rank, codec.encoded_len_u32(local))`, never more
+    /// than the identity charge (codecs never expand).
     pub fn all_gather_u32_codec_into(
         &self,
         local: &[u32],
         codec: &dyn WireCodec,
         out: &mut Vec<u32>,
-    ) -> Result<(), CommError> {
+    ) -> Result<TierBytes, CommError> {
         out.clear();
         self.gather_rendezvous(
             &self.core.gather_bytes,
@@ -1678,43 +1642,36 @@ mod tests {
         }
     }
 
+    /// Σ over a fresh `world`-rank group of what one ALLREDUCE of `n`
+    /// ones returned.
+    fn all_reduce_sent(world: usize, n: usize, wire: Wire<'_>, topology: Topology) -> u64 {
+        run_group(world, |rank| {
+            let mut data = vec![1.0f32; n];
+            rank.all_reduce(&mut data, wire, topology).unwrap().total()
+        })
+        .iter()
+        .sum()
+    }
+
     #[test]
     fn traffic_counts_ring_volume() {
         let world = 4;
         let n = 100usize;
-        let results = run_group(world, |rank| {
-            let mut data = vec![1.0f32; n];
-            rank.reset_traffic().unwrap();
-            rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
-                .unwrap();
-            rank.traffic()
-        });
         // Ring: each rank sends 2(G−1) chunks of ~n/G floats.
         let expected = (2 * (world - 1) * n / world * 4 * world) as u64;
-        let got = results[0].allreduce_bytes;
+        let got = all_reduce_sent(world, n, Wire::F32, Topology::Flat);
         assert!(
             (got as i64 - expected as i64).unsigned_abs() <= (world * world * 8) as u64,
             "got {got}, expected ~{expected}"
         );
-        assert_eq!(results[0].allreduce_ops, 1);
     }
 
     #[test]
     fn traffic_f16_is_half_of_f32() {
         let world = 4;
         let n = 128usize; // divisible by world so chunks are even
-        let f32_bytes = run_group(world, |rank| {
-            let mut data = vec![1.0f32; n];
-            rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
-                .unwrap();
-            rank.traffic().allreduce_bytes
-        })[0];
-        let f16_bytes = run_group(world, |rank| {
-            let mut data = vec![1.0f32; n];
-            rank.all_reduce(&mut data, Wire::F16 { scale: 512.0 }, Topology::Flat)
-                .unwrap();
-            rank.traffic().allreduce_bytes
-        })[0];
+        let f32_bytes = all_reduce_sent(world, n, Wire::F32, Topology::Flat);
+        let f16_bytes = all_reduce_sent(world, n, Wire::F16 { scale: 512.0 }, Topology::Flat);
         assert_eq!(f16_bytes * 2, f32_bytes);
     }
 
@@ -1738,21 +1695,11 @@ mod tests {
     #[test]
     fn hierarchical_moves_fewer_leader_hops() {
         // With 8 ranks in 2 nodes, only the 2 leaders speak "inter-node";
-        // traffic recorded is below the flat ring's for the same payload
-        // per additional member.
+        // the bytes charged are below the flat ring's for the same
+        // payload per additional member.
         let n = 4096usize;
-        let flat = run_group(8, |rank| {
-            let mut data = vec![1.0f32; n];
-            rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
-                .unwrap();
-            rank.traffic().allreduce_bytes
-        })[0];
-        let hier = run_group(8, |rank| {
-            let mut data = vec![1.0f32; n];
-            rank.all_reduce(&mut data, Wire::F32, Topology::TwoTier { gpus_per_node: 4 })
-                .unwrap();
-            rank.traffic().allreduce_bytes
-        })[0];
+        let flat = all_reduce_sent(8, n, Wire::F32, Topology::Flat);
+        let hier = all_reduce_sent(8, n, Wire::F32, Topology::TwoTier { gpus_per_node: 4 });
         // Both are Θ(G·n); the point is correctness of accounting, and
         // that the leader ring is only 2 wide (2·(2−1)/2·n per leader).
         assert!(hier > 0 && flat > 0);
@@ -1839,8 +1786,9 @@ mod tests {
 
     #[test]
     fn ring_send_bytes_helper_matches_recorder_exactly() {
-        // The analytic per-rank helper must reproduce the traffic
-        // recorder to the byte, including non-divisible chunk sizes.
+        // The analytic per-rank helper must reproduce what every rank's
+        // collective returns to the byte, including non-divisible chunk
+        // sizes.
         for (world, n) in [
             (2usize, 10usize),
             (4, 7),
@@ -1849,26 +1797,19 @@ mod tests {
             (5, 0),
             (3, 2),
         ] {
-            for &elem in &[4u64, 2] {
-                let measured = run_group(world, |rank| {
-                    rank.reset_traffic().unwrap();
+            for (elem, wire) in [(4u64, Wire::F32), (2, Wire::F16 { scale: 512.0 })] {
+                let sent = run_group(world, |rank| {
                     let mut data = vec![1.0f32; n];
-                    if elem == 4 {
-                        rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
-                            .unwrap();
-                    } else {
-                        rank.all_reduce(&mut data, Wire::F16 { scale: 512.0 }, Topology::Flat)
-                            .unwrap();
-                    }
-                    rank.traffic().allreduce_bytes
-                })[0];
-                let analytic: u64 = (0..world)
-                    .map(|r| ring_allreduce_send_bytes(n, world, r, elem))
-                    .sum();
-                assert_eq!(
-                    analytic, measured,
-                    "world {world} n {n} elem {elem}: analytic {analytic} vs measured {measured}"
-                );
+                    rank.all_reduce(&mut data, wire, Topology::Flat).unwrap()
+                });
+                for (r, sent) in sent.iter().enumerate() {
+                    let analytic = ring_allreduce_send_bytes(n, world, r, elem);
+                    assert_eq!(
+                        *sent,
+                        TierBytes::on(Tier::Intra, analytic),
+                        "world {world} n {n} elem {elem} rank {r}"
+                    );
+                }
             }
         }
     }
@@ -2176,7 +2117,7 @@ mod tests {
                     .expect("lossless has an index codec"),
                 &mut out,
             )
-            .map(|()| out)
+            .map(|_| out)
         });
         for res in clean {
             assert_eq!(res.unwrap(), vec![1, 2, 3, 1, 2, 3]);
@@ -2273,8 +2214,8 @@ mod tests {
     /// The one ALLREDUCE, every wire format × wire schedule × awkward
     /// length: the result is bit-identical across schedules (and across
     /// the lossless formats), the returned [`TierBytes`] are this
-    /// rank's analytic schedule share and sum to what the recorder saw
-    /// per tier, and the benchmark-pinned shims are the core.
+    /// rank's analytic schedule share, and the benchmark-pinned shims
+    /// are the core.
     #[test]
     fn all_reduce_wire_by_topology_by_length_table() {
         use crate::codec::{ExpPackCodec, IdentityCodec};
@@ -2303,13 +2244,11 @@ mod tests {
                         let out = run_group_topo(world, gpn, |rank| {
                             let mut data = input(rank.rank());
                             let sent = rank.all_reduce(&mut data, wire, topology).unwrap();
-                            // Codec formats charge after the rendezvous.
-                            rank.barrier().unwrap();
-                            (data, sent, rank.traffic())
+                            (data, sent)
                         });
                         let two_tier = topology != Topology::Flat && world > gpn;
                         let mut total = TierBytes::default();
-                        for (r, (data, sent, _)) in out.iter().enumerate() {
+                        for (r, (data, sent)) in out.iter().enumerate() {
                             assert_eq!(data, &out[0].0, "{ctx}: rank {r} diverged");
                             let chunk_bytes = |parts: usize, c: usize| {
                                 wire.encoded_len(&data[chunk_range(n, parts, c)])
@@ -2332,15 +2271,8 @@ mod tests {
                             }
                             total += *sent;
                         }
-                        let snap = out[0].2;
-                        assert_eq!(
-                            (snap.allreduce_intra_bytes, snap.allreduce_inter_bytes),
-                            (total.intra, total.inter),
-                            "{ctx}: recorder"
-                        );
-                        assert_eq!(snap.allreduce_ops, 1, "{ctx}");
                         if two_tier && n > 0 {
-                            assert!(snap.allreduce_inter_bytes > 0, "{ctx}: leaders pay IB");
+                            assert!(total.inter > 0, "{ctx}: leaders pay IB");
                         }
                         results.push(out.into_iter().next().unwrap().0);
                     }
@@ -2381,12 +2313,12 @@ mod tests {
             let via_shim = run_group_topo(7, 3, |rank| {
                 let mut data = input(rank.rank());
                 shim(&rank, &mut data).unwrap();
-                (data, rank.traffic())
+                data
             });
             let via_core = run_group_topo(7, 3, |rank| {
                 let mut data = input(rank.rank());
                 rank.all_reduce(&mut data, wire, topology).unwrap();
-                (data, rank.traffic())
+                data
             });
             assert_eq!(via_shim, via_core, "shim {i}");
         }
@@ -2511,30 +2443,31 @@ mod tests {
         // ring bytes to the tier of its r → r+1 link; node-boundary
         // ranks (and the wrap link) are inter.
         let (world, per_node, n) = (8usize, 4usize, 100usize);
-        let snap = run_group_topo(world, per_node, |rank| {
+        let returned = run_group_topo(world, per_node, |rank| {
             let mut data = vec![1.0f32; n];
             rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
-                .unwrap();
-            rank.traffic()
-        })[0];
+                .unwrap()
+        });
         let mut expect = TierBytes::default();
         let cost = crate::CostModel::new(crate::HardwareConfig::titan_x_cluster(), 0.4);
-        for r in 0..world {
-            let sent = allreduce_send_bytes(n, world, per_node, Topology::Flat, r, 4);
+        for (r, &sent) in returned.iter().enumerate() {
+            assert_eq!(
+                sent,
+                allreduce_send_bytes(n, world, per_node, Topology::Flat, r, 4),
+                "rank {r}"
+            );
             let link = ring_send_tier(world, per_node, r);
             assert_eq!(
                 sent,
                 TierBytes::on(link, ring_allreduce_send_bytes(n, world, r, 4))
             );
             expect += sent;
-            // The clock books the ring's time on the tier the recorder
+            // The clock books the ring's time on the tier the collective
             // books its bytes on.
             let price = cost.allreduce(sent, world, per_node, Topology::Flat, r);
             assert_eq!(price.intra.secs() > 0.0, link == Tier::Intra, "rank {r}");
             assert_eq!(price.inter.secs() > 0.0, link == Tier::Inter, "rank {r}");
         }
-        assert_eq!(snap.allreduce_intra_bytes, expect.intra);
-        assert_eq!(snap.allreduce_inter_bytes, expect.inter);
         // Ranks 3 and 7 cross node boundaries: exactly 2 of 8 ring
         // links are inter.
         assert!(expect.inter > 0 && expect.intra > expect.inter);
@@ -2543,24 +2476,22 @@ mod tests {
     #[test]
     fn gather_and_scalar_tier_split_follows_group_topology() {
         let (world, per_node) = (5usize, 2usize); // nodes {0,1},{2,3},{4}
-        let snap = run_group_topo(world, per_node, |rank| {
-            gather_f32(&rank, &[1.0f32; 3]).unwrap();
-            rank.all_reduce_scalar_f64(1.0).unwrap();
-            rank.traffic()
-        })[0];
+        let returned = run_group_topo(world, per_node, |rank| {
+            rank.all_gather_f32_visit(&[1.0f32; 3], |_, _| Ok(()))
+                .unwrap()
+        });
         let mut ag = TierBytes::default();
         let mut sc = TierBytes::default();
-        for r in 0..world {
-            ag += peer_exchange_tier_bytes(world, per_node, r, 12);
+        for (r, sent) in returned.iter().enumerate() {
+            assert_eq!(*sent, peer_exchange_tier_bytes(world, per_node, r, 12));
+            ag += *sent;
             sc += peer_exchange_tier_bytes(world, per_node, r, 8);
         }
-        assert_eq!(snap.allgather_intra_bytes, ag.intra);
-        assert_eq!(snap.allgather_inter_bytes, ag.inter);
-        assert_eq!(snap.allreduce_intra_bytes, sc.intra);
-        assert_eq!(snap.allreduce_inter_bytes, sc.inter);
+        // Node {4} is alone: its sends are all inter.
+        assert_eq!(returned[4], TierBytes::on(Tier::Inter, 48));
         // Totals stay what the single-tier contract always said.
-        assert_eq!(snap.allgather_bytes, (world * 3 * 4 * (world - 1)) as u64);
-        assert_eq!(snap.allreduce_bytes, (world * 8 * (world - 1)) as u64);
+        assert_eq!(ag.total(), (world * 3 * 4 * (world - 1)) as u64);
+        assert_eq!(sc.total(), (world * 8 * (world - 1)) as u64);
     }
 
     #[test]
@@ -2629,8 +2560,8 @@ mod tests {
     }
 
     /// What one gather shape leaves behind on a rank, by either route:
-    /// the three concatenations (f32 as bits) and the group's traffic.
-    type Gathered = (Vec<u32>, Vec<u32>, Vec<u32>, TrafficSnapshot);
+    /// the three concatenations (f32 as bits).
+    type Gathered = (Vec<u32>, Vec<u32>, Vec<u32>);
 
     /// Rank `r`'s payload length under `shape`: uniform, ragged with an
     /// empty contribution in the middle, or all empty.
@@ -2646,8 +2577,9 @@ mod tests {
     fn visiting_gathers_match_into_gathers_bit_for_bit() {
         // The `_into` gathers are extend-visitors, so this differential
         // pins the visitor's contract from the outside: per-sender
-        // payloads in rank order, nothing dropped or repeated, the same
-        // wire charge per tier — on single-node and multi-node groups.
+        // payloads in rank order, nothing dropped or repeated — on
+        // single-node and multi-node groups — and each visiting gather
+        // returns its payload to every peer, per tier.
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for (world, gpn) in [(1, 1), (2, 2), (3, 3), (8, 8), (3, 2), (8, 3)] {
             for shape in 0..3 {
@@ -2662,37 +2594,48 @@ mod tests {
                     let u = gather_u32(&rank, &idx(r)).unwrap();
                     let f = gather_f32(&rank, &rows(r)).unwrap();
                     let h = gather_f16(&rank, &rows(r), 512.0).unwrap();
-                    (u, bits(&f), bits(&h), rank.traffic())
+                    (u, bits(&f), bits(&h))
                 });
                 let visit = run_group_topo(world, gpn, |rank| -> Gathered {
                     let r = rank.rank();
                     let (mut u, mut f, mut h) = (Vec::new(), Vec::new(), Vec::new());
                     let mut senders = Vec::new();
-                    rank.all_gather_u32_visit(&idx(r), |s, payload| {
-                        assert_eq!(payload.len(), shape_len(shape, s));
-                        senders.push(s);
-                        u.extend_from_slice(payload);
-                        Ok(())
-                    })
-                    .unwrap();
-                    rank.all_gather_f32_visit(&rows(r), |s, payload| {
-                        assert_eq!(payload.len(), shape_len(shape, s) * 3);
-                        senders.push(s);
-                        f.extend_from_slice(payload);
-                        Ok(())
-                    })
-                    .unwrap();
+                    let mut sent = Vec::new();
+                    sent.push(
+                        rank.all_gather_u32_visit(&idx(r), |s, payload| {
+                            assert_eq!(payload.len(), shape_len(shape, s));
+                            senders.push(s);
+                            u.extend_from_slice(payload);
+                            Ok(())
+                        })
+                        .unwrap(),
+                    );
+                    sent.push(
+                        rank.all_gather_f32_visit(&rows(r), |s, payload| {
+                            assert_eq!(payload.len(), shape_len(shape, s) * 3);
+                            senders.push(s);
+                            f.extend_from_slice(payload);
+                            Ok(())
+                        })
+                        .unwrap(),
+                    );
                     let mut staging = Vec::new();
-                    rank.all_gather_f16_visit(&rows(r), 512.0, &mut staging, |s, payload| {
-                        assert_eq!(payload.len(), shape_len(shape, s) * 3);
-                        senders.push(s);
-                        h.extend_from_slice(payload);
-                        Ok(())
-                    })
-                    .unwrap();
+                    sent.push(
+                        rank.all_gather_f16_visit(&rows(r), 512.0, &mut staging, |s, payload| {
+                            assert_eq!(payload.len(), shape_len(shape, s) * 3);
+                            senders.push(s);
+                            h.extend_from_slice(payload);
+                            Ok(())
+                        })
+                        .unwrap(),
+                    );
                     let in_order: Vec<usize> = (0..3).flat_map(|_| 0..world).collect();
                     assert_eq!(senders, in_order, "every sender once, rank order");
-                    (u, bits(&f), bits(&h), rank.traffic())
+                    let len = shape_len(shape, r) as u64;
+                    let want = [4 * len, 3 * 4 * len, 3 * 2 * len]
+                        .map(|bytes| peer_exchange_tier_bytes(world, gpn, r, bytes));
+                    assert_eq!(sent, want, "rank {r}: returned sends");
+                    (u, bits(&f), bits(&h))
                 });
                 assert_eq!(visit, into, "world {world} gpn {gpn} shape {shape}");
             }
@@ -2717,7 +2660,7 @@ mod tests {
                 })
             })
         });
-        assert_eq!(results, vec![Ok(()); G]);
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
     }
 
     #[test]

@@ -126,8 +126,8 @@ impl CostModel {
     }
 
     /// A flat ring's `hops` and `bytes` for `rank`, on the tier of its
-    /// egress link `rank → rank + 1` (how the traffic recorder buckets
-    /// the same sends). In a ring each GPU sends to one neighbour per
+    /// egress link `rank → rank + 1` (the tier [`crate::Rank::all_reduce`]
+    /// returns the same sends on). In a ring each GPU sends to one neighbour per
     /// step and the step rate is bounded by the slowest link, so a ring
     /// that leaves its node runs every hop at inter-node latency and
     /// the lower of the two bandwidths. A ring of one has no link.

@@ -14,11 +14,12 @@
 //!   wire schedule (the flat ring of Gibiansky's ring-allreduce the
 //!   paper cites, or the two-tier §V-C schedule) are parameters and
 //!   which returns the per-tier bytes it charged; four variable-size
-//!   ALLGATHERs (`u32`, `f32`, FP16, codec-framed `u32`); a scalar
-//!   reduce and a barrier.
-//! * [`traffic::TrafficRecorder`] — counts every byte a collective moves,
-//!   so experiments can assert the paper's Θ(G·K·D) vs Θ(G·K + Ug·D)
-//!   communication claims on measured data.
+//!   ALLGATHERs (`u32`, `f32`, FP16, codec-framed `u32`) whose visiting
+//!   and codec forms return theirs too; a scalar reduce and a barrier.
+//! * [`traffic::TrafficSnapshot`] — an additive ledger of those returned
+//!   bytes by collective class and tier, so experiments can assert the
+//!   paper's Θ(G·K·D) vs Θ(G·K + Ug·D) communication claims on what the
+//!   collectives charged.
 //! * [`fault::FaultPlan`] — declarative fault injection (rank death at
 //!   step N, stragglers, asymmetric per-rank memory limits); together
 //!   with the communicator's abort flag it turns "one rank failed" into
@@ -38,8 +39,9 @@
 //!
 //! Threads stand in for GPUs: one (small-stack) thread per rank holds
 //! the rank's program state; collectives are rendezvous-style, moving
-//! every payload through shared sender-indexed slots, so communication
-//! volume is measured, not assumed — and split per interconnect
+//! every payload through shared sender-indexed slots. Each collective
+//! prices its own sends from the payload it actually moved (a codec's
+//! from its encoded frames) and returns them split per interconnect
 //! [`traffic::Tier`] (PCIe within a node, Infiniband between nodes).
 
 #![forbid(unsafe_code)]
@@ -74,4 +76,4 @@ pub use trace::{
     chrome_trace_json, chrome_trace_json_with_counters, secs_to_ps, sim_trace_json, CounterTrack,
     SimSpan, SimStream, SpanKind, TraceEvent, TraceLog, TraceRecorder,
 };
-pub use traffic::{Tier, TierBytes, TrafficRecorder, TrafficSnapshot};
+pub use traffic::{Tier, TierBytes, TrafficSnapshot};

@@ -1,9 +1,9 @@
 //! Per-rank structured tracing: span records, ring-buffer recorder and
 //! the Chrome-trace exporter.
 //!
-//! The simulator already *measures* (traffic recorder, phase timers) and
-//! *models* (α–β cost) — this module makes individual events visible.
-//! Each rank owns one [`TraceRecorder`]: a pre-allocated ring buffer of
+//! The simulator already *measures* (collectives' returned bytes, phase
+//! timers) and *models* (α–β cost) — this module makes individual
+//! events visible. Each rank owns one [`TraceRecorder`]: a pre-allocated ring buffer of
 //! [`TraceEvent`]s written by that rank's thread only, so the hot path
 //! takes no lock and performs no allocation. When the buffer fills, the
 //! oldest events are overwritten and counted in `dropped` — recording
@@ -82,8 +82,8 @@ pub struct TraceEvent {
     /// Wall-clock end, nanoseconds since the recorder's origin.
     pub t_end_ns: u64,
     /// Wire bytes this rank put on the fabric during the span (0 for
-    /// local work). Summed over all ranks' events these reconcile
-    /// exactly with the group's `TrafficRecorder` totals.
+    /// local work), as its collectives returned them. Summed over all
+    /// ranks' events these reconcile exactly with `TrainReport::traffic`.
     pub bytes: u64,
 }
 

@@ -1,18 +1,17 @@
 //! Communication traffic accounting, split by interconnect tier.
 //!
-//! Every collective in [`crate::comm`] records the bytes it moves, so the
+//! Every collective in [`crate::comm`] returns the per-tier bytes it put
+//! on the wire for the calling rank, and that value is the only record
+//! of them: callers fold it into a [`TrafficSnapshot`] ledger, so the
 //! paper's central communication-complexity claims — baseline ALLGATHER
 //! moves `Θ(G·K·D)` while the unique scheme moves `Θ(G·K + Ug·D)` — are
-//! *asserted against measured wire bytes*, not derived on paper.
+//! asserted against what the collectives charged, not a second copy.
 //!
 //! The paper's cluster is two-tier (PCIe within a node, Infiniband FDR
 //! between nodes — Table II), and the hierarchical allreduce of §V-C
-//! moves very different volumes over each tier. Counters are therefore
+//! moves very different volumes over each tier. Bytes are therefore
 //! kept per [`Tier`]; the flat totals in [`TrafficSnapshot`] are exact
-//! sums of the two buckets, so single-tier reconciliation contracts
-//! keep holding unchanged.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! sums of the two.
 
 /// Interconnect tier a send traverses.
 ///
@@ -27,9 +26,9 @@ pub enum Tier {
     Inter,
 }
 
-/// Byte volume split by tier. Returned by the analytic schedule helpers
-/// in [`crate::comm`] and mirrored by the recorder buckets, so
-/// "analytic == recorded" can be asserted per tier, exactly.
+/// Byte volume split by tier: what a collective in [`crate::comm`]
+/// returns, and what its analytic schedule helpers compute, so the two
+/// can be compared per tier, exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierBytes {
     /// Bytes sent over intra-node links.
@@ -76,28 +75,28 @@ impl std::ops::AddAssign for TierBytes {
     }
 }
 
-/// Shared atomic counters for one communicator group.
-#[derive(Debug, Default)]
-pub struct TrafficRecorder {
-    allreduce_intra_bytes: AtomicU64,
-    allreduce_inter_bytes: AtomicU64,
-    allreduce_ops: AtomicU64,
-    allgather_intra_bytes: AtomicU64,
-    allgather_inter_bytes: AtomicU64,
-    allgather_ops: AtomicU64,
-}
-
-/// A point-in-time copy of the counters.
+/// What collectives put on the wire, by class and tier, plus how many
+/// were called — a plain additive value built from what each collective
+/// returns, never from a shared counter.
+///
+/// * **Bytes** are sends: one rank's ledger holds its own, and a sum of
+///   ledgers (`TrainReport::traffic` adds every rank's) holds theirs,
+///   per class and tier.
+/// * **Ops** count group calls: every rank of a group calls the same
+///   collectives, so each rank's ledger counts each call once and a sum
+///   over ranks takes its op counts from any one rank, not their sum.
+/// * The scalar loss reduction (`Rank::all_reduce_scalar_f64`) charges
+///   ALLREDUCE bytes but counts no op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficSnapshot {
-    /// Total bytes moved by ALLREDUCE calls (sum over all ranks' sends,
-    /// both tiers; always `allreduce_intra_bytes + allreduce_inter_bytes`).
+    /// Total bytes moved by ALLREDUCE calls (both tiers; always
+    /// `allreduce_intra_bytes + allreduce_inter_bytes`).
     pub allreduce_bytes: u64,
     /// ALLREDUCE bytes over intra-node links.
     pub allreduce_intra_bytes: u64,
     /// ALLREDUCE bytes over inter-node links.
     pub allreduce_inter_bytes: u64,
-    /// Number of ALLREDUCE invocations (counted once per group call).
+    /// Number of ALLREDUCE group calls.
     pub allreduce_ops: u64,
     /// Total bytes moved by ALLGATHER calls (both tiers).
     pub allgather_bytes: u64,
@@ -105,11 +104,33 @@ pub struct TrafficSnapshot {
     pub allgather_intra_bytes: u64,
     /// ALLGATHER bytes over inter-node links.
     pub allgather_inter_bytes: u64,
-    /// Number of ALLGATHER invocations.
+    /// Number of ALLGATHER group calls.
     pub allgather_ops: u64,
 }
 
 impl TrafficSnapshot {
+    /// `ops` ALLREDUCE calls that sent `sent`.
+    pub fn allreduce(sent: TierBytes, ops: u64) -> Self {
+        Self {
+            allreduce_bytes: sent.total(),
+            allreduce_intra_bytes: sent.intra,
+            allreduce_inter_bytes: sent.inter,
+            allreduce_ops: ops,
+            ..Self::default()
+        }
+    }
+
+    /// `ops` ALLGATHER calls that sent `sent`.
+    pub fn allgather(sent: TierBytes, ops: u64) -> Self {
+        Self {
+            allgather_bytes: sent.total(),
+            allgather_intra_bytes: sent.intra,
+            allgather_inter_bytes: sent.inter,
+            allgather_ops: ops,
+            ..Self::default()
+        }
+    }
+
     /// Total bytes across all collective kinds and tiers.
     pub fn total_bytes(&self) -> u64 {
         self.allreduce_bytes + self.allgather_bytes
@@ -126,78 +147,16 @@ impl TrafficSnapshot {
     }
 }
 
-impl TrafficRecorder {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one rank's sends within an ALLREDUCE on the given tier.
-    pub fn record_allreduce_tier(&self, tier: Tier, bytes: u64) {
-        match tier {
-            Tier::Intra => &self.allreduce_intra_bytes,
-            Tier::Inter => &self.allreduce_inter_bytes,
-        }
-        .fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one rank's ALLREDUCE sends already split by tier.
-    pub fn record_allreduce_split(&self, bytes: TierBytes) {
-        self.record_allreduce_tier(Tier::Intra, bytes.intra);
-        self.record_allreduce_tier(Tier::Inter, bytes.inter);
-    }
-
-    /// Counts one group-wide ALLREDUCE invocation.
-    pub fn count_allreduce_op(&self) {
-        self.allreduce_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one rank's sends within an ALLGATHER on the given tier.
-    pub fn record_allgather_tier(&self, tier: Tier, bytes: u64) {
-        match tier {
-            Tier::Intra => &self.allgather_intra_bytes,
-            Tier::Inter => &self.allgather_inter_bytes,
-        }
-        .fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one rank's ALLGATHER sends already split by tier.
-    pub fn record_allgather_split(&self, bytes: TierBytes) {
-        self.record_allgather_tier(Tier::Intra, bytes.intra);
-        self.record_allgather_tier(Tier::Inter, bytes.inter);
-    }
-
-    /// Counts one group-wide ALLGATHER invocation.
-    pub fn count_allgather_op(&self) {
-        self.allgather_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copies the counters.
-    pub fn snapshot(&self) -> TrafficSnapshot {
-        let ar_intra = self.allreduce_intra_bytes.load(Ordering::Relaxed);
-        let ar_inter = self.allreduce_inter_bytes.load(Ordering::Relaxed);
-        let ag_intra = self.allgather_intra_bytes.load(Ordering::Relaxed);
-        let ag_inter = self.allgather_inter_bytes.load(Ordering::Relaxed);
-        TrafficSnapshot {
-            allreduce_bytes: ar_intra + ar_inter,
-            allreduce_intra_bytes: ar_intra,
-            allreduce_inter_bytes: ar_inter,
-            allreduce_ops: self.allreduce_ops.load(Ordering::Relaxed),
-            allgather_bytes: ag_intra + ag_inter,
-            allgather_intra_bytes: ag_intra,
-            allgather_inter_bytes: ag_inter,
-            allgather_ops: self.allgather_ops.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.allreduce_intra_bytes.store(0, Ordering::Relaxed);
-        self.allreduce_inter_bytes.store(0, Ordering::Relaxed);
-        self.allreduce_ops.store(0, Ordering::Relaxed);
-        self.allgather_intra_bytes.store(0, Ordering::Relaxed);
-        self.allgather_inter_bytes.store(0, Ordering::Relaxed);
-        self.allgather_ops.store(0, Ordering::Relaxed);
+impl std::ops::AddAssign for TrafficSnapshot {
+    fn add_assign(&mut self, rhs: TrafficSnapshot) {
+        self.allreduce_bytes += rhs.allreduce_bytes;
+        self.allreduce_intra_bytes += rhs.allreduce_intra_bytes;
+        self.allreduce_inter_bytes += rhs.allreduce_inter_bytes;
+        self.allreduce_ops += rhs.allreduce_ops;
+        self.allgather_bytes += rhs.allgather_bytes;
+        self.allgather_intra_bytes += rhs.allgather_intra_bytes;
+        self.allgather_inter_bytes += rhs.allgather_inter_bytes;
+        self.allgather_ops += rhs.allgather_ops;
     }
 }
 
@@ -207,13 +166,14 @@ mod tests {
 
     #[test]
     fn tier_buckets_sum_to_flat_totals() {
-        let t = TrafficRecorder::new();
-        t.record_allreduce_tier(Tier::Intra, 30);
-        t.record_allreduce_tier(Tier::Inter, 12);
-        t.count_allreduce_op();
-        t.record_allgather_split(TierBytes { intra: 5, inter: 9 });
-        t.count_allgather_op();
-        let s = t.snapshot();
+        let mut s = TrafficSnapshot::allreduce(
+            TierBytes {
+                intra: 30,
+                inter: 12,
+            },
+            1,
+        );
+        s += TrafficSnapshot::allgather(TierBytes { intra: 5, inter: 9 }, 1);
         assert_eq!(s.allreduce_intra_bytes, 30);
         assert_eq!(s.allreduce_inter_bytes, 12);
         assert_eq!(s.allreduce_bytes, 42);
@@ -243,29 +203,5 @@ mod tests {
                 inter: 24
             }
         );
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let t = TrafficRecorder::new();
-        t.record_allreduce_tier(Tier::Intra, 5);
-        t.record_allreduce_tier(Tier::Inter, 6);
-        t.reset();
-        assert_eq!(t.snapshot(), TrafficSnapshot::default());
-    }
-
-    #[test]
-    fn concurrent_recording_is_lossless() {
-        let t = TrafficRecorder::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        t.record_allreduce_tier(Tier::Intra, 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(t.snapshot().allreduce_bytes, 8000);
     }
 }

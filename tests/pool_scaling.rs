@@ -71,7 +71,7 @@ fn assert_hier_matches_flat(world: usize) {
     // Flat pricing above one node still uses the inter-node α–β
     // constants, but the wire *time* is attributed to the tier of the
     // reporting rank's egress hop — rank 0 → rank 1 shares a node —
-    // in agreement with how the recorder tiers flat-ring bytes.
+    // in agreement with how the collective tiers flat-ring bytes.
     assert!(flat.attribution.wire_intra_ps > 0);
     assert_eq!(flat.attribution.wire_inter_ps, 0);
     assert!(flat.traffic.allreduce_inter_bytes > 0);

@@ -1,8 +1,9 @@
 //! Tier-1 acceptance for the tracing tentpole: every rank's
 //! `TimeAttribution` buckets must sum *exactly* (integer picoseconds, no
 //! epsilon) to its simulated step time, traced byte totals must equal
-//! the traffic recorder's, and injected straggler skew must land on the
-//! victims — never on the straggler itself.
+//! `TrainReport::traffic` (every rank's ledger, summed), and injected
+//! straggler skew must land on the victims — never on the straggler
+//! itself.
 
 mod common;
 
@@ -83,14 +84,14 @@ fn attribution_reconciles_exactly_at_world_2_and_4() {
         assert_eq!(
             traced_bytes,
             reps[0].traffic.total_bytes(),
-            "world {gpus}: traced bytes != traffic recorder total"
+            "world {gpus}: traced bytes != the report's traffic"
         );
     }
 }
 
 /// With a lossless codec enabled, trace events carry the *compressed*
-/// byte counts: every rank's traced bytes still equal the traffic
-/// recorder's ledger exactly, that total is strictly below the identity
+/// byte counts: the ranks' traced bytes still equal the report's
+/// traffic exactly, that total is strictly below the identity
 /// run's, and `TimeAttribution` still sums to `sim_time_ps` with zero
 /// tolerance — the codec's encode/decode picoseconds fold into the wire
 /// buckets without breaking the exact decomposition.
@@ -123,12 +124,12 @@ fn codec_traces_compressed_bytes_and_attribution_still_exact() {
             assert_eq!(log.dropped, 0);
             traced_bytes += log.total_bytes();
         }
-        // Traced span bytes are the recorder's ledger — compressed
-        // sizes flow through both, so they still agree to the byte.
+        // Traced span bytes are the ranks' ledgers — compressed sizes
+        // flow through both, so they still agree to the byte.
         assert_eq!(
             traced_bytes,
             reps[0].traffic.total_bytes(),
-            "{}: traced bytes != traffic recorder total",
+            "{}: traced bytes != the report's traffic",
             codec.name()
         );
         // And compression is visible end-to-end: strictly fewer bytes

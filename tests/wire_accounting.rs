@@ -1,18 +1,15 @@
-//! The analytic `wire_bytes` in [`zipf_lm::ExchangeStats`] must match
-//! what simgpu's `TrafficRecorder` actually measured — for both exchange
-//! paths, with and without FP16 compression. Byte-exact: the unique
-//! path's ALLREDUCE term is the bytes `Rank::all_reduce` returned — the
-//! very numbers it charged the recorder — so non-divisible `Ug·D` sizes
-//! cannot drift. The per-rank schedule these tests compare against,
-//! `simgpu::allreduce_send_bytes`, is not an independent oracle: the
-//! collective charges the recorder through the same chunk schedule, so
-//! what is checked here is that every layer above it reports exactly
-//! what was charged.
+//! Every byte count above the collectives is built from what the
+//! collectives returned. These tests check those returned charges
+//! against the analytic schedules (`simgpu::allreduce_send_bytes`,
+//! `simgpu::peer_exchange_tier_bytes`) — for both exchange paths, with
+//! and without FP16 compression and wire codecs, at sizes where `Ug·D`
+//! and `K·D` rarely divide by `G` — and that `TrainReport::traffic` is
+//! the sum of every rank's per-step bytes at ragged worlds.
 
 use nn::{Embedding, SparseGrad};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simgpu::{CommGroup, Rank, Tier, TierBytes, Topology, TrafficSnapshot, Wire};
+use simgpu::{CommGroup, Rank, Tier, TierBytes, Topology, TrafficSnapshot, WireCodec};
 use tensor::Matrix;
 use zipf_lm::{exchange_and_apply_with, ExchangeConfig, ExchangeScratch, ExchangeStats};
 
@@ -36,40 +33,51 @@ fn run_group<T: Send>(world: usize, f: impl Fn(Rank) -> T + Sync) -> Vec<T> {
     out.into_iter().map(Option::unwrap).collect()
 }
 
-/// Runs one exchange on every rank; returns per-rank stats plus the
-/// group's measured traffic (reset immediately before the exchange).
-fn measure(
-    world: usize,
-    tokens: usize,
-    dim: usize,
-    cfg: ExchangeConfig,
-) -> (Vec<ExchangeStats>, TrafficSnapshot) {
-    let results = run_group(world, |rank| {
+/// Rank `r`'s gradient: `tokens` indices, then their `tokens×dim` rows.
+fn grad(r: usize, tokens: usize, dim: usize) -> SparseGrad {
+    let mut rng = StdRng::seed_from_u64(500 + r as u64);
+    let indices: Vec<u32> = (0..tokens)
+        .map(|_| rng.gen_range(0..VOCAB as u32))
+        .collect();
+    let rows = Matrix::from_vec(
+        tokens,
+        dim,
+        (0..tokens * dim)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect(),
+    );
+    SparseGrad { indices, rows }
+}
+
+/// Rank `r`'s `tokens` gradient indices.
+fn indices(r: usize, tokens: usize) -> Vec<u32> {
+    grad(r, tokens, 0).indices
+}
+
+/// Runs one exchange on every rank of a one-node group; returns each
+/// rank's stats.
+fn measure(world: usize, tokens: usize, dim: usize, cfg: ExchangeConfig) -> Vec<ExchangeStats> {
+    run_group(world, |rank| {
         let mut table = {
             let mut rng = StdRng::seed_from_u64(11);
             Embedding::new(&mut rng, VOCAB, dim)
         };
-        let mut rng = StdRng::seed_from_u64(500 + rank.rank() as u64);
-        let indices: Vec<u32> = (0..tokens)
-            .map(|_| rng.gen_range(0..VOCAB as u32))
-            .collect();
-        let rows = Matrix::from_vec(
-            tokens,
-            dim,
-            (0..tokens * dim)
-                .map(|_| rng.gen_range(-1.0f32..1.0))
-                .collect(),
-        );
-        let grad = SparseGrad { indices, rows };
-        rank.reset_traffic().unwrap();
+        let grad = grad(rank.rank(), tokens, dim);
         let mut scratch = ExchangeScratch::new();
         let stats = exchange_and_apply_with(&rank, &grad, &mut table, 0.1, &cfg, &mut scratch)
             .expect("no fault injected");
-        rank.barrier().unwrap(); // all sends recorded before the snapshot
-        (stats, rank.traffic())
-    });
-    let traffic = results[0].1;
-    (results.into_iter().map(|(s, _)| s).collect(), traffic)
+        assert_eq!(stats.wire_bytes, stats.sent.total_bytes());
+        stats
+    })
+}
+
+/// Σ over ranks of what their exchanges' collectives returned.
+fn summed(stats: &[ExchangeStats]) -> TrafficSnapshot {
+    let mut sum = TrafficSnapshot::default();
+    for s in stats {
+        sum += s.sent;
+    }
+    sum
 }
 
 fn configs() -> [ExchangeConfig; 4] {
@@ -91,33 +99,26 @@ fn analytic_wire_bytes_match_measured_traffic_exactly() {
     for world in [2usize, 3, 5, 8] {
         for (tokens, dim) in [(13usize, 7usize), (24, 5), (1, 3)] {
             for cfg in configs() {
-                let (stats, traffic) = measure(world, tokens, dim, cfg);
-                let analytic: u64 = stats.iter().map(|s| s.wire_bytes).sum();
-                let measured = traffic.allgather_bytes + traffic.allreduce_bytes;
-                assert_eq!(
-                    analytic, measured,
-                    "world {world} K {tokens} D {dim} cfg {cfg:?}: \
-                     analytic {analytic} vs measured {measured}"
-                );
-                // Per rank, not just in sum: `wire_bytes` is assembled
-                // from what the collectives returned, and that must be
-                // this rank's share of the analytic schedules.
-                let peers = world as u64 - 1;
+                let stats = measure(world, tokens, dim, cfg);
                 let elem: u64 = if cfg.compression.is_some() { 2 } else { 4 };
                 for (r, s) in stats.iter().enumerate() {
-                    let index_gather = tokens as u64 * 4 * peers;
-                    let payload = if cfg.unique {
+                    let ctx = format!("world {world} K {tokens} D {dim} cfg {cfg:?} rank {r}");
+                    // `CommGroup::create` is one node: every byte is intra.
+                    let gather =
+                        |payload| simgpu::peer_exchange_tier_bytes(world, world, r, payload);
+                    let index_gather = gather(tokens as u64 * 4);
+                    let want = if cfg.unique {
                         let n = s.unique_global * dim;
-                        simgpu::allreduce_send_bytes(n, world, world, Topology::Flat, r, elem)
-                            .total()
+                        let reduce =
+                            simgpu::allreduce_send_bytes(n, world, world, Topology::Flat, r, elem);
+                        let mut want = TrafficSnapshot::allgather(index_gather, 1);
+                        want += TrafficSnapshot::allreduce(reduce, 1);
+                        want
                     } else {
-                        (tokens * dim) as u64 * elem * peers
+                        let rows = gather((tokens * dim) as u64 * elem);
+                        TrafficSnapshot::allgather(index_gather + rows, 2)
                     };
-                    assert_eq!(
-                        s.wire_bytes,
-                        index_gather + payload,
-                        "world {world} K {tokens} D {dim} cfg {cfg:?} rank {r}"
-                    );
+                    assert_eq!(s.sent, want, "{ctx}");
                 }
             }
         }
@@ -127,9 +128,9 @@ fn analytic_wire_bytes_match_measured_traffic_exactly() {
 #[test]
 fn single_rank_exchange_moves_no_bytes() {
     for cfg in configs() {
-        let (stats, traffic) = measure(1, 9, 4, cfg);
+        let stats = measure(1, 9, 4, cfg);
         assert_eq!(stats[0].wire_bytes, 0);
-        assert_eq!(traffic.allgather_bytes + traffic.allreduce_bytes, 0);
+        assert_eq!(stats[0].sent.total_bytes(), 0);
     }
 }
 
@@ -137,11 +138,9 @@ fn single_rank_exchange_moves_no_bytes() {
 fn empty_gradient_exchange_accounts_zero_payload() {
     // K = 0 on every rank: nothing crosses the wire on either path.
     for cfg in configs() {
-        let (stats, traffic) = measure(4, 0, 6, cfg);
-        for s in &stats {
+        for s in &measure(4, 0, 6, cfg) {
             assert_eq!(s.wire_bytes, 0, "cfg {cfg:?}");
         }
-        assert_eq!(traffic.allgather_bytes + traffic.allreduce_bytes, 0);
     }
 }
 
@@ -150,8 +149,8 @@ fn compression_halves_exactly_the_row_terms() {
     // The index gather stays u32; only gradient payload halves. Checked
     // through the analytic stats on an even-dividing size.
     let world = 4;
-    let (full, _) = measure(world, 16, 8, ExchangeConfig::baseline());
-    let (comp, _) = measure(
+    let full = measure(world, 16, 8, ExchangeConfig::baseline());
+    let comp = measure(
         world,
         16,
         8,
@@ -168,30 +167,22 @@ fn compression_halves_exactly_the_row_terms() {
 }
 
 /// The dense-gradient path: the bytes the collective returns must be
-/// the analytic per-rank ring bytes (`simgpu::allreduce_send_bytes`)
-/// and, summed over ranks, equal the recorder exactly — FP32 and FP16,
-/// divisible and non-divisible `n`, including the `n < G` degenerate
-/// chunks.
+/// the analytic per-rank ring bytes (`simgpu::allreduce_send_bytes`) —
+/// FP32 and FP16, divisible and non-divisible `n`, including the
+/// `n < G` degenerate chunks.
 #[test]
 fn dense_allreduce_analytic_matches_recorded_exactly() {
     for world in [2usize, 3, 5, 8] {
         for n in [0usize, 4, 12, 13, 257] {
-            for &elem in &[4u64, 2] {
-                let wire = if elem == 4 {
-                    Wire::F32
-                } else {
-                    Wire::F16 { scale: 512.0 }
-                };
-                let results = run_group(world, |rank| {
-                    rank.reset_traffic().unwrap();
+            for (elem, wire) in [
+                (4u64, simgpu::Wire::F32),
+                (2, simgpu::Wire::F16 { scale: 512.0 }),
+            ] {
+                let sent = run_group(world, |rank| {
                     let mut data = vec![rank.rank() as f32; n];
-                    let sent = rank.all_reduce(&mut data, wire, Topology::Flat).unwrap();
-                    rank.barrier().unwrap();
-                    (sent, rank.traffic().allreduce_bytes)
+                    rank.all_reduce(&mut data, wire, Topology::Flat).unwrap()
                 });
-                let measured = results[0].1;
-                let mut analytic = 0u64;
-                for (r, (sent, _)) in results.iter().enumerate() {
+                for (r, sent) in sent.iter().enumerate() {
                     // `CommGroup::create` is one node: all intra.
                     let share =
                         simgpu::allreduce_send_bytes(n, world, world, Topology::Flat, r, elem)
@@ -199,22 +190,18 @@ fn dense_allreduce_analytic_matches_recorded_exactly() {
                     assert_eq!(
                         *sent,
                         TierBytes::on(Tier::Intra, share),
-                        "world {world} n {n} elem {elem} rank {r}: returned bytes"
+                        "world {world} n {n} elem {elem} rank {r}"
                     );
-                    analytic += share;
                 }
-                assert_eq!(
-                    analytic, measured,
-                    "world {world} n {n} elem {elem}: analytic {analytic} vs measured {measured}"
-                );
             }
         }
     }
 }
 
-/// Codec-framed exchanges: the analytic `wire_bytes` must keep matching
-/// the recorder byte-for-byte for every lossless codec, on flat and
-/// two-tier schedules, at awkward sizes where `Ug·D` is ragged by `G`.
+/// Codec-framed exchanges: every rank's index gather returns its
+/// encoded frame to each peer, and its ALLREDUCE never more than the
+/// identity schedule's share, per tier — for every lossless codec, on
+/// flat and two-tier schedules, at sizes where `Ug·D` is ragged by `G`.
 #[test]
 fn codec_analytic_wire_bytes_match_measured_traffic_exactly() {
     for world in [2usize, 3, 5, 8] {
@@ -227,16 +214,34 @@ fn codec_analytic_wire_bytes_match_measured_traffic_exactly() {
                         codec,
                         ..ExchangeConfig::baseline()
                     };
-                    let (stats, traffic) = measure(world, tokens, dim, cfg);
-                    let analytic: u64 = stats.iter().map(|s| s.wire_bytes).sum();
-                    let measured = traffic.allgather_bytes + traffic.allreduce_bytes;
-                    assert_eq!(
-                        analytic,
-                        measured,
-                        "world {world} K {tokens} D {dim} gpn {gpn} codec {}: \
-                         analytic {analytic} vs measured {measured}",
-                        codec.name()
-                    );
+                    let topology = cfg.topology();
+                    for (r, s) in measure(world, tokens, dim, cfg).iter().enumerate() {
+                        let ctx = format!(
+                            "world {world} K {tokens} D {dim} gpn {gpn} codec {} rank {r}",
+                            codec.name()
+                        );
+                        let publish = match codec.index_codec() {
+                            Some(c) => c.encoded_len_u32(&indices(r, tokens)),
+                            None => tokens as u64 * 4,
+                        };
+                        let gather = simgpu::peer_exchange_tier_bytes(world, world, r, publish);
+                        assert_eq!(
+                            (s.sent.allgather_intra_bytes, s.sent.allgather_inter_bytes),
+                            (gather.intra, gather.inter),
+                            "{ctx}: index gather"
+                        );
+                        let n = s.unique_global * dim;
+                        let raw = simgpu::allreduce_send_bytes(n, world, world, topology, r, 4);
+                        assert!(
+                            s.sent.allreduce_intra_bytes <= raw.intra
+                                && s.sent.allreduce_inter_bytes <= raw.inter,
+                            "{ctx}: ALLREDUCE {:?} above identity {raw:?}",
+                            s.sent
+                        );
+                        if codec.grad_codec().is_none() {
+                            assert_eq!(s.sent.allreduce_bytes, raw.total(), "{ctx}");
+                        }
+                    }
                 }
             }
         }
@@ -245,11 +250,10 @@ fn codec_analytic_wire_bytes_match_measured_traffic_exactly() {
 
 /// The delta+varint index path priced from first principles: encoding
 /// each rank's index vector with the codec directly and charging
-/// `enc·(G−1)` per rank must predict the recorder's ALLGATHER total
-/// exactly — at a `G`-divisible token count and a ragged one.
+/// `enc·(G−1)` per rank must predict the ALLGATHER total exactly — at a
+/// `G`-divisible token count and a ragged one.
 #[test]
 fn delta_varint_index_prediction_matches_recorder() {
-    use simgpu::WireCodec;
     for world in [4usize, 5] {
         for tokens in [16usize, 13] {
             let cfg = ExchangeConfig {
@@ -257,31 +261,21 @@ fn delta_varint_index_prediction_matches_recorder() {
                 codec: simgpu::WireCodecId::LosslessIndex,
                 ..ExchangeConfig::baseline()
             };
-            let (stats, traffic) = measure(world, tokens, 6, cfg);
-            // Reconstruct each rank's index vector exactly as `measure`
-            // drew it and encode it with the codec under test.
+            let gathered = summed(&measure(world, tokens, 6, cfg)).allgather_bytes;
             let predicted: u64 = (0..world)
                 .map(|r| {
-                    let mut rng = StdRng::seed_from_u64(500 + r as u64);
-                    let indices: Vec<u32> = (0..tokens)
-                        .map(|_| rng.gen_range(0..VOCAB as u32))
-                        .collect();
-                    simgpu::DeltaVarintCodec.encoded_len_u32(&indices) * (world as u64 - 1)
+                    simgpu::DeltaVarintCodec.encoded_len_u32(&indices(r, tokens))
+                        * (world as u64 - 1)
                 })
                 .sum();
             assert_eq!(
-                predicted, traffic.allgather_bytes,
-                "world {world} K {tokens}: predicted {predicted} vs recorded {}",
-                traffic.allgather_bytes
+                predicted, gathered,
+                "world {world} K {tokens}: predicted {predicted} vs returned {gathered}"
             );
-            // The gradient path ran identity, so the analytic total
-            // still reconciles and the ALLREDUCE term is untouched.
-            let analytic: u64 = stats.iter().map(|s| s.wire_bytes).sum();
-            assert_eq!(analytic, traffic.allgather_bytes + traffic.allreduce_bytes);
             // Strictly smaller than the raw index gather at these
             // dense vocab-bounded draws.
             assert!(
-                traffic.allgather_bytes < (tokens as u64) * 4 * (world as u64 - 1) * world as u64,
+                gathered < (tokens as u64) * 4 * (world as u64 - 1) * world as u64,
                 "world {world} K {tokens}: index frames did not compress"
             );
         }
@@ -289,8 +283,8 @@ fn delta_varint_index_prediction_matches_recorder() {
 }
 
 /// Never-expand, per collective class: with any lossless codec the
-/// recorder's ALLGATHER and ALLREDUCE totals never exceed the identity
-/// run's — on flat and hierarchical schedules alike.
+/// ALLGATHER and ALLREDUCE totals never exceed the identity run's — on
+/// flat and hierarchical schedules alike.
 #[test]
 fn codec_recorded_bytes_never_exceed_identity() {
     for world in [3usize, 8] {
@@ -300,9 +294,9 @@ fn codec_recorded_bytes_never_exceed_identity() {
                 gpus_per_node: gpn,
                 ..ExchangeConfig::baseline()
             };
-            let (_, identity) = measure(world, 17, 5, base);
+            let identity = summed(&measure(world, 17, 5, base));
             for codec in simgpu::WireCodecId::lossless_ladder() {
-                let (_, coded) = measure(world, 17, 5, ExchangeConfig { codec, ..base });
+                let coded = summed(&measure(world, 17, 5, ExchangeConfig { codec, ..base }));
                 assert!(
                     coded.allgather_bytes <= identity.allgather_bytes,
                     "world {world} gpn {gpn} {}: gather expanded",
@@ -318,58 +312,74 @@ fn codec_recorded_bytes_never_exceed_identity() {
     }
 }
 
-/// End-to-end cross-check: `TrainReport::mean_step_bytes` (built from
-/// per-step `dense_bytes` + exchange `wire_bytes`) must reconcile with
-/// the group-global traffic recorder *exactly*. G = 2 keeps every
-/// rank's ring share identical even for non-divisible payloads, so
-/// rank 0's per-step attribution × G covers all dense + exchange
-/// bytes; the only recorded traffic it does not attribute is the
-/// per-step scalar loss ALLREDUCE (8·(G−1) bytes per rank per step).
+/// End to end at ragged worlds (G = 3 and 5 on two-GPU nodes): every
+/// rank's report carries the same `traffic`, whose bytes are the sum
+/// over every rank's steps of `dense_bytes`, both exchanges'
+/// `wire_bytes` and the loss reduction's 8 bytes to each peer, and
+/// whose op counts are the step's group calls — one dense ALLREDUCE,
+/// and per exchange the baseline's two ALLGATHERs or the unique path's
+/// index ALLGATHER and `Ug×D` ALLREDUCE.
 #[test]
-fn mean_step_bytes_reconciles_with_traffic_recorder() {
+fn traffic_is_the_sum_of_every_ranks_steps_at_ragged_worlds() {
     use zipf_lm::{
-        train, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, TraceConfig,
-        TrainConfig,
+        run, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, RunOptions,
+        TraceConfig, TrainConfig,
     };
-    for method in [Method::baseline(), Method::unique()] {
-        let cfg = TrainConfig {
-            model: ModelKind::Word { vocab: 150 },
-            gpus: 2,
-            batch: 2,
-            seq_len: 5,
-            steps_per_epoch: 5,
-            epochs: 1,
-            base_lr: 0.3,
-            lr_decay: 0.95,
-            method,
-            seed: 13,
-            tokens: 30_000,
-            trace: TraceConfig::off(),
-            metrics: MetricsConfig::off(),
-            checkpoint: CheckpointConfig::off(),
-            comm: CommConfig::flat(),
-        };
-        let rep = train(&cfg).expect("train");
-        let g = cfg.gpus as u64;
-        let steps = rep.steps.len() as u64;
-        assert_eq!(steps, 5);
-        let attributed: u64 = rep
-            .steps
-            .iter()
-            .map(|s| {
-                s.dense_bytes
-                    + s.input_exchange.wire_bytes
-                    + s.output_exchange.map(|e| e.wire_bytes).unwrap_or(0)
-            })
-            .sum();
-        let loss_reduce = steps * g * (g - 1) * 8;
-        assert_eq!(
-            attributed * g + loss_reduce,
-            rep.traffic.total_bytes(),
-            "method {method:?}"
-        );
-        // And the derived mean is the same totals divided by steps.
-        let mean = rep.mean_step_bytes();
-        assert!((mean - attributed as f64 / steps as f64).abs() < 1e-9);
+    const GPN: usize = 2;
+    for gpus in [3usize, 5] {
+        for method in [Method::baseline(), Method::unique()] {
+            let cfg = TrainConfig {
+                model: ModelKind::Word { vocab: 150 },
+                gpus,
+                batch: 2,
+                seq_len: 5,
+                steps_per_epoch: 5,
+                epochs: 1,
+                base_lr: 0.3,
+                lr_decay: 0.95,
+                method,
+                seed: 13,
+                tokens: 30_000,
+                trace: TraceConfig::off(),
+                metrics: MetricsConfig::off(),
+                checkpoint: CheckpointConfig::off(),
+                comm: CommConfig {
+                    gpus_per_node: GPN,
+                    hierarchical: true,
+                    ..CommConfig::flat()
+                },
+            };
+            let ctx = format!("G {gpus} method {method:?}");
+            let reports: Vec<_> = run(&cfg, &RunOptions::default())
+                .ranks
+                .into_iter()
+                .map(|r| r.expect("rank failed"))
+                .collect();
+            let traffic = reports[0].traffic;
+            let mut bytes = 0u64;
+            for (r, rep) in reports.iter().enumerate() {
+                assert_eq!(rep.traffic, traffic, "{ctx}: rank {r}'s traffic");
+                let loss = simgpu::peer_exchange_tier_bytes(gpus, GPN, r, 8).total();
+                bytes += rep.steps.iter().map(|s| s.wire_bytes() + loss).sum::<u64>();
+                // And the derived mean is this rank's step bytes / steps.
+                let mean = rep.mean_step_bytes() * rep.steps.len() as f64;
+                let own: u64 = rep.steps.iter().map(|s| s.wire_bytes()).sum();
+                assert!((mean - own as f64).abs() < 1e-6, "{ctx}: rank {r}");
+            }
+            assert_eq!(traffic.total_bytes(), bytes, "{ctx}");
+            let steps = reports[0].steps.len() as u64;
+            assert_eq!(steps, 5);
+            let (ar_per_exchange, ag_per_exchange) = if method.unique { (1, 1) } else { (0, 2) };
+            assert_eq!(
+                traffic.allreduce_ops,
+                steps * (1 + 2 * ar_per_exchange),
+                "{ctx}"
+            );
+            assert_eq!(traffic.allgather_ops, steps * 2 * ag_per_exchange, "{ctx}");
+            assert!(
+                traffic.inter_bytes() > 0,
+                "{ctx}: nodes of {GPN} must cross"
+            );
+        }
     }
 }
