@@ -492,10 +492,10 @@ fn run_round(
     // Topology: `comm.gpus_per_node == 0` defers to the hardware preset
     // (8 for the Table II cluster). The node layout only moves bytes
     // between the intra/inter tiers and selects the hierarchical wire
-    // schedule — it never changes results. A nonzero
-    // `pool_workers` additionally bounds how many rank threads run
-    // concurrently (see `simgpu::RunGate`), which is what lets
-    // paper-scale worlds of 48–192 ranks train on a small machine.
+    // schedule — it never changes results. A nonzero `pool_workers`
+    // additionally bounds how many rank threads run concurrently (see
+    // `simgpu::RunGate`), which is what lets paper-scale worlds of
+    // 48–192 ranks train on a small machine.
     let gpn = if cfg.comm.gpus_per_node == 0 {
         cost.hardware().gpus_per_node
     } else {

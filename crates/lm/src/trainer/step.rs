@@ -3,9 +3,8 @@
 //! [`LoopState`] is everything a rank carries from one step to the next:
 //! the replica, the learning rate and step counter, the epoch cursor
 //! (epoch, step within it, its partial loss and simulated time), the
-//! exchange scratch pools, the clock's hoisted buffers, the trace
-//! recorder and the rank's traffic ledger. Its methods are the
-//! rank-local work of a step;
+//! exchange scratch pools, the clock's hoisted buffers and the trace
+//! recorder. Its methods are the rank-local work of a step;
 //! the parent module's `run_rank` calls them with the collectives, the
 //! device charges and the checkpoint deposits in between, so nothing in
 //! this file can block on a peer — the shape a lockstep driver needs to
@@ -206,9 +205,6 @@ pub(super) struct LoopState<'a> {
     /// What the step's loss reduction sends: 8 bytes to every peer,
     /// charged to ALLREDUCE with no op (see [`TrafficSnapshot`]).
     pub(super) loss_sent: TrafficSnapshot,
-    /// This rank's sends this round: Σ of what every collective it
-    /// called returned, plus the loss reductions.
-    sent: TrafficSnapshot,
 }
 
 impl<'a> LoopState<'a> {
@@ -276,7 +272,6 @@ impl<'a> LoopState<'a> {
                 .enabled
                 .then(|| TraceRecorder::new(rank as u32, TRACE_EVENTS_PER_RANK)),
             loss_sent: TrafficSnapshot::allreduce(peer_exchange_tier_bytes(g, ctx.gpn, rank, 8), 0),
-            sent: TrafficSnapshot::default(),
         }
     }
 
@@ -416,7 +411,8 @@ impl<'a> LoopState<'a> {
     }
 
     /// Phase 3: prices the step on the simulated clock and records it,
-    /// and books the step's collectives into the rank's ledger.
+    /// and books what the step's collectives sent into the report's
+    /// `traffic` — this rank's ledger until the driver sums the ranks'.
     /// Synchronous SGD: the step ends when the slowest rank arrives, so
     /// every rank builds the same [`StepSchedule`] from the step's
     /// synchronised payloads, reads every rank's critical path off the
@@ -438,10 +434,10 @@ impl<'a> LoopState<'a> {
             rec.record(SpanKind::BarrierWait, start, end, 0);
         }
         for sent in [dense_wire.sent, input.sent, self.loss_sent] {
-            self.sent += sent;
+            self.report.traffic += sent;
         }
         if let Some(output) = output {
-            self.sent += output.sent;
+            self.report.traffic += output.sent;
         }
         let record = StepMetrics {
             step: self.global_step,
@@ -507,12 +503,9 @@ impl<'a> LoopState<'a> {
         self.epoch_time_ps = 0;
     }
 
-    /// Phase 5: the rank's report, with its own ledger as `traffic` (the
-    /// driver replaces it with the sum over ranks) and the run totals
-    /// folded in.
+    /// Phase 5: the rank's report, with the run totals folded in.
     pub(super) fn finish(mut self) -> TrainReport {
         let totals = self.totals();
-        self.report.traffic = self.sent;
         self.report.attribution = totals.attribution;
         self.report.mean_unique_global = totals.mean_unique_global();
         self.report.trace = self.recorder.map(TraceRecorder::finish);

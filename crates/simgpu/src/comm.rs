@@ -2600,35 +2600,28 @@ mod tests {
                     let r = rank.rank();
                     let (mut u, mut f, mut h) = (Vec::new(), Vec::new(), Vec::new());
                     let mut senders = Vec::new();
-                    let mut sent = Vec::new();
-                    sent.push(
+                    let mut staging = Vec::new();
+                    let sent = [
                         rank.all_gather_u32_visit(&idx(r), |s, payload| {
                             assert_eq!(payload.len(), shape_len(shape, s));
                             senders.push(s);
                             u.extend_from_slice(payload);
                             Ok(())
-                        })
-                        .unwrap(),
-                    );
-                    sent.push(
+                        }),
                         rank.all_gather_f32_visit(&rows(r), |s, payload| {
                             assert_eq!(payload.len(), shape_len(shape, s) * 3);
                             senders.push(s);
                             f.extend_from_slice(payload);
                             Ok(())
-                        })
-                        .unwrap(),
-                    );
-                    let mut staging = Vec::new();
-                    sent.push(
+                        }),
                         rank.all_gather_f16_visit(&rows(r), 512.0, &mut staging, |s, payload| {
                             assert_eq!(payload.len(), shape_len(shape, s) * 3);
                             senders.push(s);
                             h.extend_from_slice(payload);
                             Ok(())
-                        })
-                        .unwrap(),
-                    );
+                        }),
+                    ]
+                    .map(Result::unwrap);
                     let in_order: Vec<usize> = (0..3).flat_map(|_| 0..world).collect();
                     assert_eq!(senders, in_order, "every sender once, rank order");
                     let len = shape_len(shape, r) as u64;
