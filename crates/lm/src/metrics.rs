@@ -227,12 +227,12 @@ pub struct TrainReport {
     pub steps: Vec<StepMetrics>,
     /// Peak simulated device memory over all ranks (bytes).
     pub peak_mem_bytes: u64,
-    /// Every rank's sends in the last round, summed by the driver: bytes
-    /// are the sum over ranks of what each rank's collectives returned,
-    /// per class and tier; ops count group calls (each rank's ledger
-    /// counts them alike, so they are one rank's); the per-step scalar
-    /// loss reduction charges ALLREDUCE bytes but counts no op. The
-    /// same on every rank's report.
+    /// Every rank's sends in the last round, summed once its ranks
+    /// join: bytes are the sum over ranks of what each rank's
+    /// collectives returned, per class and tier; ops count group calls
+    /// (each rank's ledger counts them alike, so they are one rank's);
+    /// the per-step scalar loss reduction charges ALLREDUCE bytes but
+    /// counts no op. The same on every rank's report.
     pub traffic: TrafficSnapshot,
     /// Number of GPUs used.
     pub gpus: usize,

@@ -412,7 +412,7 @@ impl<'a> LoopState<'a> {
 
     /// Phase 3: prices the step on the simulated clock and records it,
     /// and books what the step's collectives sent into the report's
-    /// `traffic` — this rank's ledger until the driver sums the ranks'.
+    /// `traffic` — this rank's ledger until `run_round` sums the ranks'.
     /// Synchronous SGD: the step ends when the slowest rank arrives, so
     /// every rank builds the same [`StepSchedule`] from the step's
     /// synchronised payloads, reads every rank's critical path off the
