@@ -1333,3 +1333,76 @@ mod tests {
         }
     }
 }
+
+/// `simgpu::NodeSets` — the node-level first-occurrence function behind
+/// the unique-set gather — against [`ExchangeScratch::global_unique`]
+/// over the rank-major concatenation: the same set, in the same order,
+/// at every world, node size and contribution shape.
+#[cfg(test)]
+mod node_sets_differential {
+    use super::ExchangeScratch;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use simgpu::NodeSets;
+
+    const VOCAB: usize = 500;
+
+    /// Each rank's Zipf(1.1) indices, `tokens(r)` of them.
+    fn contributions(world: usize, seed: u64, tokens: impl Fn(usize) -> usize) -> Vec<Vec<u32>> {
+        let zipf = zipf::Zipf::new(VOCAB, 1.1);
+        (0..world)
+            .map(|r| {
+                let mut rng = StdRng::seed_from_u64(seed * 1000 + r as u64);
+                (0..tokens(r))
+                    .map(|_| zipf.sample(&mut rng) as u32)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The flat path's canonical set over `indices`.
+    fn flat_unique(scratch: &mut ExchangeScratch, indices: &[u32]) -> Vec<u32> {
+        scratch.all_indices.clear();
+        scratch.all_indices.extend_from_slice(indices);
+        scratch.global_unique();
+        scratch.unique.clone()
+    }
+
+    #[test]
+    fn node_sets_equal_the_flat_global_unique_in_order() {
+        let mut scratch = ExchangeScratch::new();
+        scratch.ensure_vocab(VOCAB);
+        let mut sets = NodeSets::new();
+        for world in [1usize, 2, 3, 8, 48, 192] {
+            for gpn in [1usize, 3, 8] {
+                // Uniform K (down to one token), then ragged K with
+                // every third rank contributing nothing.
+                let shapes: [(&str, &dyn Fn(usize) -> usize); 3] = [
+                    ("K 1", &|_| 1),
+                    ("K 24", &|_| 24),
+                    ("ragged", &|r| if r % 3 == 1 { 0 } else { 5 + r % 17 }),
+                ];
+                for (seed, (shape, tokens)) in shapes.into_iter().enumerate() {
+                    let ctx = format!("world {world} gpn {gpn} {shape}");
+                    let slots = contributions(world, seed as u64, tokens);
+                    sets.build(slots.iter().map(Vec::as_slice), gpn);
+                    let flat = flat_unique(&mut scratch, &slots.concat());
+                    assert_eq!(sets.global(), flat, "{ctx}: Î");
+                    assert_eq!(sets.nodes(), world.div_ceil(gpn), "{ctx}");
+                    let mut node_major = Vec::new();
+                    for (n, node) in slots.chunks(gpn).enumerate() {
+                        let want = flat_unique(&mut scratch, &node.concat());
+                        assert_eq!(sets.node(n), want, "{ctx}: U_{n}");
+                        node_major.extend_from_slice(sets.node(n));
+                    }
+                    assert_eq!(sets.node_total(), node_major.len(), "{ctx}");
+                    assert_eq!(flat_unique(&mut scratch, &node_major), flat, "{ctx}");
+                    for (r, slot) in slots.iter().enumerate() {
+                        let want = flat_unique(&mut scratch, slot);
+                        assert_eq!(sets.local(r), want, "{ctx}: Ĵ_{r}");
+                    }
+                }
+            }
+        }
+    }
+}

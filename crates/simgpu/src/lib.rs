@@ -49,6 +49,7 @@
 pub mod codec;
 pub mod comm;
 pub mod cost;
+pub mod dedupe;
 pub mod device;
 pub mod fault;
 pub mod hw;
@@ -67,6 +68,7 @@ pub use comm::{
     Topology, Wire,
 };
 pub use cost::{AlphaBeta, CostModel, TierCost};
+pub use dedupe::NodeSets;
 pub use device::{Allocation, Device, OomError};
 pub use fault::{DiskFault, DiskFaultPlan, FaultPlan};
 pub use hw::HardwareConfig;
