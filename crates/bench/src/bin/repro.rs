@@ -22,6 +22,7 @@
 //!   sota        §V-D comparison with Puri et al.
 //!   scoreboard  every paper figure the full-scale models answer, as
 //!               markdown
+//!   tiers       Table V's predicted step, flat vs two-tier
 //!   all         everything above (the default)
 //! ```
 //!
@@ -31,9 +32,10 @@
 //! their rows of `perfmodel::paper`, where every paper figure they are
 //! compared with is stated. `weak`, `overlap`, `codec_crossover` and
 //! `chaos` are the one writer of their simulated `BENCH_*.json` golden,
-//! and `fig1`, `table5`, `weak`, `fig5`, `fig7`, `fig8`, `sota` and
-//! `scoreboard` of EXPERIMENTS.md's block of the same name, which
-//! `zlm-bench` renders with the paper figures it is compared with: each
+//! and `fig1`, `table5`, `weak`, `fig5`, `fig7`, `fig8`, `sota`,
+//! `scoreboard` and `tiers` of EXPERIMENTS.md's block of the same name,
+//! which `zlm-bench` (or, for the modelled two, `perfmodel::paper`)
+//! renders with the paper figures it is compared with: each
 //! rewrites its file from the quick run (`--full` only prints), and a
 //! tier-1 test fails when a file is not what its quick run renders.
 
@@ -43,7 +45,7 @@ use zlm_bench::{golden_json, golden_path, GoldenRow, EXPERIMENTS_MD};
 
 /// Every artifact but `all`, in the order `all` runs them.
 const ARTIFACTS: &str = "fig1 table1 memex table3 fig6 table4 table5 weak overlap \
-     codec_crossover chaos memory fig5 fig7 fig8 sota scoreboard";
+     codec_crossover chaos memory fig5 fig7 fig8 sota scoreboard tiers";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,6 +73,7 @@ fn main() {
             "fig8" => fig8(quick),
             "sota" => sota(quick),
             "scoreboard" => scoreboard(),
+            "tiers" => tiers(),
             other => unreachable!("artifact {other} has no section"),
         }
     }
@@ -244,6 +247,11 @@ fn sota(quick: bool) {
 fn scoreboard() {
     banner("Every paper figure the full-scale models answer");
     write_block("scoreboard", &paper::markdown(&paper::scoreboard()), true);
+}
+
+fn tiers() {
+    banner("Table V predicted step: flat vs two-tier collectives");
+    write_block("tiers", &paper::tiers_markdown(), true);
 }
 
 #[cfg(test)]

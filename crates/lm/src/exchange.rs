@@ -12,9 +12,9 @@
 //!   [`ExchangeStats`] charges; the host applies each peer's rows where
 //!   the gather left them (see "The baseline reads in place").
 //! * unique: §III-A's seven steps — local duplicate reduction,
-//!   index-only ALLGATHER, global unique-index set, local scatter into
-//!   canonical rows, ALLREDUCE of the `Ug×D` matrix, apply. Per-GPU
-//!   cost `Θ(G·K + Ug·D)`.
+//!   index-only gather returning the global unique-index set, local
+//!   scatter into canonical rows, ALLREDUCE of the `Ug×D` matrix, apply.
+//!   Per-GPU cost `Θ(G·K + Ug·D)`.
 //!
 //! Either path can run with FP16 wire compression (§III-C). Both are
 //! reached through [`exchange_and_apply_with`] (or its tracing twin
@@ -27,12 +27,14 @@
 //! gathered indices, locally-reduced rows, the canonical unique set, the
 //! `Ug×D` scatter matrix and the baseline's one-sender FP16 staging rows
 //! all live in reused buffers, so steady-state steps perform **zero heap
-//! allocation**. The global unique set is
-//! derived in `O(G·K)` with an epoch-stamped vocabulary slot map instead
-//! of the former `sort_unstable + dedup + binary_search` over all `G·K`
-//! gathered indices: the gathered index vector is identical on every
-//! rank (rank-order ALLGATHER), so *first-occurrence order within it* is
-//! already a canonical total order every rank derives independently.
+//! allocation**. The unique path's index gather
+//! ([`Rank::all_gather_unique`]) returns the canonical global set `Î`
+//! itself: first occurrence over the rank-major concatenation of every
+//! rank's indices — a total order every rank agrees on, no sort needed —
+//! derived once per step, in `O(G·K)`, by the collective's rendezvous
+//! leader. No rank re-scans a `G·K` index vector; each maps `Î`'s `Ug`
+//! words to their rows. Across nodes the same collective deduplicates
+//! per node first, so only the node leaders cross Infiniband.
 //! Per-phase wall-time (gather / unique / scatter / allreduce / apply)
 //! is recorded into [`PhaseTimings`] — and, when tracing, into the
 //! rank's [`TraceRecorder`] — by one [`simgpu::PhaseTimer`] lap per
@@ -104,7 +106,10 @@ impl PhaseTimings {
 /// What one exchange cost this rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExchangeStats {
-    /// Gradient rows this rank contributed (`K`, with duplicates).
+    /// Gradient rows per rank (`K`, with duplicates): this rank's own
+    /// on the baseline, the group's mean `⌊Σ_r K_r / G⌋` on the unique
+    /// path — every rank's own `K` whenever contributions are uniform,
+    /// and rank-invariant when they are not.
     pub local_tokens: usize,
     /// Locally-unique words (`Ui`) — only set by the unique path.
     pub unique_local: usize,
@@ -131,9 +136,13 @@ pub struct ExchangeStats {
     /// Never exceeds `reduce_raw_bytes` (codecs never expand).
     pub reduce_enc_bytes: u64,
     /// Σ over all ranks of the encoded index-publish length for step
-    /// 3's ALLGATHER (raw equivalent: `local_tokens · 4 · G`). Computed
-    /// from the gathered vector, so every rank prices the same number.
+    /// 3's gather (raw equivalent: `local_tokens · 4 · G`): the exact Σ
+    /// of the frames the collective saw, so every rank prices the same
+    /// number.
     pub index_enc_bytes: u64,
+    /// `Σ_n |U_n|`: the node sets the unique path's index gather moved
+    /// between node leaders; 0 when it ran flat (and on the baseline).
+    pub node_unique: usize,
     /// Measured wall-time per phase on this rank.
     pub timings: PhaseTimings,
 }
@@ -147,6 +156,7 @@ impl From<&ExchangeStats> for ExchangeLoad {
             local_tokens: s.local_tokens,
             unique_global: s.unique_global,
             index_enc_bytes: s.index_enc_bytes,
+            node_unique: s.node_unique,
             reduce: (s.reduce_enc_bytes, s.reduce_raw_bytes),
         }
     }
@@ -160,7 +170,8 @@ impl From<&ExchangeStats> for ExchangeLoad {
 /// invalidates every entry in O(1) instead of clearing the arrays.
 #[derive(Debug, Default)]
 pub struct ExchangeScratch {
-    /// Gathered `G·K` index vector (identical on all ranks).
+    /// Gathered `G·K` index vector (baseline path only; identical on all
+    /// ranks).
     all_indices: Vec<u32>,
     /// How many of `all_indices` each sender contributed, rank order
     /// (baseline path only: which indices a sender's rows belong to).
@@ -224,11 +235,13 @@ impl ExchangeScratch {
         }
     }
 
-    /// Step 4 of §III-A in O(G·K): derive the canonical unique set from
-    /// the gathered index vector. `all_indices` is the same on every
-    /// rank, so first-occurrence order within it *is* a total order all
-    /// ranks agree on — no sort needed. Leaves `slot_of[w]` valid for
-    /// every `w` in the set (current epoch).
+    /// The flat derivation of step 4 in O(G·K): the canonical unique set
+    /// as first occurrence in a gathered index vector `all_indices`
+    /// (the same on every rank, so a total order all ranks agree on).
+    /// Leaves `slot_of[w]` valid for every `w` in the set (current
+    /// epoch). The exchange no longer runs it: the unique-set gather
+    /// returns the same set, and the tests hold the two equal.
+    #[cfg(test)]
     fn global_unique(&mut self) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -240,6 +253,15 @@ impl ExchangeScratch {
                 self.slot_of[w] = self.unique.len() as u32;
                 self.unique.push(self.all_indices[i]);
             }
+        }
+    }
+
+    /// Points `slot_of` at each word's row of the canonical `Ug×D`
+    /// layout, in O(Ug): the scatter of step 5 looks up every locally
+    /// unique word, and each one is in `unique`.
+    fn slot_unique(&mut self) {
+        for (slot, &w) in self.unique.iter().enumerate() {
+            self.slot_of[w as usize] = slot as u32;
         }
     }
 }
@@ -262,7 +284,7 @@ pub fn exchange_and_apply_with(
 /// per phase into `trace` (span kinds Gather / Unique / Scatter /
 /// AllReduce / Apply, with the phase's exact wire bytes; the unique
 /// path emits two `Unique` spans per step — the local reduction of
-/// steps 1–2 and the global set derivation of step 4 — and the
+/// steps 1–2 and the mapping of step 4's global set to its rows — and the
 /// baseline's `Apply` span carries its row gather, whose rows are
 /// applied as they arrive). `None` disables recording at the cost of
 /// one branch per phase.
@@ -371,8 +393,9 @@ fn baseline_exchange(
 }
 
 /// The uniqueness exchange — §III-A, steps 1–7 — on pooled buffers.
-/// `cfg.gpus_per_node > 0` sends step 6's `Ug×D` ALLREDUCE through the
-/// two-tier schedule when the group spans nodes.
+/// `cfg.gpus_per_node > 0` runs the index gather on its node schedule
+/// and step 6's `Ug×D` ALLREDUCE on the two-tier schedule when the
+/// group spans nodes.
 fn unique_exchange(
     rank: &Rank,
     grad: &SparseGrad,
@@ -382,9 +405,7 @@ fn unique_exchange(
     scratch: &mut ExchangeScratch,
     trace: Option<&mut TraceRecorder>,
 ) -> Result<ExchangeStats, CommError> {
-    let g = rank.world();
     let d = table.dim();
-    let n_local = grad.indices.len();
     scratch.ensure_vocab(table.vocab());
     let mut timer = PhaseTimer::start(trace);
     let mut timings = PhaseTimings::default();
@@ -395,47 +416,26 @@ fn unique_exchange(
     let u_local = scratch.reduced_indices.len();
     timings.unique_ns = timer.lap(SpanKind::Unique, 0);
 
-    // Step 3: ALLGATHER the *index* vectors J (Θ(G·K), not Θ(G·K·D)).
-    // With an index codec, each rank publishes its delta+varint frame
-    // and peers decode all G of them — the gathered vector is byte-for-
-    // byte what the raw gather produces, only the wire charge shrinks.
-    let index_codec = cfg.codec.index_codec();
-    let all_indices = &mut scratch.all_indices;
-    let index_sent = match index_codec {
-        Some(c) => rank.all_gather_u32_codec_into(&grad.indices, c, all_indices)?,
-        None => {
-            all_indices.clear();
-            rank.all_gather_u32_visit(&grad.indices, |_, indices| {
-                all_indices.extend_from_slice(indices);
-                Ok(())
-            })?
-        }
-    };
-    timings.gather_ns = timer.lap(SpanKind::Gather, index_sent.total());
-    // Σ over ranks of encoded publish lengths, sliced out of the
-    // gathered vector so every rank derives the identical total (the
-    // step scheduler needs all ranks to price one synchronized time).
-    // Ragged contributions can't be re-sliced; fall back to own × G.
-    let gathered = scratch.all_indices.len() as u64;
-    let index_enc_bytes = match index_codec {
-        Some(c) if scratch.all_indices.len() == n_local * g && n_local > 0 => (0..g)
-            .map(|q| c.encoded_len_u32(&scratch.all_indices[q * n_local..(q + 1) * n_local]))
-            .sum(),
-        Some(c) => c.encoded_len_u32(&grad.indices) * g as u64,
-        None => gathered * 4,
-    };
-
-    // Step 4: filter to the globally-unique, canonically-ordered index
-    // set Î in O(G·K). The gathered vector is identical on every rank,
-    // so first-occurrence order is a total order all ranks agree on —
-    // the slot assignment needs no sort and no further communication.
-    scratch.global_unique();
+    // Steps 3–4: one collective publishes the *index* vectors J
+    // (Θ(G·K), not Θ(G·K·D)) and returns the canonical set Î — first
+    // occurrence over the rank-major concatenation, identical on every
+    // rank. Across nodes only the node leaders cross Infiniband, each
+    // with its node's set U_n; with an index codec every frame is
+    // priced at its encoded length.
+    let gathered = rank.all_gather_unique(
+        &grad.indices,
+        cfg.codec.index_codec(),
+        cfg.topology(),
+        &mut scratch.unique,
+    )?;
+    timings.gather_ns = timer.lap(SpanKind::Gather, gathered.sent.total());
+    scratch.slot_unique();
     let u_global = scratch.unique.len();
     timings.unique_ns += timer.lap(SpanKind::Unique, 0);
 
     // Step 5: scatter ∆̂ into the canonical Ug×D layout M (zeros filled).
-    // `slot_of` still holds this epoch's global slots, giving O(1)
-    // lookup per locally-unique row.
+    // `slot_of` holds every word of Î's row, giving O(1) lookup per
+    // locally-unique row.
     scratch.m.clear();
     scratch.m.resize(u_global * d, 0.0);
     for (i, &idx) in scratch.reduced_indices.iter().enumerate() {
@@ -464,23 +464,30 @@ fn unique_exchange(
     timings.apply_ns = timer.lap(SpanKind::Apply, 0);
 
     // Index gather and step 6's ALLREDUCEs: what each returned.
-    let mut sent = TrafficSnapshot::allgather(index_sent, 1);
+    let mut sent = TrafficSnapshot::allgather(gathered.sent, 1);
     sent += reduced.sent;
-    // Buffers live simultaneously at the ALLREDUCE: G·K gathered
-    // indices, the locally-reduced Ĵ (Ui indices) + ∆̂ (Ui×D rows) that
-    // step 5 scatters from, and the Ug×D matrix M itself.
+    // Buffers live simultaneously at the ALLREDUCE: the indices the
+    // gather left on the GPU (every G·K of J on the flat schedule; the
+    // node sets Σ|U_n| and Î on the node schedule), the locally-reduced
+    // Ĵ (Ui indices) + ∆̂ (Ui×D rows) that step 5 scatters from, and the
+    // Ug×D matrix M itself.
+    let held = match gathered.node_sets {
+        0 => gathered.indices,
+        node_sets => node_sets + u_global as u64,
+    };
     let distinct = Some((u_local as u64, u_global as u64));
 
     Ok(ExchangeStats {
-        local_tokens: n_local,
+        local_tokens: (gathered.indices / rank.world() as u64) as usize,
         unique_local: u_local,
         unique_global: u_global,
         wire_bytes: sent.total_bytes(),
         sent,
-        peak_buffer_bytes: memory::exchange_bytes(gathered, d, distinct),
+        peak_buffer_bytes: memory::exchange_bytes(held, d, distinct),
         reduce_raw_bytes: reduced.raw,
         reduce_enc_bytes: reduced.enc,
-        index_enc_bytes,
+        index_enc_bytes: gathered.frames,
+        node_unique: gathered.node_sets as usize,
         timings,
     })
 }
@@ -762,6 +769,40 @@ mod tests {
     }
 
     #[test]
+    fn ragged_contributions_price_one_load_on_every_rank() {
+        // Ranks publish 5, 11 and 17 tokens under the delta+varint index
+        // codec: the load the clock prices — K, the Σ of every published
+        // frame, the node sets — is the same on every rank, flat and on
+        // nodes of two.
+        use simgpu::WireCodec;
+        let codec = simgpu::WireCodecId::LosslessIndex;
+        for gpn in [0usize, 2] {
+            let cfg = ExchangeConfig {
+                gpus_per_node: gpn,
+                codec,
+                ..ExchangeConfig::unique()
+            };
+            let stats = run_group(3, |rank| {
+                let grad = zipf_grad(40 + rank.rank() as u64, 5 + 6 * rank.rank());
+                oneshot(&rank, &grad, &mut make_table(3), &cfg).unwrap()
+            });
+            let frames: u64 = (0..3)
+                .map(|r| {
+                    let indices = zipf_grad(40 + r as u64, 5 + 6 * r).indices;
+                    simgpu::DeltaVarintCodec.encoded_len_u32(&indices)
+                })
+                .sum();
+            let load = ExchangeLoad::from(&stats[0]);
+            assert_eq!(load.index_enc_bytes, frames, "gpn {gpn}");
+            assert_eq!(load.local_tokens, 11, "gpn {gpn}: the mean K");
+            assert_eq!(load.node_unique > 0, gpn > 0, "gpn {gpn}");
+            for (r, s) in stats.iter().enumerate() {
+                assert_eq!(ExchangeLoad::from(s), load, "gpn {gpn} rank {r}");
+            }
+        }
+    }
+
+    #[test]
     fn single_gpu_exchange_is_pure_local_update() {
         let res = exchange_result(1, ExchangeConfig::unique());
         assert_eq!(res[0].1.wire_bytes, 0);
@@ -856,10 +897,42 @@ mod tests {
         hierarchical_matches_flat(ExchangeConfig::unique(), 4);
     }
 
-    /// `cfg` with step 6 on the two-tier schedule, on multi-node groups:
-    /// tables bit-identical to `cfg` on one flat ring, and every rank's
-    /// returned bytes the two-tier schedule's at `elem` bytes per
-    /// element, tier by tier.
+    /// First-occurrence order of `indices`: §III-A's canonical order.
+    fn first_occurrence(indices: &[u32]) -> Vec<u32> {
+        let mut seen = std::collections::HashSet::new();
+        indices
+            .iter()
+            .copied()
+            .filter(|&i| seen.insert(i))
+            .collect()
+    }
+
+    /// Rank `r`'s raw index frames when every rank `q` contributes
+    /// `indices(q)` on nodes of `gpn`: its `J_r`, `Ĵ_r`, its node's `U_n`
+    /// and `Î`, at 4 bytes per index.
+    fn raw_frames(
+        world: usize,
+        gpn: usize,
+        r: usize,
+        indices: impl Fn(usize) -> Vec<u32>,
+    ) -> simgpu::UniqueFrames {
+        let gather =
+            |ranks: std::ops::Range<usize>| -> Vec<u32> { ranks.flat_map(&indices).collect() };
+        let node = r / gpn * gpn;
+        let bytes = |v: Vec<u32>| v.len() as u64 * 4;
+        simgpu::UniqueFrames {
+            indices: bytes(indices(r)),
+            local: bytes(first_occurrence(&indices(r))),
+            node: bytes(first_occurrence(&gather(node..(node + gpn).min(world)))),
+            global: bytes(first_occurrence(&gather(0..world))),
+        }
+    }
+
+    /// `cfg` with the unique path on its two-tier schedules, on
+    /// multi-node groups: tables bit-identical to `cfg` on one flat
+    /// ring, and every rank's returned bytes the node schedule's index
+    /// gather and the two-tier ALLREDUCE at `elem` bytes per element,
+    /// tier by tier.
     fn hierarchical_matches_flat(cfg: ExchangeConfig, elem: u64) {
         for (world, gpn) in [(6usize, 2usize), (8, 3)] {
             let flat = exchange_result(world, cfg);
@@ -880,12 +953,23 @@ mod tests {
                 assert_eq!(ft.as_slice(), ht.as_slice(), "{ctx} diverged from flat");
                 assert_eq!(fs.unique_global, hs.unique_global);
                 let n = fs.unique_global * D;
-                let gather = simgpu::peer_exchange_tier_bytes(world, gpn, r, 12 * 4);
+                let indices = |q: usize| make_grad(100 + q as u64, 12).indices;
+                let frames = raw_frames(world, gpn, r, indices);
+                let gather = simgpu::unique_gather_tier_bytes(world, gpn, two_tier(gpn), r, frames);
                 let tb = simgpu::allreduce_send_bytes(n, world, gpn, two_tier(gpn), r, elem);
                 let mut want = TrafficSnapshot::allgather(gather, 1);
                 want += TrafficSnapshot::allreduce(tb, 1);
                 assert_eq!(hs.sent, want, "{ctx}");
                 inter += tb.inter;
+                // The GPU holds the node sets and Î, not G·K indices.
+                let node_sets: usize = (0..world)
+                    .step_by(gpn)
+                    .map(|q| raw_frames(world, gpn, q, indices).node as usize / 4)
+                    .sum();
+                assert_eq!(hs.node_unique, node_sets, "{ctx}");
+                let (ui, ug) = (hs.unique_local as u64, hs.unique_global as u64);
+                let held = memory::exchange_bytes(node_sets as u64 + ug, D, Some((ui, ug)));
+                assert_eq!(hs.peak_buffer_bytes, held, "{ctx}");
             }
             assert!(inter > 0, "leaders must cross nodes");
         }

@@ -1221,8 +1221,9 @@ mod tests {
                 let mut ops = Vec::new();
                 let (_, alpha) = sched.ops_for(&mut ops, q);
                 let topology = xcfg.topology();
-                let gather = cost.allgather(0, gpus, gpn, topology, q);
-                let reduce = cost.allreduce(simgpu::TierBytes::default(), gpus, gpn, topology, q);
+                let empty = simgpu::TierBytes::default();
+                let gather = cost.unique_gather(empty, gpus, gpn, topology, q);
+                let reduce = cost.allreduce(empty, gpus, gpn, topology, q);
                 let gathers = ops
                     .iter()
                     .filter(|o| o.label.ends_with("allgather"))

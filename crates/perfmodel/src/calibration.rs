@@ -6,9 +6,9 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::charlm::{CharScale, TiebaScale};
+    use crate::charlm::CharScale;
     use crate::memory::exchange_bytes;
-    use crate::paper::{markdown, scoreboard};
+    use crate::paper::{markdown, scoreboard, tiers_markdown};
     use crate::wordlm::{TechniqueStack, WordScale};
 
     #[test]
@@ -48,23 +48,7 @@ mod tests {
                 w.output_rows(16, stack)
             );
         }
-        // The same predicted steps with every collective that may go
-        // two-tier on 8-GPU nodes: what moving the model off the flat
-        // ring would do, priced by the same clock and terms.
-        println!("=== Table V predicted step, flat ring vs two-tier (s) ===");
-        let t = TiebaScale::paper();
-        for r in t.table5() {
-            let (gpus, m) = (r.gpus, t.row(r.gpus, r.batch));
-            let terms = m.terms(gpus, TechniqueStack::Full);
-            let flat = m.schedule(gpus, TechniqueStack::Full);
-            let mut two_tier = m.schedule(gpus, TechniqueStack::Full);
-            two_tier.xcfg.gpus_per_node = two_tier.gpn;
-            let (f, h) = (terms.step_time(&flat), terms.step_time(&two_tier));
-            println!(
-                "{gpus:>3} gpus: flat {f:.4}  two-tier {h:.4}  ({:+.4} s, {:+.2} %)",
-                h - f,
-                (h / f - 1.0) * 100.0
-            );
-        }
+        println!("=== Table V predicted step, flat vs two-tier ===");
+        println!("{}", tiers_markdown());
     }
 }

@@ -203,6 +203,25 @@ impl TiebaScale {
         .collect()
     }
 
+    /// Table V's predicted seconds per step, `(gpus, flat, two-tier)`
+    /// per row: the same predicted step and terms priced with every
+    /// collective on the flat schedules, then with every collective that
+    /// may go two-tier on the cluster's nodes — the index gather on its
+    /// node schedule, the gradient ALLREDUCEs hierarchical.
+    pub fn tier_steps(&self) -> Vec<(usize, f64, f64)> {
+        self.table5()
+            .iter()
+            .map(|r| {
+                let m = self.row(r.gpus, r.batch);
+                let terms = m.terms(r.gpus, TechniqueStack::Full);
+                let flat = m.schedule(r.gpus, TechniqueStack::Full);
+                let mut two_tier = m.schedule(r.gpus, TechniqueStack::Full);
+                two_tier.xcfg.gpus_per_node = two_tier.gpn;
+                (r.gpus, terms.step_time(&flat), terms.step_time(&two_tier))
+            })
+            .collect()
+    }
+
     /// §V-C: aggregate achieved PFLOP/s at `g` GPUs.
     pub fn achieved_pflops(&self, g: usize) -> f64 {
         self.inner.cost.hardware().cluster_peak_flops(g) * CHAR_UTILIZATION / 1e15

@@ -21,14 +21,17 @@
 
 use crate::law::unique_words;
 
-/// Bytes one GPU holds at once for one embedding exchange whose
-/// `gathered` rows world-wide (`G·K`, `u32` indices) are `dim` wide, in
-/// FP32. `distinct` is `(Ui, Ug)` on the unique path, `None` on the
-/// baseline:
-/// * baseline — every gathered index and row, `G·K·(1+D)·4`;
+/// Bytes one GPU holds at once for one embedding exchange that leaves
+/// `gathered` `u32` indices on it, rows `dim` wide in FP32. `distinct`
+/// is `(Ui, Ug)` on the unique path, `None` on the baseline:
+/// * baseline — every gathered index and row, `G·K·(1+D)·4`
+///   (`gathered` is `G·K`);
 /// * unique — the gathered indices, the `Ui` locally reduced indices and
 ///   rows step 5 scatters from, and the `Ug×D` matrix it scatters into,
-///   all alive at the ALLREDUCE: `G·K·4 + Ui·(1+D)·4 + Ug·D·4`.
+///   all alive at the ALLREDUCE: `gathered·4 + Ui·(1+D)·4 + Ug·D·4`.
+///   `gathered` is `G·K` when the index gather runs flat, and the node
+///   sets plus the global set, `Σ_n|U_n| + Ug`, on its two-tier node
+///   schedule.
 pub fn exchange_bytes(gathered: u64, dim: usize, distinct: Option<(u64, u64)>) -> u64 {
     let d = dim as u64;
     match distinct {

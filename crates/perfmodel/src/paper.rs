@@ -270,6 +270,28 @@ pub fn markdown(rows: &[Row]) -> String {
     )
 }
 
+/// EXPERIMENTS.md's `tiers` block: Table V's predicted steps
+/// ([`TiebaScale::tier_steps`]) on the flat schedules and with every
+/// collective that may go two-tier on the cluster's nodes, and the
+/// difference.
+pub fn tiers_markdown() -> String {
+    let gpn = HardwareConfig::titan_x_cluster().gpus_per_node;
+    let mut out = String::from("| GPUs | flat (s/step) | two-tier (s/step) | two-tier − flat |\n");
+    out += "|---|---|---|---|\n";
+    for (gpus, flat, two_tier) in TiebaScale::paper().tier_steps() {
+        let diff = match gpus <= gpn {
+            true => "0 (one node)".to_string(),
+            false => format!(
+                "{:+.4} s ({:+.2} %)",
+                two_tier - flat,
+                (two_tier / flat - 1.0) * 100.0
+            ),
+        };
+        out += &format!("| {gpus} | {flat:.4} | {two_tier:.4} | {diff} |\n");
+    }
+    out
+}
+
 /// `doc` with the block `name` replaced by `body`, set off by a blank
 /// line on each side. A block runs from a `<!-- name: … -->` marker to
 /// `<!-- end name -->`. Every generated block of EXPERIMENTS.md goes
@@ -345,6 +367,17 @@ mod tests {
         {
             assert!(rows.iter().any(|r| r.id.starts_with(id)), "{id}");
         }
+    }
+
+    #[test]
+    fn experiments_md_block_is_the_tier_table() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+        let doc = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
+        let fix = "run `cargo run --release -p zlm-bench --bin repro tiers`";
+        assert!(
+            with_block(&doc, "tiers", &tiers_markdown()) == doc,
+            "EXPERIMENTS.md's block is stale: {fix}"
+        );
     }
 
     #[test]

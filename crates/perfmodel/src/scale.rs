@@ -63,13 +63,19 @@ macro_rules! scaling_tables {
                 let (dense_elems, input, output) = self.payload(g, stack);
                 let xcfg = stack.exchange();
                 let elem = xcfg.grad_wire().elem_bytes();
-                let exchange = |(k, ug, dim): $crate::scale::Rows| {
-                    let ug = if xcfg.unique { ug } else { 0 };
+                // A node's set is the payload's distinct rows at one
+                // node's GPUs; only a two-tier index gather reads it.
+                let gpn = self.cost.hardware().gpus_per_node;
+                let (_, node_input, node_output) = self.payload(gpn.min(g), stack);
+                let exchange = |(k, ug, dim): $crate::scale::Rows, node: $crate::scale::Rows| {
+                    let unique = |rows| if xcfg.unique { rows } else { 0 };
+                    let (ug, node) = (unique(ug), unique(node.1));
                     let reduce = (ug * dim) as u64 * elem;
                     ExchangeLoad {
                         local_tokens: k,
                         unique_global: ug,
                         index_enc_bytes: (g * k) as u64 * 4,
+                        node_unique: g.div_ceil(gpn) * node,
                         reduce: (reduce, reduce),
                     }
                 };
@@ -79,7 +85,7 @@ macro_rules! scaling_tables {
                     cost: &self.cost,
                     xcfg,
                     gpus: g,
-                    gpn: self.cost.hardware().gpus_per_node,
+                    gpn,
                     overlap: false,
                     compute_ps: simgpu::secs_to_ps(self.cost.compute_time(flops)),
                     dense_elems,
@@ -88,8 +94,8 @@ macro_rules! scaling_tables {
                     delay_ps: vec![0; g],
                     load: StepLoad {
                         dense: (dense, dense),
-                        input: exchange(input),
-                        output: output.map(exchange),
+                        input: exchange(input, node_input),
+                        output: output.zip(node_output).map(|(x, node)| exchange(x, node)),
                     },
                 }
             }

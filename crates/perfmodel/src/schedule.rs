@@ -55,13 +55,15 @@ pub struct ExchangeConfig {
     pub unique: bool,
     /// FP16 wire compression with this scaling factor (§III-C), if any.
     pub compression: Option<f32>,
-    /// GPUs per node; `> 0` routes the unique path's `Ug×D` ALLREDUCE
-    /// through the two-tier hierarchical schedule when the group spans
-    /// multiple nodes — compressed payloads included (the two tiers
-    /// carry the f16 wire format, bit-identical to the flat f16 ring).
-    /// `0` keeps everything on the flat single-tier ring. Results are
-    /// bit-identical either way; only the wire schedule and per-tier
-    /// byte accounting differ.
+    /// GPUs per node; `> 0` runs the unique path's collectives on their
+    /// two-tier schedules when the group spans multiple nodes: the
+    /// index gather deduplicates per node and only the node leaders
+    /// cross Infiniband (`simgpu::unique_gather_tier_bytes`), and the
+    /// `Ug×D` ALLREDUCE takes the hierarchical schedule — compressed
+    /// payloads included (the two tiers carry the f16 wire format,
+    /// bit-identical to the flat f16 ring). `0` keeps everything on the
+    /// flat single-tier schedules. Results are bit-identical either way;
+    /// only the wire schedule and per-tier byte accounting differ.
     pub gpus_per_node: usize,
     /// Gradient-bucket size in wire bytes for the unique path's `Ug×D`
     /// ALLREDUCE: `> 0` slices the payload into consecutive element
@@ -141,13 +143,18 @@ impl ExchangeConfig {
 /// stats are synchronised by construction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExchangeLoad {
-    /// Rows each rank contributes (`K`, duplicates included).
+    /// Rows each rank contributes (`K`, duplicates included; the mean
+    /// over ranks when contributions are ragged).
     pub local_tokens: usize,
     /// Rows distinct across the world (`Ug`); 0 on the baseline path.
     pub unique_global: usize,
-    /// Σ over ranks of the unique path's encoded index frames (raw
-    /// equivalent: `local_tokens · 4 · G`).
+    /// Σ over ranks of the unique path's encoded index frames `J_r`
+    /// (raw equivalent: `local_tokens · 4 · G`).
     pub index_enc_bytes: u64,
+    /// `Σ_n |U_n|`: the node sets the leaders exchange when the unique
+    /// path's index gather runs its two-tier node schedule; 0 when it
+    /// runs flat.
+    pub node_unique: usize,
     /// The `Ug×D` ALLREDUCE's `(enc, raw)` bytes.
     pub reduce: (u64, u64),
 }
@@ -657,26 +664,68 @@ impl StepSchedule<'_> {
         })
     }
 
-    /// Appends one unique exchange's index ALLGATHER, priced under the
-    /// config's topology like the ALLREDUCEs, so a hierarchical run's
-    /// collectives agree about which peers are node-local. The indices
-    /// are known the moment the batch loads, so with overlap on the op
-    /// is ready at 0 — which is also why [`Self::ops_for`] launches
-    /// these *first*: they are the only ops that can cover the head of
-    /// the compute window, before any gradient exists.
+    /// Appends one unique exchange's index gather, priced under the
+    /// config's topology like the ALLREDUCEs: the flat peer gather, or
+    /// across nodes the node schedule (`simgpu::unique_gather_tier_bytes`)
+    /// at the load's mean frames — `K` indices per rank, `Σ|U_n| / N`
+    /// per node set, `Ug` for the broadcast and the smaller of `K` and
+    /// the node set for a member's hand-off. The indices are known the
+    /// moment the batch loads, so with overlap on the op is ready at 0 —
+    /// which is also why [`Self::ops_for`] launches these *first*: they
+    /// are the only ops that can cover the head of the compute window,
+    /// before any gradient exists.
     fn push_index_gather(&self, w: &mut Walk, x: &ExchangeLoad, label: &'static str) {
-        // With an index codec each rank publishes its encoded frame;
-        // pricing uses the synchronized mean frame (`index_enc_bytes`
-        // is the Σ over ranks, identical everywhere), scaled in exact
-        // integer math so identity stays bit-for-bit the legacy price.
+        // With an index codec every frame is priced at the measured
+        // enc/raw ratio of the published frames (`index_enc_bytes` is
+        // their Σ over ranks, identical everywhere), scaled in exact
+        // integer math so identity stays bit-for-bit the raw price.
         let raw = x.local_tokens as u64 * 4;
-        let bytes = Self::scaled(raw, (x.index_enc_bytes, raw * self.gpus as u64));
+        let ratio = (x.index_enc_bytes, raw * self.gpus as u64);
+        let topology = self.xcfg.topology();
+        let nodes = match topology {
+            Topology::TwoTier { gpus_per_node } if self.gpus > gpus_per_node => {
+                Some((self.gpus.div_ceil(gpus_per_node), gpus_per_node))
+            }
+            Topology::TwoTier { .. } | Topology::Flat => None,
+        };
+        let (frames, codec_raw) = match nodes {
+            None => {
+                let frames = simgpu::UniqueFrames {
+                    indices: Self::scaled(raw, ratio),
+                    ..Default::default()
+                };
+                // One encode over the own frame + G decodes of gathered
+                // frames — (G+1)·K·4 raw bytes through the codec kernel.
+                (frames, (self.gpus as u64 + 1) * raw)
+            }
+            Some((n, gpn)) => {
+                let node = (x.node_unique / n) as u64 * 4;
+                let local = raw.min(node);
+                let global = x.unique_global as u64 * 4;
+                let frames = simgpu::UniqueFrames {
+                    indices: Self::scaled(raw, ratio),
+                    local: Self::scaled(local, ratio),
+                    node: Self::scaled(node, ratio),
+                    global: Self::scaled(global, ratio),
+                };
+                // A member encodes Ĵ and decodes Î; a leader decodes its
+                // members' Ĵ, encodes U_n, decodes the other leaders'
+                // and encodes Î.
+                let leader = w.q / gpn * gpn;
+                let raw = if w.q == leader {
+                    let members = gpn.min(self.gpus - leader) as u64;
+                    (members - 1) * local + n as u64 * node + global
+                } else {
+                    local + global
+                };
+                (frames, raw)
+            }
+        };
+        let sent = simgpu::unique_gather_tier_bytes(self.gpus, self.gpn, topology, w.q, frames);
         let price = self
             .cost
-            .allgather(bytes, self.gpus, self.gpn, self.xcfg.topology(), w.q);
-        // One encode over the own frame + G decodes of gathered
-        // frames — (G+1)·K·4 raw bytes through the codec kernel.
-        let codec_ps = self.codec_ps(self.xcfg.codec.index_codec(), (self.gpus as u64 + 1) * raw);
+            .unique_gather(sent, self.gpus, self.gpn, topology, w.q);
+        let codec_ps = self.codec_ps(self.xcfg.codec.index_codec(), codec_raw);
         let ready_ps = if self.overlap { 0 } else { self.compute_ps };
         w.push(label, 0, price, codec_ps, ready_ps);
     }
@@ -990,6 +1039,8 @@ mod tests {
                 local_tokens: tokens,
                 unique_global: (ug * k) as usize,
                 index_enc_bytes: coded(index_raw),
+                // Each node sees two thirds of the global set.
+                node_unique: gpus.div_ceil(gpn) * (ug * k) as usize * 2 / 3,
                 reduce: (coded(reduce_raw), reduce_raw),
             }
         };

@@ -20,7 +20,10 @@
 //! ([`Rank::all_gather_f32_visit`] and its `u32` / `f16` siblings hand
 //! the payload to the caller where it lies; the `_into` forms are the
 //! visitors that concatenate it), and a second rendezvous keeps slots
-//! from being rewritten under a reader.
+//! from being rewritten under a reader. The unique path's index gather
+//! ([`Rank::all_gather_unique`]) has a reduction instead — the last
+//! arriver derives the canonical unique set from every slot — so, like
+//! the ALLREDUCE, it needs one rendezvous.
 //!
 //! Reductions are computed in **canonical ascending rank order**
 //! (left-associated, rank 0 first) no matter which wire schedule is
@@ -39,7 +42,11 @@
 //! the Infiniband tier, intra-node broadcast). Every charge lands in a
 //! per-[`Tier`] bucket that exactly matches the analytic helper
 //! [`allreduce_send_bytes`] under the same [`Topology`], so analytic ==
-//! recorded holds to the byte, per tier.
+//! recorded holds to the byte, per tier. The unique-set gather charges
+//! the flat peer gather, or across nodes its node schedule (members hand
+//! their locally unique indices to the leader, leaders exchange node
+//! sets over Infiniband and broadcast the global set), matching
+//! [`unique_gather_tier_bytes`] the same way.
 //!
 //! Wire format and wire schedule are parameters of the one ALLREDUCE
 //! ([`Rank::all_reduce`] takes a [`Wire`] and a [`Topology`]), not
@@ -63,6 +70,7 @@
 //! convention that a communicator with a dead member is unusable.
 
 use crate::codec::WireCodec;
+use crate::dedupe::NodeSets;
 use crate::pool::RunGate;
 use crate::traffic::{Tier, TierBytes};
 use std::fmt;
@@ -469,6 +477,9 @@ struct GroupCore {
     gather_bytes: Vec<RwLock<(usize, Vec<u8>)>>,
     /// Reduction result written by the rendezvous leader, read by all.
     reduce_f32: Mutex<Vec<f32>>,
+    /// The unique-set gather's sets and charges, written by the
+    /// rendezvous leader, read by all.
+    unique: RwLock<UniqueState>,
     /// Optional bounded run pool: ranks release their run slot while
     /// parked at the rendezvous and re-acquire it on wake-up.
     gate: Option<Arc<RunGate>>,
@@ -543,6 +554,7 @@ impl CommGroup {
             gather_f64: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
             gather_bytes: (0..world).map(|_| RwLock::new((0, Vec::new()))).collect(),
             reduce_f32: Mutex::new(Vec::new()),
+            unique: RwLock::new(UniqueState::default()),
             gate: (pool_workers > 0).then(|| RunGate::new(pool_workers)),
         });
         (0..world)
@@ -663,6 +675,56 @@ pub fn peer_exchange_tier_bytes(
     TierBytes {
         intra: payload_bytes * (node_size as u64 - 1),
         inter: payload_bytes * (world - node_size) as u64,
+    }
+}
+
+/// The index frames one rank's unique-set gather ([`Rank::all_gather_unique`])
+/// can send, each at its wire length (the codec's encoded length, or 4
+/// bytes per index raw). A schedule sends only some of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct UniqueFrames {
+    /// The rank's index vector `J_r`: its frame to every peer on the
+    /// flat schedule.
+    pub indices: u64,
+    /// Its locally unique `Ĵ_r`: a node member's hand-off to its leader.
+    pub local: u64,
+    /// Its node's set `U_n`: a leader's frame to every other leader.
+    pub node: u64,
+    /// The global set `Î`: a leader's broadcast to its members.
+    pub global: u64,
+}
+
+/// Exact per-tier bytes `rank` sends in one unique-set gather on a group
+/// laid out `gpus_per_node` per node — what [`Rank::all_gather_unique`]
+/// returns, given the rank's `frames`.
+///
+/// [`Topology::TwoTier`] over a group that spans nodes runs the node
+/// schedule: each member hands `Ĵ_r` to its leader (one intra send), the
+/// `N` leaders exchange their node sets `U_n` (`N−1` inter sends each)
+/// and each leader broadcasts `Î` to its `m−1` members (intra). Anything
+/// else is the flat peer gather, [`peer_exchange_tier_bytes`] of `J_r`.
+pub fn unique_gather_tier_bytes(
+    world: usize,
+    gpus_per_node: usize,
+    topology: Topology,
+    rank: usize,
+    frames: UniqueFrames,
+) -> TierBytes {
+    let gpn = match topology {
+        Topology::TwoTier { gpus_per_node: gpn } if world > gpn => gpn,
+        Topology::TwoTier { .. } | Topology::Flat => {
+            return peer_exchange_tier_bytes(world, gpus_per_node, rank, frames.indices)
+        }
+    };
+    assert!(gpn >= 1, "topology needs at least one GPU per node");
+    let leader = rank / gpn * gpn;
+    if rank != leader {
+        return TierBytes::on(Tier::Intra, frames.local);
+    }
+    let members = gpn.min(world - leader) as u64;
+    TierBytes {
+        intra: frames.global * (members - 1),
+        inter: frames.node * (world.div_ceil(gpn) as u64 - 1),
     }
 }
 
@@ -884,6 +946,124 @@ fn leader_sum(core: &GroupCore, scale: Option<f32>) {
             }
         }
     }
+}
+
+/// What one [`Rank::all_gather_unique`] returns besides `Î`. Every
+/// field but `sent` is the same on every rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct UniqueGathered {
+    /// This rank's sends, per tier: [`unique_gather_tier_bytes`] of its
+    /// frames.
+    pub sent: TierBytes,
+    /// Σ over ranks of the published index frames `J_r` at their wire
+    /// lengths.
+    pub frames: u64,
+    /// Σ over ranks of `|J_r|`: the indices published world-wide.
+    pub indices: u64,
+    /// `Σ_n |U_n|`, the node sets the leaders exchange, when the node
+    /// schedule ran; 0 on the flat one.
+    pub node_sets: u64,
+}
+
+/// The unique-set gather's rendezvous state: the leader fills it, every
+/// rank reads its share. Buffers are reused across calls.
+#[derive(Debug, Default)]
+struct UniqueState {
+    /// Every rank's published `J_r`, rank-major (decoded under a codec).
+    indices: Vec<u32>,
+    /// End of each rank's `J_r` in `indices`.
+    ends: Vec<usize>,
+    /// Wire length of each rank's published frame.
+    published: Vec<u64>,
+    /// `Ĵ_r`, `U_n` and `Î`.
+    sets: NodeSets,
+    /// Every rank's sends.
+    sent: Vec<TierBytes>,
+    /// The rank-invariant part of the result.
+    totals: UniqueGathered,
+    /// The first sender whose frame failed to decode, as every rank
+    /// reports it.
+    error: Option<CommError>,
+}
+
+/// Canonical rendezvous work of the unique-set gather, run once by the
+/// barrier's last arriver: decode every published `J_r` (under
+/// `codec`; a frame that fails is recorded as an error naming its
+/// sender), build the sets with [`NodeSets::build`], then price every
+/// rank's frames under `topology` — the node schedule's `Ĵ_r` / `U_n` /
+/// `Î` at their encoded lengths, or the flat schedule's `J_r` as
+/// published.
+fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec>, topology: Topology) {
+    let world = core.world;
+    let mut state = core.unique.write();
+    let st = &mut *state;
+    st.error = None;
+    st.indices.clear();
+    st.ends.clear();
+    st.published.clear();
+    for sender in 0..world {
+        let published = match codec {
+            None => {
+                let slot = core.gather_u32[sender].read();
+                st.indices.extend_from_slice(&slot);
+                slot.len() as u64 * 4
+            }
+            Some(codec) => {
+                let slot = core.gather_bytes[sender].read();
+                let (n, frame) = &*slot;
+                if let Err(e) = codec.decode_u32(frame, *n, &mut st.indices) {
+                    st.error = Some(codec_error(sender, codec, e));
+                    return;
+                }
+                frame.len() as u64
+            }
+        };
+        st.ends.push(st.indices.len());
+        st.published.push(published);
+    }
+    let node_gpn = match topology {
+        Topology::TwoTier { gpus_per_node } if world > gpus_per_node => Some(gpus_per_node),
+        Topology::TwoTier { .. } | Topology::Flat => None,
+    };
+    let (indices, ends) = (&st.indices, &st.ends);
+    let slots = (0..world).map(|r| &indices[if r == 0 { 0 } else { ends[r - 1] }..ends[r]]);
+    st.sets.build(slots, node_gpn.unwrap_or(world));
+    let sets = &st.sets;
+    let len = |v: &[u32]| codec.map_or(v.len() as u64 * 4, |c| c.encoded_len_u32(v));
+    let global = node_gpn.map_or(0, |_| len(sets.global()));
+    st.sent.clear();
+    for r in 0..world {
+        let mut frames = UniqueFrames {
+            indices: st.published[r],
+            global,
+            ..UniqueFrames::default()
+        };
+        if let Some(gpn) = node_gpn {
+            match r % gpn {
+                0 => frames.node = len(sets.node(r / gpn)),
+                _ => frames.local = len(sets.local(r)),
+            }
+        }
+        let sent = unique_gather_tier_bytes(world, core.gpus_per_node, topology, r, frames);
+        st.sent.push(sent);
+    }
+    st.totals = UniqueGathered {
+        sent: TierBytes::default(),
+        frames: st.published.iter().sum(),
+        indices: st.indices.len() as u64,
+        node_sets: node_gpn.map_or(0, |_| sets.node_total() as u64),
+    };
+}
+
+/// A codec decode failure as a group poisoning attributed to `sender`,
+/// the rank whose published frame failed to decode — not the decoding
+/// rank — so every decoder names the *same* culprit and elastic
+/// recovery can shrink around it deterministically.
+fn codec_error(sender: usize, codec: &dyn WireCodec, err: crate::codec::CodecError) -> CommError {
+    CommError::abort(
+        sender,
+        format!("wire codec {} decode failed: {err}", codec.name()),
+    )
 }
 
 impl Rank {
@@ -1350,60 +1530,77 @@ impl Rank {
         Ok(sum)
     }
 
-    /// Poisons the group with a codec decode failure and returns the
-    /// typed error — malformed wire bytes must never panic a rank, and
-    /// peers blocked at the next rendezvous must observe the failure.
+    /// §III-A's unique-set gather: every rank publishes its indices
+    /// `J_r` and meets the group at **one** rendezvous, whose last
+    /// arriver derives each rank's `Ĵ_r`, each node's `U_n` and the
+    /// canonical global set `Î` ([`NodeSets::build`]: first occurrence
+    /// over the node-major concatenation of the `U_n`, which is first
+    /// occurrence over the rank-major concatenation of the `J_r`). `Î`
+    /// replaces `out`'s contents, identical on every rank and under every
+    /// `topology`.
     ///
-    /// The failure is attributed to `sender`, the rank whose published
-    /// frame failed to decode — not the decoding rank — so every
-    /// decoder names the *same* culprit and elastic recovery can shrink
-    /// around it deterministically.
-    fn codec_abort(
-        &self,
-        sender: usize,
-        codec: &dyn WireCodec,
-        err: crate::codec::CodecError,
-    ) -> CommError {
-        self.poison(CommError::abort(
-            sender,
-            format!("wire codec {} decode failed: {err}", codec.name()),
-        ))
-    }
-
-    /// Codec-framed variable-size ALLGATHER of `u32` payloads: each
-    /// rank's contribution crosses the wire in `codec`-encoded form and
-    /// every receiver decodes all senders, so the result is genuinely
-    /// reconstructed from wire bytes (a lossy or broken codec would be
-    /// caught by the bit-identity tests, a malformed payload yields a
-    /// typed [`CommError`]). Returns this rank's *encoded* payload
-    /// length to `G−1` peers, split per tier exactly like
-    /// [`Rank::all_gather_u32_visit`] — `peer_exchange_tier_bytes(G,
-    /// gpus_per_node, rank, codec.encoded_len_u32(local))`, never more
-    /// than the identity charge (codecs never expand).
-    pub fn all_gather_u32_codec_into(
+    /// With a `codec` each `J_r` crosses as its encoded frame and the
+    /// leader decodes all of them; a frame that fails to decode (an
+    /// armed [`Rank::corrupt_next_codec_frame`] tears it) poisons the
+    /// group with a typed error naming its sender, on every rank. Raw
+    /// publishes do not consume the latch.
+    ///
+    /// **Wire schedule and accounting** ([`unique_gather_tier_bytes`]):
+    /// [`Topology::TwoTier`] over a group that spans nodes charges the
+    /// node schedule — a member's `Ĵ_r` to its leader, each leader's
+    /// `U_n` to the `N−1` other leaders, each leader's `Î` to its
+    /// members — with every frame at its wire length (the codec's
+    /// encoded length). [`Topology::Flat`], and a group that fits in one
+    /// node, charge the flat peer gather of `J_r` as published. The
+    /// returned [`UniqueGathered`] holds this rank's sends and the
+    /// rank-invariant totals; `TwoTier { gpus_per_node: 0 }` is a typed
+    /// error on every rank that leaves the group usable.
+    pub fn all_gather_unique(
         &self,
         local: &[u32],
-        codec: &dyn WireCodec,
+        codec: Option<&dyn WireCodec>,
+        topology: Topology,
         out: &mut Vec<u32>,
-    ) -> Result<TierBytes, CommError> {
-        out.clear();
-        self.gather_rendezvous(
-            &self.core.gather_bytes,
-            |(n, frame)| {
+    ) -> Result<UniqueGathered, CommError> {
+        if let Topology::TwoTier { gpus_per_node: 0 } = topology {
+            return Err(CommError::abort(
+                self.rank,
+                "invalid topology: gpus_per_node must be at least 1",
+            ));
+        }
+        match codec {
+            None => {
+                let mut slot = self.core.gather_u32[self.rank].write();
+                slot.clear();
+                slot.extend_from_slice(local);
+            }
+            Some(codec) => {
+                let mut slot = self.core.gather_bytes[self.rank].write();
+                let (n, frame) = &mut *slot;
                 *n = local.len();
                 frame.clear();
                 codec.encode_u32(local, frame);
                 if self.take_corrupt_frame() {
                     corrupt_frame(frame, 0xA5);
                 }
-                frame.len() as u64
-            },
-            |sender, (n, frame)| {
-                codec
-                    .decode_u32(frame, *n, out)
-                    .map_err(|e| self.codec_abort(sender, codec, e))
-            },
-        )
+            }
+        }
+        let core = &self.core;
+        self.sync_leader(|| leader_unique(core, codec, topology))?;
+        // No departure barrier: slots are read only by the leader, and
+        // the next rendezvous's leader work — the only writer of this
+        // state — runs once every rank has finished here.
+        let st = self.core.unique.read();
+        if let Some(err) = st.error.clone() {
+            drop(st);
+            return Err(self.poison(err));
+        }
+        out.clear();
+        out.extend_from_slice(st.sets.global());
+        Ok(UniqueGathered {
+            sent: st.sent[self.rank],
+            ..st.totals
+        })
     }
 
     /// Passes every flat ring chunk of `data` through a real
@@ -1427,7 +1624,7 @@ impl Rank {
             }
             decoded.clear();
             if let Err(e) = codec.decode_f32(&wire, range.len(), &mut decoded) {
-                return Err(self.codec_abort(self.rank, codec, e));
+                return Err(self.poison(codec_error(self.rank, codec, e)));
             }
             data[range].copy_from_slice(&decoded);
         }
@@ -2045,14 +2242,9 @@ mod tests {
                 rank.corrupt_next_codec_frame();
             }
             let local = vec![rank.rank() as u32 * 100; 16];
-            let mut out = Vec::new();
-            rank.all_gather_u32_codec_into(
-                &local,
-                WireCodecId::Lossless
-                    .index_codec()
-                    .expect("lossless has an index codec"),
-                &mut out,
-            )
+            let codec = WireCodecId::Lossless.index_codec();
+            assert!(codec.is_some(), "lossless has an index codec");
+            rank.all_gather_unique(&local, codec, Topology::Flat, &mut Vec::new())
         });
         for (r, res) in results.iter().enumerate() {
             let err = res.clone().unwrap_err();
@@ -2092,14 +2284,12 @@ mod tests {
     fn corrupt_latch_is_one_shot() {
         use crate::codec::WireCodecId;
         let results = run_group(2, |rank| {
-            let codec = WireCodecId::Lossless
-                .index_codec()
-                .expect("lossless has an index codec");
+            let codec = WireCodecId::Lossless.index_codec();
             let mut out = Vec::new();
             if rank.rank() == 0 {
                 rank.corrupt_next_codec_frame();
             }
-            let first = rank.all_gather_u32_codec_into(&[1, 2, 3], codec, &mut out);
+            let first = rank.all_gather_unique(&[1, 2, 3], codec, Topology::Flat, &mut out);
             (first, rank.check_abort())
         });
         for (first, after) in &results {
@@ -2110,17 +2300,12 @@ mod tests {
         // round-trips the identical payload cleanly.
         let clean = run_group(2, |rank| {
             let mut out = Vec::new();
-            rank.all_gather_u32_codec_into(
-                &[1, 2, 3],
-                WireCodecId::Lossless
-                    .index_codec()
-                    .expect("lossless has an index codec"),
-                &mut out,
-            )
-            .map(|_| out)
+            let codec = WireCodecId::Lossless.index_codec();
+            rank.all_gather_unique(&[1, 2, 3, 1], codec, Topology::Flat, &mut out)
+                .map(|_| out)
         });
         for res in clean {
-            assert_eq!(res.unwrap(), vec![1, 2, 3, 1, 2, 3]);
+            assert_eq!(res.unwrap(), vec![1, 2, 3]);
         }
     }
 
@@ -2743,5 +2928,158 @@ mod tests {
         let tb = hierarchical_allreduce_send_bytes(64, 5, 2, 4, 4);
         assert_eq!(tb.intra, 0);
         assert_eq!(tb.inter, ring_allreduce_send_bytes(64, 3, 2, 4));
+    }
+
+    /// Rank `r`'s skewed indices (hot words repeat within and across
+    /// ranks): `tokens` of them, every fifth rank contributing none.
+    fn skewed_indices(r: usize, tokens: usize) -> Vec<u32> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77 + r as u64);
+        let n = if r % 5 == 3 { 0 } else { tokens };
+        (0..n)
+            .map(|_| (rng.gen::<f64>().powi(3) * 300.0) as u32)
+            .collect()
+    }
+
+    /// First-occurrence order of `v`, by a set rather than by marks.
+    fn first_occurrence(v: &[u32]) -> Vec<u32> {
+        let mut seen = std::collections::HashSet::new();
+        v.iter().copied().filter(|&w| seen.insert(w)).collect()
+    }
+
+    /// Rank `r`'s frames when rank `q` contributes `indices(q)` on nodes
+    /// of `gpn`, each *encoded* under `codec` and measured (4 bytes per
+    /// index without one).
+    fn encoded_frames(
+        world: usize,
+        gpn: usize,
+        r: usize,
+        codec: Option<&dyn WireCodec>,
+        indices: &impl Fn(usize) -> Vec<u32>,
+    ) -> UniqueFrames {
+        let len = |v: Vec<u32>| match codec {
+            None => v.len() as u64 * 4,
+            Some(c) => {
+                let mut frame = Vec::new();
+                c.encode_u32(&v, &mut frame);
+                frame.len() as u64
+            }
+        };
+        let gather =
+            |ranks: std::ops::Range<usize>| -> Vec<u32> { ranks.flat_map(indices).collect() };
+        let node = r / gpn * gpn;
+        UniqueFrames {
+            indices: len(indices(r)),
+            local: len(first_occurrence(&indices(r))),
+            node: len(first_occurrence(&gather(node..(node + gpn).min(world)))),
+            global: len(first_occurrence(&gather(0..world))),
+        }
+    }
+
+    /// One unique-set gather of [`skewed_indices`] on a `world`-rank
+    /// group of `gpn`-GPU nodes: every rank gets the flat path's set in
+    /// order, sends exactly [`unique_gather_tier_bytes`] of its frames
+    /// encoded under `codec`, and reads the same totals.
+    fn check_unique_gather(
+        world: usize,
+        gpn: usize,
+        topology: Topology,
+        codec: Option<&dyn WireCodec>,
+    ) {
+        let indices = |q: usize| skewed_indices(q, 1 + world % 7 * 3);
+        let ctx = format!(
+            "world {world} gpn {gpn} {topology:?} {:?}",
+            codec.map(|c| c.name())
+        );
+        let got = run_group_topo(world, gpn, |rank| {
+            let mut out = vec![7];
+            let g = rank.all_gather_unique(&indices(rank.rank()), codec, topology, &mut out);
+            (g.unwrap(), out)
+        });
+        let all: Vec<u32> = (0..world).flat_map(indices).collect();
+        let frames: Vec<UniqueFrames> = (0..world)
+            .map(|r| encoded_frames(world, gpn, r, codec, &indices))
+            .collect();
+        let node_sets = match topology {
+            Topology::TwoTier { .. } if world > gpn => (0..world)
+                .step_by(gpn)
+                .map(|q| encoded_frames(world, gpn, q, None, &indices).node / 4)
+                .sum(),
+            _ => 0,
+        };
+        let mut inter = 0;
+        for (r, (g, out)) in got.iter().enumerate() {
+            assert_eq!(*out, first_occurrence(&all), "{ctx} rank {r}: Î");
+            let want = UniqueGathered {
+                sent: unique_gather_tier_bytes(world, gpn, topology, r, frames[r]),
+                frames: frames.iter().map(|f| f.indices).sum(),
+                indices: all.len() as u64,
+                node_sets,
+            };
+            assert_eq!(*g, want, "{ctx} rank {r}");
+            if node_sets > 0 && r % gpn != 0 {
+                assert_eq!(g.sent.inter, 0, "{ctx}: member {r} crossed nodes");
+            }
+            inter += g.sent.inter;
+        }
+        if node_sets > 0 {
+            assert!(inter > 0, "{ctx}: leaders must cross nodes");
+        }
+    }
+
+    #[test]
+    fn unique_gather_returns_its_analytic_tier_bytes() {
+        use crate::codec::WireCodecId;
+        let delta = WireCodecId::LosslessIndex.index_codec();
+        assert!(delta.is_some(), "lossless-index has an index codec");
+        for world in [1usize, 2, 3, 5, 11, 24, 192] {
+            for gpn in [1usize, 2, 3, 8] {
+                for topology in [Topology::Flat, Topology::TwoTier { gpus_per_node: gpn }] {
+                    for codec in [None, delta] {
+                        check_unique_gather(world, gpn, topology, codec);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_unique_gather_frame_names_its_member_or_leader_on_every_rank() {
+        use crate::codec::WireCodecId;
+        let codec = WireCodecId::Lossless.index_codec();
+        let (world, gpn) = (24usize, 8usize);
+        // Rank 5 is a member of node 0, rank 8 leads node 1.
+        for culprit in [5usize, 8] {
+            let results = run_group_topo(world, gpn, |rank| {
+                if rank.rank() == culprit {
+                    rank.corrupt_next_codec_frame();
+                }
+                let local = skewed_indices(rank.rank(), 12);
+                let topology = Topology::TwoTier { gpus_per_node: gpn };
+                let first = rank.all_gather_unique(&local, codec, topology, &mut Vec::new());
+                (first, rank.barrier())
+            });
+            for (r, (first, after)) in results.iter().enumerate() {
+                let err = first.clone().unwrap_err();
+                assert_eq!(err.failed_rank(), culprit, "rank {r}: {err}");
+                assert!(err.reason().contains("decode failed"), "rank {r}: {err}");
+                assert_eq!(after.as_ref().unwrap_err(), &err, "group stays poisoned");
+            }
+        }
+    }
+
+    #[test]
+    fn unique_gather_gpn_zero_is_typed_error_and_recoverable() {
+        let results = run_group(3, |rank| {
+            let zero = Topology::TwoTier { gpus_per_node: 0 };
+            let err = rank.all_gather_unique(&[1, 2], None, zero, &mut Vec::new());
+            let mut out = Vec::new();
+            let ok = rank.all_gather_unique(&[rank.rank() as u32], None, Topology::Flat, &mut out);
+            (err, ok.map(|_| out))
+        });
+        for (r, (err, ok)) in results.into_iter().enumerate() {
+            assert_eq!(err.unwrap_err().failed_rank(), r);
+            assert_eq!(ok.unwrap(), vec![0, 1, 2]);
+        }
     }
 }

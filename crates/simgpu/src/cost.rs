@@ -2,13 +2,15 @@
 //!
 //! Translates byte volumes and FLOP counts into simulated wall-clock
 //! seconds on a [`HardwareConfig`]. This is the only file that knows
-//! what a collective costs; the two pricing functions return each
+//! what a collective costs; the three pricing functions return each
 //! tier's hop latency (α) and byte time (β) apart:
 //!
 //! * ring ALLREDUCE of `n` bytes over `G` GPUs:
 //!   `α = 2(G−1)·latency`, `β = 2(G−1)/G · n / bandwidth`
 //! * ALLGATHER collecting `n_local` bytes from each of `G` GPUs:
-//!   `α = (G−1)·latency`, `β = (G−1) · n_local / bandwidth`
+//!   `α = (G−1)·latency`, `β = (G−1) · n_local / bandwidth`; the unique
+//!   path's index gather across `N` nodes instead pays `N−1` inter-node
+//!   hops on each leader and none on a member
 //! * compute: `flops / (peak · utilisation)`
 //!
 //! These are exactly the asymptotics the paper quotes (`Θ(G·K·D)`
@@ -192,13 +194,16 @@ impl CostModel {
         }
     }
 
-    /// What one ALLGATHER of `bytes_per_gpu` from every GPU costs
-    /// `rank` of `gpus` laid out `gpn` per node. Flat ring (and any
-    /// group that fits in one node): `G−1` hops, each forwarding one
-    /// contribution, on the rank's egress tier. Two-tier, the α–β
-    /// mirror of [`crate::comm::peer_exchange_tier_bytes`]: the rank
-    /// sends its payload once per peer, node-mates at intra-node
-    /// constants and remote peers at inter-node constants.
+    /// What one peer ALLGATHER of `bytes_per_gpu` from every GPU costs
+    /// `rank` of `gpus` laid out `gpn` per node — the baseline's row
+    /// gather. Flat ring (and any group that fits in one node): `G−1`
+    /// hops, each forwarding one contribution, on the rank's egress
+    /// tier. Two-tier, the α–β mirror of
+    /// [`crate::comm::peer_exchange_tier_bytes`]: the rank sends its
+    /// payload once per peer, node-mates at intra-node constants and
+    /// remote peers at inter-node constants. The unique path's index
+    /// gather is [`Self::unique_gather`], which deduplicates per node
+    /// instead of sending to every remote peer.
     pub fn allgather(
         &self,
         bytes_per_gpu: u64,
@@ -216,6 +221,45 @@ impl CostModel {
         TierCost {
             intra: price(self.link(Tier::Intra), near, near * bytes),
             inter: price(self.link(Tier::Inter), far, far * bytes),
+        }
+    }
+
+    /// What one unique-set gather ([`crate::Rank::all_gather_unique`])
+    /// costs `rank` of `gpus` laid out `gpn` per node, given the exact
+    /// per-tier bytes `sent` it puts on the wire
+    /// ([`crate::comm::unique_gather_tier_bytes`] under the same
+    /// `topology`).
+    ///
+    /// Flat (and any group that fits in one node): the peer gather,
+    /// priced as [`Self::allgather`] prices it — `G−1` hops and
+    /// `sent.total()` bytes on the rank's egress tier. Two-tier across
+    /// nodes, the node schedule: a member pays one intra hop (its
+    /// hand-off to the leader) and no inter-node time; a leader pays
+    /// `m−1` intra hops (its broadcast to the node's `m` members) and the
+    /// `N−1` inter-node hops of the leaders' exchange.
+    pub fn unique_gather(
+        &self,
+        sent: TierBytes,
+        gpus: usize,
+        gpn: usize,
+        topology: Topology,
+        rank: usize,
+    ) -> TierCost {
+        let Some((leader, members)) = node_of(gpus, gpn, topology, rank) else {
+            let peers = (gpus - 1) as f64;
+            return self.ring(gpus, gpn, rank, peers, sent.total() as f64);
+        };
+        let intra = self.link(Tier::Intra);
+        if rank != leader {
+            return TierCost {
+                intra: price(intra, 1.0, sent.intra as f64),
+                inter: AlphaBeta::default(),
+            };
+        }
+        let leaders = gpus.div_ceil(gpn) - 1;
+        TierCost {
+            intra: price(intra, (members - 1) as f64, sent.intra as f64),
+            inter: price(self.link(Tier::Inter), leaders as f64, sent.inter as f64),
         }
     }
 
@@ -248,7 +292,9 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::allreduce_send_bytes;
+    use crate::comm::{
+        allreduce_send_bytes, peer_exchange_tier_bytes, unique_gather_tier_bytes, UniqueFrames,
+    };
 
     fn model() -> CostModel {
         CostModel::new(HardwareConfig::titan_x_cluster(), 0.4)
@@ -564,6 +610,121 @@ mod tests {
                         }
                         assert!(fast.intra.alpha_ps() <= fast.intra.wire_ps());
                         assert!(fast.inter.alpha_ps() <= fast.inter.wire_ps());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rank `r`'s sends in a unique-set gather of `k` distinct indices
+    /// per rank (no duplicates anywhere, the largest frames there are).
+    fn distinct_frames(gpus: usize, gpn: usize, t: Topology, r: usize, k: u64) -> TierBytes {
+        let node = r / gpn * gpn;
+        let frames = UniqueFrames {
+            indices: k * 4,
+            local: k * 4,
+            node: gpn.min(gpus - node) as u64 * k * 4,
+            global: gpus as u64 * k * 4,
+        };
+        unique_gather_tier_bytes(gpus, gpn, t, r, frames)
+    }
+
+    #[test]
+    fn unique_gather_prices_leaders_at_node_hops_and_members_at_none() {
+        let m = model();
+        let hw = m.hardware().clone();
+        for (gpus, gpn) in [(24usize, 8usize), (192, 8), (11, 4), (5, 2)] {
+            let nodes = gpus.div_ceil(gpn);
+            for r in 0..gpus {
+                let sent = distinct_frames(gpus, gpn, two_tier(gpn), r, 12);
+                let price = m.unique_gather(sent, gpus, gpn, two_tier(gpn), r);
+                let members = gpn.min(gpus - r / gpn * gpn);
+                let ctx = format!("{gpus}/{gpn} rank {r}");
+                if r % gpn == 0 {
+                    let inter = (nodes - 1) as f64 * hw.inter_latency;
+                    assert_eq!(price.inter.alpha, inter, "{ctx}: leader");
+                    assert!(price.inter.beta > 0.0, "{ctx}: leader");
+                    let intra = (members - 1) as f64 * hw.intra_latency;
+                    assert_eq!(price.intra.alpha, intra, "{ctx}: leader");
+                } else {
+                    assert_eq!(price.inter, AlphaBeta::default(), "{ctx}: member");
+                    assert_eq!(price.intra.alpha, hw.intra_latency, "{ctx}: member");
+                }
+            }
+        }
+    }
+
+    /// Against the flat peer gather it replaces (the same `K` indices per
+    /// rank, every node-mate intra and every remote peer inter): the node
+    /// schedule never gives any rank more inter-node hops, never more
+    /// inter-node bytes to any node, and — when every node is full —
+    /// never more inter-node bytes to any rank, however large or
+    /// duplicate-free the payload. Groups that fit in one node, and the
+    /// flat topology, price today's peer gather to the byte and the
+    /// picosecond.
+    #[test]
+    fn node_schedule_never_adds_inter_node_alpha_or_bytes() {
+        let m = model();
+        for gpus in 2..=192usize {
+            for gpn in [1usize, 2, 3, 8] {
+                for k in [1u64, 640] {
+                    let peer = |r| peer_exchange_tier_bytes(gpus, gpn, r, k * 4);
+                    let mut node_inter = [0u64; 2];
+                    for r in 0..gpus {
+                        let ctx = format!("{gpus}/{gpn} rank {r} K {k}");
+                        let flat = m.allgather(k * 4, gpus, gpn, Topology::Flat, r);
+                        let sent = distinct_frames(gpus, gpn, Topology::Flat, r, k);
+                        assert_eq!(sent, peer(r), "{ctx}");
+                        assert_eq!(m.unique_gather(sent, gpus, gpn, Topology::Flat, r), flat);
+                        let t = two_tier(gpn);
+                        let today = m.allgather(k * 4, gpus, gpn, t, r);
+                        let sent = distinct_frames(gpus, gpn, t, r, k);
+                        let price = m.unique_gather(sent, gpus, gpn, t, r);
+                        if gpus <= gpn {
+                            assert_eq!((sent, price), (peer(r), today), "{ctx}");
+                            continue;
+                        }
+                        assert!(price.inter.alpha <= today.inter.alpha, "{ctx}");
+                        assert!(price.inter.alpha_ps() <= today.inter.alpha_ps(), "{ctx}");
+                        if gpus % gpn == 0 {
+                            assert!(sent.inter <= peer(r).inter, "{ctx}");
+                        }
+                        if r % gpn == 0 {
+                            node_inter = [0; 2];
+                        }
+                        node_inter[0] += sent.inter;
+                        node_inter[1] += peer(r).inter;
+                        if (r + 1) % gpn == 0 || r + 1 == gpus {
+                            assert!(node_inter[0] <= node_inter[1], "{ctx}: node");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unique_gather_alpha_is_payload_invariant_and_beta_linear() {
+        let m = model();
+        for (gpus, gpn, t) in shapes() {
+            for r in 0..gpus {
+                let alphas = |c: TierCost| [c.intra.alpha.to_bits(), c.inter.alpha.to_bits()];
+                let empty = alphas(m.unique_gather(TierBytes::default(), gpus, gpn, t, r));
+                for k in [1u64, 1000, 1 << 20] {
+                    let ctx = format!("{gpus}/{gpn} {t:?} rank {r} K {k}");
+                    let sent = distinct_frames(gpus, gpn, t, r, k);
+                    let base = m.unique_gather(sent, gpus, gpn, t, r);
+                    assert_eq!(alphas(base), empty, "{ctx}");
+                    for shift in [1u32, 5, 10] {
+                        let scaled = TierBytes {
+                            intra: sent.intra << shift,
+                            inter: sent.inter << shift,
+                        };
+                        let f = (1u64 << shift) as f64;
+                        let big = m.unique_gather(scaled, gpus, gpn, t, r);
+                        assert_eq!(alphas(big), empty, "{ctx}");
+                        assert_eq!(big.intra.beta, f * base.intra.beta, "{ctx}");
+                        assert_eq!(big.inter.beta, f * base.inter.beta, "{ctx}");
                     }
                 }
             }

@@ -13,9 +13,16 @@
 //!   format (f32, FP16 with compression scaling, lossless codec) and
 //!   wire schedule (the flat ring of Gibiansky's ring-allreduce the
 //!   paper cites, or the two-tier §V-C schedule) are parameters and
-//!   which returns the per-tier bytes it charged; four variable-size
-//!   ALLGATHERs (`u32`, `f32`, FP16, codec-framed `u32`) whose visiting
-//!   and codec forms return theirs too; a scalar reduce and a barrier.
+//!   which returns the per-tier bytes it charged; three variable-size
+//!   ALLGATHERs (`u32`, `f32`, FP16) whose visiting forms return theirs
+//!   too; the unique path's index gather
+//!   ([`comm::Rank::all_gather_unique`]), which returns the canonical
+//!   unique set after one rendezvous and, across nodes, deduplicates per
+//!   node so only node leaders cross Infiniband; a scalar reduce and a
+//!   barrier.
+//! * [`dedupe::NodeSets`] — the pure function behind that gather: each
+//!   rank's, each node's and the global first-occurrence set in one
+//!   pass.
 //! * [`traffic::TrafficSnapshot`] — an additive ledger of those returned
 //!   bytes by collective class and tier, so experiments can assert the
 //!   paper's Θ(G·K·D) vs Θ(G·K + Ug·D) communication claims on what the
@@ -64,8 +71,8 @@ pub use codec::{
 };
 pub use comm::{
     allreduce_send_bytes, chunk_range, f16_bits_to_f32, f32_to_f16_bits, peer_exchange_tier_bytes,
-    quantize_f16, ring_send_tier, AbortOnDrop, BarrierDeadline, CommError, CommGroup, Rank,
-    Topology, Wire,
+    quantize_f16, ring_send_tier, unique_gather_tier_bytes, AbortOnDrop, BarrierDeadline,
+    CommError, CommGroup, Rank, Topology, UniqueFrames, UniqueGathered, Wire,
 };
 pub use cost::{AlphaBeta, CostModel, TierCost};
 pub use dedupe::NodeSets;

@@ -135,26 +135,26 @@ const RAGGED_FLAT: [Steps; 2] = [
 
 #[rustfmt::skip]
 const RAGGED_TWO_TIER: [Steps; 2] = [
-    [[835_053_315, 973_297, 451_785_000, 379_545_601,   2_749_417, 0, 0, 0],
-     [834_781_859, 970_309, 451_344_000, 379_426_133,   3_041_417, 0, 0, 0]],
-    [[835_053_315, 973_297, 139_140_000, 480_375_467, 214_564_551, 0, 0, 0],
-     [834_781_859, 970_309, 139_084_000, 480_375_467, 214_352_083, 0, 0, 0]],
+    [[712_637_498, 973_297, 452_149_000, 259_515_201,           0, 0, 0, 0],
+     [712_055_926, 970_309, 451_695_750, 259_389_867,           0, 0, 0, 0]],
+    [[712_637_498, 973_297, 119_118_000,           0, 592_546_201, 0, 0, 0],
+     [712_055_926, 970_309, 119_062_000,           0, 592_023_617, 0, 0, 0]],
 ];
 
 #[rustfmt::skip]
 const F16_WIRE: [Steps; 2] = [
-    [[812_202_493, 951_110, 414_331_500, 369_399_466,  27_520_417, 0, 0, 0],
-     [811_927_803, 945_136, 413_890_500, 369_280_000,  27_812_167, 0, 0, 0]],
-    [[812_202_493, 951_110, 134_384_000, 480_375_467, 196_491_916, 0, 0, 0],
-     [811_927_803, 945_136, 134_328_000, 480_375_467, 196_279_200, 0, 0, 0]],
+    [[664_906_010, 951_110, 414_604_500, 249_350_400,           0, 0, 0, 0],
+     [664_310_803, 945_136, 414_139_000, 249_226_667,           0, 0, 0, 0]],
+    [[664_906_010, 951_110, 114_362_000,           0, 549_592_900, 0, 0, 0],
+     [664_310_803, 945_136, 114_306_000,           0, 549_059_667, 0, 0, 0]],
 ];
 
 #[rustfmt::skip]
 const LOSSLESS_OVERLAPPED: [Steps; 2] = [
-    [[20_777_082_708, 126_294, 11_938_730_184, 8_837_379_227,              0, 0, 0, 847_003],
-     [20_635_278_537, 123_306, 11_857_030_714, 8_777_277_514,              0, 0, 0, 847_003]],
-    [[20_777_082_708, 126_294,  4_391_811_674,   480_135_467, 15_904_162_270, 0, 0, 847_003],
-     [20_635_278_537, 123_306,  4_361_614_638,   480_135_467, 15_792_558_123, 0, 0, 847_003]],
+    [[20_657_271_533, 126_294, 11_938_929_809, 8_717_368_427,              0, 0, 0, 847_003],
+     [20_515_453_603, 123_306, 11_857_218_714, 8_657_264_580,              0, 0, 0, 847_003]],
+    [[20_657_271_533, 126_294,  4_371_635_737,             0, 16_284_662_499, 0, 0, 847_003],
+     [20_515_453_603, 123_306,  4_341_436_951,             0, 16_173_046_343, 0, 0, 847_003]],
 ];
 
 #[rustfmt::skip]
@@ -171,13 +171,13 @@ const RAGGED_FLAT_TRAFFIC: Traffic =
     [5_805_280, 4_749_324, 1_055_956,   6,    77_440,    43_648,    33_792, 4];
 #[rustfmt::skip]
 const RAGGED_TWO_TIER_TRAFFIC: Traffic =
-    [6_252_632, 5_671_512,   581_120,   6,    77_440,    43_648,    33_792, 4];
+    [6_252_632, 5_671_512,   581_120,   6,    29_832,    26_604,     3_228, 4];
 #[rustfmt::skip]
 const F16_WIRE_TRAFFIC: Traffic =
-    [2_974_164, 2_697_428,   276_736,   6,    77_440,    43_648,    33_792, 4];
+    [2_974_164, 2_697_428,   276_736,   6,    25_320,    22_628,     2_692, 4];
 #[rustfmt::skip]
 const LOSSLESS_OVERLAPPED_TRAFFIC: Traffic =
-    [5_629_098, 5_108_194,   520_904, 287,    28_220,    15_999,    12_221, 4];
+    [5_629_098, 5_108_194,   520_904, 287,    11_189,     9_976,     1_213, 4];
 #[rustfmt::skip]
 const BASELINE_HIERARCHICAL_TRAFFIC: Traffic =
     [4_639_592, 4_208_232,   431_360,   2, 2_555_520, 1_440_384, 1_115_136, 8];

@@ -1,7 +1,8 @@
 //! Every byte count above the collectives is built from what the
 //! collectives returned. These tests check those returned charges
 //! against the analytic schedules (`simgpu::allreduce_send_bytes`,
-//! `simgpu::peer_exchange_tier_bytes`) — for both exchange paths, with
+//! `simgpu::peer_exchange_tier_bytes`,
+//! `simgpu::unique_gather_tier_bytes`) — for both exchange paths, with
 //! and without FP16 compression and wire codecs, at sizes where `Ug·D`
 //! and `K·D` rarely divide by `G` — and that `TrainReport::traffic` is
 //! the sum of every rank's per-step bytes at ragged worlds.
@@ -198,10 +199,47 @@ fn dense_allreduce_analytic_matches_recorded_exactly() {
     }
 }
 
-/// Codec-framed exchanges: every rank's index gather returns its
-/// encoded frame to each peer, and its ALLREDUCE never more than the
-/// identity schedule's share, per tier — for every lossless codec, on
-/// flat and two-tier schedules, at sizes where `Ug·D` is ragged by `G`.
+/// First-occurrence order of `indices`: §III-A's canonical order.
+fn first_occurrence(indices: &[u32]) -> Vec<u32> {
+    let mut seen = std::collections::HashSet::new();
+    indices
+        .iter()
+        .copied()
+        .filter(|&i| seen.insert(i))
+        .collect()
+}
+
+/// Rank `r`'s index frames in a `world`-rank unique-set gather on nodes
+/// of `gpn` (`gpn == 0`: one node), every rank `q` contributing
+/// `indices(q, tokens)`: `J_r`, `Ĵ_r`, its node's `U_n` and `Î`, each
+/// at its length under `codec` (4 bytes per index without one).
+fn frames(
+    world: usize,
+    gpn: usize,
+    r: usize,
+    tokens: usize,
+    codec: Option<&dyn WireCodec>,
+) -> simgpu::UniqueFrames {
+    let len = |v: &[u32]| codec.map_or(v.len() as u64 * 4, |c| c.encoded_len_u32(v));
+    let gather = |ranks: std::ops::Range<usize>| -> Vec<u32> {
+        ranks.flat_map(|q| indices(q, tokens)).collect()
+    };
+    let gpn = if gpn == 0 { world } else { gpn };
+    let node = r / gpn * gpn;
+    simgpu::UniqueFrames {
+        indices: len(&indices(r, tokens)),
+        local: len(&first_occurrence(&indices(r, tokens))),
+        node: len(&first_occurrence(&gather(node..(node + gpn).min(world)))),
+        global: len(&first_occurrence(&gather(0..world))),
+    }
+}
+
+/// Codec-framed exchanges: every rank's index gather returns its frames
+/// at their encoded lengths on the schedule's links — `J_r` to each peer
+/// on the flat schedule; `Ĵ_r`, `U_n` and `Î` on the node schedule — and
+/// its ALLREDUCE never more than the identity schedule's share, per
+/// tier — for every lossless codec, on flat and two-tier schedules, at
+/// sizes where `Ug·D` is ragged by `G`.
 #[test]
 fn codec_analytic_wire_bytes_match_measured_traffic_exactly() {
     for world in [2usize, 3, 5, 8] {
@@ -220,11 +258,9 @@ fn codec_analytic_wire_bytes_match_measured_traffic_exactly() {
                             "world {world} K {tokens} D {dim} gpn {gpn} codec {} rank {r}",
                             codec.name()
                         );
-                        let publish = match codec.index_codec() {
-                            Some(c) => c.encoded_len_u32(&indices(r, tokens)),
-                            None => tokens as u64 * 4,
-                        };
-                        let gather = simgpu::peer_exchange_tier_bytes(world, world, r, publish);
+                        let frames = frames(world, gpn, r, tokens, codec.index_codec());
+                        let gather =
+                            simgpu::unique_gather_tier_bytes(world, world, topology, r, frames);
                         assert_eq!(
                             (s.sent.allgather_intra_bytes, s.sent.allgather_inter_bytes),
                             (gather.intra, gather.inter),
