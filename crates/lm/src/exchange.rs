@@ -239,8 +239,8 @@ impl ExchangeScratch {
     /// as first occurrence in a gathered index vector `all_indices`
     /// (the same on every rank, so a total order all ranks agree on).
     /// Leaves `slot_of[w]` valid for every `w` in the set (current
-    /// epoch). The exchange no longer runs it: the unique-set gather
-    /// returns the same set, and the tests hold the two equal.
+    /// epoch). The reference the unique-set gather's `simgpu::NodeSets`
+    /// is held to.
     #[cfg(test)]
     fn global_unique(&mut self) {
         self.epoch += 1;

@@ -682,44 +682,30 @@ impl StepSchedule<'_> {
         let raw = x.local_tokens as u64 * 4;
         let ratio = (x.index_enc_bytes, raw * self.gpus as u64);
         let topology = self.xcfg.topology();
-        let nodes = match topology {
-            Topology::TwoTier { gpus_per_node } if self.gpus > gpus_per_node => {
-                Some((self.gpus.div_ceil(gpus_per_node), gpus_per_node))
-            }
+        let split = match topology {
+            Topology::TwoTier { gpus_per_node } if self.gpus > gpus_per_node => Some(gpus_per_node),
             Topology::TwoTier { .. } | Topology::Flat => None,
         };
-        let (frames, codec_raw) = match nodes {
-            None => {
-                let frames = simgpu::UniqueFrames {
-                    indices: Self::scaled(raw, ratio),
-                    ..Default::default()
-                };
-                // One encode over the own frame + G decodes of gathered
-                // frames — (G+1)·K·4 raw bytes through the codec kernel.
-                (frames, (self.gpus as u64 + 1) * raw)
+        let nodes = split.map_or(1, |gpn| self.gpus.div_ceil(gpn));
+        let node = (x.node_unique / nodes) as u64 * 4;
+        let (local, global) = (raw.min(node), x.unique_global as u64 * 4);
+        let frames = simgpu::UniqueFrames {
+            indices: Self::scaled(raw, ratio),
+            local: Self::scaled(local, ratio),
+            node: Self::scaled(node, ratio),
+            global: Self::scaled(global, ratio),
+        };
+        // Raw bytes through the codec kernel. Flat: one encode of the
+        // own frame and G decodes. Node schedule: a member encodes Ĵ and
+        // decodes Î; a leader decodes its members' Ĵ, encodes U_n,
+        // decodes the other leaders' and encodes Î.
+        let codec_raw = match split {
+            None => (self.gpus as u64 + 1) * raw,
+            Some(gpn) if w.q.is_multiple_of(gpn) => {
+                let members = gpn.min(self.gpus - w.q) as u64;
+                (members - 1) * local + nodes as u64 * node + global
             }
-            Some((n, gpn)) => {
-                let node = (x.node_unique / n) as u64 * 4;
-                let local = raw.min(node);
-                let global = x.unique_global as u64 * 4;
-                let frames = simgpu::UniqueFrames {
-                    indices: Self::scaled(raw, ratio),
-                    local: Self::scaled(local, ratio),
-                    node: Self::scaled(node, ratio),
-                    global: Self::scaled(global, ratio),
-                };
-                // A member encodes Ĵ and decodes Î; a leader decodes its
-                // members' Ĵ, encodes U_n, decodes the other leaders'
-                // and encodes Î.
-                let leader = w.q / gpn * gpn;
-                let raw = if w.q == leader {
-                    let members = gpn.min(self.gpus - leader) as u64;
-                    (members - 1) * local + n as u64 * node + global
-                } else {
-                    local + global
-                };
-                (frames, raw)
-            }
+            Some(_) => local + global,
         };
         let sent = simgpu::unique_gather_tier_bytes(self.gpus, self.gpn, topology, w.q, frames);
         let price = self
