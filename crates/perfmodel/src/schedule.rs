@@ -75,7 +75,7 @@ pub struct ExchangeConfig {
     /// per-bucket ring shares the collectives return.
     pub bucket_bytes: u64,
     /// Lossless wire codec for the unique path's collectives (see
-    /// [`simgpu::codec`]): the index codec frames step 3's ALLGATHER,
+    /// [`simgpu::codec`]): the index codec frames the index gather,
     /// the gradient codec frames step 6's ALLREDUCE buckets whenever
     /// `compression` is `None` (an FP16 wire is already its own format
     /// and keeps its own accounting). The baseline dense exchange
