@@ -11,8 +11,8 @@ use simgpu::{CommGroup, Topology, Wire};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-fn run_allreduce(world: usize, n: usize, wire: Wire<'static>, topology: Topology) {
-    let ranks = CommGroup::create(world);
+fn run_allreduce(world: usize, gpn: usize, n: usize, wire: Wire<'static>, topology: Topology) {
+    let ranks = CommGroup::create_full(world, gpn, 0, None);
     std::thread::scope(|s| {
         for rank in ranks {
             s.spawn(move || {
@@ -67,12 +67,14 @@ fn bench_allreduce(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("f32_{n}"), world),
                 &world,
-                |b, &w| b.iter(|| run_allreduce(w, n, Wire::F32, Topology::Flat)),
+                |b, &w| b.iter(|| run_allreduce(w, w, n, Wire::F32, Topology::Flat)),
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("f16_{n}"), world),
                 &world,
-                |b, &w| b.iter(|| run_allreduce(w, n, Wire::F16 { scale: 512.0 }, Topology::Flat)),
+                |b, &w| {
+                    b.iter(|| run_allreduce(w, w, n, Wire::F16 { scale: 512.0 }, Topology::Flat))
+                },
             );
         }
     }
@@ -88,14 +90,12 @@ fn bench_hierarchy_ablation(c: &mut Criterion) {
     group.throughput(Throughput::Bytes((n * 4) as u64));
     for world in [4usize, 8] {
         group.bench_with_input(BenchmarkId::new("flat_ring", world), &world, |b, &w| {
-            b.iter(|| run_allreduce(w, n, Wire::F32, Topology::Flat))
+            b.iter(|| run_allreduce(w, w, n, Wire::F32, Topology::Flat))
         });
         group.bench_with_input(
             BenchmarkId::new("hierarchical_2pernode", world),
             &world,
-            |b, &w| {
-                b.iter(|| run_allreduce(w, n, Wire::F32, Topology::TwoTier { gpus_per_node: 2 }))
-            },
+            |b, &w| b.iter(|| run_allreduce(w, 2, n, Wire::F32, Topology::TwoTier)),
         );
     }
     group.finish();

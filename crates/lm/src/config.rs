@@ -290,13 +290,14 @@ impl Default for CheckpointConfig {
 /// makes paper-scale worlds of 48–192 ranks practical on a small box.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommConfig {
-    /// GPUs per node for tier attribution and the hierarchical
-    /// schedule; `0` resolves to the hardware preset's value
-    /// (8 for the Table II Titan X cluster).
+    /// GPUs per node: the group's one node size, read by tier
+    /// attribution and every two-tier schedule; `0` resolves to the
+    /// hardware preset's value (8 for the Table II Titan X cluster).
     pub gpus_per_node: usize,
-    /// Route the dense ALLREDUCE through the two-tier hierarchical
-    /// schedule when the group spans multiple nodes. Results are
-    /// bit-identical to the flat ring; only wire/time accounting moves.
+    /// Run the gradient ALLREDUCEs and the unique path's index gather on
+    /// their two-tier schedules over those nodes when the group spans
+    /// several. Results are bit-identical to the flat schedules; only
+    /// wire/time accounting moves.
     pub hierarchical: bool,
     /// Run-slot cap for rank execution; `0` = unpooled (every rank
     /// thread runnable at once — the legacy behaviour).

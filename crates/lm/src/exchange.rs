@@ -592,11 +592,6 @@ mod tests {
         exchange_and_apply_with(rank, grad, table, 0.1, cfg, &mut ExchangeScratch::new())
     }
 
-    /// The hierarchical schedule over `gpn`-GPU nodes.
-    fn two_tier(gpn: usize) -> simgpu::Topology {
-        simgpu::Topology::TwoTier { gpus_per_node: gpn }
-    }
-
     fn exchange_result(world: usize, cfg: ExchangeConfig) -> Vec<(Matrix, ExchangeStats)> {
         run_group(world, |rank| {
             let mut table = make_table(7);
@@ -782,7 +777,8 @@ mod tests {
                 codec,
                 ..ExchangeConfig::unique()
             };
-            let stats = run_group(3, |rank| {
+            let ranks = CommGroup::create_full(3, if gpn == 0 { 3 } else { gpn }, 0, None);
+            let stats = simgpu::run_ranks(ranks, |rank| {
                 let grad = zipf_grad(40 + rank.rank() as u64, 5 + 6 * rank.rank());
                 oneshot(&rank, &grad, &mut make_table(3), &cfg).unwrap()
             });
@@ -947,7 +943,7 @@ mod tests {
                 let stats = oneshot(&rank, &grad, &mut table, &hier_cfg).unwrap();
                 (table.weights().clone(), stats)
             });
-            let mut inter = 0;
+            let (two_tier, mut inter) = (simgpu::Topology::TwoTier, 0);
             for (r, ((ft, fs), (ht, hs))) in flat.iter().zip(&hier).enumerate() {
                 let ctx = format!("{cfg:?} world {world} gpn {gpn} rank {r}");
                 assert_eq!(ft.as_slice(), ht.as_slice(), "{ctx} diverged from flat");
@@ -955,8 +951,8 @@ mod tests {
                 let n = fs.unique_global * D;
                 let indices = |q: usize| make_grad(100 + q as u64, 12).indices;
                 let frames = raw_frames(world, gpn, r, indices);
-                let gather = simgpu::unique_gather_tier_bytes(world, gpn, two_tier(gpn), r, frames);
-                let tb = simgpu::allreduce_send_bytes(n, world, gpn, two_tier(gpn), r, elem);
+                let gather = simgpu::unique_gather_tier_bytes(world, gpn, two_tier, r, frames);
+                let tb = simgpu::allreduce_send_bytes(n, world, gpn, two_tier, r, elem);
                 let mut want = TrafficSnapshot::allgather(gather, 1);
                 want += TrafficSnapshot::allreduce(tb, 1);
                 assert_eq!(hs.sent, want, "{ctx}");
@@ -1469,7 +1465,8 @@ mod node_sets_differential {
                 for (seed, (shape, tokens)) in shapes.into_iter().enumerate() {
                     let ctx = format!("world {world} gpn {gpn} {shape}");
                     let slots = contributions(world, seed as u64, tokens);
-                    sets.build(slots.iter().map(Vec::as_slice), gpn);
+                    let layout = simgpu::NodeLayout::new(world, gpn);
+                    sets.build(slots.iter().map(Vec::as_slice), layout);
                     let flat = flat_unique(&mut scratch, &slots.concat());
                     assert_eq!(sets.global(), flat, "{ctx}: Î");
                     assert_eq!(sets.nodes(), world.div_ceil(gpn), "{ctx}");

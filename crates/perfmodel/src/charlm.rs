@@ -289,6 +289,52 @@ mod tests {
         );
     }
 
+    /// ROADMAP 1(b)'s crossover, as EXPERIMENTS.md's `tiers` block shows
+    /// it: at Table V's predicted steps the two-tier collectives are
+    /// slower than the flat ones at 24 and 192 GPUs and equal at 6 (one
+    /// node, where two-tier is the flat schedule). Two-tier never costs
+    /// any rank more hop latency summed over both tiers, so the extra
+    /// time is β: the leaders' PCIe hand-off and broadcast of the
+    /// 197 MB FP16 payload.
+    #[test]
+    fn two_tier_is_slower_than_flat_at_24_and_192_gpus_and_equal_at_6() {
+        let tieba = TiebaScale::paper();
+        let steps = tieba.tier_steps();
+        assert_eq!(steps.iter().map(|s| s.0).collect::<Vec<_>>(), [6, 24, 192]);
+        for (gpus, flat, two_tier) in steps {
+            if gpus == 6 {
+                assert_eq!(two_tier, flat, "{gpus} GPUs");
+            } else {
+                assert!(two_tier > flat, "{gpus} GPUs: {two_tier} vs {flat}");
+            }
+        }
+        let alphas = |sched: &StepSchedule| -> Vec<u64> {
+            let (mut ops, mut work_ps) = (Vec::new(), vec![0; sched.gpus]);
+            sched.price_all(&mut ops, &mut work_ps);
+            (0..sched.gpus)
+                .map(|q| {
+                    let clock = sched.clock(q, &work_ps, &mut ops, None);
+                    clock.wire_intra_alpha_ps + clock.wire_inter_alpha_ps
+                })
+                .collect()
+        };
+        // The schedules `tier_steps` prices.
+        for r in tieba.table5() {
+            let m = tieba.row(r.gpus, r.batch);
+            let flat = m.schedule(r.gpus, TechniqueStack::Full);
+            let mut two_tier = m.schedule(r.gpus, TechniqueStack::Full);
+            two_tier.xcfg.gpus_per_node = two_tier.gpn;
+            let (flat, two_tier) = (alphas(&flat), alphas(&two_tier));
+            for (q, (f, t)) in flat.iter().zip(&two_tier).enumerate() {
+                assert!(
+                    t <= f,
+                    "{} GPUs rank {q}: two-tier α {t} > flat {f}",
+                    r.gpus
+                );
+            }
+        }
+    }
+
     #[test]
     fn achieved_pflops_matches_paper() {
         assert_eq!(assert_bounded("table5.pflops."), 1);

@@ -43,7 +43,7 @@
 //! node-local phases precede its inter-node ring; for flat ops one tier
 //! is zero and the convention is vacuous).
 
-use simgpu::{secs_to_ps, CostModel, SimSpan, SimStream, TierCost, Topology, Wire};
+use simgpu::{secs_to_ps, CostModel, NodeLayout, SimSpan, SimStream, TierCost, Topology, Wire};
 use std::ops::Range;
 
 /// How a step's exchanges and gradient collectives run: the strategy,
@@ -55,15 +55,18 @@ pub struct ExchangeConfig {
     pub unique: bool,
     /// FP16 wire compression with this scaling factor (§III-C), if any.
     pub compression: Option<f32>,
-    /// GPUs per node; `> 0` runs the unique path's collectives on their
-    /// two-tier schedules when the group spans multiple nodes: the
-    /// index gather deduplicates per node and only the node leaders
-    /// cross Infiniband (`simgpu::unique_gather_tier_bytes`), and the
-    /// `Ug×D` ALLREDUCE takes the hierarchical schedule — compressed
-    /// payloads included (the two tiers carry the f16 wire format,
-    /// bit-identical to the flat f16 ring). `0` keeps everything on the
-    /// flat single-tier schedules. Results are bit-identical either way;
-    /// only the wire schedule and per-tier byte accounting differ.
+    /// Nonzero runs the unique path's collectives on their two-tier
+    /// schedules, on the group's own node layout, when the group spans
+    /// multiple nodes: the index gather deduplicates per node and only
+    /// the node leaders cross Infiniband
+    /// (`simgpu::unique_gather_tier_bytes`), and the `Ug×D` ALLREDUCE
+    /// takes the hierarchical schedule — compressed payloads included
+    /// (the two tiers carry the f16 wire format, bit-identical to the
+    /// flat f16 ring). `0` keeps everything on the flat single-tier
+    /// schedules. Only zero versus nonzero is read: the node size is the
+    /// group's ([`StepSchedule::gpn`] on the clock). Results are
+    /// bit-identical either way; only the wire schedule and per-tier
+    /// byte accounting differ.
     pub gpus_per_node: usize,
     /// Gradient-bucket size in wire bytes for the unique path's `Ug×D`
     /// ALLREDUCE: `> 0` slices the payload into consecutive element
@@ -121,7 +124,7 @@ impl ExchangeConfig {
     pub fn topology(&self) -> Topology {
         match self.gpus_per_node {
             0 => Topology::Flat,
-            gpus_per_node => Topology::TwoTier { gpus_per_node },
+            _ => Topology::TwoTier,
         }
     }
 
@@ -682,11 +685,8 @@ impl StepSchedule<'_> {
         let raw = x.local_tokens as u64 * 4;
         let ratio = (x.index_enc_bytes, raw * self.gpus as u64);
         let topology = self.xcfg.topology();
-        let split = match topology {
-            Topology::TwoTier { gpus_per_node } if self.gpus > gpus_per_node => Some(gpus_per_node),
-            Topology::TwoTier { .. } | Topology::Flat => None,
-        };
-        let nodes = split.map_or(1, |gpn| self.gpus.div_ceil(gpn));
+        let split = NodeLayout::new(self.gpus, self.gpn).two_tier(topology);
+        let nodes = split.map_or(1, NodeLayout::nodes);
         let node = (x.node_unique / nodes) as u64 * 4;
         let (local, global) = (raw.min(node), x.unique_global as u64 * 4);
         let frames = simgpu::UniqueFrames {
@@ -701,8 +701,8 @@ impl StepSchedule<'_> {
         // decodes the other leaders' and encodes Î.
         let codec_raw = match split {
             None => (self.gpus as u64 + 1) * raw,
-            Some(gpn) if w.q.is_multiple_of(gpn) => {
-                let members = gpn.min(self.gpus - w.q) as u64;
+            Some(layout) if layout.is_leader(w.q) => {
+                let members = layout.members(w.q) as u64;
                 (members - 1) * local + nodes as u64 * node + global
             }
             Some(_) => local + global,
@@ -774,9 +774,7 @@ impl StepSchedule<'_> {
             w.cum += (x.local_tokens * dim) as u64;
             let elem = self.xcfg.grad_wire().elem_bytes();
             let bytes = x.local_tokens as u64 * (dim as u64 * elem + 4);
-            let price = self
-                .cost
-                .allgather(bytes, self.gpus, self.gpn, Topology::Flat, w.q);
+            let price = self.cost.allgather(bytes, self.gpus, self.gpn, w.q);
             w.push(gather_label, 0, price, 0, self.grad_ready(w.cum));
             self.gpus * x.local_tokens
         };
@@ -1060,9 +1058,11 @@ mod tests {
             .collect()
     }
 
+    /// `xcfg` on its two-tier schedules: any nonzero `gpus_per_node`
+    /// selects them, on the nodes of the group the step is priced on.
     fn two_tier(xcfg: ExchangeConfig) -> ExchangeConfig {
         ExchangeConfig {
-            gpus_per_node: 4,
+            gpus_per_node: 1,
             ..xcfg
         }
     }
@@ -1143,10 +1143,6 @@ mod tests {
     fn step_time_is_monotone_in_nodes() {
         let cost = CostModel::new(HardwareConfig::titan_x_cluster(), 0.4);
         for xcfg in stacks() {
-            let xcfg = ExchangeConfig {
-                gpus_per_node: if xcfg.gpus_per_node > 0 { 8 } else { 0 },
-                ..xcfg
-            };
             let mut last = 0;
             for nodes in 1..=24 {
                 let t = clocks(&step(&cost, xcfg, 8 * nodes, 8, 1))[0].sim_time_ps;

@@ -55,6 +55,12 @@
 //! halved), [`Wire::Codec`] frames the reduced payload with a lossless
 //! [`WireCodec`] and charges encoded lengths.
 //!
+//! A group has one node size, stated when it is created
+//! ([`CommGroup::create_full`]): [`Topology`] only says flat or
+//! two-tier, and [`NodeLayout`] decides whether a two-tier schedule
+//! runs (the group spans nodes) and where each rank's node and leader
+//! are. The analytic helpers take the same `(world, gpus_per_node)`.
+//!
 //! ## Failure model
 //!
 //! Synchronous collectives deadlock if one rank stops calling them: every
@@ -71,6 +77,7 @@
 
 use crate::codec::WireCodec;
 use crate::dedupe::NodeSets;
+use crate::layout::{NodeLayout, Topology};
 use crate::pool::RunGate;
 use crate::traffic::{Tier, TierBytes};
 use std::fmt;
@@ -460,11 +467,10 @@ pub fn quantize_f16(x: f32) -> f32 {
 
 /// Shared state of one communicator group.
 struct GroupCore {
-    world: usize,
-    /// Node size for tier attribution: rank `r` lives on node
-    /// `r / gpus_per_node`. [`CommGroup::create`] makes single-node
-    /// groups (`gpus_per_node == world`), so every byte lands intra-node.
-    gpus_per_node: usize,
+    /// The group's ranks on their nodes: every tier label and two-tier
+    /// schedule reads it. [`CommGroup::create`] makes single-node groups
+    /// (`gpus_per_node == world`), so every byte lands intra-node.
+    layout: NodeLayout,
     barrier: AbortBarrier,
     /// Sender-indexed tables for gather-style collectives: written by
     /// their owner before a rendezvous, read by everyone after it.
@@ -519,11 +525,13 @@ impl CommGroup {
 
     /// Fully-parameterised constructor.
     ///
-    /// * Topology: ranks are laid out `gpus_per_node` per node (node
+    /// * Layout: ranks are laid out `gpus_per_node` per node (node
     ///   `i` owns ranks `[i·gpus_per_node, (i+1)·gpus_per_node)`, with
-    ///   a smaller last node when the division is ragged). It only
-    ///   affects which [`Tier`] bucket each collective's bytes are
-    ///   charged to — results are identical on any topology.
+    ///   a smaller last node when the division is ragged) — the one
+    ///   node size of the group ([`NodeLayout`]). It decides which
+    ///   [`Tier`] bucket each collective's bytes are charged to and
+    ///   which nodes a [`Topology::TwoTier`] schedule runs on; results
+    ///   are identical on any layout.
     /// * Pool: with `pool_workers > 0` the ranks multiplex over a
     ///   bounded run pool of that many slots (`0` means unpooled).
     ///   Spawn them with [`crate::pool::run_ranks`]: each rank holds a
@@ -540,13 +548,8 @@ impl CommGroup {
         deadline: Option<BarrierDeadline>,
     ) -> Vec<Rank> {
         assert!(world >= 1, "group needs at least one rank");
-        assert!(
-            gpus_per_node >= 1,
-            "topology needs at least one GPU per node"
-        );
         let core = Arc::new(GroupCore {
-            world,
-            gpus_per_node,
+            layout: NodeLayout::new(world, gpus_per_node),
             barrier: AbortBarrier::new(world, deadline),
             gather_u32: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
             gather_f32: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
@@ -641,12 +644,8 @@ fn ring_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
 /// crosses a node boundary (including the wrap-around link whenever the
 /// group spans more than one node).
 pub fn ring_send_tier(world: usize, gpus_per_node: usize, rank: usize) -> Tier {
-    assert!(
-        gpus_per_node >= 1,
-        "topology needs at least one GPU per node"
-    );
-    let next = (rank + 1) % world;
-    if rank / gpus_per_node == next / gpus_per_node {
+    let layout = NodeLayout::new(world, gpus_per_node);
+    if layout.node(rank) == layout.node((rank + 1) % world) {
         Tier::Intra
     } else {
         Tier::Inter
@@ -663,18 +662,10 @@ pub fn peer_exchange_tier_bytes(
     rank: usize,
     payload_bytes: u64,
 ) -> TierBytes {
-    assert!(
-        gpus_per_node >= 1,
-        "topology needs at least one GPU per node"
-    );
-    if world <= 1 {
-        return TierBytes::default();
-    }
-    let node = rank / gpus_per_node;
-    let node_size = gpus_per_node.min(world - node * gpus_per_node);
+    let members = NodeLayout::new(world, gpus_per_node).members(rank);
     TierBytes {
-        intra: payload_bytes * (node_size as u64 - 1),
-        inter: payload_bytes * (world - node_size) as u64,
+        intra: payload_bytes * (members as u64 - 1),
+        inter: payload_bytes * (world - members) as u64,
     }
 }
 
@@ -710,69 +701,45 @@ pub fn unique_gather_tier_bytes(
     rank: usize,
     frames: UniqueFrames,
 ) -> TierBytes {
-    let gpn = match topology {
-        Topology::TwoTier { gpus_per_node: gpn } if world > gpn => gpn,
-        Topology::TwoTier { .. } | Topology::Flat => {
-            return peer_exchange_tier_bytes(world, gpus_per_node, rank, frames.indices)
-        }
+    let Some(nodes) = NodeLayout::new(world, gpus_per_node).two_tier(topology) else {
+        return peer_exchange_tier_bytes(world, gpus_per_node, rank, frames.indices);
     };
-    assert!(gpn >= 1, "topology needs at least one GPU per node");
-    let leader = rank / gpn * gpn;
-    if rank != leader {
+    if !nodes.is_leader(rank) {
         return TierBytes::on(Tier::Intra, frames.local);
     }
-    let members = gpn.min(world - leader) as u64;
     TierBytes {
-        intra: frames.global * (members - 1),
-        inter: frames.node * (world.div_ceil(gpn) as u64 - 1),
+        intra: frames.global * (nodes.members(rank) as u64 - 1),
+        inter: frames.node * (nodes.nodes() as u64 - 1),
     }
 }
 
 /// Exact per-tier bytes `rank` sends during one hierarchical ALLREDUCE
-/// on a cluster of `gpus_per_node`-GPU nodes — the analytic mirror of
-/// what [`Rank::all_reduce`] charges under [`Topology::TwoTier`], phase
-/// by phase, so per-tier analytic == returned holds to the byte even on
-/// ragged worlds
-/// (`world % gpus_per_node != 0`). Every transmitted chunk is priced
-/// through `chunk_bytes` as in [`ring_allreduce_send_bytes_parts`]
-/// (phase 4's full payload is chunk 0 of the 1-way partition).
+/// on the group's `nodes` — the analytic mirror of what
+/// [`Rank::all_reduce`] charges under [`Topology::TwoTier`], phase by
+/// phase, so per-tier analytic == returned holds to the byte even on
+/// ragged worlds. Every transmitted chunk is priced through
+/// `chunk_bytes` as in [`ring_allreduce_send_bytes_parts`] (phase 4's
+/// full payload is chunk 0 of the 1-way partition).
 ///
 /// The modelled schedule:
 /// 1. intra-node ring reduce-scatter over the node's `m` members
 ///    (each member sends `(m−1)/m · n` elements, intra tier);
 /// 2. each non-leader hands its owned fully-node-reduced chunk to the
 ///    node leader (intra tier);
-/// 3. leaders run a flat ring ALLREDUCE over the `⌈world/gpus_per_node⌉`
-///    nodes (inter tier — the only traffic on the Infiniband pipe);
+/// 3. leaders run a flat ring ALLREDUCE over the `N` nodes (inter
+///    tier — the only traffic on the Infiniband pipe);
 /// 4. each leader broadcasts the final `n` elements to its `m−1`
 ///    members (intra tier).
 ///
-/// Groups that fit in one node (`world <= gpus_per_node`) fall back to
-/// the flat ring, all intra.
+/// `nodes` is what [`NodeLayout::two_tier`] returned: the group spans
+/// more than one node.
 fn hierarchical_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
-    world: usize,
-    gpus_per_node: usize,
+    nodes: NodeLayout,
     rank: usize,
     chunk_bytes: F,
 ) -> TierBytes {
-    assert!(
-        gpus_per_node >= 1,
-        "topology needs at least one GPU per node"
-    );
-    if world <= 1 {
-        return TierBytes::default();
-    }
-    if world <= gpus_per_node {
-        return TierBytes {
-            intra: ring_allreduce_send_bytes_parts(world, rank, chunk_bytes),
-            inter: 0,
-        };
-    }
-    let node = rank / gpus_per_node;
-    let leader = node * gpus_per_node;
-    let m = gpus_per_node.min(world - leader);
+    let (leader, m) = (nodes.leader(rank), nodes.members(rank));
     let j = rank - leader;
-    let n_nodes = world.div_ceil(gpus_per_node);
     // Phase 1: intra-node ring reduce-scatter over m members — the
     // first half of the ring schedule alone.
     let mut intra: u64 = (0..m - 1).map(|s| chunk_bytes(m, (j + m - s) % m)).sum();
@@ -785,7 +752,7 @@ fn hierarchical_allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
     }
     // Phase 3: leaders-only flat ring across nodes.
     let inter = if rank == leader {
-        ring_allreduce_send_bytes_parts(n_nodes, node, &chunk_bytes)
+        ring_allreduce_send_bytes_parts(nodes.nodes(), nodes.node(rank), &chunk_bytes)
     } else {
         0
     };
@@ -804,31 +771,28 @@ pub fn allreduce_send_bytes(
     rank: usize,
     elem_bytes: u64,
 ) -> TierBytes {
-    allreduce_send_bytes_parts(world, gpus_per_node, topology, rank, |parts, c| {
+    let layout = NodeLayout::new(world, gpus_per_node);
+    allreduce_send_bytes_parts(layout, topology, rank, |parts, c| {
         chunk_range(n, parts, c).len() as u64 * elem_bytes
     })
 }
 
-/// Closure-parameterised [`allreduce_send_bytes`], and the one place
-/// the schedule is chosen: [`Topology::TwoTier`] over a group that
-/// spans nodes charges [`hierarchical_allreduce_send_bytes_parts`];
-/// anything else is the flat ring, whose bytes land on the tier of the
-/// link `rank → rank + 1` under the group's `gpus_per_node` layout. See
-/// [`ring_allreduce_send_bytes_parts`] for the closure contract.
+/// Closure-parameterised [`allreduce_send_bytes`]: the two-tier
+/// schedule ([`hierarchical_allreduce_send_bytes_parts`]) when
+/// [`NodeLayout::two_tier`] says it runs, otherwise the flat ring, whose
+/// bytes land on the tier of the link `rank → rank + 1` under `layout`.
+/// See [`ring_allreduce_send_bytes_parts`] for the closure contract.
 fn allreduce_send_bytes_parts<F: Fn(usize, usize) -> u64>(
-    world: usize,
-    gpus_per_node: usize,
+    layout: NodeLayout,
     topology: Topology,
     rank: usize,
     chunk_bytes: F,
 ) -> TierBytes {
-    match topology {
-        Topology::TwoTier { gpus_per_node } if world > gpus_per_node => {
-            hierarchical_allreduce_send_bytes_parts(world, gpus_per_node, rank, chunk_bytes)
-        }
-        Topology::TwoTier { .. } | Topology::Flat => TierBytes::on(
-            ring_send_tier(world, gpus_per_node, rank),
-            ring_allreduce_send_bytes_parts(world, rank, chunk_bytes),
+    match layout.two_tier(topology) {
+        Some(nodes) => hierarchical_allreduce_send_bytes_parts(nodes, rank, chunk_bytes),
+        None => TierBytes::on(
+            ring_send_tier(layout.world(), layout.gpus_per_node(), rank),
+            ring_allreduce_send_bytes_parts(layout.world(), rank, chunk_bytes),
         ),
     }
 }
@@ -875,21 +839,6 @@ impl<'a> Wire<'a> {
             Wire::F32 | Wire::F16 { .. } => data.len() as u64 * self.elem_bytes(),
         }
     }
-}
-
-/// Wire schedule an ALLREDUCE is charged under; never changes results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// One flat ring over all ranks.
-    Flat,
-    /// The two-tier §V-C schedule over nodes of `gpus_per_node` ranks
-    /// (see [`allreduce_send_bytes`]); the flat ring when the group fits
-    /// in one node.
-    TwoTier {
-        /// Ranks per node; node `i` owns ranks
-        /// `[i·gpus_per_node, (i+1)·gpus_per_node)`.
-        gpus_per_node: usize,
-    },
 }
 
 /// Elements [`leader_sum`] reduces at a time — 8 KiB of accumulator,
@@ -994,7 +943,7 @@ struct UniqueState {
 /// `Î` at their encoded lengths, or the flat schedule's `J_r` as
 /// published.
 fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec>, topology: Topology) {
-    let world = core.world;
+    let (layout, world) = (core.layout, core.layout.world());
     let mut state = core.unique.write();
     let st = &mut *state;
     st.error = None;
@@ -1021,16 +970,15 @@ fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec>, topology: Topo
         st.ends.push(st.indices.len());
         st.published.push(published);
     }
-    let node_gpn = match topology {
-        Topology::TwoTier { gpus_per_node } if world > gpus_per_node => Some(gpus_per_node),
-        Topology::TwoTier { .. } | Topology::Flat => None,
-    };
+    let two_tier = layout.two_tier(topology);
     let (indices, ends) = (&st.indices, &st.ends);
     let slots = (0..world).map(|r| &indices[if r == 0 { 0 } else { ends[r - 1] }..ends[r]]);
-    st.sets.build(slots, node_gpn.unwrap_or(world));
+    // The flat schedule reads only `Î`: one node holds every rank.
+    st.sets
+        .build(slots, two_tier.unwrap_or(NodeLayout::new(world, world)));
     let sets = &st.sets;
     let len = |v: &[u32]| codec.map_or(v.len() as u64 * 4, |c| c.encoded_len_u32(v));
-    let global = node_gpn.map_or(0, |_| len(sets.global()));
+    let global = two_tier.map_or(0, |_| len(sets.global()));
     st.sent.clear();
     for r in 0..world {
         let mut frames = UniqueFrames {
@@ -1038,20 +986,19 @@ fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec>, topology: Topo
             global,
             ..UniqueFrames::default()
         };
-        if let Some(gpn) = node_gpn {
-            match r % gpn {
-                0 => frames.node = len(sets.node(r / gpn)),
-                _ => frames.local = len(sets.local(r)),
-            }
+        match two_tier {
+            Some(nodes) if nodes.is_leader(r) => frames.node = len(sets.node(nodes.node(r))),
+            Some(_) => frames.local = len(sets.local(r)),
+            None => {}
         }
-        let sent = unique_gather_tier_bytes(world, core.gpus_per_node, topology, r, frames);
+        let sent = unique_gather_tier_bytes(world, layout.gpus_per_node(), topology, r, frames);
         st.sent.push(sent);
     }
     st.totals = UniqueGathered {
         sent: TierBytes::default(),
         frames: st.published.iter().sum(),
         indices: st.indices.len() as u64,
-        node_sets: node_gpn.map_or(0, |_| sets.node_total() as u64),
+        node_sets: two_tier.map_or(0, |_| sets.node_total() as u64),
     };
 }
 
@@ -1074,13 +1021,14 @@ impl Rank {
 
     /// Group size `G`.
     pub fn world(&self) -> usize {
-        self.core.world
+        self.core.layout.world()
     }
 
-    /// Node size used for tier attribution (`world` for the
-    /// single-node groups of [`CommGroup::create`]).
+    /// The group's node size: what tier attribution and every
+    /// [`Topology::TwoTier`] schedule use (`world` for the single-node
+    /// groups of [`CommGroup::create`]).
     pub fn gpus_per_node(&self) -> usize {
-        self.core.gpus_per_node
+        self.core.layout.gpus_per_node()
     }
 
     /// The group's bounded run pool, if it was created with
@@ -1214,21 +1162,16 @@ impl Rank {
     ///
     /// **Wire schedule and accounting.** [`Topology::Flat`] charges the
     /// ring schedule: this rank's `2(G−1)/G · n` elements land on the
-    /// tier of its ring link `r → r+1` under the group topology.
-    /// [`Topology::TwoTier`] charges the four-phase §V-C schedule
-    /// ([`allreduce_send_bytes`] under the same topology), phase by phase
-    /// per tier (ragged last nodes included), and falls back to the flat
-    /// ring when the group fits in one node. Every transmitted chunk is
-    /// priced at its length in the wire format; for a codec that is the
-    /// encoded length of the *reduced* chunk (the steady-state
-    /// re-encode model — identical on every rank). The returned
-    /// [`TierBytes`] are this rank's sends and the only record of them,
-    /// so callers report wire volume without re-deriving it.
-    ///
-    /// `TwoTier { gpus_per_node: 0 }` is an invalid topology and yields
-    /// a typed [`CommError`] on every rank — recoverable, the group is
-    /// *not* poisoned (all ranks pass the same argument under SPMD, so
-    /// all observe the same error and stay in lockstep).
+    /// tier of its ring link `r → r+1` under the group's layout.
+    /// [`Topology::TwoTier`] charges the four-phase §V-C schedule on the
+    /// group's nodes ([`allreduce_send_bytes`] under the same topology),
+    /// phase by phase per tier (ragged last nodes included), and falls
+    /// back to the flat ring when the group fits in one node. Every
+    /// transmitted chunk is priced at its length in the wire format; for
+    /// a codec that is the encoded length of the *reduced* chunk (the
+    /// steady-state re-encode model — identical on every rank). The
+    /// returned [`TierBytes`] are this rank's sends and the only record
+    /// of them, so callers report wire volume without re-deriving it.
     pub fn all_reduce(
         &self,
         data: &mut [f32],
@@ -1245,14 +1188,7 @@ impl Rank {
             }
             Wire::F32 | Wire::Codec(_) => None,
         };
-        let g = self.core.world;
-        if let Topology::TwoTier { gpus_per_node: 0 } = topology {
-            return Err(CommError::abort(
-                self.rank,
-                "invalid topology: gpus_per_node must be at least 1",
-            ));
-        }
-        if g == 1 {
+        if self.world() == 1 {
             return Ok(TierBytes::default());
         }
         {
@@ -1278,8 +1214,7 @@ impl Rank {
         let chunk_bytes =
             |parts: usize, chunk: usize| wire.encoded_len(&data[chunk_range(n, parts, chunk)]);
         Ok(allreduce_send_bytes_parts(
-            g,
-            self.core.gpus_per_node,
+            self.core.layout,
             topology,
             self.rank,
             chunk_bytes,
@@ -1301,29 +1236,45 @@ impl Rank {
 
     /// Two-tier f32 ALLREDUCE. Exists only because the benchmark
     /// (`e2e/`) calls it by name; everything else uses [`Rank::all_reduce`].
+    /// `gpus_per_node` must be the group's node size: anything else is a
+    /// typed [`CommError`] on every rank that leaves the group usable.
     pub fn all_reduce_sum_hierarchical(
         &self,
         data: &mut [f32],
         gpus_per_node: usize,
     ) -> Result<(), CommError> {
-        self.all_reduce(data, Wire::F32, Topology::TwoTier { gpus_per_node })
+        self.own_node_size(gpus_per_node)?;
+        self.all_reduce(data, Wire::F32, Topology::TwoTier)
             .map(drop)
     }
 
     /// Two-tier FP16-wire ALLREDUCE. Exists only because the benchmark
     /// (`e2e/`) calls it by name; everything else uses [`Rank::all_reduce`].
+    /// `gpus_per_node` is checked as in
+    /// [`Rank::all_reduce_sum_hierarchical`].
     pub fn all_reduce_sum_f16_hierarchical(
         &self,
         data: &mut [f32],
         scale: f32,
         gpus_per_node: usize,
     ) -> Result<(), CommError> {
-        self.all_reduce(
-            data,
-            Wire::F16 { scale },
-            Topology::TwoTier { gpus_per_node },
-        )
-        .map(drop)
+        self.own_node_size(gpus_per_node)?;
+        self.all_reduce(data, Wire::F16 { scale }, Topology::TwoTier)
+            .map(drop)
+    }
+
+    /// `Ok` when `gpus_per_node` is the group's node size; otherwise a
+    /// typed error that does not poison the group (every rank passes the
+    /// same argument under SPMD, so all see it and stay in lockstep).
+    fn own_node_size(&self, gpus_per_node: usize) -> Result<(), CommError> {
+        let own = self.gpus_per_node();
+        if gpus_per_node == own {
+            return Ok(());
+        }
+        Err(CommError::abort(
+            self.rank,
+            format!("invalid topology: gpus_per_node {gpus_per_node} is not the group's {own}"),
+        ))
     }
 
     /// The rendezvous every ALLGATHER funnels through: `publish` fills
@@ -1347,8 +1298,8 @@ impl Rank {
         }
         self.barrier()?;
         Ok(peer_exchange_tier_bytes(
-            self.core.world,
-            self.core.gpus_per_node,
+            self.world(),
+            self.gpus_per_node(),
             self.rank,
             payload_bytes,
         ))
@@ -1515,7 +1466,7 @@ impl Rank {
     /// bytes to every peer: `peer_exchange_tier_bytes(G, gpus_per_node,
     /// rank, 8)`, which a caller that books the reduction charges.
     pub fn all_reduce_scalar_f64(&self, v: f64) -> Result<f64, CommError> {
-        let g = self.core.world;
+        let g = self.world();
         {
             let mut slot = self.core.gather_f64[self.rank].write();
             slot.clear();
@@ -1550,11 +1501,10 @@ impl Rank {
     /// node schedule — a member's `Ĵ_r` to its leader, each leader's
     /// `U_n` to the `N−1` other leaders, each leader's `Î` to its
     /// members — with every frame at its wire length (the codec's
-    /// encoded length). [`Topology::Flat`], and a group that fits in one
-    /// node, charge the flat peer gather of `J_r` as published. The
-    /// returned [`UniqueGathered`] holds this rank's sends and the
-    /// rank-invariant totals; `TwoTier { gpus_per_node: 0 }` is a typed
-    /// error on every rank that leaves the group usable.
+    /// encoded length), on the group's nodes. [`Topology::Flat`], and a
+    /// group that fits in one node, charge the flat peer gather of `J_r`
+    /// as published. The returned [`UniqueGathered`] holds this rank's
+    /// sends and the rank-invariant totals.
     pub fn all_gather_unique(
         &self,
         local: &[u32],
@@ -1562,12 +1512,6 @@ impl Rank {
         topology: Topology,
         out: &mut Vec<u32>,
     ) -> Result<UniqueGathered, CommError> {
-        if let Topology::TwoTier { gpus_per_node: 0 } = topology {
-            return Err(CommError::abort(
-                self.rank,
-                "invalid topology: gpus_per_node must be at least 1",
-            ));
-        }
         match codec {
             None => {
                 let mut slot = self.core.gather_u32[self.rank].write();
@@ -1611,7 +1555,7 @@ impl Rank {
         data: &mut [f32],
         codec: &dyn WireCodec,
     ) -> Result<(), CommError> {
-        let g = self.core.world;
+        let g = self.world();
         let n = data.len();
         let mut wire = Vec::new();
         let mut decoded: Vec<f32> = Vec::new();
@@ -1680,7 +1624,8 @@ mod tests {
         rank: usize,
         elem_bytes: u64,
     ) -> TierBytes {
-        hierarchical_allreduce_send_bytes_parts(world, gpus_per_node, rank, |parts, c| {
+        let nodes = NodeLayout::new(world, gpus_per_node);
+        hierarchical_allreduce_send_bytes_parts(nodes, rank, |parts, c| {
             chunk_range(n, parts, c).len() as u64 * elem_bytes
         })
     }
@@ -1839,12 +1784,12 @@ mod tests {
         }
     }
 
-    /// Σ over a fresh `world`-rank group of what one ALLREDUCE of `n`
-    /// ones returned.
-    fn all_reduce_sent(world: usize, n: usize, wire: Wire<'_>, topology: Topology) -> u64 {
-        run_group(world, |rank| {
+    /// Σ over a fresh group of `world` ranks on `gpn`-GPU nodes of what
+    /// one ALLREDUCE of `n` ones returned.
+    fn all_reduce_sent(world: usize, gpn: usize, n: usize, wire: Wire<'_>, t: Topology) -> u64 {
+        run_group_topo(world, gpn, |rank| {
             let mut data = vec![1.0f32; n];
-            rank.all_reduce(&mut data, wire, topology).unwrap().total()
+            rank.all_reduce(&mut data, wire, t).unwrap().total()
         })
         .iter()
         .sum()
@@ -1856,7 +1801,7 @@ mod tests {
         let n = 100usize;
         // Ring: each rank sends 2(G−1) chunks of ~n/G floats.
         let expected = (2 * (world - 1) * n / world * 4 * world) as u64;
-        let got = all_reduce_sent(world, n, Wire::F32, Topology::Flat);
+        let got = all_reduce_sent(world, world, n, Wire::F32, Topology::Flat);
         assert!(
             (got as i64 - expected as i64).unsigned_abs() <= (world * world * 8) as u64,
             "got {got}, expected ~{expected}"
@@ -1867,8 +1812,9 @@ mod tests {
     fn traffic_f16_is_half_of_f32() {
         let world = 4;
         let n = 128usize; // divisible by world so chunks are even
-        let f32_bytes = all_reduce_sent(world, n, Wire::F32, Topology::Flat);
-        let f16_bytes = all_reduce_sent(world, n, Wire::F16 { scale: 512.0 }, Topology::Flat);
+        let f32_bytes = all_reduce_sent(world, world, n, Wire::F32, Topology::Flat);
+        let f16 = Wire::F16 { scale: 512.0 };
+        let f16_bytes = all_reduce_sent(world, world, n, f16, Topology::Flat);
         assert_eq!(f16_bytes * 2, f32_bytes);
     }
 
@@ -1895,8 +1841,8 @@ mod tests {
         // the bytes charged are below the flat ring's for the same
         // payload per additional member.
         let n = 4096usize;
-        let flat = all_reduce_sent(8, n, Wire::F32, Topology::Flat);
-        let hier = all_reduce_sent(8, n, Wire::F32, Topology::TwoTier { gpus_per_node: 4 });
+        let flat = all_reduce_sent(8, 4, n, Wire::F32, Topology::Flat);
+        let hier = all_reduce_sent(8, 4, n, Wire::F32, Topology::TwoTier);
         // Both are Θ(G·n); the point is correctness of accounting, and
         // that the leader ring is only 2 wide (2·(2−1)/2·n per leader).
         assert!(hier > 0 && flat > 0);
@@ -2374,20 +2320,25 @@ mod tests {
 
     #[test]
     fn hierarchical_gpn_zero_is_typed_error_and_recoverable() {
-        // Satellite bugfix: an invalid topology must be a typed
-        // CommError, not a panic — and must NOT poison the group, so
-        // the same ranks can go on to run valid collectives.
-        for wire in [Wire::F32, Wire::F16 { scale: 64.0 }] {
-            let results = run_group(4, |rank| {
+        // A two-tier shim handed a node size that is not the group's —
+        // 0, or any other — must be a typed CommError, not a panic, and
+        // must NOT poison the group, so the same ranks can go on to run
+        // valid collectives.
+        type Shim = fn(&Rank, &mut [f32], usize) -> Result<(), CommError>;
+        let shims: [Shim; 2] = [
+            |r, d, gpn| r.all_reduce_sum_hierarchical(d, gpn),
+            |r, d, gpn| r.all_reduce_sum_f16_hierarchical(d, 64.0, gpn),
+        ];
+        for shim in shims {
+            let results = run_group_topo(4, 2, |rank| {
                 let mut data = vec![rank.rank() as f32; 5];
-                let err = rank
-                    .all_reduce(&mut data, wire, Topology::TwoTier { gpus_per_node: 0 })
-                    .unwrap_err();
-                assert_eq!(err.failed_rank(), rank.rank());
-                assert!(err.reason().contains("gpus_per_node"), "{}", err.reason());
+                for gpn in [0, 3] {
+                    let err = shim(&rank, &mut data, gpn).unwrap_err();
+                    assert_eq!(err.failed_rank(), rank.rank());
+                    assert!(err.reason().contains("gpus_per_node"), "{}", err.reason());
+                }
                 // Group still healthy: a valid collective succeeds.
-                rank.all_reduce(&mut data, wire, Topology::TwoTier { gpus_per_node: 2 })
-                    .unwrap();
+                shim(&rank, &mut data, 2).unwrap();
                 data[0]
             });
             for r in &results {
@@ -2424,7 +2375,7 @@ mod tests {
                     .collect();
                 for (name, wire, elem) in wires {
                     let mut results = Vec::new();
-                    for topology in [Topology::Flat, Topology::TwoTier { gpus_per_node: gpn }] {
+                    for topology in [Topology::Flat, Topology::TwoTier] {
                         let ctx = format!("{name} {topology:?} world {world}/{gpn} n {n}");
                         let out = run_group_topo(world, gpn, |rank| {
                             let mut data = input(rank.rank());
@@ -2441,7 +2392,8 @@ mod tests {
                             let on_ring_link =
                                 |bytes: u64| TierBytes::on(ring_send_tier(world, gpn, r), bytes);
                             let analytic = if two_tier {
-                                hierarchical_allreduce_send_bytes_parts(world, gpn, r, chunk_bytes)
+                                let nodes = NodeLayout::new(world, gpn);
+                                hierarchical_allreduce_send_bytes_parts(nodes, r, chunk_bytes)
                             } else {
                                 on_ring_link(ring_allreduce_send_bytes_parts(world, r, chunk_bytes))
                             };
@@ -2474,7 +2426,7 @@ mod tests {
         }
         // Each pinned shim is its (wire, topology) cell of the table.
         type Shim = fn(&Rank, &mut [f32]) -> Result<(), CommError>;
-        let two_tier = Topology::TwoTier { gpus_per_node: 3 };
+        let two_tier = Topology::TwoTier;
         let shims: [(Shim, Wire<'static>, Topology); 4] = [
             (|r, d| r.all_reduce_sum(d), Wire::F32, Topology::Flat),
             (
@@ -2517,7 +2469,7 @@ mod tests {
         acc.clear();
         acc.extend_from_slice(&core.gather_f32[0].read());
         let Some(scale) = scale else {
-            for s in 1..core.world {
+            for s in 1..core.layout.world() {
                 let slot = core.gather_f32[s].read();
                 for (a, &x) in acc.iter_mut().zip(slot.iter()) {
                     *a += x;
@@ -2527,7 +2479,7 @@ mod tests {
         };
         let inv = 1.0 / scale;
         let round_trip = |a: f32| f16_bits_to_f32(f32_to_f16_bits(a * scale)) * inv;
-        for s in 1..core.world {
+        for s in 1..core.layout.world() {
             let slot = core.gather_f32[s].read();
             for (a, &x) in acc.iter_mut().zip(slot.iter()) {
                 *a = x + round_trip(*a);
@@ -2595,7 +2547,7 @@ mod tests {
                     if world == 1 {
                         continue; // `all_reduce` has nothing to reduce
                     }
-                    for topology in [Topology::Flat, Topology::TwoTier { gpus_per_node: 2 }] {
+                    for topology in [Topology::Flat, Topology::TwoTier] {
                         let out = run_group_topo(world, 2, |rank| {
                             let mut data = hostile_payload(rank.rank(), n);
                             rank.all_reduce(&mut data, wire, topology).unwrap();
@@ -2691,14 +2643,8 @@ mod tests {
             let mut hier = flat.clone();
             rank.all_reduce(&mut flat, Wire::F32, Topology::Flat)
                 .unwrap();
-            rank.all_reduce(
-                &mut hier,
-                Wire::F32,
-                Topology::TwoTier {
-                    gpus_per_node: rank.gpus_per_node(),
-                },
-            )
-            .unwrap();
+            rank.all_reduce(&mut hier, Wire::F32, Topology::TwoTier)
+                .unwrap();
             assert_eq!(flat, hier);
             flat
         };
@@ -2729,7 +2675,7 @@ mod tests {
                 loop {
                     // Survivors keep issuing hierarchical collectives
                     // until the poison lands (at most one rendezvous).
-                    rank.all_reduce(&mut data, Wire::F32, Topology::TwoTier { gpus_per_node: 4 })?;
+                    rank.all_reduce(&mut data, Wire::F32, Topology::TwoTier)?;
                 }
             })
         });
@@ -2916,11 +2862,11 @@ mod tests {
         // Singleton world: no peers, no bytes.
         assert_eq!(peer_exchange_tier_bytes(1, 1, 0, 100), TierBytes::default());
         assert_eq!(
-            hierarchical_allreduce_send_bytes(64, 1, 1, 0, 4),
+            allreduce_send_bytes(64, 1, 1, Topology::TwoTier, 0, 4),
             TierBytes::default()
         );
         // One-node fallback is the flat ring, all intra.
-        let tb = hierarchical_allreduce_send_bytes(64, 4, 8, 1, 4);
+        let tb = allreduce_send_bytes(64, 4, 8, Topology::TwoTier, 1, 4);
         assert_eq!(tb.intra, ring_allreduce_send_bytes(64, 4, 1, 4));
         assert_eq!(tb.inter, 0);
         // Ragged singleton last node: its leader pays no intra bytes
@@ -3001,7 +2947,7 @@ mod tests {
             .map(|r| encoded_frames(world, gpn, r, codec, &indices))
             .collect();
         let node_sets = match topology {
-            Topology::TwoTier { .. } if world > gpn => (0..world)
+            Topology::TwoTier if world > gpn => (0..world)
                 .step_by(gpn)
                 .map(|q| encoded_frames(world, gpn, q, None, &indices).node / 4)
                 .sum(),
@@ -3034,7 +2980,7 @@ mod tests {
         assert!(delta.is_some(), "lossless-index has an index codec");
         for world in [1usize, 2, 3, 5, 11, 24, 192] {
             for gpn in [1usize, 2, 3, 8] {
-                for topology in [Topology::Flat, Topology::TwoTier { gpus_per_node: gpn }] {
+                for topology in [Topology::Flat, Topology::TwoTier] {
                     for codec in [None, delta] {
                         check_unique_gather(world, gpn, topology, codec);
                     }
@@ -3055,7 +3001,7 @@ mod tests {
                     rank.corrupt_next_codec_frame();
                 }
                 let local = skewed_indices(rank.rank(), 12);
-                let topology = Topology::TwoTier { gpus_per_node: gpn };
+                let topology = Topology::TwoTier;
                 let first = rank.all_gather_unique(&local, codec, topology, &mut Vec::new());
                 (first, rank.barrier())
             });
@@ -3065,21 +3011,6 @@ mod tests {
                 assert!(err.reason().contains("decode failed"), "rank {r}: {err}");
                 assert_eq!(after.as_ref().unwrap_err(), &err, "group stays poisoned");
             }
-        }
-    }
-
-    #[test]
-    fn unique_gather_gpn_zero_is_typed_error_and_recoverable() {
-        let results = run_group(3, |rank| {
-            let zero = Topology::TwoTier { gpus_per_node: 0 };
-            let err = rank.all_gather_unique(&[1, 2], None, zero, &mut Vec::new());
-            let mut out = Vec::new();
-            let ok = rank.all_gather_unique(&[rank.rank() as u32], None, Topology::Flat, &mut out);
-            (err, ok.map(|_| out))
-        });
-        for (r, (err, ok)) in results.into_iter().enumerate() {
-            assert_eq!(err.unwrap_err().failed_rank(), r);
-            assert_eq!(ok.unwrap(), vec![0, 1, 2]);
         }
     }
 }

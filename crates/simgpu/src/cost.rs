@@ -11,14 +11,17 @@
 //!   `α = (G−1)·latency`, `β = (G−1) · n_local / bandwidth`; the unique
 //!   path's index gather across `N` nodes instead pays `N−1` inter-node
 //!   hops on each leader and none on a member
+//! * the two-tier schedules run on the nodes [`NodeLayout::two_tier`]
+//!   returns, the flat ones everywhere else
 //! * compute: `flops / (peak · utilisation)`
 //!
 //! These are exactly the asymptotics the paper quotes (`Θ(G·K·D)`
 //! ALLGATHER vs `Θ(G·K + Ug·D)` for the unique scheme), which pay only
 //! where β, not α, owns the step; the constants come from Table II.
 
-use crate::comm::{ring_send_tier, Topology};
+use crate::comm::ring_send_tier;
 use crate::hw::HardwareConfig;
+use crate::layout::{NodeLayout, Topology};
 use crate::trace::secs_to_ps;
 use crate::traffic::{Tier, TierBytes};
 
@@ -77,24 +80,6 @@ fn price((latency, bandwidth): (f64, f64), hops: f64, bytes: f64) -> AlphaBeta {
     }
 }
 
-/// `rank`'s node under the two-tier schedule as `(leader, members)`
-/// (a ragged last node keeps its exact size), or `None` when the
-/// collective is one flat ring: [`Topology::Flat`], or a group that
-/// fits in one node. `gpn` is the one node size pricing uses — link
-/// constants, tier labels and this fallback all follow it.
-fn node_of(gpus: usize, gpn: usize, topology: Topology, rank: usize) -> Option<(usize, usize)> {
-    assert!(rank < gpus, "rank {rank} outside a group of {gpus}");
-    assert!(gpn >= 1, "topology needs at least one GPU per node");
-    match topology {
-        Topology::TwoTier { gpus_per_node } if gpus > gpn => {
-            assert_eq!(gpus_per_node, gpn, "two node sizes for one collective");
-            let leader = rank / gpn * gpn;
-            Some((leader, gpn.min(gpus - leader)))
-        }
-        Topology::TwoTier { .. } | Topology::Flat => None,
-    }
-}
-
 /// Cost model bound to one hardware preset and one utilisation figure.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -133,11 +118,12 @@ impl CostModel {
     /// step and the step rate is bounded by the slowest link, so a ring
     /// that leaves its node runs every hop at inter-node latency and
     /// the lower of the two bandwidths. A ring of one has no link.
-    fn ring(&self, gpus: usize, gpn: usize, rank: usize, hops: f64, bytes: f64) -> TierCost {
+    fn ring(&self, layout: NodeLayout, rank: usize, hops: f64, bytes: f64) -> TierCost {
+        let gpus = layout.world();
         if gpus == 1 {
             return TierCost::default();
         }
-        let spans = if gpus <= gpn {
+        let spans = if layout.nodes() == 1 {
             Tier::Intra
         } else {
             Tier::Inter
@@ -145,7 +131,7 @@ impl CostModel {
         let (latency, bandwidth) = self.link(spans);
         let slowest = (latency, bandwidth.min(self.hw.intra_node_bw));
         let (zero, cost) = (AlphaBeta::default(), price(slowest, hops, bytes));
-        let (intra, inter) = match ring_send_tier(gpus, gpn, rank) {
+        let (intra, inter) = match ring_send_tier(gpus, layout.gpus_per_node(), rank) {
             Tier::Intra => (cost, zero),
             Tier::Inter => (zero, cost),
         };
@@ -160,8 +146,8 @@ impl CostModel {
     /// hop counts depend on topology alone).
     ///
     /// Flat ring (and any group that fits in one node): `2(G−1)` hops
-    /// and `sent.total()` bytes on the rank's egress tier. Two-tier,
-    /// the α–β mirror of the four phases
+    /// and `sent.total()` bytes on the rank's egress tier. Two-tier on
+    /// the `gpn`-GPU nodes, the α–β mirror of the four phases
     /// [`crate::comm::allreduce_send_bytes`] charges under
     /// [`Topology::TwoTier`]:
     ///
@@ -178,15 +164,17 @@ impl CostModel {
         topology: Topology,
         rank: usize,
     ) -> TierCost {
-        let Some((leader, members)) = node_of(gpus, gpn, topology, rank) else {
+        let layout = NodeLayout::new(gpus, gpn);
+        let Some(nodes) = layout.two_tier(topology) else {
             let hops = 2.0 * (gpus - 1) as f64;
-            return self.ring(gpus, gpn, rank, hops, sent.total() as f64);
+            return self.ring(layout, rank, hops, sent.total() as f64);
         };
+        let members = nodes.members(rank);
         let intra_hops = if members > 1 { members } else { 0 } as f64;
-        let ring_hops = 2.0 * (gpus.div_ceil(gpn) - 1) as f64;
+        let ring_hops = 2.0 * (nodes.nodes() - 1) as f64;
         TierCost {
             intra: price(self.link(Tier::Intra), intra_hops, sent.intra as f64),
-            inter: if rank == leader {
+            inter: if nodes.is_leader(rank) {
                 price(self.link(Tier::Inter), ring_hops, sent.inter as f64)
             } else {
                 AlphaBeta::default()
@@ -196,32 +184,14 @@ impl CostModel {
 
     /// What one peer ALLGATHER of `bytes_per_gpu` from every GPU costs
     /// `rank` of `gpus` laid out `gpn` per node — the baseline's row
-    /// gather. Flat ring (and any group that fits in one node): `G−1`
-    /// hops, each forwarding one contribution, on the rank's egress
-    /// tier. Two-tier, the α–β mirror of
-    /// [`crate::comm::peer_exchange_tier_bytes`]: the rank sends its
-    /// payload once per peer, node-mates at intra-node constants and
-    /// remote peers at inter-node constants. The unique path's index
-    /// gather is [`Self::unique_gather`], which deduplicates per node
-    /// instead of sending to every remote peer.
-    pub fn allgather(
-        &self,
-        bytes_per_gpu: u64,
-        gpus: usize,
-        gpn: usize,
-        topology: Topology,
-        rank: usize,
-    ) -> TierCost {
-        let bytes = bytes_per_gpu as f64;
-        let Some((_, members)) = node_of(gpus, gpn, topology, rank) else {
-            let peers = (gpus - 1) as f64;
-            return self.ring(gpus, gpn, rank, peers, peers * bytes);
-        };
-        let (near, far) = ((members - 1) as f64, (gpus - members) as f64);
-        TierCost {
-            intra: price(self.link(Tier::Intra), near, near * bytes),
-            inter: price(self.link(Tier::Inter), far, far * bytes),
-        }
+    /// gather, which always runs flat: `G−1` hops, each forwarding one
+    /// contribution, on the rank's egress tier. The unique path's index
+    /// gather is [`Self::unique_gather`], which across nodes
+    /// deduplicates per node instead.
+    pub fn allgather(&self, bytes_per_gpu: u64, gpus: usize, gpn: usize, rank: usize) -> TierCost {
+        let peers = (gpus - 1) as f64;
+        let layout = NodeLayout::new(gpus, gpn);
+        self.ring(layout, rank, peers, peers * bytes_per_gpu as f64)
     }
 
     /// What one unique-set gather ([`crate::Rank::all_gather_unique`])
@@ -245,20 +215,21 @@ impl CostModel {
         topology: Topology,
         rank: usize,
     ) -> TierCost {
-        let Some((leader, members)) = node_of(gpus, gpn, topology, rank) else {
+        let layout = NodeLayout::new(gpus, gpn);
+        let Some(nodes) = layout.two_tier(topology) else {
             let peers = (gpus - 1) as f64;
-            return self.ring(gpus, gpn, rank, peers, sent.total() as f64);
+            return self.ring(layout, rank, peers, sent.total() as f64);
         };
         let intra = self.link(Tier::Intra);
-        if rank != leader {
+        if !nodes.is_leader(rank) {
             return TierCost {
                 intra: price(intra, 1.0, sent.intra as f64),
                 inter: AlphaBeta::default(),
             };
         }
-        let leaders = gpus.div_ceil(gpn) - 1;
+        let leaders = nodes.nodes() - 1;
         TierCost {
-            intra: price(intra, (members - 1) as f64, sent.intra as f64),
+            intra: price(intra, (nodes.members(rank) - 1) as f64, sent.intra as f64),
             inter: price(self.link(Tier::Inter), leaders as f64, sent.inter as f64),
         }
     }
@@ -300,10 +271,6 @@ mod tests {
         CostModel::new(HardwareConfig::titan_x_cluster(), 0.4)
     }
 
-    fn two_tier(gpus_per_node: usize) -> Topology {
-        Topology::TwoTier { gpus_per_node }
-    }
-
     /// Rank `r`'s price for an ALLREDUCE of `n` f32 elements.
     fn reduce(m: &CostModel, n: usize, gpus: usize, gpn: usize, t: Topology, r: usize) -> TierCost {
         m.allreduce(allreduce_send_bytes(n, gpus, gpn, t, r, 4), gpus, gpn, t, r)
@@ -317,8 +284,7 @@ mod tests {
 
     /// Seconds of a flat ring ALLGATHER on the preset's 8-GPU nodes.
     fn gather_secs(m: &CostModel, bytes_per_gpu: u64, gpus: usize) -> f64 {
-        m.allgather(bytes_per_gpu, gpus, 8, Topology::Flat, 0)
-            .secs()
+        m.allgather(bytes_per_gpu, gpus, 8, 0).secs()
     }
 
     /// Every `(gpus, gpn, topology)` shape the clock tests walk: one
@@ -327,7 +293,7 @@ mod tests {
         let mut out = Vec::new();
         for (gpus, gpn) in [(4, 8), (8, 8), (24, 8), (11, 8), (5, 2), (8, 4), (12, 16)] {
             out.push((gpus, gpn, Topology::Flat));
-            out.push((gpus, gpn, two_tier(gpn)));
+            out.push((gpus, gpn, Topology::TwoTier));
         }
         out
     }
@@ -348,10 +314,10 @@ mod tests {
     #[test]
     fn allreduce_single_gpu_free() {
         let sent = TierBytes::on(Tier::Intra, 1 << 30);
-        for topology in [Topology::Flat, two_tier(8)] {
+        for topology in [Topology::Flat, Topology::TwoTier] {
             let free = TierCost::default();
             assert_eq!(model().allreduce(sent, 1, 8, topology, 0), free);
-            assert_eq!(model().allgather(1 << 30, 1, 8, topology, 0), free);
+            assert_eq!(model().allgather(1 << 30, 1, 8, 0), free);
         }
     }
 
@@ -412,14 +378,14 @@ mod tests {
         // One-node groups collapse to the flat per-rank price.
         for r in 0..4 {
             let flat = reduce(&m, 1000, 4, 8, Topology::Flat, r);
-            assert_eq!(reduce(&m, 1000, 4, 8, two_tier(8), r), flat);
+            assert_eq!(reduce(&m, 1000, 4, 8, Topology::TwoTier, r), flat);
             assert_eq!(flat.inter, AlphaBeta::default());
         }
         // Multi-node: only leaders pay inter time; a member's inter
         // tier is {0, 0}.
         let (gpus, gpn, n) = (24usize, 8usize, 10_000usize);
         for r in 0..gpus {
-            let price = reduce(&m, n, gpus, gpn, two_tier(gpn), r);
+            let price = reduce(&m, n, gpus, gpn, Topology::TwoTier, r);
             assert!(price.intra.alpha > 0.0 && price.intra.beta > 0.0);
             if r % gpn == 0 {
                 assert!(
@@ -451,13 +417,13 @@ mod tests {
         };
         let (flat, hier) = (
             slowest(Topology::Flat, TierCost::secs),
-            slowest(two_tier(gpn), TierCost::secs),
+            slowest(Topology::TwoTier, TierCost::secs),
         );
         assert!(hier < flat, "hier {hier} must beat flat {flat}");
         let alpha = |c: TierCost| c.intra.alpha + c.inter.alpha;
         let (flat, hier) = (
             slowest(Topology::Flat, alpha),
-            slowest(two_tier(gpn), alpha),
+            slowest(Topology::TwoTier, alpha),
         );
         assert!((flat - 2.0 * 191.0 * 30e-6).abs() < 1e-12, "flat α {flat}");
         assert!(
@@ -469,28 +435,10 @@ mod tests {
     #[test]
     fn allgather_tier_time_splits_and_falls_back() {
         let m = model();
-        // One-node groups collapse to the flat price, all intra.
+        // One-node groups price all intra.
         for r in 0..4 {
-            let flat = m.allgather(1 << 16, 4, 8, Topology::Flat, r);
-            assert_eq!(m.allgather(1 << 16, 4, 8, two_tier(8), r), flat);
+            let flat = m.allgather(1 << 16, 4, 8, r);
             assert_eq!(flat.inter, AlphaBeta::default());
-        }
-        // Multi-node (ragged): every rank pays both tiers, peer counts
-        // follow the node sizes — rank 4 sits alone on node 2 and has
-        // no intra peers at all.
-        let (gpus, gpn) = (5usize, 2usize);
-        for r in 0..gpus {
-            let price = m.allgather(1 << 16, gpus, gpn, two_tier(gpn), r);
-            if r == 4 {
-                assert_eq!(
-                    price.intra,
-                    AlphaBeta::default(),
-                    "lone rank on the last node"
-                );
-            } else {
-                assert!(price.intra.secs() > 0.0);
-            }
-            assert!(price.inter.secs() > 0.0);
         }
     }
 
@@ -528,20 +476,20 @@ mod tests {
                 (got.intra, got.inter)
             };
             assert_eq!((on, off), (ring, AlphaBeta::default()), "rank {r}");
-            let gather = m.allgather(1 << 10, 8, 4, Topology::Flat, r);
+            let gather = m.allgather(1 << 10, 8, 4, r);
             let booked = if crosses { gather.inter } else { gather.intra };
             assert_eq!(booked.alpha, 7.0 * hw.inter_latency, "rank {r}");
         }
         // 12 two-tier ranks on 16-GPU nodes: one node, so the fallback
         // ring runs at PCIe constants and books everything as intra.
         for r in 0..12 {
-            let got = m.allreduce(sent(Tier::Intra), 12, 16, two_tier(16), r);
+            let got = m.allreduce(sent(Tier::Intra), 12, 16, Topology::TwoTier, r);
             let ring = AlphaBeta {
                 alpha: 22.0 * hw.intra_latency,
                 beta: (1 << 20) as f64 / hw.intra_node_bw,
             };
             assert_eq!((got.intra, got.inter), (ring, AlphaBeta::default()));
-            let gather = m.allgather(1 << 10, 12, 16, two_tier(16), r);
+            let gather = m.allgather(1 << 10, 12, 16, r);
             assert_eq!(gather.intra.alpha, 11.0 * hw.intra_latency);
             assert_eq!(gather.inter, AlphaBeta::default());
         }
@@ -555,7 +503,7 @@ mod tests {
                 let empty = TierBytes::default();
                 let alphas = |c: TierCost| [c.intra.alpha.to_bits(), c.inter.alpha.to_bits()];
                 let reduce_alpha = alphas(m.allreduce(empty, gpus, gpn, t, r));
-                let gather_alpha = alphas(m.allgather(0, gpus, gpn, t, r));
+                let gather_alpha = alphas(m.allgather(0, gpus, gpn, r));
                 for n in [1usize, 1000, 1 << 20] {
                     let ctx = format!("{gpus}/{gpn} {t:?} rank {r} n {n}");
                     assert_eq!(
@@ -563,7 +511,7 @@ mod tests {
                         reduce_alpha,
                         "{ctx}"
                     );
-                    let gathered = m.allgather(n as u64, gpus, gpn, t, r);
+                    let gathered = m.allgather(n as u64, gpus, gpn, r);
                     assert_eq!(alphas(gathered), gather_alpha, "{ctx}");
                     // 2ᵏ× the bytes is exactly 2ᵏ× the β.
                     let sent = allreduce_send_bytes(n, gpus, gpn, t, r, 4);
@@ -577,7 +525,7 @@ mod tests {
                         let big = m.allreduce(scaled, gpus, gpn, t, r);
                         assert_eq!(big.intra.beta, f * base.intra.beta, "{ctx} k {k}");
                         assert_eq!(big.inter.beta, f * base.inter.beta, "{ctx} k {k}");
-                        let big = m.allgather((n as u64) << k, gpus, gpn, t, r);
+                        let big = m.allgather((n as u64) << k, gpus, gpn, r);
                         assert_eq!(big.intra.beta, f * gathered.intra.beta, "{ctx} k {k}");
                         assert_eq!(big.inter.beta, f * gathered.inter.beta, "{ctx} k {k}");
                     }
@@ -600,8 +548,8 @@ mod tests {
                             reduce(&slow, 100_003, gpus, gpn, t, r),
                         ),
                         (
-                            fast.allgather(4096, gpus, gpn, t, r),
-                            slow.allgather(4096, gpus, gpn, t, r),
+                            fast.allgather(4096, gpus, gpn, r),
+                            slow.allgather(4096, gpus, gpn, r),
                         ),
                     ];
                     for (fast, slow) in pairs {
@@ -636,8 +584,8 @@ mod tests {
         for (gpus, gpn) in [(24usize, 8usize), (192, 8), (11, 4), (5, 2)] {
             let nodes = gpus.div_ceil(gpn);
             for r in 0..gpus {
-                let sent = distinct_frames(gpus, gpn, two_tier(gpn), r, 12);
-                let price = m.unique_gather(sent, gpus, gpn, two_tier(gpn), r);
+                let sent = distinct_frames(gpus, gpn, Topology::TwoTier, r, 12);
+                let price = m.unique_gather(sent, gpus, gpn, Topology::TwoTier, r);
                 let members = gpn.min(gpus - r / gpn * gpn);
                 let ctx = format!("{gpus}/{gpn} rank {r}");
                 if r % gpn == 0 {
@@ -654,17 +602,18 @@ mod tests {
         }
     }
 
-    /// Against the flat peer gather it replaces (the same `K` indices per
-    /// rank, every node-mate intra and every remote peer inter): the node
-    /// schedule never gives any rank more inter-node hops, never more
-    /// inter-node bytes to any node, and — when every node is full —
-    /// never more inter-node bytes to any rank, however large or
-    /// duplicate-free the payload. Groups that fit in one node, and the
-    /// flat topology, price today's peer gather to the byte and the
-    /// picosecond.
+    /// Against the peer gather it replaces (the same `K` indices per
+    /// rank, every node-mate intra and one inter-node hop per remote
+    /// peer): the node schedule never gives any rank more inter-node
+    /// hops, never more inter-node bytes to any node, and — when every
+    /// node is full — never more inter-node bytes to any rank, however
+    /// large or duplicate-free the payload. Groups that fit in one node,
+    /// and the flat topology, price the flat peer gather to the byte and
+    /// the picosecond.
     #[test]
     fn node_schedule_never_adds_inter_node_alpha_or_bytes() {
         let m = model();
+        let hw = m.hardware().clone();
         for gpus in 2..=192usize {
             for gpn in [1usize, 2, 3, 8] {
                 for k in [1u64, 640] {
@@ -672,20 +621,21 @@ mod tests {
                     let mut node_inter = [0u64; 2];
                     for r in 0..gpus {
                         let ctx = format!("{gpus}/{gpn} rank {r} K {k}");
-                        let flat = m.allgather(k * 4, gpus, gpn, Topology::Flat, r);
+                        let flat = m.allgather(k * 4, gpus, gpn, r);
                         let sent = distinct_frames(gpus, gpn, Topology::Flat, r, k);
                         assert_eq!(sent, peer(r), "{ctx}");
                         assert_eq!(m.unique_gather(sent, gpus, gpn, Topology::Flat, r), flat);
-                        let t = two_tier(gpn);
-                        let today = m.allgather(k * 4, gpus, gpn, t, r);
+                        let t = Topology::TwoTier;
                         let sent = distinct_frames(gpus, gpn, t, r, k);
                         let price = m.unique_gather(sent, gpus, gpn, t, r);
                         if gpus <= gpn {
-                            assert_eq!((sent, price), (peer(r), today), "{ctx}");
+                            assert_eq!((sent, price), (peer(r), flat), "{ctx}");
                             continue;
                         }
-                        assert!(price.inter.alpha <= today.inter.alpha, "{ctx}");
-                        assert!(price.inter.alpha_ps() <= today.inter.alpha_ps(), "{ctx}");
+                        let remote = gpus - gpn.min(gpus - r / gpn * gpn);
+                        let peer_alpha = remote as f64 * hw.inter_latency;
+                        assert!(price.inter.alpha <= peer_alpha, "{ctx}");
+                        assert!(price.inter.alpha_ps() <= secs_to_ps(peer_alpha), "{ctx}");
                         if gpus % gpn == 0 {
                             assert!(sent.inter <= peer(r).inter, "{ctx}");
                         }

@@ -14,6 +14,8 @@
 //! unique `Ĵ_r`, each node's `U_n` and `Î` — in one pass over the
 //! indices, with epoch-stamped marks instead of hashing or sorting.
 
+use crate::layout::NodeLayout;
+
 /// Every first-occurrence set of one gather: per rank, per node and
 /// global. Buffers and marks are reused across [`NodeSets::build`]
 /// calls, so a steady state allocates nothing.
@@ -44,16 +46,12 @@ impl NodeSets {
     }
 
     /// Rebuilds every set from `slots`, rank `r`'s indices `J_r` in rank
-    /// order, on nodes of `gpus_per_node` ranks (the last node may be
-    /// smaller). `Ĵ_r` is the first-occurrence order of `J_r`, `U_n` of
-    /// its node's ranks' concatenation and `Î` of every rank's — equal
-    /// to first occurrence over the node-major concatenation of the
-    /// `U_n`, because ranks are contiguous per node.
-    pub fn build<'a>(&mut self, slots: impl IntoIterator<Item = &'a [u32]>, gpus_per_node: usize) {
-        assert!(
-            gpus_per_node >= 1,
-            "topology needs at least one GPU per node"
-        );
+    /// order, on `layout`'s nodes (the last node may be smaller). `Ĵ_r`
+    /// is the first-occurrence order of `J_r`, `U_n` of its node's ranks'
+    /// concatenation and `Î` of every rank's — equal to first occurrence
+    /// over the node-major concatenation of the `U_n`, because ranks are
+    /// contiguous per node.
+    pub fn build<'a>(&mut self, slots: impl IntoIterator<Item = &'a [u32]>, layout: NodeLayout) {
         self.local.clear();
         self.local_ends.clear();
         self.node.clear();
@@ -63,7 +61,7 @@ impl NodeSets {
         let gather = self.epoch;
         let mut node = 0;
         for (r, slot) in slots.into_iter().enumerate() {
-            if r % gpus_per_node == 0 {
+            if layout.is_leader(r) {
                 if r > 0 {
                     self.node_ends.push(self.node.len());
                 }
@@ -137,7 +135,7 @@ mod tests {
         // Nodes of two: {0, 1} and {2} (ragged).
         let slots: [&[u32]; 3] = [&[9, 2, 9, 5], &[2, 7, 0, 7], &[5, 0, 1]];
         let mut sets = NodeSets::new();
-        sets.build(slots, 2);
+        sets.build(slots, NodeLayout::new(3, 2));
         assert_eq!(sets.local(0), [9, 2, 5]);
         assert_eq!(sets.local(1), [2, 7, 0]);
         assert_eq!(sets.local(2), [5, 0, 1]);
@@ -147,11 +145,11 @@ mod tests {
         assert_eq!(sets.node_total(), 8);
         assert_eq!(sets.global(), [9, 2, 5, 7, 0, 1]);
         // A second build on the same marks sees nothing stale.
-        sets.build(slots, 1);
+        sets.build(slots, NodeLayout::new(3, 1));
         assert_eq!(sets.nodes(), 3);
         assert_eq!(sets.node(1), [2, 7, 0]);
         assert_eq!(sets.global(), [9, 2, 5, 7, 0, 1]);
-        sets.build([], 4);
+        sets.build([], NodeLayout::new(0, 4));
         assert_eq!((sets.nodes(), sets.global()), (0, &[][..]));
     }
 }

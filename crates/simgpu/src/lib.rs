@@ -23,6 +23,9 @@
 //! * [`dedupe::NodeSets`] — the pure function behind that gather: each
 //!   rank's, each node's and the global first-occurrence set in one
 //!   pass.
+//! * [`layout::NodeLayout`] — how the group's ranks sit on nodes, and
+//!   the one place that decides whether a collective runs its two-tier
+//!   ([`layout::Topology::TwoTier`]) schedule on them.
 //! * [`traffic::TrafficSnapshot`] — an additive ledger of those returned
 //!   bytes by collective class and tier, so experiments can assert the
 //!   paper's Θ(G·K·D) vs Θ(G·K + Ug·D) communication claims on what the
@@ -60,6 +63,7 @@ pub mod dedupe;
 pub mod device;
 pub mod fault;
 pub mod hw;
+pub mod layout;
 pub mod pool;
 pub mod timing;
 pub mod trace;
@@ -72,13 +76,14 @@ pub use codec::{
 pub use comm::{
     allreduce_send_bytes, chunk_range, f16_bits_to_f32, f32_to_f16_bits, peer_exchange_tier_bytes,
     quantize_f16, ring_send_tier, unique_gather_tier_bytes, AbortOnDrop, BarrierDeadline,
-    CommError, CommGroup, Rank, Topology, UniqueFrames, UniqueGathered, Wire,
+    CommError, CommGroup, Rank, UniqueFrames, UniqueGathered, Wire,
 };
 pub use cost::{AlphaBeta, CostModel, TierCost};
 pub use dedupe::NodeSets;
 pub use device::{Allocation, Device, OomError};
 pub use fault::{DiskFault, DiskFaultPlan, FaultPlan};
 pub use hw::HardwareConfig;
+pub use layout::{NodeLayout, Topology};
 pub use pool::{run_ranks, RunGate};
 pub use timing::PhaseTimer;
 pub use trace::{

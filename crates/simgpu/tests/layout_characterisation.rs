@@ -62,7 +62,7 @@ fn node_layout_prices_are_the_literal() {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for world in (1..=26).chain([48, 192]) {
         for gpn in [1usize, 2, 3, 8] {
-            for topology in [Topology::Flat, Topology::TwoTier { gpus_per_node: gpn }] {
+            for topology in [Topology::Flat, Topology::TwoTier] {
                 for r in 0..world {
                     let reduced = allreduce_send_bytes(N, world, gpn, topology, r, 4);
                     h.bytes(reduced);
@@ -75,7 +75,7 @@ fn node_layout_prices_are_the_literal() {
                     });
                     h.cost(cost.allreduce(reduced, world, gpn, topology, r));
                     h.cost(cost.unique_gather(gathered, world, gpn, topology, r));
-                    h.cost(cost.allgather(4 * 211, world, gpn, Topology::Flat, r));
+                    h.cost(cost.allgather(4 * 211, world, gpn, r));
                 }
             }
         }

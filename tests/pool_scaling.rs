@@ -97,7 +97,7 @@ fn world_192_concurrency_never_exceeds_pool_cap() {
         let gate = ranks[0].run_gate().expect("pooled group exposes its gate");
         let outs = simgpu::run_ranks(ranks, |rank| {
             let mut v = vec![rank.rank() as f32; 16];
-            rank.all_reduce(&mut v, Wire::F32, Topology::TwoTier { gpus_per_node: 8 })
+            rank.all_reduce(&mut v, Wire::F32, Topology::TwoTier)
                 .expect("allreduce");
             v[0].to_bits()
         });

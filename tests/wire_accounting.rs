@@ -16,22 +16,19 @@ use zipf_lm::{exchange_and_apply_with, ExchangeConfig, ExchangeScratch, Exchange
 
 const VOCAB: usize = 60;
 
-fn run_group<T: Send>(world: usize, f: impl Fn(Rank) -> T + Sync) -> Vec<T> {
-    let ranks = CommGroup::create(world);
-    let mut out: Vec<Option<T>> = (0..world).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranks
-            .into_iter()
-            .map(|rank| {
-                let f = &f;
-                s.spawn(move || f(rank))
-            })
-            .collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            out[i] = Some(h.join().expect("rank panicked"));
-        }
-    });
-    out.into_iter().map(Option::unwrap).collect()
+/// Runs `f` on every rank of a group of `world` ranks on `gpn`-GPU
+/// nodes; returns per-rank results.
+fn run_group<T: Send>(world: usize, gpn: usize, f: impl Fn(Rank) -> T + Sync) -> Vec<T> {
+    simgpu::run_ranks(CommGroup::create_full(world, gpn, 0, None), f)
+}
+
+/// The node size of the group `cfg` runs on: its own `gpus_per_node`,
+/// or one node when that is 0.
+fn node_size(world: usize, cfg: ExchangeConfig) -> usize {
+    match cfg.gpus_per_node {
+        0 => world,
+        gpn => gpn,
+    }
 }
 
 /// Rank `r`'s gradient: `tokens` indices, then their `tokens×dim` rows.
@@ -55,10 +52,10 @@ fn indices(r: usize, tokens: usize) -> Vec<u32> {
     grad(r, tokens, 0).indices
 }
 
-/// Runs one exchange on every rank of a one-node group; returns each
-/// rank's stats.
+/// Runs one exchange on every rank of a group on `cfg`'s nodes (one
+/// node when `cfg.gpus_per_node` is 0); returns each rank's stats.
 fn measure(world: usize, tokens: usize, dim: usize, cfg: ExchangeConfig) -> Vec<ExchangeStats> {
-    run_group(world, |rank| {
+    run_group(world, node_size(world, cfg), |rank| {
         let mut table = {
             let mut rng = StdRng::seed_from_u64(11);
             Embedding::new(&mut rng, VOCAB, dim)
@@ -104,7 +101,7 @@ fn analytic_wire_bytes_match_measured_traffic_exactly() {
                 let elem: u64 = if cfg.compression.is_some() { 2 } else { 4 };
                 for (r, s) in stats.iter().enumerate() {
                     let ctx = format!("world {world} K {tokens} D {dim} cfg {cfg:?} rank {r}");
-                    // `CommGroup::create` is one node: every byte is intra.
+                    // Every config here runs on one node: every byte is intra.
                     let gather =
                         |payload| simgpu::peer_exchange_tier_bytes(world, world, r, payload);
                     let index_gather = gather(tokens as u64 * 4);
@@ -179,12 +176,12 @@ fn dense_allreduce_analytic_matches_recorded_exactly() {
                 (4u64, simgpu::Wire::F32),
                 (2, simgpu::Wire::F16 { scale: 512.0 }),
             ] {
-                let sent = run_group(world, |rank| {
+                let sent = run_group(world, world, |rank| {
                     let mut data = vec![rank.rank() as f32; n];
                     rank.all_reduce(&mut data, wire, Topology::Flat).unwrap()
                 });
                 for (r, sent) in sent.iter().enumerate() {
-                    // `CommGroup::create` is one node: all intra.
+                    // One node: all intra.
                     let share =
                         simgpu::allreduce_send_bytes(n, world, world, Topology::Flat, r, elem)
                             .total();
@@ -259,15 +256,16 @@ fn codec_analytic_wire_bytes_match_measured_traffic_exactly() {
                             codec.name()
                         );
                         let frames = frames(world, gpn, r, tokens, codec.index_codec());
+                        let gpn = node_size(world, cfg);
                         let gather =
-                            simgpu::unique_gather_tier_bytes(world, world, topology, r, frames);
+                            simgpu::unique_gather_tier_bytes(world, gpn, topology, r, frames);
                         assert_eq!(
                             (s.sent.allgather_intra_bytes, s.sent.allgather_inter_bytes),
                             (gather.intra, gather.inter),
                             "{ctx}: index gather"
                         );
                         let n = s.unique_global * dim;
-                        let raw = simgpu::allreduce_send_bytes(n, world, world, topology, r, 4);
+                        let raw = simgpu::allreduce_send_bytes(n, world, gpn, topology, r, 4);
                         assert!(
                             s.sent.allreduce_intra_bytes <= raw.intra
                                 && s.sent.allreduce_inter_bytes <= raw.inter,
