@@ -477,12 +477,14 @@ struct GroupCore {
     gather_u32: Vec<RwLock<Vec<u32>>>,
     gather_f32: Vec<RwLock<Vec<f32>>>,
     gather_u16: Vec<RwLock<Vec<u16>>>,
-    gather_f64: Vec<RwLock<Vec<f64>>>,
+    /// Each rank's scalar for [`Rank::all_reduce_scalar_f64`].
+    scalar_f64: Vec<Mutex<f64>>,
     /// Sender-indexed byte mailboxes for codec-framed collectives:
     /// `(element_count, encoded_bytes)` per sender.
     gather_bytes: Vec<RwLock<(usize, Vec<u8>)>>,
-    /// Reduction result written by the rendezvous leader, read by all.
+    /// Reduction results written by the rendezvous leader, read by all.
     reduce_f32: Mutex<Vec<f32>>,
+    reduce_f64: Mutex<f64>,
     /// The unique-set gather's sets and charges, written by the
     /// rendezvous leader, read by all.
     unique: RwLock<UniqueState>,
@@ -554,9 +556,10 @@ impl CommGroup {
             gather_u32: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
             gather_f32: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
             gather_u16: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
-            gather_f64: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
+            scalar_f64: (0..world).map(|_| Mutex::new(0.0)).collect(),
             gather_bytes: (0..world).map(|_| RwLock::new((0, Vec::new()))).collect(),
             reduce_f32: Mutex::new(Vec::new()),
+            reduce_f64: Mutex::new(0.0),
             unique: RwLock::new(UniqueState::default()),
             gate: (pool_workers > 0).then(|| RunGate::new(pool_workers)),
         });
@@ -1465,20 +1468,19 @@ impl Rank {
     /// for loss averaging and metric reduction. Each rank sends its 8
     /// bytes to every peer: `peer_exchange_tier_bytes(G, gpus_per_node,
     /// rank, 8)`, which a caller that books the reduction charges.
+    ///
+    /// One rendezvous, as [`Rank::all_reduce`]: the last arriver folds
+    /// `0.0 + v_0 + v_1 + …` in rank order and every rank reads that one
+    /// sum.
     pub fn all_reduce_scalar_f64(&self, v: f64) -> Result<f64, CommError> {
-        let g = self.world();
-        {
-            let mut slot = self.core.gather_f64[self.rank].write();
-            slot.clear();
-            slot.push(v);
-        }
-        self.barrier()?;
-        let mut sum = 0.0;
-        for s in 0..g {
-            sum += self.core.gather_f64[s].read()[0];
-        }
-        self.barrier()?;
-        Ok(sum)
+        *self.core.scalar_f64[self.rank].lock() = v;
+        let core = &self.core;
+        self.sync_leader(|| {
+            let sum = core.scalar_f64.iter().fold(0.0, |sum, v| sum + *v.lock());
+            *core.reduce_f64.lock() = sum;
+        })?;
+        // No departure barrier, for the reason `all_reduce` gives.
+        Ok(*self.core.reduce_f64.lock())
     }
 
     /// §III-A's unique-set gather: every rank publishes its indices
