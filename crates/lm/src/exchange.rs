@@ -785,7 +785,7 @@ mod tests {
             let frames: u64 = (0..3)
                 .map(|r| {
                     let indices = zipf_grad(40 + r as u64, 5 + 6 * r).indices;
-                    simgpu::DeltaVarintCodec.encoded_len_u32(&indices)
+                    simgpu::DeltaVarintCodec.encoded_len(&indices)
                 })
                 .sum();
             let load = ExchangeLoad::from(&stats[0]);

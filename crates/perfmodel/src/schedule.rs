@@ -661,7 +661,7 @@ impl StepSchedule<'_> {
     /// Picoseconds a wire codec spends on `raw_bytes` of payload — zero
     /// without one. Codecs run on-node before the NIC, so callers add
     /// this to an op's intra tier.
-    fn codec_ps(&self, codec: Option<&dyn simgpu::WireCodec>, raw_bytes: u64) -> u64 {
+    fn codec_ps<T>(&self, codec: Option<&dyn simgpu::WireCodec<T>>, raw_bytes: u64) -> u64 {
         codec.map_or(0, |c| {
             secs_to_ps(self.cost.codec_time(raw_bytes, c.throughput_bps()))
         })

@@ -1,23 +1,29 @@
-//! Pluggable wire codecs for collective payloads.
+//! Lossless wire codecs for collective payloads, one per payload type.
 //!
 //! The paper stops its exchange-volume reduction at FP32→FP16
 //! compression-scaling (§III-C). ZipCCL-style stacks go one step
-//! further: *lossless* compression of collective payloads, exploiting
-//! the low-entropy exponent distribution of gradient values and the
-//! small deltas of gathered index lists. This module provides that
-//! ladder as a [`WireCodec`] trait plus three rungs (the paper's own
+//! further: *lossless* compression of collective payloads, with a codec
+//! matched to each payload type — small deltas for gathered index
+//! lists, the low-entropy exponent plane for gradient rows. This module
+//! provides that as one generic [`WireCodec<T>`] trait and two codecs,
+//! each implementing it once, for the type it codes (the paper's own
 //! lossy FP16 rung is not one: training reaches it through
-//! `Method::compression`, which owns the loss-scaling story):
+//! `Method::compression`, which owns the loss-scaling story; raw bytes
+//! are no codec at all):
 //!
-//! * [`IdentityCodec`] — raw little-endian bytes, the baseline.
-//! * [`DeltaVarintCodec`] — lossless index codec: zigzag deltas between
-//!   consecutive `u32` values, LEB128 varint-coded. Gathered unique
-//!   index lists are near-sorted with small vocab-bounded gaps, so most
-//!   deltas fit one byte.
-//! * [`ExpPackCodec`] — lossless gradient codec: the distinct exponent
-//!   bytes of an `f32` payload form a small dictionary; each value is
-//!   stored as a dictionary index plus its raw 24-bit sign+mantissa
-//!   field (bitplane packing of the exponent plane).
+//! * [`DeltaVarintCodec`] — `WireCodec<u32>`, the index codec: zigzag
+//!   deltas between consecutive `u32` values, LEB128 varint-coded.
+//!   Gathered unique index lists are near-sorted with small
+//!   vocab-bounded gaps, so most deltas fit one byte.
+//! * [`ExpPackCodec`] — `WireCodec<f32>`, the gradient codec: the
+//!   distinct exponent bytes of an `f32` payload form a small
+//!   dictionary; each value is stored as a dictionary index plus its raw
+//!   24-bit sign+mantissa field (bitplane packing of the exponent
+//!   plane).
+//!
+//! [`WireCodecId`] names the selectable rungs and hands out each codec
+//! under the payload type it carries, so a gradient codec on the index
+//! gather does not compile.
 //!
 //! # Never-expand framing
 //!
@@ -27,15 +33,15 @@
 //! Decoders disambiguate by length — an emitted packed form is always
 //! strictly shorter than raw, so `len == 4·n` *is* the raw marker. This
 //! is what lets every codec-framed collective promise "compressed bytes
-//! ≤ identity bytes" unconditionally.
+//! ≤ raw bytes" unconditionally.
 //!
 //! # Bit-exactness contract
 //!
-//! Lossless codecs round-trip **bit**-identically: arbitrary `u32`
-//! values and arbitrary `f32` bit patterns — NaN payloads, −0.0,
-//! subnormals — survive encode→decode exactly (`tests/codec_roundtrip.rs`
-//! proves this by proptest). Training with a lossless codec is therefore
-//! bit-identical to the identity codec in losses, parameters and
+//! Both codecs round-trip **bit**-identically: arbitrary `u32` values
+//! and arbitrary `f32` bit patterns — NaN payloads, −0.0, subnormals —
+//! survive encode→decode exactly (`tests/codec_roundtrip.rs` proves
+//! this by proptest). Training with a lossless codec is therefore
+//! bit-identical to training without one in losses, parameters and
 //! checkpoints; only wire bytes and simulated time change.
 //!
 //! Decoders never panic on truncated or corrupt input: every failure is
@@ -64,35 +70,30 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// A wire codec: how a collective payload is turned into bytes on the
-/// interconnect. Implementations must uphold two contracts:
+/// A wire codec for payloads of `T`: how a collective payload is turned
+/// into bytes on the interconnect. Implementations must uphold two
+/// contracts:
 ///
-/// * `encoded_len_*` equals the exact byte length `encode_*` produces
-///   for the same payload (it is the analytic charging function used by
-///   the collectives' returned bytes and the cost model).
-/// * `encoded_len_*` never exceeds `4 · payload.len()` (never-expand).
+/// * `encoded_len` equals the exact byte length `encode` produces for
+///   the same payload (it is the analytic charging function used by the
+///   collectives' returned bytes and the cost model).
+/// * `encoded_len` never exceeds `4 · payload.len()` (never-expand).
 ///
 /// Decoders take the element count out of band — the receiver of a
 /// collective always knows how many elements to expect from the
 /// collective's metadata, which (like rendezvous metadata generally) is
 /// not charged as wire bytes. Decoded values are **appended** to `out`.
-pub trait WireCodec: Sync {
+pub trait WireCodec<T>: Sync {
     /// Stable short name used in errors, traces and bench artifacts.
     fn name(&self) -> &'static str;
 
     /// Exact encoded size of `data` in bytes, without encoding.
-    fn encoded_len_u32(&self, data: &[u32]) -> u64;
-    fn encode_u32(&self, data: &[u32], out: &mut Vec<u8>);
-    fn decode_u32(&self, bytes: &[u8], n: usize, out: &mut Vec<u32>) -> Result<(), CodecError>;
-
-    /// Exact encoded size of `data` in bytes, without encoding.
-    fn encoded_len_f32(&self, data: &[f32]) -> u64;
-    fn encode_f32(&self, data: &[f32], out: &mut Vec<u8>);
-    fn decode_f32(&self, bytes: &[u8], n: usize, out: &mut Vec<f32>) -> Result<(), CodecError>;
+    fn encoded_len(&self, data: &[T]) -> u64;
+    fn encode(&self, data: &[T], out: &mut Vec<u8>);
+    fn decode(&self, bytes: &[u8], n: usize, out: &mut Vec<T>) -> Result<(), CodecError>;
 
     /// Modelled encode/decode throughput in raw payload bytes per
-    /// second, for the cost model's volume-vs-compute tradeoff. The
-    /// identity codec reports infinity (zero codec time).
+    /// second, for the cost model's volume-vs-compute tradeoff.
     fn throughput_bps(&self) -> f64;
 }
 
@@ -101,19 +102,18 @@ pub const DELTA_VARINT_BPS: f64 = 16.0e9;
 /// Modelled throughput of [`ExpPackCodec`] (raw payload bytes/s).
 pub const EXP_PACK_BPS: f64 = 12.0e9;
 
-/// Static codec instances, so call sites can hold `&'static dyn WireCodec`.
-pub static IDENTITY: IdentityCodec = IdentityCodec;
+/// Static codec instances, so call sites can hold `&'static dyn WireCodec<_>`.
 pub static DELTA_VARINT: DeltaVarintCodec = DeltaVarintCodec;
 pub static EXP_PACK: ExpPackCodec = ExpPackCodec;
 
-/// Which wire codec a run uses, as carried by `CommConfig::codec`.
-/// Only the identity and the *lossless* rungs are selectable: the lossy
+/// Which wire codecs a run uses, as carried by `CommConfig::codec`.
+/// Only "no codec" and the *lossless* rungs are selectable: the lossy
 /// FP16 rung stays expressed through `Method::compression` exactly as
 /// before, and composes with the index codec (indices are `u32` either
 /// way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodecId {
-    /// Raw bytes on the wire (the seed behaviour).
+    /// No codec: raw bytes on the wire (the seed behaviour).
     #[default]
     Identity,
     /// Delta+varint the ALLGATHERed unique-index lists; gradients raw.
@@ -126,7 +126,7 @@ pub enum WireCodecId {
 
 impl WireCodecId {
     /// Codec applied to `u32` index ALLGATHERs, if any.
-    pub fn index_codec(self) -> Option<&'static dyn WireCodec> {
+    pub fn index_codec(self) -> Option<&'static dyn WireCodec<u32>> {
         match self {
             WireCodecId::LosslessIndex | WireCodecId::Lossless => Some(&DELTA_VARINT),
             _ => None,
@@ -136,7 +136,7 @@ impl WireCodecId {
     /// Codec applied to `f32` gradient ALLREDUCEs, if any. Callers must
     /// still give `Method::compression` precedence: an FP16 wire is
     /// already 2 bytes/element and owns its own accounting.
-    pub fn grad_codec(self) -> Option<&'static dyn WireCodec> {
+    pub fn grad_codec(self) -> Option<&'static dyn WireCodec<f32>> {
         match self {
             WireCodecId::LosslessGrad | WireCodecId::Lossless => Some(&EXP_PACK),
             _ => None,
@@ -165,90 +165,19 @@ impl WireCodecId {
 }
 
 // ---------------------------------------------------------------------------
-// Raw little-endian helpers (the shared fallback framing).
+// Raw little-endian words (the shared fallback framing).
 
-fn encode_raw_u32(data: &[u32], out: &mut Vec<u8>) {
-    out.reserve(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
+fn encode_raw(words: impl ExactSizeIterator<Item = u32>, out: &mut Vec<u8>) {
+    out.reserve(words.len() * 4);
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
     }
 }
 
-fn decode_raw_u32(bytes: &[u8], out: &mut Vec<u32>) {
-    out.reserve(bytes.len() / 4);
-    for c in bytes.chunks_exact(4) {
-        out.push(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-    }
-}
-
-fn encode_raw_f32(data: &[f32], out: &mut Vec<u8>) {
-    out.reserve(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-}
-
-fn decode_raw_f32(bytes: &[u8], out: &mut Vec<f32>) {
-    out.reserve(bytes.len() / 4);
-    for c in bytes.chunks_exact(4) {
-        out.push(f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Identity
-
-/// Raw little-endian bytes: 4 bytes per element, zero codec time.
-pub struct IdentityCodec;
-
-impl WireCodec for IdentityCodec {
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-
-    fn encoded_len_u32(&self, data: &[u32]) -> u64 {
-        data.len() as u64 * 4
-    }
-
-    fn encode_u32(&self, data: &[u32], out: &mut Vec<u8>) {
-        encode_raw_u32(data, out);
-    }
-
-    fn decode_u32(&self, bytes: &[u8], n: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
-        if bytes.len() != n * 4 {
-            return Err(if bytes.len() < n * 4 {
-                CodecError::Truncated
-            } else {
-                CodecError::Corrupt("trailing bytes after raw u32 payload")
-            });
-        }
-        decode_raw_u32(bytes, out);
-        Ok(())
-    }
-
-    fn encoded_len_f32(&self, data: &[f32]) -> u64 {
-        data.len() as u64 * 4
-    }
-
-    fn encode_f32(&self, data: &[f32], out: &mut Vec<u8>) {
-        encode_raw_f32(data, out);
-    }
-
-    fn decode_f32(&self, bytes: &[u8], n: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
-        if bytes.len() != n * 4 {
-            return Err(if bytes.len() < n * 4 {
-                CodecError::Truncated
-            } else {
-                CodecError::Corrupt("trailing bytes after raw f32 payload")
-            });
-        }
-        decode_raw_f32(bytes, out);
-        Ok(())
-    }
-
-    fn throughput_bps(&self) -> f64 {
-        f64::INFINITY
-    }
+fn raw_words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
 }
 
 // ---------------------------------------------------------------------------
@@ -310,33 +239,24 @@ fn delta_varint_packed_len(data: &[u32]) -> u64 {
     len
 }
 
-/// Analytic encoded size of `data` under [`DeltaVarintCodec`], with the
-/// never-expand raw fallback applied. Exported so tests and the
-/// exchange layer can predict a collective's charge without encoding.
-pub fn delta_varint_len(data: &[u32]) -> u64 {
-    delta_varint_packed_len(data).min(data.len() as u64 * 4)
-}
-
 /// Lossless `u32` index codec: consecutive deltas (signed, so unsorted
 /// lists still round-trip), zigzag-mapped and LEB128 varint-coded, with
 /// the raw fallback whenever packing would not be strictly smaller.
-/// `f32` payloads pass through raw — this rung compresses index lists
-/// only.
 pub struct DeltaVarintCodec;
 
-impl WireCodec for DeltaVarintCodec {
+impl WireCodec<u32> for DeltaVarintCodec {
     fn name(&self) -> &'static str {
         "delta-varint"
     }
 
-    fn encoded_len_u32(&self, data: &[u32]) -> u64 {
-        delta_varint_len(data)
+    fn encoded_len(&self, data: &[u32]) -> u64 {
+        delta_varint_packed_len(data).min(data.len() as u64 * 4)
     }
 
-    fn encode_u32(&self, data: &[u32], out: &mut Vec<u8>) {
+    fn encode(&self, data: &[u32], out: &mut Vec<u8>) {
         let raw = data.len() as u64 * 4;
         if delta_varint_packed_len(data) >= raw {
-            encode_raw_u32(data, out);
+            encode_raw(data.iter().copied(), out);
             return;
         }
         let mut prev = 0i64;
@@ -346,9 +266,9 @@ impl WireCodec for DeltaVarintCodec {
         }
     }
 
-    fn decode_u32(&self, bytes: &[u8], n: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
+    fn decode(&self, bytes: &[u8], n: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
         if bytes.len() == n * 4 {
-            decode_raw_u32(bytes, out);
+            out.extend(raw_words(bytes));
             return Ok(());
         }
         let mut pos = 0usize;
@@ -368,18 +288,6 @@ impl WireCodec for DeltaVarintCodec {
             return Err(CodecError::Corrupt("trailing bytes after delta payload"));
         }
         Ok(())
-    }
-
-    fn encoded_len_f32(&self, data: &[f32]) -> u64 {
-        data.len() as u64 * 4
-    }
-
-    fn encode_f32(&self, data: &[f32], out: &mut Vec<u8>) {
-        encode_raw_f32(data, out);
-    }
-
-    fn decode_f32(&self, bytes: &[u8], n: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
-        IDENTITY.decode_f32(bytes, n, out)
     }
 
     fn throughput_bps(&self) -> f64 {
@@ -420,17 +328,6 @@ fn exp_dictionary(data: &[f32]) -> Option<Vec<u8>> {
 fn exp_packed_len(n: usize, k: usize) -> u64 {
     let b = u64::from(exp_index_bits(k));
     1 + k as u64 + (n as u64 * b).div_ceil(8) + 3 * n as u64
-}
-
-/// Analytic encoded size of `data` under [`ExpPackCodec`], with the
-/// never-expand raw fallback applied. Exported so tests and the
-/// exchange layer can predict a collective's charge without encoding.
-pub fn exp_pack_len(data: &[f32]) -> u64 {
-    let raw = data.len() as u64 * 4;
-    match exp_dictionary(data) {
-        Some(dict) => exp_packed_len(data.len(), dict.len()).min(raw),
-        None => raw,
-    }
 }
 
 /// LSB-first bit writer over a byte vector.
@@ -512,38 +409,29 @@ impl<'a> BitReader<'a> {
 /// Gradient payloads cluster in a few dozen exponents, so `b` ≈ 4–6
 /// bits and the packed size ≈ (25+b)/32 of raw. Exact round-trip of
 /// every `f32` bit pattern — sign, NaN payload, subnormal mantissa —
-/// because the sign+mantissa field is stored verbatim. `u32` payloads
-/// pass through raw — this rung compresses gradient rows only.
+/// because the sign+mantissa field is stored verbatim.
 pub struct ExpPackCodec;
 
-impl WireCodec for ExpPackCodec {
+impl WireCodec<f32> for ExpPackCodec {
     fn name(&self) -> &'static str {
         "exp-pack"
     }
 
-    fn encoded_len_u32(&self, data: &[u32]) -> u64 {
-        data.len() as u64 * 4
+    fn encoded_len(&self, data: &[f32]) -> u64 {
+        let raw = data.len() as u64 * 4;
+        match exp_dictionary(data) {
+            Some(dict) => exp_packed_len(data.len(), dict.len()).min(raw),
+            None => raw,
+        }
     }
 
-    fn encode_u32(&self, data: &[u32], out: &mut Vec<u8>) {
-        encode_raw_u32(data, out);
-    }
-
-    fn decode_u32(&self, bytes: &[u8], n: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
-        IDENTITY.decode_u32(bytes, n, out)
-    }
-
-    fn encoded_len_f32(&self, data: &[f32]) -> u64 {
-        exp_pack_len(data)
-    }
-
-    fn encode_f32(&self, data: &[f32], out: &mut Vec<u8>) {
+    fn encode(&self, data: &[f32], out: &mut Vec<u8>) {
         let n = data.len();
         let raw = n as u64 * 4;
         let dict = match exp_dictionary(data) {
             Some(dict) if exp_packed_len(n, dict.len()) < raw => dict,
             _ => {
-                encode_raw_f32(data, out);
+                encode_raw(data.iter().map(|v| v.to_bits()), out);
                 return;
             }
         };
@@ -568,9 +456,9 @@ impl WireCodec for ExpPackCodec {
         }
     }
 
-    fn decode_f32(&self, bytes: &[u8], n: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
+    fn decode(&self, bytes: &[u8], n: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
         if bytes.len() == n * 4 {
-            decode_raw_f32(bytes, out);
+            out.extend(raw_words(bytes).map(f32::from_bits));
             return Ok(());
         }
         let &k = bytes.first().ok_or(CodecError::Truncated)?;
@@ -615,47 +503,48 @@ impl WireCodec for ExpPackCodec {
 mod tests {
     use super::*;
 
-    fn roundtrip_u32(codec: &dyn WireCodec, data: &[u32]) {
+    fn roundtrip_u32(codec: &dyn WireCodec<u32>, data: &[u32]) {
         let mut bytes = Vec::new();
-        codec.encode_u32(data, &mut bytes);
-        assert_eq!(
-            bytes.len() as u64,
-            codec.encoded_len_u32(data),
-            "len contract"
-        );
+        codec.encode(data, &mut bytes);
+        assert_eq!(bytes.len() as u64, codec.encoded_len(data), "len contract");
         assert!(bytes.len() as u64 <= data.len() as u64 * 4, "never-expand");
         let mut back = Vec::new();
-        codec
-            .decode_u32(&bytes, data.len(), &mut back)
-            .expect("decode");
+        codec.decode(&bytes, data.len(), &mut back).expect("decode");
         assert_eq!(back, data);
     }
 
-    fn roundtrip_f32(codec: &dyn WireCodec, data: &[f32]) {
+    fn roundtrip_f32(codec: &dyn WireCodec<f32>, data: &[f32]) {
         let mut bytes = Vec::new();
-        codec.encode_f32(data, &mut bytes);
-        assert_eq!(
-            bytes.len() as u64,
-            codec.encoded_len_f32(data),
-            "len contract"
-        );
+        codec.encode(data, &mut bytes);
+        assert_eq!(bytes.len() as u64, codec.encoded_len(data), "len contract");
         assert!(bytes.len() as u64 <= data.len() as u64 * 4, "never-expand");
         let mut back = Vec::new();
-        codec
-            .decode_f32(&bytes, data.len(), &mut back)
-            .expect("decode");
+        codec.decode(&bytes, data.len(), &mut back).expect("decode");
         let want: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
         let got: Vec<u32> = back.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, want, "bit-exact round-trip");
     }
 
+    /// Payloads neither codec packs go out as the identity rung's raw
+    /// little-endian words, and come back bit for bit.
     #[test]
     fn identity_roundtrips_raw() {
-        roundtrip_u32(&IDENTITY, &[]);
-        roundtrip_u32(&IDENTITY, &[7]);
-        roundtrip_u32(&IDENTITY, &[0, u32::MAX, 1, 1]);
-        roundtrip_f32(&IDENTITY, &[]);
-        roundtrip_f32(&IDENTITY, &[1.5, -0.0, f32::NAN, f32::MIN_POSITIVE / 2.0]);
+        let jumps = [0, u32::MAX, 0, u32::MAX];
+        let mut frame = Vec::new();
+        DELTA_VARINT.encode(&jumps, &mut frame);
+        let raw: Vec<u8> = jumps.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(frame, raw);
+        roundtrip_u32(&DELTA_VARINT, &jumps);
+
+        let grads = [1.5, -0.0, f32::NAN, f32::MIN_POSITIVE / 2.0];
+        frame.clear();
+        EXP_PACK.encode(&grads, &mut frame);
+        let raw: Vec<u8> = grads
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        assert_eq!(frame, raw);
+        roundtrip_f32(&EXP_PACK, &grads);
     }
 
     #[test]
@@ -670,7 +559,7 @@ mod tests {
     #[test]
     fn delta_varint_compresses_dense_index_lists() {
         let data: Vec<u32> = (0..1024u32).map(|i| i * 3 % 257).collect();
-        assert!(delta_varint_len(&data) * 2 < data.len() as u64 * 4);
+        assert!(DELTA_VARINT.encoded_len(&data) * 2 < data.len() as u64 * 4);
         roundtrip_u32(&DELTA_VARINT, &data);
     }
 
@@ -698,7 +587,7 @@ mod tests {
     #[test]
     fn exp_pack_compresses_exponent_clustered_payloads() {
         let data: Vec<f32> = (0..512).map(|i| (i as f32 - 256.0) * 1.0e-3).collect();
-        let enc = exp_pack_len(&data);
+        let enc = EXP_PACK.encoded_len(&data);
         assert!(enc < data.len() as u64 * 4, "{enc} vs {}", data.len() * 4);
         roundtrip_f32(&EXP_PACK, &data);
     }
@@ -707,34 +596,34 @@ mod tests {
     fn decoders_reject_truncated_and_corrupt_input() {
         let data: Vec<u32> = (0..64u32).collect();
         let mut bytes = Vec::new();
-        DELTA_VARINT.encode_u32(&data, &mut bytes);
+        DELTA_VARINT.encode(&data, &mut bytes);
         let mut out = Vec::new();
         assert_eq!(
-            DELTA_VARINT.decode_u32(&bytes[..bytes.len() - 1], data.len(), &mut out),
+            DELTA_VARINT.decode(&bytes[..bytes.len() - 1], data.len(), &mut out),
             Err(CodecError::Truncated)
         );
         out.clear();
         let mut longer = bytes.clone();
         longer.push(0);
         assert!(matches!(
-            DELTA_VARINT.decode_u32(&longer, data.len(), &mut out),
+            DELTA_VARINT.decode(&longer, data.len(), &mut out),
             Err(CodecError::Corrupt(_))
         ));
 
         let grads: Vec<f32> = (0..64).map(|i| i as f32 * 0.125).collect();
         let mut gbytes = Vec::new();
-        EXP_PACK.encode_f32(&grads, &mut gbytes);
+        EXP_PACK.encode(&grads, &mut gbytes);
         out.clear();
         let mut gout = Vec::new();
         assert_eq!(
-            EXP_PACK.decode_f32(&gbytes[..3], grads.len(), &mut gout),
+            EXP_PACK.decode(&gbytes[..3], grads.len(), &mut gout),
             Err(CodecError::Truncated)
         );
         let mut corrupt = gbytes.clone();
         corrupt[1] = 0xff; // dictionary no longer ascending
         gout.clear();
         assert!(matches!(
-            EXP_PACK.decode_f32(&corrupt, grads.len(), &mut gout),
+            EXP_PACK.decode(&corrupt, grads.len(), &mut gout),
             Err(CodecError::Corrupt(_))
         ));
     }

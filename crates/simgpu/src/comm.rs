@@ -583,7 +583,7 @@ impl CommGroup {
 /// *detectable by construction* for every codec: a non-empty payload
 /// decoded from zero bytes is a guaranteed `Truncated`, and a stray
 /// byte on an empty payload is guaranteed trailing garbage. A flipped
-/// bit inside an identity (raw) frame would instead decode silently
+/// bit inside a raw frame would instead decode silently
 /// into wrong values — the wire layer has no CRC (that lives in the
 /// checkpoint frames), so the harness injects the fault class the
 /// framing can actually catch.
@@ -813,14 +813,14 @@ pub enum Wire<'a> {
         /// Factor applied before every down-cast, divided out after.
         scale: f32,
     },
-    /// `f32` framed by a lossless codec; each chunk costs its encoded
-    /// length.
-    Codec(&'a dyn WireCodec),
+    /// `f32` framed by a lossless gradient codec; each chunk costs its
+    /// encoded length.
+    Codec(&'a dyn WireCodec<f32>),
 }
 
 impl<'a> Wire<'a> {
     /// The framing codec, if the format has one.
-    pub fn codec(self) -> Option<&'a dyn WireCodec> {
+    pub fn codec(self) -> Option<&'a dyn WireCodec<f32>> {
         match self {
             Wire::Codec(codec) => Some(codec),
             Wire::F32 | Wire::F16 { .. } => None,
@@ -838,7 +838,7 @@ impl<'a> Wire<'a> {
     /// Wire bytes of `data` sent as one frame in this format.
     pub fn encoded_len(self, data: &[f32]) -> u64 {
         match self {
-            Wire::Codec(codec) => codec.encoded_len_f32(data),
+            Wire::Codec(codec) => codec.encoded_len(data),
             Wire::F32 | Wire::F16 { .. } => data.len() as u64 * self.elem_bytes(),
         }
     }
@@ -945,7 +945,7 @@ struct UniqueState {
 /// rank's frames under `topology` — the node schedule's `Ĵ_r` / `U_n` /
 /// `Î` at their encoded lengths, or the flat schedule's `J_r` as
 /// published.
-fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec>, topology: Topology) {
+fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec<u32>>, topology: Topology) {
     let (layout, world) = (core.layout, core.layout.world());
     let mut state = core.unique.write();
     let st = &mut *state;
@@ -963,7 +963,7 @@ fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec>, topology: Topo
             Some(codec) => {
                 let slot = core.gather_bytes[sender].read();
                 let (n, frame) = &*slot;
-                if let Err(e) = codec.decode_u32(frame, *n, &mut st.indices) {
+                if let Err(e) = codec.decode(frame, *n, &mut st.indices) {
                     st.error = Some(codec_error(sender, codec, e));
                     return;
                 }
@@ -980,7 +980,7 @@ fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec>, topology: Topo
     st.sets
         .build(slots, two_tier.unwrap_or(NodeLayout::new(world, world)));
     let sets = &st.sets;
-    let len = |v: &[u32]| codec.map_or(v.len() as u64 * 4, |c| c.encoded_len_u32(v));
+    let len = |v: &[u32]| codec.map_or(v.len() as u64 * 4, |c| c.encoded_len(v));
     let global = two_tier.map_or(0, |_| len(sets.global()));
     st.sent.clear();
     for r in 0..world {
@@ -1009,7 +1009,11 @@ fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec>, topology: Topo
 /// the rank whose published frame failed to decode — not the decoding
 /// rank — so every decoder names the *same* culprit and elastic
 /// recovery can shrink around it deterministically.
-fn codec_error(sender: usize, codec: &dyn WireCodec, err: crate::codec::CodecError) -> CommError {
+fn codec_error<T>(
+    sender: usize,
+    codec: &dyn WireCodec<T>,
+    err: crate::codec::CodecError,
+) -> CommError {
     CommError::abort(
         sender,
         format!("wire codec {} decode failed: {err}", codec.name()),
@@ -1510,7 +1514,7 @@ impl Rank {
     pub fn all_gather_unique(
         &self,
         local: &[u32],
-        codec: Option<&dyn WireCodec>,
+        codec: Option<&dyn WireCodec<u32>>,
         topology: Topology,
         out: &mut Vec<u32>,
     ) -> Result<UniqueGathered, CommError> {
@@ -1525,7 +1529,7 @@ impl Rank {
                 let (n, frame) = &mut *slot;
                 *n = local.len();
                 frame.clear();
-                codec.encode_u32(local, frame);
+                codec.encode(local, frame);
                 if self.take_corrupt_frame() {
                     corrupt_frame(frame, 0xA5);
                 }
@@ -1555,7 +1559,7 @@ impl Rank {
     fn codec_roundtrip_chunks(
         &self,
         data: &mut [f32],
-        codec: &dyn WireCodec,
+        codec: &dyn WireCodec<f32>,
     ) -> Result<(), CommError> {
         let g = self.world();
         let n = data.len();
@@ -1564,12 +1568,12 @@ impl Rank {
         for c in 0..g {
             let range = chunk_range(n, g, c);
             wire.clear();
-            codec.encode_f32(&data[range.clone()], &mut wire);
+            codec.encode(&data[range.clone()], &mut wire);
             if self.take_corrupt_frame() {
                 corrupt_frame(&mut wire, 0xA5);
             }
             decoded.clear();
-            if let Err(e) = codec.decode_f32(&wire, range.len(), &mut decoded) {
+            if let Err(e) = codec.decode(&wire, range.len(), &mut decoded) {
                 return Err(self.poison(codec_error(self.rank, codec, e)));
             }
             data[range].copy_from_slice(&decoded);
@@ -2356,13 +2360,12 @@ mod tests {
     /// are the core.
     #[test]
     fn all_reduce_wire_by_topology_by_length_table() {
-        use crate::codec::{ExpPackCodec, IdentityCodec};
+        use crate::codec::ExpPackCodec;
         let scale = 64.0f32;
         // (name, wire, fixed element width if the format has one)
-        let wires: [(&str, Wire<'static>, Option<u64>); 4] = [
+        let wires: [(&str, Wire<'static>, Option<u64>); 3] = [
             ("f32", Wire::F32, Some(4)),
             ("f16", Wire::F16 { scale }, Some(2)),
-            ("identity codec", Wire::Codec(&IdentityCodec), Some(4)),
             ("exp-pack", Wire::Codec(&ExpPackCodec), None),
         ];
         // Two full nodes; ragged last nodes of 1 and of 3; one node.
@@ -2902,14 +2905,14 @@ mod tests {
         world: usize,
         gpn: usize,
         r: usize,
-        codec: Option<&dyn WireCodec>,
+        codec: Option<&dyn WireCodec<u32>>,
         indices: &impl Fn(usize) -> Vec<u32>,
     ) -> UniqueFrames {
         let len = |v: Vec<u32>| match codec {
             None => v.len() as u64 * 4,
             Some(c) => {
                 let mut frame = Vec::new();
-                c.encode_u32(&v, &mut frame);
+                c.encode(&v, &mut frame);
                 frame.len() as u64
             }
         };
@@ -2932,7 +2935,7 @@ mod tests {
         world: usize,
         gpn: usize,
         topology: Topology,
-        codec: Option<&dyn WireCodec>,
+        codec: Option<&dyn WireCodec<u32>>,
     ) {
         let indices = |q: usize| skewed_indices(q, 1 + world % 7 * 3);
         let ctx = format!(

@@ -23,6 +23,11 @@
 //! * [`dedupe::NodeSets`] — the pure function behind that gather: each
 //!   rank's, each node's and the global first-occurrence set in one
 //!   pass.
+//! * [`codec`] — the lossless wire codecs, one per payload type: one
+//!   generic [`codec::WireCodec`] trait, implemented once by the `u32`
+//!   index codec ([`codec::DeltaVarintCodec`]) and once by the `f32`
+//!   gradient codec ([`codec::ExpPackCodec`]); [`codec::WireCodecId`]
+//!   names the rungs a run selects.
 //! * [`layout::NodeLayout`] — how the group's ranks sit on nodes, and
 //!   the one place that decides whether a collective runs its two-tier
 //!   ([`layout::Topology::TwoTier`]) schedule on them.
@@ -69,10 +74,7 @@ pub mod timing;
 pub mod trace;
 pub mod traffic;
 
-pub use codec::{
-    delta_varint_len, exp_pack_len, CodecError, DeltaVarintCodec, ExpPackCodec, IdentityCodec,
-    WireCodec, WireCodecId,
-};
+pub use codec::{CodecError, DeltaVarintCodec, ExpPackCodec, WireCodec, WireCodecId};
 pub use comm::{
     allreduce_send_bytes, chunk_range, f16_bits_to_f32, f32_to_f16_bits, peer_exchange_tier_bytes,
     quantize_f16, ring_send_tier, unique_gather_tier_bytes, AbortOnDrop, BarrierDeadline,

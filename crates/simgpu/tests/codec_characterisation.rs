@@ -160,13 +160,13 @@ fn grad_payloads() -> Vec<Vec<f32>> {
 fn codec_frames_are_the_literal() {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for data in index_payloads() {
-        let len = DeltaVarintCodec.encoded_len_u32(&data);
+        let len = DeltaVarintCodec.encoded_len(&data);
         let mut frame = Vec::new();
-        DeltaVarintCodec.encode_u32(&data, &mut frame);
+        DeltaVarintCodec.encode(&data, &mut frame);
         assert_eq!(frame.len() as u64, len, "delta-varint len contract");
         let mut back = Vec::new();
         DeltaVarintCodec
-            .decode_u32(&frame, data.len(), &mut back)
+            .decode(&frame, data.len(), &mut back)
             .expect("delta-varint decodes its own frame");
         assert_eq!(back, data, "delta-varint round trip");
         h.fold(len);
@@ -174,13 +174,13 @@ fn codec_frames_are_the_literal() {
         back.iter().for_each(|&v| h.fold(u64::from(v)));
     }
     for data in grad_payloads() {
-        let len = ExpPackCodec.encoded_len_f32(&data);
+        let len = ExpPackCodec.encoded_len(&data);
         let mut frame = Vec::new();
-        ExpPackCodec.encode_f32(&data, &mut frame);
+        ExpPackCodec.encode(&data, &mut frame);
         assert_eq!(frame.len() as u64, len, "exp-pack len contract");
         let mut back = Vec::new();
         ExpPackCodec
-            .decode_f32(&frame, data.len(), &mut back)
+            .decode(&frame, data.len(), &mut back)
             .expect("exp-pack decodes its own frame");
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&data), "exp-pack round trip");

@@ -1,7 +1,8 @@
 //! Property proofs for the wire-codec ladder (ISSUE: bit-exact
 //! round-trip on *arbitrary* payloads, not just friendly ones).
 //!
-//! Three laws per lossless codec:
+//! Three laws per codec, each on the payload type it codes (`u32`
+//! index lists for delta-varint, `f32` gradient rows for exp-pack):
 //!
 //! * **Round trip**: `decode(encode(x)) == x` bit-for-bit — exercised
 //!   on arbitrary f32 *bit patterns* (NaN payloads, −0.0, subnormals,
@@ -21,47 +22,43 @@
 //! is as likely as any ordinary value.
 
 use proptest::prelude::*;
-use simgpu::{DeltaVarintCodec, ExpPackCodec, IdentityCodec, WireCodec};
+use simgpu::{CodecError, DeltaVarintCodec, ExpPackCodec, WireCodec};
 
-/// The ladder under test: every codec, all lossless.
-const LOSSLESS: [&dyn WireCodec; 3] = [&IdentityCodec, &DeltaVarintCodec, &ExpPackCodec];
-
-fn roundtrip_u32(codec: &dyn WireCodec, data: &[u32]) -> Result<Vec<u32>, simgpu::CodecError> {
+/// Encodes `data`, checks the length contract and never-expand, and
+/// decodes the frame back.
+fn roundtrip<T>(codec: &dyn WireCodec<T>, data: &[T]) -> Result<Vec<T>, CodecError> {
     let mut wire = Vec::new();
-    codec.encode_u32(data, &mut wire);
+    codec.encode(data, &mut wire);
     assert_eq!(
         wire.len() as u64,
-        codec.encoded_len_u32(data),
-        "{}: encoded_len_u32 must equal the actual frame length",
+        codec.encoded_len(data),
+        "{}: encoded_len must equal the actual frame length",
         codec.name()
     );
     assert!(
         wire.len() as u64 <= data.len() as u64 * 4,
-        "{}: u32 frame expanded past raw",
+        "{}: frame expanded past raw",
         codec.name()
     );
     let mut out = Vec::new();
-    codec.decode_u32(&wire, data.len(), &mut out)?;
+    codec.decode(&wire, data.len(), &mut out)?;
     Ok(out)
 }
 
-fn roundtrip_f32(codec: &dyn WireCodec, data: &[f32]) -> Result<Vec<f32>, simgpu::CodecError> {
+/// Truncating `data`'s frame to `cut_seed mod len` bytes must fail.
+fn truncation_errs<T>(codec: &dyn WireCodec<T>, data: &[T], cut_seed: u64) {
     let mut wire = Vec::new();
-    codec.encode_f32(data, &mut wire);
-    assert_eq!(
-        wire.len() as u64,
-        codec.encoded_len_f32(data),
-        "{}: encoded_len_f32 must equal the actual frame length",
-        codec.name()
-    );
-    assert!(
-        wire.len() as u64 <= data.len() as u64 * 4,
-        "{}: f32 frame expanded past raw",
-        codec.name()
-    );
+    codec.encode(data, &mut wire);
+    assert!(!wire.is_empty());
+    let cut = (cut_seed % wire.len() as u64) as usize;
     let mut out = Vec::new();
-    codec.decode_f32(&wire, data.len(), &mut out)?;
-    Ok(out)
+    assert!(
+        codec.decode(&wire[..cut], data.len(), &mut out).is_err(),
+        "{}: truncation to {} of {} bytes must error",
+        codec.name(),
+        cut,
+        wire.len()
+    );
 }
 
 fn as_f32_bits(bits: &[u32]) -> Vec<f32> {
@@ -71,17 +68,14 @@ fn as_f32_bits(bits: &[u32]) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every lossless codec round-trips arbitrary full-range u32 index
-    /// lists byte-identically — unsorted, duplicated, empty or
-    /// single-element.
+    /// The index codec round-trips arbitrary full-range u32 index lists
+    /// byte-identically — unsorted, duplicated, empty or single-element.
     #[test]
     fn u32_roundtrip_is_bit_exact(
         data in proptest::collection::vec(0u32..=u32::MAX, 0..600),
     ) {
-        for codec in LOSSLESS {
-            let out = roundtrip_u32(codec, &data).expect("lossless codec rejected its own frame");
-            prop_assert_eq!(&out, &data, "{} u32 round trip", codec.name());
-        }
+        let out = roundtrip(&DeltaVarintCodec, &data).expect("delta+varint rejected its own frame");
+        prop_assert_eq!(&out, &data);
     }
 
     /// Vocabulary-bounded index lists — the distribution the exchange
@@ -90,24 +84,20 @@ proptest! {
     fn vocab_indices_roundtrip_is_bit_exact(
         data in proptest::collection::vec(0u32..50_000, 0..600),
     ) {
-        for codec in LOSSLESS {
-            let out = roundtrip_u32(codec, &data).expect("lossless codec rejected its own frame");
-            prop_assert_eq!(&out, &data, "{} vocab u32 round trip", codec.name());
-        }
+        let out = roundtrip(&DeltaVarintCodec, &data).expect("delta+varint rejected its own frame");
+        prop_assert_eq!(&out, &data);
     }
 
-    /// Every lossless codec round-trips arbitrary f32 *bit patterns* —
+    /// The gradient codec round-trips arbitrary f32 *bit patterns* —
     /// NaN payloads, −0.0, subnormals, infinities — exactly.
     #[test]
     fn f32_roundtrip_is_bit_exact(
         bits in proptest::collection::vec(0u32..=u32::MAX, 0..600),
     ) {
         let data = as_f32_bits(&bits);
-        for codec in LOSSLESS {
-            let out = roundtrip_f32(codec, &data).expect("lossless codec rejected its own frame");
-            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(&got, &bits, "{} f32 round trip", codec.name());
-        }
+        let out = roundtrip(&ExpPackCodec, &data).expect("exp-pack rejected its own frame");
+        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(&got, &bits);
     }
 
     /// Sorted index lists are delta+varint's home turf — it must still
@@ -117,8 +107,7 @@ proptest! {
         mut data in proptest::collection::vec(0u32..1_000_000, 0..600),
     ) {
         data.sort_unstable();
-        let out = roundtrip_u32(&DeltaVarintCodec, &data)
-            .expect("delta+varint rejected its own frame");
+        let out = roundtrip(&DeltaVarintCodec, &data).expect("delta+varint rejected its own frame");
         prop_assert_eq!(&out, &data);
     }
 
@@ -130,18 +119,7 @@ proptest! {
         data in proptest::collection::vec(0u32..=u32::MAX, 1..600),
         cut_seed in 0u64..=u64::MAX,
     ) {
-        for codec in [&DeltaVarintCodec as &dyn WireCodec, &IdentityCodec] {
-            let mut wire = Vec::new();
-            codec.encode_u32(&data, &mut wire);
-            prop_assert!(!wire.is_empty());
-            let cut = (cut_seed % wire.len() as u64) as usize;
-            let mut out = Vec::new();
-            prop_assert!(
-                codec.decode_u32(&wire[..cut], data.len(), &mut out).is_err(),
-                "{}: truncation to {} of {} bytes must error",
-                codec.name(), cut, wire.len()
-            );
-        }
+        truncation_errs(&DeltaVarintCodec, &data, cut_seed);
     }
 
     /// Same law for the gradient codec's f32 frames.
@@ -150,19 +128,7 @@ proptest! {
         bits in proptest::collection::vec(0u32..=u32::MAX, 1..600),
         cut_seed in 0u64..=u64::MAX,
     ) {
-        let data = as_f32_bits(&bits);
-        for codec in [&ExpPackCodec as &dyn WireCodec, &IdentityCodec] {
-            let mut wire = Vec::new();
-            codec.encode_f32(&data, &mut wire);
-            prop_assert!(!wire.is_empty());
-            let cut = (cut_seed % wire.len() as u64) as usize;
-            let mut out = Vec::new();
-            prop_assert!(
-                codec.decode_f32(&wire[..cut], data.len(), &mut out).is_err(),
-                "{}: truncation to {} of {} bytes must error",
-                codec.name(), cut, wire.len()
-            );
-        }
+        truncation_errs(&ExpPackCodec, &as_f32_bits(&bits), cut_seed);
     }
 
     /// Feeding *arbitrary garbage* to the decoders must never panic:
@@ -173,15 +139,13 @@ proptest! {
         bytes in proptest::collection::vec(0u8..=u8::MAX, 0..300),
         n in 0usize..128,
     ) {
-        for codec in LOSSLESS {
-            let mut out_u = Vec::new();
-            if codec.decode_u32(&bytes, n, &mut out_u).is_ok() {
-                prop_assert_eq!(out_u.len(), n, "{} u32 decode length", codec.name());
-            }
-            let mut out_f = Vec::new();
-            if codec.decode_f32(&bytes, n, &mut out_f).is_ok() {
-                prop_assert_eq!(out_f.len(), n, "{} f32 decode length", codec.name());
-            }
+        let mut out_u = Vec::new();
+        if DeltaVarintCodec.decode(&bytes, n, &mut out_u).is_ok() {
+            prop_assert_eq!(out_u.len(), n, "delta-varint decode length");
+        }
+        let mut out_f = Vec::new();
+        if ExpPackCodec.decode(&bytes, n, &mut out_f).is_ok() {
+            prop_assert_eq!(out_f.len(), n, "exp-pack decode length");
         }
     }
 }
@@ -202,23 +166,23 @@ fn directed_hostile_payloads_roundtrip() {
         f32::MAX,
     ];
     let hostile_u32 = [u32::MAX, 0, u32::MAX, 1, u32::MAX - 1, 0];
-    for codec in LOSSLESS {
-        let f = roundtrip_f32(codec, &hostile_f32).unwrap();
-        assert_eq!(
-            f.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            hostile_f32.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "{} hostile f32",
-            codec.name()
-        );
-        let u = roundtrip_u32(codec, &hostile_u32).unwrap();
-        assert_eq!(u, hostile_u32, "{} hostile u32", codec.name());
-        // Empty and single-element payloads.
-        assert_eq!(roundtrip_u32(codec, &[]).unwrap(), Vec::<u32>::new());
-        assert_eq!(roundtrip_u32(codec, &[7]).unwrap(), vec![7]);
-        assert!(roundtrip_f32(codec, &[]).unwrap().is_empty());
-        assert_eq!(
-            roundtrip_f32(codec, &[-0.0]).unwrap()[0].to_bits(),
-            (-0.0f32).to_bits()
-        );
-    }
+    let f = roundtrip(&ExpPackCodec, &hostile_f32).unwrap();
+    assert_eq!(
+        f.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        hostile_f32.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "exp-pack hostile f32"
+    );
+    let u = roundtrip(&DeltaVarintCodec, &hostile_u32).unwrap();
+    assert_eq!(u, hostile_u32, "delta-varint hostile u32");
+    // Empty and single-element payloads.
+    assert_eq!(
+        roundtrip(&DeltaVarintCodec, &[]).unwrap(),
+        Vec::<u32>::new()
+    );
+    assert_eq!(roundtrip(&DeltaVarintCodec, &[7]).unwrap(), vec![7]);
+    assert!(roundtrip(&ExpPackCodec, &[]).unwrap().is_empty());
+    assert_eq!(
+        roundtrip(&ExpPackCodec, &[-0.0]).unwrap()[0].to_bits(),
+        (-0.0f32).to_bits()
+    );
 }

@@ -215,9 +215,9 @@ fn frames(
     gpn: usize,
     r: usize,
     tokens: usize,
-    codec: Option<&dyn WireCodec>,
+    codec: Option<&dyn WireCodec<u32>>,
 ) -> simgpu::UniqueFrames {
-    let len = |v: &[u32]| codec.map_or(v.len() as u64 * 4, |c| c.encoded_len_u32(v));
+    let len = |v: &[u32]| codec.map_or(v.len() as u64 * 4, |c| c.encoded_len(v));
     let gather = |ranks: std::ops::Range<usize>| -> Vec<u32> {
         ranks.flat_map(|q| indices(q, tokens)).collect()
     };
@@ -298,8 +298,7 @@ fn delta_varint_index_prediction_matches_recorder() {
             let gathered = summed(&measure(world, tokens, 6, cfg)).allgather_bytes;
             let predicted: u64 = (0..world)
                 .map(|r| {
-                    simgpu::DeltaVarintCodec.encoded_len_u32(&indices(r, tokens))
-                        * (world as u64 - 1)
+                    simgpu::DeltaVarintCodec.encoded_len(&indices(r, tokens)) * (world as u64 - 1)
                 })
                 .sum();
             assert_eq!(
