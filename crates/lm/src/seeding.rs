@@ -34,13 +34,11 @@ pub enum SeedStrategy {
     LogE,
     /// `⌈log₁₀ G⌉` distinct seeds.
     Log10,
-    /// `⌈G^0.64⌉` distinct seeds — the paper's Zipf's-frequency strategy,
-    /// reported as the Pareto-optimal setting.
+    /// `⌈G^0.64⌉` distinct seeds ([`perfmodel::law::seed_groups`]) —
+    /// the paper's Zipf's-frequency strategy, reported as the
+    /// Pareto-optimal setting.
     ZipfFreq,
 }
-
-/// The Zipf/Heaps exponent used by [`SeedStrategy::ZipfFreq`].
-pub const ZIPF_ALPHA: f64 = 0.64;
 
 impl SeedStrategy {
     /// Number of distinct seeds this strategy uses across `world` GPUs.
@@ -52,7 +50,7 @@ impl SeedStrategy {
             SeedStrategy::Log2 => (world as f64).log2().ceil() as usize,
             SeedStrategy::LogE => (world as f64).ln().ceil() as usize,
             SeedStrategy::Log10 => (world as f64).log10().ceil() as usize,
-            SeedStrategy::ZipfFreq => (world as f64).powf(ZIPF_ALPHA).ceil() as usize,
+            SeedStrategy::ZipfFreq => perfmodel::law::seed_groups(world),
         };
         count.clamp(1, world)
     }

@@ -10,6 +10,12 @@ pub const ALPHA: f64 = 0.64;
 /// The Figure 1 prefactor (Amazon Reviews fit).
 pub const FIG1_PREFACTOR: f64 = 7.02;
 
+/// Distinct candidate sets of §III-B's Zipf's-frequency seeding on `g`
+/// GPUs: `⌈G^α⌉` seed groups, with the unique-words law's exponent.
+pub fn seed_groups(g: usize) -> usize {
+    (g as f64).powf(ALPHA).ceil() as usize
+}
+
 /// Expected unique words among `tokens` tokens: `min(a·N^α, cap)`.
 pub fn unique_words(tokens: u64, prefactor: f64, alpha: f64, cap: usize) -> u64 {
     assert!(prefactor > 0.0 && alpha > 0.0 && cap >= 1);

@@ -22,7 +22,7 @@
 //! Table III.
 
 use crate::flops::{self, WORD_UTILIZATION};
-use crate::law::{unique_words, ALPHA, FIG1_PREFACTOR};
+use crate::law::{seed_groups, unique_words, ALPHA, FIG1_PREFACTOR};
 use crate::scale::{scaling_tables, Rows, StepTerms};
 use crate::schedule::{ExchangeConfig, StepSchedule};
 use simgpu::{CostModel, HardwareConfig};
@@ -191,16 +191,12 @@ impl WordScale {
         let target_rows = unique_words(gk, FIG1_PREFACTOR, ALPHA, self.vocab);
         // Seeding shares each seed among a group: ⌈G^0.64⌉ candidate sets.
         let seeded = matches!(stack, TechniqueStack::UniqueSeeded | TechniqueStack::Full);
-        let seed_groups: u64 = if seeded {
-            (g as f64).powf(ALPHA).ceil() as u64
-        } else {
-            g as u64
-        };
+        let candidate_sets = if seeded { seed_groups(g) } else { g };
         // Log-uniform candidate draws are themselves Zipfian, so the
         // union of k distinct candidate sets also follows the Heaps law
         // (the paper's Θ((G·S)^0.64) claim for the output layer).
         let sampled_rows = unique_words(
-            seed_groups * self.samples as u64,
+            (candidate_sets * self.samples) as u64,
             FIG1_PREFACTOR,
             ALPHA,
             self.vocab,
