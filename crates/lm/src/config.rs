@@ -351,14 +351,6 @@ impl CommConfig {
         }
     }
 
-    /// Sets the barrier deadline policy (silent peers surface as
-    /// `CommError::Timeout` after `timeout · (2^(retries+1) − 1)` of
-    /// waiting).
-    pub fn with_deadline(mut self, deadline: simgpu::BarrierDeadline) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Two-tier hierarchical collectives on the hardware preset's node
     /// size, with rank execution bounded to `pool_workers` run slots.
     pub fn hierarchical_pooled(pool_workers: usize) -> Self {

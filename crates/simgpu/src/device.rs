@@ -100,11 +100,6 @@ impl Device {
             bytes,
         })
     }
-
-    /// Allocation sized for `n` elements of `size_of::<T>()` bytes.
-    pub fn try_alloc_elems<T>(self: &Arc<Self>, n: usize) -> Result<Allocation, OomError> {
-        self.try_alloc((n * std::mem::size_of::<T>()) as u64)
-    }
 }
 
 /// RAII guard for device memory; freeing happens on drop.
@@ -176,15 +171,6 @@ mod tests {
         let dev = Device::new(0, 10);
         let a = dev.try_alloc(0).unwrap();
         assert_eq!(a.bytes(), 0);
-    }
-
-    #[test]
-    fn elems_alloc_sizes_by_type() {
-        let dev = Device::new(0, 1024);
-        let a = dev.try_alloc_elems::<f32>(100).unwrap();
-        assert_eq!(a.bytes(), 400);
-        let b = dev.try_alloc_elems::<u16>(100).unwrap();
-        assert_eq!(b.bytes(), 200);
     }
 
     #[test]

@@ -1,32 +1,8 @@
 //! Numerically-stable reductions and pointwise nonlinearities.
 //!
 //! Softmax over large vocabularies is exactly where the paper's LMs spend
-//! their FLOPs; everything here subtracts the row maximum before
-//! exponentiating so full-softmax over a 100 K vocabulary stays finite.
-
-use crate::matrix::Matrix;
-
-/// In-place row-wise softmax.
-pub fn softmax_rows(m: &mut Matrix) {
-    let cols = m.cols();
-    for row in m.as_mut_slice().chunks_mut(cols) {
-        softmax_in_place(row);
-    }
-}
-
-/// In-place softmax of a single slice.
-pub fn softmax_in_place(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
-    }
-    let inv = 1.0 / sum;
-    for x in row.iter_mut() {
-        *x *= inv;
-    }
-}
+//! their FLOPs; [`log_sum_exp`] subtracts the row maximum before
+//! exponentiating so a full softmax over a 100 K vocabulary stays finite.
 
 /// log(Σ exp(xᵢ)) computed stably.
 pub fn log_sum_exp(row: &[f32]) -> f32 {
@@ -62,27 +38,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn softmax_rows_sum_to_one_and_order_preserved() {
-        let mut m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        softmax_rows(&mut m);
-        for r in 0..2 {
-            let row = m.row(r);
-            let sum: f32 = row.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-6);
-            assert!(row[0] < row[1] && row[1] < row[2]);
-        }
-    }
-
-    #[test]
-    fn softmax_stable_for_large_logits() {
-        let mut row = vec![1000.0f32, 1001.0, 1002.0];
-        softmax_in_place(&mut row);
-        assert!(row.iter().all(|x| x.is_finite()));
-        let sum: f32 = row.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn log_sum_exp_matches_naive_in_safe_range() {
         let row = [0.1f32, -0.4, 2.0, 1.5];
         let naive = row.iter().map(|&x| x.exp()).sum::<f32>().ln();
@@ -112,15 +67,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn softmax_probabilities(xs in proptest::collection::vec(-30.0f32..30.0, 1..64)) {
-            let mut row = xs;
-            softmax_in_place(&mut row);
-            let sum: f32 = row.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-4);
-            prop_assert!(row.iter().all(|&p| (0.0..=1.0 + 1e-6).contains(&p)));
-        }
-
         #[test]
         fn log_sum_exp_at_least_max(xs in proptest::collection::vec(-50.0f32..50.0, 1..32)) {
             let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);

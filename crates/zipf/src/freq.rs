@@ -87,36 +87,6 @@ impl FrequencyTable {
         (ids, covered as f64 / self.total.max(1) as f64)
     }
 
-    /// Merges another table into this one (used when counting shards in
-    /// parallel and reducing).
-    pub fn merge(&mut self, other: &FrequencyTable) {
-        for (&t, &c) in &other.counts {
-            *self.counts.entry(t).or_insert(0) += c;
-        }
-        self.total += other.total;
-    }
-
-    /// Coverage curve: fraction of token mass covered by the top-k types
-    /// for each `k` in `ks` (ascending). This is §IV-A's claim — "the
-    /// 100,000 most frequent words … account for 99% of the text" —
-    /// as a measurable function of vocabulary size.
-    pub fn coverage_curve(&self, ks: &[usize]) -> Vec<f64> {
-        debug_assert!(ks.windows(2).all(|w| w[0] <= w[1]), "ks must ascend");
-        let ranked = self.ranked();
-        let total = self.total.max(1) as f64;
-        let mut out = Vec::with_capacity(ks.len());
-        let mut covered = 0u64;
-        let mut next = 0usize;
-        for &k in ks {
-            while next < k.min(ranked.len()) {
-                covered += ranked[next].1;
-                next += 1;
-            }
-            out.push(covered as f64 / total);
-        }
-        out
-    }
-
     /// The smallest vocabulary size covering at least `target` of the
     /// token mass (`None` if even the full type set falls short, which
     /// only happens for `target > 1`).
@@ -187,29 +157,6 @@ mod tests {
         assert!((cov - 0.9).abs() < 1e-12);
         let (_, full) = t.top_k(10);
         assert!((full - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = table_of(&[0, 1]);
-        let b = table_of(&[1, 2, 2]);
-        a.merge(&b);
-        assert_eq!(a.tokens(), 5);
-        assert_eq!(a.count(1), 2);
-        assert_eq!(a.count(2), 2);
-        assert_eq!(a.types(), 3);
-    }
-
-    #[test]
-    fn coverage_curve_monotone_and_complete() {
-        let t = table_of(&[0, 0, 0, 0, 1, 1, 2, 3]);
-        let cov = t.coverage_curve(&[1, 2, 4, 10]);
-        assert_eq!(cov.len(), 4);
-        assert!((cov[0] - 0.5).abs() < 1e-12);
-        assert!((cov[1] - 0.75).abs() < 1e-12);
-        assert!((cov[2] - 1.0).abs() < 1e-12);
-        assert!((cov[3] - 1.0).abs() < 1e-12);
-        assert!(cov.windows(2).all(|w| w[1] >= w[0]));
     }
 
     #[test]
