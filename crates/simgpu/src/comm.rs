@@ -583,10 +583,10 @@ impl CommGroup {
 /// *detectable by construction* for every codec: a non-empty payload
 /// decoded from zero bytes is a guaranteed `Truncated`, and a stray
 /// byte on an empty payload is guaranteed trailing garbage. A flipped
-/// bit inside a raw frame would instead decode silently
-/// into wrong values — the wire layer has no CRC (that lives in the
-/// checkpoint frames), so the harness injects the fault class the
-/// framing can actually catch.
+/// bit inside a raw frame would instead decode silently into wrong
+/// values — the wire layer has no CRC (that lives in the checkpoint
+/// frames), so the harness injects the fault class the framing can
+/// actually catch.
 fn corrupt_frame<T>(frame: &mut Vec<T>, stray: T) {
     if frame.is_empty() {
         frame.push(stray);
@@ -964,7 +964,7 @@ fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec<u32>>, topology:
                 let slot = core.gather_bytes[sender].read();
                 let (n, frame) = &*slot;
                 if let Err(e) = codec.decode(frame, *n, &mut st.indices) {
-                    st.error = Some(codec_error(sender, codec, e));
+                    st.error = Some(codec_error(sender, codec.name(), e));
                     return;
                 }
                 frame.len() as u64
@@ -1009,15 +1009,8 @@ fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec<u32>>, topology:
 /// the rank whose published frame failed to decode — not the decoding
 /// rank — so every decoder names the *same* culprit and elastic
 /// recovery can shrink around it deterministically.
-fn codec_error<T>(
-    sender: usize,
-    codec: &dyn WireCodec<T>,
-    err: crate::codec::CodecError,
-) -> CommError {
-    CommError::abort(
-        sender,
-        format!("wire codec {} decode failed: {err}", codec.name()),
-    )
+fn codec_error(sender: usize, codec: &str, err: crate::codec::CodecError) -> CommError {
+    CommError::abort(sender, format!("wire codec {codec} decode failed: {err}"))
 }
 
 impl Rank {
@@ -1574,7 +1567,7 @@ impl Rank {
             }
             decoded.clear();
             if let Err(e) = codec.decode(&wire, range.len(), &mut decoded) {
-                return Err(self.poison(codec_error(self.rank, codec, e)));
+                return Err(self.poison(codec_error(self.rank, codec.name(), e)));
             }
             data[range].copy_from_slice(&decoded);
         }
