@@ -426,12 +426,15 @@ impl Width {
         }
     }
 
-    /// The widest width this CPU supports.
+    /// The widest width this CPU supports, unless [`for_each_width`]
+    /// holds this thread at another.
     fn detect() -> Width {
-        *Width::ALL
-            .iter()
-            .find(|w| w.supported())
-            .expect("the portable width is always supported")
+        FORCED_WIDTH.get().unwrap_or_else(|| {
+            *Width::ALL
+                .iter()
+                .find(|w| w.supported())
+                .expect("the portable width is always supported")
+        })
     }
 
     /// Rows of a full tile.
@@ -464,6 +467,22 @@ pub fn kernel_width() -> &'static str {
 thread_local! {
     /// Running total behind [`gemm_macs`].
     static GEMM_MACS: Cell<u64> = const { Cell::new(0) };
+    /// The width [`for_each_width`] holds this thread's products at.
+    static FORCED_WIDTH: Cell<Option<Width>> = const { Cell::new(None) };
+}
+
+/// Runs `f` once per tile width this CPU supports, widest first, with
+/// every product the calling thread issues inside `f` held at that
+/// width; `f` gets the width's name. A test seam: it lets an integration
+/// test pin the bits of the public entry points at every width. Every
+/// width computes the same bits, so nothing else has a reason to call it.
+#[doc(hidden)]
+pub fn for_each_width(mut f: impl FnMut(&'static str)) {
+    for &width in Width::ALL.iter().filter(|w| w.supported()) {
+        FORCED_WIDTH.set(Some(width));
+        f(width.name());
+    }
+    FORCED_WIDTH.set(None);
 }
 
 /// Multiply-adds every product on this thread has performed so far:
