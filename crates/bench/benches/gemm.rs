@@ -8,10 +8,12 @@
 //! 4×16 or 16×16 tile depending on what the CPU reports, so a number
 //! without its width says little. Both recurrences issue their
 //! per-step products in place — the word LM's LSTM `Z[t] += h·Wh`
-//! against a `Wh` packed once per sequence and `dWh += hᵀ·dz` with an
-//! accumulate store, the char LM's RHN `s·R_l` and `dR_l += sᵀ·dz` per
-//! micro-layer the same way — so those four shapes are timed that way
-//! too, next to the allocating call.
+//! against a `Wh` packed once per sequence, `dWh += hᵀ·dz` and
+//! `dWx += x_tᵀ·dz_t` with an accumulate store, the char LM's RHN `s·R_l`
+//! and `dR_l += sᵀ·dz` per micro-layer the same way — so those shapes are
+//! timed that way too, next to the allocating call. The LSTM backward's
+//! `k = 16` products at word_exchange's shape (`DZ·Wxᵀ` over all steps,
+//! `x_tᵀ·dz_t` per step) are the largest in that workload's step.
 //!
 //! Run pinned to one CPU (`taskset -c 1 cargo bench -p zlm-bench --bench
 //! gemm`): the kernel is sequential, and `e2e` measures it the same way.
@@ -31,15 +33,18 @@ const SHAPES: &[(&str, usize, usize, usize)] = &[
     ("word_compute eval h·Eᵀ", 320, 64, 4000),
     ("word_compute X·Wx (all steps)", 320, 64, 1024),
     ("word_compute DZ·Wxᵀ (all steps)", 320, 1024, 64),
+    ("word_exchange DZ·Wxᵀ (all steps)", 2048, 16, 512),
 ];
 
 /// The per-step products of the two recurrences, also timed through
-/// `Matrix::gemm_rows` as `nn::lstm` and `nn::rhn` issue them.
-const RECURRENT: &[(&str, usize, usize, usize)] = &[
-    ("word_compute h·Wh", 16, 256, 1024),
-    ("word_compute hᵀ·dz", 256, 16, 1024),
-    ("char_weak s·R", 1, 48, 48),
-    ("char_weak sᵀ·dz", 48, 1, 48),
+/// `Matrix::gemm_rows` as `nn::lstm` and `nn::rhn` issue them; the last
+/// field says whether the layer reads `A` transposed (`hᵀ`, `sᵀ`, `x_tᵀ`).
+const RECURRENT: &[(&str, usize, usize, usize, bool)] = &[
+    ("word_compute h·Wh", 16, 256, 1024, false),
+    ("word_compute hᵀ·dz", 256, 16, 1024, true),
+    ("word_exchange x_tᵀ·dz", 512, 512, 16, true),
+    ("char_weak s·R", 1, 48, 48, false),
+    ("char_weak sᵀ·dz", 48, 1, 48, true),
 ];
 
 /// Times `call` under `id` and prints its GFLOP/s for `flops` per call.
@@ -78,19 +83,19 @@ fn bench_gemm(c: &mut Criterion) {
     println!("# kernel width: {}", tensor::matrix::kernel_width());
     let mut rng = StdRng::seed_from_u64(7);
     let mut group = c.benchmark_group("gemm");
-    for &(what, m, k, n) in SHAPES.iter().chain(RECURRENT) {
+    let recurrent = RECURRENT.iter().map(|&(what, m, k, n, _)| (what, m, k, n));
+    for (what, m, k, n) in SHAPES.iter().copied().chain(recurrent) {
         println!("# {what}");
         let a = init::uniform(&mut rng, m, k, 0.1);
         let b = init::uniform(&mut rng, k, n, 0.1);
         time_products(&mut group, &a, &b);
     }
-    for &(what, m, k, n) in RECURRENT {
+    for &(what, m, k, n, transposed) in RECURRENT {
         println!("# {what}, in place");
         // `A` and `C` are one timestep's rows of t-major matrices four
         // steps long, as in the layer; `A` is stored transposed where the
-        // layer reads it transposed (`hᵀ`, `sᵀ`: m > k).
+        // layer reads it transposed.
         let step = 2;
-        let transposed = m > k;
         let (a_rows, a_cols) = if transposed { (k, m) } else { (m, k) };
         let a_all = init::uniform(&mut rng, 4 * a_rows, a_cols, 0.1);
         let a = a_all.rows_view(step * a_rows..(step + 1) * a_rows);

@@ -845,6 +845,8 @@ mod tests {
     fn products_bit_identical_at_workload_and_edge_shapes() {
         // The e2e workloads' GEMMs as `m×k×n` (ᵀ marks the ones issued
         // as `A·Bᵀ`; every shape is checked through every layout).
+        // 512×512×16 is also the LSTM's `x_tᵀ·dz_t`, an `Aᵀ·B` under
+        // `Store::Add`, which the `Add` test below runs at that shape.
         let workloads = [
             (16, 64, 1024),
             (16, 1024, 256), // ᵀ
@@ -852,6 +854,7 @@ mod tests {
             (512, 16, 4), // ᵀ
             (1, 48, 48),
             (320, 64, 4000), // ᵀ
+            (2048, 16, 512), // ᵀ
         ];
         // k = 0; every remainder path of a 16-row tile (15 = 8+4+2+1,
         // 17 and 33 = full tiles + 1) against n below, at and across a
@@ -907,6 +910,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         for (m, k, n) in [
             (16, 256, 1024),
+            (512, 512, 16),
             (5, 9, 17),
             (33, 16, 4),
             (1, 1, 1),
