@@ -4,17 +4,24 @@
 //! GPU these run as thread-block kernels, here every product — the three
 //! allocating ones (`A·B`, `A·Bᵀ`, `Aᵀ·B`) and the in-place
 //! [`Matrix::gemm_rows`] — runs through one sequential register-tiled
-//! driver, `gemm`: per 16-column panel of `B` it walks `C` in `R×16`
-//! tiles whose sums stay in registers across the whole `k` loop. The
-//! kernel spawns no threads — a simulated GPU rank is already the unit of
-//! host parallelism.
+//! driver, `gemm`, with one loop nest: `B` is packed in column blocks of
+//! at most `BLOCK_FLOATS` (64 KB; all of `B` when it fits, one 16-column
+//! panel at least), and within a block `C` is walked row tile by row
+//! tile, each `R×16` tile's sums in registers across the whole `k` loop,
+//! each row tile across every panel of the block before the next. A
+//! small-`k` product thus writes each row of `C` contiguously. The kernel
+//! spawns no threads — a simulated GPU rank is already the unit of host
+//! parallelism.
 //!
 //! **Width.** The tile is instantiated at the widest vector unit the CPU
 //! reports (`Width`; CPUID only — no build flag, feature or option
 //! selects it): a `16×16` tile of explicit AVX-512F multiplies and adds,
 //! the generic tile body at `4×16` compiled under `avx2`, or the same
 //! body at `2×16` for the build's baseline ISA. The per-width code is the
-//! tile's inner `p` loop and nothing else.
+//! tile's inner `p` loop, plus the AVX-512 tile's store of a full-width
+//! tile straight from its registers (a load, a separate add under `Add`,
+//! a store per row); partial panels and the other widths share one
+//! epilogue, `store_tile`.
 //!
 //! **Order.** Every `C[i][j]` is one lane accumulated from `+0.0` in
 //! ascending `p` with a separate multiply and add — never a fused one —
@@ -41,12 +48,19 @@
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::Range;
 
 /// Columns of `C` one tile keeps in registers (the width of a `B` panel).
 const NR: usize = 16;
+
+/// Floats of packed `B` the driver walks `C` against at once (64 KB, an
+/// L2-resident block): as many whole panels as fit, and at least one.
+/// All of `B` fits for every `k = 16` and `n = 16` product of the `e2e`
+/// workloads, so such a product writes each row tile of `C` once,
+/// contiguously, instead of 64 bytes of it per panel.
+const BLOCK_FLOATS: usize = 16 * 1024;
 
 /// A dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq)]
@@ -321,7 +335,7 @@ impl View<'_> {
 
 /// A right operand packed once: all `⌈n/16⌉` panels of a `k×n` view,
 /// each the contiguous zero-padded `k×16` block the tile loop reads.
-/// What `gemm` otherwise builds per call and per panel; worth keeping
+/// What `gemm` otherwise builds per call, block by block; worth keeping
 /// when the same `B` meets many left operands, as a recurrent weight
 /// does at every timestep. Pack `m.view()` for `A·M`, `m.view().t()` for
 /// `A·Mᵀ`.
@@ -343,19 +357,13 @@ impl PackedB {
         }
         Self { k, n, panels }
     }
-
-    /// The panel of columns `j0..j0 + 16`: panels are `k·NR` floats each,
-    /// so number `j0 / NR` starts at `j0 · k`.
-    fn panel(&self, j0: usize) -> &[f32] {
-        &self.panels[j0 * self.k..(j0 + NR) * self.k]
-    }
 }
 
 /// The right operand of [`Matrix::gemm_rows`]: packed per call from a
 /// view, or packed beforehand.
 #[derive(Clone, Copy)]
 pub enum Rhs<'a> {
-    /// Pack each panel as the product reaches it.
+    /// Pack each block of panels as the product reaches it.
     View(View<'a>),
     /// Read the panels of a [`PackedB`].
     Packed(&'a PackedB),
@@ -469,6 +477,12 @@ thread_local! {
     static GEMM_MACS: Cell<u64> = const { Cell::new(0) };
     /// The width [`for_each_width`] holds this thread's products at.
     static FORCED_WIDTH: Cell<Option<Width>> = const { Cell::new(None) };
+    /// The buffer `gemm` packs a [`View`] right operand's block into,
+    /// kept for the thread's next product: it grows to the largest block
+    /// packed so far, `BLOCK_FLOATS` or one larger panel. A fresh zeroed
+    /// buffer per call cost the small products (`1×48×48`, `6×24×48`) a
+    /// tenth of their time once a block held several panels.
+    static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` once per tile width this CPU supports, widest first, with
@@ -501,60 +515,79 @@ fn product(a: View<'_>, b: View<'_>) -> Matrix {
 
 /// `C = A · B` (`ADD = false`) or `C += A · B` (`ADD = true`) over a
 /// row-major `m×n` block `c`; the one driver behind every product.
-/// Rows are walked in tiles of `width.tile_rows()`, then in halving
-/// power-of-two tiles over what is left.
+/// `B`'s columns are taken in blocks of [`BLOCK_FLOATS`] packed floats;
+/// within a block, rows are walked in tiles of `width.tile_rows()`, then
+/// in halving power-of-two tiles over what is left, and each row tile runs
+/// across every panel of the block before the next.
 fn gemm<const ADD: bool>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>) {
     let (m, k, n) = (a.rows, a.cols, b.cols());
     debug_assert_eq!(k, b.rows());
     debug_assert_eq!(c.len(), m * n);
     assert!(width.supported(), "{width:?} tile on a CPU without it");
-    let mut buf = match b {
-        Rhs::View(_) => vec![0.0f32; k * NR],
-        Rhs::Packed(_) => Vec::new(),
-    };
-    for j0 in (0..n).step_by(NR) {
-        let w = NR.min(n - j0);
-        let panel = match b {
-            Rhs::View(v) => {
-                v.pack_panel(j0, w, &mut buf);
-                &buf
-            }
-            Rhs::Packed(p) => p.panel(j0),
-        };
+    let (panel_len, panels) = (k * NR, n.div_ceil(NR));
+    // All of `B` when it fits the budget, else as many panels as fit, and
+    // at least one.
+    let per_block = (BLOCK_FLOATS / panel_len.max(1)).clamp(1, panels.max(1));
+    let mut buf = Vec::new();
+    if let Rhs::View(_) = b {
+        buf = PACK_BUF.take();
+        buf.resize(buf.len().max(per_block * panel_len), 0.0);
+    }
+    for q0 in (0..panels).step_by(per_block) {
+        let block = q0..panels.min(q0 + per_block);
         let mut i0 = 0;
         while i0 < m {
             let r = 1 << width.tile_rows().min(m - i0).ilog2();
-            let c_block = &mut c[i0 * n + j0..];
-            match width {
-                Width::Portable => match r {
-                    2 => tile_portable::<2, ADD>(a, i0, panel, c_block, n, w),
-                    _ => tile_portable::<1, ADD>(a, i0, panel, c_block, n, w),
-                },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `width.supported()` was asserted on entry, so
-                // the CPU has the `avx2` these tiles are compiled for.
-                Width::Avx2 => unsafe {
-                    match r {
-                        4 => tile_avx2::<4, ADD>(a, i0, panel, c_block, n, w),
-                        2 => tile_avx2::<2, ADD>(a, i0, panel, c_block, n, w),
-                        _ => tile_avx2::<1, ADD>(a, i0, panel, c_block, n, w),
+            for q in block.clone() {
+                let j0 = q * NR;
+                let w = NR.min(n - j0);
+                let panel: &[f32] = match b {
+                    Rhs::View(v) => {
+                        // Packed just before the first row tile reads it,
+                        // so a one-tile product finds each panel in L1.
+                        let panel = &mut buf[(q - q0) * panel_len..][..panel_len];
+                        if i0 == 0 {
+                            v.pack_panel(j0, w, panel);
+                        }
+                        panel
                     }
-                },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `width.supported()` was asserted on entry, so
-                // the CPU has the `avx512f` these tiles are compiled for.
-                Width::Avx512 => unsafe {
-                    match r {
-                        16 => tile_avx512::<16, ADD>(a, i0, panel, c_block, n, w),
-                        8 => tile_avx512::<8, ADD>(a, i0, panel, c_block, n, w),
-                        4 => tile_avx512::<4, ADD>(a, i0, panel, c_block, n, w),
-                        2 => tile_avx512::<2, ADD>(a, i0, panel, c_block, n, w),
-                        _ => tile_avx512::<1, ADD>(a, i0, panel, c_block, n, w),
-                    }
-                },
+                    Rhs::Packed(p) => &p.panels[q * panel_len..][..panel_len],
+                };
+                let c_block = &mut c[i0 * n + j0..];
+                match width {
+                    Width::Portable => match r {
+                        2 => tile_portable::<2, ADD>(a, i0, panel, c_block, n, w),
+                        _ => tile_portable::<1, ADD>(a, i0, panel, c_block, n, w),
+                    },
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `width.supported()` was asserted on entry, so
+                    // the CPU has the `avx2` these tiles are compiled for.
+                    Width::Avx2 => unsafe {
+                        match r {
+                            4 => tile_avx2::<4, ADD>(a, i0, panel, c_block, n, w),
+                            2 => tile_avx2::<2, ADD>(a, i0, panel, c_block, n, w),
+                            _ => tile_avx2::<1, ADD>(a, i0, panel, c_block, n, w),
+                        }
+                    },
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `width.supported()` was asserted on entry, so
+                    // the CPU has the `avx512f` these tiles are compiled for.
+                    Width::Avx512 => unsafe {
+                        match r {
+                            16 => tile_avx512::<16, ADD>(a, i0, panel, c_block, n, w),
+                            8 => tile_avx512::<8, ADD>(a, i0, panel, c_block, n, w),
+                            4 => tile_avx512::<4, ADD>(a, i0, panel, c_block, n, w),
+                            2 => tile_avx512::<2, ADD>(a, i0, panel, c_block, n, w),
+                            _ => tile_avx512::<1, ADD>(a, i0, panel, c_block, n, w),
+                        }
+                    },
+                }
             }
             i0 += r;
         }
+    }
+    if let Rhs::View(_) = b {
+        PACK_BUF.set(buf);
     }
 }
 
@@ -671,6 +704,25 @@ fn tile_avx512<const R: usize, const ADD: bool>(
             };
             *acc_i = _mm512_add_ps(*acc_i, _mm512_mul_ps(_mm512_set1_ps(a_ip), b));
         }
+    }
+    if w == NR {
+        // A full tile stores straight from the registers; under `Add`
+        // each sum gets one separate add to what `C` held, `C` first as
+        // in `store_tile`.
+        for (i, acc_i) in acc.into_iter().enumerate() {
+            let c_row = &mut c_block[i * c_stride..][..NR];
+            let out = if ADD {
+                // SAFETY: `c_row` is a slice of exactly NR = 16 floats,
+                // the 64 bytes an unaligned 512-bit load reads.
+                _mm512_add_ps(unsafe { _mm512_loadu_ps(c_row.as_ptr()) }, acc_i)
+            } else {
+                acc_i
+            };
+            // SAFETY: as above, the 64 bytes an unaligned 512-bit store
+            // writes.
+            unsafe { _mm512_storeu_ps(c_row.as_mut_ptr(), out) };
+        }
+        return;
     }
     let mut sums = [[0.0f32; NR]; R];
     for (row, acc_i) in sums.iter_mut().zip(acc) {
@@ -972,14 +1024,19 @@ mod tests {
         for (k, n) in [(256, 1024), (7, 17), (3, 4), (5, 32), (0, 5)] {
             let m = random(&mut rng, k, n);
             let mt = m.transpose();
-            let want: Vec<f32> = (0..n)
-                .step_by(NR)
-                .flat_map(|j0| {
-                    let mut panel = vec![f32::NAN; k * NR];
-                    m.view().pack_panel(j0, NR.min(n - j0), &mut panel);
-                    panel
-                })
-                .collect();
+            let mut want = vec![f32::NAN; n.div_ceil(NR) * k * NR];
+            for (j0, panel) in (0..n).step_by(NR).zip(want.chunks_mut((k * NR).max(1))) {
+                m.view().pack_panel(j0, NR.min(n - j0), panel);
+            }
+            // Float `p·16 + j` of panel `q` is `M[p][16q + j]`, or a zero
+            // past column `n`.
+            assert_eq!(want.len(), n.div_ceil(NR) * k * NR);
+            for (i, &x) in want.iter().enumerate() {
+                let (q, p, j) = (i / (k * NR), i / NR % k, i % NR);
+                let col = q * NR + j;
+                let expect = if col < n { m.get(p, col) } else { 0.0 };
+                assert_eq!(x.to_bits(), expect.to_bits(), "{k}x{n}: packed float {i}");
+            }
             for (what, packed) in [
                 ("M", PackedB::new(m.view())),
                 ("(Mᵀ)ᵀ", PackedB::new(mt.view().t())),
@@ -987,10 +1044,6 @@ mod tests {
                 assert_eq!((packed.k, packed.n), (k, n), "{what} {k}x{n}: shape");
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&packed.panels), bits(&want), "{what} {k}x{n}: panels");
-                for j0 in (0..n).step_by(NR) {
-                    let panel = &want[j0 * k..(j0 + NR) * k];
-                    assert_eq!(bits(packed.panel(j0)), bits(panel), "{what}: panel at {j0}");
-                }
             }
         }
     }
