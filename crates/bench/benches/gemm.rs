@@ -37,14 +37,13 @@ const SHAPES: &[(&str, usize, usize, usize)] = &[
 ];
 
 /// The per-step products of the two recurrences, also timed through
-/// `Matrix::gemm_rows` as `nn::lstm` and `nn::rhn` issue them; the last
-/// field says whether the layer reads `A` transposed (`hᵀ`, `sᵀ`, `x_tᵀ`).
-const RECURRENT: &[(&str, usize, usize, usize, bool)] = &[
-    ("word_compute h·Wh", 16, 256, 1024, false),
-    ("word_compute hᵀ·dz", 256, 16, 1024, true),
-    ("word_exchange x_tᵀ·dz", 512, 512, 16, true),
-    ("char_weak s·R", 1, 48, 48, false),
-    ("char_weak sᵀ·dz", 48, 1, 48, true),
+/// `Matrix::gemm_rows` as `nn::lstm` and `nn::rhn` issue them.
+const RECURRENT: &[(&str, usize, usize, usize)] = &[
+    ("word_compute h·Wh", 16, 256, 1024),
+    ("word_compute hᵀ·dz", 256, 16, 1024),
+    ("word_exchange x_tᵀ·dz", 512, 512, 16),
+    ("char_weak s·R", 1, 48, 48),
+    ("char_weak sᵀ·dz", 48, 1, 48),
 ];
 
 /// Times `call` under `id` and prints its GFLOP/s for `flops` per call.
@@ -83,19 +82,19 @@ fn bench_gemm(c: &mut Criterion) {
     println!("# kernel width: {}", tensor::matrix::kernel_width());
     let mut rng = StdRng::seed_from_u64(7);
     let mut group = c.benchmark_group("gemm");
-    let recurrent = RECURRENT.iter().map(|&(what, m, k, n, _)| (what, m, k, n));
-    for (what, m, k, n) in SHAPES.iter().copied().chain(recurrent) {
+    for &(what, m, k, n) in SHAPES.iter().chain(RECURRENT) {
         println!("# {what}");
         let a = init::uniform(&mut rng, m, k, 0.1);
         let b = init::uniform(&mut rng, k, n, 0.1);
         time_products(&mut group, &a, &b);
     }
-    for &(what, m, k, n, transposed) in RECURRENT {
+    for &(what, m, k, n) in RECURRENT {
         println!("# {what}, in place");
         // `A` and `C` are one timestep's rows of t-major matrices four
         // steps long, as in the layer; `A` is stored transposed where the
-        // layer reads it transposed.
+        // layer reads it transposed (`hᵀ`, `sᵀ`, `x_tᵀ`: m ≥ k).
         let step = 2;
+        let transposed = m >= k;
         let (a_rows, a_cols) = if transposed { (k, m) } else { (m, k) };
         let a_all = init::uniform(&mut rng, 4 * a_rows, a_cols, 0.1);
         let a = a_all.rows_view(step * a_rows..(step + 1) * a_rows);
