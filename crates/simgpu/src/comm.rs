@@ -2575,6 +2575,67 @@ mod tests {
         }
     }
 
+    /// Bit oracle for [`Rank::all_reduce`], driven through the public API
+    /// only: one FNV-1a hash over the `to_bits` of every rank's buffer
+    /// after the collective, for each wire format (f32, binary16 at two
+    /// scales, the lossless codec) × flat / two-tier on 3-GPU nodes ×
+    /// G ∈ {2, 3, 8} × n ∈ {0, 1, G−1, `REDUCE_BLOCK` ± 1} on the
+    /// hostile payloads — plus a ragged bucket split of one buffer (one
+    /// bucket empty) whose head and tail lie outside every range and
+    /// must come back bit-identical.
+    #[test]
+    fn all_reduce_characterisation() {
+        use crate::codec::WireCodecId;
+        let lossless = WireCodecId::Lossless
+            .grad_codec()
+            .expect("lossless has a grad codec");
+        let wires = [
+            Wire::F32,
+            Wire::F16 { scale: 512.0 },
+            Wire::F16 { scale: 64.0 },
+            Wire::Codec(lossless),
+        ];
+        let b = REDUCE_BLOCK;
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for wire in wires {
+            for topology in [Topology::Flat, Topology::TwoTier] {
+                for world in [2usize, 3, 8] {
+                    let whole = [0, 1, world - 1, b - 1, b + 1].map(|n| (n, vec![0..n]));
+                    let len = 2 * b + 9;
+                    let split = (len, vec![2..3, 3..b + 3, b + 3..b + 3, b + 3..len - 3]);
+                    for (n, ranges) in whole.into_iter().chain([split]) {
+                        let out = run_group_topo(world, 3, |rank| {
+                            let mut data = hostile_payload(rank.rank(), n);
+                            for range in &ranges {
+                                rank.all_reduce(&mut data[range.clone()], wire, topology)
+                                    .unwrap();
+                            }
+                            data
+                        });
+                        let (head, tail) = (ranges[0].start, ranges[ranges.len() - 1].end);
+                        for (r, data) in out.iter().enumerate() {
+                            let input = hostile_payload(r, n);
+                            let ctx = format!("world {world} {topology:?} n {n} rank {r}");
+                            assert_same_bits(&data[..head], &input[..head], &ctx);
+                            assert_same_bits(&data[tail..], &input[tail..], &ctx);
+                            fold(data.len() as u64);
+                            for x in data {
+                                fold(u64::from(x.to_bits()));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, 0xbf90_611f_a63b_3bad, "all_reduce output bits moved");
+    }
+
     #[test]
     fn flat_ring_tier_split_follows_group_topology() {
         // A flat allreduce on a multi-node group charges each rank's
