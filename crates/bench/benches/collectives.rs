@@ -17,7 +17,7 @@ fn run_allreduce(world: usize, gpn: usize, n: usize, wire: Wire<'static>, topolo
         for rank in ranks {
             s.spawn(move || {
                 let mut data = vec![rank.rank() as f32; n];
-                rank.all_reduce(&mut data, wire, topology).unwrap();
+                rank.all_reduce(&mut data, 0..n, wire, topology).unwrap();
             });
         }
     });

@@ -6,12 +6,13 @@
 //! the F16 − F32 difference at one shape is what the step pays for it.
 //!
 //! Each line is followed by ms per call and ns per *element-hop*: an
-//! `n`-element reduction over `G` ranks touches every element `G` times
-//! (rank 0's copy and `G − 1` adds; under F16 `G − 1` hop casts and the
-//! final wire quantisation), so ns per element-hop is time / (`n`·`G`).
-//! A call includes each rank's copy into its slot, the copy of the
-//! result back out and a refresh of the payload (the reduction is in
-//! place) — the F32 rows are the floor those set.
+//! `n`-element reduction over `G` ranks reads every element of all `G`
+//! buffers (rank 0's in place and `G − 1` adds; under F16 `G − 1` hop
+//! casts and the final wire quantisation), so ns per element-hop is
+//! time / (`n`·`G`). Each rank lends its buffer (a move, not a copy),
+//! the leader writes every reduced block back into the other `G − 1`
+//! buffers while it is in L1, and a call also refreshes the payload
+//! (the reduction is in place) — the F32 rows are the floor those set.
 //!
 //! The scalar converters `f32_to_f16_bits` / `f16_bits_to_f32` — the
 //! readable reference and the producers of real `u16` wire bits for
@@ -53,7 +54,8 @@ fn all_reduce_loop(world: usize, n: usize, wire: Wire<'static>, iters: u64) -> D
         let mut data = src.clone();
         let mut call = || {
             data.copy_from_slice(&src);
-            rank.all_reduce(&mut data, wire, Topology::Flat).unwrap();
+            rank.all_reduce(&mut data, 0..n, wire, Topology::Flat)
+                .unwrap();
         };
         call();
         rank.barrier().unwrap();

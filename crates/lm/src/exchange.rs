@@ -514,13 +514,15 @@ pub struct ReducedBytes {
 /// bucket of at most `cfg.bucket_bytes` wire bytes (see [`buckets`]) —
 /// the only place gradient buckets meet a collective: the trainer's
 /// dense ALLREDUCE and the exchange's step-6 `Ug×D` ALLREDUCE both call
-/// it. Reduction is elementwise under a canonical leader order, so
-/// neither the slicing nor the topology moves a bit; the returned bytes
-/// are the collective's own, exact even when a bucket does not divide
-/// by the world size.
+/// it. Each bucket is a range of the one buffer, which the collective
+/// borrows rather than copies ([`Rank::all_reduce`]). Reduction is
+/// elementwise under a canonical leader order, so neither the slicing
+/// nor the topology moves a bit; the returned bytes are the
+/// collective's own, exact even when a bucket does not divide by the
+/// world size.
 pub fn all_reduce_bucketed(
     rank: &Rank,
-    data: &mut [f32],
+    data: &mut Vec<f32>,
     cfg: &ExchangeConfig,
 ) -> Result<ReducedBytes, CommError> {
     let (wire, topology) = (cfg.grad_wire(), cfg.topology());
@@ -529,9 +531,9 @@ pub fn all_reduce_bucketed(
         ..ReducedBytes::default()
     };
     for range in buckets(data.len(), wire.elem_bytes(), cfg.bucket_bytes) {
-        let bucket = &mut data[range];
-        out.sent += TrafficSnapshot::allreduce(rank.all_reduce(bucket, wire, topology)?, 1);
-        out.enc += wire.encoded_len(bucket);
+        let sent = rank.all_reduce(data, range.clone(), wire, topology)?;
+        out.sent += TrafficSnapshot::allreduce(sent, 1);
+        out.enc += wire.encoded_len(&data[range]);
     }
     Ok(out)
 }

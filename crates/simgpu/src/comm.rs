@@ -11,10 +11,14 @@
 //! Every collective is a **rendezvous**: each rank publishes its
 //! contribution to a sender-indexed slot, all ranks meet at one
 //! abort-aware barrier where the *last arriver* executes the group-wide
-//! reduction, and each rank then copies the result out. This is O(1)
+//! reduction, and each rank then takes its result. This is O(1)
 //! synchronisation rounds per collective regardless of world size —
 //! what makes 192-rank groups practical on a small machine — and all
-//! payload bytes still genuinely move through shared memory. A gather
+//! payload bytes still genuinely move through shared memory. The
+//! ALLREDUCE ([`Rank::all_reduce`]) publishes by *lending*: each rank
+//! moves its own buffer into its slot, the last arriver reduces every
+//! lent range in place and writes the sum back into each, and each rank
+//! moves its buffer back — no payload is copied in or out. A gather
 //! has no reduction: after the rendezvous each rank *visits* every
 //! sender's slot in rank order, under a shared read lock
 //! ([`Rank::all_gather_f32_visit`] and its `u32` / `f16` siblings hand
@@ -81,6 +85,7 @@ use crate::layout::{NodeLayout, Topology};
 use crate::pool::RunGate;
 use crate::traffic::{Tier, TierBytes};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Instant;
@@ -482,8 +487,12 @@ struct GroupCore {
     /// Sender-indexed byte mailboxes for codec-framed collectives:
     /// `(element_count, encoded_bytes)` per sender.
     gather_bytes: Vec<RwLock<(usize, Vec<u8>)>>,
-    /// Reduction results written by the rendezvous leader, read by all.
-    reduce_f32: Mutex<Vec<f32>>,
+    /// Each rank's buffer, lent for one [`Rank::all_reduce`]: its own
+    /// `Vec` (moved in, not copied) and the range being reduced. Empty
+    /// between collectives; the rendezvous leader reduces every lent
+    /// range in place.
+    lent: Vec<Mutex<(Vec<f32>, Range<usize>)>>,
+    /// The scalar reduction's result, written by the rendezvous leader.
     reduce_f64: Mutex<f64>,
     /// The unique-set gather's sets and charges, written by the
     /// rendezvous leader, read by all.
@@ -503,7 +512,7 @@ struct GroupCore {
 ///         .into_iter()
 ///         .map(|rank| s.spawn(move || {
 ///             let mut v = vec![rank.rank() as f32; 8];
-///             rank.all_reduce(&mut v, Wire::F32, Topology::Flat)
+///             rank.all_reduce(&mut v, 0..8, Wire::F32, Topology::Flat)
 ///                 .expect("no rank aborted");
 ///             v[0]
 ///         }))
@@ -558,7 +567,7 @@ impl CommGroup {
             gather_u16: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
             scalar_f64: (0..world).map(|_| Mutex::new(0.0)).collect(),
             gather_bytes: (0..world).map(|_| RwLock::new((0, Vec::new()))).collect(),
-            reduce_f32: Mutex::new(Vec::new()),
+            lent: (0..world).map(|_| Mutex::default()).collect(),
             reduce_f64: Mutex::new(0.0),
             unique: RwLock::new(UniqueState::default()),
             gate: (pool_workers > 0).then(|| RunGate::new(pool_workers)),
@@ -612,7 +621,7 @@ pub struct Rank {
 /// Public so analytic wire accounting (and its tests) can price
 /// per-chunk codec-encoded lengths over the exact same partition the
 /// collectives use.
-pub fn chunk_range(n: usize, world: usize, chunk: usize) -> std::ops::Range<usize> {
+pub fn chunk_range(n: usize, world: usize, chunk: usize) -> Range<usize> {
     let lo = chunk * n / world;
     let hi = (chunk + 1) * n / world;
     lo..hi
@@ -844,14 +853,17 @@ impl<'a> Wire<'a> {
     }
 }
 
-/// Elements [`leader_sum`] reduces at a time — 8 KiB of accumulator,
-/// which with one hop's 8 KiB of input stays in L1 across all `G−1`
-/// hops instead of the whole payload leaving the cache between them.
+/// Elements [`reduce_in_place`] reduces at a time — 8 KiB of
+/// accumulator, which with one hop's 8 KiB of input stays in L1 across
+/// all `G−1` hops and the write-back to every rank instead of the whole
+/// payload leaving the cache between them.
 const REDUCE_BLOCK: usize = 2048;
 
-/// Canonical rendezvous reduction: left-associated elementwise sum in
-/// ascending rank order, written into the group's result buffer. Runs
-/// exactly once per collective, by the barrier's last arriver.
+/// Canonical ALLREDUCE over every rank's buffer, in place: the
+/// left-associated elementwise sum in ascending rank order, written into
+/// `bufs[0]` and copied from there into every other buffer. Threadless —
+/// [`Rank::all_reduce`]'s rendezvous leader calls it once per collective
+/// on the ranges the ranks lent.
 ///
 /// With a `scale` it emulates the FP16 ring's per-hop quantisation
 /// (§III-C): the running partial is scaled, down-cast to binary16,
@@ -859,26 +871,23 @@ const REDUCE_BLOCK: usize = 2048;
 /// ascending order, then one final wire-quantisation so the distributed
 /// value is the wire value, bit-identical on every rank.
 ///
-/// The walk is block-major: rank 0's block is copied in, every hop and
-/// the final quantisation run over it while it sits in L1, then the
-/// next block. Each element still sees the hops in ascending rank
-/// order, so the result is the hop-major one to the bit (the `tests`
-/// module keeps that loop as the oracle). A slot shorter than rank 0's
-/// contributes to the elements it has and is never indexed past.
-fn leader_sum(core: &GroupCore, scale: Option<f32>) {
+/// The walk is block-major: rank 0's block is the accumulator, every hop
+/// and the final quantisation run over it while it sits in L1, the block
+/// is copied into ranks `1..G`, then the next block. Each element still
+/// sees the hops in ascending rank order, so the result is the hop-major
+/// one to the bit (the `tests` module keeps that loop as the oracle). A
+/// buffer shorter than rank 0's contributes, and receives, only the
+/// elements it has; a longer one's tail is neither read nor written.
+fn reduce_in_place(bufs: &mut [&mut [f32]], scale: Option<f32>) {
     let f16 = scale.map(|scale| (scale, 1.0 / scale));
     let cast = |a: f32, (scale, inv): (f32, f32)| quantize_f16(a * scale) * inv;
-    let first = core.gather_f32[0].read();
-    let mut acc = core.reduce_f32.lock();
-    acc.clear();
-    acc.reserve(first.len());
-    for start in (0..first.len()).step_by(REDUCE_BLOCK) {
-        let end = (start + REDUCE_BLOCK).min(first.len());
-        acc.extend_from_slice(&first[start..end]);
-        let block = &mut acc[start..];
-        for slot in &core.gather_f32[1..] {
-            let slot = slot.read();
-            let hop = slot.get(start..).unwrap_or_default();
+    let Some((acc, peers)) = bufs.split_first_mut() else {
+        return;
+    };
+    for (i, block) in acc.chunks_mut(REDUCE_BLOCK).enumerate() {
+        let start = i * REDUCE_BLOCK;
+        for hop in peers.iter() {
+            let hop = hop.get(start..).unwrap_or_default();
             match f16 {
                 None => {
                     for (a, &x) in block.iter_mut().zip(hop) {
@@ -893,9 +902,14 @@ fn leader_sum(core: &GroupCore, scale: Option<f32>) {
             }
         }
         if let Some(f16) = f16 {
-            for a in block {
+            for a in block.iter_mut() {
                 *a = cast(*a, f16);
             }
+        }
+        for peer in peers.iter_mut() {
+            let out = peer.get_mut(start..).unwrap_or_default();
+            let m = out.len().min(block.len());
+            out[..m].copy_from_slice(&block[..m]);
         }
     }
 }
@@ -1138,15 +1152,26 @@ impl Rank {
         }
     }
 
-    /// ALLREDUCE (sum) over `data` — the one reduction every wire
-    /// format and wire schedule goes through. On return every rank
-    /// holds the elementwise sum across all ranks, computed in canonical
-    /// ascending rank order: bit-identical on every rank and under
-    /// every `topology`, and for a lossless [`Wire::Codec`] bit-identical
-    /// to [`Wire::F32`] too. All ranks must pass equal-length buffers
-    /// and the same `wire` and `topology`. `Err` (with the buffer in an
-    /// unspecified partial state) if any rank aborts the group
-    /// mid-collective.
+    /// ALLREDUCE (sum) over `data[range]` — the one reduction every wire
+    /// format, wire schedule and gradient bucket goes through (a bucket
+    /// is a range of one buffer; a whole payload is `0..len`). On return
+    /// every rank's range holds the elementwise sum across all ranks,
+    /// computed in canonical ascending rank order: bit-identical on every
+    /// rank and under every `topology`, and for a lossless
+    /// [`Wire::Codec`] bit-identical to [`Wire::F32`] too. Elements
+    /// outside `range` are not touched. All ranks must pass
+    /// equal-length ranges and the same `wire` and `topology`; a range
+    /// past `data`'s end panics before the rank joins the collective.
+    ///
+    /// **The buffer is lent, not copied.** The rank moves its `Vec` into
+    /// its group slot, the rendezvous leader reduces every rank's range
+    /// in place and writes the result back into each, and the rank moves
+    /// its `Vec` back out. `data` always comes back as the caller's own
+    /// buffer with its length and capacity unchanged — on `Err` too.
+    /// `Err` (with the range's contents unspecified) if any rank aborts
+    /// the group before or during the collective; the group stays
+    /// poisoned, so every later collective on it is a typed `Err` as
+    /// well.
     ///
     /// **Wire format.** [`Wire::F16`] implements §III-C: the reduction
     /// emulates the compressed ring hop by hop — every hop multiplies
@@ -1158,7 +1183,9 @@ impl Rank {
     /// result chunk-by-chunk through a real encode→decode round-trip —
     /// modelling the all-gather phase delivering encoded chunks, so a
     /// codec that is not bit-exact visibly corrupts training instead of
-    /// silently compressing.
+    /// silently compressing. A frame that fails to decode (an armed
+    /// [`Rank::corrupt_next_codec_frame`]) is this rank's `Err` and
+    /// poisons the group: peers get it at their next collective.
     ///
     /// **Wire schedule and accounting.** [`Topology::Flat`] charges the
     /// ring schedule: this rank's `2(G−1)/G · n` elements land on the
@@ -1174,7 +1201,8 @@ impl Rank {
     /// of them, so callers report wire volume without re-deriving it.
     pub fn all_reduce(
         &self,
-        data: &mut [f32],
+        data: &mut Vec<f32>,
+        range: Range<usize>,
         wire: Wire<'_>,
         topology: Topology,
     ) -> Result<TierBytes, CommError> {
@@ -1188,20 +1216,34 @@ impl Rank {
             }
             Wire::F32 | Wire::Codec(_) => None,
         };
+        assert!(
+            range.start <= range.end && range.end <= data.len(),
+            "all_reduce range {range:?} is not within a buffer of {}",
+            data.len()
+        );
         if self.world() == 1 {
             return Ok(TierBytes::default());
         }
-        {
-            let mut slot = self.core.gather_f32[self.rank].write();
-            slot.clear();
-            slot.extend_from_slice(data);
-        }
-        let core = &self.core;
-        self.sync_leader(|| leader_sum(core, scale))?;
-        data.copy_from_slice(&self.core.reduce_f32.lock());
-        // No departure barrier needed: a peer still copying this result
-        // cannot be overtaken, because the next rendezvous's leader work
-        // only runs once *every* rank has finished here and arrived there.
+        let slot = &self.core.lent[self.rank];
+        *slot.lock() = (std::mem::take(data), range.clone());
+        let lent = &self.core.lent;
+        let met = self.sync_leader(|| {
+            let mut slots: Vec<_> = lent.iter().map(|slot| slot.lock()).collect();
+            let mut bufs: Vec<&mut [f32]> = slots
+                .iter_mut()
+                .map(|slot| {
+                    let (buf, range) = &mut **slot;
+                    &mut buf[range.clone()]
+                })
+                .collect();
+            reduce_in_place(&mut bufs, scale);
+        });
+        // Taken back on `Err` too. No departure barrier is needed: the
+        // next rendezvous's leader only reads the slots once *every*
+        // rank has taken its buffer back here and lent the next one.
+        *data = std::mem::take(&mut slot.lock().0);
+        met?;
+        let data = &mut data[range];
         if let Some(codec) = wire.codec() {
             // The delivered payload round-trips on the flat chunk
             // partition under either schedule: losslessness (not chunk
@@ -1221,45 +1263,53 @@ impl Rank {
         ))
     }
 
-    /// Flat f32 ALLREDUCE. Exists only because the benchmark (`e2e/`)
-    /// calls it by name; everything else uses [`Rank::all_reduce`].
-    pub fn all_reduce_sum(&self, data: &mut [f32]) -> Result<(), CommError> {
-        self.all_reduce(data, Wire::F32, Topology::Flat).map(drop)
-    }
-
-    /// Flat FP16-wire ALLREDUCE. Exists only because the benchmark
-    /// (`e2e/`) calls it by name; everything else uses [`Rank::all_reduce`].
-    pub fn all_reduce_sum_f16(&self, data: &mut [f32], scale: f32) -> Result<(), CommError> {
-        self.all_reduce(data, Wire::F16 { scale }, Topology::Flat)
+    /// Flat f32 ALLREDUCE of the whole buffer. Exists only because the
+    /// benchmark (`e2e/`) calls it by name; everything else uses
+    /// [`Rank::all_reduce`].
+    pub fn all_reduce_sum(&self, data: &mut Vec<f32>) -> Result<(), CommError> {
+        let n = data.len();
+        self.all_reduce(data, 0..n, Wire::F32, Topology::Flat)
             .map(drop)
     }
 
-    /// Two-tier f32 ALLREDUCE. Exists only because the benchmark
-    /// (`e2e/`) calls it by name; everything else uses [`Rank::all_reduce`].
-    /// `gpus_per_node` must be the group's node size: anything else is a
-    /// typed [`CommError`] on every rank that leaves the group usable.
+    /// Flat FP16-wire ALLREDUCE of the whole buffer. Exists only because
+    /// the benchmark (`e2e/`) calls it by name; everything else uses
+    /// [`Rank::all_reduce`].
+    pub fn all_reduce_sum_f16(&self, data: &mut Vec<f32>, scale: f32) -> Result<(), CommError> {
+        let n = data.len();
+        self.all_reduce(data, 0..n, Wire::F16 { scale }, Topology::Flat)
+            .map(drop)
+    }
+
+    /// Two-tier f32 ALLREDUCE of the whole buffer. Exists only because
+    /// the benchmark (`e2e/`) calls it by name; everything else uses
+    /// [`Rank::all_reduce`]. `gpus_per_node` must be the group's node
+    /// size: anything else is a typed [`CommError`] on every rank that
+    /// leaves the group usable.
     pub fn all_reduce_sum_hierarchical(
         &self,
-        data: &mut [f32],
+        data: &mut Vec<f32>,
         gpus_per_node: usize,
     ) -> Result<(), CommError> {
         self.own_node_size(gpus_per_node)?;
-        self.all_reduce(data, Wire::F32, Topology::TwoTier)
+        let n = data.len();
+        self.all_reduce(data, 0..n, Wire::F32, Topology::TwoTier)
             .map(drop)
     }
 
-    /// Two-tier FP16-wire ALLREDUCE. Exists only because the benchmark
-    /// (`e2e/`) calls it by name; everything else uses [`Rank::all_reduce`].
-    /// `gpus_per_node` is checked as in
+    /// Two-tier FP16-wire ALLREDUCE of the whole buffer. Exists only
+    /// because the benchmark (`e2e/`) calls it by name; everything else
+    /// uses [`Rank::all_reduce`]. `gpus_per_node` is checked as in
     /// [`Rank::all_reduce_sum_hierarchical`].
     pub fn all_reduce_sum_f16_hierarchical(
         &self,
-        data: &mut [f32],
+        data: &mut Vec<f32>,
         scale: f32,
         gpus_per_node: usize,
     ) -> Result<(), CommError> {
         self.own_node_size(gpus_per_node)?;
-        self.all_reduce(data, Wire::F16 { scale }, Topology::TwoTier)
+        let n = data.len();
+        self.all_reduce(data, 0..n, Wire::F16 { scale }, Topology::TwoTier)
             .map(drop)
     }
 
@@ -1681,7 +1731,7 @@ mod tests {
             let results = run_group(world, |rank| {
                 let r = rank.rank();
                 let mut data: Vec<f32> = (0..n).map(|i| (i + r * 100) as f32).collect();
-                rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+                rank.all_reduce(&mut data, 0..n, Wire::F32, Topology::Flat)
                     .unwrap();
                 data
             });
@@ -1701,7 +1751,7 @@ mod tests {
         let results = run_group(5, |rank| {
             let r = rank.rank();
             let mut data: Vec<f32> = (0..23).map(|i| (i as f32 * 0.37) + r as f32).collect();
-            rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+            rank.all_reduce(&mut data, 0..23, Wire::F32, Topology::Flat)
                 .unwrap();
             data
         });
@@ -1717,7 +1767,7 @@ mod tests {
         let results = run_group(world, |rank| {
             let r = rank.rank();
             let mut data: Vec<f32> = (0..n).map(|i| 0.01 * (i as f32 + r as f32)).collect();
-            rank.all_reduce(&mut data, Wire::F16 { scale: 512.0 }, Topology::Flat)
+            rank.all_reduce(&mut data, 0..n, Wire::F16 { scale: 512.0 }, Topology::Flat)
                 .unwrap();
             data
         });
@@ -1788,7 +1838,7 @@ mod tests {
     fn all_reduce_sent(world: usize, gpn: usize, n: usize, wire: Wire<'_>, t: Topology) -> u64 {
         run_group_topo(world, gpn, |rank| {
             let mut data = vec![1.0f32; n];
-            rank.all_reduce(&mut data, wire, t).unwrap().total()
+            rank.all_reduce(&mut data, 0..n, wire, t).unwrap().total()
         })
         .iter()
         .sum()
@@ -1823,7 +1873,8 @@ mod tests {
             let mut acc = 0.0f64;
             for i in 0..50 {
                 let mut v = vec![i as f32; 8];
-                rank.all_reduce(&mut v, Wire::F32, Topology::Flat).unwrap();
+                rank.all_reduce(&mut v, 0..8, Wire::F32, Topology::Flat)
+                    .unwrap();
                 let g = gather_u32(&rank, &[rank.rank() as u32]).unwrap();
                 acc += v[0] as f64 + g.len() as f64;
             }
@@ -1942,7 +1993,8 @@ mod tests {
             for (elem, wire) in [(4u64, Wire::F32), (2, Wire::F16 { scale: 512.0 })] {
                 let sent = run_group(world, |rank| {
                     let mut data = vec![1.0f32; n];
-                    rank.all_reduce(&mut data, wire, Topology::Flat).unwrap()
+                    rank.all_reduce(&mut data, 0..n, wire, Topology::Flat)
+                        .unwrap()
                 });
                 for (r, sent) in sent.iter().enumerate() {
                     let analytic = ring_allreduce_send_bytes(n, world, r, elem);
@@ -1987,7 +2039,7 @@ mod tests {
             let mut errs = Vec::new();
             let mut data = vec![1.0f32; 8];
             errs.push(
-                rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+                rank.all_reduce(&mut data, 0..8, Wire::F32, Topology::Flat)
                     .unwrap_err(),
             );
             errs.push(gather_u32(&rank, &[7]).unwrap_err());
@@ -2027,7 +2079,7 @@ mod tests {
         let results = run_group(3, |rank| {
             let guard = rank.abort_on_drop("should never fire");
             let mut data = vec![rank.rank() as f32; 4];
-            let res = rank.all_reduce(&mut data, Wire::F32, Topology::Flat);
+            let res = rank.all_reduce(&mut data, 0..4, Wire::F32, Topology::Flat);
             guard.disarm();
             res.map(drop)
         });
@@ -2153,7 +2205,7 @@ mod tests {
         let sums = run_group_deadline(4, deadline, |rank| {
             let mut v = vec![rank.rank() as f32; 8];
             for _ in 0..50 {
-                rank.all_reduce(&mut v, Wire::F32, Topology::Flat)
+                rank.all_reduce(&mut v, 0..8, Wire::F32, Topology::Flat)
                     .expect("no one is silent");
                 v.iter_mut().for_each(|x| *x /= 4.0);
             }
@@ -2219,12 +2271,83 @@ mod tests {
             let codec = WireCodecId::Lossless
                 .grad_codec()
                 .expect("lossless has a grad codec");
-            rank.all_reduce(&mut data, Wire::Codec(codec), Topology::Flat)
+            rank.all_reduce(&mut data, 0..32, Wire::Codec(codec), Topology::Flat)
                 .and_then(|_| rank.barrier())
         });
         for (r, res) in results.iter().enumerate() {
             let err = res.clone().unwrap_err();
             assert_eq!(err.failed_rank(), 2, "rank {r}: {err}");
+        }
+    }
+
+    /// [`Rank::all_reduce`] over the whole of `data`, asserting that the
+    /// lent buffer comes back as the caller's own allocation with its
+    /// length and capacity, whatever the outcome.
+    fn lend_whole(rank: &Rank, data: &mut Vec<f32>, wire: Wire<'_>) -> Result<(), CommError> {
+        let before = (data.len(), data.capacity(), data.as_ptr());
+        let res = rank.all_reduce(data, 0..before.0, wire, Topology::Flat);
+        let after = (data.len(), data.capacity(), data.as_ptr());
+        assert_eq!(after, before, "rank {} got another buffer back", rank.rank());
+        res.map(drop)
+    }
+
+    /// The lent buffers' failure paths: a peer that aborts while the
+    /// others are parked with their buffers lent, and a codec frame torn
+    /// in flight. Every survivor gets a typed `Err` and its own `Vec`
+    /// back, and the next collective on the poisoned group is a typed
+    /// `Err` too — no panic, no hang.
+    #[test]
+    fn lent_buffers_come_back_on_every_error_path() {
+        let (n, cap) = (2 * REDUCE_BLOCK + 5, 3 * REDUCE_BLOCK);
+        let buffer = move |r: usize| {
+            let mut data = Vec::with_capacity(cap);
+            data.extend(hostile_payload(r, n));
+            data
+        };
+        let aborted = within_watchdog("peer abort with buffers lent", move || {
+            run_group(4, |rank| {
+                if rank.rank() == 1 {
+                    // Die only once every peer has lent its buffer and
+                    // parked at the rendezvous.
+                    while rank.core.barrier.state.lock().arrived < 3 {
+                        std::thread::yield_now();
+                    }
+                    rank.abort("died with its peers' buffers lent");
+                    return Vec::new();
+                }
+                let mut data = buffer(rank.rank());
+                vec![
+                    lend_whole(&rank, &mut data, Wire::F32).unwrap_err(),
+                    lend_whole(&rank, &mut data, Wire::F16 { scale: 64.0 }).unwrap_err(),
+                ]
+            })
+        });
+        for (r, errs) in aborted.iter().enumerate().filter(|&(r, _)| r != 1) {
+            assert_eq!(errs.len(), 2);
+            for e in errs {
+                assert_eq!(e.failed_rank(), 1, "rank {r}: {e}");
+            }
+        }
+        let torn = within_watchdog("torn codec frame", move || {
+            run_group(4, |rank| {
+                use crate::codec::WireCodecId;
+                let codec = WireCodecId::Lossless.grad_codec().expect("lossless codec");
+                if rank.rank() == 2 {
+                    rank.corrupt_next_codec_frame();
+                }
+                let mut data = buffer(rank.rank());
+                // Rank 2's own round trip fails; its peers, already past
+                // the rendezvous, see the poison at the next collective.
+                let first = lend_whole(&rank, &mut data, Wire::Codec(codec));
+                let next = lend_whole(&rank, &mut data, Wire::Codec(codec));
+                (first.and(next.clone()).unwrap_err(), next.unwrap_err())
+            })
+        });
+        for (r, (first, next)) in torn.iter().enumerate() {
+            for e in [first, next] {
+                assert_eq!(e.failed_rank(), 2, "rank {r}: {e}");
+                assert!(e.reason().contains("decode failed"), "rank {r}: {e}");
+            }
         }
     }
 
@@ -2326,7 +2449,7 @@ mod tests {
         // 0, or any other — must be a typed CommError, not a panic, and
         // must NOT poison the group, so the same ranks can go on to run
         // valid collectives.
-        type Shim = fn(&Rank, &mut [f32], usize) -> Result<(), CommError>;
+        type Shim = fn(&Rank, &mut Vec<f32>, usize) -> Result<(), CommError>;
         let shims: [Shim; 2] = [
             |r, d, gpn| r.all_reduce_sum_hierarchical(d, gpn),
             |r, d, gpn| r.all_reduce_sum_f16_hierarchical(d, 64.0, gpn),
@@ -2380,7 +2503,7 @@ mod tests {
                         let ctx = format!("{name} {topology:?} world {world}/{gpn} n {n}");
                         let out = run_group_topo(world, gpn, |rank| {
                             let mut data = input(rank.rank());
-                            let sent = rank.all_reduce(&mut data, wire, topology).unwrap();
+                            let sent = rank.all_reduce(&mut data, 0..n, wire, topology).unwrap();
                             (data, sent)
                         });
                         let two_tier = topology != Topology::Flat && world > gpn;
@@ -2426,7 +2549,7 @@ mod tests {
             }
         }
         // Each pinned shim is its (wire, topology) cell of the table.
-        type Shim = fn(&Rank, &mut [f32]) -> Result<(), CommError>;
+        type Shim = fn(&Rank, &mut Vec<f32>) -> Result<(), CommError>;
         let two_tier = Topology::TwoTier;
         let shims: [(Shim, Wire<'static>, Topology); 4] = [
             (|r, d| r.all_reduce_sum(d), Wire::F32, Topology::Flat),
@@ -2455,40 +2578,48 @@ mod tests {
             });
             let via_core = run_group_topo(7, 3, |rank| {
                 let mut data = input(rank.rank());
-                rank.all_reduce(&mut data, wire, topology).unwrap();
+                rank.all_reduce(&mut data, 0..33, wire, topology).unwrap();
                 data
             });
             assert_eq!(via_shim, via_core, "shim {i}");
         }
     }
 
-    /// The reduction [`leader_sum`] replaced, kept as the oracle: the
-    /// same hops in hop-major order over the whole payload, each cast a
-    /// round trip through the two scalar converters.
-    fn leader_sum_hop_major(core: &GroupCore, scale: Option<f32>) {
-        let mut acc = core.reduce_f32.lock();
-        acc.clear();
-        acc.extend_from_slice(&core.gather_f32[0].read());
-        let Some(scale) = scale else {
-            for s in 1..core.layout.world() {
-                let slot = core.gather_f32[s].read();
-                for (a, &x) in acc.iter_mut().zip(slot.iter()) {
-                    *a += x;
+    /// The reduction [`reduce_in_place`] replaced, kept as the oracle:
+    /// the same hops in hop-major order over the whole payload into an
+    /// accumulator of its own, each cast a round trip through the two
+    /// scalar converters. Returns every rank's expected buffer: the sum
+    /// on the elements it shares with rank 0, its own tail past them.
+    fn hop_major_oracle(inputs: &[Vec<f32>], scale: Option<f32>) -> Vec<Vec<f32>> {
+        let mut acc = inputs[0].clone();
+        match scale {
+            None => {
+                for slot in &inputs[1..] {
+                    for (a, &x) in acc.iter_mut().zip(slot) {
+                        *a += x;
+                    }
                 }
             }
-            return;
-        };
-        let inv = 1.0 / scale;
-        let round_trip = |a: f32| f16_bits_to_f32(f32_to_f16_bits(a * scale)) * inv;
-        for s in 1..core.layout.world() {
-            let slot = core.gather_f32[s].read();
-            for (a, &x) in acc.iter_mut().zip(slot.iter()) {
-                *a = x + round_trip(*a);
+            Some(scale) => {
+                let inv = 1.0 / scale;
+                let round_trip = |a: f32| f16_bits_to_f32(f32_to_f16_bits(a * scale)) * inv;
+                for slot in &inputs[1..] {
+                    for (a, &x) in acc.iter_mut().zip(slot) {
+                        *a = x + round_trip(*a);
+                    }
+                }
+                for a in acc.iter_mut() {
+                    *a = round_trip(*a);
+                }
             }
         }
-        for a in acc.iter_mut() {
-            *a = round_trip(*a);
-        }
+        let expected = |input: &Vec<f32>| {
+            let mut want = input.clone();
+            let m = want.len().min(acc.len());
+            want[..m].copy_from_slice(&acc[..m]);
+            want
+        };
+        inputs.iter().map(expected).collect()
     }
 
     /// Rank `r`'s `n`-element payload for the differential: magnitudes
@@ -2525,53 +2656,63 @@ mod tests {
         }
     }
 
-    /// The block walk against the hop-major oracle, bit for bit: called
-    /// directly on a group's slots (ragged slot lengths included) and
-    /// through [`Rank::all_reduce`] on real rank threads.
+    /// The block walk against the hop-major oracle, bit for bit, on
+    /// every rank's buffer: [`reduce_in_place`] called directly (ragged
+    /// buffer lengths included) and [`Rank::all_reduce`] on real rank
+    /// threads.
     #[test]
     fn blocked_reduction_matches_hop_major_oracle() {
-        let scale = 64.0f32;
         let b = REDUCE_BLOCK;
+        let check = |lens: &[usize], scale: Option<f32>, ctx: &str| {
+            let inputs: Vec<Vec<f32>> = lens
+                .iter()
+                .enumerate()
+                .map(|(s, &n)| hostile_payload(s, n))
+                .collect();
+            let want = hop_major_oracle(&inputs, scale);
+            let mut got = inputs;
+            let mut bufs: Vec<&mut [f32]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+            reduce_in_place(&mut bufs, scale);
+            for (r, (got, want)) in got.iter().zip(&want).enumerate() {
+                assert_same_bits(got, want, &format!("{ctx} rank {r}"));
+            }
+            want
+        };
         for world in [1usize, 2, 3, 8] {
             for n in [0usize, 1, b - 1, b, b + 1, 3 * b + 7] {
-                for (name, wire) in [("f32", Wire::F32), ("f16", Wire::F16 { scale })] {
+                for (name, wire) in [("f32", Wire::F32), ("f16", Wire::F16 { scale: 64.0 })] {
                     let ctx = format!("{name} world {world} n {n}");
-                    let scale = matches!(wire, Wire::F16 { .. }).then_some(scale);
-                    let core = &CommGroup::create(world)[0].core;
-                    for s in 0..world {
-                        *core.gather_f32[s].write() = hostile_payload(s, n);
-                    }
-                    leader_sum_hop_major(core, scale);
-                    let want = core.reduce_f32.lock().clone();
-                    leader_sum(core, scale);
-                    assert_same_bits(&core.reduce_f32.lock(), &want, &ctx);
+                    let scale = match wire {
+                        Wire::F16 { scale } => Some(scale),
+                        _ => None,
+                    };
+                    let want = check(&vec![n; world], scale, &ctx);
                     if world == 1 {
                         continue; // `all_reduce` has nothing to reduce
                     }
                     for topology in [Topology::Flat, Topology::TwoTier] {
                         let out = run_group_topo(world, 2, |rank| {
                             let mut data = hostile_payload(rank.rank(), n);
-                            rank.all_reduce(&mut data, wire, topology).unwrap();
+                            rank.all_reduce(&mut data, 0..n, wire, topology).unwrap();
                             data
                         });
                         for (r, got) in out.iter().enumerate() {
-                            assert_same_bits(got, &want, &format!("{ctx} {topology:?} rank {r}"));
+                            let ctx = format!("{ctx} {topology:?} rank {r}");
+                            assert_same_bits(got, &want[r], &ctx);
                         }
                     }
                 }
             }
         }
-        // A slot shorter than rank 0's adds to the elements it has and
-        // is never indexed past; a longer one's tail is ignored.
-        for scale in [None, Some(scale)] {
-            let core = &CommGroup::create(4)[0].core;
-            for (s, len) in [2 * b + 5, b + 3, 0, 3 * b].into_iter().enumerate() {
-                *core.gather_f32[s].write() = hostile_payload(s, len);
-            }
-            leader_sum_hop_major(core, scale);
-            let want = core.reduce_f32.lock().clone();
-            leader_sum(core, scale);
-            assert_same_bits(&core.reduce_f32.lock(), &want, &format!("ragged {scale:?}"));
+        // A buffer shorter than rank 0's adds to, and receives, the
+        // elements it has; a longer one's tail is neither read nor
+        // written.
+        for scale in [None, Some(64.0)] {
+            check(
+                &[2 * b + 5, b + 3, 0, 3 * b],
+                scale,
+                &format!("ragged {scale:?}"),
+            );
         }
     }
 
@@ -2613,7 +2754,7 @@ mod tests {
                         let out = run_group_topo(world, 3, |rank| {
                             let mut data = hostile_payload(rank.rank(), n);
                             for range in &ranges {
-                                rank.all_reduce(&mut data[range.clone()], wire, topology)
+                                rank.all_reduce(&mut data, range.clone(), wire, topology)
                                     .unwrap();
                             }
                             data
@@ -2644,7 +2785,7 @@ mod tests {
         let (world, per_node, n) = (8usize, 4usize, 100usize);
         let returned = run_group_topo(world, per_node, |rank| {
             let mut data = vec![1.0f32; n];
-            rank.all_reduce(&mut data, Wire::F32, Topology::Flat)
+            rank.all_reduce(&mut data, 0..n, Wire::F32, Topology::Flat)
                 .unwrap()
         });
         let mut expect = TierBytes::default();
@@ -2703,9 +2844,9 @@ mod tests {
         let body = |rank: Rank| {
             let mut flat: Vec<f32> = (0..n).map(|i| (i * (rank.rank() + 1)) as f32).collect();
             let mut hier = flat.clone();
-            rank.all_reduce(&mut flat, Wire::F32, Topology::Flat)
+            rank.all_reduce(&mut flat, 0..n, Wire::F32, Topology::Flat)
                 .unwrap();
-            rank.all_reduce(&mut hier, Wire::F32, Topology::TwoTier)
+            rank.all_reduce(&mut hier, 0..n, Wire::F32, Topology::TwoTier)
                 .unwrap();
             assert_eq!(flat, hier);
             flat
@@ -2737,7 +2878,7 @@ mod tests {
                 loop {
                     // Survivors keep issuing hierarchical collectives
                     // until the poison lands (at most one rendezvous).
-                    rank.all_reduce(&mut data, Wire::F32, Topology::TwoTier)?;
+                    rank.all_reduce(&mut data, 0..64, Wire::F32, Topology::TwoTier)?;
                 }
             })
         });

@@ -58,8 +58,13 @@ fn simgpu_and_tensor_f16_agree() {
                     } else {
                         vec![0.0; values.len()]
                     };
-                    rank.all_reduce(&mut data, Wire::F16 { scale: 1.0 }, Topology::Flat)
-                        .unwrap();
+                    rank.all_reduce(
+                        &mut data,
+                        0..values.len(),
+                        Wire::F16 { scale: 1.0 },
+                        Topology::Flat,
+                    )
+                    .unwrap();
                     data
                 })
             })

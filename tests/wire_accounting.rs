@@ -178,7 +178,8 @@ fn dense_allreduce_analytic_matches_recorded_exactly() {
             ] {
                 let sent = run_group(world, world, |rank| {
                     let mut data = vec![rank.rank() as f32; n];
-                    rank.all_reduce(&mut data, wire, Topology::Flat).unwrap()
+                    rank.all_reduce(&mut data, 0..n, wire, Topology::Flat)
+                        .unwrap()
                 });
                 for (r, sent) in sent.iter().enumerate() {
                     // One node: all intra.
