@@ -2287,7 +2287,12 @@ mod tests {
         let before = (data.len(), data.capacity(), data.as_ptr());
         let res = rank.all_reduce(data, 0..before.0, wire, Topology::Flat);
         let after = (data.len(), data.capacity(), data.as_ptr());
-        assert_eq!(after, before, "rank {} got another buffer back", rank.rank());
+        assert_eq!(
+            after,
+            before,
+            "rank {} got another buffer back",
+            rank.rank()
+        );
         res.map(drop)
     }
 
@@ -2585,9 +2590,9 @@ mod tests {
         }
     }
 
-    /// The reduction [`reduce_in_place`] replaced, kept as the oracle:
-    /// the same hops in hop-major order over the whole payload into an
-    /// accumulator of its own, each cast a round trip through the two
+    /// The hop-major reduction the block walk of [`reduce_in_place`]
+    /// replaced, kept as the oracle: the same hops over the whole payload
+    /// into an accumulator of its own, each cast a round trip through the two
     /// scalar converters. Returns every rank's expected buffer: the sum
     /// on the elements it shares with rank 0, its own tail past them.
     fn hop_major_oracle(inputs: &[Vec<f32>], scale: Option<f32>) -> Vec<Vec<f32>> {
@@ -2680,12 +2685,9 @@ mod tests {
         };
         for world in [1usize, 2, 3, 8] {
             for n in [0usize, 1, b - 1, b, b + 1, 3 * b + 7] {
-                for (name, wire) in [("f32", Wire::F32), ("f16", Wire::F16 { scale: 64.0 })] {
-                    let ctx = format!("{name} world {world} n {n}");
-                    let scale = match wire {
-                        Wire::F16 { scale } => Some(scale),
-                        _ => None,
-                    };
+                for scale in [None, Some(64.0)] {
+                    let wire = scale.map_or(Wire::F32, |scale| Wire::F16 { scale });
+                    let ctx = format!("{scale:?} world {world} n {n}");
                     let want = check(&vec![n; world], scale, &ctx);
                     if world == 1 {
                         continue; // `all_reduce` has nothing to reduce
@@ -2747,19 +2749,20 @@ mod tests {
         for wire in wires {
             for topology in [Topology::Flat, Topology::TwoTier] {
                 for world in [2usize, 3, 8] {
-                    let whole = [0, 1, world - 1, b - 1, b + 1].map(|n| (n, vec![0..n]));
+                    // (buffer length, bucket boundaries in it)
+                    let whole = [0, 1, world - 1, b - 1, b + 1].map(|n| (n, vec![0, n]));
                     let len = 2 * b + 9;
-                    let split = (len, vec![2..3, 3..b + 3, b + 3..b + 3, b + 3..len - 3]);
-                    for (n, ranges) in whole.into_iter().chain([split]) {
+                    let split = (len, vec![2, 3, b + 3, b + 3, len - 3]);
+                    for (n, cuts) in whole.into_iter().chain([split]) {
                         let out = run_group_topo(world, 3, |rank| {
                             let mut data = hostile_payload(rank.rank(), n);
-                            for range in &ranges {
-                                rank.all_reduce(&mut data, range.clone(), wire, topology)
+                            for bucket in cuts.windows(2) {
+                                rank.all_reduce(&mut data, bucket[0]..bucket[1], wire, topology)
                                     .unwrap();
                             }
                             data
                         });
-                        let (head, tail) = (ranges[0].start, ranges[ranges.len() - 1].end);
+                        let (head, tail) = (cuts[0], cuts[cuts.len() - 1]);
                         for (r, data) in out.iter().enumerate() {
                             let input = hostile_payload(r, n);
                             let ctx = format!("world {world} {topology:?} n {n} rank {r}");
