@@ -472,6 +472,54 @@ mod tests {
         assert!(stack[3].1.compression.is_some());
     }
 
+    /// Figure 6's four bars, hand-typed once: each bar's label, its
+    /// `Method` as `(unique, seeding, compression bits)` and its exchange
+    /// as `(unique, compression bits, gpus_per_node, bucket_bytes, codec,
+    /// gradient wire bytes per element)`. Written against the presets
+    /// before they were derived from `perfmodel::TechniqueStack`; the
+    /// table is never edited, only the calls that read a bar.
+    #[test]
+    fn figure6_bars_characterisation() {
+        use crate::schedule::ExchangeConfig;
+        use simgpu::WireCodecId::Identity;
+        use SeedStrategy::{PerGpu, ZipfFreq};
+        type MethodRow = (bool, SeedStrategy, Option<u32>);
+        type ExchangeRow = (bool, Option<u32>, usize, u64, simgpu::WireCodecId, u64);
+        const SCALE_512: u32 = 0x4400_0000;
+        #[rustfmt::skip]
+        let want: [(&str, MethodRow, ExchangeRow); 4] = [
+            ("baseline",     (false, PerGpu,   None),            (false, None,            0, 0, Identity, 4)),
+            ("+uniqueness",  (true,  PerGpu,   None),            (true,  None,            0, 0, Identity, 4)),
+            ("+seeding",     (true,  ZipfFreq, None),            (true,  None,            0, 0, Identity, 4)),
+            ("+compression", (true,  ZipfFreq, Some(SCALE_512)), (true,  Some(SCALE_512), 0, 0, Identity, 2)),
+        ];
+        let exchanges = [
+            ExchangeConfig::baseline(),
+            ExchangeConfig::unique(),
+            ExchangeConfig::unique(),
+            ExchangeConfig::unique_compressed(),
+        ];
+        let got: Vec<(&str, MethodRow, ExchangeRow)> = Method::figure6_stack()
+            .into_iter()
+            .zip(exchanges)
+            .map(|((label, m), x)| {
+                (
+                    label,
+                    (m.unique, m.seeding, m.compression.map(f32::to_bits)),
+                    (
+                        x.unique,
+                        x.compression.map(f32::to_bits),
+                        x.gpus_per_node,
+                        x.bucket_bytes,
+                        x.codec,
+                        x.grad_wire().elem_bytes(),
+                    ),
+                )
+            })
+            .collect();
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn trace_defaults_off() {
         assert!(!TrainConfig::default().trace.enabled);
