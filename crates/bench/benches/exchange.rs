@@ -21,6 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nn::{Embedding, SparseGrad};
+use perfmodel::TechniqueStack;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simgpu::CommGroup;
@@ -41,7 +42,7 @@ struct Steady {
     vocab: usize,
     dim: usize,
     tokens: usize,
-    cfg: fn() -> ExchangeConfig,
+    stack: TechniqueStack,
 }
 
 // Steady-state shape from the acceptance target: world=8, K=4096, D=128.
@@ -52,7 +53,7 @@ const SS_UNIQUE: Steady = Steady {
     vocab: 1_000,
     dim: 128,
     tokens: 4_096,
-    cfg: ExchangeConfig::unique,
+    stack: TechniqueStack::Unique,
 };
 
 /// `word_exchange_baseline_g8`'s exchange: 4 MiB of rows per rank.
@@ -60,7 +61,7 @@ const SS_BASELINE: Steady = Steady {
     vocab: 20_000,
     dim: 512,
     tokens: 2_048,
-    cfg: ExchangeConfig::baseline,
+    stack: TechniqueStack::Baseline,
 };
 
 fn zipfian_grad(seed: u64, tokens: usize, vocab: usize, dim: usize) -> SparseGrad {
@@ -106,7 +107,7 @@ fn steady_state(shape: &Steady, pool_workers: usize, iters: u64) -> Duration {
         let mut table = Embedding::from_matrix(Matrix::zeros(shape.vocab, shape.dim));
         let grad = zipfian_grad(rank.rank() as u64, shape.tokens, shape.vocab, shape.dim);
         let mut scratch = ExchangeScratch::new();
-        let cfg = (shape.cfg)();
+        let cfg = shape.stack.exchange();
         let mut step = || {
             exchange_and_apply_with(&rank, &grad, &mut table, 0.1, &cfg, &mut scratch).unwrap();
         };
@@ -126,13 +127,13 @@ fn bench_exchange(c: &mut Criterion) {
     let mut group = c.benchmark_group("exchange");
     for world in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("baseline", world), &world, |b, &w| {
-            b.iter(|| run_exchange(w, ExchangeConfig::baseline()))
+            b.iter(|| run_exchange(w, TechniqueStack::Baseline.exchange()))
         });
         group.bench_with_input(BenchmarkId::new("unique", world), &world, |b, &w| {
-            b.iter(|| run_exchange(w, ExchangeConfig::unique()))
+            b.iter(|| run_exchange(w, TechniqueStack::Unique.exchange()))
         });
         group.bench_with_input(BenchmarkId::new("unique_f16", world), &world, |b, &w| {
-            b.iter(|| run_exchange(w, ExchangeConfig::unique_compressed()))
+            b.iter(|| run_exchange(w, TechniqueStack::Full.exchange()))
         });
     }
     group.finish();
@@ -162,7 +163,7 @@ fn report_phase_timings(_c: &mut Criterion) {
         let mut scratch = ExchangeScratch::new();
         let mut acc = PhaseTimings::default();
         for _ in 0..=STEPS {
-            let cfg = ExchangeConfig::unique();
+            let cfg = TechniqueStack::Unique.exchange();
             let stats = exchange_and_apply_with(&rank, &grad, &mut table, 0.1, &cfg, &mut scratch);
             acc.accumulate(&stats.unwrap().timings);
         }

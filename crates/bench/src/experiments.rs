@@ -530,7 +530,11 @@ pub fn weak_scaling(quick: bool) -> Vec<WeakScalingRow> {
 
             let row = WeakScalingRow {
                 gpus: g,
-                nodes: simgpu::HardwareConfig::titan_x_cluster().nodes_for(g),
+                nodes: simgpu::NodeLayout::new(
+                    g,
+                    simgpu::HardwareConfig::titan_x_cluster().gpus_per_node,
+                )
+                .nodes(),
                 tokens,
                 train_loss: hier.epochs.last().unwrap().train_loss,
                 final_ppl: hier.final_ppl(),

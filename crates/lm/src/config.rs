@@ -9,7 +9,7 @@
 use crate::seeding::SeedStrategy;
 use corpus::DatasetProfile;
 use nn::model::{CharLmConfig, WordLmConfig};
-use perfmodel::flops;
+use perfmodel::{flops, TechniqueStack};
 
 /// Which corpus profile feeds the trainer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,47 +121,38 @@ pub struct Method {
 impl Method {
     /// The paper's baseline: dense ALLGATHER, per-GPU seeds, FP32 wire.
     pub fn baseline() -> Self {
-        Self {
-            unique: false,
-            seeding: SeedStrategy::PerGpu,
-            compression: None,
-        }
+        TechniqueStack::Baseline.into()
     }
 
     /// Baseline + uniqueness.
     pub fn unique() -> Self {
-        Self {
-            unique: true,
-            ..Self::baseline()
-        }
+        TechniqueStack::Unique.into()
     }
 
     /// Uniqueness + Zipf-frequency seeding.
     pub fn unique_seeded() -> Self {
-        Self {
-            unique: true,
-            seeding: SeedStrategy::ZipfFreq,
-            compression: None,
-        }
+        TechniqueStack::UniqueSeeded.into()
     }
 
-    /// All three techniques (the "+compression" bar of Figure 6).
+    /// All three techniques (Figure 6's last bar).
     pub fn full() -> Self {
-        Self {
-            unique: true,
-            seeding: SeedStrategy::ZipfFreq,
-            compression: Some(512.0),
-        }
+        TechniqueStack::Full.into()
     }
+}
 
-    /// Figure 6's cumulative stack in order.
-    pub fn figure6_stack() -> Vec<(&'static str, Method)> {
-        vec![
-            ("baseline", Method::baseline()),
-            ("+uniqueness", Method::unique()),
-            ("+seeding", Method::unique_seeded()),
-            ("+compression", Method::full()),
-        ]
+/// A Figure 6 bar as the trainer runs it: seeding shares Zipf-frequency
+/// seeds where the bar turns it on, and keeps per-GPU seeds otherwise.
+impl From<TechniqueStack> for Method {
+    fn from(stack: TechniqueStack) -> Self {
+        Self {
+            unique: stack.unique(),
+            seeding: if stack.seeded() {
+                SeedStrategy::ZipfFreq
+            } else {
+                SeedStrategy::PerGpu
+            },
+            compression: stack.compression(),
+        }
     }
 }
 
@@ -399,7 +390,12 @@ pub struct TrainConfig {
     pub steps_per_epoch: usize,
     /// Number of epochs.
     pub epochs: usize,
-    /// Base learning rate (scaled by `ln(nodes)` internally, §IV-B).
+    /// Base learning rate, scaled by `ln(nodes)` (§IV-B,
+    /// [`nn::optimizer::scaled_lr`]). `nodes` counts the world on nodes
+    /// of the hardware preset's size
+    /// ([`simgpu::HardwareConfig::gpus_per_node`]), not of
+    /// [`CommConfig::gpus_per_node`], so a topology override never
+    /// changes the rate.
     pub base_lr: f32,
     /// Per-epoch learning-rate decay (the paper uses 0.85–0.95).
     pub lr_decay: f32,
@@ -462,25 +458,23 @@ mod tests {
 
     #[test]
     fn figure6_stack_is_cumulative() {
-        let stack = Method::figure6_stack();
+        let stack = TechniqueStack::all().map(Method::from);
         assert_eq!(stack.len(), 4);
-        assert!(!stack[0].1.unique);
-        assert!(stack[1].1.unique);
-        assert_eq!(stack[1].1.seeding, SeedStrategy::PerGpu);
-        assert_eq!(stack[2].1.seeding, SeedStrategy::ZipfFreq);
-        assert!(stack[2].1.compression.is_none());
-        assert!(stack[3].1.compression.is_some());
+        assert!(!stack[0].unique);
+        assert!(stack[1].unique);
+        assert_eq!(stack[1].seeding, SeedStrategy::PerGpu);
+        assert_eq!(stack[2].seeding, SeedStrategy::ZipfFreq);
+        assert!(stack[2].compression.is_none());
+        assert!(stack[3].compression.is_some());
     }
 
     /// Figure 6's four bars, hand-typed once: each bar's label, its
     /// `Method` as `(unique, seeding, compression bits)` and its exchange
     /// as `(unique, compression bits, gpus_per_node, bucket_bytes, codec,
-    /// gradient wire bytes per element)`. Written against the presets
-    /// before they were derived from `perfmodel::TechniqueStack`; the
-    /// table is never edited, only the calls that read a bar.
+    /// gradient wire bytes per element)`. The table is not edited to
+    /// follow the code: a change to what any bar turns on fails here.
     #[test]
     fn figure6_bars_characterisation() {
-        use crate::schedule::ExchangeConfig;
         use simgpu::WireCodecId::Identity;
         use SeedStrategy::{PerGpu, ZipfFreq};
         type MethodRow = (bool, SeedStrategy, Option<u32>);
@@ -493,18 +487,12 @@ mod tests {
             ("+seeding",     (true,  ZipfFreq, None),            (true,  None,            0, 0, Identity, 4)),
             ("+compression", (true,  ZipfFreq, Some(SCALE_512)), (true,  Some(SCALE_512), 0, 0, Identity, 2)),
         ];
-        let exchanges = [
-            ExchangeConfig::baseline(),
-            ExchangeConfig::unique(),
-            ExchangeConfig::unique(),
-            ExchangeConfig::unique_compressed(),
-        ];
-        let got: Vec<(&str, MethodRow, ExchangeRow)> = Method::figure6_stack()
+        let got: Vec<(&str, MethodRow, ExchangeRow)> = TechniqueStack::all()
             .into_iter()
-            .zip(exchanges)
-            .map(|((label, m), x)| {
+            .map(|stack| {
+                let (m, x) = (Method::from(stack), stack.exchange());
                 (
-                    label,
+                    stack.label(),
                     (m.unique, m.seeding, m.compression.map(f32::to_bits)),
                     (
                         x.unique,

@@ -541,6 +541,7 @@ pub fn all_reduce_bucketed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perfmodel::TechniqueStack;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use simgpu::CommGroup;
@@ -606,7 +607,7 @@ mod tests {
     #[test]
     fn baseline_keeps_replicas_identical() {
         for world in [1usize, 2, 4] {
-            let res = exchange_result(world, ExchangeConfig::baseline());
+            let res = exchange_result(world, TechniqueStack::Baseline.exchange());
             for r in 1..world {
                 assert_eq!(
                     res[0].0.as_slice(),
@@ -620,7 +621,7 @@ mod tests {
     #[test]
     fn unique_keeps_replicas_identical() {
         for world in [1usize, 2, 4, 6] {
-            let res = exchange_result(world, ExchangeConfig::unique());
+            let res = exchange_result(world, TechniqueStack::Unique.exchange());
             for r in 1..world {
                 assert_eq!(res[0].0.as_slice(), res[r].0.as_slice());
             }
@@ -634,8 +635,8 @@ mod tests {
         // the baseline" — the updated tables must agree (up to f32
         // summation order).
         for world in [1usize, 2, 4] {
-            let base = exchange_result(world, ExchangeConfig::baseline());
-            let uniq = exchange_result(world, ExchangeConfig::unique());
+            let base = exchange_result(world, TechniqueStack::Baseline.exchange());
+            let uniq = exchange_result(world, TechniqueStack::Unique.exchange());
             let diff = base[0].0.max_abs_diff(&uniq[0].0);
             assert!(diff < 1e-5, "world {world}: diff {diff}");
         }
@@ -644,13 +645,13 @@ mod tests {
     #[test]
     fn compressed_unique_close_to_exact() {
         let world = 4;
-        let exact = exchange_result(world, ExchangeConfig::unique());
+        let exact = exchange_result(world, TechniqueStack::Unique.exchange());
         let comp = exchange_result(
             world,
             ExchangeConfig {
                 unique: true,
                 compression: Some(512.0),
-                ..ExchangeConfig::baseline()
+                ..TechniqueStack::Baseline.exchange()
             },
         );
         let diff = exact[0].0.max_abs_diff(&comp[0].0);
@@ -665,13 +666,13 @@ mod tests {
     #[test]
     fn compressed_baseline_close_to_exact() {
         let world = 3;
-        let exact = exchange_result(world, ExchangeConfig::baseline());
+        let exact = exchange_result(world, TechniqueStack::Baseline.exchange());
         let comp = exchange_result(
             world,
             ExchangeConfig {
                 unique: false,
                 compression: Some(512.0),
-                ..ExchangeConfig::baseline()
+                ..TechniqueStack::Baseline.exchange()
             },
         );
         let diff = exact[0].0.max_abs_diff(&comp[0].0);
@@ -688,7 +689,7 @@ mod tests {
                 indices: vec![3, 3, 7, 3, 7, 3],
                 rows: Matrix::zeros(6, D),
             };
-            oneshot(&rank, &grad, &mut table, &ExchangeConfig::unique()).unwrap()
+            oneshot(&rank, &grad, &mut table, &TechniqueStack::Unique.exchange()).unwrap()
         });
         for s in &res {
             assert_eq!(s.local_tokens, 6);
@@ -701,8 +702,8 @@ mod tests {
     fn unique_moves_fewer_bytes_when_duplicates_dominate() {
         let world = 4;
         // 64 tokens over only 5 distinct hot words per rank.
-        let cfg_b = ExchangeConfig::baseline();
-        let cfg_u = ExchangeConfig::unique();
+        let cfg_b = TechniqueStack::Baseline.exchange();
+        let cfg_u = TechniqueStack::Unique.exchange();
         let mk = |rank: &Rank, cfg: &ExchangeConfig| {
             let mut table = make_table(2);
             let mut rng = StdRng::seed_from_u64(rank.rank() as u64);
@@ -731,7 +732,13 @@ mod tests {
             run_group(world, |rank| {
                 let mut table = make_table(3);
                 let grad = make_grad(rank.rank() as u64, 16);
-                oneshot(&rank, &grad, &mut table, &ExchangeConfig::baseline()).unwrap()
+                oneshot(
+                    &rank,
+                    &grad,
+                    &mut table,
+                    &TechniqueStack::Baseline.exchange(),
+                )
+                .unwrap()
             })[0]
                 .peak_buffer_bytes
         };
@@ -754,7 +761,7 @@ mod tests {
                     indices,
                     rows: Matrix::zeros(n, D),
                 };
-                oneshot(&rank, &grad, &mut table, &ExchangeConfig::unique()).unwrap()
+                oneshot(&rank, &grad, &mut table, &TechniqueStack::Unique.exchange()).unwrap()
             })[0]
         };
         let s2 = grab(2);
@@ -777,7 +784,7 @@ mod tests {
             let cfg = ExchangeConfig {
                 gpus_per_node: gpn,
                 codec,
-                ..ExchangeConfig::unique()
+                ..TechniqueStack::Unique.exchange()
             };
             let ranks = CommGroup::create_full(3, if gpn == 0 { 3 } else { gpn }, 0, None);
             let stats = simgpu::run_ranks(ranks, |rank| {
@@ -802,7 +809,7 @@ mod tests {
 
     #[test]
     fn single_gpu_exchange_is_pure_local_update() {
-        let res = exchange_result(1, ExchangeConfig::unique());
+        let res = exchange_result(1, TechniqueStack::Unique.exchange());
         assert_eq!(res[0].1.wire_bytes, 0);
     }
 
@@ -825,7 +832,10 @@ mod tests {
         // After a warm-up step, repeated exchanges must not grow any
         // scratch buffer: capacities stay put ⇒ zero steady-state heap
         // allocation in this crate's hot path.
-        for cfg in [ExchangeConfig::unique(), ExchangeConfig::baseline()] {
+        for cfg in [
+            TechniqueStack::Unique.exchange(),
+            TechniqueStack::Baseline.exchange(),
+        ] {
             run_group(4, |rank| {
                 let mut table = make_table(5);
                 let grad = make_grad(400 + rank.rank() as u64, 24);
@@ -859,9 +869,9 @@ mod tests {
         // long-lived pool: bit-identical tables and identical
         // non-timing stats.
         for cfg in [
-            ExchangeConfig::unique(),
-            ExchangeConfig::baseline(),
-            ExchangeConfig::unique_compressed(),
+            TechniqueStack::Unique.exchange(),
+            TechniqueStack::Baseline.exchange(),
+            TechniqueStack::Full.exchange(),
         ] {
             let oneshot = exchange_result(4, cfg);
             let pooled = run_group(4, |rank| {
@@ -892,7 +902,7 @@ mod tests {
         // Routing step 6 through the two-tier schedule must not move a
         // single bit of the result, and the returned wire bytes must
         // track the schedule switch exactly, per rank and per tier.
-        hierarchical_matches_flat(ExchangeConfig::unique(), 4);
+        hierarchical_matches_flat(TechniqueStack::Unique.exchange(), 4);
     }
 
     /// First-occurrence order of `indices`: §III-A's canonical order.
@@ -981,8 +991,8 @@ mod tests {
         // wire bytes become the exact sum of per-bucket ring shares.
         let world = 4;
         for base_cfg in [
-            ExchangeConfig::unique(),
-            ExchangeConfig::unique_compressed(),
+            TechniqueStack::Unique.exchange(),
+            TechniqueStack::Full.exchange(),
         ] {
             let whole = exchange_result(world, base_cfg);
             let bucket_bytes = 64u64; // several buckets at Ug·D ≈ tens of elems
@@ -1023,7 +1033,7 @@ mod tests {
         // format itself — same canonical leader reduction ⇒ bit-identical
         // tables — and the returned per-rank bytes follow the
         // hierarchical schedule at elem_bytes = 2, per tier.
-        hierarchical_matches_flat(ExchangeConfig::unique_compressed(), 2);
+        hierarchical_matches_flat(TechniqueStack::Full.exchange(), 2);
     }
 
     #[test]
@@ -1052,7 +1062,7 @@ mod tests {
                 &grad,
                 &mut table,
                 0.1,
-                &ExchangeConfig::unique(),
+                &TechniqueStack::Unique.exchange(),
                 &mut scratch,
             )
             .unwrap();
@@ -1079,7 +1089,7 @@ mod tests {
                 &grad,
                 &mut table,
                 0.1,
-                &ExchangeConfig::unique(),
+                &TechniqueStack::Unique.exchange(),
                 &mut scratch,
             )
             .unwrap()
@@ -1103,7 +1113,13 @@ mod tests {
                 Embedding::new(&mut rng, 2000, 32)
             };
             let grad = make_grad_sized(rank.rank() as u64, 512, 2000, 32);
-            oneshot(&rank, &grad, &mut table, &ExchangeConfig::baseline()).unwrap()
+            oneshot(
+                &rank,
+                &grad,
+                &mut table,
+                &TechniqueStack::Baseline.exchange(),
+            )
+            .unwrap()
         });
         for s in &base {
             assert!(s.timings.gather_ns > 0);
@@ -1129,9 +1145,9 @@ mod tests {
         // The trace parameter must not perturb results, and the per-rank
         // event bytes must partition the analytic wire_bytes exactly.
         for cfg in [
-            ExchangeConfig::unique(),
-            ExchangeConfig::baseline(),
-            ExchangeConfig::unique_compressed(),
+            TechniqueStack::Unique.exchange(),
+            TechniqueStack::Baseline.exchange(),
+            TechniqueStack::Full.exchange(),
         ] {
             let plain = exchange_result(3, cfg);
             let traced = run_group(3, |rank| {
@@ -1235,7 +1251,7 @@ mod tests {
                 for ragged in [false, true] {
                     let cfg = ExchangeConfig {
                         compression,
-                        ..ExchangeConfig::baseline()
+                        ..TechniqueStack::Baseline.exchange()
                     };
                     let tokens = |r: usize| match ragged {
                         false => 40,
@@ -1297,7 +1313,7 @@ mod tests {
         for compression in [None, Some(512.0)] {
             let cfg = ExchangeConfig {
                 compression,
-                ..ExchangeConfig::baseline()
+                ..TechniqueStack::Baseline.exchange()
             };
             let res = run_group(3, |rank| {
                 let r = rank.rank();
@@ -1392,7 +1408,7 @@ mod tests {
                 &grad,
                 &mut table,
                 0.1,
-                &ExchangeConfig::unique(),
+                &TechniqueStack::Unique.exchange(),
                 &mut scratch,
             )
                         .unwrap();

@@ -789,6 +789,7 @@ mod tests {
     use crate::metrics::TimeAttribution;
     use crate::schedule::{ExchangeLoad, StepLoad, StepSchedule};
     use crate::seeding::SeedStrategy;
+    use perfmodel::TechniqueStack;
 
     fn quick_cfg(model: ModelKind, gpus: usize, method: Method) -> TrainConfig {
         TrainConfig {
@@ -812,8 +813,8 @@ mod tests {
 
     #[test]
     fn word_training_runs_all_methods() {
-        for (_, method) in Method::figure6_stack() {
-            let cfg = quick_cfg(ModelKind::Word { vocab: 200 }, 2, method);
+        for stack in TechniqueStack::all() {
+            let cfg = quick_cfg(ModelKind::Word { vocab: 200 }, 2, stack.into());
             let rep = train(&cfg).expect("train");
             assert_eq!(rep.epochs.len(), 1);
             assert!(rep.epochs[0].train_loss.is_finite());
@@ -1156,16 +1157,16 @@ mod tests {
         };
         // Flat ring over three nodes; two-tier with a ragged last node of
         // one; two-tier with codec-scaled payloads and buckets.
-        let flat = ExchangeConfig::unique();
+        let flat = TechniqueStack::Unique.exchange();
         let two_tier = ExchangeConfig {
             gpus_per_node: 3,
-            ..ExchangeConfig::unique_compressed()
+            ..TechniqueStack::Full.exchange()
         };
         let codec = ExchangeConfig {
             gpus_per_node: 3,
             bucket_bytes: 1 << 10,
             codec: WireCodecId::Lossless,
-            ..ExchangeConfig::unique()
+            ..TechniqueStack::Unique.exchange()
         };
         for (name, xcfg, gpus, gpn) in [
             ("flat", &flat, 5usize, 2usize),

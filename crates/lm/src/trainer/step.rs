@@ -29,7 +29,9 @@ use nn::optimizer::scaled_lr;
 use nn::{CharLm, WordLm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simgpu::{peer_exchange_tier_bytes, secs_to_ps, SpanKind, TraceRecorder, TrafficSnapshot};
+use simgpu::{
+    peer_exchange_tier_bytes, secs_to_ps, NodeLayout, SpanKind, TraceRecorder, TrafficSnapshot,
+};
 use std::sync::{Mutex, PoisonError};
 
 /// Maximum validation batches evaluated per epoch (the full validation
@@ -246,9 +248,13 @@ impl<'a> LoopState<'a> {
         LoopState {
             ctx,
             rank,
-            // LR scaling stays a property of the hardware preset, not of
-            // the topology override — topology must never change results.
-            lr: scaled_lr(cfg.base_lr, g, ctx.cost.hardware().gpus_per_node),
+            // LR scaling counts nodes of the hardware preset's size, not
+            // of the topology override — topology must never change
+            // results.
+            lr: scaled_lr(
+                cfg.base_lr,
+                NodeLayout::new(g, ctx.cost.hardware().gpus_per_node).nodes(),
+            ),
             replica,
             global_step: 0,
             report: TrainReport::default(),

@@ -75,7 +75,7 @@ macro_rules! scaling_tables {
                         local_tokens: k,
                         unique_global: ug,
                         index_enc_bytes: (g * k) as u64 * 4,
-                        node_unique: g.div_ceil(gpn) * node,
+                        node_unique: simgpu::NodeLayout::new(g, gpn).nodes() * node,
                         reduce: (reduce, reduce),
                     }
                 };

@@ -88,34 +88,6 @@ pub struct ExchangeConfig {
 }
 
 impl ExchangeConfig {
-    /// The paper's baseline.
-    pub fn baseline() -> Self {
-        Self {
-            unique: false,
-            compression: None,
-            gpus_per_node: 0,
-            bucket_bytes: 0,
-            codec: simgpu::WireCodecId::Identity,
-        }
-    }
-
-    /// Uniqueness only.
-    pub fn unique() -> Self {
-        Self {
-            unique: true,
-            ..Self::baseline()
-        }
-    }
-
-    /// Uniqueness + FP16 compression at the paper's default scale.
-    pub fn unique_compressed() -> Self {
-        Self {
-            unique: true,
-            compression: Some(512.0),
-            ..Self::baseline()
-        }
-    }
-
     /// Wire schedule of this config's collectives, for the wire and for
     /// the clock (`gpus_per_node == 0` is the flat ring; the collective
     /// and its price both fall back to the ring when the group fits in
@@ -857,6 +829,7 @@ impl Walk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TechniqueStack;
     use proptest::prelude::*;
     use simgpu::{HardwareConfig, WireCodecId};
 
@@ -1073,16 +1046,16 @@ mod tests {
     fn stacks() -> Vec<ExchangeConfig> {
         let codec = ExchangeConfig {
             codec: WireCodecId::Lossless,
-            ..ExchangeConfig::unique()
+            ..TechniqueStack::Unique.exchange()
         };
         let bucketed = ExchangeConfig {
             bucket_bytes: 1 << 10,
-            ..ExchangeConfig::unique()
+            ..TechniqueStack::Unique.exchange()
         };
         let flat = [
-            ExchangeConfig::baseline(),
-            ExchangeConfig::unique(),
-            ExchangeConfig::unique_compressed(),
+            TechniqueStack::Baseline.exchange(),
+            TechniqueStack::Unique.exchange(),
+            TechniqueStack::Full.exchange(),
             codec,
             bucketed,
         ];

@@ -63,17 +63,36 @@ impl TechniqueStack {
         }
     }
 
-    pub(crate) fn unique(&self) -> bool {
+    /// Uniqueness (§III-A): every bar after the baseline.
+    pub fn unique(&self) -> bool {
         !matches!(self, TechniqueStack::Baseline)
     }
 
-    /// The exchange this stack runs. Seeding changes which rows move,
-    /// not how, so it shares uniqueness's.
-    pub(crate) fn exchange(&self) -> ExchangeConfig {
+    /// Zipf-frequency seeding of the sampled softmax (§III-B): the bars
+    /// from "+seeding" on.
+    pub fn seeded(&self) -> bool {
+        matches!(self, TechniqueStack::UniqueSeeded | TechniqueStack::Full)
+    }
+
+    /// FP16 wire compression at the paper's scale (§III-C): the last bar
+    /// only.
+    pub fn compression(&self) -> Option<f32> {
         match self {
-            TechniqueStack::Baseline => ExchangeConfig::baseline(),
-            TechniqueStack::Unique | TechniqueStack::UniqueSeeded => ExchangeConfig::unique(),
-            TechniqueStack::Full => ExchangeConfig::unique_compressed(),
+            TechniqueStack::Full => Some(512.0),
+            _ => None,
+        }
+    }
+
+    /// The exchange this stack runs, on the flat ring, unbucketed and
+    /// uncoded. Seeding changes which rows move, not how, so it shares
+    /// uniqueness's.
+    pub fn exchange(&self) -> ExchangeConfig {
+        ExchangeConfig {
+            unique: self.unique(),
+            compression: self.compression(),
+            gpus_per_node: 0,
+            bucket_bytes: 0,
+            codec: simgpu::WireCodecId::Identity,
         }
     }
 }
@@ -190,8 +209,7 @@ impl WordScale {
         }
         let target_rows = unique_words(gk, FIG1_PREFACTOR, ALPHA, self.vocab);
         // Seeding shares each seed among a group: ⌈G^0.64⌉ candidate sets.
-        let seeded = matches!(stack, TechniqueStack::UniqueSeeded | TechniqueStack::Full);
-        let candidate_sets = if seeded { seed_groups(g) } else { g };
+        let candidate_sets = if stack.seeded() { seed_groups(g) } else { g };
         // Log-uniform candidate draws are themselves Zipfian, so the
         // union of k distinct candidate sets also follows the Heaps law
         // (the paper's Θ((G·S)^0.64) claim for the output layer).

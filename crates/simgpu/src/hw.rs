@@ -57,11 +57,6 @@ impl HardwareConfig {
         }
     }
 
-    /// Number of nodes needed for `gpus` GPUs.
-    pub fn nodes_for(&self, gpus: usize) -> usize {
-        gpus.div_ceil(self.gpus_per_node)
-    }
-
     /// This preset with one link constant improved 2× — each latency
     /// halved, each bandwidth doubled, one at a time: the "strictly
     /// faster fabric" variants a pricing monotonicity check sweeps.
@@ -88,7 +83,7 @@ impl HardwareConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostModel, Tier, TierBytes, Topology};
+    use crate::{CostModel, NodeLayout, Tier, TierBytes, Topology};
 
     #[test]
     fn table2_constants() {
@@ -100,11 +95,11 @@ mod tests {
 
     #[test]
     fn nodes_round_up() {
-        let hw = HardwareConfig::titan_x_cluster();
-        assert_eq!(hw.nodes_for(8), 1);
-        assert_eq!(hw.nodes_for(9), 2);
-        assert_eq!(hw.nodes_for(64), 8);
-        assert_eq!(hw.nodes_for(192), 24);
+        let nodes = |g| NodeLayout::new(g, HardwareConfig::titan_x_cluster().gpus_per_node).nodes();
+        assert_eq!(nodes(8), 1);
+        assert_eq!(nodes(9), 2);
+        assert_eq!(nodes(64), 8);
+        assert_eq!(nodes(192), 24);
     }
 
     #[test]

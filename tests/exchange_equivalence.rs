@@ -8,6 +8,7 @@
 //! wire compression — and full training trajectories must coincide.
 
 use nn::{Embedding, SparseGrad};
+use perfmodel::TechniqueStack;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,8 +87,8 @@ fn equivalence_across_world_sizes() {
                 grad_from(idx, 100 + r as u64)
             })
             .collect();
-        let base = apply(world, grads.clone(), ExchangeConfig::baseline());
-        let uniq = apply(world, grads, ExchangeConfig::unique());
+        let base = apply(world, grads.clone(), TechniqueStack::Baseline.exchange());
+        let uniq = apply(world, grads, TechniqueStack::Unique.exchange());
         let diff = base.max_abs_diff(&uniq);
         assert!(diff < 1e-5, "world {world}: diff {diff}");
     }
@@ -101,8 +102,8 @@ fn equivalence_with_extreme_duplication() {
     let grads: Vec<SparseGrad> = (0..world)
         .map(|r| grad_from(vec![7; 32], r as u64))
         .collect();
-    let base = apply(world, grads.clone(), ExchangeConfig::baseline());
-    let uniq = apply(world, grads, ExchangeConfig::unique());
+    let base = apply(world, grads.clone(), TechniqueStack::Baseline.exchange());
+    let uniq = apply(world, grads, TechniqueStack::Unique.exchange());
     assert!(base.max_abs_diff(&uniq) < 1e-4);
 }
 
@@ -116,8 +117,8 @@ fn equivalence_with_disjoint_vocabularies() {
             grad_from((lo..lo + 10).collect(), r as u64)
         })
         .collect();
-    let base = apply(world, grads.clone(), ExchangeConfig::baseline());
-    let uniq = apply(world, grads, ExchangeConfig::unique());
+    let base = apply(world, grads.clone(), TechniqueStack::Baseline.exchange());
+    let uniq = apply(world, grads, TechniqueStack::Unique.exchange());
     assert!(base.max_abs_diff(&uniq) < 1e-5);
 }
 
@@ -130,8 +131,8 @@ fn equivalence_with_empty_contributions() {
         grad_from(vec![], 2),
         grad_from(vec![3, 3], 3),
     ];
-    let base = apply(world, grads.clone(), ExchangeConfig::baseline());
-    let uniq = apply(world, grads, ExchangeConfig::unique());
+    let base = apply(world, grads.clone(), TechniqueStack::Baseline.exchange());
+    let uniq = apply(world, grads, TechniqueStack::Unique.exchange());
     assert!(base.max_abs_diff(&uniq) < 1e-5);
 }
 
@@ -145,14 +146,14 @@ fn compressed_paths_track_exact_paths() {
             grad_from(idx, 200 + r as u64)
         })
         .collect();
-    let exact = apply(world, grads.clone(), ExchangeConfig::unique());
+    let exact = apply(world, grads.clone(), TechniqueStack::Unique.exchange());
     let compressed = apply(
         world,
         grads,
         ExchangeConfig {
             unique: true,
             compression: Some(1024.0),
-            ..ExchangeConfig::baseline()
+            ..TechniqueStack::Baseline.exchange()
         },
     );
     let diff = exact.max_abs_diff(&compressed);
@@ -225,8 +226,8 @@ proptest! {
                 grad_from(idx, seed * 77 + r as u64)
             })
             .collect();
-        let base = apply(world, grads.clone(), ExchangeConfig::baseline());
-        let uniq = apply(world, grads, ExchangeConfig::unique());
+        let base = apply(world, grads.clone(), TechniqueStack::Baseline.exchange());
+        let uniq = apply(world, grads, TechniqueStack::Unique.exchange());
         prop_assert!(base.max_abs_diff(&uniq) < 1e-4);
     }
 }

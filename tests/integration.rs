@@ -3,6 +3,7 @@
 //! and between measured traffic and the cost model's assumptions.
 
 use corpus::{CorpusGenerator, DatasetProfile, TokenUnit, Vocab};
+use perfmodel::TechniqueStack;
 use simgpu::{CommGroup, Topology, Wire};
 use tensor::f16::round_trip;
 use zipf::{fit_power_law, FrequencyTable};
@@ -158,7 +159,7 @@ fn word_and_char_models_share_exchange_machinery() {
         ModelKind::Word { vocab: 200 },
         ModelKind::Char { vocab: 64 },
     ] {
-        for (_, method) in Method::figure6_stack() {
+        for stack in TechniqueStack::all() {
             let cfg = TrainConfig {
                 model,
                 gpus: 2,
@@ -168,7 +169,7 @@ fn word_and_char_models_share_exchange_machinery() {
                 epochs: 1,
                 base_lr: 0.2,
                 lr_decay: 0.95,
-                method,
+                method: stack.into(),
                 seed: 4,
                 tokens: 30_000,
                 trace: TraceConfig::off(),

@@ -4,7 +4,7 @@
 //! trainer, the perfmodel's full-scale invariants, and the trainer and
 //! the perfmodel pricing their loads on one clock.
 
-use perfmodel::schedule::{CommOp, ExchangeConfig, StepClock, StepLoad, StepSchedule};
+use perfmodel::schedule::{CommOp, StepClock, StepLoad, StepSchedule};
 use perfmodel::{memory, CharScale, TechniqueStack, WordScale};
 use simgpu::{secs_to_ps, CostModel, HardwareConfig};
 use zipf::fit_power_law;
@@ -205,7 +205,7 @@ fn measured_and_predicted_loads_price_on_one_clock() {
     let flops = c.model.flops_per_step(c.local_batch_tokens());
     let mut live = StepSchedule {
         cost: &cost,
-        xcfg: ExchangeConfig::unique(),
+        xcfg: TechniqueStack::Unique.exchange(),
         gpus: g,
         gpn: cost.hardware().gpus_per_node,
         overlap: false,

@@ -8,6 +8,7 @@
 //! the sum of every rank's per-step bytes at ragged worlds.
 
 use nn::{Embedding, SparseGrad};
+use perfmodel::TechniqueStack;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simgpu::{CommGroup, Rank, Tier, TierBytes, Topology, TrafficSnapshot, WireCodec};
@@ -80,14 +81,14 @@ fn summed(stats: &[ExchangeStats]) -> TrafficSnapshot {
 
 fn configs() -> [ExchangeConfig; 4] {
     [
-        ExchangeConfig::baseline(),
+        TechniqueStack::Baseline.exchange(),
         ExchangeConfig {
             unique: false,
             compression: Some(512.0),
-            ..ExchangeConfig::baseline()
+            ..TechniqueStack::Baseline.exchange()
         },
-        ExchangeConfig::unique(),
-        ExchangeConfig::unique_compressed(),
+        TechniqueStack::Unique.exchange(),
+        TechniqueStack::Full.exchange(),
     ]
 }
 
@@ -147,7 +148,7 @@ fn compression_halves_exactly_the_row_terms() {
     // The index gather stays u32; only gradient payload halves. Checked
     // through the analytic stats on an even-dividing size.
     let world = 4;
-    let full = measure(world, 16, 8, ExchangeConfig::baseline());
+    let full = measure(world, 16, 8, TechniqueStack::Baseline.exchange());
     let comp = measure(
         world,
         16,
@@ -155,7 +156,7 @@ fn compression_halves_exactly_the_row_terms() {
         ExchangeConfig {
             unique: false,
             compression: Some(512.0),
-            ..ExchangeConfig::baseline()
+            ..TechniqueStack::Baseline.exchange()
         },
     );
     let index_term = (16 * 4 * (world - 1)) as u64;
@@ -248,7 +249,7 @@ fn codec_analytic_wire_bytes_match_measured_traffic_exactly() {
                         unique: true,
                         gpus_per_node: gpn,
                         codec,
-                        ..ExchangeConfig::baseline()
+                        ..TechniqueStack::Baseline.exchange()
                     };
                     let topology = cfg.topology();
                     for (r, s) in measure(world, tokens, dim, cfg).iter().enumerate() {
@@ -294,7 +295,7 @@ fn delta_varint_index_prediction_matches_recorder() {
             let cfg = ExchangeConfig {
                 unique: true,
                 codec: simgpu::WireCodecId::LosslessIndex,
-                ..ExchangeConfig::baseline()
+                ..TechniqueStack::Baseline.exchange()
             };
             let gathered = summed(&measure(world, tokens, 6, cfg)).allgather_bytes;
             let predicted: u64 = (0..world)
@@ -326,7 +327,7 @@ fn codec_recorded_bytes_never_exceed_identity() {
             let base = ExchangeConfig {
                 unique: true,
                 gpus_per_node: gpn,
-                ..ExchangeConfig::baseline()
+                ..TechniqueStack::Baseline.exchange()
             };
             let identity = summed(&measure(world, 17, 5, base));
             for codec in simgpu::WireCodecId::lossless_ladder() {
