@@ -80,20 +80,21 @@ impl Device {
 
     /// Attempts to allocate `bytes`; freed when the guard drops.
     pub fn try_alloc(self: &Arc<Self>, bytes: u64) -> Result<Allocation, OomError> {
-        // Optimistic add, roll back on overflow: correct under contention
-        // because concurrent allocators that both fit cannot jointly
-        // exceed capacity after their rollbacks.
-        let prev = self.in_use.fetch_add(bytes, Ordering::Relaxed);
-        let now = prev + bytes;
-        if now > self.capacity {
-            self.in_use.fetch_sub(bytes, Ordering::Relaxed);
-            return Err(OomError {
+        // Add only if it fits: an add that is rolled back on overflow
+        // lets a concurrent reader see more than the capacity in use, and
+        // a concurrent allocator that fits fail.
+        let prev = self
+            .in_use
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                cur.checked_add(bytes).filter(|&now| now <= self.capacity)
+            })
+            .map_err(|in_use| OomError {
                 device: self.id,
                 requested: bytes,
-                in_use: prev,
+                in_use,
                 capacity: self.capacity,
-            });
-        }
+            })?;
+        let now = prev + bytes;
         self.peak.fetch_max(now, Ordering::Relaxed);
         Ok(Allocation {
             dev: Arc::clone(self),
