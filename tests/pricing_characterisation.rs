@@ -2,7 +2,9 @@
 //! artifact covers: a ragged world on the default 8-GPU nodes (flat and
 //! two-tier), the F16 wire, a lossless codec under the overlapped
 //! bucketed schedule, and the baseline's flat-priced row gather inside
-//! a hierarchical config. Every step's `sim_time_ps` and all seven
+//! a hierarchical config, and a straggled last rank, whose injected
+//! delay sets the step time apart from the slowest critical path. Every
+//! step's `sim_time_ps` and all seven
 //! `TimeAttribution` buckets of rank 0 and of the last rank are literal
 //! constants, so a change to how collectives are priced either leaves
 //! them alone or shows exactly which picosecond moved. The same runs pin
@@ -10,7 +12,8 @@
 //! 0 and on the last rank, so a change to how bytes are booked shows
 //! exactly which byte or op count moved.
 
-use simgpu::{TrafficSnapshot, WireCodecId};
+use simgpu::{FaultPlan, TrafficSnapshot, WireCodecId};
+use std::time::Duration;
 use zipf_lm::{
     run, CheckpointConfig, CommConfig, Method, MetricsConfig, ModelKind, RunOptions, StepMetrics,
     TraceConfig, TrainConfig, TrainReport,
@@ -71,22 +74,29 @@ fn traffic(t: &TrafficSnapshot) -> Traffic {
 #[test]
 fn priced_picoseconds_are_pinned_on_shapes_no_golden_covers() {
     let hier = CommConfig::hierarchical_pooled(4);
-    let cases: [(&str, TrainConfig, [Steps; 2], Traffic); 5] = [
+    let straggled = RunOptions {
+        faults: FaultPlan::none().straggle(WORLD - 1, Duration::from_millis(1)),
+        ..RunOptions::default()
+    };
+    let cases: [(&str, TrainConfig, RunOptions, [Steps; 2], Traffic); 6] = [
         (
             "ragged flat",
             cfg(Method::unique(), CommConfig::flat()),
+            RunOptions::default(),
             RAGGED_FLAT,
             RAGGED_FLAT_TRAFFIC,
         ),
         (
             "ragged two-tier",
             cfg(Method::unique(), hier),
+            RunOptions::default(),
             RAGGED_TWO_TIER,
             RAGGED_TWO_TIER_TRAFFIC,
         ),
         (
             "f16 wire",
             cfg(Method::full(), hier),
+            RunOptions::default(),
             F16_WIRE,
             F16_WIRE_TRAFFIC,
         ),
@@ -96,18 +106,27 @@ fn priced_picoseconds_are_pinned_on_shapes_no_golden_covers() {
                 Method::unique(),
                 hier.with_codec(WireCodecId::Lossless).overlapped(1 << 10),
             ),
+            RunOptions::default(),
             LOSSLESS_OVERLAPPED,
             LOSSLESS_OVERLAPPED_TRAFFIC,
         ),
         (
             "baseline row gather under a hierarchical config",
             cfg(Method::baseline(), hier),
+            RunOptions::default(),
             BASELINE_HIERARCHICAL,
             BASELINE_HIERARCHICAL_TRAFFIC,
         ),
+        (
+            "ragged two-tier, last rank straggled 1 ms",
+            cfg(Method::unique(), hier),
+            straggled,
+            RAGGED_TWO_TIER_STRAGGLED,
+            RAGGED_TWO_TIER_TRAFFIC,
+        ),
     ];
-    for (name, cfg, want, want_traffic) in cases {
-        let ranks: Vec<TrainReport> = run(&cfg, &RunOptions::default())
+    for (name, cfg, opts, want, want_traffic) in cases {
+        let ranks: Vec<TrainReport> = run(&cfg, &opts)
             .ranks
             .into_iter()
             .map(|r| r.expect("rank failed"))
@@ -139,6 +158,14 @@ const RAGGED_TWO_TIER: [Steps; 2] = [
      [712_055_926, 970_309, 451_695_750, 259_389_867,           0, 0, 0, 0]],
     [[712_637_498, 973_297, 119_118_000,           0, 592_546_201, 0, 0, 0],
      [712_055_926, 970_309, 119_062_000,           0, 592_023_617, 0, 0, 0]],
+];
+
+#[rustfmt::skip]
+const RAGGED_TWO_TIER_STRAGGLED: [Steps; 2] = [
+    [[1_120_091_297, 973_297, 452_149_000, 259_515_201, 0, 407_453_799,             0, 0],
+     [1_120_032_309, 970_309, 451_695_750, 259_389_867, 0, 407_976_383,             0, 0]],
+    [[1_120_091_297, 973_297, 119_118_000,           0, 0,           0, 1_000_000_000, 0],
+     [1_120_032_309, 970_309, 119_062_000,           0, 0,           0, 1_000_000_000, 0]],
 ];
 
 #[rustfmt::skip]
