@@ -968,7 +968,7 @@ pub fn chaos_recovery() -> Vec<ChaosRecoveryRow> {
                 scenario,
                 world: CHAOS_WORLD,
                 rounds: report.recoveries.len() as u64,
-                restored_step: first.and_then(|ev| ev.restored_step).unwrap_or(0),
+                restored_step: first.and_then(|ev| ev.restored_step()).unwrap_or(0),
                 steps_lost: first.map_or(0, |ev| ev.steps_lost),
                 backoff_ps: report.recoveries.iter().map(|ev| ev.backoff_ps).sum(),
                 corrupt_frames: report

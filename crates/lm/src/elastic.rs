@@ -107,7 +107,7 @@ pub(crate) fn annotate_trace(report: &mut TrainReport, recoveries: &[RecoveryEve
     for ev in recoveries {
         trace.events.push(TraceEvent {
             rank: 0,
-            step: ev.restored_step.unwrap_or(0),
+            step: ev.restored_step().unwrap_or(0),
             span: SpanKind::Recovery,
             t_start_ns: 0,
             t_end_ns: ev.stall_ns,

@@ -193,9 +193,6 @@ pub struct RecoveryEvent {
     pub world_before: usize,
     /// World size after the shrink (`survivors.len()`).
     pub world_after: usize,
-    /// Global step of the consistent checkpoint restored from, or
-    /// `None` when no common snapshot existed (fresh restart).
-    pub restored_step: Option<u64>,
     /// Completed steps discarded by rolling back to the restored cut
     /// (max survivor progress − restored step).
     pub steps_lost: u64,
@@ -208,14 +205,19 @@ pub struct RecoveryEvent {
     /// (`base · 2^(restart−1)`), converted to picoseconds. Recorded on
     /// the event instead of sleeping the calling thread.
     pub backoff_ps: u64,
-    /// Restart attempts consumed so far, including this one — equals
-    /// [`RecoveryEvent::restart`], carried explicitly so summaries
-    /// need not infer it from event ordering.
-    pub attempts: u32,
     /// The snapshot every survivor was restored from — starting a fresh
     /// run at the new world size from this checkpoint is bit-identical
     /// to the recovered run (asserted in `tests/elastic_recovery.rs`).
+    /// `None` when no common snapshot existed (fresh restart).
     pub restored_from: Option<Checkpoint>,
+}
+
+impl RecoveryEvent {
+    /// Global step of the consistent checkpoint restored from, or
+    /// `None` on a fresh restart.
+    pub fn restored_step(&self) -> Option<u64> {
+        self.restored_from.as_ref().map(|ck| ck.step)
+    }
 }
 
 /// Result of a full training run.

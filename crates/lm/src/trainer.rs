@@ -59,10 +59,10 @@ use simgpu::{
     TrafficSnapshot,
 };
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-use step::{LoopState, ScheduleMemo};
+use step::LoopState;
 
 /// Why a training run failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -378,19 +378,16 @@ pub fn run(cfg: &TrainConfig, opts: &RunOptions) -> RunOutcome {
             survivors: survivors.len(),
         });
         resume = scan.checkpoint.map(Arc::new);
-        let restored_step = resume.as_ref().map(|c| c.step);
         outcome.recoveries.push(RecoveryEvent {
             restart,
             failed_ranks: failed,
             world_before: cfg.gpus,
             world_after: survivors.len(),
-            restored_step,
             steps_lost: store
                 .max_progress(&survivors)
-                .saturating_sub(restored_step.unwrap_or(0)),
+                .saturating_sub(resume.as_ref().map_or(0, |c| c.step)),
             stall_ns: u64::try_from(failure_observed.elapsed().as_nanos()).unwrap_or(u64::MAX),
             backoff_ps: elastic::simulated_backoff_ps(policy.backoff, restart),
-            attempts: restart as u32,
             restored_from: resume.as_deref().cloned(),
         });
         plan = plan.remap_for_survivors(&survivors);
@@ -452,10 +449,6 @@ struct RunCtx<'a> {
     resume: Option<&'a Checkpoint>,
     /// Resolved GPUs per node — the communicator's node layout.
     gpn: usize,
-    /// The round's table of every rank's critical path, priced by
-    /// whichever rank gets to a step's load first (see
-    /// `step::price_all_shared`).
-    schedule_memo: Mutex<ScheduleMemo>,
 }
 
 /// One round: prepares the data, spawns `cfg.gpus` rank threads and
@@ -513,7 +506,6 @@ fn run_round(
         store,
         resume,
         gpn,
-        schedule_memo: Mutex::new(ScheduleMemo::new(cfg.gpus)),
     };
     let mut results: Vec<Result<TrainReport, TrainError>> = simgpu::run_ranks(ranks, |rank| {
         let device = Arc::clone(&devices[rank.rank()]);
@@ -728,20 +720,22 @@ fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainRe
         })?);
 
         st.apply(&mut out.dense);
+        let (record, own) = st.measure(dense_wire, input, output);
 
-        // Synchronised mean loss; `price` books its charge.
+        // Synchronised mean loss, and the step time's two peaks over
+        // ranks in the same rendezvous; `measure` booked its charge.
         let loss_bytes = st.loss_sent.total_bytes();
-        let loss = st.traced(
+        let (loss_sum, peaks) = st.traced(
             SpanKind::AllReduce,
-            |_| rank.all_reduce_scalar_f64(out.loss),
+            |_| rank.all_reduce_sum_max(out.loss, own),
             |_| loss_bytes,
-        )? / g as f64;
+        )?;
 
         // The step's barrier-wait wall-clock (0 unless tracked), drained
         // once and shared: the tracer gets its span, the step record its
         // field.
         let waited_ns = rank.take_barrier_wait_ns();
-        st.price(loss, dense_wire, input, output, waited_ns);
+        st.price(record, loss_sum / g as f64, peaks, waited_ns);
 
         // Checkpoint hooks: off the hot path unless a store is attached
         // (a default run has none — one branch per step).
@@ -781,13 +775,10 @@ const SPLIT_SEED: u64 = 0x5b11_7000_5b11_7000;
 
 #[cfg(test)]
 mod tests {
-    use super::step::price_all_shared;
     use super::*;
     use crate::checkpoint::MemoryBackend;
     use crate::config::{CheckpointConfig, CommConfig, Method, MetricsConfig, TraceConfig};
-    use crate::exchange::{ExchangeConfig, ExchangeStats};
     use crate::metrics::TimeAttribution;
-    use crate::schedule::{ExchangeLoad, StepLoad, StepSchedule};
     use crate::seeding::SeedStrategy;
     use perfmodel::TechniqueStack;
 
@@ -1138,122 +1129,6 @@ mod tests {
         }
     }
 
-    /// The shared step table is the table each rank would price alone:
-    /// a first arriver fills the memo, a rank with the same key copies
-    /// it without pricing, and a rank whose key differs gets the table
-    /// of its own inputs.
-    #[test]
-    fn shared_schedule_table_equals_per_rank_pricing() {
-        use simgpu::WireCodecId;
-        let cost = CostModel::new(HardwareConfig::titan_x_cluster(), 0.4);
-        let exchange = |unique_global: usize, codec_scaled: bool| ExchangeStats {
-            local_tokens: 96,
-            unique_local: 40,
-            unique_global,
-            index_enc_bytes: if codec_scaled { 1_000 } else { 96 * 4 * 7 },
-            reduce_raw_bytes: unique_global as u64 * 16 * 4,
-            reduce_enc_bytes: unique_global as u64 * 16 * if codec_scaled { 3 } else { 4 },
-            ..ExchangeStats::default()
-        };
-        // Flat ring over three nodes; two-tier with a ragged last node of
-        // one; two-tier with codec-scaled payloads and buckets.
-        let flat = TechniqueStack::Unique.exchange();
-        let two_tier = ExchangeConfig {
-            gpus_per_node: 3,
-            ..TechniqueStack::Full.exchange()
-        };
-        let codec = ExchangeConfig {
-            gpus_per_node: 3,
-            bucket_bytes: 1 << 10,
-            codec: WireCodecId::Lossless,
-            ..TechniqueStack::Unique.exchange()
-        };
-        for (name, xcfg, gpus, gpn) in [
-            ("flat", &flat, 5usize, 2usize),
-            ("two-tier", &two_tier, 7, 3),
-            ("two-tier codec", &codec, 7, 3),
-        ] {
-            let codec_scaled = xcfg.codec != WireCodecId::Identity;
-            let (dim, out_dim, dense_elems) = (16usize, 16usize, 5_003usize);
-            let schedule = |ug: usize| {
-                let dense_raw = dense_elems as u64 * xcfg.grad_wire().elem_bytes();
-                let dense_enc = if codec_scaled {
-                    dense_raw / 2
-                } else {
-                    dense_raw
-                };
-                StepSchedule {
-                    cost: &cost,
-                    xcfg: *xcfg,
-                    gpus,
-                    gpn,
-                    overlap: true,
-                    compute_ps: 3_000_000,
-                    dense_elems,
-                    dim,
-                    out_dim,
-                    delay_ps: vec![0; gpus],
-                    load: StepLoad {
-                        dense: (dense_enc, dense_raw),
-                        input: ExchangeLoad::from(&exchange(ug, codec_scaled)),
-                        output: Some(ExchangeLoad::from(&exchange(ug + 9, codec_scaled))),
-                    },
-                }
-            };
-            let direct = |sched: &StepSchedule| {
-                let mut table = vec![0; gpus];
-                sched.price_all(&mut Vec::new(), &mut table);
-                table
-            };
-            let shared = |sched: &StepSchedule, memo: &Mutex<ScheduleMemo>| {
-                let mut table = vec![0; gpus];
-                price_all_shared(sched, memo, &mut Vec::new(), &mut table);
-                table
-            };
-            let memo = Mutex::new(ScheduleMemo::new(gpus));
-            let sched = schedule(50);
-            let want = direct(&sched);
-            assert!(want.iter().any(|&w| w != want[0]), "{name}: ranks differ");
-            // A rank's α account is Σ over its ops of each op's
-            // quantised α — which no payload moves, so it is the op
-            // count of each collective times that collective's α on an
-            // empty payload.
-            for q in 0..gpus {
-                let mut ops = Vec::new();
-                let (_, alpha) = sched.ops_for(&mut ops, q);
-                let topology = xcfg.topology();
-                let empty = simgpu::TierBytes::default();
-                let gather = cost.unique_gather(empty, gpus, gpn, topology, q);
-                let reduce = cost.allreduce(empty, gpus, gpn, topology, q);
-                let gathers = ops
-                    .iter()
-                    .filter(|o| o.label.ends_with("allgather"))
-                    .count() as u64;
-                let reduces = ops.len() as u64 - gathers;
-                let want_alpha = [
-                    gathers * gather.intra.alpha_ps() + reduces * reduce.intra.alpha_ps(),
-                    gathers * gather.inter.alpha_ps() + reduces * reduce.inter.alpha_ps(),
-                ];
-                assert_eq!(alpha, want_alpha, "{name} rank {q}");
-                assert!(alpha[0] <= ops.iter().map(|o| o.intra_ps).sum());
-                assert!(alpha[1] <= ops.iter().map(|o| o.inter_ps).sum());
-            }
-            // First arriver: prices the table into the empty memo.
-            assert_eq!(shared(&sched, &memo), want, "{name}: miss");
-            // Same load: the table is copied, not priced — a marked memo
-            // comes back marked.
-            memo.lock().unwrap().work_ps[0] = u64::MAX;
-            let hit = shared(&sched, &memo);
-            assert_eq!((hit[0], &hit[1..]), (u64::MAX, &want[1..]), "{name}: hit");
-            // Another load, then the first again: each is priced afresh
-            // from the caller's own inputs.
-            let other = schedule(61);
-            assert_ne!(direct(&other), want, "{name}");
-            assert_eq!(shared(&other, &memo), direct(&other), "{name}: mismatch");
-            assert_eq!(shared(&sched, &memo), want, "{name}: back again");
-        }
-    }
-
     /// `restore` and `snapshot` are one map read both ways: the snapshot
     /// of a state just restored from a checkpoint serialises to that
     /// checkpoint's bytes — at a mid-epoch cut carrying epoch history
@@ -1295,7 +1170,6 @@ mod tests {
                 store: None,
                 resume: None,
                 gpn: cost.hardware().gpus_per_node,
-                schedule_memo: Mutex::new(ScheduleMemo::new(cfg.gpus)),
             };
             for ck in [mid, terminal] {
                 let mut st = LoopState::new(&ctx, ck.rank as usize);

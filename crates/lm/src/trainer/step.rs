@@ -11,9 +11,10 @@
 //! call each phase over every rank in turn.
 //!
 //! The simulated clock is `perfmodel`'s pure [`StepSchedule::clock`]:
-//! [`LoopState::price`] feeds it the step's measured load
-//! ([`StepMetrics::load`]), with every rank's critical path read off
-//! the round's shared table ([`price_all_shared`]).
+//! [`LoopState::measure`] prices this rank's own op list for the step's
+//! measured load ([`StepMetrics::load`]), the loss reduction takes the
+//! maxes over ranks, and [`LoopState::price`] feeds those peaks to the
+//! clock.
 
 use super::RunCtx;
 use crate::checkpoint::{Checkpoint, CheckpointMetrics, Fingerprint};
@@ -32,7 +33,6 @@ use rand::SeedableRng;
 use simgpu::{
     peer_exchange_tier_bytes, secs_to_ps, NodeLayout, SpanKind, TraceRecorder, TrafficSnapshot,
 };
-use std::sync::{Mutex, PoisonError};
 
 /// Maximum validation batches evaluated per epoch (the full validation
 /// stream is used when it is smaller).
@@ -192,12 +192,11 @@ pub(super) struct LoopState<'a> {
     /// allocation-free on reused buffers.
     pub(super) in_scratch: ExchangeScratch,
     pub(super) out_scratch: ExchangeScratch,
-    /// The round's step pricing; [`Self::price`] sets its load per step.
+    /// The round's step pricing; [`Self::measure`] sets its load per
+    /// step.
     pub(super) sched: StepSchedule<'a>,
-    /// Hoisted op buffer and every rank's critical path (see
-    /// [`StepSchedule`]), so the clock stays allocation-free once warm.
+    /// Hoisted op buffer, so the clock stays allocation-free once warm.
     ops: Vec<CommOp>,
-    work_ps: Vec<u64>,
     /// Cumulative simulated time — the base offset of this step's spans
     /// on the simulated timeline (`TrainReport::sim_spans`).
     sim_clock_ps: u64,
@@ -271,7 +270,6 @@ impl<'a> LoopState<'a> {
             out_scratch: ExchangeScratch::new(),
             sched,
             ops: Vec::new(),
-            work_ps: vec![0; g],
             sim_clock_ps: 0,
             recorder: cfg
                 .trace
@@ -416,29 +414,19 @@ impl<'a> LoopState<'a> {
         self.replica.apply_dense(dense, self.lr);
     }
 
-    /// Phase 3: prices the step on the simulated clock and records it,
-    /// and books what the step's collectives sent into the report's
-    /// `traffic` — this rank's ledger until `run_round` sums the ranks'.
-    /// Synchronous SGD: the step ends when the slowest rank arrives, so
-    /// every rank builds the same [`StepSchedule`] from the step's
-    /// synchronised payloads, reads every rank's critical path off the
-    /// round's shared table and takes the max. The resulting `T` is
-    /// identical on all ranks; its attribution is this rank's own.
-    /// `barrier_wait_wall_ns` is the wall time the step's collectives
-    /// parked in barriers, drained into one synthetic span ending now.
-    pub(super) fn price(
+    /// Phase 3: the step's record so far, and this rank's share of its
+    /// simulated time. Books what the step's collectives sent into the
+    /// report's `traffic` (this rank's ledger until `run_round` sums the
+    /// ranks') and prices this rank's own op list for the step's
+    /// synchronised load. Returns `[critical path, critical path +
+    /// injected delay]`: the loss reduction's maxes over ranks make the
+    /// peaks [`Self::price`] takes.
+    pub(super) fn measure(
         &mut self,
-        loss: f64,
         dense_wire: ReducedBytes,
         input: ExchangeStats,
         output: Option<ExchangeStats>,
-        barrier_wait_wall_ns: u64,
-    ) {
-        if let Some(rec) = self.recorder.as_mut() {
-            let end = rec.now_ns();
-            let start = end.saturating_sub(barrier_wait_wall_ns);
-            rec.record(SpanKind::BarrierWait, start, end, 0);
-        }
+    ) -> (StepMetrics, [u64; 2]) {
         for sent in [dense_wire.sent, input.sent, self.loss_sent] {
             self.report.traffic += sent;
         }
@@ -447,31 +435,50 @@ impl<'a> LoopState<'a> {
         }
         let record = StepMetrics {
             step: self.global_step,
-            train_loss: loss,
             input_exchange: input,
             output_exchange: output,
             dense_bytes: dense_wire.sent.total_bytes(),
             dense_raw_bytes: dense_wire.raw,
             dense_enc_bytes: dense_wire.enc,
-            barrier_wait_wall_ns,
             ..StepMetrics::default()
         };
         self.sched.load = record.load();
-        let memo = &self.ctx.schedule_memo;
-        price_all_shared(&self.sched, memo, &mut self.ops, &mut self.work_ps);
+        let path_ps = self.sched.critical_path(self.rank, &mut self.ops);
+        (record, [path_ps, path_ps + self.sched.delay_ps[self.rank]])
+    }
+
+    /// Phase 4: records the step on the simulated clock. Synchronous
+    /// SGD: the step ends when the slowest rank arrives, so `peaks` —
+    /// every rank's [`Self::measure`] reduced by max — set a step time
+    /// `T` that is identical on all ranks; its attribution is this
+    /// rank's own. `barrier_wait_wall_ns` is the wall time the step's
+    /// collectives parked in barriers, drained into one synthetic span
+    /// ending now.
+    pub(super) fn price(
+        &mut self,
+        record: StepMetrics,
+        loss: f64,
+        peaks: [u64; 2],
+        barrier_wait_wall_ns: u64,
+    ) {
+        if let Some(rec) = self.recorder.as_mut() {
+            let end = rec.now_ns();
+            let start = end.saturating_sub(barrier_wait_wall_ns);
+            rec.record(SpanKind::BarrierWait, start, end, 0);
+        }
         let timeline = self.recorder.is_some().then_some(Timeline {
             spans: &mut self.report.sim_spans,
             rank: self.rank as u32,
             step: self.global_step,
             base_ps: self.sim_clock_ps,
         });
-        let clock = self
-            .sched
-            .clock(self.rank, &self.work_ps, &mut self.ops, timeline);
+        let clock = self.sched.clock(self.rank, peaks, &mut self.ops, timeline);
         self.sim_clock_ps += clock.sim_time_ps;
         self.epoch_time_ps += clock.sim_time_ps;
         self.epoch_loss += loss;
         self.report.steps.push(StepMetrics {
+            train_loss: loss,
+            barrier_wait_wall_ns,
             sim_time_ps: clock.sim_time_ps,
             attribution: clock.attribution,
             wire_intra_alpha_ps: clock.wire_intra_alpha_ps,
@@ -482,7 +489,7 @@ impl<'a> LoopState<'a> {
         self.step_in_epoch += 1;
     }
 
-    /// Phase 4: closes the epoch in progress. Only rank 0 validates —
+    /// Phase 5: closes the epoch in progress. Only rank 0 validates —
     /// replicas are identical, evaluation involves no collectives, and
     /// the other G−1 passes would be discarded work — then the learning
     /// rate decays and the cursor moves to the next epoch's first step.
@@ -509,7 +516,7 @@ impl<'a> LoopState<'a> {
         self.epoch_time_ps = 0;
     }
 
-    /// Phase 5: the rank's report, with the run totals folded in.
+    /// Phase 6: the rank's report, with the run totals folded in.
     pub(super) fn finish(mut self) -> TrainReport {
         let totals = self.totals();
         self.report.attribution = totals.attribution;
@@ -526,51 +533,4 @@ fn shard<'a>(ctx: &RunCtx<'a>, rank: usize) -> BatchIter<'a> {
         seq_len: ctx.cfg.seq_len,
     };
     shard_batches(ctx.train_tokens, spec, rank, ctx.cfg.gpus)
-}
-
-/// Every rank's critical path for the load `key` names; `key` is unset
-/// while `work_ps` is being written. Lives for one round, over which
-/// every [`StepSchedule`] field but `load` is fixed (and `delay_ps`
-/// prices nothing in the table).
-#[derive(Debug)]
-pub(super) struct ScheduleMemo {
-    key: Option<StepLoad>,
-    pub(super) work_ps: Vec<u64>,
-}
-
-impl ScheduleMemo {
-    /// An empty memo for a round of `gpus` ranks. The table is sized
-    /// here, by the driver thread before the ranks spawn: allocated
-    /// lazily by the first rank to price a step it lived in that
-    /// thread's malloc arena and cost `word_exchange_full_g8` ≈10 MB of
-    /// peak RSS (10/10 runs).
-    pub(super) fn new(gpus: usize) -> Self {
-        ScheduleMemo {
-            key: None,
-            work_ps: vec![0; gpus],
-        }
-    }
-}
-
-/// [`StepSchedule::price_all`], once per step instead of once per rank:
-/// every rank arrives at the same table, so the first to get here
-/// prices it into `memo` and the others copy it. A rank whose load
-/// differs — its inputs were not the first arriver's, which the
-/// synchronised stats rule out — prices its own table from its own
-/// inputs, so a hit never decides a result. The lock is held only
-/// while pricing or copying, never across a collective: a rank that
-/// dies or hangs cannot strand a peer on it.
-pub(super) fn price_all_shared(
-    sched: &StepSchedule,
-    memo: &Mutex<ScheduleMemo>,
-    ops: &mut Vec<CommOp>,
-    work_ps: &mut [u64],
-) {
-    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
-    if memo.key != Some(sched.load) {
-        memo.key = None;
-        sched.price_all(ops, &mut memo.work_ps);
-        memo.key = Some(sched.load);
-    }
-    work_ps.copy_from_slice(&memo.work_ps);
 }

@@ -309,11 +309,11 @@ mod tests {
             }
         }
         let alphas = |sched: &StepSchedule| -> Vec<u64> {
-            let (mut ops, mut work_ps) = (Vec::new(), vec![0; sched.gpus]);
-            sched.price_all(&mut ops, &mut work_ps);
+            let mut ops = Vec::new();
+            let peaks = sched.price_all(&mut ops);
             (0..sched.gpus)
                 .map(|q| {
-                    let clock = sched.clock(q, &work_ps, &mut ops, None);
+                    let clock = sched.clock(q, peaks, &mut ops, None);
                     clock.wire_intra_alpha_ps + clock.wire_inter_alpha_ps
                 })
                 .collect()

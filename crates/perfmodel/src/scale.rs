@@ -31,9 +31,7 @@ impl StepTerms {
     /// Seconds per step: `sched` on the clock (every rank priced, the
     /// slowest sets the step) plus these terms.
     pub fn step_time(&self, sched: &StepSchedule) -> f64 {
-        let (mut ops, mut work_ps) = (Vec::new(), vec![0; sched.gpus]);
-        sched.price_all(&mut ops, &mut work_ps);
-        let clock_s = sched.clock(0, &work_ps, &mut ops, None).sim_time_ps as f64 * 1e-12;
+        let clock_s = sched.price_all(&mut Vec::new())[1] as f64 * 1e-12;
         let straggler = 1.0 + self.straggler * (sched.gpus as f64 / 8.0).log2().max(0.0);
         (clock_s + self.overhead_s + self.staging_s + self.contention_s) * straggler
     }

@@ -424,11 +424,12 @@ impl TimeAttribution {
 /// Every rank holds the *same* `StepSchedule`: its fields are fixed for
 /// a run except `load`, whose payload sizes are rank-invariant
 /// (`local_tokens` is `batch·seq_len` (+ samples) on every rank and
-/// `unique_global` is synchronised by construction). Pricing and
-/// evaluating every rank `q`'s op list via [`Self::ops_for`] +
-/// [`evaluate`] is pure arithmetic on it — so all ranks derive the same
-/// synchronous step time `T = max_q critical_path(q)` without any extra
-/// simulated communication.
+/// `unique_global` is synchronised by construction). The critical path
+/// of rank `q` ([`Self::critical_path`]: [`Self::ops_for`] +
+/// [`evaluate`]) is pure arithmetic on it. The synchronous step time
+/// `T = max_q (critical_path(q) + delay_ps[q])` is a max over ranks:
+/// [`Self::price_all`] takes it over every rank at once, and a live run
+/// reduces each rank's own pair at a rendezvous it already holds.
 ///
 /// Launch order is readiness order: the unique path's index
 /// ALLGATHERs first (ready at 0 — the token indices are known the
@@ -514,25 +515,35 @@ impl Timeline<'_> {
 }
 
 impl StepSchedule<'_> {
-    /// Prices and evaluates every rank's op list: `work_ps[q]` becomes
-    /// rank `q`'s critical path this step.
-    pub fn price_all(&self, ops: &mut Vec<CommOp>, work_ps: &mut [u64]) {
-        for (q, w) in work_ps.iter_mut().enumerate() {
-            let (apply_ps, _) = self.ops_for(ops, q);
-            *w = evaluate(self.compute_ps, apply_ps, ops).total_ps;
-        }
+    /// The critical path of rank `q` this step: its op list priced and
+    /// evaluated. `ops` is a hoisted buffer; it is left holding `q`'s
+    /// ops.
+    pub fn critical_path(&self, q: usize, ops: &mut Vec<CommOp>) -> u64 {
+        let (apply_ps, _) = self.ops_for(ops, q);
+        evaluate(self.compute_ps, apply_ps, ops).total_ps
+    }
+
+    /// The step's two peaks over every rank: `[max_q critical path,
+    /// max_q (critical path + delay)]` — the pair [`Self::clock`]
+    /// takes, and what a live run's ranks reduce instead.
+    pub fn price_all(&self, ops: &mut Vec<CommOp>) -> [u64; 2] {
+        (0..self.gpus).fold([0; 2], |[t0, t], q| {
+            let cp = self.critical_path(q, ops);
+            [t0.max(cp), t.max(cp + self.delay_ps[q])]
+        })
     }
 
     /// The clock of rank `q` for the step: the synchronous step time
     /// (the slowest rank's critical path plus injected delay), `q`'s
-    /// exact split of it and the α of `q`'s ops. `work_ps` is every
-    /// rank's critical path as [`Self::price_all`] fills it; with a
+    /// exact split of it and the α of `q`'s ops. `peaks` is the step's
+    /// `[max critical path, max (critical path + delay)]` over every
+    /// rank, `q` included, as [`Self::price_all`] returns it; with a
     /// `timeline`, `q`'s compute, ops, apply, delay and wait are laid
     /// out on it. `ops` is a hoisted buffer.
     pub fn clock(
         &self,
         q: usize,
-        work_ps: &[u64],
+        [t0_ps, t_ps]: [u64; 2],
         ops: &mut Vec<CommOp>,
         mut timeline: Option<Timeline<'_>>,
     ) -> StepClock {
@@ -546,30 +557,24 @@ impl StepSchedule<'_> {
                 tl.span(SimStream::Comm, ops[i].label, ops[i].bucket, from, to);
             }
         });
-        debug_assert_eq!(work_ps[q], own.total_ps);
-        // Max critical path, delays excluded; max busy = critical path +
-        // delay.
-        let t0_ps = work_ps.iter().copied().max().unwrap_or(0);
-        let t_ps = work_ps
-            .iter()
-            .zip(delay_ps)
-            .map(|(w, d)| w + d)
-            .max()
-            .unwrap_or(0);
+        let busy = own.total_ps + delay_ps[q];
+        debug_assert!(
+            own.total_ps <= t0_ps && busy <= t_ps,
+            "peaks without rank {q}"
+        );
         // Exact decomposition of T for this rank: whatever exceeds its
         // busy time is waiting — up to T0 − cp it is inherent load
         // imbalance (barrier wait), beyond that it can only be caused by
         // peers' injected delays (skew). The comm hidden under compute
         // is carved out of the compute bucket into `overlapped_ps`, so
         // the seven buckets still sum to T exactly.
-        let busy = work_ps[q] + delay_ps[q];
         let wait_ps = t_ps - busy;
-        let barrier_wait_ps = wait_ps.min(t0_ps - work_ps[q]);
+        let barrier_wait_ps = wait_ps.min(t0_ps - own.total_ps);
         if let Some(tl) = &mut timeline {
             let apply_from = own.total_ps - apply_ps;
             tl.span(SimStream::Compute, "apply", 0, apply_from, own.total_ps);
             if delay_ps[q] > 0 {
-                tl.span(SimStream::Compute, "self_delay", 0, work_ps[q], busy);
+                tl.span(SimStream::Compute, "self_delay", 0, own.total_ps, busy);
             }
             if t_ps > busy {
                 tl.span(SimStream::Compute, "barrier_wait", 0, busy, t_ps);
@@ -1024,10 +1029,10 @@ mod tests {
 
     /// Every rank's clock for `sched`, no delays.
     fn clocks(sched: &StepSchedule) -> Vec<StepClock> {
-        let (mut ops, mut table) = (Vec::new(), vec![0; sched.gpus]);
-        sched.price_all(&mut ops, &mut table);
+        let mut ops = Vec::new();
+        let peaks = sched.price_all(&mut ops);
         (0..sched.gpus)
-            .map(|q| sched.clock(q, &table, &mut ops, None))
+            .map(|q| sched.clock(q, peaks, &mut ops, None))
             .collect()
     }
 
@@ -1060,6 +1065,53 @@ mod tests {
             bucketed,
         ];
         flat.into_iter().chain(flat.map(two_tier)).collect()
+    }
+
+    /// A rank's α account is Σ over its ops of each op's quantised α,
+    /// which no payload moves: the op count of each collective times
+    /// that collective's α on an empty payload, and at most the ops'
+    /// time on that tier. Flat over three nodes; two-tier with a ragged
+    /// last node of one; two-tier with codec-framed payloads in buckets.
+    #[test]
+    fn alpha_account_is_op_count_times_empty_payload_alpha() {
+        let cost = CostModel::new(HardwareConfig::titan_x_cluster(), 0.4);
+        let two_tier = ExchangeConfig {
+            gpus_per_node: 3,
+            ..TechniqueStack::Full.exchange()
+        };
+        let codec = ExchangeConfig {
+            gpus_per_node: 3,
+            bucket_bytes: 1 << 10,
+            codec: WireCodecId::Lossless,
+            ..TechniqueStack::Unique.exchange()
+        };
+        for (xcfg, gpus, gpn) in [
+            (TechniqueStack::Unique.exchange(), 5, 2),
+            (two_tier, 7, 3),
+            (codec, 7, 3),
+        ] {
+            let sched = step(&cost, xcfg, gpus, gpn, 1);
+            let topology = xcfg.topology();
+            let empty = simgpu::TierBytes::default();
+            for q in 0..gpus {
+                let mut ops = Vec::new();
+                let (_, alpha) = sched.ops_for(&mut ops, q);
+                let gather = cost.unique_gather(empty, gpus, gpn, topology, q);
+                let reduce = cost.allreduce(empty, gpus, gpn, topology, q);
+                let gathers = ops
+                    .iter()
+                    .filter(|o| o.label.ends_with("allgather"))
+                    .count() as u64;
+                let reduces = ops.len() as u64 - gathers;
+                let want = [
+                    gathers * gather.intra.alpha_ps() + reduces * reduce.intra.alpha_ps(),
+                    gathers * gather.inter.alpha_ps() + reduces * reduce.inter.alpha_ps(),
+                ];
+                assert_eq!(alpha, want, "{xcfg:?} {gpus}/{gpn} rank {q}");
+                assert!(alpha[0] <= ops.iter().map(|o| o.intra_ps).sum());
+                assert!(alpha[1] <= ops.iter().map(|o| o.inter_ps).sum());
+            }
+        }
     }
 
     /// α counts hops, never bytes: scaling every payload of a step

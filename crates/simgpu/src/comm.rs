@@ -482,8 +482,9 @@ struct GroupCore {
     gather_u32: Vec<RwLock<Vec<u32>>>,
     gather_f32: Vec<RwLock<Vec<f32>>>,
     gather_u16: Vec<RwLock<Vec<u16>>>,
-    /// Each rank's scalar for [`Rank::all_reduce_scalar_f64`].
-    scalar_f64: Vec<Mutex<f64>>,
+    /// Each rank's `(sum, max)` inputs to
+    /// [`Rank::all_reduce_sum_max`].
+    scalar: Vec<Mutex<(f64, [u64; 2])>>,
     /// Sender-indexed byte mailboxes for codec-framed collectives:
     /// `(element_count, encoded_bytes)` per sender.
     gather_bytes: Vec<RwLock<(usize, Vec<u8>)>>,
@@ -493,7 +494,7 @@ struct GroupCore {
     /// range in place.
     lent: Vec<Mutex<(Vec<f32>, Range<usize>)>>,
     /// The scalar reduction's result, written by the rendezvous leader.
-    reduce_f64: Mutex<f64>,
+    reduced_scalar: Mutex<(f64, [u64; 2])>,
     /// The unique-set gather's sets and charges, written by the
     /// rendezvous leader, read by all.
     unique: RwLock<UniqueState>,
@@ -565,10 +566,10 @@ impl CommGroup {
             gather_u32: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
             gather_f32: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
             gather_u16: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
-            scalar_f64: (0..world).map(|_| Mutex::new(0.0)).collect(),
+            scalar: (0..world).map(|_| Mutex::new((0.0, [0; 2]))).collect(),
             gather_bytes: (0..world).map(|_| RwLock::new((0, Vec::new()))).collect(),
             lent: (0..world).map(|_| Mutex::default()).collect(),
-            reduce_f64: Mutex::new(0.0),
+            reduced_scalar: Mutex::new((0.0, [0; 2])),
             unique: RwLock::new(UniqueState::default()),
             gate: (pool_workers > 0).then(|| RunGate::new(pool_workers)),
         });
@@ -1511,23 +1512,43 @@ impl Rank {
         .map(drop)
     }
 
-    /// Sums one scalar across ranks in rank order (deterministic) — used
-    /// for loss averaging and metric reduction. Each rank sends its 8
-    /// bytes to every peer: `peer_exchange_tier_bytes(G, gpus_per_node,
-    /// rank, 8)`, which a caller that books the reduction charges.
+    /// Sums one scalar across ranks in rank order (deterministic) and
+    /// takes the elementwise max of a pair of integers — the trainer's
+    /// loss and its step time's two peaks. Each rank sends its 8-byte
+    /// summand to every peer: `peer_exchange_tier_bytes(G,
+    /// gpus_per_node, rank, 8)`, which a caller that books the
+    /// reduction charges. The maxes ride along as host bookkeeping for
+    /// the modelled barrier, not as modelled traffic.
     ///
     /// One rendezvous, as [`Rank::all_reduce`]: the last arriver folds
-    /// `0.0 + v_0 + v_1 + …` in rank order and every rank reads that one
-    /// sum.
-    pub fn all_reduce_scalar_f64(&self, v: f64) -> Result<f64, CommError> {
-        *self.core.scalar_f64[self.rank].lock() = v;
+    /// `0.0 + v_0 + v_1 + …` in rank order and the maxes over every
+    /// rank, and every rank reads that one result.
+    pub fn all_reduce_sum_max(
+        &self,
+        sum: f64,
+        max: [u64; 2],
+    ) -> Result<(f64, [u64; 2]), CommError> {
+        *self.core.scalar[self.rank].lock() = (sum, max);
         let core = &self.core;
         self.sync_leader(|| {
-            let sum = core.scalar_f64.iter().fold(0.0, |sum, v| sum + *v.lock());
-            *core.reduce_f64.lock() = sum;
+            let folded = core
+                .scalar
+                .iter()
+                .fold((0.0, [0; 2]), |(sum, [a, b]), slot| {
+                    let (v, [x, y]) = *slot.lock();
+                    (sum + v, [a.max(x), b.max(y)])
+                });
+            *core.reduced_scalar.lock() = folded;
         })?;
         // No departure barrier, for the reason `all_reduce` gives.
-        Ok(*self.core.reduce_f64.lock())
+        Ok(*self.core.reduced_scalar.lock())
+    }
+
+    /// [`Rank::all_reduce_sum_max`]'s sum alone. Exists only because
+    /// the benchmark (`e2e/`) calls it by name; everything else uses
+    /// [`Rank::all_reduce_sum_max`].
+    pub fn all_reduce_scalar_f64(&self, v: f64) -> Result<f64, CommError> {
+        self.all_reduce_sum_max(v, [0; 2]).map(|(sum, _)| sum)
     }
 
     /// §III-A's unique-set gather: every rank publishes its indices
@@ -1825,11 +1846,17 @@ mod tests {
     #[test]
     fn scalar_reduce_deterministic() {
         let results = run_group(6, |rank| {
-            rank.all_reduce_scalar_f64(rank.rank() as f64 + 0.5)
-                .unwrap()
+            let r = rank.rank() as u64;
+            let v = r as f64 + 0.5;
+            let sum = rank.all_reduce_scalar_f64(v).unwrap();
+            (
+                sum,
+                rank.all_reduce_sum_max(v, [(r * 5) % 6, 10 - r]).unwrap(),
+            )
         });
         for res in &results {
-            assert_eq!(*res, 18.0); // 0.5+1.5+...+5.5
+            // 0.5+1.5+...+5.5; max of 0, 5, 4, 3, 2, 1 and of 10..=5.
+            assert_eq!(*res, (18.0, (18.0, [5, 10])));
         }
     }
 

@@ -16,9 +16,12 @@ pub struct HardwareConfig {
     pub intra_node_bw: f64,
     /// Inter-node bandwidth per node, bytes/s (Infiniband FDR).
     pub inter_node_bw: f64,
-    /// Per-message latency within a node, seconds.
+    /// Per-message latency within a node, seconds. Assumed: the paper
+    /// states no latency, so neither preset's value comes from Table II
+    /// or §V-D.
     pub intra_latency: f64,
-    /// Per-message latency across nodes, seconds.
+    /// Per-message latency across nodes, seconds. Assumed, as
+    /// `intra_latency` is.
     pub inter_latency: f64,
 }
 
@@ -26,7 +29,8 @@ impl HardwareConfig {
     /// The paper's evaluation cluster (Table II): 50 nodes, 8× GeForce
     /// GTX Titan X per node (12 GB, 6.1 TFLOP/s FP32), PCIe 32 GB/s
     /// bidirectional intra-node, Infiniband FDR 15 GB/s bidirectional
-    /// inter-node.
+    /// inter-node. The 10 µs intra-node and 30 µs inter-node latencies
+    /// are assumed: Table II gives none.
     pub fn titan_x_cluster() -> Self {
         Self {
             name: "titanx-pcie-ibfdr",
@@ -43,7 +47,9 @@ impl HardwareConfig {
     }
 
     /// The comparison system of §V-D (\[21\]'s infrastructure): DGX-style
-    /// V100s — 125 TFLOP/s tensor peak, 16 GB HBM2, NVLink.
+    /// V100s — 125 TFLOP/s tensor peak, 16 GB HBM2, NVLink. The 5 µs
+    /// intra-node and 20 µs inter-node latencies are assumed: §V-D
+    /// gives none.
     pub fn v100_dgx() -> Self {
         Self {
             name: "v100-nvlink",

@@ -85,7 +85,7 @@ impl std::ops::AddAssign for TierBytes {
 /// * **Ops** count group calls: every rank of a group calls the same
 ///   collectives, so each rank's ledger counts each call once and a sum
 ///   over ranks takes its op counts from any one rank, not their sum.
-/// * The scalar loss reduction (`Rank::all_reduce_scalar_f64`) charges
+/// * The scalar loss reduction (`Rank::all_reduce_sum_max`) charges
 ///   ALLREDUCE bytes but counts no op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficSnapshot {

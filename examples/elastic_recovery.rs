@@ -55,7 +55,7 @@ fn main() {
             ev.failed_ranks,
             ev.world_before,
             ev.world_after,
-            ev.restored_step,
+            ev.restored_step(),
             ev.steps_lost,
             ev.stall_ns as f64 / 1e6
         );

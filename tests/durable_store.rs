@@ -169,8 +169,8 @@ fn elastic_durable_matches_elastic_memory_bit_for_bit() {
     });
     assert_eq!(mem.final_world, disk.final_world);
     assert_eq!(
-        mem.recoveries[0].restored_step,
-        disk.recoveries[0].restored_step
+        mem.recoveries[0].restored_step(),
+        disk.recoveries[0].restored_step()
     );
     assert_eq!(
         mem.recoveries[0]
@@ -219,14 +219,14 @@ fn elastic_durable_skips_damaged_cut_and_reports_corruption() {
     let report = outcome.ranks[0].as_ref().expect("recovers past the damage");
     let ev = &outcome.recoveries[0];
     assert_eq!(
-        ev.restored_step,
+        ev.restored_step(),
         Some(2),
         "newest cut (4) is damaged; scan falls back"
     );
     assert_eq!(ev.steps_lost, 3, "steps 3..=5's progress rolled back");
     // Simulated backoff: 10 ms base, first restart ⇒ 10 ms in ps.
     assert_eq!(ev.backoff_ps, 10_000_000_000);
-    assert_eq!(ev.attempts, 1);
+    assert_eq!(ev.restart, 1);
     assert!(
         report
             .health

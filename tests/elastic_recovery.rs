@@ -158,7 +158,7 @@ fn shrink_recovery_completes_and_records_the_event() {
     assert_eq!(ev.failed_ranks, vec![2]);
     assert_eq!((ev.world_before, ev.world_after), (4, 3));
     // Kill at step 5 ⇒ steps 0..=4 completed, snapshots at 2 and 4.
-    assert_eq!(ev.restored_step, Some(4));
+    assert_eq!(ev.restored_step(), Some(4));
     assert_eq!(ev.steps_lost, 1, "one completed step rolled back");
     let ck = ev.restored_from.as_ref().expect("snapshot recorded");
     assert_eq!(ck.step, 4);
@@ -182,7 +182,7 @@ fn shrink_recovered_matches_fresh(c4: TrainConfig, plan: FaultPlan) {
         let ev = &outcome.recoveries[0];
         assert_eq!(ev.failed_ranks, vec![2]);
         assert_eq!((ev.world_before, ev.world_after), (4, 3));
-        assert_eq!(ev.restored_step, Some(4));
+        assert_eq!(ev.restored_step(), Some(4));
         let snapshot = ev.restored_from.clone().expect("snapshot recorded");
 
         let mut c3 = c4.clone();
@@ -267,7 +267,7 @@ fn multi_failure_schedule_recovers_twice() {
     assert_eq!(outcome.recoveries.len(), 2);
     assert_eq!(outcome.final_world, 2);
     assert_eq!(outcome.recoveries[0].failed_ranks, vec![1]);
-    assert_eq!(outcome.recoveries[0].restored_step, Some(2));
+    assert_eq!(outcome.recoveries[0].restored_step(), Some(2));
     // Second failure: old rank 3 under its new rank id 2.
     assert_eq!(outcome.recoveries[1].failed_ranks, vec![2]);
     assert_eq!(
@@ -277,7 +277,7 @@ fn multi_failure_schedule_recovers_twice() {
         ),
         (3, 2)
     );
-    assert_eq!(outcome.recoveries[1].restored_step, Some(6));
+    assert_eq!(outcome.recoveries[1].restored_step(), Some(6));
     let report = outcome.ranks[0].as_ref().expect("recovers twice");
     assert_eq!(report.epochs.len(), 2);
 }
@@ -292,7 +292,7 @@ fn checkpointing_off_recovers_with_a_fresh_restart() {
     });
     assert_eq!(outcome.final_world, 2);
     let ev = &outcome.recoveries[0];
-    assert_eq!(ev.restored_step, None, "no snapshot to restore");
+    assert_eq!(ev.restored_step(), None, "no snapshot to restore");
     assert!(ev.restored_from.is_none());
     assert_eq!(ev.steps_lost, 4, "all completed steps rolled back");
     let report = outcome.ranks[0].as_ref().expect("recovers from scratch");

@@ -216,10 +216,10 @@ fn measured_and_predicted_loads_price_on_one_clock() {
         delay_ps: vec![0; g],
         load: StepLoad::default(),
     };
-    let (mut ops, mut work_ps) = (Vec::new(), vec![0; g]);
+    let mut ops = Vec::new();
     for (s, step) in steps.iter().enumerate() {
         live.load = step.load();
-        live.price_all(&mut ops, &mut work_ps);
+        let peaks = live.price_all(&mut ops);
         for (q, rank) in ranks.iter().enumerate() {
             let want = &rank.steps[s];
             let want = StepClock {
@@ -229,7 +229,7 @@ fn measured_and_predicted_loads_price_on_one_clock() {
                 wire_inter_alpha_ps: want.wire_inter_alpha_ps,
             };
             assert_eq!(
-                live.clock(q, &work_ps, &mut ops, None),
+                live.clock(q, peaks, &mut ops, None),
                 want,
                 "step {s} rank {q}"
             );
