@@ -943,6 +943,126 @@ mod tests {
         assert!(ck.validate_against(&method, 997).is_err());
     }
 
+    /// What a restore accepts, one perturbation per `TrainConfig` field
+    /// (and the resolved vocabulary) from one of three base runs: the
+    /// default word run at resolved vocabulary 997, a word run whose 600
+    /// requested samples clamp to 498, and a char run. `true` = the
+    /// snapshot of the base run seeds the perturbed one. The table is
+    /// not edited to follow the code: a change to what the fingerprint
+    /// compares fails here.
+    #[test]
+    fn validate_against_characterisation() {
+        use crate::config::{CheckpointConfig, CommConfig, MetricsConfig, TraceConfig};
+        use nn::model::{CharLmConfig, WordLmConfig};
+        use simgpu::{BarrierDeadline, WireCodecId};
+        let word = |f: fn(&mut WordLmConfig)| {
+            let mut mc = WordLmConfig::small(1000);
+            f(&mut mc);
+            ModelKind::WordCustom(mc)
+        };
+        let chars = |f: fn(&mut CharLmConfig)| {
+            let mut mc = CharLmConfig::small(48);
+            f(&mut mc);
+            ModelKind::CharCustom(mc)
+        };
+        let bases: [(TrainConfig, usize); 3] = [
+            (TrainConfig::default(), 997),
+            (
+                TrainConfig {
+                    model: word(|m| m.samples = 600),
+                    ..TrainConfig::default()
+                },
+                997,
+            ),
+            (
+                TrainConfig {
+                    model: ModelKind::Char { vocab: 48 },
+                    ..TrainConfig::default()
+                },
+                48,
+            ),
+        ];
+        type Edit = Box<dyn Fn(&mut TrainConfig)>;
+        let edit = |f: fn(&mut TrainConfig)| -> Edit { Box::new(f) };
+        let model = |m: ModelKind| -> Edit { Box::new(move |c| c.model = m) };
+        #[rustfmt::skip]
+        let rows: Vec<(&str, usize, Edit, usize, bool)> = vec![
+            ("unchanged",                0, edit(|_| {}),                                      997, true),
+            ("gpus",                     0, edit(|c| c.gpus = 3),                              997, true),
+            ("comm.gpus_per_node",       0, edit(|c| c.comm.gpus_per_node = 4),                997, true),
+            ("comm.hierarchical",        0, edit(|c| c.comm.hierarchical = true),              997, true),
+            ("comm.pool_workers",        0, edit(|c| c.comm.pool_workers = 2),                 997, true),
+            ("comm.overlap",             0, edit(|c| c.comm.overlap = true),                   997, true),
+            ("comm.bucket_bytes",        0, edit(|c| c.comm.bucket_bytes = 1 << 16),           997, true),
+            ("comm.codec",               0, edit(|c| c.comm.codec = WireCodecId::Lossless),    997, true),
+            ("comm.deadline",            0, edit(|c| c.comm.deadline = Some(BarrierDeadline {
+                timeout: std::time::Duration::from_millis(5), retries: 3 })),                 997, true),
+            ("comm (all)",               0, edit(|c| c.comm = CommConfig::hierarchical_pooled(3)
+                .overlapped(1 << 10).with_codec(WireCodecId::LosslessIndex)),                 997, true),
+            ("trace.enabled",            0, edit(|c| c.trace = TraceConfig::on()),             997, true),
+            ("metrics.enabled",          0, edit(|c| c.metrics = MetricsConfig::on()),         997, true),
+            ("checkpoint.every_steps",   0, edit(|c| c.checkpoint = CheckpointConfig::every(5)), 997, true),
+            ("checkpoint.keep_last",     0, edit(|c| c.checkpoint.keep_last = 7),              997, true),
+            ("seed",                     0, edit(|c| c.seed = 43),                             997, false),
+            ("batch",                    0, edit(|c| c.batch = 5),                             997, false),
+            ("seq_len",                  0, edit(|c| c.seq_len = 11),                          997, false),
+            ("steps_per_epoch",          0, edit(|c| c.steps_per_epoch = 0),                   997, false),
+            ("epochs",                   0, edit(|c| c.epochs = 2),                            997, false),
+            ("base_lr",                  0, edit(|c| c.base_lr = 0.25),                        997, false),
+            ("lr_decay",                 0, edit(|c| c.lr_decay = 0.9),                        997, false),
+            ("tokens",                   0, edit(|c| c.tokens = 60_000),                       997, false),
+            ("method.unique",            0, edit(|c| c.method.unique = false),                 997, false),
+            ("method.seeding",           0, edit(|c| c.method.seeding = SeedStrategy::ZipfFreq), 997, false),
+            ("method.compression",       0, edit(|c| c.method.compression = Some(512.0)),      997, false),
+            ("requested vocab",          0, model(ModelKind::Word { vocab: 2000 }),            997, true),
+            ("resolved vocab",           0, edit(|_| {}),                                      998, false),
+            ("Word as WordCustom",       0, model(word(|_| {})),                               997, true),
+            ("word embed_dim",           0, model(word(|m| m.embed_dim = 33)),                 997, false),
+            ("word hidden",              0, model(word(|m| m.hidden = 65)),                    997, false),
+            ("word proj_dim",            0, model(word(|m| m.proj_dim = 33)),                  997, false),
+            ("word samples",             0, model(word(|m| m.samples = 65)),                   997, false),
+            ("word -> char",             0, model(ModelKind::Char { vocab: 1000 }),            997, false),
+            ("samples above the clamp",  1, model(word(|m| m.samples = 700)),                  997, true),
+            ("samples at the clamp",     1, model(word(|m| m.samples = 498)),                  997, true),
+            ("samples below the clamp",  1, model(word(|m| m.samples = 497)),                  997, false),
+            ("char unchanged",           2, edit(|_| {}),                                      48,  true),
+            ("char resolved vocab",      2, edit(|_| {}),                                      47,  true),
+            ("char requested vocab",     2, model(ModelKind::Char { vocab: 49 }),              48,  false),
+            ("Char as CharCustom",       2, model(chars(|_| {})),                              48,  true),
+            ("char embed_dim",           2, model(chars(|m| m.embed_dim = 25)),                48,  false),
+            ("char hidden",              2, model(chars(|m| m.hidden = 49)),                   48,  false),
+            ("char depth",               2, model(chars(|m| m.depth = 4)),                     48,  false),
+            ("char -> word",             2, model(ModelKind::Word { vocab: 48 }),              48,  false),
+        ];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (label, base, perturb, vocab, accepted) in &rows {
+            let (cfg, base_vocab) = &bases[*base];
+            let ck = Checkpoint {
+                fingerprint: Fingerprint::of(cfg, *base_vocab),
+                ..sample_checkpoint(0, 5)
+            };
+            let mut run = cfg.clone();
+            perturb(&mut run);
+            let verdict = match ck.validate_against(&run, *vocab) {
+                Ok(()) => true,
+                Err(CheckpointError::Incompatible(_)) => false,
+                Err(e) => panic!("{label}: not a compatibility verdict: {e}"),
+            };
+            got.push((*label, verdict));
+            want.push((*label, *accepted));
+        }
+        assert_eq!(got, want);
+        // A snapshot past the run's last epoch is refused too.
+        let beyond = Checkpoint {
+            epoch: 2,
+            ..sample_checkpoint(0, 5)
+        };
+        assert!(matches!(
+            beyond.validate_against(&TrainConfig::default(), 997),
+            Err(CheckpointError::Incompatible(_))
+        ));
+    }
+
     #[test]
     fn store_retains_keep_last_and_tracks_progress() {
         let store = CheckpointStore::new(2, 2);
