@@ -185,7 +185,7 @@ fn curve(label: String, cfg: &TrainConfig) -> AccuracyCurve {
     let points = report
         .epochs
         .iter()
-        .map(|e| (e.epoch + 1, e.valid_ppl))
+        .map(|e| (e.epoch + 1, e.valid_ppl()))
         .collect();
     AccuracyCurve { label, points }
 }
@@ -787,7 +787,7 @@ pub fn codec_crossover(quick: bool) -> Vec<CodecCrossoverRow> {
                 codec: codec.name(),
                 sim_time_ps: total_ps(rep),
                 wire_bytes: rep.traffic.total_bytes(),
-                index_gather_bytes: rep.traffic.allgather_bytes,
+                index_gather_bytes: rep.traffic.allgather_bytes(),
                 train_loss: rep.epochs.last().unwrap().train_loss,
             });
         };
@@ -817,7 +817,7 @@ pub fn codec_crossover(quick: bool) -> Vec<CodecCrossoverRow> {
             );
             if g >= 48 && codec.index_codec().is_some() {
                 assert!(
-                    rep.traffic.allgather_bytes < identity.traffic.allgather_bytes,
+                    rep.traffic.allgather_bytes() < identity.traffic.allgather_bytes(),
                     "world {g} codec {}: unique-index path did not compress",
                     codec.name()
                 );
@@ -1023,7 +1023,7 @@ pub fn sota_comparison(quick: bool) -> f64 {
         ..TrainConfig::default()
     };
     let report = zipf_lm::train(&cfg).expect("run");
-    report.epochs.last().unwrap().valid_bpc
+    report.epochs.last().unwrap().valid_bpc()
 }
 
 /// EXPERIMENTS.md's `sota` block: our BPC beside §V-D's two.

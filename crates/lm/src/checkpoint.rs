@@ -28,15 +28,23 @@
 //! including NaNs), so serialize → deserialize → serialize is the
 //! identity on bytes (proptested in `tests/checkpoint_determinism.rs`).
 //!
+//! A snapshot restores only into a run configured like the one that
+//! took it. Its [`Fingerprint`] is that configuration itself: the
+//! `Debug` rendering of the run's [`TrainConfig`], the model at its
+//! resolved dimensions and the settings a restore does not depend on
+//! (world size, communication, tracing, metrics, checkpoint cadence) at
+//! their defaults, stored as one length-prefixed string.
+//! [`Checkpoint::validate_against`] compares renderings; a new config
+//! field is compared without a line here.
+//!
 //! The in-memory [`CheckpointStore`] stands in for a checkpoint
 //! *service*: every rank deposits snapshots on its own cadence
 //! ([`crate::CheckpointConfig`]), and the recovery loop of
 //! [`crate::run`] asks for the newest snapshot **all**
 //! survivors hold — the consistent cut it can restore from.
 
-use crate::config::{Method, ModelKind, TrainConfig};
+use crate::config::TrainConfig;
 use crate::metrics::{EpochMetrics, TimeAttribution};
-use crate::seeding::SeedStrategy;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -44,135 +52,46 @@ use std::sync::{Arc, Mutex};
 /// Serialization format version (bump on any layout change). Version 2
 /// split the attribution wire bucket into intra/inter-node tiers;
 /// version 3 appended the seventh attribution bucket (comm hidden under
-/// compute by the overlapped step schedule). The buckets are written in
+/// compute by the overlapped step schedule); version 4 stores the
+/// [`Fingerprint`] as one length-prefixed string and an epoch's
+/// validation loss once, as its NLL. The buckets are written in
 /// [`TimeAttribution::BUCKETS`] order.
 /// [`Checkpoint::from_bytes`] reads this version only: no artifact of
 /// an older format outlives the process that wrote it.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic header of serialized checkpoints.
 pub const MAGIC: [u8; 8] = *b"ZLMCKPT\0";
 
 /// Everything about a run that must match for a checkpoint to be
-/// restorable — the resolved model dimensions, the method stack, the
-/// data-defining config fields, and the master seed. The *world size*
-/// is deliberately absent: elastic recovery restores a checkpoint
-/// taken at world `G` into a shrunken world `G' < G` (layout, seeding
-/// groups and shards are re-derived from the new world).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fingerprint {
-    /// Master seed (corpus, init, sampling all derive from it).
-    pub seed: u64,
-    /// `0` = word LM, `1` = char LM.
-    pub model_tag: u8,
-    /// Resolved model vocabulary (after corpus-driven shrinking and the
-    /// trainer's clamping — not necessarily the requested size).
-    pub vocab: u64,
-    /// Embedding dimension.
-    pub embed_dim: u64,
-    /// Recurrent cells.
-    pub hidden: u64,
-    /// Projection dimension (word LM; `0` for char).
-    pub proj_dim: u64,
-    /// Resolved sampled-softmax candidates (word LM; `0` for char).
-    pub samples: u64,
-    /// RHN recurrence depth (char LM; `0` for word).
-    pub depth: u64,
-    /// Uniqueness enabled.
-    pub unique: bool,
-    /// Seed-sharing strategy tag (see [`seeding_tag`]).
-    pub seeding: u8,
-    /// FP16 compression scale, if enabled.
-    pub compression: Option<f32>,
-    /// Sequences per GPU per step.
-    pub batch: u64,
-    /// Tokens per sequence.
-    pub seq_len: u64,
-    /// Steps per epoch (0 = whole shard — note this resolves to a
-    /// world-dependent count, so shrink-restores of such runs resume
-    /// into a *longer* epoch on the bigger shards).
-    pub steps_per_epoch: u64,
-    /// Total epochs.
-    pub epochs: u64,
-    /// Base learning rate.
-    pub base_lr: f32,
-    /// Per-epoch learning-rate decay.
-    pub lr_decay: f32,
-    /// Synthetic corpus size in tokens.
-    pub tokens: u64,
-}
-
-/// Stable wire tag of a [`SeedStrategy`].
-pub fn seeding_tag(s: SeedStrategy) -> u8 {
-    match s {
-        SeedStrategy::PerGpu => 0,
-        SeedStrategy::AllSame => 1,
-        SeedStrategy::Log2 => 2,
-        SeedStrategy::LogE => 3,
-        SeedStrategy::Log10 => 4,
-        SeedStrategy::ZipfFreq => 5,
-    }
-}
+/// restorable: the `Debug` rendering of its [`TrainConfig`], the model
+/// at its resolved dimensions ([`crate::config::ModelKind::resolved`])
+/// and the fields a restore does not depend on at their defaults. Those
+/// are the world size — elastic recovery restores a checkpoint taken at
+/// world `G` into a shrunken world `G' < G` (layout, seeding groups and
+/// shards are re-derived from the new world) — and the communication,
+/// tracing, metrics and checkpoint settings, which never change results.
+/// A `steps_per_epoch` of 0 resolves to a world-dependent count, so a
+/// shrink-restore of such a run resumes into a *longer* epoch on the
+/// bigger shards.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fingerprint(String);
 
 impl Fingerprint {
     /// The fingerprint of a run configured by `cfg`, with `model_vocab`
     /// the effective vocabulary reported by data preparation.
     pub fn of(cfg: &TrainConfig, model_vocab: usize) -> Self {
-        let (model_tag, vocab, embed_dim, hidden, proj_dim, samples, depth) = match cfg.model {
-            ModelKind::Word { .. } | ModelKind::WordCustom(_) => {
-                // Mirror the trainer's resolution: the corpus may have
-                // shrunk the vocabulary, and samples are clamped to it.
-                let mut mc = cfg.model.word_config();
-                mc.vocab = model_vocab;
-                mc.samples = mc.samples.min(model_vocab / 2).max(1);
-                (
-                    0u8,
-                    mc.vocab as u64,
-                    mc.embed_dim as u64,
-                    mc.hidden as u64,
-                    mc.proj_dim as u64,
-                    mc.samples as u64,
-                    0u64,
-                )
-            }
-            ModelKind::Char { .. } | ModelKind::CharCustom(_) => {
-                let mc = cfg.model.char_config();
-                (
-                    1u8,
-                    mc.vocab as u64,
-                    mc.embed_dim as u64,
-                    mc.hidden as u64,
-                    0u64,
-                    0u64,
-                    mc.depth as u64,
-                )
-            }
+        let d = TrainConfig::default();
+        let restored = TrainConfig {
+            model: cfg.model.resolved(model_vocab),
+            gpus: d.gpus,
+            trace: d.trace,
+            metrics: d.metrics,
+            checkpoint: d.checkpoint,
+            comm: d.comm,
+            ..cfg.clone()
         };
-        let Method {
-            unique,
-            seeding,
-            compression,
-        } = cfg.method;
-        Self {
-            seed: cfg.seed,
-            model_tag,
-            vocab,
-            embed_dim,
-            hidden,
-            proj_dim,
-            samples,
-            depth,
-            unique,
-            seeding: seeding_tag(seeding),
-            compression,
-            batch: cfg.batch as u64,
-            seq_len: cfg.seq_len as u64,
-            steps_per_epoch: cfg.steps_per_epoch as u64,
-            epochs: cfg.epochs as u64,
-            base_lr: cfg.base_lr,
-            lr_decay: cfg.lr_decay,
-            tokens: cfg.tokens as u64,
-        }
+        Self(format!("{restored:?}"))
     }
 }
 
@@ -287,9 +206,6 @@ impl std::error::Error for CheckpointError {}
 
 // ---- little-endian byte helpers ------------------------------------
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -318,9 +234,6 @@ impl<'a> Reader<'a> {
         self.pos = end;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
     fn u32(&mut self) -> Result<u32, CheckpointError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -341,9 +254,9 @@ impl Checkpoint {
     /// [`Checkpoint::from_bytes`] followed by `to_bytes` is the
     /// identity on any valid buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let fp = &self.fingerprint;
+        let fp = self.fingerprint.0.as_bytes();
         let mut out = Vec::with_capacity(
-            MAGIC.len() + 136 + self.params.len() * 4 + self.metrics.epochs.len() * 40,
+            MAGIC.len() + 148 + fp.len() + self.params.len() * 4 + self.metrics.epochs.len() * 32,
         );
         out.extend_from_slice(&MAGIC);
         put_u32(&mut out, FORMAT_VERSION);
@@ -353,34 +266,8 @@ impl Checkpoint {
         put_u32(&mut out, self.epoch);
         put_u64(&mut out, self.step_in_epoch);
         put_f32(&mut out, self.lr);
-        // Fingerprint.
-        put_u64(&mut out, fp.seed);
-        put_u8(&mut out, fp.model_tag);
-        put_u64(&mut out, fp.vocab);
-        put_u64(&mut out, fp.embed_dim);
-        put_u64(&mut out, fp.hidden);
-        put_u64(&mut out, fp.proj_dim);
-        put_u64(&mut out, fp.samples);
-        put_u64(&mut out, fp.depth);
-        put_u8(&mut out, fp.unique as u8);
-        put_u8(&mut out, fp.seeding);
-        match fp.compression {
-            Some(scale) => {
-                put_u8(&mut out, 1);
-                put_f32(&mut out, scale);
-            }
-            None => {
-                put_u8(&mut out, 0);
-                put_f32(&mut out, 0.0);
-            }
-        }
-        put_u64(&mut out, fp.batch);
-        put_u64(&mut out, fp.seq_len);
-        put_u64(&mut out, fp.steps_per_epoch);
-        put_u64(&mut out, fp.epochs);
-        put_f32(&mut out, fp.base_lr);
-        put_f32(&mut out, fp.lr_decay);
-        put_u64(&mut out, fp.tokens);
+        put_u64(&mut out, fp.len() as u64);
+        out.extend_from_slice(fp);
         // Metric accumulators.
         let m = &self.metrics;
         put_f64(&mut out, m.epoch_loss);
@@ -394,8 +281,7 @@ impl Checkpoint {
         for e in &m.epochs {
             put_u64(&mut out, e.epoch as u64);
             put_f64(&mut out, e.train_loss);
-            put_f64(&mut out, e.valid_ppl);
-            put_f64(&mut out, e.valid_bpc);
+            put_f64(&mut out, e.valid_nll);
             put_f64(&mut out, e.sim_time_s);
         }
         // Parameters.
@@ -423,26 +309,10 @@ impl Checkpoint {
         let epoch = r.u32()?;
         let step_in_epoch = r.u64()?;
         let lr = r.f32()?;
-        let seed = r.u64()?;
-        let model_tag = r.u8()?;
-        let vocab = r.u64()?;
-        let embed_dim = r.u64()?;
-        let hidden = r.u64()?;
-        let proj_dim = r.u64()?;
-        let samples = r.u64()?;
-        let depth = r.u64()?;
-        let unique = r.u8()? != 0;
-        let seeding = r.u8()?;
-        let has_compression = r.u8()? != 0;
-        let scale = r.f32()?;
-        let compression = has_compression.then_some(scale);
-        let batch = r.u64()?;
-        let seq_len = r.u64()?;
-        let steps_per_epoch = r.u64()?;
-        let epochs_total = r.u64()?;
-        let base_lr = r.f32()?;
-        let lr_decay = r.f32()?;
-        let tokens = r.u64()?;
+        let fp_len = usize::try_from(r.u64()?).map_err(|_| CheckpointError::Truncated)?;
+        let fingerprint = String::from_utf8(r.take(fp_len)?.to_vec())
+            .map(Fingerprint)
+            .map_err(|e| CheckpointError::Incompatible(format!("fingerprint is not UTF-8: {e}")))?;
         let epoch_loss = r.f64()?;
         let epoch_time_ps = r.u64()?;
         let unique_sum = r.f64()?;
@@ -454,7 +324,7 @@ impl Checkpoint {
         let attribution = TimeAttribution::from_buckets(buckets);
         let n_epochs = r.u64()? as usize;
         // Guard the prealloc against a corrupt length field.
-        if n_epochs.saturating_mul(40) > buf.len() {
+        if n_epochs.saturating_mul(32) > buf.len() {
             return Err(CheckpointError::Truncated);
         }
         let mut epoch_hist = Vec::with_capacity(n_epochs);
@@ -462,8 +332,7 @@ impl Checkpoint {
             epoch_hist.push(EpochMetrics {
                 epoch: r.u64()? as usize,
                 train_loss: r.f64()?,
-                valid_ppl: r.f64()?,
-                valid_bpc: r.f64()?,
+                valid_nll: r.f64()?,
                 sim_time_s: r.f64()?,
             });
         }
@@ -485,26 +354,7 @@ impl Checkpoint {
             epoch,
             step_in_epoch,
             lr,
-            fingerprint: Fingerprint {
-                seed,
-                model_tag,
-                vocab,
-                embed_dim,
-                hidden,
-                proj_dim,
-                samples,
-                depth,
-                unique,
-                seeding,
-                compression,
-                batch,
-                seq_len,
-                steps_per_epoch,
-                epochs: epochs_total,
-                base_lr,
-                lr_decay,
-                tokens,
-            },
+            fingerprint,
             params,
             metrics: CheckpointMetrics {
                 epochs: epoch_hist,
@@ -529,14 +379,14 @@ impl Checkpoint {
         let expect = Fingerprint::of(cfg, model_vocab);
         if self.fingerprint != expect {
             return Err(CheckpointError::Incompatible(format!(
-                "fingerprint mismatch: checkpoint {:?} vs run {:?}",
-                self.fingerprint, expect
+                "fingerprint mismatch: checkpoint {} vs run {}",
+                self.fingerprint.0, expect.0
             )));
         }
-        if self.epoch as u64 > expect.epochs {
+        if self.epoch as usize > cfg.epochs {
             return Err(CheckpointError::Incompatible(format!(
                 "checkpoint epoch {} beyond configured {} epochs",
-                self.epoch, expect.epochs
+                self.epoch, cfg.epochs
             )));
         }
         Ok(())
@@ -830,6 +680,8 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Method, ModelKind};
+    use crate::seeding::SeedStrategy;
 
     fn sample_checkpoint(rank: u32, step: u64) -> Checkpoint {
         Checkpoint {
@@ -845,8 +697,7 @@ mod tests {
                 epochs: vec![EpochMetrics {
                     epoch: 0,
                     train_loss: 5.25,
-                    valid_ppl: 180.5,
-                    valid_bpc: 7.5,
+                    valid_nll: 5.25,
                     sim_time_s: 0.125,
                 }],
                 epoch_loss: 12.0625,
@@ -874,8 +725,8 @@ mod tests {
     fn version_bounds_are_enforced() {
         let ck = sample_checkpoint(0, 9);
         // Every version but the current one is a typed rejection —
-        // including 2, the last format that used to be readable.
-        for v in [0u32, 1, 2, 4, 99] {
+        // including 3, the last format that used to be readable.
+        for v in [0u32, 1, 2, 3, 99] {
             let mut buf = ck.to_bytes();
             buf[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&v.to_le_bytes());
             assert_eq!(
@@ -916,6 +767,34 @@ mod tests {
             Checkpoint::from_bytes(&trailing),
             Err(CheckpointError::TrailingBytes(1))
         );
+    }
+
+    #[test]
+    fn fingerprint_bytes_are_checked() {
+        let bytes = sample_checkpoint(0, 3).to_bytes();
+        // The fingerprint's length prefix follows the 44-byte header.
+        let at = MAGIC.len() + 36;
+        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        assert_eq!(
+            &bytes[at + 8..at + 8 + len],
+            Fingerprint::of(&TrainConfig::default(), 997).0.as_bytes()
+        );
+        assert_eq!(
+            Checkpoint::from_bytes(&bytes[..at + 8 + len / 2]),
+            Err(CheckpointError::Truncated)
+        );
+        let mut long = bytes.clone();
+        long[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            Checkpoint::from_bytes(&long),
+            Err(CheckpointError::Truncated)
+        );
+        let mut not_utf8 = bytes.clone();
+        not_utf8[at + 8] = 0xff;
+        assert!(matches!(
+            Checkpoint::from_bytes(&not_utf8),
+            Err(CheckpointError::Incompatible(_))
+        ));
     }
 
     #[test]

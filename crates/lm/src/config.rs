@@ -82,6 +82,21 @@ impl ModelKind {
         }
     }
 
+    /// The model a run builds, at its final dimensions: a word model
+    /// takes `model_vocab`, the vocabulary data preparation reports (the
+    /// corpus may have shrunk it), and clamps its sampled-softmax
+    /// candidates to half of it; a char model keeps its own alphabet.
+    pub fn resolved(&self, model_vocab: usize) -> ModelKind {
+        if self.is_word() {
+            let mut mc = self.word_config();
+            mc.vocab = model_vocab;
+            mc.samples = mc.samples.min(model_vocab / 2).max(1);
+            ModelKind::WordCustom(mc)
+        } else {
+            ModelKind::CharCustom(self.char_config())
+        }
+    }
+
     /// FLOPs per training step per GPU for a local batch of `k` tokens:
     /// the model's layers as [`perfmodel::flops`] counts them — the same
     /// count `perfmodel` prices at the paper's dimensions.

@@ -171,12 +171,23 @@ pub struct EpochMetrics {
     pub epoch: usize,
     /// Mean training loss over the epoch (nats).
     pub train_loss: f64,
-    /// Validation perplexity at epoch end.
-    pub valid_ppl: f64,
-    /// Validation bits-per-token at epoch end.
-    pub valid_bpc: f64,
+    /// Mean validation loss at epoch end (nats per token; NaN when the
+    /// validation split holds no full batch).
+    pub valid_nll: f64,
     /// Simulated seconds for the epoch.
     pub sim_time_s: f64,
+}
+
+impl EpochMetrics {
+    /// Validation perplexity at epoch end.
+    pub fn valid_ppl(&self) -> f64 {
+        self.valid_nll.exp()
+    }
+
+    /// Validation bits-per-token at epoch end.
+    pub fn valid_bpc(&self) -> f64 {
+        self.valid_nll / std::f64::consts::LN_2
+    }
 }
 
 /// One elastic-recovery round: which ranks failed, how the world
@@ -267,7 +278,7 @@ pub struct TrainReport {
 impl TrainReport {
     /// Final validation perplexity.
     pub fn final_ppl(&self) -> f64 {
-        self.epochs.last().map(|e| e.valid_ppl).unwrap_or(f64::NAN)
+        self.epochs.last().map_or(f64::NAN, EpochMetrics::valid_ppl)
     }
 
     /// Total simulated seconds across epochs.
@@ -717,17 +728,17 @@ mod tests {
         assert!(r.final_ppl().is_nan());
         r.epochs.push(EpochMetrics {
             epoch: 0,
-            valid_ppl: 120.0,
+            valid_nll: 120f64.ln(),
             sim_time_s: 10.0,
             ..Default::default()
         });
         r.epochs.push(EpochMetrics {
             epoch: 1,
-            valid_ppl: 80.0,
+            valid_nll: 80f64.ln(),
             sim_time_s: 9.0,
             ..Default::default()
         });
-        assert_eq!(r.final_ppl(), 80.0);
+        assert_eq!(r.final_ppl(), 80f64.ln().exp());
         assert_eq!(r.total_sim_time(), 19.0);
     }
 

@@ -809,7 +809,7 @@ mod tests {
             let rep = train(&cfg).expect("train");
             assert_eq!(rep.epochs.len(), 1);
             assert!(rep.epochs[0].train_loss.is_finite());
-            assert!(rep.epochs[0].valid_ppl.is_finite());
+            assert!(rep.epochs[0].valid_ppl().is_finite());
             assert_eq!(rep.steps.len(), 4);
         }
     }
@@ -818,7 +818,7 @@ mod tests {
     fn char_training_runs() {
         let cfg = quick_cfg(ModelKind::Char { vocab: 64 }, 2, Method::unique());
         let rep = train(&cfg).expect("train");
-        assert!(rep.epochs[0].valid_bpc.is_finite());
+        assert!(rep.epochs[0].valid_bpc().is_finite());
         assert!(rep.steps[0].output_exchange.is_none());
     }
 
@@ -849,10 +849,10 @@ mod tests {
         ))
         .unwrap();
         assert!(
-            uniq.traffic.allgather_bytes < base.traffic.allgather_bytes,
+            uniq.traffic.allgather_bytes() < base.traffic.allgather_bytes(),
             "unique {} vs baseline {}",
-            uniq.traffic.allgather_bytes,
-            base.traffic.allgather_bytes
+            uniq.traffic.allgather_bytes(),
+            base.traffic.allgather_bytes()
         );
         assert!(uniq.mean_unique_global > 0.0);
     }
@@ -969,15 +969,15 @@ mod tests {
                 expected += s.dense_bytes;
                 // The exchange's ALLREDUCE share (its index gather is
                 // ALLGATHER traffic).
-                expected += s.input_exchange.sent.allreduce_bytes;
+                expected += s.input_exchange.sent.allreduce_bytes();
                 // The synchronised mean loss: 8 bytes to every peer.
                 expected += simgpu::peer_exchange_tier_bytes(g, gpn, r, 8).total();
             }
         }
         let snap = &reports[0].traffic;
-        assert_eq!(snap.allreduce_bytes, expected);
+        assert_eq!(snap.allreduce_bytes(), expected);
         assert_eq!(
-            snap.allreduce_bytes,
+            snap.allreduce_bytes(),
             snap.allreduce_intra_bytes + snap.allreduce_inter_bytes
         );
         assert!(snap.allreduce_inter_bytes > 0, "leaders must cross nodes");

@@ -18,7 +18,7 @@
 
 use super::RunCtx;
 use crate::checkpoint::{Checkpoint, CheckpointMetrics, Fingerprint};
-use crate::config::{ModelKind, TrainConfig};
+use crate::config::TrainConfig;
 use crate::eval::{char_valid_loss, word_valid_loss};
 use crate::exchange::{ExchangeConfig, ExchangeScratch, ExchangeStats, ReducedBytes};
 use crate::metrics::{EpochMetrics, RunTotals, StepMetrics, TrainReport};
@@ -62,16 +62,11 @@ pub(super) struct StepOutcome {
 
 impl Replica {
     fn new(cfg: &TrainConfig, model_vocab: usize) -> Self {
-        match cfg.model {
-            ModelKind::Word { .. } | ModelKind::WordCustom(_) => {
-                let mut mc = cfg.model.word_config();
-                mc.vocab = model_vocab;
-                mc.samples = mc.samples.min(model_vocab / 2).max(1);
-                Replica::Word(WordLm::new(cfg.seed, mc))
-            }
-            ModelKind::Char { .. } | ModelKind::CharCustom(_) => {
-                Replica::Char(CharLm::new(cfg.seed, cfg.model.char_config()))
-            }
+        let model = cfg.model.resolved(model_vocab);
+        if model.is_word() {
+            Replica::Word(WordLm::new(cfg.seed, model.word_config()))
+        } else {
+            Replica::Char(CharLm::new(cfg.seed, model.char_config()))
         }
     }
 
@@ -504,8 +499,7 @@ impl<'a> LoopState<'a> {
             self.report.epochs.push(EpochMetrics {
                 epoch: self.epoch,
                 train_loss: self.epoch_loss / self.epoch_steps.max(1) as f64,
-                valid_ppl: valid_nll.exp(),
-                valid_bpc: valid_nll / std::f64::consts::LN_2,
+                valid_nll,
                 sim_time_s: self.epoch_time_ps as f64 * 1e-12,
             });
         }

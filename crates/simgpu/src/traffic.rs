@@ -89,17 +89,12 @@ impl std::ops::AddAssign for TierBytes {
 ///   ALLREDUCE bytes but counts no op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficSnapshot {
-    /// Total bytes moved by ALLREDUCE calls (both tiers; always
-    /// `allreduce_intra_bytes + allreduce_inter_bytes`).
-    pub allreduce_bytes: u64,
     /// ALLREDUCE bytes over intra-node links.
     pub allreduce_intra_bytes: u64,
     /// ALLREDUCE bytes over inter-node links.
     pub allreduce_inter_bytes: u64,
     /// Number of ALLREDUCE group calls.
     pub allreduce_ops: u64,
-    /// Total bytes moved by ALLGATHER calls (both tiers).
-    pub allgather_bytes: u64,
     /// ALLGATHER bytes over intra-node links.
     pub allgather_intra_bytes: u64,
     /// ALLGATHER bytes over inter-node links.
@@ -112,7 +107,6 @@ impl TrafficSnapshot {
     /// `ops` ALLREDUCE calls that sent `sent`.
     pub fn allreduce(sent: TierBytes, ops: u64) -> Self {
         Self {
-            allreduce_bytes: sent.total(),
             allreduce_intra_bytes: sent.intra,
             allreduce_inter_bytes: sent.inter,
             allreduce_ops: ops,
@@ -123,7 +117,6 @@ impl TrafficSnapshot {
     /// `ops` ALLGATHER calls that sent `sent`.
     pub fn allgather(sent: TierBytes, ops: u64) -> Self {
         Self {
-            allgather_bytes: sent.total(),
             allgather_intra_bytes: sent.intra,
             allgather_inter_bytes: sent.inter,
             allgather_ops: ops,
@@ -131,9 +124,19 @@ impl TrafficSnapshot {
         }
     }
 
+    /// Total bytes moved by ALLREDUCE calls (both tiers).
+    pub fn allreduce_bytes(&self) -> u64 {
+        self.allreduce_intra_bytes + self.allreduce_inter_bytes
+    }
+
+    /// Total bytes moved by ALLGATHER calls (both tiers).
+    pub fn allgather_bytes(&self) -> u64 {
+        self.allgather_intra_bytes + self.allgather_inter_bytes
+    }
+
     /// Total bytes across all collective kinds and tiers.
     pub fn total_bytes(&self) -> u64 {
-        self.allreduce_bytes + self.allgather_bytes
+        self.allreduce_bytes() + self.allgather_bytes()
     }
 
     /// Total intra-node bytes across all collective kinds.
@@ -149,11 +152,9 @@ impl TrafficSnapshot {
 
 impl std::ops::AddAssign for TrafficSnapshot {
     fn add_assign(&mut self, rhs: TrafficSnapshot) {
-        self.allreduce_bytes += rhs.allreduce_bytes;
         self.allreduce_intra_bytes += rhs.allreduce_intra_bytes;
         self.allreduce_inter_bytes += rhs.allreduce_inter_bytes;
         self.allreduce_ops += rhs.allreduce_ops;
-        self.allgather_bytes += rhs.allgather_bytes;
         self.allgather_intra_bytes += rhs.allgather_intra_bytes;
         self.allgather_inter_bytes += rhs.allgather_inter_bytes;
         self.allgather_ops += rhs.allgather_ops;
@@ -176,11 +177,11 @@ mod tests {
         s += TrafficSnapshot::allgather(TierBytes { intra: 5, inter: 9 }, 1);
         assert_eq!(s.allreduce_intra_bytes, 30);
         assert_eq!(s.allreduce_inter_bytes, 12);
-        assert_eq!(s.allreduce_bytes, 42);
+        assert_eq!(s.allreduce_bytes(), 42);
         assert_eq!(s.allreduce_ops, 1);
         assert_eq!(s.allgather_intra_bytes, 5);
         assert_eq!(s.allgather_inter_bytes, 9);
-        assert_eq!(s.allgather_bytes, 14);
+        assert_eq!(s.allgather_bytes(), 14);
         assert_eq!(s.allgather_ops, 1);
         assert_eq!(s.intra_bytes(), 35);
         assert_eq!(s.inter_bytes(), 21);

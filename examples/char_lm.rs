@@ -45,8 +45,8 @@ fn main() {
             "{:>6} {:>12.4} {:>10.3} {:>8.3}",
             e.epoch + 1,
             e.train_loss,
-            e.valid_ppl,
-            e.valid_bpc
+            e.valid_ppl(),
+            e.valid_bpc()
         );
     }
     println!(

@@ -70,7 +70,7 @@ fn main() {
             "  epoch {}: train loss {:.3}, valid ppl {:.1}",
             e.epoch + 1,
             e.train_loss,
-            e.valid_ppl
+            e.valid_ppl()
         );
     }
 

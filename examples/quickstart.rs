@@ -38,7 +38,7 @@ fn main() {
             "  epoch {}: train loss {:.3}, valid ppl {:.1}, simulated time {:.2}s",
             e.epoch + 1,
             e.train_loss,
-            e.valid_ppl,
+            e.valid_ppl(),
             e.sim_time_s
         );
     }

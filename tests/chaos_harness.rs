@@ -101,7 +101,7 @@ fn digest(o: &RunOutcome) -> String {
             report
                 .epochs
                 .iter()
-                .map(|e| (e.train_loss.to_bits(), e.valid_ppl.to_bits()))
+                .map(|e| (e.train_loss.to_bits(), e.valid_ppl().to_bits()))
                 .collect::<Vec<_>>(),
         ),
         Err(TrainError::Timeout { .. }) => "err Timeout".to_string(),
@@ -169,7 +169,7 @@ fn chaos_sweep_terminates_cleanly_and_deterministically_on_every_seed() {
                         }
                         for (a, b) in report.epochs.iter().zip(&clean.epochs) {
                             if a.train_loss.to_bits() != b.train_loss.to_bits()
-                                || a.valid_ppl.to_bits() != b.valid_ppl.to_bits()
+                                || a.valid_ppl().to_bits() != b.valid_ppl().to_bits()
                             {
                                 failures.push(format!(
                                     "{}: losses differ from clean reference",

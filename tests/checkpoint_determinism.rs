@@ -90,8 +90,7 @@ fn synth_checkpoint(params: Vec<u32>, mix: u64, world: u32, rank: u32, step: u64
         .map(|i| EpochMetrics {
             epoch: i,
             train_loss: f64_at(3 + i as u32),
-            valid_ppl: f64_at(17 + i as u32),
-            valid_bpc: f64_at(29 + i as u32),
+            valid_nll: f64_at(17 + i as u32),
             sim_time_s: f64_at(43 + i as u32),
         })
         .collect();
@@ -102,30 +101,27 @@ fn synth_checkpoint(params: Vec<u32>, mix: u64, world: u32, rank: u32, step: u64
         epoch: (mix >> 7) as u32,
         step_in_epoch: u64_at(9),
         lr: f32::from_bits(mix as u32),
-        fingerprint: Fingerprint {
-            seed: mix,
-            model_tag: (mix % 2) as u8,
-            vocab: u64_at(11),
-            embed_dim: u64_at(13),
-            hidden: u64_at(19),
-            proj_dim: u64_at(23),
-            samples: u64_at(31),
-            depth: u64_at(37),
-            unique: mix & 1 == 0,
-            seeding: (mix % 6) as u8,
-            compression: if mix & 2 == 0 {
-                None
-            } else {
-                Some(f32::from_bits((mix >> 16) as u32))
+        fingerprint: Fingerprint::of(
+            &TrainConfig {
+                batch: u64_at(41) as usize,
+                base_lr: f32::from_bits((mix >> 8) as u32),
+                method: Method {
+                    compression: (mix & 2 != 0).then_some(f32::from_bits((mix >> 16) as u32)),
+                    ..METHODS[(mix % 3) as usize]()
+                },
+                ..run_cfg(
+                    if mix & 1 == 0 {
+                        ModelKind::Word { vocab: 1000 }
+                    } else {
+                        ModelKind::Char { vocab: 48 }
+                    },
+                    1,
+                    Method::baseline(),
+                    mix,
+                )
             },
-            batch: u64_at(41),
-            seq_len: u64_at(47),
-            steps_per_epoch: u64_at(53),
-            epochs: u64_at(59),
-            base_lr: f32::from_bits((mix >> 8) as u32),
-            lr_decay: f32::from_bits((mix >> 24) as u32),
-            tokens: u64_at(61),
-        },
+            u64_at(11) as usize,
+        ),
         params: params.into_iter().map(f32::from_bits).collect(),
         metrics: CheckpointMetrics {
             epochs,

@@ -110,8 +110,8 @@ fn assert_bit_identical(
             a.epoch
         );
         assert_eq!(
-            a.valid_ppl.to_bits(),
-            b.valid_ppl.to_bits(),
+            a.valid_ppl().to_bits(),
+            b.valid_ppl().to_bits(),
             "{label}: epoch {} ppl diverged",
             a.epoch
         );

@@ -167,7 +167,7 @@ fn shrink_recovery_completes_and_records_the_event() {
     // report carries the same recovery history.
     let report = outcome.ranks[0].as_ref().expect("recovers");
     assert_eq!(report.epochs.len(), 2);
-    assert!(report.epochs[1].valid_ppl.is_finite());
+    assert!(report.epochs[1].valid_ppl().is_finite());
     assert_eq!(report.recoveries, outcome.recoveries);
     let fin = outcome.final_checkpoint.expect("terminal snapshot");
     assert_eq!(fin.world, 3, "terminal snapshot is post-shrink");

@@ -192,10 +192,10 @@ fn training_trajectories_coincide() {
             u.train_loss
         );
         assert!(
-            (b.valid_ppl - u.valid_ppl).abs() / b.valid_ppl < 5e-3,
+            (b.valid_ppl() - u.valid_ppl()).abs() / b.valid_ppl() < 5e-3,
             "ppl diverged: {} vs {}",
-            b.valid_ppl,
-            u.valid_ppl
+            b.valid_ppl(),
+            u.valid_ppl()
         );
     }
 }

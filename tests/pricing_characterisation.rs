@@ -60,11 +60,11 @@ type Traffic = [u64; 8];
 
 fn traffic(t: &TrafficSnapshot) -> Traffic {
     [
-        t.allreduce_bytes,
+        t.allreduce_bytes(),
         t.allreduce_intra_bytes,
         t.allreduce_inter_bytes,
         t.allreduce_ops,
-        t.allgather_bytes,
+        t.allgather_bytes(),
         t.allgather_intra_bytes,
         t.allgather_inter_bytes,
         t.allgather_ops,

@@ -32,7 +32,7 @@ fn word_lm_perplexity_improves_over_epochs() {
     let mut cfg = base_cfg();
     cfg.epochs = 3;
     let rep = train(&cfg).expect("run");
-    let ppls: Vec<f64> = rep.epochs.iter().map(|e| e.valid_ppl).collect();
+    let ppls: Vec<f64> = rep.epochs.iter().map(|e| e.valid_ppl()).collect();
     assert!(
         ppls.last().unwrap() < ppls.first().unwrap(),
         "perplexity should improve: {ppls:?}"
@@ -48,7 +48,7 @@ fn char_lm_perplexity_improves_over_epochs() {
     cfg.base_lr = 0.8;
     cfg.epochs = 3;
     let rep = train(&cfg).expect("run");
-    let ppls: Vec<f64> = rep.epochs.iter().map(|e| e.valid_ppl).collect();
+    let ppls: Vec<f64> = rep.epochs.iter().map(|e| e.valid_ppl()).collect();
     assert!(ppls.last().unwrap() < ppls.first().unwrap(), "{ppls:?}");
     assert!(*ppls.last().unwrap() < 64.0, "{ppls:?}");
 }
@@ -130,8 +130,8 @@ fn single_gpu_training_works() {
     cfg.gpus = 1;
     let rep = train(&cfg).expect("run");
     assert!(rep.final_ppl().is_finite());
-    assert_eq!(rep.traffic.allgather_bytes, 0);
-    assert_eq!(rep.traffic.allreduce_bytes, 0);
+    assert_eq!(rep.traffic.allgather_bytes(), 0);
+    assert_eq!(rep.traffic.allreduce_bytes(), 0);
 }
 
 #[test]
@@ -191,6 +191,6 @@ fn lr_decay_applied_across_epochs() {
     cfg.epochs = 4;
     let rep = train(&cfg).expect("run");
     for e in &rep.epochs {
-        assert!(e.train_loss.is_finite() && e.valid_ppl.is_finite());
+        assert!(e.train_loss.is_finite() && e.valid_ppl().is_finite());
     }
 }

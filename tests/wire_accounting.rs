@@ -275,7 +275,7 @@ fn codec_analytic_wire_bytes_match_measured_traffic_exactly() {
                             s.sent
                         );
                         if codec.grad_codec().is_none() {
-                            assert_eq!(s.sent.allreduce_bytes, raw.total(), "{ctx}");
+                            assert_eq!(s.sent.allreduce_bytes(), raw.total(), "{ctx}");
                         }
                     }
                 }
@@ -297,7 +297,7 @@ fn delta_varint_index_prediction_matches_recorder() {
                 codec: simgpu::WireCodecId::LosslessIndex,
                 ..TechniqueStack::Baseline.exchange()
             };
-            let gathered = summed(&measure(world, tokens, 6, cfg)).allgather_bytes;
+            let gathered = summed(&measure(world, tokens, 6, cfg)).allgather_bytes();
             let predicted: u64 = (0..world)
                 .map(|r| {
                     simgpu::DeltaVarintCodec.encoded_len(&indices(r, tokens)) * (world as u64 - 1)
@@ -333,12 +333,12 @@ fn codec_recorded_bytes_never_exceed_identity() {
             for codec in simgpu::WireCodecId::lossless_ladder() {
                 let coded = summed(&measure(world, 17, 5, ExchangeConfig { codec, ..base }));
                 assert!(
-                    coded.allgather_bytes <= identity.allgather_bytes,
+                    coded.allgather_bytes() <= identity.allgather_bytes(),
                     "world {world} gpn {gpn} {}: gather expanded",
                     codec.name()
                 );
                 assert!(
-                    coded.allreduce_bytes <= identity.allreduce_bytes,
+                    coded.allreduce_bytes() <= identity.allreduce_bytes(),
                     "world {world} gpn {gpn} {}: allreduce expanded",
                     codec.name()
                 );
