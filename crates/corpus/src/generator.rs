@@ -296,6 +296,35 @@ mod tests {
         );
     }
 
+    /// FNV-1a over a token stream's little-endian bytes.
+    fn fnv1a(tokens: &[u32]) -> u64 {
+        tokens
+            .iter()
+            .flat_map(|t| t.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The structured streams the trainer draws, pinned by a literal
+    /// written before the successor function became a table: one word
+    /// stream over the One Billion law's 2 M ranks, one char stream over
+    /// Tieba's alphabet.
+    #[test]
+    fn structured_streams_characterisation() {
+        let word = CorpusGenerator::new(&DatasetProfile::one_billion(), TokenUnit::Word, 7)
+            .with_structure(0.5)
+            .generate(200_000);
+        let char = CorpusGenerator::new(&DatasetProfile::tieba(), TokenUnit::Char, 7)
+            .with_structure(0.5)
+            .generate(200_000);
+        assert_eq!(
+            (fnv1a(&word), fnv1a(&char)),
+            (0xb2cd_129e_ef3a_d940, 0x5d8f_36c1_8561_ba49),
+            "word, char"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "lambda")]
     fn structure_lambda_must_be_probability() {

@@ -49,6 +49,24 @@ pub fn softmax_cross_entropy(logits: &Matrix, targets: &[u32]) -> SoftmaxLoss {
     }
 }
 
+/// Mean cross-entropy of `logits` (`n×V`) against `targets` (`n` class
+/// ids) without the gradient: the loss [`softmax_cross_entropy`]
+/// reports, by the same per-row sum, for passes that never go backward.
+pub fn mean_nll(logits: &Matrix, targets: &[u32]) -> f64 {
+    let n = logits.rows();
+    let v = logits.cols();
+    assert_eq!(targets.len(), n, "target count mismatch");
+    assert!(n > 0, "empty batch");
+    let mut total = 0.0f64;
+    for (i, &t) in targets.iter().enumerate() {
+        let row = logits.row(i);
+        let t = t as usize;
+        assert!(t < v, "target {t} out of range");
+        total += (log_sum_exp(row) - row[t]) as f64;
+    }
+    total / n as f64
+}
+
 /// Perplexity of a mean NLL (nats): `exp(loss)`.
 pub fn perplexity(mean_nll: f64) -> f64 {
     mean_nll.exp()
@@ -71,6 +89,25 @@ pub fn compression_ratio(perplexity: f64, bits_per_source_char: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The loss-only pass is the fused pass's loss, to the bit.
+        #[test]
+        fn mean_nll_is_the_fused_loss(
+            n in 1usize..12,
+            v in 1usize..40,
+            logits in proptest::collection::vec(-30.0f32..30.0, 12 * 40),
+            targets in proptest::collection::vec(0u32..40, 12),
+        ) {
+            let targets: Vec<u32> = targets[..n].iter().map(|&t| t % v as u32).collect();
+            let logits = Matrix::from_vec(n, v, logits[..n * v].to_vec());
+            prop_assert_eq!(
+                mean_nll(&logits, &targets).to_bits(),
+                softmax_cross_entropy(&logits, &targets).loss.to_bits()
+            );
+        }
+    }
 
     #[test]
     fn uniform_logits_loss_is_log_v() {

@@ -127,8 +127,109 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Vose's construction as the table was first built: a scaled copy
+    /// of the weights, two growing index stacks and a separate `prob`.
+    /// The oracle every build of [`AliasTable`] must equal bit for bit.
+    fn vose_oracle(weights: &[f64]) -> (Vec<f64>, Vec<u32>) {
+        let n = weights.len();
+        let total: f64 = weights.iter().sum();
+        let scale = n as f64 / total;
+        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
+        let mut small: Vec<u32> = Vec::new();
+        let mut large: Vec<u32> = Vec::new();
+        for (i, &p) in scaled.iter().enumerate() {
+            if p < 1.0 {
+                small.push(i as u32);
+            } else {
+                large.push(i as u32);
+            }
+        }
+        let mut prob = vec![1.0f64; n];
+        let mut alias = vec![0u32; n];
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            prob[s as usize] = scaled[s as usize];
+            alias[s as usize] = l;
+            scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
+            if scaled[l as usize] < 1.0 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        for &i in large.iter().chain(&small) {
+            prob[i as usize] = 1.0;
+        }
+        (prob, alias)
+    }
+
+    fn build(weights: &[f64]) -> AliasTable {
+        AliasTable::new(weights)
+    }
+
+    /// The table's `prob` bits and `alias` targets equal the oracle's.
+    fn assert_matches_oracle(weights: &[f64]) {
+        let table = build(weights);
+        let (prob, alias) = vose_oracle(weights);
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(&table.prob),
+            bits(&prob),
+            "prob, n = {}",
+            weights.len()
+        );
+        assert_eq!(table.alias, alias, "alias, n = {}", weights.len());
+    }
+
+    #[test]
+    fn directed_weights_match_the_vose_oracle() {
+        assert_matches_oracle(&[42.0]);
+        assert_matches_oracle(&[0.0, 3.0]);
+        assert_matches_oracle(&[1.0, 0.0, 1.0]);
+        assert_matches_oracle(&[8.0, 4.0, 2.0, 1.0, 1.0]);
+        for n in [2usize, 3, 7, 10, 1000] {
+            // Scaling 0.1 by n / (n · 0.1) is not exact for every n, so
+            // ties leave numerical leftovers on either stack.
+            assert_matches_oracle(&vec![0.1; n]);
+            assert_matches_oracle(&vec![1.0; n]);
+        }
+    }
+
+    /// The One Billion word law (`s = 1.5625`, `q = 3.5`) at its 2 M
+    /// ranks, the table every word run builds.
+    #[test]
+    fn one_billion_law_matches_the_vose_oracle() {
+        let weights: Vec<f64> = (0..2_000_000)
+            .map(|r| ((r + 1) as f64 + 3.5).powf(-1.5625))
+            .collect();
+        assert_matches_oracle(&weights);
+    }
+
+    proptest! {
+        /// Weights mixing zeros, ties and spread values.
+        #[test]
+        fn random_weights_match_the_vose_oracle(
+            kinds in proptest::collection::vec(0u32..5, 1..300),
+            values in proptest::collection::vec(0.0f64..100.0, 300),
+        ) {
+            let weights: Vec<f64> = kinds
+                .iter()
+                .zip(&values)
+                .map(|(&kind, &v)| match kind {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => 0.25,
+                    3 => v,
+                    _ => v * 1e-8,
+                })
+                .collect();
+            prop_assume!(weights.iter().any(|&w| w > 0.0));
+            assert_matches_oracle(&weights);
+        }
+    }
 
     #[test]
     fn uniform_weights_sample_uniformly() {
