@@ -12,9 +12,9 @@ fn bench_alias(c: &mut Criterion) {
     for &v in &[1_000usize, 100_000, 2_000_000] {
         let weights: Vec<f64> = (0..v).map(|r| 1.0 / (r + 1) as f64).collect();
         group.bench_with_input(BenchmarkId::new("build", v), &weights, |b, w| {
-            b.iter(|| AliasTable::new(w))
+            b.iter(|| AliasTable::new(w.clone()))
         });
-        let table = AliasTable::new(&weights);
+        let table = AliasTable::new(weights);
         let mut rng = StdRng::seed_from_u64(1);
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(BenchmarkId::new("draw", v), &table, |b, t| {

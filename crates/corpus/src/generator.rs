@@ -36,11 +36,15 @@ pub struct CorpusGenerator {
     lambda: f64,
     /// Seed of the fixed successor function.
     successor_seed: u64,
-    /// Number of distinct contexts the successor function distinguishes.
-    context_buckets: u32,
+    /// The successor of each context bucket, drawn once by
+    /// [`CorpusGenerator::with_structure`] (empty for an i.i.d. stream).
+    successors: Vec<u32>,
     prev: u32,
     prev2: u32,
 }
+
+/// Number of distinct contexts the successor function distinguishes.
+const CONTEXT_BUCKETS: u64 = 4096;
 
 /// SplitMix64 finaliser, used to key the successor function.
 fn mix(mut z: u64) -> u64 {
@@ -68,7 +72,7 @@ impl CorpusGenerator {
             unit,
             lambda: 0.0,
             successor_seed: mix(seed ^ 0x5cce_5507),
-            context_buckets: 4096,
+            successors: Vec::new(),
             prev: 0,
             prev2: 0,
         }
@@ -76,24 +80,28 @@ impl CorpusGenerator {
 
     /// Enables order-2 successor structure: with probability `lambda`
     /// the next token is the fixed Zipf-drawn successor of the current
-    /// two-token context.
+    /// two-token context. Each context bucket's successor is one draw
+    /// from the Zipf law on its own keyed stream, so the marginal over
+    /// contexts remains Zipfian; all of them are drawn here, once.
     ///
     /// # Panics
     /// Panics unless `0 ≤ lambda < 1`.
     pub fn with_structure(mut self, lambda: f64) -> Self {
         assert!((0.0..1.0).contains(&lambda), "lambda must be in [0, 1)");
         self.lambda = lambda;
+        self.successors = (0..CONTEXT_BUCKETS)
+            .map(|ctx| {
+                let mut r = StdRng::seed_from_u64(mix(self.successor_seed ^ ctx));
+                self.dist.sample(&mut r) as u32
+            })
+            .collect();
         self
     }
 
-    /// The deterministic successor of a two-token context. Each context
-    /// bucket's successor is one fixed draw from the Zipf law, so the
-    /// marginal over contexts remains Zipfian.
+    /// The deterministic successor of a two-token context.
     fn successor(&self, prev: u32, prev2: u32) -> u32 {
-        let ctx =
-            (prev as u64).wrapping_mul(31).wrapping_add(prev2 as u64) % self.context_buckets as u64;
-        let mut r = StdRng::seed_from_u64(mix(self.successor_seed ^ ctx));
-        self.dist.sample(&mut r) as u32
+        let ctx = (prev as u64).wrapping_mul(31).wrapping_add(prev2 as u64) % CONTEXT_BUCKETS;
+        self.successors[ctx as usize]
     }
 
     /// Granularity this generator emits.

@@ -62,7 +62,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-use step::LoopState;
+use step::{LoopState, Replica};
 
 /// Why a training run failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -323,6 +323,7 @@ pub fn run(cfg: &TrainConfig, opts: &RunOptions) -> RunOutcome {
         outcome.ranks = vec![Err(e); cfg.gpus.max(1)];
         return outcome;
     }
+    let data = prepare_data(cfg);
     let mut cfg = cfg.clone();
     let mut plan = opts.faults.clone();
     let mut resume = opts.resume.clone();
@@ -339,6 +340,7 @@ pub fn run(cfg: &TrainConfig, opts: &RunOptions) -> RunOutcome {
         };
         let mut ranks = run_round(
             &cfg,
+            &data,
             opts.gpu_mem_bytes,
             &plan,
             store.as_ref(),
@@ -443,6 +445,11 @@ struct RunCtx<'a> {
     model_vocab: usize,
     train_tokens: &'a [u32],
     valid_tokens: &'a [u32],
+    /// `cfg.model` at its final dimensions ([`ModelKind::resolved`]):
+    /// what the replica is and what its compute is priced as.
+    model: ModelKind,
+    /// The round's initial replica; each rank trains a clone of it.
+    replica: &'a Replica,
     cost: &'a CostModel,
     plan: &'a FaultPlan,
     store: Option<&'a CheckpointStore>,
@@ -451,11 +458,12 @@ struct RunCtx<'a> {
     gpn: usize,
 }
 
-/// One round: prepares the data, spawns `cfg.gpus` rank threads and
-/// returns every rank's own result. `cfg` and `plan` passed
+/// One round: initialises the replica once, spawns `cfg.gpus` rank
+/// threads and returns every rank's own result. `cfg` and `plan` passed
 /// [`validate`].
 fn run_round(
     cfg: &TrainConfig,
+    data: &RunData,
     gpu_mem_bytes: u64,
     plan: &FaultPlan,
     store: Option<&CheckpointStore>,
@@ -463,13 +471,13 @@ fn run_round(
 ) -> Vec<Result<TrainReport, TrainError>> {
     // Rejected before any thread spawns: every rank reports the cause.
     let reject = |e: TrainError| vec![Err(e); cfg.gpus];
-    let (train_tokens, valid_tokens, model_vocab) = prepare_data(cfg);
+    let model_vocab = data.model_vocab;
     if let Some(Err(e)) = resume.map(|ck| ck.validate_against(cfg, model_vocab)) {
         return reject(TrainError::InvalidCheckpoint {
             reason: e.to_string(),
         });
     }
-    let shard_tokens = train_tokens.len() / cfg.gpus;
+    let shard_tokens = data.train.len() / cfg.gpus;
     let needed = cfg.batch * (cfg.seq_len + 1);
     if shard_tokens < needed {
         return reject(TrainError::DataTooSmall {
@@ -496,11 +504,17 @@ fn run_round(
     };
     let ranks = CommGroup::create_full(cfg.gpus, gpn, cfg.comm.pool_workers, cfg.comm.deadline);
 
+    // Every rank starts from the same parameters: draw them once and let
+    // each rank clone them on its own thread.
+    let model = cfg.model.resolved(model_vocab);
+    let replica = Replica::new(&model, cfg.seed);
     let ctx = RunCtx {
         cfg,
         model_vocab,
-        train_tokens: &train_tokens,
-        valid_tokens: &valid_tokens,
+        train_tokens: &data.train,
+        valid_tokens: &data.valid,
+        model,
+        replica: &replica,
         cost: &cost,
         plan,
         store,
@@ -574,10 +588,19 @@ fn stamp_fleet_metrics(results: &mut [Result<TrainReport, TrainError>]) {
 /// "more data ⇒ better perplexity" holds, as on real text.
 const STRUCTURE_LAMBDA: f64 = 0.5;
 
-/// Generates and splits the corpus; returns the effective model
-/// vocabulary (word LMs may shrink if the corpus has fewer types than
-/// requested).
-fn prepare_data(cfg: &TrainConfig) -> (Vec<u32>, Vec<u32>, usize) {
+/// A run's training and validation streams.
+struct RunData {
+    train: Vec<u32>,
+    valid: Vec<u32>,
+    /// The effective model vocabulary: word LMs may shrink if the
+    /// corpus has fewer types than requested.
+    model_vocab: usize,
+}
+
+/// Generates and splits the corpus, once per [`run`]: it depends only on
+/// the model, the seed and the token count, which no recovery round
+/// changes.
+fn prepare_data(cfg: &TrainConfig) -> RunData {
     match cfg.model {
         ModelKind::Word { .. } | ModelKind::WordCustom(_) => {
             let requested = cfg.model.word_config().vocab;
@@ -588,7 +611,11 @@ fn prepare_data(cfg: &TrainConfig) -> (Vec<u32>, Vec<u32>, usize) {
             let vocab = Vocab::build(&raw, requested.saturating_sub(1).max(1));
             let encoded = vocab.encode(&raw);
             let (train, valid) = train_valid_split(&encoded, 100, cfg.seed ^ SPLIT_SEED);
-            (train, valid, vocab.size())
+            RunData {
+                train,
+                valid,
+                model_vocab: vocab.size(),
+            }
         }
         ModelKind::Char { .. } | ModelKind::CharCustom(_) => {
             let vocab = cfg.model.char_config().vocab;
@@ -602,7 +629,11 @@ fn prepare_data(cfg: &TrainConfig) -> (Vec<u32>, Vec<u32>, usize) {
                 .with_structure(STRUCTURE_LAMBDA);
             let raw = gen.generate(cfg.tokens);
             let (train, valid) = train_valid_split(&raw, 100, cfg.seed ^ SPLIT_SEED);
-            (train, valid, vocab)
+            RunData {
+                train,
+                valid,
+                model_vocab: vocab,
+            }
         }
     }
 }
@@ -1129,6 +1160,38 @@ mod tests {
         }
     }
 
+    /// Compute is priced for the model the rank trains: a word model
+    /// asking for more sampled-softmax candidates than half its resolved
+    /// vocabulary trains the clamped count, so it trains and is priced
+    /// exactly like the same config asking for the clamped count.
+    #[test]
+    fn compute_is_priced_for_the_resolved_model() {
+        let mut mc = nn::model::WordLmConfig::small(200);
+        mc.samples = 150;
+        let asked = quick_cfg(ModelKind::WordCustom(mc), 2, Method::unique());
+        let resolved = asked.model.resolved(prepare_data(&asked).model_vocab);
+        assert!(resolved.word_config().samples < mc.samples, "{resolved:?}");
+        let clamped = TrainConfig {
+            model: resolved,
+            ..asked.clone()
+        };
+        let (a, c) = (
+            train(&asked).expect("train"),
+            train(&clamped).expect("train"),
+        );
+        assert!(!a.steps.is_empty());
+        for (a, c) in a.steps.iter().zip(&c.steps) {
+            assert_eq!(
+                a.train_loss.to_bits(),
+                c.train_loss.to_bits(),
+                "step {}",
+                a.step
+            );
+            assert_eq!(a.attribution, c.attribution, "step {}", a.step);
+            assert_eq!(a.sim_time_ps, c.sim_time_ps, "step {}", a.step);
+        }
+    }
+
     /// `restore` and `snapshot` are one map read both ways: the snapshot
     /// of a state just restored from a checkpoint serialises to that
     /// checkpoint's bytes — at a mid-epoch cut carrying epoch history
@@ -1157,14 +1220,18 @@ mod tests {
             assert_eq!(mid.metrics.epochs.len(), 1);
             assert_eq!(terminal.epoch, 2);
 
-            let (train, valid, model_vocab) = prepare_data(&cfg);
+            let data = prepare_data(&cfg);
             let cost = CostModel::new(HardwareConfig::titan_x_cluster(), cfg.model.utilization());
             let plan = FaultPlan::none();
+            let model = cfg.model.resolved(data.model_vocab);
+            let replica = Replica::new(&model, cfg.seed);
             let ctx = RunCtx {
                 cfg: &cfg,
-                model_vocab,
-                train_tokens: &train,
-                valid_tokens: &valid,
+                model_vocab: data.model_vocab,
+                train_tokens: &data.train,
+                valid_tokens: &data.valid,
+                model,
+                replica: &replica,
                 cost: &cost,
                 plan: &plan,
                 store: None,

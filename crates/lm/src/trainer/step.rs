@@ -18,7 +18,7 @@
 
 use super::RunCtx;
 use crate::checkpoint::{Checkpoint, CheckpointMetrics, Fingerprint};
-use crate::config::TrainConfig;
+use crate::config::ModelKind;
 use crate::eval::{char_valid_loss, word_valid_loss};
 use crate::exchange::{ExchangeConfig, ExchangeScratch, ExchangeStats, ReducedBytes};
 use crate::metrics::{EpochMetrics, RunTotals, StepMetrics, TrainReport};
@@ -46,6 +46,7 @@ const TRACE_EVENTS_PER_RANK: usize = 65_536;
 const SAMPLE_SEED: u64 = 0x5eed_5eed_5eed_5eed;
 
 /// One rank's training replica: either model kind behind one interface.
+#[derive(Clone)]
 pub(super) enum Replica {
     Word(WordLm),
     Char(CharLm),
@@ -61,12 +62,12 @@ pub(super) struct StepOutcome {
 }
 
 impl Replica {
-    fn new(cfg: &TrainConfig, model_vocab: usize) -> Self {
-        let model = cfg.model.resolved(model_vocab);
+    /// A freshly initialised `model` (already resolved) from `seed`.
+    pub(super) fn new(model: &ModelKind, seed: u64) -> Self {
         if model.is_word() {
-            Replica::Word(WordLm::new(cfg.seed, model.word_config()))
+            Replica::Word(WordLm::new(seed, model.word_config()))
         } else {
-            Replica::Char(CharLm::new(cfg.seed, model.char_config()))
+            Replica::Char(CharLm::new(seed, model.char_config()))
         }
     }
 
@@ -208,9 +209,9 @@ impl<'a> LoopState<'a> {
     pub(super) fn new(ctx: &'a RunCtx<'a>, rank: usize) -> Self {
         let cfg = ctx.cfg;
         let g = cfg.gpus;
-        let replica = Replica::new(cfg, ctx.model_vocab);
+        let replica = ctx.replica.clone();
         let (dense_elems, dim, out_dim) = replica.shape();
-        let flops = cfg.model.flops_per_step(cfg.local_batch_tokens());
+        let flops = ctx.model.flops_per_step(cfg.local_batch_tokens());
         let sched = StepSchedule {
             cost: ctx.cost,
             // The exchange inherits the node layout only when the

@@ -18,7 +18,7 @@ use crate::lstm::{LstmCache, LstmLayer};
 use crate::params;
 use crate::rhn::{RhnCache, RhnLayer};
 use crate::sampled_softmax::{full_softmax_eval_loss, SampledSoftmax};
-use crate::softmax::softmax_cross_entropy;
+use crate::softmax::{mean_nll, softmax_cross_entropy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::iter::once;
@@ -402,7 +402,7 @@ impl CharLm {
     /// Validation loss (mean NLL, nats).
     pub fn eval_loss(&self, batch: &SeqBatch) -> f64 {
         let (logits, _, _) = self.forward_hidden(batch);
-        softmax_cross_entropy(&logits, &batch.targets).loss
+        mean_nll(&logits, &batch.targets)
     }
 
     /// Number of f32 values in a [`CharLm::param_vector`] snapshot.

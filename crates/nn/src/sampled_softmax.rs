@@ -202,7 +202,7 @@ impl SampledSoftmax {
 /// sampled softmax.
 pub fn full_softmax_eval_loss(h: &Matrix, targets: &[u32], table: &Embedding) -> f64 {
     let logits = h.matmul_transpose_b(table.weights());
-    crate::softmax::softmax_cross_entropy(&logits, targets).loss
+    crate::softmax::mean_nll(&logits, targets)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use rand::Rng;
 ///
 /// ```
 /// use rand::SeedableRng;
-/// let table = zipf::AliasTable::new(&[3.0, 1.0]);
+/// let table = zipf::AliasTable::new(vec![3.0, 1.0]);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let heavy = (0..1000).filter(|_| table.sample(&mut rng) == 0).count();
 /// assert!(heavy > 650 && heavy < 850); // ≈ 75%
@@ -26,15 +26,26 @@ pub struct AliasTable {
     prob: Vec<f64>,
     /// Per-slot alias target used when the threshold test fails.
     alias: Vec<u32>,
+    /// Sum of the weights the table was built from.
+    total: f64,
 }
 
 impl AliasTable {
-    /// Builds an alias table from unnormalised non-negative weights.
+    /// Builds an alias table from unnormalised non-negative weights,
+    /// taking the buffer over: the weights are scaled in place and the
+    /// same buffer becomes the table's thresholds.
+    ///
+    /// A slot's threshold is final once it leaves the small stack (only
+    /// the top of the large stack ever gives mass away), so it stays
+    /// where it was scaled; slots left on either stack get 1. The two
+    /// stacks share one `n`-entry buffer, small growing up from the
+    /// front and large down from the back: together they never hold
+    /// more than the `n` slots they started with.
     ///
     /// # Panics
     /// Panics if `weights` is empty, contains a negative/NaN value, or
     /// sums to zero.
-    pub fn new(weights: &[f64]) -> Self {
+    pub fn new(mut weights: Vec<f64>) -> Self {
         assert!(!weights.is_empty(), "alias table needs at least one weight");
         assert!(
             weights.len() <= u32::MAX as usize,
@@ -45,50 +56,55 @@ impl AliasTable {
             total.is_finite() && total > 0.0,
             "weights must sum to a positive finite value"
         );
-        for &w in weights {
-            assert!(
-                w >= 0.0 && w.is_finite(),
-                "weights must be non-negative and finite"
-            );
-        }
 
         let n = weights.len();
         let scale = n as f64 / total;
         // Scaled probabilities; mean is exactly 1 by construction.
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, &p) in scaled.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i as u32);
+        let mut stacks = vec![0u32; n];
+        let (mut small, mut large) = (0, n);
+        for (i, w) in weights.iter_mut().enumerate() {
+            assert!(
+                *w >= 0.0 && w.is_finite(),
+                "weights must be non-negative and finite"
+            );
+            *w *= scale;
+            if *w < 1.0 {
+                stacks[small] = i as u32;
+                small += 1;
             } else {
-                large.push(i as u32);
+                large -= 1;
+                stacks[large] = i as u32;
             }
         }
-
-        let mut prob = vec![1.0f64; n];
+        // `stacks[..small]` is the small stack (top last) and
+        // `stacks[large..]` the large one, filled back to front so its
+        // top is `stacks[large]`: both pop in the oracle's order.
+        let mut prob = weights;
         let mut alias = vec![0u32; n];
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            prob[s as usize] = scaled[s as usize];
-            alias[s as usize] = l;
+        while small > 0 && large < n {
+            small -= 1;
+            let (s, l) = (stacks[small] as usize, stacks[large] as usize);
+            alias[s] = l as u32;
             // Move the borrowed mass from the large slot.
-            scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
-            if scaled[l as usize] < 1.0 {
-                large.pop();
-                small.push(l);
+            prob[l] = (prob[l] + prob[s]) - 1.0;
+            if prob[l] < 1.0 {
+                large += 1;
+                stacks[small] = l as u32;
+                small += 1;
             }
         }
         // Whatever remains (numerical leftovers) keeps probability 1.
-        for &l in &large {
-            prob[l as usize] = 1.0;
-        }
-        for &s in &small {
-            prob[s as usize] = 1.0;
+        for &i in stacks[..small].iter().chain(&stacks[large..]) {
+            prob[i as usize] = 1.0;
         }
 
-        Self { prob, alias }
+        Self { prob, alias, total }
+    }
+
+    /// Sum of the weights the table was built from.
+    #[inline]
+    pub fn total(&self) -> f64 {
+        self.total
     }
 
     /// Number of outcomes in the distribution.
@@ -167,7 +183,7 @@ mod tests {
     }
 
     fn build(weights: &[f64]) -> AliasTable {
-        AliasTable::new(weights)
+        AliasTable::new(weights.to_vec())
     }
 
     /// The table's `prob` bits and `alias` targets equal the oracle's.
@@ -233,7 +249,7 @@ mod tests {
 
     #[test]
     fn uniform_weights_sample_uniformly() {
-        let table = AliasTable::new(&[1.0; 8]);
+        let table = AliasTable::new(vec![1.0; 8]);
         let mut rng = StdRng::seed_from_u64(1);
         let mut counts = [0usize; 8];
         let draws = 80_000;
@@ -252,7 +268,7 @@ mod tests {
     #[test]
     fn skewed_weights_match_frequencies() {
         let weights = [8.0, 4.0, 2.0, 1.0, 1.0];
-        let table = AliasTable::new(&weights);
+        let table = AliasTable::new(weights.to_vec());
         let mut rng = StdRng::seed_from_u64(2);
         let mut counts = [0usize; 5];
         let draws = 160_000;
@@ -272,7 +288,7 @@ mod tests {
 
     #[test]
     fn zero_weight_outcome_never_sampled() {
-        let table = AliasTable::new(&[1.0, 0.0, 1.0]);
+        let table = AliasTable::new(vec![1.0, 0.0, 1.0]);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10_000 {
             assert_ne!(table.sample(&mut rng), 1);
@@ -281,7 +297,7 @@ mod tests {
 
     #[test]
     fn single_outcome_always_sampled() {
-        let table = AliasTable::new(&[42.0]);
+        let table = AliasTable::new(vec![42.0]);
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..100 {
             assert_eq!(table.sample(&mut rng), 0);
@@ -291,24 +307,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one weight")]
     fn empty_weights_panic() {
-        AliasTable::new(&[]);
+        AliasTable::new(vec![]);
     }
 
     #[test]
     #[should_panic(expected = "positive finite")]
     fn all_zero_weights_panic() {
-        AliasTable::new(&[0.0, 0.0]);
+        AliasTable::new(vec![0.0, 0.0]);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_weight_panics() {
-        AliasTable::new(&[1.0, -0.5]);
+        AliasTable::new(vec![1.0, -0.5]);
     }
 
     #[test]
     fn sample_many_fills_buffer() {
-        let table = AliasTable::new(&[1.0, 2.0, 3.0]);
+        let table = AliasTable::new(vec![1.0, 2.0, 3.0]);
         let mut rng = StdRng::seed_from_u64(5);
         let mut buf = vec![99u32; 64];
         table.sample_many(&mut rng, &mut buf);

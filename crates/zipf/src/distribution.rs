@@ -69,15 +69,13 @@ impl ZipfMandelbrot {
         assert!(vocab > 0, "vocabulary must be non-empty");
         assert!(s > 0.0, "Zipf exponent must be positive");
         assert!(q >= 0.0, "Mandelbrot offset must be non-negative");
-        let weights: Vec<f64> = (0..vocab).map(|r| ((r + 1) as f64 + q).powf(-s)).collect();
-        let norm: f64 = weights.iter().sum();
-        let table = AliasTable::new(&weights);
+        let table = AliasTable::new((0..vocab).map(|r| ((r + 1) as f64 + q).powf(-s)).collect());
         Self {
             vocab,
             s,
             q,
+            norm: table.total(),
             table,
-            norm,
         }
     }
 
