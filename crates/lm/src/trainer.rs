@@ -441,10 +441,7 @@ fn validate(cfg: &TrainConfig, plan: &FaultPlan) -> Result<(), TrainError> {
 /// What every rank thread of one round reads.
 struct RunCtx<'a> {
     cfg: &'a TrainConfig,
-    /// Effective model vocabulary (see [`prepare_data`]).
-    model_vocab: usize,
-    train_tokens: &'a [u32],
-    valid_tokens: &'a [u32],
+    data: &'a RunData,
     /// `cfg.model` at its final dimensions ([`ModelKind::resolved`]):
     /// what the replica is and what its compute is priced as.
     model: ModelKind,
@@ -471,8 +468,7 @@ fn run_round(
 ) -> Vec<Result<TrainReport, TrainError>> {
     // Rejected before any thread spawns: every rank reports the cause.
     let reject = |e: TrainError| vec![Err(e); cfg.gpus];
-    let model_vocab = data.model_vocab;
-    if let Some(Err(e)) = resume.map(|ck| ck.validate_against(cfg, model_vocab)) {
+    if let Some(Err(e)) = resume.map(|ck| ck.validate_against(cfg, data.model_vocab)) {
         return reject(TrainError::InvalidCheckpoint {
             reason: e.to_string(),
         });
@@ -506,13 +502,11 @@ fn run_round(
 
     // Every rank starts from the same parameters: draw them once and let
     // each rank clone them on its own thread.
-    let model = cfg.model.resolved(model_vocab);
+    let model = cfg.model.resolved(data.model_vocab);
     let replica = Replica::new(&model, cfg.seed);
     let ctx = RunCtx {
         cfg,
-        model_vocab,
-        train_tokens: &data.train,
-        valid_tokens: &data.valid,
+        data,
         model,
         replica: &replica,
         cost: &cost,
@@ -1227,9 +1221,7 @@ mod tests {
             let replica = Replica::new(&model, cfg.seed);
             let ctx = RunCtx {
                 cfg: &cfg,
-                model_vocab: data.model_vocab,
-                train_tokens: &data.train,
-                valid_tokens: &data.valid,
+                data: &data,
                 model,
                 replica: &replica,
                 cost: &cost,

@@ -324,7 +324,7 @@ impl<'a> LoopState<'a> {
             epoch: self.epoch as u32,
             step_in_epoch: self.step_in_epoch,
             lr: self.lr,
-            fingerprint: Fingerprint::of(cfg, self.ctx.model_vocab),
+            fingerprint: Fingerprint::of(cfg, self.ctx.data.model_vocab),
             params: self.replica.param_vector(),
             metrics: CheckpointMetrics {
                 epochs: self.report.epochs.clone(),
@@ -493,7 +493,7 @@ impl<'a> LoopState<'a> {
         let cfg = self.ctx.cfg;
         if self.rank == 0 {
             // NaN when the validation split holds no full batch.
-            let valid = self.ctx.valid_tokens;
+            let valid = &self.ctx.data.valid;
             let valid_nll = self
                 .replica
                 .valid_loss(valid, cfg.batch.min(4), cfg.seq_len);
@@ -527,5 +527,5 @@ fn shard<'a>(ctx: &RunCtx<'a>, rank: usize) -> BatchIter<'a> {
         batch: ctx.cfg.batch,
         seq_len: ctx.cfg.seq_len,
     };
-    shard_batches(ctx.train_tokens, spec, rank, ctx.cfg.gpus)
+    shard_batches(&ctx.data.train, spec, rank, ctx.cfg.gpus)
 }

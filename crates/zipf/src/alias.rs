@@ -59,7 +59,6 @@ impl AliasTable {
 
         let n = weights.len();
         let scale = n as f64 / total;
-        // Scaled probabilities; mean is exactly 1 by construction.
         let mut stacks = vec![0u32; n];
         let (mut small, mut large) = (0, n);
         for (i, w) in weights.iter_mut().enumerate() {
@@ -67,6 +66,7 @@ impl AliasTable {
                 *w >= 0.0 && w.is_finite(),
                 "weights must be non-negative and finite"
             );
+            // Scaled probabilities; mean is exactly 1 by construction.
             *w *= scale;
             if *w < 1.0 {
                 stacks[small] = i as u32;
@@ -78,7 +78,8 @@ impl AliasTable {
         }
         // `stacks[..small]` is the small stack (top last) and
         // `stacks[large..]` the large one, filled back to front so its
-        // top is `stacks[large]`: both pop in the oracle's order.
+        // top is `stacks[large]`, the last index pushed: both pop in
+        // Vose's order.
         let mut prob = weights;
         let mut alias = vec![0u32; n];
         while small > 0 && large < n {
