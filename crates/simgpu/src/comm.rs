@@ -1,10 +1,16 @@
-//! Thread-group collectives with real data movement and two-tier
-//! topology-aware wire accounting.
+//! Collectives with real data movement and two-tier topology-aware wire
+//! accounting, executed two ways over one implementation.
 //!
-//! One OS thread per simulated GPU rank (optionally multiplexed over a
-//! bounded run-slot pool — see [`crate::pool`]). Collectives are SPMD:
-//! every rank calls the same operation in the same order (exactly the
-//! MPI contract the paper's TensorFlow+MPI stack obeys).
+//! Collectives are SPMD: every rank calls the same operation in the
+//! same order (exactly the MPI contract the paper's TensorFlow+MPI
+//! stack obeys). The lockstep [`World`] — what the trainer runs on —
+//! holds no thread: its caller has every rank's buffers and calls each
+//! collective once over all of them. A threaded group ([`CommGroup`])
+//! gives each rank a [`Rank`] handle on its own OS thread (optionally
+//! multiplexed over a bounded run-slot pool — see [`crate::pool`]), and
+//! its rendezvous leader runs the same functions: the reduction, the
+//! codec round-trip, the unique-set derivation and every byte price
+//! exist once.
 //!
 //! ## Execution model: rendezvous collectives
 //!
@@ -86,7 +92,7 @@ use crate::pool::RunGate;
 use crate::traffic::{Tier, TierBytes};
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Instant;
 
@@ -228,6 +234,23 @@ pub struct BarrierDeadline {
     pub retries: u32,
 }
 
+impl BarrierDeadline {
+    /// The whole retry budget, `timeout · (2^(retries+1) − 1)`, in
+    /// picoseconds (saturating): what a waiter has waited when it gives
+    /// up, and so the `waited_ps` of every [`CommError::Timeout`].
+    pub fn budget_ps(&self) -> u64 {
+        let (mut slice, mut total) = (self.timeout, std::time::Duration::ZERO);
+        for _ in 0..=self.retries {
+            total = total.saturating_add(slice);
+            if total == std::time::Duration::MAX {
+                break;
+            }
+            slice = slice.saturating_mul(2);
+        }
+        total.as_nanos().saturating_mul(1000).min(u64::MAX as u128) as u64
+    }
+}
+
 /// Barrier state behind the abort-aware barrier's mutex.
 #[derive(Debug, Default)]
 struct BarrierState {
@@ -294,7 +317,6 @@ impl AbortBarrier {
         // completions are handled inside the loop either way.
         let mut slice = self.deadline.map(|d| d.timeout);
         let mut attempts_left = self.deadline.map_or(0, |d| d.retries);
-        let mut waited = std::time::Duration::ZERO;
         loop {
             let timed_out = match slice {
                 None => {
@@ -324,15 +346,15 @@ impl AbortBarrier {
             }
             if timed_out {
                 let dur = slice.expect("timed_out implies a deadline slice");
-                waited += dur;
                 if attempts_left == 0 {
                     // Out of retries: the group contains a silent peer.
                     // Poison it (first failure wins — a racing abort
-                    // keeps its attribution) and fail typed.
+                    // keeps its attribution) and fail typed, having
+                    // waited every slice.
+                    let deadline = self.deadline.expect("a slice implies a deadline");
                     let err = CommError::Timeout {
                         rank,
-                        waited_ps: waited.as_nanos().saturating_mul(1000).min(u64::MAX as u128)
-                            as u64,
+                        waited_ps: deadline.budget_ps(),
                     };
                     if st.abort.is_none() {
                         st.abort = Some(err);
@@ -482,12 +504,13 @@ struct GroupCore {
     gather_u32: Vec<RwLock<Vec<u32>>>,
     gather_f32: Vec<RwLock<Vec<f32>>>,
     gather_u16: Vec<RwLock<Vec<u16>>>,
+    /// Whether each sender's latest published frame is torn in flight
+    /// (its consumed [`Rank::corrupt_next_codec_frame`] latch): readers
+    /// see what [`delivered`] makes of the slot.
+    torn: Vec<AtomicBool>,
     /// Each rank's `(sum, max)` inputs to
     /// [`Rank::all_reduce_sum_max`].
     scalar: Vec<Mutex<(f64, [u64; 2])>>,
-    /// Sender-indexed byte mailboxes for codec-framed collectives:
-    /// `(element_count, encoded_bytes)` per sender.
-    gather_bytes: Vec<RwLock<(usize, Vec<u8>)>>,
     /// Each rank's buffer, lent for one [`Rank::all_reduce`]: its own
     /// `Vec` (moved in, not copied) and the range being reduced. Empty
     /// between collectives; the rendezvous leader reduces every lent
@@ -567,7 +590,7 @@ impl CommGroup {
             gather_f32: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
             gather_u16: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
             scalar: (0..world).map(|_| Mutex::new((0.0, [0; 2]))).collect(),
-            gather_bytes: (0..world).map(|_| RwLock::new((0, Vec::new()))).collect(),
+            torn: (0..world).map(|_| AtomicBool::new(false)).collect(),
             lent: (0..world).map(|_| Mutex::default()).collect(),
             reduced_scalar: Mutex::new((0.0, [0; 2])),
             unique: RwLock::new(UniqueState::default()),
@@ -578,16 +601,17 @@ impl CommGroup {
                 rank,
                 core: Arc::clone(&core),
                 wait_ns: None,
-                corrupt_next_frame: std::sync::atomic::AtomicBool::new(false),
+                corrupt_next_frame: AtomicBool::new(false),
             })
             .collect()
     }
 }
 
-/// In-flight frame damage for the transient wire-corruption fault: the
-/// frame is torn (emptied), or grows a stray byte when already empty.
-/// Row payloads of the visiting gathers tear the same way, by element —
-/// their visitor, which knows the expected length, is the framing.
+/// What a frame delivers after the transient wire-corruption fault: a
+/// torn frame arrives empty, or as one `stray` element when it was
+/// already empty; an intact one arrives as sent. Row payloads of the
+/// visiting gathers tear the same way, by element — their visitor,
+/// which knows the expected length, is the framing.
 ///
 /// Tearing — not bit-flipping — is the modelled fault because it is
 /// *detectable by construction* for every codec: a non-empty payload
@@ -597,11 +621,11 @@ impl CommGroup {
 /// values — the wire layer has no CRC (that lives in the checkpoint
 /// frames), so the harness injects the fault class the framing can
 /// actually catch.
-fn corrupt_frame<T>(frame: &mut Vec<T>, stray: T) {
-    if frame.is_empty() {
-        frame.push(stray);
-    } else {
-        frame.clear();
+fn delivered<'a, T>(frame: &'a [T], torn: bool, stray: &'a [T; 1]) -> &'a [T] {
+    match (torn, frame.is_empty()) {
+        (false, _) => frame,
+        (true, true) => stray,
+        (true, false) => &[],
     }
 }
 
@@ -615,7 +639,7 @@ pub struct Rank {
     /// One-shot wire-corruption latch (see
     /// [`Rank::corrupt_next_codec_frame`]): when armed, the next codec
     /// frame this rank publishes is damaged in flight.
-    corrupt_next_frame: std::sync::atomic::AtomicBool,
+    corrupt_next_frame: AtomicBool,
 }
 
 /// Chunk boundaries for the ring algorithm: `G` nearly-equal ranges.
@@ -915,6 +939,92 @@ fn reduce_in_place(bufs: &mut [&mut [f32]], scale: Option<f32>) {
     }
 }
 
+/// The FP16 wire's scale, checked, or `None` for an f32 payload.
+fn f16_scale(wire: Wire<'_>) -> Option<f32> {
+    match wire {
+        Wire::F16 { scale } => Some(checked_scale(scale)),
+        Wire::F32 | Wire::Codec(_) => None,
+    }
+}
+
+fn checked_scale(scale: f32) -> f32 {
+    assert!(
+        scale.is_finite() && scale > 0.0,
+        "compression scale must be positive and finite"
+    );
+    scale
+}
+
+/// What one ALLREDUCE charges `rank` for delivering the reduced `data`
+/// under `topology` on `layout`: every transmitted chunk priced at its
+/// length in `wire` — for a codec, the encoded length of the *reduced*
+/// chunk (the steady-state re-encode model, identical on every rank).
+fn all_reduce_sent(
+    layout: NodeLayout,
+    topology: Topology,
+    rank: usize,
+    wire: Wire<'_>,
+    data: &[f32],
+) -> TierBytes {
+    let n = data.len();
+    let chunk_bytes =
+        |parts: usize, chunk: usize| wire.encoded_len(&data[chunk_range(n, parts, chunk)]);
+    allreduce_send_bytes_parts(layout, topology, rank, chunk_bytes)
+}
+
+/// Passes every flat ring chunk of `rank`'s delivered `data` through a
+/// real encode→decode round-trip in place, on the flat `world`-way
+/// partition under either schedule: losslessness (not chunk boundaries)
+/// is what keeps the schedules bit-identical. Lossless codecs make this
+/// a bit-exact no-op; anything else corrupts the payload visibly. A
+/// `torn` first frame fails to decode: an error naming `rank`.
+fn codec_roundtrip_chunks(
+    data: &mut [f32],
+    codec: &dyn WireCodec<f32>,
+    world: usize,
+    rank: usize,
+    mut torn: bool,
+) -> Result<(), CommError> {
+    let n = data.len();
+    let mut wire = Vec::new();
+    let mut decoded: Vec<f32> = Vec::new();
+    for c in 0..world {
+        let range = chunk_range(n, world, c);
+        wire.clear();
+        codec.encode(&data[range.clone()], &mut wire);
+        decoded.clear();
+        let frame = delivered(&wire, std::mem::take(&mut torn), &[0xA5]);
+        if let Err(e) = codec.decode(frame, range.len(), &mut decoded) {
+            return Err(codec_error(rank, codec.name(), e));
+        }
+        data[range].copy_from_slice(&decoded);
+    }
+    Ok(())
+}
+
+/// §III-C's gather encoding: binary16 of `x · scale`, replacing `out`.
+fn encode_f16(local: &[f32], scale: f32, out: &mut Vec<u16>) {
+    out.clear();
+    out.extend(local.iter().map(|&x| f32_to_f16_bits(x * scale)));
+}
+
+/// The receiving side of [`encode_f16`]: each half up-cast and divided
+/// by the scale (`inv` is its reciprocal), replacing `out`.
+fn decode_f16(frame: &[u16], inv: f32, out: &mut Vec<f32>) {
+    out.clear();
+    out.extend(frame.iter().map(|&h| f16_bits_to_f32(h) * inv));
+}
+
+/// The scalar reduction: `0.0 + v_0 + v_1 + …` in rank order, and the
+/// elementwise maxes of the pairs.
+fn fold_sum_max(values: impl IntoIterator<Item = (f64, [u64; 2])>) -> (f64, [u64; 2]) {
+    values
+        .into_iter()
+        .fold((0.0, [0; 2]), |(sum, [a, b]), (v, [x, y])| {
+            (sum + v, [a.max(x), b.max(y)])
+        })
+}
+
 /// What one [`Rank::all_gather_unique`] returns besides `Î`. Every
 /// field but `sent` is the same on every rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -932,10 +1042,13 @@ pub struct UniqueGathered {
     pub node_sets: u64,
 }
 
-/// The unique-set gather's rendezvous state: the leader fills it, every
-/// rank reads its share. Buffers are reused across calls.
+/// The unique-set gather's group-wide work and result: filled once per
+/// call, by the threaded rendezvous's leader or the lockstep [`World`],
+/// and read by every rank. Buffers are reused across calls.
 #[derive(Debug, Default)]
 struct UniqueState {
+    /// One sender's encoded frame (under a codec).
+    frame: Vec<u8>,
     /// Every rank's published `J_r`, rank-major (decoded under a codec).
     indices: Vec<u32>,
     /// End of each rank's `J_r` in `indices`.
@@ -953,71 +1066,86 @@ struct UniqueState {
     error: Option<CommError>,
 }
 
-/// Canonical rendezvous work of the unique-set gather, run once by the
-/// barrier's last arriver: decode every published `J_r` (under
-/// `codec`; a frame that fails is recorded as an error naming its
-/// sender), build the sets with [`NodeSets::build`], then price every
-/// rank's frames under `topology` — the node schedule's `Ĵ_r` / `U_n` /
-/// `Î` at their encoded lengths, or the flat schedule's `J_r` as
-/// published.
-fn leader_unique(core: &GroupCore, codec: Option<&dyn WireCodec<u32>>, topology: Topology) {
-    let (layout, world) = (core.layout, core.layout.world());
-    let mut state = core.unique.write();
-    let st = &mut *state;
-    st.error = None;
-    st.indices.clear();
-    st.ends.clear();
-    st.published.clear();
-    for sender in 0..world {
-        let published = match codec {
-            None => {
-                let slot = core.gather_u32[sender].read();
-                st.indices.extend_from_slice(&slot);
-                slot.len() as u64 * 4
-            }
-            Some(codec) => {
-                let slot = core.gather_bytes[sender].read();
-                let (n, frame) = &*slot;
-                if let Err(e) = codec.decode(frame, *n, &mut st.indices) {
-                    st.error = Some(codec_error(sender, codec.name(), e));
-                    return;
+impl UniqueState {
+    /// The unique-set gather over every rank's `locals[r] = J_r`, run
+    /// once per call: each `J_r` crosses as published (under `codec`,
+    /// encoded, damaged when `torn(r)` — asked once per sender, only
+    /// under a codec — and decoded; a frame that fails is an error
+    /// naming its sender), the sets are built with [`NodeSets::build`],
+    /// then every rank's frames are priced under `topology` — the node
+    /// schedule's `Ĵ_r` / `U_n` / `Î` at their encoded lengths, or the
+    /// flat schedule's `J_r` as published.
+    fn gather(
+        &mut self,
+        layout: NodeLayout,
+        codec: Option<&dyn WireCodec<u32>>,
+        topology: Topology,
+        locals: &[&[u32]],
+        mut torn: impl FnMut(usize) -> bool,
+    ) -> Result<(), CommError> {
+        let world = layout.world();
+        self.indices.clear();
+        self.ends.clear();
+        self.published.clear();
+        for (sender, local) in locals.iter().enumerate() {
+            let published = match codec {
+                None => {
+                    self.indices.extend_from_slice(local);
+                    local.len() as u64 * 4
                 }
-                frame.len() as u64
-            }
-        };
-        st.ends.push(st.indices.len());
-        st.published.push(published);
-    }
-    let two_tier = layout.two_tier(topology);
-    let (indices, ends) = (&st.indices, &st.ends);
-    let slots = (0..world).map(|r| &indices[if r == 0 { 0 } else { ends[r - 1] }..ends[r]]);
-    // The flat schedule reads only `Î`: one node holds every rank.
-    st.sets
-        .build(slots, two_tier.unwrap_or(NodeLayout::new(world, world)));
-    let sets = &st.sets;
-    let len = |v: &[u32]| codec.map_or(v.len() as u64 * 4, |c| c.encoded_len(v));
-    let global = two_tier.map_or(0, |_| len(sets.global()));
-    st.sent.clear();
-    for r in 0..world {
-        let mut frames = UniqueFrames {
-            indices: st.published[r],
-            global,
-            ..UniqueFrames::default()
-        };
-        match two_tier {
-            Some(nodes) if nodes.is_leader(r) => frames.node = len(sets.node(nodes.node(r))),
-            Some(_) => frames.local = len(sets.local(r)),
-            None => {}
+                Some(codec) => {
+                    self.frame.clear();
+                    codec.encode(local, &mut self.frame);
+                    let frame = delivered(&self.frame, torn(sender), &[0xA5]);
+                    codec
+                        .decode(frame, local.len(), &mut self.indices)
+                        .map_err(|e| codec_error(sender, codec.name(), e))?;
+                    frame.len() as u64
+                }
+            };
+            self.ends.push(self.indices.len());
+            self.published.push(published);
         }
-        let sent = unique_gather_tier_bytes(world, layout.gpus_per_node(), topology, r, frames);
-        st.sent.push(sent);
+        let two_tier = layout.two_tier(topology);
+        let (indices, ends) = (&self.indices, &self.ends);
+        let slots = (0..world).map(|r| &indices[if r == 0 { 0 } else { ends[r - 1] }..ends[r]]);
+        // The flat schedule reads only `Î`: one node holds every rank.
+        self.sets
+            .build(slots, two_tier.unwrap_or(NodeLayout::new(world, world)));
+        let sets = &self.sets;
+        let len = |v: &[u32]| codec.map_or(v.len() as u64 * 4, |c| c.encoded_len(v));
+        let global = two_tier.map_or(0, |_| len(sets.global()));
+        self.sent.clear();
+        for r in 0..world {
+            let mut frames = UniqueFrames {
+                indices: self.published[r],
+                global,
+                ..UniqueFrames::default()
+            };
+            match two_tier {
+                Some(nodes) if nodes.is_leader(r) => frames.node = len(sets.node(nodes.node(r))),
+                Some(_) => frames.local = len(sets.local(r)),
+                None => {}
+            }
+            let sent = unique_gather_tier_bytes(world, layout.gpus_per_node(), topology, r, frames);
+            self.sent.push(sent);
+        }
+        self.totals = UniqueGathered {
+            sent: TierBytes::default(),
+            frames: self.published.iter().sum(),
+            indices: self.indices.len() as u64,
+            node_sets: two_tier.map_or(0, |_| sets.node_total() as u64),
+        };
+        Ok(())
     }
-    st.totals = UniqueGathered {
-        sent: TierBytes::default(),
-        frames: st.published.iter().sum(),
-        indices: st.indices.len() as u64,
-        node_sets: two_tier.map_or(0, |_| sets.node_total() as u64),
-    };
+
+    /// Rank `rank`'s result of the last [`UniqueState::gather`].
+    fn result(&self, rank: usize) -> UniqueGathered {
+        UniqueGathered {
+            sent: self.sent[rank],
+            ..self.totals
+        }
+    }
 }
 
 /// A codec decode failure as a group poisoning attributed to `sender`,
@@ -1121,14 +1249,12 @@ impl Rank {
     /// consumes the latch the same way and is caught by the visitor's
     /// length check.
     pub fn corrupt_next_codec_frame(&self) {
-        self.corrupt_next_frame
-            .store(true, std::sync::atomic::Ordering::Relaxed);
+        self.corrupt_next_frame.store(true, Ordering::Relaxed);
     }
 
     /// Consumes the wire-corruption latch (true at most once per arm).
     fn take_corrupt_frame(&self) -> bool {
-        self.corrupt_next_frame
-            .swap(false, std::sync::atomic::Ordering::Relaxed)
+        self.corrupt_next_frame.swap(false, Ordering::Relaxed)
     }
 
     /// Cheap non-blocking poll: `Err` if the group is poisoned. Lets
@@ -1207,16 +1333,7 @@ impl Rank {
         wire: Wire<'_>,
         topology: Topology,
     ) -> Result<TierBytes, CommError> {
-        let scale = match wire {
-            Wire::F16 { scale } => {
-                assert!(
-                    scale.is_finite() && scale > 0.0,
-                    "compression scale must be positive and finite"
-                );
-                Some(scale)
-            }
-            Wire::F32 | Wire::Codec(_) => None,
-        };
+        let scale = f16_scale(wire);
         assert!(
             range.start <= range.end && range.end <= data.len(),
             "all_reduce range {range:?} is not within a buffer of {}",
@@ -1246,21 +1363,16 @@ impl Rank {
         met?;
         let data = &mut data[range];
         if let Some(codec) = wire.codec() {
-            // The delivered payload round-trips on the flat chunk
-            // partition under either schedule: losslessness (not chunk
-            // boundaries) is what keeps the schedules bit-identical.
-            self.codec_roundtrip_chunks(data, codec)?;
+            let torn = self.take_corrupt_frame();
+            codec_roundtrip_chunks(data, codec, self.world(), self.rank, torn)
+                .map_err(|e| self.poison(e))?;
         }
-        // Priced on the reduced payload: a codec's chunk frames depend
-        // on it, a fixed-width format's on the length only.
-        let n = data.len();
-        let chunk_bytes =
-            |parts: usize, chunk: usize| wire.encoded_len(&data[chunk_range(n, parts, chunk)]);
-        Ok(allreduce_send_bytes_parts(
+        Ok(all_reduce_sent(
             self.core.layout,
             topology,
             self.rank,
-            chunk_bytes,
+            wire,
+            data,
         ))
     }
 
@@ -1332,20 +1444,24 @@ impl Rank {
     /// this rank's slot and returns the payload's wire bytes, which
     /// travel to `G−1` peers (same-node peers over the intra tier, the
     /// rest over the inter tier — [`peer_exchange_tier_bytes`], which is
-    /// what it returns); after the group meets, `collect` sees every
-    /// sender's slot in rank order, under a shared read lock. A second
+    /// what it returns), and `torn` says whether the frame is damaged in
+    /// flight; after the group meets, `collect` sees every sender's slot
+    /// and torn flag in rank order, under a shared read lock. A second
     /// barrier keeps a fast rank from overwriting its slot while a peer
     /// is still reading it.
     fn gather_rendezvous<S>(
         &self,
         slots: &[RwLock<S>],
+        torn: bool,
         publish: impl FnOnce(&mut S) -> u64,
-        mut collect: impl FnMut(usize, &S) -> Result<(), CommError>,
+        mut collect: impl FnMut(usize, &S, bool) -> Result<(), CommError>,
     ) -> Result<TierBytes, CommError> {
         let payload_bytes = publish(&mut slots[self.rank].write());
+        self.core.torn[self.rank].store(torn, Ordering::Relaxed);
         self.barrier()?;
         for (sender, slot) in slots.iter().enumerate() {
-            collect(sender, &slot.read())?;
+            let torn = self.core.torn[sender].load(Ordering::Relaxed);
+            collect(sender, &slot.read(), torn)?;
         }
         self.barrier()?;
         Ok(peer_exchange_tier_bytes(
@@ -1380,15 +1496,15 @@ impl Rank {
     ) -> Result<TierBytes, CommError> {
         self.gather_rendezvous(
             slots,
+            torn,
             |slot| {
                 slot.clear();
                 slot.extend_from_slice(local);
-                if torn {
-                    corrupt_frame(slot, T::default());
-                }
                 std::mem::size_of_val(local) as u64
             },
-            |sender, slot| visit(sender, slot).map_err(|e| self.poison(e)),
+            |sender, slot, torn| {
+                visit(sender, delivered(slot, torn, &[T::default()])).map_err(|e| self.poison(e))
+            },
         )
     }
 
@@ -1447,24 +1563,16 @@ impl Rank {
         staging: &mut Vec<f32>,
         mut visit: impl FnMut(usize, &[f32]) -> Result<(), CommError>,
     ) -> Result<TierBytes, CommError> {
-        assert!(
-            scale.is_finite() && scale > 0.0,
-            "compression scale must be positive and finite"
-        );
-        let inv = 1.0 / scale;
+        let inv = 1.0 / checked_scale(scale);
         self.gather_rendezvous(
             &self.core.gather_u16,
+            self.take_corrupt_frame(),
             |slot| {
-                slot.clear();
-                slot.extend(local.iter().map(|&x| f32_to_f16_bits(x * scale)));
-                if self.take_corrupt_frame() {
-                    corrupt_frame(slot, 0);
-                }
+                encode_f16(local, scale, slot);
                 (local.len() * 2) as u64
             },
-            |sender, slot| {
-                staging.clear();
-                staging.extend(slot.iter().map(|&h| f16_bits_to_f32(h) * inv));
+            |sender, slot, torn| {
+                decode_f16(delivered(slot, torn, &[0]), inv, staging);
                 visit(sender, staging).map_err(|e| self.poison(e))
             },
         )
@@ -1531,13 +1639,7 @@ impl Rank {
         *self.core.scalar[self.rank].lock() = (sum, max);
         let core = &self.core;
         self.sync_leader(|| {
-            let folded = core
-                .scalar
-                .iter()
-                .fold((0.0, [0; 2]), |(sum, [a, b]), slot| {
-                    let (v, [x, y]) = *slot.lock();
-                    (sum + v, [a.max(x), b.max(y)])
-                });
+            let folded = fold_sum_max(core.scalar.iter().map(|slot| *slot.lock()));
             *core.reduced_scalar.lock() = folded;
         })?;
         // No departure barrier, for the reason `all_reduce` gives.
@@ -1582,25 +1684,21 @@ impl Rank {
         topology: Topology,
         out: &mut Vec<u32>,
     ) -> Result<UniqueGathered, CommError> {
-        match codec {
-            None => {
-                let mut slot = self.core.gather_u32[self.rank].write();
-                slot.clear();
-                slot.extend_from_slice(local);
-            }
-            Some(codec) => {
-                let mut slot = self.core.gather_bytes[self.rank].write();
-                let (n, frame) = &mut *slot;
-                *n = local.len();
-                frame.clear();
-                codec.encode(local, frame);
-                if self.take_corrupt_frame() {
-                    corrupt_frame(frame, 0xA5);
-                }
-            }
+        {
+            let mut slot = self.core.gather_u32[self.rank].write();
+            slot.clear();
+            slot.extend_from_slice(local);
         }
+        let torn = codec.is_some() && self.take_corrupt_frame();
+        self.core.torn[self.rank].store(torn, Ordering::Relaxed);
         let core = &self.core;
-        self.sync_leader(|| leader_unique(core, codec, topology))?;
+        self.sync_leader(|| {
+            let slots: Vec<_> = core.gather_u32.iter().map(|slot| slot.read()).collect();
+            let locals: Vec<&[u32]> = slots.iter().map(|slot| slot.as_slice()).collect();
+            let mut st = core.unique.write();
+            let torn = |sender: usize| core.torn[sender].load(Ordering::Relaxed);
+            st.error = st.gather(core.layout, codec, topology, &locals, torn).err();
+        })?;
         // No departure barrier: slots are read only by the leader, and
         // the next rendezvous's leader work — the only writer of this
         // state — runs once every rank has finished here.
@@ -1611,38 +1709,7 @@ impl Rank {
         }
         out.clear();
         out.extend_from_slice(st.sets.global());
-        Ok(UniqueGathered {
-            sent: st.sent[self.rank],
-            ..st.totals
-        })
-    }
-
-    /// Passes every flat ring chunk of `data` through a real
-    /// encode→decode round-trip in place. Lossless codecs make this a
-    /// bit-exact no-op; anything else corrupts the payload visibly.
-    fn codec_roundtrip_chunks(
-        &self,
-        data: &mut [f32],
-        codec: &dyn WireCodec<f32>,
-    ) -> Result<(), CommError> {
-        let g = self.world();
-        let n = data.len();
-        let mut wire = Vec::new();
-        let mut decoded: Vec<f32> = Vec::new();
-        for c in 0..g {
-            let range = chunk_range(n, g, c);
-            wire.clear();
-            codec.encode(&data[range.clone()], &mut wire);
-            if self.take_corrupt_frame() {
-                corrupt_frame(&mut wire, 0xA5);
-            }
-            decoded.clear();
-            if let Err(e) = codec.decode(&wire, range.len(), &mut decoded) {
-                return Err(self.poison(codec_error(self.rank, codec.name(), e)));
-            }
-            data[range].copy_from_slice(&decoded);
-        }
-        Ok(())
+        Ok(st.result(self.rank))
     }
 }
 
@@ -1671,6 +1738,224 @@ impl Drop for AbortOnDrop<'_> {
         if self.armed {
             self.rank.abort(std::mem::take(&mut self.reason));
         }
+    }
+}
+
+/// The lockstep communicator: one caller holds every rank's buffers
+/// and calls each collective **once, over all of them** — the same
+/// functions a threaded group's rendezvous leader runs
+/// (`reduce_in_place` and the codec round-trip, the unique-set
+/// gather's decode / [`NodeSets::build`] / pricing, the f16 gather's
+/// encoding, the scalar fold), so each collective's arithmetic, byte
+/// ledger and codec framing has one implementation. No thread parks:
+/// a rendezvous is [`World::meet`], a check of the group's state.
+///
+/// The failure model is [`Rank`]'s, made deterministic. The first
+/// failure ([`World::abort`], a frame that fails to decode) poisons the
+/// group for good and every later collective returns it. A rank that
+/// [`World::go_silent`]s makes the next rendezvous a
+/// [`CommError::Timeout`] naming the lowest-numbered rank still
+/// talking (rank 0 if none is), having waited the deadline's whole
+/// budget ([`BarrierDeadline::budget_ps`]) — simulated, not slept.
+#[derive(Debug)]
+pub struct World {
+    layout: NodeLayout,
+    deadline: Option<BarrierDeadline>,
+    /// First failure, if any. Permanent once set.
+    abort: Option<CommError>,
+    /// Ranks that stopped calling collectives without aborting.
+    silent: Vec<bool>,
+    /// Each rank's wire-corruption latch
+    /// ([`World::corrupt_next_codec_frame`]).
+    torn: Vec<bool>,
+    /// The unique-set gather's work and result, buffers reused.
+    unique: UniqueState,
+    /// One sender's FP16 frame, reused by the f16 gather.
+    frame: Vec<u16>,
+}
+
+impl World {
+    /// A world of `world` ranks laid out `gpus_per_node` per node, with
+    /// an optional deadline for silent ranks — the arguments of
+    /// [`CommGroup::create_full`] but its thread pool.
+    pub fn new(world: usize, gpus_per_node: usize, deadline: Option<BarrierDeadline>) -> Self {
+        assert!(world >= 1, "group needs at least one rank");
+        World {
+            layout: NodeLayout::new(world, gpus_per_node),
+            deadline,
+            abort: None,
+            silent: vec![false; world],
+            torn: vec![false; world],
+            unique: UniqueState::default(),
+            frame: Vec::new(),
+        }
+    }
+
+    /// Group size `G`.
+    pub fn world(&self) -> usize {
+        self.layout.world()
+    }
+
+    /// The group's node size.
+    pub fn gpus_per_node(&self) -> usize {
+        self.layout.gpus_per_node()
+    }
+
+    /// Poisons the group on behalf of `rank` ([`Rank::abort`]): the
+    /// first failure's attribution wins.
+    pub fn abort(&mut self, rank: usize, reason: impl Into<String>) {
+        self.fail(CommError::abort(rank, reason));
+    }
+
+    /// `rank` stops calling collectives without aborting (a hang): the
+    /// next rendezvous times out. Panics without a deadline — nothing
+    /// would ever end the wait.
+    pub fn go_silent(&mut self, rank: usize) {
+        assert!(
+            self.deadline.is_some(),
+            "a silent rank needs a barrier deadline"
+        );
+        self.silent[rank] = true;
+    }
+
+    /// Arms `rank`'s one-shot wire-corruption latch
+    /// ([`Rank::corrupt_next_codec_frame`]): the next frame of `rank`
+    /// a collective frames — a codec frame, a row payload of a visiting
+    /// f32 / f16 gather — is torn in flight.
+    pub fn corrupt_next_codec_frame(&mut self, rank: usize) {
+        self.torn[rank] = true;
+    }
+
+    /// The rendezvous: `Err` once the group is poisoned, and a
+    /// [`CommError::Timeout`] (which then poisons it) while any rank is
+    /// silent.
+    pub fn meet(&mut self) -> Result<(), CommError> {
+        if let Some(e) = &self.abort {
+            return Err(e.clone());
+        }
+        if let Some(deadline) = self.deadline.filter(|_| self.silent.contains(&true)) {
+            let rank = self.silent.iter().position(|&s| !s).unwrap_or(0);
+            return Err(self.fail(CommError::Timeout {
+                rank,
+                waited_ps: deadline.budget_ps(),
+            }));
+        }
+        Ok(())
+    }
+
+    /// Records `err` as the group's failure unless one came first, and
+    /// hands it back.
+    fn fail(&mut self, err: CommError) -> CommError {
+        self.abort.get_or_insert_with(|| err.clone());
+        err
+    }
+
+    /// [`Rank::all_reduce`] over every rank's buffer at once: `bufs[r]`
+    /// is rank `r`'s range (all of one length). On `Ok` every buffer
+    /// holds the canonical reduction and `sent[r]` what rank `r` sent. A
+    /// codec frame that fails to decode is an `Err` naming the rank
+    /// whose latch tore it.
+    pub fn all_reduce(
+        &mut self,
+        bufs: &mut [&mut [f32]],
+        wire: Wire<'_>,
+        topology: Topology,
+        sent: &mut [TierBytes],
+    ) -> Result<(), CommError> {
+        let scale = f16_scale(wire);
+        self.meet()?;
+        sent.fill(TierBytes::default());
+        if self.world() == 1 {
+            return Ok(());
+        }
+        reduce_in_place(bufs, scale);
+        for (r, data) in bufs.iter_mut().enumerate() {
+            if let Some(codec) = wire.codec() {
+                let torn = std::mem::take(&mut self.torn[r]);
+                codec_roundtrip_chunks(data, codec, self.world(), r, torn)
+                    .map_err(|e| self.fail(e))?;
+            }
+            sent[r] = all_reduce_sent(self.layout, topology, r, wire, data);
+        }
+        Ok(())
+    }
+
+    /// [`Rank::all_gather_unique`] over every rank's `locals[r] = J_r`.
+    /// Read the result with [`World::unique_set`] and
+    /// [`World::unique_gathered`].
+    pub fn all_gather_unique(
+        &mut self,
+        locals: &[&[u32]],
+        codec: Option<&dyn WireCodec<u32>>,
+        topology: Topology,
+    ) -> Result<(), CommError> {
+        self.meet()?;
+        let torn = &mut self.torn;
+        let res = self
+            .unique
+            .gather(self.layout, codec, topology, locals, |sender| {
+                std::mem::take(&mut torn[sender])
+            });
+        res.map_err(|e| self.fail(e))
+    }
+
+    /// The canonical global set `Î` of the last unique-set gather.
+    pub fn unique_set(&self) -> &[u32] {
+        self.unique.sets.global()
+    }
+
+    /// Rank `rank`'s [`UniqueGathered`] of the last unique-set gather.
+    pub fn unique_gathered(&self, rank: usize) -> UniqueGathered {
+        self.unique.result(rank)
+    }
+
+    /// [`Rank::all_gather_f32_visit`] over every rank's `payloads[r]`:
+    /// `visit(s, rows)` sees each sender's payload once, in rank order,
+    /// where it lies (torn when the sender's latch is armed). Each
+    /// rank's sends are [`peer_exchange_tier_bytes`] of its payload. An
+    /// `Err` from `visit` poisons the group and is returned.
+    pub fn all_gather_f32_visit(
+        &mut self,
+        payloads: &[&[f32]],
+        mut visit: impl FnMut(usize, &[f32]) -> Result<(), CommError>,
+    ) -> Result<(), CommError> {
+        self.meet()?;
+        for (sender, payload) in payloads.iter().enumerate() {
+            let torn = std::mem::take(&mut self.torn[sender]);
+            visit(sender, delivered(payload, torn, &[0.0])).map_err(|e| self.fail(e))?;
+        }
+        Ok(())
+    }
+
+    /// [`Rank::all_gather_f16_visit`] over every rank's `payloads[r]`:
+    /// each sender's payload is encoded to binary16 once, decoded into
+    /// `staging` and visited, in rank order.
+    pub fn all_gather_f16_visit(
+        &mut self,
+        payloads: &[&[f32]],
+        scale: f32,
+        staging: &mut Vec<f32>,
+        mut visit: impl FnMut(usize, &[f32]) -> Result<(), CommError>,
+    ) -> Result<(), CommError> {
+        let inv = 1.0 / checked_scale(scale);
+        self.meet()?;
+        for (sender, payload) in payloads.iter().enumerate() {
+            encode_f16(payload, scale, &mut self.frame);
+            let torn = std::mem::take(&mut self.torn[sender]);
+            decode_f16(delivered(&self.frame, torn, &[0]), inv, staging);
+            visit(sender, staging).map_err(|e| self.fail(e))?;
+        }
+        Ok(())
+    }
+
+    /// [`Rank::all_reduce_sum_max`] over every rank's `(sum, max)`, in
+    /// rank order.
+    pub fn all_reduce_sum_max(
+        &mut self,
+        values: impl IntoIterator<Item = (f64, [u64; 2])>,
+    ) -> Result<(f64, [u64; 2]), CommError> {
+        self.meet()?;
+        Ok(fold_sum_max(values))
     }
 }
 

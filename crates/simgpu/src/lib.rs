@@ -8,8 +8,11 @@
 //! * [`device::Device`] — a simulated GPU: an id plus a memory accountant
 //!   with capacity, live usage, peak tracking and out-of-memory errors
 //!   (how the paper's baseline dies beyond 24 GPUs).
-//! * [`comm`] — a thread-group communicator with **real** data-moving
-//!   collectives: one ALLREDUCE ([`comm::Rank::all_reduce`]) whose wire
+//! * [`comm`] — **real** data-moving collectives, twice over one
+//!   implementation: [`comm::World`], the lockstep communicator the
+//!   trainer calls once per collective over every rank's buffers, and a
+//!   thread-group communicator ([`comm::Rank`]) whose rendezvous leader
+//!   runs the same functions: one ALLREDUCE ([`comm::Rank::all_reduce`]) whose wire
 //!   format (f32, FP16 with compression scaling, lossless codec) and
 //!   wire schedule (the flat ring of Gibiansky's ring-allreduce the
 //!   paper cites, or the two-tier §V-C schedule) are parameters and
@@ -48,13 +51,18 @@
 //!   exporter, so individual collectives, barrier waits and injected
 //!   straggler delays are visible per rank, not just in aggregates.
 //! * [`pool::RunGate`] / [`pool::run_ranks`] — a bounded worker pool so
-//!   hundreds of ranks multiplex over ~num_cpus OS-thread run slots,
+//!   hundreds of rank threads multiplex over ~num_cpus run slots,
 //!   parking slot-free at collectives (paper-scale worlds of 48–192
-//!   ranks in tests and benches).
+//!   ranks in tests and benches of the threaded group).
+//! * [`timing`] — phase stopwatches: [`timing::PhaseTimer`] for a
+//!   threaded rank, [`timing::RankClock`] for a rank under a lockstep
+//!   driver (its phases, and the wait before each collective).
 //!
-//! Threads stand in for GPUs: one (small-stack) thread per rank holds
-//! the rank's program state; collectives are rendezvous-style, moving
-//! every payload through shared sender-indexed slots. Each collective
+//! Under the trainer's lockstep driver a simulated GPU is a rank's state
+//! and each collective one function call over all of them; in a threaded
+//! group one (small-stack) thread per rank holds the rank's program
+//! state and collectives are rendezvous-style, moving every payload
+//! through shared sender-indexed slots. Each collective
 //! prices its own sends from the payload it actually moved (a codec's
 //! from its encoded frames) and returns them split per interconnect
 //! [`traffic::Tier`] (PCIe within a node, Infiniband between nodes).
@@ -78,7 +86,7 @@ pub use codec::{CodecError, DeltaVarintCodec, ExpPackCodec, WireCodec, WireCodec
 pub use comm::{
     allreduce_send_bytes, chunk_range, f16_bits_to_f32, f32_to_f16_bits, peer_exchange_tier_bytes,
     quantize_f16, ring_send_tier, unique_gather_tier_bytes, AbortOnDrop, BarrierDeadline,
-    CommError, CommGroup, Rank, UniqueFrames, UniqueGathered, Wire,
+    CommError, CommGroup, Rank, UniqueFrames, UniqueGathered, Wire, World,
 };
 pub use cost::{AlphaBeta, CostModel, TierCost};
 pub use dedupe::NodeSets;
@@ -87,7 +95,7 @@ pub use fault::{DiskFault, DiskFaultPlan, FaultPlan};
 pub use hw::HardwareConfig;
 pub use layout::{NodeLayout, Topology};
 pub use pool::{run_ranks, RunGate};
-pub use timing::PhaseTimer;
+pub use timing::{PhaseTimer, RankClock};
 pub use trace::{
     chrome_trace_json, chrome_trace_json_with_counters, secs_to_ps, sim_trace_json, CounterTrack,
     SimSpan, SimStream, SpanKind, TraceEvent, TraceLog, TraceRecorder,

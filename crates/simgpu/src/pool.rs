@@ -100,7 +100,9 @@ impl RunGate {
             self.running.fetch_sub(1, Ordering::Relaxed);
         }
         drop(avail);
-        self.cvar.notify_all();
+        // One slot was freed, so one waiter can take it: waking them all
+        // (192 ranks over 2 slots) only sends all but one back to park.
+        self.cvar.notify_one();
     }
 }
 
