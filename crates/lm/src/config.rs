@@ -287,13 +287,12 @@ impl Default for CheckpointConfig {
 /// Cluster-topology and rank-scheduling knobs.
 ///
 /// The defaults reproduce the pre-topology trainer exactly: a flat ring
-/// across all `G` GPUs with one unbounded OS thread per rank. Turning
-/// on `hierarchical` routes the dense-gradient ALLREDUCE through the
-/// two-tier schedule (intra-node PCIe ring, inter-node Infiniband ring
-/// between node leaders) — bit-identical results, different wire
-/// accounting and α–β time. Setting `pool_workers` bounds how many
-/// ranks *run* concurrently (see [`simgpu::RunGate`]), which is what
-/// makes paper-scale worlds of 48–192 ranks practical on a small box.
+/// across all `G` GPUs, with a step's compute fanned out over every
+/// core. Turning on `hierarchical` routes the dense-gradient ALLREDUCE
+/// through the two-tier schedule (intra-node PCIe ring, inter-node
+/// Infiniband ring between node leaders) — bit-identical results,
+/// different wire accounting and α–β time. Setting `pool_workers`
+/// bounds how many ranks *run* concurrently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommConfig {
     /// GPUs per node: the group's one node size, read by tier
@@ -305,8 +304,9 @@ pub struct CommConfig {
     /// several. Results are bit-identical to the flat schedules; only
     /// wire/time accounting moves.
     pub hierarchical: bool,
-    /// Run-slot cap for rank execution; `0` = unpooled (every rank
-    /// thread runnable at once — the legacy behaviour).
+    /// At most this many ranks run at once: the lockstep driver fans a
+    /// step's compute out over at most this many workers (`0` = the
+    /// cores), never more than `std::thread::available_parallelism()`.
     pub pool_workers: usize,
     /// Overlap communication with compute in the step schedule: comm
     /// ops launch as soon as their payload is produced by the backward
@@ -358,7 +358,7 @@ impl CommConfig {
     }
 
     /// Two-tier hierarchical collectives on the hardware preset's node
-    /// size, with rank execution bounded to `pool_workers` run slots.
+    /// size, with at most `pool_workers` ranks running at once.
     pub fn hierarchical_pooled(pool_workers: usize) -> Self {
         Self {
             hierarchical: true,

@@ -18,8 +18,11 @@
 //!
 //! Either path can run with FP16 wire compression (§III-C). Both are
 //! reached through [`exchange_and_apply_with`] (or its tracing twin
-//! [`exchange_and_apply_traced`]); the strategy is a field of
-//! [`ExchangeConfig`], not a choice of function.
+//! [`exchange_and_apply_traced`]) on a threaded rank, and through
+//! `exchange_world` for every rank at once on the trainer's lockstep
+//! [`World`]; the two share every per-rank step and every collective's
+//! implementation, and the strategy is a field of [`ExchangeConfig`],
+//! not a choice of function.
 //!
 //! ## The hot path is allocation-free
 //!
@@ -58,21 +61,26 @@
 //! Every exchange returns `Result<ExchangeStats, CommError>`: if any
 //! peer rank poisons the group mid-step (OOM, injected fault, panic),
 //! the collectives inside propagate the abort instead of deadlocking,
-//! and the caller is expected to bubble the error up to its own
-//! [`simgpu::Rank::abort`]-guarded step loop.
+//! and the caller is expected to bubble the error up to its step loop.
 
 use crate::schedule::{buckets, ExchangeLoad};
 use nn::{Embedding, SparseGrad};
 use perfmodel::memory;
 pub use perfmodel::schedule::ExchangeConfig;
-use simgpu::{CommError, PhaseTimer, Rank, SpanKind, TraceRecorder, TrafficSnapshot};
+use simgpu::{
+    peer_exchange_tier_bytes, CommError, PhaseTimer, Rank, RankClock, SpanKind, TierBytes,
+    TraceRecorder, TrafficSnapshot, UniqueGathered, World,
+};
+use std::time::Instant;
 
 /// Wall-clock nanoseconds per exchange phase, measured on this rank.
 ///
 /// Integer nanos (not floats) so the containing [`ExchangeStats`] stays
-/// `Eq`. On the thread-per-rank simulator these include barrier waits,
-/// so they rank the *implementation* (allocation, sorting, scatter
-/// cost), not the modelled fabric — the α–β cost model covers that.
+/// `Eq`. A collective phase includes the wait for the last rank (parked
+/// at the barrier on a threaded rank; from the rank's last phase to the
+/// collective's start under lockstep), so they rank the
+/// *implementation* (allocation, sorting, scatter cost), not the
+/// modelled fabric — the α–β cost model covers that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseTimings {
     /// Index (and, for the baseline, row) ALLGATHER time.
@@ -264,11 +272,122 @@ impl ExchangeScratch {
             self.slot_of[w as usize] = slot as u32;
         }
     }
+
+    /// Step 5: scatters `∆̂` into the canonical `Ug×D` matrix `M` (zeros
+    /// filled); `slot_of` holds every word of `Î`'s row, giving O(1)
+    /// lookup per locally-unique row.
+    fn scatter(&mut self, d: usize) {
+        self.m.clear();
+        self.m.resize(self.unique.len() * d, 0.0);
+        for (i, &idx) in self.reduced_indices.iter().enumerate() {
+            let slot = self.slot_of[idx as usize] as usize;
+            self.m[slot * d..(slot + 1) * d]
+                .copy_from_slice(&self.reduced_rows[i * d..(i + 1) * d]);
+        }
+    }
+}
+
+/// `w -= lr·v` for every `(index, row)` pair in order: a repeated index
+/// accumulates. The baseline applies every sender's rows through it,
+/// the unique path `M̂` through `Î`.
+fn apply_rows(table: &mut Embedding, indices: &[u32], rows: &[f32], lr: f32) {
+    let d = table.dim();
+    if d == 0 {
+        return;
+    }
+    for (&idx, row) in indices.iter().zip(rows.chunks_exact(d)) {
+        let dst = table.weights_mut().row_mut(idx as usize);
+        for (w, &v) in dst.iter_mut().zip(row) {
+            *w -= lr * v;
+        }
+    }
+}
+
+/// The baseline row gather's framing: sender `sender`'s payload must be
+/// one `d`-wide row per index it published, or it is a typed error
+/// naming the sender.
+fn check_rows(sender: usize, rows: &[f32], indices: usize, d: usize) -> Result<(), CommError> {
+    if rows.len() == indices * d {
+        return Ok(());
+    }
+    Err(CommError::abort(
+        sender,
+        format!(
+            "baseline exchange: rank {sender} sent {} row elements for {indices} indices × {d}",
+            rows.len()
+        ),
+    ))
+}
+
+/// A baseline exchange's stats for one rank: its `local` rows, the
+/// index and row gathers' sends, and the `total_rows` the gathers moved
+/// world-wide — what the modelled GPU holds simultaneously (`G·K`
+/// indices + `G·K·D` rows; the host reads the rows in place, the charge
+/// is the paper's).
+fn baseline_stats(
+    local: usize,
+    index_sent: TierBytes,
+    rows_sent: TierBytes,
+    total_rows: u64,
+    d: usize,
+    timings: PhaseTimings,
+) -> ExchangeStats {
+    let sent = TrafficSnapshot::allgather(index_sent + rows_sent, 2);
+    ExchangeStats {
+        local_tokens: local,
+        wire_bytes: sent.total_bytes(),
+        sent,
+        peak_buffer_bytes: memory::exchange_bytes(total_rows, d, None),
+        index_enc_bytes: total_rows * 4,
+        timings,
+        // No unique set, no ALLREDUCE on this path.
+        ..ExchangeStats::default()
+    }
+}
+
+/// A unique exchange's stats for one rank of `world`: what its index
+/// gather and step 6's ALLREDUCEs returned, its `u_local` and the
+/// step's `u_global`.
+fn unique_stats(
+    gathered: UniqueGathered,
+    reduced: ReducedBytes,
+    (u_local, u_global): (usize, usize),
+    world: usize,
+    d: usize,
+    timings: PhaseTimings,
+) -> ExchangeStats {
+    let mut sent = TrafficSnapshot::allgather(gathered.sent, 1);
+    sent += reduced.sent;
+    // Buffers live simultaneously at the ALLREDUCE: the indices the
+    // gather left on the GPU (every G·K of J on the flat schedule; the
+    // node sets Σ|U_n| and Î on the node schedule), the locally-reduced
+    // Ĵ (Ui indices) + ∆̂ (Ui×D rows) that step 5 scatters from, and the
+    // Ug×D matrix M itself.
+    let held = match gathered.node_sets {
+        0 => gathered.indices,
+        node_sets => node_sets + u_global as u64,
+    };
+    let distinct = Some((u_local as u64, u_global as u64));
+    ExchangeStats {
+        local_tokens: (gathered.indices / world as u64) as usize,
+        unique_local: u_local,
+        unique_global: u_global,
+        wire_bytes: sent.total_bytes(),
+        sent,
+        peak_buffer_bytes: memory::exchange_bytes(held, d, distinct),
+        reduce_raw_bytes: reduced.raw,
+        reduce_enc_bytes: reduced.enc,
+        index_enc_bytes: gathered.frames,
+        node_unique: gathered.node_sets as usize,
+        timings,
+    }
 }
 
 /// Runs one exchange per `cfg` — the baseline dense ALLGATHER or the
 /// §III-A uniqueness path — and applies the synchronised update to
 /// `table`, reusing `scratch`'s buffers (zero steady-state allocation).
+/// This rank's side of the trainer's lockstep `exchange_world`: the same
+/// per-rank steps, the same collectives on a threaded group.
 pub fn exchange_and_apply_with(
     rank: &Rank,
     grad: &SparseGrad,
@@ -318,7 +437,6 @@ fn baseline_exchange(
     trace: Option<&mut TraceRecorder>,
 ) -> Result<ExchangeStats, CommError> {
     let d = table.dim();
-    let n_local = grad.indices.len();
     let mut timer = PhaseTimer::start(trace);
     let mut timings = PhaseTimings::default();
     let ExchangeScratch {
@@ -349,23 +467,8 @@ fn baseline_exchange(
             timings.gather_ns = timer.lap(SpanKind::Gather, index_sent.total());
         }
         let indices = &all_indices[applied..applied + sender_counts[sender]];
-        if rows.len() != indices.len() * d {
-            return Err(CommError::abort(
-                sender,
-                format!(
-                    "baseline exchange: rank {sender} sent {} row elements for {} indices × {d}",
-                    rows.len(),
-                    indices.len()
-                ),
-            ));
-        }
-        for (i, &idx) in indices.iter().enumerate() {
-            let row = &rows[i * d..(i + 1) * d];
-            let dst = table.weights_mut().row_mut(idx as usize);
-            for (w, &v) in dst.iter_mut().zip(row) {
-                *w -= lr * v;
-            }
-        }
+        check_rows(sender, rows, indices.len(), d)?;
+        apply_rows(table, indices, rows, lr);
         applied += indices.len();
         Ok(())
     };
@@ -374,22 +477,15 @@ fn baseline_exchange(
         None => rank.all_gather_f32_visit(grad.rows.as_slice(), apply)?,
     };
     timings.apply_ns = timer.lap(SpanKind::Apply, rows_sent.total());
-    let sent = TrafficSnapshot::allgather(index_sent + rows_sent, 2);
-
-    // What the modelled GPU holds simultaneously: G·K indices + G·K·D
-    // rows (the host reads the rows in place; the charge is the paper's).
     let total_rows = all_indices.len() as u64;
-
-    Ok(ExchangeStats {
-        local_tokens: n_local,
-        wire_bytes: sent.total_bytes(),
-        sent,
-        peak_buffer_bytes: memory::exchange_bytes(total_rows, d, None),
-        index_enc_bytes: total_rows * 4,
+    Ok(baseline_stats(
+        grad.indices.len(),
+        index_sent,
+        rows_sent,
+        total_rows,
+        d,
         timings,
-        // No unique set, no ALLREDUCE on this path.
-        ..ExchangeStats::default()
-    })
+    ))
 }
 
 /// The uniqueness exchange — §III-A, steps 1–7 — on pooled buffers.
@@ -433,16 +529,8 @@ fn unique_exchange(
     let u_global = scratch.unique.len();
     timings.unique_ns += timer.lap(SpanKind::Unique, 0);
 
-    // Step 5: scatter ∆̂ into the canonical Ug×D layout M (zeros filled).
-    // `slot_of` holds every word of Î's row, giving O(1) lookup per
-    // locally-unique row.
-    scratch.m.clear();
-    scratch.m.resize(u_global * d, 0.0);
-    for (i, &idx) in scratch.reduced_indices.iter().enumerate() {
-        let slot = scratch.slot_of[idx as usize] as usize;
-        scratch.m[slot * d..(slot + 1) * d]
-            .copy_from_slice(&scratch.reduced_rows[i * d..(i + 1) * d]);
-    }
+    // Step 5: scatter ∆̂ into the canonical Ug×D layout M.
+    scratch.scatter(d);
     timings.scatter_ns = timer.lap(SpanKind::Scatter, 0);
 
     // Step 6: ALLREDUCE the aligned matrices, one collective call per
@@ -455,41 +543,190 @@ fn unique_exchange(
 
     // Step 7: apply M̂ through Î. Indices are unique ⇒ no duplicate-row
     // serialisation.
-    for (slot, &idx) in scratch.unique.iter().enumerate() {
-        let dst = table.weights_mut().row_mut(idx as usize);
-        for (w, &v) in dst.iter_mut().zip(&scratch.m[slot * d..(slot + 1) * d]) {
-            *w -= lr * v;
-        }
-    }
+    apply_rows(table, &scratch.unique, &scratch.m, lr);
     timings.apply_ns = timer.lap(SpanKind::Apply, 0);
 
-    // Index gather and step 6's ALLREDUCEs: what each returned.
-    let mut sent = TrafficSnapshot::allgather(gathered.sent, 1);
-    sent += reduced.sent;
-    // Buffers live simultaneously at the ALLREDUCE: the indices the
-    // gather left on the GPU (every G·K of J on the flat schedule; the
-    // node sets Σ|U_n| and Î on the node schedule), the locally-reduced
-    // Ĵ (Ui indices) + ∆̂ (Ui×D rows) that step 5 scatters from, and the
-    // Ug×D matrix M itself.
-    let held = match gathered.node_sets {
-        0 => gathered.indices,
-        node_sets => node_sets + u_global as u64,
-    };
-    let distinct = Some((u_local as u64, u_global as u64));
-
-    Ok(ExchangeStats {
-        local_tokens: (gathered.indices / rank.world() as u64) as usize,
-        unique_local: u_local,
-        unique_global: u_global,
-        wire_bytes: sent.total_bytes(),
-        sent,
-        peak_buffer_bytes: memory::exchange_bytes(held, d, distinct),
-        reduce_raw_bytes: reduced.raw,
-        reduce_enc_bytes: reduced.enc,
-        index_enc_bytes: gathered.frames,
-        node_unique: gathered.node_sets as usize,
+    Ok(unique_stats(
+        gathered,
+        reduced,
+        (u_local, u_global),
+        rank.world(),
+        d,
         timings,
-    })
+    ))
+}
+
+/// One rank's side of an [`exchange_world`]: its sparse gradient, its
+/// scratch pool and its clock.
+pub(crate) struct Member<'a> {
+    pub(crate) grad: &'a SparseGrad,
+    pub(crate) scratch: &'a mut ExchangeScratch,
+    pub(crate) clock: &'a mut RankClock,
+}
+
+/// [`exchange_and_apply_with`] for every rank of `world` at once, as a
+/// lockstep driver runs it: each per-rank step over every member in
+/// turn, each collective once over all members' buffers, and the
+/// synchronised update applied once to `table`, the world's one copy
+/// of the embedding every rank's replica holds. The table, the scratch
+/// contents and every rank's [`ExchangeStats`] (but for the wall-clock
+/// `timings`) are bit-identical to each threaded rank's; each member's
+/// clock records the phases as spans, the collectives from when the
+/// member was ready (see [`RankClock::joined`]).
+pub(crate) fn exchange_world(
+    world: &mut World,
+    members: &mut [Member],
+    table: &mut Embedding,
+    lr: f32,
+    cfg: &ExchangeConfig,
+) -> Result<Vec<ExchangeStats>, CommError> {
+    if cfg.unique {
+        unique_world(world, members, table, lr, cfg)
+    } else {
+        baseline_world(world, members, table, lr, cfg.compression)
+    }
+}
+
+/// [`baseline_exchange`] over every member: the index gather moves
+/// nothing the senders do not already hold, and the row gather visits
+/// each sender's payload once and applies it to `table`.
+fn baseline_world(
+    world: &mut World,
+    members: &mut [Member],
+    table: &mut Embedding,
+    lr: f32,
+    compression: Option<f32>,
+) -> Result<Vec<ExchangeStats>, CommError> {
+    let (g, gpn) = (world.world(), world.gpus_per_node());
+    let d = table.dim();
+    let grads: Vec<&SparseGrad> = members.iter().map(|m| m.grad).collect();
+    let total_rows: u64 = grads.iter().map(|grad| grad.indices.len() as u64).sum();
+    let sent = |r: usize, bytes: usize| peer_exchange_tier_bytes(g, gpn, r, bytes as u64);
+    let index_sent: Vec<TierBytes> = (0..g)
+        .map(|r| sent(r, grads[r].indices.len() * 4))
+        .collect();
+
+    let start = Instant::now();
+    world.meet()?;
+    let gathered = Instant::now();
+    let mut timings = vec![PhaseTimings::default(); g];
+    for ((m, t), index_sent) in members.iter_mut().zip(&mut timings).zip(&index_sent) {
+        let bytes = index_sent.total();
+        t.gather_ns = m.clock.joined(SpanKind::Gather, start, gathered, bytes);
+    }
+
+    let payloads: Vec<&[f32]> = grads.iter().map(|grad| grad.rows.as_slice()).collect();
+    let apply = |sender: usize, rows: &[f32]| {
+        let indices = &grads[sender].indices;
+        check_rows(sender, rows, indices.len(), d)?;
+        apply_rows(table, indices, rows, lr);
+        Ok(())
+    };
+    let mut staging = Vec::new();
+    match compression {
+        Some(scale) => world.all_gather_f16_visit(&payloads, scale, &mut staging, apply)?,
+        None => world.all_gather_f32_visit(&payloads, apply)?,
+    }
+    let applied = Instant::now();
+    let elem = if compression.is_some() { 2 } else { 4 };
+    Ok(members
+        .iter_mut()
+        .zip(timings)
+        .enumerate()
+        .map(|(r, (m, mut t))| {
+            let rows_sent = sent(r, grads[r].rows.as_slice().len() * elem);
+            t.apply_ns = m
+                .clock
+                .joined(SpanKind::Apply, gathered, applied, rows_sent.total());
+            let local = grads[r].indices.len();
+            baseline_stats(local, index_sent[r], rows_sent, total_rows, d, t)
+        })
+        .collect())
+}
+
+/// [`unique_exchange`] over every member: steps 1–2 and 5 per member,
+/// steps 3–4 and 6 once over all of them, and step 7 once to `table`.
+fn unique_world(
+    world: &mut World,
+    members: &mut [Member],
+    table: &mut Embedding,
+    lr: f32,
+    cfg: &ExchangeConfig,
+) -> Result<Vec<ExchangeStats>, CommError> {
+    let g = world.world();
+    let (d, vocab) = (table.dim(), table.vocab());
+    let mut timings = vec![PhaseTimings::default(); g];
+    let mut u_local = vec![0; g];
+
+    for ((m, t), u) in members.iter_mut().zip(&mut timings).zip(&mut u_local) {
+        let (grad, scratch) = (m.grad, &mut *m.scratch);
+        let ((), ns) = m.clock.phase(
+            SpanKind::Unique,
+            || {
+                scratch.ensure_vocab(vocab);
+                scratch.local_reduce(grad, d);
+            },
+            |_| 0,
+        );
+        (t.unique_ns, *u) = (ns, scratch.reduced_indices.len());
+    }
+
+    let locals: Vec<&[u32]> = members.iter().map(|m| m.grad.indices.as_slice()).collect();
+    let start = Instant::now();
+    world.all_gather_unique(&locals, cfg.codec.index_codec(), cfg.topology())?;
+    let end = Instant::now();
+    let global = world.unique_set();
+    for (r, (m, t)) in members.iter_mut().zip(&mut timings).enumerate() {
+        let bytes = world.unique_gathered(r).sent.total();
+        t.gather_ns = m.clock.joined(SpanKind::Gather, start, end, bytes);
+        let scratch = &mut *m.scratch;
+        t.unique_ns += m
+            .clock
+            .phase(
+                SpanKind::Unique,
+                || {
+                    scratch.unique.clear();
+                    scratch.unique.extend_from_slice(global);
+                    scratch.slot_unique();
+                },
+                |_| 0,
+            )
+            .1;
+        t.scatter_ns = m
+            .clock
+            .phase(SpanKind::Scatter, || scratch.scatter(d), |_| 0)
+            .1;
+    }
+
+    let start = Instant::now();
+    let mut bufs: Vec<&mut [f32]> = members
+        .iter_mut()
+        .map(|m| m.scratch.m.as_mut_slice())
+        .collect();
+    let reduced = all_reduce_bucketed_world(world, &mut bufs, cfg)?;
+    let reduced_at = Instant::now();
+    // Every member's M̂ is the one reduction: apply it once.
+    if let Some(m) = members.first() {
+        apply_rows(table, &m.scratch.unique, &m.scratch.m, lr);
+    }
+    let applied = Instant::now();
+    let u_global = world.unique_set().len();
+    Ok(members
+        .iter_mut()
+        .zip(timings)
+        .zip(u_local)
+        .zip(reduced)
+        .enumerate()
+        .map(|(r, (((m, mut t), u_local), reduced))| {
+            let bytes = reduced.sent.total_bytes();
+            t.allreduce_ns = m
+                .clock
+                .joined(SpanKind::AllReduce, start, reduced_at, bytes);
+            t.apply_ns = m.clock.joined(SpanKind::Apply, reduced_at, applied, 0);
+            let gathered = world.unique_gathered(r);
+            unique_stats(gathered, reduced, (u_local, u_global), g, d, t)
+        })
+        .collect())
 }
 
 /// What one bucketed ALLREDUCE put on the wire for this rank.
@@ -512,14 +749,15 @@ pub struct ReducedBytes {
 /// ALLREDUCEs `data` in place the way `cfg` runs a gradient payload:
 /// its wire format and topology, one collective call per gradient
 /// bucket of at most `cfg.bucket_bytes` wire bytes (see [`buckets`]) —
-/// the only place gradient buckets meet a collective: the trainer's
-/// dense ALLREDUCE and the exchange's step-6 `Ug×D` ALLREDUCE both call
-/// it. Each bucket is a range of the one buffer, which the collective
-/// borrows rather than copies ([`Rank::all_reduce`]). Reduction is
-/// elementwise under a canonical leader order, so neither the slicing
-/// nor the topology moves a bit; the returned bytes are the
-/// collective's own, exact even when a bucket does not divide by the
-/// world size.
+/// with its lockstep twin `all_reduce_bucketed_world`, the only place
+/// gradient buckets meet a collective: the dense ALLREDUCE and the
+/// exchange's step-6 `Ug×D` ALLREDUCE both call one of them. Each
+/// bucket is a range of the
+/// one buffer, which the collective borrows rather than copies
+/// ([`Rank::all_reduce`]). Reduction is elementwise under a canonical
+/// leader order, so neither the slicing nor the topology moves a bit;
+/// the returned bytes are the collective's own, exact even when a
+/// bucket does not divide by the world size.
 pub fn all_reduce_bucketed(
     rank: &Rank,
     data: &mut Vec<f32>,
@@ -538,13 +776,45 @@ pub fn all_reduce_bucketed(
     Ok(out)
 }
 
+/// [`all_reduce_bucketed`] over every rank's buffer at once (`data[r]`
+/// is rank `r`'s, all of one length), on the lockstep [`World`]: the
+/// same buckets, each one [`World::all_reduce`]; every rank's bytes.
+pub(crate) fn all_reduce_bucketed_world(
+    world: &mut World,
+    data: &mut [&mut [f32]],
+    cfg: &ExchangeConfig,
+) -> Result<Vec<ReducedBytes>, CommError> {
+    let (wire, topology) = (cfg.grad_wire(), cfg.topology());
+    let n = data.first().map_or(0, |d| d.len());
+    let mut out = vec![
+        ReducedBytes {
+            raw: n as u64 * wire.elem_bytes(),
+            ..ReducedBytes::default()
+        };
+        data.len()
+    ];
+    let mut sent = vec![TierBytes::default(); data.len()];
+    for range in buckets(n, wire.elem_bytes(), cfg.bucket_bytes) {
+        let mut bufs: Vec<&mut [f32]> = data.iter_mut().map(|d| &mut d[range.clone()]).collect();
+        world.all_reduce(&mut bufs, wire, topology, &mut sent)?;
+        // Rank-invariant: every buffer holds the one reduction.
+        let enc = bufs.first().map_or(0, |b| wire.encoded_len(b));
+        for (o, s) in out.iter_mut().zip(&sent) {
+            o.sent += TrafficSnapshot::allreduce(*s, 1);
+            o.enc += enc;
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Method;
     use perfmodel::TechniqueStack;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use simgpu::CommGroup;
+    use simgpu::{CommGroup, WireCodecId};
     use tensor::Matrix;
 
     const D: usize = 4;
@@ -602,6 +872,152 @@ mod tests {
             let stats = oneshot(&rank, &grad, &mut table, &cfg).unwrap();
             (table.weights().clone(), stats)
         })
+    }
+
+    /// Exchanges per rank and step, in [`threaded_vs_lockstep`].
+    const STEPS: u64 = 2;
+
+    /// Every rank's table bits and stats (timings zeroed — they are wall
+    /// clock) after one exchange, or the error it returned.
+    type Outcome = Result<(Vec<u32>, ExchangeStats), CommError>;
+
+    fn outcome(table: &Embedding, stats: ExchangeStats) -> (Vec<u32>, ExchangeStats) {
+        let bits = table
+            .weights()
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let timings = PhaseTimings::default();
+        (bits, ExchangeStats { timings, ..stats })
+    }
+
+    /// Step `step`'s sparse gradients, one per rank, of ragged length.
+    fn step_grads(world: usize, step: u64) -> Vec<SparseGrad> {
+        (0..world)
+            .map(|r| make_grad(1000 * step + r as u64, 6 + r % 5))
+            .collect()
+    }
+
+    /// [`STEPS`] exchanges under `cfg` on `world` ranks laid out `gpn`
+    /// per node, rank `corrupt`'s first frame torn: per step, every
+    /// rank's [`Outcome`] from the threaded exchange on persistent rank
+    /// threads, each with its own table, and from the lockstep
+    /// [`exchange_world`], which updates the world's one table.
+    fn threaded_vs_lockstep(
+        world: usize,
+        gpn: usize,
+        cfg: ExchangeConfig,
+        corrupt: Option<usize>,
+    ) -> [Vec<Vec<Outcome>>; 2] {
+        let ranks = CommGroup::create_full(world, gpn, 0, None);
+        let per_rank: Vec<Vec<Outcome>> = simgpu::run_ranks(ranks, |rank| {
+            let (mut table, mut scratch) = (make_table(7), ExchangeScratch::new());
+            if corrupt == Some(rank.rank()) {
+                rank.corrupt_next_codec_frame();
+            }
+            (0..STEPS)
+                .map(|step| {
+                    let grad = &step_grads(world, step)[rank.rank()];
+                    exchange_and_apply_with(&rank, grad, &mut table, 0.1, &cfg, &mut scratch)
+                        .map(|stats| outcome(&table, stats))
+                })
+                .collect()
+        });
+        let threaded = (0..STEPS as usize)
+            .map(|step| per_rank.iter().map(|r| r[step].clone()).collect())
+            .collect();
+
+        let mut w = World::new(world, gpn, None);
+        if let Some(r) = corrupt {
+            w.corrupt_next_codec_frame(r);
+        }
+        let mut table = make_table(7);
+        let mut scratch: Vec<ExchangeScratch> =
+            (0..world).map(|_| ExchangeScratch::new()).collect();
+        let mut clocks: Vec<RankClock> = (0..world).map(|_| RankClock::new(None, false)).collect();
+        let lockstep = (0..STEPS)
+            .map(|step| {
+                let grads = step_grads(world, step);
+                let mut members: Vec<Member> = grads
+                    .iter()
+                    .zip(&mut scratch)
+                    .zip(&mut clocks)
+                    .map(|((grad, scratch), clock)| Member {
+                        grad,
+                        scratch,
+                        clock,
+                    })
+                    .collect();
+                match exchange_world(&mut w, &mut members, &mut table, 0.1, &cfg) {
+                    Ok(stats) => stats.into_iter().map(|s| Ok(outcome(&table, s))).collect(),
+                    Err(e) => vec![Err(e); world],
+                }
+            })
+            .collect();
+        [threaded, lockstep]
+    }
+
+    /// The trainer's lockstep exchange and the threaded one `e2e`'s
+    /// probes time share one arithmetic: over every technique stack's
+    /// exchange (and the baseline's FP16 gather), every codec rung, flat
+    /// and two-tier (bucketed) on 3-GPU nodes and worlds 1 to 48, both
+    /// leave the same table bits and report the same stats on every
+    /// rank at every step.
+    #[test]
+    fn lockstep_exchange_matches_threaded_ranks_bit_for_bit() {
+        let baseline_f16 = Method {
+            compression: Some(512.0),
+            ..Method::baseline()
+        };
+        for world in [1usize, 2, 8, 48] {
+            for method in [
+                Method::baseline(),
+                Method::unique(),
+                Method::unique_seeded(),
+                Method::full(),
+                baseline_f16,
+            ] {
+                for codec in [
+                    WireCodecId::Identity,
+                    WireCodecId::LosslessIndex,
+                    WireCodecId::LosslessGrad,
+                    WireCodecId::Lossless,
+                ] {
+                    for (gpus_per_node, bucket_bytes) in [(0, 0), (3, 24)] {
+                        let cfg = ExchangeConfig {
+                            unique: method.unique,
+                            compression: method.compression,
+                            gpus_per_node,
+                            bucket_bytes,
+                            codec,
+                        };
+                        let [threaded, lockstep] = threaded_vs_lockstep(world, 3, cfg, None);
+                        assert!(threaded.iter().flatten().all(Result::is_ok), "{cfg:?}");
+                        assert_eq!(threaded, lockstep, "world {world}, {cfg:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A torn frame fails both executions the same way: every rank's
+    /// error names the sender whose frame tore, with the same reason —
+    /// an index frame under a codec and a baseline row payload.
+    #[test]
+    fn lockstep_and_threaded_attribute_a_torn_frame_to_one_sender() {
+        let unique = ExchangeConfig {
+            codec: WireCodecId::Lossless,
+            ..TechniqueStack::Unique.exchange()
+        };
+        for cfg in [unique, TechniqueStack::Baseline.exchange()] {
+            let [threaded, lockstep] = threaded_vs_lockstep(4, 3, cfg, Some(2));
+            for (a, b) in threaded[0].iter().zip(&lockstep[0]) {
+                let (a, b) = (a.clone().unwrap_err(), b.clone().unwrap_err());
+                assert_eq!(a.failed_rank(), 2, "{cfg:?}: {a}");
+                assert_eq!(a, b, "{cfg:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The distributed trainer: synchronous data-parallel SGD over simulated
 //! GPUs, with the paper's exchange stack in the loop.
 //!
-//! One OS thread per simulated GPU (mirroring the paper's one-GPU-per-
-//! MPI-process setup). A step is rank-local phases — methods of the
-//! private `step::LoopState`, which never touch the communicator — with
-//! `run_rank`'s collectives (→) between them:
+//! The paper's step is a synchronous SPMD program (§II-B, §III-A), and
+//! the trainer runs it in lockstep: one driver, on the calling thread,
+//! runs each phase of the step — a method of the private
+//! `step::LoopState`, which never communicates — for ranks `0..G` in
+//! turn, and calls each collective (→) once, as a function over every
+//! rank's buffers on a [`simgpu::World`]:
 //!
 //! 1. `compute`: the shard's next batch, forward/backward;
 //!    → the dense gradients (LSTM/RHN + projection) ALLREDUCEd — the
@@ -15,7 +17,7 @@
 //!    configured [`crate::ExchangeConfig`] (baseline ALLGATHER vs
 //!    uniqueness), their transient buffers charged to the simulated
 //!    device (this is where the baseline OOMs, Tables III/IV);
-//! 2. `apply`: the dense gradient averaged and applied;
+//! 2. `apply`: the dense gradient averaged and applied, once;
 //!    → the loss ALLREDUCE;
 //! 3. `price`: the step on the α–β clock in integer picoseconds — every
 //!    rank reads the same per-rank work table and takes the max
@@ -26,43 +28,52 @@
 //! 4. `end_epoch` after an epoch's last step (rank 0 validates), and
 //!    `finish` after the run's.
 //!
+//! Synchronous SGD keeps every rank's weights equal, so the driver holds
+//! one replica: every rank's `compute` reads it, and the step's reduced
+//! updates are applied to it once. Compute fans out over at most
+//! `min(comm.pool_workers or the cores, available_parallelism())`
+//! scoped workers; on one CPU that is the driver alone.
+//!
 //! With `TrainConfig::trace` enabled, each rank additionally records a
 //! [`simgpu::trace::TraceEvent`] per span (compute, collectives,
-//! exchange phases, barrier waits, straggler delays) into a lock-free
-//! ring buffer, returned as `TrainReport::trace` and exportable via
+//! exchange phases, barrier waits, straggler delays) into a ring
+//! buffer, returned as `TrainReport::trace` and exportable via
 //! [`simgpu::chrome_trace_json`] / `TrainReport::steps_jsonl`.
 //!
 //! ## Failure model
 //!
 //! Any rank can fail at any point — an asymmetric OOM (per-rank memory
-//! limits via [`simgpu::FaultPlan`]), an injected death, a panic. A
-//! failing rank poisons the communicator ([`simgpu::Rank::abort`],
-//! backed by a RAII [`simgpu::AbortOnDrop`] guard around the whole step
-//! loop), so every surviving rank's next collective returns
-//! `Err(CommError)` instead of deadlocking. That surfaces here as
-//! [`TrainError::PeerFailure`] naming the first failed rank — within
-//! one collective's latency, never an unbounded hang. Fault injection
-//! (kill-at-step, stragglers, asymmetric limits) is threaded through
-//! [`RunOptions::faults`]; symmetric-failure assumptions are gone.
+//! limits via [`simgpu::FaultPlan`]), an injected death, a failed
+//! checkpoint write. A failing rank returns its own error and poisons
+//! the world ([`simgpu::World::abort`]; the first failure's attribution
+//! wins), and every rank still running returns
+//! [`TrainError::PeerFailure`] naming it at the next collective, as a
+//! threaded rank would have observed it. A hung rank makes the next
+//! collective a [`TrainError::Timeout`] on every rank, after the
+//! deadline's whole budget in simulated time. A panic in a phase
+//! surfaces as that panic. Fault injection (kill-at-step, hangs, wire
+//! corruption, stragglers, asymmetric limits) is threaded through
+//! [`RunOptions::faults`].
 
 mod step;
 
 use crate::checkpoint::{Checkpoint, CheckpointBackend, CheckpointStore};
 use crate::config::{DatasetId, ModelKind, TrainConfig};
 use crate::elastic::{self, RecoveryPolicy};
-use crate::exchange::{all_reduce_bucketed, exchange_and_apply_traced, ExchangeScratch};
+use crate::exchange::{
+    all_reduce_bucketed_world, exchange_world, ExchangeStats, Member, ReducedBytes,
+};
 use crate::metrics::{self, HealthEvent, RecoveryEvent, StepMetrics, TrainReport};
 use corpus::{train_valid_split, CorpusGenerator, TokenUnit, Vocab};
-use nn::{Embedding, SparseGrad};
 use simgpu::{
-    CommError, CommGroup, CostModel, Device, FaultPlan, HardwareConfig, OomError, Rank, SpanKind,
-    TrafficSnapshot,
+    CommError, CostModel, Device, FaultPlan, HardwareConfig, OomError, SpanKind, TrafficSnapshot,
+    World,
 };
 use std::fmt;
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
-use step::{LoopState, Replica};
+use std::time::Instant;
+use step::{LoopState, Replica, StepOutcome};
 
 /// Why a training run failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +96,7 @@ pub enum TrainError {
         reason: String,
     },
     /// The fault plan targets a rank outside the world, so the entry
-    /// could never fire. Rejected eagerly (before any thread spawns)
+    /// could never fire. Rejected eagerly (before any rank starts)
     /// instead of silently no-opping.
     InvalidFaultPlan {
         /// Highest rank the plan targets.
@@ -96,7 +107,7 @@ pub enum TrainError {
     /// The configuration asks for something no rank could execute (zero
     /// GPUs, epochs, batch or sequence length, an empty char alphabet,
     /// a non-positive or non-finite FP16 compression scale). Rejected
-    /// eagerly, before data generation or any thread spawn, instead of
+    /// eagerly, before data generation or any rank starts, instead of
     /// panicking.
     InvalidConfig {
         /// What is wrong with the configuration.
@@ -114,9 +125,11 @@ pub enum TrainError {
     /// attributed (any subset of the group may be silent) — but the run
     /// fails typed instead of deadlocking.
     Timeout {
-        /// The rank that gave up waiting.
+        /// The rank that gave up waiting: the lowest-numbered rank that
+        /// was not silent.
         rank: usize,
-        /// Total simulated wait across all retry slices, picoseconds.
+        /// Total simulated wait across all retry slices, picoseconds:
+        /// the deadline's whole budget.
         waited_ps: u64,
     },
     /// Persisting a checkpoint failed with a real storage error (not an
@@ -298,19 +311,18 @@ pub fn train_with_faults(
 
 /// Trains `cfg` under `opts` — the one way into the trainer.
 ///
-/// One *round* runs the step loop on a thread per simulated GPU to
+/// One *round* runs the lockstep step loop over every simulated GPU to
 /// completion or to the first failure; a failing rank poisons the
-/// communicator, so every survivor returns within one collective's
-/// latency and every thread joins. Without [`RunOptions::recovery`]
-/// that round is the run. With it, a failed round is followed by
-/// another at the survivors' world, restored from the newest snapshot
-/// they all hold intact (none ⇒ a fresh start), until a round
-/// completes, the restart budget is spent, no rank survives, or a rank
-/// reports a cause no shrink can fix.
+/// world, so every survivor returns at its next collective. Without
+/// [`RunOptions::recovery`] that round is the run. With it, a failed
+/// round is followed by another at the survivors' world, restored from
+/// the newest snapshot they all hold intact (none ⇒ a fresh start),
+/// until a round completes, the restart budget is spent, no rank
+/// survives, or a rank reports a cause no shrink can fix.
 ///
 /// Never panics on a caller-supplied `cfg`: what no rank could execute
 /// is [`TrainError::InvalidConfig`] / [`TrainError::InvalidFaultPlan`]
-/// on every rank, before data generation or any thread spawn.
+/// on every rank, before data generation or any rank starts.
 pub fn run(cfg: &TrainConfig, opts: &RunOptions) -> RunOutcome {
     let mut outcome = RunOutcome {
         ranks: Vec::new(),
@@ -438,7 +450,7 @@ fn validate(cfg: &TrainConfig, plan: &FaultPlan) -> Result<(), TrainError> {
     }
 }
 
-/// What every rank thread of one round reads.
+/// What every rank of one round reads.
 struct RunCtx<'a> {
     cfg: &'a TrainConfig,
     data: &'a RunData,
@@ -455,9 +467,9 @@ struct RunCtx<'a> {
     gpn: usize,
 }
 
-/// One round: initialises the replica once, spawns `cfg.gpus` rank
-/// threads and returns every rank's own result. `cfg` and `plan` passed
-/// [`validate`].
+/// One round: initialises the replica once, drives `cfg.gpus` ranks in
+/// lockstep and returns every rank's own result. `cfg` and `plan`
+/// passed [`validate`].
 fn run_round(
     cfg: &TrainConfig,
     data: &RunData,
@@ -466,7 +478,7 @@ fn run_round(
     store: Option<&CheckpointStore>,
     resume: Option<&Checkpoint>,
 ) -> Vec<Result<TrainReport, TrainError>> {
-    // Rejected before any thread spawns: every rank reports the cause.
+    // Rejected before any rank starts: every rank reports the cause.
     let reject = |e: TrainError| vec![Err(e); cfg.gpus];
     if let Some(Err(e)) = resume.map(|ck| ck.validate_against(cfg, data.model_vocab)) {
         return reject(TrainError::InvalidCheckpoint {
@@ -489,19 +501,15 @@ fn run_round(
     // Topology: `comm.gpus_per_node == 0` defers to the hardware preset
     // (8 for the Table II cluster). The node layout only moves bytes
     // between the intra/inter tiers and selects the hierarchical wire
-    // schedule — it never changes results. A nonzero `pool_workers`
-    // additionally bounds how many rank threads run concurrently (see
-    // `simgpu::RunGate`), which is what lets paper-scale worlds of
-    // 48–192 ranks train on a small machine.
+    // schedule — it never changes results.
     let gpn = if cfg.comm.gpus_per_node == 0 {
         cost.hardware().gpus_per_node
     } else {
         cfg.comm.gpus_per_node
     };
-    let ranks = CommGroup::create_full(cfg.gpus, gpn, cfg.comm.pool_workers, cfg.comm.deadline);
 
     // Every rank starts from the same parameters: draw them once and let
-    // each rank clone them on its own thread.
+    // each rank clone them.
     let model = cfg.model.resolved(data.model_vocab);
     let replica = Replica::new(&model, cfg.seed);
     let ctx = RunCtx {
@@ -515,10 +523,7 @@ fn run_round(
         resume,
         gpn,
     };
-    let mut results: Vec<Result<TrainReport, TrainError>> = simgpu::run_ranks(ranks, |rank| {
-        let device = Arc::clone(&devices[rank.rank()]);
-        run_rank(rank, device, &ctx)
-    });
+    let mut results = drive(&ctx, &devices);
 
     let peak_mem = devices.iter().map(|d| d.peak()).max().unwrap_or(0);
     // Every rank's sends, summed. Ops count group calls, which every
@@ -632,167 +637,371 @@ fn prepare_data(cfg: &TrainConfig) -> RunData {
     }
 }
 
-/// One rank's step loop — the only step-loop code that touches the
-/// communicator or the device. Everything between its collectives is a
-/// phase of [`LoopState`], which communicates nothing.
-fn run_rank(mut rank: Rank, device: Arc<Device>, ctx: &RunCtx) -> Result<TrainReport, TrainError> {
-    let (cfg, plan, r, g) = (ctx.cfg, ctx.plan, rank.rank(), ctx.cfg.gpus);
-    let mut st = LoopState::new(ctx, r);
-    let xcfg = st.sched.xcfg;
+/// One rank under the lockstep driver.
+struct RankRun<'a> {
+    st: LoopState<'a>,
+    /// This step's forward/backward result, from `compute` to the loss
+    /// reduction.
+    out: Option<StepOutcome>,
+    /// Why the rank stopped, once it has.
+    end: Option<TrainError>,
+}
 
-    // Tracing and metrics both record the step's barrier-wait wall time
-    // (`StepMetrics::barrier_wait_wall_ns`), so either turns the
-    // communicator's wait accounting on (before the abort guard borrows
-    // `rank`).
-    if cfg.trace.enabled || cfg.metrics.enabled {
-        rank.enable_wait_tracking();
+impl RankRun<'_> {
+    fn running(&self) -> bool {
+        self.end.is_none()
     }
 
-    // Safety net: if this rank unwinds (an `?` below, a panic in the
-    // model code) the armed guard poisons the group, so peers error out
-    // of their next collective instead of hanging. Known failure sites
-    // additionally abort with a precise reason first — first failure
-    // wins, so the guard's generic reason only surfaces for surprises.
-    let guard = rank.abort_on_drop(format!("rank {r} exited the step loop early"));
+    /// The rank fails with its own `err` and poisons `world` with
+    /// `reason` (the first failure's attribution wins).
+    fn fail(&mut self, world: &mut World, err: TrainError, reason: String) {
+        world.abort(self.st.rank(), reason);
+        self.end = Some(err);
+    }
+}
+
+/// A collective every rank joins failed (a poisoned or timed-out world,
+/// a torn frame): every rank still running returns it.
+fn fail_all(ranks: &mut [RankRun], e: &CommError) {
+    for rank in ranks.iter_mut().filter(|r| r.running()) {
+        rank.end = Some(TrainError::from(e.clone()));
+    }
+}
+
+/// How many workers a phase that fans out over the ranks uses: at most
+/// `pool_workers` (the cores when 0), never more than the process may
+/// run at once.
+fn fan_out_width(pool_workers: usize) -> usize {
+    let cores = thread::available_parallelism().map_or(1, |n| n.get());
+    match pool_workers {
+        0 => cores,
+        n => n.min(cores),
+    }
+}
+
+/// Runs `f` on every item, split into `workers` contiguous runs: the
+/// first on the calling thread, the others on scoped threads. A panic
+/// in any run surfaces as that panic.
+fn fan_out<T: Send>(workers: usize, items: &mut [T], f: impl Fn(&mut T) + Sync) {
+    let per = items.len().div_ceil(workers.max(1)).max(1);
+    if per >= items.len() {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let f = &f;
+    thread::scope(|s| {
+        let mut runs = items.chunks_mut(per);
+        let first = runs.next().unwrap_or_default();
+        let others: Vec<_> = runs
+            .map(|run| s.spawn(move || run.iter_mut().for_each(f)))
+            .collect();
+        first.iter_mut().for_each(f);
+        for worker in others {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
+/// The lockstep driver: every rank's step loop on the calling thread,
+/// each collective once over all ranks' buffers on one [`World`], and
+/// one replica — the weights every rank holds, identical under
+/// synchronous SGD — updated once per step. The only step-loop code
+/// that touches the world or a device; everything between its
+/// collectives is a phase of [`LoopState`]. Returns every rank's own
+/// result.
+fn drive(ctx: &RunCtx, devices: &[Arc<Device>]) -> Vec<Result<TrainReport, TrainError>> {
+    let cfg = ctx.cfg;
+    let mut replica = ctx.replica.clone();
+    let mut world = World::new(cfg.gpus, ctx.gpn, cfg.comm.deadline);
+    let workers = fan_out_width(cfg.comm.pool_workers);
+    let mut ranks: Vec<RankRun> = (0..cfg.gpus)
+        .map(|r| RankRun {
+            st: LoopState::new(ctx, r),
+            out: None,
+            end: None,
+        })
+        .collect();
 
     // Persistent model memory: parameters + gradients + a modelled
-    // optimiser slot, FP32.
-    let param_bytes = perfmodel::memory::replica_bytes(st.replica.param_vector_len() as u64);
-    let _model_alloc = device.try_alloc(param_bytes).map_err(|e| {
-        rank.abort(format!("rank {r} OOM on model parameters: {e}"));
-        TrainError::Oom(e)
-    })?;
-    if let Some(ck) = ctx.resume {
-        st.restore(ck).map_err(|reason| {
-            rank.abort(reason.clone());
-            TrainError::InvalidCheckpoint { reason }
-        })?;
-    }
-
-    while let Some(step) = st.next_step() {
-        if plan.should_die(r, step as usize) {
-            let reason = format!("rank {r} killed by fault plan at step {step}");
-            rank.abort(reason.clone());
-            return Err(TrainError::PeerFailure { rank: r, reason });
-        }
-        if plan.should_hang(r, step as usize) {
-            // Go silent: stop calling collectives but never abort.
-            // Peers hang at their next barrier until the deadline
-            // (`cfg.comm.deadline`, which `validate` requires here)
-            // poisons the group with `CommError::Timeout`; this rank
-            // then observes the poison and returns the same typed error
-            // instead of parking forever.
-            loop {
-                rank.check_abort()?;
-                thread::sleep(Duration::from_millis(1));
+    // optimiser slot, FP32, held for the whole round.
+    let param_bytes = perfmodel::memory::replica_bytes(ctx.replica.param_vector_len() as u64);
+    let mut model_mem = Vec::with_capacity(ranks.len());
+    for (rank, device) in ranks.iter_mut().zip(devices) {
+        let r = rank.st.rank();
+        match device.try_alloc(param_bytes) {
+            Ok(mem) => model_mem.push(mem),
+            Err(e) => {
+                let reason = format!("rank {r} OOM on model parameters: {e}");
+                rank.fail(&mut world, TrainError::Oom(e), reason);
+                continue;
             }
         }
-        if plan.wire_corruption_at(r) == Some(step as usize) {
-            // Arm the one-shot latch: the next codec frame this rank
-            // publishes is damaged in flight and every decoder
-            // attributes the corruption to this rank.
-            rank.corrupt_next_codec_frame();
-        }
-        if let Some(delay) = plan.straggler_delay(r) {
-            st.traced(SpanKind::StragglerDelay, |_| thread::sleep(delay), |_| 0);
-        }
-
-        let mut out = st.compute();
-
-        // Dense ALLREDUCE, one collective call per gradient bucket
-        // (`comm.bucket_bytes`; a single whole-payload call when 0).
-        // Wire format and topology are independent parameters of the one
-        // collective, so compressed payloads ride the hierarchical route
-        // like any other. Reduction is elementwise under a canonical
-        // leader order, so neither the slicing nor the topology moves a
-        // bit. The bytes are the collective's own: this rank's exact
-        // share of the active wire schedule (a codec prices the
-        // *reduced* — summed, pre-average — payload).
-        let dense = &mut out.dense;
-        let dense_wire = st.traced(
-            SpanKind::AllReduce,
-            |_| all_reduce_bucketed(&rank, dense, &xcfg),
-            |res| res.as_ref().map_or(0, |w| w.sent.total_bytes()),
-        )?;
-
-        // Embedding exchanges, applied in place.
-        let lr = st.exchange_lr();
-        let mut exchange = |g: &SparseGrad, t: &mut Embedding, s: &mut ExchangeScratch| {
-            exchange_and_apply_traced(&rank, g, t, lr, &xcfg, s, st.recorder.as_mut())
-        };
-        let input = exchange(
-            &out.input_grad,
-            st.replica.input_table(),
-            &mut st.in_scratch,
-        )?;
-        let output = match (&out.output_grad, st.replica.output_table()) {
-            (Some(grad), Some(table)) => Some(exchange(grad, table, &mut st.out_scratch)?),
-            _ => None,
-        };
-
-        // Charge transient buffers against the device. Capacities (and
-        // Ui-dependent buffer sizes) may differ per rank, so a one-sided
-        // OOM must poison the group: peers then error out of the loss
-        // reduction below instead of deadlocking.
-        let transient = input.peak_buffer_bytes
-            + output.map_or(0, |s| s.peak_buffer_bytes)
-            + out.dense.len() as u64 * 4;
-        drop(device.try_alloc(transient).map_err(|e| {
-            rank.abort(format!(
-                "rank {r} OOM on exchange buffers at step {step}: {e}"
-            ));
-            TrainError::Oom(e)
-        })?);
-
-        st.apply(&mut out.dense);
-        let (record, own) = st.measure(dense_wire, input, output);
-
-        // Synchronised mean loss, and the step time's two peaks over
-        // ranks in the same rendezvous; `measure` booked its charge.
-        let loss_bytes = st.loss_sent.total_bytes();
-        let (loss_sum, peaks) = st.traced(
-            SpanKind::AllReduce,
-            |_| rank.all_reduce_sum_max(out.loss, own),
-            |_| loss_bytes,
-        )?;
-
-        // The step's barrier-wait wall-clock (0 unless tracked), drained
-        // once and shared: the tracer gets its span, the step record its
-        // field.
-        let waited_ns = rank.take_barrier_wait_ns();
-        st.price(record, loss_sum / g as f64, peaks, waited_ns);
-
-        // Checkpoint hooks: off the hot path unless a store is attached
-        // (a default run has none — one branch per step).
-        if let Some(store) = ctx.store {
-            store.note_progress(r, st.global_step);
-            let every = cfg.checkpoint.every_steps;
-            if every > 0 && st.global_step.is_multiple_of(every) {
-                if let Err(e) = store.deposit(st.snapshot()) {
-                    // A *real* storage failure (injected disk faults
-                    // return Ok and stay latent until the recovery
-                    // scan). Poison the group: peers must not train on
-                    // while this rank cannot persist.
-                    let reason = format!("checkpoint write failed: {e}");
-                    rank.abort(reason.clone());
-                    return Err(TrainError::CheckpointWrite { reason });
-                }
-            }
+        if let Some(Err(reason)) = ctx.resume.map(|ck| rank.st.restore(ck, &mut replica)) {
+            let err = TrainError::InvalidCheckpoint {
+                reason: reason.clone(),
+            };
+            rank.fail(&mut world, err, reason);
         }
     }
+
+    while step(ctx, &mut world, &mut replica, &mut ranks, devices, workers) {}
 
     // Terminal snapshot: the run's exact final state (params + full
     // epoch history). Rank 0's copy is authoritative — it alone carries
     // the validation history — and resuming from it is a no-op run.
-    if let Some(store) = ctx.store.filter(|_| r == 0) {
-        if let Err(e) = store.set_final(st.snapshot()) {
+    if let (Some(store), Some(rank0)) = (ctx.store, ranks.first_mut().filter(|r| r.running())) {
+        if let Err(e) = store.set_final(rank0.st.snapshot(&replica)) {
             let reason = format!("terminal checkpoint write failed: {e}");
-            rank.abort(reason.clone());
-            return Err(TrainError::CheckpointWrite { reason });
+            let err = TrainError::CheckpointWrite {
+                reason: reason.clone(),
+            };
+            rank0.fail(&mut world, err, reason);
         }
     }
-    guard.disarm();
-    Ok(st.finish())
+    ranks
+        .into_iter()
+        .map(|rank| match rank.end {
+            Some(e) => Err(e),
+            None => Ok(rank.st.finish()),
+        })
+        .collect()
+}
+
+/// One step of every running rank; `false` once the round is over (the
+/// last step done, or a collective failed).
+fn step(
+    ctx: &RunCtx,
+    world: &mut World,
+    replica: &mut Replica,
+    ranks: &mut [RankRun],
+    devices: &[Arc<Device>],
+    workers: usize,
+) -> bool {
+    let (cfg, plan, g) = (ctx.cfg, ctx.plan, ctx.cfg.gpus);
+    let mut opened = ranks
+        .iter_mut()
+        .filter(|r| r.running())
+        .map(|r| r.st.next_step(replica));
+    let Some(Some(step)) = opened.next() else {
+        return false;
+    };
+    assert!(opened.all(|s| s == Some(step)), "ranks out of step");
+    let at = step as usize;
+
+    for (r, rank) in ranks.iter_mut().enumerate().filter(|(_, r)| r.running()) {
+        if plan.should_die(r, at) {
+            let reason = format!("rank {r} killed by fault plan at step {step}");
+            let err = TrainError::PeerFailure {
+                rank: r,
+                reason: reason.clone(),
+            };
+            rank.fail(world, err, reason);
+        } else if plan.should_hang(r, at) {
+            // Go silent: join no collective, never abort. The next one
+            // times out after the deadline (`cfg.comm.deadline`, which
+            // `validate` requires here) on every rank, this one too.
+            world.go_silent(r);
+        } else if plan.wire_corruption_at(r) == Some(at) {
+            // Arm the one-shot latch: the next frame this rank sends is
+            // damaged in flight, and every decoder attributes the
+            // corruption to this rank.
+            world.corrupt_next_codec_frame(r);
+        }
+    }
+
+    let weights = &*replica;
+    fan_out(workers, ranks, |rank| {
+        if rank.running() {
+            rank.out = Some(rank.st.compute(weights));
+        }
+    });
+
+    // Stragglers: one sleep for the step's largest injected delay, so
+    // every other rank really waits for it at the first collective;
+    // each straggler is busy for its own delay.
+    let delays: Vec<_> = ranks
+        .iter()
+        .enumerate()
+        .filter(|(_, rank)| rank.running())
+        .filter_map(|(r, _)| plan.straggler_delay(r).map(|d| (r, d)))
+        .collect();
+    if let Some(longest) = delays.iter().map(|&(_, d)| d).max() {
+        let start = Instant::now();
+        thread::sleep(longest);
+        for &(r, delay) in &delays {
+            ranks[r]
+                .st
+                .clock
+                .busy(SpanKind::StragglerDelay, start, start + delay);
+        }
+    }
+
+    // The step's collectives; the first failure ends the round.
+    let stats = match collectives(world, replica, ranks) {
+        Ok(stats) => stats,
+        Err(e) => {
+            fail_all(ranks, &e);
+            return false;
+        }
+    };
+
+    // Every rank's reduced dense gradient is the same: apply one.
+    let rank0 = &mut ranks[0];
+    let out = rank0.out.as_mut().expect("every rank computed");
+    rank0.st.apply(replica, &mut out.dense);
+
+    // Charge transient buffers against each device. Capacities (and
+    // Ui-dependent buffer sizes) may differ per rank, so a one-sided
+    // OOM poisons the world: the others then fail at the loss
+    // reduction.
+    let mut records = Vec::with_capacity(g);
+    for (r, ((rank, device), (dense_wire, input, output))) in
+        ranks.iter_mut().zip(devices).zip(stats).enumerate()
+    {
+        let dense = rank.out.as_ref().map_or(0, |out| out.dense.len());
+        let transient =
+            input.peak_buffer_bytes + output.map_or(0, |s| s.peak_buffer_bytes) + dense as u64 * 4;
+        if let Err(e) = device.try_alloc(transient) {
+            let reason = format!("rank {r} OOM on exchange buffers at step {step}: {e}");
+            rank.fail(world, TrainError::Oom(e), reason);
+        }
+        records.push(rank.st.measure(dense_wire, input, output));
+    }
+
+    // Synchronised mean loss, and the step time's two peaks over ranks
+    // in the same reduction; `measure` booked its charge.
+    let start = Instant::now();
+    let losses = ranks
+        .iter()
+        .zip(&records)
+        .map(|(rank, (_, own))| (rank.out.as_ref().map_or(0.0, |o| o.loss), *own));
+    let (loss_sum, peaks) = match world.all_reduce_sum_max(losses) {
+        Ok(reduced) => reduced,
+        Err(e) => {
+            fail_all(ranks, &e);
+            return false;
+        }
+    };
+    let end = Instant::now();
+    for (rank, (record, _)) in ranks.iter_mut().zip(records) {
+        let loss_bytes = rank.st.loss_sent.total_bytes();
+        rank.st
+            .clock
+            .joined(SpanKind::AllReduce, start, end, loss_bytes);
+        let waited_ns = rank.st.clock.take_waited_ns();
+        rank.st.price(record, loss_sum / g as f64, peaks, waited_ns);
+        rank.out = None;
+    }
+
+    // Checkpoint hooks: off the hot path unless a store is attached (a
+    // default run has none — one branch per step).
+    if let Some(store) = ctx.store {
+        for (r, rank) in ranks.iter_mut().enumerate() {
+            store.note_progress(r, rank.st.global_step);
+            let every = cfg.checkpoint.every_steps;
+            if every > 0 && rank.st.global_step.is_multiple_of(every) {
+                if let Err(e) = store.deposit(rank.st.snapshot(replica)) {
+                    // A *real* storage failure (injected disk faults
+                    // return Ok and stay latent until the recovery
+                    // scan). Poison the world: peers must not train on
+                    // while this rank cannot persist.
+                    let reason = format!("checkpoint write failed: {e}");
+                    let err = TrainError::CheckpointWrite {
+                        reason: reason.clone(),
+                    };
+                    rank.fail(world, err, reason);
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Every rank's side of one embedding exchange: its sparse gradient and
+/// scratch pool for the input table, or for a word LM's output table.
+fn members<'r>(ranks: &'r mut [RankRun], output: bool) -> Vec<Member<'r>> {
+    ranks
+        .iter_mut()
+        .map(|rank| {
+            let (out, st) = (
+                rank.out.as_ref().expect("every rank computed"),
+                &mut rank.st,
+            );
+            let (grad, scratch) = if output {
+                let grad = out
+                    .output_grad
+                    .as_ref()
+                    .expect("a word LM's output gradient");
+                (grad, &mut st.out_scratch)
+            } else {
+                (&out.input_grad, &mut st.in_scratch)
+            };
+            Member {
+                grad,
+                scratch,
+                clock: &mut st.clock,
+            }
+        })
+        .collect()
+}
+
+/// What one rank's step collectives returned: its dense ALLREDUCE bytes
+/// and its input and (word LM) output exchange stats.
+type StepStats = (ReducedBytes, ExchangeStats, Option<ExchangeStats>);
+
+/// The step's collectives between `compute` and `apply`, each once over
+/// every rank: the dense ALLREDUCE, one collective call per gradient
+/// bucket (`comm.bucket_bytes`; a single whole-payload call when 0), and
+/// the embedding exchanges, applied in place. Wire format and topology
+/// are independent parameters of the one collective, so compressed
+/// payloads ride the hierarchical route like any other. Reduction is
+/// elementwise under a canonical order, so neither the slicing nor the
+/// topology moves a bit. The bytes are the collectives' own: each
+/// rank's exact share of the active wire schedule (a codec prices the
+/// *reduced* — summed, pre-average — payload).
+fn collectives(
+    world: &mut World,
+    replica: &mut Replica,
+    ranks: &mut [RankRun],
+) -> Result<Vec<StepStats>, CommError> {
+    world.meet()?;
+    let xcfg = ranks[0].st.sched.xcfg;
+    let lr = ranks[0].st.exchange_lr();
+
+    let start = Instant::now();
+    let mut dense: Vec<&mut [f32]> = ranks
+        .iter_mut()
+        .map(|rank| {
+            rank.out
+                .as_mut()
+                .expect("every rank computed")
+                .dense
+                .as_mut_slice()
+        })
+        .collect();
+    let dense_wire = all_reduce_bucketed_world(world, &mut dense, &xcfg)?;
+    let end = Instant::now();
+    for (rank, wire) in ranks.iter_mut().zip(&dense_wire) {
+        let bytes = wire.sent.total_bytes();
+        rank.st.clock.joined(SpanKind::AllReduce, start, end, bytes);
+    }
+
+    let table = replica.input_table();
+    let input = exchange_world(world, &mut members(ranks, false), table, lr, &xcfg)?;
+    let mut output = match replica.output_table() {
+        Some(table) => {
+            let stats = exchange_world(world, &mut members(ranks, true), table, lr, &xcfg)?;
+            Some(stats.into_iter())
+        }
+        None => None,
+    };
+    Ok(dense_wire
+        .into_iter()
+        .zip(input)
+        .map(|(dense, input)| (dense, input, output.as_mut().and_then(Iterator::next)))
+        .collect())
 }
 
 /// Seed-domain separator for the train/valid split stream.
@@ -1232,9 +1441,11 @@ mod tests {
             };
             for ck in [mid, terminal] {
                 let mut st = LoopState::new(&ctx, ck.rank as usize);
-                st.restore(&ck).expect("a checkpoint of this run");
+                let mut weights = replica.clone();
+                st.restore(&ck, &mut weights)
+                    .expect("a checkpoint of this run");
                 let what = format!("{model:?} step {}", ck.step);
-                assert_eq!(st.snapshot().to_bytes(), ck.to_bytes(), "{what}");
+                assert_eq!(st.snapshot(&weights).to_bytes(), ck.to_bytes(), "{what}");
             }
         }
     }

@@ -1,14 +1,16 @@
 //! One rank's training step as phases that communicate nothing.
 //!
 //! [`LoopState`] is everything a rank carries from one step to the next:
-//! the replica, the learning rate and step counter, the epoch cursor
-//! (epoch, step within it, its partial loss and simulated time), the
-//! exchange scratch pools, the clock's hoisted buffers and the trace
-//! recorder. Its methods are the rank-local work of a step;
-//! the parent module's `run_rank` calls them with the collectives, the
-//! device charges and the checkpoint deposits in between, so nothing in
-//! this file can block on a peer — the shape a lockstep driver needs to
-//! call each phase over every rank in turn.
+//! the learning rate and step counter, the epoch cursor (epoch, step
+//! within it, its partial loss and simulated time), the
+//! exchange scratch pools, the clock's hoisted buffers and the rank's
+//! wall clock and trace recorder. Its methods are the rank-local work
+//! of a step; the parent module's lockstep driver calls each of them
+//! over every rank in turn, with the collectives, the device charges
+//! and the checkpoint deposits in between, so nothing in this file
+//! communicates. The weights are not a rank's: synchronous SGD keeps
+//! every rank's replica identical, so the driver holds one [`Replica`]
+//! and lends it to each phase that reads or updates it.
 //!
 //! The simulated clock is `perfmodel`'s pure [`StepSchedule::clock`]:
 //! [`LoopState::measure`] prices this rank's own op list for the step's
@@ -31,7 +33,8 @@ use nn::{CharLm, WordLm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgpu::{
-    peer_exchange_tier_bytes, secs_to_ps, NodeLayout, SpanKind, TraceRecorder, TrafficSnapshot,
+    peer_exchange_tier_bytes, secs_to_ps, NodeLayout, RankClock, SpanKind, TraceRecorder,
+    TrafficSnapshot,
 };
 
 /// Maximum validation batches evaluated per epoch (the full validation
@@ -45,7 +48,8 @@ const TRACE_EVENTS_PER_RANK: usize = 65_536;
 /// Seed-domain separator for sampled-softmax candidate streams.
 const SAMPLE_SEED: u64 = 0x5eed_5eed_5eed_5eed;
 
-/// One rank's training replica: either model kind behind one interface.
+/// The world's one training replica — every rank's weights, identical
+/// under synchronous SGD: either model kind behind one interface.
 #[derive(Clone)]
 pub(super) enum Replica {
     Word(WordLm),
@@ -162,11 +166,11 @@ impl Replica {
 }
 
 /// One rank's step-loop state: what a snapshot captures and a restore
-/// puts back, plus the run-local buffers and telemetry around it.
+/// puts back (with the world's replica), plus the run-local buffers and
+/// telemetry around it.
 pub(super) struct LoopState<'a> {
     ctx: &'a RunCtx<'a>,
     rank: usize,
-    pub(super) replica: Replica,
     /// The exact learning rate in effect (decayed per epoch).
     lr: f32,
     pub(super) global_step: u64,
@@ -196,9 +200,11 @@ pub(super) struct LoopState<'a> {
     /// Cumulative simulated time — the base offset of this step's spans
     /// on the simulated timeline (`TrainReport::sim_spans`).
     sim_clock_ps: u64,
-    /// Opt-in tracing: a per-rank ring recorder. When disabled, nothing
-    /// allocates and every trace site is one `None` branch.
-    pub(super) recorder: Option<TraceRecorder>,
+    /// The rank's wall clock: when it finished its latest phase, the
+    /// barrier wait it accrued (tracked when tracing or metrics are on)
+    /// and, opt-in, a per-rank ring trace recorder. When tracing is off,
+    /// nothing allocates and every trace site is one `None` branch.
+    pub(super) clock: RankClock,
     /// What the step's loss reduction sends: 8 bytes to every peer,
     /// charged to ALLREDUCE with no op (see [`TrafficSnapshot`]).
     pub(super) loss_sent: TrafficSnapshot,
@@ -209,8 +215,7 @@ impl<'a> LoopState<'a> {
     pub(super) fn new(ctx: &'a RunCtx<'a>, rank: usize) -> Self {
         let cfg = ctx.cfg;
         let g = cfg.gpus;
-        let replica = ctx.replica.clone();
-        let (dense_elems, dim, out_dim) = replica.shape();
+        let (dense_elems, dim, out_dim) = ctx.replica.shape();
         let flops = ctx.model.flops_per_step(cfg.local_batch_tokens());
         let sched = StepSchedule {
             cost: ctx.cost,
@@ -250,7 +255,6 @@ impl<'a> LoopState<'a> {
                 cfg.base_lr,
                 NodeLayout::new(g, ctx.cost.hardware().gpus_per_node).nodes(),
             ),
-            replica,
             global_step: 0,
             report: TrainReport::default(),
             base: RunTotals::default(),
@@ -267,35 +271,42 @@ impl<'a> LoopState<'a> {
             sched,
             ops: Vec::new(),
             sim_clock_ps: 0,
-            recorder: cfg
-                .trace
-                .enabled
-                .then(|| TraceRecorder::new(rank as u32, TRACE_EVENTS_PER_RANK)),
+            clock: RankClock::new(
+                cfg.trace
+                    .enabled
+                    .then(|| TraceRecorder::new(rank as u32, TRACE_EVENTS_PER_RANK)),
+                cfg.trace.enabled || cfg.metrics.enabled,
+            ),
             loss_sent: TrafficSnapshot::allreduce(peer_exchange_tier_bytes(g, ctx.gpn, rank, 8), 0),
         }
     }
 
-    /// Puts `ck` back: parameters, counters, the exact learning rate,
-    /// the epoch cursor and every deterministic accumulator — the exact
-    /// inverse of [`Self::snapshot`]. No RNG state exists to restore:
-    /// the corpus and split are regenerated from `cfg.seed` and
-    /// sampled-softmax streams are re-seeded from `global_step` each
-    /// step, so from here the run is bit-identical to one that never
-    /// stopped. Per-step telemetry (`TrainReport::steps`, traffic,
+    /// This rank's id in the round's world.
+    pub(super) fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Puts `ck` back: parameters (into `replica`), counters, the exact
+    /// learning rate, the epoch cursor and every deterministic
+    /// accumulator — the exact inverse of [`Self::snapshot`]. No RNG
+    /// state exists to restore: the corpus and split are regenerated
+    /// from `cfg.seed` and sampled-softmax streams are re-seeded from
+    /// `global_step` each step, so from here the run is bit-identical to
+    /// one that never stopped. Per-step telemetry (`TrainReport::steps`, traffic,
     /// traces) restarts here by design; it is wall-clock or run-local.
     /// `Err` is the reason a snapshot from another layout (or built by
     /// hand — `Checkpoint`'s fields are public) is refused: the
     /// fingerprint pins the dimensions, not the flat layout's length.
-    pub(super) fn restore(&mut self, ck: &Checkpoint) -> Result<(), String> {
+    pub(super) fn restore(&mut self, ck: &Checkpoint, replica: &mut Replica) -> Result<(), String> {
         // World, rank and fingerprint were validated by the caller.
-        let (have, want) = (ck.params.len(), self.replica.param_vector_len());
+        let (have, want) = (ck.params.len(), replica.param_vector_len());
         if have != want {
             return Err(format!(
                 "checkpoint holds {have} parameters, this configuration's model has {want}"
             ));
         }
         let metrics = &ck.metrics;
-        self.replica.load_param_vector(&ck.params);
+        replica.load_param_vector(&ck.params);
         self.lr = ck.lr;
         self.global_step = ck.step;
         self.epoch = ck.epoch as usize;
@@ -311,10 +322,11 @@ impl<'a> LoopState<'a> {
         Ok(())
     }
 
-    /// A bit-exact snapshot at the current step boundary. Only
-    /// deterministic quantities are captured — see the module docs of
-    /// [`crate::checkpoint`] for what is deliberately excluded.
-    pub(super) fn snapshot(&self) -> Checkpoint {
+    /// A bit-exact snapshot at the current step boundary, `replica` its
+    /// parameters. Only deterministic quantities are captured — see the
+    /// module docs of [`crate::checkpoint`] for what is deliberately
+    /// excluded.
+    pub(super) fn snapshot(&self, replica: &Replica) -> Checkpoint {
         let cfg = self.ctx.cfg;
         let totals = self.totals();
         Checkpoint {
@@ -325,7 +337,7 @@ impl<'a> LoopState<'a> {
             step_in_epoch: self.step_in_epoch,
             lr: self.lr,
             fingerprint: Fingerprint::of(cfg, self.ctx.data.model_vocab),
-            params: self.replica.param_vector(),
+            params: replica.param_vector(),
             metrics: CheckpointMetrics {
                 epochs: self.report.epochs.clone(),
                 epoch_loss: self.epoch_loss,
@@ -344,43 +356,28 @@ impl<'a> LoopState<'a> {
     }
 
     /// Opens the next step and returns its global index, first closing
-    /// the epoch in progress once its steps are done; `None` after the
-    /// last epoch.
-    pub(super) fn next_step(&mut self) -> Option<u64> {
+    /// the epoch in progress once its steps are done (rank 0 validates
+    /// `replica`); `None` after the last epoch.
+    pub(super) fn next_step(&mut self, replica: &Replica) -> Option<u64> {
         let epochs = self.ctx.cfg.epochs;
         while self.epoch < epochs && self.step_in_epoch >= self.epoch_steps {
-            self.end_epoch();
+            self.end_epoch(replica);
         }
         if self.epoch >= epochs {
             return None;
         }
-        if let Some(rec) = self.recorder.as_mut() {
+        if let Some(rec) = self.clock.trace() {
             rec.set_step(self.global_step);
         }
         Some(self.global_step)
     }
 
-    /// Runs `f`; under tracing, records its wall time as one `kind` span
-    /// carrying `bytes` of its result.
-    pub(super) fn traced<T>(
-        &mut self,
-        kind: SpanKind,
-        f: impl FnOnce(&Self) -> T,
-        bytes: impl FnOnce(&T) -> u64,
-    ) -> T {
-        let t0 = self.recorder.as_ref().map(TraceRecorder::now_ns);
-        let out = f(self);
-        if let (Some(rec), Some(t0)) = (self.recorder.as_mut(), t0) {
-            rec.record_since(kind, t0, bytes(&out));
-        }
-        out
-    }
-
-    /// Phase 1: draws this rank's next batch and runs forward/backward.
+    /// Phase 1: draws this rank's next batch and runs forward/backward
+    /// through `replica`.
     /// The shard's batches are drawn in order, over and over, so the
     /// step in progress names its batch — which is what lands a resumed
     /// epoch on exactly the batch the interrupted run would have drawn.
-    pub(super) fn compute(&mut self) -> StepOutcome {
+    pub(super) fn compute(&mut self, replica: &Replica) -> StepOutcome {
         let cfg = self.ctx.cfg;
         let mut batches = shard(self.ctx, self.rank);
         let pos = self.step_in_epoch as usize % batches.len().max(1);
@@ -393,7 +390,8 @@ impl<'a> LoopState<'a> {
             cfg.gpus,
             self.global_step,
         );
-        self.traced(SpanKind::Compute, |st| st.replica.step(&sb, seed), |_| 0)
+        let step = || replica.step(&sb, seed);
+        self.clock.phase(SpanKind::Compute, step, |_| 0).0
     }
 
     /// The embedding exchanges' learning rate: applied with `lr/G`, the
@@ -403,11 +401,12 @@ impl<'a> LoopState<'a> {
     }
 
     /// Phase 2: averages the ALLREDUCEd dense gradient over the world and
-    /// applies it.
-    pub(super) fn apply(&mut self, dense: &mut [f32]) {
+    /// applies it to `replica` — once for the world: every rank's reduced
+    /// gradient and learning rate are the same.
+    pub(super) fn apply(&self, replica: &mut Replica, dense: &mut [f32]) {
         let inv_g = 1.0 / self.ctx.cfg.gpus as f32;
         dense.iter_mut().for_each(|v| *v *= inv_g);
-        self.replica.apply_dense(dense, self.lr);
+        replica.apply_dense(dense, self.lr);
     }
 
     /// Phase 3: the step's record so far, and this rank's share of its
@@ -416,7 +415,8 @@ impl<'a> LoopState<'a> {
     /// ranks') and prices this rank's own op list for the step's
     /// synchronised load. Returns `[critical path, critical path +
     /// injected delay]`: the loss reduction's maxes over ranks make the
-    /// peaks [`Self::price`] takes.
+    /// peaks [`Self::price`] takes. The rank is ready for the loss
+    /// reduction once it returns.
     pub(super) fn measure(
         &mut self,
         dense_wire: ReducedBytes,
@@ -440,6 +440,7 @@ impl<'a> LoopState<'a> {
         };
         self.sched.load = record.load();
         let path_ps = self.sched.critical_path(self.rank, &mut self.ops);
+        self.clock.ready_now();
         (record, [path_ps, path_ps + self.sched.delay_ps[self.rank]])
     }
 
@@ -447,9 +448,8 @@ impl<'a> LoopState<'a> {
     /// SGD: the step ends when the slowest rank arrives, so `peaks` —
     /// every rank's [`Self::measure`] reduced by max — set a step time
     /// `T` that is identical on all ranks; its attribution is this
-    /// rank's own. `barrier_wait_wall_ns` is the wall time the step's
-    /// collectives parked in barriers, drained into one synthetic span
-    /// ending now.
+    /// rank's own. `barrier_wait_wall_ns` is the wall time this rank
+    /// waited for its peers before the step's collectives.
     pub(super) fn price(
         &mut self,
         record: StepMetrics,
@@ -457,12 +457,8 @@ impl<'a> LoopState<'a> {
         peaks: [u64; 2],
         barrier_wait_wall_ns: u64,
     ) {
-        if let Some(rec) = self.recorder.as_mut() {
-            let end = rec.now_ns();
-            let start = end.saturating_sub(barrier_wait_wall_ns);
-            rec.record(SpanKind::BarrierWait, start, end, 0);
-        }
-        let timeline = self.recorder.is_some().then_some(Timeline {
+        let traced = self.clock.trace().is_some();
+        let timeline = traced.then_some(Timeline {
             spans: &mut self.report.sim_spans,
             rank: self.rank as u32,
             step: self.global_step,
@@ -485,18 +481,16 @@ impl<'a> LoopState<'a> {
         self.step_in_epoch += 1;
     }
 
-    /// Phase 5: closes the epoch in progress. Only rank 0 validates —
-    /// replicas are identical, evaluation involves no collectives, and
-    /// the other G−1 passes would be discarded work — then the learning
-    /// rate decays and the cursor moves to the next epoch's first step.
-    fn end_epoch(&mut self) {
+    /// Phase 5: closes the epoch in progress. Only rank 0 validates
+    /// `replica` — evaluation involves no collectives, and the other G−1
+    /// passes would be discarded work — then the learning rate decays
+    /// and the cursor moves to the next epoch's first step.
+    fn end_epoch(&mut self, replica: &Replica) {
         let cfg = self.ctx.cfg;
         if self.rank == 0 {
             // NaN when the validation split holds no full batch.
             let valid = &self.ctx.data.valid;
-            let valid_nll = self
-                .replica
-                .valid_loss(valid, cfg.batch.min(4), cfg.seq_len);
+            let valid_nll = replica.valid_loss(valid, cfg.batch.min(4), cfg.seq_len);
             self.report.epochs.push(EpochMetrics {
                 epoch: self.epoch,
                 train_loss: self.epoch_loss / self.epoch_steps.max(1) as f64,
@@ -516,7 +510,7 @@ impl<'a> LoopState<'a> {
         let totals = self.totals();
         self.report.attribution = totals.attribution;
         self.report.mean_unique_global = totals.mean_unique_global();
-        self.report.trace = self.recorder.map(TraceRecorder::finish);
+        self.report.trace = self.clock.finish();
         self.report
     }
 }
