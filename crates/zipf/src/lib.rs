@@ -7,11 +7,15 @@
 //! generate, measure and fit that behaviour:
 //!
 //! * [`alias::AliasTable`] — O(1) sampling from arbitrary discrete
-//!   distributions (Walker's alias method), the workhorse behind both the
-//!   corpus generators and the log-uniform sampled-softmax sampler.
+//!   distributions (Walker's alias method), the workhorse behind
+//!   [`distribution::ZipfMandelbrot`] and so behind the corpus
+//!   generators. The log-uniform sampled-softmax sampler
+//!   ([`distribution::LogUniform`]) needs no table: it samples by its
+//!   closed-form inverse CDF.
 //! * [`distribution::ZipfMandelbrot`] — the rank-frequency law
-//!   `p(r) ∝ (r + q)^{-s}` used to synthesise corpora whose type–token
-//!   curve matches the paper's datasets.
+//!   `p(r) ∝ (r + 1 + q)^{-s}` over 0-based ranks `r`, used to
+//!   synthesise corpora whose type–token curve matches the paper's
+//!   datasets.
 //! * [`freq::FrequencyTable`] — token counting, rank assignment and
 //!   empirical rank-frequency extraction.
 //! * [`heaps`] — type–token (Heaps' law) curve measurement over a token
