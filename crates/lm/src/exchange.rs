@@ -1020,6 +1020,101 @@ mod tests {
         }
     }
 
+    /// The lockstep bucketed ALLREDUCE of `payloads` (rank `r`'s, all of
+    /// one length) under `cfg` on a fresh world of 3-GPU nodes: the
+    /// reduced payload and every rank's [`ReducedBytes`].
+    fn lockstep_bucketed(
+        payloads: &[Vec<f32>],
+        cfg: &ExchangeConfig,
+    ) -> Result<(Vec<f32>, Vec<ReducedBytes>), CommError> {
+        let mut world = World::new(payloads.len(), 3, None);
+        let mut bufs = payloads.to_vec();
+        let mut views: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        let reduced = all_reduce_bucketed_world(&mut world, &mut views, cfg)?;
+        Ok((bufs.swap_remove(0), reduced))
+    }
+
+    /// Rank `r`'s `n`-element gradient payload.
+    fn payload(r: usize, n: usize) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(0x5eed + r as u64);
+        (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+    }
+
+    /// The lockstep bucketed ALLREDUCE's bytes and bits against each
+    /// threaded rank's [`all_reduce_bucketed`], over every codec rung ×
+    /// f32 / FP16 × flat / two-tier × whole-payload and bucketed (one
+    /// bucket ragged) × G ∈ {1, 2, 3, 8} × n ∈ {0, 1, 37} — and all of
+    /// it in one FNV-1a literal.
+    #[test]
+    fn lockstep_bucketed_reduce_characterisation() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for world in [1usize, 2, 3, 8] {
+            for codec in [
+                WireCodecId::Identity,
+                WireCodecId::LosslessIndex,
+                WireCodecId::LosslessGrad,
+                WireCodecId::Lossless,
+            ] {
+                for compression in [None, Some(512.0)] {
+                    for (gpus_per_node, bucket_bytes) in [(0, 0), (3, 0), (0, 24), (3, 24)] {
+                        let cfg = ExchangeConfig {
+                            unique: true,
+                            compression,
+                            gpus_per_node,
+                            bucket_bytes,
+                            codec,
+                        };
+                        for n in [0usize, 1, 37] {
+                            let payloads: Vec<Vec<f32>> =
+                                (0..world).map(|r| payload(r, n)).collect();
+                            let (got, reduced) = lockstep_bucketed(&payloads, &cfg).unwrap();
+                            let threaded = simgpu::run_ranks(
+                                CommGroup::create_full(world, 3, 0, None),
+                                |rank| {
+                                    let mut data = payload(rank.rank(), n);
+                                    let bytes = all_reduce_bucketed(&rank, &mut data, &cfg);
+                                    (data, bytes.unwrap())
+                                },
+                            );
+                            let bits =
+                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            for (r, (data, bytes)) in threaded.iter().enumerate() {
+                                let ctx = format!("world {world} n {n} rank {r} {cfg:?}");
+                                assert_eq!(bits(&got), bits(data), "{ctx}");
+                                assert_eq!(reduced[r], *bytes, "{ctx}");
+                            }
+                            for x in &got {
+                                fold(u64::from(x.to_bits()));
+                            }
+                            for b in &reduced {
+                                let s = b.sent;
+                                for word in [
+                                    s.allreduce_ops,
+                                    s.allreduce_intra_bytes,
+                                    s.allreduce_inter_bytes,
+                                ] {
+                                    fold(word);
+                                }
+                                fold(b.raw);
+                                fold(b.enc);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            hash, 0xa382_2395_7361_0605,
+            "lockstep bucketed reduce bits or bytes moved"
+        );
+    }
+
     #[test]
     fn baseline_keeps_replicas_identical() {
         for world in [1usize, 2, 4] {

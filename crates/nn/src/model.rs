@@ -748,6 +748,74 @@ mod tests {
         assert_eq!(bits(&c.param_vector()), bits(&want));
     }
 
+    /// Every bit one word-LM step produces: loss, dense, both sparse
+    /// gradients (candidates drawn from a fixed seed).
+    fn word_step_bits(m: &WordLm, batch: &SeqBatch) -> Vec<u32> {
+        let g = m.forward_backward(batch, &mut StdRng::seed_from_u64(5));
+        let loss = g.loss.to_bits();
+        [(loss >> 32) as u32, loss as u32]
+            .into_iter()
+            .chain(bits(&g.dense))
+            .chain(bits(g.input_grad.rows.as_slice()))
+            .chain(bits(g.output_grad.rows.as_slice()))
+            .collect()
+    }
+
+    /// Every bit one char-LM step produces: loss, dense, sparse.
+    fn char_step_bits(m: &CharLm, batch: &SeqBatch) -> Vec<u32> {
+        let g = m.forward_backward(batch);
+        let loss = g.loss.to_bits();
+        [(loss >> 32) as u32, loss as u32]
+            .into_iter()
+            .chain(bits(&g.dense))
+            .chain(bits(g.input_grad.rows.as_slice()))
+            .collect()
+    }
+
+    /// A model that has run a step — so whatever it derives from its
+    /// weights for a pass exists — must step exactly like a freshly
+    /// built one holding the same parameters after each way its weights
+    /// change: `apply_dense`, `load_param_vector`, and on a clone
+    /// updated after its source ran (the source stepping as before).
+    #[test]
+    fn a_step_after_any_weight_change_matches_a_fresh_model() {
+        let (wcfg, wbatch) = (WordLmConfig::small(60), toy_batch(60, 3, 4, 6));
+        let fresh_word = |p: &[f32]| {
+            let mut m = WordLm::new(1, wcfg);
+            m.load_param_vector(p);
+            word_step_bits(&m, &wbatch)
+        };
+        let mut w = WordLm::new(3, wcfg);
+        let g = w.forward_backward(&wbatch, &mut StdRng::seed_from_u64(1));
+        w.apply_dense(&g.dense, 0.37);
+        assert_eq!(word_step_bits(&w, &wbatch), fresh_word(&w.param_vector()));
+        let other = WordLm::new(4, wcfg).param_vector();
+        w.load_param_vector(&other);
+        assert_eq!(word_step_bits(&w, &wbatch), fresh_word(&other));
+        let mut c = w.clone();
+        c.apply_dense(&g.dense, 0.5);
+        assert_eq!(word_step_bits(&c, &wbatch), fresh_word(&c.param_vector()));
+        assert_eq!(word_step_bits(&w, &wbatch), fresh_word(&other));
+
+        let (ccfg, cbatch) = (CharLmConfig::small(30), toy_batch(30, 3, 4, 6));
+        let fresh_char = |p: &[f32]| {
+            let mut m = CharLm::new(1, ccfg);
+            m.load_param_vector(p);
+            char_step_bits(&m, &cbatch)
+        };
+        let mut m = CharLm::new(3, ccfg);
+        let g = m.forward_backward(&cbatch);
+        m.apply_dense(&g.dense, 0.37);
+        assert_eq!(char_step_bits(&m, &cbatch), fresh_char(&m.param_vector()));
+        let other = CharLm::new(4, ccfg).param_vector();
+        m.load_param_vector(&other);
+        assert_eq!(char_step_bits(&m, &cbatch), fresh_char(&other));
+        let mut c = m.clone();
+        c.apply_dense(&g.dense, 0.5);
+        assert_eq!(char_step_bits(&c, &cbatch), fresh_char(&c.param_vector()));
+        assert_eq!(char_step_bits(&m, &cbatch), fresh_char(&other));
+    }
+
     /// FNV-1a over the little-endian bytes of every value's bits.
     fn bit_hash(v: &[f32]) -> u64 {
         v.iter()

@@ -3092,6 +3092,136 @@ mod tests {
         assert_eq!(hash, 0xbf90_611f_a63b_3bad, "all_reduce output bits moved");
     }
 
+    /// The lockstep ALLREDUCE of `inputs` (rank `r`'s payload, all of
+    /// one length) on `world` as one bucket: the reduced payload every
+    /// rank reads and every rank's sends.
+    fn world_all_reduce(
+        world: &mut World,
+        inputs: &[Vec<f32>],
+        wire: Wire<'_>,
+        topology: Topology,
+    ) -> Result<(Vec<f32>, Vec<TierBytes>), CommError> {
+        let mut bufs = inputs.to_vec();
+        let mut views: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        let mut sent = vec![TierBytes::default(); inputs.len()];
+        world.all_reduce(&mut views, wire, topology, &mut sent)?;
+        for (r, buf) in bufs.iter().enumerate() {
+            assert_same_bits(buf, &bufs[0], &format!("rank {r}'s copy"));
+        }
+        Ok((bufs.swap_remove(0), sent))
+    }
+
+    /// Rank `r`'s payload whose sums cancel: `−0.0` on every rank, `x`
+    /// on even ranks against `−x` on odd ones, a lone `−0.0` beside
+    /// `+0.0`, and a hostile value.
+    fn cancelling_payload(r: usize, n: usize) -> Vec<f32> {
+        let hostile = hostile_payload(r, n);
+        (0..n)
+            .map(|i| match i % 4 {
+                0 => -0.0,
+                1 if r.is_multiple_of(2) => 1.5 + i as f32,
+                1 => -(1.5 + i as f32),
+                2 if r == 0 => -0.0,
+                2 => 0.0,
+                _ => hostile[i],
+            })
+            .collect()
+    }
+
+    /// `xs` with every NaN replaced by one quiet NaN. IEEE 754 leaves
+    /// which payload a sum of two NaNs carries to the implementation,
+    /// and the compiler may commute an `f32` add, so only NaN-ness is
+    /// the reduction's to keep when many ranks' NaNs and infinities
+    /// meet.
+    fn canonical_nans(mut xs: Vec<f32>) -> Vec<f32> {
+        for x in xs.iter_mut().filter(|x| x.is_nan()) {
+            *x = f32::NAN;
+        }
+        xs
+    }
+
+    /// The lockstep ALLREDUCE against the hop-major oracle, bit for bit,
+    /// with every rank's sends: G ∈ {1, 2, 3, 8, 192} × f32 and binary16
+    /// at two scales and the lossless codec × flat / two-tier on 3-GPU
+    /// nodes × n ∈ {0, 1, `REDUCE_BLOCK` ± 1, a non-multiple of G} on
+    /// the hostile payloads and on payloads that cancel to ±0 — folded
+    /// into one FNV-1a literal. NaNs compare as NaN (`canonical_nans`).
+    #[test]
+    fn lockstep_reduction_characterisation() {
+        use crate::codec::WireCodecId;
+        let lossless = WireCodecId::Lossless
+            .grad_codec()
+            .expect("lossless has a grad codec");
+        let b = REDUCE_BLOCK;
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for world in [1usize, 2, 3, 8, 192] {
+            for wire in [
+                Wire::F32,
+                Wire::F16 { scale: 64.0 },
+                Wire::F16 { scale: 512.0 },
+                Wire::Codec(lossless),
+            ] {
+                for topology in [Topology::Flat, Topology::TwoTier] {
+                    for n in [0, 1, b - 1, b + 1, 5 * world + 3] {
+                        for payload in [hostile_payload, cancelling_payload] {
+                            let inputs: Vec<Vec<f32>> = (0..world).map(|r| payload(r, n)).collect();
+                            let mut w = World::new(world, 3, None);
+                            let (got, sent) =
+                                world_all_reduce(&mut w, &inputs, wire, topology).unwrap();
+                            let scale = f16_scale(wire).filter(|_| world > 1);
+                            let want = hop_major_oracle(&inputs, scale).swap_remove(0);
+                            let ctx = format!("world {world} {topology:?} n {n}");
+                            let (got, want) = (canonical_nans(got), canonical_nans(want));
+                            assert_same_bits(&got, &want, &ctx);
+                            for x in &got {
+                                fold(u64::from(x.to_bits()));
+                            }
+                            for s in &sent {
+                                fold(s.intra);
+                                fold(s.inter);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            hash, 0xefc2_653a_9808_6f43,
+            "lockstep all_reduce bits or bytes moved"
+        );
+    }
+
+    /// A torn codec frame on the lockstep ALLREDUCE names the first rank
+    /// whose latch is armed, consumes the latches up to and including
+    /// it, and leaves every later one armed.
+    #[test]
+    fn lockstep_reduction_consumes_latches_up_to_the_first_torn() {
+        use crate::codec::WireCodecId;
+        let lossless = WireCodecId::Lossless
+            .grad_codec()
+            .expect("lossless has a grad codec");
+        let inputs: Vec<Vec<f32>> = (0..6).map(|r| hostile_payload(r, 40)).collect();
+        let mut w = World::new(6, 3, None);
+        for r in [2, 4] {
+            w.corrupt_next_codec_frame(r);
+        }
+        let err = world_all_reduce(&mut w, &inputs, Wire::Codec(lossless), Topology::Flat)
+            .expect_err("a torn frame fails the collective");
+        assert_eq!(err.failed_rank(), 2, "{err}");
+        assert_eq!(w.torn, [false, false, false, false, true, false]);
+        // Fixed-width wires frame nothing: every latch stays armed.
+        let mut w = World::new(6, 3, None);
+        w.corrupt_next_codec_frame(1);
+        world_all_reduce(&mut w, &inputs, Wire::F16 { scale: 64.0 }, Topology::Flat).unwrap();
+        assert_eq!(w.torn, [false, true, false, false, false, false]);
+    }
+
     #[test]
     fn flat_ring_tier_split_follows_group_topology() {
         // A flat allreduce on a multi-node group charges each rank's
