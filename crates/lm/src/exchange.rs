@@ -68,7 +68,7 @@ use nn::{Embedding, SparseGrad};
 use perfmodel::memory;
 pub use perfmodel::schedule::ExchangeConfig;
 use simgpu::{
-    peer_exchange_tier_bytes, CommError, PhaseTimer, Rank, RankClock, SpanKind, TierBytes,
+    peer_exchange_tier_bytes, CommError, PhaseTimer, Rank, RankClock, RankSum, SpanKind, TierBytes,
     TraceRecorder, TrafficSnapshot, UniqueGathered, World,
 };
 use std::time::Instant;
@@ -195,6 +195,9 @@ pub struct ExchangeScratch {
     unique: Vec<u32>,
     /// Canonical `Ug×D` scatter/ALLREDUCE matrix `M`.
     m: Vec<f32>,
+    /// The lockstep exchange's running sum of every member's `M`
+    /// (`exchange_world`), kept in the first member's pool.
+    sum: RankSum,
     /// `word → slot` for the epoch that stamped it (vocab-sized).
     slot_of: Vec<u32>,
     /// Epoch that last wrote `slot_of[word]` (vocab-sized).
@@ -676,6 +679,10 @@ fn unique_world(
     world.all_gather_unique(&locals, cfg.codec.index_codec(), cfg.topology())?;
     let end = Instant::now();
     let global = world.unique_set();
+    // Step 5 per member, each `M` folded into the running sum as soon
+    // as it is scattered: only the sum outlives the loop.
+    let mut sum = std::mem::take(&mut members[0].scratch.sum);
+    sum.begin(cfg.grad_wire());
     for (r, (m, t)) in members.iter_mut().zip(&mut timings).enumerate() {
         let bytes = world.unique_gathered(r).sent.total();
         t.gather_ns = m.clock.joined(SpanKind::Gather, start, end, bytes);
@@ -696,21 +703,18 @@ fn unique_world(
             .clock
             .phase(SpanKind::Scatter, || scratch.scatter(d), |_| 0)
             .1;
+        sum.fold(&scratch.m);
     }
 
     let start = Instant::now();
-    let mut bufs: Vec<&mut [f32]> = members
-        .iter_mut()
-        .map(|m| m.scratch.m.as_mut_slice())
-        .collect();
-    let reduced = all_reduce_bucketed_world(world, &mut bufs, cfg)?;
+    let reduced = all_reduce_folded(world, &mut sum, cfg)?;
     let reduced_at = Instant::now();
-    // Every member's M̂ is the one reduction: apply it once.
-    if let Some(m) = members.first() {
-        apply_rows(table, &m.scratch.unique, &m.scratch.m, lr);
-    }
+    // The one reduction every member's M̂ would hold: apply it once.
+    let first = &mut *members[0].scratch;
+    apply_rows(table, &first.unique, sum.as_slice(), lr);
+    first.sum = sum;
     let applied = Instant::now();
-    let u_global = world.unique_set().len();
+    let u_global = first.unique.len();
     Ok(members
         .iter_mut()
         .zip(timings)
@@ -749,7 +753,7 @@ pub struct ReducedBytes {
 /// ALLREDUCEs `data` in place the way `cfg` runs a gradient payload:
 /// its wire format and topology, one collective call per gradient
 /// bucket of at most `cfg.bucket_bytes` wire bytes (see [`buckets`]) —
-/// with its lockstep twin `all_reduce_bucketed_world`, the only place
+/// with its lockstep twin `all_reduce_folded`, the only place
 /// gradient buckets meet a collective: the dense ALLREDUCE and the
 /// exchange's step-6 `Ug×D` ALLREDUCE both call one of them. Each
 /// bucket is a range of the
@@ -776,29 +780,28 @@ pub fn all_reduce_bucketed(
     Ok(out)
 }
 
-/// [`all_reduce_bucketed`] over every rank's buffer at once (`data[r]`
-/// is rank `r`'s, all of one length), on the lockstep [`World`]: the
-/// same buckets, each one [`World::all_reduce`]; every rank's bytes.
-pub(crate) fn all_reduce_bucketed_world(
+/// [`all_reduce_bucketed`] on the lockstep [`World`], every rank's
+/// buffer already folded into `sum` ([`RankSum::fold`]): the same
+/// buckets, each one [`World::all_reduce`] over its range of the one
+/// sum; every rank's bytes.
+pub(crate) fn all_reduce_folded(
     world: &mut World,
-    data: &mut [&mut [f32]],
+    sum: &mut RankSum,
     cfg: &ExchangeConfig,
 ) -> Result<Vec<ReducedBytes>, CommError> {
     let (wire, topology) = (cfg.grad_wire(), cfg.topology());
-    let n = data.first().map_or(0, |d| d.len());
+    let n = sum.as_slice().len();
     let mut out = vec![
         ReducedBytes {
             raw: n as u64 * wire.elem_bytes(),
             ..ReducedBytes::default()
         };
-        data.len()
+        world.world()
     ];
-    let mut sent = vec![TierBytes::default(); data.len()];
+    let mut sent = vec![TierBytes::default(); world.world()];
     for range in buckets(n, wire.elem_bytes(), cfg.bucket_bytes) {
-        let mut bufs: Vec<&mut [f32]> = data.iter_mut().map(|d| &mut d[range.clone()]).collect();
-        world.all_reduce(&mut bufs, wire, topology, &mut sent)?;
-        // Rank-invariant: every buffer holds the one reduction.
-        let enc = bufs.first().map_or(0, |b| wire.encoded_len(b));
+        world.all_reduce(sum, range.clone(), wire, topology, &mut sent)?;
+        let enc = wire.encoded_len(&sum.as_slice()[range]);
         for (o, s) in out.iter_mut().zip(&sent) {
             o.sent += TrafficSnapshot::allreduce(*s, 1);
             o.enc += enc;
@@ -1028,10 +1031,13 @@ mod tests {
         cfg: &ExchangeConfig,
     ) -> Result<(Vec<f32>, Vec<ReducedBytes>), CommError> {
         let mut world = World::new(payloads.len(), 3, None);
-        let mut bufs = payloads.to_vec();
-        let mut views: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-        let reduced = all_reduce_bucketed_world(&mut world, &mut views, cfg)?;
-        Ok((bufs.swap_remove(0), reduced))
+        let mut sum = RankSum::new();
+        sum.begin(cfg.grad_wire());
+        for payload in payloads {
+            sum.fold(payload);
+        }
+        let reduced = all_reduce_folded(&mut world, &mut sum, cfg)?;
+        Ok((sum.as_slice().to_vec(), reduced))
     }
 
     /// Rank `r`'s `n`-element gradient payload.

@@ -60,17 +60,15 @@ mod step;
 use crate::checkpoint::{Checkpoint, CheckpointBackend, CheckpointStore};
 use crate::config::{DatasetId, ModelKind, TrainConfig};
 use crate::elastic::{self, RecoveryPolicy};
-use crate::exchange::{
-    all_reduce_bucketed_world, exchange_world, ExchangeStats, Member, ReducedBytes,
-};
+use crate::exchange::{all_reduce_folded, exchange_world, ExchangeStats, Member, ReducedBytes};
 use crate::metrics::{self, HealthEvent, RecoveryEvent, StepMetrics, TrainReport};
 use corpus::{train_valid_split, CorpusGenerator, TokenUnit, Vocab};
 use simgpu::{
-    CommError, CostModel, Device, FaultPlan, HardwareConfig, OomError, SpanKind, TrafficSnapshot,
-    World,
+    CommError, CostModel, Device, FaultPlan, HardwareConfig, OomError, RankSum, SpanKind,
+    TrafficSnapshot, World,
 };
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 use step::{LoopState, Replica, StepOutcome};
@@ -357,6 +355,7 @@ pub fn run(cfg: &TrainConfig, opts: &RunOptions) -> RunOutcome {
             &plan,
             store.as_ref(),
             resume.as_deref(),
+            fan_out_width(cfg.comm.pool_workers),
         );
         let failure_observed = Instant::now();
 
@@ -468,8 +467,8 @@ struct RunCtx<'a> {
 }
 
 /// One round: initialises the replica once, drives `cfg.gpus` ranks in
-/// lockstep and returns every rank's own result. `cfg` and `plan`
-/// passed [`validate`].
+/// lockstep, compute fanned out over `workers` workers, and returns
+/// every rank's own result. `cfg` and `plan` passed [`validate`].
 fn run_round(
     cfg: &TrainConfig,
     data: &RunData,
@@ -477,6 +476,7 @@ fn run_round(
     plan: &FaultPlan,
     store: Option<&CheckpointStore>,
     resume: Option<&Checkpoint>,
+    workers: usize,
 ) -> Vec<Result<TrainReport, TrainError>> {
     // Rejected before any rank starts: every rank reports the cause.
     let reject = |e: TrainError| vec![Err(e); cfg.gpus];
@@ -523,7 +523,7 @@ fn run_round(
         resume,
         gpn,
     };
-    let mut results = drive(&ctx, &devices);
+    let mut results = drive(&ctx, &devices, workers);
 
     let peak_mem = devices.iter().map(|d| d.peak()).max().unwrap_or(0);
     // Every rank's sends, summed. Ops count group calls, which every
@@ -679,43 +679,104 @@ fn fan_out_width(pool_workers: usize) -> usize {
     }
 }
 
-/// Runs `f` on every item, split into `workers` contiguous runs: the
-/// first on the calling thread, the others on scoped threads. A panic
-/// in any run surfaces as that panic.
-fn fan_out<T: Send>(workers: usize, items: &mut [T], f: impl Fn(&mut T) + Sync) {
-    let per = items.len().div_ceil(workers.max(1)).max(1);
-    if per >= items.len() {
-        items.iter_mut().for_each(f);
+/// Runs `compute` on every item, each into a worker's buffer, and hands
+/// every result to `fold` in item order on the calling thread, as soon
+/// as the items before it are folded. `bufs` holds one buffer per
+/// worker — its length is the width — and each worker reuses its own
+/// from item to item, so at most `bufs.len()` results are alive
+/// whatever the number of items. Worker `j` takes items `j`, `j + W`,
+/// …, and hands each buffer to the fold and waits for it back: the
+/// ordered hand-off. With one buffer (or one item) nothing is spawned.
+/// A panic in `compute` surfaces as that panic.
+fn fan_out_fold<T: Send>(
+    bufs: &mut [Vec<f32>],
+    items: &mut [T],
+    compute: impl Fn(&mut T, &mut Vec<f32>) + Sync,
+    mut fold: impl FnMut(&[f32]),
+) {
+    let width = bufs.len().min(items.len());
+    if width <= 1 {
+        let Some(buf) = bufs.first_mut() else {
+            assert!(items.is_empty(), "no buffer to compute into");
+            return;
+        };
+        for item in items {
+            compute(item, buf);
+            fold(buf);
+        }
         return;
     }
-    let f = &f;
+    let compute = &compute;
+    let n = items.len();
+    let mut lanes: Vec<Vec<&mut T>> = (0..width).map(|_| Vec::new()).collect();
+    for (i, item) in items.iter_mut().enumerate() {
+        lanes[i % width].push(item);
+    }
     thread::scope(|s| {
-        let mut runs = items.chunks_mut(per);
-        let first = runs.next().unwrap_or_default();
-        let others: Vec<_> = runs
-            .map(|run| s.spawn(move || run.iter_mut().for_each(f)))
-            .collect();
-        first.iter_mut().for_each(f);
-        for worker in others {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
+        let mut links = Vec::with_capacity(width);
+        let mut workers = Vec::with_capacity(width);
+        for (lane, buf) in lanes.into_iter().zip(bufs.iter_mut()) {
+            let (done_tx, done) = mpsc::channel::<Vec<f32>>();
+            let (back, back_rx) = mpsc::channel::<Vec<f32>>();
+            let mut own = std::mem::take(buf);
+            workers.push(s.spawn(move || {
+                for item in lane {
+                    compute(item, &mut own);
+                    // The fold went away: it panicked, or a worker did.
+                    if done_tx.send(own).is_err() {
+                        return None;
+                    }
+                    own = back_rx.recv().ok()?;
+                }
+                Some(own)
+            }));
+            links.push((done, back));
+        }
+        for i in 0..n {
+            let (done, back) = &links[i % width];
+            // A worker that panicked drops its sender: stop folding.
+            let Ok(buf) = done.recv() else { break };
+            fold(&buf);
+            // Its worker may have panicked since; the join reports it.
+            let _ = back.send(buf);
+        }
+        drop(links);
+        for (worker, buf) in workers.into_iter().zip(bufs.iter_mut()) {
+            match worker.join() {
+                Ok(own) => *buf = own.unwrap_or_default(),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
     });
 }
 
+/// The step's dense gradient: each fan-out worker's buffer, reused from
+/// rank to rank and step to step, and the running sum every rank's
+/// gradient is folded into as soon as it is made.
+struct DenseGrads {
+    bufs: Vec<Vec<f32>>,
+    sum: RankSum,
+}
+
 /// The lockstep driver: every rank's step loop on the calling thread,
 /// each collective once over all ranks' buffers on one [`World`], and
 /// one replica — the weights every rank holds, identical under
-/// synchronous SGD — updated once per step. The only step-loop code
-/// that touches the world or a device; everything between its
-/// collectives is a phase of [`LoopState`]. Returns every rank's own
-/// result.
-fn drive(ctx: &RunCtx, devices: &[Arc<Device>]) -> Vec<Result<TrainReport, TrainError>> {
+/// synchronous SGD — updated once per step. Compute fans out over
+/// `workers` workers. The only step-loop code that touches the world or
+/// a device; everything between its collectives is a phase of
+/// [`LoopState`]. Returns every rank's own result.
+fn drive(
+    ctx: &RunCtx,
+    devices: &[Arc<Device>],
+    workers: usize,
+) -> Vec<Result<TrainReport, TrainError>> {
     let cfg = ctx.cfg;
     let mut replica = ctx.replica.clone();
     let mut world = World::new(cfg.gpus, ctx.gpn, cfg.comm.deadline);
-    let workers = fan_out_width(cfg.comm.pool_workers);
+    let mut dense = DenseGrads {
+        bufs: vec![Vec::new(); workers.max(1)],
+        sum: RankSum::new(),
+    };
     let mut ranks: Vec<RankRun> = (0..cfg.gpus)
         .map(|r| RankRun {
             st: LoopState::new(ctx, r),
@@ -746,7 +807,14 @@ fn drive(ctx: &RunCtx, devices: &[Arc<Device>]) -> Vec<Result<TrainReport, Train
         }
     }
 
-    while step(ctx, &mut world, &mut replica, &mut ranks, devices, workers) {}
+    while step(
+        ctx,
+        &mut world,
+        &mut replica,
+        &mut ranks,
+        devices,
+        &mut dense,
+    ) {}
 
     // Terminal snapshot: the run's exact final state (params + full
     // epoch history). Rank 0's copy is authoritative — it alone carries
@@ -777,7 +845,7 @@ fn step(
     replica: &mut Replica,
     ranks: &mut [RankRun],
     devices: &[Arc<Device>],
-    workers: usize,
+    dense: &mut DenseGrads,
 ) -> bool {
     let (cfg, plan, g) = (ctx.cfg, ctx.plan, ctx.cfg.gpus);
     let mut opened = ranks
@@ -811,12 +879,18 @@ fn step(
         }
     }
 
+    // Every rank's dense gradient is folded into the one sum the
+    // moment it is made, in rank order: only the workers' buffers live.
     let weights = &*replica;
-    fan_out(workers, ranks, |rank| {
-        if rank.running() {
-            rank.out = Some(rank.st.compute(weights));
-        }
-    });
+    let sum = &mut dense.sum;
+    sum.begin(ranks[0].st.sched.xcfg.grad_wire());
+    let mut running: Vec<&mut RankRun> = ranks.iter_mut().filter(|r| r.running()).collect();
+    fan_out_fold(
+        &mut dense.bufs,
+        &mut running,
+        |rank, buf| rank.out = Some(rank.st.compute(weights, buf)),
+        |grad| sum.fold(grad),
+    );
 
     // Stragglers: one sleep for the step's largest injected delay, so
     // every other rank really waits for it at the first collective;
@@ -839,7 +913,7 @@ fn step(
     }
 
     // The step's collectives; the first failure ends the round.
-    let stats = match collectives(world, replica, ranks) {
+    let stats = match collectives(world, replica, ranks, &mut dense.sum) {
         Ok(stats) => stats,
         Err(e) => {
             fail_all(ranks, &e);
@@ -847,10 +921,8 @@ fn step(
         }
     };
 
-    // Every rank's reduced dense gradient is the same: apply one.
-    let rank0 = &mut ranks[0];
-    let out = rank0.out.as_mut().expect("every rank computed");
-    rank0.st.apply(replica, &mut out.dense);
+    // The reduced dense gradient is every rank's: apply it once.
+    ranks[0].st.apply(replica, dense.sum.as_mut_slice());
 
     // Charge transient buffers against each device. Capacities (and
     // Ui-dependent buffer sizes) may differ per rank, so a one-sided
@@ -860,9 +932,14 @@ fn step(
     for (r, ((rank, device), (dense_wire, input, output))) in
         ranks.iter_mut().zip(devices).zip(stats).enumerate()
     {
-        let dense = rank.out.as_ref().map_or(0, |out| out.dense.len());
+        // Each rank's device holds its own dense gradient buffer.
+        let dense = if rank.out.is_some() {
+            rank.st.sched.dense_elems as u64
+        } else {
+            0
+        };
         let transient =
-            input.peak_buffer_bytes + output.map_or(0, |s| s.peak_buffer_bytes) + dense as u64 * 4;
+            input.peak_buffer_bytes + output.map_or(0, |s| s.peak_buffer_bytes) + dense * 4;
         if let Err(e) = device.try_alloc(transient) {
             let reason = format!("rank {r} OOM on exchange buffers at step {step}: {e}");
             rank.fail(world, TrainError::Oom(e), reason);
@@ -952,8 +1029,9 @@ fn members<'r>(ranks: &'r mut [RankRun], output: bool) -> Vec<Member<'r>> {
 type StepStats = (ReducedBytes, ExchangeStats, Option<ExchangeStats>);
 
 /// The step's collectives between `compute` and `apply`, each once over
-/// every rank: the dense ALLREDUCE, one collective call per gradient
-/// bucket (`comm.bucket_bytes`; a single whole-payload call when 0), and
+/// every rank: the dense ALLREDUCE of `dense` — every rank's gradient,
+/// already folded in — one collective call per gradient bucket
+/// (`comm.bucket_bytes`; a single whole-payload call when 0), and
 /// the embedding exchanges, applied in place. Wire format and topology
 /// are independent parameters of the one collective, so compressed
 /// payloads ride the hierarchical route like any other. Reduction is
@@ -965,23 +1043,14 @@ fn collectives(
     world: &mut World,
     replica: &mut Replica,
     ranks: &mut [RankRun],
+    dense: &mut RankSum,
 ) -> Result<Vec<StepStats>, CommError> {
     world.meet()?;
     let xcfg = ranks[0].st.sched.xcfg;
     let lr = ranks[0].st.exchange_lr();
 
     let start = Instant::now();
-    let mut dense: Vec<&mut [f32]> = ranks
-        .iter_mut()
-        .map(|rank| {
-            rank.out
-                .as_mut()
-                .expect("every rank computed")
-                .dense
-                .as_mut_slice()
-        })
-        .collect();
-    let dense_wire = all_reduce_bucketed_world(world, &mut dense, &xcfg)?;
+    let dense_wire = all_reduce_folded(world, dense, &xcfg)?;
     let end = Instant::now();
     for (rank, wire) in ranks.iter_mut().zip(&dense_wire) {
         let bytes = wire.sent.total_bytes();
@@ -1139,6 +1208,125 @@ mod tests {
         let b = train(&cfg).unwrap();
         assert_eq!(a.epochs[0].train_loss, b.epochs[0].train_loss);
         assert_eq!(a.final_ppl(), b.final_ppl());
+    }
+
+    /// Widths 1, 2, 3 and 5 over 7 and 48 items: every item computed
+    /// once, folded in item order, never more results alive than the
+    /// width, and no buffer but the width's own.
+    #[test]
+    fn fan_out_folds_in_order_with_one_buffer_per_worker() {
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        for width in [1usize, 2, 3, 5] {
+            for n in [7usize, 48] {
+                let mut items: Vec<usize> = (0..n).collect();
+                let mut bufs = vec![Vec::new(); width];
+                let (alive, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let seen = Mutex::new(HashSet::new());
+                let mut folded = Vec::new();
+                fan_out_fold(
+                    &mut bufs,
+                    &mut items,
+                    |item, buf| {
+                        buf.clear();
+                        buf.resize(16, *item as f32);
+                        seen.lock().unwrap().insert(buf.as_ptr() as usize);
+                        let now = alive.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                    },
+                    |grad| {
+                        alive.fetch_sub(1, Ordering::SeqCst);
+                        assert!(grad.iter().all(|&x| x == grad[0]));
+                        folded.push(grad[0] as usize);
+                    },
+                );
+                let ctx = format!("width {width}, {n} items");
+                assert_eq!(folded, (0..n).collect::<Vec<_>>(), "{ctx}");
+                assert!(peak.into_inner() <= width, "{ctx}: results alive");
+                assert!(seen.into_inner().unwrap().len() <= width, "{ctx}: buffers");
+                assert!(bufs.iter().all(|b| b.len() == 16), "{ctx}: buffers kept");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_surfaces_a_workers_panic() {
+        let mut items: Vec<usize> = (0..9).collect();
+        let mut bufs = vec![Vec::new(); 3];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fan_out_fold(
+                &mut bufs,
+                &mut items,
+                |item, buf| {
+                    assert_ne!(*item, 5, "item five fails");
+                    buf.push(*item as f32);
+                },
+                |_| {},
+            );
+        }));
+        let panic = caught.expect_err("the worker's panic surfaces");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("item five fails"), "{message}");
+    }
+
+    /// Every field of a round's per-rank results a run determines —
+    /// wall-clock fields zeroed — rendered with `Debug`.
+    fn deterministic(ranks: Vec<Result<TrainReport, TrainError>>) -> String {
+        let ranks: Vec<_> = ranks
+            .into_iter()
+            .map(|rank| {
+                rank.map(|mut rep| {
+                    for s in &mut rep.steps {
+                        s.barrier_wait_wall_ns = 0;
+                        s.input_exchange.timings = Default::default();
+                        if let Some(out) = &mut s.output_exchange {
+                            out.timings = Default::default();
+                        }
+                    }
+                    rep.trace = None;
+                    rep
+                })
+            })
+            .collect();
+        format!("{ranks:?}")
+    }
+
+    /// The driver's fan-out at explicit widths 1, 2, 3 and 5 over 7 and
+    /// 48 ranks — whatever the host's cores, which cap the width `run`
+    /// asks for — gives the same reports: losses, traffic, simulated
+    /// time, and the same failure under a kill.
+    #[test]
+    fn fan_out_width_moves_no_bit_of_any_report() {
+        let mut word = quick_cfg(ModelKind::Word { vocab: 100 }, 7, Method::full());
+        word.comm.gpus_per_node = 3;
+        word.comm.hierarchical = true;
+        let cases = [
+            (
+                quick_cfg(ModelKind::Char { vocab: 32 }, 7, Method::unique()),
+                None,
+            ),
+            (
+                quick_cfg(ModelKind::Char { vocab: 32 }, 48, Method::full()),
+                None,
+            ),
+            (word.clone(), None),
+            (word, Some(FaultPlan::none().kill_rank(3, 2))),
+        ];
+        for (cfg, plan) in cases {
+            let plan = plan.unwrap_or_else(FaultPlan::none);
+            let data = prepare_data(&cfg);
+            let round = |workers| {
+                let ranks = run_round(&cfg, &data, u64::MAX / 4, &plan, None, None, workers);
+                deterministic(ranks)
+            };
+            let one = round(1);
+            let killed = "rank 3 killed by fault plan at step 2";
+            assert!(one.contains("train_loss") || one.contains(killed), "{one}");
+            for width in [2, 3, 5] {
+                assert!(round(width) == one, "width {width}, {} ranks", cfg.gpus);
+            }
+        }
     }
 
     #[test]

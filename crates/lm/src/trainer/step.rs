@@ -56,11 +56,11 @@ pub(super) enum Replica {
     Char(CharLm),
 }
 
-/// What one forward/backward pass produced: the local loss and the
-/// gradients the step's collectives reduce.
+/// What one forward/backward pass produced besides its dense gradient
+/// (which the driver folds into the step's running sum): the local loss
+/// and the sparse gradients the embedding exchanges carry.
 pub(super) struct StepOutcome {
     pub(super) loss: f64,
-    pub(super) dense: Vec<f32>,
     pub(super) input_grad: nn::SparseGrad,
     pub(super) output_grad: Option<nn::SparseGrad>,
 }
@@ -75,23 +75,26 @@ impl Replica {
         }
     }
 
-    fn step(&self, batch: &SeqBatch, sample_seed: u64) -> StepOutcome {
+    /// Forward/backward over `batch`, the dense gradient flattened into
+    /// `dense` (its allocation reused).
+    fn step(&self, batch: &SeqBatch, sample_seed: u64, dense: &mut Vec<f32>) -> StepOutcome {
+        let buf = std::mem::take(dense);
         match self {
             Replica::Word(m) => {
                 let mut rng = StdRng::seed_from_u64(sample_seed);
-                let g = m.forward_backward(batch, &mut rng);
+                let g = m.forward_backward_in(batch, &mut rng, buf);
+                *dense = g.dense;
                 StepOutcome {
                     loss: g.loss,
-                    dense: g.dense,
                     input_grad: g.input_grad,
                     output_grad: Some(g.output_grad),
                 }
             }
             Replica::Char(m) => {
-                let g = m.forward_backward(batch);
+                let g = m.forward_backward_in(batch, buf);
+                *dense = g.dense;
                 StepOutcome {
                     loss: g.loss,
-                    dense: g.dense,
                     input_grad: g.input_grad,
                     output_grad: None,
                 }
@@ -373,11 +376,11 @@ impl<'a> LoopState<'a> {
     }
 
     /// Phase 1: draws this rank's next batch and runs forward/backward
-    /// through `replica`.
+    /// through `replica`, the dense gradient into `dense`.
     /// The shard's batches are drawn in order, over and over, so the
     /// step in progress names its batch — which is what lands a resumed
     /// epoch on exactly the batch the interrupted run would have drawn.
-    pub(super) fn compute(&mut self, replica: &Replica) -> StepOutcome {
+    pub(super) fn compute(&mut self, replica: &Replica, dense: &mut Vec<f32>) -> StepOutcome {
         let cfg = self.ctx.cfg;
         let mut batches = shard(self.ctx, self.rank);
         let pos = self.step_in_epoch as usize % batches.len().max(1);
@@ -390,7 +393,7 @@ impl<'a> LoopState<'a> {
             cfg.gpus,
             self.global_step,
         );
-        let step = || replica.step(&sb, seed);
+        let step = || replica.step(&sb, seed, dense);
         self.clock.phase(SpanKind::Compute, step, |_| 0).0
     }
 
@@ -400,9 +403,10 @@ impl<'a> LoopState<'a> {
         self.lr * (1.0 / self.ctx.cfg.gpus as f32)
     }
 
-    /// Phase 2: averages the ALLREDUCEd dense gradient over the world and
-    /// applies it to `replica` — once for the world: every rank's reduced
-    /// gradient and learning rate are the same.
+    /// Phase 2: averages the ALLREDUCEd dense gradient — the one sum
+    /// every rank's gradient was folded into — over the world and
+    /// applies it to `replica`, once for the world: every rank's
+    /// learning rate is the same.
     pub(super) fn apply(&self, replica: &mut Replica, dense: &mut [f32]) {
         let inv_g = 1.0 / self.ctx.cfg.gpus as f32;
         dense.iter_mut().for_each(|v| *v *= inv_g);

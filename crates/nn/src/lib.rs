@@ -32,6 +32,7 @@ pub mod linear;
 pub mod lstm;
 pub mod model;
 pub mod optimizer;
+mod packs;
 mod params;
 pub mod rhn;
 pub mod sampled_softmax;

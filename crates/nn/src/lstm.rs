@@ -20,9 +20,10 @@
 //! * the input products leave the recurrence — `Z = X·Wx` forward and
 //!   `DX = DZ·Wxᵀ` backward are one product each over all `T·B` rows
 //!   (rows of a product are independent sums);
-//! * `Wh` (forward) and `Whᵀ` (backward) are packed once per sequence
-//!   ([`PackedB`]) instead of once per step; a pack lives for one call,
-//!   so there is nothing to invalidate when the weights change;
+//! * `Wh` (forward) and `Whᵀ` (backward) are packed
+//!   ([`PackedB`](tensor::PackedB)) once per change of weights, on the
+//!   first pass that reads them, instead of once per step; the only
+//!   `&mut` path to `Wh` drops the packs (see `crate::packs`);
 //! * `Z[t] += h_{t−1}·Wh`, `dWx += x_tᵀ·dz_t` and `dWh += h_{t−1}ᵀ·dz_t`
 //!   accumulate in place ([`Store::Add`]) on row-range views — no
 //!   temporary, no second pass. The weight gradients stay **per step, in
@@ -34,15 +35,17 @@
 //! windows the batcher produces). The forget-gate bias is initialised to
 //! 1, the standard trick for gradient flow.
 
+use crate::packs::Recurrent;
 use crate::params;
 use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid};
-use tensor::{init, Matrix, PackedB, Rhs, Store};
+use tensor::{init, Matrix, Rhs, Store};
 
 /// One LSTM layer's parameters.
 #[derive(Debug, Clone)]
 pub struct LstmLayer {
     wx: Matrix,
-    wh: Matrix,
+    /// `Wh`, the one recurrent matrix.
+    wh: Recurrent,
     b: Vec<f32>,
     hidden: usize,
 }
@@ -84,7 +87,12 @@ impl LstmLayer {
         for v in &mut b[hidden..2 * hidden] {
             *v = 1.0;
         }
-        Self { wx, wh, b, hidden }
+        Self {
+            wx,
+            wh: Recurrent::new(vec![wh]),
+            b,
+            hidden,
+        }
     }
 
     /// Hidden size `H`.
@@ -106,7 +114,7 @@ impl LstmLayer {
     pub fn zero_grads(&self) -> LstmGrads {
         LstmGrads {
             dwx: Matrix::zeros(self.wx.rows(), self.wx.cols()),
-            dwh: Matrix::zeros(self.wh.rows(), self.wh.cols()),
+            dwh: Matrix::zeros(self.wh[0].rows(), self.wh[0].cols()),
             db: vec![0.0; self.b.len()],
         }
     }
@@ -122,14 +130,14 @@ impl LstmLayer {
         let steps = xs.rows() / b;
 
         let mut z = xs.matmul(&self.wx);
-        let wh = PackedB::new(self.wh.view());
+        let wh = &self.wh.packed()[0];
         let mut cs = Matrix::zeros((steps + 1) * b, h);
         let mut hs = Matrix::zeros((steps + 1) * b, h);
         for t in 0..steps {
             let step = t * b..(t + 1) * b;
             // Block `t` of `hs` is h_{t−1}; the step writes block `t+1`.
             let h_prev = hs.rows_view(step.clone());
-            z.gemm_rows(step.clone(), h_prev, Rhs::Packed(&wh), Store::Add);
+            z.gemm_rows(step.clone(), h_prev, Rhs::Packed(wh), Store::Add);
             for r in step {
                 let zr = z.row_mut(r);
                 for (x, &bias) in zr.iter_mut().zip(&self.b) {
@@ -177,7 +185,7 @@ impl LstmLayer {
         );
 
         let mut grads = self.zero_grads();
-        let wh_t = PackedB::new(self.wh.view().t());
+        let wh_t = &self.wh.packed_t()[0];
         // Pre-activation gate gradients of every step, layout [i f g o].
         let mut dz = Matrix::zeros(steps * b, 4 * h);
         let mut dh_carry = Matrix::zeros(b, h);
@@ -235,7 +243,7 @@ impl LstmLayer {
             for (acc, &v) in grads.db.iter_mut().zip(&db_step) {
                 *acc += v;
             }
-            dh_carry.gemm_rows(0..b, dz_t, Rhs::Packed(&wh_t), Store::Set);
+            dh_carry.gemm_rows(0..b, dz_t, Rhs::Packed(wh_t), Store::Set);
         }
         let dx_all = dz.matmul_transpose_b(&self.wx);
         (dx_all, grads)
@@ -243,14 +251,14 @@ impl LstmLayer {
 
     /// The parameters in their flat order: `wx`, `wh` (row-major), `b`.
     pub(crate) fn params(&self) -> impl Iterator<Item = &[f32]> {
-        [self.wx.as_slice(), self.wh.as_slice(), &self.b[..]].into_iter()
+        [self.wx.as_slice(), self.wh[0].as_slice(), &self.b[..]].into_iter()
     }
 
-    /// [`LstmLayer::params`], mutably.
+    /// [`LstmLayer::params`], mutably; the recurrent packs are dropped.
     pub(crate) fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
         [
             self.wx.as_mut_slice(),
-            self.wh.as_mut_slice(),
+            self.wh.weights_mut()[0].as_mut_slice(),
             &mut self.b[..],
         ]
         .into_iter()
@@ -294,7 +302,7 @@ mod tests {
             let h_prev = cache.hs.last().unwrap();
             let c_prev = cache.cs.last().unwrap();
             let mut z = x.matmul(&layer.wx);
-            let zh = h_prev.matmul(&layer.wh);
+            let zh = h_prev.matmul(&layer.wh[0]);
             z.add_assign(&zh);
             z.add_row_bias(&layer.b);
             let mut c_t = Matrix::zeros(b, h);
@@ -366,7 +374,7 @@ mod tests {
                 *acc += v;
             }
             dxs[t] = dz.matmul_transpose_b(&layer.wx);
-            dh_carry = dz.matmul_transpose_b(&layer.wh);
+            dh_carry = dz.matmul_transpose_b(&layer.wh[0]);
         }
         (dxs, grads)
     }
@@ -479,12 +487,12 @@ mod tests {
         }
         // Wh probes.
         for i in [0usize, 17, 63] {
-            let orig = layer.wh.as_slice()[i];
-            layer.wh.as_mut_slice()[i] = orig + eps;
+            let orig = layer.wh[0].as_slice()[i];
+            layer.wh.weights_mut()[0].as_mut_slice()[i] = orig + eps;
             let lp = loss_of(&layer, &xs);
-            layer.wh.as_mut_slice()[i] = orig - eps;
+            layer.wh.weights_mut()[0].as_mut_slice()[i] = orig - eps;
             let lm = loss_of(&layer, &xs);
-            layer.wh.as_mut_slice()[i] = orig;
+            layer.wh.weights_mut()[0].as_mut_slice()[i] = orig;
             let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
             let ana = grads.dwh.as_slice()[i];
             assert!((ana - num).abs() < 3e-2, "dwh[{i}]: {ana} vs {num}");
@@ -551,7 +559,7 @@ mod tests {
         let mut restored = LstmLayer::new(&mut rng, 3, 4);
         params::load(restored.params_mut(), &flat);
         assert_eq!(restored.wx.as_slice(), grads.dwx.as_slice());
-        assert_eq!(restored.wh.as_slice(), grads.dwh.as_slice());
+        assert_eq!(restored.wh[0].as_slice(), grads.dwh.as_slice());
         assert_eq!(restored.b, grads.db);
     }
 

@@ -199,8 +199,21 @@ impl WordLm {
 
     /// Forward + backward with candidates drawn from `rng`.
     pub fn forward_backward<R: Rng + ?Sized>(&self, batch: &SeqBatch, rng: &mut R) -> WordLmGrads {
+        self.forward_backward_in(batch, rng, Vec::new())
+    }
+
+    /// [`WordLm::forward_backward`] with the flat dense gradient written
+    /// into `dense`'s allocation (its contents replaced) and returned as
+    /// [`WordLmGrads::dense`]: a caller that runs many passes keeps one
+    /// buffer.
+    pub fn forward_backward_in<R: Rng + ?Sized>(
+        &self,
+        batch: &SeqBatch,
+        rng: &mut R,
+        dense: Vec<f32>,
+    ) -> WordLmGrads {
         let cands = self.softmax.draw_candidates(rng);
-        self.forward_backward_with_candidates(batch, cands)
+        self.step(batch, cands, dense)
     }
 
     /// Forward + backward with an explicit candidate set (what the
@@ -210,6 +223,12 @@ impl WordLm {
         batch: &SeqBatch,
         candidates: Vec<u32>,
     ) -> WordLmGrads {
+        self.step(batch, candidates, Vec::new())
+    }
+
+    /// Forward + backward over `candidates`, the dense gradient
+    /// flattened into `dense`'s allocation.
+    fn step(&self, batch: &SeqBatch, candidates: Vec<u32>, mut dense: Vec<f32>) -> WordLmGrads {
         let (p_all, h_all, cache) = self.forward_hidden(batch);
         let out = self.softmax.forward_backward_with_candidates(
             &p_all,
@@ -224,7 +243,8 @@ impl WordLm {
         let (dx_all, lstm_grads) = self.lstm.backward(&cache, &dh_all);
         let input_grad = self.embed.backward(&batch.tokens, dx_all);
 
-        let mut dense = Vec::with_capacity(self.dense_param_count());
+        dense.clear();
+        dense.reserve(self.dense_param_count());
         params::flatten(lstm_grads.parts().chain(proj_grads.parts()), &mut dense);
 
         WordLmGrads {
@@ -380,6 +400,14 @@ impl CharLm {
 
     /// Forward + backward over one batch.
     pub fn forward_backward(&self, batch: &SeqBatch) -> CharLmGrads {
+        self.forward_backward_in(batch, Vec::new())
+    }
+
+    /// [`CharLm::forward_backward`] with the flat dense gradient written
+    /// into `dense`'s allocation (its contents replaced) and returned as
+    /// [`CharLmGrads::dense`]: a caller that runs many passes keeps one
+    /// buffer.
+    pub fn forward_backward_in(&self, batch: &SeqBatch, mut dense: Vec<f32>) -> CharLmGrads {
         let (logits, h_all, cache) = self.forward_hidden(batch);
         let sm = softmax_cross_entropy(&logits, &batch.targets);
 
@@ -389,7 +417,8 @@ impl CharLm {
         let (dx_all, rhn_grads) = self.rhn.backward(&cache, &dh_all);
         let input_grad = self.embed.backward(&batch.tokens, dx_all);
 
-        let mut dense = Vec::with_capacity(self.dense_param_count());
+        dense.clear();
+        dense.reserve(self.dense_param_count());
         params::flatten(rhn_grads.parts().chain(out_grads.parts()), &mut dense);
 
         CharLmGrads {

@@ -25,7 +25,9 @@
 //!   and `DX = DZh·Whᵀ + DZt·Wtᵀ` backward are one product each over all
 //!   `T·B` rows;
 //! * every `Rh_l` / `Rt_l` (forward) and its transpose (backward) is
-//!   packed once per call ([`PackedB`]) instead of once per `(t, l)`;
+//!   packed ([`PackedB`](tensor::PackedB)) once per change of weights,
+//!   on the first pass that reads it, instead of once per `(t, l)` —
+//!   see `crate::packs`;
 //! * products are stored in place ([`Store`]) on row blocks of three
 //!   cache matrices — nothing is allocated inside the `(t, l)` loop. The
 //!   weight and bias gradients stay **per `(t, l)`, in descending
@@ -36,17 +38,18 @@
 //! matrix is the same bits: a sum started from `+0.0` is never `−0.0`,
 //! so `0 + a·b` is `a·b`.
 
+use crate::packs::Recurrent;
 use crate::params;
 use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid};
-use tensor::{init, Matrix, PackedB, Rhs, Store};
+use tensor::{init, Matrix, Rhs, Store};
 
 /// One RHN layer's parameters.
 #[derive(Debug, Clone)]
 pub struct RhnLayer {
     wx_h: Matrix,
     wx_t: Matrix,
-    r_h: Vec<Matrix>,
-    r_t: Vec<Matrix>,
+    r_h: Recurrent,
+    r_t: Recurrent,
     b_h: Vec<Vec<f32>>,
     b_t: Vec<Vec<f32>>,
     hidden: usize,
@@ -100,12 +103,16 @@ impl RhnLayer {
         Self {
             wx_h: init::xavier(rng, input_dim, hidden),
             wx_t: init::xavier(rng, input_dim, hidden),
-            r_h: (0..depth)
-                .map(|_| init::xavier(rng, hidden, hidden))
-                .collect(),
-            r_t: (0..depth)
-                .map(|_| init::xavier(rng, hidden, hidden))
-                .collect(),
+            r_h: Recurrent::new(
+                (0..depth)
+                    .map(|_| init::xavier(rng, hidden, hidden))
+                    .collect(),
+            ),
+            r_t: Recurrent::new(
+                (0..depth)
+                    .map(|_| init::xavier(rng, hidden, hidden))
+                    .collect(),
+            ),
             b_h: (0..depth).map(|_| vec![0.0; hidden]).collect(),
             b_t: (0..depth).map(|_| vec![-2.0; hidden]).collect(),
             hidden,
@@ -157,9 +164,7 @@ impl RhnLayer {
         let (b, h, depth) = (batch, self.hidden, self.depth());
         let (steps, tb) = (xs.rows() / b, xs.rows());
 
-        let pack = |r: &Matrix| PackedB::new(r.view());
-        let r_h: Vec<PackedB> = self.r_h.iter().map(pack).collect();
-        let r_t: Vec<PackedB> = self.r_t.iter().map(pack).collect();
+        let (r_h, r_t) = (self.r_h.packed(), self.r_t.packed());
         let mut s = Matrix::zeros((steps * depth + 1) * b, h);
         let mut hcand = Matrix::zeros(depth * tb, h);
         let mut tgate = Matrix::zeros(depth * tb, h);
@@ -215,9 +220,7 @@ impl RhnLayer {
         );
 
         let mut grads = self.zero_grads();
-        let pack_t = |r: &Matrix| PackedB::new(r.view().t());
-        let r_h_t: Vec<PackedB> = self.r_h.iter().map(pack_t).collect();
-        let r_t_t: Vec<PackedB> = self.r_t.iter().map(pack_t).collect();
+        let (r_h_t, r_t_t) = (self.r_h.packed_t(), self.r_t.packed_t());
         // Pre-activation gradients, one block per step: each micro-layer
         // overwrites its step's block, so the descending walk leaves
         // depth 0's — the ones the input products read — in every block.
@@ -286,7 +289,7 @@ impl RhnLayer {
     /// The parameters in their flat order: `wx_h`, `wx_t`, then `r_h`,
     /// `r_t`, `b_h`, `b_t` of each depth in turn.
     pub(crate) fn params(&self) -> impl Iterator<Item = &[f32]> {
-        let per_depth = (self.r_h.iter().zip(&self.r_t))
+        let per_depth = (self.r_h.iter().zip(self.r_t.iter()))
             .zip(self.b_h.iter().zip(&self.b_t))
             .flat_map(|((rh, rt), (bh, bt))| [rh.as_slice(), rt.as_slice(), &bh[..], &bt[..]]);
         [self.wx_h.as_slice(), self.wx_t.as_slice()]
@@ -294,9 +297,10 @@ impl RhnLayer {
             .chain(per_depth)
     }
 
-    /// [`RhnLayer::params`], mutably.
+    /// [`RhnLayer::params`], mutably; the recurrent packs are dropped.
     pub(crate) fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
-        let per_depth = (self.r_h.iter_mut().zip(&mut self.r_t))
+        let recurrent = self.r_h.weights_mut().iter_mut();
+        let per_depth = (recurrent.zip(self.r_t.weights_mut()))
             .zip(self.b_h.iter_mut().zip(&mut self.b_t))
             .flat_map(|((rh, rt), (bh, bt))| {
                 [
@@ -577,22 +581,22 @@ mod tests {
         for l in 0..3 {
             for i in [0usize, 7, 15] {
                 let orig = layer.r_h[l].as_slice()[i];
-                layer.r_h[l].as_mut_slice()[i] = orig + eps;
+                layer.r_h.weights_mut()[l].as_mut_slice()[i] = orig + eps;
                 let lp = loss_of(&layer, &xs);
-                layer.r_h[l].as_mut_slice()[i] = orig - eps;
+                layer.r_h.weights_mut()[l].as_mut_slice()[i] = orig - eps;
                 let lm = loss_of(&layer, &xs);
-                layer.r_h[l].as_mut_slice()[i] = orig;
+                layer.r_h.weights_mut()[l].as_mut_slice()[i] = orig;
                 let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
                 assert!(
                     (grads.dr_h[l].as_slice()[i] - num).abs() < 2e-2,
                     "dr_h[{l}][{i}]"
                 );
                 let orig = layer.r_t[l].as_slice()[i];
-                layer.r_t[l].as_mut_slice()[i] = orig + eps;
+                layer.r_t.weights_mut()[l].as_mut_slice()[i] = orig + eps;
                 let lp = loss_of(&layer, &xs);
-                layer.r_t[l].as_mut_slice()[i] = orig - eps;
+                layer.r_t.weights_mut()[l].as_mut_slice()[i] = orig - eps;
                 let lm = loss_of(&layer, &xs);
-                layer.r_t[l].as_mut_slice()[i] = orig;
+                layer.r_t.weights_mut()[l].as_mut_slice()[i] = orig;
                 let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
                 assert!(
                     (grads.dr_t[l].as_slice()[i] - num).abs() < 2e-2,
@@ -677,5 +681,7 @@ mod tests {
         let layer = RhnLayer::new(&mut StdRng::seed_from_u64(0), 1792, 1792, 10);
         let expected = 2 * 1792 * 1792 + 10 * (2 * 1792 * 1792 + 2 * 1792);
         assert_eq!(layer.param_count(), expected);
+        // A layer that never runs a pass packs nothing.
+        assert!(!layer.r_h.is_packed() && !layer.r_t.is_packed());
     }
 }

@@ -884,6 +884,43 @@ impl<'a> Wire<'a> {
 /// payload leaving the cache between them.
 const REDUCE_BLOCK: usize = 2048;
 
+/// The FP16 wire's round trip of a partial: scaled, down-cast to
+/// binary16, up-cast and un-scaled (`inv` is the scale's reciprocal).
+fn cast_f16(a: f32, (scale, inv): (f32, f32)) -> f32 {
+    quantize_f16(a * scale) * inv
+}
+
+/// One hop of the canonical ALLREDUCE: the next rank's `x` folded into
+/// the running partial `acc`, over the elements both have. Under the
+/// FP16 wire (`f16` holds the scale and its reciprocal) the partial
+/// crosses the wire first, as on the compressed ring (§III-C). The one
+/// spelling of a hop: [`reduce_in_place`] walks it block-major over
+/// lent buffers, [`RankSum::fold`] once per rank as each buffer is made.
+fn hop(acc: &mut [f32], x: &[f32], f16: Option<(f32, f32)>) {
+    match f16 {
+        None => {
+            for (a, &x) in acc.iter_mut().zip(x) {
+                *a += x;
+            }
+        }
+        Some(f16) => {
+            for (a, &x) in acc.iter_mut().zip(x) {
+                *a = x + cast_f16(*a, f16);
+            }
+        }
+    }
+}
+
+/// The final wire-quantisation after the last hop, so the distributed
+/// value is the wire value; nothing on an f32 payload.
+fn finish_hops(acc: &mut [f32], f16: Option<(f32, f32)>) {
+    if let Some(f16) = f16 {
+        for a in acc.iter_mut() {
+            *a = cast_f16(*a, f16);
+        }
+    }
+}
+
 /// Canonical ALLREDUCE over every rank's buffer, in place: the
 /// left-associated elementwise sum in ascending rank order, written into
 /// `bufs[0]` and copied from there into every other buffer. Threadless —
@@ -900,42 +937,86 @@ const REDUCE_BLOCK: usize = 2048;
 /// and the final quantisation run over it while it sits in L1, the block
 /// is copied into ranks `1..G`, then the next block. Each element still
 /// sees the hops in ascending rank order, so the result is the hop-major
-/// one to the bit (the `tests` module keeps that loop as the oracle). A
-/// buffer shorter than rank 0's contributes, and receives, only the
-/// elements it has; a longer one's tail is neither read nor written.
+/// one — and [`RankSum`]'s — to the bit (the `tests` module keeps that
+/// loop as the oracle). A buffer shorter than rank 0's contributes, and
+/// receives, only the elements it has; a longer one's tail is neither
+/// read nor written.
 fn reduce_in_place(bufs: &mut [&mut [f32]], scale: Option<f32>) {
     let f16 = scale.map(|scale| (scale, 1.0 / scale));
-    let cast = |a: f32, (scale, inv): (f32, f32)| quantize_f16(a * scale) * inv;
     let Some((acc, peers)) = bufs.split_first_mut() else {
         return;
     };
     for (i, block) in acc.chunks_mut(REDUCE_BLOCK).enumerate() {
         let start = i * REDUCE_BLOCK;
-        for hop in peers.iter() {
-            let hop = hop.get(start..).unwrap_or_default();
-            match f16 {
-                None => {
-                    for (a, &x) in block.iter_mut().zip(hop) {
-                        *a += x;
-                    }
-                }
-                Some(f16) => {
-                    for (a, &x) in block.iter_mut().zip(hop) {
-                        *a = x + cast(*a, f16);
-                    }
-                }
-            }
+        for x in peers.iter() {
+            hop(block, x.get(start..).unwrap_or_default(), f16);
         }
-        if let Some(f16) = f16 {
-            for a in block.iter_mut() {
-                *a = cast(*a, f16);
-            }
-        }
+        finish_hops(block, f16);
         for peer in peers.iter_mut() {
             let out = peer.get_mut(start..).unwrap_or_default();
             let m = out.len().min(block.len());
             out[..m].copy_from_slice(&block[..m]);
         }
+    }
+}
+
+/// The canonical ALLREDUCE's sum built one rank at a time, as each
+/// rank's buffer is made: rank 0's buffer is copied, every later one is
+/// one hop — the left-associated sum in ascending rank order that
+/// [`Rank::all_reduce`] computes over lent buffers, bit for bit (FP16
+/// per-hop casts included), without every rank's buffer alive at once.
+/// [`World::all_reduce`] takes it after the last rank's fold. The
+/// allocation is kept from one [`RankSum::begin`] to the next.
+#[derive(Debug, Clone, Default)]
+pub struct RankSum {
+    sum: Vec<f32>,
+    /// Buffers folded since [`RankSum::begin`].
+    ranks: usize,
+    /// The FP16 wire's scale, checked, or `None` for an f32 payload.
+    scale: Option<f32>,
+}
+
+impl RankSum {
+    /// An empty sum; the buffer grows on the first fold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts a new sum of payloads that cross `wire`, keeping the
+    /// allocation. Panics on an FP16 scale that is not positive and
+    /// finite.
+    pub fn begin(&mut self, wire: Wire<'_>) {
+        self.sum.clear();
+        self.ranks = 0;
+        self.scale = f16_scale(wire);
+    }
+
+    /// Folds the next rank's buffer in, ranks in ascending order. Every
+    /// buffer after the first must be as long as the first.
+    pub fn fold(&mut self, x: &[f32]) {
+        if self.ranks == 0 {
+            self.sum.extend_from_slice(x);
+        } else {
+            assert_eq!(x.len(), self.sum.len(), "every rank's buffer is one length");
+            hop(&mut self.sum, x, self.scale.map(|s| (s, 1.0 / s)));
+        }
+        self.ranks += 1;
+    }
+
+    /// Buffers folded since [`RankSum::begin`].
+    pub fn ranks(&self) -> usize {
+        self.ranks
+    }
+
+    /// The sum so far; the reduced payload once [`World::all_reduce`]
+    /// has returned `Ok` for every range of it.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.sum
+    }
+
+    /// [`RankSum::as_slice`], mutably (an in-place average, say).
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.sum
     }
 }
 
@@ -1743,8 +1824,9 @@ impl Drop for AbortOnDrop<'_> {
 
 /// The lockstep communicator: one caller holds every rank's buffers
 /// and calls each collective **once, over all of them** — the same
-/// functions a threaded group's rendezvous leader runs
-/// (`reduce_in_place` and the codec round-trip, the unique-set
+/// functions a threaded group's rendezvous leader runs (the ALLREDUCE's
+/// hop, here folded as each rank's buffer is made ([`RankSum`]), and
+/// the codec round-trip, the unique-set
 /// gather's decode / [`NodeSets::build`] / pricing, the f16 gather's
 /// encoding, the scalar fold), so each collective's arithmetic, byte
 /// ledger and codec framing has one implementation. No thread parks:
@@ -1850,32 +1932,44 @@ impl World {
         err
     }
 
-    /// [`Rank::all_reduce`] over every rank's buffer at once: `bufs[r]`
-    /// is rank `r`'s range (all of one length). On `Ok` every buffer
-    /// holds the canonical reduction and `sent[r]` what rank `r` sent. A
-    /// codec frame that fails to decode is an `Err` naming the rank
-    /// whose latch tore it.
+    /// [`Rank::all_reduce`] over `sum[range]`, every rank's buffer
+    /// already folded in ([`RankSum::fold`], once per rank in rank
+    /// order): the final FP16 cast, the codec round trip and every
+    /// rank's bytes, `sent[r]` what rank `r` sent. On `Ok` the range
+    /// holds the reduction every rank's buffer would hold. Call it once
+    /// per range — a gradient bucket is a range of the one sum. Every
+    /// rank's copy of the reduction is this one, so a codec frames it
+    /// once; a frame that fails to decode is an `Err` naming the first
+    /// rank whose latch was armed, which consumes the latches up to and
+    /// including that rank's, as the ranks' own round trips would.
+    /// Panics unless the sum folded `G` buffers under `wire`'s scale —
+    /// after the rendezvous, which fails first on a poisoned world.
     pub fn all_reduce(
         &mut self,
-        bufs: &mut [&mut [f32]],
+        sum: &mut RankSum,
+        range: Range<usize>,
         wire: Wire<'_>,
         topology: Topology,
         sent: &mut [TierBytes],
     ) -> Result<(), CommError> {
         let scale = f16_scale(wire);
         self.meet()?;
+        assert_eq!(sum.ranks, self.world(), "the sum folds every rank's buffer");
+        assert_eq!(sum.scale, scale, "the sum was folded for another wire");
         sent.fill(TierBytes::default());
         if self.world() == 1 {
             return Ok(());
         }
-        reduce_in_place(bufs, scale);
-        for (r, data) in bufs.iter_mut().enumerate() {
-            if let Some(codec) = wire.codec() {
-                let torn = std::mem::take(&mut self.torn[r]);
-                codec_roundtrip_chunks(data, codec, self.world(), r, torn)
-                    .map_err(|e| self.fail(e))?;
-            }
-            sent[r] = all_reduce_sent(self.layout, topology, r, wire, data);
+        let data = &mut sum.sum[range];
+        finish_hops(data, scale.map(|s| (s, 1.0 / s)));
+        if let Some(codec) = wire.codec() {
+            let torn = (0..self.world()).find(|&r| std::mem::take(&mut self.torn[r]));
+            let sender = torn.unwrap_or(0);
+            codec_roundtrip_chunks(data, codec, self.world(), sender, torn.is_some())
+                .map_err(|e| self.fail(e))?;
+        }
+        for (r, sent) in sent.iter_mut().enumerate() {
+            *sent = all_reduce_sent(self.layout, topology, r, wire, data);
         }
         Ok(())
     }
@@ -3101,14 +3195,15 @@ mod tests {
         wire: Wire<'_>,
         topology: Topology,
     ) -> Result<(Vec<f32>, Vec<TierBytes>), CommError> {
-        let mut bufs = inputs.to_vec();
-        let mut views: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-        let mut sent = vec![TierBytes::default(); inputs.len()];
-        world.all_reduce(&mut views, wire, topology, &mut sent)?;
-        for (r, buf) in bufs.iter().enumerate() {
-            assert_same_bits(buf, &bufs[0], &format!("rank {r}'s copy"));
+        let mut sum = RankSum::new();
+        sum.begin(wire);
+        for input in inputs {
+            sum.fold(input);
         }
-        Ok((bufs.swap_remove(0), sent))
+        let mut sent = vec![TierBytes::default(); inputs.len()];
+        let n = sum.as_slice().len();
+        world.all_reduce(&mut sum, 0..n, wire, topology, &mut sent)?;
+        Ok((sum.as_slice().to_vec(), sent))
     }
 
     /// Rank `r`'s payload whose sums cancel: `−0.0` on every rank, `x`
