@@ -195,9 +195,6 @@ pub struct ExchangeScratch {
     unique: Vec<u32>,
     /// Canonical `Ug×D` scatter/ALLREDUCE matrix `M`.
     m: Vec<f32>,
-    /// The lockstep exchange's running sum of every member's `M`
-    /// (`exchange_world`), kept in the first member's pool.
-    sum: RankSum,
     /// `word → slot` for the epoch that stamped it (vocab-sized).
     slot_of: Vec<u32>,
     /// Epoch that last wrote `slot_of[word]` (vocab-sized).
@@ -569,13 +566,16 @@ pub(crate) struct Member<'a> {
 
 /// [`exchange_and_apply_with`] for every rank of `world` at once, as a
 /// lockstep driver runs it: each per-rank step over every member in
-/// turn, each collective once over all members' buffers, and the
-/// synchronised update applied once to `table`, the world's one copy
-/// of the embedding every rank's replica holds. The table, the scratch
-/// contents and every rank's [`ExchangeStats`] (but for the wall-clock
-/// `timings`) are bit-identical to each threaded rank's; each member's
-/// clock records the phases as spans, the collectives from when the
-/// member was ready (see [`RankClock::joined`]).
+/// turn, each collective once over all members' buffers (the `Ug×D`
+/// ALLREDUCE over one running sum each member's `M` is folded into as
+/// it is scattered), and the synchronised update applied once to
+/// `table`, the world's one copy of the embedding every rank's replica
+/// holds. The table and every rank's [`ExchangeStats`] (but for the
+/// wall-clock `timings`) are bit-identical to each threaded rank's; the
+/// first member's `M` holds `M̂`, every other member's its own scatter.
+/// Each member's clock records the
+/// phases as spans, the collectives from when the member was ready (see
+/// [`RankClock::joined`]).
 pub(crate) fn exchange_world(
     world: &mut World,
     members: &mut [Member],
@@ -680,8 +680,8 @@ fn unique_world(
     let end = Instant::now();
     let global = world.unique_set();
     // Step 5 per member, each `M` folded into the running sum as soon
-    // as it is scattered: only the sum outlives the loop.
-    let mut sum = std::mem::take(&mut members[0].scratch.sum);
+    // as it is scattered; the first member's `M` is the accumulator.
+    let mut sum = RankSum::new();
     sum.begin(cfg.grad_wire());
     for (r, (m, t)) in members.iter_mut().zip(&mut timings).enumerate() {
         let bytes = world.unique_gathered(r).sent.total();
@@ -703,16 +703,18 @@ fn unique_world(
             .clock
             .phase(SpanKind::Scatter, || scratch.scatter(d), |_| 0)
             .1;
-        sum.fold(&scratch.m);
+        sum.fold(&mut scratch.m);
     }
 
     let start = Instant::now();
-    let reduced = all_reduce_folded(world, &mut sum, cfg)?;
+    let reduced = all_reduce_folded(world, &mut sum, cfg);
+    // The first member's `M` comes back holding M̂, on `Err` too.
+    let first = &mut *members[0].scratch;
+    first.m = sum.into_vec();
+    let reduced = reduced?;
     let reduced_at = Instant::now();
     // The one reduction every member's M̂ would hold: apply it once.
-    let first = &mut *members[0].scratch;
-    apply_rows(table, &first.unique, sum.as_slice(), lr);
-    first.sum = sum;
+    apply_rows(table, &first.unique, &first.m, lr);
     let applied = Instant::now();
     let u_global = first.unique.len();
     Ok(members
@@ -1034,7 +1036,7 @@ mod tests {
         let mut sum = RankSum::new();
         sum.begin(cfg.grad_wire());
         for payload in payloads {
-            sum.fold(payload);
+            sum.fold(&mut payload.clone());
         }
         let reduced = all_reduce_folded(&mut world, &mut sum, cfg)?;
         Ok((sum.as_slice().to_vec(), reduced))

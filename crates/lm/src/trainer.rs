@@ -30,9 +30,13 @@
 //!
 //! Synchronous SGD keeps every rank's weights equal, so the driver holds
 //! one replica: every rank's `compute` reads it, and the step's reduced
-//! updates are applied to it once. Compute fans out over at most
+//! updates are applied to it once. For the same reason the dense
+//! ALLREDUCE needs one sum, not G reduced copies: each rank's dense
+//! gradient is folded into it, in rank order, as soon as its `compute`
+//! returns ([`simgpu::RankSum`]). Compute fans out over at most
 //! `min(comm.pool_workers or the cores, available_parallelism())`
-//! scoped workers; on one CPU that is the driver alone.
+//! scoped workers, each reusing one gradient buffer; on one CPU that is
+//! the driver alone.
 //!
 //! With `TrainConfig::trace` enabled, each rank additionally records a
 //! [`simgpu::trace::TraceEvent`] per span (compute, collectives,
@@ -682,17 +686,18 @@ fn fan_out_width(pool_workers: usize) -> usize {
 /// Runs `compute` on every item, each into a worker's buffer, and hands
 /// every result to `fold` in item order on the calling thread, as soon
 /// as the items before it are folded. `bufs` holds one buffer per
-/// worker — its length is the width — and each worker reuses its own
-/// from item to item, so at most `bufs.len()` results are alive
-/// whatever the number of items. Worker `j` takes items `j`, `j + W`,
-/// …, and hands each buffer to the fold and waits for it back: the
-/// ordered hand-off. With one buffer (or one item) nothing is spawned.
-/// A panic in `compute` surfaces as that panic.
+/// worker — its length is the width — and each worker computes its
+/// next item into the buffer the fold hands back (the fold may keep
+/// the allocation and hand back another), so at most `bufs.len()`
+/// results are alive whatever the number of items. Worker `j` takes
+/// items `j`, `j + W`, …: the ordered hand-off. With one buffer (or one
+/// item) nothing is spawned. A panic in `compute` surfaces as that
+/// panic.
 fn fan_out_fold<T: Send>(
     bufs: &mut [Vec<f32>],
     items: &mut [T],
     compute: impl Fn(&mut T, &mut Vec<f32>) + Sync,
-    mut fold: impl FnMut(&[f32]),
+    mut fold: impl FnMut(&mut Vec<f32>),
 ) {
     let width = bufs.len().min(items.len());
     if width <= 1 {
@@ -735,8 +740,8 @@ fn fan_out_fold<T: Send>(
         for i in 0..n {
             let (done, back) = &links[i % width];
             // A worker that panicked drops its sender: stop folding.
-            let Ok(buf) = done.recv() else { break };
-            fold(&buf);
+            let Ok(mut buf) = done.recv() else { break };
+            fold(&mut buf);
             // Its worker may have panicked since; the join reports it.
             let _ = back.send(buf);
         }
@@ -773,10 +778,6 @@ fn drive(
     let cfg = ctx.cfg;
     let mut replica = ctx.replica.clone();
     let mut world = World::new(cfg.gpus, ctx.gpn, cfg.comm.deadline);
-    let mut dense = DenseGrads {
-        bufs: vec![Vec::new(); workers.max(1)],
-        sum: RankSum::new(),
-    };
     let mut ranks: Vec<RankRun> = (0..cfg.gpus)
         .map(|r| RankRun {
             st: LoopState::new(ctx, r),
@@ -807,13 +808,17 @@ fn drive(
         }
     }
 
+    let mut grads = DenseGrads {
+        bufs: vec![Vec::new(); workers.max(1)],
+        sum: RankSum::new(),
+    };
     while step(
         ctx,
         &mut world,
         &mut replica,
         &mut ranks,
         devices,
-        &mut dense,
+        &mut grads,
     ) {}
 
     // Terminal snapshot: the run's exact final state (params + full
@@ -933,13 +938,13 @@ fn step(
         ranks.iter_mut().zip(devices).zip(stats).enumerate()
     {
         // Each rank's device holds its own dense gradient buffer.
-        let dense = if rank.out.is_some() {
+        let grad_elems = if rank.out.is_some() {
             rank.st.sched.dense_elems as u64
         } else {
             0
         };
         let transient =
-            input.peak_buffer_bytes + output.map_or(0, |s| s.peak_buffer_bytes) + dense * 4;
+            input.peak_buffer_bytes + output.map_or(0, |s| s.peak_buffer_bytes) + grad_elems * 4;
         if let Err(e) = device.try_alloc(transient) {
             let reason = format!("rank {r} OOM on exchange buffers at step {step}: {e}");
             rank.fail(world, TrainError::Oom(e), reason);

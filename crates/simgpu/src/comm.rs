@@ -961,12 +961,12 @@ fn reduce_in_place(bufs: &mut [&mut [f32]], scale: Option<f32>) {
 }
 
 /// The canonical ALLREDUCE's sum built one rank at a time, as each
-/// rank's buffer is made: rank 0's buffer is copied, every later one is
-/// one hop — the left-associated sum in ascending rank order that
-/// [`Rank::all_reduce`] computes over lent buffers, bit for bit (FP16
-/// per-hop casts included), without every rank's buffer alive at once.
-/// [`World::all_reduce`] takes it after the last rank's fold. The
-/// allocation is kept from one [`RankSum::begin`] to the next.
+/// rank's buffer is made: rank 0's buffer becomes the accumulator and
+/// every later one is one hop — the left-associated sum in ascending
+/// rank order that [`Rank::all_reduce`] computes over lent buffers, bit
+/// for bit (FP16 per-hop casts included), without every rank's buffer
+/// alive at once. [`World::all_reduce`] takes it after the last rank's
+/// fold.
 #[derive(Debug, Clone, Default)]
 pub struct RankSum {
     sum: Vec<f32>,
@@ -982,20 +982,21 @@ impl RankSum {
         Self::default()
     }
 
-    /// Starts a new sum of payloads that cross `wire`, keeping the
-    /// allocation. Panics on an FP16 scale that is not positive and
-    /// finite.
+    /// Starts a new sum of payloads that cross `wire`. Panics on an FP16
+    /// scale that is not positive and finite.
     pub fn begin(&mut self, wire: Wire<'_>) {
-        self.sum.clear();
         self.ranks = 0;
         self.scale = f16_scale(wire);
     }
 
-    /// Folds the next rank's buffer in, ranks in ascending order. Every
-    /// buffer after the first must be as long as the first.
-    pub fn fold(&mut self, x: &[f32]) {
+    /// Folds the next rank's buffer in, ranks in ascending order. The
+    /// first is not copied: its allocation becomes the sum, and `x` is
+    /// left empty, holding the sum's previous allocation for reuse. Every
+    /// later buffer must be as long as the first and is left as it was.
+    pub fn fold(&mut self, x: &mut Vec<f32>) {
         if self.ranks == 0 {
-            self.sum.extend_from_slice(x);
+            std::mem::swap(&mut self.sum, x);
+            x.clear();
         } else {
             assert_eq!(x.len(), self.sum.len(), "every rank's buffer is one length");
             hop(&mut self.sum, x, self.scale.map(|s| (s, 1.0 / s)));
@@ -1003,9 +1004,9 @@ impl RankSum {
         self.ranks += 1;
     }
 
-    /// Buffers folded since [`RankSum::begin`].
-    pub fn ranks(&self) -> usize {
-        self.ranks
+    /// The sum's buffer, the sum ended.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.sum
     }
 
     /// The sum so far; the reduced payload once [`World::all_reduce`]
@@ -3198,7 +3199,7 @@ mod tests {
         let mut sum = RankSum::new();
         sum.begin(wire);
         for input in inputs {
-            sum.fold(input);
+            sum.fold(&mut input.clone());
         }
         let mut sent = vec![TierBytes::default(); inputs.len()];
         let n = sum.as_slice().len();
