@@ -967,7 +967,7 @@ fn reduce_in_place(bufs: &mut [&mut [f32]], scale: Option<f32>) {
 /// for bit (FP16 per-hop casts included), without every rank's buffer
 /// alive at once. [`World::all_reduce`] takes it after the last rank's
 /// fold.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RankSum {
     sum: Vec<f32>,
     /// Buffers folded since [`RankSum::begin`].
