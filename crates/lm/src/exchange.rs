@@ -944,23 +944,214 @@ mod tests {
         let lockstep = (0..STEPS)
             .map(|step| {
                 let grads = step_grads(world, step);
-                let mut members: Vec<Member> = grads
-                    .iter()
-                    .zip(&mut scratch)
-                    .zip(&mut clocks)
-                    .map(|((grad, scratch), clock)| Member {
-                        grad,
-                        scratch,
-                        clock,
-                    })
-                    .collect();
-                match exchange_world(&mut w, &mut members, &mut table, 0.1, &cfg) {
+                let res =
+                    lockstep_exchange(&mut w, &grads, &mut scratch, &mut clocks, &mut table, &cfg);
+                match res {
                     Ok(stats) => stats.into_iter().map(|s| Ok(outcome(&table, s))).collect(),
                     Err(e) => vec![Err(e); world],
                 }
             })
             .collect();
         [threaded, lockstep]
+    }
+
+    /// One [`exchange_world`] at lr 0.1 over rank `r`'s `grads[r]`,
+    /// `scratch[r]` and `clocks[r]`, as the trainer's driver runs it.
+    fn lockstep_exchange(
+        world: &mut World,
+        grads: &[SparseGrad],
+        scratch: &mut [ExchangeScratch],
+        clocks: &mut [RankClock],
+        table: &mut Embedding,
+        cfg: &ExchangeConfig,
+    ) -> Result<Vec<ExchangeStats>, CommError> {
+        let mut members: Vec<Member> = grads
+            .iter()
+            .zip(scratch)
+            .zip(clocks)
+            .map(|((grad, scratch), clock)| Member {
+                grad,
+                scratch,
+                clock,
+            })
+            .collect();
+        exchange_world(world, &mut members, table, 0.1, cfg)
+    }
+
+    /// The lockstep unique exchange as it ran before it folded rows:
+    /// every member's `∆̂` scattered into a zero-filled `Ug×D` matrix
+    /// `M`, and each `M` folded into the one running sum in rank order.
+    /// Kept as the oracle for the row fold.
+    fn scatter_fold_oracle(
+        world: &mut World,
+        grads: &[SparseGrad],
+        scratch: &mut [ExchangeScratch],
+        table: &mut Embedding,
+        cfg: &ExchangeConfig,
+    ) -> Result<Vec<ExchangeStats>, CommError> {
+        let g = world.world();
+        let (d, vocab) = (table.dim(), table.vocab());
+        let mut u_local = Vec::with_capacity(g);
+        for (grad, s) in grads.iter().zip(scratch.iter_mut()) {
+            s.ensure_vocab(vocab);
+            s.local_reduce(grad, d);
+            u_local.push(s.reduced_indices.len());
+        }
+        let locals: Vec<&[u32]> = grads.iter().map(|grad| grad.indices.as_slice()).collect();
+        world.all_gather_unique(&locals, cfg.codec.index_codec(), cfg.topology())?;
+        let mut sum = RankSum::new();
+        sum.begin(cfg.grad_wire());
+        for s in scratch.iter_mut() {
+            s.unique.clear();
+            s.unique.extend_from_slice(world.unique_set());
+            s.slot_unique();
+            s.scatter(d);
+            sum.fold(&mut s.m);
+        }
+        let reduced = all_reduce_folded(world, &mut sum, cfg)?;
+        apply_rows(table, world.unique_set(), sum.as_slice(), 0.1);
+        let u_global = world.unique_set().len();
+        Ok(reduced
+            .into_iter()
+            .zip(u_local)
+            .enumerate()
+            .map(|(r, (reduced, u))| {
+                let gathered = world.unique_gathered(r);
+                let timings = PhaseTimings::default();
+                unique_stats(gathered, reduced, (u, u_global), g, d, timings)
+            })
+            .collect())
+    }
+
+    /// Rank `r`'s gradient of `world` at `step` in
+    /// [`lockstep_unique_exchange_characterisation`]: ragged `K` over
+    /// words `0..40`, then word `40 + r % 6` (first seen at rank `r`),
+    /// word 46 twice with rows that cancel to +0, word 47 as a −0 row on
+    /// rank 0 only and word 48 as a −0 row on the last rank only. Rank 1
+    /// of a wider world contributes nothing: its `Ĵ` is empty.
+    fn sweep_grad(world: usize, r: usize, step: u64) -> SparseGrad {
+        if world > 1 && r == 1 {
+            return SparseGrad {
+                indices: Vec::new(),
+                rows: Matrix::zeros(0, D),
+            };
+        }
+        let base = make_grad(7000 * step + r as u64, 5 + r % 4);
+        let mut indices: Vec<u32> = base.indices.iter().map(|i| i % 40).collect();
+        let mut rows = base.rows.as_slice().to_vec();
+        let mut push = |word: u32, row: [f32; D]| {
+            indices.push(word);
+            rows.extend_from_slice(&row);
+        };
+        push(40 + r as u32 % 6, [0.25 * (r + 1) as f32; D]);
+        let v = [0.5, -1.25, 3.0, -0.125];
+        push(46, v);
+        push(46, v.map(|x| -x));
+        if r == 0 {
+            push(47, [-0.0; D]);
+        }
+        if r == world - 1 {
+            push(48, [-0.0; D]);
+        }
+        let n = indices.len();
+        SparseGrad {
+            indices,
+            rows: Matrix::from_vec(n, D, rows),
+        }
+    }
+
+    /// The sweep's table: [`make_table`] with rows 46–48 at −0, so the
+    /// sign of a reduced zero row shows in the updated bits.
+    fn sweep_table() -> Embedding {
+        let mut table = make_table(7);
+        for word in 46..49 {
+            table.weights_mut().row_mut(word).fill(-0.0);
+        }
+        table
+    }
+
+    /// The lockstep unique exchange against [`scatter_fold_oracle`]:
+    /// table bits and every rank's [`ExchangeStats`] (timings aside) over
+    /// two steps on one pool, at f32 and FP16 (scales 64 and 512) × the
+    /// four codec rungs × flat / two-tier on 3-GPU nodes × whole /
+    /// 24-byte buckets × G ∈ {1, 2, 3, 8}, with an empty member, words
+    /// first seen at a later rank and rows that reduce to ±0 — and all
+    /// of it in one FNV-1a literal.
+    #[test]
+    fn lockstep_unique_exchange_characterisation() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &byte in bytes {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        type Step = (Vec<u32>, Vec<ExchangeStats>);
+        let settle = |table: &Embedding, stats: Vec<ExchangeStats>| -> Step {
+            let stats = stats
+                .into_iter()
+                .map(|s| ExchangeStats {
+                    timings: PhaseTimings::default(),
+                    ..s
+                })
+                .collect();
+            (outcome(table, ExchangeStats::default()).0, stats)
+        };
+        for world in [1usize, 2, 3, 8] {
+            for compression in [None, Some(64.0), Some(512.0)] {
+                for codec in [
+                    WireCodecId::Identity,
+                    WireCodecId::LosslessIndex,
+                    WireCodecId::LosslessGrad,
+                    WireCodecId::Lossless,
+                ] {
+                    for (gpus_per_node, bucket_bytes) in [(0, 0), (0, 24), (3, 0), (3, 24)] {
+                        let cfg = ExchangeConfig {
+                            unique: true,
+                            compression,
+                            gpus_per_node,
+                            bucket_bytes,
+                            codec,
+                        };
+                        let (mut ow, mut lw) =
+                            (World::new(world, 3, None), World::new(world, 3, None));
+                        let (mut ot, mut lt) = (sweep_table(), sweep_table());
+                        let pool = || -> Vec<ExchangeScratch> {
+                            (0..world).map(|_| ExchangeScratch::new()).collect()
+                        };
+                        let (mut os, mut ls) = (pool(), pool());
+                        let mut clocks: Vec<RankClock> =
+                            (0..world).map(|_| RankClock::new(None, false)).collect();
+                        for step in 0..STEPS {
+                            let ctx = format!("world {world} step {step} {cfg:?}");
+                            let grads: Vec<SparseGrad> =
+                                (0..world).map(|r| sweep_grad(world, r, step)).collect();
+                            let want = scatter_fold_oracle(&mut ow, &grads, &mut os, &mut ot, &cfg)
+                                .map(|stats| settle(&ot, stats));
+                            let got = lockstep_exchange(
+                                &mut lw,
+                                &grads,
+                                &mut ls,
+                                &mut clocks,
+                                &mut lt,
+                                &cfg,
+                            )
+                            .map(|stats| settle(&lt, stats));
+                            assert_eq!(got, want, "{ctx}");
+                            let (bits, stats) = got.expect("no fault is injected");
+                            for b in bits {
+                                fold(&b.to_le_bytes());
+                            }
+                            fold(format!("{stats:?}").as_bytes());
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            hash, 0xcc28_6aef_bd55_e1e7,
+            "lockstep unique exchange bits or stats moved"
+        );
     }
 
     /// The trainer's lockstep exchange and the threaded one `e2e`'s

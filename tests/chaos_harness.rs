@@ -86,12 +86,10 @@ fn run_chaos(seed: u64, tag: &str) -> (ChaosPlan, RunOutcome) {
 }
 
 /// Condensed, comparable form of an outcome: terminal checkpoint bytes
-/// and epoch losses on success, the rendered error otherwise. Timeouts
-/// compare by *kind* only: the deadline slices real wall-clock waits,
-/// so which waiting rank loses the first-failure-wins race (and how
-/// long it had waited) is scheduler noise, not seed-controlled — the
-/// deterministic contract for a hang is "a typed Timeout", not its
-/// attribution.
+/// and epoch losses on success, the rendered error otherwise — a
+/// `Timeout` whole: the lockstep driver names the lowest rank still
+/// talking and the deadline's whole budget in simulated time, so which
+/// rank it names and how long it waited are seed-controlled too.
 fn digest(o: &RunOutcome) -> String {
     match o.clone().report() {
         Ok(report) => format!(
@@ -104,7 +102,6 @@ fn digest(o: &RunOutcome) -> String {
                 .map(|e| (e.train_loss.to_bits(), e.valid_ppl().to_bits()))
                 .collect::<Vec<_>>(),
         ),
-        Err(TrainError::Timeout { .. }) => "err Timeout".to_string(),
         Err(e) => format!("err {e:?}"),
     }
 }
