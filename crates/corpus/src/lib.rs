@@ -31,6 +31,6 @@ pub mod vocab;
 pub use batch::{shard_batches, Batch, BatchSpec};
 pub use generator::{Corpus, CorpusGenerator};
 pub use profile::{DatasetProfile, Language, TokenUnit};
-pub use split::train_valid_split;
+pub use split::{train_valid_split, train_valid_split_in_place};
 pub use stats::{corpus_stats, CorpusStats};
 pub use vocab::Vocab;

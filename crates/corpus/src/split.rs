@@ -22,18 +22,12 @@ const BLOCK: usize = 256;
 /// train so validation length is a multiple of `BLOCK` (except for tiny
 /// inputs where everything stays in train).
 pub fn train_valid_split(tokens: &[u32], denominator: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
-    assert!(denominator >= 2, "denominator must be >= 2");
     let n_blocks = tokens.len() / BLOCK;
-    let n_valid = n_blocks / denominator;
-    if n_valid == 0 {
+    let valid_blocks = valid_blocks(n_blocks, denominator, seed);
+    if valid_blocks.is_empty() {
         return (tokens.to_vec(), Vec::new());
     }
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut idx: Vec<usize> = (0..n_blocks).collect();
-    idx.shuffle(&mut rng);
-    let mut valid_blocks: Vec<usize> = idx[..n_valid].to_vec();
-    valid_blocks.sort_unstable();
+    let n_valid = valid_blocks.len();
 
     let mut train = Vec::with_capacity(tokens.len());
     let mut valid = Vec::with_capacity(n_valid * BLOCK);
@@ -49,6 +43,54 @@ pub fn train_valid_split(tokens: &[u32], denominator: usize, seed: u64) -> (Vec<
     }
     train.extend_from_slice(&tokens[n_blocks * BLOCK..]);
     (train, valid)
+}
+
+/// [`train_valid_split`] in `tokens`' own buffer: the train blocks are
+/// compacted in place, in order, and only the validation blocks (about
+/// `1/denominator` of the stream) are copied out. Bit-equal to
+/// `train_valid_split(&tokens, denominator, seed)`, without a second
+/// stream-sized buffer.
+pub fn train_valid_split_in_place(
+    mut tokens: Vec<u32>,
+    denominator: usize,
+    seed: u64,
+) -> (Vec<u32>, Vec<u32>) {
+    let n_blocks = tokens.len() / BLOCK;
+    let valid_blocks = valid_blocks(n_blocks, denominator, seed);
+    let mut valid = Vec::with_capacity(valid_blocks.len() * BLOCK);
+    let mut next_valid = 0usize;
+    let mut kept = 0usize;
+    for b in 0..n_blocks {
+        let block = b * BLOCK..(b + 1) * BLOCK;
+        if next_valid < valid_blocks.len() && valid_blocks[next_valid] == b {
+            valid.extend_from_slice(&tokens[block]);
+            next_valid += 1;
+        } else {
+            tokens.copy_within(block, kept);
+            kept += BLOCK;
+        }
+    }
+    let tail = n_blocks * BLOCK..tokens.len();
+    tokens.copy_within(tail.clone(), kept);
+    tokens.truncate(kept + tail.len());
+    (tokens, valid)
+}
+
+/// The validation blocks of a stream of `n_blocks` whole blocks, in
+/// ascending order: `n_blocks / denominator` of them, sampled without
+/// replacement with the fixed `seed` (none for tiny inputs).
+fn valid_blocks(n_blocks: usize, denominator: usize, seed: u64) -> Vec<usize> {
+    assert!(denominator >= 2, "denominator must be >= 2");
+    let n_valid = n_blocks / denominator;
+    if n_valid == 0 {
+        return Vec::new();
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut idx: Vec<usize> = (0..n_blocks).collect();
+    idx.shuffle(&mut rng);
+    let mut valid_blocks: Vec<usize> = idx[..n_valid].to_vec();
+    valid_blocks.sort_unstable();
+    valid_blocks
 }
 
 #[cfg(test)]
@@ -102,6 +144,36 @@ mod tests {
         let (train, valid) = train_valid_split(&tokens, 100, 1);
         assert_eq!(train, tokens);
         assert!(valid.is_empty());
+    }
+
+    /// The in-place split against the copying one, bit for bit: random
+    /// streams with and without a partial last block, tiny inputs that
+    /// stay whole in train, a stream of whole blocks, both ratios and
+    /// several seeds.
+    #[test]
+    fn in_place_split_matches_the_copying_split() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x5b11);
+        for n in [
+            0,
+            1,
+            255,
+            256,
+            257,
+            25_600,
+            51_200,
+            100_000,
+            256 * 1001 + 77,
+        ] {
+            let tokens: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
+            for denominator in [2, 100, 1001] {
+                for seed in [1, 9, 0x5b11_7000] {
+                    let want = train_valid_split(&tokens, denominator, seed);
+                    let got = train_valid_split_in_place(tokens.clone(), denominator, seed);
+                    assert_eq!(got, want, "n {n} denominator {denominator} seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -90,6 +90,13 @@ impl Vocab {
     pub fn encode(&self, raw: &[u32]) -> Vec<u32> {
         raw.iter().map(|&t| self.lookup(t)).collect()
     }
+
+    /// [`Vocab::encode`] in the stream's own buffer.
+    pub fn encode_in_place(&self, tokens: &mut [u32]) {
+        for t in tokens {
+            *t = self.lookup(*t);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +128,9 @@ mod tests {
         let v = Vocab::build(&tokens, 1);
         let enc = v.encode(&tokens);
         assert_eq!(enc, vec![0, 0, v.unk(), v.unk()]);
+        let mut in_place = tokens;
+        v.encode_in_place(&mut in_place);
+        assert_eq!(in_place[..], enc[..]);
     }
 
     #[test]

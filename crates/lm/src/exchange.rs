@@ -193,8 +193,13 @@ pub struct ExchangeScratch {
     reduced_rows: Vec<f32>,
     /// Canonical globally-unique index set `Î`.
     unique: Vec<u32>,
-    /// Canonical `Ug×D` scatter/ALLREDUCE matrix `M`.
+    /// Canonical `Ug×D` scatter/ALLREDUCE matrix `M` (threaded path).
     m: Vec<f32>,
+    /// The lockstep `Ug×D` reduction every member's `∆̂` rows are folded
+    /// into — the first member's, kept across steps.
+    sum: RankSum,
+    /// Wall time of the last [`ExchangeScratch::reduce`], nanoseconds.
+    reduce_ns: u64,
     /// `word → slot` for the epoch that stamped it (vocab-sized).
     slot_of: Vec<u32>,
     /// Epoch that last wrote `slot_of[word]` (vocab-sized).
@@ -241,6 +246,28 @@ impl ExchangeScratch {
                 self.reduced_rows.extend_from_slice(row);
             }
         }
+    }
+
+    /// Steps 1–2 where the gradient is made: [`Self::local_reduce`] of
+    /// `grad` (rows of a `vocab`-word table), timed as a `Unique` span on
+    /// `clock`, so the lockstep exchange reads `(Ĵ, ∆̂)` from here and
+    /// the `K×D` rows can go back to their buffer's next use.
+    pub(crate) fn reduce(&mut self, grad: &SparseGrad, vocab: usize, clock: &mut RankClock) {
+        let reduce = || {
+            self.ensure_vocab(vocab);
+            self.local_reduce(grad, grad.rows.cols());
+        };
+        self.reduce_ns = clock.phase(SpanKind::Unique, reduce, |_| 0).1;
+    }
+
+    /// Word `w`'s row of `∆̂` after [`Self::local_reduce`], `None` if the
+    /// word is not in `Ĵ`.
+    fn reduced_row(&self, w: u32, d: usize) -> Option<&[f32]> {
+        let w = w as usize;
+        (self.epoch_of[w] == self.epoch).then(|| {
+            let slot = self.slot_of[w] as usize;
+            &self.reduced_rows[slot * d..(slot + 1) * d]
+        })
     }
 
     /// The flat derivation of step 4 in O(G·K): the canonical unique set
@@ -559,23 +586,29 @@ fn unique_exchange(
 /// One rank's side of an [`exchange_world`]: its sparse gradient, its
 /// scratch pool and its clock.
 pub(crate) struct Member<'a> {
-    pub(crate) grad: &'a SparseGrad,
+    /// `J_r`: the rank's token-aligned indices.
+    pub(crate) indices: &'a [u32],
+    /// Its `K×D` rows, aligned with `indices`, which the baseline
+    /// gathers. The unique path never reads them: it reads the
+    /// `(Ĵ, ∆̂)` that [`ExchangeScratch::reduce`] left in `scratch` where
+    /// the gradient was made.
+    pub(crate) rows: &'a [f32],
     pub(crate) scratch: &'a mut ExchangeScratch,
     pub(crate) clock: &'a mut RankClock,
 }
 
 /// [`exchange_and_apply_with`] for every rank of `world` at once, as a
 /// lockstep driver runs it: each per-rank step over every member in
-/// turn, each collective once over all members' buffers (the `Ug×D`
-/// ALLREDUCE over one running sum each member's `M` is folded into as
-/// it is scattered), and the synchronised update applied once to
-/// `table`, the world's one copy of the embedding every rank's replica
-/// holds. The table and every rank's [`ExchangeStats`] (but for the
-/// wall-clock `timings`) are bit-identical to each threaded rank's; the
-/// first member's `M` holds `M̂`, every other member's its own scatter.
-/// Each member's clock records the
-/// phases as spans, the collectives from when the member was ready (see
-/// [`RankClock::joined`]).
+/// turn, each collective once over all members' buffers, and the
+/// synchronised update applied once to `table`, the world's one copy of
+/// the embedding every rank's replica holds. On the unique path each
+/// member's steps 1–2 ran where its gradient was made
+/// ([`ExchangeScratch::reduce`]), and its `∆̂` rows are folded straight
+/// into one running `Ug×D` sum, in rank order: no member builds `M`. The
+/// table and every rank's [`ExchangeStats`] (but for the wall-clock
+/// `timings`) are bit-identical to each threaded rank's. Each member's
+/// clock records the phases as spans, the collectives from when the
+/// member was ready (see [`RankClock::joined`]).
 pub(crate) fn exchange_world(
     world: &mut World,
     members: &mut [Member],
@@ -602,11 +635,12 @@ fn baseline_world(
 ) -> Result<Vec<ExchangeStats>, CommError> {
     let (g, gpn) = (world.world(), world.gpus_per_node());
     let d = table.dim();
-    let grads: Vec<&SparseGrad> = members.iter().map(|m| m.grad).collect();
-    let total_rows: u64 = grads.iter().map(|grad| grad.indices.len() as u64).sum();
+    let total_rows: u64 = members.iter().map(|m| m.indices.len() as u64).sum();
     let sent = |r: usize, bytes: usize| peer_exchange_tier_bytes(g, gpn, r, bytes as u64);
-    let index_sent: Vec<TierBytes> = (0..g)
-        .map(|r| sent(r, grads[r].indices.len() * 4))
+    let index_sent: Vec<TierBytes> = members
+        .iter()
+        .enumerate()
+        .map(|(r, m)| sent(r, m.indices.len() * 4))
         .collect();
 
     let start = Instant::now();
@@ -618,11 +652,11 @@ fn baseline_world(
         t.gather_ns = m.clock.joined(SpanKind::Gather, start, gathered, bytes);
     }
 
-    let payloads: Vec<&[f32]> = grads.iter().map(|grad| grad.rows.as_slice()).collect();
+    let payloads: Vec<&[f32]> = members.iter().map(|m| m.rows).collect();
+    let indices: Vec<&[u32]> = members.iter().map(|m| m.indices).collect();
     let apply = |sender: usize, rows: &[f32]| {
-        let indices = &grads[sender].indices;
-        check_rows(sender, rows, indices.len(), d)?;
-        apply_rows(table, indices, rows, lr);
+        check_rows(sender, rows, indices[sender].len(), d)?;
+        apply_rows(table, indices[sender], rows, lr);
         Ok(())
     };
     let mut staging = Vec::new();
@@ -637,18 +671,20 @@ fn baseline_world(
         .zip(timings)
         .enumerate()
         .map(|(r, (m, mut t))| {
-            let rows_sent = sent(r, grads[r].rows.as_slice().len() * elem);
+            let rows_sent = sent(r, m.rows.len() * elem);
             t.apply_ns = m
                 .clock
                 .joined(SpanKind::Apply, gathered, applied, rows_sent.total());
-            let local = grads[r].indices.len();
+            let local = m.indices.len();
             baseline_stats(local, index_sent[r], rows_sent, total_rows, d, t)
         })
         .collect())
 }
 
-/// [`unique_exchange`] over every member: steps 1–2 and 5 per member,
-/// steps 3–4 and 6 once over all of them, and step 7 once to `table`.
+/// [`unique_exchange`] over every member whose steps 1–2 already ran
+/// ([`ExchangeScratch::reduce`]): steps 3–4 and 6 once over all of them,
+/// step 5 as a fold of each member's `∆̂` rows into the one sum, and
+/// step 7 once to `table`.
 fn unique_world(
     world: &mut World,
     members: &mut [Member],
@@ -657,79 +693,58 @@ fn unique_world(
     cfg: &ExchangeConfig,
 ) -> Result<Vec<ExchangeStats>, CommError> {
     let g = world.world();
-    let (d, vocab) = (table.dim(), table.vocab());
-    let mut timings = vec![PhaseTimings::default(); g];
-    let mut u_local = vec![0; g];
-
-    for ((m, t), u) in members.iter_mut().zip(&mut timings).zip(&mut u_local) {
-        let (grad, scratch) = (m.grad, &mut *m.scratch);
-        let ((), ns) = m.clock.phase(
-            SpanKind::Unique,
-            || {
-                scratch.ensure_vocab(vocab);
-                scratch.local_reduce(grad, d);
-            },
-            |_| 0,
-        );
-        (t.unique_ns, *u) = (ns, scratch.reduced_indices.len());
-    }
-
-    let locals: Vec<&[u32]> = members.iter().map(|m| m.grad.indices.as_slice()).collect();
+    let d = table.dim();
+    let locals: Vec<&[u32]> = members.iter().map(|m| m.indices).collect();
     let start = Instant::now();
     world.all_gather_unique(&locals, cfg.codec.index_codec(), cfg.topology())?;
     let end = Instant::now();
     let global = world.unique_set();
-    // Step 5 per member, each `M` folded into the running sum as soon
-    // as it is scattered; the first member's `M` is the accumulator.
-    let mut sum = RankSum::new();
+    // Step 5 without `M`: each member's `∆̂` rows, in `Î`'s order through
+    // its own slot map, folded into the first member's sum as soon as the
+    // set is known — a word the member lacks is a hop with a zero row.
+    let mut sum = std::mem::take(&mut members[0].scratch.sum);
     sum.begin(cfg.grad_wire());
-    for (r, (m, t)) in members.iter_mut().zip(&mut timings).enumerate() {
+    let mut timings = Vec::with_capacity(g);
+    for (r, m) in members.iter_mut().enumerate() {
+        let mut t = PhaseTimings {
+            unique_ns: m.scratch.reduce_ns,
+            ..PhaseTimings::default()
+        };
         let bytes = world.unique_gathered(r).sent.total();
         t.gather_ns = m.clock.joined(SpanKind::Gather, start, end, bytes);
-        let scratch = &mut *m.scratch;
-        t.unique_ns += m
-            .clock
-            .phase(
-                SpanKind::Unique,
-                || {
-                    scratch.unique.clear();
-                    scratch.unique.extend_from_slice(global);
-                    scratch.slot_unique();
-                },
-                |_| 0,
-            )
-            .1;
+        let scratch = &*m.scratch;
+        let rows = global.iter().map(|&w| scratch.reduced_row(w, d));
         t.scatter_ns = m
             .clock
-            .phase(SpanKind::Scatter, || scratch.scatter(d), |_| 0)
+            .phase(SpanKind::Scatter, || sum.fold_rows(d, rows), |_| 0)
             .1;
-        sum.fold(&mut scratch.m);
+        timings.push(t);
     }
 
     let start = Instant::now();
     let reduced = all_reduce_folded(world, &mut sum, cfg);
-    // The first member's `M` comes back holding M̂, on `Err` too.
-    let first = &mut *members[0].scratch;
-    first.m = sum.into_vec();
-    let reduced = reduced?;
     let reduced_at = Instant::now();
     // The one reduction every member's M̂ would hold: apply it once.
-    apply_rows(table, &first.unique, &first.m, lr);
+    if reduced.is_ok() {
+        apply_rows(table, world.unique_set(), sum.as_slice(), lr);
+    }
+    members[0].scratch.sum = sum;
+    let reduced = reduced?;
     let applied = Instant::now();
-    let u_global = first.unique.len();
+    let u_global = world.unique_set().len();
     Ok(members
         .iter_mut()
         .zip(timings)
-        .zip(u_local)
         .zip(reduced)
         .enumerate()
-        .map(|(r, (((m, mut t), u_local), reduced))| {
+        .map(|(r, ((m, mut t), reduced))| {
             let bytes = reduced.sent.total_bytes();
             t.allreduce_ns = m
                 .clock
                 .joined(SpanKind::AllReduce, start, reduced_at, bytes);
             t.apply_ns = m.clock.joined(SpanKind::Apply, reduced_at, applied, 0);
             let gathered = world.unique_gathered(r);
+            let u_local = m.scratch.reduced_indices.len();
             unique_stats(gathered, reduced, (u_local, u_global), g, d, t)
         })
         .collect())
@@ -956,7 +971,9 @@ mod tests {
     }
 
     /// One [`exchange_world`] at lr 0.1 over rank `r`'s `grads[r]`,
-    /// `scratch[r]` and `clocks[r]`, as the trainer's driver runs it.
+    /// `scratch[r]` and `clocks[r]`, as the trainer's driver runs it: on
+    /// the unique path each rank's gradient is reduced first, where the
+    /// trainer reduces it as it is made.
     fn lockstep_exchange(
         world: &mut World,
         grads: &[SparseGrad],
@@ -969,10 +986,16 @@ mod tests {
             .iter()
             .zip(scratch)
             .zip(clocks)
-            .map(|((grad, scratch), clock)| Member {
-                grad,
-                scratch,
-                clock,
+            .map(|((grad, scratch), clock)| {
+                if cfg.unique {
+                    scratch.reduce(grad, table.vocab(), clock);
+                }
+                Member {
+                    indices: &grad.indices,
+                    rows: grad.rows.as_slice(),
+                    scratch,
+                    clock,
+                }
             })
             .collect();
         exchange_world(world, &mut members, table, 0.1, cfg)
@@ -1836,6 +1859,42 @@ mod tests {
             assert!(s.timings.apply_ns > 0);
             assert_eq!(s.timings.unique_ns, 0);
             assert_eq!(s.timings.allreduce_ns, 0);
+        }
+
+        // Lockstep: each member's local reduction is its `Unique` span
+        // and the fold of its `∆̂` rows into the one sum (≈400 rows × 32
+        // here, microseconds of work, against tens of nanoseconds for an
+        // empty span) its `Scatter` span.
+        let world = 2;
+        let mut w = World::new(world, 2, None);
+        let mut table = Embedding::new(&mut StdRng::seed_from_u64(3), 2000, 32);
+        let grads: Vec<SparseGrad> = (0..world as u64)
+            .map(|r| make_grad_sized(r, 512, 2000, 32))
+            .collect();
+        let mut scratch: Vec<ExchangeScratch> =
+            (0..world).map(|_| ExchangeScratch::new()).collect();
+        let mut clocks: Vec<RankClock> = (0..world as u32)
+            .map(|r| RankClock::new(Some(TraceRecorder::new(r, 64)), false))
+            .collect();
+        let cfg = TechniqueStack::Unique.exchange();
+        let stats =
+            lockstep_exchange(&mut w, &grads, &mut scratch, &mut clocks, &mut table, &cfg).unwrap();
+        for (s, clock) in stats.iter().zip(clocks) {
+            let t = s.timings;
+            assert!(t.unique_ns > 0, "lockstep unique {t:?}");
+            assert!(t.scatter_ns >= 1_000, "lockstep scatter {t:?}");
+            let spans: Vec<SpanKind> = (clock.finish().expect("traced").events.iter())
+                .map(|e| e.span)
+                .filter(|&span| span != SpanKind::BarrierWait)
+                .collect();
+            let want = [
+                SpanKind::Unique,
+                SpanKind::Gather,
+                SpanKind::Scatter,
+                SpanKind::AllReduce,
+                SpanKind::Apply,
+            ];
+            assert_eq!(spans, want, "lockstep spans");
         }
     }
 

@@ -66,7 +66,7 @@ use crate::config::{DatasetId, ModelKind, TrainConfig};
 use crate::elastic::{self, RecoveryPolicy};
 use crate::exchange::{all_reduce_folded, exchange_world, ExchangeStats, Member, ReducedBytes};
 use crate::metrics::{self, HealthEvent, RecoveryEvent, StepMetrics, TrainReport};
-use corpus::{train_valid_split, CorpusGenerator, TokenUnit, Vocab};
+use corpus::{train_valid_split_in_place, CorpusGenerator, TokenUnit, Vocab};
 use simgpu::{
     CommError, CostModel, Device, FaultPlan, HardwareConfig, OomError, RankSum, SpanKind,
     TrafficSnapshot, World,
@@ -460,8 +460,11 @@ struct RunCtx<'a> {
     /// `cfg.model` at its final dimensions ([`ModelKind::resolved`]):
     /// what the replica is and what its compute is priced as.
     model: ModelKind,
-    /// The round's initial replica; each rank trains a clone of it.
-    replica: &'a Replica,
+    /// What the step's collectives carry ([`Replica::shape`]): the dense
+    /// gradient's length and the two tables' row widths.
+    shape: (usize, usize, usize),
+    /// The replica's parameter count, which every device is charged for.
+    params: usize,
     cost: &'a CostModel,
     plan: &'a FaultPlan,
     store: Option<&'a CheckpointStore>,
@@ -512,22 +515,23 @@ fn run_round(
         cfg.comm.gpus_per_node
     };
 
-    // Every rank starts from the same parameters: draw them once and let
-    // each rank clone them.
+    // Every rank starts from the same parameters, and synchronous SGD
+    // keeps them equal: draw them once, and the driver trains that copy.
     let model = cfg.model.resolved(data.model_vocab);
     let replica = Replica::new(&model, cfg.seed);
     let ctx = RunCtx {
         cfg,
         data,
         model,
-        replica: &replica,
+        shape: replica.shape(),
+        params: replica.param_vector_len(),
         cost: &cost,
         plan,
         store,
         resume,
         gpn,
     };
-    let mut results = drive(&ctx, &devices, workers);
+    let mut results = drive(&ctx, replica, &devices, workers);
 
     let peak_mem = devices.iter().map(|d| d.peak()).max().unwrap_or(0);
     // Every rank's sends, summed. Ops count group calls, which every
@@ -602,7 +606,8 @@ struct RunData {
 
 /// Generates and splits the corpus, once per [`run`]: it depends only on
 /// the model, the seed and the token count, which no recovery round
-/// changes.
+/// changes. One stream-sized buffer: the word path encodes it in place
+/// and the split compacts its train blocks in place.
 fn prepare_data(cfg: &TrainConfig) -> RunData {
     match cfg.model {
         ModelKind::Word { .. } | ModelKind::WordCustom(_) => {
@@ -610,10 +615,10 @@ fn prepare_data(cfg: &TrainConfig) -> RunData {
             let profile = DatasetId::OneBillion.profile();
             let mut gen = CorpusGenerator::new(&profile, TokenUnit::Word, cfg.seed)
                 .with_structure(STRUCTURE_LAMBDA);
-            let raw = gen.generate(cfg.tokens);
-            let vocab = Vocab::build(&raw, requested.saturating_sub(1).max(1));
-            let encoded = vocab.encode(&raw);
-            let (train, valid) = train_valid_split(&encoded, 100, cfg.seed ^ SPLIT_SEED);
+            let mut tokens = gen.generate(cfg.tokens);
+            let vocab = Vocab::build(&tokens, requested.saturating_sub(1).max(1));
+            vocab.encode_in_place(&mut tokens);
+            let (train, valid) = train_valid_split_in_place(tokens, 100, cfg.seed ^ SPLIT_SEED);
             RunData {
                 train,
                 valid,
@@ -630,8 +635,8 @@ fn prepare_data(cfg: &TrainConfig) -> RunData {
             profile.char_types = vocab;
             let mut gen = CorpusGenerator::new(&profile, TokenUnit::Char, cfg.seed)
                 .with_structure(STRUCTURE_LAMBDA);
-            let raw = gen.generate(cfg.tokens);
-            let (train, valid) = train_valid_split(&raw, 100, cfg.seed ^ SPLIT_SEED);
+            let tokens = gen.generate(cfg.tokens);
+            let (train, valid) = train_valid_split_in_place(tokens, 100, cfg.seed ^ SPLIT_SEED);
             RunData {
                 train,
                 valid,
@@ -645,8 +650,13 @@ fn prepare_data(cfg: &TrainConfig) -> RunData {
 struct RankRun<'a> {
     st: LoopState<'a>,
     /// This step's forward/backward result, from `compute` to the loss
-    /// reduction.
+    /// reduction: `Some` once the rank computed this step.
     out: Option<StepOutcome>,
+    /// The rank's own `K×D` input-gradient rows on the baseline path,
+    /// which its exchange gathers; the next `compute` writes into the
+    /// same allocation. Empty on the unique path, whose rows are reduced
+    /// in a fan-out worker's buffer.
+    rows: Vec<f32>,
     /// Why the rank stopped, once it has.
     end: Option<TrainError>,
 }
@@ -693,11 +703,11 @@ fn fan_out_width(pool_workers: usize) -> usize {
 /// items `j`, `j + W`, …: the ordered hand-off. With one buffer (or one
 /// item) nothing is spawned. A panic in `compute` surfaces as that
 /// panic.
-fn fan_out_fold<T: Send>(
-    bufs: &mut [Vec<f32>],
+fn fan_out_fold<T: Send, B: Default + Send>(
+    bufs: &mut [B],
     items: &mut [T],
-    compute: impl Fn(&mut T, &mut Vec<f32>) + Sync,
-    mut fold: impl FnMut(&mut Vec<f32>),
+    compute: impl Fn(&mut T, &mut B) + Sync,
+    mut fold: impl FnMut(&mut B),
 ) {
     let width = bufs.len().min(items.len());
     if width <= 1 {
@@ -721,8 +731,8 @@ fn fan_out_fold<T: Send>(
         let mut links = Vec::with_capacity(width);
         let mut workers = Vec::with_capacity(width);
         for (lane, buf) in lanes.into_iter().zip(bufs.iter_mut()) {
-            let (done_tx, done) = mpsc::channel::<Vec<f32>>();
-            let (back, back_rx) = mpsc::channel::<Vec<f32>>();
+            let (done_tx, done) = mpsc::channel::<B>();
+            let (back, back_rx) = mpsc::channel::<B>();
             let mut own = std::mem::take(buf);
             workers.push(s.spawn(move || {
                 for item in lane {
@@ -755,40 +765,52 @@ fn fan_out_fold<T: Send>(
     });
 }
 
-/// The step's dense gradient: each fan-out worker's buffer, reused from
-/// rank to rank and step to step, and the running sum every rank's
-/// gradient is folded into as soon as it is made.
+/// One fan-out worker's buffers, reused from rank to rank and step to
+/// step: the dense gradient it hands to the fold, and the `K×D`
+/// input-gradient rows of a rank whose exchange reduces them in its
+/// `compute` (the unique path).
+#[derive(Default)]
+struct WorkerBufs {
+    dense: Vec<f32>,
+    rows: Vec<f32>,
+}
+
+/// The step's dense gradient: the fan-out workers' buffers, and the
+/// running sum every rank's gradient is folded into as soon as it is
+/// made.
 struct DenseGrads {
-    bufs: Vec<Vec<f32>>,
+    bufs: Vec<WorkerBufs>,
     sum: RankSum,
 }
 
 /// The lockstep driver: every rank's step loop on the calling thread,
 /// each collective once over all ranks' buffers on one [`World`], and
-/// one replica — the weights every rank holds, identical under
-/// synchronous SGD — updated once per step. Compute fans out over
-/// `workers` workers. The only step-loop code that touches the world or
-/// a device; everything between its collectives is a phase of
-/// [`LoopState`]. Returns every rank's own result.
+/// `replica` — the weights every rank holds, identical under
+/// synchronous SGD, the round's one copy — updated once per step.
+/// Compute fans out over `workers` workers. The only step-loop code
+/// that touches the world or a device; everything between its
+/// collectives is a phase of [`LoopState`]. Returns every rank's own
+/// result.
 fn drive(
     ctx: &RunCtx,
+    mut replica: Replica,
     devices: &[Arc<Device>],
     workers: usize,
 ) -> Vec<Result<TrainReport, TrainError>> {
     let cfg = ctx.cfg;
-    let mut replica = ctx.replica.clone();
     let mut world = World::new(cfg.gpus, ctx.gpn, cfg.comm.deadline);
     let mut ranks: Vec<RankRun> = (0..cfg.gpus)
         .map(|r| RankRun {
             st: LoopState::new(ctx, r),
             out: None,
+            rows: Vec::new(),
             end: None,
         })
         .collect();
 
     // Persistent model memory: parameters + gradients + a modelled
     // optimiser slot, FP32, held for the whole round.
-    let param_bytes = perfmodel::memory::replica_bytes(ctx.replica.param_vector_len() as u64);
+    let param_bytes = perfmodel::memory::replica_bytes(ctx.params as u64);
     let mut model_mem = Vec::with_capacity(ranks.len());
     for (rank, device) in ranks.iter_mut().zip(devices) {
         let r = rank.st.rank();
@@ -809,7 +831,7 @@ fn drive(
     }
 
     let mut grads = DenseGrads {
-        bufs: vec![Vec::new(); workers.max(1)],
+        bufs: (0..workers.max(1)).map(|_| WorkerBufs::default()).collect(),
         sum: RankSum::new(),
     };
     while step(
@@ -886,15 +908,26 @@ fn step(
 
     // Every rank's dense gradient is folded into the one sum the
     // moment it is made, in rank order: only the workers' buffers live.
+    // So do its input-gradient rows on the unique path, reduced in
+    // `compute`; the baseline's exchange gathers them from the rank's
+    // own buffer.
     let weights = &*replica;
     let sum = &mut dense.sum;
-    sum.begin(ranks[0].st.sched.xcfg.grad_wire());
+    let xcfg = ranks[0].st.sched.xcfg;
+    sum.begin(xcfg.grad_wire());
     let mut running: Vec<&mut RankRun> = ranks.iter_mut().filter(|r| r.running()).collect();
     fan_out_fold(
         &mut dense.bufs,
         &mut running,
-        |rank, buf| rank.out = Some(rank.st.compute(weights, buf)),
-        |grad| sum.fold(grad),
+        |rank, buf| {
+            let rows = if xcfg.unique {
+                &mut buf.rows
+            } else {
+                &mut rank.rows
+            };
+            rank.out = Some(rank.st.compute(weights, &mut buf.dense, rows));
+        },
+        |buf| sum.fold(&mut buf.dense),
     );
 
     // Stragglers: one sleep for the step's largest injected delay, so
@@ -1011,17 +1044,18 @@ fn members<'r>(ranks: &'r mut [RankRun], output: bool) -> Vec<Member<'r>> {
                 rank.out.as_ref().expect("every rank computed"),
                 &mut rank.st,
             );
-            let (grad, scratch) = if output {
+            let (indices, rows, scratch) = if output {
                 let grad = out
                     .output_grad
                     .as_ref()
                     .expect("a word LM's output gradient");
-                (grad, &mut st.out_scratch)
+                (&grad.indices, grad.rows.as_slice(), &mut st.out_scratch)
             } else {
-                (&out.input_grad, &mut st.in_scratch)
+                (&out.input_indices, &rank.rows[..], &mut st.in_scratch)
             };
             Member {
-                grad,
+                indices,
+                rows,
                 scratch,
                 clock: &mut st.clock,
             }
@@ -1625,7 +1659,8 @@ mod tests {
                 cfg: &cfg,
                 data: &data,
                 model,
-                replica: &replica,
+                shape: replica.shape(),
+                params: replica.param_vector_len(),
                 cost: &cost,
                 plan: &plan,
                 store: None,

@@ -29,7 +29,7 @@ use corpus::batch::BatchIter;
 use corpus::{shard_batches, BatchSpec};
 use nn::model::SeqBatch;
 use nn::optimizer::scaled_lr;
-use nn::{CharLm, WordLm};
+use nn::{CharLm, SparseGrad, WordLm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgpu::{
@@ -56,12 +56,16 @@ pub(super) enum Replica {
     Char(CharLm),
 }
 
-/// What one forward/backward pass produced besides its dense gradient
-/// (which the driver folds into the step's running sum): the local loss
-/// and the sparse gradients the embedding exchanges carry.
+/// What one forward/backward pass left for the step's collectives
+/// besides its dense gradient (which the driver folds into the step's
+/// running sum) and its input gradient's `K×D` rows (in the buffer the
+/// driver lent): the local loss, the input gradient's token-aligned
+/// indices and a word LM's output-table gradient. On the unique path
+/// both sparse gradients are already reduced into the rank's scratch
+/// pools.
 pub(super) struct StepOutcome {
     pub(super) loss: f64,
-    pub(super) input_grad: nn::SparseGrad,
+    pub(super) input_indices: Vec<u32>,
     pub(super) output_grad: Option<nn::SparseGrad>,
 }
 
@@ -75,30 +79,38 @@ impl Replica {
         }
     }
 
-    /// Forward/backward over `batch`, the dense gradient flattened into
-    /// `dense` (its allocation reused).
-    fn step(&self, batch: &SeqBatch, sample_seed: u64, dense: &mut Vec<f32>) -> StepOutcome {
+    /// Forward/backward over `batch`: the loss and the input and (word
+    /// LM) output sparse gradients, the dense gradient flattened into
+    /// `dense` and the input gradient's rows written into `rows`'s
+    /// allocation (both reused).
+    fn step(
+        &self,
+        batch: &SeqBatch,
+        sample_seed: u64,
+        dense: &mut Vec<f32>,
+        rows: Vec<f32>,
+    ) -> (f64, SparseGrad, Option<SparseGrad>) {
         let buf = std::mem::take(dense);
         match self {
             Replica::Word(m) => {
                 let mut rng = StdRng::seed_from_u64(sample_seed);
-                let g = m.forward_backward_in(batch, &mut rng, buf);
+                let g = m.forward_backward_in(batch, &mut rng, buf, rows);
                 *dense = g.dense;
-                StepOutcome {
-                    loss: g.loss,
-                    input_grad: g.input_grad,
-                    output_grad: Some(g.output_grad),
-                }
+                (g.loss, g.input_grad, Some(g.output_grad))
             }
             Replica::Char(m) => {
-                let g = m.forward_backward_in(batch, buf);
+                let g = m.forward_backward_in(batch, buf, rows);
                 *dense = g.dense;
-                StepOutcome {
-                    loss: g.loss,
-                    input_grad: g.input_grad,
-                    output_grad: None,
-                }
+                (g.loss, g.input_grad, None)
             }
+        }
+    }
+
+    /// Words in each embedding table.
+    fn vocab(&self) -> usize {
+        match self {
+            Replica::Word(m) => m.config().vocab,
+            Replica::Char(m) => m.config().vocab,
         }
     }
 
@@ -126,7 +138,7 @@ impl Replica {
     /// What the step's collectives carry: the dense gradient's length
     /// and the input and output tables' row widths (the char LM has no
     /// output table; its width is then never read).
-    fn shape(&self) -> (usize, usize, usize) {
+    pub(super) fn shape(&self) -> (usize, usize, usize) {
         match self {
             Replica::Word(m) => {
                 let c = m.config();
@@ -218,7 +230,7 @@ impl<'a> LoopState<'a> {
     pub(super) fn new(ctx: &'a RunCtx<'a>, rank: usize) -> Self {
         let cfg = ctx.cfg;
         let g = cfg.gpus;
-        let (dense_elems, dim, out_dim) = ctx.replica.shape();
+        let (dense_elems, dim, out_dim) = ctx.shape;
         let flops = ctx.model.flops_per_step(cfg.local_batch_tokens());
         let sched = StepSchedule {
             cost: ctx.cost,
@@ -376,11 +388,19 @@ impl<'a> LoopState<'a> {
     }
 
     /// Phase 1: draws this rank's next batch and runs forward/backward
-    /// through `replica`, the dense gradient into `dense`.
+    /// through `replica`, the dense gradient into `dense` and the input
+    /// gradient's `K×D` rows into `rows`. On the unique path both sparse
+    /// gradients are reduced to `(Ĵ, ∆̂)` right after the backward, in
+    /// the rank's scratch pools, so the rows need not outlive the call.
     /// The shard's batches are drawn in order, over and over, so the
     /// step in progress names its batch — which is what lands a resumed
     /// epoch on exactly the batch the interrupted run would have drawn.
-    pub(super) fn compute(&mut self, replica: &Replica, dense: &mut Vec<f32>) -> StepOutcome {
+    pub(super) fn compute(
+        &mut self,
+        replica: &Replica,
+        dense: &mut Vec<f32>,
+        rows: &mut Vec<f32>,
+    ) -> StepOutcome {
         let cfg = self.ctx.cfg;
         let mut batches = shard(self.ctx, self.rank);
         let pos = self.step_in_epoch as usize % batches.len().max(1);
@@ -393,8 +413,22 @@ impl<'a> LoopState<'a> {
             cfg.gpus,
             self.global_step,
         );
-        let step = || replica.step(&sb, seed, dense);
-        self.clock.phase(SpanKind::Compute, step, |_| 0).0
+        let buf = std::mem::take(rows);
+        let step = || replica.step(&sb, seed, dense, buf);
+        let (loss, input, output) = self.clock.phase(SpanKind::Compute, step, |_| 0).0;
+        if self.sched.xcfg.unique {
+            let vocab = replica.vocab();
+            self.in_scratch.reduce(&input, vocab, &mut self.clock);
+            if let Some(output) = &output {
+                self.out_scratch.reduce(output, vocab, &mut self.clock);
+            }
+        }
+        *rows = input.rows.into_vec();
+        StepOutcome {
+            loss,
+            input_indices: input.indices,
+            output_grad: output,
+        }
     }
 
     /// The embedding exchanges' learning rate: applied with `lr/G`, the

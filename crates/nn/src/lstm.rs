@@ -176,6 +176,18 @@ impl LstmLayer {
     /// through the cached forward pass; returns the t-major `(T·B)×D`
     /// input gradients and the parameter gradients.
     pub fn backward(&self, cache: &LstmCache, dh_all: &Matrix) -> (Matrix, LstmGrads) {
+        self.backward_in(cache, dh_all, Vec::new())
+    }
+
+    /// [`LstmLayer::backward`] with the input gradients written into
+    /// `dx`'s allocation (its contents replaced): a caller that runs
+    /// many passes keeps one buffer.
+    pub fn backward_in(
+        &self,
+        cache: &LstmCache,
+        dh_all: &Matrix,
+        dx: Vec<f32>,
+    ) -> (Matrix, LstmGrads) {
         let (b, h) = (cache.batch, self.hidden);
         let steps = cache.gates.rows() / b;
         assert_eq!(
@@ -245,7 +257,9 @@ impl LstmLayer {
             }
             dh_carry.gemm_rows(0..b, dz_t, Rhs::Packed(wh_t), Store::Set);
         }
-        let dx_all = dz.matmul_transpose_b(&self.wx);
+        let mut dx_all = Matrix::recycled(steps * b, self.input_dim(), dx);
+        let wx_t = Rhs::View(self.wx.view().t());
+        dx_all.gemm_rows(0..steps * b, dz.view(), wx_t, Store::Set);
         (dx_all, grads)
     }
 

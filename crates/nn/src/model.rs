@@ -199,21 +199,23 @@ impl WordLm {
 
     /// Forward + backward with candidates drawn from `rng`.
     pub fn forward_backward<R: Rng + ?Sized>(&self, batch: &SeqBatch, rng: &mut R) -> WordLmGrads {
-        self.forward_backward_in(batch, rng, Vec::new())
+        self.forward_backward_in(batch, rng, Vec::new(), Vec::new())
     }
 
     /// [`WordLm::forward_backward`] with the flat dense gradient written
-    /// into `dense`'s allocation (its contents replaced) and returned as
-    /// [`WordLmGrads::dense`]: a caller that runs many passes keeps one
-    /// buffer.
+    /// into `dense`'s allocation and the input gradient's `K×D` rows into
+    /// `input_rows`'s (their contents replaced), returned as
+    /// [`WordLmGrads::dense`] and [`WordLmGrads::input_grad`]: a caller
+    /// that runs many passes keeps one of each.
     pub fn forward_backward_in<R: Rng + ?Sized>(
         &self,
         batch: &SeqBatch,
         rng: &mut R,
         dense: Vec<f32>,
+        input_rows: Vec<f32>,
     ) -> WordLmGrads {
         let cands = self.softmax.draw_candidates(rng);
-        self.step(batch, cands, dense)
+        self.step(batch, cands, dense, input_rows)
     }
 
     /// Forward + backward with an explicit candidate set (what the
@@ -223,12 +225,19 @@ impl WordLm {
         batch: &SeqBatch,
         candidates: Vec<u32>,
     ) -> WordLmGrads {
-        self.step(batch, candidates, Vec::new())
+        self.step(batch, candidates, Vec::new(), Vec::new())
     }
 
     /// Forward + backward over `candidates`, the dense gradient
-    /// flattened into `dense`'s allocation.
-    fn step(&self, batch: &SeqBatch, candidates: Vec<u32>, mut dense: Vec<f32>) -> WordLmGrads {
+    /// flattened into `dense`'s allocation and the input gradient
+    /// written into `input_rows`'s.
+    fn step(
+        &self,
+        batch: &SeqBatch,
+        candidates: Vec<u32>,
+        mut dense: Vec<f32>,
+        input_rows: Vec<f32>,
+    ) -> WordLmGrads {
         let (p_all, h_all, cache) = self.forward_hidden(batch);
         let out = self.softmax.forward_backward_with_candidates(
             &p_all,
@@ -240,7 +249,7 @@ impl WordLm {
         // Back through projection and LSTM; every matrix is t-major, in
         // the order of `batch.tokens`.
         let (dh_all, proj_grads) = self.proj.backward(&h_all, &out.dh);
-        let (dx_all, lstm_grads) = self.lstm.backward(&cache, &dh_all);
+        let (dx_all, lstm_grads) = self.lstm.backward_in(&cache, &dh_all, input_rows);
         let input_grad = self.embed.backward(&batch.tokens, dx_all);
 
         dense.clear();
@@ -400,21 +409,27 @@ impl CharLm {
 
     /// Forward + backward over one batch.
     pub fn forward_backward(&self, batch: &SeqBatch) -> CharLmGrads {
-        self.forward_backward_in(batch, Vec::new())
+        self.forward_backward_in(batch, Vec::new(), Vec::new())
     }
 
     /// [`CharLm::forward_backward`] with the flat dense gradient written
-    /// into `dense`'s allocation (its contents replaced) and returned as
-    /// [`CharLmGrads::dense`]: a caller that runs many passes keeps one
-    /// buffer.
-    pub fn forward_backward_in(&self, batch: &SeqBatch, mut dense: Vec<f32>) -> CharLmGrads {
+    /// into `dense`'s allocation and the input gradient's `K×D` rows into
+    /// `input_rows`'s (their contents replaced), returned as
+    /// [`CharLmGrads::dense`] and [`CharLmGrads::input_grad`]: a caller
+    /// that runs many passes keeps one of each.
+    pub fn forward_backward_in(
+        &self,
+        batch: &SeqBatch,
+        mut dense: Vec<f32>,
+        input_rows: Vec<f32>,
+    ) -> CharLmGrads {
         let (logits, h_all, cache) = self.forward_hidden(batch);
         let sm = softmax_cross_entropy(&logits, &batch.targets);
 
         // Back through output layer and RHN; every matrix is t-major, in
         // the order of `batch.tokens`.
         let (dh_all, out_grads) = self.out.backward(&h_all, &sm.dlogits);
-        let (dx_all, rhn_grads) = self.rhn.backward(&cache, &dh_all);
+        let (dx_all, rhn_grads) = self.rhn.backward_in(&cache, &dh_all, input_rows);
         let input_grad = self.embed.backward(&batch.tokens, dx_all);
 
         dense.clear();
@@ -843,6 +858,48 @@ mod tests {
         c.apply_dense(&g.dense, 0.5);
         assert_eq!(char_step_bits(&c, &cbatch), fresh_char(&c.param_vector()));
         assert_eq!(char_step_bits(&m, &cbatch), fresh_char(&other));
+    }
+
+    /// A pass into buffers another pass left behind — shorter, longer or
+    /// holding NaNs — returns what a pass into fresh buffers returns, to
+    /// the bit, and in the buffers' allocations.
+    #[test]
+    fn a_pass_into_reused_buffers_matches_a_fresh_pass() {
+        let stale = [vec![f32::NAN; 3], vec![f32::NAN; 5000]];
+        let (wcfg, wbatch) = (WordLmConfig::small(60), toy_batch(60, 3, 4, 6));
+        let w = WordLm::new(3, wcfg);
+        let want = w.forward_backward(&wbatch, &mut StdRng::seed_from_u64(1));
+        for (dense, rows) in [
+            (stale[0].clone(), stale[1].clone()),
+            (stale[1].clone(), stale[0].clone()),
+        ] {
+            let (ptr, cap) = (rows.as_ptr(), rows.capacity());
+            let got = w.forward_backward_in(&wbatch, &mut StdRng::seed_from_u64(1), dense, rows);
+            assert_eq!(bits(&got.dense), bits(&want.dense));
+            assert_eq!(got.input_grad.indices, want.input_grad.indices);
+            let (g, f) = (&got.input_grad.rows, &want.input_grad.rows);
+            assert_eq!((g.rows(), g.cols()), (f.rows(), f.cols()));
+            assert_eq!(bits(g.as_slice()), bits(f.as_slice()));
+            assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+            assert_eq!(g.as_slice().as_ptr() == ptr, g.len() <= cap);
+        }
+
+        let (ccfg, cbatch) = (CharLmConfig::small(30), toy_batch(30, 3, 4, 6));
+        let m = CharLm::new(3, ccfg);
+        let want = m.forward_backward(&cbatch);
+        for (dense, rows) in [
+            (stale[0].clone(), stale[1].clone()),
+            (stale[1].clone(), stale[0].clone()),
+        ] {
+            let (ptr, cap) = (rows.as_ptr(), rows.capacity());
+            let got = m.forward_backward_in(&cbatch, dense, rows);
+            assert_eq!(bits(&got.dense), bits(&want.dense));
+            let (g, f) = (&got.input_grad.rows, &want.input_grad.rows);
+            assert_eq!((g.rows(), g.cols()), (f.rows(), f.cols()));
+            assert_eq!(bits(g.as_slice()), bits(f.as_slice()));
+            assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+            assert_eq!(g.as_slice().as_ptr() == ptr, g.len() <= cap);
+        }
     }
 
     /// FNV-1a over the little-endian bytes of every value's bits.

@@ -211,6 +211,18 @@ impl RhnLayer {
     /// through depth and time; returns the t-major `(T·B)×D` input
     /// gradients and the parameter gradients.
     pub fn backward(&self, cache: &RhnCache, dh_all: &Matrix) -> (Matrix, RhnGrads) {
+        self.backward_in(cache, dh_all, Vec::new())
+    }
+
+    /// [`RhnLayer::backward`] with the input gradients written into
+    /// `dx`'s allocation (its contents replaced): a caller that runs
+    /// many passes keeps one buffer.
+    pub fn backward_in(
+        &self,
+        cache: &RhnCache,
+        dh_all: &Matrix,
+        dx: Vec<f32>,
+    ) -> (Matrix, RhnGrads) {
         let (b, h, depth) = (cache.batch, self.hidden, self.depth());
         let (d, steps) = (self.input_dim(), cache.xs.rows() / b);
         assert_eq!(
@@ -280,7 +292,9 @@ impl RhnLayer {
                 }
             }
         }
-        let mut dx_all = dzh.matmul_transpose_b(&self.wx_h);
+        let mut dx_all = Matrix::recycled(steps * b, d, dx);
+        let wx_h = Rhs::View(self.wx_h.view().t());
+        dx_all.gemm_rows(0..steps * b, dzh.view(), wx_h, Store::Set);
         let wx_t = Rhs::View(self.wx_t.view().t());
         dx_all.gemm_rows(0..steps * b, dzt.view(), wx_t, Store::Add);
         (dx_all, grads)

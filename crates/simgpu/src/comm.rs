@@ -974,6 +974,9 @@ pub struct RankSum {
     ranks: usize,
     /// The FP16 wire's scale, checked, or `None` for an f32 payload.
     scale: Option<f32>,
+    /// One row of zeros: what [`RankSum::fold_rows`] folds for a row a
+    /// rank lacks.
+    zeros: Vec<f32>,
 }
 
 impl RankSum {
@@ -1000,6 +1003,36 @@ impl RankSum {
         } else {
             assert_eq!(x.len(), self.sum.len(), "every rank's buffer is one length");
             hop(&mut self.sum, x, self.scale.map(|s| (s, 1.0 / s)));
+        }
+        self.ranks += 1;
+    }
+
+    /// [`RankSum::fold`] of the next rank's buffer given row by row,
+    /// without the buffer being built: `rows` yields each of its
+    /// `d`-wide rows in order, `None` for a row of zeros. The first
+    /// rank's rows become the sum as they are; every later row is one
+    /// hop, a row of zeros too (it turns a −0 partial into +0, as adding
+    /// the zeros of a built buffer would). Every later rank gives as many
+    /// rows as the first. Allocates nothing once the sum and one row have
+    /// reached their size.
+    pub fn fold_rows<'a>(&mut self, d: usize, rows: impl IntoIterator<Item = Option<&'a [f32]>>) {
+        self.zeros.resize(d, 0.0);
+        let zeros = &self.zeros[..];
+        if self.ranks == 0 {
+            self.sum.clear();
+            for row in rows {
+                self.sum.extend_from_slice(row.unwrap_or(zeros));
+            }
+        } else {
+            let f16 = self.scale.map(|s| (s, 1.0 / s));
+            let mut n = 0;
+            for row in rows {
+                let acc = self.sum.get_mut(n..n + d);
+                let acc = acc.expect("every rank's buffer is one length");
+                hop(acc, row.unwrap_or(zeros), f16);
+                n += d;
+            }
+            assert_eq!(n, self.sum.len(), "every rank's buffer is one length");
         }
         self.ranks += 1;
     }
@@ -3291,6 +3324,43 @@ mod tests {
             hash, 0xefc2_653a_9808_6f43,
             "lockstep all_reduce bits or bytes moved"
         );
+    }
+
+    /// [`RankSum::fold_rows`] against [`RankSum::fold`] of each rank's
+    /// built buffer — its rows where it has them, zeros where it lacks
+    /// them — at f32 and FP16 (scales 64 and 512), G 1 / 2 / 3 / 8, on
+    /// payloads whose sums cancel to ±0 (a −0 partial meeting a lacked
+    /// row included) and on one reused sum: the same bits.
+    #[test]
+    fn fold_rows_matches_folding_the_built_buffer() {
+        let (d, rows) = (5, 7);
+        // Rank `r` lacks row `i` when `(i + r) % 3 == 0`.
+        let has = |r: usize, i: usize| !(i + r).is_multiple_of(3);
+        let mut got = RankSum::new();
+        for (label, wire) in [
+            ("f32", Wire::F32),
+            ("f16 64", Wire::F16 { scale: 64.0 }),
+            ("f16 512", Wire::F16 { scale: 512.0 }),
+        ] {
+            for world in [1usize, 2, 3, 8] {
+                let payloads: Vec<Vec<f32>> = (0..world)
+                    .map(|r| cancelling_payload(r, rows * d))
+                    .collect();
+                let mut want = RankSum::new();
+                want.begin(wire);
+                got.begin(wire);
+                for (r, payload) in payloads.iter().enumerate() {
+                    let mut built: Vec<f32> = (0..rows * d)
+                        .map(|j| if has(r, j / d) { payload[j] } else { 0.0 })
+                        .collect();
+                    want.fold(&mut built);
+                    let lent = (0..rows).map(|i| has(r, i).then(|| &payload[i * d..(i + 1) * d]));
+                    got.fold_rows(d, lent);
+                }
+                let ctx = format!("{label} world {world}");
+                assert_same_bits(got.as_slice(), want.as_slice(), &ctx);
+            }
+        }
     }
 
     /// A torn codec frame on the lockstep ALLREDUCE names the first rank

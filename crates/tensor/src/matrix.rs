@@ -92,6 +92,21 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
+    /// A `rows × cols` matrix in `buf`'s allocation, holding whatever
+    /// `buf` held (zeros past its old length): the output of a product
+    /// stored with [`Store::Set`], which writes every element, without a
+    /// fresh allocation to fault in.
+    pub fn recycled(rows: usize, cols: usize, mut buf: Vec<f32>) -> Self {
+        buf.resize(rows * cols, 0.0);
+        Self::from_vec(rows, cols, buf)
+    }
+
+    /// The row-major buffer, the matrix ended (to be
+    /// [`Matrix::recycled`]).
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
