@@ -22,42 +22,32 @@ const BLOCK: usize = 256;
 /// train so validation length is a multiple of `BLOCK` (except for tiny
 /// inputs where everything stays in train).
 pub fn train_valid_split(tokens: &[u32], denominator: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
-    let n_blocks = tokens.len() / BLOCK;
-    let valid_blocks = valid_blocks(n_blocks, denominator, seed);
-    if valid_blocks.is_empty() {
-        return (tokens.to_vec(), Vec::new());
-    }
-    let n_valid = valid_blocks.len();
-
-    let mut train = Vec::with_capacity(tokens.len());
-    let mut valid = Vec::with_capacity(n_valid * BLOCK);
-    let mut next_valid = 0usize;
-    for b in 0..n_blocks {
-        let chunk = &tokens[b * BLOCK..(b + 1) * BLOCK];
-        if next_valid < valid_blocks.len() && valid_blocks[next_valid] == b {
-            valid.extend_from_slice(chunk);
-            next_valid += 1;
-        } else {
-            train.extend_from_slice(chunk);
-        }
-    }
-    train.extend_from_slice(&tokens[n_blocks * BLOCK..]);
-    (train, valid)
+    train_valid_split_in_place(tokens.to_vec(), denominator, seed)
 }
 
 /// [`train_valid_split`] in `tokens`' own buffer: the train blocks are
 /// compacted in place, in order, and only the validation blocks (about
-/// `1/denominator` of the stream) are copied out. Bit-equal to
-/// `train_valid_split(&tokens, denominator, seed)`, without a second
-/// stream-sized buffer.
+/// `1/denominator` of the stream) are copied out, so no second
+/// stream-sized buffer is made.
 pub fn train_valid_split_in_place(
     mut tokens: Vec<u32>,
     denominator: usize,
     seed: u64,
 ) -> (Vec<u32>, Vec<u32>) {
+    assert!(denominator >= 2, "denominator must be >= 2");
     let n_blocks = tokens.len() / BLOCK;
-    let valid_blocks = valid_blocks(n_blocks, denominator, seed);
-    let mut valid = Vec::with_capacity(valid_blocks.len() * BLOCK);
+    let n_valid = n_blocks / denominator;
+    if n_valid == 0 {
+        return (tokens, Vec::new());
+    }
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut idx: Vec<usize> = (0..n_blocks).collect();
+    idx.shuffle(&mut rng);
+    let mut valid_blocks: Vec<usize> = idx[..n_valid].to_vec();
+    valid_blocks.sort_unstable();
+
+    let mut valid = Vec::with_capacity(n_valid * BLOCK);
     let mut next_valid = 0usize;
     let mut kept = 0usize;
     for b in 0..n_blocks {
@@ -74,23 +64,6 @@ pub fn train_valid_split_in_place(
     tokens.copy_within(tail.clone(), kept);
     tokens.truncate(kept + tail.len());
     (tokens, valid)
-}
-
-/// The validation blocks of a stream of `n_blocks` whole blocks, in
-/// ascending order: `n_blocks / denominator` of them, sampled without
-/// replacement with the fixed `seed` (none for tiny inputs).
-fn valid_blocks(n_blocks: usize, denominator: usize, seed: u64) -> Vec<usize> {
-    assert!(denominator >= 2, "denominator must be >= 2");
-    let n_valid = n_blocks / denominator;
-    if n_valid == 0 {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut idx: Vec<usize> = (0..n_blocks).collect();
-    idx.shuffle(&mut rng);
-    let mut valid_blocks: Vec<usize> = idx[..n_valid].to_vec();
-    valid_blocks.sort_unstable();
-    valid_blocks
 }
 
 #[cfg(test)]
@@ -146,9 +119,45 @@ mod tests {
         assert!(valid.is_empty());
     }
 
+    /// The split as it was written before it compacted in place: every
+    /// block copied out into a fresh train or valid buffer. Kept as the
+    /// oracle for the in-place split.
+    /// `train_valid_split` as it was before it split in place: every
+    /// block copied into a fresh train or valid buffer. Kept as the
+    /// oracle for the in-place split.
+    fn copying_split(tokens: &[u32], denominator: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
+        assert!(denominator >= 2, "denominator must be >= 2");
+        let n_blocks = tokens.len() / BLOCK;
+        let n_valid = n_blocks / denominator;
+        if n_valid == 0 {
+            return (tokens.to_vec(), Vec::new());
+        }
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut idx: Vec<usize> = (0..n_blocks).collect();
+        idx.shuffle(&mut rng);
+        let mut valid_blocks: Vec<usize> = idx[..n_valid].to_vec();
+        valid_blocks.sort_unstable();
+
+        let mut train = Vec::with_capacity(tokens.len());
+        let mut valid = Vec::with_capacity(n_valid * BLOCK);
+        let mut next_valid = 0usize;
+        for b in 0..n_blocks {
+            let chunk = &tokens[b * BLOCK..(b + 1) * BLOCK];
+            if next_valid < valid_blocks.len() && valid_blocks[next_valid] == b {
+                valid.extend_from_slice(chunk);
+                next_valid += 1;
+            } else {
+                train.extend_from_slice(chunk);
+            }
+        }
+        train.extend_from_slice(&tokens[n_blocks * BLOCK..]);
+        (train, valid)
+    }
+
     /// The in-place split against the copying one, bit for bit: random
     /// streams with and without a partial last block, tiny inputs that
-    /// stay whole in train, a stream of whole blocks, both ratios and
+    /// stay whole in train, a stream of whole blocks, three ratios and
     /// several seeds.
     #[test]
     fn in_place_split_matches_the_copying_split() {
@@ -168,7 +177,7 @@ mod tests {
             let tokens: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
             for denominator in [2, 100, 1001] {
                 for seed in [1, 9, 0x5b11_7000] {
-                    let want = train_valid_split(&tokens, denominator, seed);
+                    let want = copying_split(&tokens, denominator, seed);
                     let got = train_valid_split_in_place(tokens.clone(), denominator, seed);
                     assert_eq!(got, want, "n {n} denominator {denominator} seed {seed}");
                 }
