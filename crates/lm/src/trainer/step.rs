@@ -66,7 +66,7 @@ pub(super) enum Replica {
 pub(super) struct StepOutcome {
     pub(super) loss: f64,
     pub(super) input_indices: Vec<u32>,
-    pub(super) output_grad: Option<nn::SparseGrad>,
+    pub(super) output_grad: Option<SparseGrad>,
 }
 
 impl Replica {
