@@ -17,8 +17,7 @@
 //!   Per-GPU cost `Θ(G·K + Ug·D)`.
 //!
 //! Either path can run with FP16 wire compression (§III-C). Both are
-//! reached through [`exchange_and_apply_with`] (or its tracing twin
-//! [`exchange_and_apply_traced`]) on a threaded rank, and through
+//! reached through [`exchange_and_apply_with`] on a threaded rank, and through
 //! `exchange_world` for every rank at once on the trainer's lockstep
 //! [`World`]; the two share every per-rank step and every collective's
 //! implementation, and the strategy is a field of [`ExchangeConfig`],
@@ -39,9 +38,9 @@
 //! words to their rows. Across nodes the same collective deduplicates
 //! per node first, so only the node leaders cross Infiniband.
 //! Per-phase wall-time (gather / unique / scatter / allreduce / apply)
-//! is recorded into [`PhaseTimings`] — and, when tracing, into the
-//! rank's [`TraceRecorder`] — by one [`simgpu::PhaseTimer`] lap per
-//! phase.
+//! is recorded into [`PhaseTimings`]: on a threaded rank by one
+//! [`simgpu::PhaseTimer`] lap per phase, on the lockstep world by each
+//! member's [`RankClock`], which also traces the phases as spans.
 //!
 //! ## The baseline reads in place
 //!
@@ -69,7 +68,7 @@ use perfmodel::memory;
 pub use perfmodel::schedule::ExchangeConfig;
 use simgpu::{
     peer_exchange_tier_bytes, CommError, PhaseTimer, Rank, RankClock, RankSum, SpanKind, TierBytes,
-    TraceRecorder, TrafficSnapshot, UniqueGathered, World,
+    TrafficSnapshot, UniqueGathered, World,
 };
 use std::time::Instant;
 
@@ -423,30 +422,10 @@ pub fn exchange_and_apply_with(
     cfg: &ExchangeConfig,
     scratch: &mut ExchangeScratch,
 ) -> Result<ExchangeStats, CommError> {
-    exchange_and_apply_traced(rank, grad, table, lr, cfg, scratch, None)
-}
-
-/// [`exchange_and_apply_with`] recording a [`simgpu::trace::TraceEvent`]
-/// per phase into `trace` (span kinds Gather / Unique / Scatter /
-/// AllReduce / Apply, with the phase's exact wire bytes; the unique
-/// path emits two `Unique` spans per step — the local reduction of
-/// steps 1–2 and the mapping of step 4's global set to its rows — and the
-/// baseline's `Apply` span carries its row gather, whose rows are
-/// applied as they arrive). `None` disables recording at the cost of
-/// one branch per phase.
-pub fn exchange_and_apply_traced(
-    rank: &Rank,
-    grad: &SparseGrad,
-    table: &mut Embedding,
-    lr: f32,
-    cfg: &ExchangeConfig,
-    scratch: &mut ExchangeScratch,
-    trace: Option<&mut TraceRecorder>,
-) -> Result<ExchangeStats, CommError> {
     if cfg.unique {
-        unique_exchange(rank, grad, table, lr, cfg, scratch, trace)
+        unique_exchange(rank, grad, table, lr, cfg, scratch)
     } else {
-        baseline_exchange(rank, grad, table, lr, cfg.compression, scratch, trace)
+        baseline_exchange(rank, grad, table, lr, cfg.compression, scratch)
     }
 }
 
@@ -461,10 +440,9 @@ fn baseline_exchange(
     lr: f32,
     compression: Option<f32>,
     scratch: &mut ExchangeScratch,
-    trace: Option<&mut TraceRecorder>,
 ) -> Result<ExchangeStats, CommError> {
     let d = table.dim();
-    let mut timer = PhaseTimer::start(trace);
+    let mut timer = PhaseTimer::start();
     let mut timings = PhaseTimings::default();
     let ExchangeScratch {
         all_indices,
@@ -485,13 +463,12 @@ fn baseline_exchange(
     // row gather visits them. Repeated indices accumulate — this is the
     // serialised scatter-add the paper describes, complete with its
     // duplicate-row hazard. The gather phase ends when the first
-    // sender's rows arrive (publish + rendezvous wait), before the row
-    // gather has returned its bytes: the Gather span carries the index
-    // gather's, the Apply span the row gather's.
+    // sender's rows arrive (publish + rendezvous wait); the apply phase
+    // carries the row gather, whose rows are applied as they arrive.
     let mut applied = 0;
     let apply = |sender: usize, rows: &[f32]| {
         if sender == 0 {
-            timings.gather_ns = timer.lap(SpanKind::Gather, index_sent.total());
+            timings.gather_ns = timer.lap();
         }
         let indices = &all_indices[applied..applied + sender_counts[sender]];
         check_rows(sender, rows, indices.len(), d)?;
@@ -503,7 +480,7 @@ fn baseline_exchange(
         Some(scale) => rank.all_gather_f16_visit(grad.rows.as_slice(), scale, staging, apply)?,
         None => rank.all_gather_f32_visit(grad.rows.as_slice(), apply)?,
     };
-    timings.apply_ns = timer.lap(SpanKind::Apply, rows_sent.total());
+    timings.apply_ns = timer.lap();
     let total_rows = all_indices.len() as u64;
     Ok(baseline_stats(
         grad.indices.len(),
@@ -526,18 +503,17 @@ fn unique_exchange(
     lr: f32,
     cfg: &ExchangeConfig,
     scratch: &mut ExchangeScratch,
-    trace: Option<&mut TraceRecorder>,
 ) -> Result<ExchangeStats, CommError> {
     let d = table.dim();
     scratch.ensure_vocab(table.vocab());
-    let mut timer = PhaseTimer::start(trace);
+    let mut timer = PhaseTimer::start();
     let mut timings = PhaseTimings::default();
 
     // Steps 1–2: local unique indices Ĵ and locally-reduced gradients ∆̂
     // (O(K) epoch-map pass — no hashing, no allocation).
     scratch.local_reduce(grad, d);
     let u_local = scratch.reduced_indices.len();
-    timings.unique_ns = timer.lap(SpanKind::Unique, 0);
+    timings.unique_ns = timer.lap();
 
     // Steps 3–4: one collective publishes the *index* vectors J
     // (Θ(G·K), not Θ(G·K·D)) and returns the canonical set Î — first
@@ -551,14 +527,14 @@ fn unique_exchange(
         cfg.topology(),
         &mut scratch.unique,
     )?;
-    timings.gather_ns = timer.lap(SpanKind::Gather, gathered.sent.total());
+    timings.gather_ns = timer.lap();
     scratch.slot_unique();
     let u_global = scratch.unique.len();
-    timings.unique_ns += timer.lap(SpanKind::Unique, 0);
+    timings.unique_ns += timer.lap();
 
     // Step 5: scatter ∆̂ into the canonical Ug×D layout M.
     scratch.scatter(d);
-    timings.scatter_ns = timer.lap(SpanKind::Scatter, 0);
+    timings.scatter_ns = timer.lap();
 
     // Step 6: ALLREDUCE the aligned matrices, one collective call per
     // gradient bucket (`cfg.bucket_bytes`; a single whole-payload call
@@ -566,12 +542,12 @@ fn unique_exchange(
     // so the slicing moves no bits. The bytes are the collective's own:
     // this rank's exact per-bucket share of the active wire schedule.
     let reduced = all_reduce_bucketed(rank, &mut scratch.m, cfg)?;
-    timings.allreduce_ns = timer.lap(SpanKind::AllReduce, reduced.sent.total_bytes());
+    timings.allreduce_ns = timer.lap();
 
     // Step 7: apply M̂ through Î. Indices are unique ⇒ no duplicate-row
     // serialisation.
     apply_rows(table, &scratch.unique, &scratch.m, lr);
-    timings.apply_ns = timer.lap(SpanKind::Apply, 0);
+    timings.apply_ns = timer.lap();
 
     Ok(unique_stats(
         gathered,
@@ -834,7 +810,7 @@ mod tests {
     use perfmodel::TechniqueStack;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use simgpu::{CommGroup, WireCodecId};
+    use simgpu::{CommGroup, TraceRecorder, WireCodecId};
     use tensor::Matrix;
 
     const D: usize = 4;
@@ -1907,60 +1883,6 @@ mod tests {
             (0..n * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
         SparseGrad { indices, rows }
-    }
-
-    #[test]
-    fn traced_and_untraced_paths_agree_and_bytes_split_exactly() {
-        // The trace parameter must not perturb results, and the per-rank
-        // event bytes must partition the analytic wire_bytes exactly.
-        for cfg in [
-            TechniqueStack::Unique.exchange(),
-            TechniqueStack::Baseline.exchange(),
-            TechniqueStack::Full.exchange(),
-        ] {
-            let plain = exchange_result(3, cfg);
-            let traced = run_group(3, |rank| {
-                let mut table = make_table(7);
-                let grad = make_grad(100 + rank.rank() as u64, 12);
-                let mut scratch = ExchangeScratch::new();
-                let mut rec = simgpu::TraceRecorder::new(rank.rank() as u32, 64);
-                let stats = exchange_and_apply_traced(
-                    &rank,
-                    &grad,
-                    &mut table,
-                    0.1,
-                    &cfg,
-                    &mut scratch,
-                    Some(&mut rec),
-                )
-                .unwrap();
-                (table.weights().clone(), stats, rec.finish())
-            });
-            for (r, ((pt, ps), (tt, ts, log))) in plain.iter().zip(&traced).enumerate() {
-                assert_eq!(pt.as_slice(), tt.as_slice(), "cfg {cfg:?} rank {r}");
-                // Everything but the wall-clock phase timings must match
-                // bit-for-bit (timings differ between any two runs).
-                let mut ts_cmp = *ts;
-                ts_cmp.timings = ps.timings;
-                assert_eq!(ps, &ts_cmp);
-                assert_eq!(log.total_bytes(), ts.wire_bytes, "cfg {cfg:?} rank {r}");
-                assert_eq!(log.dropped, 0);
-                let expected_spans: &[SpanKind] = if cfg.unique {
-                    &[
-                        SpanKind::Unique,
-                        SpanKind::Gather,
-                        SpanKind::Unique,
-                        SpanKind::Scatter,
-                        SpanKind::AllReduce,
-                        SpanKind::Apply,
-                    ]
-                } else {
-                    &[SpanKind::Gather, SpanKind::Apply]
-                };
-                let spans: Vec<SpanKind> = log.events.iter().map(|e| e.span).collect();
-                assert_eq!(spans, expected_spans, "cfg {cfg:?}");
-            }
-        }
     }
 
     /// The baseline exchange as it was before it read in place — both

@@ -127,8 +127,7 @@ pub use config::{
 };
 pub use elastic::RecoveryPolicy;
 pub use exchange::{
-    exchange_and_apply_traced, exchange_and_apply_with, ExchangeConfig, ExchangeScratch,
-    ExchangeStats, PhaseTimings,
+    exchange_and_apply_with, ExchangeConfig, ExchangeScratch, ExchangeStats, PhaseTimings,
 };
 pub use metrics::{
     config_fingerprint, EpochMetrics, HealthEvent, RecoveryEvent, RunSummary, StepMetrics,

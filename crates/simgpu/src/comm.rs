@@ -76,10 +76,8 @@
 //! Synchronous collectives deadlock if one rank stops calling them: every
 //! peer blocks on the step barrier forever. The group therefore carries a
 //! group-wide **abort flag**, and every barrier inside every collective is
-//! abort-checking: [`Rank::abort`] (or a dropped, still-armed
-//! [`AbortOnDrop`] guard — the RAII net for early returns and panics
-//! between collectives) records the first failed rank and wakes all
-//! waiters. Every collective returns `Result<_, CommError>`, and a
+//! abort-checking: [`Rank::abort`] records the first failed rank and
+//! wakes all waiters. Every collective returns `Result<_, CommError>`, and a
 //! surviving rank is guaranteed to observe `Err` no later than its next
 //! barrier crossing — bounded time, no stranded threads. The abort is
 //! permanent: a poisoned group cannot be revived, matching the MPI
@@ -92,9 +90,8 @@ use crate::pool::RunGate;
 use crate::traffic::{Tier, TierBytes};
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
-use std::time::Instant;
 
 /// Thin wrapper over `std::sync::Mutex` with `parking_lot`-style
 /// `lock()` ergonomics (no `Result`). A poisoned lock is recovered
@@ -600,7 +597,6 @@ impl CommGroup {
             .map(|rank| Rank {
                 rank,
                 core: Arc::clone(&core),
-                wait_ns: None,
                 corrupt_next_frame: AtomicBool::new(false),
             })
             .collect()
@@ -633,9 +629,6 @@ fn delivered<'a, T>(frame: &'a [T], torn: bool, stray: &'a [T; 1]) -> &'a [T] {
 pub struct Rank {
     rank: usize,
     core: Arc<GroupCore>,
-    /// Opt-in barrier-wait accounting (see [`Rank::enable_wait_tracking`]).
-    /// `None` by default so the hot path pays a single branch, no timing.
-    wait_ns: Option<AtomicU64>,
     /// One-shot wire-corruption latch (see
     /// [`Rank::corrupt_next_codec_frame`]): when armed, the next codec
     /// frame this rank publishes is damaged in flight.
@@ -1313,36 +1306,11 @@ impl Rank {
         if let Some(gate) = &self.core.gate {
             gate.release();
         }
-        let res = match &self.wait_ns {
-            None => self.core.barrier.wait_leader(self.rank, leader_work),
-            Some(counter) => {
-                let start = Instant::now();
-                let res = self.core.barrier.wait_leader(self.rank, leader_work);
-                let waited = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                counter.fetch_add(waited, Ordering::Relaxed);
-                res
-            }
-        };
+        let res = self.core.barrier.wait_leader(self.rank, leader_work);
         if let Some(gate) = &self.core.gate {
             gate.acquire();
         }
         res
-    }
-
-    /// Turns on wall-clock accounting of the time this rank spends
-    /// parked in [`Rank::barrier`] — and therefore inside every
-    /// collective, which all synchronise through it. Off by default:
-    /// the untracked barrier is exactly the pre-existing code path.
-    pub fn enable_wait_tracking(&mut self) {
-        self.wait_ns = Some(AtomicU64::new(0));
-    }
-
-    /// Nanoseconds spent blocked at barriers since the previous call
-    /// (the counter resets to zero). Always 0 while tracking is off.
-    pub fn take_barrier_wait_ns(&self) -> u64 {
-        self.wait_ns
-            .as_ref()
-            .map_or(0, |c| c.swap(0, Ordering::Relaxed))
     }
 
     /// Poisons the group on behalf of this rank: all peers blocked in a
@@ -1378,19 +1346,6 @@ impl Rank {
         match self.core.barrier.status() {
             Some(e) => Err(e),
             None => Ok(()),
-        }
-    }
-
-    /// RAII failure net: the returned guard [`Rank::abort`]s the group
-    /// with `reason` when dropped, unless [`AbortOnDrop::disarm`]ed
-    /// first. Arm it on entry to a rank's work loop so an early `return`
-    /// or a panic between collectives poisons the group instead of
-    /// stranding every peer at the next barrier.
-    pub fn abort_on_drop(&self, reason: impl Into<String>) -> AbortOnDrop<'_> {
-        AbortOnDrop {
-            rank: self,
-            reason: reason.into(),
-            armed: true,
         }
     }
 
@@ -1825,34 +1780,6 @@ impl Rank {
         out.clear();
         out.extend_from_slice(st.sets.global());
         Ok(st.result(self.rank))
-    }
-}
-
-/// RAII group-poisoning guard returned by [`Rank::abort_on_drop`].
-///
-/// While armed, dropping the guard aborts the whole group with the
-/// configured reason — exactly what must happen when a rank unwinds (an
-/// `?` early return, a panic) between collectives, because its peers
-/// would otherwise block forever at their next barrier. Call
-/// [`AbortOnDrop::disarm`] on the success path.
-pub struct AbortOnDrop<'a> {
-    rank: &'a Rank,
-    reason: String,
-    armed: bool,
-}
-
-impl AbortOnDrop<'_> {
-    /// Defuses the guard: dropping it no longer aborts the group.
-    pub fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for AbortOnDrop<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.rank.abort(std::mem::take(&mut self.reason));
-        }
     }
 }
 
@@ -2499,36 +2426,6 @@ mod tests {
     }
 
     #[test]
-    fn abort_on_drop_poisons_group_on_early_return() {
-        let results = run_group(2, |rank| {
-            if rank.rank() == 0 {
-                let _guard = rank.abort_on_drop("rank 0 unwound");
-                // Early return drops the armed guard, as a `?` would.
-                return Ok(());
-            }
-            rank.barrier()
-        });
-        assert_eq!(results[0], Ok(()));
-        let err = results[1].clone().unwrap_err();
-        assert_eq!(err.failed_rank(), 0);
-        assert_eq!(err.reason(), "rank 0 unwound");
-    }
-
-    #[test]
-    fn disarmed_guard_does_not_poison_group() {
-        let results = run_group(3, |rank| {
-            let guard = rank.abort_on_drop("should never fire");
-            let mut data = vec![rank.rank() as f32; 4];
-            let res = rank.all_reduce(&mut data, 0..4, Wire::F32, Topology::Flat);
-            guard.disarm();
-            res.map(drop)
-        });
-        for res in results {
-            assert_eq!(res, Ok(()));
-        }
-    }
-
-    #[test]
     fn first_failure_wins_attribution() {
         let results = run_group(3, |rank| match rank.rank() {
             0 => {
@@ -2823,45 +2720,6 @@ mod tests {
         for res in clean {
             assert_eq!(res.unwrap(), vec![1, 2, 3]);
         }
-    }
-
-    #[test]
-    fn wait_tracking_off_reads_zero() {
-        let waited = run_group(2, |rank| {
-            rank.barrier().unwrap();
-            rank.take_barrier_wait_ns()
-        });
-        assert_eq!(waited, vec![0, 0]);
-    }
-
-    #[test]
-    fn wait_tracking_measures_a_slow_peer() {
-        let delay = std::time::Duration::from_millis(20);
-        let waited = run_group(2, |rank| {
-            let mut rank = rank;
-            rank.enable_wait_tracking();
-            if rank.rank() == 1 {
-                std::thread::sleep(delay);
-            }
-            rank.barrier().unwrap();
-            rank.take_barrier_wait_ns()
-        });
-        // Rank 0 parked for roughly the peer's sleep; the sleeper itself
-        // barely waits. take() drains: a second read must be zero.
-        assert!(
-            waited[0] >= delay.as_nanos() as u64 / 2,
-            "rank 0 waited only {} ns",
-            waited[0]
-        );
-        assert!(waited[0] > waited[1]);
-        let drained = run_group(1, |rank| {
-            let mut rank = rank;
-            rank.enable_wait_tracking();
-            rank.barrier().unwrap();
-            let first = rank.take_barrier_wait_ns();
-            (first, rank.take_barrier_wait_ns())
-        });
-        assert_eq!(drained[0].1, 0, "counter must reset on take");
     }
 
     /// Like `run_group` but over an explicit-topology group.

@@ -85,8 +85,8 @@ pub mod traffic;
 pub use codec::{CodecError, DeltaVarintCodec, ExpPackCodec, WireCodec, WireCodecId};
 pub use comm::{
     allreduce_send_bytes, chunk_range, f16_bits_to_f32, f32_to_f16_bits, peer_exchange_tier_bytes,
-    quantize_f16, ring_send_tier, unique_gather_tier_bytes, AbortOnDrop, BarrierDeadline,
-    CommError, CommGroup, Rank, RankSum, UniqueFrames, UniqueGathered, Wire, World,
+    quantize_f16, ring_send_tier, unique_gather_tier_bytes, BarrierDeadline, CommError, CommGroup,
+    Rank, RankSum, UniqueFrames, UniqueGathered, Wire, World,
 };
 pub use cost::{AlphaBeta, CostModel, TierCost};
 pub use dedupe::NodeSets;

@@ -126,9 +126,7 @@ impl TraceLog {
 ///
 /// The buffer is allocated once at construction; `record` either pushes
 /// (while filling) or overwrites the oldest slot (once full), bumping
-/// `dropped`. Timestamps come from one origin `Instant` per recorder,
-/// so all logs of one run share a clock when the recorders are created
-/// from [`TraceRecorder::group`].
+/// `dropped`. Timestamps count from the recorder's creation.
 #[derive(Debug)]
 pub struct TraceRecorder {
     rank: u32,
@@ -145,16 +143,10 @@ impl TraceRecorder {
     /// A recorder for `rank` holding at most `capacity` events
     /// (clamped to ≥ 1), with its own clock origin.
     pub fn new(rank: u32, capacity: usize) -> Self {
-        Self::with_origin(rank, capacity, Instant::now())
-    }
-
-    /// A recorder whose timestamps count from `origin` — use one shared
-    /// origin per run so ranks' timelines align.
-    pub fn with_origin(rank: u32, capacity: usize, origin: Instant) -> Self {
         let capacity = capacity.max(1);
         Self {
             rank,
-            origin,
+            origin: Instant::now(),
             step: 0,
             events: Vec::with_capacity(capacity),
             head: 0,
@@ -163,22 +155,9 @@ impl TraceRecorder {
         }
     }
 
-    /// One recorder per rank, all sharing a single clock origin.
-    pub fn group(world: usize, capacity: usize) -> Vec<TraceRecorder> {
-        let origin = Instant::now();
-        (0..world)
-            .map(|r| Self::with_origin(r as u32, capacity, origin))
-            .collect()
-    }
-
     /// Rank this recorder belongs to.
     pub fn rank(&self) -> u32 {
         self.rank
-    }
-
-    /// Nanoseconds since the recorder's origin.
-    pub fn now_ns(&self) -> u64 {
-        self.ns_at(Instant::now())
     }
 
     /// `t` on this recorder's clock: nanoseconds since its origin.
@@ -210,13 +189,6 @@ impl TraceRecorder {
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
         }
-    }
-
-    /// Convenience: records a span ending now that began `start_ns`
-    /// (a value from an earlier [`TraceRecorder::now_ns`] call).
-    pub fn record_since(&mut self, span: SpanKind, start_ns: u64, bytes: u64) {
-        let end = self.now_ns();
-        self.record(span, start_ns, end, bytes);
     }
 
     /// Events currently held.
@@ -524,24 +496,6 @@ mod tests {
         rec.record(SpanKind::Apply, 3, 4, 0);
         assert_eq!(rec.len(), 1);
         assert_eq!(rec.dropped(), 1);
-    }
-
-    #[test]
-    fn now_ns_is_monotonic() {
-        let rec = TraceRecorder::new(0, 4);
-        let a = rec.now_ns();
-        let b = rec.now_ns();
-        assert!(b >= a);
-    }
-
-    #[test]
-    fn group_shares_an_origin() {
-        let recs = TraceRecorder::group(3, 16);
-        assert_eq!(recs.len(), 3);
-        for (i, r) in recs.iter().enumerate() {
-            assert_eq!(r.rank(), i as u32);
-            assert_eq!(r.origin, recs[0].origin);
-        }
     }
 
     #[test]
