@@ -75,7 +75,7 @@ use std::fmt;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
-use step::{LoopState, Replica, StepOutcome};
+use step::{LoopState, Replica, StepOutcome, StepState};
 
 /// Why a training run failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -647,8 +647,8 @@ fn prepare_data(cfg: &TrainConfig) -> RunData {
 }
 
 /// One rank under the lockstep driver.
-struct RankRun<'a> {
-    st: LoopState<'a>,
+struct RankRun {
+    st: LoopState,
     /// This step's forward/backward result, from `compute` to the loss
     /// reduction: `Some` once the rank computed this step.
     out: Option<StepOutcome>,
@@ -661,7 +661,7 @@ struct RankRun<'a> {
     end: Option<TrainError>,
 }
 
-impl RankRun<'_> {
+impl RankRun {
     fn running(&self) -> bool {
         self.end.is_none()
     }
@@ -789,8 +789,8 @@ struct DenseGrads {
 /// synchronous SGD, the round's one copy — updated once per step.
 /// Compute fans out over `workers` workers. The only step-loop code
 /// that touches the world or a device; everything between its
-/// collectives is a phase of [`LoopState`]. Returns every rank's own
-/// result.
+/// collectives is a phase of the world's one [`StepState`] or of a
+/// rank's [`LoopState`]. Returns every rank's own result.
 fn drive(
     ctx: &RunCtx,
     mut replica: Replica,
@@ -799,6 +799,7 @@ fn drive(
 ) -> Vec<Result<TrainReport, TrainError>> {
     let cfg = ctx.cfg;
     let mut world = World::new(cfg.gpus, ctx.gpn, cfg.comm.deadline);
+    let mut state = StepState::new(ctx);
     let mut ranks: Vec<RankRun> = (0..cfg.gpus)
         .map(|r| RankRun {
             st: LoopState::new(ctx, r),
@@ -808,6 +809,11 @@ fn drive(
         })
         .collect();
 
+    // The resume point is the world's: its parameters go into the one
+    // replica once, and every rank's report takes its epoch history.
+    let restored = ctx
+        .resume
+        .map(|ck| state.restore(ck, &mut replica).map(|()| ck));
     // Persistent model memory: parameters + gradients + a modelled
     // optimiser slot, FP32, held for the whole round.
     let param_bytes = perfmodel::memory::replica_bytes(ctx.params as u64);
@@ -822,11 +828,15 @@ fn drive(
                 continue;
             }
         }
-        if let Some(Err(reason)) = ctx.resume.map(|ck| rank.st.restore(ck, &mut replica)) {
-            let err = TrainError::InvalidCheckpoint {
-                reason: reason.clone(),
-            };
-            rank.fail(&mut world, err, reason);
+        match &restored {
+            Some(Ok(ck)) => rank.st.restore(ck),
+            Some(Err(reason)) => {
+                let err = TrainError::InvalidCheckpoint {
+                    reason: reason.clone(),
+                };
+                rank.fail(&mut world, err, reason.clone());
+            }
+            None => {}
         }
     }
 
@@ -837,6 +847,7 @@ fn drive(
     while step(
         ctx,
         &mut world,
+        &mut state,
         &mut replica,
         &mut ranks,
         devices,
@@ -847,7 +858,7 @@ fn drive(
     // epoch history). Rank 0's copy is authoritative — it alone carries
     // the validation history — and resuming from it is a no-op run.
     if let (Some(store), Some(rank0)) = (ctx.store, ranks.first_mut().filter(|r| r.running())) {
-        if let Err(e) = store.set_final(rank0.st.snapshot(&replica)) {
+        if let Err(e) = store.set_final(state.snapshot(&rank0.st, &replica)) {
             let reason = format!("terminal checkpoint write failed: {e}");
             let err = TrainError::CheckpointWrite {
                 reason: reason.clone(),
@@ -859,7 +870,7 @@ fn drive(
         .into_iter()
         .map(|rank| match rank.end {
             Some(e) => Err(e),
-            None => Ok(rank.st.finish()),
+            None => Ok(rank.st.finish(&state)),
         })
         .collect()
 }
@@ -869,23 +880,24 @@ fn drive(
 fn step(
     ctx: &RunCtx,
     world: &mut World,
+    state: &mut StepState,
     replica: &mut Replica,
     ranks: &mut [RankRun],
     devices: &[Arc<Device>],
     dense: &mut DenseGrads,
 ) -> bool {
     let (cfg, plan, g) = (ctx.cfg, ctx.plan, ctx.cfg.gpus);
-    let mut opened = ranks
-        .iter_mut()
-        .filter(|r| r.running())
-        .map(|r| r.st.next_step(replica));
-    let Some(Some(step)) = opened.next() else {
+    if !ranks.iter().any(RankRun::running) {
+        return false;
+    }
+    let rank0 = ranks.first_mut().filter(|r| r.running()).map(|r| &mut r.st);
+    let Some(step) = state.next_step(replica, rank0) else {
         return false;
     };
-    assert!(opened.all(|s| s == Some(step)), "ranks out of step");
     let at = step as usize;
 
     for (r, rank) in ranks.iter_mut().enumerate().filter(|(_, r)| r.running()) {
+        rank.st.open(step);
         if plan.should_die(r, at) {
             let reason = format!("rank {r} killed by fault plan at step {step}");
             let err = TrainError::PeerFailure {
@@ -911,9 +923,9 @@ fn step(
     // So do its input-gradient rows on the unique path, reduced in
     // `compute`; the baseline's exchange gathers them from the rank's
     // own buffer.
-    let weights = &*replica;
+    let (weights, shared) = (&*replica, &*state);
     let sum = &mut dense.sum;
-    let xcfg = ranks[0].st.sched.xcfg;
+    let xcfg = state.xcfg();
     sum.begin(xcfg.grad_wire());
     let mut running: Vec<&mut RankRun> = ranks.iter_mut().filter(|r| r.running()).collect();
     fan_out_fold(
@@ -925,7 +937,7 @@ fn step(
             } else {
                 &mut rank.rows
             };
-            rank.out = Some(rank.st.compute(weights, &mut buf.dense, rows));
+            rank.out = Some(rank.st.compute(shared, weights, &mut buf.dense, rows));
         },
         |buf| sum.fold(&mut buf.dense),
     );
@@ -951,7 +963,7 @@ fn step(
     }
 
     // The step's collectives; the first failure ends the round.
-    let stats = match collectives(world, replica, ranks, &mut dense.sum) {
+    let stats = match collectives(world, state, replica, ranks, &mut dense.sum) {
         Ok(stats) => stats,
         Err(e) => {
             fail_all(ranks, &e);
@@ -960,7 +972,7 @@ fn step(
     };
 
     // The reduced dense gradient is every rank's: apply it once.
-    ranks[0].st.apply(replica, dense.sum.as_mut_slice());
+    state.apply(replica, dense.sum.as_mut_slice());
 
     // Charge transient buffers against each device. Capacities (and
     // Ui-dependent buffer sizes) may differ per rank, so a one-sided
@@ -972,7 +984,7 @@ fn step(
     {
         // Each rank's device holds its own dense gradient buffer.
         let grad_elems = if rank.out.is_some() {
-            rank.st.sched.dense_elems as u64
+            ctx.shape.0 as u64
         } else {
             0
         };
@@ -982,16 +994,19 @@ fn step(
             let reason = format!("rank {r} OOM on exchange buffers at step {step}: {e}");
             rank.fail(world, TrainError::Oom(e), reason);
         }
-        records.push(rank.st.measure(dense_wire, input, output));
+        records.push(rank.st.measure(step, dense_wire, input, output));
     }
+    // The load is synchronised — every rank measured the same — so it
+    // is priced once, for each rank's own op list.
+    let paths = state.measure(records[0].load());
 
     // Synchronised mean loss, and the step time's two peaks over ranks
     // in the same reduction; `measure` booked its charge.
     let start = Instant::now();
     let losses = ranks
         .iter()
-        .zip(&records)
-        .map(|(rank, (_, own))| (rank.out.as_ref().map_or(0.0, |o| o.loss), *own));
+        .zip(&paths)
+        .map(|(rank, own)| (rank.out.as_ref().map_or(0.0, |o| o.loss), *own));
     let (loss_sum, peaks) = match world.all_reduce_sum_max(losses) {
         Ok(reduced) => reduced,
         Err(e) => {
@@ -1000,24 +1015,27 @@ fn step(
         }
     };
     let end = Instant::now();
-    for (rank, (record, _)) in ranks.iter_mut().zip(records) {
+    let loss = loss_sum / g as f64;
+    for (rank, record) in ranks.iter_mut().zip(records) {
         let loss_bytes = rank.st.loss_sent.total_bytes();
         rank.st
             .clock
             .joined(SpanKind::AllReduce, start, end, loss_bytes);
         let waited_ns = rank.st.clock.take_waited_ns();
-        rank.st.price(record, loss_sum / g as f64, peaks, waited_ns);
+        rank.st.price(state, record, loss, peaks, waited_ns);
         rank.out = None;
     }
+    state.price(loss, peaks);
 
     // Checkpoint hooks: off the hot path unless a store is attached (a
     // default run has none — one branch per step).
     if let Some(store) = ctx.store {
+        let every = cfg.checkpoint.every_steps;
+        let done = step + 1;
         for (r, rank) in ranks.iter_mut().enumerate() {
-            store.note_progress(r, rank.st.global_step);
-            let every = cfg.checkpoint.every_steps;
-            if every > 0 && rank.st.global_step.is_multiple_of(every) {
-                if let Err(e) = store.deposit(rank.st.snapshot(replica)) {
+            store.note_progress(r, done);
+            if every > 0 && done.is_multiple_of(every) {
+                if let Err(e) = store.deposit(state.snapshot(&rank.st, replica)) {
                     // A *real* storage failure (injected disk faults
                     // return Ok and stay latent until the recovery
                     // scan). Poison the world: peers must not train on
@@ -1080,13 +1098,13 @@ type StepStats = (ReducedBytes, ExchangeStats, Option<ExchangeStats>);
 /// *reduced* — summed, pre-average — payload).
 fn collectives(
     world: &mut World,
+    state: &StepState,
     replica: &mut Replica,
     ranks: &mut [RankRun],
     dense: &mut RankSum,
 ) -> Result<Vec<StepStats>, CommError> {
     world.meet()?;
-    let xcfg = ranks[0].st.sched.xcfg;
-    let lr = ranks[0].st.exchange_lr();
+    let (xcfg, lr) = (state.xcfg(), state.exchange_lr());
 
     let start = Instant::now();
     let dense_wire = all_reduce_folded(world, dense, &xcfg)?;
@@ -1668,12 +1686,19 @@ mod tests {
                 gpn: cost.hardware().gpus_per_node,
             };
             for ck in [mid, terminal] {
-                let mut st = LoopState::new(&ctx, ck.rank as usize);
+                let (mut state, mut st) =
+                    (StepState::new(&ctx), LoopState::new(&ctx, ck.rank as usize));
                 let mut weights = replica.clone();
-                st.restore(&ck, &mut weights)
+                state
+                    .restore(&ck, &mut weights)
                     .expect("a checkpoint of this run");
+                st.restore(&ck);
                 let what = format!("{model:?} step {}", ck.step);
-                assert_eq!(st.snapshot(&weights).to_bytes(), ck.to_bytes(), "{what}");
+                assert_eq!(
+                    state.snapshot(&st, &weights).to_bytes(),
+                    ck.to_bytes(),
+                    "{what}"
+                );
             }
         }
     }

@@ -1,19 +1,22 @@
-//! One rank's training step as phases that communicate nothing.
+//! A training step's phases, which communicate nothing.
 //!
-//! [`LoopState`] is everything a rank carries from one step to the next:
-//! the learning rate and step counter, the epoch cursor (epoch, step
-//! within it, its partial loss and simulated time), the
-//! exchange scratch pools, the clock's hoisted buffers and the rank's
-//! wall clock and trace recorder. Its methods are the rank-local work
-//! of a step; the parent module's lockstep driver calls each of them
-//! over every rank in turn, with the collectives, the device charges
-//! and the checkpoint deposits in between, so nothing in this file
-//! communicates. The weights are not a rank's: synchronous SGD keeps
-//! every rank's replica identical, so the driver holds one [`Replica`]
-//! and lends it to each phase that reads or updates it.
+//! Synchronous SGD runs the same step on every rank, so what a step
+//! carries to the next comes in two parts. [`StepState`] is the
+//! world's, one for all ranks: the learning rate and step counter, the
+//! epoch cursor (epoch, step within it, its partial loss and simulated
+//! time), the resume base, the step's one schedule and the simulated
+//! clock. [`LoopState`] is what differs per rank: its report, its
+//! exchange scratch pools, its wall clock and trace recorder. Their
+//! methods are the local work of a step; the parent module's lockstep
+//! driver calls the world's once per step and a rank's for every rank
+//! in turn, with the collectives, the device charges and the checkpoint
+//! deposits in between, so nothing in this file communicates. The
+//! weights are not a rank's either: synchronous SGD keeps every rank's
+//! replica identical, so the driver holds one [`Replica`] and lends it
+//! to each phase that reads or updates it.
 //!
 //! The simulated clock is `perfmodel`'s pure [`StepSchedule::clock`]:
-//! [`LoopState::measure`] prices this rank's own op list for the step's
+//! [`StepState::measure`] prices each rank's own op list for the step's
 //! measured load ([`StepMetrics::load`]), the loss reduction takes the
 //! maxes over ranks, and [`LoopState::price`] feeds those peaks to the
 //! clock.
@@ -180,18 +183,18 @@ impl Replica {
     }
 }
 
-/// One rank's step-loop state: what a snapshot captures and a restore
-/// puts back (with the world's replica), plus the run-local buffers and
-/// telemetry around it.
-pub(super) struct LoopState<'a> {
+/// The world's step state, one for every rank: synchronous SGD runs
+/// the same step on every rank, with the same learning rate, counter
+/// and epoch cursor, and prices it on one schedule — with a rank's
+/// [`LoopState`], what a snapshot captures and a restore puts back
+/// (with the world's replica).
+pub(super) struct StepState<'a> {
     ctx: &'a RunCtx<'a>,
-    rank: usize,
     /// The exact learning rate in effect (decayed per epoch).
     lr: f32,
-    pub(super) global_step: u64,
-    report: TrainReport,
-    /// Run totals at the resume point (zero on a fresh start); the
-    /// totals now are this plus the fold over `report.steps`.
+    global_step: u64,
+    /// Run totals at the resume point (zero on a fresh start); a rank's
+    /// totals now are this plus the fold over its `report.steps`.
     base: RunTotals,
     /// The epoch in progress; `cfg.epochs` once the run is done.
     epoch: usize,
@@ -200,21 +203,28 @@ pub(super) struct LoopState<'a> {
     /// `epoch`'s partial loss sum and simulated picoseconds.
     epoch_loss: f64,
     epoch_time_ps: u64,
-    /// Steps per epoch: `cfg.steps_per_epoch`, or one pass over this
-    /// rank's shard when that is 0.
+    /// Steps per epoch: `cfg.steps_per_epoch`, or one pass over a
+    /// rank's shard when that is 0 (every shard is as long).
     epoch_steps: u64,
-    /// Per-table scratch pools: after the first step every exchange runs
-    /// allocation-free on reused buffers.
-    pub(super) in_scratch: ExchangeScratch,
-    pub(super) out_scratch: ExchangeScratch,
     /// The round's step pricing; [`Self::measure`] sets its load per
     /// step.
-    pub(super) sched: StepSchedule<'a>,
+    sched: StepSchedule<'a>,
     /// Hoisted op buffer, so the clock stays allocation-free once warm.
     ops: Vec<CommOp>,
     /// Cumulative simulated time — the base offset of this step's spans
     /// on the simulated timeline (`TrainReport::sim_spans`).
     sim_clock_ps: u64,
+}
+
+/// What differs per rank: its id, its report, its exchange scratch
+/// pools, its wall clock and what its loss reduction sends.
+pub(super) struct LoopState {
+    rank: usize,
+    report: TrainReport,
+    /// Per-table scratch pools: after the first step every exchange runs
+    /// allocation-free on reused buffers.
+    pub(super) in_scratch: ExchangeScratch,
+    pub(super) out_scratch: ExchangeScratch,
     /// The rank's wall clock: when it finished its latest phase, the
     /// barrier wait it accrued (tracked when tracing or metrics are on)
     /// and, opt-in, a per-rank ring trace recorder. When tracing is off,
@@ -225,9 +235,9 @@ pub(super) struct LoopState<'a> {
     pub(super) loss_sent: TrafficSnapshot,
 }
 
-impl<'a> LoopState<'a> {
-    /// The state of rank `rank` at step 0 of a fresh run.
-    pub(super) fn new(ctx: &'a RunCtx<'a>, rank: usize) -> Self {
+impl<'a> StepState<'a> {
+    /// The world at step 0 of a fresh run.
+    pub(super) fn new(ctx: &'a RunCtx<'a>) -> Self {
         let cfg = ctx.cfg;
         let g = cfg.gpus;
         let (dense_elems, dim, out_dim) = ctx.shape;
@@ -260,9 +270,8 @@ impl<'a> LoopState<'a> {
                 .collect(),
             load: StepLoad::default(),
         };
-        LoopState {
+        StepState {
             ctx,
-            rank,
             // LR scaling counts nodes of the hardware preset's size, not
             // of the topology override — topology must never change
             // results.
@@ -271,43 +280,29 @@ impl<'a> LoopState<'a> {
                 NodeLayout::new(g, ctx.cost.hardware().gpus_per_node).nodes(),
             ),
             global_step: 0,
-            report: TrainReport::default(),
             base: RunTotals::default(),
             epoch: 0,
             step_in_epoch: 0,
             epoch_loss: 0.0,
             epoch_time_ps: 0,
             epoch_steps: match cfg.steps_per_epoch {
-                0 => shard(ctx, rank).len(),
+                0 => shard(ctx, 0).len(),
                 n => n,
             } as u64,
-            in_scratch: ExchangeScratch::new(),
-            out_scratch: ExchangeScratch::new(),
             sched,
             ops: Vec::new(),
             sim_clock_ps: 0,
-            clock: RankClock::new(
-                cfg.trace
-                    .enabled
-                    .then(|| TraceRecorder::new(rank as u32, TRACE_EVENTS_PER_RANK)),
-                cfg.trace.enabled || cfg.metrics.enabled,
-            ),
-            loss_sent: TrafficSnapshot::allreduce(peer_exchange_tier_bytes(g, ctx.gpn, rank, 8), 0),
         }
-    }
-
-    /// This rank's id in the round's world.
-    pub(super) fn rank(&self) -> usize {
-        self.rank
     }
 
     /// Puts `ck` back: parameters (into `replica`), counters, the exact
     /// learning rate, the epoch cursor and every deterministic
-    /// accumulator — the exact inverse of [`Self::snapshot`]. No RNG
-    /// state exists to restore: the corpus and split are regenerated
-    /// from `cfg.seed` and sampled-softmax streams are re-seeded from
-    /// `global_step` each step, so from here the run is bit-identical to
-    /// one that never stopped. Per-step telemetry (`TrainReport::steps`, traffic,
+    /// accumulator — with [`LoopState::restore`] on each rank, the exact
+    /// inverse of [`Self::snapshot`]. No RNG state exists to restore:
+    /// the corpus and split are regenerated from `cfg.seed` and
+    /// sampled-softmax streams are re-seeded from `global_step` each
+    /// step, so from here the run is bit-identical to one that never
+    /// stopped. Per-step telemetry (`TrainReport::steps`, traffic,
     /// traces) restarts here by design; it is wall-clock or run-local.
     /// `Err` is the reason a snapshot from another layout (or built by
     /// hand — `Checkpoint`'s fields are public) is refused: the
@@ -328,7 +323,6 @@ impl<'a> LoopState<'a> {
         self.step_in_epoch = ck.step_in_epoch;
         self.epoch_loss = metrics.epoch_loss;
         self.epoch_time_ps = metrics.epoch_time_ps;
-        self.report.epochs = metrics.epochs.clone();
         self.base = RunTotals {
             attribution: metrics.attribution,
             unique_sum: metrics.unique_sum,
@@ -337,16 +331,16 @@ impl<'a> LoopState<'a> {
         Ok(())
     }
 
-    /// A bit-exact snapshot at the current step boundary, `replica` its
-    /// parameters. Only deterministic quantities are captured — see the
-    /// module docs of [`crate::checkpoint`] for what is deliberately
-    /// excluded.
-    pub(super) fn snapshot(&self, replica: &Replica) -> Checkpoint {
+    /// A bit-exact snapshot of `rank` at the current step boundary,
+    /// `replica` its parameters. Only deterministic quantities are
+    /// captured — see the module docs of [`crate::checkpoint`] for what
+    /// is deliberately excluded.
+    pub(super) fn snapshot(&self, rank: &LoopState, replica: &Replica) -> Checkpoint {
         let cfg = self.ctx.cfg;
-        let totals = self.totals();
+        let totals = self.totals(rank);
         Checkpoint {
             world: cfg.gpus as u32,
-            rank: self.rank as u32,
+            rank: rank.rank as u32,
             step: self.global_step,
             epoch: self.epoch as u32,
             step_in_epoch: self.step_in_epoch,
@@ -354,7 +348,7 @@ impl<'a> LoopState<'a> {
             fingerprint: Fingerprint::of(cfg, self.ctx.data.model_vocab),
             params: replica.param_vector(),
             metrics: CheckpointMetrics {
-                epochs: self.report.epochs.clone(),
+                epochs: rank.report.epochs.clone(),
                 epoch_loss: self.epoch_loss,
                 epoch_time_ps: self.epoch_time_ps,
                 unique_sum: totals.unique_sum,
@@ -364,27 +358,137 @@ impl<'a> LoopState<'a> {
         }
     }
 
-    /// The run totals so far: *resume base + Σ steps*.
-    fn totals(&self) -> RunTotals {
+    /// `rank`'s run totals so far: *resume base + Σ its steps*.
+    fn totals(&self, rank: &LoopState) -> RunTotals {
         self.base
-            .plus(&self.report.steps, self.ctx.cfg.method.unique)
+            .plus(&rank.report.steps, self.ctx.cfg.method.unique)
     }
 
     /// Opens the next step and returns its global index, first closing
-    /// the epoch in progress once its steps are done (rank 0 validates
-    /// `replica`); `None` after the last epoch.
-    pub(super) fn next_step(&mut self, replica: &Replica) -> Option<u64> {
+    /// the epoch in progress once its steps are done (`rank0`, when it
+    /// is running, validates `replica`); `None` after the last epoch.
+    pub(super) fn next_step(
+        &mut self,
+        replica: &Replica,
+        mut rank0: Option<&mut LoopState>,
+    ) -> Option<u64> {
         let epochs = self.ctx.cfg.epochs;
         while self.epoch < epochs && self.step_in_epoch >= self.epoch_steps {
-            self.end_epoch(replica);
+            self.end_epoch(replica, rank0.as_deref_mut());
         }
-        if self.epoch >= epochs {
-            return None;
+        (self.epoch < epochs).then_some(self.global_step)
+    }
+
+    /// The step's exchange configuration: topology, buckets, wire.
+    pub(super) fn xcfg(&self) -> ExchangeConfig {
+        self.sched.xcfg
+    }
+
+    /// The embedding exchanges' learning rate: applied with `lr/G`, the
+    /// exchanged sum becomes an average.
+    pub(super) fn exchange_lr(&self) -> f32 {
+        self.lr * (1.0 / self.ctx.cfg.gpus as f32)
+    }
+
+    /// Phase 2: averages the ALLREDUCEd dense gradient — the one sum
+    /// every rank's gradient was folded into — over the world and
+    /// applies it to `replica`, once for the world.
+    pub(super) fn apply(&self, replica: &mut Replica, dense: &mut [f32]) {
+        let inv_g = 1.0 / self.ctx.cfg.gpus as f32;
+        dense.iter_mut().for_each(|v| *v *= inv_g);
+        replica.apply_dense(dense, self.lr);
+    }
+
+    /// Phase 3, the world's half: sets the step's synchronised `load`
+    /// (every rank's [`StepMetrics::load`] is the same) and prices each
+    /// rank's own op list for it. Returns each rank's `[critical path,
+    /// critical path + injected delay]`: the loss reduction's maxes over
+    /// ranks make the peaks [`LoopState::price`] takes.
+    pub(super) fn measure(&mut self, load: StepLoad) -> Vec<[u64; 2]> {
+        self.sched.load = load;
+        (0..self.sched.gpus)
+            .map(|q| {
+                let path_ps = self.sched.critical_path(q, &mut self.ops);
+                [path_ps, path_ps + self.sched.delay_ps[q]]
+            })
+            .collect()
+    }
+
+    /// Phase 4, the world's half, after every rank's
+    /// [`LoopState::price`]: the step's mean `loss` and its time — the
+    /// second of the `peaks`, the slowest rank's critical path plus
+    /// injected delay — are booked, and the counters move on.
+    pub(super) fn price(&mut self, loss: f64, [_, step_ps]: [u64; 2]) {
+        self.sim_clock_ps += step_ps;
+        self.epoch_time_ps += step_ps;
+        self.epoch_loss += loss;
+        self.global_step += 1;
+        self.step_in_epoch += 1;
+    }
+
+    /// Phase 5: closes the epoch in progress. Only rank 0 validates
+    /// `replica` — evaluation involves no collectives, and the other G−1
+    /// passes would be discarded work — then the learning rate decays
+    /// and the cursor moves to the next epoch's first step.
+    fn end_epoch(&mut self, replica: &Replica, rank0: Option<&mut LoopState>) {
+        let cfg = self.ctx.cfg;
+        if let Some(rank0) = rank0 {
+            // NaN when the validation split holds no full batch.
+            let valid = &self.ctx.data.valid;
+            let valid_nll = replica.valid_loss(valid, cfg.batch.min(4), cfg.seq_len);
+            rank0.report.epochs.push(EpochMetrics {
+                epoch: self.epoch,
+                train_loss: self.epoch_loss / self.epoch_steps.max(1) as f64,
+                valid_nll,
+                sim_time_s: self.epoch_time_ps as f64 * 1e-12,
+            });
         }
+        self.lr *= cfg.lr_decay;
+        self.epoch += 1;
+        self.step_in_epoch = 0;
+        self.epoch_loss = 0.0;
+        self.epoch_time_ps = 0;
+    }
+}
+
+impl LoopState {
+    /// Rank `rank` at step 0 of a fresh run.
+    pub(super) fn new(ctx: &RunCtx, rank: usize) -> Self {
+        let cfg = ctx.cfg;
+        LoopState {
+            rank,
+            report: TrainReport::default(),
+            in_scratch: ExchangeScratch::new(),
+            out_scratch: ExchangeScratch::new(),
+            clock: RankClock::new(
+                cfg.trace
+                    .enabled
+                    .then(|| TraceRecorder::new(rank as u32, TRACE_EVENTS_PER_RANK)),
+                cfg.trace.enabled || cfg.metrics.enabled,
+            ),
+            loss_sent: TrafficSnapshot::allreduce(
+                peer_exchange_tier_bytes(cfg.gpus, ctx.gpn, rank, 8),
+                0,
+            ),
+        }
+    }
+
+    /// This rank's id in the round's world.
+    pub(super) fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// The rank's half of [`StepState::restore`]: its report carries
+    /// `ck`'s epoch history.
+    pub(super) fn restore(&mut self, ck: &Checkpoint) {
+        self.report.epochs = ck.metrics.epochs.clone();
+    }
+
+    /// Stamps the rank's trace events from here on with `step`.
+    pub(super) fn open(&mut self, step: u64) {
         if let Some(rec) = self.clock.trace() {
-            rec.set_step(self.global_step);
+            rec.set_step(step);
         }
-        Some(self.global_step)
     }
 
     /// Phase 1: draws this rank's next batch and runs forward/backward
@@ -397,13 +501,14 @@ impl<'a> LoopState<'a> {
     /// epoch on exactly the batch the interrupted run would have drawn.
     pub(super) fn compute(
         &mut self,
+        state: &StepState,
         replica: &Replica,
         dense: &mut Vec<f32>,
         rows: &mut Vec<f32>,
     ) -> StepOutcome {
-        let cfg = self.ctx.cfg;
-        let mut batches = shard(self.ctx, self.rank);
-        let pos = self.step_in_epoch as usize % batches.len().max(1);
+        let cfg = state.ctx.cfg;
+        let mut batches = shard(state.ctx, self.rank);
+        let pos = state.step_in_epoch as usize % batches.len().max(1);
         let batch = batches.nth(pos).expect("shard emptied unexpectedly");
         let sb =
             SeqBatch::from_lane_major(&batch.inputs, &batch.targets, batch.batch, batch.seq_len);
@@ -411,12 +516,12 @@ impl<'a> LoopState<'a> {
             cfg.seed ^ SAMPLE_SEED,
             self.rank,
             cfg.gpus,
-            self.global_step,
+            state.global_step,
         );
         let buf = std::mem::take(rows);
         let step = || replica.step(&sb, seed, dense, buf);
         let (loss, input, output) = self.clock.phase(SpanKind::Compute, step, |_| 0).0;
-        if self.sched.xcfg.unique {
+        if state.sched.xcfg.unique {
             let vocab = replica.vocab();
             self.in_scratch.reduce(&input, vocab, &mut self.clock);
             if let Some(output) = &output {
@@ -431,65 +536,45 @@ impl<'a> LoopState<'a> {
         }
     }
 
-    /// The embedding exchanges' learning rate: applied with `lr/G`, the
-    /// exchanged sum becomes an average.
-    pub(super) fn exchange_lr(&self) -> f32 {
-        self.lr * (1.0 / self.ctx.cfg.gpus as f32)
-    }
-
-    /// Phase 2: averages the ALLREDUCEd dense gradient — the one sum
-    /// every rank's gradient was folded into — over the world and
-    /// applies it to `replica`, once for the world: every rank's
-    /// learning rate is the same.
-    pub(super) fn apply(&self, replica: &mut Replica, dense: &mut [f32]) {
-        let inv_g = 1.0 / self.ctx.cfg.gpus as f32;
-        dense.iter_mut().for_each(|v| *v *= inv_g);
-        replica.apply_dense(dense, self.lr);
-    }
-
-    /// Phase 3: the step's record so far, and this rank's share of its
-    /// simulated time. Books what the step's collectives sent into the
-    /// report's `traffic` (this rank's ledger until `run_round` sums the
-    /// ranks') and prices this rank's own op list for the step's
-    /// synchronised load. Returns `[critical path, critical path +
-    /// injected delay]`: the loss reduction's maxes over ranks make the
-    /// peaks [`Self::price`] takes. The rank is ready for the loss
-    /// reduction once it returns.
+    /// Phase 3: the record of `step` so far. Books what the step's
+    /// collectives sent into the report's `traffic` (this rank's ledger
+    /// until `run_round` sums the ranks'). The rank is ready for the
+    /// loss reduction once it returns; [`StepState::measure`] prices
+    /// the record's load.
     pub(super) fn measure(
         &mut self,
+        step: u64,
         dense_wire: ReducedBytes,
         input: ExchangeStats,
         output: Option<ExchangeStats>,
-    ) -> (StepMetrics, [u64; 2]) {
+    ) -> StepMetrics {
         for sent in [dense_wire.sent, input.sent, self.loss_sent] {
             self.report.traffic += sent;
         }
         if let Some(output) = output {
             self.report.traffic += output.sent;
         }
-        let record = StepMetrics {
-            step: self.global_step,
+        self.clock.ready_now();
+        StepMetrics {
+            step,
             input_exchange: input,
             output_exchange: output,
             dense_bytes: dense_wire.sent.total_bytes(),
             dense_raw_bytes: dense_wire.raw,
             dense_enc_bytes: dense_wire.enc,
             ..StepMetrics::default()
-        };
-        self.sched.load = record.load();
-        let path_ps = self.sched.critical_path(self.rank, &mut self.ops);
-        self.clock.ready_now();
-        (record, [path_ps, path_ps + self.sched.delay_ps[self.rank]])
+        }
     }
 
     /// Phase 4: records the step on the simulated clock. Synchronous
     /// SGD: the step ends when the slowest rank arrives, so `peaks` —
-    /// every rank's [`Self::measure`] reduced by max — set a step time
-    /// `T` that is identical on all ranks; its attribution is this
-    /// rank's own. `barrier_wait_wall_ns` is the wall time this rank
-    /// waited for its peers before the step's collectives.
+    /// every rank's [`StepState::measure`] pair reduced by max — set a
+    /// step time `T` that is identical on all ranks; its attribution is
+    /// this rank's own. `barrier_wait_wall_ns` is the wall time this
+    /// rank waited for its peers before the step's collectives.
     pub(super) fn price(
         &mut self,
+        state: &mut StepState,
         record: StepMetrics,
         loss: f64,
         peaks: [u64; 2],
@@ -499,13 +584,10 @@ impl<'a> LoopState<'a> {
         let timeline = traced.then_some(Timeline {
             spans: &mut self.report.sim_spans,
             rank: self.rank as u32,
-            step: self.global_step,
-            base_ps: self.sim_clock_ps,
+            step: state.global_step,
+            base_ps: state.sim_clock_ps,
         });
-        let clock = self.sched.clock(self.rank, peaks, &mut self.ops, timeline);
-        self.sim_clock_ps += clock.sim_time_ps;
-        self.epoch_time_ps += clock.sim_time_ps;
-        self.epoch_loss += loss;
+        let clock = (state.sched).clock(self.rank, peaks, &mut state.ops, timeline);
         self.report.steps.push(StepMetrics {
             train_loss: loss,
             barrier_wait_wall_ns,
@@ -515,37 +597,11 @@ impl<'a> LoopState<'a> {
             wire_inter_alpha_ps: clock.wire_inter_alpha_ps,
             ..record
         });
-        self.global_step += 1;
-        self.step_in_epoch += 1;
     }
 
-    /// Phase 5: closes the epoch in progress. Only rank 0 validates
-    /// `replica` — evaluation involves no collectives, and the other G−1
-    /// passes would be discarded work — then the learning rate decays
-    /// and the cursor moves to the next epoch's first step.
-    fn end_epoch(&mut self, replica: &Replica) {
-        let cfg = self.ctx.cfg;
-        if self.rank == 0 {
-            // NaN when the validation split holds no full batch.
-            let valid = &self.ctx.data.valid;
-            let valid_nll = replica.valid_loss(valid, cfg.batch.min(4), cfg.seq_len);
-            self.report.epochs.push(EpochMetrics {
-                epoch: self.epoch,
-                train_loss: self.epoch_loss / self.epoch_steps.max(1) as f64,
-                valid_nll,
-                sim_time_s: self.epoch_time_ps as f64 * 1e-12,
-            });
-        }
-        self.lr *= cfg.lr_decay;
-        self.epoch += 1;
-        self.step_in_epoch = 0;
-        self.epoch_loss = 0.0;
-        self.epoch_time_ps = 0;
-    }
-
-    /// Phase 6: the rank's report, with the run totals folded in.
-    pub(super) fn finish(mut self) -> TrainReport {
-        let totals = self.totals();
+    /// Phase 6: the rank's report, with its run totals folded in.
+    pub(super) fn finish(mut self, state: &StepState) -> TrainReport {
+        let totals = state.totals(&self);
         self.report.attribution = totals.attribution;
         self.report.mean_unique_global = totals.mean_unique_global();
         self.report.trace = self.clock.finish();
