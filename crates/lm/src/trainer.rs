@@ -4,11 +4,13 @@
 //! The paper's step is a synchronous SPMD program (§II-B, §III-A), and
 //! the trainer runs it in lockstep: one driver, on the calling thread,
 //! runs each phase of the step — a method of the private
-//! `step::LoopState`, which never communicates — for ranks `0..G` in
-//! turn, and calls each collective (→) once, as a function over every
-//! rank's buffers on a [`simgpu::World`]:
+//! `step::StepState`, the world's one step state (learning rate,
+//! counters, epoch cursor, schedule), once, or of a rank's
+//! `step::LoopState` for ranks `0..G` in turn; neither communicates —
+//! and calls each collective (→) once, as a function over every rank's
+//! buffers on a [`simgpu::World`]:
 //!
-//! 1. `compute`: the shard's next batch, forward/backward;
+//! 1. `compute` (per rank): the shard's next batch, forward/backward;
 //!    → the dense gradients (LSTM/RHN + projection) ALLREDUCEd — the
 //!    part vision models already do well (§II-B);
 //!    → the input-embedding sparse gradient, and a word LM's
@@ -19,11 +21,13 @@
 //!    device (this is where the baseline OOMs, Tables III/IV);
 //! 2. `apply`: the dense gradient averaged and applied, once;
 //!    → the loss ALLREDUCE;
-//! 3. `price`: the step on the α–β clock in integer picoseconds — every
-//!    rank reads the same per-rank work table and takes the max
-//!    (synchronous SGD), then splits its own share into the exact
+//! 3. `measure` / `price`: the step on the α–β clock in integer
+//!    picoseconds — each rank's op list priced for the step's one load,
+//!    the max taken over ranks (synchronous SGD), then each rank's own
+//!    share split into the exact
 //!    [`crate::TimeAttribution`] buckets (compute, wire, barrier wait,
-//!    injected skew, own delay) — and recorded;
+//!    injected skew, own delay) — recorded per rank, and the world's
+//!    counters advanced once;
 //!    → a checkpoint deposit, when due;
 //! 4. `end_epoch` after an epoch's last step (rank 0 validates), and
 //!    `finish` after the run's.
@@ -810,10 +814,8 @@ fn drive(
         .collect();
 
     // The resume point is the world's: its parameters go into the one
-    // replica once, and every rank's report takes its epoch history.
-    let restored = ctx
-        .resume
-        .map(|ck| state.restore(ck, &mut replica).map(|()| ck));
+    // replica once.
+    let restored = ctx.resume.map(|ck| state.restore(ck, &mut replica));
     // Persistent model memory: parameters + gradients + a modelled
     // optimiser slot, FP32, held for the whole round.
     let param_bytes = perfmodel::memory::replica_bytes(ctx.params as u64);
@@ -828,15 +830,11 @@ fn drive(
                 continue;
             }
         }
-        match &restored {
-            Some(Ok(ck)) => rank.st.restore(ck),
-            Some(Err(reason)) => {
-                let err = TrainError::InvalidCheckpoint {
-                    reason: reason.clone(),
-                };
-                rank.fail(&mut world, err, reason.clone());
-            }
-            None => {}
+        if let Some(Err(reason)) = &restored {
+            let err = TrainError::InvalidCheckpoint {
+                reason: reason.clone(),
+            };
+            rank.fail(&mut world, err, reason.clone());
         }
     }
 
@@ -887,9 +885,6 @@ fn step(
     dense: &mut DenseGrads,
 ) -> bool {
     let (cfg, plan, g) = (ctx.cfg, ctx.plan, ctx.cfg.gpus);
-    if !ranks.iter().any(RankRun::running) {
-        return false;
-    }
     let rank0 = ranks.first_mut().filter(|r| r.running()).map(|r| &mut r.st);
     let Some(step) = state.next_step(replica, rank0) else {
         return false;
@@ -897,7 +892,6 @@ fn step(
     let at = step as usize;
 
     for (r, rank) in ranks.iter_mut().enumerate().filter(|(_, r)| r.running()) {
-        rank.st.open(step);
         if plan.should_die(r, at) {
             let reason = format!("rank {r} killed by fault plan at step {step}");
             let err = TrainError::PeerFailure {
@@ -1686,13 +1680,16 @@ mod tests {
                 gpn: cost.hardware().gpus_per_node,
             };
             for ck in [mid, terminal] {
-                let (mut state, mut st) =
+                let ctx = RunCtx {
+                    resume: Some(&ck),
+                    ..ctx
+                };
+                let (mut state, st) =
                     (StepState::new(&ctx), LoopState::new(&ctx, ck.rank as usize));
                 let mut weights = replica.clone();
                 state
                     .restore(&ck, &mut weights)
                     .expect("a checkpoint of this run");
-                st.restore(&ck);
                 let what = format!("{model:?} step {}", ck.step);
                 assert_eq!(
                     state.snapshot(&st, &weights).to_bytes(),

@@ -183,11 +183,11 @@ impl Replica {
     }
 }
 
-/// The world's step state, one for every rank: synchronous SGD runs
-/// the same step on every rank, with the same learning rate, counter
-/// and epoch cursor, and prices it on one schedule — with a rank's
-/// [`LoopState`], what a snapshot captures and a restore puts back
-/// (with the world's replica).
+/// The world's step state: synchronous SGD runs the same step on every
+/// rank — one learning rate, step counter, epoch cursor and schedule —
+/// so the driver holds it once. With a rank's [`LoopState`], it is what
+/// a snapshot captures and a restore puts back (with the world's
+/// replica).
 pub(super) struct StepState<'a> {
     ctx: &'a RunCtx<'a>,
     /// The exact learning rate in effect (decayed per epoch).
@@ -297,8 +297,9 @@ impl<'a> StepState<'a> {
 
     /// Puts `ck` back: parameters (into `replica`), counters, the exact
     /// learning rate, the epoch cursor and every deterministic
-    /// accumulator — with [`LoopState::restore`] on each rank, the exact
-    /// inverse of [`Self::snapshot`]. No RNG state exists to restore:
+    /// accumulator — with each rank's epoch history, which
+    /// [`LoopState::new`] takes from `ck`, the exact inverse of
+    /// [`Self::snapshot`]. No RNG state exists to restore:
     /// the corpus and split are regenerated from `cfg.seed` and
     /// sampled-softmax streams are re-seeded from `global_step` each
     /// step, so from here the run is bit-identical to one that never
@@ -452,12 +453,18 @@ impl<'a> StepState<'a> {
 }
 
 impl LoopState {
-    /// Rank `rank` at step 0 of a fresh run.
+    /// Rank `rank` at the round's start: a resumed rank's report
+    /// carries the checkpoint's epoch history.
     pub(super) fn new(ctx: &RunCtx, rank: usize) -> Self {
-        let cfg = ctx.cfg;
+        let (cfg, g) = (ctx.cfg, ctx.cfg.gpus);
         LoopState {
             rank,
-            report: TrainReport::default(),
+            report: TrainReport {
+                epochs: ctx
+                    .resume
+                    .map_or_else(Vec::new, |ck| ck.metrics.epochs.clone()),
+                ..TrainReport::default()
+            },
             in_scratch: ExchangeScratch::new(),
             out_scratch: ExchangeScratch::new(),
             clock: RankClock::new(
@@ -466,29 +473,13 @@ impl LoopState {
                     .then(|| TraceRecorder::new(rank as u32, TRACE_EVENTS_PER_RANK)),
                 cfg.trace.enabled || cfg.metrics.enabled,
             ),
-            loss_sent: TrafficSnapshot::allreduce(
-                peer_exchange_tier_bytes(cfg.gpus, ctx.gpn, rank, 8),
-                0,
-            ),
+            loss_sent: TrafficSnapshot::allreduce(peer_exchange_tier_bytes(g, ctx.gpn, rank, 8), 0),
         }
     }
 
     /// This rank's id in the round's world.
     pub(super) fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// The rank's half of [`StepState::restore`]: its report carries
-    /// `ck`'s epoch history.
-    pub(super) fn restore(&mut self, ck: &Checkpoint) {
-        self.report.epochs = ck.metrics.epochs.clone();
-    }
-
-    /// Stamps the rank's trace events from here on with `step`.
-    pub(super) fn open(&mut self, step: u64) {
-        if let Some(rec) = self.clock.trace() {
-            rec.set_step(step);
-        }
     }
 
     /// Phase 1: draws this rank's next batch and runs forward/backward
@@ -507,6 +498,9 @@ impl LoopState {
         rows: &mut Vec<f32>,
     ) -> StepOutcome {
         let cfg = state.ctx.cfg;
+        if let Some(rec) = self.clock.trace() {
+            rec.set_step(state.global_step);
+        }
         let mut batches = shard(state.ctx, self.rank);
         let pos = state.step_in_epoch as usize % batches.len().max(1);
         let batch = batches.nth(pos).expect("shard emptied unexpectedly");
