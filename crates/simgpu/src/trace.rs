@@ -155,11 +155,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Rank this recorder belongs to.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
     /// `t` on this recorder's clock: nanoseconds since its origin.
     pub(crate) fn ns_at(&self, t: Instant) -> u64 {
         u64::try_from(t.saturating_duration_since(self.origin).as_nanos()).unwrap_or(u64::MAX)
@@ -189,21 +184,6 @@ impl TraceRecorder {
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
         }
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events overwritten so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Consumes the recorder, un-rotating the ring so the returned log
@@ -466,9 +446,8 @@ mod tests {
             rec.set_step(i);
             rec.record(SpanKind::Compute, i * 10, i * 10 + 5, i);
         }
-        assert_eq!(rec.len(), 4);
-        assert_eq!(rec.dropped(), 2);
         let log = rec.finish();
+        assert_eq!(log.events.len(), 4);
         // Oldest-first after un-rotation: steps 2..6 survive.
         let steps: Vec<u64> = log.events.iter().map(|e| e.step).collect();
         assert_eq!(steps, vec![2, 3, 4, 5]);
@@ -484,9 +463,10 @@ mod tests {
         for _ in 0..100 {
             rec.record(SpanKind::Gather, 0, 1, 2);
         }
-        assert_eq!(rec.len(), 8);
-        assert_eq!(rec.events.capacity(), cap, "ring must not reallocate");
-        assert_eq!(rec.dropped(), 92);
+        let log = rec.finish();
+        assert_eq!(log.events.len(), 8);
+        assert_eq!(log.events.capacity(), cap, "ring must not reallocate");
+        assert_eq!(log.dropped, 92);
     }
 
     #[test]
@@ -494,8 +474,9 @@ mod tests {
         let mut rec = TraceRecorder::new(0, 0);
         rec.record(SpanKind::Apply, 1, 2, 0);
         rec.record(SpanKind::Apply, 3, 4, 0);
-        assert_eq!(rec.len(), 1);
-        assert_eq!(rec.dropped(), 1);
+        let log = rec.finish();
+        assert_eq!(log.events.len(), 1);
+        assert_eq!(log.dropped, 1);
     }
 
     #[test]
