@@ -11,9 +11,16 @@
 //! against a `Wh` packed once per sequence, `dWh += hᵀ·dz` and
 //! `dWx += x_tᵀ·dz_t` with an accumulate store, the char LM's RHN `s·R_l`
 //! and `dR_l += sᵀ·dz` per micro-layer the same way — so those shapes are
-//! timed that way too, next to the allocating call. The LSTM backward's
-//! `k = 16` products at word_exchange's shape (`DZ·Wxᵀ` over all steps,
-//! `x_tᵀ·dz_t` per step) are the largest in that workload's step.
+//! timed that way too, next to the allocating call.
+//!
+//! At word_exchange's shape (B 512, T 4, D 512, H 4) the three
+//! input-side products — `x·Wx`, `dWx += x_tᵀ·dz_t` and `dz·Wxᵀ`, each
+//! `K·D·4H` = 16.8 M multiply-adds per rank — are the largest in the
+//! step, 128× the recurrence's. `nn` issues the first and the last over
+//! 64-row blocks, `x` gathered from the embedding table into a reused
+//! block and `Wx` / `Wxᵀ` packed once per weight update, and the middle
+//! per timestep from one reused, gathered `B×D` block; the "blocks"
+//! rows time them that way.
 //!
 //! Run pinned to one CPU (`taskset -c 1 cargo bench -p zlm-bench --bench
 //! gemm`): the kernel is sequential, and `e2e` measures it the same way.
@@ -45,6 +52,9 @@ const RECURRENT: &[(&str, usize, usize, usize)] = &[
     ("char_weak s·R", 1, 48, 48),
     ("char_weak sᵀ·dz", 48, 1, 48),
 ];
+
+/// Rows of an input block, as `nn::BLOCK_ROWS`.
+const BLOCK: usize = 64;
 
 /// Times `call` under `id` and prints its GFLOP/s for `flops` per call.
 fn time<T>(group: &mut BenchmarkGroup<'_>, id: &str, flops: f64, mut call: impl FnMut() -> T) {
@@ -118,7 +128,79 @@ fn bench_gemm(c: &mut Criterion) {
             || c_all.gemm_rows(rows.clone(), a, Rhs::Packed(&packed), Store::Add),
         );
     }
+    bench_blocks(&mut group, &mut rng);
     group.finish();
+}
+
+/// Rows `tokens` of `table` into the first rows of `block`.
+fn gather(table: &Matrix, tokens: &[u32], block: &mut Matrix) {
+    for (i, &t) in tokens.iter().enumerate() {
+        block.row_mut(i).copy_from_slice(table.row(t as usize));
+    }
+}
+
+/// The input-side products at word_exchange's shape as the LSTM issues
+/// them: a gathered block of input rows times packed `Wx`, a block of
+/// `dz` times packed `Wxᵀ` into a reused block, and one step's
+/// `dWx += x_tᵀ·dz_t` from a gathered `B×D` block.
+fn bench_blocks(group: &mut BenchmarkGroup<'_>, rng: &mut StdRng) {
+    let (vocab, b, steps, d, n) = (20_000, 512, 4, 512, 16);
+    let k = b * steps;
+    let table = init::uniform(rng, vocab, d, 0.1);
+    let tokens: Vec<u32> = (0..k).map(|i| (i * 7_919 % vocab) as u32).collect();
+    let wx = init::uniform(rng, d, n, 0.1);
+    let (wx_packed, wxt_packed) = (PackedB::new(wx.view()), PackedB::new(wx.view().t()));
+    let dz = init::uniform(rng, k, n, 0.1);
+    let rows = 2 * BLOCK..3 * BLOCK;
+    let flops = 2.0 * (BLOCK * d * n) as f64;
+
+    println!("# word_exchange x_blk·Wx, blocks");
+    let mut block = Matrix::zeros(BLOCK, d);
+    gather(&table, &tokens[rows.clone()], &mut block);
+    let mut z = Matrix::zeros(k, n);
+    let shape = format!("{BLOCK}x{d}x{n}");
+    time(
+        group,
+        &format!("blocks/x_blk_wx_packed/{shape}"),
+        flops,
+        || {
+            z.gemm_rows(
+                rows.clone(),
+                block.view(),
+                Rhs::Packed(&wx_packed),
+                Store::Set,
+            )
+        },
+    );
+
+    println!("# word_exchange dz_blk·Wxᵀ, blocks");
+    let shape = format!("{BLOCK}x{n}x{d}");
+    time(
+        group,
+        &format!("blocks/dz_blk_wxt_packed/{shape}"),
+        flops,
+        || {
+            let dz_blk = dz.rows_view(rows.clone());
+            block.gemm_rows(0..BLOCK, dz_blk, Rhs::Packed(&wxt_packed), Store::Set)
+        },
+    );
+
+    println!("# word_exchange x_tᵀ·dz_t, gathered B×D");
+    let step = 2 * b..3 * b;
+    let mut x_t = Matrix::zeros(b, d);
+    gather(&table, &tokens[step.clone()], &mut x_t);
+    let mut dwx = Matrix::zeros(d, n);
+    let flops = 2.0 * (b * d * n) as f64;
+    let shape = format!("{d}x{b}x{n}");
+    time(
+        group,
+        &format!("blocks/x_t_dz_t_gathered/{shape}"),
+        flops,
+        || {
+            let dz_t = Rhs::View(dz.rows_view(step.clone()));
+            dwx.gemm_rows(0..d, x_t.view().t(), dz_t, Store::Add)
+        },
+    );
 }
 
 criterion_group!(benches, bench_gemm);

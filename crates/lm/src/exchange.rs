@@ -63,6 +63,7 @@
 //! and the caller is expected to bubble the error up to its step loop.
 
 use crate::schedule::{buckets, ExchangeLoad};
+use nn::block::blocks;
 use nn::{Embedding, SparseGrad};
 use perfmodel::memory;
 pub use perfmodel::schedule::ExchangeConfig;
@@ -70,7 +71,9 @@ use simgpu::{
     peer_exchange_tier_bytes, CommError, PhaseTimer, Rank, RankClock, RankSum, SpanKind, TierBytes,
     TrafficSnapshot, UniqueGathered, World,
 };
+use std::ops::Range;
 use std::time::Instant;
+use tensor::Matrix;
 
 /// Wall-clock nanoseconds per exchange phase, measured on this rank.
 ///
@@ -225,33 +228,73 @@ impl ExchangeScratch {
     /// `reduced_indices` / `reduced_rows` (first-occurrence order,
     /// duplicate rows summed) using the epoch-stamped slot map.
     fn local_reduce(&mut self, grad: &SparseGrad, d: usize) {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.reduced_indices.clear();
-        self.reduced_rows.clear();
+        self.begin_reduce();
         for (i, &idx) in grad.indices.iter().enumerate() {
-            let w = idx as usize;
-            let row = grad.rows.row(i);
-            if self.epoch_of[w] == epoch {
-                let slot = self.slot_of[w] as usize;
-                let dst = &mut self.reduced_rows[slot * d..(slot + 1) * d];
-                for (a, &b) in dst.iter_mut().zip(row) {
-                    *a += b;
-                }
-            } else {
-                self.epoch_of[w] = epoch;
-                self.slot_of[w] = self.reduced_indices.len() as u32;
-                self.reduced_indices.push(idx);
-                self.reduced_rows.extend_from_slice(row);
-            }
+            self.fold_row(idx, grad.rows.row(i), d);
         }
     }
 
-    /// Steps 1–2 where the gradient is made: [`Self::local_reduce`] of
-    /// `grad` (rows of a `vocab`-word table), timed as a `Unique` span on
-    /// `clock`, so the lockstep exchange reads `(Ĵ, ∆̂)` from here and
-    /// the `K×D` rows can go back to their buffer's next use.
-    pub(crate) fn reduce(&mut self, grad: &SparseGrad, vocab: usize, clock: &mut RankClock) {
+    /// Opens a reduction: a fresh epoch, `(Ĵ, ∆̂)` empty.
+    fn begin_reduce(&mut self) {
+        self.epoch += 1;
+        self.reduced_indices.clear();
+        self.reduced_rows.clear();
+    }
+
+    /// Folds word `idx`'s gradient `row` into `(Ĵ, ∆̂)`: a word's first
+    /// row is copied, every later one added to it.
+    fn fold_row(&mut self, idx: u32, row: &[f32], d: usize) {
+        let w = idx as usize;
+        if self.epoch_of[w] == self.epoch {
+            let slot = self.slot_of[w] as usize;
+            let dst = &mut self.reduced_rows[slot * d..(slot + 1) * d];
+            for (a, &b) in dst.iter_mut().zip(row) {
+                *a += b;
+            }
+        } else {
+            self.epoch_of[w] = self.epoch;
+            self.slot_of[w] = self.reduced_indices.len() as u32;
+            self.reduced_indices.push(idx);
+            self.reduced_rows.extend_from_slice(row);
+        }
+    }
+
+    /// Steps 1–2 where the gradient is made, timed as a `Unique` span on
+    /// `clock`, so the lockstep exchange reads `(Ĵ, ∆̂)` from here: the
+    /// token-aligned gradient of `indices` (rows `d` wide, of a
+    /// `vocab`-word table) is made [`nn::BLOCK_ROWS`] rows at a time —
+    /// `make(r, block)` writes rows `r` into the first rows of `block` —
+    /// and each block is folded in, token by token, before the next is
+    /// made. The result is [`Self::local_reduce`]'s over the whole
+    /// matrix, to the bit, and the `K×d` matrix never exists.
+    pub(crate) fn reduce(
+        &mut self,
+        indices: &[u32],
+        d: usize,
+        vocab: usize,
+        block: &mut Matrix,
+        mut make: impl FnMut(Range<usize>, &mut Matrix),
+        clock: &mut RankClock,
+    ) {
+        let reduce = || {
+            self.ensure_vocab(vocab);
+            self.begin_reduce();
+            for r in blocks(indices.len()) {
+                let n = r.len();
+                make(r.clone(), block);
+                assert_eq!(block.cols(), d, "a block of whole rows");
+                let made = &block.as_slice()[..n * d];
+                for (&idx, row) in indices[r].iter().zip(made.chunks_exact(d)) {
+                    self.fold_row(idx, row, d);
+                }
+            }
+        };
+        self.reduce_ns = clock.phase(SpanKind::Unique, reduce, |_| 0).1;
+    }
+
+    /// [`Self::reduce`] of a gradient whose rows are stored (a word LM's
+    /// output-table gradient): [`Self::local_reduce`], timed the same way.
+    pub(crate) fn reduce_stored(&mut self, grad: &SparseGrad, vocab: usize, clock: &mut RankClock) {
         let reduce = || {
             self.ensure_vocab(vocab);
             self.local_reduce(grad, grad.rows.cols());
@@ -964,7 +1007,7 @@ mod tests {
             .zip(clocks)
             .map(|((grad, scratch), clock)| {
                 if cfg.unique {
-                    scratch.reduce(grad, table.vocab(), clock);
+                    scratch.reduce_stored(grad, table.vocab(), clock);
                 }
                 Member {
                     indices: &grad.indices,
@@ -1534,6 +1577,90 @@ mod tests {
         scratch.local_reduce(&grad, 2);
         assert_eq!(scratch.reduced_indices, reference.indices);
         assert_eq!(scratch.reduced_rows, reference.rows.as_slice());
+    }
+
+    /// The block-by-block reduce against `local_reduce` over the stored
+    /// matrix (and the hash-map reference): `(Ĵ, ∆̂)` bit for bit, for
+    /// Zipfian streams, one word, all-distinct words, rows that cancel to
+    /// `+0` or stay `−0`, and `K` on and off a whole number of blocks.
+    /// Each block is made into a taller NaN-filled buffer, so a read
+    /// past the rows just made shows.
+    #[test]
+    fn block_by_block_reduce_matches_the_stored_reduce_bit_for_bit() {
+        let cancelling = {
+            // Word 1: v then −v (sums to +0); word 2: −0 twice (stays
+            // −0); word 3: +0 then −0 (+0); word 4: −0 then v; others
+            // interleaved, past one block.
+            let mut indices = Vec::new();
+            let mut rows = Vec::new();
+            for i in 0..70u32 {
+                let (w, row) = match i % 7 {
+                    0 => (1, [0.75, -3.5, 1e-30, -0.0]),
+                    1 => (1, [-0.75, 3.5, -1e-30, 0.0]),
+                    2 | 3 => (2, [-0.0; D]),
+                    4 => (3, [0.0; D]),
+                    5 => (3, [-0.0; D]),
+                    _ => (4 + i % 3, [-0.0, 2.0, -0.0, 0.5]),
+                };
+                indices.push(w);
+                rows.extend_from_slice(&row);
+            }
+            SparseGrad {
+                rows: Matrix::from_vec(indices.len(), D, rows),
+                indices,
+            }
+        };
+        let one_word = |n: usize| SparseGrad {
+            indices: vec![7; n],
+            ..make_grad(5, n)
+        };
+        let distinct = |n: usize| SparseGrad {
+            indices: (0..n as u32).rev().map(|w| w % VOCAB as u32).collect(),
+            ..make_grad(6, n)
+        };
+        let cases = [
+            ("zipf K 2085", zipf_grad(1, 2085)),
+            ("zipf K 2048", zipf_grad(2, 2048)),
+            ("zipf K 5", zipf_grad(3, 5)),
+            ("one word K 200", one_word(200)),
+            ("distinct K 50", distinct(VOCAB)),
+            ("cancelling K 70", cancelling),
+            ("empty", make_grad(4, 0)),
+        ];
+        for (name, grad) in cases {
+            let n = grad.indices.len();
+            let mut stored = ExchangeScratch::new();
+            stored.ensure_vocab(VOCAB);
+            stored.local_reduce(&grad, D);
+            let reference = grad.local_reduce();
+            assert_eq!(stored.reduced_indices, reference.indices, "{name}");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&stored.reduced_rows),
+                bits(reference.rows.as_slice()),
+                "{name}"
+            );
+
+            let mut blocked = ExchangeScratch::new();
+            let mut block = Matrix::from_vec(70, D, vec![f32::NAN; 70 * D]);
+            let mut asked = Vec::new();
+            let make = |r: Range<usize>, out: &mut Matrix| {
+                let src = &grad.rows.as_slice()[r.start * D..r.end * D];
+                out.as_mut_slice()[..src.len()].copy_from_slice(src);
+                asked.push(r);
+            };
+            let mut clock = RankClock::new(None, false);
+            blocked.reduce(&grad.indices, D, VOCAB, &mut block, make, &mut clock);
+            assert_eq!(blocked.reduced_indices, stored.reduced_indices, "{name}");
+            assert_eq!(
+                bits(&blocked.reduced_rows),
+                bits(&stored.reduced_rows),
+                "{name}"
+            );
+            let rows: Vec<usize> = asked.iter().cloned().flatten().collect();
+            assert_eq!(rows, (0..n).collect::<Vec<_>>(), "{name}");
+            assert!(asked.iter().all(|r| r.len() <= nn::BLOCK_ROWS), "{name}");
+        }
     }
 
     #[test]

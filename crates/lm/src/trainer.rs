@@ -80,6 +80,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 use step::{LoopState, Replica, StepOutcome, StepState};
+use tensor::Matrix;
 
 /// Why a training run failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -658,8 +659,8 @@ struct RankRun {
     out: Option<StepOutcome>,
     /// The rank's own `K×D` input-gradient rows on the baseline path,
     /// which its exchange gathers; the next `compute` writes into the
-    /// same allocation. Empty on the unique path, whose rows are reduced
-    /// in a fan-out worker's buffer.
+    /// same allocation. Empty on the unique path, whose rows are made and
+    /// reduced a block at a time in a fan-out worker's block.
     rows: Vec<f32>,
     /// Why the rank stopped, once it has.
     end: Option<TrainError>,
@@ -770,13 +771,14 @@ fn fan_out_fold<T: Send, B: Default + Send>(
 }
 
 /// One fan-out worker's buffers, reused from rank to rank and step to
-/// step: the dense gradient it hands to the fold, and the `K×D`
-/// input-gradient rows of a rank whose exchange reduces them in its
-/// `compute` (the unique path).
+/// step: the dense gradient it hands to the fold, and the block a
+/// rank's passes gather their input rows into (at most a timestep's `B`
+/// rows) and, on the unique path, make its input gradient's rows in
+/// ([`nn::BLOCK_ROWS`] at a time) for its exchange to reduce.
 #[derive(Default)]
 struct WorkerBufs {
     dense: Vec<f32>,
-    rows: Vec<f32>,
+    block: Matrix,
 }
 
 /// The step's dense gradient: the fan-out workers' buffers, and the
@@ -914,9 +916,9 @@ fn step(
 
     // Every rank's dense gradient is folded into the one sum the
     // moment it is made, in rank order: only the workers' buffers live.
-    // So do its input-gradient rows on the unique path, reduced in
-    // `compute`; the baseline's exchange gathers them from the rank's
-    // own buffer.
+    // Its input-gradient rows on the unique path are made and reduced a
+    // block at a time in the worker's block, in `compute`; the
+    // baseline's exchange gathers them from the rank's own buffer.
     let (weights, shared) = (&*replica, &*state);
     let sum = &mut dense.sum;
     let xcfg = state.xcfg();
@@ -926,12 +928,11 @@ fn step(
         &mut dense.bufs,
         &mut running,
         |rank, buf| {
-            let rows = if xcfg.unique {
-                &mut buf.rows
-            } else {
-                &mut rank.rows
-            };
-            rank.out = Some(rank.st.compute(shared, weights, &mut buf.dense, rows));
+            let (dense, block) = (&mut buf.dense, &mut buf.block);
+            rank.out = Some(
+                rank.st
+                    .compute(shared, weights, dense, block, &mut rank.rows),
+            );
         },
         |buf| sum.fold(&mut buf.dense),
     );

@@ -32,13 +32,15 @@ use corpus::batch::BatchIter;
 use corpus::{shard_batches, BatchSpec};
 use nn::model::SeqBatch;
 use nn::optimizer::scaled_lr;
-use nn::{CharLm, SparseGrad, WordLm};
+use nn::{CharLm, InputGrad, SparseGrad, WordLm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgpu::{
     peer_exchange_tier_bytes, secs_to_ps, NodeLayout, RankClock, SpanKind, TraceRecorder,
     TrafficSnapshot,
 };
+use std::ops::Range;
+use tensor::Matrix;
 
 /// Maximum validation batches evaluated per epoch (the full validation
 /// stream is used when it is smaller).
@@ -61,11 +63,11 @@ pub(super) enum Replica {
 
 /// What one forward/backward pass left for the step's collectives
 /// besides its dense gradient (which the driver folds into the step's
-/// running sum) and its input gradient's `K×D` rows (in the buffer the
-/// driver lent): the local loss, the input gradient's token-aligned
-/// indices and a word LM's output-table gradient. On the unique path
-/// both sparse gradients are already reduced into the rank's scratch
-/// pools.
+/// running sum) and, on the baseline, its input gradient's `K×D` rows
+/// (in the rank's own buffer): the local loss, the input gradient's
+/// token-aligned indices and a word LM's output-table gradient. On the
+/// unique path both sparse gradients are already reduced into the
+/// rank's scratch pools.
 pub(super) struct StepOutcome {
     pub(super) loss: f64,
     pub(super) input_indices: Vec<u32>,
@@ -82,30 +84,40 @@ impl Replica {
         }
     }
 
-    /// Forward/backward over `batch`: the loss and the input and (word
-    /// LM) output sparse gradients, the dense gradient flattened into
-    /// `dense` and the input gradient's rows written into `rows`'s
-    /// allocation (both reused).
+    /// Forward/backward over `batch`: the loss, the input gradient
+    /// (factored: its rows are made by [`Self::input_grad_rows`]) and a
+    /// word LM's output sparse gradient, the dense gradient flattened
+    /// into `dense` and the input rows gathered into `block` (both
+    /// reused).
     fn step(
         &self,
         batch: &SeqBatch,
         sample_seed: u64,
         dense: &mut Vec<f32>,
-        rows: Vec<f32>,
-    ) -> (f64, SparseGrad, Option<SparseGrad>) {
+        block: &mut Matrix,
+    ) -> (f64, InputGrad, Option<SparseGrad>) {
         let buf = std::mem::take(dense);
         match self {
             Replica::Word(m) => {
                 let mut rng = StdRng::seed_from_u64(sample_seed);
-                let g = m.forward_backward_in(batch, &mut rng, buf, rows);
+                let g = m.forward_backward_in(batch, &mut rng, buf, block);
                 *dense = g.dense;
                 (g.loss, g.input_grad, Some(g.output_grad))
             }
             Replica::Char(m) => {
-                let g = m.forward_backward_in(batch, buf, rows);
+                let g = m.forward_backward_in(batch, buf, block);
                 *dense = g.dense;
                 (g.loss, g.input_grad, None)
             }
+        }
+    }
+
+    /// Rows `rows` of `grad`'s `K×D` input gradient into the first rows
+    /// of `out`, which grows to hold them.
+    fn input_grad_rows(&self, grad: &InputGrad, rows: Range<usize>, out: &mut Matrix) {
+        match self {
+            Replica::Word(m) => m.input_grad_rows(grad, rows, out),
+            Replica::Char(m) => m.input_grad_rows(grad, rows, out),
         }
     }
 
@@ -484,17 +496,21 @@ impl LoopState {
 
     /// Phase 1: draws this rank's next batch and runs forward/backward
     /// through `replica`, the dense gradient into `dense` and the input
-    /// gradient's `K×D` rows into `rows`. On the unique path both sparse
-    /// gradients are reduced to `(Ĵ, ∆̂)` right after the backward, in
-    /// the rank's scratch pools, so the rows need not outlive the call.
-    /// The shard's batches are drawn in order, over and over, so the
-    /// step in progress names its batch — which is what lands a resumed
-    /// epoch on exactly the batch the interrupted run would have drawn.
+    /// rows gathered a block at a time into `block`. On the unique path
+    /// both sparse gradients are then reduced to `(Ĵ, ∆̂)` in the rank's
+    /// scratch pools, the input gradient's rows made [`nn::BLOCK_ROWS`]
+    /// at a time into `block` and folded in as they are made: no `K×D`
+    /// matrix exists. The baseline's exchange gathers the rank's `K×D`
+    /// rows, so they are made into `rows`, in one call. The shard's
+    /// batches are drawn in order, over and over, so the step in
+    /// progress names its batch — which is what lands a resumed epoch on
+    /// exactly the batch the interrupted run would have drawn.
     pub(super) fn compute(
         &mut self,
         state: &StepState,
         replica: &Replica,
         dense: &mut Vec<f32>,
+        block: &mut Matrix,
         rows: &mut Vec<f32>,
     ) -> StepOutcome {
         let cfg = state.ctx.cfg;
@@ -512,20 +528,30 @@ impl LoopState {
             cfg.gpus,
             state.global_step,
         );
-        let buf = std::mem::take(rows);
-        let step = || replica.step(&sb, seed, dense, buf);
+        let (unique, dim) = (state.sched.xcfg.unique, state.ctx.shape.1);
+        let step = || {
+            let (loss, input, output) = replica.step(&sb, seed, dense, block);
+            if !unique {
+                let k = input.tokens.len();
+                let mut all = Matrix::recycled(k, dim, std::mem::take(rows));
+                replica.input_grad_rows(&input, 0..k, &mut all);
+                *rows = all.into_vec();
+            }
+            (loss, input, output)
+        };
         let (loss, input, output) = self.clock.phase(SpanKind::Compute, step, |_| 0).0;
-        if state.sched.xcfg.unique {
+        if unique {
             let vocab = replica.vocab();
-            self.in_scratch.reduce(&input, vocab, &mut self.clock);
+            let make = |r, out: &mut Matrix| replica.input_grad_rows(&input, r, out);
+            let clock = &mut self.clock;
+            (self.in_scratch).reduce(&input.tokens, dim, vocab, block, make, clock);
             if let Some(output) = &output {
-                self.out_scratch.reduce(output, vocab, &mut self.clock);
+                self.out_scratch.reduce_stored(output, vocab, clock);
             }
         }
-        *rows = input.rows.into_vec();
         StepOutcome {
             loss,
-            input_indices: input.indices,
+            input_indices: input.tokens,
             output_grad: output,
         }
     }

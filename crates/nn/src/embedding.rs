@@ -1,18 +1,20 @@
 //! Embedding layers and their sparse gradients.
 //!
 //! The forward pass is the gather of Figure 2: token `w` at position `i`
-//! copies row `w` of the `V×D` table into row `i` of the dense `K×D`
-//! activation matrix. The backward pass is the scatter-accumulate of
-//! §II-A: row `i` of the `K×D` gradient must be *added* into row `w` of
-//! the table — and because tokens repeat, updates to the same row must
-//! accumulate (the serialisation hazard the paper's uniqueness scheme
-//! eliminates).
+//! reads row `w` of the `V×D` table as row `i` of the `K×D` activations
+//! ([`Embedding::lookup`] hands a recurrent layer those rows a block at a
+//! time, so the `K×D` matrix is never stored). The backward pass is the
+//! scatter-accumulate of §II-A: row `i` of the `K×D` gradient must be
+//! *added* into row `w` of the table — and because tokens repeat,
+//! updates to the same row must accumulate (the serialisation hazard the
+//! paper's uniqueness scheme eliminates).
 //!
-//! Crucially for the paper, the backward pass here does **not** touch the
-//! table: it returns a [`SparseGrad`] (token indices + token-aligned
-//! gradient rows). How that gradient crosses GPUs — dense ALLGATHER or
-//! the unique scheme — is the `lm` crate's business.
+//! Crucially for the paper, no model's backward pass touches the table:
+//! the gradient comes back as a [`SparseGrad`] (token indices +
+//! token-aligned gradient rows). How that gradient crosses GPUs — dense
+//! ALLGATHER or the unique scheme — is the `lm` crate's business.
 
+use crate::block::Input;
 use tensor::{init, Matrix};
 
 /// A `V×D` embedding table.
@@ -121,6 +123,19 @@ impl Embedding {
         &mut self.weights
     }
 
+    /// The rows of `tokens` as a recurrent layer's input, gathered a
+    /// block at a time as the layer reads them. Panics on a token outside
+    /// the vocabulary.
+    pub fn lookup<'a>(&'a self, tokens: &'a [u32]) -> Input<'a> {
+        if let Some(t) = tokens.iter().find(|&&t| t as usize >= self.vocab()) {
+            panic!("token {t} out of vocabulary");
+        }
+        Input::Lookup {
+            table: &self.weights,
+            tokens,
+        }
+    }
+
     /// Forward gather: returns the `len(tokens)×D` activation matrix.
     pub fn forward(&self, tokens: &[u32]) -> Matrix {
         let d = self.dim();
@@ -130,17 +145,6 @@ impl Embedding {
             out.row_mut(i).copy_from_slice(self.weights.row(t as usize));
         }
         out
-    }
-
-    /// Packages the dense upstream gradient as a [`SparseGrad`]; the
-    /// caller keeps responsibility for applying it to the table.
-    pub fn backward(&self, tokens: &[u32], upstream: Matrix) -> SparseGrad {
-        assert_eq!(tokens.len(), upstream.rows(), "token/grad row mismatch");
-        assert_eq!(upstream.cols(), self.dim(), "grad dim mismatch");
-        SparseGrad {
-            indices: tokens.to_vec(),
-            rows: upstream,
-        }
     }
 
     /// SGD-style in-place update: `W[idx] -= lr · row` for each pair.
@@ -197,6 +201,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "token 5 out of vocabulary")]
+    fn lookup_rejects_oov() {
+        table().lookup(&[1, 5]);
+    }
+
+    #[test]
     fn local_reduce_accumulates_duplicates() {
         let grad = SparseGrad {
             indices: vec![3, 1, 3, 3],
@@ -243,15 +253,6 @@ mod tests {
         let red = grad.local_reduce();
         b.apply_rows(&red.indices, &red.rows, 0.1);
         assert!(a.weights().max_abs_diff(b.weights()) < 1e-6);
-    }
-
-    #[test]
-    fn backward_is_token_aligned() {
-        let e = table();
-        let up = Matrix::from_vec(2, 3, vec![0.5; 6]);
-        let g = e.backward(&[2, 2], up);
-        assert_eq!(g.indices, vec![2, 2]);
-        assert_eq!(g.len(), 2);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod block;
 pub mod embedding;
 pub mod linear;
 pub mod lstm;
@@ -40,9 +41,10 @@ pub mod softmax;
 #[cfg(test)]
 mod testutil;
 
+pub use block::{Input, BLOCK_ROWS};
 pub use embedding::{Embedding, SparseGrad};
 pub use linear::Linear;
 pub use lstm::LstmLayer;
-pub use model::{CharLm, CharLmGrads, WordLm, WordLmGrads};
+pub use model::{CharLm, CharLmGrads, InputGrad, WordLm, WordLmGrads};
 pub use rhn::RhnLayer;
 pub use sampled_softmax::{SampledSoftmax, SampledSoftmaxOutput};

@@ -10,53 +10,62 @@
 //! h_t = o ∘ tanh(c_t)
 //! ```
 //!
-//! over a whole sequence held in **t-major contiguous matrices**: step
-//! `t`'s `B` lanes are rows `t·B..(t+1)·B` of a `(T·B)×·` matrix, which
-//! is how the embedding produces its output and the projection consumes
-//! its input, so nothing is reshaped on the way in or out. That layout
-//! lets the GEMMs be issued the cheap way round, with every bit equal to
-//! the per-timestep formulation (kept as the tests' reference):
+//! over a whole sequence in **t-major rows**: step `t`'s `B` lanes are
+//! rows `t·B..(t+1)·B` of a `(T·B)×·` matrix, which is how the
+//! projection consumes its input, so nothing is reshaped on the way in
+//! or out. The input is an [`Input`]: a word LM's embedding lookup, whose
+//! rows are gathered a block at a time and never stored whole, or a
+//! stored matrix. That layout lets the GEMMs be issued the cheap way
+//! round, with every bit equal to the per-timestep formulation (kept as
+//! the tests' reference):
 //!
-//! * the input products leave the recurrence — `Z = X·Wx` forward and
-//!   `DX = DZ·Wxᵀ` backward are one product each over all `T·B` rows
-//!   (rows of a product are independent sums);
-//! * `Wh` (forward) and `Whᵀ` (backward) are packed
+//! * the input products leave the recurrence — `Z = X·Wx` forward runs
+//!   over [`BLOCK_ROWS`](crate::block::BLOCK_ROWS)-row blocks of input
+//!   rows, and the backward returns `DZ`, from which
+//!   [`LstmLayer::input_grad`] makes any block of the input gradient's
+//!   rows `DZ·Wxᵀ` (rows of a product are independent sums);
+//! * `Wx`, `Wh` (forward) and `Wxᵀ`, `Whᵀ` (backward) are packed
 //!   ([`PackedB`](tensor::PackedB)) once per change of weights, on the
-//!   first pass that reads them, instead of once per step; the only
-//!   `&mut` path to `Wh` drops the packs (see `crate::packs`);
+//!   first pass that reads them, instead of once per step or block; the
+//!   only `&mut` path to them drops the packs (see `crate::packs`);
 //! * `Z[t] += h_{t−1}·Wh`, `dWx += x_tᵀ·dz_t` and `dWh += h_{t−1}ᵀ·dz_t`
 //!   accumulate in place ([`Store::Add`]) on row-range views — no
 //!   temporary, no second pass. The weight gradients stay **per step, in
 //!   descending `t`**: one `k = T·B` product would sum over `t` in a
-//!   different association and move the low bits.
+//!   different association and move the low bits. `x_t` is read from one
+//!   reused `B×D` block.
 //!
 //! `Z` is activated in place and *is* the gate cache. State is
 //! zero-initialised per window (truncated BPTT over the `seq_len`-token
 //! windows the batcher produces). The forget-gate bias is initialised to
 //! 1, the standard trick for gradient flow.
 
-use crate::packs::Recurrent;
+use crate::block::{blocks, Input};
+use crate::packs::Weights;
 use crate::params;
+use std::ops::Range;
 use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid};
 use tensor::{init, Matrix, Rhs, Store};
 
 /// One LSTM layer's parameters.
 #[derive(Debug, Clone)]
 pub struct LstmLayer {
-    wx: Matrix,
+    /// `Wx`, the one input matrix.
+    wx: Weights,
     /// `Wh`, the one recurrent matrix.
-    wh: Recurrent,
+    wh: Weights,
     b: Vec<f32>,
     hidden: usize,
 }
 
-/// Forward-pass activations kept for backward, all t-major.
+/// Forward-pass activations kept for backward, all t-major; the input
+/// is borrowed, not stored.
 #[derive(Debug)]
-pub struct LstmCache {
+pub struct LstmCache<'a> {
     /// Lanes per step `B`.
     batch: usize,
     /// Inputs (`(T·B)×D`).
-    xs: Matrix,
+    xs: Input<'a>,
     /// Post-activation gates (`(T·B)×4H`, order [i f g o]).
     gates: Matrix,
     /// Cell states (`((T+1)·B)×H`): block 0 is the initial zero state,
@@ -88,8 +97,8 @@ impl LstmLayer {
             *v = 1.0;
         }
         Self {
-            wx,
-            wh: Recurrent::new(vec![wh]),
+            wx: Weights::new(vec![wx]),
+            wh: Weights::new(vec![wh]),
             b,
             hidden,
         }
@@ -102,7 +111,7 @@ impl LstmLayer {
 
     /// Input dimension `D`.
     pub fn input_dim(&self) -> usize {
-        self.wx.rows()
+        self.wx[0].rows()
     }
 
     /// Number of parameters.
@@ -113,7 +122,7 @@ impl LstmLayer {
     /// Zeroed gradient holder.
     pub fn zero_grads(&self) -> LstmGrads {
         LstmGrads {
-            dwx: Matrix::zeros(self.wx.rows(), self.wx.cols()),
+            dwx: Matrix::zeros(self.wx[0].rows(), self.wx[0].cols()),
             dwh: Matrix::zeros(self.wh[0].rows(), self.wh[0].cols()),
             db: vec![0.0; self.b.len()],
         }
@@ -121,15 +130,31 @@ impl LstmLayer {
 
     /// Runs the layer from zero state over the t-major `(T·B)×D` inputs
     /// `xs` (`batch` = `B` lanes per step); returns the t-major `(T·B)×H`
-    /// hidden states and the backward cache, which takes `xs`.
-    pub fn forward(&self, xs: Matrix, batch: usize) -> (Matrix, LstmCache) {
-        assert!(!xs.is_empty(), "empty sequence");
+    /// hidden states and the backward cache, which borrows `xs`.
+    pub fn forward<'a>(&self, xs: impl Into<Input<'a>>, batch: usize) -> (Matrix, LstmCache<'a>) {
+        self.forward_in(xs.into(), batch, &mut Matrix::default())
+    }
+
+    /// [`LstmLayer::forward`] with a lookup's rows gathered into `block`
+    /// (its contents replaced): a caller that runs many passes keeps one.
+    pub fn forward_in<'a>(
+        &self,
+        xs: Input<'a>,
+        batch: usize,
+        block: &mut Matrix,
+    ) -> (Matrix, LstmCache<'a>) {
+        assert!(xs.rows() > 0, "empty sequence");
         assert_eq!(xs.rows() % batch, 0, "rows are not whole steps");
         assert_eq!(xs.cols(), self.input_dim(), "input dim mismatch");
         let (b, h) = (batch, self.hidden);
         let steps = xs.rows() / b;
 
-        let mut z = xs.matmul(&self.wx);
+        let mut z = Matrix::zeros(xs.rows(), 4 * h);
+        let wx = &self.wx.packed()[0];
+        for rows in blocks(xs.rows()) {
+            let x = xs.block(rows.clone(), block);
+            z.gemm_rows(rows, x, Rhs::Packed(wx), Store::Set);
+        }
         let wh = &self.wh.packed()[0];
         let mut cs = Matrix::zeros((steps + 1) * b, h);
         let mut hs = Matrix::zeros((steps + 1) * b, h);
@@ -176,18 +201,23 @@ impl LstmLayer {
     /// through the cached forward pass; returns the t-major `(T·B)×D`
     /// input gradients and the parameter gradients.
     pub fn backward(&self, cache: &LstmCache, dh_all: &Matrix) -> (Matrix, LstmGrads) {
-        self.backward_in(cache, dh_all, Vec::new())
+        let (dz, grads) = self.backward_dz(cache, dh_all, &mut Matrix::default());
+        let mut dx = Matrix::default();
+        self.input_grad(&dz, 0..dh_all.rows(), &mut dx);
+        (dx, grads)
     }
 
-    /// [`LstmLayer::backward`] with the input gradients written into
-    /// `dx`'s allocation (its contents replaced): a caller that runs
-    /// many passes keeps one buffer.
-    pub fn backward_in(
+    /// [`LstmLayer::backward`] without the input gradient's rows: returns
+    /// the t-major `(T·B)×4H` pre-activation gradients `dz`, of which
+    /// [`LstmLayer::input_grad`] makes them, one element long, and the
+    /// parameter gradients. A lookup's `x_t` is gathered into `block`
+    /// (its contents replaced).
+    pub fn backward_dz(
         &self,
         cache: &LstmCache,
         dh_all: &Matrix,
-        dx: Vec<f32>,
-    ) -> (Matrix, LstmGrads) {
+        block: &mut Matrix,
+    ) -> (Vec<Matrix>, LstmGrads) {
         let (b, h) = (cache.batch, self.hidden);
         let steps = cache.gates.rows() / b;
         assert_eq!(
@@ -237,7 +267,7 @@ impl LstmLayer {
             // Parameter gradients, one step's term at a time so the sum
             // over `t` associates as it always has.
             let dz_t = dz.rows_view(step.clone());
-            let x_t = cache.xs.rows_view(step.clone());
+            let x_t = cache.xs.block(step.clone(), block);
             let h_prev = cache.hs.rows_view(step.clone());
             let d = self.input_dim();
             grads
@@ -257,21 +287,26 @@ impl LstmLayer {
             }
             dh_carry.gemm_rows(0..b, dz_t, Rhs::Packed(wh_t), Store::Set);
         }
-        let mut dx_all = Matrix::recycled(steps * b, self.input_dim(), dx);
-        let wx_t = Rhs::View(self.wx.view().t());
-        dx_all.gemm_rows(0..steps * b, dz.view(), wx_t, Store::Set);
-        (dx_all, grads)
+        (vec![dz], grads)
+    }
+
+    /// Rows `rows` of the input gradient `dz·Wxᵀ` into the first rows of
+    /// `out` (grown to hold them), `dz` as [`LstmLayer::backward_dz`]
+    /// returned it: each row is the row of the whole product, so a
+    /// consumer can take the gradient a block at a time.
+    pub fn input_grad(&self, dz: &[Matrix], rows: Range<usize>, out: &mut Matrix) {
+        self.wx.sum_products_t(dz, rows, out);
     }
 
     /// The parameters in their flat order: `wx`, `wh` (row-major), `b`.
     pub(crate) fn params(&self) -> impl Iterator<Item = &[f32]> {
-        [self.wx.as_slice(), self.wh[0].as_slice(), &self.b[..]].into_iter()
+        [self.wx[0].as_slice(), self.wh[0].as_slice(), &self.b[..]].into_iter()
     }
 
-    /// [`LstmLayer::params`], mutably; the recurrent packs are dropped.
+    /// [`LstmLayer::params`], mutably; the packs are dropped.
     pub(crate) fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
         [
-            self.wx.as_mut_slice(),
+            self.wx.weights_mut()[0].as_mut_slice(),
             self.wh.weights_mut()[0].as_mut_slice(),
             &mut self.b[..],
         ]
@@ -315,7 +350,7 @@ mod tests {
         for x in xs {
             let h_prev = cache.hs.last().unwrap();
             let c_prev = cache.cs.last().unwrap();
-            let mut z = x.matmul(&layer.wx);
+            let mut z = x.matmul(&layer.wx[0]);
             let zh = h_prev.matmul(&layer.wh[0]);
             z.add_assign(&zh);
             z.add_row_bias(&layer.b);
@@ -387,7 +422,7 @@ mod tests {
             for (acc, v) in grads.db.iter_mut().zip(dz.sum_rows()) {
                 *acc += v;
             }
-            dxs[t] = dz.matmul_transpose_b(&layer.wx);
+            dxs[t] = dz.matmul_transpose_b(&layer.wx[0]);
             dh_carry = dz.matmul_transpose_b(&layer.wh[0]);
         }
         (dxs, grads)
@@ -416,7 +451,7 @@ mod tests {
 
             let reference = reference_forward(&layer, &xs);
             let (want_dxs, want) = reference_backward(&layer, &reference, &dhs);
-            let (h_all, cache) = layer.forward(x_all, b);
+            let (h_all, cache) = layer.forward(&x_all, b);
             let (dx_all, got) = layer.backward(&cache, &dh_all);
 
             assert_eq!((h_all.rows(), h_all.cols()), (t * b, h), "{shape}");
@@ -451,7 +486,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let layer = LstmLayer::new(&mut rng, 3, 5);
         let xs = rand_seq(&mut rng, 4, 2, 3);
-        let (h_all, _) = layer.forward(xs, 2);
+        let (h_all, _) = layer.forward(&xs, 2);
         assert_eq!(h_all.rows(), 4 * 2);
         assert_eq!(h_all.cols(), 5);
     }
@@ -463,7 +498,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let layer = LstmLayer::new(&mut rng, 4, 6);
         let xs = rand_seq(&mut rng, 20, 3, 4);
-        let (h_all, _) = layer.forward(xs, 3);
+        let (h_all, _) = layer.forward(&xs, 3);
         assert!(h_all.as_slice().iter().all(|&v| v.abs() < 1.0));
     }
 
@@ -480,21 +515,21 @@ mod tests {
         let mut layer = LstmLayer::new(&mut rng, 3, 4);
         let (steps, b, d) = (3, 2, 3);
         let xs = rand_seq(&mut rng, steps, b, d);
-        let (h_all, cache) = layer.forward(xs.clone(), b);
+        let (h_all, cache) = layer.forward(&xs, b);
         // loss = Σ‖h‖²/2 ⇒ dL/dh = h
         let (dx_all, grads) = layer.backward(&cache, &h_all);
 
         let eps = 1e-3f32;
-        let loss_of = |l: &LstmLayer, xs: &Matrix| sq_loss(&l.forward(xs.clone(), b).0);
+        let loss_of = |l: &LstmLayer, xs: &Matrix| sq_loss(&l.forward(xs, b).0);
 
         // Wx probes.
         for i in [0usize, 5, 20, 47] {
-            let orig = layer.wx.as_slice()[i];
-            layer.wx.as_mut_slice()[i] = orig + eps;
+            let orig = layer.wx[0].as_slice()[i];
+            layer.wx.weights_mut()[0].as_mut_slice()[i] = orig + eps;
             let lp = loss_of(&layer, &xs);
-            layer.wx.as_mut_slice()[i] = orig - eps;
+            layer.wx.weights_mut()[0].as_mut_slice()[i] = orig - eps;
             let lm = loss_of(&layer, &xs);
-            layer.wx.as_mut_slice()[i] = orig;
+            layer.wx.weights_mut()[0].as_mut_slice()[i] = orig;
             let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
             let ana = grads.dwx.as_slice()[i];
             assert!((ana - num).abs() < 3e-2, "dwx[{i}]: {ana} vs {num}");
@@ -543,15 +578,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut layer = LstmLayer::new(&mut rng, 3, 4);
         let xs = rand_seq(&mut rng, 5, 4, 3);
-        let before = sq_loss(&layer.forward(xs.clone(), 4).0);
+        let before = sq_loss(&layer.forward(&xs, 4).0);
         for _ in 0..30 {
-            let (h_all, cache) = layer.forward(xs.clone(), 4);
+            let (h_all, cache) = layer.forward(&xs, 4);
             let (_, grads) = layer.backward(&cache, &h_all);
             let mut flat = Vec::new();
             params::flatten(grads.parts(), &mut flat);
             params::sgd(layer.params_mut(), &flat, 0.1);
         }
-        assert!(sq_loss(&layer.forward(xs, 4).0) < before * 0.5);
+        assert!(sq_loss(&layer.forward(&xs, 4).0) < before * 0.5);
     }
 
     #[test]
@@ -559,7 +594,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let layer = LstmLayer::new(&mut rng, 3, 4);
         let xs = rand_seq(&mut rng, 2, 2, 3);
-        let (h_all, cache) = layer.forward(xs, 2);
+        let (h_all, cache) = layer.forward(&xs, 2);
         let (_, grads) = layer.backward(&cache, &h_all);
         // Gradients flatten part for part like the parameters...
         let mut flat = Vec::new();
@@ -572,7 +607,7 @@ mod tests {
         // ...and a flat buffer loads back into the same places.
         let mut restored = LstmLayer::new(&mut rng, 3, 4);
         params::load(restored.params_mut(), &flat);
-        assert_eq!(restored.wx.as_slice(), grads.dwx.as_slice());
+        assert_eq!(restored.wx[0].as_slice(), grads.dwx.as_slice());
         assert_eq!(restored.wh[0].as_slice(), grads.dwh.as_slice());
         assert_eq!(restored.b, grads.db);
     }

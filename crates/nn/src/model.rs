@@ -8,6 +8,14 @@
 //!   the input embedding is sparse; the output layer is dense (the
 //!   alphabet is small enough for a full softmax — §V-B).
 //!
+//! Neither model stores its `K×D` input activations: the recurrent layer
+//! reads them through an [`Input::Lookup`](crate::Input::Lookup) of the
+//! input table, a block of rows at a time. The input gradient need not be
+//! stored either: `forward_backward_in` returns it factored, as an
+//! [`InputGrad`], and `input_grad_rows` makes any block of its rows;
+//! `forward_backward` makes all of them in one call and returns the
+//! [`SparseGrad`].
+//!
 //! Neither model applies its own embedding updates: gradient exchange and
 //! application is the `lm` crate's job, because *how* those gradients
 //! cross GPUs is the paper's whole subject.
@@ -22,6 +30,7 @@ use crate::softmax::{mean_nll, softmax_cross_entropy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::iter::once;
+use std::ops::Range;
 use tensor::Matrix;
 
 /// A batch in the timestep-major layout the recurrent layers consume.
@@ -99,13 +108,28 @@ impl WordLmConfig {
     }
 }
 
-/// Gradients of one word-LM training step.
+/// An input embedding's gradient as the backward leaves it, before its
+/// `K×D` token-aligned rows exist: the tokens, and the recurrent layer's
+/// pre-activation gradients that read the input (the LSTM's `dz`, the
+/// RHN's `dzh` and `dzt`), of which the model's `input_grad_rows` makes
+/// any block of rows.
+#[derive(Debug)]
+pub struct InputGrad {
+    /// Table row of each gradient row (the paper's `J`), duplicates
+    /// included.
+    pub tokens: Vec<u32>,
+    dz: Vec<Matrix>,
+}
+
+/// Gradients of one word-LM training step; the input gradient is a
+/// [`SparseGrad`], or an [`InputGrad`] from
+/// [`WordLm::forward_backward_in`].
 #[derive(Debug, Clone)]
-pub struct WordLmGrads {
+pub struct WordLmGrads<I = SparseGrad> {
     /// Mean NLL over the sampled-softmax candidate set (nats).
     pub loss: f64,
     /// Input-embedding gradient (token-aligned, duplicates included).
-    pub input_grad: SparseGrad,
+    pub input_grad: I,
     /// Output-embedding gradient (targets then candidates).
     pub output_grad: SparseGrad,
     /// Flat dense gradients: LSTM then projection, fixed layout.
@@ -199,23 +223,25 @@ impl WordLm {
 
     /// Forward + backward with candidates drawn from `rng`.
     pub fn forward_backward<R: Rng + ?Sized>(&self, batch: &SeqBatch, rng: &mut R) -> WordLmGrads {
-        self.forward_backward_in(batch, rng, Vec::new(), Vec::new())
+        let g = self.forward_backward_in(batch, rng, Vec::new(), &mut Matrix::default());
+        self.with_rows(g)
     }
 
     /// [`WordLm::forward_backward`] with the flat dense gradient written
-    /// into `dense`'s allocation and the input gradient's `K×D` rows into
-    /// `input_rows`'s (their contents replaced), returned as
-    /// [`WordLmGrads::dense`] and [`WordLmGrads::input_grad`]: a caller
-    /// that runs many passes keeps one of each.
+    /// into `dense`'s allocation (its contents replaced) and the input
+    /// gradient left factored: a caller that runs many passes keeps one
+    /// `dense`, and one `block` for the rows the layers gather (and for
+    /// the blocks of input-gradient rows it asks
+    /// [`WordLm::input_grad_rows`] for).
     pub fn forward_backward_in<R: Rng + ?Sized>(
         &self,
         batch: &SeqBatch,
         rng: &mut R,
         dense: Vec<f32>,
-        input_rows: Vec<f32>,
-    ) -> WordLmGrads {
+        block: &mut Matrix,
+    ) -> WordLmGrads<InputGrad> {
         let cands = self.softmax.draw_candidates(rng);
-        self.step(batch, cands, dense, input_rows)
+        self.step(batch, cands, dense, block)
     }
 
     /// Forward + backward with an explicit candidate set (what the
@@ -225,20 +251,44 @@ impl WordLm {
         batch: &SeqBatch,
         candidates: Vec<u32>,
     ) -> WordLmGrads {
-        self.step(batch, candidates, Vec::new(), Vec::new())
+        let g = self.step(batch, candidates, Vec::new(), &mut Matrix::default());
+        self.with_rows(g)
+    }
+
+    /// Rows `rows` of `grad`'s `K×D` token-aligned input gradient into
+    /// the first rows of `out` (grown to hold them); each row is the one
+    /// [`WordLm::forward_backward`] returns.
+    pub fn input_grad_rows(&self, grad: &InputGrad, rows: Range<usize>, out: &mut Matrix) {
+        self.lstm.input_grad(&grad.dz, rows, out);
+    }
+
+    /// `g` with its input gradient's rows made, in one call.
+    fn with_rows(&self, g: WordLmGrads<InputGrad>) -> WordLmGrads {
+        let mut rows = Matrix::default();
+        self.input_grad_rows(&g.input_grad, 0..g.input_grad.tokens.len(), &mut rows);
+        WordLmGrads {
+            loss: g.loss,
+            input_grad: SparseGrad {
+                indices: g.input_grad.tokens,
+                rows,
+            },
+            output_grad: g.output_grad,
+            dense: g.dense,
+            candidates: g.candidates,
+        }
     }
 
     /// Forward + backward over `candidates`, the dense gradient
-    /// flattened into `dense`'s allocation and the input gradient
-    /// written into `input_rows`'s.
+    /// flattened into `dense`'s allocation and the input rows gathered
+    /// into `block`.
     fn step(
         &self,
         batch: &SeqBatch,
         candidates: Vec<u32>,
         mut dense: Vec<f32>,
-        input_rows: Vec<f32>,
-    ) -> WordLmGrads {
-        let (p_all, h_all, cache) = self.forward_hidden(batch);
+        block: &mut Matrix,
+    ) -> WordLmGrads<InputGrad> {
+        let (p_all, h_all, cache) = self.forward_hidden(batch, block);
         let out = self.softmax.forward_backward_with_candidates(
             &p_all,
             &batch.targets,
@@ -249,8 +299,7 @@ impl WordLm {
         // Back through projection and LSTM; every matrix is t-major, in
         // the order of `batch.tokens`.
         let (dh_all, proj_grads) = self.proj.backward(&h_all, &out.dh);
-        let (dx_all, lstm_grads) = self.lstm.backward_in(&cache, &dh_all, input_rows);
-        let input_grad = self.embed.backward(&batch.tokens, dx_all);
+        let (dz, lstm_grads) = self.lstm.backward_dz(&cache, &dh_all, block);
 
         dense.clear();
         dense.reserve(self.dense_param_count());
@@ -258,7 +307,10 @@ impl WordLm {
 
         WordLmGrads {
             loss: out.loss,
-            input_grad,
+            input_grad: InputGrad {
+                tokens: batch.tokens.clone(),
+                dz,
+            },
             output_grad: out.grad,
             dense,
             candidates: out.candidates,
@@ -267,7 +319,7 @@ impl WordLm {
 
     /// Full-softmax validation loss (mean NLL, nats).
     pub fn eval_loss(&self, batch: &SeqBatch) -> f64 {
-        let (p_all, _, _) = self.forward_hidden(batch);
+        let (p_all, _, _) = self.forward_hidden(batch, &mut Matrix::default());
         full_softmax_eval_loss(&p_all, &batch.targets, &self.out_embed)
     }
 
@@ -302,11 +354,16 @@ impl WordLm {
     }
 
     /// Shared forward pass: returns `(projection output, lstm output,
-    /// lstm cache)` with rows in t-major order.
-    fn forward_hidden(&self, batch: &SeqBatch) -> (Matrix, Matrix, LstmCache) {
+    /// lstm cache)` with rows in t-major order, the input rows gathered
+    /// into `block`.
+    fn forward_hidden<'a>(
+        &'a self,
+        batch: &'a SeqBatch,
+        block: &mut Matrix,
+    ) -> (Matrix, Matrix, LstmCache<'a>) {
         assert!(!batch.is_empty(), "empty batch");
-        let x_all = self.embed.forward(&batch.tokens);
-        let (h_all, cache) = self.lstm.forward(x_all, batch.batch);
+        let xs = self.embed.lookup(&batch.tokens);
+        let (h_all, cache) = self.lstm.forward_in(xs, batch.batch, block);
         let p_all = self.proj.forward(&h_all);
         (p_all, h_all, cache)
     }
@@ -337,13 +394,15 @@ impl CharLmConfig {
     }
 }
 
-/// Gradients of one char-LM training step.
+/// Gradients of one char-LM training step; the input gradient is a
+/// [`SparseGrad`], or an [`InputGrad`] from
+/// [`CharLm::forward_backward_in`].
 #[derive(Debug, Clone)]
-pub struct CharLmGrads {
+pub struct CharLmGrads<I = SparseGrad> {
     /// Mean NLL (nats); `exp` → perplexity, `/ln 2` → BPC.
     pub loss: f64,
     /// Input-embedding gradient (token-aligned).
-    pub input_grad: SparseGrad,
+    pub input_grad: I,
     /// Flat dense gradients: RHN then output layer, fixed layout.
     pub dense: Vec<f32>,
 }
@@ -409,28 +468,38 @@ impl CharLm {
 
     /// Forward + backward over one batch.
     pub fn forward_backward(&self, batch: &SeqBatch) -> CharLmGrads {
-        self.forward_backward_in(batch, Vec::new(), Vec::new())
+        let g = self.forward_backward_in(batch, Vec::new(), &mut Matrix::default());
+        let mut rows = Matrix::default();
+        self.input_grad_rows(&g.input_grad, 0..g.input_grad.tokens.len(), &mut rows);
+        CharLmGrads {
+            loss: g.loss,
+            input_grad: SparseGrad {
+                indices: g.input_grad.tokens,
+                rows,
+            },
+            dense: g.dense,
+        }
     }
 
     /// [`CharLm::forward_backward`] with the flat dense gradient written
-    /// into `dense`'s allocation and the input gradient's `K×D` rows into
-    /// `input_rows`'s (their contents replaced), returned as
-    /// [`CharLmGrads::dense`] and [`CharLmGrads::input_grad`]: a caller
-    /// that runs many passes keeps one of each.
+    /// into `dense`'s allocation (its contents replaced) and the input
+    /// gradient left factored: a caller that runs many passes keeps one
+    /// `dense`, and one `block` for the rows the RHN gathers (and for the
+    /// blocks of input-gradient rows it asks
+    /// [`CharLm::input_grad_rows`] for).
     pub fn forward_backward_in(
         &self,
         batch: &SeqBatch,
         mut dense: Vec<f32>,
-        input_rows: Vec<f32>,
-    ) -> CharLmGrads {
-        let (logits, h_all, cache) = self.forward_hidden(batch);
+        block: &mut Matrix,
+    ) -> CharLmGrads<InputGrad> {
+        let (logits, h_all, cache) = self.forward_hidden(batch, block);
         let sm = softmax_cross_entropy(&logits, &batch.targets);
 
         // Back through output layer and RHN; every matrix is t-major, in
         // the order of `batch.tokens`.
         let (dh_all, out_grads) = self.out.backward(&h_all, &sm.dlogits);
-        let (dx_all, rhn_grads) = self.rhn.backward_in(&cache, &dh_all, input_rows);
-        let input_grad = self.embed.backward(&batch.tokens, dx_all);
+        let (dz, rhn_grads) = self.rhn.backward_dz(&cache, &dh_all, block);
 
         dense.clear();
         dense.reserve(self.dense_param_count());
@@ -438,14 +507,24 @@ impl CharLm {
 
         CharLmGrads {
             loss: sm.loss,
-            input_grad,
+            input_grad: InputGrad {
+                tokens: batch.tokens.clone(),
+                dz,
+            },
             dense,
         }
     }
 
+    /// Rows `rows` of `grad`'s `K×D` token-aligned input gradient into
+    /// the first rows of `out` (grown to hold them); each row is the one
+    /// [`CharLm::forward_backward`] returns.
+    pub fn input_grad_rows(&self, grad: &InputGrad, rows: Range<usize>, out: &mut Matrix) {
+        self.rhn.input_grad(&grad.dz, rows, out);
+    }
+
     /// Validation loss (mean NLL, nats).
     pub fn eval_loss(&self, batch: &SeqBatch) -> f64 {
-        let (logits, _, _) = self.forward_hidden(batch);
+        let (logits, _, _) = self.forward_hidden(batch, &mut Matrix::default());
         mean_nll(&logits, &batch.targets)
     }
 
@@ -479,11 +558,15 @@ impl CharLm {
     }
 
     /// Shared forward pass: returns `(logits, rhn output, rhn cache)`
-    /// with rows in t-major order.
-    fn forward_hidden(&self, batch: &SeqBatch) -> (Matrix, Matrix, RhnCache) {
+    /// with rows in t-major order, the input rows gathered into `block`.
+    fn forward_hidden<'a>(
+        &'a self,
+        batch: &'a SeqBatch,
+        block: &mut Matrix,
+    ) -> (Matrix, Matrix, RhnCache<'a>) {
         assert!(!batch.is_empty(), "empty batch");
-        let x_all = self.embed.forward(&batch.tokens);
-        let (h_all, cache) = self.rhn.forward(x_all, batch.batch);
+        let xs = self.embed.lookup(&batch.tokens);
+        let (h_all, cache) = self.rhn.forward_in(xs, batch.batch, block);
         let logits = self.out.forward(&h_all);
         (logits, h_all, cache)
     }
@@ -862,44 +945,86 @@ mod tests {
 
     /// A pass into buffers another pass left behind — shorter, longer or
     /// holding NaNs — returns what a pass into fresh buffers returns, to
-    /// the bit, and in the buffers' allocations.
+    /// the bit, and the dense gradient in its buffer's allocation; input
+    /// rows made into a stale block are the fresh pass's rows.
     #[test]
     fn a_pass_into_reused_buffers_matches_a_fresh_pass() {
         let stale = [vec![f32::NAN; 3], vec![f32::NAN; 5000]];
+        let blocks = || {
+            [
+                Matrix::from_vec(1, 3, vec![f32::NAN; 3]),
+                Matrix::from_vec(100, 40, vec![f32::NAN; 4000]),
+            ]
+        };
         let (wcfg, wbatch) = (WordLmConfig::small(60), toy_batch(60, 3, 4, 6));
         let w = WordLm::new(3, wcfg);
         let want = w.forward_backward(&wbatch, &mut StdRng::seed_from_u64(1));
-        for (dense, rows) in [
-            (stale[0].clone(), stale[1].clone()),
-            (stale[1].clone(), stale[0].clone()),
-        ] {
-            let (ptr, cap) = (rows.as_ptr(), rows.capacity());
-            let got = w.forward_backward_in(&wbatch, &mut StdRng::seed_from_u64(1), dense, rows);
+        let [short, tall] = blocks();
+        for (dense, mut block) in [(stale[0].clone(), tall), (stale[1].clone(), short)] {
+            let (ptr, cap) = (dense.as_ptr(), dense.capacity());
+            let got =
+                w.forward_backward_in(&wbatch, &mut StdRng::seed_from_u64(1), dense, &mut block);
             assert_eq!(bits(&got.dense), bits(&want.dense));
-            assert_eq!(got.input_grad.indices, want.input_grad.indices);
-            let (g, f) = (&got.input_grad.rows, &want.input_grad.rows);
-            assert_eq!((g.rows(), g.cols()), (f.rows(), f.cols()));
-            assert_eq!(bits(g.as_slice()), bits(f.as_slice()));
+            assert_eq!(got.input_grad.tokens, want.input_grad.indices);
+            let f = &want.input_grad.rows;
+            w.input_grad_rows(&got.input_grad, 0..f.rows(), &mut block);
+            assert_eq!(bits(&block.as_slice()[..f.len()]), bits(f.as_slice()));
             assert_eq!(got.loss.to_bits(), want.loss.to_bits());
-            assert_eq!(g.as_slice().as_ptr() == ptr, g.len() <= cap);
+            assert_eq!(got.dense.as_ptr() == ptr, got.dense.len() <= cap);
         }
 
         let (ccfg, cbatch) = (CharLmConfig::small(30), toy_batch(30, 3, 4, 6));
         let m = CharLm::new(3, ccfg);
         let want = m.forward_backward(&cbatch);
-        for (dense, rows) in [
-            (stale[0].clone(), stale[1].clone()),
-            (stale[1].clone(), stale[0].clone()),
-        ] {
-            let (ptr, cap) = (rows.as_ptr(), rows.capacity());
-            let got = m.forward_backward_in(&cbatch, dense, rows);
+        let [short, tall] = blocks();
+        for (dense, mut block) in [(stale[0].clone(), tall), (stale[1].clone(), short)] {
+            let (ptr, cap) = (dense.as_ptr(), dense.capacity());
+            let got = m.forward_backward_in(&cbatch, dense, &mut block);
             assert_eq!(bits(&got.dense), bits(&want.dense));
-            let (g, f) = (&got.input_grad.rows, &want.input_grad.rows);
-            assert_eq!((g.rows(), g.cols()), (f.rows(), f.cols()));
-            assert_eq!(bits(g.as_slice()), bits(f.as_slice()));
+            assert_eq!(got.input_grad.tokens, want.input_grad.indices);
+            let f = &want.input_grad.rows;
+            m.input_grad_rows(&got.input_grad, 0..f.rows(), &mut block);
+            assert_eq!(bits(&block.as_slice()[..f.len()]), bits(f.as_slice()));
             assert_eq!(got.loss.to_bits(), want.loss.to_bits());
-            assert_eq!(g.as_slice().as_ptr() == ptr, g.len() <= cap);
+            assert_eq!(got.dense.as_ptr() == ptr, got.dense.len() <= cap);
         }
+    }
+
+    /// The input gradient's rows made a block at a time, into one reused
+    /// block, are the rows `forward_backward` makes in one call, over a
+    /// `K` that is not a multiple of the block.
+    #[test]
+    fn input_gradient_rows_made_by_blocks_are_the_rows_of_one_call() {
+        let tokens = |v: usize| toy_batch(v, 9, 10, 4);
+        let w = WordLm::new(2, WordLmConfig::small(60));
+        let batch = tokens(60);
+        let want = w.forward_backward(&batch, &mut StdRng::seed_from_u64(3));
+        let mut block = Matrix::default();
+        let got = w.forward_backward_in(
+            &batch,
+            &mut StdRng::seed_from_u64(3),
+            Vec::new(),
+            &mut block,
+        );
+        let mut made = Vec::new();
+        for rows in crate::block::blocks(batch.len()) {
+            let n = rows.len();
+            w.input_grad_rows(&got.input_grad, rows, &mut block);
+            made.extend_from_slice(&block.as_slice()[..n * block.cols()]);
+        }
+        assert_eq!(bits(&made), bits(want.input_grad.rows.as_slice()));
+
+        let c = CharLm::new(2, CharLmConfig::small(30));
+        let batch = tokens(30);
+        let want = c.forward_backward(&batch);
+        let got = c.forward_backward_in(&batch, Vec::new(), &mut block);
+        let mut made = Vec::new();
+        for rows in crate::block::blocks(batch.len()) {
+            let n = rows.len();
+            c.input_grad_rows(&got.input_grad, rows, &mut block);
+            made.extend_from_slice(&block.as_slice()[..n * block.cols()]);
+        }
+        assert_eq!(bits(&made), bits(want.input_grad.rows.as_slice()));
     }
 
     /// FNV-1a over the little-endian bytes of every value's bits.

@@ -1,28 +1,31 @@
-//! Recurrent weights and their GEMM packs, built once per change of
-//! weights.
+//! A layer's weight matrices and their GEMM packs, built once per change
+//! of weights.
 //!
-//! A recurrent layer multiplies every timestep's state by the same
-//! matrices — forward by each one, backward by its transpose — so the
+//! A recurrent layer multiplies many row blocks by the same matrices:
+//! every timestep's state by its recurrent matrices — forward by each
+//! one, backward by its transpose — and every block of input rows by its
+//! input matrices, whose transposes make the input gradient's rows. The
 //! GEMM driver's packed layout ([`PackedB`]) of each is worth building
-//! once and reading `T` times. [`Recurrent`] holds the matrices and
-//! builds each pack lazily, on the first pass that reads it after the
-//! weights changed. Its only `&mut` path to the matrices drops both
-//! packs, so a stale pack cannot exist. Under synchronous SGD the
-//! weights change once per step and every rank's pass reads them in
-//! between: one packing per update, not one per rank. A clone shares
-//! the packs until either side's weights change. A layer whose passes
-//! never run builds no pack.
+//! once and reading many times. [`Weights`] holds the matrices and builds
+//! each pack lazily, on the first pass that reads it after the weights
+//! changed. Its only `&mut` path to the matrices drops both packs, so a
+//! stale pack cannot exist. Under synchronous SGD the weights change
+//! once per step and every rank's pass reads them in between: one
+//! packing per update, not one per rank. A clone shares the packs until
+//! either side's weights change. A layer whose passes never run builds
+//! no pack.
 //!
 //! The two pack builders below are the only `PackedB::new` calls in
 //! this crate (CI greps for the others).
 
-use std::ops::Deref;
+use crate::block::fit;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
-use tensor::{Matrix, PackedB};
+use tensor::{Matrix, PackedB, Rhs, Store};
 
-/// A layer's recurrent matrices, read as a slice, with their packs.
+/// A layer's weight matrices, read as a slice, with their packs.
 #[derive(Debug, Clone)]
-pub(crate) struct Recurrent {
+pub(crate) struct Weights {
     weights: Vec<Matrix>,
     /// Each matrix packed for `A·W`, once built.
     plain: OnceLock<Arc<[PackedB]>>,
@@ -30,7 +33,7 @@ pub(crate) struct Recurrent {
     transposed: OnceLock<Arc<[PackedB]>>,
 }
 
-impl Recurrent {
+impl Weights {
     /// `weights`, nothing packed yet.
     pub(crate) fn new(weights: Vec<Matrix>) -> Self {
         Self {
@@ -67,6 +70,21 @@ impl Recurrent {
         })
     }
 
+    /// Rows `rows` of `Σ_i dz[i]·W_iᵀ` into the first rows of `out` (see
+    /// [`fit`]): the first product stored, each next one added to it, so
+    /// every row is the row of the sum over all rows, to the bit. For a
+    /// layer whose input products are these matrices, the rows of its
+    /// input gradient.
+    pub(crate) fn sum_products_t(&self, dz: &[Matrix], rows: Range<usize>, out: &mut Matrix) {
+        assert_eq!(dz.len(), self.weights.len(), "one gradient per matrix");
+        let n = rows.len();
+        fit(out, n, self.weights[0].rows());
+        for (i, (dz, w)) in dz.iter().zip(self.packed_t()).enumerate() {
+            let store = if i == 0 { Store::Set } else { Store::Add };
+            out.gemm_rows(0..n, dz.rows_view(rows.clone()), Rhs::Packed(w), store);
+        }
+    }
+
     /// Whether either pack is built.
     #[cfg(test)]
     pub(crate) fn is_packed(&self) -> bool {
@@ -74,7 +92,7 @@ impl Recurrent {
     }
 }
 
-impl Deref for Recurrent {
+impl Deref for Weights {
     type Target = [Matrix];
 
     fn deref(&self) -> &[Matrix] {
@@ -87,11 +105,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tensor::{init, Rhs, Store};
+    use tensor::init;
 
-    fn recurrent() -> Recurrent {
+    fn weights() -> Weights {
         let mut rng = StdRng::seed_from_u64(3);
-        Recurrent::new(vec![
+        Weights::new(vec![
             init::xavier(&mut rng, 5, 7),
             init::xavier(&mut rng, 5, 7),
         ])
@@ -106,7 +124,7 @@ mod tests {
 
     #[test]
     fn packs_are_built_on_first_read_and_dropped_by_every_write() {
-        let mut r = recurrent();
+        let mut r = weights();
         assert!(!r.is_packed(), "nothing is packed before a pass reads it");
         let a = Matrix::from_vec(2, 5, (0..10).map(|i| i as f32 * 0.25 - 1.0).collect());
         let before = product(&a, r.packed(), 1, 7);
@@ -130,7 +148,7 @@ mod tests {
 
     #[test]
     fn a_clone_shares_the_packs_until_it_is_written() {
-        let src = recurrent();
+        let src = weights();
         let packs = src.packed().as_ptr();
         let mut copy = src.clone();
         assert_eq!(copy.packed().as_ptr(), packs, "a clone shares the pack");

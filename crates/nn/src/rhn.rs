@@ -15,53 +15,60 @@
 //! Transform-gate biases start at −2 so the network initially carries,
 //! the standard RHN depth-stability trick.
 //!
-//! The layer runs over a whole sequence held in the same **t-major
-//! contiguous matrices** as the LSTM (step `t`'s `B` lanes are rows
-//! `t·B..(t+1)·B`; see `lstm.rs`), with the same three moves and every
-//! bit equal to the per-timestep formulation (kept as the tests'
+//! The layer runs over a whole sequence in the same **t-major rows** as
+//! the LSTM (step `t`'s `B` lanes are rows `t·B..(t+1)·B`, read through
+//! an [`Input`]; see `lstm.rs`), with the same three moves and every bit
+//! equal to the per-timestep formulation (kept as the tests'
 //! reference):
 //!
 //! * the input products leave the recurrence — `X·Wh`, `X·Wt` forward
-//!   and `DX = DZh·Whᵀ + DZt·Wtᵀ` backward are one product each over all
-//!   `T·B` rows;
-//! * every `Rh_l` / `Rt_l` (forward) and its transpose (backward) is
-//!   packed ([`PackedB`](tensor::PackedB)) once per change of weights,
-//!   on the first pass that reads it, instead of once per `(t, l)` —
-//!   see `crate::packs`;
+//!   run over [`BLOCK_ROWS`](crate::block::BLOCK_ROWS)-row blocks of
+//!   input rows, one gather per block for both, and the backward returns
+//!   `DZh`, `DZt`, from which [`RhnLayer::input_grad`] makes any block of
+//!   the input gradient's rows `DZh·Whᵀ + DZt·Wtᵀ`;
+//! * `Wh`, `Wt`, every `Rh_l` / `Rt_l` (forward) and their transposes
+//!   (backward) are packed ([`PackedB`](tensor::PackedB)) once per
+//!   change of weights, on the first pass that reads them, instead of
+//!   once per block or `(t, l)` — see `crate::packs`;
 //! * products are stored in place ([`Store`]) on row blocks of three
 //!   cache matrices — nothing is allocated inside the `(t, l)` loop. The
 //!   weight and bias gradients stay **per `(t, l)`, in descending
 //!   order**: a taller product would sum over `t` in a different
-//!   association and move the low bits.
+//!   association and move the low bits. Depth 0's `x_t` is read from
+//!   one reused `B×D` block.
 //!
 //! Storing a product with `Set` where the reference added it to a zeroed
 //! matrix is the same bits: a sum started from `+0.0` is never `−0.0`,
 //! so `0 + a·b` is `a·b`.
 
-use crate::packs::Recurrent;
+use crate::block::{blocks, Input};
+use crate::packs::Weights;
 use crate::params;
+use std::ops::Range;
 use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid};
 use tensor::{init, Matrix, Rhs, Store};
 
 /// One RHN layer's parameters.
 #[derive(Debug, Clone)]
 pub struct RhnLayer {
-    wx_h: Matrix,
-    wx_t: Matrix,
-    r_h: Recurrent,
-    r_t: Recurrent,
+    /// The input matrices: `Wx_h` (to the candidate), then `Wx_t` (to
+    /// the transform gate).
+    wx: Weights,
+    r_h: Weights,
+    r_t: Weights,
     b_h: Vec<Vec<f32>>,
     b_t: Vec<Vec<f32>>,
     hidden: usize,
 }
 
-/// Forward-pass activations kept for backward, in `B`-row blocks.
+/// Forward-pass activations kept for backward, in `B`-row blocks; the
+/// input is borrowed, not stored.
 #[derive(Debug)]
-pub struct RhnCache {
+pub struct RhnCache<'a> {
     /// Lanes per step `B`.
     batch: usize,
     /// Inputs (`(T·B)×D`, t-major).
-    xs: Matrix,
+    xs: Input<'a>,
     /// The chain of states (`((T·L+1)·B)×H`): block `t·L + l` enters
     /// micro-layer `l` of step `t` and block `t·L + l + 1` leaves it, so
     /// block 0 is the initial zero state and block `(t+1)·L` is `h_t`.
@@ -100,15 +107,16 @@ impl RhnLayer {
         depth: usize,
     ) -> Self {
         assert!(depth >= 1, "RHN needs at least one micro-layer");
+        let wx_h = init::xavier(rng, input_dim, hidden);
+        let wx_t = init::xavier(rng, input_dim, hidden);
         Self {
-            wx_h: init::xavier(rng, input_dim, hidden),
-            wx_t: init::xavier(rng, input_dim, hidden),
-            r_h: Recurrent::new(
+            wx: Weights::new(vec![wx_h, wx_t]),
+            r_h: Weights::new(
                 (0..depth)
                     .map(|_| init::xavier(rng, hidden, hidden))
                     .collect(),
             ),
-            r_t: Recurrent::new(
+            r_t: Weights::new(
                 (0..depth)
                     .map(|_| init::xavier(rng, hidden, hidden))
                     .collect(),
@@ -131,7 +139,7 @@ impl RhnLayer {
 
     /// Input dimension `D`.
     pub fn input_dim(&self) -> usize {
-        self.wx_h.rows()
+        self.wx[0].rows()
     }
 
     /// Number of parameters: `2·D·H + L·(2·H² + 2·H)`, 70.68 M at
@@ -145,8 +153,8 @@ impl RhnLayer {
         let h = self.hidden;
         let l = self.depth();
         RhnGrads {
-            dwx_h: Matrix::zeros(self.wx_h.rows(), h),
-            dwx_t: Matrix::zeros(self.wx_t.rows(), h),
+            dwx_h: Matrix::zeros(self.input_dim(), h),
+            dwx_t: Matrix::zeros(self.input_dim(), h),
             dr_h: (0..l).map(|_| Matrix::zeros(h, h)).collect(),
             dr_t: (0..l).map(|_| Matrix::zeros(h, h)).collect(),
             db_h: (0..l).map(|_| vec![0.0; h]).collect(),
@@ -156,9 +164,20 @@ impl RhnLayer {
 
     /// Runs the layer from zero state over the t-major `(T·B)×D` inputs
     /// `xs` (`batch` = `B` lanes per step); returns the t-major `(T·B)×H`
-    /// outputs `h_t = s_{t,L}` and the backward cache, which takes `xs`.
-    pub fn forward(&self, xs: Matrix, batch: usize) -> (Matrix, RhnCache) {
-        assert!(!xs.is_empty(), "empty sequence");
+    /// outputs `h_t = s_{t,L}` and the backward cache, which borrows `xs`.
+    pub fn forward<'a>(&self, xs: impl Into<Input<'a>>, batch: usize) -> (Matrix, RhnCache<'a>) {
+        self.forward_in(xs.into(), batch, &mut Matrix::default())
+    }
+
+    /// [`RhnLayer::forward`] with a lookup's rows gathered into `block`
+    /// (its contents replaced): a caller that runs many passes keeps one.
+    pub fn forward_in<'a>(
+        &self,
+        xs: Input<'a>,
+        batch: usize,
+        block: &mut Matrix,
+    ) -> (Matrix, RhnCache<'a>) {
+        assert!(xs.rows() > 0, "empty sequence");
         assert_eq!(xs.rows() % batch, 0, "rows are not whole steps");
         assert_eq!(xs.cols(), self.input_dim(), "input dim mismatch");
         let (b, h, depth) = (batch, self.hidden, self.depth());
@@ -168,8 +187,12 @@ impl RhnLayer {
         let mut s = Matrix::zeros((steps * depth + 1) * b, h);
         let mut hcand = Matrix::zeros(depth * tb, h);
         let mut tgate = Matrix::zeros(depth * tb, h);
-        hcand.gemm_rows(0..tb, xs.view(), Rhs::View(self.wx_h.view()), Store::Set);
-        tgate.gemm_rows(0..tb, xs.view(), Rhs::View(self.wx_t.view()), Store::Set);
+        let (wx_h, wx_t) = (&self.wx.packed()[0], &self.wx.packed()[1]);
+        for rows in blocks(tb) {
+            let x = xs.block(rows.clone(), block);
+            hcand.gemm_rows(rows.clone(), x, Rhs::Packed(wx_h), Store::Set);
+            tgate.gemm_rows(rows, x, Rhs::Packed(wx_t), Store::Set);
+        }
         let mut h_all = Matrix::zeros(tb, h);
         for t in 0..steps {
             for l in 0..depth {
@@ -211,18 +234,23 @@ impl RhnLayer {
     /// through depth and time; returns the t-major `(T·B)×D` input
     /// gradients and the parameter gradients.
     pub fn backward(&self, cache: &RhnCache, dh_all: &Matrix) -> (Matrix, RhnGrads) {
-        self.backward_in(cache, dh_all, Vec::new())
+        let (dz, grads) = self.backward_dz(cache, dh_all, &mut Matrix::default());
+        let mut dx = Matrix::default();
+        self.input_grad(&dz, 0..dh_all.rows(), &mut dx);
+        (dx, grads)
     }
 
-    /// [`RhnLayer::backward`] with the input gradients written into
-    /// `dx`'s allocation (its contents replaced): a caller that runs
-    /// many passes keeps one buffer.
-    pub fn backward_in(
+    /// [`RhnLayer::backward`] without the input gradient's rows: returns
+    /// depth 0's t-major `(T·B)×H` pre-activation gradients `[dzh, dzt]`,
+    /// of which [`RhnLayer::input_grad`] makes them, and the parameter
+    /// gradients. A lookup's `x_t` is gathered into `block` (its contents
+    /// replaced).
+    pub fn backward_dz(
         &self,
         cache: &RhnCache,
         dh_all: &Matrix,
-        dx: Vec<f32>,
-    ) -> (Matrix, RhnGrads) {
+        block: &mut Matrix,
+    ) -> (Vec<Matrix>, RhnGrads) {
         let (b, h, depth) = (cache.batch, self.hidden, self.depth());
         let (d, steps) = (self.input_dim(), cache.xs.rows() / b);
         assert_eq!(
@@ -282,7 +310,7 @@ impl RhnLayer {
                 ds.gemm_rows(0..b, dzt_t, Rhs::Packed(&r_t_t[l]), Store::Add);
                 if l == 0 {
                     // Depth 0 also read `x_t`.
-                    let x_t = cache.xs.rows_view(step.clone()).t();
+                    let x_t = cache.xs.block(step.clone(), block).t();
                     grads
                         .dwx_h
                         .gemm_rows(0..d, x_t, Rhs::View(dzh_t), Store::Add);
@@ -292,12 +320,16 @@ impl RhnLayer {
                 }
             }
         }
-        let mut dx_all = Matrix::recycled(steps * b, d, dx);
-        let wx_h = Rhs::View(self.wx_h.view().t());
-        dx_all.gemm_rows(0..steps * b, dzh.view(), wx_h, Store::Set);
-        let wx_t = Rhs::View(self.wx_t.view().t());
-        dx_all.gemm_rows(0..steps * b, dzt.view(), wx_t, Store::Add);
-        (dx_all, grads)
+        (vec![dzh, dzt], grads)
+    }
+
+    /// Rows `rows` of the input gradient `dzh·Wx_hᵀ + dzt·Wx_tᵀ` into the
+    /// first rows of `out` (grown to hold them), `[dzh, dzt]` as
+    /// [`RhnLayer::backward_dz`] returned them: each row is the row of
+    /// the whole sum, so a consumer can take the gradient a block at a
+    /// time.
+    pub fn input_grad(&self, dz: &[Matrix], rows: Range<usize>, out: &mut Matrix) {
+        self.wx.sum_products_t(dz, rows, out);
     }
 
     /// The parameters in their flat order: `wx_h`, `wx_t`, then `r_h`,
@@ -306,12 +338,10 @@ impl RhnLayer {
         let per_depth = (self.r_h.iter().zip(self.r_t.iter()))
             .zip(self.b_h.iter().zip(&self.b_t))
             .flat_map(|((rh, rt), (bh, bt))| [rh.as_slice(), rt.as_slice(), &bh[..], &bt[..]]);
-        [self.wx_h.as_slice(), self.wx_t.as_slice()]
-            .into_iter()
-            .chain(per_depth)
+        self.wx.iter().map(Matrix::as_slice).chain(per_depth)
     }
 
-    /// [`RhnLayer::params`], mutably; the recurrent packs are dropped.
+    /// [`RhnLayer::params`], mutably; the packs are dropped.
     pub(crate) fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
         let recurrent = self.r_h.weights_mut().iter_mut();
         let per_depth = (recurrent.zip(self.r_t.weights_mut()))
@@ -324,9 +354,8 @@ impl RhnLayer {
                     &mut bt[..],
                 ]
             });
-        [self.wx_h.as_mut_slice(), self.wx_t.as_mut_slice()]
-            .into_iter()
-            .chain(per_depth)
+        let wx = self.wx.weights_mut().iter_mut();
+        wx.map(Matrix::as_mut_slice).chain(per_depth)
     }
 }
 
@@ -377,8 +406,8 @@ mod tests {
         for x in xs {
             assert_eq!(x.cols(), layer.input_dim(), "input dim mismatch");
             // Input projections computed once per step.
-            let xh = x.matmul(&layer.wx_h);
-            let xt = x.matmul(&layer.wx_t);
+            let xh = x.matmul(&layer.wx[0]);
+            let xt = x.matmul(&layer.wx[1]);
             let mut s_ins = Vec::with_capacity(depth);
             let mut hcands = Vec::with_capacity(depth);
             let mut tgates = Vec::with_capacity(depth);
@@ -483,8 +512,8 @@ mod tests {
                     grads
                         .dwx_t
                         .add_assign(&cache.xs[t].transpose_a_matmul(&dzt));
-                    dxs[t].add_assign(&dzh.matmul_transpose_b(&layer.wx_h));
-                    dxs[t].add_assign(&dzt.matmul_transpose_b(&layer.wx_t));
+                    dxs[t].add_assign(&dzh.matmul_transpose_b(&layer.wx[0]));
+                    dxs[t].add_assign(&dzt.matmul_transpose_b(&layer.wx[1]));
                 }
                 ds = ds_in;
             }
@@ -522,7 +551,7 @@ mod tests {
 
             let (want_hs, reference) = reference_forward(&layer, &xs);
             let (want_dxs, want) = reference_backward(&layer, &reference, &dhs);
-            let (h_all, cache) = layer.forward(x_all, b);
+            let (h_all, cache) = layer.forward(&x_all, b);
             let (dx_all, got) = layer.backward(&cache, &dh_all);
 
             assert_eq!((h_all.rows(), h_all.cols()), (t * b, h), "{shape}");
@@ -548,7 +577,7 @@ mod tests {
         let layer = RhnLayer::new(&mut rng, 3, 5, 4);
         assert_eq!(layer.depth(), 4);
         let xs = rand_seq(&mut rng, 3, 2, 3);
-        let (h_all, cache) = layer.forward(xs, 2);
+        let (h_all, cache) = layer.forward(&xs, 2);
         assert_eq!(h_all.rows(), 3 * 2);
         assert_eq!(h_all.cols(), 5);
         // One gate block per micro-layer per step, one more state.
@@ -563,7 +592,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let layer = RhnLayer::new(&mut rng, 4, 8, 3);
         let xs = rand_seq(&mut rng, 1, 2, 4);
-        let (h_all, _) = layer.forward(xs, 2);
+        let (h_all, _) = layer.forward(&xs, 2);
         let max = h_all.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
         assert!(max < 0.6, "max {max}");
     }
@@ -574,20 +603,20 @@ mod tests {
         let mut layer = RhnLayer::new(&mut rng, 3, 4, 3);
         let (steps, b, d) = (2, 2, 3);
         let xs = rand_seq(&mut rng, steps, b, d);
-        let (h_all, cache) = layer.forward(xs.clone(), b);
+        let (h_all, cache) = layer.forward(&xs, b);
         let (dx_all, grads) = layer.backward(&cache, &h_all);
 
         let eps = 1e-3f32;
-        let loss_of = |l: &RhnLayer, xs: &Matrix| sq_loss(&l.forward(xs.clone(), b).0);
+        let loss_of = |l: &RhnLayer, xs: &Matrix| sq_loss(&l.forward(xs, b).0);
 
         // wx_h / wx_t probes.
         for i in [0usize, 5, 11] {
-            let orig = layer.wx_h.as_slice()[i];
-            layer.wx_h.as_mut_slice()[i] = orig + eps;
+            let orig = layer.wx[0].as_slice()[i];
+            layer.wx.weights_mut()[0].as_mut_slice()[i] = orig + eps;
             let lp = loss_of(&layer, &xs);
-            layer.wx_h.as_mut_slice()[i] = orig - eps;
+            layer.wx.weights_mut()[0].as_mut_slice()[i] = orig - eps;
             let lm = loss_of(&layer, &xs);
-            layer.wx_h.as_mut_slice()[i] = orig;
+            layer.wx.weights_mut()[0].as_mut_slice()[i] = orig;
             let num = ((lp - lm) / (2.0 * eps as f64)) as f32;
             assert!((grads.dwx_h.as_slice()[i] - num).abs() < 2e-2, "dwx_h[{i}]");
         }
@@ -649,15 +678,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut layer = RhnLayer::new(&mut rng, 3, 4, 2);
         let xs = rand_seq(&mut rng, 4, 4, 3);
-        let before = sq_loss(&layer.forward(xs.clone(), 4).0);
+        let before = sq_loss(&layer.forward(&xs, 4).0);
         for _ in 0..40 {
-            let (h_all, cache) = layer.forward(xs.clone(), 4);
+            let (h_all, cache) = layer.forward(&xs, 4);
             let (_, grads) = layer.backward(&cache, &h_all);
             let mut flat = Vec::new();
             params::flatten(grads.parts(), &mut flat);
             params::sgd(layer.params_mut(), &flat, 0.1);
         }
-        assert!(sq_loss(&layer.forward(xs, 4).0) < before * 0.6);
+        assert!(sq_loss(&layer.forward(&xs, 4).0) < before * 0.6);
     }
 
     #[test]
@@ -665,7 +694,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let layer = RhnLayer::new(&mut rng, 3, 4, 3);
         let xs = rand_seq(&mut rng, 2, 2, 3);
-        let (h_all, cache) = layer.forward(xs, 2);
+        let (h_all, cache) = layer.forward(&xs, 2);
         let (_, grads) = layer.backward(&cache, &h_all);
         // Gradients flatten part for part like the parameters...
         let mut flat = Vec::new();

@@ -62,8 +62,9 @@ const NR: usize = 16;
 /// contiguously, instead of 64 bytes of it per panel.
 const BLOCK_FLOATS: usize = 16 * 1024;
 
-/// A dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq)]
+/// A dense row-major matrix of `f32`. The default is `0×0`, holding no
+/// allocation.
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -58,7 +58,7 @@ fn lstm_runs_three_times_its_forward_count() {
         let layer = LstmLayer::new(&mut rng, e, h);
         let (xs, dh) = (random(&mut rng, t * b, e), random(&mut rng, t * b, h));
         let got = macs_of(|| {
-            let (_, cache) = layer.forward(xs, b);
+            let (_, cache) = layer.forward(&xs, b);
             layer.backward(&cache, &dh)
         });
         let want = (t * b) as u64 * 3 * flops::lstm(e, h);
@@ -75,7 +75,7 @@ fn rhn_runs_three_times_its_forward_count() {
         let layer = RhnLayer::new(&mut rng, e, h, depth);
         let (xs, dh) = (random(&mut rng, t * b, e), random(&mut rng, t * b, h));
         let got = macs_of(|| {
-            let (_, cache) = layer.forward(xs, b);
+            let (_, cache) = layer.forward(&xs, b);
             layer.backward(&cache, &dh)
         });
         let want = (t * b) as u64 * 3 * flops::rhn(e, h, depth);
