@@ -465,8 +465,8 @@ impl<'a> StepState<'a> {
 }
 
 impl LoopState {
-    /// Rank `rank` at the round's start: a resumed rank's report
-    /// carries the checkpoint's epoch history.
+    /// The state of rank `rank` at the round's start: a resumed rank's
+    /// report carries the checkpoint's epoch history.
     pub(super) fn new(ctx: &RunCtx, rank: usize) -> Self {
         let (cfg, g) = (ctx.cfg, ctx.cfg.gpus);
         LoopState {

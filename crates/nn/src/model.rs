@@ -121,6 +121,19 @@ pub struct InputGrad {
     dz: Vec<Matrix>,
 }
 
+impl InputGrad {
+    /// The token-aligned [`SparseGrad`], all `K` rows made by `make` (a
+    /// model's `input_grad_rows`) in one call.
+    fn into_sparse(self, make: impl FnOnce(&Self, Range<usize>, &mut Matrix)) -> SparseGrad {
+        let mut rows = Matrix::default();
+        make(&self, 0..self.tokens.len(), &mut rows);
+        SparseGrad {
+            indices: self.tokens,
+            rows,
+        }
+    }
+}
+
 /// Gradients of one word-LM training step; the input gradient is a
 /// [`SparseGrad`], or an [`InputGrad`] from
 /// [`WordLm::forward_backward_in`].
@@ -264,14 +277,9 @@ impl WordLm {
 
     /// `g` with its input gradient's rows made, in one call.
     fn with_rows(&self, g: WordLmGrads<InputGrad>) -> WordLmGrads {
-        let mut rows = Matrix::default();
-        self.input_grad_rows(&g.input_grad, 0..g.input_grad.tokens.len(), &mut rows);
         WordLmGrads {
             loss: g.loss,
-            input_grad: SparseGrad {
-                indices: g.input_grad.tokens,
-                rows,
-            },
+            input_grad: (g.input_grad).into_sparse(|g, r, out| self.input_grad_rows(g, r, out)),
             output_grad: g.output_grad,
             dense: g.dense,
             candidates: g.candidates,
@@ -469,14 +477,9 @@ impl CharLm {
     /// Forward + backward over one batch.
     pub fn forward_backward(&self, batch: &SeqBatch) -> CharLmGrads {
         let g = self.forward_backward_in(batch, Vec::new(), &mut Matrix::default());
-        let mut rows = Matrix::default();
-        self.input_grad_rows(&g.input_grad, 0..g.input_grad.tokens.len(), &mut rows);
         CharLmGrads {
             loss: g.loss,
-            input_grad: SparseGrad {
-                indices: g.input_grad.tokens,
-                rows,
-            },
+            input_grad: (g.input_grad).into_sparse(|g, r, out| self.input_grad_rows(g, r, out)),
             dense: g.dense,
         }
     }
