@@ -76,8 +76,8 @@ impl Input<'_> {
     }
 
     /// Rows `rows` as a GEMM operand: a dense input's own rows, with no
-    /// copy, or a lookup's rows gathered into the first rows of `block`
-    /// (see [`fit`]).
+    /// copy, or a lookup's rows gathered into the first rows of `block`,
+    /// which grows to hold them and keeps its allocation.
     pub fn block<'s>(&'s self, rows: Range<usize>, block: &'s mut Matrix) -> View<'s> {
         match *self {
             Input::Dense(m) => m.rows_view(rows),

@@ -208,10 +208,10 @@ impl LstmLayer {
     }
 
     /// [`LstmLayer::backward`] without the input gradient's rows: returns
-    /// the t-major `(T·B)×4H` pre-activation gradients `dz`, of which
-    /// [`LstmLayer::input_grad`] makes them, one element long, and the
-    /// parameter gradients. A lookup's `x_t` is gathered into `block`
-    /// (its contents replaced).
+    /// `[dz]`, the t-major `(T·B)×4H` pre-activation gradients from which
+    /// [`LstmLayer::input_grad`] makes those rows, and the parameter
+    /// gradients. A lookup's `x_t` is gathered into `block` (its contents
+    /// replaced).
     pub fn backward_dz(
         &self,
         cache: &LstmCache,

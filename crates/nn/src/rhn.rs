@@ -241,10 +241,10 @@ impl RhnLayer {
     }
 
     /// [`RhnLayer::backward`] without the input gradient's rows: returns
-    /// depth 0's t-major `(T·B)×H` pre-activation gradients `[dzh, dzt]`,
-    /// of which [`RhnLayer::input_grad`] makes them, and the parameter
-    /// gradients. A lookup's `x_t` is gathered into `block` (its contents
-    /// replaced).
+    /// `[dzh, dzt]`, depth 0's t-major `(T·B)×H` pre-activation gradients
+    /// from which [`RhnLayer::input_grad`] makes those rows, and the
+    /// parameter gradients. A lookup's `x_t` is gathered into `block`
+    /// (its contents replaced).
     pub fn backward_dz(
         &self,
         cache: &RhnCache,
