@@ -35,7 +35,12 @@
 //!   different association and move the low bits. `x_t` is read from one
 //!   reused `B×D` block.
 //!
-//! `Z` is activated in place and *is* the gate cache. State is
+//! `Z` is activated in place and *is* the gate cache: each step's `B×4H`
+//! block goes through `tensor`'s lane-wise [`sigmoid_in_place`] in one
+//! call, its `g` columns and its cell states through [`tanh_in_place`] —
+//! a call per step block, not per row (at `H = 4` a row is 16 floats),
+//! and the bits of libm's `tanhf` / `expf`, which the reference calls.
+//! State is
 //! zero-initialised per window (truncated BPTT over the `seq_len`-token
 //! windows the batcher produces). The forget-gate bias is initialised to
 //! 1, the standard trick for gradient flow.
@@ -44,7 +49,7 @@ use crate::block::{blocks, Input};
 use crate::packs::Weights;
 use crate::params;
 use std::ops::Range;
-use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid};
+use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid_in_place, tanh_in_place};
 use tensor::{init, Matrix, Rhs, Store};
 
 /// One LSTM layer's parameters.
@@ -158,31 +163,43 @@ impl LstmLayer {
         let wh = &self.wh.packed()[0];
         let mut cs = Matrix::zeros((steps + 1) * b, h);
         let mut hs = Matrix::zeros((steps + 1) * b, h);
+        // The step's `g` pre-activations, set aside while the whole
+        // block goes through the sigmoid.
+        let mut g = vec![0.0f32; b * h];
         for t in 0..steps {
             let step = t * b..(t + 1) * b;
             // Block `t` of `hs` is h_{t−1}; the step writes block `t+1`.
             let h_prev = hs.rows_view(step.clone());
             z.gemm_rows(step.clone(), h_prev, Rhs::Packed(wh), Store::Add);
-            for r in step {
-                let zr = z.row_mut(r);
+            let zs = &mut z.as_mut_slice()[step.start * 4 * h..step.end * 4 * h];
+            for (zr, gr) in zs.chunks_exact_mut(4 * h).zip(g.chunks_exact_mut(h)) {
                 for (x, &bias) in zr.iter_mut().zip(&self.b) {
                     *x += bias;
                 }
-                // Activate in place: [i f g o].
-                for j in 0..h {
-                    zr[j] = sigmoid(zr[j]); // i
-                    zr[h + j] = sigmoid(zr[h + j]); // f
-                    zr[2 * h + j] = zr[2 * h + j].tanh(); // g
-                    zr[3 * h + j] = sigmoid(zr[3 * h + j]); // o
-                }
-                let (c_prev, c_t) = cs.as_mut_slice()[r * h..(r + b + 1) * h].split_at_mut(b * h);
-                let (cp, cr) = (&c_prev[..h], &mut c_t[..h]);
+                gr.copy_from_slice(&zr[2 * h..3 * h]);
+            }
+            // Activate in place: [i f g o], the block's `i`, `f`, `o`
+            // through the sigmoid, then `g` through tanh.
+            sigmoid_in_place(zs);
+            tanh_in_place(&mut g);
+            for (zr, gr) in zs.chunks_exact_mut(4 * h).zip(g.chunks_exact(h)) {
+                zr[2 * h..3 * h].copy_from_slice(gr);
+            }
+            let (c_prev, c_t) = cs.as_mut_slice()[t * b * h..(t + 2) * b * h].split_at_mut(b * h);
+            let rows = zs.chunks_exact(4 * h).zip(c_prev.chunks_exact(h));
+            for ((zr, cp), cr) in rows.zip(c_t.chunks_exact_mut(h)) {
                 for j in 0..h {
                     cr[j] = zr[h + j] * cp[j] + zr[j] * zr[2 * h + j];
                 }
-                let hr = hs.row_mut(r + b);
-                for j in 0..h {
-                    hr[j] = zr[3 * h + j] * cr[j].tanh();
+            }
+            // h_t = o ∘ tanh(c_t), as tanh(c_t) ∘ o: an IEEE product is
+            // commutative.
+            let h_t = &mut hs.as_mut_slice()[(t + 1) * b * h..(t + 2) * b * h];
+            h_t.copy_from_slice(c_t);
+            tanh_in_place(h_t);
+            for (zr, hr) in zs.chunks_exact(4 * h).zip(h_t.chunks_exact_mut(h)) {
+                for (y, &o) in hr.iter_mut().zip(&zr[3 * h..]) {
+                    *y *= o;
                 }
             }
         }
@@ -233,14 +250,18 @@ impl LstmLayer {
         let mut dh_carry = Matrix::zeros(b, h);
         let mut dc_carry = Matrix::zeros(b, h);
         let mut db_step = vec![0.0f32; 4 * h];
+        // tanh(c_t) of the step's block.
+        let mut tanh_c = vec![0.0f32; b * h];
 
         for t in (0..steps).rev() {
             let step = t * b..(t + 1) * b;
+            tanh_c.copy_from_slice(&cache.cs.as_slice()[(t + 1) * b * h..(t + 2) * b * h]);
+            tanh_in_place(&mut tanh_c);
             // The same pass leaves dc_{t−1} = dc · f in `dc_carry`.
             for lane in 0..b {
                 let r = t * b + lane;
                 let g = cache.gates.row(r);
-                let ct = cache.cs.row(r + b);
+                let tcr = &tanh_c[lane * h..(lane + 1) * h];
                 let cp = cache.cs.row(r);
                 let dh_up = dh_all.row(r);
                 let dh_c = dh_carry.row(lane);
@@ -248,7 +269,7 @@ impl LstmLayer {
                 let dzr = dz.row_mut(r);
                 for j in 0..h {
                     let dh = dh_up[j] + dh_c[j];
-                    let tc = ct[j].tanh();
+                    let tc = tcr[j];
                     let o = g[3 * h + j];
                     // do, then dc via h = o·tanh(c).
                     let d_o = dh * tc;
@@ -324,7 +345,7 @@ impl LstmGrads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{bits, rand_seq, sq_loss, step_of};
+    use crate::testutil::{bits, rand_seq, sigmoid, sq_loss, step_of};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

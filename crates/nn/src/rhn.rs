@@ -37,6 +37,10 @@
 //!   association and move the low bits. Depth 0's `x_t` is read from
 //!   one reused `B×D` block.
 //!
+//! Each `(t, l)`'s `B×H` candidate and gate blocks go through `tensor`'s
+//! lane-wise [`tanh_in_place`] and [`sigmoid_in_place`], one call each,
+//! with the bits of the libm calls the reference makes.
+//!
 //! Storing a product with `Set` where the reference added it to a zeroed
 //! matrix is the same bits: a sum started from `+0.0` is never `−0.0`,
 //! so `0 + a·b` is `a·b`.
@@ -45,7 +49,7 @@ use crate::block::{blocks, Input};
 use crate::packs::Weights;
 use crate::params;
 use std::ops::Range;
-use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid};
+use tensor::ops::{dsigmoid_from_y, dtanh_from_y, sigmoid_in_place, tanh_in_place};
 use tensor::{init, Matrix, Rhs, Store};
 
 /// One RHN layer's parameters.
@@ -203,17 +207,21 @@ impl RhnLayer {
                 let s_in = s.rows_view(chain..chain + b);
                 hcand.gemm_rows(gate..gate + b, s_in, Rhs::Packed(&r_h[l]), store);
                 tgate.gemm_rows(gate..gate + b, s_in, Rhs::Packed(&r_t[l]), store);
-                for lane in 0..b {
-                    let hc = hcand.row_mut(gate + lane);
-                    let tg = tgate.row_mut(gate + lane);
-                    let r = chain + lane;
-                    let (s_prev, s_next) =
-                        s.as_mut_slice()[r * h..(r + b + 1) * h].split_at_mut(b * h);
+                let n = b * h;
+                let hc = &mut hcand.as_mut_slice()[gate * h..][..n];
+                let tg = &mut tgate.as_mut_slice()[gate * h..][..n];
+                for (hr, tr) in hc.chunks_exact_mut(h).zip(tg.chunks_exact_mut(h)) {
                     for j in 0..h {
-                        hc[j] = (hc[j] + self.b_h[l][j]).tanh();
-                        tg[j] = sigmoid(tg[j] + self.b_t[l][j]);
-                        s_next[j] = hc[j] * tg[j] + s_prev[j] * (1.0 - tg[j]);
+                        hr[j] += self.b_h[l][j];
+                        tr[j] += self.b_t[l][j];
                     }
+                }
+                tanh_in_place(hc);
+                sigmoid_in_place(tg);
+                let (s_prev, s_next) =
+                    s.as_mut_slice()[chain * h..(chain + 2 * b) * h].split_at_mut(n);
+                for i in 0..n {
+                    s_next[i] = hc[i] * tg[i] + s_prev[i] * (1.0 - tg[i]);
                 }
             }
             let out = (t + 1) * depth * b;
@@ -374,7 +382,7 @@ impl RhnGrads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{bits, rand_seq, sq_loss, step_of};
+    use crate::testutil::{bits, rand_seq, sigmoid, sq_loss, step_of};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -28,6 +28,12 @@ pub(crate) fn step_of(all: &Matrix, t: usize, b: usize) -> Matrix {
     )
 }
 
+/// Logistic sigmoid through libm's `expf`: the oracle the layers'
+/// references compute, against `tensor`'s lane-wise kernel.
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
 /// The values' bit patterns, for `to_bits` equality with a readable diff.
 pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()

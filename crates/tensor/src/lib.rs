@@ -21,6 +21,7 @@
 // other crate of the workspace forbids it outright.
 #![deny(unsafe_code)]
 
+mod activation;
 pub mod f16;
 pub mod init;
 pub mod matrix;

@@ -413,7 +413,7 @@ pub enum Store {
 /// The vector unit the tile loop runs on. Chosen from what the CPU
 /// reports and nothing else; every width computes the same bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Width {
+pub(crate) enum Width {
     /// `2×16` tile compiled for the build's baseline ISA (on x86-64,
     /// 128-bit SSE2). Every target has it; the tests' bit reference.
     Portable,
@@ -429,7 +429,7 @@ enum Width {
 
 impl Width {
     /// Every width, widest first.
-    const ALL: &'static [Width] = &[
+    pub(crate) const ALL: &'static [Width] = &[
         #[cfg(target_arch = "x86_64")]
         Width::Avx512,
         #[cfg(target_arch = "x86_64")]
@@ -440,7 +440,7 @@ impl Width {
     /// Whether this CPU can run the width's tile. `std` executes CPUID
     /// once per process and caches the answer, so this is a load and a
     /// bit test.
-    fn supported(self) -> bool {
+    pub(crate) fn supported(self) -> bool {
         match self {
             Width::Portable => true,
             #[cfg(target_arch = "x86_64")]
@@ -452,7 +452,7 @@ impl Width {
 
     /// The widest width this CPU supports, unless [`for_each_width`]
     /// holds this thread at another.
-    fn detect() -> Width {
+    pub(crate) fn detect() -> Width {
         FORCED_WIDTH.get().unwrap_or_else(|| {
             *Width::ALL
                 .iter()

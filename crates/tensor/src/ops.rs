@@ -3,6 +3,10 @@
 //! Softmax over large vocabularies is exactly where the paper's LMs spend
 //! their FLOPs; [`log_sum_exp`] subtracts the row maximum before
 //! exponentiating so a full softmax over a 100 K vocabulary stays finite.
+//! The gates' `tanh` and sigmoid are lane-wise kernels over a whole block,
+//! [`tanh_in_place`] and [`sigmoid_in_place`].
+
+pub use crate::activation::{sigmoid_in_place, tanh_in_place};
 
 /// log(Σ exp(xᵢ)) computed stably.
 pub fn log_sum_exp(row: &[f32]) -> f32 {
@@ -12,12 +16,6 @@ pub fn log_sum_exp(row: &[f32]) -> f32 {
     }
     let sum: f32 = row.iter().map(|&x| (x - max).exp()).sum();
     max + sum.ln()
-}
-
-/// Logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 /// Derivative of sigmoid expressed via its output `y = σ(x)`.
@@ -36,6 +34,13 @@ pub fn dtanh_from_y(y: f32) -> f32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One element through [`sigmoid_in_place`].
+    fn sigmoid(x: f32) -> f32 {
+        let mut v = [x];
+        sigmoid_in_place(&mut v);
+        v[0]
+    }
 
     #[test]
     fn log_sum_exp_matches_naive_in_safe_range() {
