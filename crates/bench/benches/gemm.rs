@@ -22,13 +22,23 @@
 //! per timestep from one reused, gathered `B×D` block; the "blocks"
 //! rows time them that way.
 //!
+//! The last rows time the gate nonlinearities at the blocks the layers
+//! hand them, one call per step (LSTM) or per `(t, l)` (RHN): the
+//! sigmoid over a step's `B×4H` gate block, `tanh` over its `B×H` `g`
+//! and cell blocks. Each prints ns per element for libm's scalar calls
+//! (`f32::tanh`, `1/(1+exp(−x))`) and for `tensor::ops`' lane-wise
+//! kernel at every width this CPU runs, on N(0, 1.7²) inputs; all of
+//! them compute the same bits.
+//!
 //! Run pinned to one CPU (`taskset -c 1 cargo bench -p zlm-bench --bench
 //! gemm`): the kernel is sequential, and `e2e` measures it the same way.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
+use tensor::matrix::for_each_width;
+use tensor::ops::{sigmoid_in_place, tanh_in_place};
 use tensor::{init, Matrix, PackedB, Rhs, Store};
 
 /// `(m, k, n)` of `C[m×n] = Σ_k`, named by the workload that issues it.
@@ -56,8 +66,30 @@ const RECURRENT: &[(&str, usize, usize, usize)] = &[
 /// Rows of an input block, as `nn::BLOCK_ROWS`.
 const BLOCK: usize = 64;
 
+/// A gate nonlinearity: its name, libm's scalar form, `tensor`'s kernel.
+type Gate = (&'static str, fn(f32) -> f32, fn(&mut [f32]));
+
+const TANH: Gate = ("tanh", f32::tanh, tanh_in_place);
+const SIGMOID: Gate = ("sigmoid", |x| 1.0 / (1.0 + (-x).exp()), sigmoid_in_place);
+
+/// `(what, gate, rows, cols)`: the block one kernel call takes.
+const GATES: &[(&str, Gate, usize, usize)] = &[
+    ("word_compute i f g o", SIGMOID, 16, 1024),
+    ("word_compute g, cell", TANH, 16, 256),
+    ("word_exchange i f g o", SIGMOID, 512, 16),
+    ("word_exchange g, cell", TANH, 512, 4),
+    ("char_weak t_l", SIGMOID, 1, 48),
+    ("char_weak h_l", TANH, 1, 48),
+];
+
 /// Times `call` under `id` and prints its GFLOP/s for `flops` per call.
-fn time<T>(group: &mut BenchmarkGroup<'_>, id: &str, flops: f64, mut call: impl FnMut() -> T) {
+fn time<T>(group: &mut BenchmarkGroup<'_>, id: &str, flops: f64, call: impl FnMut() -> T) {
+    let secs_per_call = secs_per_call(group, id, call);
+    println!("{:<40} {:.2} GFLOP/s", "", flops / secs_per_call / 1e9);
+}
+
+/// Times `call` under `id`; returns seconds per call.
+fn secs_per_call<T>(group: &mut BenchmarkGroup<'_>, id: &str, mut call: impl FnMut() -> T) -> f64 {
     let mut secs_per_call = 0.0;
     group.bench_function(id, |bench| {
         bench.iter_custom(|iters| {
@@ -70,7 +102,7 @@ fn time<T>(group: &mut BenchmarkGroup<'_>, id: &str, flops: f64, mut call: impl 
             dt
         })
     });
-    println!("{:<40} {:.2} GFLOP/s", "", flops / secs_per_call / 1e9);
+    secs_per_call
 }
 
 /// The same logical `m×k×n` product through each allocating entry point.
@@ -129,7 +161,41 @@ fn bench_gemm(c: &mut Criterion) {
         );
     }
     bench_blocks(&mut group, &mut rng);
+    bench_gates(&mut group, &mut rng);
     group.finish();
+}
+
+/// ns per element of libm and of the kernel at every width, for each
+/// gate block. Every call restores the block's inputs first.
+fn bench_gates(group: &mut BenchmarkGroup<'_>, rng: &mut StdRng) {
+    for &(what, (name, libm, kernel), rows, cols) in GATES {
+        println!("# {what}: {name} over {rows}x{cols}");
+        let n = rows * cols;
+        // N(0, 1.7²) by Box–Muller.
+        let xs: Vec<f32> = (0..n)
+            .map(|_| {
+                let (u, v): (f32, f32) = (rng.gen_range(f32::EPSILON..1.0), rng.gen());
+                1.7 * (-2.0 * u.ln()).sqrt() * (std::f32::consts::TAU * v).cos()
+            })
+            .collect();
+        let mut work = xs.clone();
+        let mut report = |group: &mut BenchmarkGroup<'_>, id: String, run: &dyn Fn(&mut [f32])| {
+            let secs = secs_per_call(group, &id, || {
+                work.copy_from_slice(&xs);
+                run(&mut work);
+            });
+            println!("{:<40} {:.2} ns/element", "", secs * 1e9 / n as f64);
+        };
+        let scalar = |v: &mut [f32]| v.iter_mut().for_each(|x| *x = libm(*x));
+        report(group, format!("{name}/libm/{rows}x{cols}"), &scalar);
+        for_each_width(|width| {
+            report(
+                group,
+                format!("{name}/kernel {width}/{rows}x{cols}"),
+                &kernel,
+            );
+        });
+    }
 }
 
 /// Rows `tokens` of `table` into the first rows of `block`.
