@@ -66,11 +66,20 @@ const RECURRENT: &[(&str, usize, usize, usize)] = &[
 /// Rows of an input block, as `nn::BLOCK_ROWS`.
 const BLOCK: usize = 64;
 
-/// A gate nonlinearity: its name, libm's scalar form, `tensor`'s kernel.
-type Gate = (&'static str, fn(f32) -> f32, fn(&mut [f32]));
+/// A gate nonlinearity over a block: its name, libm's scalar calls,
+/// `tensor`'s kernel.
+type Gate = (&'static str, fn(&mut [f32]), fn(&mut [f32]));
 
-const TANH: Gate = ("tanh", f32::tanh, tanh_in_place);
-const SIGMOID: Gate = ("sigmoid", |x| 1.0 / (1.0 + (-x).exp()), sigmoid_in_place);
+const TANH: Gate = (
+    "tanh",
+    |v| v.iter_mut().for_each(|x| *x = x.tanh()),
+    tanh_in_place,
+);
+const SIGMOID: Gate = (
+    "sigmoid",
+    |v| v.iter_mut().for_each(|x| *x = 1.0 / (1.0 + (-*x).exp())),
+    sigmoid_in_place,
+);
 
 /// `(what, gate, rows, cols)`: the block one kernel call takes.
 const GATES: &[(&str, Gate, usize, usize)] = &[
@@ -186,8 +195,7 @@ fn bench_gates(group: &mut BenchmarkGroup<'_>, rng: &mut StdRng) {
             });
             println!("{:<40} {:.2} ns/element", "", secs * 1e9 / n as f64);
         };
-        let scalar = |v: &mut [f32]| v.iter_mut().for_each(|x| *x = libm(*x));
-        report(group, format!("{name}/libm/{rows}x{cols}"), &scalar);
+        report(group, format!("{name}/libm/{rows}x{cols}"), &libm);
         for_each_width(|width| {
             report(
                 group,

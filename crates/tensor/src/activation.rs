@@ -60,6 +60,7 @@ pub fn sigmoid_in_place(v: &mut [f32]) {
 
 /// Runs `f` over `v` at `width`.
 #[allow(unsafe_code)]
+#[deny(clippy::undocumented_unsafe_blocks)]
 fn apply(width: Width, v: &mut [f32], f: impl Fn(f32) -> f32 + Copy) {
     assert!(width.supported(), "{width:?} kernel on a CPU without it");
     match width {
@@ -118,8 +119,8 @@ fn lanes_avx512(v: &mut [f32], f: impl Fn(f32) -> f32) {
 /// `s_tanhf.c`, branch-free.
 #[inline(always)]
 fn tanh(x: f32) -> f32 {
-    let jx = x.to_bits();
-    let ix = jx & 0x7fff_ffff;
+    let ix = x.to_bits() & 0x7fff_ffff;
+    let negative = x.to_bits() >> 31 != 0;
     let a = f32::from_bits(ix);
     // |x| ≥ 1: t = expm1f(2|x|), z = 1 − 2/(t+2).
     // |x| < 1: t = expm1f(−2|x|), z = −t/(t+2).
@@ -144,18 +145,16 @@ fn tanh(x: f32) -> f32 {
     } else {
         q
     };
-    let z = if jx >> 31 != 0 { -z } else { z };
+    let z = if negative { -z } else { z };
     // |x| < 2⁻⁵⁵ (and ±0): x·(1+x).
     let z = if ix < 0x2400_0000 { (1.0 + x) * x } else { z };
     // inf or NaN: 1/x + 1, or 1/x − 1 when the sign bit is set.
-    if special {
-        if jx >> 31 != 0 {
-            q - 1.0
-        } else {
-            q + 1.0
-        }
-    } else {
+    if !special {
         z
+    } else if negative {
+        q - 1.0
+    } else {
+        q + 1.0
     }
 }
 
@@ -207,7 +206,8 @@ fn expm1(x: f32) -> f32 {
     let minus_one = 0.5 * (xr - e) - 0.5;
     // Otherwise y carries k in its exponent. k ≤ −2 or k > 56:
     // y = 1 − (e − x), returned as y − 1. 2 ≤ k < 23: y = (1 − 2⁻ᵏ) −
-    // (e − x). 23 ≤ k ≤ 56: y = (x − (e + 2⁻ᵏ)) + 1.
+    // (e − x), where 1 − 2⁻ᵏ is exact, the value of glibc's
+    // `0x3f800000 − (0x1000000 >> k)`. 23 ≤ k ≤ 56: y = (x − (e + 2⁻ᵏ)) + 1.
     let outer = k <= -2 || k > 56;
     let two_to_minus_k = f32::from_bits((0x7f_i32.wrapping_sub(k) as u32).wrapping_shl(23));
     let y = if k < 23 || outer {

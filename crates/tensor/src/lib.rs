@@ -11,14 +11,17 @@
 //!   stand-in for a CUDA thread-block kernel; ranks, not kernels, are
 //!   the threads). [`gemm_macs`] counts the multiply-adds it performs.
 //! * [`ops`] — numerically-stable softmax / log-sum-exp and the pointwise
-//!   nonlinearities LSTM/RHN need.
+//!   nonlinearities LSTM/RHN need, the gates' `tanh` and sigmoid as
+//!   lane-wise kernels over a block that return glibc 2.36's bits at
+//!   every width.
 //! * [`mod@f16`] — bit-exact software IEEE-754 binary16 with round-to-nearest-
 //!   even, plus the compression-scaling helpers of the paper's §III-C.
 //! * [`init`] — seeded uniform / Xavier initialisers so every experiment
 //!   is reproducible.
 
-// `matrix` alone opts back in, for its `#[target_feature]` tiles; every
-// other crate of the workspace forbids it outright.
+// `matrix` opts back in, for its `#[target_feature]` tiles, and so does
+// the one width dispatch of `activation`'s kernels; every other crate of
+// the workspace forbids it outright.
 #![deny(unsafe_code)]
 
 mod activation;

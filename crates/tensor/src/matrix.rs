@@ -39,7 +39,8 @@
 //! from `+0.0` that `Set` would store, so it is bitwise
 //! `c.add_assign(&a.matmul(b))` without the temporary or the second pass.
 //!
-//! This module holds the workspace's only `unsafe`: the calls into the
+//! This module holds the workspace's `unsafe`, but for the width dispatch
+//! of the gate kernels (`activation`): the calls into the
 //! `#[target_feature]` tiles (the feature was detected first), the
 //! AVX-512 tile's 512-bit loads and stores (each pointer comes from a
 //! slice of exactly sixteen floats) and its unchecked reads of `A` (the
@@ -502,10 +503,11 @@ thread_local! {
 }
 
 /// Runs `f` once per tile width this CPU supports, widest first, with
-/// every product the calling thread issues inside `f` held at that
-/// width; `f` gets the width's name. A test seam: it lets an integration
-/// test pin the bits of the public entry points at every width. Every
-/// width computes the same bits, so nothing else has a reason to call it.
+/// every product and gate kernel the calling thread issues inside `f`
+/// held at that width; `f` gets the width's name. A test seam: it lets
+/// an integration test pin the bits of the public entry points at every
+/// width, and `--bench gemm` time the gate kernels at each. Every width
+/// computes the same bits, so nothing else has a reason to call it.
 #[doc(hidden)]
 pub fn for_each_width(mut f: impl FnMut(&'static str)) {
     for &width in Width::ALL.iter().filter(|w| w.supported()) {
