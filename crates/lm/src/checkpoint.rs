@@ -99,8 +99,8 @@ impl Fingerprint {
 /// final [`crate::TrainReport`] matches an uninterrupted run's.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CheckpointMetrics {
-    /// Completed-epoch history (present only in rank 0's snapshots —
-    /// validation runs there; see the recovery contract in DESIGN.md).
+    /// Completed-epoch history: the world's, the same in every rank's
+    /// snapshot (see the recovery contract in DESIGN.md).
     pub epochs: Vec<EpochMetrics>,
     /// Partial loss sum of the epoch in progress (exact `f64` partial
     /// sum — resuming continues the same addition order).
@@ -111,7 +111,7 @@ pub struct CheckpointMetrics {
     pub unique_sum: f64,
     /// Steps contributing to `unique_sum`.
     pub unique_count: u64,
-    /// Run-total time attribution so far.
+    /// The rank's run-total time attribution so far.
     pub attribution: TimeAttribution,
 }
 
@@ -588,8 +588,9 @@ impl CheckpointStore {
     /// survivor's copy, recording each torn / bit-flipped / missing
     /// file as a typed [`CorruptCheckpoint`]; return the first step
     /// where all copies are intact. The returned snapshot is rank 0's
-    /// copy when rank 0 survived (it alone carries the completed-epoch
-    /// validation history), otherwise the lowest survivor's. The scan
+    /// copy when rank 0 survived, otherwise the lowest survivor's (every
+    /// copy carries the world's epoch history; only the rank's own
+    /// attribution differs). The scan
     /// never panics on damage — the worst outcome is
     /// `checkpoint: None` (restart from scratch).
     pub fn scan(&self, survivors: &[usize]) -> RecoveryScan {

@@ -5,7 +5,7 @@
 //! everything downstream is a pure function of a rank's
 //! `&[StepMetrics]` (DESIGN.md §13 tabulates the folds and who runs
 //! them): the straggler findings ([`stragglers`], over all ranks'
-//! records at once), the run totals on [`TrainReport`], and
+//! records at once), a rank's run-total attribution, and
 //! [`RunSummary`], the one run roll-up — the byte-stable
 //! machine-readable artifact the `bench-diff` regression gate compares.
 
@@ -125,46 +125,10 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
 }
 
-/// The run totals a resume carries over: a checkpoint stores them, and
-/// the totals at any later point are *that base + Σ steps since*.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RunTotals {
-    /// Σ of every step's [`StepMetrics::attribution`].
-    pub attribution: TimeAttribution,
-    /// Σ `Ug` over the unique path's steps.
-    pub unique_sum: f64,
-    /// Steps contributing to `unique_sum`.
-    pub unique_count: u64,
-}
-
-impl RunTotals {
-    /// `self + Σ steps`, in step order. `unique` says whether the
-    /// unique path ran (`Method::unique`): the baseline path has no
-    /// `Ug` to average.
-    pub fn plus(mut self, steps: &[StepMetrics], unique: bool) -> Self {
-        for s in steps {
-            self.attribution.accumulate(&s.attribution);
-            if unique {
-                self.unique_sum += s.input_exchange.unique_global as f64;
-                self.unique_count += 1;
-            }
-        }
-        self
-    }
-
-    /// Mean `Ug` per step; 0 when the unique path never ran.
-    pub fn mean_unique_global(&self) -> f64 {
-        if self.unique_count > 0 {
-            self.unique_sum / self.unique_count as f64
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Per-epoch summary, collected on rank 0 only (validation is evaluated
-/// there; replicas are identical, so the values are representative —
-/// and `train_loss` / `sim_time_s` are synchronised quantities anyway).
+/// Per-epoch summary, booked once for the world: replicas are
+/// identical, so the driver validates its one replica, and `train_loss`
+/// / `sim_time_s` are synchronised quantities. Every rank's report and
+/// checkpoint carries the same history.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EpochMetrics {
     /// Epoch index (0-based).
@@ -234,26 +198,27 @@ impl RecoveryEvent {
 /// Result of a full training run.
 #[derive(Debug, Clone, Default)]
 pub struct TrainReport {
-    /// Per-epoch summaries.
+    /// Per-epoch summaries: the world's one history, the same on every
+    /// rank's report.
     pub epochs: Vec<EpochMetrics>,
     /// Per-step detail.
     pub steps: Vec<StepMetrics>,
     /// Peak simulated device memory over all ranks (bytes).
     pub peak_mem_bytes: u64,
-    /// Every rank's sends in the last round, summed once its ranks
-    /// join: bytes are the sum over ranks of what each rank's
-    /// collectives returned, per class and tier; ops count group calls
-    /// (each rank's ledger counts them alike, so they are one rank's);
-    /// the per-step scalar loss reduction charges ALLREDUCE bytes but
-    /// counts no op. The same on every rank's report.
+    /// Every rank's sends in the last round, summed once when the
+    /// round's reports are assembled: bytes are the sum over ranks of
+    /// what each rank's collectives returned, per class and tier; ops
+    /// count group calls (each rank's ledger counts them alike, so they
+    /// are one rank's); the per-step scalar loss reduction charges
+    /// ALLREDUCE bytes but counts no op. The same on every rank's report.
     pub traffic: TrafficSnapshot,
     /// Number of GPUs used.
     pub gpus: usize,
-    /// Mean globally-unique words per step (`Ug`), if the unique path
-    /// ran.
+    /// Mean globally-unique words per step (`Ug`) over the run, if the
+    /// unique path ran: the world's, booked once from each step's load.
     pub mean_unique_global: f64,
-    /// Run-total time attribution for this rank (sum of every step's
-    /// [`StepMetrics::attribution`]).
+    /// Run-total time attribution for this rank: the restored cut's,
+    /// when resumed, plus every step's [`StepMetrics::attribution`].
     pub attribution: TimeAttribution,
     /// This rank's span trace, when tracing was enabled in
     /// `TrainConfig::trace`. Export with [`simgpu::chrome_trace_json`].
@@ -267,11 +232,12 @@ pub struct TrainReport {
     /// Elastic-recovery rounds survived en route to this report (empty
     /// without [`crate::RunOptions::recovery`]).
     pub recoveries: Vec<RecoveryEvent>,
-    /// Health findings for the run, stamped by the driver when metrics
-    /// are enabled. [`HealthEvent::Straggler`] entries are one list
-    /// ([`stragglers`] over all ranks' records), identical on every
-    /// rank; [`HealthEvent::TraceTruncated`] entries are rank-local
-    /// (the driver folds all ranks' into rank 0's report).
+    /// Health findings for the run, when metrics are enabled, folded
+    /// once per round where the reports are assembled.
+    /// [`HealthEvent::Straggler`] entries are one list ([`stragglers`]
+    /// over all ranks' records), identical on every rank;
+    /// [`HealthEvent::TraceTruncated`] entries are rank-local, and rank
+    /// 0's report carries every rank's.
     pub health: Vec<HealthEvent>,
 }
 
@@ -383,11 +349,6 @@ impl TrainReport {
         ]
     }
 
-    /// Spans this rank's trace ring overwrote (0 when tracing was off).
-    pub(crate) fn dropped_spans(&self) -> u64 {
-        self.trace.as_ref().map_or(0, |t| t.dropped)
-    }
-
     /// Builds the run's [`RunSummary`] artifact. Works with metrics on
     /// or off: step-time quantiles are exact nearest-rank order
     /// statistics of the synchronised `sim_time_ps` of every recorded
@@ -425,7 +386,7 @@ impl TrainReport {
                 ((codec_enc as u128 * 1000) / codec_raw as u128) as u64
             },
             train_loss: self.steps.last().map(|s| s.train_loss).unwrap_or(f64::NAN),
-            dropped_spans: self.dropped_spans(),
+            dropped_spans: self.trace.as_ref().map_or(0, |t| t.dropped),
             health_events: self.health.len() as u64,
             recoveries: self.recoveries.len() as u64,
             corruptions: self

@@ -29,8 +29,10 @@
 //!    injected skew, own delay) — recorded per rank, and the world's
 //!    counters advanced once;
 //!    → a checkpoint deposit, when due;
-//! 4. `end_epoch` after an epoch's last step (rank 0 validates), and
-//!    `finish` after the run's.
+//! 4. `end_epoch` after an epoch's last step (the one replica is
+//!    validated once, into the world's history), and `finish` after the
+//!    run's: every rank's report is the world's record joined with the
+//!    rank's own ledger, in one place.
 //!
 //! Synchronous SGD keeps every rank's weights equal, so the driver holds
 //! one replica: every rank's `compute` reads it, and the step's reduced
@@ -79,7 +81,7 @@ use std::fmt;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
-use step::{LoopState, Replica, StepOutcome, StepState};
+use step::{Ledger, LoopState, Replica, StepOutcome, StepState};
 use tensor::Matrix;
 
 /// Why a training run failed.
@@ -252,8 +254,9 @@ pub struct RunOutcome {
     /// that round's world), never empty. A failed rank returns its
     /// *own* error (`Oom`, or `PeerFailure` naming itself for an
     /// injected kill); survivors return `PeerFailure` echoes naming the
-    /// first failed rank. Rank 0's report carries the fleet rollup and
-    /// the recovery history and findings.
+    /// first failed rank. Every report carries the world's record (epoch
+    /// history, `Ug` mean, summed traffic, peak memory, stragglers);
+    /// rank 0's also the recovery history and every rank's findings.
     pub ranks: Vec<Result<TrainReport, TrainError>>,
     /// One entry per recovery round, in order.
     pub recoveries: Vec<RecoveryEvent>,
@@ -536,15 +539,29 @@ fn run_round(
         resume,
         gpn,
     };
-    let mut results = drive(&ctx, replica, &devices, workers);
-
+    let (world, ledgers) = drive(&ctx, replica, &devices, workers);
     let peak_mem = devices.iter().map(|d| d.peak()).max().unwrap_or(0);
-    // Every rank's sends, summed. Ops count group calls, which every
-    // rank's ledger counts alike, so they are any one rank's.
-    let traffic = results
-        .iter()
-        .flatten()
-        .map(|report| report.traffic)
+    reports(world, peak_mem, cfg.metrics.enabled, ledgers)
+}
+
+/// Every rank's report of one round, assembled in one place: its own
+/// [`Ledger`] joined with what the round has once for the world —
+/// `world`'s shared fields (epoch history, `Ug` mean, world size), the
+/// devices' peak and what is folded here over the ledgers: every rank's
+/// sends, summed, and with `health` (metrics on) the findings. The one
+/// straggler list (it needs every rank's busy time, so a round with a
+/// failed rank has none) goes on every report, each rank's trace
+/// truncation on its own, and all of them on rank 0's.
+fn reports(
+    world: TrainReport,
+    peak_mem_bytes: u64,
+    health: bool,
+    ledgers: Vec<Result<Ledger, TrainError>>,
+) -> Vec<Result<TrainReport, TrainError>> {
+    // Ops count group calls, which every rank's ledger counts alike, so
+    // they are any one rank's.
+    let traffic = (ledgers.iter().flatten())
+        .map(|ledger| ledger.traffic)
         .reduce(|mut sum, rank| {
             sum += TrafficSnapshot {
                 allreduce_ops: 0,
@@ -554,44 +571,34 @@ fn run_round(
             sum
         })
         .unwrap_or_default();
-    for report in results.iter_mut().flatten() {
-        report.peak_mem_bytes = peak_mem;
-        report.traffic = traffic;
-        report.gpus = cfg.gpus;
-    }
-    if cfg.metrics.enabled {
-        stamp_fleet_metrics(&mut results);
-    }
-    results
-}
-
-/// Health findings for one joined round, folds over the ranks' step
-/// records: the one straggler list (it needs every rank's busy time, so
-/// a round with a failed rank has none), each rank's trace-truncation
-/// finding, and — onto rank 0's report, so one report answers for the
-/// whole world — the other ranks' findings.
-fn stamp_fleet_metrics(results: &mut [Result<TrainReport, TrainError>]) {
-    let records: Option<Vec<&[StepMetrics]>> = results
-        .iter()
-        .map(|res| res.as_ref().ok().map(|rep| rep.steps.as_slice()))
+    let records: Option<Vec<&[StepMetrics]>> = (ledgers.iter())
+        .map(|res| res.as_ref().ok().map(|ledger| ledger.steps.as_slice()))
         .collect();
-    let stragglers = records.map_or_else(Vec::new, |r| metrics::stragglers(&r));
-    let mut truncated_peers: Vec<HealthEvent> = Vec::new();
-    for (r, res) in results.iter_mut().enumerate() {
-        let Ok(rep) = res else { continue };
-        rep.health = stragglers.clone();
-        let dropped = rep.dropped_spans();
-        if dropped > 0 {
-            let finding = HealthEvent::TraceTruncated { rank: r, dropped };
-            if r > 0 {
-                truncated_peers.push(finding.clone());
-            }
-            rep.health.push(finding);
-        }
-    }
-    if let Some(Ok(rep0)) = results.first_mut() {
-        rep0.health.extend(truncated_peers);
-    }
+    let stragglers = match records {
+        Some(records) if health => metrics::stragglers(&records),
+        _ => Vec::new(),
+    };
+    let truncated: Vec<(usize, HealthEvent)> = (ledgers.iter().enumerate())
+        .filter_map(|(rank, res)| {
+            let dropped = res.as_ref().ok()?.trace.as_ref()?.dropped;
+            (health && dropped > 0).then_some((rank, HealthEvent::TraceTruncated { rank, dropped }))
+        })
+        .collect();
+    (ledgers.into_iter().enumerate())
+        .map(|(r, res)| {
+            let own = (truncated.iter()).filter(|&&(rank, _)| r == 0 || rank == r);
+            res.map(|ledger| TrainReport {
+                steps: ledger.steps,
+                peak_mem_bytes,
+                traffic,
+                attribution: ledger.attribution,
+                trace: ledger.trace,
+                sim_spans: ledger.sim_spans,
+                health: (stragglers.iter().chain(own.map(|(_, e)| e)).cloned()).collect(),
+                ..world.clone()
+            })
+        })
+        .collect()
 }
 
 /// Sequential-structure strength of the synthetic corpora: with this
@@ -796,13 +803,14 @@ struct DenseGrads {
 /// Compute fans out over `workers` workers. The only step-loop code
 /// that touches the world or a device; everything between its
 /// collectives is a phase of the world's one [`StepState`] or of a
-/// rank's [`LoopState`]. Returns every rank's own result.
+/// rank's [`LoopState`]. Returns the world's record and every rank's own
+/// result.
 fn drive(
     ctx: &RunCtx,
     mut replica: Replica,
     devices: &[Arc<Device>],
     workers: usize,
-) -> Vec<Result<TrainReport, TrainError>> {
+) -> (TrainReport, Vec<Result<Ledger, TrainError>>) {
     let cfg = ctx.cfg;
     let mut world = World::new(cfg.gpus, ctx.gpn, cfg.comm.deadline);
     let mut state = StepState::new(ctx);
@@ -854,9 +862,9 @@ fn drive(
         &mut grads,
     ) {}
 
-    // Terminal snapshot: the run's exact final state (params + full
-    // epoch history). Rank 0's copy is authoritative — it alone carries
-    // the validation history — and resuming from it is a no-op run.
+    // Terminal snapshot: the run's exact final state (params, the
+    // world's record, rank 0's attribution); resuming from it is a
+    // no-op run.
     if let (Some(store), Some(rank0)) = (ctx.store, ranks.first_mut().filter(|r| r.running())) {
         if let Err(e) = store.set_final(state.snapshot(&rank0.st, &replica)) {
             let reason = format!("terminal checkpoint write failed: {e}");
@@ -866,13 +874,13 @@ fn drive(
             rank0.fail(&mut world, err, reason);
         }
     }
-    ranks
-        .into_iter()
+    let ledgers = (ranks.into_iter())
         .map(|rank| match rank.end {
             Some(e) => Err(e),
-            None => Ok(rank.st.finish(&state)),
+            None => Ok(rank.st.finish()),
         })
-        .collect()
+        .collect();
+    (state.finish(), ledgers)
 }
 
 /// One step of every running rank; `false` once the round is over (the
@@ -887,8 +895,7 @@ fn step(
     dense: &mut DenseGrads,
 ) -> bool {
     let (cfg, plan, g) = (ctx.cfg, ctx.plan, ctx.cfg.gpus);
-    let rank0 = ranks.first_mut().filter(|r| r.running()).map(|r| &mut r.st);
-    let Some(step) = state.next_step(replica, rank0) else {
+    let Some(step) = state.next_step(replica) else {
         return false;
     };
     let at = step as usize;
@@ -1462,8 +1469,7 @@ mod tests {
     fn fleet_metrics_are_stamped_once_from_the_joined_ranks_records() {
         // Three ranks, four steps; rank 2 is busy 4× as long, and the
         // trace rings of ranks 1 and 2 overflowed.
-        let report = |busy: u64, dropped: u64| TrainReport {
-            gpus: 3,
+        let report = |busy: u64, dropped: u64| Ledger {
             steps: (0..4)
                 .map(|step| StepMetrics {
                     step,
@@ -1482,8 +1488,8 @@ mod tests {
             }),
             ..Default::default()
         };
-        let mut results = vec![Ok(report(100, 0)), Ok(report(100, 5)), Ok(report(400, 7))];
-        stamp_fleet_metrics(&mut results);
+        let ledgers = vec![Ok(report(100, 0)), Ok(report(100, 5)), Ok(report(400, 7))];
+        let results = reports(TrainReport::default(), 0, true, ledgers);
         let reports: Vec<&TrainReport> = results.iter().map(|r| r.as_ref().unwrap()).collect();
         let straggler = HealthEvent::Straggler {
             rank: 2,
@@ -1506,8 +1512,8 @@ mod tests {
             rank: 1,
             reason: "killed".to_owned(),
         };
-        let mut results = vec![Ok(report(400, 0)), Err(failed), Ok(report(100, 7))];
-        stamp_fleet_metrics(&mut results);
+        let ledgers = vec![Ok(report(400, 0)), Err(failed), Ok(report(100, 7))];
+        let results = super::reports(TrainReport::default(), 0, true, ledgers);
         assert_eq!(results[0].as_ref().unwrap().health, [truncated(2, 7)]);
         assert!(results[1].is_err());
         assert_eq!(results[2].as_ref().unwrap().health, [truncated(2, 7)]);
@@ -1661,6 +1667,9 @@ mod tests {
             let mid = backend.load(0, 6).expect("mid-epoch cut");
             assert_eq!((mid.epoch, mid.step_in_epoch), (1, 2));
             assert_eq!(mid.metrics.epochs.len(), 1);
+            // The epoch history is the world's: every rank deposits it.
+            let peer = backend.load(1, 6).expect("rank 1's cut");
+            assert_eq!(peer.metrics.epochs, mid.metrics.epochs);
             assert_eq!(terminal.epoch, 2);
 
             let data = prepare_data(&cfg);

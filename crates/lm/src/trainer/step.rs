@@ -4,10 +4,12 @@
 //! carries to the next comes in two parts. [`StepState`] is the
 //! world's, one for all ranks: the learning rate and step counter, the
 //! epoch cursor (epoch, step within it, its partial loss and simulated
-//! time), the resume base, the step's one schedule and the simulated
-//! clock. [`LoopState`] is what differs per rank: its report, its
-//! exchange scratch pools, its wall clock and trace recorder. Their
-//! methods are the local work of a step; the parent module's lockstep
+//! time), the step's one schedule and the simulated clock, and the
+//! world's record of the run: the epoch history and the `Ug` totals.
+//! [`LoopState`] is what differs per rank: its [`Ledger`] (steps,
+//! attribution, traffic, spans), its exchange scratch pools, its wall
+//! clock and trace recorder. Their methods are the local work of a
+//! step; the parent module's lockstep
 //! driver calls the world's once per step and a rank's for every rank
 //! in turn, with the collectives, the device charges and the checkpoint
 //! deposits in between, so nothing in this file communicates. The
@@ -26,7 +28,7 @@ use crate::checkpoint::{Checkpoint, CheckpointMetrics, Fingerprint};
 use crate::config::ModelKind;
 use crate::eval::{char_valid_loss, word_valid_loss};
 use crate::exchange::{ExchangeConfig, ExchangeScratch, ExchangeStats, ReducedBytes};
-use crate::metrics::{EpochMetrics, RunTotals, StepMetrics, TrainReport};
+use crate::metrics::{EpochMetrics, StepMetrics, TimeAttribution, TrainReport};
 use crate::schedule::{CommOp, StepLoad, StepSchedule, Timeline};
 use corpus::batch::BatchIter;
 use corpus::{shard_batches, BatchSpec};
@@ -36,8 +38,8 @@ use nn::{CharLm, InputGrad, SparseGrad, WordLm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simgpu::{
-    peer_exchange_tier_bytes, secs_to_ps, NodeLayout, RankClock, SpanKind, TraceRecorder,
-    TrafficSnapshot,
+    peer_exchange_tier_bytes, secs_to_ps, NodeLayout, RankClock, SimSpan, SpanKind, TraceLog,
+    TraceRecorder, TrafficSnapshot,
 };
 use std::ops::Range;
 use tensor::Matrix;
@@ -197,17 +199,21 @@ impl Replica {
 
 /// The world's step state: synchronous SGD runs the same step on every
 /// rank — one learning rate, step counter, epoch cursor and schedule —
-/// so the driver holds it once. With a rank's [`LoopState`], it is what
-/// a snapshot captures and a restore puts back (with the world's
-/// replica).
+/// so the driver holds it once, with what the run books once for the
+/// world. With a rank's [`LoopState`], it is what a snapshot captures
+/// and a restore puts back (with the world's replica).
 pub(super) struct StepState<'a> {
     ctx: &'a RunCtx<'a>,
     /// The exact learning rate in effect (decayed per epoch).
     lr: f32,
     global_step: u64,
-    /// Run totals at the resume point (zero on a fresh start); a rank's
-    /// totals now are this plus the fold over its `report.steps`.
-    base: RunTotals,
+    /// The run's epoch history, every rank's: the restored cut's, then
+    /// one entry per epoch closed since.
+    epochs: Vec<EpochMetrics>,
+    /// Σ `Ug` over the unique path's steps since the run began, and
+    /// their count.
+    unique_sum: f64,
+    unique_count: u64,
     /// The epoch in progress; `cfg.epochs` once the run is done.
     epoch: usize,
     /// Steps completed within `epoch`.
@@ -228,11 +234,28 @@ pub(super) struct StepState<'a> {
     sim_clock_ps: u64,
 }
 
-/// What differs per rank: its id, its report, its exchange scratch
+/// What a rank books that is its own; its report is this joined with
+/// the world's record ([`StepState::finish`]).
+#[derive(Default)]
+pub(super) struct Ledger {
+    /// One record per step of the round.
+    pub(super) steps: Vec<StepMetrics>,
+    /// Run-total attribution: a resumed rank's starts from the restored
+    /// cut's, then each step's own split is added.
+    pub(super) attribution: TimeAttribution,
+    /// What the rank's collectives sent this round.
+    pub(super) traffic: TrafficSnapshot,
+    /// Its simulated-timeline spans, when tracing.
+    pub(super) sim_spans: Vec<SimSpan>,
+    /// Its wall-clock trace, when tracing, once the round is over.
+    pub(super) trace: Option<TraceLog>,
+}
+
+/// What differs per rank: its id, its ledger, its exchange scratch
 /// pools, its wall clock and what its loss reduction sends.
 pub(super) struct LoopState {
     rank: usize,
-    report: TrainReport,
+    ledger: Ledger,
     /// Per-table scratch pools: after the first step every exchange runs
     /// allocation-free on reused buffers.
     pub(super) in_scratch: ExchangeScratch,
@@ -292,7 +315,9 @@ impl<'a> StepState<'a> {
                 NodeLayout::new(g, ctx.cost.hardware().gpus_per_node).nodes(),
             ),
             global_step: 0,
-            base: RunTotals::default(),
+            epochs: Vec::new(),
+            unique_sum: 0.0,
+            unique_count: 0,
             epoch: 0,
             step_in_epoch: 0,
             epoch_loss: 0.0,
@@ -308,11 +333,11 @@ impl<'a> StepState<'a> {
     }
 
     /// Puts `ck` back: parameters (into `replica`), counters, the exact
-    /// learning rate, the epoch cursor and every deterministic
-    /// accumulator — with each rank's epoch history, which
-    /// [`LoopState::new`] takes from `ck`, the exact inverse of
-    /// [`Self::snapshot`]. No RNG state exists to restore:
-    /// the corpus and split are regenerated from `cfg.seed` and
+    /// learning rate, the epoch cursor and history, the `Ug` totals and
+    /// every other deterministic accumulator — with each rank's
+    /// attribution base, which [`LoopState::new`] takes from `ck`, the
+    /// exact inverse of [`Self::snapshot`]. No RNG state exists to
+    /// restore: the corpus and split are regenerated from `cfg.seed` and
     /// sampled-softmax streams are re-seeded from `global_step` each
     /// step, so from here the run is bit-identical to one that never
     /// stopped. Per-step telemetry (`TrainReport::steps`, traffic,
@@ -336,21 +361,19 @@ impl<'a> StepState<'a> {
         self.step_in_epoch = ck.step_in_epoch;
         self.epoch_loss = metrics.epoch_loss;
         self.epoch_time_ps = metrics.epoch_time_ps;
-        self.base = RunTotals {
-            attribution: metrics.attribution,
-            unique_sum: metrics.unique_sum,
-            unique_count: metrics.unique_count,
-        };
+        self.epochs = ck.metrics.epochs.clone();
+        self.unique_sum = metrics.unique_sum;
+        self.unique_count = metrics.unique_count;
         Ok(())
     }
 
     /// A bit-exact snapshot of `rank` at the current step boundary,
-    /// `replica` its parameters. Only deterministic quantities are
-    /// captured — see the module docs of [`crate::checkpoint`] for what
-    /// is deliberately excluded.
+    /// `replica` its parameters: the world's record and the rank's
+    /// attribution. Only deterministic quantities are captured — see the
+    /// module docs of [`crate::checkpoint`] for what is deliberately
+    /// excluded.
     pub(super) fn snapshot(&self, rank: &LoopState, replica: &Replica) -> Checkpoint {
         let cfg = self.ctx.cfg;
-        let totals = self.totals(rank);
         Checkpoint {
             world: cfg.gpus as u32,
             rank: rank.rank as u32,
@@ -361,33 +384,23 @@ impl<'a> StepState<'a> {
             fingerprint: Fingerprint::of(cfg, self.ctx.data.model_vocab),
             params: replica.param_vector(),
             metrics: CheckpointMetrics {
-                epochs: rank.report.epochs.clone(),
+                epochs: self.epochs.clone(),
                 epoch_loss: self.epoch_loss,
                 epoch_time_ps: self.epoch_time_ps,
-                unique_sum: totals.unique_sum,
-                unique_count: totals.unique_count,
-                attribution: totals.attribution,
+                unique_sum: self.unique_sum,
+                unique_count: self.unique_count,
+                attribution: rank.ledger.attribution,
             },
         }
     }
 
-    /// `rank`'s run totals so far: *resume base + Σ its steps*.
-    fn totals(&self, rank: &LoopState) -> RunTotals {
-        self.base
-            .plus(&rank.report.steps, self.ctx.cfg.method.unique)
-    }
-
     /// Opens the next step and returns its global index, first closing
-    /// the epoch in progress once its steps are done (`rank0`, when it
-    /// is running, validates `replica`); `None` after the last epoch.
-    pub(super) fn next_step(
-        &mut self,
-        replica: &Replica,
-        mut rank0: Option<&mut LoopState>,
-    ) -> Option<u64> {
+    /// the epoch in progress once its steps are done; `None` after the
+    /// last epoch.
+    pub(super) fn next_step(&mut self, replica: &Replica) -> Option<u64> {
         let epochs = self.ctx.cfg.epochs;
         while self.epoch < epochs && self.step_in_epoch >= self.epoch_steps {
-            self.end_epoch(replica, rank0.as_deref_mut());
+            self.end_epoch(replica);
         }
         (self.epoch < epochs).then_some(self.global_step)
     }
@@ -428,10 +441,15 @@ impl<'a> StepState<'a> {
     }
 
     /// Phase 4, the world's half, after every rank's
-    /// [`LoopState::price`]: the step's mean `loss` and its time — the
+    /// [`LoopState::price`]: the step's mean `loss`, its time — the
     /// second of the `peaks`, the slowest rank's critical path plus
-    /// injected delay — are booked, and the counters move on.
+    /// injected delay — and, on the unique path, its load's `Ug` are
+    /// booked, and the counters move on.
     pub(super) fn price(&mut self, loss: f64, [_, step_ps]: [u64; 2]) {
+        if self.sched.xcfg.unique {
+            self.unique_sum += self.sched.load.input.unique_global as f64;
+            self.unique_count += 1;
+        }
         self.sim_clock_ps += step_ps;
         self.epoch_time_ps += step_ps;
         self.epoch_loss += loss;
@@ -439,43 +457,54 @@ impl<'a> StepState<'a> {
         self.step_in_epoch += 1;
     }
 
-    /// Phase 5: closes the epoch in progress. Only rank 0 validates
-    /// `replica` — evaluation involves no collectives, and the other G−1
-    /// passes would be discarded work — then the learning rate decays
-    /// and the cursor moves to the next epoch's first step.
-    fn end_epoch(&mut self, replica: &Replica, rank0: Option<&mut LoopState>) {
+    /// Phase 5: closes the epoch in progress. The one `replica` is
+    /// validated once for the world — evaluation involves no
+    /// collectives — and the epoch booked into the world's history; then
+    /// the learning rate decays and the cursor moves to the next epoch's
+    /// first step.
+    fn end_epoch(&mut self, replica: &Replica) {
         let cfg = self.ctx.cfg;
-        if let Some(rank0) = rank0 {
-            // NaN when the validation split holds no full batch.
-            let valid = &self.ctx.data.valid;
-            let valid_nll = replica.valid_loss(valid, cfg.batch.min(4), cfg.seq_len);
-            rank0.report.epochs.push(EpochMetrics {
-                epoch: self.epoch,
-                train_loss: self.epoch_loss / self.epoch_steps.max(1) as f64,
-                valid_nll,
-                sim_time_s: self.epoch_time_ps as f64 * 1e-12,
-            });
-        }
+        // NaN when the validation split holds no full batch.
+        let valid = &self.ctx.data.valid;
+        let valid_nll = replica.valid_loss(valid, cfg.batch.min(4), cfg.seq_len);
+        self.epochs.push(EpochMetrics {
+            epoch: self.epoch,
+            train_loss: self.epoch_loss / self.epoch_steps.max(1) as f64,
+            valid_nll,
+            sim_time_s: self.epoch_time_ps as f64 * 1e-12,
+        });
         self.lr *= cfg.lr_decay;
         self.epoch += 1;
         self.step_in_epoch = 0;
         self.epoch_loss = 0.0;
         self.epoch_time_ps = 0;
     }
+
+    /// The world's record once the round is over: a report holding
+    /// only what every rank's shares — the epoch history, the mean `Ug`
+    /// (0 when the unique path never ran) and the world size.
+    pub(super) fn finish(self) -> TrainReport {
+        TrainReport {
+            epochs: self.epochs,
+            mean_unique_global: self.unique_sum / self.unique_count.max(1) as f64,
+            gpus: self.ctx.cfg.gpus,
+            ..TrainReport::default()
+        }
+    }
 }
 
 impl LoopState {
     /// The state of rank `rank` at the round's start: a resumed rank's
-    /// report carries the checkpoint's epoch history.
+    /// attribution starts from the checkpoint's.
     pub(super) fn new(ctx: &RunCtx, rank: usize) -> Self {
         let (cfg, g) = (ctx.cfg, ctx.cfg.gpus);
         LoopState {
             rank,
-            report: TrainReport {
-                epochs: ctx
+            ledger: Ledger {
+                attribution: ctx
                     .resume
-                    .map_or_else(Vec::new, |ck| ck.metrics.epochs.clone()),
-                ..TrainReport::default()
+                    .map_or_else(Default::default, |ck| ck.metrics.attribution),
+                ..Ledger::default()
             },
             in_scratch: ExchangeScratch::new(),
             out_scratch: ExchangeScratch::new(),
@@ -557,8 +586,8 @@ impl LoopState {
     }
 
     /// Phase 3: the record of `step` so far. Books what the step's
-    /// collectives sent into the report's `traffic` (this rank's ledger
-    /// until `run_round` sums the ranks'). The rank is ready for the
+    /// collectives sent into the ledger's `traffic` (the report's is the
+    /// sum over the ranks' ledgers). The rank is ready for the
     /// loss reduction once it returns; [`StepState::measure`] prices
     /// the record's load.
     pub(super) fn measure(
@@ -569,10 +598,10 @@ impl LoopState {
         output: Option<ExchangeStats>,
     ) -> StepMetrics {
         for sent in [dense_wire.sent, input.sent, self.loss_sent] {
-            self.report.traffic += sent;
+            self.ledger.traffic += sent;
         }
         if let Some(output) = output {
-            self.report.traffic += output.sent;
+            self.ledger.traffic += output.sent;
         }
         self.clock.ready_now();
         StepMetrics {
@@ -590,8 +619,9 @@ impl LoopState {
     /// SGD: the step ends when the slowest rank arrives, so `peaks` —
     /// every rank's [`StepState::measure`] pair reduced by max — set a
     /// step time `T` that is identical on all ranks; its attribution is
-    /// this rank's own. `barrier_wait_wall_ns` is the wall time this
-    /// rank waited for its peers before the step's collectives.
+    /// this rank's own, added to its run total. `barrier_wait_wall_ns`
+    /// is the wall time this rank waited for its peers before the
+    /// step's collectives.
     pub(super) fn price(
         &mut self,
         state: &mut StepState,
@@ -602,13 +632,14 @@ impl LoopState {
     ) {
         let traced = self.clock.trace().is_some();
         let timeline = traced.then_some(Timeline {
-            spans: &mut self.report.sim_spans,
+            spans: &mut self.ledger.sim_spans,
             rank: self.rank as u32,
             step: state.global_step,
             base_ps: state.sim_clock_ps,
         });
         let clock = (state.sched).clock(self.rank, peaks, &mut state.ops, timeline);
-        self.report.steps.push(StepMetrics {
+        self.ledger.attribution.accumulate(&clock.attribution);
+        self.ledger.steps.push(StepMetrics {
             train_loss: loss,
             barrier_wait_wall_ns,
             sim_time_ps: clock.sim_time_ps,
@@ -619,13 +650,10 @@ impl LoopState {
         });
     }
 
-    /// Phase 6: the rank's report, with its run totals folded in.
-    pub(super) fn finish(mut self, state: &StepState) -> TrainReport {
-        let totals = state.totals(&self);
-        self.report.attribution = totals.attribution;
-        self.report.mean_unique_global = totals.mean_unique_global();
-        self.report.trace = self.clock.finish();
-        self.report
+    /// Phase 6: the rank's ledger, its trace taken off its clock.
+    pub(super) fn finish(mut self) -> Ledger {
+        self.ledger.trace = self.clock.finish();
+        self.ledger
     }
 }
 

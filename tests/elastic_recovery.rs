@@ -229,6 +229,36 @@ fn rank_lost_during_a_baseline_row_gather_recovers_from_the_snapshot() {
     shrink_recovered_matches_fresh(c4, FaultPlan::none().corrupt_wire(2, 5));
 }
 
+/// The epoch history is the world's, not rank 0's. Rank 0 dies two
+/// steps into epoch 1, after epoch 0 has closed, and the survivors
+/// restore from the lowest survivor's cut: the recovered run must still
+/// end with every epoch, epoch 0 exactly the uninterrupted run's (it ran
+/// at the same world before the failure), and a terminal checkpoint
+/// holding the whole history.
+#[test]
+fn losing_rank_0_after_an_epoch_keeps_the_epoch_history() {
+    let c = cfg(3);
+    let epochs = c.epochs;
+    let (clean, outcome) = with_watchdog(move || {
+        let (clean, _) = checkpointed(&c, FaultPlan::none(), None);
+        // Epoch 0 is steps 0..6; the cut at step 8 follows its close.
+        let plan = FaultPlan::none().kill_rank_transient(0, 8);
+        (clean, run(&c, &recovering(plan, RecoveryPolicy::default())))
+    });
+    assert_eq!(outcome.recoveries.len(), 1);
+    assert_eq!(outcome.recoveries[0].restored_step(), Some(8));
+    let report = outcome.ranks[0].as_ref().expect("recovers");
+    assert_eq!(report.epochs.len(), epochs, "every epoch is reported");
+    let clean = &clean.ranks[0].as_ref().expect("uninterrupted run").epochs[0];
+    let bits = |e: &zipf_lm::EpochMetrics| {
+        let floats = [e.train_loss, e.valid_nll, e.sim_time_s];
+        (e.epoch, floats.map(f64::to_bits))
+    };
+    assert_eq!(bits(&report.epochs[0]), bits(clean), "epoch 0 bit-equal");
+    let fin = outcome.final_checkpoint.expect("terminal snapshot");
+    assert_eq!(fin.metrics.epochs.len(), epochs, "terminal history");
+}
+
 #[test]
 fn permanent_kill_exhausts_max_restarts() {
     // A *slot-keyed* kill persists across shrinks (a persistently bad

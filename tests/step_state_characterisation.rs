@@ -12,9 +12,10 @@
 //!   2, 3 and 8, plus one 48-rank two-tier char run.
 //! * One FNV-1a literal over every rank's deposited checkpoint bytes in
 //!   a checkpointed two-epoch run, resumed mid-epoch and then recovered
-//!   after rank 0 is killed following that restore. It pins each
-//!   rank's epoch history as the trainer books it: a restore hands every
-//!   rank the checkpoint's `epochs`, and only rank 0 extends them.
+//!   after rank 0 is killed following that restore. It pins the epoch
+//!   history as the trainer books it: once, for the world, so a restore
+//!   puts the checkpoint's `epochs` back and every rank's report and
+//!   deposit carry the one history as it is extended.
 
 mod common;
 
@@ -168,11 +169,11 @@ fn resumed_and_recovered_checkpoints_are_pinned() {
     let outcome = run(&cfg, &opts);
     assert_eq!(outcome.recoveries.len(), 1);
     assert_eq!(outcome.final_world, 2);
-    // Each report keeps the restored history; only rank 0 extends it.
+    // The history is the world's: every report carries all of it.
     let epochs: Vec<usize> = (outcome.ranks.iter())
         .map(|res| res.as_ref().expect("recovered run failed").epochs.len())
         .collect();
-    assert_eq!(epochs, [2, 1]);
+    assert_eq!(epochs, [2, 2]);
     let last = outcome.final_checkpoint.expect("terminal cut");
     assert_eq!(last.metrics.epochs.len(), 2);
 
