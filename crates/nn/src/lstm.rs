@@ -285,18 +285,14 @@ impl LstmLayer {
                 }
             }
 
-            // Parameter gradients, one step's term at a time so the sum
-            // over `t` associates as it always has.
+            // `dWx`, one step's term at a time so the sum over `t`
+            // associates as it always has.
             let dz_t = dz.rows_view(step.clone());
             let x_t = cache.xs.block(step.clone(), block);
-            let h_prev = cache.hs.rows_view(step.clone());
             let d = self.input_dim();
             grads
                 .dwx
                 .gemm_rows(0..d, x_t.t(), Rhs::View(dz_t), Store::Add);
-            grads
-                .dwh
-                .gemm_rows(0..h, h_prev.t(), Rhs::View(dz_t), Store::Add);
             db_step.fill(0.0);
             for r in step {
                 for (s, &v) in db_step.iter_mut().zip(dz.row(r)) {
@@ -308,6 +304,20 @@ impl LstmLayer {
             }
             dh_carry.gemm_rows(0..b, dz_t, Rhs::Packed(wh_t), Store::Set);
         }
+        // `dWh += h_{t−1}ᵀ·dz_t` over every step in one product: with both
+        // operands' steps in descending `t`, each step is one `B`-long run
+        // of `p`, summed on its own and added in the order the per-step
+        // products added it.
+        let (h_prev, dz_desc) = (
+            last_step_first(&cache.hs, steps, b),
+            last_step_first(&dz, steps, b),
+        );
+        grads.dwh.gemm_rows(
+            0..h,
+            h_prev.view().t(),
+            Rhs::View(dz_desc.view()),
+            Store::AddRuns(b),
+        );
         (vec![dz], grads)
     }
 
@@ -333,6 +343,17 @@ impl LstmLayer {
         ]
         .into_iter()
     }
+}
+
+/// The first `steps` blocks of `b` rows of the t-major `m`, last step
+/// first.
+fn last_step_first(m: &Matrix, steps: usize, b: usize) -> Matrix {
+    let step = b * m.cols();
+    let mut out = Vec::with_capacity(steps * step);
+    for t in (0..steps).rev() {
+        out.extend_from_slice(&m.as_slice()[t * step..(t + 1) * step]);
+    }
+    Matrix::from_vec(steps * b, m.cols(), out)
 }
 
 impl LstmGrads {

@@ -21,7 +21,7 @@ use crate::embedding::{Embedding, SparseGrad};
 use rand::Rng;
 use std::collections::HashSet;
 use tensor::ops::log_sum_exp;
-use tensor::Matrix;
+use tensor::{Matrix, Rhs, Store};
 use zipf::LogUniform;
 
 /// Sampled-softmax layer over an external output-embedding table.
@@ -129,11 +129,13 @@ impl SampledSoftmax {
         indices.extend_from_slice(&candidates);
 
         // Every row's candidate dots in one GEMM (`n×S`); the correction
-        // and the accidental-hit mask are applied per row below.
-        let cand_dots = h.matmul_transpose_b(&cand_rows);
+        // and the accidental-hit mask are applied per row below, which
+        // then overwrites the row with its candidate gradients `D`.
+        let mut d = h.matmul_transpose_b(&cand_rows);
 
         let mut logits = vec![0.0f32; s + 1];
-        #[allow(clippy::needless_range_loop)] // i indexes h, targets, dh and grad_rows in lockstep
+        #[allow(clippy::needless_range_loop)]
+        // i indexes h, targets, d, dh and grad_rows in lockstep
         for i in 0..n {
             let hi = h.row(i);
             let t = targets[i];
@@ -148,41 +150,52 @@ impl SampledSoftmax {
             logits[0] = dot - t_corr;
 
             // Candidate logits.
-            let dots = cand_dots.row(i);
+            let d_row = d.row_mut(i);
             for j in 0..s {
                 logits[j + 1] = if candidates[j] == t {
                     -1e9 // accidental hit
                 } else {
-                    dots[j] - cand_corr[j]
+                    d_row[j] - cand_corr[j]
                 };
             }
 
             let lse = log_sum_exp(&logits);
             total += (lse - logits[0]) as f64;
 
-            // dlogit_j = (softmax_j − 1[j == true]) / n; accumulate into
-            // dh and the sparse table gradient.
-            for j in 0..=s {
-                if j >= 1 && candidates[j - 1] == t {
-                    continue; // masked logit: exactly zero gradient
+            // dlogit_j = (softmax_j − 1[j == true]) / n. The target's term
+            // starts row i of dh and is row i of the table gradient.
+            let dt = ((logits[0] - lse).exp() - 1.0) * inv_n;
+            if dt != 0.0 {
+                for (dhv, &cv) in dh.row_mut(i).iter_mut().zip(t_row) {
+                    *dhv += dt * cv;
                 }
-                let pj = (logits[j] - lse).exp();
-                let dlogit = (pj - if j == 0 { 1.0 } else { 0.0 }) * inv_n;
-                if dlogit == 0.0 {
-                    continue;
-                }
-                let class_row: &[f32] = if j == 0 { t_row } else { cand_rows.row(j - 1) };
-                for ((dhv, &hv), &cv) in dh.row_mut(i).iter_mut().zip(hi).zip(class_row) {
-                    *dhv += dlogit * cv;
-                    let _ = hv;
-                }
-                let grad_idx = if j == 0 { i } else { n + j - 1 };
-                let gr = grad_rows.row_mut(grad_idx);
-                for (g, &hv) in gr.iter_mut().zip(hi) {
-                    *g += dlogit * hv;
+                for (g, &hv) in grad_rows.row_mut(i).iter_mut().zip(hi) {
+                    *g += dt * hv;
                 }
             }
+            // The candidates' terms into D; a masked logit's is exactly
+            // zero.
+            for j in 0..s {
+                d_row[j] = if candidates[j] == t {
+                    0.0
+                } else {
+                    (logits[j + 1] - lse).exp() * inv_n
+                };
+            }
         }
+
+        // The candidates' table rows are `Dᵀ·H`, and `dh` adds `D·C` one
+        // class at a time after the target's term (`AddRuns(1)`), as the
+        // per-class loop did. Both sums start at `+0.0` and so never hold
+        // `−0.0`, to which the loop's skipped `±0` terms would add nothing.
+        let cands = n..n + s;
+        grad_rows.gemm_rows(cands, d.view().t(), Rhs::View(h.view()), Store::Set);
+        dh.gemm_rows(
+            0..n,
+            d.view(),
+            Rhs::View(cand_rows.view()),
+            Store::AddRuns(1),
+        );
 
         SampledSoftmaxOutput {
             loss: total / n as f64,

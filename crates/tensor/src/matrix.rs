@@ -228,19 +228,26 @@ impl Matrix {
     }
 
     /// `self[rows] = a · b` ([`Store::Set`]) or `self[rows] += a · b`
-    /// ([`Store::Add`]), in place: the entry the three allocating
-    /// products wrap. `a` is `rows.len()×k`; `b` ([`Rhs`]: a [`View`] or
-    /// a [`PackedB`]) is `k×self.cols()`. `Add` adds each finished sum to
-    /// what `C` held, so it equals `add_assign(&a.matmul(b))` to the bit.
+    /// ([`Store::Add`], [`Store::AddRuns`]), in place: the entry the three
+    /// allocating products wrap. `a` is `rows.len()×k`; `b` ([`Rhs`]: a
+    /// [`View`] or a [`PackedB`]) is `k×self.cols()`. `Add` adds each
+    /// finished sum to what `C` held, so it equals
+    /// `add_assign(&a.matmul(b))` to the bit; `AddRuns` adds one such sum
+    /// per run of `p`, in order.
     pub fn gemm_rows(&mut self, rows: Range<usize>, a: View<'_>, b: Rhs<'_>, store: Store) {
         assert_eq!(a.rows, rows.len(), "row count mismatch");
         assert_eq!(a.cols, b.rows(), "inner dimension mismatch");
         assert_eq!(b.cols(), self.cols, "column count mismatch");
         GEMM_MACS.set(GEMM_MACS.get() + (a.rows * a.cols * self.cols) as u64);
         let c = &mut self.data[rows.start * self.cols..rows.end * self.cols];
+        let width = Width::detect();
         match store {
-            Store::Set => gemm::<false>(Width::detect(), c, a, b),
-            Store::Add => gemm::<true>(Width::detect(), c, a, b),
+            Store::Set => gemm::<SET>(width, c, a, b, 0),
+            Store::Add => gemm::<ADD>(width, c, a, b, 0),
+            Store::AddRuns(run) => {
+                assert!(run >= 1, "a run holds at least one p");
+                gemm::<RUNS>(width, c, a, b, run.min(a.cols.max(1)))
+            }
         }
     }
 
@@ -409,6 +416,23 @@ pub enum Store {
     Set,
     /// `C[i][j] += sum`.
     Add,
+    /// `C[i][j] += s_0`, then `+= s_1`, … : `s_q` is the sum over the
+    /// `q`-th run of `run` consecutive `p` (the last run may be shorter),
+    /// each summed from `+0.0` in ascending `p` like every sum here, and
+    /// the runs are added to `C` in ascending `q`. `run ≥ 1`; a run longer
+    /// than `k` is one run, so for `k ≥ 1` `AddRuns(k)` is `Add` to the
+    /// bit, and `AddRuns(1)` adds each product `a(i,p)·b(p,j)` to `C` on
+    /// its own (as `0.0 + a·b`, which is `+0.0` where `a·b` is `−0.0`).
+    ///
+    /// It is `for q { c.add_assign(&a_q.matmul(b_q)) }` over the runs'
+    /// column blocks of `A` and row blocks of `B`, in one pass: the
+    /// tile's `C` stays in registers across the runs. Two things follow
+    /// from that sum. A `−0.0` in `C` stays `−0.0` only while every run
+    /// sums to `−0.0`, which no run summed from `+0.0` does (`+0.0 +
+    /// −0.0` is `+0.0`); `k = 0` has no runs and leaves `C` as it was,
+    /// where `Add` would add one `+0.0`. And nothing is skipped: a zero in
+    /// `A` against an `inf` or `NaN` in `B` makes `C` `NaN`.
+    AddRuns(usize),
 }
 
 /// The vector unit the tile loop runs on. Chosen from what the CPU
@@ -531,16 +555,25 @@ fn product(a: View<'_>, b: View<'_>) -> Matrix {
     out
 }
 
-/// `C = A · B` (`ADD = false`) or `C += A · B` (`ADD = true`) over a
-/// row-major `m×n` block `c`; the one driver behind every product.
-/// `B`'s columns are taken in blocks of [`BLOCK_FLOATS`] packed floats;
-/// within a block, rows are walked in tiles of `width.tile_rows()`, then
-/// in halving power-of-two tiles over what is left, and each row tile runs
-/// across every panel of the block before the next.
-fn gemm<const ADD: bool>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>) {
+/// The driver's store modes, a const parameter so that each tile is
+/// compiled for one of them: [`Store::Set`], [`Store::Add`] and
+/// [`Store::AddRuns`].
+const SET: u8 = 0;
+const ADD: u8 = 1;
+const RUNS: u8 = 2;
+
+/// `C = A · B` (`SET`), `C += A · B` (`ADD`) or `C += ` one sum per `run`
+/// of `p` (`RUNS`; `run` is read by that mode alone) over a row-major
+/// `m×n` block `c`; the one driver behind every product. `B`'s columns
+/// are taken in blocks of [`BLOCK_FLOATS`] packed floats; within a block,
+/// rows are walked in tiles of `width.tile_rows()`, then in halving
+/// power-of-two tiles over what is left, and each row tile runs across
+/// every panel of the block before the next.
+fn gemm<const MODE: u8>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>, run: usize) {
     let (m, k, n) = (a.rows, a.cols, b.cols());
     debug_assert_eq!(k, b.rows());
     debug_assert_eq!(c.len(), m * n);
+    debug_assert!(MODE != RUNS || run >= 1);
     assert!(width.supported(), "{width:?} tile on a CPU without it");
     let (panel_len, panels) = (k * NR, n.div_ceil(NR));
     // All of `B` when it fits the budget, else as many panels as fit, and
@@ -571,20 +604,28 @@ fn gemm<const ADD: bool>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>) {
                     }
                     Rhs::Packed(p) => &p.panels[q * panel_len..][..panel_len],
                 };
-                let c_block = &mut c[i0 * n + j0..];
+                let t = Tile {
+                    a,
+                    i0,
+                    panel,
+                    c: &mut c[i0 * n + j0..],
+                    c_stride: n,
+                    w,
+                    run,
+                };
                 match width {
                     Width::Portable => match r {
-                        2 => tile_portable::<2, ADD>(a, i0, panel, c_block, n, w),
-                        _ => tile_portable::<1, ADD>(a, i0, panel, c_block, n, w),
+                        2 => tile_portable::<2, MODE>(t),
+                        _ => tile_portable::<1, MODE>(t),
                     },
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: `width.supported()` was asserted on entry, so
                     // the CPU has the `avx2` these tiles are compiled for.
                     Width::Avx2 => unsafe {
                         match r {
-                            4 => tile_avx2::<4, ADD>(a, i0, panel, c_block, n, w),
-                            2 => tile_avx2::<2, ADD>(a, i0, panel, c_block, n, w),
-                            _ => tile_avx2::<1, ADD>(a, i0, panel, c_block, n, w),
+                            4 => tile_avx2::<4, MODE>(t),
+                            2 => tile_avx2::<2, MODE>(t),
+                            _ => tile_avx2::<1, MODE>(t),
                         }
                     },
                     #[cfg(target_arch = "x86_64")]
@@ -592,11 +633,11 @@ fn gemm<const ADD: bool>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>) {
                     // the CPU has the `avx512f` these tiles are compiled for.
                     Width::Avx512 => unsafe {
                         match r {
-                            16 => tile_avx512::<16, ADD>(a, i0, panel, c_block, n, w),
-                            8 => tile_avx512::<8, ADD>(a, i0, panel, c_block, n, w),
-                            4 => tile_avx512::<4, ADD>(a, i0, panel, c_block, n, w),
-                            2 => tile_avx512::<2, ADD>(a, i0, panel, c_block, n, w),
-                            _ => tile_avx512::<1, ADD>(a, i0, panel, c_block, n, w),
+                            16 => tile_avx512::<16, MODE>(t),
+                            8 => tile_avx512::<8, MODE>(t),
+                            4 => tile_avx512::<4, MODE>(t),
+                            2 => tile_avx512::<2, MODE>(t),
+                            _ => tile_avx512::<1, MODE>(t),
                         }
                     },
                 }
@@ -609,17 +650,46 @@ fn gemm<const ADD: bool>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>) {
     }
 }
 
+/// One tile's operands: rows `i0..i0 + R` of `A`, one packed `k×NR` panel
+/// of `B`, and the tile of `C` from its first element (`c_stride` apart,
+/// the first `w` columns kept), plus the run length under `RUNS`.
+struct Tile<'a, 'c> {
+    a: View<'a>,
+    i0: usize,
+    panel: &'a [f32],
+    c: &'c mut [f32],
+    c_stride: usize,
+    w: usize,
+    run: usize,
+}
+
+impl Tile<'_, '_> {
+    /// The first `w` columns of the tile's `R` rows of `C`, zero-padded.
+    #[inline(always)]
+    fn load_c<const R: usize>(&self) -> [[f32; NR]; R] {
+        let mut out = [[0.0f32; NR]; R];
+        for (i, row) in out.iter_mut().enumerate() {
+            let c_row = &self.c[i * self.c_stride..][..self.w];
+            for (j, x) in row.iter_mut().enumerate() {
+                *x = c_row.get(j).copied().unwrap_or(0.0);
+            }
+        }
+        out
+    }
+}
+
 /// One `R×NR` tile of `C`: `R·NR` independent sums, each advanced once
 /// per `p` in ascending order, then stored to the first `w` columns.
 #[inline(always)]
-fn tile<const R: usize, const ADD: bool>(
-    a: View<'_>,
-    i0: usize,
-    panel: &[f32],
-    c_block: &mut [f32],
-    c_stride: usize,
-    w: usize,
-) {
+fn tile<const R: usize, const MODE: u8>(t: Tile<'_, '_>) {
+    let acc = sums::<R>(t.a, t.i0, t.panel);
+    store_tile::<R, MODE>(&acc, t.c, t.c_stride, t.w);
+}
+
+/// The `R×NR` sums of rows `i0..i0 + R` of `A` against `panel`, each from
+/// `+0.0` in ascending `p`.
+#[inline(always)]
+fn sums<const R: usize>(a: View<'_>, i0: usize, panel: &[f32]) -> [[f32; NR]; R] {
     let mut acc = [[0.0f32; NR]; R];
     for (p, b_row) in panel.chunks_exact(NR).enumerate() {
         for (i, acc_row) in acc.iter_mut().enumerate() {
@@ -632,7 +702,29 @@ fn tile<const R: usize, const ADD: bool>(
             }
         }
     }
-    store_tile::<R, ADD>(&acc, c_block, c_stride, w);
+    acc
+}
+
+/// The `RUNS` tile: `C`'s `R×NR` tile loaded once into `total`; per run
+/// of `p`, [`sums`] over the run's columns of `A` and rows of the panel,
+/// added to `total`; `total` stored once.
+#[inline(always)]
+fn tile_runs<const R: usize>(t: Tile<'_, '_>) {
+    let mut total = t.load_c::<R>();
+    for (q, chunk) in t.panel.chunks(t.run * NR).enumerate() {
+        let a_run = View {
+            data: &t.a.data[q * t.run * t.a.col_stride..],
+            cols: chunk.len() / NR,
+            ..t.a
+        };
+        let acc = sums::<R>(a_run, t.i0, chunk);
+        for (total_row, acc_row) in total.iter_mut().zip(&acc) {
+            for j in 0..NR {
+                total_row[j] += acc_row[j];
+            }
+        }
+    }
+    store_tile::<R, SET>(&total, t.c, t.c_stride, t.w);
 }
 
 /// The tile's epilogue. The store mode is a const parameter so that the
@@ -640,7 +732,7 @@ fn tile<const R: usize, const ADD: bool>(
 /// prototype took it as a runtime flag and measured the portable tile at
 /// 15 instead of 18–21 GFLOP/s.
 #[inline(always)]
-fn store_tile<const R: usize, const ADD: bool>(
+fn store_tile<const R: usize, const MODE: u8>(
     acc: &[[f32; NR]; R],
     c_block: &mut [f32],
     c_stride: usize,
@@ -648,7 +740,7 @@ fn store_tile<const R: usize, const ADD: bool>(
 ) {
     for (i, acc_row) in acc.iter().enumerate() {
         let c_row = &mut c_block[i * c_stride..][..w];
-        if ADD {
+        if MODE == ADD {
             for (c, s) in c_row.iter_mut().zip(acc_row) {
                 *c += s;
             }
@@ -658,51 +750,51 @@ fn store_tile<const R: usize, const ADD: bool>(
     }
 }
 
-/// [`tile`] compiled for the build's baseline ISA. A function of its own
-/// like the other widths': inlined into the driver's dispatch, the
-/// accumulators spilled every `p` (5–7 instead of 18–21 GFLOP/s).
+/// [`tile`] or [`tile_runs`] compiled for the build's baseline ISA. A
+/// function of its own like the other widths': inlined into the driver's
+/// dispatch, the accumulators spilled every `p` (5–7 instead of 18–21
+/// GFLOP/s).
 #[inline(never)]
-fn tile_portable<const R: usize, const ADD: bool>(
-    a: View<'_>,
-    i0: usize,
-    panel: &[f32],
-    c_block: &mut [f32],
-    c_stride: usize,
-    w: usize,
-) {
-    tile::<R, ADD>(a, i0, panel, c_block, c_stride, w);
+fn tile_portable<const R: usize, const MODE: u8>(t: Tile<'_, '_>) {
+    if MODE == RUNS {
+        tile_runs::<R>(t);
+    } else {
+        tile::<R, MODE>(t);
+    }
 }
 
-/// [`tile`] compiled with 256-bit vectors.
+/// [`tile`] or [`tile_runs`] compiled with 256-bit vectors.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn tile_avx2<const R: usize, const ADD: bool>(
-    a: View<'_>,
-    i0: usize,
-    panel: &[f32],
-    c_block: &mut [f32],
-    c_stride: usize,
-    w: usize,
-) {
-    tile::<R, ADD>(a, i0, panel, c_block, c_stride, w);
+fn tile_avx2<const R: usize, const MODE: u8>(t: Tile<'_, '_>) {
+    if MODE == RUNS {
+        tile_runs::<R>(t);
+    } else {
+        tile::<R, MODE>(t);
+    }
 }
 
 /// [`tile`] with one 512-bit register per row of the tile: the same
 /// lane-per-`C[i][j]` sums in the same order, multiply then add.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn tile_avx512<const R: usize, const ADD: bool>(
-    a: View<'_>,
-    i0: usize,
-    panel: &[f32],
-    c_block: &mut [f32],
-    c_stride: usize,
-    w: usize,
-) {
+fn tile_avx512<const R: usize, const MODE: u8>(t: Tile<'_, '_>) {
     use std::arch::x86_64::{
         _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
         _mm512_storeu_ps,
     };
+    if MODE == RUNS {
+        return tile_avx512_runs::<R>(t);
+    }
+    let Tile {
+        a,
+        i0,
+        panel,
+        c: c_block,
+        c_stride,
+        w,
+        ..
+    } = t;
     let mut acc = [_mm512_setzero_ps(); R];
     // The largest `A` index the loop below forms, checked once here
     // instead of `R` times per `p`: with the checks inside, the
@@ -729,7 +821,7 @@ fn tile_avx512<const R: usize, const ADD: bool>(
         // in `store_tile`.
         for (i, acc_i) in acc.into_iter().enumerate() {
             let c_row = &mut c_block[i * c_stride..][..NR];
-            let out = if ADD {
+            let out = if MODE == ADD {
                 // SAFETY: `c_row` is a slice of exactly NR = 16 floats,
                 // the 64 bytes an unaligned 512-bit load reads.
                 _mm512_add_ps(unsafe { _mm512_loadu_ps(c_row.as_ptr()) }, acc_i)
@@ -748,7 +840,70 @@ fn tile_avx512<const R: usize, const ADD: bool>(
         // bytes an unaligned 512-bit store writes.
         unsafe { _mm512_storeu_ps(row.as_mut_ptr(), acc_i) };
     }
-    store_tile::<R, ADD>(&sums, c_block, c_stride, w);
+    store_tile::<R, MODE>(&sums, c_block, c_stride, w);
+}
+
+/// [`tile_runs`] with one 512-bit register per row for `C`'s running
+/// total and one per row for the run's sum: per run, `R` fresh `+0.0`
+/// sums advanced in ascending `p`, then each added to its total.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tile_avx512_runs<const R: usize>(t: Tile<'_, '_>) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    let (a, i0) = (t.a, t.i0);
+    let mut total = [_mm512_setzero_ps(); R];
+    let padded = (t.w < NR).then(|| t.load_c::<R>());
+    for (i, total_i) in total.iter_mut().enumerate() {
+        let row = match &padded {
+            Some(rows) => &rows[i][..],
+            None => &t.c[i * t.c_stride..][..NR],
+        };
+        // SAFETY: `row` is a slice of exactly NR = 16 floats, the 64
+        // bytes an unaligned 512-bit load reads.
+        *total_i = unsafe { _mm512_loadu_ps(row.as_ptr()) };
+    }
+    // The largest `A` index the loop below forms, checked once (see
+    // `tile_avx512`).
+    let k = t.panel.len() / NR;
+    assert!(k == 0 || (i0 + R - 1) * a.row_stride + (k - 1) * a.col_stride < a.data.len());
+    for (q, chunk) in t.panel.chunks(t.run * NR).enumerate() {
+        let mut acc = [_mm512_setzero_ps(); R];
+        for (dp, b_row) in chunk.chunks_exact(NR).enumerate() {
+            let p = q * t.run + dp;
+            // SAFETY: `chunks_exact(NR)` yields slices of exactly NR = 16
+            // floats, the 64 bytes an unaligned 512-bit load reads.
+            let b = unsafe { _mm512_loadu_ps(b_row.as_ptr()) };
+            for (i, acc_i) in acc.iter_mut().enumerate() {
+                // SAFETY: `i < R` and `p < k`, so the index is at most the
+                // one asserted to be inside `a.data` above.
+                let a_ip = unsafe {
+                    *a.data
+                        .get_unchecked((i0 + i) * a.row_stride + p * a.col_stride)
+                };
+                *acc_i = _mm512_add_ps(*acc_i, _mm512_mul_ps(_mm512_set1_ps(a_ip), b));
+            }
+        }
+        for (total_i, acc_i) in total.iter_mut().zip(acc) {
+            *total_i = _mm512_add_ps(*total_i, acc_i);
+        }
+    }
+    let mut sums = [[0.0f32; NR]; R];
+    for (i, total_i) in total.into_iter().enumerate() {
+        let row = if t.w == NR {
+            &mut t.c[i * t.c_stride..][..NR]
+        } else {
+            &mut sums[i][..]
+        };
+        // SAFETY: `row` is a slice of exactly NR = 16 floats, the 64
+        // bytes an unaligned 512-bit store writes.
+        unsafe { _mm512_storeu_ps(row.as_mut_ptr(), total_i) };
+    }
+    if t.w < NR {
+        store_tile::<R, SET>(&sums, t.c, t.c_stride, t.w);
+    }
 }
 
 #[cfg(test)]
@@ -814,7 +969,7 @@ mod tests {
     /// `a · b` on a forced tile width.
     fn product_at(width: Width, a: View<'_>, b: Rhs<'_>) -> Matrix {
         let mut out = Matrix::zeros(a.rows, b.cols());
-        gemm::<false>(width, &mut out.data, a, b);
+        gemm::<SET>(width, &mut out.data, a, b, 0);
         out
     }
 
@@ -995,15 +1150,6 @@ mod tests {
             // (what, A as an m×k view, the same A as a stored matrix)
             let a_rows = big_a.rows_view(2..2 + m);
             let a_t = big_at.rows_view(1..1 + k).t();
-            let stored = |v: View<'_>| {
-                let mut out = Matrix::zeros(v.rows, v.cols);
-                for r in 0..v.rows {
-                    for c in 0..v.cols {
-                        out.set(r, c, v.data[r * v.row_stride + c * v.col_stride]);
-                    }
-                }
-                out
-            };
             for (a_what, a) in [("rows of A", a_rows), ("(rows of Aᵀ)ᵀ", a_t)] {
                 let mut want = c0.clone();
                 let block = {
@@ -1020,7 +1166,7 @@ mod tests {
                 for width in widths() {
                     for (b_what, b) in rhs {
                         let mut c = c0.clone();
-                        gemm::<true>(width, &mut c.data[3 * n..(3 + m) * n], a, b);
+                        gemm::<ADD>(width, &mut c.data[3 * n..(3 + m) * n], a, b, 0);
                         let what = format!("{a_what} · {b_what} {m}x{k}x{n} at {width:?}");
                         assert_bits_eq(&c, &want, &what);
                     }
@@ -1034,6 +1180,171 @@ mod tests {
                 assert_bits_eq(&c, &want, &format!("gemm_rows Set {a_what}"));
             }
         }
+    }
+
+    /// In-order reference for `Store::AddRuns(run)`: each `C[i][j]` plus
+    /// each run's sum, the sum from `+0.0` in ascending `p`, the runs in
+    /// ascending order.
+    fn naive_add_runs(c: &Matrix, a: &Matrix, b: &Matrix, run: usize) -> Matrix {
+        let mut out = c.clone();
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut total = c.get(i, j);
+                for p0 in (0..a.cols()).step_by(run) {
+                    let mut acc = 0.0;
+                    for p in p0..(p0 + run).min(a.cols()) {
+                        acc += a.get(i, p) * b.get(p, j);
+                    }
+                    total += acc;
+                }
+                out.set(i, j, total);
+            }
+        }
+        out
+    }
+
+    /// A view's elements as a stored matrix.
+    fn stored(v: View<'_>) -> Matrix {
+        let mut out = Matrix::zeros(v.rows, v.cols);
+        for r in 0..v.rows {
+            for c in 0..v.cols {
+                out.set(r, c, v.data[r * v.row_stride + c * v.col_stride]);
+            }
+        }
+        out
+    }
+
+    /// `m×n` of `C` uniform in `(-2, 2)` with planted `+0.0` and `-0.0`.
+    fn seeded_c(rng: &mut StdRng, m: usize, n: usize) -> Matrix {
+        let mut c = random(rng, m, n);
+        for (x, v) in c.as_mut_slice().iter_mut().enumerate() {
+            if x % 5 == 1 {
+                *v = -0.0;
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn add_runs_is_the_in_order_sum_of_runs() {
+        // Into rows 3..3+m of a larger C seeded with non-zero values,
+        // `+0.0` and `-0.0`, every operand layout, every width: equal to
+        // the in-order reference, rows outside the range untouched. The
+        // runs: one product per run, all of `k`, runs that do not divide
+        // `k` (the last one shorter), and a run longer than `k`.
+        let mut rng = StdRng::seed_from_u64(17);
+        let shapes = [
+            (320, 256, 64), // sampled softmax dh = D·C, run 1
+            (256, 320, 48), // the LSTM's dWh, run B = 16
+            (5, 9, 17),
+            (33, 16, 4),
+            (17, 21, 33),
+            (1, 1, 1),
+            (16, 40, 16),
+        ];
+        for (m, k, n) in shapes {
+            let big_a = random(&mut rng, m + 5, k);
+            let big_at = random(&mut rng, k + 2, m);
+            let b = random(&mut rng, k, n);
+            let bt = b.transpose();
+            let c0 = seeded_c(&mut rng, m + 4, n);
+            let packed = PackedB::new(b.view());
+            let a_rows = big_a.rows_view(2..2 + m);
+            let a_t = big_at.rows_view(1..1 + k).t();
+            let (a_stored, a_t_stored) = (stored(a_rows), stored(a_t));
+            let mut runs = vec![1, 3, 16, k, k + 5];
+            runs.dedup();
+            for run in runs {
+                for (a_what, a, stored) in [
+                    ("rows of A", a_rows, &a_stored),
+                    ("(rows of Aᵀ)ᵀ", a_t, &a_t_stored),
+                ] {
+                    let mut want = c0.clone();
+                    let c_rows = Matrix::from_vec(m, n, c0.data[3 * n..(3 + m) * n].to_vec());
+                    let block = naive_add_runs(&c_rows, stored, &b, run);
+                    want.data[3 * n..(3 + m) * n].copy_from_slice(&block.data);
+                    let rhs: [(&str, Rhs<'_>); 3] = [
+                        ("B", Rhs::View(b.view())),
+                        ("(Bᵀ)ᵀ", Rhs::View(bt.view().t())),
+                        ("packed(B)", Rhs::Packed(&packed)),
+                    ];
+                    for width in widths() {
+                        for (b_what, b) in rhs {
+                            let mut c = c0.clone();
+                            let rows = &mut c.data[3 * n..(3 + m) * n];
+                            gemm::<RUNS>(width, rows, a, b, run.min(k));
+                            let what =
+                                format!("{a_what} · {b_what} {m}x{k}x{n} run {run} at {width:?}");
+                            assert_bits_eq(&c, &want, &what);
+                        }
+                    }
+                    // The public entry at every width.
+                    for_each_width(|width| {
+                        let mut c = c0.clone();
+                        c.gemm_rows(3..3 + m, a, Rhs::View(b.view()), Store::AddRuns(run));
+                        let what = format!("gemm_rows AddRuns({run}) {a_what} at {width}");
+                        assert_bits_eq(&c, &want, &what);
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn add_runs_of_all_k_is_add() {
+        // For k ≥ 1 one run of all of `k` (or longer) is `Add`'s one
+        // sum, `-0.0` seeds included.
+        let mut rng = StdRng::seed_from_u64(23);
+        for (m, k, n) in [(16, 256, 1024), (33, 16, 4), (5, 9, 17), (1, 1, 1)] {
+            let (a, b) = (random(&mut rng, m, k), random(&mut rng, k, n));
+            let c0 = seeded_c(&mut rng, m, n);
+            let mut add = c0.clone();
+            add.gemm_rows(0..m, a.view(), Rhs::View(b.view()), Store::Add);
+            for run in [k, k + 1, usize::MAX] {
+                let mut runs = c0.clone();
+                runs.gemm_rows(0..m, a.view(), Rhs::View(b.view()), Store::AddRuns(run));
+                assert_bits_eq(&runs, &add, &format!("{m}x{k}x{n} AddRuns({run})"));
+            }
+        }
+    }
+
+    #[test]
+    fn add_runs_signed_zeros_and_non_finite_values() {
+        // A `-0.0` seed: with `k = 0` there is no run and it stays; a run
+        // of `-0.0` products sums to `+0.0` from `+0.0`, so it becomes
+        // `+0.0`; a seed of `+0.0` never becomes `-0.0`. A zero in A
+        // against an `inf` or `NaN` in B reaches C as `NaN`.
+        let (a0, b0) = (Matrix::zeros(2, 0), Matrix::zeros(0, 3));
+        let a = Matrix::from_vec(2, 2, vec![-1., 0., 1., 1.]);
+        let b = Matrix::from_vec(2, 3, vec![0., f32::INFINITY, 1., 0., 2., f32::NAN]);
+        for width in widths() {
+            let mut c = Matrix::from_vec(2, 3, vec![-0.0; 6]);
+            gemm::<RUNS>(width, &mut c.data, a0.view(), Rhs::View(b0.view()), 1);
+            assert!(c.data.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+            for run in [1, 2] {
+                let mut c = Matrix::from_vec(2, 3, vec![-0.0, -0.0, -0.0, 0.0, 0.0, 0.0]);
+                gemm::<RUNS>(width, &mut c.data, a.view(), Rhs::View(b.view()), run);
+                // Row 0: (-1)·0 + 0·0 = -0.0 + +0.0 per run → +0.0.
+                assert_eq!(
+                    c.get(0, 0).to_bits(),
+                    0.0f32.to_bits(),
+                    "{width:?} run {run}"
+                );
+                // (-1)·inf + 0·2 = -inf; (-1)·1 + 0·NaN = NaN.
+                assert_eq!(c.get(0, 1), f32::NEG_INFINITY);
+                assert!(c.get(0, 2).is_nan(), "0·NaN masked at {width:?} run {run}");
+                assert_eq!(c.get(1, 0).to_bits(), 0.0f32.to_bits());
+                assert_eq!(c.get(1, 1), f32::INFINITY);
+                assert!(c.get(1, 2).is_nan());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a run holds at least one p")]
+    fn add_runs_of_zero_panics() {
+        let (a, b) = (Matrix::zeros(2, 3), Matrix::zeros(3, 2));
+        Matrix::zeros(2, 2).gemm_rows(0..2, a.view(), Rhs::View(b.view()), Store::AddRuns(0));
     }
 
     #[test]
