@@ -22,6 +22,12 @@
 //! per timestep from one reused, gathered `B×D` block; the "blocks"
 //! rows time them that way.
 //!
+//! The `AddRuns` rows time the word LM's two run-wise accumulating
+//! products — the sampled softmax's `dh += D·C` (`320×256×64`, run 1) and
+//! the LSTM's `dWh += Hᵀ·DZ` over all timesteps (`256×320×1024`, run
+//! `B = 16`) — at every width this CPU runs, beside `Add` over the same
+//! operands.
+//!
 //! The last rows time the gate nonlinearities at the blocks the layers
 //! hand them, one call per step (LSTM) or per `(t, l)` (RHN): the
 //! sigmoid over a step's `B×4H` gate block, `tanh` over its `B×H` `g`
@@ -61,6 +67,17 @@ const RECURRENT: &[(&str, usize, usize, usize)] = &[
     ("word_exchange x_tᵀ·dz", 512, 512, 16),
     ("char_weak s·R", 1, 48, 48),
     ("char_weak sᵀ·dz", 48, 1, 48),
+];
+
+/// `(what, m, k, n, run, A stored transposed)`: the word LM's two
+/// products under `Store::AddRuns`, `C += ` one sum per run of `p` in
+/// order. The sampled softmax's `dh += D·C` adds each candidate's term on
+/// its own (run 1, `D` the `n×S` candidate gradients, `C` the `S×P`
+/// candidate rows); the LSTM's `dWh += Hᵀ·DZ` adds one `B`-long run per
+/// timestep (run 16, both `T·B`-row operands in descending `t`).
+const RUNS: &[(&str, usize, usize, usize, usize, bool)] = &[
+    ("word_compute sampled-softmax dh", 320, 256, 64, 1, false),
+    ("word_compute dWh", 256, 320, 1024, 16, true),
 ];
 
 /// Rows of an input block, as `nn::BLOCK_ROWS`.
@@ -170,8 +187,41 @@ fn bench_gemm(c: &mut Criterion) {
         );
     }
     bench_blocks(&mut group, &mut rng);
+    bench_runs(&mut group, &mut rng);
     bench_gates(&mut group, &mut rng);
     group.finish();
+}
+
+/// The `Store::AddRuns` products at every width this CPU runs, each
+/// beside `Store::Add` over the same operands (one sum of all of `k`).
+fn bench_runs(group: &mut BenchmarkGroup<'_>, rng: &mut StdRng) {
+    for &(what, m, k, n, run, transposed) in RUNS {
+        println!("# {what}, run {run}");
+        let a_stored = if transposed {
+            init::uniform(rng, k, m, 0.1)
+        } else {
+            init::uniform(rng, m, k, 0.1)
+        };
+        let a = if transposed {
+            a_stored.view().t()
+        } else {
+            a_stored.view()
+        };
+        let b = init::uniform(rng, k, n, 0.1);
+        let mut c = Matrix::zeros(m, n);
+        let flops = 2.0 * (m * k * n) as f64;
+        let shape = format!("{m}x{k}x{n}");
+        for_each_width(|width| {
+            for (name, store) in [("add", Store::Add), ("add_runs", Store::AddRuns(run))] {
+                time(
+                    group,
+                    &format!("gemm_rows_{name}/{shape} {width}"),
+                    flops,
+                    || c.gemm_rows(0..m, a, Rhs::View(b.view()), store),
+                );
+            }
+        });
+    }
 }
 
 /// ns per element of libm and of the kernel at every width, for each

@@ -16,7 +16,7 @@
 //! `tests/flop_count.rs` holds to `tensor::gemm_macs` exactly: a
 //! recurrent or dense layer runs [`step`]'s 3× forward (the backward
 //! pass computes both `dX` and `dW`, each the forward's size), and
-//! sampled softmax runs only its candidate product. The same test holds
+//! sampled softmax runs its candidate product the same three times. The same test holds
 //! each parameter count to `nn`'s `param_count` / `dense_param_count`.
 
 /// §V-A: the word LM sustains 40 % of peak FLOP/s ("2.44 TFLOP/sec (40%
@@ -46,12 +46,12 @@ pub fn linear(input: usize, output: usize) -> u64 {
 /// Sampled softmax over `P`-wide outputs: `S` candidate dots and the
 /// target's, `(S + 1)·P`.
 ///
-/// Only the candidate product (`P·S` per token) is a GEMM, and it
-/// runs once, forward. The rest runs in scalar loops: the target dot
-/// and, per scored class, the `dh` and table-row updates — at most
-/// `T·B·P·(2S + 3)` multiply-adds for `T·B` tokens (fewer when an
-/// accidental hit or a zero gradient is skipped). Priced under [`step`],
-/// the layer's `3·(S + 1)·P` covers both.
+/// The candidate part (`P·S` per token) runs as three GEMMs: the
+/// forward's candidate dots, and the backward's candidate table rows
+/// `Dᵀ·H` and their share of `dh`, `D·C`. The target's part runs in
+/// scalar loops: its dot, and its `dh` and table-row terms when its
+/// gradient is non-zero — at most `3P` multiply-adds per token. Priced
+/// under [`step`], the layer's `3·(S + 1)·P` is exactly both.
 pub fn sampled_softmax(proj: usize, samples: usize) -> u64 {
     linear(proj, samples) + proj as u64
 }

@@ -9,9 +9,11 @@
 //! * the LSTM, the RHN and a dense layer run 3× forward — step 0's
 //!   zero state is still multiplied, so the recurrences have no
 //!   off-by-one;
-//! * sampled softmax runs only its `P×S` candidate product; the target
-//!   dot and the backward run in scalar loops (`flops::sampled_softmax`
-//!   states that remainder).
+//! * sampled softmax runs three candidate-sized products, each `P·S` per
+//!   token: the forward `H·Cᵀ` and the backward's `Dᵀ·H` (the candidate
+//!   table rows) and `D·C` (their share of `dh`); the target's dot and
+//!   gradient run in scalar loops (`flops::sampled_softmax` states that
+//!   remainder).
 //!
 //! At the same shapes, each layer's `param_count` and each model's
 //! `dense_param_count` equal `flops`' parameter count exactly.
@@ -102,7 +104,7 @@ fn linear_runs_three_times_its_forward_count() {
 }
 
 #[test]
-fn sampled_softmax_runs_only_its_candidate_product() {
+fn sampled_softmax_runs_three_candidate_products() {
     for (seed, (n, p, s, vocab)) in [(6, 4, 5, 50), (12, 8, 11, 100)].into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed as u64);
         let table = Embedding::new(&mut rng, vocab, p);
@@ -112,9 +114,10 @@ fn sampled_softmax_runs_only_its_candidate_product() {
         let got = macs_of(|| {
             layer.forward_backward_with_candidates(&h, &targets, &table, candidates(s, vocab))
         });
-        // All but the target dot is the one GEMM.
-        let gemm = flops::sampled_softmax(p, s) - p as u64;
-        assert_eq!(got, n as u64 * gemm, "n{n} P{p} S{s}");
+        // All but the target dot is the candidate product, run forward
+        // and twice backward.
+        let candidate = flops::sampled_softmax(p, s) - p as u64;
+        assert_eq!(got, n as u64 * 3 * candidate, "n{n} P{p} S{s}");
     }
 }
 
@@ -134,9 +137,8 @@ fn word_lm_runs_its_layers_gemms() {
         let model = WordLm::new(seed as u64, cfg);
         let batch = seq_batch(t, b, vocab);
         let got = macs_of(|| model.forward_backward_with_candidates(&batch, candidates(s, vocab)));
-        // LSTM and projection at 3× forward, sampled softmax forward only.
-        let softmax = flops::sampled_softmax(p, s);
-        let want = 3 * (flops::word_lm(e, h, p, s) - softmax) + softmax - p as u64;
+        // Every layer at 3× forward but the softmax's target dot.
+        let want = 3 * (flops::word_lm(e, h, p, s) - p as u64);
         assert_eq!(got, (t * b) as u64 * want, "{cfg:?} T{t} B{b}");
         let params = flops::word_lm_params(e, h, p);
         assert_eq!(model.dense_param_count() as u64, params, "{cfg:?}");
