@@ -28,12 +28,18 @@
 //!   ([`PackedB`](tensor::PackedB)) once per change of weights, on the
 //!   first pass that reads them, instead of once per step or block; the
 //!   only `&mut` path to them drops the packs (see `crate::packs`);
-//! * `Z[t] += h_{t−1}·Wh`, `dWx += x_tᵀ·dz_t` and `dWh += h_{t−1}ᵀ·dz_t`
-//!   accumulate in place ([`Store::Add`]) on row-range views — no
-//!   temporary, no second pass. The weight gradients stay **per step, in
-//!   descending `t`**: one `k = T·B` product would sum over `t` in a
-//!   different association and move the low bits. `x_t` is read from one
-//!   reused `B×D` block.
+//! * `Z[t] += h_{t−1}·Wh` and `dWx += x_tᵀ·dz_t` accumulate in place
+//!   ([`Store::Add`]) on row-range views — no temporary, no second pass.
+//!   `dWx` stays **per step, in descending `t`**, `x_t` read from one
+//!   reused `B×D` block: one `k = T·B` product over a lookup's input
+//!   would need all `T·B` gathered rows at once;
+//! * `dWh` is **one run-wise product** after the recurrence: `h_{t−1}`
+//!   and `dz_t`, both copied into `T·B`-row operands with their steps in
+//!   descending `t`, under [`Store::AddRuns`]`(B)`. Each step is one
+//!   `B`-long run of `p`, summed from `+0.0` and added to `dWh` in the
+//!   order the per-step products added it, so the bits are theirs; a
+//!   plain `k = T·B` sum would associate over `t` differently and move
+//!   the low bits.
 //!
 //! `Z` is activated in place and *is* the gate cache: each step's `B×4H`
 //! block goes through `tensor`'s lane-wise [`sigmoid_in_place`] in one
@@ -306,8 +312,8 @@ impl LstmLayer {
         }
         // `dWh += h_{t−1}ᵀ·dz_t` over every step in one product: with both
         // operands' steps in descending `t`, each step is one `B`-long run
-        // of `p`, summed on its own and added in the order the per-step
-        // products added it.
+        // of `p`, summed on its own and added to `dWh` in descending `t`,
+        // the association of one product per step.
         let (h_prev, dz_desc) = (
             last_step_first(&cache.hs, steps, b),
             last_step_first(&dz, steps, b),

@@ -134,8 +134,7 @@ impl SampledSoftmax {
         let mut d = h.matmul_transpose_b(&cand_rows);
 
         let mut logits = vec![0.0f32; s + 1];
-        #[allow(clippy::needless_range_loop)]
-        // i indexes h, targets, d, dh and grad_rows in lockstep
+        #[allow(clippy::needless_range_loop)] // i indexes h, targets, d, dh, grad_rows
         for i in 0..n {
             let hi = h.row(i);
             let t = targets[i];
@@ -185,9 +184,9 @@ impl SampledSoftmax {
         }
 
         // The candidates' table rows are `Dᵀ·H`, and `dh` adds `D·C` one
-        // class at a time after the target's term (`AddRuns(1)`), as the
-        // per-class loop did. Both sums start at `+0.0` and so never hold
-        // `−0.0`, to which the loop's skipped `±0` terms would add nothing.
+        // class at a time after the target's term (`AddRuns(1)`). Both
+        // sums start at `+0.0`, so neither ever holds `−0.0` and the `±0`
+        // terms of masked or underflowed classes add nothing to them.
         let cands = n..n + s;
         grad_rows.gemm_rows(cands, d.view().t(), Rhs::View(h.view()), Store::Set);
         dh.gemm_rows(

@@ -16,8 +16,9 @@
 //! `tests/flop_count.rs` holds to `tensor::gemm_macs` exactly: a
 //! recurrent or dense layer runs [`step`]'s 3× forward (the backward
 //! pass computes both `dX` and `dW`, each the forward's size), and
-//! sampled softmax runs its candidate product the same three times. The same test holds
-//! each parameter count to `nn`'s `param_count` / `dense_param_count`.
+//! sampled softmax runs its candidate product the same three times. The
+//! same test holds each parameter count to `nn`'s `param_count` /
+//! `dense_param_count`.
 
 /// §V-A: the word LM sustains 40 % of peak FLOP/s ("2.44 TFLOP/sec (40%
 /// of peak)").

@@ -38,6 +38,11 @@
 //! [`Store`] mode: `Add` stores `C[i][j] + s` where `s` is the very sum
 //! from `+0.0` that `Set` would store, so it is bitwise
 //! `c.add_assign(&a.matmul(b))` without the temporary or the second pass.
+//! `AddRuns(run)` adds one such sum per `run` consecutive `p`, in order,
+//! the tile's `C` held across the runs: a sum over `t` of per-step
+//! products issued as one call, each step's term associated as its own
+//! call would have associated it. Its tiles are their own (`tile_runs`,
+//! `tile_avx512_runs`); the driver, its blocks and its packing are shared.
 //!
 //! This module holds the workspace's `unsafe`, but for the width dispatch
 //! of the gate kernels (`activation`): the calls into the
@@ -604,28 +609,20 @@ fn gemm<const MODE: u8>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>, ru
                     }
                     Rhs::Packed(p) => &p.panels[q * panel_len..][..panel_len],
                 };
-                let t = Tile {
-                    a,
-                    i0,
-                    panel,
-                    c: &mut c[i0 * n + j0..],
-                    c_stride: n,
-                    w,
-                    run,
-                };
+                let c_block = &mut c[i0 * n + j0..];
                 match width {
                     Width::Portable => match r {
-                        2 => tile_portable::<2, MODE>(t),
-                        _ => tile_portable::<1, MODE>(t),
+                        2 => tile_portable::<2, MODE>(a, i0, panel, c_block, n, w, run),
+                        _ => tile_portable::<1, MODE>(a, i0, panel, c_block, n, w, run),
                     },
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: `width.supported()` was asserted on entry, so
                     // the CPU has the `avx2` these tiles are compiled for.
                     Width::Avx2 => unsafe {
                         match r {
-                            4 => tile_avx2::<4, MODE>(t),
-                            2 => tile_avx2::<2, MODE>(t),
-                            _ => tile_avx2::<1, MODE>(t),
+                            4 => tile_avx2::<4, MODE>(a, i0, panel, c_block, n, w, run),
+                            2 => tile_avx2::<2, MODE>(a, i0, panel, c_block, n, w, run),
+                            _ => tile_avx2::<1, MODE>(a, i0, panel, c_block, n, w, run),
                         }
                     },
                     #[cfg(target_arch = "x86_64")]
@@ -633,11 +630,11 @@ fn gemm<const MODE: u8>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>, ru
                     // the CPU has the `avx512f` these tiles are compiled for.
                     Width::Avx512 => unsafe {
                         match r {
-                            16 => tile_avx512::<16, MODE>(t),
-                            8 => tile_avx512::<8, MODE>(t),
-                            4 => tile_avx512::<4, MODE>(t),
-                            2 => tile_avx512::<2, MODE>(t),
-                            _ => tile_avx512::<1, MODE>(t),
+                            16 => tile_avx512::<16, MODE>(a, i0, panel, c_block, n, w, run),
+                            8 => tile_avx512::<8, MODE>(a, i0, panel, c_block, n, w, run),
+                            4 => tile_avx512::<4, MODE>(a, i0, panel, c_block, n, w, run),
+                            2 => tile_avx512::<2, MODE>(a, i0, panel, c_block, n, w, run),
+                            _ => tile_avx512::<1, MODE>(a, i0, panel, c_block, n, w, run),
                         }
                     },
                 }
@@ -650,48 +647,28 @@ fn gemm<const MODE: u8>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>, ru
     }
 }
 
-/// One tile's operands: rows `i0..i0 + R` of `A`, one packed `k×NR` panel
-/// of `B`, and the tile of `C` from its first element (`c_stride` apart,
-/// the first `w` columns kept), plus the run length under `RUNS`.
-struct Tile<'a, 'c> {
-    a: View<'a>,
-    i0: usize,
-    panel: &'a [f32],
-    c: &'c mut [f32],
-    c_stride: usize,
-    w: usize,
-    run: usize,
-}
-
-impl Tile<'_, '_> {
-    /// The first `w` columns of the tile's `R` rows of `C`, zero-padded.
-    #[inline(always)]
-    fn load_c<const R: usize>(&self) -> [[f32; NR]; R] {
-        let mut out = [[0.0f32; NR]; R];
-        for (i, row) in out.iter_mut().enumerate() {
-            let c_row = &self.c[i * self.c_stride..][..self.w];
-            for (j, x) in row.iter_mut().enumerate() {
-                *x = c_row.get(j).copied().unwrap_or(0.0);
-            }
-        }
-        out
-    }
-}
-
 /// One `R×NR` tile of `C`: `R·NR` independent sums, each advanced once
 /// per `p` in ascending order, then stored to the first `w` columns.
 #[inline(always)]
-fn tile<const R: usize, const MODE: u8>(t: Tile<'_, '_>) {
-    let acc = sums::<R>(t.a, t.i0, t.panel);
-    store_tile::<R, MODE>(&acc, t.c, t.c_stride, t.w);
+fn tile<const R: usize, const MODE: u8>(
+    a: View<'_>,
+    i0: usize,
+    panel: &[f32],
+    c_block: &mut [f32],
+    c_stride: usize,
+    w: usize,
+) {
+    let acc = sums::<R>(a, i0, 0, panel);
+    store_tile::<R, MODE>(&acc, c_block, c_stride, w);
 }
 
-/// The `R×NR` sums of rows `i0..i0 + R` of `A` against `panel`, each from
-/// `+0.0` in ascending `p`.
+/// The `R×NR` sums of rows `i0..i0 + R` of `A` against `panel`, rows
+/// `p0..` of a `B` panel, each from `+0.0` in ascending `p`.
 #[inline(always)]
-fn sums<const R: usize>(a: View<'_>, i0: usize, panel: &[f32]) -> [[f32; NR]; R] {
+fn sums<const R: usize>(a: View<'_>, i0: usize, p0: usize, panel: &[f32]) -> [[f32; NR]; R] {
     let mut acc = [[0.0f32; NR]; R];
-    for (p, b_row) in panel.chunks_exact(NR).enumerate() {
+    for (dp, b_row) in panel.chunks_exact(NR).enumerate() {
+        let p = p0 + dp;
         for (i, acc_row) in acc.iter_mut().enumerate() {
             let a_ip = a.data[(i0 + i) * a.row_stride + p * a.col_stride];
             // Indexed, not zipped: written as `zip` over the two rows,
@@ -705,26 +682,43 @@ fn sums<const R: usize>(a: View<'_>, i0: usize, panel: &[f32]) -> [[f32; NR]; R]
     acc
 }
 
-/// The `RUNS` tile: `C`'s `R×NR` tile loaded once into `total`; per run
-/// of `p`, [`sums`] over the run's columns of `A` and rows of the panel,
-/// added to `total`; `total` stored once.
+/// The first `w` columns of the `R` rows of `C` from `c_block`,
+/// `c_stride` apart, zero-padded.
 #[inline(always)]
-fn tile_runs<const R: usize>(t: Tile<'_, '_>) {
-    let mut total = t.load_c::<R>();
-    for (q, chunk) in t.panel.chunks(t.run * NR).enumerate() {
-        let a_run = View {
-            data: &t.a.data[q * t.run * t.a.col_stride..],
-            cols: chunk.len() / NR,
-            ..t.a
-        };
-        let acc = sums::<R>(a_run, t.i0, chunk);
+fn load_tile<const R: usize>(c_block: &[f32], c_stride: usize, w: usize) -> [[f32; NR]; R] {
+    let mut out = [[0.0f32; NR]; R];
+    for (i, row) in out.iter_mut().enumerate() {
+        let c_row = &c_block[i * c_stride..][..w];
+        for (j, x) in row.iter_mut().enumerate() {
+            *x = c_row.get(j).copied().unwrap_or(0.0);
+        }
+    }
+    out
+}
+
+/// The `RUNS` tile: `C`'s `R×NR` tile loaded once into `total`; per run
+/// of `run` rows of the panel, [`sums`] over them, added to `total`;
+/// `total` stored once.
+#[inline(always)]
+fn tile_runs<const R: usize>(
+    a: View<'_>,
+    i0: usize,
+    panel: &[f32],
+    c_block: &mut [f32],
+    c_stride: usize,
+    w: usize,
+    run: usize,
+) {
+    let mut total = load_tile::<R>(c_block, c_stride, w);
+    for (q, chunk) in panel.chunks(run * NR).enumerate() {
+        let acc = sums::<R>(a, i0, q * run, chunk);
         for (total_row, acc_row) in total.iter_mut().zip(&acc) {
             for j in 0..NR {
                 total_row[j] += acc_row[j];
             }
         }
     }
-    store_tile::<R, SET>(&total, t.c, t.c_stride, t.w);
+    store_tile::<R, SET>(&total, c_block, c_stride, w);
 }
 
 /// The tile's epilogue. The store mode is a const parameter so that the
@@ -750,51 +744,67 @@ fn store_tile<const R: usize, const MODE: u8>(
     }
 }
 
-/// [`tile`] or [`tile_runs`] compiled for the build's baseline ISA. A
-/// function of its own like the other widths': inlined into the driver's
-/// dispatch, the accumulators spilled every `p` (5–7 instead of 18–21
-/// GFLOP/s).
+/// [`tile`], or [`tile_runs`] under `RUNS`, compiled for the build's
+/// baseline ISA. A function of its own like the other widths': inlined
+/// into the driver's dispatch, the accumulators spilled every `p` (5–7
+/// instead of 18–21 GFLOP/s).
 #[inline(never)]
-fn tile_portable<const R: usize, const MODE: u8>(t: Tile<'_, '_>) {
+fn tile_portable<const R: usize, const MODE: u8>(
+    a: View<'_>,
+    i0: usize,
+    panel: &[f32],
+    c_block: &mut [f32],
+    c_stride: usize,
+    w: usize,
+    run: usize,
+) {
     if MODE == RUNS {
-        tile_runs::<R>(t);
+        tile_runs::<R>(a, i0, panel, c_block, c_stride, w, run);
     } else {
-        tile::<R, MODE>(t);
+        tile::<R, MODE>(a, i0, panel, c_block, c_stride, w);
     }
 }
 
-/// [`tile`] or [`tile_runs`] compiled with 256-bit vectors.
+/// [`tile`], or [`tile_runs`] under `RUNS`, compiled with 256-bit vectors.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn tile_avx2<const R: usize, const MODE: u8>(t: Tile<'_, '_>) {
+fn tile_avx2<const R: usize, const MODE: u8>(
+    a: View<'_>,
+    i0: usize,
+    panel: &[f32],
+    c_block: &mut [f32],
+    c_stride: usize,
+    w: usize,
+    run: usize,
+) {
     if MODE == RUNS {
-        tile_runs::<R>(t);
+        tile_runs::<R>(a, i0, panel, c_block, c_stride, w, run);
     } else {
-        tile::<R, MODE>(t);
+        tile::<R, MODE>(a, i0, panel, c_block, c_stride, w);
     }
 }
 
 /// [`tile`] with one 512-bit register per row of the tile: the same
-/// lane-per-`C[i][j]` sums in the same order, multiply then add.
+/// lane-per-`C[i][j]` sums in the same order, multiply then add. Under
+/// `RUNS`, [`tile_avx512_runs`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn tile_avx512<const R: usize, const MODE: u8>(t: Tile<'_, '_>) {
+fn tile_avx512<const R: usize, const MODE: u8>(
+    a: View<'_>,
+    i0: usize,
+    panel: &[f32],
+    c_block: &mut [f32],
+    c_stride: usize,
+    w: usize,
+    run: usize,
+) {
     use std::arch::x86_64::{
         _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
         _mm512_storeu_ps,
     };
     if MODE == RUNS {
-        return tile_avx512_runs::<R>(t);
+        return tile_avx512_runs::<R>(a, i0, panel, c_block, c_stride, w, run);
     }
-    let Tile {
-        a,
-        i0,
-        panel,
-        c: c_block,
-        c_stride,
-        w,
-        ..
-    } = t;
     let mut acc = [_mm512_setzero_ps(); R];
     // The largest `A` index the loop below forms, checked once here
     // instead of `R` times per `p`: with the checks inside, the
@@ -848,18 +858,25 @@ fn tile_avx512<const R: usize, const MODE: u8>(t: Tile<'_, '_>) {
 /// sums advanced in ascending `p`, then each added to its total.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn tile_avx512_runs<const R: usize>(t: Tile<'_, '_>) {
+fn tile_avx512_runs<const R: usize>(
+    a: View<'_>,
+    i0: usize,
+    panel: &[f32],
+    c_block: &mut [f32],
+    c_stride: usize,
+    w: usize,
+    run: usize,
+) {
     use std::arch::x86_64::{
         _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
         _mm512_storeu_ps,
     };
-    let (a, i0) = (t.a, t.i0);
     let mut total = [_mm512_setzero_ps(); R];
-    let padded = (t.w < NR).then(|| t.load_c::<R>());
+    let padded = (w < NR).then(|| load_tile::<R>(c_block, c_stride, w));
     for (i, total_i) in total.iter_mut().enumerate() {
         let row = match &padded {
             Some(rows) => &rows[i][..],
-            None => &t.c[i * t.c_stride..][..NR],
+            None => &c_block[i * c_stride..][..NR],
         };
         // SAFETY: `row` is a slice of exactly NR = 16 floats, the 64
         // bytes an unaligned 512-bit load reads.
@@ -867,12 +884,12 @@ fn tile_avx512_runs<const R: usize>(t: Tile<'_, '_>) {
     }
     // The largest `A` index the loop below forms, checked once (see
     // `tile_avx512`).
-    let k = t.panel.len() / NR;
+    let k = panel.len() / NR;
     assert!(k == 0 || (i0 + R - 1) * a.row_stride + (k - 1) * a.col_stride < a.data.len());
-    for (q, chunk) in t.panel.chunks(t.run * NR).enumerate() {
+    for (q, chunk) in panel.chunks(run * NR).enumerate() {
         let mut acc = [_mm512_setzero_ps(); R];
         for (dp, b_row) in chunk.chunks_exact(NR).enumerate() {
-            let p = q * t.run + dp;
+            let p = q * run + dp;
             // SAFETY: `chunks_exact(NR)` yields slices of exactly NR = 16
             // floats, the 64 bytes an unaligned 512-bit load reads.
             let b = unsafe { _mm512_loadu_ps(b_row.as_ptr()) };
@@ -892,8 +909,8 @@ fn tile_avx512_runs<const R: usize>(t: Tile<'_, '_>) {
     }
     let mut sums = [[0.0f32; NR]; R];
     for (i, total_i) in total.into_iter().enumerate() {
-        let row = if t.w == NR {
-            &mut t.c[i * t.c_stride..][..NR]
+        let row = if w == NR {
+            &mut c_block[i * c_stride..][..NR]
         } else {
             &mut sums[i][..]
         };
@@ -901,8 +918,8 @@ fn tile_avx512_runs<const R: usize>(t: Tile<'_, '_>) {
         // bytes an unaligned 512-bit store writes.
         unsafe { _mm512_storeu_ps(row.as_mut_ptr(), total_i) };
     }
-    if t.w < NR {
-        store_tile::<R, SET>(&sums, t.c, t.c_stride, t.w);
+    if w < NR {
+        store_tile::<R, SET>(&sums, c_block, c_stride, w);
     }
 }
 
