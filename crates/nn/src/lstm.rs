@@ -33,13 +33,14 @@
 //!   `dWx` stays **per step, in descending `t`**, `x_t` read from one
 //!   reused `B×D` block: one `k = T·B` product over a lookup's input
 //!   would need all `T·B` gathered rows at once;
-//! * `dWh` is **one run-wise product** after the recurrence: `h_{t−1}`
-//!   and `dz_t`, both copied into `T·B`-row operands with their steps in
-//!   descending `t`, under [`Store::AddRuns`]`(B)`. Each step is one
-//!   `B`-long run of `p`, summed from `+0.0` and added to `dWh` in the
-//!   order the per-step products added it, so the bits are theirs; a
-//!   plain `k = T·B` sum would associate over `t` differently and move
-//!   the low bits.
+//! * `dWh` is **one run-wise product** after the recurrence, under
+//!   [`Store::AddRuns`]`(B)`, over `T·B`-row operands with their steps in
+//!   descending `t`: `dz`, which the recurrence writes last step first
+//!   and which is reversed in place afterwards, and a copy of the
+//!   `h_{t−1}` blocks. Each step is one `B`-long run of `p`, summed from
+//!   `+0.0` and added to `dWh` in descending `t`, so the bits are those
+//!   of one product per step; a plain `k = T·B` sum would associate over
+//!   `t` differently and move the low bits.
 //!
 //! `Z` is activated in place and *is* the gate cache: each step's `B×4H`
 //! block goes through `tensor`'s lane-wise [`sigmoid_in_place`] in one
@@ -251,7 +252,8 @@ impl LstmLayer {
 
         let mut grads = self.zero_grads();
         let wh_t = &self.wh.packed_t()[0];
-        // Pre-activation gate gradients of every step, layout [i f g o].
+        // Pre-activation gate gradients of every step, layout [i f g o],
+        // the last step's block first until the steps are reversed below.
         let mut dz = Matrix::zeros(steps * b, 4 * h);
         let mut dh_carry = Matrix::zeros(b, h);
         let mut dc_carry = Matrix::zeros(b, h);
@@ -261,6 +263,7 @@ impl LstmLayer {
 
         for t in (0..steps).rev() {
             let step = t * b..(t + 1) * b;
+            let desc = (steps - 1 - t) * b..(steps - t) * b;
             tanh_c.copy_from_slice(&cache.cs.as_slice()[(t + 1) * b * h..(t + 2) * b * h]);
             tanh_in_place(&mut tanh_c);
             // The same pass leaves dc_{t−1} = dc · f in `dc_carry`.
@@ -272,7 +275,7 @@ impl LstmLayer {
                 let dh_up = dh_all.row(r);
                 let dh_c = dh_carry.row(lane);
                 let dc_c = dc_carry.row_mut(lane);
-                let dzr = dz.row_mut(r);
+                let dzr = dz.row_mut(desc.start + lane);
                 for j in 0..h {
                     let dh = dh_up[j] + dh_c[j];
                     let tc = tcr[j];
@@ -293,14 +296,14 @@ impl LstmLayer {
 
             // `dWx`, one step's term at a time so the sum over `t`
             // associates as it always has.
-            let dz_t = dz.rows_view(step.clone());
-            let x_t = cache.xs.block(step.clone(), block);
+            let dz_t = dz.rows_view(desc.clone());
+            let x_t = cache.xs.block(step, block);
             let d = self.input_dim();
             grads
                 .dwx
                 .gemm_rows(0..d, x_t.t(), Rhs::View(dz_t), Store::Add);
             db_step.fill(0.0);
-            for r in step {
+            for r in desc {
                 for (s, &v) in db_step.iter_mut().zip(dz.row(r)) {
                     *s += v;
                 }
@@ -314,16 +317,14 @@ impl LstmLayer {
         // operands' steps in descending `t`, each step is one `B`-long run
         // of `p`, summed on its own and added to `dWh` in descending `t`,
         // the association of one product per step.
-        let (h_prev, dz_desc) = (
-            last_step_first(&cache.hs, steps, b),
-            last_step_first(&dz, steps, b),
-        );
-        grads.dwh.gemm_rows(
-            0..h,
-            h_prev.view().t(),
-            Rhs::View(dz_desc.view()),
-            Store::AddRuns(b),
-        );
+        let hs = &cache.hs.as_slice()[..steps * b * h];
+        let mut h_prev = Matrix::from_vec(steps * b, h, hs.to_vec());
+        reverse_steps(&mut h_prev, b);
+        let dz_all = Rhs::View(dz.view());
+        grads
+            .dwh
+            .gemm_rows(0..h, h_prev.view().t(), dz_all, Store::AddRuns(b));
+        reverse_steps(&mut dz, b);
         (vec![dz], grads)
     }
 
@@ -351,15 +352,15 @@ impl LstmLayer {
     }
 }
 
-/// The first `steps` blocks of `b` rows of the t-major `m`, last step
-/// first.
-fn last_step_first(m: &Matrix, steps: usize, b: usize) -> Matrix {
+/// Reverses the order of `m`'s blocks of `b` rows, in place.
+fn reverse_steps(m: &mut Matrix, b: usize) {
     let step = b * m.cols();
-    let mut out = Vec::with_capacity(steps * step);
-    for t in (0..steps).rev() {
-        out.extend_from_slice(&m.as_slice()[t * step..(t + 1) * step]);
+    let data = m.as_mut_slice();
+    let steps = data.len() / step;
+    for t in 0..steps / 2 {
+        let (head, tail) = data.split_at_mut((steps - 1 - t) * step);
+        head[t * step..(t + 1) * step].swap_with_slice(&mut tail[..step]);
     }
-    Matrix::from_vec(steps * b, m.cols(), out)
 }
 
 impl LstmGrads {
