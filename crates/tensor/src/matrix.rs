@@ -578,7 +578,6 @@ fn gemm<const MODE: u8>(width: Width, c: &mut [f32], a: View<'_>, b: Rhs<'_>, ru
     let (m, k, n) = (a.rows, a.cols, b.cols());
     debug_assert_eq!(k, b.rows());
     debug_assert_eq!(c.len(), m * n);
-    debug_assert!(MODE != RUNS || run >= 1);
     assert!(width.supported(), "{width:?} tile on a CPU without it");
     let (panel_len, panels) = (k * NR, n.div_ceil(NR));
     // All of `B` when it fits the budget, else as many panels as fit, and
